@@ -1,7 +1,9 @@
 //! Criterion benchmarks for the supporting substrates: streaming vs
 //! in-place transforms (the dataflow-model overhead), the on-chip PRNG,
-//! and Garner CRT recombination (the decode-side "other" work).
+//! and CRT recombination (the decode-side "other" work): the big-integer
+//! Garner lift beside the word-sized verified lift decode runs.
 
+use abc_math::rns::{Lifted, WordLift};
 use abc_math::{primes::generate_ntt_primes, Modulus, RnsBasis};
 use abc_prng::{chacha::ChaCha20, sampler::UniformSampler, Seed};
 use abc_transform::{stream::StreamingNtt, NttPlan};
@@ -67,6 +69,29 @@ fn bench_crt(c: &mut Criterion) {
             BenchmarkId::new("combine_centered", primes),
             &primes,
             |b, _| b.iter(|| basis.combine_centered(black_box(&residues))),
+        );
+        // One coefficient per limb, a value every residue check passes
+        // (the decode case): Garner over the word prefix + verification.
+        let rows: Vec<Vec<u64>> = basis
+            .decompose_i128(-(1 << 72) / 3)
+            .into_iter()
+            .map(|r| vec![r])
+            .collect();
+        let lift = WordLift::new(basis.clone()).expect("36-bit primes");
+        g.bench_with_input(
+            BenchmarkId::new("word_lift_centered", primes),
+            &primes,
+            |b, _| {
+                b.iter(|| {
+                    let mut out = 0u128;
+                    let fell_back = lift.lift_centered(black_box(&rows), |_, _, mag| {
+                        if let Lifted::Word(mag) = mag {
+                            out = mag;
+                        }
+                    });
+                    (out, fell_back)
+                })
+            },
         );
     }
     g.finish();

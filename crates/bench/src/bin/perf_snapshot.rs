@@ -1,11 +1,11 @@
 //! Fast machine-readable perf + precision snapshot for CI artifacts.
 //!
 //! ```text
-//! cargo run --release -p abc-bench --bin perf_snapshot -- [OUT.json]
+//! cargo run --release -p abc-bench --bin perf_snapshot -- [OUT.json [BEFORE.json]]
 //! ```
 //!
 //! Runs a small, representative subset of the bench suite (NTT fast
-//! path, batched RNS engine, full client encode+encrypt /
+//! path, batched RNS engine, the CRT lifts, full client encode+encrypt /
 //! decrypt+decode) with short measurement windows, measures the
 //! round-trip precision of both scale modes at the smallest
 //! bootstrappable ring, and writes everything to one JSON file
@@ -15,11 +15,17 @@
 //! {
 //!   "benches":    [{"id": ..., "mean_ns": ..., "median_ns": ..., "p95_ns": ..., "iters": ...}],
 //!   "throughput": [{"id": ..., "bytes_per_op": ..., "median_ns": ..., "gib_per_s": ...}],
-//!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}]
+//!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}],
+//!   "before":     [the "benches" rows of BEFORE.json, when one was given]
 //! }
 //! ```
 //!
-//! The whole run stays under ~30 s so it can ride along on every CI
+//! `BEFORE.json` is a snapshot this binary wrote from the parent commit
+//! on the same host: a change that claims a speed-up commits its rows
+//! beside the new ones. The `rns/lift_*` rows are nanoseconds per
+//! coefficient; every other row is per call.
+//!
+//! The whole run stays under ~40 s so it can ride along on every CI
 //! push — this is the repo's perf trajectory, archived as an artifact.
 
 use abc_ckks::params::{CkksParams, EmbeddingPrecision, ScaleMode};
@@ -28,6 +34,7 @@ use abc_ckks::precision::{
 };
 use abc_ckks::CkksContext;
 use abc_float::{Complex, F64Field};
+use abc_math::rns::{Lifted, WordLift};
 use abc_prng::Seed;
 use abc_transform::{FftKernelPreference, NttPlan, RnsNttEngine, SpecialFft, SpecialFftEngine};
 use criterion::BenchRecord;
@@ -61,10 +68,37 @@ fn measure(id: &str, budget_ms: u64, mut f: impl FnMut()) -> BenchRecord {
     }
 }
 
+/// The rows of the `"benches"` array of a snapshot this binary wrote
+/// (they hold no brackets, so the array ends at the first `]`).
+fn bench_rows_of(snapshot: &str) -> &str {
+    let key = "\"benches\": [";
+    let start = snapshot.find(key).expect("snapshot has a benches array") + key.len();
+    let len = snapshot[start..].find(']').expect("benches array ends");
+    snapshot[start..start + len].trim_matches('\n')
+}
+
+/// The full-slot message of the `client/*` rows.
+fn client_message(ctx: &CkksContext) -> Vec<Complex> {
+    (0..ctx.params().slots())
+        .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
+        .collect()
+}
+
+/// `rec` with its per-call times divided over `n` coefficients.
+fn per_coeff(mut rec: BenchRecord, n: usize) -> BenchRecord {
+    rec.mean_secs /= n as f64;
+    rec.median_secs /= n as f64;
+    rec.p95_secs /= n as f64;
+    rec
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_snapshot.json".to_owned());
+    let before = std::env::args()
+        .nth(2)
+        .map(|path| std::fs::read_to_string(&path).expect("read the BEFORE snapshot"));
     let mut benches = Vec::new();
 
     // --- NTT fast path, the paper's dominant kernel ---
@@ -188,13 +222,86 @@ fn main() {
         }
     }
 
+    // --- Decode's CRT lift + scale division, ns per coefficient: the
+    // word-sized verified lift beside the big-integer lift it falls
+    // back to, at the paper's download (2 limbs) and fresh (24) depths ---
+    {
+        let n = 1usize << 13;
+        let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
+        let divisor = abc_ckks::ExactScale::from_log2(72).divisor();
+        // Message-sized coefficients: |x| < 2^73, as a decrypted
+        // Δ_eff = 2^72 payload has.
+        let ints: Vec<i128> = (0..n as i128)
+            .map(|i| (i * 0x9E37_79B9_7F4A_7C15 % (1 << 74)) - (1 << 73))
+            .collect();
+        for limbs in [2usize, 24] {
+            let basis = ctx.basis().truncated(limbs);
+            let rows: Vec<Vec<u64>> = basis
+                .moduli()
+                .iter()
+                .map(|m| ints.iter().map(|&x| m.from_i128(x)).collect())
+                .collect();
+            let lift = WordLift::new(basis.clone()).expect("preset primes are below 2^62");
+            let word = measure(&format!("rns/lift_word/{limbs}limbs"), 300, || {
+                let mut acc = 0.0;
+                let fell_back = lift.lift_centered(std::hint::black_box(&rows), |_, neg, mag| {
+                    acc += match mag {
+                        Lifted::Word(mag) => divisor.apply_u128(neg, mag),
+                        Lifted::Big(mag) => divisor.apply_ext(neg, mag),
+                    }
+                    .to_f64();
+                });
+                assert_eq!(fell_back, 0, "message-sized values verify");
+                std::hint::black_box(acc);
+            });
+            let product = basis.product();
+            let mut residues = vec![0u64; limbs];
+            let bigint = measure(&format!("rns/lift_bigint/{limbs}limbs"), 300, || {
+                let mut acc = 0.0;
+                for j in 0..n {
+                    for (r, row) in residues.iter_mut().zip(std::hint::black_box(&rows)) {
+                        *r = row[j];
+                    }
+                    let (neg, mag) = basis.combine_centered_big_with_product(&residues, &product);
+                    acc += divisor.apply_ext(neg, &mag).to_f64();
+                }
+                std::hint::black_box(acc);
+            });
+            benches.push(per_coeff(word, n));
+            benches.push(per_coeff(bigint, n));
+        }
+    }
+
+    // --- The paper's download (2-prime result at N = 2^16) and a fresh
+    // 24-prime decode at 2^14: the two depths the lift is used at ---
+    {
+        let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
+        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
+        let msg = client_message(&ctx);
+        let low = ctx
+            .encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(7))
+            .truncated(2);
+        benches.push(measure("client/decrypt_decode_2prime/2^16", 1500, || {
+            let pt = ctx.decrypt(&low, &sk).expect("decrypt");
+            std::hint::black_box(ctx.decode(&pt).expect("decode"));
+        }));
+    }
+    {
+        let ctx = CkksContext::new(CkksParams::bootstrappable(14).expect("preset")).expect("ctx");
+        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
+        let msg = client_message(&ctx);
+        let ct = ctx.encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(7));
+        let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+        benches.push(measure("client/decode_24prime/2^14", 1500, || {
+            std::hint::black_box(ctx.decode(&pt).expect("decode"));
+        }));
+    }
+
     // --- Full client pipeline at the smallest bootstrappable preset ---
     {
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
         let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
-        let msg: Vec<Complex> = (0..ctx.params().slots())
-            .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
-            .collect();
+        let msg = client_message(&ctx);
         let mut held = None;
         benches.push(measure("client/encode_encrypt/2^13", 1500, || {
             let pt = ctx.encode(&msg).expect("encode");
@@ -332,8 +439,11 @@ fn main() {
     }
 
     let bench_json = criterion::records_to_json(&benches);
+    let before_json = before.map_or(String::new(), |snapshot| {
+        format!(",\n\"before\": [\n{}\n]", bench_rows_of(&snapshot))
+    });
     let json = format!(
-        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n]\n}}\n",
+        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n]{before_json}\n}}\n",
         bench_json.trim_end(),
         throughput_rows.join(",\n"),
         precision_rows.join(",\n")

@@ -6,6 +6,7 @@ use crate::params::{CkksParams, EmbeddingPrecision};
 use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
+use abc_math::rns::{Lifted, WordLift};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
@@ -383,12 +384,31 @@ impl CkksContext {
     ) -> Result<Vec<Complex>, CkksError> {
         let mut vals = self.decode_to_slots(engine, pt)?;
         engine.forward(&mut vals);
-        let field = engine.plan().field();
-        Ok(vals.into_iter().map(|v| v.to_f64_in(field)).collect())
+        Ok(Self::narrow_slots(engine, vals))
     }
 
-    /// Everything decode does *before* the forward embedding: INTT,
-    /// exact CRT lift, double-double scale division, re/im packing.
+    /// The datapath's slot values as `f64` pairs; the slot buffer goes
+    /// back to `engine`'s pool.
+    fn narrow_slots<F: RealField>(
+        engine: &SpecialFftEngine<F>,
+        vals: Vec<Complex<F::Real>>,
+    ) -> Vec<Complex> {
+        let field = engine.plan().field();
+        let out = vals.iter().map(|v| v.to_f64_in(field)).collect();
+        engine.recycle(vals);
+        out
+    }
+
+    /// Everything decode does *before* the forward embedding, as one
+    /// streaming pass: out-of-place INTT into pooled limbs, then per
+    /// coefficient the exact centered CRT lift (word-sized and verified
+    /// against every residue; big-integer only where that check fails,
+    /// see [`WordLift`]) and the division by the exact rational scale in
+    /// double-double precision, written straight into a pooled slot
+    /// buffer (coefficient `j` is the real part of slot `j`, coefficient
+    /// `j + N/2` its imaginary part). The quotient enters the embedding
+    /// at the datapath's full width: ExtF64 keeps all ~106 bits, the
+    /// f64 view is one final rounding.
     fn decode_to_slots<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
@@ -397,37 +417,28 @@ impl CkksContext {
         if pt.n != self.params.n() || pt.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        let n = self.params.n();
         let lvl = pt.num_primes();
-        // INTT each residue polynomial (paper: INTT stage of decoding),
-        // all limbs batched through the engine's thread fan-out.
-        let mut res: Vec<Vec<u64>> = pt.rns.clone();
-        self.engine.inverse_all(&mut res);
-        // CRT-combine per coefficient to the *exact* centered integer,
-        // then divide by the exact rational scale in double-double
-        // precision — the quotient enters the embedding at the
-        // datapath's full width (ExtF64 keeps all ~106 bits; the f64
-        // view is one final rounding, exactly as before).
-        let sub_basis = if lvl == self.basis.len() {
-            self.basis.clone()
-        } else {
-            self.basis.truncated(lvl)
-        };
-        let modulus_product = sub_basis.product();
+        // Paper: INTT stage of decoding, all limbs batched through the
+        // engine's thread fan-out.
+        let mut res = self.engine.take_limbs(lvl);
+        self.engine.inverse_all_from(&pt.rns, &mut res);
+        let lift = WordLift::new(self.basis.truncated(lvl))?;
         let divisor = pt.scale.divisor();
         let field = engine.plan().field();
-        let mut coeffs = vec![F::Real::default(); n];
-        let mut residues = vec![0u64; lvl];
-        for (j, c) in coeffs.iter_mut().enumerate() {
-            for (r, limb) in residues.iter_mut().zip(&res) {
-                *r = limb[j];
+        let slots = self.params.slots();
+        let mut vals = engine.take_buf();
+        lift.lift_centered(&res, |j, negative, mag| {
+            let c = field.from_ext(match mag {
+                Lifted::Word(mag) => divisor.apply_u128(negative, mag),
+                Lifted::Big(mag) => divisor.apply_ext(negative, mag),
+            });
+            if j < slots {
+                vals[j].re = c;
+            } else {
+                vals[j - slots].im = c;
             }
-            let (negative, mag) =
-                sub_basis.combine_centered_big_with_product(&residues, &modulus_product);
-            *c = field.from_ext(divisor.apply_ext(negative, &mag));
-        }
-        // Coefficients → slots, ready for the forward embedding.
-        Ok(engine.plan().coeffs_to_slots(&coeffs))
+        });
+        Ok(vals)
     }
 
     /// Encodes a batch of messages, fanning the inverse-embedding FFTs
@@ -489,7 +500,6 @@ impl CkksContext {
     /// batch.
     pub fn decode_batch(&self, pts: &[Plaintext]) -> Result<Vec<Vec<Complex>>, CkksError> {
         with_embedding!(self, e => {
-            let field = *e.plan().field();
             let mut batch = pts
                 .iter()
                 .map(|pt| self.decode_to_slots(e, pt))
@@ -497,7 +507,7 @@ impl CkksContext {
             e.forward_batch(&mut batch);
             Ok(batch
                 .into_iter()
-                .map(|v| v.into_iter().map(|z| z.to_f64_in(&field)).collect())
+                .map(|vals| Self::narrow_slots(e, vals))
                 .collect())
         })
     }
@@ -579,7 +589,6 @@ impl CkksContext {
         pts: &[Plaintext],
     ) -> Result<Vec<Vec<Complex>>, CkksError> {
         with_embedding!(self, e => {
-            let field = *e.plan().field();
             let plan = e.plan();
             let (tx, rx) = std::sync::mpsc::sync_channel(2);
             std::thread::scope(|s| {
@@ -599,7 +608,7 @@ impl CkksContext {
                 for slots in rx {
                     let mut vals = slots?;
                     plan.forward(&mut vals);
-                    out.push(vals.into_iter().map(|z| z.to_f64_in(&field)).collect());
+                    out.push(Self::narrow_slots(e, vals));
                 }
                 Ok(out)
             })

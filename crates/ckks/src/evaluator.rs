@@ -39,6 +39,8 @@ use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
 use crate::params::ScaleMode;
 use crate::scale::ExactScale;
 use crate::CkksError;
+use abc_math::rns::WordLift;
+use abc_math::RnsBasis;
 
 /// Shared entry-point validation for every evaluator operation: the
 /// operand must carry this context's ring degree and no more primes
@@ -260,19 +262,20 @@ pub fn rescale_pair(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Ck
     let qb = ctx.basis().moduli()[lvl - 1]; // last
     let pair_product = qa.q() as u128 * qb.q() as u128;
     let engine = ctx.ntt_engine();
-    // (qa·qb)^{-1} mod q_i and the CRT stitch qa^{-1} mod qb, basis-only.
+    // (qa·qb)^{-1} mod q_i and the CRT lift over the pair, basis-only.
     let pair_inv: Vec<u64> = ctx.basis().moduli()[..keep]
         .iter()
         .map(|m| m.inv(m.reduce_u128(pair_product)).expect("coprime basis"))
         .collect();
-    let qa_inv_mod_qb = qb.inv(qb.reduce(qa.q())).expect("coprime basis");
+    let pair_lift = WordLift::new(RnsBasis::new(vec![qa.q(), qb.q()])?)?;
     let (c0, c1) = ct.components();
     let mut out0 = Vec::with_capacity(keep);
     let mut out1 = Vec::with_capacity(keep);
     let mut centered = vec![0i128; ct.n()];
     for (component, out) in [(c0, &mut out0), (c1, &mut out1)] {
         // Both tail residues back to coefficient domain (copies folded
-        // into the first inverse-NTT stage).
+        // into the first inverse-NTT stage), then CRT-lifted per
+        // coefficient into (−qa·qb/2, qa·qb/2].
         let mut tail_a = engine.take_buf();
         let mut tail_b = engine.take_buf();
         engine
@@ -281,19 +284,7 @@ pub fn rescale_pair(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Ck
         engine
             .plan(lvl - 1)
             .inverse_from(&component[lvl - 1], &mut tail_b);
-        // CRT lift per coefficient: x = ra + qa·((rb − ra)·qa^{-1} mod qb),
-        // centered into (−qa·qb/2, qa·qb/2].
-        for (j, dst) in centered.iter_mut().enumerate() {
-            let ra = tail_a[j];
-            let rb = tail_b[j];
-            let t = qb.mul(qb.sub(qb.reduce(rb), qb.reduce(ra)), qa_inv_mod_qb);
-            let x = ra as u128 + qa.q() as u128 * t as u128;
-            *dst = if x > pair_product / 2 {
-                x as i128 - pair_product as i128
-            } else {
-                x as i128
-            };
-        }
+        pair_lift.lift_centered_i128(&[&tail_a, &tail_b], &mut centered);
         engine.recycle(tail_a);
         engine.recycle(tail_b);
         // c'_i = (c_i - NTT(tail)) * (qa·qb)^{-1} mod q_i as ONE fused

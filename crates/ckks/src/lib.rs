@@ -7,10 +7,11 @@
 //!   round → RNS expansion → per-prime NTT ([`CkksContext::encode`]).
 //! * **Encrypt** — public-key encryption with on-chip-style PRNG-derived
 //!   mask/error polynomials ([`CkksContext::encrypt`]).
-//! * **Decrypt** — `c0 + c1·s`, per-prime INTT, CRT recombination
+//! * **Decrypt** — `c0 + c1·s` per prime, left in NTT domain
 //!   ([`CkksContext::decrypt`]).
-//! * **Decoding** — centered big-integer → /Δ → canonical-embedding FFT →
-//!   slot vector ([`CkksContext::decode`]).
+//! * **Decoding** — per-prime INTT → exact centered CRT lift (word-sized
+//!   and verified; big-integer only where the check fails) → /Δ →
+//!   canonical-embedding FFT → slot vector ([`CkksContext::decode`]).
 //!
 //! Parameters cover the paper's **bootstrappable** regime: `N = 2^13 …
 //! 2^16`, 36-bit double-scale primes, up to 24 RNS levels

@@ -271,6 +271,23 @@ impl ScaleDivisor {
             return ExtF64::zero();
         }
         let (xm, xe) = ubig_ext(mag);
+        self.scale_mantissa(negative, xm, xe)
+    }
+
+    /// [`Self::apply_ext`] for a magnitude that fits a word pair — what
+    /// the word-sized CRT lift produces. Bit-identical to `apply_ext`
+    /// on the same value, for every `u128` (magnitudes past 106 bits
+    /// drop the same low bits).
+    pub fn apply_u128(&self, negative: bool, mag: u128) -> ExtF64 {
+        if mag == 0 {
+            return ExtF64::zero();
+        }
+        let shift = (128 - mag.leading_zeros()).saturating_sub(106);
+        self.scale_mantissa(negative, u128_ext(mag >> shift), shift as i64)
+    }
+
+    /// `±xm·2^xe / scale`.
+    fn scale_mantissa(&self, negative: bool, xm: ExtF64, xe: i64) -> ExtF64 {
         let v = (xm * self.factor).ldexp((xe + self.exp) as i32);
         if negative {
             -v
@@ -303,19 +320,22 @@ fn den_product(den: &[u64]) -> UBig {
 /// double-double holding the top ≤106 bits exactly and
 /// `value ≈ mantissa · 2^exp` (exact when `bits() ≤ 106`).
 fn ubig_ext(x: &UBig) -> (ExtF64, i64) {
-    if x.is_zero() {
-        return (ExtF64::zero(), 0);
-    }
-    let bits = x.bits() as i64;
-    let (top, shift) = if bits <= 106 {
-        (x.to_u128().expect("<= 106 bits fits u128"), 0i64)
+    let shift = x.bits().saturating_sub(106);
+    let top = if shift == 0 {
+        x.to_u128()
     } else {
-        let s = bits - 106;
-        (x.shr(s as u32).to_u128().expect("106-bit prefix"), s)
-    };
+        x.shr(shift).to_u128()
+    }
+    .expect("106-bit prefix");
+    (u128_ext(top), shift as i64)
+}
+
+/// An integer below `2^106` as an exact double-double.
+fn u128_ext(top: u128) -> ExtF64 {
+    debug_assert!(top >> 106 == 0);
     let hi = ((top >> 53) as u64) as f64 * abc_float::extended::pow2(53);
     let lo = (top as u64 & ((1u64 << 53) - 1)) as f64;
-    (ExtF64::from_sum(hi, lo), shift)
+    ExtF64::from_sum(hi, lo)
 }
 
 #[cfg(test)]

@@ -1,11 +1,16 @@
 //! Property-based tests for the CKKS client pipeline.
 
 use abc_ckks::params::{CkksParams, ScaleMode};
-use abc_ckks::{evaluator, noise, wire, Ciphertext, CkksContext};
-use abc_float::Complex;
+use abc_ckks::{
+    evaluator, noise, wire, Ciphertext, CkksContext, EmbeddingEngine, EmbeddingPrecision,
+    ExactScale, Plaintext,
+};
+use abc_float::{Complex, RealField};
+use abc_math::rns::WordLift;
+use abc_math::UBig;
 use abc_prng::Seed;
 use abc_transform::rns_ntt::THREADS_ENV;
-use abc_transform::SpecialFft;
+use abc_transform::{SpecialFft, SpecialFftEngine};
 use proptest::prelude::*;
 
 fn small_ctx(log_n: u32, primes: usize) -> CkksContext {
@@ -30,8 +35,175 @@ fn message_from_seed(slots: usize, seed: u64) -> Vec<Complex> {
         .collect()
 }
 
+/// A double-scale context (Δ_eff = 2^72, 39-bit head prime then 36-bit
+/// primes — the paper presets' shape) with six primes: the word lift's
+/// prefix is three of them, the other three verify.
+fn lift_ctx(embedding: EmbeddingPrecision) -> CkksContext {
+    CkksContext::new(
+        CkksParams::builder()
+            .log_n(7)
+            .num_primes(6)
+            .scale_mode(ScaleMode::DoublePair)
+            .embedding_precision(embedding)
+            .secret_hamming_weight(None)
+            .build()
+            .expect("valid params"),
+    )
+    .expect("context")
+}
+
+/// `pt`'s residues in coefficient domain, and the basis they are over.
+fn coefficient_limbs(ctx: &CkksContext, pt: &Plaintext) -> (Vec<Vec<u64>>, abc_math::RnsBasis) {
+    let mut res = pt.residues().to_vec();
+    ctx.ntt_engine().inverse_all(&mut res);
+    (res, ctx.basis().truncated(pt.num_primes()))
+}
+
+/// Decode as it was before the word lift: every coefficient through
+/// the big-integer Garner lift and `apply_ext`.
+fn oracle_decode(ctx: &CkksContext, pt: &Plaintext) -> Vec<Complex> {
+    fn on<F: RealField>(
+        ctx: &CkksContext,
+        engine: &SpecialFftEngine<F>,
+        pt: &Plaintext,
+    ) -> Vec<Complex> {
+        let (res, basis) = coefficient_limbs(ctx, pt);
+        let product = basis.product();
+        let divisor = pt.exact_scale().divisor();
+        let field = engine.plan().field();
+        let coeffs: Vec<F::Real> = (0..pt.n())
+            .map(|j| {
+                let residues: Vec<u64> = res.iter().map(|limb| limb[j]).collect();
+                let (negative, mag) = basis.combine_centered_big_with_product(&residues, &product);
+                field.from_ext(divisor.apply_ext(negative, &mag))
+            })
+            .collect();
+        let mut vals = engine.plan().coeffs_to_slots(&coeffs);
+        engine.forward(&mut vals);
+        vals.into_iter().map(|v| v.to_f64_in(field)).collect()
+    }
+    match ctx.embedding() {
+        EmbeddingEngine::F64(e) => on(ctx, e, pt),
+        EmbeddingEngine::ExtF64(e) => on(ctx, e, pt),
+        EmbeddingEngine::Fp55(e) => on(ctx, e, pt),
+    }
+}
+
+/// How many of `pt`'s coefficients the word lift hands to the fallback.
+fn fallbacks(ctx: &CkksContext, pt: &Plaintext) -> usize {
+    let (res, basis) = coefficient_limbs(ctx, pt);
+    WordLift::new(basis)
+        .expect("context primes are below 2^62")
+        .lift_centered(&res, |_, _, _| {})
+}
+
+fn assert_bit_identical(got: &[Complex], want: &[Complex]) {
+    assert_eq!(got.len(), want.len());
+    for (j, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(a.re.to_bits(), b.re.to_bits(), "slot {j} re");
+        assert_eq!(a.im.to_bits(), b.im.to_bits(), "slot {j} im");
+    }
+}
+
+#[test]
+fn wrong_key_decode_falls_back_to_the_same_garbage() {
+    let ctx = lift_ctx(EmbeddingPrecision::F64);
+    let (_, pk) = ctx.keygen(Seed::from_u128(61));
+    let (other_sk, _) = ctx.keygen(Seed::from_u128(62));
+    let msg = message_from_seed(ctx.params().slots(), 63);
+    let ct = ctx.encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(64));
+    let pt = ctx.decrypt(&ct, &other_sk).expect("decrypt");
+    // Uniform mod Q: no coefficient is within the three-prime prefix.
+    assert_eq!(fallbacks(&ctx, &pt), pt.n());
+    assert_bit_identical(&ctx.decode(&pt).expect("decode"), &oracle_decode(&ctx, &pt));
+}
+
+#[test]
+fn unrescaled_product_decodes_past_the_prefix() {
+    // Scale 2^144 against a prefix of ≈ 2^111: the payload itself is out
+    // of the word lift's range, and Q ≈ 2^219 still holds it.
+    let ctx = lift_ctx(EmbeddingPrecision::F64);
+    let (sk, pk) = ctx.keygen(Seed::from_u128(71));
+    let evk = ctx.gen_eval_key(&sk, Seed::from_u128(72));
+    let slots = ctx.params().slots();
+    let (a, b) = (message_from_seed(slots, 73), message_from_seed(slots, 74));
+    let ca = ctx.encrypt(&ctx.encode(&a).expect("encode"), &pk, Seed::from_u128(75));
+    let cb = ctx.encrypt(&ctx.encode(&b).expect("encode"), &pk, Seed::from_u128(76));
+    let product = evaluator::mul_relin(&ctx, &ca, &cb, &evk).expect("mul_relin");
+    let pt = ctx.decrypt(&product, &sk).expect("decrypt");
+    assert_eq!(pt.exact_scale(), &ExactScale::from_log2(144));
+    assert!(fallbacks(&ctx, &pt) > pt.n() * 9 / 10);
+    let out = ctx.decode(&pt).expect("decode");
+    assert_bit_identical(&out, &oracle_decode(&ctx, &pt));
+    for ((o, x), y) in out.iter().zip(&a).zip(&b) {
+        let want = Complex::new(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re);
+        assert!(o.dist(want) < 1e-6, "{o} vs {want}");
+    }
+}
+
+#[test]
+fn two_prime_download_has_nothing_to_verify() {
+    // The paper's download: both limbs are word prefix, so the lift is
+    // plain Garner + centring and never falls back.
+    let ctx = lift_ctx(EmbeddingPrecision::F64);
+    let (sk, pk) = ctx.keygen(Seed::from_u128(81));
+    let msg = message_from_seed(ctx.params().slots(), 82);
+    let ct = ctx
+        .encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(83))
+        .truncated(2);
+    let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+    assert_eq!(fallbacks(&ctx, &pt), 0);
+    let out = ctx.decode(&pt).expect("decode");
+    assert_bit_identical(&out, &oracle_decode(&ctx, &pt));
+    for (o, m) in out.iter().zip(&msg) {
+        assert!(o.dist(*m) < 1e-6, "{o} vs {m}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn decode_is_bit_identical_to_the_bigint_oracle(
+        seed in any::<u64>(),
+        embedding in prop::sample::select(vec![
+            EmbeddingPrecision::F64,
+            EmbeddingPrecision::ExtF64,
+            EmbeddingPrecision::Fp55,
+        ]),
+    ) {
+        let ctx = lift_ctx(embedding);
+        let (sk, pk) = ctx.keygen(Seed::from_u128(seed as u128));
+        let msg = message_from_seed(ctx.params().slots(), seed);
+        let ct = ctx.encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(seed as u128 + 1));
+        // One prime wraps the 2^72 payload; decode is defined all the same.
+        for primes in [1, 2, 3, 4, 6] {
+            let pt = ctx.decrypt(&ct.truncated(primes), &sk).expect("decrypt");
+            assert_bit_identical(&ctx.decode(&pt).expect("decode"), &oracle_decode(&ctx, &pt));
+        }
+    }
+
+    #[test]
+    fn apply_u128_is_apply_ext(
+        word in any::<u128>(),
+        bits in 1u32..=127,
+        negative in any::<bool>(),
+        scale in prop::sample::select(vec![
+            ExactScale::from_log2(72),
+            ExactScale::from_log2(144)
+                .div_prime(0xF_FFF0_0001)
+                .div_prime(0xF_FFEA_C001),
+            ExactScale::from_f64(1.5e11).expect("positive").div_prime(97),
+        ]),
+    ) {
+        // Exactly `bits` significant bits: past 106 the low ones are
+        // dropped, and both entries must drop the same ones.
+        let mag = (word | 1 << 127) >> (128 - bits);
+        let divisor = scale.divisor();
+        let (got, want) = (divisor.apply_u128(negative, mag), divisor.apply_ext(negative, &UBig::from(mag)));
+        prop_assert_eq!(got.hi().to_bits(), want.hi().to_bits(), "hi, mag = {}", mag);
+        prop_assert_eq!(got.lo().to_bits(), want.lo().to_bits(), "lo, mag = {}", mag);
+    }
 
     #[test]
     fn roundtrip_over_random_messages(seed in any::<u64>(), log_n in 7u32..10) {

@@ -15,9 +15,11 @@
 //!   generation, and the structured-`k` search that backs the paper's claim
 //!   of 443 usable 32–36-bit primes for `N = 2^16`.
 //! * [`bigint`] — a minimal unsigned big integer ([`bigint::UBig`]) used by
-//!   CRT reconstruction during decryption.
-//! * [`rns`] — RNS bases, decomposition of scaled integers and Garner CRT
-//!   recombination ([`rns::RnsBasis`]).
+//!   exact scale arithmetic and by the CRT lift's oracle and fallback.
+//! * [`rns`] — RNS bases, decomposition of scaled integers, and the two
+//!   CRT lifts: the word-sized verified [`rns::WordLift`] that decode and
+//!   rescale run, and the big-integer Garner recombination of
+//!   [`rns::RnsBasis`] it falls back to and is tested against.
 //! * [`poly`] — element-wise polynomial (vector) operations over `Z_q`, the
 //!   workload of the paper's Modular Streaming Engine.
 //! * [`dyadic`] — the [`DyadicEngine`] that dispatches those element-wise

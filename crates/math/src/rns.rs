@@ -1,12 +1,23 @@
-//! Residue number system bases and Garner CRT recombination.
+//! Residue number system bases and CRT recombination.
 //!
 //! The client-side CKKS pipeline expands each encoded coefficient into
 //! residues modulo every prime of the current level ("Expand RNS" in the
 //! paper's Fig. 2a) and, on decryption, recombines residues back into a
-//! centered big integer ("Combine CRT").
+//! centered integer ("Combine CRT").
+//!
+//! Two lifts exist. [`WordLift`] is the decode and rescale path: Garner
+//! over the longest basis prefix whose product fits a `u128`, centered,
+//! then *verified* against every remaining residue — a coefficient that
+//! verifies is the exact centered representative modulo the whole
+//! basis. A coefficient that does not verify is recombined by
+//! [`RnsBasis::combine_centered_big_with_product`], the big-integer
+//! Garner lift that also serves as the oracle the word lift is tested
+//! against. Which one runs is decided per coefficient by that check and
+//! by nothing else.
 
 use crate::bigint::UBig;
 use crate::modulus::Modulus;
+use crate::shoup::{mul_shoup, shoup_precompute, MAX_SHOUP_MODULUS};
 use crate::MathError;
 
 /// An ordered RNS basis `q_0, …, q_{L}` of pairwise-coprime odd primes.
@@ -205,6 +216,350 @@ impl RnsBasis {
     }
 }
 
+/// A constant `w ∈ [0, q)` with its Shoup quotient: [`Self::mul`] is
+/// `a·w mod q` for **any** `a: u64` — with `w = 1`, a word reduction.
+#[derive(Debug, Clone, Copy)]
+struct ShoupConst {
+    w: u64,
+    w_shoup: u64,
+    q: u64,
+}
+
+impl ShoupConst {
+    fn new(w: u64, q: u64) -> Self {
+        Self {
+            w,
+            w_shoup: shoup_precompute(w, q),
+            q,
+        }
+    }
+
+    /// `a·w mod q`, in `[0, q)`.
+    #[inline(always)]
+    fn mul(&self, a: u64) -> u64 {
+        mul_shoup(a, self.w, self.w_shoup, self.q)
+    }
+}
+
+/// One Garner step `(r − d)·q_i⁻¹ mod q_j` for a residue `r ∈ [0, q_j)`
+/// and an earlier digit `d ∈ [0, q_i)`.
+#[derive(Debug, Clone, Copy)]
+struct GarnerStep {
+    /// The smallest multiple of `q_j` that is `≥ q_i`: keeps `r − d`
+    /// non-negative without reducing `d` first. Below `q_i + q_j`, so
+    /// `r + lift − d < q_i + 2q_j` stays inside a word for `q < 2^62`.
+    lift: u64,
+    inv: ShoupConst,
+}
+
+impl GarnerStep {
+    fn new(qi: &Modulus, qj: &Modulus, qi_inv_mod_qj: u64) -> Self {
+        Self {
+            lift: qi.q().div_ceil(qj.q()) * qj.q(),
+            inv: ShoupConst::new(qi_inv_mod_qj, qj.q()),
+        }
+    }
+
+    #[inline(always)]
+    fn digit(&self, r: u64, d: u64) -> u64 {
+        self.inv.mul(r + self.lift - d)
+    }
+}
+
+/// The residue check of one limb beyond the word prefix.
+#[derive(Debug, Clone, Copy)]
+struct VerifyLimb {
+    /// `1 mod q`: reduces the low word of a magnitude.
+    one: ShoupConst,
+    /// `2^64 mod q`: folds the high word in.
+    two64: ShoupConst,
+}
+
+impl VerifyLimb {
+    fn new(m: &Modulus) -> Self {
+        Self {
+            one: ShoupConst::new(1, m.q()),
+            two64: ShoupConst::new(m.reduce_u128(1 << 64), m.q()),
+        }
+    }
+
+    /// Whether the centered value `x` has residue `r ∈ [0, q)`.
+    #[inline(always)]
+    fn matches(&self, x: i128, r: u64) -> bool {
+        let q = self.one.q;
+        let mag = x.unsigned_abs();
+        let mut t = self.two64.mul((mag >> 64) as u64) + self.one.mul(mag as u64);
+        if t >= q {
+            t -= q;
+        }
+        let want = if x < 0 && t != 0 { q - t } else { t };
+        want == r
+    }
+}
+
+/// Magnitude of one centered CRT lift, as [`WordLift::lift_centered`]
+/// hands it to its sink.
+#[derive(Debug, Clone, Copy)]
+pub enum Lifted<'a> {
+    /// The word lift verified: the magnitude fits a `u128`.
+    Word(u128),
+    /// The word lift did not verify; recombined by the big-integer lift.
+    Big(&'a UBig),
+}
+
+/// Coefficients lifted per pass over the limbs: the prefix values and
+/// their flags stay on the stack, each limb is read in contiguous runs.
+const LIFT_BLOCK: usize = 256;
+
+/// The word-sized verified CRT lift of a basis.
+///
+/// Garner runs over the *word prefix* — the longest prefix of at most
+/// three moduli whose product `Q_k` stays below `2^127` — and centers
+/// the result in `(−Q_k/2, Q_k/2]`. Every remaining limb `j` then checks
+/// `x mod q_j == r_j`. A value that passes every check is congruent to
+/// the residues modulo the whole product `Q` and has `|x| ≤ Q_k/2 <
+/// Q/2`, so it *is* the centered representative modulo `Q`: the result
+/// is exact for every input. A value that fails a check (its true
+/// magnitude exceeds `Q_k/2`) is recombined by
+/// [`RnsBasis::combine_centered_big_with_product`].
+///
+/// All residues handed to the lift must be canonical, in `[0, q)` of
+/// their limb — what `NttPlan::inverse` produces. The hot loops reduce
+/// through precomputed Shoup constants only (no `%`).
+///
+/// # Example
+///
+/// ```
+/// use abc_math::{rns::{Lifted, WordLift}, RnsBasis, primes::generate_ntt_primes};
+///
+/// # fn main() -> Result<(), abc_math::MathError> {
+/// let basis = RnsBasis::new(generate_ntt_primes(36, 5, 1 << 14)?)?;
+/// let limbs: Vec<Vec<u64>> = basis.decompose_i128(-42).iter().map(|&r| vec![r]).collect();
+/// let lift = WordLift::new(basis)?;
+/// let fell_back = lift.lift_centered(&limbs, |_, negative, mag| {
+///     assert!(negative && matches!(mag, Lifted::Word(42)));
+/// });
+/// assert_eq!(fell_back, 0);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct WordLift {
+    /// The whole basis: the fallback lift and its Garner constants.
+    basis: RnsBasis,
+    /// `Q`, for the fallback's centering.
+    product: UBig,
+    prefix: Prefix,
+    /// `Q_k`, the prefix product.
+    prefix_product: u128,
+    /// One check per limb past the prefix.
+    verify: Vec<VerifyLimb>,
+}
+
+/// The Garner constants of a word prefix of one, two or three moduli.
+#[derive(Debug, Clone, Copy)]
+enum Prefix {
+    One,
+    Two {
+        q0: u64,
+        s10: GarnerStep,
+    },
+    Three {
+        q0: u64,
+        q01: u128,
+        s10: GarnerStep,
+        s20: GarnerStep,
+        s21: GarnerStep,
+    },
+}
+
+impl WordLift {
+    /// Builds the lift of `basis` — any coprime moduli, a context's
+    /// level prefix or an ad-hoc pair alike.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::InvalidModulus`] for a modulus at or above
+    /// [`MAX_SHOUP_MODULUS`] (the Shoup reductions need `2q` and
+    /// `q_i + 2q_j` inside a word).
+    pub fn new(basis: RnsBasis) -> Result<Self, MathError> {
+        let moduli = basis.moduli();
+        if let Some(m) = moduli.iter().find(|m| m.q() >= MAX_SHOUP_MODULUS) {
+            return Err(MathError::InvalidModulus(m.q()));
+        }
+        let mut len = 1;
+        let mut prefix_product = moduli[0].q() as u128;
+        while len < moduli.len().min(3) {
+            match prefix_product.checked_mul(moduli[len].q() as u128) {
+                Some(p) if p < 1 << 127 => prefix_product = p,
+                _ => break,
+            }
+            len += 1;
+        }
+        let step =
+            |i: usize, j: usize| GarnerStep::new(&moduli[i], &moduli[j], basis.garner_inv[j][i]);
+        let q0 = moduli[0].q();
+        let prefix = match len {
+            1 => Prefix::One,
+            2 => Prefix::Two {
+                q0,
+                s10: step(0, 1),
+            },
+            _ => Prefix::Three {
+                q0,
+                q01: q0 as u128 * moduli[1].q() as u128,
+                s10: step(0, 1),
+                s20: step(0, 2),
+                s21: step(1, 2),
+            },
+        };
+        Ok(Self {
+            product: basis.product(),
+            prefix,
+            prefix_product,
+            verify: moduli[len..].iter().map(VerifyLimb::new).collect(),
+            basis,
+        })
+    }
+
+    /// Lifts every coefficient of `limbs` (limb-major: `limbs[i][j]` is
+    /// coefficient `j` modulo `q_i`, canonical in `[0, q_i)`) to its
+    /// centered representative in `(−Q/2, Q/2]` and hands
+    /// `(j, negative, magnitude)` to `sink`, in coefficient order.
+    /// Returns how many coefficients took the big-integer fallback.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one limb per modulus, all of one length.
+    pub fn lift_centered<L: AsRef<[u64]>>(
+        &self,
+        limbs: &[L],
+        mut sink: impl FnMut(usize, bool, Lifted<'_>),
+    ) -> usize {
+        let n = self.check_shape(limbs);
+        let mut xs = [0i128; LIFT_BLOCK];
+        let mut verified = [true; LIFT_BLOCK];
+        let mut residues = vec![0u64; limbs.len()];
+        let mut fell_back = 0;
+        for start in (0..n).step_by(LIFT_BLOCK) {
+            let len = LIFT_BLOCK.min(n - start);
+            let (xs, verified) = (&mut xs[..len], &mut verified[..len]);
+            self.lift_prefix(limbs, start, xs);
+            verified.fill(true);
+            let past_prefix = &limbs[limbs.len() - self.verify.len()..];
+            for (check, limb) in self.verify.iter().zip(past_prefix) {
+                let rs = canonical_run(limb.as_ref(), start, len, check.one.q);
+                for ((ok, &x), &r) in verified.iter_mut().zip(xs.iter()).zip(rs) {
+                    *ok &= check.matches(x, r);
+                }
+            }
+            for (i, (&x, &ok)) in xs.iter().zip(verified.iter()).enumerate() {
+                let j = start + i;
+                if ok {
+                    sink(j, x < 0, Lifted::Word(x.unsigned_abs()));
+                } else {
+                    for (r, limb) in residues.iter_mut().zip(limbs) {
+                        *r = limb.as_ref()[j];
+                    }
+                    let (negative, mag) = self
+                        .basis
+                        .combine_centered_big_with_product(&residues, &self.product);
+                    sink(j, negative, Lifted::Big(&mag));
+                    fell_back += 1;
+                }
+            }
+        }
+        fell_back
+    }
+
+    /// [`Self::lift_centered`] for a basis that is all word prefix (at
+    /// most three moduli, product below `2^127`): every centered value
+    /// fits an `i128`, nothing is left to verify, nothing falls back.
+    /// Residues are canonical, in `[0, q_i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the basis reaches past its word prefix, or on the
+    /// shape conditions of [`Self::lift_centered`] with `out` as one
+    /// more limb.
+    pub fn lift_centered_i128<L: AsRef<[u64]>>(&self, limbs: &[L], out: &mut [i128]) {
+        assert!(
+            self.verify.is_empty(),
+            "basis product does not fit the word lift"
+        );
+        assert_eq!(self.check_shape(limbs), out.len());
+        for (block, xs) in out.chunks_mut(LIFT_BLOCK).enumerate() {
+            self.lift_prefix(limbs, block * LIFT_BLOCK, xs);
+        }
+    }
+
+    /// Checks one limb per modulus, all of one length; returns it.
+    fn check_shape<L: AsRef<[u64]>>(&self, limbs: &[L]) -> usize {
+        assert_eq!(limbs.len(), self.basis.len(), "one limb per modulus");
+        let n = limbs[0].as_ref().len();
+        assert!(
+            limbs.iter().all(|l| l.as_ref().len() == n),
+            "limbs differ in length"
+        );
+        n
+    }
+
+    /// Garner over the prefix limbs for coefficients `start..start +
+    /// xs.len()`, centered in `(−Q_k/2, Q_k/2]`. Residues are canonical,
+    /// in `[0, q_i)`.
+    fn lift_prefix<L: AsRef<[u64]>>(&self, limbs: &[L], start: usize, xs: &mut [i128]) {
+        let moduli = self.basis.moduli();
+        let len = xs.len();
+        let run = |i: usize| canonical_run(limbs[i].as_ref(), start, len, moduli[i].q());
+        // Q_k is odd: no value sits on the tie.
+        let half = self.prefix_product / 2;
+        let center = |x: u128| {
+            if x > half {
+                -((self.prefix_product - x) as i128)
+            } else {
+                x as i128
+            }
+        };
+        match self.prefix {
+            Prefix::One => {
+                for (x, &v0) in xs.iter_mut().zip(run(0)) {
+                    *x = center(v0 as u128);
+                }
+            }
+            Prefix::Two { q0, s10 } => {
+                for ((x, &v0), &r1) in xs.iter_mut().zip(run(0)).zip(run(1)) {
+                    let v1 = s10.digit(r1, v0);
+                    *x = center(v0 as u128 + q0 as u128 * v1 as u128);
+                }
+            }
+            Prefix::Three {
+                q0,
+                q01,
+                s10,
+                s20,
+                s21,
+            } => {
+                for (((x, &v0), &r1), &r2) in xs.iter_mut().zip(run(0)).zip(run(1)).zip(run(2)) {
+                    let v1 = s10.digit(r1, v0);
+                    let v2 = s21.digit(s20.digit(r2, v0), v1);
+                    *x = center(v0 as u128 + q0 as u128 * v1 as u128 + q01 * v2 as u128);
+                }
+            }
+        }
+    }
+}
+
+/// `limb[start..start + len]`, debug-checked canonical in `[0, q)`.
+#[inline(always)]
+fn canonical_run(limb: &[u64], start: usize, len: usize, q: u64) -> &[u64] {
+    let run = &limb[start..start + len];
+    debug_assert!(
+        run.iter().all(|&r| r < q),
+        "word lift takes canonical residues"
+    );
+    run
+}
+
 /// Greatest common divisor.
 pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
@@ -275,6 +630,38 @@ mod tests {
         assert_eq!(t.len(), 2);
         let residues = t.decompose_i128(123456789);
         assert_eq!(t.combine_centered(&residues), 123456789.0);
+    }
+
+    #[test]
+    fn word_lift_rejects_moduli_shoup_cannot_reduce() {
+        let q = (1u64 << 62) + 135; // odd, coprime to 97
+        let b = RnsBasis::new(vec![97, q]).unwrap();
+        assert_eq!(WordLift::new(b).unwrap_err(), MathError::InvalidModulus(q));
+    }
+
+    #[test]
+    fn word_lift_centers_tiny_basis() {
+        let b = RnsBasis::new(vec![3, 5, 7]).unwrap();
+        let lift = WordLift::new(b.clone()).unwrap();
+        // Every value mod 105, one coefficient each.
+        let rows: Vec<Vec<u64>> = [3u64, 5, 7]
+            .iter()
+            .map(|q| (0..105).map(|x| x % q).collect())
+            .collect();
+        let mut xs = vec![0i128; 105];
+        lift.lift_centered_i128(&rows, &mut xs);
+        for (x, &got) in xs.iter().enumerate() {
+            let want = if x > 52 { x as i128 - 105 } else { x as i128 };
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the word lift")]
+    fn word_lift_i128_needs_a_word_sized_basis() {
+        let lift = WordLift::new(basis(4)).unwrap();
+        let rows = vec![vec![0u64]; 4];
+        lift.lift_centered_i128(&rows, &mut [0i128]);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property-based tests for the math substrate: every reducer agrees with
 //! the `u128` golden model, CSD decompositions re-evaluate to their input,
-//! and RNS decompose/combine round-trips.
+//! RNS decompose/combine round-trips, and the word-sized CRT lift agrees
+//! with the big-integer one wherever it verifies and wherever it does not.
 
 use abc_math::dyadic::{DyadicEngine, DyadicPreference};
 use abc_math::primes::{generate_ntt_primes, generate_structured_ntt_primes, is_prime};
 use abc_math::reduce::{
     csd, csd_eval_wrapping, Barrett, ModMul, Montgomery, NttFriendlyMontgomery,
 };
+use abc_math::rns::{Lifted, WordLift};
 use abc_math::{shoup, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A strategy producing odd moduli across the full supported range.
 fn arb_modulus() -> impl Strategy<Value = Modulus> {
@@ -375,6 +378,182 @@ proptest! {
             prop_assert!(is_prime(q));
             prop_assert_eq!(64 - q.leading_zeros(), bits);
             prop_assert_eq!((q - 1) % (1 << 14), 0);
+        }
+    }
+}
+
+/// The first `limbs` primes of a CKKS-shaped basis (a 39-bit head prime,
+/// then 36-bit primes: the word prefix is three moduli, ≈ 2^111) or of a
+/// 60-bit basis (the prefix stops at two moduli, 2^120).
+fn lift_basis(wide: bool, limbs: usize) -> RnsBasis {
+    let primes = if wide {
+        generate_ntt_primes(60, 24, 1 << 14).expect("60-bit primes")
+    } else {
+        let mut p = generate_ntt_primes(39, 1, 1 << 14).expect("head prime");
+        p.extend(generate_ntt_primes(36, 23, 1 << 14).expect("36-bit primes"));
+        p
+    };
+    RnsBasis::new(primes[..limbs].to_vec()).expect("coprime primes")
+}
+
+/// `(Q_k, k)`: the product of the word prefix the lift must choose, and
+/// its length.
+fn word_prefix(basis: &RnsBasis) -> (u128, usize) {
+    let mut product = 1u128;
+    let mut k = 0;
+    for m in basis.moduli().iter().take(3) {
+        match product.checked_mul(m.q() as u128) {
+            Some(p) if p < 1 << 127 => product = p,
+            _ => break,
+        }
+        k += 1;
+    }
+    (product, k)
+}
+
+/// Residues of `±mag`, one single-coefficient column per value, as the
+/// limb-major rows the lift reads.
+fn limb_rows(basis: &RnsBasis, values: &[(bool, UBig)]) -> Vec<Vec<u64>> {
+    basis
+        .moduli()
+        .iter()
+        .map(|m| {
+            values
+                .iter()
+                .map(|(negative, mag)| {
+                    let r = mag.rem_u64(m.q());
+                    if *negative {
+                        m.neg(r)
+                    } else {
+                        r
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Lifts `rows` through the word lift and checks every coefficient,
+/// sign and magnitude, against `combine_centered_big`; returns which
+/// coefficients took the fallback.
+fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, TestCaseError> {
+    let lift = WordLift::new(basis.clone()).expect("moduli below 2^62");
+    let mut got = Vec::new();
+    let fell_back = lift.lift_centered(rows, |j, negative, mag| {
+        assert_eq!(j, got.len(), "coefficients arrive in order");
+        got.push(match mag {
+            Lifted::Word(m) => (negative, UBig::from(m), false),
+            Lifted::Big(m) => (negative, m.clone(), true),
+        });
+    });
+    prop_assert_eq!(got.len(), rows[0].len());
+    for (j, (negative, mag, _)) in got.iter().enumerate() {
+        let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
+        let want = basis.combine_centered_big(&residues);
+        prop_assert_eq!((*negative, mag), (want.0, &want.1), "coefficient {}", j);
+    }
+    let flags: Vec<bool> = got.into_iter().map(|g| g.2).collect();
+    prop_assert_eq!(flags.iter().filter(|&&f| f).count(), fell_back);
+    Ok(flags)
+}
+
+/// A SplitMix64 stream for the cases that need many values per seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn word_lift_small_values_never_fall_back(
+        wide in any::<bool>(),
+        limbs in 1usize..=24,
+        seed in any::<u64>(),
+    ) {
+        // 300 values: more than one lift block, with a ragged tail.
+        let basis = lift_basis(wide, limbs);
+        let (prefix_product, _) = word_prefix(&basis);
+        // Magnitudes of every width up to the one ⌊Q_k/2⌋ has, exclusive.
+        let max_width = 127 - (prefix_product / 2).leading_zeros() as u64;
+        let mut state = seed;
+        let values: Vec<(bool, UBig)> = (0..300)
+            .map(|_| {
+                let word = (splitmix(&mut state) as u128) << 64 | splitmix(&mut state) as u128;
+                let mag = word >> (128 - splitmix(&mut state) % max_width - 1);
+                (splitmix(&mut state) & 1 == 1 && mag != 0, UBig::from(mag))
+            })
+            .collect();
+        let flags = lift_and_check(&basis, &limb_rows(&basis, &values))?;
+        prop_assert!(flags.iter().all(|&f| !f));
+    }
+
+    #[test]
+    fn word_lift_centring_boundaries(wide in any::<bool>(), limbs in 1usize..=24) {
+        let basis = lift_basis(wide, limbs);
+        let (prefix_product, k) = word_prefix(&basis);
+        let half = UBig::from(prefix_product / 2);
+        let past = half.add(&UBig::one());
+        let values = [
+            (false, half.clone()),
+            (true, half),
+            (false, past.clone()),
+            (true, past),
+        ];
+        let flags = lift_and_check(&basis, &limb_rows(&basis, &values))?;
+        // ±⌊Q_k/2⌋ is the last value the prefix holds. One past it wraps
+        // to the other sign when the prefix is the whole basis, and is
+        // the first value only the fallback can represent otherwise.
+        let beyond = limbs > k;
+        prop_assert_eq!(flags, vec![false, false, beyond, beyond]);
+    }
+
+    #[test]
+    fn word_lift_past_the_prefix_falls_back(
+        wide in any::<bool>(),
+        limbs in 4usize..=24,
+        offsets in (any::<u64>(), any::<u64>(), any::<u64>()),
+        signs in (any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        // ⌊Q_k/2⌋ + 1 + offset: past the prefix range, far inside Q/2.
+        let basis = lift_basis(wide, limbs);
+        let (prefix_product, _) = word_prefix(&basis);
+        let first_past = UBig::from(prefix_product / 2).add(&UBig::one());
+        let values: Vec<(bool, UBig)> = [(offsets.0, signs.0), (offsets.1, signs.1), (offsets.2, signs.2)]
+            .into_iter()
+            .map(|(offset, negative)| (negative, first_past.add(&UBig::from(offset))))
+            .collect();
+        let flags = lift_and_check(&basis, &limb_rows(&basis, &values))?;
+        prop_assert!(flags.iter().all(|&f| f));
+    }
+
+    #[test]
+    fn word_lift_random_residues(wide in any::<bool>(), limbs in 1usize..=24, seed in any::<u64>()) {
+        // A uniform residue vector is a uniform value mod Q: inside the
+        // prefix range with probability Q_k/Q, which is 1 or < 2^-35.
+        let basis = lift_basis(wide, limbs);
+        let (_, k) = word_prefix(&basis);
+        let mut state = seed;
+        let rows: Vec<Vec<u64>> = basis
+            .moduli()
+            .iter()
+            .map(|m| (0..300).map(|_| splitmix(&mut state) % m.q()).collect())
+            .collect();
+        let flags = lift_and_check(&basis, &rows)?;
+        prop_assert!(flags.iter().all(|&f| f == (limbs > k)));
+        if limbs <= k {
+            let lift = WordLift::new(basis.clone()).expect("moduli below 2^62");
+            let mut xs = vec![0i128; 300];
+            lift.lift_centered_i128(&rows, &mut xs);
+            for (j, &x) in xs.iter().enumerate() {
+                let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
+                let (negative, mag) = basis.combine_centered_big(&residues);
+                prop_assert_eq!((x < 0, UBig::from(x.unsigned_abs())), (negative, mag));
+            }
         }
     }
 }
