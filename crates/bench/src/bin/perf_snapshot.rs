@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Runs a small, representative subset of the bench suite (NTT fast
-//! path, batched RNS engine, the CRT lifts, full client encode+encrypt /
-//! decrypt+decode) with short measurement windows, measures the
+//! path, batched RNS engine, RNS expansion and the CRT lifts, wire
+//! packing, full client encode+encrypt / decrypt+decode) with short
+//! measurement windows, measures the
 //! round-trip precision of both scale modes at the smallest
 //! bootstrappable ring, and writes everything to one JSON file
 //! (default `BENCH_snapshot.json`):
@@ -22,10 +23,11 @@
 //!
 //! `BEFORE.json` is a snapshot this binary wrote from the parent commit
 //! on the same host: a change that claims a speed-up commits its rows
-//! beside the new ones. The `rns/lift_*` rows are nanoseconds per
-//! coefficient; every other row is per call.
+//! beside the new ones. The `rns/lift_*` and `rns/expand_*` rows are
+//! nanoseconds per coefficient (all limbs), the `wire/*` rows
+//! nanoseconds per residue; every other row is per call.
 //!
-//! The whole run stays under ~40 s so it can ride along on every CI
+//! The whole run stays under ~50 s so it can ride along on every CI
 //! push — this is the repo's perf trajectory, archived as an artifact.
 
 use abc_ckks::params::{CkksParams, EmbeddingPrecision, ScaleMode};
@@ -34,7 +36,8 @@ use abc_ckks::precision::{
 };
 use abc_ckks::CkksContext;
 use abc_float::{Complex, F64Field};
-use abc_math::rns::{Lifted, WordLift};
+use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
+use abc_prng::sampler::GaussianSampler;
 use abc_prng::Seed;
 use abc_transform::{FftKernelPreference, NttPlan, RnsNttEngine, SpecialFft, SpecialFftEngine};
 use criterion::BenchRecord;
@@ -82,6 +85,41 @@ fn client_message(ctx: &CkksContext) -> Vec<Complex> {
     (0..ctx.params().slots())
         .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
         .collect()
+}
+
+/// Message-sized coefficients: |x| < 2^73, as a Δ_eff = 2^72 payload
+/// has.
+fn message_sized_ints(n: usize) -> Vec<i128> {
+    (0..n as i128)
+        .map(|i| (i * 0x9E37_79B9_7F4A_7C15 % (1 << 74)) - (1 << 73))
+        .collect()
+}
+
+/// One row of the `"throughput"` section.
+fn throughput_row(id: &str, bytes: usize, median_secs: f64) -> String {
+    let gib_s = bytes as f64 / median_secs / (1u64 << 30) as f64;
+    format!(
+        "  {{\"id\": \"{id}\", \"bytes_per_op\": {bytes}, \
+         \"median_ns\": {:.1}, \"gib_per_s\": {gib_s:.2}}}",
+        median_secs * 1e9
+    )
+}
+
+/// Expansion of `coeffs` under every modulus, scan included, as
+/// nanoseconds per coefficient.
+fn expand_row<X>(id: &str, coeffs: &[X], moduli: &[abc_math::Modulus]) -> BenchRecord
+where
+    X: Copy + Into<i128>,
+{
+    let mut limb = Vec::with_capacity(coeffs.len());
+    let rec = measure(id, 300, || {
+        let src = SignedCoeffs::scan(std::hint::black_box(coeffs));
+        for m in moduli {
+            src.expand_into(m, &mut limb);
+            std::hint::black_box(&limb);
+        }
+    });
+    per_coeff(rec, coeffs.len())
 }
 
 /// `rec` with its per-call times divided over `n` coefficients.
@@ -181,12 +219,7 @@ fn main() {
                 ),
             ));
             for (id, bytes, rec) in rows {
-                let gib_s = bytes as f64 / rec.median_secs / (1u64 << 30) as f64;
-                throughput_rows.push(format!(
-                    "  {{\"id\": \"{id}\", \"bytes_per_op\": {bytes}, \
-                     \"median_ns\": {:.1}, \"gib_per_s\": {gib_s:.2}}}",
-                    rec.median_secs * 1e9
-                ));
+                throughput_rows.push(throughput_row(&id, bytes, rec.median_secs));
                 benches.push(rec);
             }
         }
@@ -229,11 +262,7 @@ fn main() {
         let n = 1usize << 13;
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
         let divisor = abc_ckks::ExactScale::from_log2(72).divisor();
-        // Message-sized coefficients: |x| < 2^73, as a decrypted
-        // Δ_eff = 2^72 payload has.
-        let ints: Vec<i128> = (0..n as i128)
-            .map(|i| (i * 0x9E37_79B9_7F4A_7C15 % (1 << 74)) - (1 << 73))
-            .collect();
+        let ints = message_sized_ints(n);
         for limbs in [2usize, 24] {
             let basis = ctx.basis().truncated(limbs);
             let rows: Vec<Vec<u64>> = basis
@@ -272,15 +301,61 @@ fn main() {
         }
     }
 
-    // --- The paper's download (2-prime result at N = 2^16) and a fresh
-    // 24-prime decode at 2^14: the two depths the lift is used at ---
+    // --- The paper's two client flows at N = 2^16: the upload (encode +
+    // encrypt, 24 primes) with its layers — RNS expansion of
+    // sampler-sized and of message-sized coefficients under all 24
+    // primes (ns per coefficient), 36-bit wire packing (ns per residue)
+    // — and the download of a 2-prime result ---
     {
         let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
+        let n = ctx.params().n();
         let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
         let msg = client_message(&ctx);
-        let low = ctx
-            .encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(7))
-            .truncated(2);
+        let pt = ctx.encode(&msg).expect("encode");
+        let mut held = None;
+        benches.push(measure("client/encrypt/2^16", 1500, || {
+            held = Some(ctx.encrypt(&pt, &pk, Seed::from_u128(7)));
+        }));
+        benches.push(measure("client/encode_encrypt/2^16", 1500, || {
+            let pt = ctx.encode(&msg).expect("encode");
+            held = Some(ctx.encrypt(&pt, &pk, Seed::from_u128(7)));
+        }));
+        let ct = held.expect("populated by the bench");
+
+        let moduli = ctx.basis().moduli();
+        let small =
+            GaussianSampler::new(Seed::from_u128(9), 0, ctx.params().error_sigma()).sample_poly(n);
+        benches.push(expand_row("rns/expand_small/24limbs", &small, moduli));
+        benches.push(expand_row(
+            "rns/expand_i128/24limbs",
+            &message_sized_ints(n),
+            moduli,
+        ));
+
+        // The 23 limbs behind the 39-bit head prime: 36 bits each.
+        let (c0, c1) = ct.components();
+        let body = abc_ckks::Ciphertext::from_components_exact(
+            c0[1..].to_vec(),
+            c1[1..].to_vec(),
+            ct.exact_scale().clone(),
+        )
+        .expect("same shape as the ciphertext");
+        let widths = &ctx.wire_widths(ct.num_primes())[1..];
+        assert!(widths.iter().all(|&w| w == 36), "body primes are 36-bit");
+        let residues = 2 * widths.len() * n;
+        let mut blob = Vec::new();
+        let pack = measure("wire/pack_36bit", 500, || {
+            blob = abc_ckks::wire::serialize_ciphertext_packed(&body, widths).expect("pack");
+        });
+        let unpack = measure("wire/unpack_36bit", 500, || {
+            std::hint::black_box(abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack"));
+        });
+        for rec in [pack, unpack] {
+            throughput_rows.push(throughput_row(&rec.id, blob.len(), rec.median_secs));
+            benches.push(per_coeff(rec, residues));
+        }
+
+        let low = ct.truncated(2);
         benches.push(measure("client/decrypt_decode_2prime/2^16", 1500, || {
             let pt = ctx.decrypt(&low, &sk).expect("decrypt");
             std::hint::black_box(ctx.decode(&pt).expect("decode"));
@@ -346,13 +421,7 @@ fn main() {
         // planes (read + write) per stage, log2(slots) stages deep.
         let bytes = 2 * slots * 16 * slots.ilog2() as usize;
         for rec in [&planned, &scalar] {
-            let gib_s = bytes as f64 / rec.median_secs / (1u64 << 30) as f64;
-            throughput_rows.push(format!(
-                "  {{\"id\": \"{}\", \"bytes_per_op\": {bytes}, \
-                 \"median_ns\": {:.1}, \"gib_per_s\": {gib_s:.2}}}",
-                rec.id,
-                rec.median_secs * 1e9
-            ));
+            throughput_rows.push(throughput_row(&rec.id, bytes, rec.median_secs));
         }
         benches.push(planned);
         benches.push(scalar);

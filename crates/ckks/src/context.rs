@@ -328,7 +328,7 @@ impl CkksContext {
             // Exact: a power-of-two scale only shifts both exponents;
             // one rounding through `i128`.
             let ints: Vec<i128> = ext.iter().map(|c| c.ldexp(exp).round_to_i128()).collect();
-            self.expand_and_ntt(&ints)
+            self.engine.expand_and_ntt(&ints)
         } else {
             // Rational scale: exact big-integer rounding, residues per
             // prime, then the batched forward NTT.
@@ -624,11 +624,11 @@ impl CkksContext {
         let n = self.params.n();
         let mut ternary = TernarySampler::new(seed.derive(0), 0);
         let s = ternary.sample_poly(n, self.params.secret_hamming_weight());
-        let s_ntt = self.signed_to_ntt(&s);
+        let s_ntt = self.engine.expand_and_ntt(&s);
 
         let mut gauss = GaussianSampler::new(seed.derive(2), 0, self.params.error_sigma());
         let e = gauss.sample_poly(n);
-        let e_ntt = self.signed64_to_ntt(&e);
+        let e_ntt = self.engine.expand_and_ntt_i64(&e, self.basis.len());
 
         // Uniform mask a, sampled directly in NTT domain per prime (the
         // distribution is invariant under the NTT).
@@ -701,7 +701,7 @@ impl CkksContext {
                 permuted[idx - n] = -c;
             }
         }
-        let t_ntt = self.signed_to_ntt(&permuted);
+        let t_ntt = self.engine.expand_and_ntt(&permuted);
         Ok(GaloisKey {
             element,
             ksk: self.gen_key_switch_key(&t_ntt, sk, seed),
@@ -771,7 +771,7 @@ impl CkksContext {
                 self.params.error_sigma(),
             );
             let e = gauss.sample_poly(n);
-            let e_ntt = self.signed64_to_ntt(&e);
+            let e_ntt = self.engine.expand_and_ntt_i64(&e, digits);
             let mask_seed = seed.derive(2 * digit as u64);
             let mut a = Vec::with_capacity(digits);
             for (i, m) in self.basis.moduli().iter().enumerate() {
@@ -816,27 +816,18 @@ impl CkksContext {
             "public key from different context"
         );
         let n = self.params.n();
-        let lvl = pt.num_primes();
 
-        let mut ternary = TernarySampler::new(seed.derive(0), 0);
-        let v = ternary.sample_poly(n, None);
-        let v_ntt = self.signed_to_ntt(&v);
-
-        let mut gauss0 = GaussianSampler::new(seed.derive(1), 0, self.params.error_sigma());
-        let e0 = gauss0.sample_poly(n);
-        let e0_ntt = self.signed64_to_ntt(&e0);
-        let mut gauss1 = GaussianSampler::new(seed.derive(2), 0, self.params.error_sigma());
-        let e1 = gauss1.sample_poly(n);
-        let e1_ntt = self.signed64_to_ntt(&e1);
-
-        // c0 = pk0·v + e0 + m and c1 = pk1·v + e1, each component ONE
-        // fused RNS-wide engine call (multiply and both additions in a
-        // single pass over each limb).
-        let mut c0 = pk.pk0[..lvl].to_vec();
-        self.engine
-            .dyadic_mul_add2_all(&mut c0, &v_ntt, &e0_ntt, &pt.rns);
-        let mut c1 = pk.pk1[..lvl].to_vec();
-        self.engine.dyadic_mul_add_all(&mut c1, &v_ntt, &e1_ntt);
+        let v = TernarySampler::new(seed.derive(0), 0).sample_poly(n, None);
+        let sigma = self.params.error_sigma();
+        let e0 = GaussianSampler::new(seed.derive(1), 0, sigma).sample_poly(n);
+        let e1 = GaussianSampler::new(seed.derive(2), 0, sigma).sample_poly(n);
+        // c0 = pk0·v + e0 + m and c1 = pk1·v + e1 as ONE limb-streaming
+        // engine pass over the plaintext's primes: per limb, v, e0 and e1
+        // are expanded, transformed and combined with the key read in
+        // place; c0 and c1 are the only polynomials allocated.
+        let (c0, c1) = self
+            .engine
+            .pk_encrypt_all(&v, &e0, &e1, &pk.pk0, &pk.pk1, &pt.rns);
         Ciphertext {
             c0,
             c1,
@@ -865,27 +856,6 @@ impl CkksContext {
             scale: ct.scale.clone(),
             n: ct.n,
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Internal helpers
-    // ------------------------------------------------------------------
-
-    /// Expands signed integers into RNS residues and transforms each
-    /// residue polynomial into NTT domain — batched across limbs and
-    /// threads by the engine.
-    fn expand_and_ntt(&self, ints: &[i128]) -> Vec<Vec<u64>> {
-        self.engine.expand_and_ntt(ints)
-    }
-
-    fn signed_to_ntt(&self, coeffs: &[i8]) -> Vec<Vec<u64>> {
-        let ints: Vec<i128> = coeffs.iter().map(|&c| c as i128).collect();
-        self.expand_and_ntt(&ints)
-    }
-
-    fn signed64_to_ntt(&self, coeffs: &[i64]) -> Vec<Vec<u64>> {
-        let ints: Vec<i128> = coeffs.iter().map(|&c| c as i128).collect();
-        self.expand_and_ntt(&ints)
     }
 }
 

@@ -34,6 +34,14 @@
 //! configured with `SimConfig::with_wire_widths`. Decoders accept both
 //! versions; v2 remains readable forever.
 //!
+//! All five v3 kinds share one packer and one unpacker (`pack_bits`,
+//! `unpack_bits`), and both move whole words: eight residues are exactly
+//! `width` bytes, appended as one group, and a residue is read back as a
+//! shift and a mask of the 16-byte window it starts in. The serializers'
+//! check that every residue fits its declared width is an OR
+//! accumulated in the pack pass itself; a polynomial is looked through
+//! a second time only to name the offending residue in the error.
+//!
 //! **Compressed (seeded) ciphertexts** serialize via kind 2 (v3-packed
 //! only): the shared ciphertext header, then the 16-byte mask seed in
 //! place of `c1`, then the width table and the packed `c0` residues —
@@ -96,11 +104,39 @@ fn packed_poly_bytes(n: usize, width: u32) -> usize {
     (n * width as usize).div_ceil(8)
 }
 
-/// Appends `words` to `out`, `width` bits each, LSB-first.
-fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) {
+/// Appends `words` to `out`, `width` bits each, LSB-first, and returns
+/// the OR of all of them (a bit at or above `width` in it means some
+/// word did not fit). Eight words make exactly `width` bytes, so the
+/// stream moves in such groups — 64-bit lanes filled from one shift
+/// accumulator, one append per group; a last partial group leaves
+/// byte by byte.
+fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) -> u64 {
+    let mut seen = 0u64;
+    let mut groups = words.chunks_exact(8);
+    for group in &mut groups {
+        // 8 × 64 bits at most, plus the lane the accumulator drains to.
+        let mut lanes = [0u8; 72];
+        let mut lane = 0;
+        let mut acc: u128 = 0;
+        let mut nbits = 0u32;
+        for &w in group {
+            seen |= w;
+            acc |= (w as u128) << nbits;
+            nbits += width;
+            if nbits >= 64 {
+                lanes[lane..lane + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+                lane += 8;
+                acc >>= 64;
+                nbits -= 64;
+            }
+        }
+        lanes[lane..lane + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+        out.extend_from_slice(&lanes[..width as usize]);
+    }
     let mut acc: u128 = 0;
     let mut nbits = 0u32;
-    for &w in words {
+    for &w in groups.remainder() {
+        seen |= w;
         acc |= (w as u128) << nbits;
         nbits += width;
         while nbits >= 8 {
@@ -112,29 +148,55 @@ fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) {
     if nbits > 0 {
         out.push(acc as u8);
     }
+    seen
 }
 
-/// Reads `n` words of `width` bits (LSB-first) from `bytes`.
+/// [`pack_bits`] for one residue polynomial, rejecting residues that do
+/// not fit `width` bits (corrupt data: the blob could not round-trip).
+/// The check rides in the pack pass; the polynomial is looked through
+/// again only to name the residue in the error.
+fn pack_poly(out: &mut Vec<u8>, poly: &[u64], width: u32) -> Result<(), CkksError> {
+    let seen = pack_bits(out, poly, width);
+    if width < 64 && seen >> width != 0 {
+        let bad = poly
+            .iter()
+            .find(|&&x| x >> width != 0)
+            .expect("a bit past the width came from some residue");
+        return Err(CkksError::InvalidParams(format!(
+            "wire: residue {bad:#x} exceeds {width}-bit width"
+        )));
+    }
+    Ok(())
+}
+
+/// Reads `n` words of `width` bits (LSB-first) from `bytes`: word `j`
+/// is a shift and a mask of the 16-byte window at its first byte. The
+/// last few words, whose window would pass the end of `bytes`, are read
+/// the same way from a zero-padded copy of the tail.
 fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
     let mask = if width >= 64 {
         u64::MAX
     } else {
         (1u64 << width) - 1
     };
+    let word_at = |src: &[u8], bit: usize| {
+        let at = bit >> 3;
+        let window = u128::from_le_bytes(src[at..at + 16].try_into().expect("16 bytes"));
+        (window >> (bit & 7)) as u64 & mask
+    };
+    let width = width as usize;
+    // Words whose first byte is at most `len − 16` have their window
+    // inside `bytes`.
+    let direct = match bytes.len().checked_sub(16) {
+        Some(last) => n.min(((last + 1) * 8).div_ceil(width)),
+        None => 0,
+    };
     let mut out = Vec::with_capacity(n);
-    let mut acc: u128 = 0;
-    let mut nbits = 0u32;
-    let mut cursor = 0usize;
-    for _ in 0..n {
-        while nbits < width {
-            acc |= (bytes[cursor] as u128) << nbits;
-            cursor += 1;
-            nbits += 8;
-        }
-        out.push(acc as u64 & mask);
-        acc >>= width;
-        nbits -= width;
-    }
+    out.extend((0..direct).map(|j| word_at(bytes, j * width)));
+    let tail_at = (direct * width) >> 3;
+    let mut tail = [0u8; 32];
+    tail[..bytes.len() - tail_at].copy_from_slice(&bytes[tail_at..]);
+    out.extend((direct..n).map(|j| word_at(&tail, j * width - tail_at * 8)));
     out
 }
 
@@ -252,16 +314,6 @@ pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Ve
         return Err(err(format!("residue width {w} out of 1..=64")));
     }
     let (c0, c1) = ct.components();
-    for component in [c0, c1] {
-        for (poly, &w) in component.iter().zip(widths) {
-            if w < 64 {
-                let limit = 1u64 << w;
-                if let Some(&bad) = poly.iter().find(|&&x| x >= limit) {
-                    return Err(err(format!("residue {bad:#x} exceeds {w}-bit width")));
-                }
-            }
-        }
-    }
     let mut out = Vec::with_capacity(packed_serialized_len(ct, widths));
     write_header(
         &mut out,
@@ -276,7 +328,7 @@ pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Ve
     }
     for component in [c0, c1] {
         for (poly, &w) in component.iter().zip(widths) {
-            pack_bits(&mut out, poly, w);
+            pack_poly(&mut out, poly, w)?;
         }
     }
     Ok(out)
@@ -457,14 +509,6 @@ pub fn serialize_compressed_ciphertext(
     if let Some(&w) = widths.iter().find(|&&w| w == 0 || w > 64) {
         return Err(err(format!("residue width {w} out of 1..=64")));
     }
-    for (poly, &w) in cct.c0().iter().zip(widths) {
-        if w < 64 {
-            let limit = 1u64 << w;
-            if let Some(&bad) = poly.iter().find(|&&x| x >= limit) {
-                return Err(err(format!("residue {bad:#x} exceeds {w}-bit width")));
-            }
-        }
-    }
     let mut out = Vec::with_capacity(compressed_serialized_len(cct, widths));
     write_header(
         &mut out,
@@ -479,7 +523,7 @@ pub fn serialize_compressed_ciphertext(
         out.push(w as u8);
     }
     for (poly, &w) in cct.c0().iter().zip(widths) {
-        pack_bits(&mut out, poly, w);
+        pack_poly(&mut out, poly, w)?;
     }
     Ok(out)
 }
@@ -579,16 +623,6 @@ fn serialize_ksk(
         return Err(err(format!("residue width {w} out of 1..=64")));
     }
     let n = ksk.b[0][0].len();
-    for digit_pair in ksk.b.iter().chain(ksk.a.iter()) {
-        for (poly, &w) in digit_pair.iter().zip(widths) {
-            if w < 64 {
-                let limit = 1u64 << w;
-                if let Some(&bad) = poly.iter().find(|&&x| x >= limit) {
-                    return Err(err(format!("residue {bad:#x} exceeds {w}-bit width")));
-                }
-            }
-        }
-    }
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
     out.push(kind);
@@ -604,7 +638,7 @@ fn serialize_ksk(
     for (b_digit, a_digit) in ksk.b.iter().zip(&ksk.a) {
         for component in [b_digit, a_digit] {
             for (poly, &w) in component.iter().zip(widths) {
-                pack_bits(out, poly, w);
+                pack_poly(out, poly, w)?;
             }
         }
     }
@@ -924,6 +958,74 @@ mod tests {
             pack_bits(&mut packed, &words, width);
             assert_eq!(packed.len(), packed_poly_bytes(words.len(), width));
             assert_eq!(unpack_bits(&packed, words.len(), width), words, "w={width}");
+        }
+    }
+
+    /// The byte-at-a-time packer the word-wise [`pack_bits`] replaced,
+    /// kept as its oracle: the bytes on the wire must not change.
+    fn pack_bits_bytewise(out: &mut Vec<u8>, words: &[u64], width: u32) {
+        let mut acc: u128 = 0;
+        let mut nbits = 0u32;
+        for &w in words {
+            acc |= (w as u128) << nbits;
+            nbits += width;
+            while nbits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                nbits -= 8;
+            }
+        }
+        if nbits > 0 {
+            out.push(acc as u8);
+        }
+    }
+
+    #[test]
+    fn word_wise_packing_keeps_the_wire_bytes_at_every_width() {
+        // Lengths around the 8-word group and the 16-byte window.
+        for width in 1u32..=64 {
+            let mask = u64::MAX >> (64 - width);
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1 << 10] {
+                let mut words: Vec<u64> = (0..n as u64)
+                    .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+                    .collect();
+                // Every bit of the width occurs, first and last word.
+                words[0] = mask;
+                words[n - 1] = mask;
+                let mut want = vec![0xA5];
+                pack_bits_bytewise(&mut want, &words, width);
+                let mut got = vec![0xA5];
+                let seen = pack_bits(&mut got, &words, width);
+                assert_eq!(got, want, "w={width} n={n}");
+                assert_eq!(seen, mask, "w={width} n={n}");
+                assert_eq!(got.len() - 1, packed_poly_bytes(n, width));
+                assert_eq!(unpack_bits(&got[1..], n, width), words, "w={width} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn over_width_residue_is_named_wherever_it_sits() {
+        let (ctx, ct) = sample_ct();
+        let widths = ctx.wire_widths(ct.num_primes());
+        let (n, last_limb) = (ct.n(), ct.num_primes() - 1);
+        for in_c1 in [false, true] {
+            for (limb, at) in [(0, 0), (1, n / 2 + 3), (last_limb, n - 1)] {
+                let mut bad = ct.clone();
+                let poly = if in_c1 { &mut bad.c1 } else { &mut bad.c0 };
+                let residue = poly[limb][at] | 1 << widths[limb];
+                poly[limb][at] = residue;
+                match serialize_ciphertext_packed(&bad, &widths) {
+                    Err(CkksError::InvalidParams(msg)) => assert_eq!(
+                        msg,
+                        format!(
+                            "wire: residue {residue:#x} exceeds {}-bit width",
+                            widths[limb]
+                        )
+                    ),
+                    other => panic!("c1={in_c1} limb={limb} at={at}: {other:?}"),
+                }
+            }
         }
     }
 

@@ -16,8 +16,8 @@
 //!   of 443 usable 32–36-bit primes for `N = 2^16`.
 //! * [`bigint`] — a minimal unsigned big integer ([`bigint::UBig`]) used by
 //!   exact scale arithmetic and by the CRT lift's oracle and fallback.
-//! * [`rns`] — RNS bases, decomposition of scaled integers, and the two
-//!   CRT lifts: the word-sized verified [`rns::WordLift`] that decode and
+//! * [`rns`] — RNS bases, division-free expansion of signed coefficient
+//!   slices into residues ([`rns::SignedCoeffs`]), and the two CRT lifts: the word-sized verified [`rns::WordLift`] that decode and
 //!   rescale run, and the big-integer Garner recombination of
 //!   [`rns::RnsBasis`] it falls back to and is tested against.
 //! * [`poly`] — element-wise polynomial (vector) operations over `Z_q`, the

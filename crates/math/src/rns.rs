@@ -5,6 +5,12 @@
 //! paper's Fig. 2a) and, on decryption, recombines residues back into a
 //! centered integer ("Combine CRT").
 //!
+//! Expansion of a whole coefficient slice is [`SignedCoeffs`]: one scan
+//! for the largest magnitude, then per limb a sign-select (values below
+//! the prime) or a two-word Shoup fold (wider ones) — no division;
+//! [`Modulus::from_i128`] stays as the oracle both are tested against
+//! and as the path for moduli of 62 bits and more.
+//!
 //! Two lifts exist. [`WordLift`] is the decode and rescale path: Garner
 //! over the longest basis prefix whose product fits a `u128`, centered,
 //! then *verified* against every remaining residue — a coefficient that
@@ -266,16 +272,18 @@ impl GarnerStep {
     }
 }
 
-/// The residue check of one limb beyond the word prefix.
+/// Division-free reduction of a signed two-word value modulo one prime
+/// `q < 2^62`: the word lift's residue check and the wide path of
+/// [`SignedCoeffs::expand_into`].
 #[derive(Debug, Clone, Copy)]
-struct VerifyLimb {
+struct WordFold {
     /// `1 mod q`: reduces the low word of a magnitude.
     one: ShoupConst,
     /// `2^64 mod q`: folds the high word in.
     two64: ShoupConst,
 }
 
-impl VerifyLimb {
+impl WordFold {
     fn new(m: &Modulus) -> Self {
         Self {
             one: ShoupConst::new(1, m.q()),
@@ -283,17 +291,107 @@ impl VerifyLimb {
         }
     }
 
-    /// Whether the centered value `x` has residue `r ∈ [0, q)`.
+    /// `x mod q`, canonical in `[0, q)`, for any `x`; no branch depends
+    /// on the value.
     #[inline(always)]
-    fn matches(&self, x: i128, r: u64) -> bool {
+    fn residue(&self, x: i128) -> u64 {
         let q = self.one.q;
         let mag = x.unsigned_abs();
-        let mut t = self.two64.mul((mag >> 64) as u64) + self.one.mul(mag as u64);
-        if t >= q {
-            t -= q;
+        let t = self.two64.mul((mag >> 64) as u64) + self.one.mul(mag as u64);
+        let t = t.min(t.wrapping_sub(q));
+        // −t mod q: q − t lies in (0, q], and q itself folds to 0.
+        let n = q - t;
+        let n = n.min(n.wrapping_sub(q));
+        let negative = (x >> 127) as u64;
+        (t & !negative) | (n & negative)
+    }
+}
+
+/// Signed coefficients on their way into RNS form (paper "Expand RNS"):
+/// the slice together with its largest magnitude, found by one scan when
+/// the value is built. [`Self::expand_into`] picks its reduction from
+/// that magnitude and the modulus alone, so a slice is scanned once
+/// however many limbs it is expanded under.
+///
+/// `X` is any signed integer that widens to `i128` — `i8` ternary
+/// secrets, `i64` Gaussian errors and rescale tails, `i128` scaled
+/// messages.
+///
+/// # Example
+///
+/// ```
+/// use abc_math::{rns::SignedCoeffs, Modulus};
+///
+/// # fn main() -> Result<(), abc_math::MathError> {
+/// let m = Modulus::new(97)?;
+/// let mut out = Vec::new();
+/// SignedCoeffs::scan(&[-1i8, 0, 1]).expand_into(&m, &mut out);
+/// assert_eq!(out, [96, 0, 1]);
+/// SignedCoeffs::scan(&[-98i128, 1 << 100, 97]).expand_into(&m, &mut out);
+/// assert_eq!(out, [96, m.from_i128(1 << 100), 0]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SignedCoeffs<'a, X> {
+    coeffs: &'a [X],
+    max_abs: u128,
+}
+
+impl<'a, X: Copy + Into<i128>> SignedCoeffs<'a, X> {
+    /// Scans `coeffs` for its largest magnitude.
+    pub fn scan(coeffs: &'a [X]) -> Self {
+        let max_abs = coeffs
+            .iter()
+            .map(|&x| x.into().unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        Self { coeffs, max_abs }
+    }
+
+    /// The largest `|x|` in the slice (0 when empty).
+    pub fn max_abs(&self) -> u128 {
+        self.max_abs
+    }
+
+    /// Refills `dst` with `coeffs[j] mod q`, canonical in `[0, q)` —
+    /// equal to [`Modulus::from_i128`] on every input, without its
+    /// division:
+    ///
+    /// * `max|x| < q` (samplers, key material, rescale tails): every
+    ///   `|x| < q`, so the residue is `x` or `x + q`, selected by the
+    ///   sign bit;
+    /// * wider values under `q < 2^62` (messages at 2^72): the two words
+    ///   of `|x|` fold through the Shoup constants `1 mod q` and
+    ///   `2^64 mod q`, the sign applied last;
+    /// * wider values under `q ≥ 2^62`, where Shoup reduction does not
+    ///   reach: [`Modulus::from_i128`] itself.
+    ///
+    /// `dst` is cleared first and its capacity reused, so a recycled
+    /// buffer and a fresh `Vec::with_capacity` are both written exactly
+    /// once, by the thread that calls this.
+    pub fn expand_into(&self, m: &Modulus, dst: &mut Vec<u64>) {
+        let q = m.q();
+        dst.clear();
+        if self.max_abs < q as u128 {
+            debug_assert!(
+                self.coeffs
+                    .iter()
+                    .all(|&x| x.into().unsigned_abs() < q as u128),
+                "sign-select takes |x| < q"
+            );
+            dst.extend(self.coeffs.iter().map(|&x| {
+                // |x| < q < 2^63: the low word is the value.
+                let v = x.into() as i64;
+                (v + ((v >> 63) & q as i64)) as u64
+            }));
+            debug_assert!(dst.iter().all(|&r| r < q), "sign-select left [0, q)");
+        } else if q < MAX_SHOUP_MODULUS {
+            let fold = WordFold::new(m);
+            dst.extend(self.coeffs.iter().map(|&x| fold.residue(x.into())));
+        } else {
+            dst.extend(self.coeffs.iter().map(|&x| m.from_i128(x.into())));
         }
-        let want = if x < 0 && t != 0 { q - t } else { t };
-        want == r
     }
 }
 
@@ -353,7 +451,7 @@ pub struct WordLift {
     /// `Q_k`, the prefix product.
     prefix_product: u128,
     /// One check per limb past the prefix.
-    verify: Vec<VerifyLimb>,
+    verify: Vec<WordFold>,
 }
 
 /// The Garner constants of a word prefix of one, two or three moduli.
@@ -417,7 +515,7 @@ impl WordLift {
             product: basis.product(),
             prefix,
             prefix_product,
-            verify: moduli[len..].iter().map(VerifyLimb::new).collect(),
+            verify: moduli[len..].iter().map(WordFold::new).collect(),
             basis,
         })
     }
@@ -450,7 +548,7 @@ impl WordLift {
             for (check, limb) in self.verify.iter().zip(past_prefix) {
                 let rs = canonical_run(limb.as_ref(), start, len, check.one.q);
                 for ((ok, &x), &r) in verified.iter_mut().zip(xs.iter()).zip(rs) {
-                    *ok &= check.matches(x, r);
+                    *ok &= check.residue(x) == r;
                 }
             }
             for (i, (&x, &ok)) in xs.iter().zip(verified.iter()).enumerate() {

@@ -1,14 +1,15 @@
 //! Property-based tests for the math substrate: every reducer agrees with
 //! the `u128` golden model, CSD decompositions re-evaluate to their input,
-//! RNS decompose/combine round-trips, and the word-sized CRT lift agrees
-//! with the big-integer one wherever it verifies and wherever it does not.
+//! RNS decompose/combine round-trips, the word-sized CRT lift agrees
+//! with the big-integer one wherever it verifies and wherever it does not,
+//! and division-free RNS expansion agrees with `Modulus::from_i128`.
 
 use abc_math::dyadic::{DyadicEngine, DyadicPreference};
 use abc_math::primes::{generate_ntt_primes, generate_structured_ntt_primes, is_prime};
 use abc_math::reduce::{
     csd, csd_eval_wrapping, Barrett, ModMul, Montgomery, NttFriendlyMontgomery,
 };
-use abc_math::rns::{Lifted, WordLift};
+use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
 use abc_math::{shoup, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -554,6 +555,96 @@ proptest! {
                 let (negative, mag) = basis.combine_centered_big(&residues);
                 prop_assert_eq!((x < 0, UBig::from(x.unsigned_abs())), (negative, mag));
             }
+        }
+    }
+}
+
+/// The moduli expansion is pinned on: the 39-bit head prime and a 36-bit
+/// prime of a CKKS basis, and an odd modulus past `2^62`, where the
+/// Shoup fold does not reach and wide values divide.
+fn expansion_moduli() -> [Modulus; 3] {
+    let basis = lift_basis(false, 2);
+    let past_shoup = Modulus::new((1 << 62) + 135).expect("odd, below 2^63");
+    [basis.moduli()[0], basis.moduli()[1], past_shoup]
+}
+
+/// Expands `coeffs` under `m` and checks every residue against the
+/// dividing oracle; returns the slice's scanned magnitude.
+fn expand_and_check<X>(m: &Modulus, coeffs: &[X]) -> Result<u128, TestCaseError>
+where
+    X: Copy + Into<i128> + core::fmt::Debug,
+{
+    let src = SignedCoeffs::scan(coeffs);
+    // Stale contents and a wrong length: the refill must not care.
+    let mut got = vec![u64::MAX; 3];
+    src.expand_into(m, &mut got);
+    let want: Vec<u64> = coeffs.iter().map(|&x| m.from_i128(x.into())).collect();
+    prop_assert_eq!(got, want, "q = {}, coeffs = {:?}", m.q(), coeffs);
+    Ok(src.max_abs())
+}
+
+#[test]
+fn expansion_named_values_match_the_oracle() {
+    for m in expansion_moduli() {
+        let q = m.q() as i128;
+        let magnitudes = [0, 1, q - 1, q, (1 << 63) - 1, 1 << 64, (1 << 120) - 1];
+        let wide: Vec<i128> = magnitudes.iter().flat_map(|&x| [x, -x]).collect();
+        // All at once (the widest value picks the path for the slice),
+        // then one at a time (each value picks its own).
+        assert_eq!(expand_and_check(&m, &wide).unwrap(), (1 << 120) - 1);
+        for &x in &wide {
+            assert_eq!(expand_and_check(&m, &[x]).unwrap(), x.unsigned_abs());
+        }
+        let words: Vec<i64> = wide
+            .iter()
+            .filter_map(|&x| i64::try_from(x).ok())
+            .chain([i64::MIN])
+            .collect();
+        for &x in &words {
+            expand_and_check(&m, &[x]).unwrap();
+            assert_eq!(m.from_i64(x), m.from_i128(x as i128), "the two oracles");
+        }
+        expand_and_check(&m, &words).unwrap();
+        expand_and_check(&m, &[-1i8, 0, 1, i8::MIN, i8::MAX]).unwrap();
+        assert_eq!(expand_and_check::<i8>(&m, &[]).unwrap(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn expansion_matches_the_oracle_on_random_slices(
+        seed in any::<u64>(),
+        at in 0usize..300,
+        wide_bits in 40u32..=120,
+    ) {
+        let mut state = seed;
+        // Sampler-sized: a ternary slice and a Gaussian-tail-sized one.
+        let ternary: Vec<i8> = (0..300).map(|_| (splitmix(&mut state) % 3) as i8 - 1).collect();
+        let small: Vec<i64> = (0..300).map(|_| (splitmix(&mut state) % 41) as i64 - 20).collect();
+        // Uniform signed words, and magnitudes of every width to 2^120.
+        let words: Vec<i64> = (0..300).map(|_| splitmix(&mut state) as i64).collect();
+        let wides: Vec<i128> = (0..300)
+            .map(|_| {
+                let x = ((splitmix(&mut state) as u128) << 64 | splitmix(&mut state) as u128) as i128;
+                x >> (7 + splitmix(&mut state) % 121)
+            })
+            .collect();
+        // One wide value among sampler-sized ones: the slice must leave
+        // the sign-select path (which would return x + q for it).
+        let mut mixed: Vec<i128> = small.iter().map(|&x| x as i128).collect();
+        mixed[at] = ((1i128 << wide_bits) + splitmix(&mut state) as i128 % (1 << 39))
+            * if splitmix(&mut state) & 1 == 1 { -1 } else { 1 };
+        for m in expansion_moduli() {
+            prop_assert_eq!(expand_and_check(&m, &ternary)?, 1);
+            prop_assert!(expand_and_check(&m, &small)? <= 20);
+            expand_and_check(&m, &words)?;
+            expand_and_check(&m, &wides)?;
+            let max_abs = expand_and_check(&m, &mixed)?;
+            prop_assert_eq!(max_abs, mixed[at].unsigned_abs());
+            // Wider than both CKKS primes (the third modulus may hold it).
+            prop_assert!(max_abs >= m.q() as u128 || m.bits() > 39);
         }
     }
 }

@@ -32,8 +32,16 @@
 //! kept-limb chain (expand → lazy NTT → subtract → scalar-multiply) in
 //! one per-limb pass, and `sub_then_inverse_all` / `inverse_all_from`
 //! fold a subtraction or an out-of-place copy into the first
-//! inverse-NTT stage. All are bit-identical to the unfused sequences
-//! they replace.
+//! inverse-NTT stage. `pk_encrypt_all` is the whole public-key encrypt
+//! as one limb-streaming pass — per limb, expand `v`, `e0`, `e1`,
+//! transform, multiply-accumulate against the key read in place and add
+//! the message, writing only the two output limbs. All are bit-identical
+//! to the unfused sequences they replace.
+//!
+//! Every expansion (`expand_and_ntt*`, the fused rescale and encrypt
+//! passes) goes through [`abc_math::rns::SignedCoeffs`]: the coefficient
+//! slice is scanned once for its largest magnitude and each limb then
+//! reduces by sign-select or Shoup fold — no division.
 //!
 //! Transforms and dyadic ops are **bit-identical** to running each limb
 //! through its [`NttPlan`] serially — threading only changes
@@ -41,6 +49,7 @@
 //! thread counts 1/2/4.
 
 use crate::ntt::NttPlan;
+use abc_math::rns::SignedCoeffs;
 use abc_math::{MathError, Modulus};
 use std::sync::Mutex;
 
@@ -288,23 +297,21 @@ impl RnsNttEngine {
 
     /// Expands signed integers into RNS residues and forward-transforms
     /// every limb — the encode-side `expand ∘ NTT` fused into one
-    /// parallel pass. Returns one freshly allocated limb per prime (the
-    /// buffers escape into plaintexts/ciphertexts, so pooling them
-    /// would never recycle).
+    /// parallel pass, division-free ([`SignedCoeffs`]: one scan of
+    /// `ints`, then sign-select or Shoup fold per limb by magnitude).
+    /// Returns one freshly allocated limb per prime: the buffers escape
+    /// into plaintexts and keys, whose owners free them, so they are
+    /// never handed back to the pool.
     ///
     /// # Panics
     ///
     /// Panics if `ints.len() != N`.
-    pub fn expand_and_ntt(&self, ints: &[i128]) -> Vec<Vec<u64>> {
-        assert_eq!(ints.len(), self.n, "coefficient count must equal N");
-        let mut out: Vec<Vec<u64>> = self.plans.iter().map(|_| vec![0u64; self.n]).collect();
-        self.for_each_limb(&mut out, |_, plan, limb| {
-            let m = plan.modulus();
-            for (dst, &x) in limb.iter_mut().zip(ints) {
-                *dst = m.from_i128(x);
-            }
-            plan.forward(limb);
-        });
+    pub fn expand_and_ntt<X>(&self, ints: &[X]) -> Vec<Vec<u64>>
+    where
+        X: Copy + Into<i128> + Sync,
+    {
+        let mut out = self.reserve_limbs(self.plans.len());
+        self.expand_and_ntt_into(ints, &mut out);
         out
     }
 
@@ -318,16 +325,8 @@ impl RnsNttEngine {
     ///
     /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
     pub fn expand_and_ntt_i64(&self, coeffs: &[i64], k: usize) -> PooledLimbs<'_> {
-        assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
-        assert!(k <= self.plans.len(), "more limbs than plans");
         let mut out = self.take_limbs(k);
-        self.for_each_limb(&mut out, |_, plan, limb| {
-            let m = plan.modulus();
-            for (dst, &x) in limb.iter_mut().zip(coeffs) {
-                *dst = m.from_i64(x);
-            }
-            plan.forward(limb);
-        });
+        self.expand_and_ntt_into(coeffs, &mut out);
         out
     }
 
@@ -341,17 +340,29 @@ impl RnsNttEngine {
     ///
     /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
     pub fn expand_and_ntt_i128(&self, coeffs: &[i128], k: usize) -> PooledLimbs<'_> {
-        assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
-        assert!(k <= self.plans.len(), "more limbs than plans");
         let mut out = self.take_limbs(k);
-        self.for_each_limb(&mut out, |_, plan, limb| {
-            let m = plan.modulus();
-            for (dst, &x) in limb.iter_mut().zip(coeffs) {
-                *dst = m.from_i128(x);
-            }
+        self.expand_and_ntt_into(coeffs, &mut out);
+        out
+    }
+
+    /// `out[i] = NTT(coeffs mod q_i)`: one scan of `coeffs`, then every
+    /// limb refilled and transformed by the thread that owns it.
+    fn expand_and_ntt_into<X>(&self, coeffs: &[X], out: &mut [Vec<u64>])
+    where
+        X: Copy + Into<i128> + Sync,
+    {
+        assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
+        let src = SignedCoeffs::scan(coeffs);
+        self.for_each_limb(out, |_, plan, limb| {
+            src.expand_into(plan.modulus(), limb);
             plan.forward(limb);
         });
-        out
+    }
+
+    /// `k` empty limbs with room for `N` words each — reserved, not
+    /// touched: the thread that fills a limb is the first to write it.
+    fn reserve_limbs(&self, k: usize) -> Vec<Vec<u64>> {
+        (0..k).map(|_| Vec::with_capacity(self.n)).collect()
     }
 
     /// The fused rescale hot path: for every kept limb `i`, expand the
@@ -373,7 +384,7 @@ impl RnsNttEngine {
         coeffs: &[i64],
         s: &[u64],
     ) {
-        self.expand_ntt_sub_scalar_mul_generic(kept, coeffs, s, |m, x| m.from_i64(x));
+        self.expand_ntt_sub_scalar_mul_generic(kept, coeffs, s);
     }
 
     /// [`Self::expand_ntt_sub_scalar_mul_all_i64`] for the *pair*-rescale
@@ -389,31 +400,85 @@ impl RnsNttEngine {
         coeffs: &[i128],
         s: &[u64],
     ) {
-        self.expand_ntt_sub_scalar_mul_generic(kept, coeffs, s, |m, x| m.from_i128(x));
+        self.expand_ntt_sub_scalar_mul_generic(kept, coeffs, s);
     }
 
-    fn expand_ntt_sub_scalar_mul_generic<X, F>(
-        &self,
-        kept: &mut [Vec<u64>],
-        coeffs: &[X],
-        s: &[u64],
-        expand: F,
-    ) where
-        X: Copy + Sync,
-        F: Fn(&Modulus, X) -> u64 + Sync,
+    fn expand_ntt_sub_scalar_mul_generic<X>(&self, kept: &mut [Vec<u64>], coeffs: &[X], s: &[u64])
+    where
+        X: Copy + Into<i128> + Sync,
     {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         assert!(s.len() >= kept.len(), "fewer scalars than limbs");
+        let src = SignedCoeffs::scan(coeffs);
         self.for_each_limb(kept, |i, plan, limb| {
-            let m = plan.modulus();
             let mut tail = self.pool.take(self.n);
-            for (dst, &x) in tail.iter_mut().zip(coeffs) {
-                *dst = expand(m, x);
-            }
+            src.expand_into(plan.modulus(), &mut tail);
             plan.forward_lazy(&mut tail);
             plan.dyadic().sub_scalar_mul_assign(limb, &tail, s[i]);
             self.pool.put(tail);
         });
+    }
+
+    /// The fused public-key-encrypt pass: `c0 = pk0·v + e0 + m` and
+    /// `c1 = pk1·v + e1` over the `m.len()` leading primes, limb by limb
+    /// on the thread that owns the limb — expand `v` into one pooled
+    /// scratch limb, transform and enter it into the dyadic kernel's
+    /// domain once; expand `e0` straight into the output limb `c0[i]`,
+    /// transform, accumulate `pk0[i]·v̂` onto it and add `m[i]`; the same
+    /// for `c1[i]` from `e1` and `pk1[i]`. The two returned polynomials
+    /// are the only ones allocated (reserved here, each limb written
+    /// once, by its own thread), the key is read in place, and a limb
+    /// leaves the cache once.
+    ///
+    /// `pk0`, `pk1` and `m` are canonical NTT-domain residues in
+    /// `[0, q_i)`; every intermediate is canonical too (the transforms
+    /// are [`NttPlan::forward`], not its lazy variant, because the
+    /// accumulate kernel takes a canonical accumulator), and so is the
+    /// result — bit-identical to [`Self::expand_and_ntt`] of `v`, `e0`,
+    /// `e1` followed by [`Self::dyadic_mul_add2_all`] and
+    /// [`Self::dyadic_mul_add_all`] on copies of the key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coefficient slice is not `N` long, `m` has more limbs
+    /// than plans, a key component has fewer limbs than `m`, or any limb
+    /// length differs from `N`.
+    pub fn pk_encrypt_all(
+        &self,
+        v: &[i8],
+        e0: &[i64],
+        e1: &[i64],
+        pk0: &[Vec<u64>],
+        pk1: &[Vec<u64>],
+        m: &[Vec<u64>],
+    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let k = m.len();
+        assert!(
+            v.len() == self.n && e0.len() == self.n && e1.len() == self.n,
+            "coefficient count must equal N"
+        );
+        assert!(pk0.len() >= k && pk1.len() >= k, "fewer key limbs than m");
+        let (v, e0, e1) = (
+            SignedCoeffs::scan(v),
+            SignedCoeffs::scan(e0),
+            SignedCoeffs::scan(e1),
+        );
+        let (mut c0, mut c1) = (self.reserve_limbs(k), self.reserve_limbs(k));
+        self.for_each_limb_pair(&mut c0, &mut c1, PARALLEL_THRESHOLD, |i, plan, x0, x1| {
+            let (q, d) = (plan.modulus(), plan.dyadic());
+            let mut v_hat = self.pool.take(self.n);
+            v.expand_into(q, &mut v_hat);
+            plan.forward(&mut v_hat);
+            d.premul(&mut v_hat);
+            for (x, e, pk) in [(&mut *x0, &e0, &pk0[i]), (&mut *x1, &e1, &pk1[i])] {
+                e.expand_into(q, x);
+                plan.forward(x);
+                d.mul_acc_assign_premul(x, pk, &v_hat);
+            }
+            d.add_assign(x0, &m[i]);
+            self.pool.put(v_hat);
+        });
+        (c0, c1)
     }
 
     // ------------------------------------------------------------------
@@ -605,12 +670,9 @@ impl RnsNttEngine {
     /// `b` carries fewer limbs; and if any limb's length differs from
     /// `N`.
     pub fn dyadic_mul_pair_all(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        let k = a0.len();
-        assert_eq!(k, a1.len(), "component limb counts differ");
-        assert!(k <= self.plans.len(), "more limbs than plans");
-        assert!(b.len() >= k, "fewer multiplier limbs than targets");
-        let work = |i: usize, x0: &mut Vec<u64>, x1: &mut Vec<u64>| {
-            let d = self.plans[i].dyadic();
+        assert!(b.len() >= a0.len(), "fewer multiplier limbs than targets");
+        self.for_each_limb_pair(a0, a1, DYADIC_PARALLEL_THRESHOLD, |i, plan, x0, x1| {
+            let d = plan.dyadic();
             // Enter b_i once (pooled scratch), multiply both components
             // against the premultiplied form — one conversion pass
             // amortized over two products.
@@ -620,24 +682,6 @@ impl RnsNttEngine {
             d.mul_assign_premul(x0, &pre);
             d.mul_assign_premul(x1, &pre);
             self.pool.put(pre);
-        };
-        let threads = self.threads.min(k);
-        if threads <= 1 || 2 * k * self.n < DYADIC_PARALLEL_THRESHOLD {
-            for (i, (x0, x1)) in a0.iter_mut().zip(a1.iter_mut()).enumerate() {
-                work(i, x0, x1);
-            }
-            return;
-        }
-        let chunk = k.div_ceil(threads);
-        let work = &work;
-        std::thread::scope(|s| {
-            for (t, (c0, c1)) in a0.chunks_mut(chunk).zip(a1.chunks_mut(chunk)).enumerate() {
-                s.spawn(move || {
-                    for (j, (x0, x1)) in c0.iter_mut().zip(c1.iter_mut()).enumerate() {
-                        work(t * chunk + j, x0, x1);
-                    }
-                });
-            }
         });
     }
 
@@ -662,15 +706,13 @@ impl RnsNttEngine {
         a: &[Vec<u64>],
     ) {
         let k = acc0.len();
-        assert_eq!(k, acc1.len(), "accumulator limb counts differ");
-        assert!(k <= self.plans.len(), "more limbs than plans");
         assert!(d.len() >= k, "fewer digit limbs than accumulators");
         assert!(
             b.len() >= k && a.len() >= k,
             "fewer key limbs than accumulators"
         );
-        let work = |i: usize, x0: &mut Vec<u64>, x1: &mut Vec<u64>| {
-            let dy = self.plans[i].dyadic();
+        self.for_each_limb_pair(acc0, acc1, DYADIC_PARALLEL_THRESHOLD, |i, plan, x0, x1| {
+            let dy = plan.dyadic();
             // Enter d_i once (pooled scratch); each product folds
             // straight into its accumulator through the fused
             // multiply-accumulate — no per-product scratch buffer and
@@ -681,28 +723,6 @@ impl RnsNttEngine {
             dy.mul_acc_assign_premul(x0, &b[i], &pre);
             dy.mul_acc_assign_premul(x1, &a[i], &pre);
             self.pool.put(pre);
-        };
-        let threads = self.threads.min(k);
-        if threads <= 1 || 2 * k * self.n < DYADIC_PARALLEL_THRESHOLD {
-            for (i, (x0, x1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
-                work(i, x0, x1);
-            }
-            return;
-        }
-        let chunk = k.div_ceil(threads);
-        let work = &work;
-        std::thread::scope(|s| {
-            for (t, (c0, c1)) in acc0
-                .chunks_mut(chunk)
-                .zip(acc1.chunks_mut(chunk))
-                .enumerate()
-            {
-                s.spawn(move || {
-                    for (j, (x0, x1)) in c0.iter_mut().zip(c1.iter_mut()).enumerate() {
-                        work(t * chunk + j, x0, x1);
-                    }
-                });
-            }
         });
     }
 
@@ -797,6 +817,47 @@ impl RnsNttEngine {
                 s.spawn(move || {
                     for (j, (plan, limb)) in pc.iter().zip(lc.iter_mut()).enumerate() {
                         f(t * chunk + j, plan, limb);
+                    }
+                });
+            }
+        });
+    }
+
+    /// [`Self::for_each_limb_threshold`] over the paired limbs of two
+    /// components: `f(i, plan_i, a0_i, a1_i)`, so limb `i` of both stays
+    /// on one thread. The cutoff counts both components' work
+    /// (`2 × limbs × N`).
+    fn for_each_limb_pair<F>(
+        &self,
+        a0: &mut [Vec<u64>],
+        a1: &mut [Vec<u64>],
+        threshold: usize,
+        f: F,
+    ) where
+        F: Fn(usize, &NttPlan, &mut Vec<u64>, &mut Vec<u64>) + Sync,
+    {
+        let k = a0.len();
+        assert_eq!(k, a1.len(), "component limb counts differ");
+        assert!(k <= self.plans.len(), "more limbs than plans");
+        let plans = &self.plans[..k];
+        let threads = self.threads.min(k);
+        if threads <= 1 || 2 * k * self.n < threshold {
+            for (i, ((plan, x0), x1)) in plans.iter().zip(a0).zip(a1).enumerate() {
+                f(i, plan, x0, x1);
+            }
+            return;
+        }
+        let chunk = k.div_ceil(threads);
+        let f = &f;
+        std::thread::scope(|s| {
+            let chunks = plans
+                .chunks(chunk)
+                .zip(a0.chunks_mut(chunk))
+                .zip(a1.chunks_mut(chunk));
+            for (t, ((pc, c0), c1)) in chunks.enumerate() {
+                s.spawn(move || {
+                    for (j, ((plan, x0), x1)) in pc.iter().zip(c0).zip(c1).enumerate() {
+                        f(t * chunk + j, plan, x0, x1);
                     }
                 });
             }
@@ -1182,7 +1243,8 @@ mod tests {
         let engine = RnsNttEngine::new(&ms, n).unwrap();
         drop(env);
         assert_eq!(engine.threads(), 3);
-        // Invalid values fall back to the default.
+        // With the override gone the default applies (an invalid value
+        // would panic in `threads_from_env`, not fall back).
         assert!(threads_from_env() >= 1);
     }
 }

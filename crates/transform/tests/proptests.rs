@@ -335,6 +335,58 @@ proptest! {
     }
 
     #[test]
+    fn fused_pk_encrypt_matches_unfused_reference(
+        seed in any::<u64>(),
+        limbs in 1usize..=6,
+        dropped in 0usize..6,
+    ) {
+        // The limb-streaming encrypt pass against the sequence it
+        // replaced, rebuilt here from the public engine ops: three
+        // escaping expansions, then pk0·v + e0 + m and pk1·v + e1 on
+        // copies of the key — on a CKKS-shaped basis (39-bit head, 36-bit
+        // rest), with the plaintext at or below the key's level, for
+        // every thread fan-out (2·lvl·N ≥ 2^14 spawns from two limbs up).
+        let n = 1usize << 12;
+        let mut primes = generate_ntt_primes(39, 1, 1 << 13).expect("head prime");
+        primes.extend(generate_ntt_primes(36, limbs - 1, 1 << 13).expect("primes"));
+        let moduli: Vec<Modulus> = primes
+            .into_iter()
+            .map(|q| Modulus::new(q).expect("valid"))
+            .collect();
+        let lvl = limbs - dropped.min(limbs - 1);
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let v: Vec<i8> = (0..n).map(|_| (next() % 3) as i8 - 1).collect();
+        let e0: Vec<i64> = (0..n).map(|_| (next() % 41) as i64 - 20).collect();
+        let e1: Vec<i64> = (0..n).map(|_| (next() % 41) as i64 - 20).collect();
+        let mut rows = |count: usize| -> Vec<Vec<u64>> {
+            moduli[..count]
+                .iter()
+                .map(|m| (0..n).map(|_| next() % m.q()).collect())
+                .collect()
+        };
+        let (pk0, pk1, m) = (rows(limbs), rows(limbs), rows(lvl));
+        let widen = |xs: &[i64]| -> Vec<i128> { xs.iter().map(|&x| x as i128).collect() };
+        let v_wide: Vec<i128> = v.iter().map(|&x| x as i128).collect();
+        for threads in [1usize, 2, 4] {
+            let engine = RnsNttEngine::with_threads(&moduli, n, threads).expect("engine");
+            let v_ntt = engine.expand_and_ntt(&v_wide);
+            let mut want0 = pk0[..lvl].to_vec();
+            engine.dyadic_mul_add2_all(&mut want0, &v_ntt, &engine.expand_and_ntt(&widen(&e0)), &m);
+            let mut want1 = pk1[..lvl].to_vec();
+            engine.dyadic_mul_add_all(&mut want1, &v_ntt, &engine.expand_and_ntt(&widen(&e1)));
+            let (c0, c1) = engine.pk_encrypt_all(&v, &e0, &e1, &pk0, &pk1, &m);
+            prop_assert_eq!(&c0, &want0, "c0 threads = {} lvl = {}", threads, lvl);
+            prop_assert_eq!(&c1, &want1, "c1 threads = {} lvl = {}", threads, lvl);
+        }
+    }
+
+    #[test]
     fn special_fft_roundtrip(seed in any::<u64>(), log_slots in 1u32..9) {
         let slots = 1usize << log_slots;
         let plan = SpecialFft::new(slots);
