@@ -17,9 +17,18 @@
 //!   "benches":    [{"id": ..., "mean_ns": ..., "median_ns": ..., "p95_ns": ..., "iters": ...}],
 //!   "throughput": [{"id": ..., "bytes_per_op": ..., "median_ns": ..., "gib_per_s": ...}],
 //!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}],
+//!   "steady":     [{"id": ..., "ops": ..., "ms": ..., "pool_misses_per_op": ..., "minor_faults_per_op": ..., "sys_ms_per_op": ...}],
 //!   "before":     [the "benches" rows of BEFORE.json, when one was given]
 //! }
 //! ```
+//!
+//! The `"steady"` rows run a whole client op — every limb dropped inside
+//! it — back to back after a warm-up, and report what no timer shows:
+//! limb-pool misses per op, and (on Linux, from `/proc/self/stat`; absent
+//! elsewhere) minor page faults and kernel CPU time per op. A miss count
+//! is an exact function of the commit: the binary **exits non-zero** if
+//! a steady row's is not 0, after writing the file. Timings and fault
+//! counts are reported, not gated.
 //!
 //! `BEFORE.json` is a snapshot this binary wrote from the parent commit
 //! on the same host: a change that claims a speed-up commits its rows
@@ -69,6 +78,55 @@ fn measure(id: &str, budget_ms: u64, mut f: impl FnMut()) -> BenchRecord {
         p95_secs: rank(0.95),
         iters: samples.len() as u64,
     }
+}
+
+/// Minor page faults (field 10 of `/proc/self/stat`) and kernel CPU
+/// milliseconds (field 15, in `USER_HZ` = 100 ticks per second) of this
+/// process so far, all threads; `None` where there is no `/proc`.
+fn faults_and_sys_ms() -> Option<(f64, f64)> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces: count from its `)`.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_ascii_whitespace();
+    let minflt: f64 = fields.nth(7)?.parse().ok()?;
+    let stime_ticks: f64 = fields.nth(4)?.parse().ok()?;
+    Some((minflt, stime_ticks * 10.0))
+}
+
+/// One `"steady"` row: `op` (a whole client op at ring degree `n`, its
+/// limbs dropped inside it) twice to warm the pool, then back to back
+/// for ~`budget_ms`. Returns the JSON row and the pool misses per op.
+fn steady_row(id: &str, n: usize, budget_ms: u64, mut op: impl FnMut()) -> (String, f64) {
+    let misses = || abc_ckks::limb_pool::class_stats(n).map_or(0, |class| class.misses);
+    op();
+    op();
+    let (misses0, proc0) = (misses(), faults_and_sys_ms());
+    let budget = std::time::Duration::from_millis(budget_ms);
+    let start = Instant::now();
+    let mut samples = Vec::new();
+    while start.elapsed() < budget || samples.len() < 5 {
+        let t = Instant::now();
+        op();
+        samples.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    let ops = samples.len() as f64;
+    let misses_per_op = (misses() - misses0) as f64 / ops;
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
+    let ms = samples[samples.len() / 2];
+    let kernel = proc0
+        .zip(faults_and_sys_ms())
+        .map_or(String::new(), |(a, b)| {
+            format!(
+                ", \"minor_faults_per_op\": {:.1}, \"sys_ms_per_op\": {:.2}",
+                (b.0 - a.0) / ops,
+                (b.1 - a.1) / ops
+            )
+        });
+    let row = format!(
+        "  {{\"id\": \"{id}\", \"ops\": {ops}, \"ms\": {ms:.3}, \
+         \"pool_misses_per_op\": {misses_per_op}{kernel}}}"
+    );
+    println!("{}", row.trim());
+    (row, misses_per_op)
 }
 
 /// The rows of the `"benches"` array of a snapshot this binary wrote
@@ -372,6 +430,48 @@ fn main() {
         }));
     }
 
+    // --- Steady state: whole ops, limbs dropped inside them, warm pool ---
+    let mut steady = Vec::new();
+    {
+        let ctx = CkksContext::new(CkksParams::bootstrappable(15).expect("preset")).expect("ctx");
+        let (_, pk) = ctx.keygen(Seed::from_u128(2026));
+        let msg = client_message(&ctx);
+        let widths = ctx.wire_widths(ctx.params().num_primes());
+        steady.push(steady_row(
+            "client/upload_steady/2^15",
+            ctx.params().n(),
+            1500,
+            || {
+                let pt = ctx.encode(&msg).expect("encode");
+                let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
+                let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths);
+                std::hint::black_box(blob.expect("pack"));
+            },
+        ));
+    }
+    {
+        let ctx = CkksContext::new(CkksParams::bootstrappable(14).expect("preset")).expect("ctx");
+        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
+        let ct = ctx.encrypt(
+            &ctx.encode(&client_message(&ctx)).expect("encode"),
+            &pk,
+            Seed::from_u128(7),
+        );
+        let widths = ctx.wire_widths(ct.num_primes());
+        let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths).expect("pack");
+        drop(ct);
+        steady.push(steady_row(
+            "client/download24_steady/2^14",
+            ctx.params().n(),
+            1500,
+            || {
+                let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
+                let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+                std::hint::black_box(ctx.decode(&pt).expect("decode"));
+            },
+        ));
+    }
+
     // --- Full client pipeline at the smallest bootstrappable preset ---
     {
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
@@ -511,11 +611,14 @@ fn main() {
     let before_json = before.map_or(String::new(), |snapshot| {
         format!(",\n\"before\": [\n{}\n]", bench_rows_of(&snapshot))
     });
+    let steady_rows: Vec<&str> = steady.iter().map(|(row, _)| row.as_str()).collect();
     let json = format!(
-        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n]{before_json}\n}}\n",
+        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
+         \"steady\": [\n{}\n]{before_json}\n}}\n",
         bench_json.trim_end(),
         throughput_rows.join(",\n"),
-        precision_rows.join(",\n")
+        precision_rows.join(",\n"),
+        steady_rows.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write snapshot");
     for r in &benches {
@@ -528,4 +631,11 @@ fn main() {
         );
     }
     println!("wrote {out_path}");
+    if steady
+        .iter()
+        .any(|&(_, misses_per_op)| misses_per_op != 0.0)
+    {
+        eprintln!("FAIL: a steady-state op missed the limb pool (pool_misses_per_op above)");
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,12 @@
 //! Plaintext and ciphertext containers (RNS + NTT domain).
+//!
+//! Their residue limbs are [`PooledLimbs`]: checked out of the
+//! process-wide limb pool by whoever produced them and handed back when
+//! the container drops, so a steady-state client op recycles the memory
+//! of the previous one.
 
 use crate::scale::ExactScale;
+use abc_transform::PooledLimbs;
 
 /// An encoded message: one residue polynomial per RNS prime, stored in
 /// the NTT (evaluation) domain, plus the scale it was encoded at.
@@ -10,7 +16,7 @@ use crate::scale::ExactScale;
 pub struct Plaintext {
     /// `rns[i][j]` = coefficient `j` of the residue polynomial mod `q_i`,
     /// in NTT domain.
-    pub(crate) rns: Vec<Vec<u64>>,
+    pub(crate) rns: PooledLimbs,
     /// Exact encoding scale (Δ_eff for double-scale parameters).
     pub(crate) scale: ExactScale,
     /// Ring degree (for cheap validation).
@@ -52,8 +58,8 @@ impl Plaintext {
 /// decrypts server outputs carrying 2 primes (one double-scale pair).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ciphertext {
-    pub(crate) c0: Vec<Vec<u64>>,
-    pub(crate) c1: Vec<Vec<u64>>,
+    pub(crate) c0: PooledLimbs,
+    pub(crate) c1: PooledLimbs,
     pub(crate) scale: ExactScale,
     pub(crate) n: usize,
 }
@@ -93,6 +99,16 @@ impl Ciphertext {
     pub fn from_components_exact(
         c0: Vec<Vec<u64>>,
         c1: Vec<Vec<u64>>,
+        scale: ExactScale,
+    ) -> Result<Self, crate::CkksError> {
+        Self::from_limbs(c0.into(), c1.into(), scale)
+    }
+
+    /// [`Self::from_components_exact`] for components that already live
+    /// in the limb pool (rejected components go back to it).
+    pub(crate) fn from_limbs(
+        c0: PooledLimbs,
+        c1: PooledLimbs,
         scale: ExactScale,
     ) -> Result<Self, crate::CkksError> {
         if c0.is_empty() || c0.len() != c1.len() {
@@ -158,8 +174,8 @@ impl Ciphertext {
             self.c0.len()
         );
         Self {
-            c0: self.c0[..count].to_vec(),
-            c1: self.c1[..count].to_vec(),
+            c0: PooledLimbs::copy_of(&self.c0[..count]),
+            c1: PooledLimbs::copy_of(&self.c1[..count]),
             scale: self.scale.clone(),
             n: self.n,
         }
@@ -194,9 +210,9 @@ impl Ciphertext {
 /// serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degree2Ciphertext {
-    pub(crate) c0: Vec<Vec<u64>>,
-    pub(crate) c1: Vec<Vec<u64>>,
-    pub(crate) c2: Vec<Vec<u64>>,
+    pub(crate) c0: PooledLimbs,
+    pub(crate) c1: PooledLimbs,
+    pub(crate) c2: PooledLimbs,
     pub(crate) scale: ExactScale,
     pub(crate) n: usize,
 }
@@ -262,8 +278,8 @@ mod tests {
 
     fn dummy_ct(primes: usize, n: usize) -> Ciphertext {
         Ciphertext {
-            c0: vec![vec![0u64; n]; primes],
-            c1: vec![vec![0u64; n]; primes],
+            c0: vec![vec![0u64; n]; primes].into(),
+            c1: vec![vec![0u64; n]; primes].into(),
             scale: ExactScale::from_log2(36),
             n,
         }
@@ -292,9 +308,9 @@ mod tests {
         let primes = 24;
         let n = 1 << 16;
         let d2 = Degree2Ciphertext {
-            c0: vec![vec![0u64; n]; primes],
-            c1: vec![vec![0u64; n]; primes],
-            c2: vec![vec![0u64; n]; primes],
+            c0: vec![vec![0u64; n]; primes].into(),
+            c1: vec![vec![0u64; n]; primes].into(),
+            c2: vec![vec![0u64; n]; primes].into(),
             scale: ExactScale::from_log2(36),
             n,
         };
@@ -315,15 +331,15 @@ mod tests {
         let primes = 4;
         let scale = ExactScale::from_log2(36);
         let d2 = Degree2Ciphertext {
-            c0: vec![vec![0u64; n]; primes],
-            c1: vec![vec![0u64; n]; primes],
-            c2: vec![vec![0u64; n]; primes],
+            c0: vec![vec![0u64; n]; primes].into(),
+            c1: vec![vec![0u64; n]; primes].into(),
+            c2: vec![vec![0u64; n]; primes].into(),
             scale: scale.clone(),
             n,
         };
         let ct = Ciphertext {
-            c0: vec![vec![0u64; n]; primes],
-            c1: vec![vec![0u64; n]; primes],
+            c0: vec![vec![0u64; n]; primes].into(),
+            c1: vec![vec![0u64; n]; primes].into(),
             scale,
             n,
         };

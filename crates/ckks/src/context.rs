@@ -10,7 +10,7 @@ use abc_math::rns::{Lifted, WordLift};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
-use abc_transform::{NttPlan, RnsNttEngine, SpecialFftEngine};
+use abc_transform::{NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
 
 /// The context's canonical-embedding engine, instantiated at the
 /// datapath selected by [`CkksParams::embedding_precision`] — one
@@ -136,7 +136,8 @@ impl CkksContext {
         self.engine.plans()
     }
 
-    /// The batched RNS NTT engine (thread fan-out + scratch pool).
+    /// The batched RNS NTT engine (thread fan-out; its limbs come from
+    /// the process-wide pool, whose retention it backs while it lives).
     pub fn ntt_engine(&self) -> &RnsNttEngine {
         &self.engine
     }
@@ -305,47 +306,56 @@ impl CkksContext {
     }
 
     /// Exact Δ-rounding of embedding-output coefficients into NTT-domain
-    /// RNS residues.
+    /// RNS residues, in pooled limbs: one pass over the coefficients,
+    /// each lifted, range-checked and rounded as it is read.
     fn quantize_coeffs<F: RealField>(
         &self,
         field: &F,
         coeffs: &[F::Real],
         scale: &ExactScale,
-    ) -> Result<Vec<Vec<u64>>, CkksError> {
+    ) -> Result<PooledLimbs, CkksError> {
         let scale_f = scale.to_f64();
         // Lift losslessly into double-double; zero `lo` for f64-backed
         // datapaths keeps their classic rounding paths bit-identical.
-        let ext: Vec<abc_float::ExtF64> = coeffs.iter().map(|&c| field.to_ext(c)).collect();
-        for e in &ext {
-            let v = e.to_f64() * scale_f;
+        let lift = |c: F::Real| {
+            let ext = field.to_ext(c);
+            let v = ext.to_f64() * scale_f;
             if !v.is_finite() || v.abs() >= 2f64.powi(120) {
                 return Err(CkksError::InvalidParams(format!(
                     "scaled coefficient {v:e} too large to encode"
                 )));
             }
-        }
-        Ok(if let Some(exp) = scale.as_pow2() {
+            Ok(ext)
+        };
+        if let Some(exp) = scale.as_pow2() {
             // Exact: a power-of-two scale only shifts both exponents;
             // one rounding through `i128`.
-            let ints: Vec<i128> = ext.iter().map(|c| c.ldexp(exp).round_to_i128()).collect();
-            self.engine.expand_and_ntt(&ints)
+            let mut ints = Vec::with_capacity(coeffs.len());
+            for &c in coeffs {
+                ints.push(lift(c)?.ldexp(exp).round_to_i128());
+            }
+            Ok(self.engine.expand_and_ntt_i128(&ints, self.basis.len()))
         } else {
             // Rational scale: exact big-integer rounding, residues per
             // prime, then the batched forward NTT.
-            let n = self.params.n();
+            assert_eq!(
+                coeffs.len(),
+                self.params.n(),
+                "coefficient count must equal N"
+            );
             let moduli = self.basis.moduli();
             let rounder = scale.rounder();
-            let mut rows: Vec<Vec<u64>> = vec![vec![0u64; n]; moduli.len()];
-            for (j, &c) in ext.iter().enumerate() {
-                let (negative, mag) = rounder.round_ext(c);
-                for (i, m) in moduli.iter().enumerate() {
+            let mut rows = self.engine.take_limbs(moduli.len());
+            for (j, &c) in coeffs.iter().enumerate() {
+                let (negative, mag) = rounder.round_ext(lift(c)?);
+                for (row, m) in rows.iter_mut().zip(moduli) {
                     let r = mag.rem_u64(m.q());
-                    rows[i][j] = if negative { m.neg(r) } else { r };
+                    row[j] = if negative { m.neg(r) } else { r };
                 }
             }
             self.engine.forward_all(&mut rows);
-            rows
-        })
+            Ok(rows)
+        }
     }
 
     /// Decodes a plaintext back to slot values on the context's
@@ -823,8 +833,8 @@ impl CkksContext {
         let e1 = GaussianSampler::new(seed.derive(2), 0, sigma).sample_poly(n);
         // c0 = pk0·v + e0 + m and c1 = pk1·v + e1 as ONE limb-streaming
         // engine pass over the plaintext's primes: per limb, v, e0 and e1
-        // are expanded, transformed and combined with the key read in
-        // place; c0 and c1 are the only polynomials allocated.
+        // are expanded, transformed and combined with the key read
+        // in place; c0 and c1 come out of the limb pool.
         let (c0, c1) = self
             .engine
             .pk_encrypt_all(&v, &e0, &e1, &pk.pk0, &pk.pk1, &pt.rns);
@@ -847,9 +857,9 @@ impl CkksContext {
         if ct.n != self.params.n() || ct.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        let lvl = ct.num_primes();
-        // d = c1·s + c0: one fused RNS-wide multiply-add.
-        let mut rns = ct.c1[..lvl].to_vec();
+        // d = c1·s + c0: one fused RNS-wide multiply-add on a pooled copy
+        // of c1.
+        let mut rns = ct.c1.clone();
         self.engine.dyadic_mul_add_all(&mut rns, &sk.ntt, &ct.c0);
         Ok(Plaintext {
             rns,

@@ -41,6 +41,7 @@ use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_math::rns::WordLift;
 use abc_math::RnsBasis;
+use abc_transform::PooledLimbs;
 
 /// Shared entry-point validation for every evaluator operation: the
 /// operand must carry this context's ring degree and no more primes
@@ -100,12 +101,12 @@ pub fn add(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Cipherte
     }
     let (a0, a1) = a.components();
     let (b0, b1) = b.components();
-    let mut c0 = a0.to_vec();
-    let mut c1 = a1.to_vec();
+    let mut c0 = PooledLimbs::copy_of(a0);
+    let mut c1 = PooledLimbs::copy_of(a1);
     let engine = ctx.ntt_engine();
     engine.add_assign_all(&mut c0, b0);
     engine.add_assign_all(&mut c1, b1);
-    Ciphertext::from_components_exact(c0, c1, a.exact_scale().clone())
+    Ciphertext::from_limbs(c0, c1, a.exact_scale().clone())
 }
 
 /// Plaintext-ciphertext addition at matching scale:
@@ -133,9 +134,9 @@ pub fn add_plaintext(
         ));
     }
     let (c0, c1) = ct.components();
-    let mut n0 = c0.to_vec();
+    let mut n0 = PooledLimbs::copy_of(c0);
     ctx.ntt_engine().add_assign_all(&mut n0, pt.residues());
-    Ciphertext::from_components_exact(n0, c1.to_vec(), ct.exact_scale().clone())
+    Ciphertext::from_limbs(n0, PooledLimbs::copy_of(c1), ct.exact_scale().clone())
 }
 
 /// Plaintext-ciphertext multiplication: `enc(a) · pt(b) = enc(a ⊙ b)` at
@@ -159,14 +160,14 @@ pub fn plaintext_mul(
         ));
     }
     let (c0, c1) = ct.components();
-    let mut n0 = c0.to_vec();
-    let mut n1 = c1.to_vec();
+    let mut n0 = PooledLimbs::copy_of(c0);
+    let mut n1 = PooledLimbs::copy_of(c1);
     // Both components multiply by the same plaintext: the engine enters
     // each residue limb into the dyadic kernel's Montgomery domain once
     // and reuses it for the pair, limbs fanned out across threads.
     ctx.ntt_engine()
         .dyadic_mul_pair_all(&mut n0, &mut n1, pt.residues());
-    Ciphertext::from_components_exact(n0, n1, ct.exact_scale().mul(pt.exact_scale()))
+    Ciphertext::from_limbs(n0, n1, ct.exact_scale().mul(pt.exact_scale()))
 }
 
 /// RNS rescaling by one multiplicative *level*: drops one prime in
@@ -209,30 +210,30 @@ pub fn rescale_prime(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, C
         .iter()
         .map(|m| m.inv(m.reduce(q_last.q())).expect("coprime basis"))
         .collect();
-    let (c0, c1) = ct.components();
-    let mut out0 = Vec::with_capacity(last);
-    let mut out1 = Vec::with_capacity(last);
     let mut centered = vec![0i64; ct.n()];
-    for (component, out) in [(c0, &mut out0), (c1, &mut out1)] {
+    let mut drop_last = |component: &[Vec<u64>]| {
         // Last residue back to coefficient domain (the copy folds into
-        // the first inverse-NTT stage; the buffer comes from the
-        // engine's pool), centered.
-        let mut tail = engine.take_buf();
-        engine.plan(last).inverse_from(&component[last], &mut tail);
-        for (dst, &x) in centered.iter_mut().zip(tail.iter()) {
+        // the first inverse-NTT stage; the limb comes from the pool),
+        // centered.
+        let mut tail = engine.take_limbs(1);
+        engine
+            .plan(last)
+            .inverse_from(&component[last], &mut tail[0]);
+        for (dst, &x) in centered.iter_mut().zip(tail[0].iter()) {
             *dst = q_last.to_centered(x);
         }
-        engine.recycle(tail);
         // c'_i = (c_i - NTT(tail)) * q_last^{-1} mod q_i as ONE fused
         // engine call: per kept limb, the centered tail expands,
         // forward-transforms with a lazy last stage, and folds straight
         // into the subtract + scalar-multiply — one memory pass instead
         // of an NTT round trip plus two dyadic passes.
-        let mut kept = component[..last].to_vec();
+        let mut kept = PooledLimbs::copy_of(&component[..last]);
         engine.expand_ntt_sub_scalar_mul_all_i64(&mut kept, &centered, &q_last_inv);
-        out.extend(kept);
-    }
-    Ciphertext::from_components_exact(out0, out1, ct.exact_scale().div_prime(q_last.q()))
+        kept
+    };
+    let (c0, c1) = ct.components();
+    let (out0, out1) = (drop_last(c0), drop_last(c1));
+    Ciphertext::from_limbs(out0, out1, ct.exact_scale().div_prime(q_last.q()))
 }
 
 /// Fused pair rescaling — one double-scale level. Drops the last *two*
@@ -268,34 +269,30 @@ pub fn rescale_pair(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Ck
         .map(|m| m.inv(m.reduce_u128(pair_product)).expect("coprime basis"))
         .collect();
     let pair_lift = WordLift::new(RnsBasis::new(vec![qa.q(), qb.q()])?)?;
-    let (c0, c1) = ct.components();
-    let mut out0 = Vec::with_capacity(keep);
-    let mut out1 = Vec::with_capacity(keep);
     let mut centered = vec![0i128; ct.n()];
-    for (component, out) in [(c0, &mut out0), (c1, &mut out1)] {
+    let mut drop_pair = |component: &[Vec<u64>]| {
         // Both tail residues back to coefficient domain (copies folded
         // into the first inverse-NTT stage), then CRT-lifted per
         // coefficient into (−qa·qb/2, qa·qb/2].
-        let mut tail_a = engine.take_buf();
-        let mut tail_b = engine.take_buf();
+        let mut tails = engine.take_limbs(2);
         engine
             .plan(keep)
-            .inverse_from(&component[keep], &mut tail_a);
+            .inverse_from(&component[keep], &mut tails[0]);
         engine
             .plan(lvl - 1)
-            .inverse_from(&component[lvl - 1], &mut tail_b);
-        pair_lift.lift_centered_i128(&[&tail_a, &tail_b], &mut centered);
-        engine.recycle(tail_a);
-        engine.recycle(tail_b);
+            .inverse_from(&component[lvl - 1], &mut tails[1]);
+        pair_lift.lift_centered_i128(&[&tails[0], &tails[1]], &mut centered);
         // c'_i = (c_i - NTT(tail)) * (qa·qb)^{-1} mod q_i as ONE fused
         // engine call (expand → lazy NTT → subtract → scalar-multiply
         // per kept limb).
-        let mut kept = component[..keep].to_vec();
+        let mut kept = PooledLimbs::copy_of(&component[..keep]);
         engine.expand_ntt_sub_scalar_mul_all_i128(&mut kept, &centered, &pair_inv);
-        out.extend(kept);
-    }
+        kept
+    };
+    let (c0, c1) = ct.components();
+    let (out0, out1) = (drop_pair(c0), drop_pair(c1));
     let scale = ct.exact_scale().div_prime(qa.q()).div_prime(qb.q());
-    Ciphertext::from_components_exact(out0, out1, scale)
+    Ciphertext::from_limbs(out0, out1, scale)
 }
 
 /// Ciphertext–ciphertext multiplication, producing the degree-2
@@ -328,13 +325,13 @@ pub fn mul(
     let (b0, b1) = b.components();
     // All three products run on NTT-domain limbs: four dyadic passes
     // total, with the cross term fused as d1 = a0·b1 + (a1·b0).
-    let mut d0 = a0.to_vec();
+    let mut d0 = PooledLimbs::copy_of(a0);
     engine.dyadic_mul_all(&mut d0, b0);
-    let mut d2 = a1.to_vec();
+    let mut d2 = PooledLimbs::copy_of(a1);
     engine.dyadic_mul_all(&mut d2, b1);
-    let mut cross = a1.to_vec();
+    let mut cross = PooledLimbs::copy_of(a1);
     engine.dyadic_mul_all(&mut cross, b0);
-    let mut d1 = a0.to_vec();
+    let mut d1 = PooledLimbs::copy_of(a0);
     engine.dyadic_mul_add_all(&mut d1, b1, &cross);
     Ok(Degree2Ciphertext {
         c0: d0,
@@ -346,7 +343,7 @@ pub fn mul(
 }
 
 /// The `(ks0, ks1)` component pair a key switch produces.
-type KeySwitchOutput = (Vec<Vec<u64>>, Vec<Vec<u64>>);
+type KeySwitchOutput = (PooledLimbs, PooledLimbs);
 
 /// The shared key-switch core. Decomposes the NTT-domain polynomial `a`
 /// into one *centered* digit per carried prime — limb `i` goes back to
@@ -371,16 +368,19 @@ fn key_switch(
     let n = ctx.params().n();
     let engine = ctx.ntt_engine();
     let moduli = ctx.basis().moduli();
-    let mut acc0 = vec![vec![0u64; n]; k];
-    let mut acc1 = vec![vec![0u64; n]; k];
+    // The accumulators start from zero: pooled limbs hold whatever their
+    // last owner left.
+    let (mut acc0, mut acc1) = (engine.take_limbs(k), engine.take_limbs(k));
+    for limb in acc0.iter_mut().chain(acc1.iter_mut()) {
+        limb.fill(0);
+    }
     let mut centered = vec![0i64; n];
+    let mut tail = engine.take_limbs(1);
     for (i, limb) in a.iter().enumerate() {
-        let mut tail = engine.take_buf();
-        engine.plan(i).inverse_from(limb, &mut tail);
-        for (dst, &x) in centered.iter_mut().zip(tail.iter()) {
+        engine.plan(i).inverse_from(limb, &mut tail[0]);
+        for (dst, &x) in centered.iter_mut().zip(tail[0].iter()) {
             *dst = moduli[i].to_centered(x);
         }
-        engine.recycle(tail);
         let digit = engine.expand_and_ntt_i64(&centered, k);
         engine.dyadic_mul_acc_pair_all(&mut acc0, &mut acc1, &digit, &ksk.b[i], &ksk.a[i]);
     }
@@ -407,7 +407,7 @@ pub fn relinearize(
     engine.add_assign_all(&mut c0, &ks0);
     let mut c1 = ct.c1.clone();
     engine.add_assign_all(&mut c1, &ks1);
-    Ciphertext::from_components_exact(c0, c1, ct.exact_scale().clone())
+    Ciphertext::from_limbs(c0, c1, ct.exact_scale().clone())
 }
 
 /// [`mul`] followed by [`relinearize`] — the common path for
@@ -430,32 +430,28 @@ pub fn mul_relin(
 /// each limb returns to coefficient domain, permutes
 /// `j → j·g mod 2N` (with `X^N = −1` folding the upper half as a
 /// negation), and transforms forward again.
-fn apply_automorphism(ctx: &CkksContext, component: &[Vec<u64>], element: u64) -> Vec<Vec<u64>> {
+fn apply_automorphism(ctx: &CkksContext, component: &[Vec<u64>], element: u64) -> PooledLimbs {
     let n = ctx.params().n();
     let engine = ctx.ntt_engine();
     let mask = 2 * n - 1;
     let g = element as usize;
     // Out-of-place batched inverse: the copy folds into the first
-    // inverse-NTT stage and the limb buffers recycle into the pool.
+    // inverse-NTT stage and the limbs go back to the pool on return.
     let mut limbs = engine.take_limbs(component.len());
     engine.inverse_all_from(component, &mut limbs);
-    let mut out: Vec<Vec<u64>> = limbs
-        .iter()
-        .enumerate()
-        .map(|(i, limb)| {
-            let m = &ctx.basis().moduli()[i];
-            let mut dst = vec![0u64; n];
-            for (j, &c) in limb.iter().enumerate() {
-                let idx = (j * g) & mask;
-                if idx < n {
-                    dst[idx] = c;
-                } else {
-                    dst[idx - n] = m.neg(c);
-                }
+    // `g` is odd, so `j → j·g mod 2N` folded at `N` is a permutation of
+    // `0..N`: every word of the pooled output limb is written.
+    let mut out = engine.take_limbs(component.len());
+    for ((dst, limb), m) in out.iter_mut().zip(limbs.iter()).zip(ctx.basis().moduli()) {
+        for (j, &c) in limb.iter().enumerate() {
+            let idx = (j * g) & mask;
+            if idx < n {
+                dst[idx] = c;
+            } else {
+                dst[idx - n] = m.neg(c);
             }
-            dst
-        })
-        .collect();
+        }
+    }
     engine.forward_all(&mut out);
     out
 }
@@ -482,7 +478,7 @@ fn apply_galois(
     let engine = ctx.ntt_engine();
     let mut out0 = g0;
     engine.add_assign_all(&mut out0, &ks0);
-    Ciphertext::from_components_exact(out0, ks1, ct.exact_scale().clone())
+    Ciphertext::from_limbs(out0, ks1, ct.exact_scale().clone())
 }
 
 /// Homomorphic slot rotation by `steps`: slot `j` of the result holds

@@ -63,6 +63,11 @@ pub use key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
 pub use params::EmbeddingPrecision;
 pub use scale::ExactScale;
 
+/// The process-wide limb pool every plaintext and ciphertext limb lives
+/// in — `limb_pool::stats()` is its per-class hit / miss / resident-byte
+/// snapshot, for binaries that hold contexts but not `abc-transform`.
+pub use abc_transform::pool as limb_pool;
+
 /// Errors produced by the CKKS layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CkksError {

@@ -16,12 +16,13 @@ use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_prng::sampler::{GaussianSampler, UniformSampler};
 use abc_prng::Seed;
+use abc_transform::PooledLimbs;
 
 /// A seed-compressed symmetric ciphertext: the full `c0` component plus
 /// the 128-bit seed that regenerates `c1 = a`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedCiphertext {
-    pub(crate) c0: Vec<Vec<u64>>,
+    pub(crate) c0: PooledLimbs,
     pub(crate) mask_seed: Seed,
     pub(crate) scale: ExactScale,
     pub(crate) n: usize,
@@ -71,24 +72,19 @@ impl CompressedCiphertext {
             return Err(CkksError::ContextMismatch);
         }
         let c1 = sample_mask(ctx, self.mask_seed, self.num_primes());
-        Ciphertext::from_components_exact(self.c0.clone(), c1, self.scale.clone())
+        Ciphertext::from_limbs(self.c0.clone(), c1, self.scale.clone())
     }
 }
 
-/// Samples the uniform mask `a` per prime, NTT domain, from a seed —
-/// shared by encryption and expansion so both sides agree bit-exactly.
-fn sample_mask(ctx: &CkksContext, seed: Seed, primes: usize) -> Vec<Vec<u64>> {
-    let n = ctx.params().n();
-    ctx.basis().moduli()[..primes]
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let mut uni = UniformSampler::new(seed, i as u64);
-            let mut a = vec![0u64; n];
-            uni.sample_poly(m, &mut a);
-            a
-        })
-        .collect()
+/// Samples the uniform mask `a` per prime, NTT domain, from a seed, into
+/// pooled limbs — shared by encryption and expansion so both sides agree
+/// bit-exactly.
+fn sample_mask(ctx: &CkksContext, seed: Seed, primes: usize) -> PooledLimbs {
+    let mut a = ctx.ntt_engine().take_limbs(primes);
+    for (i, (limb, m)) in a.iter_mut().zip(ctx.basis().moduli()).enumerate() {
+        UniformSampler::new(seed, i as u64).sample_poly(m, limb);
+    }
+    a
 }
 
 /// Symmetric encryption: `ct = (-(a·s) + m + e, a)` with `a` derived
@@ -111,7 +107,7 @@ pub fn encrypt_symmetric_compressed(
     let mut gauss = GaussianSampler::new(seed.derive(1), 0, ctx.params().error_sigma());
     let e = gauss.sample_poly(n);
     // Error polynomial into NTT domain under every prime in one batched,
-    // thread-fanned pass (buffers recycle into the engine's pool).
+    // thread-fanned pass (pooled limbs, back in the pool on return).
     let engine = ctx.ntt_engine();
     let e_ntt = engine.expand_and_ntt_i64(&e, lvl);
     // c0 = -(a·s) + e + m as ONE fused RNS-wide engine call: multiply,

@@ -70,6 +70,7 @@ use crate::symmetric::CompressedCiphertext;
 use crate::CkksError;
 use abc_math::{Modulus, UBig};
 use abc_prng::Seed;
+use abc_transform::pool;
 
 const MAGIC: &[u8; 4] = b"ABCF";
 const VERSION_WORDS: u16 = 2;
@@ -172,7 +173,9 @@ fn pack_poly(out: &mut Vec<u8>, poly: &[u64], width: u32) -> Result<(), CkksErro
 /// Reads `n` words of `width` bits (LSB-first) from `bytes`: word `j`
 /// is a shift and a mask of the 16-byte window at its first byte. The
 /// last few words, whose window would pass the end of `bytes`, are read
-/// the same way from a zero-padded copy of the tail.
+/// the same way from a zero-padded copy of the tail. The polynomial is a
+/// limb-pool buffer: inside a ciphertext it goes back there on drop, a
+/// key keeps it for good.
 fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
     let mask = if width >= 64 {
         u64::MAX
@@ -191,13 +194,27 @@ fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
         Some(last) => n.min(((last + 1) * 8).div_ceil(width)),
         None => 0,
     };
-    let mut out = Vec::with_capacity(n);
+    let mut out = pool::take(n);
+    out.clear();
     out.extend((0..direct).map(|j| word_at(bytes, j * width)));
     let tail_at = (direct * width) >> 3;
     let mut tail = [0u8; 32];
     tail[..bytes.len() - tail_at].copy_from_slice(&bytes[tail_at..]);
     out.extend((direct..n).map(|j| word_at(&tail, j * width - tail_at * 8)));
     out
+}
+
+/// Unpacks one polynomial per entry of `widths` from `bytes` at
+/// `*cursor`, advancing it. The caller has checked that the payload is
+/// there.
+fn unpack_polys(bytes: &[u8], cursor: &mut usize, n: usize, widths: &[u32]) -> Vec<Vec<u64>> {
+    let polys = widths.iter().map(|&w| {
+        let len = packed_poly_bytes(n, w);
+        let poly = unpack_bits(&bytes[*cursor..*cursor + len], n, w);
+        *cursor += len;
+        poly
+    });
+    polys.collect()
 }
 
 /// The shared header + exact-scale payload (both versions, kinds 1/2).
@@ -420,6 +437,8 @@ pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
         }
         let mut cursor = scale_end;
         let read_component = |cursor: &mut usize| -> Vec<Vec<u64>> {
+            // Full words; adopted by the limb pool like any caller-built
+            // component.
             (0..primes)
                 .map(|_| {
                     (0..n)
@@ -456,20 +475,9 @@ pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
         return Err(err("payload length mismatch"));
     }
     let mut cursor = scale_end + primes;
-    let read_component = |cursor: &mut usize| -> Vec<Vec<u64>> {
-        widths
-            .iter()
-            .map(|&w| {
-                let len = packed_poly_bytes(n, w);
-                let poly = unpack_bits(&bytes[*cursor..*cursor + len], n, w);
-                *cursor += len;
-                poly
-            })
-            .collect()
-    };
-    let c0 = read_component(&mut cursor);
-    let c1 = read_component(&mut cursor);
-    Ciphertext::from_components_exact(c0, c1, scale)
+    let c0 = unpack_polys(bytes, &mut cursor, n, &widths).into();
+    let c1 = unpack_polys(bytes, &mut cursor, n, &widths).into();
+    Ciphertext::from_limbs(c0, c1, scale)
 }
 
 /// Exact serialized size of a seed-compressed ciphertext in the v3
@@ -574,15 +582,7 @@ pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphe
         return Err(err("payload length mismatch"));
     }
     let mut cursor = widths_at + primes;
-    let c0: Vec<Vec<u64>> = widths
-        .iter()
-        .map(|&w| {
-            let len = packed_poly_bytes(n, w);
-            let poly = unpack_bits(&bytes[cursor..cursor + len], n, w);
-            cursor += len;
-            poly
-        })
-        .collect();
+    let c0 = unpack_polys(bytes, &mut cursor, n, &widths).into();
     Ok(CompressedCiphertext {
         c0,
         mask_seed: seed,
@@ -731,22 +731,11 @@ fn deserialize_ksk(bytes: &[u8], kind: u8) -> Result<(Option<u64>, KeySwitchKey)
     if bytes.len() != cursor + digits * 2 * per_digit {
         return Err(err("key payload length mismatch"));
     }
-    let read_digit = |cursor: &mut usize| -> Vec<Vec<u64>> {
-        widths
-            .iter()
-            .map(|&w| {
-                let len = packed_poly_bytes(n, w);
-                let poly = unpack_bits(&bytes[*cursor..*cursor + len], n, w);
-                *cursor += len;
-                poly
-            })
-            .collect()
-    };
     let mut b = Vec::with_capacity(digits);
     let mut a = Vec::with_capacity(digits);
     for _ in 0..digits {
-        b.push(read_digit(&mut cursor));
-        a.push(read_digit(&mut cursor));
+        b.push(unpack_polys(bytes, &mut cursor, n, &widths));
+        a.push(unpack_polys(bytes, &mut cursor, n, &widths));
     }
     Ok((element, KeySwitchKey { b, a }))
 }

@@ -5,8 +5,11 @@
 //! running a mixed encrypt/decrypt/ingest/batch workload, then prints
 //! one machine-readable summary line (`GATEWAY_LOADGEN …`) with
 //! ciphertexts/sec per phase, p95 latency, and the shed/retry/panic
-//! counters, and exits non-zero if the zero-lost-request invariant or
-//! the throughput-recovery bound (post ≥ 90% of pre) fails.
+//! counters, plus one `LIMB_POOL …` line per size class of the
+//! process-wide limb pool, and exits non-zero if the zero-lost-request
+//! invariant, the throughput-recovery bound (post ≥ 90% of pre) or the
+//! pool's residency bound (no class holds more than the live contexts
+//! allow — nothing at all once the gateway is shut down) fails.
 //!
 //! Knobs (environment):
 //! - `ABC_FHE_LOG_N` — ring-degree exponent (default 10; CI uses 10)
@@ -163,6 +166,23 @@ fn install_quiet_panic_hook() {
     }));
 }
 
+/// One line per limb-pool class that holds more bytes than its live
+/// engines allow.
+fn pool_over_allowance(when: &str) -> Vec<String> {
+    let over = abc_ckks::limb_pool::stats()
+        .into_iter()
+        .filter(|class| class.resident_bytes() > class.allowance_bytes());
+    over.map(|class| {
+        format!(
+            "limb pool {when}: the {}-word class holds {} B, its engines allow {} B",
+            class.words,
+            class.resident_bytes(),
+            class.allowance_bytes()
+        )
+    })
+    .collect()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     install_quiet_panic_hook();
     let log_n = abc_ckks::params::log_n_from_env(10)?;
@@ -254,12 +274,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "phases: pre {pre_ok}ok/{pre_err}err, storm {storm_ok}ok/{storm_err}err, post {post_ok}ok/{post_err}err"
     );
 
+    for class in abc_ckks::limb_pool::stats() {
+        println!(
+            "LIMB_POOL words={} allowance={} allowance_bytes={} resident_bytes={} hits={} \
+             misses={} kept={} freed={}",
+            class.words,
+            class.allowance,
+            class.allowance_bytes(),
+            class.resident_bytes(),
+            class.hits,
+            class.misses,
+            class.kept,
+            class.freed,
+        );
+    }
+
     let live = gw.live_workers();
+    let mut failures = pool_over_allowance("under load");
     Arc::try_unwrap(gw)
         .map_err(|_| "clients still hold the gateway")?
         .shutdown();
+    failures.extend(pool_over_allowance("after shutdown"));
 
-    let mut failures = Vec::new();
     if lost != 0 {
         failures.push(format!(
             "{lost} requests never resolved (zero-lost violated)"

@@ -1,14 +1,16 @@
 //! Worker threads: pooled CKKS state, panic isolation, and the
 //! zero-lost-request drop guard.
 //!
-//! Each worker owns its `CkksContext` outright (engines, NTT plans,
-//! scratch pools) — no sharing means no lock contention on the hot
+//! Each worker owns its `CkksContext` outright (engines, NTT plans, the
+//! FFT slot pool) — no sharing means no lock contention on the hot
 //! path and, more importantly, a clean respawn story: a panic caught
-//! mid-request may leave the context's internal buffer pools poisoned,
-//! so the worker discards the whole context and rebuilds fresh state
-//! before taking the next job. The in-flight request is resolved by
-//! [`Responder`]'s drop guard — a panicking worker can *never* strand
-//! its caller.
+//! mid-request may leave the context's FFT slot pool poisoned, so the
+//! worker discards the whole context and rebuilds fresh state before
+//! taking the next job. (The process-wide limb pool is the one thing
+//! the workers share; it recovers its lock from a panic, and the limbs
+//! a panicking request had checked out go back to it while the request
+//! unwinds.) The in-flight request is resolved by [`Responder`]'s drop
+//! guard — a panicking worker can *never* strand its caller.
 
 use crate::config::GatewayConfig;
 use crate::error::{GatewayError, TimeoutStage};
@@ -116,8 +118,9 @@ pub(crate) fn worker_main(shared: Arc<Shared>, live_workers: Arc<AtomicU64>) {
         if outcome.is_err() {
             // The job's Responder drop guard has already resolved the
             // caller with WorkerPanicked during unwinding. The panic
-            // may have poisoned the context's internal scratch pools,
-            // so respawn the compute state from scratch.
+            // may have poisoned the context's FFT slot pool (the shared
+            // limb pool recovers by itself), so respawn the compute
+            // state from scratch.
             inc(&shared.metrics.worker_panics);
             match build_context(&shared.config) {
                 Ok(fresh) => {

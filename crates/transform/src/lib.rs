@@ -22,7 +22,9 @@
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
 //! polynomial — one plan per prime, limb fan-out over scoped threads
-//! (`ABC_FHE_THREADS` override) and pooled scratch buffers.
+//! (`ABC_FHE_THREADS` override) — and draws every limb it hands out from
+//! [`pool`], the process-wide limb pool whose retention follows the live
+//! engines ([`pool::PooledLimbs`] is the one owning limb container).
 //! [`fft_engine::SpecialFftEngine`] gives the embedding FFT the same
 //! treatment: a shared plan, batch fan-out over scoped threads, and a
 //! recycling slot-buffer pool.
@@ -64,6 +66,7 @@ pub mod fft_engine;
 pub mod ntt;
 #[cfg(target_arch = "x86_64")]
 pub mod ntt_ifma;
+pub mod pool;
 pub mod radix;
 pub mod rns_ntt;
 pub mod stream;
@@ -73,6 +76,7 @@ pub mod twiddle;
 pub use fft::{parse_fft_kernel_preference, FftKernelPreference, SpecialFft, FFT_KERNEL_ENV};
 pub use fft_engine::SpecialFftEngine;
 pub use ntt::{KernelPreference, NttPlan};
+pub use pool::PooledLimbs;
 pub use rns_ntt::RnsNttEngine;
 pub use twiddle::{OtfTwiddleGen, TwiddleSource, TwiddleTable};
 

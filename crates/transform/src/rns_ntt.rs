@@ -1,5 +1,5 @@
 //! Batched NTT over all RNS limbs of a polynomial, with thread fan-out
-//! and reusable scratch buffers.
+//! and limbs drawn from the process-wide pool.
 //!
 //! The paper's client pipeline (Fig. 2a) transforms every RNS residue
 //! polynomial of a message — up to 24 limbs at `N = 2^16` — and each
@@ -10,9 +10,13 @@
 //! machine's parallelism and can be pinned with the `ABC_FHE_THREADS`
 //! environment variable.
 //!
-//! Every temporary the engine needs is drawn from an internal buffer
-//! pool and recycled, so steady-state operation performs no per-op
-//! allocation ([`PooledLimbs`] returns its buffers on drop).
+//! Every limb the engine hands out — scratch, and the polynomials that
+//! escape into plaintexts and ciphertexts — is a [`PooledLimbs`] checked
+//! out of the one limb pool ([`crate::pool`]) and returned to it on drop,
+//! and the engine registers what one operation can have checked out
+//! (`4 × limbs` buffers of `N` words) as the pool's allowance for as
+//! long as it lives. Only [`RnsNttEngine::expand_and_ntt`], the key and
+//! probe entry point, allocates outside the pool.
 //!
 //! Beyond the transforms, the engine exposes **RNS-wide element-wise
 //! operations** (`dyadic_mul_all`, `dyadic_mul_add_all`,
@@ -49,20 +53,19 @@
 //! thread counts 1/2/4.
 
 use crate::ntt::NttPlan;
+use crate::pool::{Allowance, PooledLimbs};
 use abc_math::rns::SignedCoeffs;
 use abc_math::{MathError, Modulus};
-use std::sync::Mutex;
 
 /// Environment variable overriding the engine's thread count.
 pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
 
-/// Cap on pooled scratch buffers, bounding steady-state memory.
-const MAX_POOLED_BUFS: usize = 64;
-
-/// High-water cap on pooled scratch **bytes**: a burst at a large ring
-/// degree must not pin its peak memory forever, so buffers returned
-/// past this watermark are dropped (evicted) instead of retained.
-pub const MAX_POOLED_BYTES: usize = 1 << 23;
+/// Polynomials of `limbs` limbs one operation on a context can have
+/// checked out of the pool at once: one plaintext, two ciphertext
+/// components and one of scratch (an upload holds `pt`, `c0`, `c1` and a
+/// scratch limb per thread; a download `c0`, `c1`, the decrypted
+/// plaintext and decode's coefficient limbs).
+const POLYS_PER_OP: usize = 4;
 
 /// Below this much total work (`limbs × N`), thread spawn overhead
 /// outweighs the fan-out and the engine runs serially.
@@ -73,90 +76,9 @@ const PARALLEL_THRESHOLD: usize = 1 << 14;
 /// off only on larger batches.
 const DYADIC_PARALLEL_THRESHOLD: usize = 1 << 16;
 
-/// A recycling pool of `Vec<u64>` scratch buffers, capped both by
-/// count and by retained bytes ([`MAX_POOLED_BYTES`]).
-#[derive(Debug, Default)]
-struct BufferPool {
-    bufs: Mutex<PoolState>,
-}
-
-/// Pool contents plus their retained byte total (capacity of every
-/// buffer), tracked so the byte-watermark eviction is O(1) on return.
-#[derive(Debug, Default)]
-struct PoolState {
-    bufs: Vec<Vec<u64>>,
-    bytes: usize,
-}
-
-impl BufferPool {
-    /// Takes a buffer of length `n` with **unspecified contents** —
-    /// recycled buffers keep their stale words rather than paying a
-    /// memset that every caller immediately overwrites.
-    fn take(&self, n: usize) -> Vec<u64> {
-        let mut guard = self.bufs.lock().expect("buffer pool poisoned");
-        match guard.bufs.pop() {
-            Some(mut b) => {
-                guard.bytes -= b.capacity() * core::mem::size_of::<u64>();
-                b.resize(n, 0);
-                b
-            }
-            None => vec![0u64; n],
-        }
-    }
-
-    /// Returns a buffer, dropping it instead when retention would pass
-    /// the count cap or the [`MAX_POOLED_BYTES`] high-water mark.
-    fn put(&self, b: Vec<u64>) {
-        let bytes = b.capacity() * core::mem::size_of::<u64>();
-        let mut guard = self.bufs.lock().expect("buffer pool poisoned");
-        if guard.bufs.len() < MAX_POOLED_BUFS && guard.bytes + bytes <= MAX_POOLED_BYTES {
-            guard.bytes += bytes;
-            guard.bufs.push(b);
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.bufs.lock().expect("buffer pool poisoned").bytes
-    }
-
-    fn len(&self) -> usize {
-        self.bufs.lock().expect("buffer pool poisoned").bufs.len()
-    }
-}
-
-/// Residue limbs checked out of an [`RnsNttEngine`]'s buffer pool;
-/// dereferences to `[Vec<u64>]` and returns every buffer to the pool on
-/// drop.
-#[derive(Debug)]
-pub struct PooledLimbs<'a> {
-    engine: &'a RnsNttEngine,
-    bufs: Vec<Vec<u64>>,
-}
-
-impl std::ops::Deref for PooledLimbs<'_> {
-    type Target = [Vec<u64>];
-    fn deref(&self) -> &[Vec<u64>] {
-        &self.bufs
-    }
-}
-
-impl std::ops::DerefMut for PooledLimbs<'_> {
-    fn deref_mut(&mut self) -> &mut [Vec<u64>] {
-        &mut self.bufs
-    }
-}
-
-impl Drop for PooledLimbs<'_> {
-    fn drop(&mut self) {
-        for b in self.bufs.drain(..) {
-            self.engine.pool.put(b);
-        }
-    }
-}
-
 /// Batched forward/inverse negacyclic NTT across the RNS limbs of a
 /// polynomial: one [`NttPlan`] per prime, limb fan-out over scoped
-/// threads, and pooled scratch.
+/// threads, and limbs from the process-wide pool.
 ///
 /// # Example
 ///
@@ -184,7 +106,9 @@ pub struct RnsNttEngine {
     plans: Vec<NttPlan>,
     n: usize,
     threads: usize,
-    pool: BufferPool,
+    /// Keeps `POLYS_PER_OP × limbs` buffers of `N` words retained in the
+    /// limb pool while this engine lives.
+    _allowance: Allowance,
 }
 
 impl RnsNttEngine {
@@ -215,7 +139,7 @@ impl RnsNttEngine {
             plans,
             n,
             threads: threads.max(1),
-            pool: BufferPool::default(),
+            _allowance: Allowance::new(n, POLYS_PER_OP * moduli.len()),
         })
     }
 
@@ -239,39 +163,12 @@ impl RnsNttEngine {
         &self.plans[i]
     }
 
-    /// Checks a scratch buffer of length `N` out of the pool; its
-    /// contents are **unspecified** (recycled buffers are not cleared),
-    /// so overwrite before reading. Hand it back with
-    /// [`Self::recycle`] (or wrap batches in [`PooledLimbs`] via
-    /// [`Self::take_limbs`]).
-    pub fn take_buf(&self) -> Vec<u64> {
-        self.pool.take(self.n)
-    }
-
-    /// Returns a scratch buffer to the pool (dropped instead when the
-    /// pool sits at its count cap or [`MAX_POOLED_BYTES`] watermark).
-    pub fn recycle(&self, buf: Vec<u64>) {
-        self.pool.put(buf);
-    }
-
-    /// Bytes currently retained by the scratch pool (capacity of every
-    /// pooled buffer) — always ≤ [`MAX_POOLED_BYTES`].
-    pub fn pooled_bytes(&self) -> usize {
-        self.pool.bytes()
-    }
-
-    /// Number of buffers currently retained by the scratch pool.
-    pub fn pooled_bufs(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Checks out `k` limb buffers (contents unspecified, as in
-    /// [`Self::take_buf`]) that recycle on drop.
-    pub fn take_limbs(&self, k: usize) -> PooledLimbs<'_> {
-        PooledLimbs {
-            engine: self,
-            bufs: (0..k).map(|_| self.pool.take(self.n)).collect(),
-        }
+    /// Checks `k` limbs of `N` words out of the limb pool; they go back
+    /// when the returned [`PooledLimbs`] drops. Their contents are
+    /// **unspecified** (recycled buffers are not cleared), so overwrite
+    /// before reading.
+    pub fn take_limbs(&self, k: usize) -> PooledLimbs {
+        PooledLimbs::take(k, self.n)
     }
 
     /// In-place forward NTT of `limbs[i]` under prime `i`, fanned out
@@ -299,9 +196,10 @@ impl RnsNttEngine {
     /// every limb — the encode-side `expand ∘ NTT` fused into one
     /// parallel pass, division-free ([`SignedCoeffs`]: one scan of
     /// `ints`, then sign-select or Shoup fold per limb by magnitude).
-    /// Returns one freshly allocated limb per prime: the buffers escape
-    /// into plaintexts and keys, whose owners free them, so they are
-    /// never handed back to the pool.
+    /// Returns one freshly allocated limb per prime: this is the key and
+    /// probe entry point, deliberately outside the pool — keys live as
+    /// long as their context and are never recycled. Plaintexts go
+    /// through the pooled [`Self::expand_and_ntt_i128`].
     ///
     /// # Panics
     ///
@@ -310,21 +208,24 @@ impl RnsNttEngine {
     where
         X: Copy + Into<i128> + Sync,
     {
-        let mut out = self.reserve_limbs(self.plans.len());
+        // Reserved, not touched: the thread that fills a limb is the
+        // first to write it.
+        let mut out: Vec<Vec<u64>> = (0..self.plans.len())
+            .map(|_| Vec::with_capacity(self.n))
+            .collect();
         self.expand_and_ntt_into(ints, &mut out);
         out
     }
 
     /// Expands centered `i64` coefficients under the first `k` primes
-    /// and forward-transforms each limb, drawing the limb buffers from
-    /// the pool (they recycle when the returned [`PooledLimbs`] drops).
-    /// This is the rescale hot path: the INTT'd tail limb re-enters NTT
-    /// domain under every remaining prime.
+    /// and forward-transforms each limb into pooled limbs. This is the
+    /// key-switch hot path: an INTT'd, centered digit re-enters NTT
+    /// domain under every carried prime.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
-    pub fn expand_and_ntt_i64(&self, coeffs: &[i64], k: usize) -> PooledLimbs<'_> {
+    pub fn expand_and_ntt_i64(&self, coeffs: &[i64], k: usize) -> PooledLimbs {
         let mut out = self.take_limbs(k);
         self.expand_and_ntt_into(coeffs, &mut out);
         out
@@ -332,14 +233,14 @@ impl RnsNttEngine {
 
     /// Expands centered `i128` coefficients under the first `k` primes
     /// and forward-transforms each limb, pooled like
-    /// [`Self::expand_and_ntt_i64`]. This is the *pair*-rescale hot
-    /// path: the CRT-lifted two-prime tail (up to ~75 bits, centered)
-    /// re-enters NTT domain under every remaining prime.
+    /// [`Self::expand_and_ntt_i64`]. This is encode's last step: the
+    /// Δ-rounded message coefficients (up to ~2^73 at Δ_eff = 2^72)
+    /// become the plaintext's limbs.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
-    pub fn expand_and_ntt_i128(&self, coeffs: &[i128], k: usize) -> PooledLimbs<'_> {
+    pub fn expand_and_ntt_i128(&self, coeffs: &[i128], k: usize) -> PooledLimbs {
         let mut out = self.take_limbs(k);
         self.expand_and_ntt_into(coeffs, &mut out);
         out
@@ -357,12 +258,6 @@ impl RnsNttEngine {
             src.expand_into(plan.modulus(), limb);
             plan.forward(limb);
         });
-    }
-
-    /// `k` empty limbs with room for `N` words each — reserved, not
-    /// touched: the thread that fills a limb is the first to write it.
-    fn reserve_limbs(&self, k: usize) -> Vec<Vec<u64>> {
-        (0..k).map(|_| Vec::with_capacity(self.n)).collect()
     }
 
     /// The fused rescale hot path: for every kept limb `i`, expand the
@@ -411,24 +306,23 @@ impl RnsNttEngine {
         assert!(s.len() >= kept.len(), "fewer scalars than limbs");
         let src = SignedCoeffs::scan(coeffs);
         self.for_each_limb(kept, |i, plan, limb| {
-            let mut tail = self.pool.take(self.n);
-            src.expand_into(plan.modulus(), &mut tail);
-            plan.forward_lazy(&mut tail);
-            plan.dyadic().sub_scalar_mul_assign(limb, &tail, s[i]);
-            self.pool.put(tail);
+            let mut tail = self.take_limbs(1);
+            src.expand_into(plan.modulus(), &mut tail[0]);
+            plan.forward_lazy(&mut tail[0]);
+            plan.dyadic().sub_scalar_mul_assign(limb, &tail[0], s[i]);
         });
     }
 
     /// The fused public-key-encrypt pass: `c0 = pk0·v + e0 + m` and
     /// `c1 = pk1·v + e1` over the `m.len()` leading primes, limb by limb
-    /// on the thread that owns the limb — expand `v` into one pooled
+    /// on the thread that owns the limb — expand `v` into the thread's
     /// scratch limb, transform and enter it into the dyadic kernel's
     /// domain once; expand `e0` straight into the output limb `c0[i]`,
     /// transform, accumulate `pk0[i]·v̂` onto it and add `m[i]`; the same
     /// for `c1[i]` from `e1` and `pk1[i]`. The two returned polynomials
-    /// are the only ones allocated (reserved here, each limb written
-    /// once, by its own thread), the key is read in place, and a limb
-    /// leaves the cache once.
+    /// come out of the limb pool (each limb written once, by its own
+    /// thread), the key is read in place, and a limb leaves the cache
+    /// once.
     ///
     /// `pk0`, `pk1` and `m` are canonical NTT-domain residues in
     /// `[0, q_i)`; every intermediate is canonical too (the transforms
@@ -451,7 +345,7 @@ impl RnsNttEngine {
         pk0: &[Vec<u64>],
         pk1: &[Vec<u64>],
         m: &[Vec<u64>],
-    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    ) -> (PooledLimbs, PooledLimbs) {
         let k = m.len();
         assert!(
             v.len() == self.n && e0.len() == self.n && e1.len() == self.n,
@@ -463,21 +357,24 @@ impl RnsNttEngine {
             SignedCoeffs::scan(e0),
             SignedCoeffs::scan(e1),
         );
-        let (mut c0, mut c1) = (self.reserve_limbs(k), self.reserve_limbs(k));
-        self.for_each_limb_pair(&mut c0, &mut c1, PARALLEL_THRESHOLD, |i, plan, x0, x1| {
-            let (q, d) = (plan.modulus(), plan.dyadic());
-            let mut v_hat = self.pool.take(self.n);
-            v.expand_into(q, &mut v_hat);
-            plan.forward(&mut v_hat);
-            d.premul(&mut v_hat);
-            for (x, e, pk) in [(&mut *x0, &e0, &pk0[i]), (&mut *x1, &e1, &pk1[i])] {
-                e.expand_into(q, x);
-                plan.forward(x);
-                d.mul_acc_assign_premul(x, pk, &v_hat);
-            }
-            d.add_assign(x0, &m[i]);
-            self.pool.put(v_hat);
-        });
+        let (mut c0, mut c1) = (self.take_limbs(k), self.take_limbs(k));
+        self.for_each_limb_pair(
+            &mut c0,
+            &mut c1,
+            PARALLEL_THRESHOLD,
+            |i, plan, x0, x1, v_hat| {
+                let (q, d) = (plan.modulus(), plan.dyadic());
+                v.expand_into(q, v_hat);
+                plan.forward(v_hat);
+                d.premul(v_hat);
+                for (x, e, pk) in [(&mut *x0, &e0, &pk0[i]), (&mut *x1, &e1, &pk1[i])] {
+                    e.expand_into(q, x);
+                    plan.forward(x);
+                    d.mul_acc_assign_premul(x, pk, v_hat);
+                }
+                d.add_assign(x0, &m[i]);
+            },
+        );
         (c0, c1)
     }
 
@@ -671,17 +568,15 @@ impl RnsNttEngine {
     /// `N`.
     pub fn dyadic_mul_pair_all(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], b: &[Vec<u64>]) {
         assert!(b.len() >= a0.len(), "fewer multiplier limbs than targets");
-        self.for_each_limb_pair(a0, a1, DYADIC_PARALLEL_THRESHOLD, |i, plan, x0, x1| {
+        self.for_each_limb_pair(a0, a1, DYADIC_PARALLEL_THRESHOLD, |i, plan, x0, x1, pre| {
             let d = plan.dyadic();
-            // Enter b_i once (pooled scratch), multiply both components
-            // against the premultiplied form — one conversion pass
-            // amortized over two products.
-            let mut pre = self.pool.take(self.n);
+            // Enter b_i once (the thread's scratch limb), multiply both
+            // components against the premultiplied form — one
+            // conversion pass amortized over two products.
             pre.copy_from_slice(&b[i]);
-            d.premul(&mut pre);
-            d.mul_assign_premul(x0, &pre);
-            d.mul_assign_premul(x1, &pre);
-            self.pool.put(pre);
+            d.premul(pre);
+            d.mul_assign_premul(x0, pre);
+            d.mul_assign_premul(x1, pre);
         });
     }
 
@@ -711,19 +606,22 @@ impl RnsNttEngine {
             b.len() >= k && a.len() >= k,
             "fewer key limbs than accumulators"
         );
-        self.for_each_limb_pair(acc0, acc1, DYADIC_PARALLEL_THRESHOLD, |i, plan, x0, x1| {
-            let dy = plan.dyadic();
-            // Enter d_i once (pooled scratch); each product folds
-            // straight into its accumulator through the fused
-            // multiply-accumulate — no per-product scratch buffer and
-            // no separate add pass.
-            let mut pre = self.pool.take(self.n);
-            pre.copy_from_slice(&d[i]);
-            dy.premul(&mut pre);
-            dy.mul_acc_assign_premul(x0, &b[i], &pre);
-            dy.mul_acc_assign_premul(x1, &a[i], &pre);
-            self.pool.put(pre);
-        });
+        self.for_each_limb_pair(
+            acc0,
+            acc1,
+            DYADIC_PARALLEL_THRESHOLD,
+            |i, plan, x0, x1, pre| {
+                let dy = plan.dyadic();
+                // Enter d_i once (the thread's scratch limb); each product
+                // folds straight into its accumulator through the fused
+                // multiply-accumulate — no per-product scratch buffer and
+                // no separate add pass.
+                pre.copy_from_slice(&d[i]);
+                dy.premul(pre);
+                dy.mul_acc_assign_premul(x0, &b[i], pre);
+                dy.mul_acc_assign_premul(x1, &a[i], pre);
+            },
+        );
     }
 
     /// `a[i][j] = a[i][j]·s[i] mod q_i` — per-limb scalar multiply (the
@@ -824,9 +722,13 @@ impl RnsNttEngine {
     }
 
     /// [`Self::for_each_limb_threshold`] over the paired limbs of two
-    /// components: `f(i, plan_i, a0_i, a1_i)`, so limb `i` of both stays
-    /// on one thread. The cutoff counts both components' work
-    /// (`2 × limbs × N`).
+    /// components: `f(i, plan_i, a0_i, a1_i, scratch)`, so limb `i` of
+    /// both stays on one thread. Every pair shape needs one limb of
+    /// scratch (the shared operand in the dyadic kernel's domain), so
+    /// each thread checks one out of the pool for its whole chunk —
+    /// `N` words, contents unspecified — and it goes back when the
+    /// thread is done, or unwinds. The cutoff counts both components'
+    /// work (`2 × limbs × N`).
     fn for_each_limb_pair<F>(
         &self,
         a0: &mut [Vec<u64>],
@@ -834,7 +736,7 @@ impl RnsNttEngine {
         threshold: usize,
         f: F,
     ) where
-        F: Fn(usize, &NttPlan, &mut Vec<u64>, &mut Vec<u64>) + Sync,
+        F: Fn(usize, &NttPlan, &mut Vec<u64>, &mut Vec<u64>, &mut Vec<u64>) + Sync,
     {
         let k = a0.len();
         assert_eq!(k, a1.len(), "component limb counts differ");
@@ -842,8 +744,9 @@ impl RnsNttEngine {
         let plans = &self.plans[..k];
         let threads = self.threads.min(k);
         if threads <= 1 || 2 * k * self.n < threshold {
+            let mut scratch = self.take_limbs(1);
             for (i, ((plan, x0), x1)) in plans.iter().zip(a0).zip(a1).enumerate() {
-                f(i, plan, x0, x1);
+                f(i, plan, x0, x1, &mut scratch[0]);
             }
             return;
         }
@@ -856,8 +759,9 @@ impl RnsNttEngine {
                 .zip(a1.chunks_mut(chunk));
             for (t, ((pc, c0), c1)) in chunks.enumerate() {
                 s.spawn(move || {
+                    let mut scratch = self.take_limbs(1);
                     for (j, ((plan, x0), x1)) in pc.iter().zip(c0).zip(c1).enumerate() {
-                        f(t * chunk + j, plan, x0, x1);
+                        f(t * chunk + j, plan, x0, x1, &mut scratch[0]);
                     }
                 });
             }
@@ -945,6 +849,7 @@ mod env_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool;
     use abc_math::primes::generate_ntt_primes;
 
     fn moduli(count: usize, two_n: u64) -> Vec<Modulus> {
@@ -972,30 +877,84 @@ mod tests {
             .collect()
     }
 
+    // The limb pool is shared by every test of this binary: the tests
+    // that read its counters each use a ring degree no other test does.
+
     #[test]
-    fn pool_evicts_past_byte_watermark() {
-        // 2^14 words × 8 B = 128 KiB per buffer: 128 returned buffers
-        // would retain 16 MiB without the byte cap; the watermark keeps
-        // only MAX_POOLED_BYTES / 128 KiB = 64... capped at
-        // MAX_POOLED_BUFS first, so double the length to make the byte
-        // cap bind: 2^15 words = 256 KiB per buffer → 32 retained.
-        let n = 1usize << 15;
-        let ms = moduli(1, 2 * n as u64);
+    fn pool_retention_follows_the_live_engines() {
+        let n = 128usize;
+        let ms = moduli(3, 2 * n as u64);
+        let class = || pool::class_stats(n).expect("registered by an engine");
         let engine = RnsNttEngine::with_threads(&ms, n, 1).unwrap();
-        let bufs: Vec<_> = (0..128).map(|_| engine.take_buf()).collect();
-        for b in bufs {
-            engine.recycle(b);
+        assert_eq!(class().allowance, 4 * 3);
+        // However many adopted, cloned and checked-out limbs are dropped
+        // into it, the class never holds more than the engine allows.
+        for _ in 0..4 {
+            let adopted = PooledLimbs::from(vec![vec![0u64; n]; 7]);
+            let cloned = adopted.clone();
+            let taken = engine.take_limbs(9);
+            assert!(taken.iter().all(|limb| limb.len() == n));
+            drop((adopted, cloned, taken));
+            assert!(class().resident <= 12, "resident {}", class().resident);
         }
-        assert!(engine.pooled_bytes() <= MAX_POOLED_BYTES);
-        let per_buf = n * core::mem::size_of::<u64>();
-        assert_eq!(engine.pooled_bufs(), MAX_POOLED_BYTES / per_buf);
-        // Taking drains the accounting symmetrically.
-        let b = engine.take_buf();
-        assert_eq!(
-            engine.pooled_bytes(),
-            MAX_POOLED_BYTES / per_buf * per_buf - per_buf
-        );
-        engine.recycle(b);
+        assert_eq!(class().resident, 12);
+        assert_eq!(class().resident_bytes(), 12 * n * 8);
+        // A second engine of the same N adds its allowance; dropping it
+        // frees the excess at once.
+        let second = RnsNttEngine::with_threads(&ms[..2], n, 1).unwrap();
+        assert_eq!(class().allowance, 12 + 8);
+        drop(PooledLimbs::from(vec![vec![0u64; n]; 30]));
+        assert_eq!(class().resident, 20);
+        drop(second);
+        assert_eq!((class().allowance, class().resident), (12, 12));
+        // A capacity no live engine registered is not retained.
+        drop(PooledLimbs::from(vec![vec![0u64; n + n / 2]; 2]));
+        assert_eq!(pool::class_stats(n + n / 2), None);
+        // Dropping the last engine empties the class, and with no live
+        // engine it keeps nothing.
+        drop(engine);
+        assert_eq!((class().allowance, class().resident), (0, 0));
+        drop(PooledLimbs::from(vec![vec![0u64; n]; 2]));
+        assert_eq!(class().resident, 0);
+    }
+
+    #[test]
+    fn limbs_checked_out_when_a_limb_pass_panics_go_back_to_the_pool() {
+        // 2·k·n = 2^14 reaches PARALLEL_THRESHOLD, so with two threads the
+        // panic unwinds a scoped worker holding its scratch limb.
+        let n = 1usize << 11;
+        let ms = moduli(4, 2 * n as u64);
+        let class = || pool::class_stats(n).expect("registered by an engine");
+        let (v, e) = (vec![1i8; n], vec![-2i64; n]);
+        let pk = pseudo_limbs(&ms, n, 5);
+        let m = pseudo_limbs(&ms, n, 6);
+        // The last key limb is one word short: its multiply-accumulate
+        // panics with c0, c1 and a scratch limb checked out.
+        let mut short = pk.clone();
+        short[3].pop();
+        for threads in [1usize, 2] {
+            let engine = RnsNttEngine::with_threads(&ms, n, threads).unwrap();
+            // The reference run also leaves the limbs it used in the pool.
+            let (c0, c1) = engine.pk_encrypt_all(&v, &e, &e, &pk, &pk, &m);
+            let want = (c0.to_vec(), c1.to_vec());
+            drop((c0, c1));
+            let before = class();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.pk_encrypt_all(&v, &e, &e, &pk, &short, &m)
+            }));
+            assert!(unwound.is_err(), "threads={threads}");
+            let after = class();
+            assert_eq!(
+                after.kept - before.kept,
+                after.hits - before.hits,
+                "threads={threads}: every limb taken went back"
+            );
+            assert_eq!(after.misses, before.misses, "threads={threads}");
+            // And the pool serves the next request.
+            let (c0, c1) = engine.pk_encrypt_all(&v, &e, &e, &pk, &pk, &m);
+            assert_eq!((c0.to_vec(), c1.to_vec()), want, "threads={threads}");
+            assert_eq!(class().misses, before.misses, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1195,33 +1154,6 @@ mod tests {
             engine.expand_ntt_sub_scalar_mul_all_i128(&mut got, &coeffs128, &scalars);
             assert_eq!(got, refs.8, "fused rescale i128 threads={threads}");
         }
-    }
-
-    #[test]
-    fn pool_recycles_buffers() {
-        let n = 16usize;
-        let ms = moduli(2, 2 * n as u64);
-        let engine = RnsNttEngine::with_threads(&ms, n, 1).unwrap();
-        let mut buf = engine.take_buf();
-        buf[0] = 0xDEAD;
-        let ptr = buf.as_ptr();
-        engine.recycle(buf);
-        // The same allocation comes back (contents unspecified — no
-        // memset on the hot path).
-        let again = engine.take_buf();
-        assert_eq!(again.as_ptr(), ptr);
-        assert_eq!(again.len(), n);
-        drop(again);
-        // PooledLimbs returns its buffers on drop: the next checkout
-        // reuses the allocations instead of growing the pool.
-        let (p0, p1) = {
-            let mut limbs = engine.take_limbs(2);
-            limbs[0][0] = 1;
-            (limbs[0].as_ptr(), limbs[1].as_ptr())
-        };
-        let back = engine.take_limbs(2);
-        let ptrs = [back[0].as_ptr(), back[1].as_ptr()];
-        assert!(ptrs.contains(&p0) && ptrs.contains(&p1));
     }
 
     #[test]
