@@ -215,13 +215,13 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let text = "# header comment\n[[allow]]\nrule = \"env-access\"\npath = \"crates/math/src/dyadic.rs\"\ncontains = \"env::var\"\njustification = \"hardened parser\"\n";
+        let text = "# header comment\n[[allow]]\nrule = \"env-access\"\npath = \"crates/math/src/kernel.rs\"\ncontains = \"env::var\"\njustification = \"hardened parser\"\n";
         let entries = parse(text).unwrap();
         assert_eq!(entries.len(), 1);
         let hits = vec![finding(
             "env-access",
-            "crates/math/src/dyadic.rs",
-            "let raw = env::var(DYADIC_KERNEL_ENV);",
+            "crates/math/src/kernel.rs",
+            "let raw = env::var(KERNEL_ENV);",
         )];
         let (reported, allowed, unused) = apply(hits, &entries);
         assert!(reported.is_empty());

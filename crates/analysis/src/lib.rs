@@ -31,7 +31,7 @@
 //! | id | contract |
 //! |----|----------|
 //! | `unsafe-safety-comment` | every `unsafe` block / fn / impl / trait carries a `// SAFETY:` comment (or `# Safety` doc section for `unsafe fn`) |
-//! | `simd-gating` | `_mm*`-using fns are `unsafe` + `#[target_feature]` (or `#[inline(always)]` feature-inheriting helpers); safe dispatchers to such kernels must runtime-detect via `is_x86_feature_detected!` or a detector fn |
+//! | `simd-gating` | `_mm*`-using fns are `unsafe` + `#[target_feature]` (or `#[inline(always)]` feature-inheriting helpers); safe dispatchers to such kernels must consult `CpuCaps`, whose `detect` is the only fn that may invoke `is_x86_feature_detected!` |
 //! | `lazy-domain-doc` | fns whose name/params mention `lazy`/`2q`/`4q` state an interval bound (`[0, 2q)`-style) in their docs |
 //! | `env-access` | no direct `env::var`/`set_var`/`remove_var` on `ABC_FHE_*` outside `EnvGuard` and allowlisted hardened parsers |
 //! | `gateway-panic-free` | no `unwrap`/`expect`/`panic!`-family in `crates/gateway` non-test request-path code |

@@ -24,9 +24,6 @@ pub struct Ctx {
     pub str_consts: HashMap<String, String>,
     /// Names of functions carrying `#[target_feature]`, per file path.
     pub target_feature_fns: HashMap<String, HashSet<String>>,
-    /// Names of functions whose body invokes `is_x86_feature_detected!`
-    /// anywhere in the workspace (runtime-detection registry).
-    pub detector_fns: HashSet<String>,
 }
 
 impl Ctx {
@@ -34,7 +31,6 @@ impl Ctx {
     pub fn build(files: &[File]) -> Ctx {
         let mut str_consts = HashMap::new();
         let mut target_feature_fns: HashMap<String, HashSet<String>> = HashMap::new();
-        let mut detector_fns = HashSet::new();
         for f in files {
             for (name, value) in &f.consts {
                 str_consts.insert(name.clone(), value.clone());
@@ -46,20 +42,11 @@ impl Ctx {
                         .or_default()
                         .insert(item.name.clone());
                 }
-                if let Some((b0, b1)) = item.body {
-                    if f.toks[b0..=b1]
-                        .iter()
-                        .any(|t| t.is_ident("is_x86_feature_detected"))
-                    {
-                        detector_fns.insert(item.name.clone());
-                    }
-                }
             }
         }
         Ctx {
             str_consts,
             target_feature_fns,
-            detector_fns,
         }
     }
 }

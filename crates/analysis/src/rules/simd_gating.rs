@@ -1,6 +1,6 @@
 //! Rule 2 — `simd-gating`.
 //!
-//! Two checks keep every AVX-512 kernel behind runtime detection:
+//! Three checks keep every AVX-512 kernel behind runtime detection:
 //!
 //! 1. A function whose body uses `_mm*` intrinsics must be an
 //!    `unsafe fn` carrying either `#[target_feature(...)]` or
@@ -11,10 +11,14 @@
 //!    after inlining into a `#[target_feature]` kernel.
 //! 2. A *safe* function that references a `#[target_feature]` function
 //!    defined in the same file is a dispatch entry point: its body must
-//!    invoke `is_x86_feature_detected!` directly or call one of the
-//!    workspace's detector functions (e.g. `available`). This is what
-//!    keeps an intrinsic kernel from becoming reachable ungated when
-//!    someone adds a new wrapper and forgets the `assert!(available())`.
+//!    consult the workspace's one capability registry, `CpuCaps`
+//!    (`assert!(CpuCaps::detect().ifma(), …)`). This is what keeps an
+//!    intrinsic kernel from becoming reachable ungated when someone
+//!    adds a new wrapper and forgets the assert.
+//! 3. `is_x86_feature_detected!` itself appears in one function only —
+//!    `CpuCaps::detect` in `crates/math/src/kernel.rs` — so "which CPU
+//!    features did this process find" has one answer and one place to
+//!    read it from.
 
 use crate::parse::File;
 use crate::report::Finding;
@@ -22,6 +26,13 @@ use crate::report::Finding;
 use super::{finding, Ctx};
 
 pub(super) const RULE: &str = "simd-gating";
+
+/// The capability registry: the type dispatchers consult, and the one
+/// function (by file and name) allowed to probe the CPU.
+const REGISTRY_TYPE: &str = "CpuCaps";
+const REGISTRY_FILE: &str = "crates/math/src/kernel.rs";
+const REGISTRY_FN: &str = "detect";
+const DETECT_MACRO: &str = "is_x86_feature_detected";
 
 /// Idents treated as intrinsic uses.
 fn is_intrinsic(name: &str) -> bool {
@@ -35,6 +46,21 @@ pub(super) fn check(ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
             continue;
         };
         let body = &f.toks[b0..=b1];
+        let is_registry = f.path.ends_with(REGISTRY_FILE) && item.name == REGISTRY_FN;
+        if !is_registry && body.iter().any(|t| t.is_ident(DETECT_MACRO)) {
+            out.push(finding(
+                RULE,
+                f,
+                item.line,
+                1,
+                format!(
+                    "fn `{}` probes the CPU with `{DETECT_MACRO}!`; read \
+                     `{REGISTRY_TYPE}::{REGISTRY_FN}()` instead (the one detection site, \
+                     `{REGISTRY_FILE}`)",
+                    item.name
+                ),
+            ));
+        }
         let uses_intrinsics = body
             .iter()
             .any(|t| !t.is_comment() && is_intrinsic(&t.text));
@@ -84,10 +110,7 @@ pub(super) fn check(ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
         if !references_tf {
             continue;
         }
-        let gated = body.iter().any(|t| {
-            !t.is_comment()
-                && (t.text == "is_x86_feature_detected" || ctx.detector_fns.contains(&t.text))
-        });
+        let gated = body.iter().any(|t| t.is_ident(REGISTRY_TYPE));
         if !gated {
             out.push(finding(
                 RULE,
@@ -96,7 +119,7 @@ pub(super) fn check(ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
                 1,
                 format!(
                     "safe fn `{}` dispatches to a `#[target_feature]` kernel without a \
-                     runtime-detection check (`is_x86_feature_detected!` or a detector fn)",
+                     runtime-detection check (`{REGISTRY_TYPE}::{REGISTRY_FN}()`)",
                     item.name
                 ),
             ));

@@ -146,12 +146,36 @@ unsafe fn kernel(a: __m512i, b: __m512i) -> __m512i {
 }
 
 pub fn dispatch(a: __m512i, b: __m512i) -> __m512i {
-    assert!(is_x86_feature_detected!("avx512f"));
+    assert!(CpuCaps::detect().avx512f);
     // SAFETY: the assert above proves the feature is present.
     unsafe { kernel(a, b) }
 }
 "#;
     assert!(findings("crates/x/src/simd.rs", src).is_empty());
+}
+
+#[test]
+fn cpu_detection_outside_the_registry_fires() {
+    // `CpuCaps::detect` in `crates/math/src/kernel.rs` is the one
+    // function that may probe the CPU; the same body anywhere else (or
+    // under another name) is a second detection site.
+    let src = r#"
+pub fn detect() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+"#;
+    assert!(findings("crates/math/src/kernel.rs", src).is_empty());
+    for (path, src) in [
+        ("crates/x/src/simd.rs", src.to_string()),
+        (
+            "crates/math/src/kernel.rs",
+            src.replace("detect()", "available()"),
+        ),
+    ] {
+        let found = findings(path, &src);
+        assert_eq!(rules(&found), ["simd-gating"], "{path}: {found:?}");
+        assert!(found[0].message.contains("CpuCaps::detect"));
+    }
 }
 
 #[test]
@@ -174,7 +198,7 @@ pub fn dispatch(a: __m512i, b: __m512i) -> __m512i {
 "#;
     let found = findings("crates/x/src/simd.rs", src);
     assert_eq!(rules(&found), ["simd-gating"], "{found:?}");
-    assert!(found[0].message.contains("is_x86_feature_detected"));
+    assert!(found[0].message.contains("CpuCaps::detect"));
 }
 
 // ---------------------------------------------------------------- rule 3

@@ -14,16 +14,15 @@
 //! The general accumulate (`mul_acc` via premul, the key-switch inner
 //! loop) rides along at the acceptance size.
 
-use abc_math::dyadic::{DyadicEngine, DyadicPreference};
-use abc_math::Modulus;
+use abc_math::dyadic::DyadicEngine;
+use abc_math::{KernelTier, Modulus};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// The kernels swept, with the preference that forces each.
-const KERNELS: [(&str, DyadicPreference); 4] = [
-    ("golden", DyadicPreference::Golden),
-    ("barrett", DyadicPreference::Barrett),
-    ("montgomery", DyadicPreference::Montgomery),
-    ("ifma", DyadicPreference::Ifma),
+/// The kernels swept, with the tier that forces each.
+const KERNELS: [(&str, KernelTier); 3] = [
+    ("golden", KernelTier::Reference),
+    ("montgomery", KernelTier::Scalar),
+    ("ifma", KernelTier::Simd),
 ];
 
 fn pseudo(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -53,7 +52,7 @@ fn bench_fused_dyadic(c: &mut Criterion) {
         let mut buf = a0.clone();
         for (label, pref) in KERNELS {
             let engine = DyadicEngine::with_kernel(m, pref);
-            // On hosts without IFMA the forced preference degrades to
+            // On hosts without IFMA the forced tier degrades to
             // Montgomery; label the row by what actually runs so the
             // JSON trajectory never reports a kernel it didn't measure.
             if engine.kernel_name() != label {

@@ -3,22 +3,19 @@
 //! Streaming Engine.
 //!
 //! Sweeps `mul_assign` over every `DyadicEngine` kernel (golden `u128 %`
-//! reference, the hoisted-Barrett loop that used to be the fast path,
-//! scalar Montgomery, and the AVX-512IFMA radix-2^52 REDC) at
-//! N = 2^12…2^16, plus the fused `mul_add_assign` and the Shoup/IFMA
-//! `scalar_mul_assign` at N = 2^15. The acceptance headline is
-//! `poly_dyadic/mul_assign_ifma` ≥ 3× `mul_assign_barrett` at N = 2^15.
+//! reference, scalar Montgomery, and the AVX-512IFMA radix-2^52 REDC)
+//! at N = 2^12…2^16, plus the fused `mul_add_assign` and the Shoup/IFMA
+//! `scalar_mul_assign` at N = 2^15.
 
-use abc_math::dyadic::{DyadicEngine, DyadicPreference};
-use abc_math::Modulus;
+use abc_math::dyadic::DyadicEngine;
+use abc_math::{KernelTier, Modulus};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// The kernels swept, with the preference that forces each.
-const KERNELS: [(&str, DyadicPreference); 4] = [
-    ("golden", DyadicPreference::Golden),
-    ("barrett", DyadicPreference::Barrett),
-    ("montgomery", DyadicPreference::Montgomery),
-    ("ifma", DyadicPreference::Ifma),
+/// The kernels swept, with the tier that forces each.
+const KERNELS: [(&str, KernelTier); 3] = [
+    ("golden", KernelTier::Reference),
+    ("montgomery", KernelTier::Scalar),
+    ("ifma", KernelTier::Simd),
 ];
 
 fn pseudo(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -45,7 +42,7 @@ fn bench_poly_dyadic(c: &mut Criterion) {
         let mut buf = a0.clone();
         for (label, pref) in KERNELS {
             let engine = DyadicEngine::with_kernel(m, pref);
-            // On hosts without IFMA the forced preference degrades to
+            // On hosts without IFMA the forced tier degrades to
             // Montgomery; label the row by what actually runs so the
             // JSON trajectory never reports a kernel it didn't measure.
             if engine.kernel_name() != label {

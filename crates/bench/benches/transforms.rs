@@ -5,10 +5,8 @@
 //! FP55 and ExtF64 datapaths.
 
 use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
-use abc_math::{primes::generate_ntt_primes, Modulus};
-use abc_transform::{
-    FftKernelPreference, NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft, SpecialFftEngine,
-};
+use abc_math::{primes::generate_ntt_primes, KernelTier, Modulus};
+use abc_transform::{NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft, SpecialFftEngine};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_ntt(c: &mut Criterion) {
@@ -122,8 +120,7 @@ fn bench_fft_field<F: RealField>(
     // When Auto dispatched past the scalar kernel, pin a forced-scalar
     // row too so the vector speedup is measured in the same sweep.
     if plan.kernel_name() != "scalar" {
-        let scalar =
-            SpecialFft::with_field_kernel(field.clone(), slots, FftKernelPreference::Scalar);
+        let scalar = SpecialFft::with_field_kernel(field.clone(), slots, KernelTier::Scalar);
         g.bench_with_input(
             BenchmarkId::new(format!("forward_scalar_{label}"), slots),
             &slots,
@@ -180,25 +177,6 @@ fn bench_fft(c: &mut Criterion) {
         if log_slots <= 12 {
             bench_fft_field(&mut g, SoftFloatField::fp55(), "fp55", slots, false);
             bench_fft_field(&mut g, ExtF64Field, "extf64", slots, log_slots == 11);
-        }
-    }
-    // Intra-transform threading: ONE large transform with its stages
-    // split across worker threads (engaged from slots = 2^12 up).
-    for log_slots in [13u32, 14] {
-        let slots = 1usize << log_slots;
-        let vals: Vec<Complex> = (0..slots)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-        let mut buf = vals.clone();
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let id = BenchmarkId::new(format!("forward_intra_t{threads}_fp64"), slots);
-            g.bench_with_input(id, &slots, |b, _| {
-                b.iter(|| {
-                    buf.copy_from_slice(&vals);
-                    engine.forward(black_box(&mut buf));
-                })
-            });
         }
     }
     g.finish();

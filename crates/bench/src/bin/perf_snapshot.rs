@@ -46,9 +46,10 @@ use abc_ckks::precision::{
 use abc_ckks::CkksContext;
 use abc_float::{Complex, F64Field};
 use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
+use abc_math::KernelTier;
 use abc_prng::sampler::GaussianSampler;
 use abc_prng::Seed;
-use abc_transform::{FftKernelPreference, NttPlan, RnsNttEngine, SpecialFft, SpecialFftEngine};
+use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
 use criterion::BenchRecord;
 use std::time::Instant;
 
@@ -218,7 +219,7 @@ fn main() {
     // rather than raw nanoseconds.
     let mut throughput_rows = Vec::new();
     {
-        use abc_math::dyadic::{DyadicEngine, DyadicPreference};
+        use abc_math::dyadic::DyadicEngine;
         let n = 1usize << 15;
         let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
         let m = abc_math::Modulus::new(q).expect("modulus");
@@ -228,17 +229,16 @@ fn main() {
         let d: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q).collect();
         let s = q - 12345;
         let mut buf = a0.clone();
-        for pref in [
-            DyadicPreference::Golden,
-            DyadicPreference::Barrett,
-            DyadicPreference::Montgomery,
-            DyadicPreference::Ifma,
+        for (tier, kernel) in [
+            (KernelTier::Reference, "golden"),
+            (KernelTier::Scalar, "montgomery"),
+            (KernelTier::Simd, "ifma"),
         ] {
-            let engine = DyadicEngine::with_kernel(m, pref);
+            let engine = DyadicEngine::with_kernel(m, tier);
             let label = engine.kernel_name();
-            // A degraded preference would re-measure another kernel's
-            // row under a misleading id; skip it.
-            if format!("{pref:?}").to_lowercase() != label {
+            // A degraded tier would re-measure another kernel's row
+            // under a misleading id; skip it.
+            if label != kernel {
                 continue;
             }
             // (id, bytes/op, the kernel body) — bytes/op counts each
@@ -489,7 +489,7 @@ fn main() {
         }));
     }
 
-    // --- SpecialFft: kernel ladder + intra-transform threading ---
+    // --- SpecialFft: kernel ladder ---
     {
         let slots = 1usize << 14; // N = 2^15
         let plan = SpecialFft::new(slots);
@@ -506,8 +506,7 @@ fn main() {
         // Forced-scalar row: the tentpole acceptance (avx512 ≥ 2× the
         // planned-scalar kernel single-thread) reads straight off the
         // planned/scalar median ratio.
-        let scalar_plan =
-            SpecialFft::with_field_kernel(F64Field, slots, FftKernelPreference::Scalar);
+        let scalar_plan = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Scalar);
         let scalar = measure("special_fft/forward_scalar_fp64/2^14", 400, || {
             buf.copy_from_slice(&vals);
             scalar_plan.forward(&mut buf);
@@ -529,20 +528,6 @@ fn main() {
             buf.copy_from_slice(&vals);
             plan.forward_otf(&mut buf);
         }));
-        // Intra-transform thread scaling: one big transform, stages
-        // split across workers (flat on the 1-vCPU CI box, comparable
-        // across hosts).
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            benches.push(measure(
-                &format!("special_fft/forward_intra_t{threads}_fp64/2^14"),
-                200,
-                || {
-                    buf.copy_from_slice(&vals);
-                    engine.forward(&mut buf);
-                },
-            ));
-        }
     }
 
     // --- Embedding datapaths: encode/decode medians + precision ---

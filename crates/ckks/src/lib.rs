@@ -68,6 +68,11 @@ pub use scale::ExactScale;
 /// snapshot, for binaries that hold contexts but not `abc-transform`.
 pub use abc_transform::pool as limb_pool;
 
+/// The kernel ladder every context's plans were built through — the
+/// CPU features found (`kernel::CpuCaps`) and the `ABC_FHE_KERNEL` tier
+/// (`kernel::KernelTier`) — for the same binaries.
+pub use abc_math::kernel;
+
 /// Errors produced by the CKKS layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CkksError {

@@ -6,7 +6,9 @@
 //! one machine-readable summary line (`GATEWAY_LOADGEN …`) with
 //! ciphertexts/sec per phase, p95 latency, and the shed/retry/panic
 //! counters, plus one `LIMB_POOL …` line per size class of the
-//! process-wide limb pool, and exits non-zero if the zero-lost-request
+//! process-wide limb pool and one `KERNELS …` line (CPU features, the
+//! forced tier, the kernel each layer ran and the thread counts), and
+//! exits non-zero if the zero-lost-request
 //! invariant, the throughput-recovery bound (post ≥ 90% of pre) or the
 //! pool's residency bound (no class holds more than the live contexts
 //! allow — nothing at all once the gateway is shut down) fails.
@@ -183,6 +185,31 @@ fn pool_over_allowance(when: &str) -> Vec<String> {
     .collect()
 }
 
+/// The `KERNELS` line: which kernel each layer of a context at the
+/// run's parameters dispatches to, on which CPU features, with how many
+/// threads — read off the context, never set.
+fn kernels_line(config: &GatewayConfig) -> Result<String, Box<dyn std::error::Error>> {
+    let params = abc_ckks::params::CkksParams::builder()
+        .log_n(config.log_n)
+        .num_primes(config.num_primes)
+        .build()?;
+    let ctx = abc_ckks::CkksContext::new(params)?;
+    let abc_ckks::EmbeddingEngine::F64(fft) = ctx.embedding() else {
+        return Err("the loadgen runs the default (F64) embedding datapath".into());
+    };
+    let plan = &ctx.ntt_plans()[0];
+    Ok(format!(
+        "KERNELS caps={} forced={} ntt={} dyadic={} fft={} ntt_threads={} fft_threads={}",
+        abc_ckks::kernel::CpuCaps::detect(),
+        abc_ckks::kernel::KernelTier::Auto.or_env(),
+        plan.kernel_name(),
+        plan.dyadic().kernel_name(),
+        fft.plan().kernel_name(),
+        ctx.ntt_engine().threads(),
+        fft.threads(),
+    ))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     install_quiet_panic_hook();
     let log_n = abc_ckks::params::log_n_from_env(10)?;
@@ -216,6 +243,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .count();
     assert!(fault_count > 10, "storm plan fires ({fault_count}/200)");
 
+    let kernels = kernels_line(&config)?;
     let gw = Arc::new(Gateway::start(config)?);
 
     println!("phase warmup ...");
@@ -288,6 +316,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             class.freed,
         );
     }
+    println!("{kernels}");
 
     let live = gw.live_workers();
     let mut failures = pool_over_allowance("under load");

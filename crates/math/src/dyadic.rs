@@ -16,14 +16,14 @@
 //!   and one REDC against precomputed `-q^{-1} mod 2^64`, with the
 //!   domain factor folded into a premultiplied operand. Any odd
 //!   `q < 2^63`.
-//! * **`barrett`** — the hoisted-Barrett loop (the previous fast path;
-//!   kept selectable as the bench baseline).
 //! * **`golden`** — the `u128 %` reference model.
 //!
-//! All kernels produce canonical `[0, q)` outputs, so they are
-//! **bit-identical** (asserted by the property suites over 36–62-bit
-//! NTT primes); [`DyadicPreference`] lets tests force each one on
-//! whatever machine they run.
+//! These are the dyadic rungs of the workspace's one kernel ladder
+//! ([`crate::kernel`]: `Simd` / `Scalar` / `Reference`). All kernels
+//! produce canonical `[0, q)` outputs, so they are **bit-identical**
+//! (asserted by the property suites over 36–62-bit NTT primes);
+//! [`KernelTier`] lets tests force each one on whatever machine they
+//! run.
 //!
 //! # Montgomery-domain lifecycle
 //!
@@ -71,85 +71,24 @@
 //! unfused ops (canonical outputs; pinned by the property suites across
 //! kernels, moduli widths and thread counts).
 
+use crate::kernel::{CpuCaps, KernelTier};
 use crate::modulus::Modulus;
-use crate::reduce::{Barrett, Montgomery};
+use crate::reduce::Montgomery;
 use crate::shoup;
-
-/// Caller preference for the element-wise kernel of a [`DyadicEngine`].
-///
-/// Kernel selection is otherwise host-dependent (the fastest applicable
-/// kernel wins), so a given machine only ever executes one fast path.
-/// Forcing a preference lets tests assert the bit-identity of **every**
-/// kernel wherever they run; an unavailable preference degrades to the
-/// next applicable kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DyadicPreference {
-    /// Fastest applicable kernel: ifma → montgomery.
-    #[default]
-    Auto,
-    /// The `u128 %` reference model, always applicable.
-    Golden,
-    /// Hoisted-Barrett loop (the pre-engine fast path), always
-    /// applicable.
-    Barrett,
-    /// Scalar Montgomery (`R = 2^64`), always applicable for the odd
-    /// moduli [`Modulus`] admits.
-    Montgomery,
-    /// AVX-512IFMA radix-2^52 REDC; falls back to scalar Montgomery
-    /// when the CPU or the modulus width (`q ≥ 2^50`) rule it out.
-    Ifma,
-}
-
-/// Environment variable overriding the kernel of engines built with
-/// [`DyadicPreference::Auto`] (`auto`, `golden`, `barrett`,
-/// `montgomery` or `ifma`, case-insensitive; blank means `auto`).
-///
-/// Explicit preferences are never overridden — tests that force a
-/// kernel keep working under the override — and capability rules still
-/// apply (`ifma` degrades to `montgomery` off-capability). CI uses this
-/// to run the whole tier-1 suite down the scalar fallback paths on
-/// machines that would otherwise always pick IFMA.
-pub const DYADIC_KERNEL_ENV: &str = "ABC_FHE_DYADIC_KERNEL";
-
-/// Parses a [`DYADIC_KERNEL_ENV`] value. `None`, empty and blank mean
-/// [`DyadicPreference::Auto`]; anything unrecognized is an error (the
-/// engine constructor turns it into a loud panic rather than silently
-/// mis-dispatching a forced-kernel CI run).
-pub fn parse_dyadic_preference(raw: Option<&str>) -> Result<DyadicPreference, String> {
-    let Some(raw) = raw else {
-        return Ok(DyadicPreference::Auto);
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "auto" => Ok(DyadicPreference::Auto),
-        "golden" => Ok(DyadicPreference::Golden),
-        "barrett" => Ok(DyadicPreference::Barrett),
-        "montgomery" => Ok(DyadicPreference::Montgomery),
-        "ifma" => Ok(DyadicPreference::Ifma),
-        _ => Err(format!(
-            "{DYADIC_KERNEL_ENV} must be auto|golden|barrett|montgomery|ifma, got {raw:?}"
-        )),
-    }
-}
-
-/// Resolves [`DYADIC_KERNEL_ENV`], panicking on garbage.
-fn preference_from_env() -> DyadicPreference {
-    let raw = std::env::var(DYADIC_KERNEL_ENV).ok();
-    parse_dyadic_preference(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
 
 /// Which kernel an engine dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
     Golden,
-    Barrett,
     Montgomery,
+    /// With the radix-2^52 constants of the modulus (`q < 2^50`).
     #[cfg(target_arch = "x86_64")]
-    Ifma,
+    Ifma(crate::simd::Mont52),
 }
 
 /// Element-wise vector operations over one RNS prime, dispatched to the
-/// fastest applicable kernel (ifma → montgomery; golden and the hoisted
-/// Barrett loop stay selectable through [`DyadicPreference`]).
+/// fastest applicable kernel (ifma → montgomery; the golden reference
+/// stays forceable through [`KernelTier`]).
 ///
 /// # Example
 ///
@@ -172,50 +111,36 @@ enum Kernel {
 pub struct DyadicEngine {
     m: Modulus,
     kernel: Kernel,
-    barrett: Barrett,
     mont: Montgomery,
-    #[cfg(target_arch = "x86_64")]
-    mont52: Option<crate::simd::Mont52>,
 }
 
 impl DyadicEngine {
     /// Builds an engine with the fastest applicable kernel for `m`.
     pub fn new(m: Modulus) -> Self {
-        Self::with_kernel(m, DyadicPreference::Auto)
+        Self::with_kernel(m, KernelTier::Auto)
     }
 
-    /// Builds an engine with an explicit kernel preference (capability
-    /// rules still apply; check [`DyadicEngine::kernel_name`]).
+    /// Builds an engine on an explicit rung of the kernel ladder
+    /// ([`KernelTier::Auto`] honours the `ABC_FHE_KERNEL` override,
+    /// explicit tiers do not). `Simd` needs `q < 2^50` and an
+    /// AVX-512IFMA CPU and degrades to `Scalar` without them; check
+    /// [`DyadicEngine::kernel_name`].
     ///
-    /// [`DyadicPreference::Auto`] additionally honours the
-    /// [`DYADIC_KERNEL_ENV`] override; explicit preferences do not.
-    pub fn with_kernel(m: Modulus, pref: DyadicPreference) -> Self {
-        let pref = if pref == DyadicPreference::Auto {
-            preference_from_env()
-        } else {
-            pref
-        };
-        #[cfg(target_arch = "x86_64")]
-        let ifma_ok = m.q() < shoup::MAX_SHOUP52_MODULUS && crate::simd::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let ifma_ok = false;
-        let kernel = match pref {
-            DyadicPreference::Golden => Kernel::Golden,
-            DyadicPreference::Barrett => Kernel::Barrett,
-            DyadicPreference::Montgomery => Kernel::Montgomery,
+    /// # Panics
+    ///
+    /// Panics if `Auto` reads an unparseable override.
+    pub fn with_kernel(m: Modulus, tier: KernelTier) -> Self {
+        let ifma_ok = m.q() < shoup::MAX_SHOUP52_MODULUS && CpuCaps::detect().ifma();
+        let kernel = match tier.or_env().degrade(ifma_ok, true) {
             #[cfg(target_arch = "x86_64")]
-            DyadicPreference::Auto | DyadicPreference::Ifma if ifma_ok => Kernel::Ifma,
-            DyadicPreference::Auto | DyadicPreference::Ifma => Kernel::Montgomery,
+            KernelTier::Simd => Kernel::Ifma(crate::simd::Mont52::new(m.q())),
+            KernelTier::Reference => Kernel::Golden,
+            _ => Kernel::Montgomery,
         };
-        #[cfg(target_arch = "x86_64")]
-        let mont52 = ifma_ok.then(|| crate::simd::Mont52::new(m.q()));
         Self {
             m,
             kernel,
-            barrett: Barrett::new(m),
             mont: Montgomery::new(m),
-            #[cfg(target_arch = "x86_64")]
-            mont52,
         }
     }
 
@@ -224,15 +149,14 @@ impl DyadicEngine {
         &self.m
     }
 
-    /// Name of the dispatched kernel (`"golden"`, `"barrett"`,
-    /// `"montgomery"` or `"ifma"`), for diagnostics and bench labels.
+    /// Name of the dispatched kernel (`"golden"`, `"montgomery"` or
+    /// `"ifma"`), for diagnostics and bench labels.
     pub fn kernel_name(&self) -> &'static str {
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => "golden",
-            Kernel::Barrett => "barrett",
             Kernel::Montgomery => "montgomery",
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => "ifma",
+            Kernel::Ifma(_) => "ifma",
         }
     }
 
@@ -244,15 +168,10 @@ impl DyadicEngine {
     /// Panics if slice lengths differ.
     pub fn mul_assign(&self, a: &mut [u64], b: &[u64]) {
         assert_eq!(a.len(), b.len());
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 for (x, &y) in a.iter_mut().zip(b) {
                     *x = self.m.mul(*x, y);
-                }
-            }
-            Kernel::Barrett => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x = self.barrett.reduce(*x as u128 * y as u128);
                 }
             }
             Kernel::Montgomery => {
@@ -265,8 +184,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_assign(k, a, b);
                 for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                     *x = k.mul(*x, y);
@@ -291,7 +209,7 @@ impl DyadicEngine {
     pub fn mul_assign_lazy(&self, a: &mut [u64], b: &[u64]) {
         assert_eq!(a.len(), b.len());
         let q = self.m.q();
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 if q < shoup::MAX_SHOUP_MODULUS {
                     for (x, &y) in a.iter_mut().zip(b) {
@@ -303,12 +221,6 @@ impl DyadicEngine {
                     self.mul_assign(a, b);
                 }
             }
-            Kernel::Barrett => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    let xn = shoup::normalize_4q(*x, q);
-                    *x = self.barrett.reduce(xn as u128 * y as u128);
-                }
-            }
             Kernel::Montgomery => {
                 let r2 = self.mont.r2();
                 for (x, &y) in a.iter_mut().zip(b) {
@@ -318,8 +230,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_assign_lazy(k, a, b);
                 for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                     *x = k.mul(shoup::normalize_4q(*x, q), y);
@@ -337,19 +248,10 @@ impl DyadicEngine {
     pub fn mul_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), c.len());
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 for i in 0..a.len() {
                     a[i] = self.m.mul_add(a[i], b[i], c[i]);
-                }
-            }
-            Kernel::Barrett => {
-                // a·b + c ≤ q² + q − 1 < 2^2k: inside the reducer's
-                // proven domain.
-                for i in 0..a.len() {
-                    a[i] = self
-                        .barrett
-                        .reduce(a[i] as u128 * b[i] as u128 + c[i] as u128);
                 }
             }
             Kernel::Montgomery => {
@@ -367,8 +269,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_add_assign(k, a, b, c);
                 let q = self.m.q();
                 for i in done..a.len() {
@@ -388,18 +289,10 @@ impl DyadicEngine {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), c.len());
         let q = self.m.q();
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 for i in 0..a.len() {
                     a[i] = self.m.sub(c[i], self.m.mul(a[i], b[i]));
-                }
-            }
-            Kernel::Barrett => {
-                for i in 0..a.len() {
-                    let p = self.barrett.reduce(a[i] as u128 * b[i] as u128);
-                    // c + q − p ∈ (0, 2q): one branchless csub.
-                    let t = c[i] + q - p;
-                    a[i] = t.min(t.wrapping_sub(q));
                 }
             }
             Kernel::Montgomery => {
@@ -413,8 +306,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_neg_add_assign(k, a, b, c);
                 for i in done..a.len() {
                     a[i] = shoup::reduce_once(c[i] + q - k.mul(a[i], b[i]), q);
@@ -435,19 +327,10 @@ impl DyadicEngine {
         assert_eq!(a.len(), c.len());
         assert_eq!(a.len(), d.len());
         let q = self.m.q();
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 for i in 0..a.len() {
                     a[i] = self.m.add(self.m.sub(c[i], self.m.mul(a[i], b[i])), d[i]);
-                }
-            }
-            Kernel::Barrett => {
-                for i in 0..a.len() {
-                    let p = self.barrett.reduce(a[i] as u128 * b[i] as u128);
-                    let t = c[i] + q - p;
-                    let t = t.min(t.wrapping_sub(q));
-                    let t = t + d[i];
-                    a[i] = t.min(t.wrapping_sub(q));
                 }
             }
             Kernel::Montgomery => {
@@ -463,8 +346,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_neg_add2_assign(k, a, b, c, d);
                 for i in done..a.len() {
                     let t = shoup::reduce_once(c[i] + q - k.mul(a[i], b[i]), q);
@@ -485,19 +367,10 @@ impl DyadicEngine {
         assert_eq!(a.len(), c.len());
         assert_eq!(a.len(), d.len());
         let q = self.m.q();
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 for i in 0..a.len() {
                     a[i] = self.m.add(self.m.mul_add(a[i], b[i], c[i]), d[i]);
-                }
-            }
-            Kernel::Barrett => {
-                // a·b + c + d ≤ (q−1)² + 2(q−1) = q² − 1 < 2^2k: still
-                // inside the reducer's proven domain.
-                for i in 0..a.len() {
-                    a[i] = self
-                        .barrett
-                        .reduce(a[i] as u128 * b[i] as u128 + c[i] as u128 + d[i] as u128);
                 }
             }
             Kernel::Montgomery => {
@@ -513,8 +386,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_add2_assign(k, a, b, c, d);
                 for i in done..a.len() {
                     let t = shoup::reduce_once(k.mul(a[i], b[i]) + c[i], q);
@@ -542,7 +414,7 @@ impl DyadicEngine {
         assert_eq!(a.len(), b.len());
         let q = self.m.q();
         let s = if s >= q { self.m.reduce(s) } else { s };
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 if q < shoup::MAX_SHOUP_MODULUS {
                     for (x, &y) in a.iter_mut().zip(b) {
@@ -556,8 +428,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let s52 = shoup::shoup_precompute52(s, q);
                 let done = crate::simd::sub_scalar_mul_assign(k, a, b, s, s52);
                 for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
@@ -565,9 +436,8 @@ impl DyadicEngine {
                     *x = shoup::reduce_once(shoup::mul_shoup52_lazy(t, s, s52, q), q);
                 }
             }
-            // Barrett and Montgomery both take the 64-bit Shoup path
-            // (constant factor ⇒ precomputed quotient), as in
-            // `scalar_mul_assign`.
+            // Montgomery takes the 64-bit Shoup path (constant factor ⇒
+            // precomputed quotient), as in `scalar_mul_assign`.
             _ => {
                 if q < shoup::MAX_SHOUP_MODULUS {
                     let ss = shoup::shoup_precompute(s, q);
@@ -596,18 +466,11 @@ impl DyadicEngine {
         assert_eq!(acc.len(), b.len());
         assert_eq!(acc.len(), d_pre.len());
         let q = self.m.q();
-        match self.kernel {
-            // premul is the identity for golden/Barrett.
+        match &self.kernel {
+            // premul is the identity for golden.
             Kernel::Golden => {
                 for i in 0..acc.len() {
                     acc[i] = self.m.mul_add(b[i], d_pre[i], acc[i]);
-                }
-            }
-            Kernel::Barrett => {
-                for i in 0..acc.len() {
-                    acc[i] = self
-                        .barrett
-                        .reduce(b[i] as u128 * d_pre[i] as u128 + acc[i] as u128);
                 }
             }
             Kernel::Montgomery => {
@@ -619,8 +482,7 @@ impl DyadicEngine {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_acc_assign_premul(k, acc, b, d_pre);
                 for i in done..acc.len() {
                     acc[i] = shoup::reduce_once(k.mul_premul(b[i], d_pre[i]) + acc[i], q);
@@ -656,15 +518,14 @@ impl DyadicEngine {
     /// `u64` is accepted).
     pub fn scalar_mul_assign(&self, a: &mut [u64], s: u64) {
         let s = if s >= self.m.q() { self.m.reduce(s) } else { s };
-        match self.kernel {
+        match &self.kernel {
             Kernel::Golden => {
                 for x in a.iter_mut() {
                     *x = self.m.mul(*x, s);
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let q = self.m.q();
                 let s52 = shoup::shoup_precompute52(s, q);
                 let done = crate::simd::scalar_mul_assign(k, a, s, s52);
@@ -672,9 +533,9 @@ impl DyadicEngine {
                     *x = shoup::reduce_once(shoup::mul_shoup52_lazy(*x, s, s52, q), q);
                 }
             }
-            // Barrett and Montgomery both take the 64-bit Shoup path: a
-            // constant factor admits a precomputed quotient, which beats
-            // any general two-operand reduction.
+            // Montgomery takes the 64-bit Shoup path: a constant factor
+            // admits a precomputed quotient, which beats any general
+            // two-operand reduction.
             _ => {
                 let q = self.m.q();
                 if q < shoup::MAX_SHOUP_MODULUS {
@@ -699,7 +560,7 @@ impl DyadicEngine {
     pub fn add_assign(&self, a: &mut [u64], b: &[u64]) {
         assert_eq!(a.len(), b.len());
         #[cfg(target_arch = "x86_64")]
-        if matches!(self.kernel, Kernel::Ifma) {
+        if matches!(self.kernel, Kernel::Ifma(_)) {
             let done = crate::simd::addsub_assign(self.m.q(), crate::simd::AddSubOp::Add, a, b);
             for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                 *x = self.m.add(*x, y);
@@ -719,7 +580,7 @@ impl DyadicEngine {
     pub fn sub_assign(&self, a: &mut [u64], b: &[u64]) {
         assert_eq!(a.len(), b.len());
         #[cfg(target_arch = "x86_64")]
-        if matches!(self.kernel, Kernel::Ifma) {
+        if matches!(self.kernel, Kernel::Ifma(_)) {
             let done = crate::simd::addsub_assign(self.m.q(), crate::simd::AddSubOp::Sub, a, b);
             for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                 *x = self.m.sub(*x, y);
@@ -742,14 +603,13 @@ impl DyadicEngine {
     /// step 1 of the Montgomery lifecycle (see the module docs). The
     /// result is **kernel-specific and opaque**: feed it only to
     /// [`DyadicEngine::mul_assign_premul`] on the same engine. For the
-    /// golden/Barrett kernels this is the identity.
+    /// golden kernel this is the identity.
     pub fn premul(&self, b: &mut [u64]) {
-        match self.kernel {
-            Kernel::Golden | Kernel::Barrett => {}
+        match &self.kernel {
+            Kernel::Golden => {}
             Kernel::Montgomery => self.mont.to_mont_slice(b),
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 // Canonical entry (one csub after the lazy Shoup) keeps
                 // the premultiplied vector reusable by the vector and
                 // scalar-tail paths alike.
@@ -772,12 +632,11 @@ impl DyadicEngine {
     /// Panics if slice lengths differ.
     pub fn mul_assign_premul(&self, a: &mut [u64], b_pre: &[u64]) {
         assert_eq!(a.len(), b_pre.len());
-        match self.kernel {
-            Kernel::Golden | Kernel::Barrett => self.mul_assign(a, b_pre),
+        match &self.kernel {
+            Kernel::Golden => self.mul_assign(a, b_pre),
             Kernel::Montgomery => self.mont.mul_slice_mont(a, b_pre),
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
-                let k = self.mont52.as_ref().expect("ifma implies q < 2^50");
+            Kernel::Ifma(k) => {
                 let done = crate::simd::mul_assign_premul(k, a, b_pre);
                 for (x, &y) in a[done..].iter_mut().zip(&b_pre[done..]) {
                     *x = k.mul_premul(*x, y);
@@ -791,13 +650,12 @@ impl DyadicEngine {
 mod tests {
     use super::*;
 
-    fn prefs() -> [DyadicPreference; 5] {
+    fn prefs() -> [KernelTier; 4] {
         [
-            DyadicPreference::Auto,
-            DyadicPreference::Golden,
-            DyadicPreference::Barrett,
-            DyadicPreference::Montgomery,
-            DyadicPreference::Ifma,
+            KernelTier::Auto,
+            KernelTier::Reference,
+            KernelTier::Scalar,
+            KernelTier::Simd,
         ]
     }
 
@@ -815,8 +673,8 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_golden_model() {
-        // 36-, 44- and 62-bit moduli: the 62-bit one forces the IFMA
-        // preference to degrade to Montgomery.
+        // 36-, 44- and 62-bit moduli: the 62-bit one forces the Simd
+        // tier to degrade to Montgomery.
         for q in [0xF_FFF0_0001u64, 0xFFF_FFFF_C001, (1 << 62) - 57] {
             let m = Modulus::new(q).unwrap();
             // Length 21 crosses the 8-lane boundary with a tail of 5.
@@ -985,12 +843,10 @@ mod tests {
     #[test]
     fn preferences_degrade_by_capability() {
         let wide = Modulus::new((1 << 62) - 57).unwrap();
-        let e = DyadicEngine::with_kernel(wide, DyadicPreference::Ifma);
+        let e = DyadicEngine::with_kernel(wide, KernelTier::Simd);
         assert_eq!(e.kernel_name(), "montgomery");
-        let e = DyadicEngine::with_kernel(wide, DyadicPreference::Golden);
+        let e = DyadicEngine::with_kernel(wide, KernelTier::Reference);
         assert_eq!(e.kernel_name(), "golden");
-        let e = DyadicEngine::with_kernel(wide, DyadicPreference::Barrett);
-        assert_eq!(e.kernel_name(), "barrett");
     }
 
     #[test]
@@ -999,53 +855,5 @@ mod tests {
         let e = DyadicEngine::new(Modulus::new(97).unwrap());
         let mut a = vec![1, 2];
         e.mul_assign(&mut a, &[1]);
-    }
-
-    #[test]
-    fn parse_dyadic_preference_accepts_kernels_and_rejects_garbage() {
-        assert_eq!(parse_dyadic_preference(None), Ok(DyadicPreference::Auto));
-        assert_eq!(
-            parse_dyadic_preference(Some("")),
-            Ok(DyadicPreference::Auto)
-        );
-        assert_eq!(
-            parse_dyadic_preference(Some(" Auto ")),
-            Ok(DyadicPreference::Auto)
-        );
-        assert_eq!(
-            parse_dyadic_preference(Some("golden")),
-            Ok(DyadicPreference::Golden)
-        );
-        assert_eq!(
-            parse_dyadic_preference(Some("BARRETT")),
-            Ok(DyadicPreference::Barrett)
-        );
-        assert_eq!(
-            parse_dyadic_preference(Some("Montgomery")),
-            Ok(DyadicPreference::Montgomery)
-        );
-        assert_eq!(
-            parse_dyadic_preference(Some("ifma")),
-            Ok(DyadicPreference::Ifma)
-        );
-        assert!(parse_dyadic_preference(Some("simd")).is_err());
-        assert!(parse_dyadic_preference(Some("8")).is_err());
-    }
-
-    #[test]
-    fn env_override_forces_auto_engines_only() {
-        // `montgomery` is concurrency-safe here: every Auto engine in
-        // this binary stays bit-identical whichever kernel it lands on,
-        // and a scalar override can never violate the ifma-exclusion
-        // asserts.
-        let mut env = crate::envtest::EnvGuard::lock();
-        env.set(DYADIC_KERNEL_ENV, "montgomery");
-        let m = Modulus::new(0xFFF_FFFF_C001).unwrap();
-        let auto = DyadicEngine::with_kernel(m, DyadicPreference::Auto);
-        let explicit = DyadicEngine::with_kernel(m, DyadicPreference::Barrett);
-        drop(env);
-        assert_eq!(auto.kernel_name(), "montgomery");
-        // Explicit preferences are never overridden.
-        assert_eq!(explicit.kernel_name(), "barrett");
     }
 }

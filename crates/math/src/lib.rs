@@ -24,8 +24,11 @@
 //!   workload of the paper's Modular Streaming Engine.
 //! * [`dyadic`] — the [`DyadicEngine`] that dispatches those element-wise
 //!   ops per modulus to the fastest kernel (AVX-512IFMA radix-2^52
-//!   Montgomery → scalar Montgomery → hoisted Barrett → golden), with the
-//!   vector kernels themselves in the `x86_64`-only `simd` module.
+//!   Montgomery → scalar Montgomery → golden), with the vector kernels
+//!   themselves in the `x86_64`-only `simd` module.
+//! * [`kernel`] — the one kernel ladder ([`KernelTier`], [`CpuCaps`],
+//!   `ABC_FHE_KERNEL`) that the dyadic engine here and the NTT and FFT
+//!   plans in `abc-transform` all select their kernels through.
 //! * [`shoup`] — Shoup-precomputed constant multiplication and the lazy
 //!   `[0, 2q)`/`[0, 4q)` reduction helpers behind the Harvey NTT
 //!   butterflies in `abc-transform`.
@@ -55,6 +58,7 @@
 pub mod bigint;
 pub mod dyadic;
 pub mod envtest;
+pub mod kernel;
 pub mod modulus;
 pub mod poly;
 pub mod primes;
@@ -65,7 +69,8 @@ pub mod shoup;
 pub mod simd;
 
 pub use bigint::UBig;
-pub use dyadic::{DyadicEngine, DyadicPreference};
+pub use dyadic::DyadicEngine;
+pub use kernel::{CpuCaps, KernelTier};
 pub use modulus::Modulus;
 pub use rns::RnsBasis;
 

@@ -43,19 +43,15 @@
 //! All kernels return **canonical** `[0, q)` values and are therefore
 //! bit-identical to the `u128 %` golden model (asserted by the
 //! property suites). Everything is `x86_64`-only and gated at runtime
-//! behind [`available`]; slices are processed in full 8-lane blocks and
+//! behind [`CpuCaps::detect`]; slices are processed in full 8-lane blocks and
 //! the sub-8 tail is left to the scalar caller (each function returns
 //! the number of elements it handled).
 
 #![cfg(target_arch = "x86_64")]
 
+use crate::kernel::CpuCaps;
 use crate::shoup;
 use core::arch::x86_64::*;
-
-/// Whether this CPU supports the IFMA dyadic kernels (AVX-512F + IFMA).
-pub fn available() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
-}
 
 /// Constants of the radix-2^52 Montgomery domain for one modulus
 /// `q < 2^50`, shared by every kernel below.
@@ -192,10 +188,10 @@ unsafe fn redc52_x8(va: __m512i, vb_dom: __m512i, vq: __m512i, vqinv: __m512i) -
 ///
 /// # Panics
 ///
-/// Asserts [`available`] (soundness: the `target_feature` body would be
-/// UB on a CPU without IFMA) and equal slice lengths.
+/// Asserts [`CpuCaps::ifma`] (soundness: the `target_feature` body
+/// would be UB on a CPU without IFMA) and equal slice lengths.
 pub fn mul_assign(k: &Mont52, a: &mut [u64], b: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
@@ -206,7 +202,7 @@ pub fn mul_assign(k: &Mont52, a: &mut [u64], b: &[u64]) -> usize {
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64]) {
@@ -240,7 +236,7 @@ unsafe fn mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64]) {
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_assign_premul(k: &Mont52, a: &mut [u64], b_dom: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b_dom.len());
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
@@ -251,7 +247,7 @@ pub fn mul_assign_premul(k: &Mont52, a: &mut [u64], b_dom: &[u64]) -> usize {
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_assign_premul_impl(k: &Mont52, a: &mut [u64], b_dom: &[u64]) {
@@ -283,7 +279,7 @@ unsafe fn mul_assign_premul_impl(k: &Mont52, a: &mut [u64], b_dom: &[u64]) {
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_assign_lazy(k: &Mont52, a: &mut [u64], b: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
@@ -297,7 +293,7 @@ pub fn mul_assign_lazy(k: &Mont52, a: &mut [u64], b: &[u64]) -> usize {
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_assign_lazy_impl(k: &Mont52, a: &mut [u64], b: &[u64]) {
@@ -332,7 +328,7 @@ unsafe fn mul_assign_lazy_impl(k: &Mont52, a: &mut [u64], b: &[u64]) {
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_add_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
     let n8 = a.len() - a.len() % 8;
@@ -344,7 +340,7 @@ pub fn mul_add_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) -> usize 
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_add_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) {
@@ -380,7 +376,7 @@ unsafe fn mul_add_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) {
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_neg_add_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
     let n8 = a.len() - a.len() % 8;
@@ -392,7 +388,7 @@ pub fn mul_neg_add_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) -> us
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_neg_add_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) {
@@ -430,7 +426,7 @@ unsafe fn mul_neg_add_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_neg_add2_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
     assert_eq!(a.len(), d.len());
@@ -443,7 +439,7 @@ pub fn mul_neg_add2_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_neg_add2_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
@@ -483,7 +479,7 @@ unsafe fn mul_neg_add2_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u6
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_add2_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
     assert_eq!(a.len(), d.len());
@@ -496,7 +492,7 @@ pub fn mul_add2_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_add2_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
@@ -534,7 +530,7 @@ unsafe fn mul_add2_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], 
 ///
 /// Same contract as [`mul_assign`].
 pub fn mul_acc_assign_premul(k: &Mont52, a: &mut [u64], b: &[u64], d_dom: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), d_dom.len());
     let n8 = a.len() - a.len() % 8;
@@ -546,7 +542,7 @@ pub fn mul_acc_assign_premul(k: &Mont52, a: &mut [u64], b: &[u64], d_dom: &[u64]
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn mul_acc_assign_premul_impl(k: &Mont52, a: &mut [u64], b: &[u64], d_dom: &[u64]) {
@@ -583,7 +579,7 @@ unsafe fn mul_acc_assign_premul_impl(k: &Mont52, a: &mut [u64], b: &[u64], d_dom
 ///
 /// Same contract as [`mul_assign`].
 pub fn sub_scalar_mul_assign(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: u64) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
@@ -594,7 +590,7 @@ pub fn sub_scalar_mul_assign(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: 
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn sub_scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: u64) {
@@ -626,9 +622,9 @@ unsafe fn sub_scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], w: u6
 ///
 /// # Panics
 ///
-/// Asserts [`available`].
+/// Asserts [`CpuCaps::ifma`].
 pub fn scalar_mul_assign(k: &Mont52, a: &mut [u64], w: u64, w52: u64) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
     unsafe { scalar_mul_assign_impl(k, &mut a[..n8], w, w52) }
@@ -638,7 +634,7 @@ pub fn scalar_mul_assign(k: &Mont52, a: &mut [u64], w: u64, w52: u64) -> usize {
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], w: u64, w52: u64) {
@@ -672,9 +668,9 @@ pub enum AddSubOp {
 ///
 /// # Panics
 ///
-/// Asserts [`available`] and equal slice lengths.
+/// Asserts [`CpuCaps::ifma`] and equal slice lengths.
 pub fn addsub_assign(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) -> usize {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
@@ -685,7 +681,7 @@ pub fn addsub_assign(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) -> usize {
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`available`] before dispatching here), and every slice
+/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn addsub_assign_impl(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) {
@@ -745,7 +741,7 @@ mod tests {
 
     #[test]
     fn vector_kernels_match_golden() {
-        if !available() {
+        if !CpuCaps::detect().ifma() {
             return;
         }
         let q = 0xFFF_FFFF_C001u64; // 2^44 - 2^14 + 1
@@ -786,7 +782,7 @@ mod tests {
 
     #[test]
     fn fused_kernels_match_golden() {
-        if !available() {
+        if !CpuCaps::detect().ifma() {
             return;
         }
         let q = 0xFFF_FFFF_C001u64; // 2^44 - 2^14 + 1
@@ -860,7 +856,7 @@ mod tests {
 
     #[test]
     fn tail_is_left_untouched() {
-        if !available() {
+        if !CpuCaps::detect().ifma() {
             return;
         }
         let q = 0xFFF0_0001u64;

@@ -4,13 +4,13 @@
 //! with the big-integer one wherever it verifies and wherever it does not,
 //! and division-free RNS expansion agrees with `Modulus::from_i128`.
 
-use abc_math::dyadic::{DyadicEngine, DyadicPreference};
+use abc_math::dyadic::DyadicEngine;
 use abc_math::primes::{generate_ntt_primes, generate_structured_ntt_primes, is_prime};
 use abc_math::reduce::{
     csd, csd_eval_wrapping, Barrett, ModMul, Montgomery, NttFriendlyMontgomery,
 };
 use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
-use abc_math::{shoup, Modulus, RnsBasis, UBig};
+use abc_math::{shoup, KernelTier, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -189,8 +189,8 @@ proptest! {
         seed in any::<u64>(),
         s in any::<u64>(),
     ) {
-        // Every DyadicEngine kernel — forced golden, hoisted Barrett,
-        // scalar Montgomery and IFMA (which degrades to Montgomery at
+        // Every DyadicEngine kernel — forced golden, scalar
+        // Montgomery and IFMA (which degrades to Montgomery at
         // q ≥ 2^50 and off-IFMA hosts) — must equal the u128 `%` model
         // element-wise over the full supported NTT-prime width range
         // (36–62 bits). Length 37 exercises the 8-lane vector body and
@@ -209,11 +209,10 @@ proptest! {
         (a[1], b[1]) = (0, q - 1);
         (a[2], b[2]) = (1, q - 1);
         for pref in [
-            DyadicPreference::Auto,
-            DyadicPreference::Golden,
-            DyadicPreference::Barrett,
-            DyadicPreference::Montgomery,
-            DyadicPreference::Ifma,
+            KernelTier::Auto,
+            KernelTier::Reference,
+            KernelTier::Scalar,
+            KernelTier::Simd,
         ] {
             let e = DyadicEngine::with_kernel(m, pref);
             if q >= shoup::MAX_SHOUP52_MODULUS {
@@ -258,8 +257,8 @@ proptest! {
         // shapes, the rescale (a−b)·s shape, premultiplied accumulation
         // and the lazy-operand entries — must be bit-identical to the
         // composition of the unfused ops it replaces, on every kernel
-        // (golden, Barrett, Montgomery, IFMA with its q ≥ 2^50
-        // degradation) over the full 36–62-bit NTT-prime range.
+        // (golden, Montgomery, IFMA with its q ≥ 2^50 degradation)
+        // over the full 36–62-bit NTT-prime range.
         let q = m.q();
         let mut state = seed;
         let mut next = || {
@@ -274,11 +273,10 @@ proptest! {
         (a[1], b[1], c[1]) = (0, q - 1, 0);
         (a[2], b[2], c[2]) = (1, q - 1, q - 1);
         for pref in [
-            DyadicPreference::Auto,
-            DyadicPreference::Golden,
-            DyadicPreference::Barrett,
-            DyadicPreference::Montgomery,
-            DyadicPreference::Ifma,
+            KernelTier::Auto,
+            KernelTier::Reference,
+            KernelTier::Scalar,
+            KernelTier::Simd,
         ] {
             let e = DyadicEngine::with_kernel(m, pref);
             if q >= shoup::MAX_SHOUP52_MODULUS {

@@ -24,120 +24,51 @@
 //!
 //! # Kernel dispatch
 //!
-//! Like the NTT's [`crate::ntt::KernelPreference`], a plan resolves a
-//! butterfly kernel at build time ([`FftKernelPreference`], env
-//! override [`FFT_KERNEL_ENV`]), degrading by capability:
+//! A plan resolves its butterfly kernel at build time from a
+//! [`KernelTier`] — the FFT rungs of the workspace's one kernel ladder
+//! ([`abc_math::kernel`]; `ABC_FHE_KERNEL` moves `Auto` plans),
+//! degrading by capability:
 //!
-//! * **avx512** — split re/im (structure-of-arrays) butterflies, eight
-//!   f64 lanes per vector op. The plan lays each stage's twiddles out
-//!   as separate re/im planes ([`crate::fft_avx512`]): spans ≥ 8 stream
-//!   whole vectors, spans 1/2/4 run fused in registers with `vpermpd`
-//!   lane pairing (the `ntt_ifma` tail technique). The vector kernel
-//!   preserves the scalar kernel's exact operation order — the
-//!   4-multiply complex product of paper Eq. 12, no FMA contraction —
-//!   so it is **bit-identical** to the scalar planned path (a 0-ulp
-//!   bound, pinned by the property suite). Requires x86-64 AVX-512F,
-//!   the [`F64Field`] datapath and ≥ 8 slots.
-//! * **scalar** — the generic planned kernel, any [`RealField`].
-//! * **otf** — the seed's on-the-fly generator kernel (the hardware
-//!   OTF model and golden baseline).
+//! * **avx512** (`Simd`) — split re/im (structure-of-arrays)
+//!   butterflies, eight f64 lanes per vector op. The plan lays each
+//!   stage's twiddles out as separate re/im planes
+//!   ([`crate::fft_avx512`]): spans ≥ 8 stream whole vectors, spans
+//!   1/2/4 run fused in registers with `vpermpd` lane pairing (the
+//!   `ntt_ifma` tail technique). The vector kernel preserves the scalar
+//!   kernel's exact operation order — the 4-multiply complex product of
+//!   paper Eq. 12, no FMA contraction — so it is **bit-identical** to
+//!   the scalar planned path (a 0-ulp bound, pinned by the property
+//!   suite). Requires x86-64 AVX-512F, the [`F64Field`] datapath and
+//!   ≥ 8 slots.
+//! * **scalar** (`Scalar`) — the generic planned kernel, any
+//!   [`RealField`].
+//! * **otf** (`Reference`) — the seed's on-the-fly generator kernel
+//!   (the hardware OTF model and golden baseline).
 
 use crate::fft_avx512;
 use abc_float::{Complex, F64Field, RealField};
+use abc_math::{CpuCaps, KernelTier};
 use core::any::TypeId;
 use std::sync::Arc;
 
-/// Caller preference for the butterfly kernel of a plan.
-///
-/// Kernel selection is otherwise host-dependent (the fastest applicable
-/// kernel wins), which means a given machine only ever executes one of
-/// the fast paths. Forcing a preference lets tests assert the
-/// bit-identity of **every** kernel on whatever machine they run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FftKernelPreference {
-    /// Fastest applicable kernel (the [`SpecialFft::with_field`]
-    /// behaviour), honouring [`FFT_KERNEL_ENV`].
-    #[default]
-    Auto,
-    /// AVX-512 SoA butterflies; falls back to scalar when the CPU,
-    /// datapath (`F64Field` only) or slot count (≥ 8) rule it out.
-    Avx512,
-    /// The generic scalar planned kernel, always applicable.
-    Scalar,
-    /// The on-the-fly generator kernel (golden baseline; regenerates
-    /// every twiddle per butterfly).
-    Otf,
-}
-
-/// Environment variable overriding the butterfly kernel of plans built
-/// with [`FftKernelPreference::Auto`] (`auto`, `avx512`, `scalar` or
-/// `otf`, case-insensitive; blank means `auto`).
-///
-/// Explicit preferences are never overridden and capability rules still
-/// apply. CI sets this to `scalar` (alongside `ABC_FHE_NTT_KERNEL=
-/// harvey`) to run tier-1 down the non-SIMD paths on AVX-512 hosts.
-pub const FFT_KERNEL_ENV: &str = "ABC_FHE_FFT_KERNEL";
-
-/// Parses a [`FFT_KERNEL_ENV`] value. `None`, empty and blank mean
-/// [`FftKernelPreference::Auto`]; anything unrecognized is an error
-/// (the plan constructor turns it into a loud panic rather than
-/// silently mis-dispatching a forced-kernel CI run).
-pub fn parse_fft_kernel_preference(raw: Option<&str>) -> Result<FftKernelPreference, String> {
-    let Some(raw) = raw else {
-        return Ok(FftKernelPreference::Auto);
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "auto" => Ok(FftKernelPreference::Auto),
-        "avx512" => Ok(FftKernelPreference::Avx512),
-        "scalar" => Ok(FftKernelPreference::Scalar),
-        "otf" => Ok(FftKernelPreference::Otf),
-        _ => Err(format!(
-            "{FFT_KERNEL_ENV} must be auto|avx512|scalar|otf, got {raw:?}"
-        )),
-    }
-}
-
-/// Resolves [`FFT_KERNEL_ENV`], panicking on garbage.
-fn preference_from_env() -> FftKernelPreference {
-    let raw = std::env::var(FFT_KERNEL_ENV).ok();
-    parse_fft_kernel_preference(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The kernel a plan resolved to (preference + capability ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The kernel a plan resolved to.
+#[derive(Debug, Clone)]
 enum FftKernel {
-    Avx512,
+    /// With the SoA twiddle layout + scratch pool (shared by clones);
+    /// implies `F = F64Field`.
+    Avx512(Arc<fft_avx512::SimdPlan>),
     Scalar,
     Otf,
-}
-
-/// Applies the capability ladder: AVX-512 needs the `F64Field`
-/// datapath (checked by `TypeId` — `SoftFloatField` also carries `f64`
-/// scalars but rounds after every op, so the *field* type is what
-/// gates), an AVX-512F host, and ≥ 8 slots.
-fn resolve_kernel<F: RealField>(pref: FftKernelPreference, slots: usize) -> FftKernel {
-    match pref {
-        FftKernelPreference::Otf => FftKernel::Otf,
-        FftKernelPreference::Scalar => FftKernel::Scalar,
-        FftKernelPreference::Auto | FftKernelPreference::Avx512 => {
-            let is_f64_field = TypeId::of::<F>() == TypeId::of::<F64Field>();
-            if is_f64_field && fft_avx512::available() && slots >= fft_avx512::MIN_SIMD_SLOTS {
-                FftKernel::Avx512
-            } else {
-                FftKernel::Scalar
-            }
-        }
-    }
 }
 
 /// Reborrows a slot slice as `Complex<f64>`. Only reachable when the
-/// plan resolved to the AVX-512 kernel, which [`resolve_kernel`] grants
-/// solely for `F = F64Field` (so `F::Real = f64` and the layouts are
-/// the same type).
+/// plan resolved to the AVX-512 kernel, which
+/// [`SpecialFft::with_field_kernel`] grants solely for `F = F64Field`
+/// (so `F::Real = f64` and the layouts are the same type).
 fn as_f64_slice<F: RealField>(vals: &mut [Complex<F::Real>]) -> &mut [Complex<f64>] {
     debug_assert_eq!(TypeId::of::<F>(), TypeId::of::<F64Field>());
     // SAFETY: `F = F64Field` (asserted above, guaranteed by the
-    // resolver), hence `Complex<F::Real>` *is* `Complex<f64>`.
+    // constructor), hence `Complex<F::Real>` *is* `Complex<f64>`.
     unsafe { core::slice::from_raw_parts_mut(vals.as_mut_ptr() as *mut Complex<f64>, vals.len()) }
 }
 
@@ -177,9 +108,6 @@ pub struct SpecialFft<F: RealField = F64Field> {
     inv_twiddles: Vec<Vec<Complex<F::Real>>>,
     /// The butterfly kernel this plan resolved to.
     kernel: FftKernel,
-    /// SoA twiddle layout + scratch pool, built only when `kernel ==
-    /// Avx512` (which implies `F = F64Field`). Shared by clones.
-    simd: Option<Arc<fft_avx512::SimdPlan>>,
 }
 
 impl SpecialFft<F64Field> {
@@ -197,25 +125,28 @@ impl SpecialFft<F64Field> {
 impl<F: RealField> SpecialFft<F> {
     /// Plans a transform on an arbitrary datapath, materializing both
     /// twiddle tables at the datapath's native accuracy. Kernel
-    /// selection is [`FftKernelPreference::Auto`].
+    /// selection is [`KernelTier::Auto`].
     ///
     /// # Panics
     ///
     /// Panics if `slots` is not a power of two.
     pub fn with_field(field: F, slots: usize) -> Self {
-        Self::with_field_kernel(field, slots, FftKernelPreference::Auto)
+        Self::with_field_kernel(field, slots, KernelTier::Auto)
     }
 
-    /// Plans a transform with an explicit kernel preference (see
-    /// [`FftKernelPreference`]; [`FFT_KERNEL_ENV`] applies to `Auto`
-    /// only, and capability degradation still applies to a forced
-    /// `Avx512`).
+    /// Plans a transform on an explicit rung of the kernel ladder
+    /// ([`KernelTier::Auto`] honours the `ABC_FHE_KERNEL` override,
+    /// explicit tiers do not). `Simd` needs the [`F64Field`] datapath
+    /// (checked by `TypeId` — `SoftFloatField` also carries `f64`
+    /// scalars but rounds after every op, so the *field* type is what
+    /// gates), an AVX-512F host and ≥ 8 slots, and degrades to `Scalar`
+    /// without them; check [`SpecialFft::kernel_name`].
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is not a power of two, or if `Auto` resolution
-    /// reads an unparseable [`FFT_KERNEL_ENV`].
-    pub fn with_field_kernel(field: F, slots: usize, pref: FftKernelPreference) -> Self {
+    /// Panics if `slots` is not a power of two, or if `Auto` reads an
+    /// unparseable override.
+    pub fn with_field_kernel(field: F, slots: usize, tier: KernelTier) -> Self {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
         let n = 2 * slots;
         let two_n = 2 * n;
@@ -233,7 +164,6 @@ impl<F: RealField> SpecialFft<F> {
             fwd_twiddles: Vec::new(),
             inv_twiddles: Vec::new(),
             kernel: FftKernel::Scalar,
-            simd: None,
         };
         let mut len = 2usize;
         while len <= slots {
@@ -245,30 +175,26 @@ impl<F: RealField> SpecialFft<F> {
             plan.inv_twiddles.push(plan.stage_twiddles(len, true));
             len >>= 1;
         }
-        let pref = match pref {
-            FftKernelPreference::Auto => preference_from_env(),
-            p => p,
+        let simd_ok = TypeId::of::<F>() == TypeId::of::<F64Field>()
+            && slots >= fft_avx512::MIN_SIMD_SLOTS
+            && CpuCaps::detect().avx512f;
+        plan.kernel = match tier.or_env().degrade(simd_ok, true) {
+            KernelTier::Simd => {
+                // `F = F64Field` here, so `to_f64` is the identity and
+                // the SoA tables are bit-identical to the scalar tables.
+                let lower = |tw: &Vec<Complex<F::Real>>| -> Vec<Complex<f64>> {
+                    tw.iter().map(|w| w.to_f64_in(&plan.field)).collect()
+                };
+                let to64 = |stages: &[Vec<_>]| stages.iter().map(lower).collect::<Vec<_>>();
+                FftKernel::Avx512(Arc::new(fft_avx512::SimdPlan::build(
+                    slots,
+                    &to64(&plan.fwd_twiddles),
+                    &to64(&plan.inv_twiddles),
+                )))
+            }
+            KernelTier::Reference => FftKernel::Otf,
+            _ => FftKernel::Scalar,
         };
-        plan.kernel = resolve_kernel::<F>(pref, slots);
-        if plan.kernel == FftKernel::Avx512 {
-            // `F = F64Field` here, so `to_f64` is the identity and the
-            // SoA tables are bit-identical to the scalar tables.
-            let to64 = |stages: &[Vec<Complex<F::Real>>]| -> Vec<Vec<Complex<f64>>> {
-                stages
-                    .iter()
-                    .map(|tw| {
-                        tw.iter()
-                            .map(|w| Complex::new(plan.field.to_f64(w.re), plan.field.to_f64(w.im)))
-                            .collect()
-                    })
-                    .collect()
-            };
-            plan.simd = Some(Arc::new(fft_avx512::SimdPlan::build(
-                slots,
-                &to64(&plan.fwd_twiddles),
-                &to64(&plan.inv_twiddles),
-            )));
-        }
         plan
     }
 
@@ -277,7 +203,7 @@ impl<F: RealField> SpecialFft<F> {
     /// dispatch tests.
     pub fn kernel_name(&self) -> &'static str {
         match self.kernel {
-            FftKernel::Avx512 => "avx512",
+            FftKernel::Avx512(_) => "avx512",
             FftKernel::Scalar => "scalar",
             FftKernel::Otf => "otf",
         }
@@ -355,11 +281,8 @@ impl<F: RealField> SpecialFft<F> {
     ///
     /// Panics if `vals.len() != slots`.
     pub fn forward(&self, vals: &mut [Complex<F::Real>]) {
-        match self.kernel {
-            FftKernel::Avx512 => {
-                let simd = self.simd.as_ref().expect("avx512 kernel without SIMD plan");
-                fft_avx512::forward(simd, as_f64_slice::<F>(vals));
-            }
+        match &self.kernel {
+            FftKernel::Avx512(simd) => fft_avx512::run(simd, as_f64_slice::<F>(vals), false),
             FftKernel::Scalar => self.forward_scalar(vals),
             FftKernel::Otf => self.forward_otf(vals),
         }
@@ -373,151 +296,61 @@ impl<F: RealField> SpecialFft<F> {
     ///
     /// Panics if `vals.len() != slots`.
     pub fn inverse(&self, vals: &mut [Complex<F::Real>]) {
-        match self.kernel {
-            FftKernel::Avx512 => {
-                let simd = self.simd.as_ref().expect("avx512 kernel without SIMD plan");
-                fft_avx512::inverse(simd, as_f64_slice::<F>(vals));
-            }
+        match &self.kernel {
+            FftKernel::Avx512(simd) => fft_avx512::run(simd, as_f64_slice::<F>(vals), true),
             FftKernel::Scalar => self.inverse_scalar(vals),
             FftKernel::Otf => self.inverse_otf(vals),
         }
     }
 
-    /// The generic scalar planned kernel (forward direction).
+    /// The generic scalar planned kernel (forward direction): stage
+    /// `s` runs blocks of `2·span` elements, `span = 2^s`, and position
+    /// `j` of every block multiplies by the stage's `j`-th twiddle.
     fn forward_scalar(&self, vals: &mut [Complex<F::Real>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
         crate::bitrev::bit_reverse_permute(vals);
-        for stage in 0..self.fwd_twiddles.len() {
-            // SAFETY: exclusive access, full butterfly range.
-            unsafe { self.fwd_stage_range_raw(vals.as_mut_ptr(), stage, 0, self.slots / 2) };
+        let f = &self.field;
+        for tw in &self.fwd_twiddles {
+            for block in vals.chunks_exact_mut(2 * tw.len()) {
+                let (lo, hi) = block.split_at_mut(tw.len());
+                for ((x, y), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let u = *x;
+                    let v = y.mul_in(f, w);
+                    *x = u.add_in(f, v);
+                    *y = u.sub_in(f, v);
+                }
+            }
         }
     }
 
-    /// The generic scalar planned kernel (inverse direction, including
-    /// the trailing bit-reversal and `1/slots` scale).
+    /// The generic scalar planned kernel (inverse direction, spans
+    /// descending from `slots/2`, including the trailing bit-reversal
+    /// and `1/slots` scale).
     fn inverse_scalar(&self, vals: &mut [Complex<F::Real>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
-        for stage in 0..self.inv_twiddles.len() {
-            // SAFETY: exclusive access, full butterfly range.
-            unsafe { self.inv_stage_range_raw(vals.as_mut_ptr(), stage, 0, self.slots / 2) };
+        let f = &self.field;
+        for tw in &self.inv_twiddles {
+            for block in vals.chunks_exact_mut(2 * tw.len()) {
+                let (lo, hi) = block.split_at_mut(tw.len());
+                for ((x, y), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let (a, c) = (*x, *y);
+                    *x = a.add_in(f, c);
+                    *y = a.sub_in(f, c).mul_in(f, w);
+                }
+            }
         }
         self.inverse_tail(vals);
     }
 
-    /// Number of butterfly stages (`log2(slots)`, both directions).
-    pub(crate) fn stages(&self) -> usize {
-        self.fwd_twiddles.len()
-    }
-
-    /// Runs butterflies `[b_lo, b_hi)` of forward stage `stage`
-    /// (butterfly `b` maps to block `b >> stage`, position
-    /// `b & (2^stage − 1)`; every butterfly touches a disjoint element
-    /// pair, which is what makes stage-chunked threading safe).
-    ///
-    /// # Safety
-    ///
-    /// `vals` must point to `slots` elements; concurrent callers must
-    /// hold disjoint `[b_lo, b_hi)` ranges within the same stage, and
-    /// stages must be separated by a happens-before edge (barrier).
-    pub(crate) unsafe fn fwd_stage_range_raw(
-        &self,
-        vals: *mut Complex<F::Real>,
-        stage: usize,
-        b_lo: usize,
-        b_hi: usize,
-    ) {
-        let f = &self.field;
-        let tw = &self.fwd_twiddles[stage];
-        let lenh = 1usize << stage;
-        for b in b_lo..b_hi {
-            let blk = b >> stage;
-            let j = b & (lenh - 1);
-            let i = (blk << (stage + 1)) + j;
-            // SAFETY: `i + lenh < slots` — butterfly `b < slots/2`
-            // splits into block/position so both touched indices stay
-            // in the `slots`-element allocation the caller promised,
-            // and range-disjoint callers touch disjoint pairs.
-            unsafe {
-                let u = *vals.add(i);
-                let v = (*vals.add(i + lenh)).mul_in(f, tw[j]);
-                *vals.add(i) = u.add_in(f, v);
-                *vals.add(i + lenh) = u.sub_in(f, v);
-            }
-        }
-    }
-
-    /// Inverse counterpart of [`Self::fwd_stage_range_raw`]; inverse
-    /// stage `stage` has span `slots >> (stage + 1)`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::fwd_stage_range_raw`].
-    pub(crate) unsafe fn inv_stage_range_raw(
-        &self,
-        vals: *mut Complex<F::Real>,
-        stage: usize,
-        b_lo: usize,
-        b_hi: usize,
-    ) {
-        let f = &self.field;
-        let tw = &self.inv_twiddles[stage];
-        let log_span = self.stages() - 1 - stage;
-        let lenh = 1usize << log_span;
-        for b in b_lo..b_hi {
-            let blk = b >> log_span;
-            let j = b & (lenh - 1);
-            let i = (blk << (log_span + 1)) + j;
-            // SAFETY: as in `fwd_stage_range_raw` — both indices lie
-            // below `slots` and butterfly ranges are pairwise disjoint.
-            unsafe {
-                let a = *vals.add(i);
-                let c = *vals.add(i + lenh);
-                let u = a.add_in(f, c);
-                let v = a.sub_in(f, c).mul_in(f, tw[j]);
-                *vals.add(i) = u;
-                *vals.add(i + lenh) = v;
-            }
-        }
-    }
-
     /// The inverse transform's trailing bit-reversal + `1/slots` scale
-    /// (shared by the serial scalar kernel and the engine's threaded
-    /// scalar path).
-    pub(crate) fn inverse_tail(&self, vals: &mut [Complex<F::Real>]) {
+    /// (shared by the planned scalar and on-the-fly kernels).
+    fn inverse_tail(&self, vals: &mut [Complex<F::Real>]) {
         let f = &self.field;
         crate::bitrev::bit_reverse_permute(vals);
         let scale = f.from_f64(1.0 / self.slots as f64);
         for v in vals.iter_mut() {
             *v = v.scale_in(f, scale);
         }
-    }
-
-    /// Runs the forward transform with intra-transform stage threading
-    /// on the SIMD kernel; returns `false` when this plan did not
-    /// resolve to AVX-512 (caller falls back to the generic path).
-    pub(crate) fn forward_threaded_simd(
-        &self,
-        vals: &mut [Complex<F::Real>],
-        threads: usize,
-    ) -> bool {
-        let Some(simd) = self.simd.as_ref() else {
-            return false;
-        };
-        fft_avx512::forward_threaded(simd, as_f64_slice::<F>(vals), threads);
-        true
-    }
-
-    /// Inverse counterpart of [`Self::forward_threaded_simd`].
-    pub(crate) fn inverse_threaded_simd(
-        &self,
-        vals: &mut [Complex<F::Real>],
-        threads: usize,
-    ) -> bool {
-        let Some(simd) = self.simd.as_ref() else {
-            return false;
-        };
-        fft_avx512::inverse_threaded(simd, as_f64_slice::<F>(vals), threads);
-        true
     }
 
     /// The seed's on-the-fly forward kernel: regenerates every twiddle
@@ -577,11 +410,7 @@ impl<F: RealField> SpecialFft<F> {
             }
             len >>= 1;
         }
-        crate::bitrev::bit_reverse_permute(vals);
-        let scale = f.from_f64(1.0 / self.slots as f64);
-        for v in vals.iter_mut() {
-            *v = v.scale_in(f, scale);
-        }
+        self.inverse_tail(vals);
     }
 
     /// Converts slot values (after [`Self::inverse`]) to the `N` real
@@ -808,70 +637,29 @@ mod tests {
     }
 
     #[test]
-    fn parse_fft_kernel_preference_accepts_kernels_and_rejects_garbage() {
-        assert_eq!(
-            parse_fft_kernel_preference(None),
-            Ok(FftKernelPreference::Auto)
-        );
-        assert_eq!(
-            parse_fft_kernel_preference(Some(" ")),
-            Ok(FftKernelPreference::Auto)
-        );
-        assert_eq!(
-            parse_fft_kernel_preference(Some("AVX512")),
-            Ok(FftKernelPreference::Avx512)
-        );
-        assert_eq!(
-            parse_fft_kernel_preference(Some("Scalar")),
-            Ok(FftKernelPreference::Scalar)
-        );
-        assert_eq!(
-            parse_fft_kernel_preference(Some("otf")),
-            Ok(FftKernelPreference::Otf)
-        );
-        assert!(parse_fft_kernel_preference(Some("neon")).is_err());
-        assert!(parse_fft_kernel_preference(Some("2")).is_err());
-    }
-
-    #[test]
-    fn env_override_forces_auto_plans_only() {
-        // `scalar` is concurrency-safe in this binary: every kernel is
-        // bit-identical, so concurrently-built Auto plans stay correct.
-        let mut env = abc_math::envtest::EnvGuard::lock();
-        env.set(FFT_KERNEL_ENV, "scalar");
-        let auto = SpecialFft::with_field_kernel(F64Field, 64, FftKernelPreference::Auto);
-        let explicit = SpecialFft::with_field_kernel(F64Field, 64, FftKernelPreference::Otf);
-        drop(env);
-        assert_eq!(auto.kernel_name(), "scalar");
-        // Explicit preferences are never overridden.
-        assert_eq!(explicit.kernel_name(), "otf");
-    }
-
-    #[test]
     fn kernel_preferences_degrade_by_capability() {
         // Scalar and Otf are always honoured.
-        let scalar = SpecialFft::with_field_kernel(F64Field, 64, FftKernelPreference::Scalar);
+        let scalar = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Scalar);
         assert_eq!(scalar.kernel_name(), "scalar");
-        let otf = SpecialFft::with_field_kernel(F64Field, 64, FftKernelPreference::Otf);
+        let otf = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Reference);
         assert_eq!(otf.kernel_name(), "otf");
         // Non-`F64Field` datapaths never take the SIMD path, even when
         // forced: `SoftFloatField` carries f64 scalars but rounds after
         // every op, so the *field* type gates dispatch.
-        let fp55 =
-            SpecialFft::with_field_kernel(SoftFloatField::fp55(), 64, FftKernelPreference::Avx512);
+        let fp55 = SpecialFft::with_field_kernel(SoftFloatField::fp55(), 64, KernelTier::Simd);
         assert_eq!(fp55.kernel_name(), "scalar");
-        let ext = SpecialFft::with_field_kernel(ExtF64Field, 64, FftKernelPreference::Avx512);
+        let ext = SpecialFft::with_field_kernel(ExtF64Field, 64, KernelTier::Simd);
         assert_eq!(ext.kernel_name(), "scalar");
         // Transforms below a full 8-lane block fall back.
-        let tiny = SpecialFft::with_field_kernel(F64Field, 4, FftKernelPreference::Avx512);
+        let tiny = SpecialFft::with_field_kernel(F64Field, 4, KernelTier::Simd);
         assert_eq!(tiny.kernel_name(), "scalar");
         // On an AVX-512F host the f64 plan takes the vector kernel.
-        let expected = if crate::fft_avx512::available() {
+        let expected = if CpuCaps::detect().avx512f {
             "avx512"
         } else {
             "scalar"
         };
-        let fast = SpecialFft::with_field_kernel(F64Field, 64, FftKernelPreference::Avx512);
+        let fast = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Simd);
         assert_eq!(fast.kernel_name(), expected);
     }
 
@@ -885,17 +673,12 @@ mod tests {
             let z: Vec<Complex> = (0..slots)
                 .map(|i| Complex::new((i as f64 * 0.31).sin(), (i as f64 * 0.17).cos()))
                 .collect();
-            let scalar =
-                SpecialFft::with_field_kernel(F64Field, slots, FftKernelPreference::Scalar);
+            let scalar = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Scalar);
             let mut want_f = z.clone();
             scalar.forward(&mut want_f);
             let mut want_i = z.clone();
             scalar.inverse(&mut want_i);
-            for pref in [
-                FftKernelPreference::Avx512,
-                FftKernelPreference::Otf,
-                FftKernelPreference::Auto,
-            ] {
+            for pref in [KernelTier::Simd, KernelTier::Reference, KernelTier::Auto] {
                 let plan = SpecialFft::with_field_kernel(F64Field, slots, pref);
                 let mut got = z.clone();
                 plan.forward(&mut got);

@@ -29,34 +29,16 @@
 //! input: a 0-ulp bound, asserted by the property suite. The speedup
 //! comes from 8-wide data parallelism, not from reassociating float
 //! arithmetic.
-//!
-//! [`forward_threaded`]/[`inverse_threaded`] additionally split each
-//! stage's independent butterflies across scoped threads with a barrier
-//! per stage (stage-chunked threading *within* one transform), which is
-//! value-preserving for any thread count: butterflies of one stage
-//! touch disjoint elements.
 
 use crate::bitrev::bit_reverse;
 use abc_float::{soa, Complex};
-use std::sync::{Barrier, Mutex};
+use abc_math::CpuCaps;
+use std::sync::{Mutex, PoisonError};
 
 /// Minimum slot count for the SIMD kernel: at `slots ≥ 8` the three
 /// in-register tail layers (spans 1/2/4) all exist and every longer
 /// span is a multiple of the 8-lane vector width.
 pub const MIN_SIMD_SLOTS: usize = 8;
-
-/// Whether this build + CPU can run the AVX-512 f64 butterfly kernel
-/// (always `false` off x86-64).
-pub fn available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// Cap on pooled SoA scratch pairs; one pair is checked out per
 /// in-flight transform, so this bounds concurrent transforms served
@@ -166,8 +148,14 @@ impl SimdPlan {
         }
     }
 
+    /// Locks the scratch pool, recovering a poisoned lock: the state is
+    /// a list of buffers whose contents nobody relies on.
+    fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<SoaBuf>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn take_soa(&self) -> SoaBuf {
-        let recycled = self.pool.lock().expect("soa pool poisoned").pop();
+        let recycled = self.lock_pool().pop();
         let mut b = recycled.unwrap_or_default();
         b.re.resize(self.slots, 0.0);
         b.im.resize(self.slots, 0.0);
@@ -175,297 +163,82 @@ impl SimdPlan {
     }
 
     fn recycle_soa(&self, buf: SoaBuf) {
-        let mut guard = self.pool.lock().expect("soa pool poisoned");
+        let mut guard = self.lock_pool();
         if guard.len() < MAX_POOLED_SOA {
             guard.push(buf);
         }
     }
 }
 
-/// Forward transform, single-threaded. Bit-identical to the scalar
-/// planned kernel.
+/// One transform, forward or inverse (the inverse includes the
+/// `1/slots` scale): split → butterfly passes → merge. Bit-identical to
+/// the scalar planned kernel.
 ///
 /// # Panics
 ///
 /// Panics if the CPU lacks AVX-512F or `vals.len() != slots`.
-pub(crate) fn forward(plan: &SimdPlan, vals: &mut [Complex<f64>]) {
-    run(plan, vals, false, 1);
-}
-
-/// Inverse transform (including the `1/slots` scale), single-threaded.
-/// Bit-identical to the scalar planned kernel.
-///
-/// # Panics
-///
-/// Panics if the CPU lacks AVX-512F or `vals.len() != slots`.
-pub(crate) fn inverse(plan: &SimdPlan, vals: &mut [Complex<f64>]) {
-    run(plan, vals, true, 1);
-}
-
-/// Forward transform with each stage's butterflies split across up to
-/// `threads` scoped threads (barrier per stage). Value-identical to the
-/// single-threaded path for any thread count.
-pub(crate) fn forward_threaded(plan: &SimdPlan, vals: &mut [Complex<f64>], threads: usize) {
-    run(plan, vals, false, threads);
-}
-
-/// Inverse counterpart of [`forward_threaded`].
-pub(crate) fn inverse_threaded(plan: &SimdPlan, vals: &mut [Complex<f64>], threads: usize) {
-    run(plan, vals, true, threads);
-}
-
-fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool, threads: usize) {
+pub(crate) fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool) {
     // A `target_feature` call on an unsupported CPU would be UB, so the
     // safe entry hard-asserts (same contract as `ntt_ifma`).
-    assert!(available(), "AVX-512F not available on this CPU");
+    assert!(CpuCaps::detect().avx512f, "no AVX-512F on this CPU");
     assert_eq!(vals.len(), plan.slots, "length must equal slot count");
-    // Every thread must own ≥ 1 butterfly group (slots/16 of them) in
-    // the long stages; below that, intra-transform fan-out is pure
-    // overhead anyway.
-    let t = threads.min(plan.slots / 16).max(1);
     let mut buf = plan.take_soa();
+    split(vals, &mut buf, &plan.brv, inverse);
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: the `available()` assert above proves AVX-512F, the
-        // only hardware precondition `serial`/`scoped` document.
+        let dir = if inverse { &plan.inv } else { &plan.fwd };
+        let (re, im) = (&mut buf.re[..], &mut buf.im[..]);
+        // SAFETY: the assert above proves AVX-512F, the only hardware
+        // precondition the kernels document; both planes hold `slots`
+        // elements (`take_soa`), a power of two ≥ 8, and every long
+        // stage's span is a power of two in `[8, slots/2]` with
+        // `span`-element twiddle planes (`DirTables::build`).
         unsafe {
-            if t <= 1 {
-                serial(plan, vals, &mut buf, inverse);
+            if inverse {
+                for (span, twr, twi) in &dir.long {
+                    kern::long_stage(re, im, *span, twr, twi, true);
+                }
+                kern::tail_pass(re, im, dir, true);
             } else {
-                scoped(plan, vals, &mut buf, inverse, t);
+                kern::tail_pass(re, im, dir, false);
+                for (span, twr, twi) in &dir.long {
+                    kern::long_stage(re, im, *span, twr, twi, false);
+                }
             }
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (vals, inverse, t, &mut buf);
-        unreachable!("AVX-512 FFT kernel requires x86_64");
-    }
+    unreachable!("AVX-512 FFT kernel requires x86_64");
+    merge(vals, &buf, &plan.brv, plan.inv_scale, inverse);
     plan.recycle_soa(buf);
 }
 
-/// Single-threaded datapath: split → butterfly passes → merge.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F (the caller asserts `available()`
-/// before dispatching here).
-#[cfg(target_arch = "x86_64")]
-unsafe fn serial(plan: &SimdPlan, vals: &mut [Complex<f64>], buf: &mut SoaBuf, inverse: bool) {
-    let slots = plan.slots;
-    let dir = if inverse { &plan.inv } else { &plan.fwd };
-    // SAFETY: one thread owns the full element/block/group ranges; the
-    // `available()` assert in `run` guards the `target_feature` calls.
-    unsafe {
-        split_range(
-            vals.as_ptr(),
-            buf.re.as_mut_ptr(),
-            buf.im.as_mut_ptr(),
-            &plan.brv,
-            inverse,
-            0,
-            slots,
-        );
-        let re = buf.re.as_mut_ptr();
-        let im = buf.im.as_mut_ptr();
-        if inverse {
-            for (span, twr, twi) in &dir.long {
-                kern::long_stage(re, im, *span, twr, twi, 0, slots / 16, true);
-            }
-            kern::tail_pass(re, im, dir, 0, slots / 8, true);
-        } else {
-            kern::tail_pass(re, im, dir, 0, slots / 8, false);
-            for (span, twr, twi) in &dir.long {
-                kern::long_stage(re, im, *span, twr, twi, 0, slots / 16, false);
-            }
-        }
-        merge_range(
-            vals.as_mut_ptr(),
-            buf.re.as_ptr(),
-            buf.im.as_ptr(),
-            &plan.brv,
-            plan.inv_scale,
-            inverse,
-            0,
-            slots,
-        );
-    }
-}
-
-/// Raw shared pointer handed to scoped stage workers. Safety rests on
-/// the workers writing disjoint ranges within a pass and a barrier
-/// separating passes.
-struct SyncPtr<T>(*mut T);
-
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-// SAFETY: see `SyncPtr` — disjoint writes + barriers between passes.
-unsafe impl<T> Send for SyncPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-/// Splits `total` work units into `t` near-equal contiguous ranges.
-fn chunk_range(total: usize, t: usize, tid: usize) -> (usize, usize) {
-    let chunk = total.div_ceil(t);
-    ((tid * chunk).min(total), ((tid + 1) * chunk).min(total))
-}
-
-/// Threaded datapath: `t` scoped workers, barrier between passes.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F (the caller asserts `available()`
-/// before dispatching here).
-#[cfg(target_arch = "x86_64")]
-unsafe fn scoped(
-    plan: &SimdPlan,
-    vals: &mut [Complex<f64>],
-    buf: &mut SoaBuf,
-    inverse: bool,
-    t: usize,
-) {
-    let slots = plan.slots;
-    let dir = if inverse { &plan.inv } else { &plan.fwd };
-    let barrier = Barrier::new(t);
-    let re = SyncPtr(buf.re.as_mut_ptr());
-    let im = SyncPtr(buf.im.as_mut_ptr());
-    let vp = SyncPtr(vals.as_mut_ptr());
-    std::thread::scope(|s| {
-        for tid in 0..t {
-            let barrier = &barrier;
-            s.spawn(move || {
-                // Capture the whole wrappers (closure field capture
-                // would otherwise grab the raw pointers, which are not
-                // `Send`).
-                let (re, im, vp) = (re, im, vp);
-                // Per-thread ranges: elements for split/merge, 8-element
-                // blocks for the tail, 8-butterfly groups for the long
-                // stages. Disjoint across threads by construction.
-                let (e_lo, e_hi) = chunk_range(slots, t, tid);
-                let (b_lo, b_hi) = chunk_range(slots / 8, t, tid);
-                let (g_lo, g_hi) = chunk_range(slots / 16, t, tid);
-                // SAFETY: each pass writes only this thread's range; the
-                // barrier orders passes, so no write races or stale
-                // reads; `run` asserted AVX-512F support.
-                unsafe {
-                    split_range(vp.0 as *const _, re.0, im.0, &plan.brv, inverse, e_lo, e_hi);
-                    barrier.wait();
-                    if inverse {
-                        for (span, twr, twi) in &dir.long {
-                            kern::long_stage(re.0, im.0, *span, twr, twi, g_lo, g_hi, true);
-                            barrier.wait();
-                        }
-                        kern::tail_pass(re.0, im.0, dir, b_lo, b_hi, true);
-                        barrier.wait();
-                    } else {
-                        kern::tail_pass(re.0, im.0, dir, b_lo, b_hi, false);
-                        barrier.wait();
-                        for (span, twr, twi) in &dir.long {
-                            kern::long_stage(re.0, im.0, *span, twr, twi, g_lo, g_hi, false);
-                            barrier.wait();
-                        }
-                    }
-                    merge_range(
-                        vp.0,
-                        re.0,
-                        im.0,
-                        &plan.brv,
-                        plan.inv_scale,
-                        inverse,
-                        e_lo,
-                        e_hi,
-                    );
-                }
-            });
-        }
-    });
-}
-
-/// Copies elements `[lo, hi)` of the AoS input into the split planes;
-/// the forward direction reads through the precomputed bit-reversal
-/// table (the scalar kernel's in-place permute, fused into the copy).
-///
-/// # Safety
-///
-/// `vals` must point to `brv.len()` elements and `re`/`im` to planes of
-/// the same length; concurrent callers must write disjoint `[lo, hi)`
-/// ranges.
-unsafe fn split_range(
-    vals: *const Complex<f64>,
-    re: *mut f64,
-    im: *mut f64,
-    brv: &[u32],
-    inverse: bool,
-    lo: usize,
-    hi: usize,
-) {
+/// Copies the AoS input into the split planes; the forward direction
+/// reads through the precomputed bit-reversal table (the scalar
+/// kernel's in-place permute, fused into the copy).
+fn split(vals: &[Complex<f64>], buf: &mut SoaBuf, brv: &[u32], inverse: bool) {
     if inverse {
-        // SAFETY: `lo <= hi <= brv.len()` and the caller promises
-        // `brv.len()`-element allocations behind all three pointers;
-        // disjoint `[lo, hi)` ranges keep concurrent callers apart.
-        unsafe {
-            let src = std::slice::from_raw_parts(vals.add(lo), hi - lo);
-            let re = std::slice::from_raw_parts_mut(re.add(lo), hi - lo);
-            let im = std::slice::from_raw_parts_mut(im.add(lo), hi - lo);
-            soa::split_complex(src, re, im);
-        }
+        soa::split_complex(vals, &mut buf.re, &mut buf.im);
     } else {
-        for (i, &j) in brv[lo..hi].iter().enumerate().map(|(k, j)| (lo + k, j)) {
-            // SAFETY: `i < hi <= brv.len()` for the writes; `j` is an
-            // entry of the bit-reversal permutation over
-            // `0..brv.len()`, so the gather read stays in bounds.
-            unsafe {
-                let z = *vals.add(j as usize);
-                *re.add(i) = z.re;
-                *im.add(i) = z.im;
-            }
+        for ((re, im), &j) in buf.re.iter_mut().zip(&mut buf.im).zip(brv) {
+            let z = vals[j as usize];
+            (*re, *im) = (z.re, z.im);
         }
     }
 }
 
-/// Merges elements `[lo, hi)` of the split planes back into the AoS
-/// slice; the inverse direction reads through the bit-reversal table
-/// and applies the `1/slots` scale (one multiply per component, exactly
-/// as the scalar trailing loops).
-///
-/// # Safety
-///
-/// As [`split_range`], with `vals` as the write side.
-#[allow(clippy::too_many_arguments)]
-unsafe fn merge_range(
-    vals: *mut Complex<f64>,
-    re: *const f64,
-    im: *const f64,
-    brv: &[u32],
-    inv_scale: f64,
-    inverse: bool,
-    lo: usize,
-    hi: usize,
-) {
+/// Merges the split planes back into the AoS slice; the inverse
+/// direction reads through the bit-reversal table and applies the
+/// `1/slots` scale (one multiply per component, exactly as the scalar
+/// trailing loops).
+fn merge(vals: &mut [Complex<f64>], buf: &SoaBuf, brv: &[u32], inv_scale: f64, inverse: bool) {
     if inverse {
-        for (i, &j) in brv[lo..hi].iter().enumerate().map(|(k, j)| (lo + k, j)) {
+        for (v, &j) in vals.iter_mut().zip(brv) {
             let j = j as usize;
-            // SAFETY: `i < hi <= brv.len()` for the write; `j` is a
-            // bit-reversal index below `brv.len()`, keeping both plane
-            // reads inside the caller-promised allocations.
-            unsafe {
-                *vals.add(i) = Complex::new(*re.add(j) * inv_scale, *im.add(j) * inv_scale);
-            }
+            *v = Complex::new(buf.re[j] * inv_scale, buf.im[j] * inv_scale);
         }
     } else {
-        // SAFETY: `lo <= hi <= brv.len()` and all three pointers back
-        // `brv.len()`-element allocations; disjoint `[lo, hi)` ranges
-        // keep concurrent callers apart.
-        unsafe {
-            let re = std::slice::from_raw_parts(re.add(lo), hi - lo);
-            let im = std::slice::from_raw_parts(im.add(lo), hi - lo);
-            let dst = std::slice::from_raw_parts_mut(vals.add(lo), hi - lo);
-            soa::merge_complex(re, im, dst);
-        }
+        soa::merge_complex(&buf.re, &buf.im, vals);
     }
 }
 
@@ -534,22 +307,15 @@ mod kern {
         (_mm512_sub_pd(ac, bd), _mm512_add_pd(ad, bc))
     }
 
-    /// Runs the three sub-vector layers fully in registers for
-    /// 8-element blocks `[blk_lo, blk_hi)` of both planes.
+    /// Runs the three sub-vector layers fully in registers, one
+    /// 8-element block of both planes at a time.
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX-512F, plane length ≥ `8·blk_hi`, and that
-    /// concurrent callers own disjoint block ranges.
+    /// Caller guarantees AVX-512F and equal plane lengths, a multiple
+    /// of 8.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tail_pass(
-        re: *mut f64,
-        im: *mut f64,
-        dir: &DirTables,
-        blk_lo: usize,
-        blk_hi: usize,
-        inverse: bool,
-    ) {
+    pub(super) unsafe fn tail_pass(re: &mut [f64], im: &mut [f64], dir: &DirTables, inverse: bool) {
         // SAFETY: caller guarantees AVX-512F (the only precondition of
         // `layer_perms`).
         let perms = unsafe { layer_perms() };
@@ -563,14 +329,13 @@ mod kern {
                 )
             };
         }
-        for blk in blk_lo..blk_hi {
-            // SAFETY: `blk < blk_hi` with caller-promised plane length
-            // ≥ `8·blk_hi` keeps lanes `blk*8..blk*8+8` in bounds for
-            // every load/store; this caller owns the block exclusively;
-            // `cmul` needs only the feature the caller guarantees.
+        for (br, bi) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
+            // SAFETY: each chunk is exactly the 8 lanes one load/store
+            // touches; `cmul` needs only the feature the caller
+            // guarantees.
             unsafe {
-                let pr = re.add(blk * 8);
-                let pi = im.add(blk * 8);
+                let pr = br.as_mut_ptr();
+                let pi = bi.as_mut_ptr();
                 let mut vr = _mm512_loadu_pd(pr);
                 let mut vi = _mm512_loadu_pd(pi);
                 for (l, &(wr, wi)) in w.iter().enumerate() {
@@ -605,71 +370,90 @@ mod kern {
         }
     }
 
-    /// One vector-span stage over butterfly-group range `[g_lo, g_hi)`.
-    /// Each group is eight consecutive butterflies of the stage's
-    /// global butterfly index space (`b = block·span + j`); since
-    /// `span % 8 == 0` and groups are 8-aligned, a group never
-    /// straddles a block boundary.
+    /// One vector-span stage: blocks of `2·span` elements, eight
+    /// butterflies (one vector of each half, one twiddle vector) per
+    /// step.
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX-512F, plane length ≥ `16·g_hi`, twiddle
-    /// planes of length `span`, and disjoint group ranges across
-    /// concurrent callers.
+    /// Caller guarantees AVX-512F, equal plane lengths that are a
+    /// multiple of `2·span`, `span` a multiple of 8, and twiddle planes
+    /// of length `span`.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn long_stage(
-        re: *mut f64,
-        im: *mut f64,
+        re: &mut [f64],
+        im: &mut [f64],
         span: usize,
         twr: &[f64],
         twi: &[f64],
-        g_lo: usize,
-        g_hi: usize,
         inverse: bool,
     ) {
-        // span is a power of two ≥ 8, so per-group block/offset math
-        // reduces to shifts over the groups-per-block count.
-        let gpb_log = (span / 8).trailing_zeros();
-        for g in g_lo..g_hi {
-            let blk = g >> gpb_log;
-            let j = (g - (blk << gpb_log)) * 8;
-            let base = blk * 2 * span + j;
-            // SAFETY: `g < g_hi` with caller-promised plane length
-            // ≥ `16·g_hi` puts both half-vectors (`base..base+8` and
-            // `base+span..base+span+8`) in bounds; `j + 8 ≤ span` keeps
-            // the twiddle window inside the `span`-element planes; this
-            // caller owns the group exclusively; `cmul` needs only the
-            // feature the caller guarantees.
-            unsafe {
-                let plo_r = re.add(base);
-                let plo_i = im.add(base);
-                let phi_r = re.add(base + span);
-                let phi_i = im.add(base + span);
-                let lo_r = _mm512_loadu_pd(plo_r);
-                let lo_i = _mm512_loadu_pd(plo_i);
-                let hi_r = _mm512_loadu_pd(phi_r);
-                let hi_i = _mm512_loadu_pd(phi_i);
-                let wr = _mm512_loadu_pd(twr.as_ptr().add(j));
-                let wi = _mm512_loadu_pd(twi.as_ptr().add(j));
-                if inverse {
-                    let sr = _mm512_add_pd(lo_r, hi_r);
-                    let si = _mm512_add_pd(lo_i, hi_i);
-                    let dr = _mm512_sub_pd(lo_r, hi_r);
-                    let di = _mm512_sub_pd(lo_i, hi_i);
-                    let (tr, ti) = cmul(dr, di, wr, wi);
-                    _mm512_storeu_pd(plo_r, sr);
-                    _mm512_storeu_pd(plo_i, si);
-                    _mm512_storeu_pd(phi_r, tr);
-                    _mm512_storeu_pd(phi_i, ti);
-                } else {
-                    let (tr, ti) = cmul(hi_r, hi_i, wr, wi);
-                    _mm512_storeu_pd(plo_r, _mm512_add_pd(lo_r, tr));
-                    _mm512_storeu_pd(plo_i, _mm512_add_pd(lo_i, ti));
-                    _mm512_storeu_pd(phi_r, _mm512_sub_pd(lo_r, tr));
-                    _mm512_storeu_pd(phi_i, _mm512_sub_pd(lo_i, ti));
+        for (br, bi) in re
+            .chunks_exact_mut(2 * span)
+            .zip(im.chunks_exact_mut(2 * span))
+        {
+            let (lo_re, hi_re) = br.split_at_mut(span);
+            let (lo_im, hi_im) = bi.split_at_mut(span);
+            for j in (0..span).step_by(8) {
+                // SAFETY: `span` is a multiple of 8, so `j + 8 ≤ span`,
+                // the length of the four half-blocks and (caller's
+                // promise) of both twiddle planes; `cmul` needs only
+                // the feature the caller guarantees.
+                unsafe {
+                    let plo_r = lo_re.as_mut_ptr().add(j);
+                    let plo_i = lo_im.as_mut_ptr().add(j);
+                    let phi_r = hi_re.as_mut_ptr().add(j);
+                    let phi_i = hi_im.as_mut_ptr().add(j);
+                    let lo_r = _mm512_loadu_pd(plo_r);
+                    let lo_i = _mm512_loadu_pd(plo_i);
+                    let hi_r = _mm512_loadu_pd(phi_r);
+                    let hi_i = _mm512_loadu_pd(phi_i);
+                    let wr = _mm512_loadu_pd(twr.as_ptr().add(j));
+                    let wi = _mm512_loadu_pd(twi.as_ptr().add(j));
+                    if inverse {
+                        let sr = _mm512_add_pd(lo_r, hi_r);
+                        let si = _mm512_add_pd(lo_i, hi_i);
+                        let dr = _mm512_sub_pd(lo_r, hi_r);
+                        let di = _mm512_sub_pd(lo_i, hi_i);
+                        let (tr, ti) = cmul(dr, di, wr, wi);
+                        _mm512_storeu_pd(plo_r, sr);
+                        _mm512_storeu_pd(plo_i, si);
+                        _mm512_storeu_pd(phi_r, tr);
+                        _mm512_storeu_pd(phi_i, ti);
+                    } else {
+                        let (tr, ti) = cmul(hi_r, hi_i, wr, wi);
+                        _mm512_storeu_pd(plo_r, _mm512_add_pd(lo_r, tr));
+                        _mm512_storeu_pd(plo_i, _mm512_add_pd(lo_i, ti));
+                        _mm512_storeu_pd(phi_r, _mm512_sub_pd(lo_r, tr));
+                        _mm512_storeu_pd(phi_i, _mm512_sub_pd(lo_i, ti));
+                    }
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn soa_pool_survives_a_poisoned_lock() {
+        // Same contract as the engine's slot pool: a panic under the
+        // lock must not turn every later transform into a panic.
+        let stages = |spans: [usize; 3]| spans.map(|span| vec![Complex::new(1.0, 0.0); span]);
+        let plan = Arc::new(SimdPlan::build(8, &stages([1, 2, 4]), &stages([4, 2, 1])));
+        plan.recycle_soa(plan.take_soa());
+        let worker = Arc::clone(&plan);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = worker.pool.lock().unwrap();
+            panic!("poison the SoA pool");
+        });
+        assert!(poisoner.join().is_err() && plan.pool.is_poisoned());
+        let buf = plan.take_soa();
+        assert_eq!((buf.re.len(), plan.lock_pool().len()), (8, 0));
+        plan.recycle_soa(buf);
+        assert_eq!(plan.lock_pool().len(), 1);
     }
 }

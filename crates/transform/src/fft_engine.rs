@@ -8,20 +8,21 @@
 //! [`std::thread::scope`] (no rayon in the offline build environment).
 //! The thread count defaults to the machine's parallelism and can be
 //! pinned with the `ABC_FHE_THREADS` environment variable — the same
-//! knob the NTT engine reads.
+//! knob the NTT engine reads. A single transform always runs on the
+//! calling thread (a barrier per stage costs more than the stage).
 //!
 //! Scratch slot buffers are drawn from an internal pool and recycled, so
 //! steady-state encode/decode performs no per-op slot allocation.
 //!
 //! Transforms are **bit-identical** to running each vector through the
 //! shared [`SpecialFft`] plan serially — threading only changes
-//! scheduling, never values — which the property suite asserts for
-//! thread counts 1/2/4.
+//! scheduling, never values — which the tests below assert for thread
+//! counts 1/2/4.
 
 use crate::fft::SpecialFft;
 use crate::rns_ntt::threads_from_env;
 use abc_float::{Complex, RealField};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cap on pooled scratch buffers, bounding steady-state memory.
 const MAX_POOLED_BUFS: usize = 64;
@@ -35,10 +36,6 @@ pub const MAX_POOLED_BYTES: usize = 1 << 22;
 /// outweighs the fan-out and the engine runs serially.
 const PARALLEL_THRESHOLD: usize = 1 << 12;
 
-/// Minimum slot count for stage-chunked threading *within* a single
-/// transform; below it, per-stage barrier costs dominate.
-const INTRA_PARALLEL_THRESHOLD: usize = 1 << 12;
-
 /// Scratch pool state: the buffers plus their retained byte total
 /// (tracked so eviction is O(1) on return).
 #[derive(Debug, Default)]
@@ -46,22 +43,6 @@ struct PoolState<R> {
     bufs: Vec<Vec<Complex<R>>>,
     bytes: usize,
 }
-
-/// Raw shared pointer for the scalar stage workers; safety rests on
-/// disjoint per-thread butterfly ranges within a stage and a barrier
-/// between stages.
-struct SyncPtr<T>(*mut T);
-
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-// SAFETY: see `SyncPtr` — disjoint writes + barriers between stages.
-unsafe impl<T> Send for SyncPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SyncPtr<T> {}
 
 /// Batched forward/inverse special FFT: one shared per-(slots, datapath)
 /// [`SpecialFft`] plan, vector fan-out over scoped threads, and pooled
@@ -135,110 +116,25 @@ impl<F: RealField> SpecialFftEngine<F> {
         self.threads
     }
 
-    /// Forward transform of a single vector through the shared plan.
-    ///
-    /// For large transforms (`slots ≥ 2^12`) with `threads > 1`, the
-    /// engine splits each stage's independent butterflies across scoped
-    /// threads with a barrier per stage, so single-message latency
-    /// drops — not just batch throughput. Bit-identical to the serial
-    /// plan for any thread count (butterflies of a stage touch disjoint
-    /// element pairs, and no value's operation sequence changes).
+    /// Forward transform of a single vector through the shared plan,
+    /// on the calling thread whatever the engine's thread count (only
+    /// batches fan out).
     ///
     /// # Panics
     ///
     /// Panics if `vals.len() != slots`.
     pub fn forward(&self, vals: &mut [Complex<F::Real>]) {
-        self.transform_single(vals, false);
+        self.plan.forward(vals);
     }
 
     /// Inverse transform of a single vector through the shared plan,
-    /// with the same intra-transform stage threading as
-    /// [`Self::forward`].
+    /// on the calling thread like [`Self::forward`].
     ///
     /// # Panics
     ///
     /// Panics if `vals.len() != slots`.
     pub fn inverse(&self, vals: &mut [Complex<F::Real>]) {
-        self.transform_single(vals, true);
-    }
-
-    fn transform_single(&self, vals: &mut [Complex<F::Real>], inverse: bool) {
-        let slots = self.plan.slots();
-        // Every thread needs ≥ 1 butterfly per stage.
-        let t = self.threads.min(slots / 2).max(1);
-        if t <= 1 || slots < INTRA_PARALLEL_THRESHOLD {
-            if inverse {
-                self.plan.inverse(vals);
-            } else {
-                self.plan.forward(vals);
-            }
-            return;
-        }
-        // SIMD fast path: the AVX-512 kernel carries its own
-        // stage-chunked threading over the SoA planes.
-        let handled = if inverse {
-            self.plan.inverse_threaded_simd(vals, t)
-        } else {
-            self.plan.forward_threaded_simd(vals, t)
-        };
-        if handled {
-            return;
-        }
-        self.scalar_threaded(vals, inverse, t);
-    }
-
-    /// Stage-chunked threading for the generic scalar kernel: the
-    /// butterfly index space of each stage (`slots/2` butterflies,
-    /// disjoint element pairs) is split into contiguous per-thread
-    /// ranges; a barrier separates stages. Per-element operation
-    /// sequences are untouched, so results are bit-identical to the
-    /// serial plan.
-    fn scalar_threaded(&self, vals: &mut [Complex<F::Real>], inverse: bool, t: usize) {
-        assert_eq!(
-            vals.len(),
-            self.plan.slots(),
-            "length must equal slot count"
-        );
-        if !inverse {
-            crate::bitrev::bit_reverse_permute(vals);
-        }
-        let stages = self.plan.stages();
-        let total = self.plan.slots() / 2;
-        let chunk = total.div_ceil(t);
-        let barrier = Barrier::new(t);
-        let ptr = SyncPtr(vals.as_mut_ptr());
-        let plan = &self.plan;
-        std::thread::scope(|s| {
-            for tid in 0..t {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    // Capture the whole wrapper (closure field capture
-                    // would otherwise grab the raw pointer, which is
-                    // not `Send`).
-                    let ptr = ptr;
-                    let lo = (tid * chunk).min(total);
-                    let hi = ((tid + 1) * chunk).min(total);
-                    for stage in 0..stages {
-                        if lo < hi {
-                            // SAFETY: `[lo, hi)` ranges are disjoint
-                            // across threads and the barrier orders
-                            // stages.
-                            unsafe {
-                                if inverse {
-                                    plan.inv_stage_range_raw(ptr.0, stage, lo, hi);
-                                } else {
-                                    plan.fwd_stage_range_raw(ptr.0, stage, lo, hi);
-                                }
-                            }
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        if inverse {
-            self.plan.inverse_tail(vals);
-        }
+        self.plan.inverse(vals);
     }
 
     /// In-place forward FFT of every vector, fanned out across threads.
@@ -263,7 +159,7 @@ impl<F: RealField> SpecialFftEngine<F> {
     /// hand it back with [`Self::recycle`].
     pub fn take_buf(&self) -> Vec<Complex<F::Real>> {
         let recycled = {
-            let mut guard = self.pool.lock().expect("fft pool poisoned");
+            let mut guard = self.lock_pool();
             let b = guard.bufs.pop();
             if let Some(b) = &b {
                 guard.bytes -= b.capacity() * core::mem::size_of::<Complex<F::Real>>();
@@ -286,7 +182,7 @@ impl<F: RealField> SpecialFftEngine<F> {
     /// memory forever.
     pub fn recycle(&self, buf: Vec<Complex<F::Real>>) {
         let bytes = buf.capacity() * core::mem::size_of::<Complex<F::Real>>();
-        let mut guard = self.pool.lock().expect("fft pool poisoned");
+        let mut guard = self.lock_pool();
         if guard.bufs.len() < MAX_POOLED_BUFS && guard.bytes + bytes <= MAX_POOLED_BYTES {
             guard.bytes += bytes;
             guard.bufs.push(buf);
@@ -296,12 +192,20 @@ impl<F: RealField> SpecialFftEngine<F> {
     /// Bytes currently retained by the scratch pool (capacity of every
     /// pooled buffer) — always ≤ [`MAX_POOLED_BYTES`].
     pub fn pooled_bytes(&self) -> usize {
-        self.pool.lock().expect("fft pool poisoned").bytes
+        self.lock_pool().bytes
     }
 
     /// Number of buffers currently retained by the scratch pool.
     pub fn pooled_bufs(&self) -> usize {
-        self.pool.lock().expect("fft pool poisoned").bufs.len()
+        self.lock_pool().bufs.len()
+    }
+
+    /// Locks the scratch pool. A poisoned lock is recovered, as in
+    /// [`crate::pool`]: the state is a buffer list and a byte count,
+    /// valid at every step of every update, so one panicking worker
+    /// must not turn every later encode / decode into a panic.
+    fn lock_pool(&self) -> MutexGuard<'_, PoolState<F::Real>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Applies `op(plan, vec)` to every vector, splitting the batch into
@@ -420,38 +324,23 @@ mod tests {
     }
 
     #[test]
-    fn intra_transform_threading_is_bit_identical() {
-        // slots = 2^12 clears INTRA_PARALLEL_THRESHOLD, so the
-        // stage-chunked path really runs for threads > 1 — on both the
-        // SIMD plan (if this host resolves avx512) and, via ExtF64, the
-        // generic scalar stage-range path.
-        let slots = 1usize << 12;
-        let v0 = sample(slots, 7);
-        let plan = SpecialFft::new(slots);
-        let mut fwd_ref = v0.clone();
-        plan.forward(&mut fwd_ref);
-        let mut inv_ref = v0.clone();
-        plan.inverse(&mut inv_ref);
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let mut v = v0.clone();
-            engine.forward(&mut v);
-            assert_eq!(v, fwd_ref, "fwd threads={threads}");
-            let mut v = v0.clone();
-            engine.inverse(&mut v);
-            assert_eq!(v, inv_ref, "inv threads={threads}");
-        }
-        let fe = ExtF64Field;
-        let w0: Vec<_> = v0.iter().map(|z| z.lift_in(&fe)).collect();
-        let ext_plan = SpecialFft::with_field(ExtF64Field, slots);
-        let mut ext_ref = w0.clone();
-        ext_plan.inverse(&mut ext_ref);
-        for threads in [2usize, 4] {
-            let engine = SpecialFftEngine::with_threads(ExtF64Field, slots, threads);
-            let mut w = w0.clone();
-            engine.inverse(&mut w);
-            assert_eq!(w, ext_ref, "ext inv threads={threads}");
-        }
+    fn pool_survives_a_poisoned_lock() {
+        // A worker that panics while holding the slot pool (the chaos
+        // harness injects such panics) must not take encode / decode
+        // away from the context: every pool entry point recovers.
+        let engine = std::sync::Arc::new(SpecialFftEngine::with_threads(F64Field, 16, 1));
+        engine.recycle(engine.take_buf());
+        let worker = std::sync::Arc::clone(&engine);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = worker.pool.lock().unwrap();
+            panic!("poison the slot pool");
+        });
+        assert!(poisoner.join().is_err() && engine.pool.is_poisoned());
+        assert_eq!(engine.pooled_bufs(), 1);
+        let buf = engine.take_buf();
+        assert_eq!((buf.len(), engine.pooled_bytes()), (16, 0));
+        engine.recycle(buf);
+        assert_eq!(engine.pooled_bufs(), 1);
     }
 
     #[test]

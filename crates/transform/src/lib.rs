@@ -14,11 +14,14 @@
 //!   datapath so the same kernel runs at FP64, the paper's FP55, or the
 //!   double-double `ExtF64` embedding, with per-(slots, datapath)
 //!   twiddle tables materialized once per plan (OTF kernels retained as
-//!   the hardware-generator model and benchmark baseline), dispatched
-//!   avx512 → scalar → otf like the NTT ([`fft::FftKernelPreference`],
-//!   env override `ABC_FHE_FFT_KERNEL`; the AVX-512 kernel runs split
-//!   re/im 8-lane butterflies in [`fft_avx512`], bit-identical to the
-//!   scalar path).
+//!   the hardware-generator model and benchmark baseline; the AVX-512
+//!   kernel runs split re/im 8-lane butterflies in [`fft_avx512`],
+//!   bit-identical to the scalar path).
+//!
+//! Both families pick their kernel through the one ladder in
+//! [`abc_math::kernel`] — `Simd` (`ifma` / `avx512`) → `Scalar`
+//! (`harvey` / `scalar`) → `Reference` (`golden` / `otf`), forced with
+//! an [`abc_math::KernelTier`] or, for `Auto`, with `ABC_FHE_KERNEL`.
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
 //! polynomial — one plan per prime, limb fan-out over scoped threads
@@ -26,8 +29,9 @@
 //! [`pool`], the process-wide limb pool whose retention follows the live
 //! engines ([`pool::PooledLimbs`] is the one owning limb container).
 //! [`fft_engine::SpecialFftEngine`] gives the embedding FFT the same
-//! treatment: a shared plan, batch fan-out over scoped threads, and a
-//! recycling slot-buffer pool.
+//! treatment: a shared plan, batch fan-out over scoped threads (one
+//! transform always runs on the calling thread), and a recycling
+//! slot-buffer pool.
 //!
 //! [`radix`] analyses pipelined MDC design configurations (radix-2,
 //! radix-2^2, radix-2^3, radix-2^n and mixed) and counts the hardware
@@ -73,23 +77,9 @@ pub mod stream;
 pub mod stream_fft;
 pub mod twiddle;
 
-pub use fft::{parse_fft_kernel_preference, FftKernelPreference, SpecialFft, FFT_KERNEL_ENV};
+pub use fft::SpecialFft;
 pub use fft_engine::SpecialFftEngine;
-pub use ntt::{KernelPreference, NttPlan};
+pub use ntt::NttPlan;
 pub use pool::PooledLimbs;
 pub use rns_ntt::RnsNttEngine;
 pub use twiddle::{OtfTwiddleGen, TwiddleSource, TwiddleTable};
-
-/// Whether this build + CPU can run the AVX-512IFMA kernels (always
-/// `false` off x86-64). Gates both kernel selection and the radix-2^52
-/// twiddle-column precomputation.
-pub(crate) fn ifma_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        ntt_ifma::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}

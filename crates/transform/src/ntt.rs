@@ -11,79 +11,9 @@
 //! saving (Fig. 6a).
 
 use crate::twiddle::{TwiddleSource, TwiddleTable};
-use abc_math::dyadic::{DyadicEngine, DyadicPreference};
-use abc_math::shoup::{self, MAX_SHOUP_MODULUS};
-use abc_math::{MathError, Modulus};
-
-/// Which butterfly implementation a plan dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    /// Reference scalar kernel (`u128` multiply + divide per twiddle);
-    /// the only option for `q ≥ 2^62`.
-    Golden,
-    /// Scalar Harvey: Shoup twiddles + lazy reduction (`q < 2^62`).
-    Harvey,
-    /// AVX-512IFMA Harvey: eight 52-bit lanes per instruction
-    /// (`q < 2^50`, `N ≥ 16`, x86-64 with IFMA).
-    Ifma,
-}
-
-/// Caller preference for the butterfly kernel of a plan.
-///
-/// Kernel selection is otherwise host-dependent (the fastest applicable
-/// kernel wins), which means a given machine only ever executes one of
-/// the fast paths. Forcing a preference lets tests assert the
-/// bit-identity of **every** kernel on whatever machine they run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPreference {
-    /// Fastest applicable kernel (the [`NttPlan::new`] behaviour).
-    #[default]
-    Auto,
-    /// Reference scalar kernel, always applicable.
-    Golden,
-    /// Scalar Harvey; falls back to golden when `q ≥ 2^62`.
-    Harvey,
-    /// AVX-512IFMA; falls back to scalar Harvey (then golden) when the
-    /// CPU, modulus width or transform size rule it out.
-    Ifma,
-}
-
-/// Environment variable overriding the butterfly kernel of plans built
-/// with [`KernelPreference::Auto`] (`auto`, `golden`, `harvey` or
-/// `ifma`, case-insensitive; blank means `auto`).
-///
-/// Explicit preferences are never overridden and capability rules still
-/// apply. CI sets this to `harvey` (with the dyadic counterpart
-/// `ABC_FHE_DYADIC_KERNEL`) to run tier-1 down the scalar fallback
-/// paths. Note the bit-identity suites assert that an Auto plan picks a
-/// *fast* kernel, so forcing `golden` here is for ad-hoc debugging
-/// only, not for running the test suite.
-pub const NTT_KERNEL_ENV: &str = "ABC_FHE_NTT_KERNEL";
-
-/// Parses a [`NTT_KERNEL_ENV`] value. `None`, empty and blank mean
-/// [`KernelPreference::Auto`]; anything unrecognized is an error (the
-/// plan constructor turns it into a loud panic rather than silently
-/// mis-dispatching a forced-kernel CI run).
-pub fn parse_kernel_preference(raw: Option<&str>) -> Result<KernelPreference, String> {
-    let Some(raw) = raw else {
-        return Ok(KernelPreference::Auto);
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "auto" => Ok(KernelPreference::Auto),
-        "golden" => Ok(KernelPreference::Golden),
-        "harvey" => Ok(KernelPreference::Harvey),
-        "ifma" => Ok(KernelPreference::Ifma),
-        _ => Err(format!(
-            "{NTT_KERNEL_ENV} must be auto|golden|harvey|ifma, got {raw:?}"
-        )),
-    }
-}
-
-/// Resolves [`NTT_KERNEL_ENV`], panicking on garbage.
-fn preference_from_env() -> KernelPreference {
-    let raw = std::env::var(NTT_KERNEL_ENV).ok();
-    parse_kernel_preference(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
+use abc_math::dyadic::DyadicEngine;
+use abc_math::shoup::{self, MAX_SHOUP52_MODULUS, MAX_SHOUP_MODULUS};
+use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
 
 /// A ready-to-run negacyclic NTT over one RNS prime.
 ///
@@ -123,9 +53,11 @@ pub struct NttPlan {
     m: Modulus,
     n: usize,
     table: TwiddleTable,
-    kernel: Kernel,
+    /// The ladder rung [`NttPlan::with_kernel`] landed on: `Simd` =
+    /// ifma (never off x86-64), `Scalar` = harvey, else golden.
+    kernel: KernelTier,
     /// Element-wise engine for the dyadic stage of negacyclic products,
-    /// preference-matched to the butterfly kernel.
+    /// built on the same tier as the butterfly kernel.
     dyadic: DyadicEngine,
 }
 
@@ -137,56 +69,38 @@ impl NttPlan {
     /// Returns [`MathError::NoRootOfUnity`] if `q ≢ 1 (mod 2n)` and
     /// [`MathError::InvalidModulus`] for non-power-of-two sizes.
     pub fn new(m: Modulus, n: usize) -> Result<Self, MathError> {
-        Self::with_kernel(m, n, KernelPreference::Auto)
+        Self::with_kernel(m, n, KernelTier::Auto)
     }
 
-    /// Builds a plan with an explicit kernel preference (capability
-    /// rules still apply — an unavailable preference degrades to the
-    /// next applicable kernel; check [`NttPlan::kernel_name`]). Used by
-    /// the test suites to exercise every kernel regardless of which one
+    /// Builds a plan on an explicit rung of the kernel ladder
+    /// ([`KernelTier::Auto`] honours the `ABC_FHE_KERNEL` override,
+    /// explicit tiers do not). Capability rules still apply — `Simd`
+    /// needs `q < 2^50`, `N ≥ 16` and an AVX-512IFMA CPU, `Scalar`
+    /// needs `q < 2^62`, and a rung the plan cannot run degrades to
+    /// the next one down; check [`NttPlan::kernel_name`]. Used by the
+    /// test suites to exercise every kernel regardless of which one
     /// [`NttPlan::new`] would pick on this machine.
     ///
     /// # Errors
     ///
     /// Same conditions as [`NttPlan::new`].
-    pub fn with_kernel(m: Modulus, n: usize, pref: KernelPreference) -> Result<Self, MathError> {
-        // Auto additionally honours the `NTT_KERNEL_ENV` override;
-        // explicit preferences do not.
-        let pref = if pref == KernelPreference::Auto {
-            preference_from_env()
-        } else {
-            pref
-        };
-        let ifma_ok =
-            m.q() < abc_math::shoup::MAX_SHOUP52_MODULUS && n >= 16 && crate::ifma_supported();
-        let harvey_ok = m.q() < MAX_SHOUP_MODULUS;
-        let kernel = match pref {
-            KernelPreference::Golden => Kernel::Golden,
-            KernelPreference::Harvey if harvey_ok => Kernel::Harvey,
-            KernelPreference::Auto | KernelPreference::Ifma if ifma_ok => Kernel::Ifma,
-            _ if harvey_ok => Kernel::Harvey,
-            _ => Kernel::Golden,
-        };
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Auto` reads an unparseable override.
+    pub fn with_kernel(m: Modulus, n: usize, tier: KernelTier) -> Result<Self, MathError> {
+        let tier = tier.or_env();
+        let ifma_ok = m.q() < MAX_SHOUP52_MODULUS && n >= 16 && CpuCaps::detect().ifma();
         let table = TwiddleTable::new(m, n)?;
-        // The dyadic engine follows the same forcing: a golden-forced
-        // plan stays golden end to end (bit-identity tests rely on it),
-        // a Harvey-forced plan exercises the scalar Montgomery vector
-        // path, and Auto/Ifma pick the fastest element-wise kernel.
-        let dyadic = DyadicEngine::with_kernel(
-            m,
-            match pref {
-                KernelPreference::Golden => DyadicPreference::Golden,
-                KernelPreference::Harvey => DyadicPreference::Montgomery,
-                KernelPreference::Ifma => DyadicPreference::Ifma,
-                KernelPreference::Auto => DyadicPreference::Auto,
-            },
-        );
         Ok(Self {
             m,
             n,
             table,
-            kernel,
-            dyadic,
+            kernel: tier.degrade(ifma_ok, m.q() < MAX_SHOUP_MODULUS),
+            // The dyadic engine takes the same tier, so a
+            // reference-forced plan stays golden end to end (the
+            // bit-identity tests rely on it).
+            dyadic: DyadicEngine::with_kernel(m, tier),
         })
     }
 
@@ -200,9 +114,9 @@ impl NttPlan {
     /// labelling.
     pub fn kernel_name(&self) -> &'static str {
         match self.kernel {
-            Kernel::Golden => "golden",
-            Kernel::Harvey => "harvey",
-            Kernel::Ifma => "ifma",
+            KernelTier::Simd => "ifma",
+            KernelTier::Scalar => "harvey",
+            _ => "golden",
         }
     }
 
@@ -236,16 +150,14 @@ impl NttPlan {
     pub fn forward(&self, a: &mut [u64]) {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
+            KernelTier::Simd => {
                 assert_eq!(a.len(), self.n, "polynomial length must equal N");
                 let (tw, _) = self.table.forward_pairs();
                 let tw52 = self.table.forward_shoup52().expect("ifma implies q < 2^50");
                 crate::ntt_ifma::forward(a, self.m.q(), tw, tw52);
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("ifma kernel is never selected off x86-64"),
-            Kernel::Harvey => self.forward_harvey(a),
-            Kernel::Golden => self.forward_with(&self.table, a),
+            KernelTier::Scalar => self.forward_harvey(a),
+            _ => self.forward_with(&self.table, a),
         }
     }
 
@@ -263,16 +175,14 @@ impl NttPlan {
     pub fn forward_lazy(&self, a: &mut [u64]) {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
+            KernelTier::Simd => {
                 assert_eq!(a.len(), self.n, "polynomial length must equal N");
                 let (tw, _) = self.table.forward_pairs();
                 let tw52 = self.table.forward_shoup52().expect("ifma implies q < 2^50");
                 crate::ntt_ifma::forward_lazy(a, self.m.q(), tw, tw52);
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("ifma kernel is never selected off x86-64"),
-            Kernel::Harvey => self.forward_harvey_lazy(a),
-            Kernel::Golden => self.forward_with(&self.table, a),
+            KernelTier::Scalar => self.forward_harvey_lazy(a),
+            _ => self.forward_with(&self.table, a),
         }
     }
 
@@ -333,7 +243,7 @@ impl NttPlan {
         }
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => {
+            KernelTier::Simd => {
                 let (tw, _) = self.table.inverse_pairs();
                 let tw52 = self.table.inverse_shoup52().expect("ifma implies q < 2^50");
                 let (n_inv, n_inv_shoup52) = self.table.n_inv_pair52();
@@ -348,10 +258,8 @@ impl NttPlan {
                     n_inv_shoup52,
                 );
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("ifma kernel is never selected off x86-64"),
-            Kernel::Harvey => self.inverse_harvey_fused(dst, src, sub),
-            Kernel::Golden => {
+            KernelTier::Scalar => self.inverse_harvey_fused(dst, src, sub),
+            _ => {
                 // Reference kernel: materialize the fused prologue as
                 // plain passes (bit-identical, not perf-relevant).
                 if let Some(s) = src {
@@ -698,20 +606,16 @@ mod tests {
     fn fast_kernels_bit_identical_to_golden() {
         // Every fast path must be indistinguishable from the golden
         // TwiddleSource kernel, not merely congruent mod q. Forcing
-        // each preference exercises the scalar Harvey kernel even on
+        // each tier exercises the scalar Harvey kernel even on
         // machines whose Auto choice is IFMA, and vice versa (an
-        // unavailable preference degrades, so this stays green off
+        // unavailable tier degrades, so this stays green off
         // x86-64 too — the degraded plan simply re-checks golden).
         for q in [0xFFF0_0001u64, 0xF_FFF0_0001, 0xFFF_FFFF_C001] {
             let m = Modulus::new(q).unwrap();
             for n in [4usize, 64, 1024] {
-                for pref in [
-                    KernelPreference::Auto,
-                    KernelPreference::Harvey,
-                    KernelPreference::Ifma,
-                ] {
+                for pref in [KernelTier::Auto, KernelTier::Scalar, KernelTier::Simd] {
                     let plan = NttPlan::with_kernel(m, n, pref).unwrap();
-                    assert_ne!(plan.kernel, Kernel::Golden);
+                    assert_ne!(plan.kernel, KernelTier::Reference);
                     let a0 = pseudo_poly(n, q, q ^ n as u64);
                     let mut fast = a0.clone();
                     let mut golden = a0.clone();
@@ -736,10 +640,10 @@ mod tests {
             let m = Modulus::new(q).unwrap();
             for n in [4usize, 64, 1024] {
                 for pref in [
-                    KernelPreference::Golden,
-                    KernelPreference::Harvey,
-                    KernelPreference::Auto,
-                    KernelPreference::Ifma,
+                    KernelTier::Reference,
+                    KernelTier::Scalar,
+                    KernelTier::Auto,
+                    KernelTier::Simd,
                 ] {
                     let plan = NttPlan::with_kernel(m, n, pref).unwrap();
                     let a0 = pseudo_poly(n, q, q ^ (n as u64) << 1);
@@ -779,42 +683,28 @@ mod tests {
     }
 
     #[test]
-    fn parse_kernel_preference_accepts_kernels_and_rejects_garbage() {
-        assert_eq!(parse_kernel_preference(None), Ok(KernelPreference::Auto));
-        assert_eq!(
-            parse_kernel_preference(Some(" ")),
-            Ok(KernelPreference::Auto)
-        );
-        assert_eq!(
-            parse_kernel_preference(Some("Harvey")),
-            Ok(KernelPreference::Harvey)
-        );
-        assert_eq!(
-            parse_kernel_preference(Some("GOLDEN")),
-            Ok(KernelPreference::Golden)
-        );
-        assert_eq!(
-            parse_kernel_preference(Some("ifma")),
-            Ok(KernelPreference::Ifma)
-        );
-        assert!(parse_kernel_preference(Some("montgomery")).is_err());
-        assert!(parse_kernel_preference(Some("2")).is_err());
-    }
-
-    #[test]
     fn env_override_forces_auto_plans_only() {
-        // `harvey` is concurrency-safe in this binary: Auto plans stay
-        // bit-identical to golden and never become golden themselves.
+        // One variable moves every layer. `scalar` is concurrency-safe
+        // in this binary: Auto plans stay bit-identical and never
+        // become the golden / OTF reference.
+        use crate::fft::SpecialFft;
+        use abc_float::F64Field;
         let mut env = abc_math::envtest::EnvGuard::lock();
-        env.set(NTT_KERNEL_ENV, "harvey");
-        let auto = NttPlan::with_kernel(modulus(), 64, KernelPreference::Auto).unwrap();
-        let explicit = NttPlan::with_kernel(modulus(), 64, KernelPreference::Golden).unwrap();
+        env.set(abc_math::kernel::KERNEL_ENV, "scalar");
+        let auto = NttPlan::with_kernel(modulus(), 64, KernelTier::Auto).unwrap();
+        let auto_dyadic = DyadicEngine::new(modulus());
+        let auto_fft = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Auto);
+        let explicit = NttPlan::with_kernel(modulus(), 64, KernelTier::Reference).unwrap();
+        let explicit_fft = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Reference);
         drop(env);
         assert_eq!(auto.kernel_name(), "harvey");
-        // The plan's dyadic engine follows the forced butterfly kernel.
         assert_eq!(auto.dyadic().kernel_name(), "montgomery");
-        // Explicit preferences are never overridden.
+        assert_eq!(auto_dyadic.kernel_name(), "montgomery");
+        assert_eq!(auto_fft.kernel_name(), "scalar");
+        // Explicit tiers are never overridden.
         assert_eq!(explicit.kernel_name(), "golden");
+        assert_eq!(explicit.dyadic().kernel_name(), "golden");
+        assert_eq!(explicit_fft.kernel_name(), "otf");
     }
 
     #[test]
@@ -822,11 +712,11 @@ mod tests {
         let m = modulus();
         // Golden is always honoured; Harvey is honoured below 2^62;
         // n < 16 rules IFMA out regardless of the host CPU.
-        let golden = NttPlan::with_kernel(m, 64, KernelPreference::Golden).unwrap();
+        let golden = NttPlan::with_kernel(m, 64, KernelTier::Reference).unwrap();
         assert_eq!(golden.kernel_name(), "golden");
-        let harvey = NttPlan::with_kernel(m, 64, KernelPreference::Harvey).unwrap();
+        let harvey = NttPlan::with_kernel(m, 64, KernelTier::Scalar).unwrap();
         assert_eq!(harvey.kernel_name(), "harvey");
-        let small = NttPlan::with_kernel(m, 8, KernelPreference::Ifma).unwrap();
+        let small = NttPlan::with_kernel(m, 8, KernelTier::Simd).unwrap();
         assert_eq!(small.kernel_name(), "harvey");
     }
 
@@ -838,7 +728,7 @@ mod tests {
         let q = 4615063718147915777u64;
         let m = Modulus::new(q).unwrap();
         let plan = NttPlan::new(m, 64).unwrap();
-        assert_eq!(plan.kernel, Kernel::Golden);
+        assert_eq!(plan.kernel, KernelTier::Reference);
         assert_eq!(plan.kernel_name(), "golden");
         let a0 = pseudo_poly(64, q, 77);
         let mut a = a0.clone();

@@ -20,20 +20,15 @@
 //! suites).
 //!
 //! Everything here is `x86_64`-only and gated at runtime behind
-//! [`available`]; other architectures (and machines without IFMA) take
-//! the scalar Harvey path in [`crate::ntt::NttPlan`].
+//! [`CpuCaps::detect`]; other architectures (and machines without
+//! IFMA) take the scalar Harvey path in [`crate::ntt::NttPlan`].
 //!
 //! [`TwiddleTable`]: crate::twiddle::TwiddleTable
 
 #![cfg(target_arch = "x86_64")]
 
-use abc_math::shoup;
+use abc_math::{shoup, CpuCaps};
 use core::arch::x86_64::*;
-
-/// Whether this CPU supports the IFMA kernels (AVX-512F + IFMA).
-pub fn available() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
-}
 
 /// Forward negacyclic NTT, Cooley–Tukey, values lazily in `[0, 4q)`,
 /// normalized to `[0, q)` at the end.
@@ -43,15 +38,15 @@ pub fn available() -> bool {
 ///
 /// # Panics
 ///
-/// Debug-asserts [`available`], `q < 2^50` and a power-of-two length
-/// of at least 16.
+/// Asserts [`CpuCaps::ifma`]; debug-asserts `q < 2^50` and a
+/// power-of-two length of at least 16.
 ///
 /// [`TwiddleTable`]: crate::twiddle::TwiddleTable
 pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64]) {
     // Hard assert: this is a safe public fn, so executing the
     // target_feature impl on a CPU without IFMA would be UB reachable
     // from safe code. One branch is noise next to an N ≥ 16 transform.
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
     // SAFETY: the assert above proves the required target features.
@@ -66,7 +61,7 @@ pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64]) {
 ///
 /// Same contract as [`forward`].
 pub fn forward_lazy(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64]) {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
     // SAFETY: the assert above proves the required target features.
@@ -88,7 +83,7 @@ pub fn inverse(
     n_inv_shoup52: u64,
 ) {
     // Hard assert for soundness, as in `forward`.
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
     // SAFETY: the assert above proves the required target features.
@@ -116,7 +111,7 @@ pub fn inverse_fused(
     n_inv: u64,
     n_inv_shoup52: u64,
 ) {
-    assert!(available(), "AVX-512IFMA not available on this CPU");
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     if let Some(s) = src {
         assert_eq!(a.len(), s.len());
     }
@@ -299,7 +294,7 @@ unsafe fn gs_layer(
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrappers
-/// assert [`available`] before dispatching here); slice lengths are a
+/// assert [`CpuCaps::ifma`] before dispatching here); slice lengths are a
 /// power of two ≥ 16, all equal, with twiddle tables of the same size.
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64], normalize: bool) {
@@ -365,7 +360,7 @@ unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64], no
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrappers
-/// assert [`available`] before dispatching here); slice lengths are a
+/// assert [`CpuCaps::ifma`] before dispatching here); slice lengths are a
 /// power of two ≥ 16, all equal, with twiddle tables of the same size.
 #[target_feature(enable = "avx512f,avx512ifma")]
 #[allow(clippy::too_many_arguments)]

@@ -938,6 +938,10 @@ mod tests {
             let (c0, c1) = engine.pk_encrypt_all(&v, &e, &e, &pk, &pk, &m);
             let want = (c0.to_vec(), c1.to_vec());
             drop((c0, c1));
+            // Two workers that ran one after the other shared one scratch
+            // limb; top the class up to what overlapping ones need (c0,
+            // c1 and a scratch limb per worker).
+            drop(engine.take_limbs(2 * ms.len() + threads));
             let before = class();
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 engine.pk_encrypt_all(&v, &e, &e, &pk, &short, &m)

@@ -134,7 +134,7 @@ impl TwiddleTable {
         // construction-time divisions and the dead memory (2·N·8 bytes
         // per prime) on machines that can never read them.
         let (fwd_shoup52, inv_shoup52, n_inv_shoup52) =
-            if q < shoup::MAX_SHOUP52_MODULUS && crate::ifma_supported() {
+            if q < shoup::MAX_SHOUP52_MODULUS && abc_math::CpuCaps::detect().ifma() {
                 (
                     fwd.iter()
                         .map(|&w| shoup::shoup_precompute52(w, q))

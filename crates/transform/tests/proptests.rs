@@ -92,12 +92,12 @@ proptest! {
         // plus whatever Auto picks — IFMA on capable machines);
         // `forward_with`/`inverse_with` on the same table run the golden
         // scalar kernel. Outputs must match bit for bit.
-        use abc_transform::KernelPreference;
+        use abc_math::KernelTier;
         let n = 1usize << log_n;
         let poly: Vec<u64> = (0..n as u64)
             .map(|i| (seed.wrapping_mul(i * 2 + 1)) % m.q())
             .collect();
-        for pref in [KernelPreference::Auto, KernelPreference::Harvey] {
+        for pref in [KernelTier::Auto, KernelTier::Scalar] {
             let plan = NttPlan::with_kernel(m, n, pref).expect("plan");
             let mut fast = poly.clone();
             let mut golden = poly.clone();

@@ -3,9 +3,10 @@
 //! bootstrappable preset size, and the batched [`RnsNttEngine`] must be
 //! invariant under its thread fan-out.
 
+use abc_fhe::math::KernelTier;
 use abc_fhe::math::{primes::generate_ntt_primes, Modulus};
 use abc_fhe::transform::rns_ntt::{threads_from_env, THREADS_ENV};
-use abc_fhe::transform::{KernelPreference, NttPlan, RnsNttEngine};
+use abc_fhe::transform::{NttPlan, RnsNttEngine};
 
 fn preset_moduli(log_n: u32, count: usize) -> Vec<Modulus> {
     // The presets' prime shape: 36-bit NTT primes ≡ 1 mod 2N.
@@ -40,7 +41,7 @@ fn fast_kernels_equal_golden_on_all_presets() {
     for log_n in 13u32..=16 {
         let n = 1usize << log_n;
         for (k, m) in preset_moduli(log_n, 3).into_iter().enumerate() {
-            for pref in [KernelPreference::Auto, KernelPreference::Harvey] {
+            for pref in [KernelTier::Auto, KernelTier::Scalar] {
                 let plan = NttPlan::with_kernel(m, n, pref).expect("plan");
                 let poly = pseudo_poly(n, m.q(), (log_n as u64) << 8 | k as u64);
                 let mut fast = poly.clone();
