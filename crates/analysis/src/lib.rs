@@ -24,7 +24,7 @@
 //!
 //! Because the build container has no registry access, the tool is
 //! dependency-free: a hand-rolled lexer ([`lexer`]) feeds a
-//! structural scanner ([`parse`]) feeds five rules ([`rules`]).
+//! structural scanner ([`parse`]) feeds six rules ([`rules`]).
 //!
 //! # Rules
 //!
@@ -35,6 +35,7 @@
 //! | `lazy-domain-doc` | fns whose name/params mention `lazy`/`2q`/`4q` state an interval bound (`[0, 2q)`-style) in their docs |
 //! | `env-access` | no direct `env::var`/`set_var`/`remove_var` on `ABC_FHE_*` outside `EnvGuard` and allowlisted hardened parsers |
 //! | `gateway-panic-free` | no `unwrap`/`expect`/`panic!`-family in `crates/gateway` non-test request-path code |
+//! | `thread-site` | no `thread::scope`/`spawn`/`Builder` in the library crates (`math`, `float`, `prng`, `transform`, `ckks`) outside tests, except the one limb fan-out function in `crates/transform/src/rns_ntt.rs` |
 //!
 //! Suppressions live in `analysis-allow.toml` at the workspace root;
 //! every entry requires a justification string, and entries that match

@@ -1,4 +1,4 @@
-//! The rule engine: shared context plus the five shipped rules.
+//! The rule engine: shared context plus the six shipped rules.
 //!
 //! Each rule is a function `fn(&Ctx, &File, &mut Vec<Finding>)`; rules
 //! never read the filesystem — everything they need (token streams,
@@ -16,6 +16,7 @@ mod env_access;
 mod panic_path;
 mod safety;
 mod simd_gating;
+mod thread_site;
 
 /// Workspace-wide facts shared by all rules.
 pub struct Ctx {
@@ -62,6 +63,7 @@ pub fn run(files: &[File]) -> Vec<Finding> {
         domain_doc::check(&ctx, f, &mut findings);
         env_access::check(&ctx, f, &mut findings);
         panic_path::check(&ctx, f, &mut findings);
+        thread_site::check(&ctx, f, &mut findings);
     }
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))

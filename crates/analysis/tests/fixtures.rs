@@ -349,6 +349,66 @@ pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     assert!(findings("crates/gateway/src/sync.rs", src).is_empty());
 }
 
+// ---------------------------------------------------------------- rule 6
+
+#[test]
+fn a_second_thread_site_in_a_library_crate_fires() {
+    let src = r#"
+pub fn encode_many(messages: &[Vec<f64>]) {
+    std::thread::scope(|s| {
+        s.spawn(|| messages.len());
+    });
+}
+
+pub fn detached() {
+    let _ = std::thread::Builder::new().spawn(|| ());
+    std::thread::spawn(|| ());
+}
+"#;
+    let found = findings("crates/ckks/src/context.rs", src);
+    assert_eq!(rules(&found), ["thread-site"; 3], "{found:?}");
+    assert_eq!(found[0].line, 3);
+    // Another function of the fan-out's own file is still a second site.
+    let found = findings("crates/transform/src/rns_ntt.rs", src);
+    assert_eq!(rules(&found), ["thread-site"; 3], "{found:?}");
+}
+
+#[test]
+fn the_fan_out_tests_and_the_gateway_may_start_threads() {
+    let src = r#"
+/// Splits the limbs across `std::thread::scope` workers.
+fn fan_out(k: usize) {
+    // thread::spawn would detach; scope joins.
+    std::thread::scope(|s| {
+        for _ in 0..k {
+            s.spawn(|| ());
+        }
+    });
+}
+
+pub fn sleepy() {
+    std::thread::sleep(std::time::Duration::from_millis(1));
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn poisoner() {
+        std::thread::spawn(|| panic!("poison")).join().unwrap_err();
+    }
+}
+"#;
+    assert!(findings("crates/transform/src/rns_ntt.rs", src).is_empty());
+    // The worker pool parallelises across requests: out of scope.
+    let pool = r#"
+pub fn start() {
+    let _ = std::thread::Builder::new().spawn(|| ());
+}
+"#;
+    assert!(findings("crates/gateway/src/service.rs", pool).is_empty());
+    assert!(findings("crates/transform/tests/proptests.rs", pool).is_empty());
+}
+
 // ------------------------------------------------------------ allowlist
 
 #[test]

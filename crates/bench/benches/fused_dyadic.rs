@@ -147,11 +147,11 @@ fn bench_fused_dyadic(c: &mut Criterion) {
             },
         );
     }
-    // Engine-level chain shapes at the acceptance size: the real
-    // symmetric-encrypt c0 and rescale chains are RNS-wide (many limbs
-    // at N = 2^15, so the working set lives beyond L2) and the win is
-    // the eliminated memory passes — one fused engine call versus the
-    // unfused call sequence each site used to run.
+    // Engine-level chain shape at the acceptance size: the real
+    // symmetric-encrypt c0 chain is RNS-wide (many limbs at N = 2^15,
+    // so the working set lives beyond L2) and the win is the eliminated
+    // memory passes — one fused engine call versus the unfused call
+    // sequence the site used to run.
     {
         use abc_transform::RnsNttEngine;
         let n = 1usize << 15;
@@ -170,10 +170,9 @@ fn bench_fused_dyadic(c: &mut Criterion) {
                 .collect()
         };
         let (a0, b, cc, d) = (gen(11), gen(211), gen(3011), gen(40011));
-        let scalars: Vec<u64> = moduli.iter().map(|m| m.q() - 12345).collect();
-        // Both chain shapes map canonical residues to canonical
-        // residues and their cost is data-oblivious, so the iterations
-        // compose in place — no reset copy inflating either side.
+        // The chain maps canonical residues to canonical residues and
+        // its cost is data-oblivious, so the iterations compose in
+        // place — no reset copy inflating either side.
         let mut buf = a0.clone();
         // Symmetric-encrypt c0: c0 = e + m − mask·s, fused vs the
         // mul/neg/add/add engine sequence the call site used to run.
@@ -196,28 +195,6 @@ fn bench_fused_dyadic(c: &mut Criterion) {
                     engine.neg_assign_all(x);
                     engine.add_assign_all(x, &cc);
                     engine.add_assign_all(x, &d);
-                })
-            },
-        );
-        // Rescale: kept = (kept − tail)·q_last⁻¹, fused vs the
-        // sub_assign_all + dyadic_scalar_mul_all sequence.
-        g.bench_with_input(
-            BenchmarkId::new("rns_sub_scalar_mul_fused", n),
-            &n,
-            |bch, _| {
-                bch.iter(|| {
-                    engine.sub_scalar_mul_all(black_box(&mut buf), &b, &scalars);
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("rns_sub_scalar_mul_unfused", n),
-            &n,
-            |bch, _| {
-                bch.iter(|| {
-                    let x = black_box(&mut buf);
-                    engine.sub_assign_all(x, &b);
-                    engine.dyadic_scalar_mul_all(x, &scalars);
                 })
             },
         );

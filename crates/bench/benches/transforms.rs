@@ -1,12 +1,12 @@
 //! Criterion benchmarks for the Fourier layer: negacyclic NTT — Harvey
 //! fast path vs the golden scalar kernel vs on-the-fly twiddles —
 //! batched RNS transforms at 1 and many threads, and the CKKS special
-//! FFT: on-the-fly vs planned-twiddle vs batch engine, on the FP64,
-//! FP55 and ExtF64 datapaths.
+//! FFT: on-the-fly vs planned-twiddle, on the FP64, FP55 and ExtF64
+//! datapaths.
 
 use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::{primes::generate_ntt_primes, KernelTier, Modulus};
-use abc_transform::{NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft, SpecialFftEngine};
+use abc_transform::{NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_ntt(c: &mut Criterion) {
@@ -145,23 +145,6 @@ fn bench_fft_field<F: RealField>(
             },
         );
     }
-    // Batch engine, 4 vectors, single thread (the bench box has one
-    // vCPU; thread fan-out is measured on multi-core hosts).
-    let engine = SpecialFftEngine::with_threads(field, slots, 1);
-    let batch0: Vec<Vec<Complex<F::Real>>> = (0..4).map(|_| vals.clone()).collect();
-    let mut batch = batch0.clone();
-    g.bench_with_input(
-        BenchmarkId::new(format!("forward_engine_batch4_{label}"), slots),
-        &slots,
-        |b, _| {
-            b.iter(|| {
-                for (dst, src) in batch.iter_mut().zip(&batch0) {
-                    dst.copy_from_slice(src);
-                }
-                engine.forward_batch(black_box(&mut batch));
-            })
-        },
-    );
 }
 
 fn bench_fft(c: &mut Criterion) {
@@ -171,7 +154,7 @@ fn bench_fft(c: &mut Criterion) {
         // OTF at every size: the planned-vs-OTF ratio is the headline
         // (acceptance: planned ≥ 3× OTF at N = 2^15, i.e. 2^14 slots).
         bench_fft_field(&mut g, F64Field, "fp64", slots, true);
-        // Reduced and extended datapaths: planned + engine only at the
+        // Reduced and extended datapaths: planned only at the
         // small sizes (ExtF64 OTF regenerates 192-bit fixed-point
         // twiddles per butterfly — benchmarked once, below).
         if log_slots <= 12 {

@@ -181,10 +181,10 @@ impl Ciphertext {
         }
     }
 
-    /// In-memory / wire-v2 size in bytes (both components, full 8 B per
-    /// residue coefficient). The v3 wire format bit-packs residues to
-    /// their prime's width — use [`Self::packed_byte_size`] for the
-    /// bytes actually transported (and charged by the simulator).
+    /// In-memory size in bytes (both components, full 8 B per residue
+    /// coefficient). The wire format bit-packs residues to their
+    /// prime's width — use [`Self::packed_byte_size`] for the bytes
+    /// actually transported (and charged by the simulator).
     pub fn byte_size(&self) -> usize {
         2 * self.num_primes() * self.n * 8
     }
@@ -251,8 +251,8 @@ impl Degree2Ciphertext {
         (&self.c0, &self.c1, &self.c2)
     }
 
-    /// In-memory / wire-v2 size in bytes (three components, full 8 B
-    /// per residue coefficient) — [`Ciphertext::byte_size`] parity for
+    /// In-memory size in bytes (three components, full 8 B per
+    /// residue coefficient) — [`Ciphertext::byte_size`] parity for
     /// the degree-2 intermediate, 1.5× the degree-1 figure at the same
     /// level.
     pub fn byte_size(&self) -> usize {

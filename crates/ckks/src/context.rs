@@ -14,8 +14,9 @@ use abc_transform::{NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
 
 /// The context's canonical-embedding engine, instantiated at the
 /// datapath selected by [`CkksParams::embedding_precision`] — one
-/// planned per-(slots, datapath) twiddle table plus the batch thread
-/// fan-out, built once per context.
+/// planned per-(slots, datapath) twiddle table plus its slot-buffer
+/// pool, built once per context. Every embedding FFT runs on the
+/// calling thread.
 #[derive(Debug)]
 pub enum EmbeddingEngine {
     /// IEEE binary64 (the reference datapath).
@@ -69,8 +70,8 @@ macro_rules! with_embedding {
 
 /// A ready-to-use CKKS client: owns the RNS basis, a batched
 /// [`RnsNttEngine`] (one Harvey-butterfly NTT plan per prime, limb
-/// fan-out across threads), and a batched [`SpecialFftEngine`] holding
-/// the planned canonical-embedding twiddle table at the configured
+/// fan-out across threads), and a [`SpecialFftEngine`] holding the
+/// planned canonical-embedding twiddle table at the configured
 /// [`EmbeddingPrecision`].
 ///
 /// The four public operations mirror the paper's Fig. 2a:
@@ -78,6 +79,13 @@ macro_rules! with_embedding {
 /// [`encrypt`](Self::encrypt) (PRNG mask/error + public-key combination),
 /// [`decrypt`](Self::decrypt) (`c0 + c1·s`),
 /// [`decode`](Self::decode) (INTT → combine CRT → FFT).
+///
+/// Like the accelerator, a context streams **one message at a time**:
+/// the only threads an operation starts are the engine's limb fan-out.
+/// A caller holding several messages loops the single-op path (dropping
+/// each plaintext before making the next keeps the limb pool inside its
+/// one-operation allowance) or runs one context per worker, as the
+/// gateway does.
 #[derive(Debug)]
 pub struct CkksContext {
     params: CkksParams,
@@ -143,7 +151,7 @@ impl CkksContext {
     }
 
     /// The canonical-embedding engine at the configured
-    /// [`EmbeddingPrecision`] (planned twiddles + batch thread fan-out).
+    /// [`EmbeddingPrecision`] (planned twiddles + slot-buffer pool).
     pub fn embedding(&self) -> &EmbeddingEngine {
         &self.embedding
     }
@@ -268,7 +276,7 @@ impl CkksContext {
         message: &[Complex],
         scale: &ExactScale,
     ) -> Result<Plaintext, CkksError> {
-        let engine = SpecialFftEngine::with_threads(field.clone(), self.params.slots(), 1);
+        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
         self.encode_core(&engine, message, scale)
     }
 
@@ -381,7 +389,7 @@ impl CkksContext {
         field: &F,
         pt: &Plaintext,
     ) -> Result<Vec<Complex>, CkksError> {
-        let engine = SpecialFftEngine::with_threads(field.clone(), self.params.slots(), 1);
+        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
         self.decode_core(&engine, pt)
     }
 
@@ -394,19 +402,10 @@ impl CkksContext {
     ) -> Result<Vec<Complex>, CkksError> {
         let mut vals = self.decode_to_slots(engine, pt)?;
         engine.forward(&mut vals);
-        Ok(Self::narrow_slots(engine, vals))
-    }
-
-    /// The datapath's slot values as `f64` pairs; the slot buffer goes
-    /// back to `engine`'s pool.
-    fn narrow_slots<F: RealField>(
-        engine: &SpecialFftEngine<F>,
-        vals: Vec<Complex<F::Real>>,
-    ) -> Vec<Complex> {
         let field = engine.plan().field();
         let out = vals.iter().map(|v| v.to_f64_in(field)).collect();
         engine.recycle(vals);
-        out
+        Ok(out)
     }
 
     /// Everything decode does *before* the forward embedding, as one
@@ -449,180 +448,6 @@ impl CkksContext {
             }
         });
         Ok(vals)
-    }
-
-    /// Encodes a batch of messages, fanning the inverse-embedding FFTs
-    /// out across the engine's threads (`ABC_FHE_THREADS`). Bit-identical
-    /// to encoding each message with [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::encode`]; the first failing message aborts the batch.
-    pub fn encode_batch(&self, messages: &[Vec<Complex>]) -> Result<Vec<Plaintext>, CkksError> {
-        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        with_embedding!(self, e => {
-            let slots = self.params.slots();
-            let field = *e.plan().field();
-            for m in messages {
-                if m.len() > slots {
-                    return Err(CkksError::TooManySlots {
-                        got: m.len(),
-                        max: slots,
-                    });
-                }
-            }
-            // Stage 1: all inverse FFTs, thread fan-out over the batch.
-            let mut batch: Vec<_> = messages
-                .iter()
-                .map(|m| {
-                    let mut vals = e.take_buf();
-                    for (dst, &z) in vals.iter_mut().zip(m) {
-                        *dst = z.lift_in(&field);
-                    }
-                    vals
-                })
-                .collect();
-            e.inverse_batch(&mut batch);
-            // Stage 2: per-message exact quantization + batched NTTs
-            // (the NTT engine fans limbs out internally).
-            batch
-                .into_iter()
-                .map(|vals| {
-                    let coeffs = e.plan().slots_to_coeffs(&vals);
-                    e.recycle(vals);
-                    Ok(Plaintext {
-                        rns: self.quantize_coeffs(&field, &coeffs, &scale)?,
-                        scale: scale.clone(),
-                        n: self.params.n(),
-                    })
-                })
-                .collect()
-        })
-    }
-
-    /// Decodes a batch of plaintexts, fanning the forward-embedding FFTs
-    /// out across the engine's threads. Bit-identical to decoding each
-    /// with [`Self::decode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::decode`]; the first failing plaintext aborts the
-    /// batch.
-    pub fn decode_batch(&self, pts: &[Plaintext]) -> Result<Vec<Vec<Complex>>, CkksError> {
-        with_embedding!(self, e => {
-            let mut batch = pts
-                .iter()
-                .map(|pt| self.decode_to_slots(e, pt))
-                .collect::<Result<Vec<_>, _>>()?;
-            e.forward_batch(&mut batch);
-            Ok(batch
-                .into_iter()
-                .map(|vals| Self::narrow_slots(e, vals))
-                .collect())
-        })
-    }
-
-    /// [`Self::encode_batch`] as a two-stage software pipeline: a
-    /// producer thread runs the inverse-embedding FFT of message `i+1`
-    /// while this thread Δ-rounds and NTTs message `i`, with a
-    /// depth-2 channel between the stages. The producer transforms on
-    /// the *plan* (single-threaded per message) so the NTT engine's own
-    /// limb fan-out is never oversubscribed. Bit-identical to
-    /// [`Self::encode_batch`] and to encoding each message with
-    /// [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::encode`]; the first failing message aborts the batch.
-    pub fn encode_batch_pipelined(
-        &self,
-        messages: &[Vec<Complex>],
-    ) -> Result<Vec<Plaintext>, CkksError> {
-        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        with_embedding!(self, e => {
-            let slots = self.params.slots();
-            let field = *e.plan().field();
-            for m in messages {
-                if m.len() > slots {
-                    return Err(CkksError::TooManySlots {
-                        got: m.len(),
-                        max: slots,
-                    });
-                }
-            }
-            let plan = e.plan();
-            let (tx, rx) = std::sync::mpsc::sync_channel(2);
-            std::thread::scope(|s| {
-                // Stage 1 (producer): lift + inverse embedding through
-                // the engine's pooled slot buffers, one message ahead.
-                s.spawn(move || {
-                    for m in messages {
-                        let mut vals = e.take_buf();
-                        for (dst, &z) in vals.iter_mut().zip(m) {
-                            *dst = z.lift_in(&field);
-                        }
-                        plan.inverse(&mut vals);
-                        let coeffs = plan.slots_to_coeffs(&vals);
-                        e.recycle(vals);
-                        if tx.send(coeffs).is_err() {
-                            break; // consumer aborted on a quantize error
-                        }
-                    }
-                });
-                // Stage 2 (this thread): exact Δ-rounding + batched NTT,
-                // overlapping the producer's FFT of the next message.
-                let mut out = Vec::with_capacity(messages.len());
-                for coeffs in rx {
-                    out.push(Plaintext {
-                        rns: self.quantize_coeffs(&field, &coeffs, &scale)?,
-                        scale: scale.clone(),
-                        n: self.params.n(),
-                    });
-                }
-                Ok(out)
-            })
-        })
-    }
-
-    /// [`Self::decode_batch`] as a two-stage software pipeline: a
-    /// producer thread runs INTT + exact CRT lift + scale division of
-    /// plaintext `i+1` while this thread runs the forward embedding of
-    /// plaintext `i`. Bit-identical to [`Self::decode_batch`] and to
-    /// decoding each plaintext with [`Self::decode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::decode`]; the first failing plaintext aborts the
-    /// batch.
-    pub fn decode_batch_pipelined(
-        &self,
-        pts: &[Plaintext],
-    ) -> Result<Vec<Vec<Complex>>, CkksError> {
-        with_embedding!(self, e => {
-            let plan = e.plan();
-            let (tx, rx) = std::sync::mpsc::sync_channel(2);
-            std::thread::scope(|s| {
-                // Stage 1 (producer): the pre-embedding half of decode,
-                // one plaintext ahead. Errors flow through the channel.
-                s.spawn(move || {
-                    for pt in pts {
-                        let res = self.decode_to_slots(e, pt);
-                        let failed = res.is_err();
-                        if tx.send(res).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-                // Stage 2 (this thread): forward embedding + narrowing.
-                let mut out = Vec::with_capacity(pts.len());
-                for slots in rx {
-                    let mut vals = slots?;
-                    plan.forward(&mut vals);
-                    out.push(Self::narrow_slots(e, vals));
-                }
-                Ok(out)
-            })
-        })
     }
 
     // ------------------------------------------------------------------
@@ -996,49 +821,6 @@ mod tests {
         let (_, pk) = ctx.keygen(Seed::from_u128(48));
         assert_eq!(pk.byte_size(), 2 * 4 * 512 * 8);
         assert_eq!(pk.num_primes(), 4);
-    }
-
-    #[test]
-    fn pipelined_batch_encode_decode_bit_identical() {
-        let ctx = small_context();
-        let slots = ctx.params().slots();
-        let msgs: Vec<Vec<Complex>> = (0..5).map(|i| test_message(slots - 7 * i)).collect();
-        let serial = ctx.encode_batch(&msgs).unwrap();
-        let piped = ctx.encode_batch_pipelined(&msgs).unwrap();
-        assert_eq!(serial, piped, "pipelined encode must match batch encode");
-        let dec_serial = ctx.decode_batch(&serial).unwrap();
-        let dec_piped = ctx.decode_batch_pipelined(&piped).unwrap();
-        assert_eq!(
-            dec_serial, dec_piped,
-            "pipelined decode must match batch decode"
-        );
-    }
-
-    #[test]
-    fn pipelined_batch_propagates_errors() {
-        let ctx = small_context();
-        let msgs = vec![test_message(4), test_message(ctx.params().slots() + 1)];
-        assert!(matches!(
-            ctx.encode_batch_pipelined(&msgs),
-            Err(CkksError::TooManySlots { .. })
-        ));
-        let other = CkksContext::new(
-            CkksParams::builder()
-                .log_n(8)
-                .num_primes(2)
-                .secret_hamming_weight(None)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let pts = vec![
-            ctx.encode(&test_message(4)).unwrap(),
-            other.encode(&test_message(4)).unwrap(),
-        ];
-        assert!(matches!(
-            ctx.decode_batch_pipelined(&pts),
-            Err(CkksError::ContextMismatch)
-        ));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Wire format for ciphertexts — the client↔server transport whose byte
 //! counts drive the paper's DRAM-traffic analysis.
 //!
-//! A simple versioned little-endian layout (no external dependencies):
+//! One strict versioned little-endian layout (no external dependencies):
 //!
 //! ```text
 //! magic    "ABCF"            4 B
-//! version  u16 (= 2 or 3)    2 B
+//! version  u16 (= 3)         2 B
 //! kind     u8 (1=full ct)    1 B
 //! log_n    u8                1 B
 //! primes   u16               2 B
@@ -14,25 +14,25 @@
 //! den_len  u16               2 B    │ num·2^exp / ∏den
 //! num      num_len B         var    │ (num little-endian bigint,
 //! den      den_len · 8 B     var   ─┘  den the dropped primes)
-//! v3 only: widths            primes · 1 B (per-prime residue bit width)
-//! c0 residues                v2: primes · N · 8 B; v3: Σ ⌈N·wᵢ/8⌉ B
+//! widths                     primes · 1 B (per-prime residue bit width)
+//! c0 residues                Σ ⌈N·wᵢ/8⌉ B
 //! c1 residues                same as c0
 //! ```
 //!
-//! Version 2 transports the scale as the **exact rational** the
-//! evaluator tracks ([`crate::scale::ExactScale`]) instead of a lossy
-//! `f64`, but stores residues as full `u64` words.
-//!
-//! Version 3 **bit-packs every residue to its prime's width**, taken
-//! from the RNS basis (not from the data): the bootstrappable basis is
-//! 36-bit primes plus the 3-bit-widened special prime q₀ (39 bits), so a
-//! packed coefficient averages (23·36 + 39)/24 = 36.125 bits against the
-//! 64-bit words of v2 — **×0.57** of the transport bytes (not the ×0.69
+//! The scale travels as the **exact rational** the evaluator tracks
+//! ([`crate::scale::ExactScale`]) instead of a lossy `f64`, and **every
+//! residue is bit-packed to its prime's width**, taken from the RNS
+//! basis (not from the data): the bootstrappable basis is 36-bit primes
+//! plus the 3-bit-widened special prime q₀ (39 bits), so a packed
+//! coefficient averages (23·36 + 39)/24 = 36.125 bits against the 64-bit
+//! words it occupies in memory — **×0.57** of those bytes (not the ×0.69
 //! a uniform 44-bit residue would give; 44 bits is the *hardware
 //! datapath* width, which never appears on this wire). The packed byte
 //! count is exactly what `abc-sim`'s DRAM/stream model charges when
-//! configured with `SimConfig::with_wire_widths`. Decoders accept both
-//! versions; v2 remains readable forever.
+//! configured with `SimConfig::with_wire_widths`. This is version 3 and
+//! the only one: a header carrying any other version number — the
+//! full-word version 2 this format replaced included — is rejected like
+//! any other malformed input.
 //!
 //! All five v3 kinds share one packer and one unpacker (`pack_bits`,
 //! `unpack_bits`), and both move whole words: eight residues are exactly
@@ -42,12 +42,12 @@
 //! accumulated in the pack pass itself; a polynomial is looked through
 //! a second time only to name the offending residue in the error.
 //!
-//! **Compressed (seeded) ciphertexts** serialize via kind 2 (v3-packed
-//! only): the shared ciphertext header, then the 16-byte mask seed in
+//! **Compressed (seeded) ciphertexts** serialize via kind 2: the shared
+//! ciphertext header, then the 16-byte mask seed in
 //! place of `c1`, then the width table and the packed `c0` residues —
 //! roughly half the bytes of a kind-1 v3 ciphertext.
 //!
-//! **Evaluation keys** (kinds 3/4, v3-packed only) carry the RNS-gadget
+//! **Evaluation keys** (kinds 3/4) carry the RNS-gadget
 //! key-switching material a server needs — `digits · limbs` polynomial
 //! pairs, each residue bit-packed to its prime's width:
 //!
@@ -73,7 +73,6 @@ use abc_prng::Seed;
 use abc_transform::pool;
 
 const MAGIC: &[u8; 4] = b"ABCF";
-const VERSION_WORDS: u16 = 2;
 const VERSION_PACKED: u16 = 3;
 const KIND_FULL: u8 = 1;
 const KIND_COMPRESSED: u8 = 2;
@@ -217,15 +216,8 @@ fn unpack_polys(bytes: &[u8], cursor: &mut usize, n: usize, widths: &[u32]) -> V
     polys.collect()
 }
 
-/// The shared header + exact-scale payload (both versions, kinds 1/2).
-fn write_header(
-    out: &mut Vec<u8>,
-    version: u16,
-    kind: u8,
-    n: usize,
-    primes: usize,
-    scale: &ExactScale,
-) {
+/// The shared header + exact-scale payload (kinds 1/2).
+fn write_header(out: &mut Vec<u8>, kind: u8, n: usize, primes: usize, scale: &ExactScale) {
     let (num, exp, den) = scale.raw_parts();
     let num_bytes = num.to_le_bytes();
     let num_len =
@@ -233,7 +225,7 @@ fn write_header(
     let den_len =
         u16::try_from(den.len()).expect("scale denominator exceeds the wire format's u16 count");
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
     out.push(kind);
     out.push(n.trailing_zeros() as u8);
     out.extend_from_slice(&(primes as u16).to_le_bytes());
@@ -255,11 +247,6 @@ fn header_len(ct: &Ciphertext) -> usize {
     scale_header_len(ct.exact_scale())
 }
 
-/// Exact serialized size of a ciphertext in the v2 (full-word) format.
-pub fn serialized_len(ct: &Ciphertext) -> usize {
-    header_len(ct) + 2 * ct.num_primes() * ct.n() * 8
-}
-
 /// Exact serialized size in the v3 packed format under `widths`.
 pub fn packed_serialized_len(ct: &Ciphertext, widths: &[u32]) -> usize {
     let polys: usize = widths.iter().map(|&w| packed_poly_bytes(ct.n(), w)).sum();
@@ -272,35 +259,6 @@ pub fn packed_serialized_len(ct: &Ciphertext, widths: &[u32]) -> usize {
 pub fn packed_degree2_serialized_len(ct: &Degree2Ciphertext, widths: &[u32]) -> usize {
     let polys: usize = widths.iter().map(|&w| packed_poly_bytes(ct.n(), w)).sum();
     scale_header_len(ct.exact_scale()) + ct.num_primes() + 3 * polys
-}
-
-/// Serializes a ciphertext to the v2 wire format (full 64-bit words).
-///
-/// # Panics
-///
-/// Panics if the exact-scale encoding exceeds the format's `u16`
-/// length fields (a numerator beyond 64 KiB or more than 65535 dropped
-/// primes — thousands of unreduced multiplications past any modulus
-/// budget); truncating silently would emit a blob the decoder rejects.
-pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
-    let mut out = Vec::with_capacity(serialized_len(ct));
-    write_header(
-        &mut out,
-        VERSION_WORDS,
-        KIND_FULL,
-        ct.n(),
-        ct.num_primes(),
-        ct.exact_scale(),
-    );
-    let (c0, c1) = ct.components();
-    for component in [c0, c1] {
-        for poly in component {
-            for &w in poly {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-    }
-    out
 }
 
 /// Serializes a ciphertext to the v3 wire format, bit-packing each
@@ -317,7 +275,10 @@ pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics on oversize scale encodings, as [`serialize_ciphertext`].
+/// Panics if the exact-scale encoding exceeds the format's `u16`
+/// length fields (a numerator beyond 64 KiB or more than 65535 dropped
+/// primes — thousands of unreduced multiplications past any modulus
+/// budget); truncating silently would emit a blob the decoder rejects.
 pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
     let err = |msg: String| CkksError::InvalidParams(format!("wire: {msg}"));
     if widths.len() != ct.num_primes() {
@@ -334,7 +295,6 @@ pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Ve
     let mut out = Vec::with_capacity(packed_serialized_len(ct, widths));
     write_header(
         &mut out,
-        VERSION_PACKED,
         KIND_FULL,
         ct.n(),
         ct.num_primes(),
@@ -353,7 +313,6 @@ pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Ve
 
 /// Parsed common ciphertext header (kinds 1 and 2).
 struct CtHeader {
-    version: u16,
     n: usize,
     primes: usize,
     scale: ExactScale,
@@ -371,8 +330,7 @@ fn parse_ct_header(bytes: &[u8], expect_kind: u8) -> Result<CtHeader, CkksError>
     if &bytes[0..4] != MAGIC {
         return Err(err("bad magic"));
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-    if version != VERSION_WORDS && version != VERSION_PACKED {
+    if u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")) != VERSION_PACKED {
         return Err(err("unsupported version"));
     }
     if bytes[6] != expect_kind {
@@ -404,7 +362,6 @@ fn parse_ct_header(bytes: &[u8], expect_kind: u8) -> Result<CtHeader, CkksError>
     let scale =
         ExactScale::from_raw_parts(num, exp, den).ok_or_else(|| err("invalid scale encoding"))?;
     Ok(CtHeader {
-        version,
         n,
         primes,
         scale,
@@ -412,7 +369,7 @@ fn parse_ct_header(bytes: &[u8], expect_kind: u8) -> Result<CtHeader, CkksError>
     })
 }
 
-/// Deserializes a ciphertext from the wire format (v2 or v3).
+/// Deserializes a ciphertext from the wire format.
 ///
 /// # Errors
 ///
@@ -421,44 +378,14 @@ fn parse_ct_header(bytes: &[u8], expect_kind: u8) -> Result<CtHeader, CkksError>
 /// an invalid scale encoding.
 pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
     let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    let hdr = parse_ct_header(bytes, KIND_FULL)?;
     let CtHeader {
-        version,
         n,
         primes,
         scale,
         scale_end,
-    } = hdr;
+    } = parse_ct_header(bytes, KIND_FULL)?;
 
-    if version == VERSION_WORDS {
-        let expected = scale_end + 2 * primes * n * 8;
-        if bytes.len() != expected {
-            return Err(err("payload length mismatch"));
-        }
-        let mut cursor = scale_end;
-        let read_component = |cursor: &mut usize| -> Vec<Vec<u64>> {
-            // Full words; adopted by the limb pool like any caller-built
-            // component.
-            (0..primes)
-                .map(|_| {
-                    (0..n)
-                        .map(|_| {
-                            let w = u64::from_le_bytes(
-                                bytes[*cursor..*cursor + 8].try_into().expect("8 bytes"),
-                            );
-                            *cursor += 8;
-                            w
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let c0 = read_component(&mut cursor);
-        let c1 = read_component(&mut cursor);
-        return Ciphertext::from_components_exact(c0, c1, scale);
-    }
-
-    // v3: per-prime widths, then bit-packed polynomials.
+    // Per-prime widths, then bit-packed polynomials.
     if bytes.len() < scale_end + primes {
         return Err(err("truncated width table"));
     }
@@ -501,7 +428,7 @@ pub fn compressed_serialized_len(cct: &CompressedCiphertext, widths: &[u32]) -> 
 ///
 /// # Panics
 ///
-/// Panics on oversize scale encodings, as [`serialize_ciphertext`].
+/// Panics on oversize scale encodings, as [`serialize_ciphertext_packed`].
 pub fn serialize_compressed_ciphertext(
     cct: &CompressedCiphertext,
     widths: &[u32],
@@ -520,7 +447,6 @@ pub fn serialize_compressed_ciphertext(
     let mut out = Vec::with_capacity(compressed_serialized_len(cct, widths));
     write_header(
         &mut out,
-        VERSION_PACKED,
         KIND_COMPRESSED,
         cct.n(),
         cct.num_primes(),
@@ -536,7 +462,7 @@ pub fn serialize_compressed_ciphertext(
     Ok(out)
 }
 
-/// Deserializes a seed-compressed ciphertext (kind 2, v3 packed).
+/// Deserializes a seed-compressed ciphertext (kind 2).
 /// Expand it back into a full ciphertext with
 /// [`CompressedCiphertext::expand`].
 ///
@@ -547,17 +473,12 @@ pub fn serialize_compressed_ciphertext(
 /// garbage, or an invalid scale encoding.
 pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphertext, CkksError> {
     let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    let hdr = parse_ct_header(bytes, KIND_COMPRESSED)?;
-    if hdr.version != VERSION_PACKED {
-        return Err(err("compressed ciphertexts are v3-packed only"));
-    }
     let CtHeader {
         n,
         primes,
         scale,
         scale_end,
-        ..
-    } = hdr;
+    } = parse_ct_header(bytes, KIND_COMPRESSED)?;
     if bytes.len() < scale_end + 16 {
         return Err(err("truncated mask seed"));
     }
@@ -791,11 +712,35 @@ mod tests {
 
     #[test]
     fn roundtrip_bit_exact() {
-        let (_, ct) = sample_ct();
-        let bytes = serialize_ciphertext(&ct);
-        assert_eq!(bytes.len(), serialized_len(&ct));
-        let back = deserialize_ciphertext(&bytes).expect("roundtrip");
-        assert_eq!(back, ct);
+        // At every level a server can send back, not only fresh.
+        let (ctx, fresh) = sample_ct();
+        for primes in 1..=fresh.num_primes() {
+            let ct = fresh.truncated(primes);
+            let widths = ctx.wire_widths(primes);
+            let bytes = serialize_ciphertext_packed(&ct, &widths).expect("pack");
+            assert_eq!(bytes.len(), packed_serialized_len(&ct, &widths));
+            let back = deserialize_ciphertext(&bytes).expect("roundtrip");
+            assert_eq!(back, ct, "{primes} primes");
+        }
+    }
+
+    #[test]
+    fn version_2_headers_are_rejected_like_any_unknown_version() {
+        // The full-word v2 format is gone: its version number gets the
+        // same typed error as one that never existed, for both
+        // ciphertext kinds (the version is checked before the kind).
+        let (ctx, ct) = sample_ct();
+        let widths = ctx.wire_widths(ct.num_primes());
+        let good = serialize_ciphertext_packed(&ct, &widths).expect("pack");
+        let unsupported = Some(CkksError::InvalidParams(
+            "wire: unsupported version".to_owned(),
+        ));
+        for version in [2u16, 99] {
+            let mut blob = good.clone();
+            blob[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(deserialize_ciphertext(&blob).err(), unsupported);
+            assert_eq!(deserialize_compressed_ciphertext(&blob).err(), unsupported);
+        }
     }
 
     #[test]
@@ -908,11 +853,12 @@ mod tests {
     fn packed_shrinks_by_the_width_ratio() {
         let (ctx, ct) = sample_ct();
         let widths = ctx.wire_widths(ct.num_primes());
-        let full = serialize_ciphertext(&ct).len();
+        let full = ct.byte_size();
         let packed = serialize_ciphertext_packed(&ct, &widths)
             .expect("pack")
             .len();
-        // Basis: ~39-bit special prime + 36-bit primes, vs 64-bit words.
+        // Basis: ~39-bit special prime + 36-bit primes, vs the 64-bit
+        // words of the ciphertext in memory.
         let expect_ratio = packed_bits_per_coeff(&widths) / 64.0;
         let got_ratio = packed as f64 / full as f64;
         assert!(
@@ -925,7 +871,7 @@ mod tests {
     #[test]
     fn bootstrappable_packing_ratio_is_057() {
         // The honest headline: 23 primes at 36 bits + q0 at 39 bits →
-        // 36.125 bits/coeff → ×0.5645 of the v2 words. (The stale ×0.69
+        // 36.125 bits/coeff → ×0.5645 of the 64-bit words. (The stale ×0.69
         // figure assumed the 44-bit *datapath* width on the wire.)
         let widths: Vec<u32> = std::iter::once(39).chain([36; 23]).collect();
         let ratio = packed_bits_per_coeff(&widths) / 64.0;
@@ -1034,33 +980,32 @@ mod tests {
 
     #[test]
     fn rescaled_exact_scale_survives_the_wire() {
-        // The whole point of v2/v3: a server-side rescale history (exact
-        // rational scale, dropped primes included) round-trips — in both
-        // formats.
+        // The whole point of the exact-scale header: a server-side
+        // rescale history (exact rational scale, dropped primes
+        // included) round-trips.
         let (ctx, ct) = sample_ct();
         let prod =
             evaluator::plaintext_mul(&ctx, &ct, &ctx.encode(&[Complex::new(0.5, 0.0)]).unwrap())
                 .expect("mul");
         let rescaled = evaluator::rescale(&ctx, &prod).expect("rescale");
         assert!(!rescaled.exact_scale().dropped_primes().is_empty());
-        let back = deserialize_ciphertext(&serialize_ciphertext(&rescaled)).expect("wire");
-        assert_eq!(back.exact_scale(), rescaled.exact_scale());
-        assert_eq!(back, rescaled);
         let widths = ctx.wire_widths(rescaled.num_primes());
         let packed = serialize_ciphertext_packed(&rescaled, &widths).expect("pack");
-        let back = deserialize_ciphertext(&packed).expect("wire v3");
+        let back = deserialize_ciphertext(&packed).expect("wire");
         assert_eq!(back.exact_scale(), rescaled.exact_scale());
         assert_eq!(back, rescaled);
     }
 
     #[test]
     fn wire_size_matches_accounting() {
-        let (_, ct) = sample_ct();
-        let bytes = serialize_ciphertext(&ct);
-        // Fresh power-of-two scale: num = 1 (one byte), empty den.
-        assert_eq!(bytes.len(), FIXED_HEADER + 1 + 2 * 3 * 256 * 8);
-        let words = 2 * ct.num_primes() * ct.n() * 8;
-        assert_eq!(bytes.len() - FIXED_HEADER - 1, words);
+        let (ctx, ct) = sample_ct();
+        let widths = ctx.wire_widths(ct.num_primes());
+        let bytes = serialize_ciphertext_packed(&ct, &widths).expect("pack");
+        // Fresh power-of-two scale: num = 1 (one byte), empty den; then
+        // a width byte per prime and 256 residues per polynomial at its
+        // prime's width (256·w bits is whole bytes: 32·w).
+        let polys: usize = widths.iter().map(|&w| 32 * w as usize).sum();
+        assert_eq!(bytes.len(), FIXED_HEADER + 1 + 3 + 2 * polys);
     }
 
     #[test]
@@ -1127,7 +1072,8 @@ mod tests {
         assert!(deserialize_eval_key(&gk_bytes).is_err());
         // A ciphertext blob is neither.
         let (_, ct) = sample_ct();
-        assert!(deserialize_eval_key(&serialize_ciphertext(&ct)).is_err());
+        let ct_bytes = serialize_ciphertext_packed(&ct, &widths).expect("pack");
+        assert!(deserialize_eval_key(&ct_bytes).is_err());
         // Corrupt element: even values are not Galois group members.
         let mut bad = gk_bytes.clone();
         bad[KEY_FIXED_HEADER] &= !1;
@@ -1144,7 +1090,8 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         let (ctx, ct) = sample_ct();
-        let good = serialize_ciphertext(&ct);
+        let widths = ctx.wire_widths(ct.num_primes());
+        let good = serialize_ciphertext_packed(&ct, &widths).expect("pack");
         // Truncated.
         assert!(deserialize_ciphertext(&good[..good.len() - 1]).is_err());
         assert!(deserialize_ciphertext(&good[..10]).is_err());
@@ -1166,16 +1113,13 @@ mod tests {
         bad[9] = 0;
         assert!(deserialize_ciphertext(&bad).is_err());
         // Scale numerator of zero is invalid.
-        let mut bad = good;
+        let mut bad = good.clone();
         bad[FIXED_HEADER] = 0; // num = 0 (single byte)
         assert!(deserialize_ciphertext(&bad).is_err());
-        // v3: truncated width table / payload.
-        let widths = ctx.wire_widths(ct.num_primes());
-        let packed = serialize_ciphertext_packed(&ct, &widths).expect("pack");
-        assert!(deserialize_ciphertext(&packed[..packed.len() - 1]).is_err());
-        assert!(deserialize_ciphertext(&packed[..FIXED_HEADER + 2]).is_err());
-        // v3: zero width in the table.
-        let mut bad = packed.clone();
+        // Truncated inside the width table.
+        assert!(deserialize_ciphertext(&good[..FIXED_HEADER + 2]).is_err());
+        // Zero width in the table.
+        let mut bad = good;
         bad[FIXED_HEADER + 1] = 0; // first width byte (after 1-byte num)
         assert!(deserialize_ciphertext(&bad).is_err());
     }

@@ -64,7 +64,7 @@ fn steady_state_takes_every_limb_from_the_pool() {
         // Every flow once, each dropping its limbs where a client or a
         // server would: an upload, a 24-limb download, a download the
         // receiver truncates to 2 limbs, a seeded upload with its
-        // expansion, and a batch of two through the pipelined paths.
+        // expansion, and both messages encoded and decoded in turn.
         let cycle = |op: u64| {
             let seed = Seed::from_u128(100 + op as u128);
             let blob = {
@@ -89,9 +89,11 @@ fn steady_state_takes_every_limb_from_the_pool() {
                 let ct = cct.expand(&ctx).expect("expand");
                 assert_eq!(ct.num_primes(), 24);
             }
-            let pts = ctx.encode_batch_pipelined(&msgs).expect("encode batch");
-            let slots = ctx.decode_batch_pipelined(&pts).expect("decode batch");
-            assert!(worst_slot_error(&slots[1], &msgs[1]) < 1e-6);
+            for msg in &msgs {
+                let pt = ctx.encode(msg).expect("encode");
+                let slots = ctx.decode(&pt).expect("decode");
+                assert!(worst_slot_error(&slots, msg) < 1e-6);
+            }
         };
         cycle(0);
         let warm = class();

@@ -321,8 +321,8 @@ proptest! {
     ) {
         // serialize → deserialize is the identity on any fresh or
         // truncated ciphertext, and the byte length matches the header
-        // (fresh pow-2 scale: one numerator byte) + 2·primes·N·8
-        // accounting the traffic model charges.
+        // (fresh pow-2 scale: one numerator byte) + width table +
+        // 2·Σ⌈N·wᵢ/8⌉ accounting the traffic model charges.
         let truncate_to = truncate_to.min(primes);
         let ctx = small_ctx(log_n, primes);
         let (sk, pk) = ctx.keygen(Seed::from_u128(seed as u128 + 17));
@@ -330,9 +330,14 @@ proptest! {
         let ct = ctx
             .encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(seed as u128 + 18))
             .truncated(truncate_to);
-        let bytes = wire::serialize_ciphertext(&ct);
-        prop_assert_eq!(bytes.len(), wire::serialized_len(&ct));
-        prop_assert_eq!(bytes.len(), 18 + 1 + 2 * truncate_to * ctx.params().n() * 8);
+        let widths = ctx.wire_widths(truncate_to);
+        let bytes = wire::serialize_ciphertext_packed(&ct, &widths).expect("pack");
+        prop_assert_eq!(bytes.len(), wire::packed_serialized_len(&ct, &widths));
+        let polys: usize = widths
+            .iter()
+            .map(|&w| (ctx.params().n() * w as usize).div_ceil(8))
+            .sum();
+        prop_assert_eq!(bytes.len(), 18 + 1 + truncate_to + 2 * polys);
         let back = wire::deserialize_ciphertext(&bytes).expect("deserialize");
         prop_assert_eq!(&back, &ct);
         // And the deserialized ciphertext still decrypts to the message.

@@ -187,7 +187,7 @@ fn pool_over_allowance(when: &str) -> Vec<String> {
 
 /// The `KERNELS` line: which kernel each layer of a context at the
 /// run's parameters dispatches to, on which CPU features, with how many
-/// threads — read off the context, never set.
+/// limb fan-out threads per operation — read off the context, never set.
 fn kernels_line(config: &GatewayConfig) -> Result<String, Box<dyn std::error::Error>> {
     let params = abc_ckks::params::CkksParams::builder()
         .log_n(config.log_n)
@@ -199,14 +199,13 @@ fn kernels_line(config: &GatewayConfig) -> Result<String, Box<dyn std::error::Er
     };
     let plan = &ctx.ntt_plans()[0];
     Ok(format!(
-        "KERNELS caps={} forced={} ntt={} dyadic={} fft={} ntt_threads={} fft_threads={}",
+        "KERNELS caps={} forced={} ntt={} dyadic={} fft={} threads={}",
         abc_ckks::kernel::CpuCaps::detect(),
         abc_ckks::kernel::KernelTier::Auto.or_env(),
         plan.kernel_name(),
         plan.dyadic().kernel_name(),
         fft.plan().kernel_name(),
         ctx.ntt_engine().threads(),
-        fft.threads(),
     ))
 }
 

@@ -21,10 +21,11 @@
 //! - **Panic isolation** ([`worker`]): every request runs under
 //!   `catch_unwind`; a panicking worker resolves its caller with
 //!   [`GatewayError::WorkerPanicked`] via a drop guard and respawns
-//!   its pooled CKKS state (the panic may have poisoned engine scratch
-//!   pools). A caller is never left hanging — the **zero-lost-request
-//!   invariant**: every submission resolves to success or a typed
-//!   error, checkable as `submitted == resolved` in [`metrics`].
+//!   its pooled CKKS state (which the panic unwound through at an
+//!   arbitrary point). A caller is never left hanging — the
+//!   **zero-lost-request invariant**: every submission resolves to
+//!   success or a typed error, checkable as `submitted == resolved` in
+//!   [`metrics`].
 //! - **Retry** ([`retry`]): caller-side jittered exponential backoff,
 //!   transient errors only, jitter derived from a seed so chaos runs
 //!   replay bit-exactly.
@@ -306,6 +307,88 @@ mod tests {
             },
         });
         assert!(matches!(out, Err(GatewayError::BadRequest(_))), "{out:?}");
+        gw.shutdown();
+    }
+
+    #[test]
+    fn a_bad_second_item_fails_the_whole_batch() {
+        // No partial response: the first message / blob is fine, the
+        // second is not, and the caller hears one typed error.
+        let gw = Gateway::start(small_config()).expect("start");
+        let slots = 1usize << (small_config().log_n - 1);
+        let out = gw.call(Request {
+            tenant: 8,
+            deadline: None,
+            op: Operation::EncryptBatch {
+                messages: vec![msg(8), msg(slots + 1)],
+                mode: UploadMode::Full,
+            },
+        });
+        assert!(matches!(out, Err(GatewayError::BadRequest(_))), "{out:?}");
+        let Response::Encrypted { blob, .. } = gw
+            .call(Request {
+                tenant: 8,
+                deadline: None,
+                op: Operation::Encrypt {
+                    message: msg(8),
+                    mode: UploadMode::Full,
+                },
+            })
+            .expect("encrypt")
+        else {
+            panic!("wrong response kind");
+        };
+        let truncated = blob[..blob.len() - 1].to_vec();
+        let out = gw.call(Request {
+            tenant: 8,
+            deadline: None,
+            op: Operation::DecryptBatch {
+                blobs: vec![blob, truncated],
+            },
+        });
+        assert!(matches!(out, Err(GatewayError::BadRequest(_))), "{out:?}");
+        assert_eq!(gw.metrics().bad_requests, 2);
+        gw.shutdown();
+    }
+
+    #[test]
+    fn a_batch_decrypts_like_its_messages_sent_one_by_one() {
+        let gw = Gateway::start(small_config()).expect("start");
+        let messages = vec![msg(8), msg(12), msg(16)];
+        let call = |op| {
+            gw.call(Request {
+                tenant: 9,
+                deadline: None,
+                op,
+            })
+        };
+        let Ok(Response::EncryptedBatch { blobs, .. }) = call(Operation::EncryptBatch {
+            messages: messages.clone(),
+            mode: UploadMode::Full,
+        }) else {
+            panic!("batch encrypt");
+        };
+        let Ok(Response::DecryptedBatch { slots: batch }) = call(Operation::DecryptBatch { blobs })
+        else {
+            panic!("batch decrypt");
+        };
+        for (message, from_batch) in messages.iter().zip(&batch) {
+            let Ok(Response::Encrypted { blob, .. }) = call(Operation::Encrypt {
+                message: message.clone(),
+                mode: UploadMode::Full,
+            }) else {
+                panic!("encrypt");
+            };
+            let Ok(Response::Decrypted { slots: single }) = call(Operation::Decrypt { blob })
+            else {
+                panic!("decrypt");
+            };
+            // Same key, same message, independent encryption noise.
+            assert_eq!(single.len(), from_batch.len());
+            for (s, b) in single.iter().zip(from_batch) {
+                assert!(s.dist(*b) < 2e-4, "single vs batch: {}", s.dist(*b));
+            }
+        }
         gw.shutdown();
     }
 }

@@ -43,8 +43,7 @@ pub enum Operation {
     /// Validate + decrypt + decode wire bytes to slots.
     Decrypt { blob: Vec<u8> },
     /// Decrypt + decode a batch of wire blobs (shed first under
-    /// pressure, like [`Operation::EncryptBatch`]); the decode halves
-    /// run through the context's pipelined batch path.
+    /// pressure, like [`Operation::EncryptBatch`]).
     DecryptBatch { blobs: Vec<Vec<u8>> },
     /// Strictly validate an uploaded wire blob (kind 1 or 2), expanding
     /// seeded uploads to prove they are well-formed.

@@ -4,22 +4,30 @@
 //! Each worker owns its `CkksContext` outright (engines, NTT plans, the
 //! FFT slot pool) — no sharing means no lock contention on the hot
 //! path and, more importantly, a clean respawn story: a panic caught
-//! mid-request may leave the context's FFT slot pool poisoned, so the
-//! worker discards the whole context and rebuilds fresh state before
-//! taking the next job. (The process-wide limb pool is the one thing
-//! the workers share; it recovers its lock from a panic, and the limbs
-//! a panicking request had checked out go back to it while the request
-//! unwinds.) The in-flight request is resolved by [`Responder`]'s drop
-//! guard — a panicking worker can *never* strand its caller.
+//! mid-request unwound through that context at an arbitrary point, so
+//! the worker discards it whole and rebuilds fresh state before taking
+//! the next job instead of reasoning about what the old one still
+//! holds. (Both pools recover their locks from a panic — the context's
+//! slot pool and the process-wide limb pool, the one thing the workers
+//! share — and the limbs a panicking request had checked out go back
+//! while the request unwinds.) The in-flight request is resolved by
+//! [`Responder`]'s drop guard — a panicking worker can *never* strand
+//! its caller.
+//!
+//! Requests are the gateway's unit of parallelism (one per worker); a
+//! batch request is a loop of the single-message path on its worker, so
+//! whatever its size it holds one operation's worth of limbs at a time.
 
 use crate::config::GatewayConfig;
 use crate::error::{GatewayError, TimeoutStage};
 use crate::fault::Fault;
 use crate::metrics::{inc, Metrics};
 use crate::service::{Operation, Response, Shared, UploadMode};
+use crate::session::TenantSession;
 use abc_ckks::params::CkksParams;
 use abc_ckks::symmetric::encrypt_symmetric_compressed;
-use abc_ckks::{wire, CkksContext, CkksError, Plaintext};
+use abc_ckks::{wire, CkksContext, CkksError};
+use abc_float::Complex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -117,10 +125,9 @@ pub(crate) fn worker_main(shared: Arc<Shared>, live_workers: Arc<AtomicU64>) {
         let outcome = catch_unwind(AssertUnwindSafe(|| handle_job(&ctx, &shared, job)));
         if outcome.is_err() {
             // The job's Responder drop guard has already resolved the
-            // caller with WorkerPanicked during unwinding. The panic
-            // may have poisoned the context's FFT slot pool (the shared
-            // limb pool recovers by itself), so respawn the compute
-            // state from scratch.
+            // caller with WorkerPanicked during unwinding. Respawn the
+            // compute state from scratch: cheaper than proving the old
+            // context whole after an unwind from an arbitrary point.
             inc(&shared.metrics.worker_panics);
             match build_context(&shared.config) {
                 Ok(fresh) => {
@@ -183,37 +190,31 @@ fn execute(ctx: &CkksContext, shared: &Shared, job: &Job) -> Result<Response, Ga
     let enc_seed = shared.config.master_seed.derive(job.seq).derive(1);
     match &job.op {
         Operation::Encrypt { message, mode } => {
-            let pt = ctx.encode(message).map_err(client_err)?;
-            let (blob, compressed) = encrypt_to_wire(ctx, &pt, &session, *mode, enc_seed)?;
+            let (blob, compressed) = encrypt_to_wire(ctx, message, &session, *mode, enc_seed)?;
             Ok(Response::Encrypted { blob, compressed })
         }
         Operation::EncryptBatch { messages, mode } => {
-            // Pipelined: the embedding FFT of message i+1 overlaps the
-            // Δ-rounding + NTT of message i on a second thread.
-            let pts = ctx.encode_batch_pipelined(messages).map_err(client_err)?;
-            let mut blobs = Vec::with_capacity(pts.len());
+            // One message at a time through the single-op path: the
+            // request holds one operation's limbs whatever its size.
+            let mut blobs = Vec::with_capacity(messages.len());
             let mut compressed = false;
-            for (i, pt) in pts.iter().enumerate() {
-                let (blob, c) =
-                    encrypt_to_wire(ctx, pt, &session, *mode, enc_seed.derive(i as u64))?;
+            for (i, message) in messages.iter().enumerate() {
+                let seed = enc_seed.derive(i as u64);
+                let (blob, c) = encrypt_to_wire(ctx, message, &session, *mode, seed)?;
                 compressed = c;
                 blobs.push(blob);
             }
             Ok(Response::EncryptedBatch { blobs, compressed })
         }
         Operation::Decrypt { blob } => {
-            let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
-            let pt = ctx.decrypt(&ct, &session.sk).map_err(client_err)?;
-            let slots = ctx.decode(&pt).map_err(client_err)?;
+            let slots = decrypt_from_wire(ctx, blob, &session)?;
             Ok(Response::Decrypted { slots })
         }
         Operation::DecryptBatch { blobs } => {
-            let mut pts = Vec::with_capacity(blobs.len());
-            for blob in blobs {
-                let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
-                pts.push(ctx.decrypt(&ct, &session.sk).map_err(client_err)?);
-            }
-            let slots = ctx.decode_batch_pipelined(&pts).map_err(client_err)?;
+            let slots = blobs
+                .iter()
+                .map(|blob| decrypt_from_wire(ctx, blob, &session))
+                .collect::<Result<_, _>>()?;
             Ok(Response::DecryptedBatch { slots })
         }
         Operation::Ingest { blob } => {
@@ -227,15 +228,18 @@ fn execute(ctx: &CkksContext, shared: &Shared, job: &Job) -> Result<Response, Ga
     }
 }
 
-/// Encrypts a plaintext to wire bytes in the requested upload mode
-/// (`Auto` has been resolved to a concrete mode at admission).
+/// Encodes and encrypts one message to wire bytes in the requested
+/// upload mode (`Auto` has been resolved to a concrete mode at
+/// admission). The plaintext lives only in here, so a caller looping
+/// over messages never holds two.
 fn encrypt_to_wire(
     ctx: &CkksContext,
-    pt: &Plaintext,
-    session: &crate::session::TenantSession,
+    message: &[Complex],
+    session: &TenantSession,
     mode: UploadMode,
     seed: abc_prng::Seed,
 ) -> Result<(Vec<u8>, bool), GatewayError> {
+    let pt = &ctx.encode(message).map_err(client_err)?;
     let widths = ctx.wire_widths(pt.num_primes());
     match mode {
         UploadMode::Compressed => {
@@ -251,6 +255,17 @@ fn encrypt_to_wire(
             Ok((blob, false))
         }
     }
+}
+
+/// Validates, decrypts and decodes one wire blob to its slots.
+fn decrypt_from_wire(
+    ctx: &CkksContext,
+    blob: &[u8],
+    session: &TenantSession,
+) -> Result<Vec<Complex>, GatewayError> {
+    let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
+    let pt = ctx.decrypt(&ct, &session.sk).map_err(client_err)?;
+    ctx.decode(&pt).map_err(client_err)
 }
 
 /// Strict ingress validation: parse the wire kind, run the matching

@@ -63,9 +63,7 @@
 //!   rescales; accepts a `[0, 4q)`-lazy subtrahend so the forward-NTT
 //!   normalization stage fuses in too);
 //! * [`DyadicEngine::mul_acc_assign_premul`] — `acc += b·d̃` against a
-//!   premultiplied digit (key-switch accumulation, no scratch copies);
-//! * [`DyadicEngine::fused_mulacc_addsub`] — the general
-//!   `a = ±(a·b) + Σ addends` dispatcher over the entries above.
+//!   premultiplied digit (key-switch accumulation, no scratch copies).
 //!
 //! Every fused kernel is bit-identical to the composition of its
 //! unfused ops (canonical outputs; pinned by the property suites across
@@ -188,52 +186,6 @@ impl DyadicEngine {
                 let done = crate::simd::mul_assign(k, a, b);
                 for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                     *x = k.mul(*x, y);
-                }
-            }
-        }
-    }
-
-    /// [`DyadicEngine::mul_assign`] for an in-place operand that may
-    /// arrive **lazy** in `[0, 4q)` — the representation
-    /// skipped-normalization forward NTTs leave behind (see
-    /// `NttPlan::forward_lazy`; for `q ≥ 2^62` no lazy producer exists
-    /// and inputs must already be canonical). The operand normalizes
-    /// in-register on the way into the product, so fusing the last
-    /// forward-NTT stage into a following dyadic multiply costs no
-    /// extra memory pass. Bit-identical to normalizing `a` first and
-    /// calling [`DyadicEngine::mul_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_assign_lazy(&self, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        let q = self.m.q();
-        match &self.kernel {
-            Kernel::Golden => {
-                if q < shoup::MAX_SHOUP_MODULUS {
-                    for (x, &y) in a.iter_mut().zip(b) {
-                        *x = self.m.mul(shoup::normalize_4q(*x, q), y);
-                    }
-                } else {
-                    // No lazy producer exists at this width (the golden
-                    // NTT is always canonical); 4q would overflow.
-                    self.mul_assign(a, b);
-                }
-            }
-            Kernel::Montgomery => {
-                let r2 = self.mont.r2();
-                for (x, &y) in a.iter_mut().zip(b) {
-                    let xn = shoup::normalize_4q(*x, q);
-                    let y_dom = self.mont.redc(y as u128 * r2 as u128);
-                    *x = self.mont.redc(xn as u128 * y_dom as u128);
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_assign_lazy(k, a, b);
-                for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
-                    *x = k.mul(shoup::normalize_4q(*x, q), y);
                 }
             }
         }
@@ -488,29 +440,6 @@ impl DyadicEngine {
                     acc[i] = shoup::reduce_once(k.mul_premul(b[i], d_pre[i]) + acc[i], q);
                 }
             }
-        }
-    }
-
-    /// General fused multiply-accumulate entry: `a = ±(a·b) + Σ addends`
-    /// in one pass, dispatching to the specialized fused kernels.
-    /// Supports zero, one or two addends; the `negate = true, zero
-    /// addends` shape falls back to mul + neg (no chain uses it).
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than two addends or mismatched lengths.
-    pub fn fused_mulacc_addsub(&self, a: &mut [u64], b: &[u64], negate: bool, addends: &[&[u64]]) {
-        match (negate, addends) {
-            (false, []) => self.mul_assign(a, b),
-            (false, [c]) => self.mul_add_assign(a, b, c),
-            (false, [c, d]) => self.mul_add2_assign(a, b, c, d),
-            (true, []) => {
-                self.mul_assign(a, b);
-                self.neg_assign(a);
-            }
-            (true, [c]) => self.mul_neg_add_assign(a, b, c),
-            (true, [c, d]) => self.mul_neg_add2_assign(a, b, c, d),
-            _ => panic!("fused_mulacc_addsub supports at most two addends"),
         }
     }
 
@@ -792,28 +721,6 @@ mod tests {
                         let want = m.mul(m.sub(a0[i], b[i]), 5 % q);
                         assert_eq!(got[i], want, "sub_scalar lazy {pref:?} q={q} i={i}");
                     }
-                    let a_lazy: Vec<u64> = a0
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &x)| x + q * (i as u64 % 4))
-                        .collect();
-                    let mut got = a_lazy.clone();
-                    e.mul_assign_lazy(&mut got, &b);
-                    for i in 0..n {
-                        let want = m.mul(a0[i], b[i]);
-                        assert_eq!(got[i], want, "mul lazy {pref:?} q={q} i={i}");
-                    }
-                }
-                // Canonical inputs through the lazy entry stay exact at
-                // every width (q ≥ 2^62 included).
-                let mut got = a0.clone();
-                e.mul_assign_lazy(&mut got, &b);
-                for i in 0..n {
-                    assert_eq!(
-                        got[i],
-                        m.mul(a0[i], b[i]),
-                        "mul lazy canon {pref:?} q={q} i={i}"
-                    );
                 }
                 let mut d_pre = d.clone();
                 e.premul(&mut d_pre);
@@ -822,19 +729,6 @@ mod tests {
                 for i in 0..n {
                     let want = m.mul_add(b[i], d[i], a0[i]);
                     assert_eq!(got[i], want, "mul_acc {pref:?} q={q} i={i}");
-                }
-                // The general entry dispatches to the same kernels.
-                let mut got = a0.clone();
-                e.fused_mulacc_addsub(&mut got, &b, true, &[&c, &d]);
-                for i in 0..n {
-                    let want = m.add(m.sub(c[i], m.mul(a0[i], b[i])), d[i]);
-                    assert_eq!(got[i], want, "general entry {pref:?} q={q} i={i}");
-                }
-                let mut got = a0.clone();
-                e.fused_mulacc_addsub(&mut got, &b, true, &[]);
-                for i in 0..n {
-                    let want = m.neg(m.mul(a0[i], b[i]));
-                    assert_eq!(got[i], want, "general mul_neg {pref:?} q={q} i={i}");
                 }
             }
         }

@@ -268,59 +268,6 @@ unsafe fn mul_assign_premul_impl(k: &Mont52, a: &mut [u64], b_dom: &[u64]) {
     }
 }
 
-/// [`mul_assign`] for an in-place operand that may arrive **lazy** in
-/// `[0, 4q)` — the representation a skipped-normalization forward NTT
-/// leaves behind. The operand canonicalizes in-register (two
-/// conditional subtractions) on the way into the product, so fusing the
-/// last forward-NTT stage into a following multiply costs no extra
-/// memory pass. Bit-identical to normalizing first.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_assign_lazy(k: &Mont52, a: &mut [u64], b: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_assign_lazy_impl(k, &mut a[..n8], &b[..n8]) }
-    n8
-}
-
-/// Lazy product: canonical inputs, lanes of `a` come back in the lazy
-/// domain `[0, 2q)` — the final conditional subtract is the caller's.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_assign_lazy_impl(k: &Mont52, a: &mut [u64], b: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let vr = _mm512_set1_epi64(k.r52 as i64);
-    let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= a.len() == b.len().
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            // a ∈ [0, 4q) → canonical: a lazy operand times a domain
-            // operand (< 2q) would overshoot the single-csub REDC
-            // output bound, so normalize before the product.
-            let va = csub_x8(csub_x8(_mm512_loadu_si512(pa), v2q), vq);
-            let vb = _mm512_loadu_si512(pb);
-            let vb_dom = mul_shoup52_x8(vb, vr, vrs, vq);
-            let r = redc52_x8(va, vb_dom, vq, vqinv);
-            _mm512_storeu_si512(pa, csub_x8(r, vq));
-        }
-        j += 8;
-    }
-}
-
 /// `a[i] = a[i]·b[i] + c[i] mod q` over full 8-lane blocks; returns the
 /// count handled. Canonical inputs and outputs.
 ///
@@ -840,17 +787,6 @@ mod tests {
         for i in 0..n {
             let want = m.mul(m.sub(a0[i], b[i]), w);
             assert_eq!(a[i], want, "sub_scalar_mul lazy i={i}");
-        }
-        // Lazy in-place multiplicand: same canonical result.
-        let a_lazy: Vec<u64> = a0
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x + q * ((i % 4) as u64))
-            .collect();
-        let mut a = a_lazy.clone();
-        assert_eq!(mul_assign_lazy(&k, &mut a, &b), n);
-        for i in 0..n {
-            assert_eq!(a[i], m.mul(a0[i], b[i]), "mul_assign_lazy i={i}");
         }
     }
 

@@ -254,8 +254,8 @@ proptest! {
         s in any::<u64>(),
     ) {
         // Every fused chain kernel — the keygen/encrypt −(a·b)+c(+d)
-        // shapes, the rescale (a−b)·s shape, premultiplied accumulation
-        // and the lazy-operand entries — must be bit-identical to the
+        // shapes, the rescale (a−b)·s shape (lazy subtrahend included) and
+        // premultiplied accumulation — must be bit-identical to the
         // composition of the unfused ops it replaces, on every kernel
         // (golden, Montgomery, IFMA with its q ≥ 2^50 degradation)
         // over the full 36–62-bit NTT-prime range.
@@ -295,9 +295,6 @@ proptest! {
             let mut got = a.clone();
             e.mul_neg_add2_assign(&mut got, &b, &c, &d);
             prop_assert_eq!(&got, &mna2, "mul_neg_add2 {:?} q={}", pref, q);
-            let mut got = a.clone();
-            e.fused_mulacc_addsub(&mut got, &b, true, &[&c, &d]);
-            prop_assert_eq!(&got, &mna2, "general entry {:?} q={}", pref, q);
             // a·b + c + d vs mul_add/add.
             let mut ma2 = a.clone();
             e.mul_add_assign(&mut ma2, &b, &c);
@@ -322,16 +319,6 @@ proptest! {
             let mut got = a.clone();
             e.sub_scalar_mul_assign(&mut got, &b_lazy, s);
             prop_assert_eq!(&got, &ssm, "sub_scalar_mul lazy {:?} q={}", pref, q);
-            // Lazy in-place multiplicand vs canonical multiply.
-            let mut mul_ref = a.clone();
-            e.mul_assign(&mut mul_ref, &b);
-            let mut got: Vec<u64> = a
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| x + q * (i as u64 % 4))
-                .collect();
-            e.mul_assign_lazy(&mut got, &b);
-            prop_assert_eq!(&got, &mul_ref, "mul_assign_lazy {:?} q={}", pref, q);
             // acc += b·d via the premultiplied fused accumulate vs
             // mul + add.
             let mut d_pre = d.clone();

@@ -24,14 +24,14 @@
 //! an [`abc_math::KernelTier`] or, for `Auto`, with `ABC_FHE_KERNEL`.
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
-//! polynomial — one plan per prime, limb fan-out over scoped threads
-//! (`ABC_FHE_THREADS` override) — and draws every limb it hands out from
-//! [`pool`], the process-wide limb pool whose retention follows the live
-//! engines ([`pool::PooledLimbs`] is the one owning limb container).
-//! [`fft_engine::SpecialFftEngine`] gives the embedding FFT the same
-//! treatment: a shared plan, batch fan-out over scoped threads (one
-//! transform always runs on the calling thread), and a recycling
-//! slot-buffer pool.
+//! polynomial — one plan per prime, and the limb fan-out over scoped
+//! threads (`ABC_FHE_THREADS` override) that is the **only** place the
+//! library crates start a thread — and draws every limb it hands out
+//! from [`pool`], the process-wide limb pool whose retention follows the
+//! live engines ([`pool::PooledLimbs`] is the one owning limb container).
+//! [`fft_engine::SpecialFftEngine`] is the embedding FFT as a context
+//! holds it: a shared plan and a recycling slot-buffer pool, every
+//! transform on the calling thread.
 //!
 //! [`radix`] analyses pipelined MDC design configurations (radix-2,
 //! radix-2^2, radix-2^3, radix-2^n and mixed) and counts the hardware

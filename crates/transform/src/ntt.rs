@@ -209,20 +209,10 @@ impl NttPlan {
         self.inverse_core(dst, Some(src), None);
     }
 
-    /// Fused `a = INTT(a − b)`: the canonical element-wise subtraction
-    /// is folded into the first inverse-NTT stage's loads instead of
-    /// running as its own memory pass. Inputs canonical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either length differs from `N`.
-    pub fn sub_then_inverse(&self, a: &mut [u64], b: &[u64]) {
-        self.inverse_core(a, None, Some(b));
-    }
-
-    /// Out-of-place [`NttPlan::sub_then_inverse`]:
-    /// `dst = INTT(src − b)` with both the copy and the subtraction
-    /// fused into the first inverse stage. `dst` contents are ignored.
+    /// Fused `dst = INTT(src − b)`: both the copy and the canonical
+    /// element-wise subtraction are folded into the first inverse-NTT
+    /// stage's loads instead of running as their own memory passes.
+    /// Inputs canonical; `dst` contents are ignored.
     ///
     /// # Panics
     ///
@@ -666,9 +656,6 @@ mod tests {
                         *x = m.sub(*x, y);
                     }
                     plan.inverse(&mut want);
-                    let mut got = a0.clone();
-                    plan.sub_then_inverse(&mut got, &b0);
-                    assert_eq!(got, want, "sub_then_inverse {pref:?} q={q} n={n}");
                     let mut got = vec![u64::MAX; n]; // dst contents ignored
                     plan.sub_then_inverse_into(&a0, &b0, &mut got);
                     assert_eq!(got, want, "sub_then_inverse_into {pref:?} q={q} n={n}");

@@ -10,6 +10,15 @@
 //! machine's parallelism and can be pinned with the `ABC_FHE_THREADS`
 //! environment variable.
 //!
+//! That fan-out is the **only** place the library crates (`math`,
+//! `float`, `prng`, `transform`, `ckks`) start a thread: ABC-FHE streams
+//! one message at a time and all of its parallelism sits in the lanes
+//! working on that message, so every per-limb op funnels into one
+//! private function that decides serial vs parallel from the op's work
+//! estimate and its cut-off. Parallelism *across* messages belongs to
+//! whoever holds several of them — the gateway's worker pool. The
+//! `thread-site` rule of `abc-analysis` keeps it that way.
+//!
 //! Every limb the engine hands out — scratch, and the polynomials that
 //! escape into plaintexts and ciphertexts — is a [`PooledLimbs`] checked
 //! out of the one limb pool ([`crate::pool`]) and returned to it on drop,
@@ -27,20 +36,17 @@
 //!
 //! On top of those sit the **fused chain ops** — `dyadic_mul_neg_add_all`
 //! / `dyadic_mul_neg_add2_all` (the keygen/encrypt `−(a·s)+e(+m)`
-//! shapes), `dyadic_mul_add2_all` (`pk·v+e+m`) and `sub_scalar_mul_all`
-//! (the rescale shape) — which collapse what used to be two-to-four
-//! full memory passes per ciphertext component into one. The NTT stage
-//! boundaries fuse too: `forward_all_then_mul` hands `[0, 4q)`-lazy
-//! transform output straight to the dyadic kernel,
+//! shapes) and `dyadic_mul_add2_all` (`pk·v+e+m`) — which collapse what
+//! used to be two-to-four full memory passes per ciphertext component
+//! into one. The NTT stage boundaries fuse too:
 //! `expand_ntt_sub_scalar_mul_all_{i64,i128}` run the whole rescale
 //! kept-limb chain (expand → lazy NTT → subtract → scalar-multiply) in
-//! one per-limb pass, and `sub_then_inverse_all` / `inverse_all_from`
-//! fold a subtraction or an out-of-place copy into the first
-//! inverse-NTT stage. `pk_encrypt_all` is the whole public-key encrypt
-//! as one limb-streaming pass — per limb, expand `v`, `e0`, `e1`,
-//! transform, multiply-accumulate against the key read in place and add
-//! the message, writing only the two output limbs. All are bit-identical
-//! to the unfused sequences they replace.
+//! one per-limb pass, and `inverse_all_from` folds an out-of-place copy
+//! into the first inverse-NTT stage. `pk_encrypt_all` is the whole
+//! public-key encrypt as one limb-streaming pass — per limb, expand `v`,
+//! `e0`, `e1`, transform, multiply-accumulate against the key read in
+//! place and add the message, writing only the two output limbs. All are
+//! bit-identical to the unfused sequences they replace.
 //!
 //! Every expansion (`expand_and_ntt*`, the fused rescale and encrypt
 //! passes) goes through [`abc_math::rns::SignedCoeffs`]: the coefficient
@@ -490,58 +496,6 @@ impl RnsNttEngine {
         );
     }
 
-    /// `a[i][j] = (a[i][j] − b[i][j])·s[i] mod q_i` — the rescale shape
-    /// `(c_i − tail)·q_last^{-1}` as **one** RNS-wide pass (previously a
-    /// subtract pass plus a scalar-multiply pass). Subtrahend limbs may
-    /// arrive `[0, 4q_i)`-**lazy** straight out of
-    /// [`NttPlan::forward_lazy`]; scalars are reduced on entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has more limbs than plans or `b`/`s` carry fewer
-    /// entries than `a` has limbs.
-    pub fn sub_scalar_mul_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>], s: &[u64]) {
-        assert!(b.len() >= a.len(), "fewer subtrahend limbs than targets");
-        assert!(s.len() >= a.len(), "fewer scalars than limbs");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().sub_scalar_mul_assign(limb, &b[i], s[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// Forward NTT of every limb with the last stage fused into the
-    /// following dyadic multiply: `a[i] = NTT(a[i]) ⊙ b[i]`. The
-    /// transform leaves its output `[0, 4q)`-lazy and the multiply
-    /// normalizes in-register, so the stage boundary costs no extra
-    /// memory pass. Bit-identical to [`Self::forward_all`] followed by
-    /// [`Self::dyadic_mul_all`].
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::forward_all`], plus `b` must carry at
-    /// least as many limbs as `a`.
-    pub fn forward_all_then_mul(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        self.for_each_limb(a, |i, plan, limb| {
-            plan.forward_lazy(limb);
-            plan.dyadic().mul_assign_lazy(limb, &b[i]);
-        });
-    }
-
-    /// `a[i] = INTT(a[i] − b[i])` per limb — the canonical subtraction
-    /// fused into the first inverse-NTT stage (one read of each operand
-    /// instead of a subtract pass plus a transform pass).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::inverse_all`], plus `b` must carry at
-    /// least as many limbs as `a`.
-    pub fn sub_then_inverse_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer subtrahend limbs than targets");
-        self.for_each_limb(a, |i, plan, limb| plan.sub_then_inverse(limb, &b[i]));
-    }
-
     /// `dst[i] = INTT(src[i])` per limb — out-of-place batched inverse
     /// with the copy folded into the first inverse-NTT stage (`src` is
     /// read once, directly by the transform).
@@ -681,10 +635,8 @@ impl RnsNttEngine {
         );
     }
 
-    /// Applies `f(i, plan_i, limb_i)` to every limb, splitting the limbs
-    /// into contiguous chunks across scoped threads. Small batches
-    /// (`limbs × N` below [`PARALLEL_THRESHOLD`]) run serially: thread
-    /// spawn costs more than it saves there.
+    /// Applies `f(i, plan_i, limb_i)` to every limb, serially below
+    /// [`PARALLEL_THRESHOLD`] words of `limbs × N`.
     fn for_each_limb<F>(&self, limbs: &mut [Vec<u64>], f: F)
     where
         F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
@@ -699,26 +651,17 @@ impl RnsNttEngine {
         F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
     {
         let k = limbs.len();
-        assert!(k <= self.plans.len(), "more limbs than plans");
-        let plans = &self.plans[..k];
-        let threads = self.threads.min(k);
-        if threads <= 1 || k * self.n < threshold {
-            for (i, (plan, limb)) in plans.iter().zip(limbs.iter_mut()).enumerate() {
-                f(i, plan, limb);
-            }
-            return;
-        }
-        let chunk = k.div_ceil(threads);
-        let f = &f;
-        std::thread::scope(|s| {
-            for (t, (pc, lc)) in plans.chunks(chunk).zip(limbs.chunks_mut(chunk)).enumerate() {
-                s.spawn(move || {
-                    for (j, (plan, limb)) in pc.iter().zip(lc.iter_mut()).enumerate() {
-                        f(t * chunk + j, plan, limb);
-                    }
-                });
-            }
-        });
+        self.fan_out(
+            k,
+            k * self.n,
+            threshold,
+            |chunk| limbs.chunks_mut(chunk),
+            |first, plans, chunk| {
+                for (j, (plan, limb)) in plans.iter().zip(chunk).enumerate() {
+                    f(first + j, plan, limb);
+                }
+            },
+        );
     }
 
     /// [`Self::for_each_limb_threshold`] over the paired limbs of two
@@ -740,30 +683,61 @@ impl RnsNttEngine {
     {
         let k = a0.len();
         assert_eq!(k, a1.len(), "component limb counts differ");
+        self.fan_out(
+            k,
+            2 * k * self.n,
+            threshold,
+            |chunk| a0.chunks_mut(chunk).zip(a1.chunks_mut(chunk)),
+            |first, plans, (c0, c1)| {
+                let mut scratch = self.take_limbs(1);
+                for (j, ((plan, x0), x1)) in plans.iter().zip(c0).zip(c1).enumerate() {
+                    f(first + j, plan, x0, x1, &mut scratch[0]);
+                }
+            },
+        );
+    }
+
+    /// The library's one fan-out: cuts the `k` leading limbs into
+    /// contiguous chunks and hands each — `run(index of its first limb,
+    /// its plans, its operands)`, with `split(chunk_len)` yielding the
+    /// operand chunks in order — to a scoped thread of its own. Below
+    /// `cutoff` words of `work`, or with one thread, there is one chunk
+    /// and it runs on the calling thread: spawning costs more than it
+    /// saves there. What a thread sets up once for its chunk (a scratch
+    /// limb) lives at the top of `run`.
+    ///
+    /// This is the only function in the library crates that starts a
+    /// thread (`abc-analysis` rule `thread-site`); an op that wants
+    /// parallelism calls one of the `for_each_limb*` shapes above.
+    fn fan_out<C, I>(
+        &self,
+        k: usize,
+        work: usize,
+        cutoff: usize,
+        split: impl FnOnce(usize) -> I,
+        run: impl Fn(usize, &[NttPlan], C) + Sync,
+    ) where
+        C: Send,
+        I: Iterator<Item = C>,
+    {
         assert!(k <= self.plans.len(), "more limbs than plans");
-        let plans = &self.plans[..k];
         let threads = self.threads.min(k);
-        if threads <= 1 || 2 * k * self.n < threshold {
-            let mut scratch = self.take_limbs(1);
-            for (i, ((plan, x0), x1)) in plans.iter().zip(a0).zip(a1).enumerate() {
-                f(i, plan, x0, x1, &mut scratch[0]);
-            }
+        let serial = threads <= 1 || work < cutoff;
+        let chunk = if serial {
+            k.max(1)
+        } else {
+            k.div_ceil(threads)
+        };
+        let parts = self.plans[..k].chunks(chunk).zip(split(chunk)).enumerate();
+        let run = &run;
+        if serial {
+            // One chunk (none when `k` is 0), on the calling thread.
+            parts.for_each(|(t, (plans, operands))| run(t * chunk, plans, operands));
             return;
         }
-        let chunk = k.div_ceil(threads);
-        let f = &f;
         std::thread::scope(|s| {
-            let chunks = plans
-                .chunks(chunk)
-                .zip(a0.chunks_mut(chunk))
-                .zip(a1.chunks_mut(chunk));
-            for (t, ((pc, c0), c1)) in chunks.enumerate() {
-                s.spawn(move || {
-                    let mut scratch = self.take_limbs(1);
-                    for (j, ((plan, x0), x1)) in pc.iter().zip(c0).zip(c1).enumerate() {
-                        f(t * chunk + j, plan, x0, x1, &mut scratch[0]);
-                    }
-                });
+            for (t, (plans, operands)) in parts {
+                s.spawn(move || run(t * chunk, plans, operands));
             }
         });
     }
@@ -1096,15 +1070,6 @@ mod tests {
             let mut mul_add2 = a0.clone();
             serial.dyadic_mul_add_all(&mut mul_add2, &b, &c);
             serial.add_assign_all(&mut mul_add2, &d);
-            let mut sub_scalar = a0.clone();
-            serial.sub_assign_all(&mut sub_scalar, &b);
-            serial.dyadic_scalar_mul_all(&mut sub_scalar, &scalars);
-            let mut fwd_mul = a0.clone();
-            serial.forward_all(&mut fwd_mul);
-            serial.dyadic_mul_all(&mut fwd_mul, &b);
-            let mut sub_inv = a0.clone();
-            serial.sub_assign_all(&mut sub_inv, &b);
-            serial.inverse_all(&mut sub_inv);
             let mut inv = a0.clone();
             serial.inverse_all(&mut inv);
             let mut resc64 = a0.clone();
@@ -1116,17 +1081,7 @@ mod tests {
             let tails = serial.expand_and_ntt_i128(&coeffs128, k);
             serial.sub_assign_all(&mut resc128, &tails);
             serial.dyadic_scalar_mul_all(&mut resc128, &scalars);
-            (
-                mul_neg_add,
-                mul_neg_add2,
-                mul_add2,
-                sub_scalar,
-                fwd_mul,
-                sub_inv,
-                inv,
-                resc64,
-                resc128,
-            )
+            (mul_neg_add, mul_neg_add2, mul_add2, inv, resc64, resc128)
         };
         for threads in [1usize, 2, 4] {
             let engine = RnsNttEngine::with_threads(&ms, n, threads).unwrap();
@@ -1139,24 +1094,15 @@ mod tests {
             let mut got = a0.clone();
             engine.dyadic_mul_add2_all(&mut got, &b, &c, &d);
             assert_eq!(got, refs.2, "mul_add2 threads={threads}");
-            let mut got = a0.clone();
-            engine.sub_scalar_mul_all(&mut got, &b, &scalars);
-            assert_eq!(got, refs.3, "sub_scalar_mul threads={threads}");
-            let mut got = a0.clone();
-            engine.forward_all_then_mul(&mut got, &b);
-            assert_eq!(got, refs.4, "forward_then_mul threads={threads}");
-            let mut got = a0.clone();
-            engine.sub_then_inverse_all(&mut got, &b);
-            assert_eq!(got, refs.5, "sub_then_inverse threads={threads}");
             let mut got = vec![vec![u64::MAX; n]; k];
             engine.inverse_all_from(&a0, &mut got);
-            assert_eq!(got, refs.6, "inverse_all_from threads={threads}");
+            assert_eq!(got, refs.3, "inverse_all_from threads={threads}");
             let mut got = a0.clone();
             engine.expand_ntt_sub_scalar_mul_all_i64(&mut got, &coeffs64, &scalars);
-            assert_eq!(got, refs.7, "fused rescale i64 threads={threads}");
+            assert_eq!(got, refs.4, "fused rescale i64 threads={threads}");
             let mut got = a0.clone();
             engine.expand_ntt_sub_scalar_mul_all_i128(&mut got, &coeffs128, &scalars);
-            assert_eq!(got, refs.8, "fused rescale i128 threads={threads}");
+            assert_eq!(got, refs.5, "fused rescale i128 threads={threads}");
         }
     }
 

@@ -59,9 +59,9 @@ proptest! {
         }
     }
 
-    // The engine's single-vector entry points never change a bit
-    // relative to the serial planned kernel (they run the shared plan
-    // on the calling thread, whatever the engine's thread count).
+    // The engine's entry points never change a bit relative to the
+    // serial planned kernel (they run the shared plan on the calling
+    // thread).
     #[test]
     fn engine_threading_bit_identical(seed in any::<u64>(), log_slots in 4u32..=12) {
         let slots = 1usize << log_slots;
@@ -71,7 +71,7 @@ proptest! {
         reference.forward(&mut want);
         let mut want_inv = msg.clone();
         reference.inverse(&mut want_inv);
-        let engine = SpecialFftEngine::with_threads(F64Field, slots, 2);
+        let engine = SpecialFftEngine::new(F64Field, slots);
         let mut got = msg.clone();
         engine.forward(&mut got);
         prop_assert_eq!(&got, &want, "forward");

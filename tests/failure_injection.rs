@@ -172,9 +172,9 @@ fn wrong_galois_element_is_rejected_before_any_arithmetic() {
 
 #[test]
 fn every_prefix_of_every_ciphertext_wire_form_is_rejected() {
-    // The same strictness guarantee for all three ciphertext encodings:
-    // full-word v2, bit-packed v3, and seed-compressed (kind 2). Every
-    // strict prefix must fail and trailing garbage must fail — a partial
+    // The same strictness guarantee for both ciphertext encodings:
+    // bit-packed (kind 1) and seed-compressed (kind 2). Every strict
+    // prefix must fail and trailing garbage must fail — a partial
     // download or a concatenation bug can never parse.
     use abc_fhe::ckks::{symmetric, wire};
     let ctx = ctx();
@@ -187,12 +187,7 @@ fn every_prefix_of_every_ciphertext_wire_form_is_rejected() {
     type Parses = Box<dyn Fn(&[u8]) -> bool>;
     let forms: Vec<(&str, Vec<u8>, Parses)> = vec![
         (
-            "v2 full-word ciphertext",
-            wire::serialize_ciphertext(&ct),
-            Box::new(|b: &[u8]| wire::deserialize_ciphertext(b).is_ok()),
-        ),
-        (
-            "v3 bit-packed ciphertext",
+            "bit-packed ciphertext",
             wire::serialize_ciphertext_packed(&ct, &widths).expect("serialize"),
             Box::new(|b: &[u8]| wire::deserialize_ciphertext(b).is_ok()),
         ),
