@@ -198,15 +198,24 @@ fn main() {
         .map(|path| std::fs::read_to_string(&path).expect("read the BEFORE snapshot"));
     let mut benches = Vec::new();
 
-    // --- NTT fast path, the paper's dominant kernel ---
-    for log_n in [13u32, 14] {
+    // --- NTT fast path, the paper's dominant kernel: forward at the
+    // gateway's and a mid-size ring, inverse at the gateway's and the
+    // paper's (the inverse reads the forward table backwards; at 2^16
+    // the two columns no longer fit L2) ---
+    type Transform = fn(&NttPlan, &mut [u64]);
+    for (log_n, direction, transform) in [
+        (13u32, "forward", NttPlan::forward as Transform),
+        (14, "forward", NttPlan::forward),
+        (13, "inverse", NttPlan::inverse),
+        (16, "inverse", NttPlan::inverse),
+    ] {
         let n = 1usize << log_n;
         let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
         let m = abc_math::Modulus::new(q).expect("modulus");
         let plan = NttPlan::new(m, n).expect("plan");
         let mut data: Vec<u64> = (0..n as u64).map(|i| i % q).collect();
-        benches.push(measure(&format!("ntt/forward/2^{log_n}"), 300, || {
-            plan.forward(&mut data);
+        benches.push(measure(&format!("ntt/{direction}/2^{log_n}"), 300, || {
+            transform(&plan, &mut data);
         }));
     }
 
@@ -298,6 +307,9 @@ fn main() {
             .collect();
         benches.push(measure("rns_ntt/forward_24limbs/2^13", 300, || {
             engine.forward_all(&mut limbs);
+        }));
+        benches.push(measure("rns_ntt/inverse_24limbs/2^13", 300, || {
+            engine.inverse_all(&mut limbs);
         }));
         // Thread-scaling rows (flat on the 1-vCPU CI box; the ids keep
         // multi-core hosts comparable in the same artifact).

@@ -84,8 +84,12 @@ macro_rules! with_embedding {
 /// the only threads an operation starts are the engine's limb fan-out.
 /// A caller holding several messages loops the single-op path (dropping
 /// each plaintext before making the next keeps the limb pool inside its
-/// one-operation allowance) or runs one context per worker, as the
-/// gateway does.
+/// one-operation allowance). A caller with several *threads* shares one
+/// context between them, as the gateway's workers do: every method
+/// takes `&self`, the context is `Send + Sync`, and its tables — 24 MiB
+/// at `N = 2^16`, 24 primes — are then resident once. Such a caller
+/// registers the limb-pool allowance of the extra concurrent operations
+/// with [`RnsNttEngine::allow_concurrent_ops`].
 #[derive(Debug)]
 pub struct CkksContext {
     params: CkksParams,
@@ -93,6 +97,13 @@ pub struct CkksContext {
     engine: RnsNttEngine,
     embedding: EmbeddingEngine,
 }
+
+/// Threads share one context by reference (`Arc<CkksContext>` in the
+/// gateway); nothing in it may stop being `Send + Sync` unnoticed.
+const _: fn() = || {
+    fn ok<T: Send + Sync>() {}
+    ok::<CkksContext>()
+};
 
 impl CkksContext {
     /// Builds a context: generates the NTT-prime basis and all transform
@@ -154,6 +165,18 @@ impl CkksContext {
     /// [`EmbeddingPrecision`] (planned twiddles + slot-buffer pool).
     pub fn embedding(&self) -> &EmbeddingEngine {
         &self.embedding
+    }
+
+    /// Bytes this context keeps resident while it lives, by owner:
+    /// `(ntt_tables, fft_plans, pool_allowance)` — the twiddle and
+    /// quotient columns of the per-prime NTT plans, the embedding FFT's
+    /// tables, and the limb-pool retention the engine registers for one
+    /// operation (`4 × limbs × N × 8`; the pool fills it on first use).
+    /// Keys and the FFT engine's slot buffers are not counted.
+    pub fn resident_bytes(&self) -> (usize, usize, usize) {
+        let (ntt_tables, pool_allowance) = self.engine.resident_bytes();
+        let fft_plans = with_embedding!(self, e => e.plan().resident_bytes());
+        (ntt_tables, fft_plans, pool_allowance)
     }
 
     /// Per-prime residue bit widths of the first `primes` basis entries —

@@ -20,9 +20,9 @@
 //!   into a shallower queue), compute timeouts are not.
 //! - **Panic isolation** ([`worker`]): every request runs under
 //!   `catch_unwind`; a panicking worker resolves its caller with
-//!   [`GatewayError::WorkerPanicked`] via a drop guard and respawns
-//!   its pooled CKKS state (which the panic unwound through at an
-//!   arbitrary point). A caller is never left hanging — the
+//!   [`GatewayError::WorkerPanicked`] via a drop guard and resumes on
+//!   the gateway's one shared `CkksContext`, which is immutable after
+//!   construction. A caller is never left hanging — the
 //!   **zero-lost-request invariant**: every submission resolves to
 //!   success or a typed error, checkable as `submitted == resolved` in
 //!   [`metrics`].

@@ -114,7 +114,8 @@ pub struct Metrics {
     pub bad_requests: AtomicU64,
     /// Worker panics caught.
     pub worker_panics: AtomicU64,
-    /// Workers respawned with fresh pooled state after a panic.
+    /// Workers that resumed after a caught panic (on the shared context,
+    /// nothing to rebuild): `worker_panics`, once none is mid-recovery.
     pub worker_respawns: AtomicU64,
     /// Retry attempts made by `call_with_retry` (beyond the first).
     pub retries: AtomicU64,

@@ -8,6 +8,8 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::retry;
 use crate::session::SessionStore;
 use crate::worker::{self, Job, Responder};
+use abc_ckks::limb_pool::Allowance;
+use abc_ckks::CkksContext;
 use abc_float::Complex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -86,6 +88,11 @@ pub enum Response {
 /// Shared state between the service facade and its workers.
 pub(crate) struct Shared {
     pub config: GatewayConfig,
+    /// The one CKKS context every worker runs on.
+    pub ctx: Arc<CkksContext>,
+    /// Limb-pool retention for the `workers − 1` operations beside the
+    /// one the context's engine registers: `workers × 4 × limbs` in all.
+    _pool_allowance: Allowance,
     pub queue: BoundedQueue<Job>,
     pub sessions: SessionStore,
     pub metrics: Arc<Metrics>,
@@ -133,8 +140,8 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Validates `config`, spins up the worker pool, and returns the
-    /// running gateway.
+    /// Validates `config`, builds the CKKS context the workers share,
+    /// spins up the worker pool, and returns the running gateway.
     ///
     /// # Errors
     ///
@@ -143,8 +150,10 @@ impl Gateway {
     /// rejects).
     pub fn start(config: GatewayConfig) -> Result<Self, GatewayError> {
         config.validate()?;
-        worker::validate_params(&config)?;
+        let ctx = Arc::new(worker::build_context(&config)?);
         let shared = Arc::new(Shared {
+            _pool_allowance: ctx.ntt_engine().allow_concurrent_ops(config.workers - 1),
+            ctx,
             sessions: SessionStore::new(config.session_capacity, config.master_seed),
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: Arc::new(Metrics::default()),
@@ -292,13 +301,19 @@ impl Gateway {
         *crate::sync::lock(&self.shared.fault) = plan;
     }
 
+    /// The CKKS context every worker runs on (one per gateway, however
+    /// many workers), to read parameters, kernels and resident bytes off.
+    pub fn context(&self) -> &Arc<CkksContext> {
+        &self.shared.ctx
+    }
+
     /// Current admission-queue depth.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.len()
     }
 
-    /// Workers currently alive (respawns keep this at the configured
-    /// pool size; it only drops during shutdown).
+    /// Workers currently alive (a caught panic does not end its worker:
+    /// this only drops from the configured pool size during shutdown).
     pub fn live_workers(&self) -> u64 {
         self.live_workers.load(Ordering::SeqCst)
     }

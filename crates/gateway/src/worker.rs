@@ -1,17 +1,18 @@
-//! Worker threads: pooled CKKS state, panic isolation, and the
+//! Worker threads: one shared CKKS context, panic isolation, and the
 //! zero-lost-request drop guard.
 //!
-//! Each worker owns its `CkksContext` outright (engines, NTT plans, the
-//! FFT slot pool) — no sharing means no lock contention on the hot
-//! path and, more importantly, a clean respawn story: a panic caught
-//! mid-request unwound through that context at an arbitrary point, so
-//! the worker discards it whole and rebuilds fresh state before taking
-//! the next job instead of reasoning about what the old one still
-//! holds. (Both pools recover their locks from a panic — the context's
-//! slot pool and the process-wide limb pool, the one thing the workers
-//! share — and the limbs a panicking request had checked out go back
-//! while the request unwinds.) The in-flight request is resolved by
-//! [`Responder`]'s drop guard — a panicking worker can *never* strand
+//! [`Gateway::start`](crate::Gateway::start) builds **one**
+//! `CkksContext` and every worker borrows it: the context is immutable
+//! after construction (`Send + Sync`, every method `&self`), so its
+//! tables are built once and resident once however many workers run.
+//! What workers contend on is two short critical sections per operation
+//! — the process-wide limb pool and the context's FFT slot pool, each a
+//! pop or a push under a lock that recovers from a panic. A panic caught
+//! mid-request therefore costs nothing to recover from: the context has
+//! no state an unwind could leave half-written, the limbs the request
+//! had checked out go back while it unwinds, and the worker resumes on
+//! the same context with the next job. The in-flight request is resolved
+//! by [`Responder`]'s drop guard — a panicking worker can *never* strand
 //! its caller.
 //!
 //! Requests are the gateway's unit of parallelism (one per worker); a
@@ -98,44 +99,31 @@ impl Drop for Responder {
     }
 }
 
-/// Builds a worker's pooled context from the gateway parameters.
-fn build_context(config: &GatewayConfig) -> Result<CkksContext, GatewayError> {
-    let params = CkksParams::builder()
+/// Builds the gateway's context from its parameters; the error is what
+/// `Gateway::start` reports for CKKS parameters the builder rejects.
+pub(crate) fn build_context(config: &GatewayConfig) -> Result<CkksContext, GatewayError> {
+    CkksParams::builder()
         .log_n(config.log_n)
         .num_primes(config.num_primes)
         .secret_hamming_weight(Some((1usize << config.log_n) / 8))
         .build()
-        .map_err(|e| GatewayError::InvalidConfig(format!("{e}")))?;
-    CkksContext::new(params).map_err(|e| GatewayError::InvalidConfig(format!("{e}")))
-}
-
-/// Validates the gateway's CKKS parameters without starting a worker —
-/// called once by `Gateway::start` so bad configs fail synchronously.
-pub(crate) fn validate_params(config: &GatewayConfig) -> Result<(), GatewayError> {
-    build_context(config).map(|_| ())
+        .and_then(CkksContext::new)
+        .map_err(|e| GatewayError::InvalidConfig(format!("{e}")))
 }
 
 /// The worker thread body: pop → handle (panic-isolated) → repeat.
 pub(crate) fn worker_main(shared: Arc<Shared>, live_workers: Arc<AtomicU64>) {
-    let Ok(mut ctx) = build_context(&shared.config) else {
-        return;
-    };
+    let ctx = Arc::clone(&shared.ctx);
     live_workers.fetch_add(1, Ordering::SeqCst);
     while let Some(job) = shared.queue.pop() {
         let outcome = catch_unwind(AssertUnwindSafe(|| handle_job(&ctx, &shared, job)));
         if outcome.is_err() {
             // The job's Responder drop guard has already resolved the
-            // caller with WorkerPanicked during unwinding. Respawn the
-            // compute state from scratch: cheaper than proving the old
-            // context whole after an unwind from an arbitrary point.
+            // caller with WorkerPanicked during unwinding, and the
+            // shared context holds nothing an unwind can damage: the
+            // worker resumes on it.
             inc(&shared.metrics.worker_panics);
-            match build_context(&shared.config) {
-                Ok(fresh) => {
-                    ctx = fresh;
-                    inc(&shared.metrics.worker_respawns);
-                }
-                Err(_) => break,
-            }
+            inc(&shared.metrics.worker_respawns);
         }
     }
     live_workers.fetch_sub(1, Ordering::SeqCst);

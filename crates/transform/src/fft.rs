@@ -252,6 +252,18 @@ impl<F: RealField> SpecialFft<F> {
             .sum()
     }
 
+    /// Bytes of table memory the plan keeps resident: both twiddle
+    /// directions, the rotation group, and the AVX-512 kernel's tables.
+    pub fn resident_bytes(&self) -> usize {
+        let simd = match &self.kernel {
+            FftKernel::Avx512(plan) => plan.table_bytes(),
+            _ => 0,
+        };
+        self.twiddle_words() * core::mem::size_of::<Complex<F::Real>>()
+            + self.rot_group.len() * core::mem::size_of::<usize>()
+            + simd
+    }
+
     /// Per-stage twiddles in execution order (shared with the streaming
     /// dataflow model, which mirrors this exact table).
     pub(crate) fn fwd_stage_twiddles(&self) -> &[Vec<Complex<F::Real>>] {

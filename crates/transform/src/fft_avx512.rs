@@ -148,6 +148,13 @@ impl SimdPlan {
         }
     }
 
+    /// Bytes of the SoA twiddle tables and the bit-reversal table.
+    pub(crate) fn table_bytes(&self) -> usize {
+        let long = [&self.fwd, &self.inv].into_iter().flat_map(|d| &d.long);
+        let twiddles: usize = long.map(|(_, re, im)| re.len() + im.len()).sum();
+        twiddles * 8 + self.brv.len() * 4
+    }
+
     /// Locks the scratch pool, recovering a poisoned lock: the state is
     /// a list of buffers whose contents nobody relies on.
     fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<SoaBuf>> {

@@ -9,6 +9,11 @@
 //! final `N^{-1}` scale. No extra multiplier columns remain — this is the
 //! algorithmic fact behind the paper's twiddle-factor-scheduling area
 //! saving (Fig. 6a).
+//!
+//! A plan is resident as **two `N`-word columns**: the forward twiddles
+//! of its [`TwiddleTable`] and their quotients in the one radix its
+//! kernel multiplies through. The inverse direction reads the same two
+//! backwards (`ψ^N = −1`, see [`crate::twiddle`]).
 
 use crate::twiddle::{TwiddleSource, TwiddleTable};
 use abc_math::dyadic::DyadicEngine;
@@ -23,7 +28,7 @@ use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
 ///
 /// [`NttPlan::forward`] and [`NttPlan::inverse`] run **Harvey
 /// butterflies**: every twiddle multiply becomes high-products against
-/// the table's precomputed Shoup quotients (eight 52-bit lanes at a
+/// the plan's precomputed Shoup quotients (eight 52-bit lanes at a
 /// time on AVX-512IFMA machines, two 64-bit `mulhi`s scalar otherwise)
 /// and reduction is deferred — values travel in `[0, 4q)` (forward) /
 /// `[0, 2q)` (inverse) across stages and are normalized once at the
@@ -53,6 +58,12 @@ pub struct NttPlan {
     m: Modulus,
     n: usize,
     table: TwiddleTable,
+    /// Shoup quotients of the table's forward column in the radix the
+    /// kernel reads — `floor(w·2^52/q)` for `Simd`, `floor(w·2^64/q)`
+    /// for `Scalar`, empty for `Reference`.
+    quotients: Vec<u64>,
+    /// The quotient of `N^{-1}` in the same radix (0 for `Reference`).
+    n_inv_quotient: u64,
     /// The ladder rung [`NttPlan::with_kernel`] landed on: `Simd` =
     /// ifma (never off x86-64), `Scalar` = harvey, else golden.
     kernel: KernelTier,
@@ -90,13 +101,26 @@ impl NttPlan {
     /// Panics if `Auto` reads an unparseable override.
     pub fn with_kernel(m: Modulus, n: usize, tier: KernelTier) -> Result<Self, MathError> {
         let tier = tier.or_env();
-        let ifma_ok = m.q() < MAX_SHOUP52_MODULUS && n >= 16 && CpuCaps::detect().ifma();
+        let q = m.q();
+        let ifma_ok = q < MAX_SHOUP52_MODULUS && n >= 16 && CpuCaps::detect().ifma();
+        // The rung first, then the one quotient column that rung reads.
+        let kernel = tier.degrade(ifma_ok, q < MAX_SHOUP_MODULUS);
+        let precompute: Option<fn(u64, u64) -> u64> = match kernel {
+            KernelTier::Simd => Some(shoup::shoup_precompute52),
+            KernelTier::Scalar => Some(shoup::shoup_precompute),
+            _ => None,
+        };
         let table = TwiddleTable::new(m, n)?;
+        let column = table.forward_column().iter();
+        let quotients = precompute.map_or_else(Vec::new, |f| column.map(|&w| f(w, q)).collect());
+        let n_inv_quotient = precompute.map_or(0, |f| f(table.n_inv(), q));
         Ok(Self {
             m,
             n,
             table,
-            kernel: tier.degrade(ifma_ok, m.q() < MAX_SHOUP_MODULUS),
+            quotients,
+            n_inv_quotient,
+            kernel,
             // The dyadic engine takes the same tier, so a
             // reference-forced plan stays golden end to end (the
             // bit-identity tests rely on it).
@@ -136,6 +160,13 @@ impl NttPlan {
         &self.table
     }
 
+    /// Bytes of twiddle memory this plan keeps resident: the table's
+    /// forward column plus the kernel's quotient column — `2·N·8` on the
+    /// fast kernels, `N·8` on the golden one.
+    pub fn resident_bytes(&self) -> usize {
+        (self.table.forward_column().len() + self.quotients.len()) * 8
+    }
+
     /// In-place forward negacyclic NTT (coefficients → evaluations, in
     /// bit-reversed order internally — `forward` then `inverse` is the
     /// identity, and dyadic products between forward outputs are valid).
@@ -148,17 +179,7 @@ impl NttPlan {
     ///
     /// Panics if `a.len() != N`.
     pub fn forward(&self, a: &mut [u64]) {
-        match self.kernel {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Simd => {
-                assert_eq!(a.len(), self.n, "polynomial length must equal N");
-                let (tw, _) = self.table.forward_pairs();
-                let tw52 = self.table.forward_shoup52().expect("ifma implies q < 2^50");
-                crate::ntt_ifma::forward(a, self.m.q(), tw, tw52);
-            }
-            KernelTier::Scalar => self.forward_harvey(a),
-            _ => self.forward_with(&self.table, a),
-        }
+        self.forward_core(a, true);
     }
 
     /// In-place forward NTT **without the closing normalization**:
@@ -173,15 +194,26 @@ impl NttPlan {
     ///
     /// Panics if `a.len() != N`.
     pub fn forward_lazy(&self, a: &mut [u64]) {
+        self.forward_core(a, false);
+    }
+
+    /// The forward dispatch; without `normalize` the fast kernels leave
+    /// their lazy `[0, 4q)` lanes as the last stage wrote them.
+    fn forward_core(&self, a: &mut [u64], normalize: bool) {
+        assert_eq!(a.len(), self.n, "polynomial length must equal N");
+        let q = self.m.q();
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Simd => {
-                assert_eq!(a.len(), self.n, "polynomial length must equal N");
-                let (tw, _) = self.table.forward_pairs();
-                let tw52 = self.table.forward_shoup52().expect("ifma implies q < 2^50");
-                crate::ntt_ifma::forward_lazy(a, self.m.q(), tw, tw52);
+                let tw = self.table.forward_column();
+                crate::ntt_ifma::forward(a, q, tw, &self.quotients, normalize);
             }
-            KernelTier::Scalar => self.forward_harvey_lazy(a),
+            KernelTier::Scalar => {
+                self.forward_harvey_lazy(a);
+                if normalize {
+                    a.iter_mut().for_each(|x| *x = shoup::normalize_4q(*x, q));
+                }
+            }
             _ => self.forward_with(&self.table, a),
         }
     }
@@ -234,18 +266,15 @@ impl NttPlan {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Simd => {
-                let (tw, _) = self.table.inverse_pairs();
-                let tw52 = self.table.inverse_shoup52().expect("ifma implies q < 2^50");
-                let (n_inv, n_inv_shoup52) = self.table.n_inv_pair52();
                 crate::ntt_ifma::inverse_fused(
                     dst,
                     src,
                     sub,
                     self.m.q(),
-                    tw,
-                    tw52,
-                    n_inv,
-                    n_inv_shoup52,
+                    self.table.forward_column(),
+                    &self.quotients,
+                    self.table.n_inv(),
+                    self.n_inv_quotient,
                 );
             }
             KernelTier::Scalar => self.inverse_harvey_fused(dst, src, sub),
@@ -267,24 +296,12 @@ impl NttPlan {
 
     /// Cooley–Tukey forward transform with Harvey butterflies: the
     /// twiddle multiply is `mul_shoup_lazy` (two `mulhi`s, no division)
-    /// and stage outputs stay in `[0, 4q)`; a single normalization pass
-    /// at the end restores canonical `[0, q)` values.
-    fn forward_harvey(&self, a: &mut [u64]) {
-        self.forward_harvey_lazy(a);
-        let q = self.m.q();
-        for x in a.iter_mut() {
-            *x = shoup::normalize_4q(*x, q);
-        }
-    }
-
-    /// The Harvey butterfly stages without the closing normalization:
-    /// outputs lazy in `[0, 4q)` (the last stage's own pass replaces
-    /// the normalization pass when a fused consumer follows).
+    /// and stage outputs stay in `[0, 4q)`, the last stage's included —
+    /// the caller normalizes to `[0, q)`, or a fused consumer does.
     fn forward_harvey_lazy(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "polynomial length must equal N");
         let q = self.m.q();
         let two_q = 2 * q;
-        let (tw, tw_shoup) = self.table.forward_pairs();
+        let (tw, tw_shoup) = (self.table.forward_column(), &self.quotients[..]);
         let n = self.n;
         let mut t = n;
         let mut m = 1usize;
@@ -313,53 +330,53 @@ impl NttPlan {
     /// Gentleman–Sande inverse transform with Harvey butterflies: sums
     /// are reduced lazily into `[0, 2q)`, differences go through
     /// `mul_shoup_lazy`, and the final `N^{-1}` scale doubles as the
-    /// normalization to `[0, q)`. The first stage's loads absorb the
-    /// optional out-of-place read from `src` and canonical subtraction
-    /// of `sub` (`x + (q − b) ∈ (0, 2q)` keeps the stage invariant).
+    /// normalization to `[0, q)`. Group `i` of a stage of `h` groups
+    /// multiplies by `−tw[2h − 1 − i]`: each stage zips its chunks with
+    /// the **forward** block `[h, 2h)` reversed and lifts the difference
+    /// the other way round, `v + 2q − u ∈ (0, 4q)`. The first stage's
+    /// loads absorb the optional out-of-place read from `src` and the
+    /// canonical subtraction of `sub` (`x + (q − b) ∈ (0, 2q)` keeps the
+    /// stage invariant).
     fn inverse_harvey_fused(&self, a: &mut [u64], src: Option<&[u64]>, sub: Option<&[u64]>) {
         let q = self.m.q();
         let two_q = 2 * q;
-        let (tw, tw_shoup) = self.table.inverse_pairs();
+        let (tw, tw_shoup) = (self.table.forward_column(), &self.quotients[..]);
+        let stage_w = |h: usize| tw[h..2 * h].iter().zip(&tw_shoup[h..2 * h]).rev();
         let n = self.n;
         // Fused first stage (t = 1, adjacent pairs): read through
         // src/sub, write `a`. Lanes land < 2q, as every stage expects.
-        {
-            let h = n >> 1;
-            let stage_w = tw[h..2 * h].iter().zip(&tw_shoup[h..2 * h]);
-            for (i, (&w, &ws)) in stage_w.enumerate() {
-                let (u, v) = match src {
-                    Some(s) => (s[2 * i], s[2 * i + 1]),
-                    None => (a[2 * i], a[2 * i + 1]),
-                };
-                let (u, v) = match sub {
-                    Some(b) => (u + q - b[2 * i], v + q - b[2 * i + 1]),
-                    None => (u, v),
-                };
-                a[2 * i] = shoup::add_lazy(u, v, two_q);
-                a[2 * i + 1] = shoup::mul_shoup_lazy(u + two_q - v, w, ws, q);
-            }
+        for (i, (&w, &ws)) in stage_w(n >> 1).enumerate() {
+            let (u, v) = match src {
+                Some(s) => (s[2 * i], s[2 * i + 1]),
+                None => (a[2 * i], a[2 * i + 1]),
+            };
+            let (u, v) = match sub {
+                Some(b) => (u + q - b[2 * i], v + q - b[2 * i + 1]),
+                None => (u, v),
+            };
+            a[2 * i] = shoup::add_lazy(u, v, two_q);
+            a[2 * i + 1] = shoup::mul_shoup_lazy(v + two_q - u, w, ws, q);
         }
         let mut t = 2usize;
         let mut m = n >> 1;
         while m > 1 {
             let h = m >> 1;
             // Stage with `h` groups of 2t lanes: group `i` is the chunk
-            // a[2it .. 2(i+1)t] and multiplies by tw[h + i].
-            let stage_w = tw[h..2 * h].iter().zip(&tw_shoup[h..2 * h]);
-            for (chunk, (&w, &ws)) in a.chunks_exact_mut(2 * t).zip(stage_w) {
+            // a[2it .. 2(i+1)t] and multiplies by −tw[2h − 1 − i].
+            for (chunk, (&w, &ws)) in a.chunks_exact_mut(2 * t).zip(stage_w(h)) {
                 let (lo, hi) = chunk.split_at_mut(t);
                 for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    // Invariant: inputs < 2q.
+                    // Invariant: inputs < 2q, so v + 2q − u ∈ (0, 4q).
                     let u = *x;
                     let v = *y;
                     *x = shoup::add_lazy(u, v, two_q);
-                    *y = shoup::mul_shoup_lazy(u + two_q - v, w, ws, q);
+                    *y = shoup::mul_shoup_lazy(v + two_q - u, w, ws, q);
                 }
             }
             t <<= 1;
             m = h;
         }
-        let (n_inv, n_inv_shoup) = self.table.n_inv_pair();
+        let (n_inv, n_inv_shoup) = (self.table.n_inv(), self.n_inv_quotient);
         for x in a.iter_mut() {
             *x = shoup::mul_shoup(*x, n_inv, n_inv_shoup, q);
         }
@@ -705,6 +722,12 @@ mod tests {
         assert_eq!(harvey.kernel_name(), "harvey");
         let small = NttPlan::with_kernel(m, 8, KernelTier::Simd).unwrap();
         assert_eq!(small.kernel_name(), "harvey");
+        // The twiddle diet: forward twiddles plus the one quotient
+        // column the rung reads, nothing for the inverse direction.
+        let simd = NttPlan::with_kernel(m, 64, KernelTier::Simd).unwrap();
+        assert_eq!(golden.resident_bytes(), 64 * 8);
+        assert_eq!(harvey.resident_bytes(), 2 * 64 * 8);
+        assert_eq!(simd.resident_bytes(), 2 * 64 * 8);
     }
 
     #[test]

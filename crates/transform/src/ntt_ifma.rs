@@ -7,8 +7,12 @@
 //! below 2^50 (the paper's are 36-bit) every lazy intermediate
 //! (`< 4q < 2^52`) fits a lane, so one 512-bit instruction replaces
 //! eight scalar `mulhi`s. This is the technique Intel HEXL ships for
-//! sub-50-bit CKKS primes; here it rides on the same [`TwiddleTable`]
-//! Shoup columns the scalar kernel uses.
+//! sub-50-bit CKKS primes; here it rides on the [`TwiddleTable`]'s
+//! forward column and the radix-2^52 quotients its `NttPlan` builds
+//! beside it. Both directions read those two and nothing else: the
+//! inverse twiddle of group `i` in a stage of `h` is `−tw[2h − 1 − i]`
+//! ([`crate::twiddle`]), so the Gentleman–Sande stages walk the forward
+//! stage block top down and lift `y + 2q − x`, not `x + 2q − y`.
 //!
 //! Stages whose butterfly span `t` is at least one vector (8 lanes) use
 //! straight loads; the three short-span stages (`t = 4, 2, 1`) are
@@ -31,71 +35,41 @@ use abc_math::{shoup, CpuCaps};
 use core::arch::x86_64::*;
 
 /// Forward negacyclic NTT, Cooley–Tukey, values lazily in `[0, 4q)`,
-/// normalized to `[0, q)` at the end.
+/// normalized to `[0, q)` at the end — unless `normalize` is off, when
+/// output lanes stay lazy in `[0, 4q)` for a consumer that normalizes in
+/// its own pass (the NTT-edge fusion of
+/// `DyadicEngine::sub_scalar_mul_assign`).
 ///
-/// `tw`/`tw_shoup52` are the [`TwiddleTable`] value and radix-2^52
-/// quotient columns in `ψ^{brv(k)}` layout.
+/// `tw`/`tw_shoup52` are the [`TwiddleTable`] value column and its
+/// radix-2^52 quotients, in `ψ^{brv(k)}` layout.
 ///
 /// # Panics
 ///
-/// Asserts [`CpuCaps::ifma`]; debug-asserts `q < 2^50` and a
-/// power-of-two length of at least 16.
+/// Asserts [`CpuCaps::ifma`], a power-of-two length of at least 16 and
+/// columns of that length; debug-asserts `q < 2^50`.
 ///
 /// [`TwiddleTable`]: crate::twiddle::TwiddleTable
-pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64]) {
+pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64], normalize: bool) {
     // Hard assert: this is a safe public fn, so executing the
     // target_feature impl on a CPU without IFMA would be UB reachable
     // from safe code. One branch is noise next to an N ≥ 16 transform.
     assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
+    assert_columns(a, tw, tw_shoup52);
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
-    debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
-    // SAFETY: the assert above proves the required target features.
-    unsafe { forward_impl(a, q, tw, tw_shoup52, true) }
-}
-
-/// [`forward`] without the closing normalization: output lanes stay
-/// lazy in `[0, 4q)`, for consumers that normalize in their own pass
-/// (the NTT-edge fusion of `DyadicEngine::sub_scalar_mul_assign`).
-///
-/// # Panics
-///
-/// Same contract as [`forward`].
-pub fn forward_lazy(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64]) {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
-    debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
-    // SAFETY: the assert above proves the required target features.
-    unsafe { forward_impl(a, q, tw, tw_shoup52, false) }
+    // SAFETY: the asserts above prove the required target features and
+    // the slice shapes.
+    unsafe { forward_impl(a, q, tw, tw_shoup52, normalize) }
 }
 
 /// Inverse negacyclic NTT, Gentleman–Sande, values lazily in `[0, 2q)`,
-/// scaled by `N^{-1}` (canonical `[0, q)`) at the end.
+/// scaled by `N^{-1}` (canonical `[0, q)`) at the end: `a = INTT(src −
+/// sub)`, with the copy from `src` (when given, else `a` itself) and
+/// the canonical subtraction of `sub` (when given) folded into the
+/// first stage's loads — the preceding element-wise pass never touches
+/// DRAM.
 ///
-/// # Panics
-///
-/// Same contract as [`forward`].
-pub fn inverse(
-    a: &mut [u64],
-    q: u64,
-    tw: &[u64],
-    tw_shoup52: &[u64],
-    n_inv: u64,
-    n_inv_shoup52: u64,
-) {
-    // Hard assert for soundness, as in `forward`.
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
-    debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
-    // SAFETY: the assert above proves the required target features.
-    unsafe { inverse_impl(a, None, None, q, tw, tw_shoup52, n_inv, n_inv_shoup52) }
-}
-
-/// Fused-entry inverse NTT: `a = INTT(src − sub)`, with the copy from
-/// `src` (when given, else `a` itself) and the canonical subtraction of
-/// `sub` (when given) folded into the first Gentleman–Sande stage's
-/// loads — the preceding element-wise pass never touches DRAM.
-///
-/// `src` and `sub` lanes must be canonical `[0, q)`.
+/// `tw`/`tw_shoup52` are the same **forward** columns [`forward`]
+/// takes. `src` and `sub` lanes must be canonical `[0, q)`.
 ///
 /// # Panics
 ///
@@ -118,10 +92,19 @@ pub fn inverse_fused(
     if let Some(b) = sub {
         assert_eq!(a.len(), b.len());
     }
+    assert_columns(a, tw, tw_shoup52);
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
-    debug_assert!(a.len() >= 16 && a.len().is_power_of_two());
-    // SAFETY: the assert above proves the required target features.
+    // SAFETY: the asserts above prove the required target features and
+    // the slice shapes.
     unsafe { inverse_impl(a, src, sub, q, tw, tw_shoup52, n_inv, n_inv_shoup52) }
+}
+
+/// The shape every kernel's raw reads rest on: a power-of-two length of
+/// at least 16, and twiddle columns of exactly that length.
+fn assert_columns(a: &[u64], tw: &[u64], tw_shoup52: &[u64]) {
+    let n = a.len();
+    assert!(n >= 16 && n.is_power_of_two(), "length {n}");
+    assert!(tw.len() == n && tw_shoup52.len() == n, "twiddle columns");
 }
 
 /// Eight-lane radix-2^52 Shoup multiply: returns `r ≡ y·w (mod q)` with
@@ -207,29 +190,42 @@ unsafe fn layer_perms() -> [LayerPerm; 3] {
 
 /// Per-lane twiddle vectors for the short-span layers of block `b`
 /// (`n/8` blocks of 8 lanes): layer t=4 uses one twiddle, t=2 two,
-/// t=1 four, each repeated across its chunk's lanes.
+/// t=1 four, each repeated across its chunk's lanes (adjacent in the
+/// column, so each vector is one load and one `vpermq`). With `rev`
+/// they are the inverse direction's: GS group `i` of `h` multiplies by
+/// (minus) forward entry `2h − 1 − i`, which for block `b` is forward
+/// block `n/8 − 1 − b` with each layer's twiddles in reverse order.
 /// # Safety
 ///
-/// The CPU must support AVX-512F and AVX-512IFMA; the helper is
-/// `#[inline(always)]` so it inherits the features of the
-/// `target_feature` kernel it inlines into.
+/// `col` must hold `n` entries and `b` be below `n/8`. The CPU must
+/// support AVX-512F and AVX-512IFMA; the helper is `#[inline(always)]`
+/// so it inherits the features of the kernel it inlines into.
 #[inline(always)]
-unsafe fn layer_twiddles(col: &[u64], n: usize, b: usize) -> [__m512i; 3] {
-    // SAFETY: register-only broadcasts from in-bounds table reads (the caller keeps `b < n/8` and the twiddle columns hold `n` entries); the caller (an
-    // avx512f+avx512ifma kernel) guarantees the features.
+unsafe fn layer_twiddles(col: &[u64], n: usize, b: usize, rev: bool) -> [__m512i; 3] {
+    let b = if rev { n / 8 - 1 - b } else { b };
+    debug_assert!(col.len() == n && b < n / 8);
+    // SAFETY: the column holds `n` entries (hard-asserted by the public
+    // wrappers) and `b < n/8` (the caller's loop bound, so its mirror
+    // too): the one-, two- and four-word reads at `n/8 + b`, `n/4 + 2b`
+    // and `n/2 + 4b` end at or before `n`. The rest is register-only;
+    // the caller (an avx512f+avx512ifma kernel) guarantees the features.
     unsafe {
-        let w4 = _mm512_set1_epi64(col[n / 8 + b] as i64);
-        let (w20, w21) = (col[n / 4 + 2 * b] as i64, col[n / 4 + 2 * b + 1] as i64);
-        let w2 = _mm512_set_epi64(w21, w21, w21, w21, w20, w20, w20, w20);
-        let p = n / 2 + 4 * b;
-        let (w10, w11, w12, w13) = (
-            col[p] as i64,
-            col[p + 1] as i64,
-            col[p + 2] as i64,
-            col[p + 3] as i64,
-        );
-        let w1 = _mm512_set_epi64(w13, w13, w12, w12, w11, w11, w10, w10);
-        [w4, w2, w1]
+        let p = col.as_ptr();
+        let w4 = _mm512_set1_epi64(*p.add(n / 8 + b) as i64);
+        let w2 = _mm512_castsi128_si512(_mm_loadu_si128(p.add(n / 4 + 2 * b).cast()));
+        let w1 = _mm512_castsi256_si512(_mm256_loadu_si256(p.add(n / 2 + 4 * b).cast()));
+        // Lane `l` takes twiddle `l / 4` of the pair and `l / 2` of the
+        // quad, counted from the other end (index XOR top) when reversed.
+        let (top2, top1) = if rev { (1, 3) } else { (0, 0) };
+        let i2 = _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0);
+        let i1 = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
+        let i2 = _mm512_xor_si512(i2, _mm512_set1_epi64(top2));
+        let i1 = _mm512_xor_si512(i1, _mm512_set1_epi64(top1));
+        [
+            w4,
+            _mm512_permutexvar_epi64(i2, w2),
+            _mm512_permutexvar_epi64(i1, w1),
+        ]
     }
 }
 
@@ -264,7 +260,8 @@ unsafe fn ct_layer(
 }
 
 /// One Gentleman–Sande layer inside a vector: low half takes the lazily
-/// reduced sum, high half multiplies the lifted difference.
+/// reduced sum, high half multiplies the lifted difference `hi + 2q −
+/// lo ∈ (0, 4q)` (inputs `[0, 2q)`) by the **negated** inverse twiddle.
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA; the helper is
@@ -285,7 +282,7 @@ unsafe fn gs_layer(
         let lo = _mm512_permutexvar_epi64(p.idx_lo, v);
         let hi = _mm512_permutexvar_epi64(p.idx_hi, v);
         let s = csub_x8(_mm512_add_epi64(lo, hi), v2q);
-        let d = _mm512_sub_epi64(_mm512_add_epi64(lo, v2q), hi);
+        let d = _mm512_sub_epi64(_mm512_add_epi64(hi, v2q), lo);
         let t = mul_shoup52_x8(d, w, w52, vq);
         _mm512_mask_blend_epi64(p.hi_mask, s, t)
     }
@@ -341,8 +338,8 @@ unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64], no
         // SAFETY: 8b + 8 <= n; twiddle reads stay inside the table.
         unsafe {
             let p = a.as_mut_ptr().add(8 * b) as *mut __m512i;
-            let ws = layer_twiddles(tw, n, b);
-            let ws52 = layer_twiddles(tw_shoup52, n, b);
+            let ws = layer_twiddles(tw, n, b, false);
+            let ws52 = layer_twiddles(tw_shoup52, n, b, false);
             let mut v = _mm512_loadu_si512(p);
             for l in 0..3 {
                 v = ct_layer(v, &perms[l], ws[l], ws52[l], vq, v2q);
@@ -398,8 +395,8 @@ unsafe fn inverse_impl(
                 let vb = _mm512_loadu_si512(s.as_ptr().add(8 * b) as *const __m512i);
                 v = _mm512_add_epi64(v, _mm512_sub_epi64(vq, vb));
             }
-            let ws = layer_twiddles(tw, n, b);
-            let ws52 = layer_twiddles(tw_shoup52, n, b);
+            let ws = layer_twiddles(tw, n, b, true);
+            let ws52 = layer_twiddles(tw_shoup52, n, b, true);
             for l in [2usize, 1, 0] {
                 v = gs_layer(v, &perms[l], ws[l], ws52[l], vq, v2q);
             }
@@ -412,8 +409,9 @@ unsafe fn inverse_impl(
     while m > 1 {
         let h = m >> 1;
         for i in 0..h {
-            let w = _mm512_set1_epi64(tw[h + i] as i64);
-            let w52 = _mm512_set1_epi64(tw_shoup52[h + i] as i64);
+            // Group i's inverse twiddle is −tw[2h − 1 − i].
+            let w = _mm512_set1_epi64(tw[2 * h - 1 - i] as i64);
+            let w52 = _mm512_set1_epi64(tw_shoup52[2 * h - 1 - i] as i64);
             let base = 2 * i * t;
             let mut j = 0;
             while j < t {
@@ -424,11 +422,11 @@ unsafe fn inverse_impl(
                     let x = _mm512_loadu_si512(px);
                     let y = _mm512_loadu_si512(py);
                     // Invariant: x, y < 2q. Sum reduced once; the
-                    // difference (< 4q < 2^52) goes through the 52-bit
-                    // multiply.
+                    // difference y + 2q − x (< 4q < 2^52) goes through
+                    // the 52-bit multiply by the negated twiddle.
                     let s = csub_x8(_mm512_add_epi64(x, y), v2q);
                     _mm512_storeu_si512(px, s);
-                    let d = _mm512_sub_epi64(_mm512_add_epi64(x, v2q), y);
+                    let d = _mm512_sub_epi64(_mm512_add_epi64(y, v2q), x);
                     _mm512_storeu_si512(py, mul_shoup52_x8(d, w, w52, vq));
                 }
                 j += 8;

@@ -23,10 +23,12 @@
 //! `4 × limbs` buffers of `N` words — one plaintext, two ciphertext
 //! components and one polynomial of scratch, which is what one
 //! operation on that context can have checked out — for as long as it
-//! lives. Allowances of engines sharing `N` add up; when one is dropped
-//! the class frees its excess at once, and a class no engine registered
-//! keeps nothing. A miss is always correct: it falls back to the
-//! allocator and is merely slower.
+//! lives, and a caller that runs several operations on one engine at
+//! once (the gateway's workers) holds one more per extra operation.
+//! Allowances sharing `N` add up; when one is dropped the class frees
+//! its excess at once, and a class nobody registered keeps nothing. A
+//! miss is always correct: it falls back to the allocator and is merely
+//! slower.
 //!
 //! The contents of a checked-out buffer are **unspecified**. Debug
 //! builds make that executable: a returned buffer is overwritten with
@@ -106,11 +108,12 @@ pub fn put(mut buf: Vec<u64>) {
     drop(pool);
 }
 
-/// The right of one engine to have `bufs` buffers of `words` words
-/// retained on its behalf; withdrawn on drop, when the class frees
-/// whatever it then holds in excess.
+/// The right to have `bufs` buffers of `words` words retained in the
+/// pool (an engine's for one operation, or
+/// `RnsNttEngine::allow_concurrent_ops`'s for more); withdrawn on drop,
+/// when the class frees whatever it then holds in excess.
 #[derive(Debug)]
-pub(crate) struct Allowance {
+pub struct Allowance {
     words: usize,
     bufs: usize,
 }

@@ -24,8 +24,10 @@
 //! out of the one limb pool ([`crate::pool`]) and returned to it on drop,
 //! and the engine registers what one operation can have checked out
 //! (`4 × limbs` buffers of `N` words) as the pool's allowance for as
-//! long as it lives. Only [`RnsNttEngine::expand_and_ntt`], the key and
-//! probe entry point, allocates outside the pool.
+//! long as it lives; a caller that runs several operations on one engine
+//! at once adds theirs with [`RnsNttEngine::allow_concurrent_ops`]. Only
+//! [`RnsNttEngine::expand_and_ntt`], the key and probe entry point,
+//! allocates outside the pool.
 //!
 //! Beyond the transforms, the engine exposes **RNS-wide element-wise
 //! operations** (`dyadic_mul_all`, `dyadic_mul_add_all`,
@@ -167,6 +169,22 @@ impl RnsNttEngine {
     /// The plan for limb `i`.
     pub fn plan(&self, i: usize) -> &NttPlan {
         &self.plans[i]
+    }
+
+    /// Registers the limb-pool allowance of `ops` more operations running
+    /// on this engine at once (`4 × limbs` buffers of `N` words each, as
+    /// the engine holds for one); withdrawn when the guard drops. Threads
+    /// can share the engine as it is, but `k` of them hold `k` operations'
+    /// limbs, and the pool retains only what was registered.
+    pub fn allow_concurrent_ops(&self, ops: usize) -> Allowance {
+        Allowance::new(self.n, ops * POLYS_PER_OP * self.plans.len())
+    }
+
+    /// Bytes this engine keeps resident while it lives: the twiddle
+    /// memory of its plans, and its one-operation limb-pool allowance.
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        let tables = self.plans.iter().map(NttPlan::resident_bytes).sum();
+        (tables, POLYS_PER_OP * self.plans.len() * self.n * 8)
     }
 
     /// Checks `k` limbs of `N` words out of the limb pool; they go back

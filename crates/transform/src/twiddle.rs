@@ -8,9 +8,22 @@
 //! models the generator. Both implement [`TwiddleSource`] and are
 //! bit-identical (asserted by tests), so the NTT kernel is agnostic and
 //! the hardware/simulator layers charge them different SRAM/DRAM costs.
+//!
+//! The host applies the same argument to itself: a [`TwiddleTable`]
+//! holds **one** column, the forward twiddles `ψ^{brv(k)}`, and
+//! `N^{-1}`. Since `ψ^N = −1`,
+//!
+//! ```text
+//! inverse(h, i) = ψ^{-brv(h+i)} = −ψ^{brv(h + (h−1−i))} = q − forward(h, h−1−i)
+//! ```
+//!
+//! so a Gentleman–Sande stage walks the forward stage block `[h, 2h)`
+//! from its top down and swaps the operands of its subtract
+//! (`(x − y)·(−w) = (y − x)·w`). The Shoup quotients the fast kernels
+//! multiply through are a [`crate::ntt::NttPlan`]'s, in its one radix.
 
 use crate::bitrev::bit_reverse;
-use abc_math::{shoup, MathError, Modulus};
+use abc_math::{MathError, Modulus};
 
 /// Supplies the merged twiddles `ψ^{brv(m+i)}` consumed by the
 /// Cooley–Tukey negacyclic NTT and their inverses for the Gentleman–Sande
@@ -45,35 +58,17 @@ fn stage_exponent(n: usize, m: usize, i: usize) -> u64 {
     (2 * bit_reverse(i, stage_bits) as u64 + 1) * step
 }
 
-/// Precomputed twiddle table: `ψ^{brv(k)}` for all `k < N` plus the
-/// inverse table — the conventional design ABC-FHE's `ABC-FHE_Base`
-/// configuration fetches from DRAM.
-///
-/// Alongside each twiddle the table stores its **Shoup quotient**
-/// `floor(w · 2^64 / q)` so the Harvey butterfly kernels in
-/// [`crate::ntt::NttPlan`] can multiply by twiddles with two 64-bit
-/// high-products instead of a `u128` division. The Shoup columns are a
-/// host-software acceleration only: [`Self::table_bytes`] still charges
-/// the hardware model the plain two-column layout.
+/// Precomputed twiddle table — the conventional design ABC-FHE's
+/// `ABC-FHE_Base` configuration fetches from DRAM. The host keeps the
+/// forward column `ψ^{brv(k)}` and `N^{-1}` only (module docs);
+/// [`Self::table_bytes`] still charges the model both directions.
 #[derive(Debug, Clone)]
 pub struct TwiddleTable {
     m: Modulus,
     n: usize,
     /// `fwd[k] = ψ^{brv(k)}`.
     fwd: Vec<u64>,
-    /// `inv[k] = ψ^{-brv(k)}`.
-    inv: Vec<u64>,
-    /// `fwd_shoup[k] = floor(fwd[k] · 2^64 / q)`.
-    fwd_shoup: Vec<u64>,
-    /// `inv_shoup[k] = floor(inv[k] · 2^64 / q)`.
-    inv_shoup: Vec<u64>,
-    /// Radix-2^52 quotients for the AVX-512IFMA kernel; empty when
-    /// `q ≥ 2^50`.
-    fwd_shoup52: Vec<u64>,
-    inv_shoup52: Vec<u64>,
     n_inv: u64,
-    n_inv_shoup: u64,
-    n_inv_shoup52: u64,
 }
 
 impl TwiddleTable {
@@ -106,113 +101,40 @@ impl TwiddleTable {
             });
         }
         let bits = n.trailing_zeros();
-        let psi_inv = m.inv(psi).expect("root of unity is invertible");
+        // Powers in natural exponent order, each stored straight at its
+        // bit-reversed index.
         let mut fwd = vec![0u64; n];
-        let mut inv = vec![0u64; n];
         let mut p = 1u64;
-        let mut pi = 1u64;
-        // Fill in natural exponent order, store at bit-reversed index.
-        let mut fwd_nat = vec![0u64; n];
-        let mut inv_nat = vec![0u64; n];
         for k in 0..n {
-            fwd_nat[k] = p;
-            inv_nat[k] = pi;
+            fwd[bit_reverse(k, bits)] = p;
             p = m.mul(p, psi);
-            pi = m.mul(pi, psi_inv);
         }
-        for k in 0..n {
-            let r = bit_reverse(k, bits);
-            fwd[k] = fwd_nat[r];
-            inv[k] = inv_nat[r];
-        }
-        let n_inv = m.inv(n as u64).expect("n < q");
-        let q = m.q();
-        let fwd_shoup = fwd.iter().map(|&w| shoup::shoup_precompute(w, q)).collect();
-        let inv_shoup = inv.iter().map(|&w| shoup::shoup_precompute(w, q)).collect();
-        let n_inv_shoup = shoup::shoup_precompute(n_inv, q);
-        // The 52-bit columns only feed the IFMA kernel: skip the
-        // construction-time divisions and the dead memory (2·N·8 bytes
-        // per prime) on machines that can never read them.
-        let (fwd_shoup52, inv_shoup52, n_inv_shoup52) =
-            if q < shoup::MAX_SHOUP52_MODULUS && abc_math::CpuCaps::detect().ifma() {
-                (
-                    fwd.iter()
-                        .map(|&w| shoup::shoup_precompute52(w, q))
-                        .collect(),
-                    inv.iter()
-                        .map(|&w| shoup::shoup_precompute52(w, q))
-                        .collect(),
-                    shoup::shoup_precompute52(n_inv, q),
-                )
-            } else {
-                (Vec::new(), Vec::new(), 0)
-            };
         Ok(Self {
             m,
             n,
             fwd,
-            inv,
-            fwd_shoup,
-            inv_shoup,
-            fwd_shoup52,
-            inv_shoup52,
-            n_inv,
-            n_inv_shoup,
-            n_inv_shoup52,
+            n_inv: m.inv(n as u64).expect("n < q"),
         })
     }
 
-    /// The 2N-th root this table was built from (`fwd[1] = ψ^{N/2}`...
-    /// recovered as `fwd[brv^{-1}(1)]`, i.e. the natural power 1).
+    /// The 2N-th root this table was built from: the natural power 1,
+    /// which lives at the bit-reversed index of 1.
     pub fn psi(&self) -> u64 {
-        // Natural exponent 1 lives at bit-reversed index of 1.
         self.fwd[bit_reverse(1, self.n.trailing_zeros())]
     }
 
-    /// On-chip bytes this table occupies (both directions, 8 B words) —
-    /// what the `ABC-FHE_Base` memory model charges. The Shoup columns
-    /// are deliberately *not* counted: they exist only to accelerate the
-    /// host software kernel, not the modelled datapath.
+    /// On-chip bytes the conventional table occupies (both directions,
+    /// 8 B words) — what the `ABC-FHE_Base` memory model charges: the
+    /// modelled datapath's price, not the host's residency.
     pub fn table_bytes(&self) -> usize {
         2 * self.n * 8
     }
 
-    /// Forward twiddles and their Shoup quotients as parallel slices
-    /// (`ψ^{brv(k)}` layout; stage `m`, index `i` lives at `k = m + i`).
+    /// The forward column `ψ^{brv(k)}`: stage `m`, index `i` lives at
+    /// `k = m + i`; GS group `i` of `h` reads `q −` entry `2h − 1 − i`.
     #[inline]
-    pub fn forward_pairs(&self) -> (&[u64], &[u64]) {
-        (&self.fwd, &self.fwd_shoup)
-    }
-
-    /// Inverse twiddles and their Shoup quotients as parallel slices.
-    #[inline]
-    pub fn inverse_pairs(&self) -> (&[u64], &[u64]) {
-        (&self.inv, &self.inv_shoup)
-    }
-
-    /// `N^{-1} mod q` together with its Shoup quotient.
-    #[inline]
-    pub fn n_inv_pair(&self) -> (u64, u64) {
-        (self.n_inv, self.n_inv_shoup)
-    }
-
-    /// Radix-2^52 forward quotients for the AVX-512IFMA kernel, or
-    /// `None` when `q ≥ 2^50`.
-    #[inline]
-    pub fn forward_shoup52(&self) -> Option<&[u64]> {
-        (!self.fwd_shoup52.is_empty()).then_some(&self.fwd_shoup52[..])
-    }
-
-    /// Radix-2^52 inverse quotients, or `None` when `q ≥ 2^50`.
-    #[inline]
-    pub fn inverse_shoup52(&self) -> Option<&[u64]> {
-        (!self.inv_shoup52.is_empty()).then_some(&self.inv_shoup52[..])
-    }
-
-    /// `N^{-1}` with its radix-2^52 quotient (0 when `q ≥ 2^50`).
-    #[inline]
-    pub fn n_inv_pair52(&self) -> (u64, u64) {
-        (self.n_inv, self.n_inv_shoup52)
+    pub fn forward_column(&self) -> &[u64] {
+        &self.fwd
     }
 }
 
@@ -230,7 +152,8 @@ impl TwiddleSource for TwiddleTable {
     }
 
     fn inverse(&self, h: usize, i: usize) -> u64 {
-        self.inv[h + i]
+        // A power of ψ is never 0, so this stays canonical.
+        self.m.q() - self.fwd[2 * h - 1 - i]
     }
 
     fn n_inv(&self) -> u64 {
@@ -408,6 +331,22 @@ mod tests {
                 mm *= 2;
             }
             assert_eq!(table.n_inv(), otf.n_inv());
+        }
+    }
+
+    #[test]
+    fn inverse_is_the_forward_block_backwards_and_negated() {
+        // ψ^N = −1, which the one-column table and both fast GS kernels
+        // rest on — on the generator, whose ψ⁻¹ seeds are its own.
+        let m = modulus();
+        for n in [4usize, 16, 64, 256] {
+            let otf = OtfTwiddleGen::new(m, n).unwrap();
+            for h in (0..n.trailing_zeros()).map(|s| 1usize << s) {
+                for i in 0..h {
+                    let negated = m.q() - otf.forward(h, h - 1 - i);
+                    assert_eq!(otf.inverse(h, i), negated, "n={n} h={h} i={i}");
+                }
+            }
         }
     }
 

