@@ -153,7 +153,7 @@ fn bench_fused_dyadic(c: &mut Criterion) {
     // memory passes — one fused engine call versus the unfused call
     // sequence the site used to run.
     {
-        use abc_transform::RnsNttEngine;
+        use abc_transform::{LimbWork, RnsNttEngine};
         let n = 1usize << 15;
         let k = 8usize;
         let primes = abc_math::primes::generate_ntt_primes(36, k, 2 * n as u64).expect("primes");
@@ -174,14 +174,17 @@ fn bench_fused_dyadic(c: &mut Criterion) {
         // its cost is data-oblivious, so the iterations compose in
         // place — no reset copy inflating either side.
         let mut buf = a0.clone();
-        // Symmetric-encrypt c0: c0 = e + m − mask·s, fused vs the
-        // mul/neg/add/add engine sequence the call site used to run.
+        // Symmetric-encrypt c0: c0 = e + m − mask·s, one fused pass of
+        // the limb combinator vs the mul/neg/add/add sequence of four
+        // passes the call site used to run.
         g.bench_with_input(
             BenchmarkId::new("rns_mul_neg_add2_fused", n),
             &n,
             |bch, _| {
                 bch.iter(|| {
-                    engine.dyadic_mul_neg_add2_all(black_box(&mut buf), &b, &cc, &d);
+                    engine.for_each_limb(black_box(&mut buf), LimbWork::Elementwise, |i, p, x| {
+                        p.dyadic().mul_neg_add2_assign(x, &b[i], &cc[i], &d[i])
+                    });
                 })
             },
         );
@@ -191,10 +194,11 @@ fn bench_fused_dyadic(c: &mut Criterion) {
             |bch, _| {
                 bch.iter(|| {
                     let x = black_box(&mut buf);
-                    engine.dyadic_mul_all(x, &b);
-                    engine.neg_assign_all(x);
-                    engine.add_assign_all(x, &cc);
-                    engine.add_assign_all(x, &d);
+                    let w = LimbWork::Elementwise;
+                    engine.for_each_limb(x, w, |i, p, x| p.dyadic().mul_assign(x, &b[i]));
+                    engine.for_each_limb(x, w, |_, p, x| p.dyadic().neg_assign(x));
+                    engine.for_each_limb(x, w, |i, p, x| p.dyadic().add_assign(x, &cc[i]));
+                    engine.for_each_limb(x, w, |i, p, x| p.dyadic().add_assign(x, &d[i]));
                 })
             },
         );

@@ -252,41 +252,47 @@ fn main() {
             }
             // (id, bytes/op, the kernel body) — bytes/op counts each
             // input stream read once plus the in-place write-back.
-            let mut rows: Vec<(String, usize, BenchRecord)> = Vec::new();
-            rows.push((
-                format!("poly_dyadic/mul_assign_{label}/2^15"),
-                3 * n * 8,
-                measure(&format!("poly_dyadic/mul_assign_{label}/2^15"), 200, || {
+            let mut d_pre = d.clone();
+            engine.premul(&mut d_pre);
+            type Pass<'a> = Box<dyn FnMut(&mut [u64]) + 'a>;
+            let passes: [(&str, usize, Pass); 5] = [
+                (
+                    "poly_dyadic/mul_assign",
+                    3,
+                    Box::new(|x| engine.mul_assign(x, &b)),
+                ),
+                // The download kernel (`decrypt`: c1·s + c0).
+                (
+                    "poly_dyadic/mul_add",
+                    4,
+                    Box::new(|x| engine.mul_add_assign(x, &b, &c)),
+                ),
+                (
+                    "fused_dyadic/mul_neg_add2",
+                    5,
+                    Box::new(|x| engine.mul_neg_add2_assign(x, &b, &c, &d)),
+                ),
+                // The upload kernel (`pk_encrypt_all`: e + pk·v̂).
+                (
+                    "fused_dyadic/mul_acc_premul",
+                    4,
+                    Box::new(|x| engine.mul_acc_assign_premul(x, &b, &d_pre)),
+                ),
+                (
+                    "fused_dyadic/sub_scalar_mul",
+                    3,
+                    Box::new(|x| engine.sub_scalar_mul_assign(x, &b, s)),
+                ),
+            ];
+            // bytes/op counts each input stream read once plus the
+            // in-place write-back.
+            for (family, streams, mut pass) in passes {
+                let id = format!("{family}_{label}/2^15");
+                let rec = measure(&id, 200, || {
                     buf.copy_from_slice(&a0);
-                    engine.mul_assign(std::hint::black_box(&mut buf), &b);
-                }),
-            ));
-            rows.push((
-                format!("fused_dyadic/mul_neg_add2_{label}/2^15"),
-                5 * n * 8,
-                measure(
-                    &format!("fused_dyadic/mul_neg_add2_{label}/2^15"),
-                    200,
-                    || {
-                        buf.copy_from_slice(&a0);
-                        engine.mul_neg_add2_assign(std::hint::black_box(&mut buf), &b, &c, &d);
-                    },
-                ),
-            ));
-            rows.push((
-                format!("fused_dyadic/sub_scalar_mul_{label}/2^15"),
-                3 * n * 8,
-                measure(
-                    &format!("fused_dyadic/sub_scalar_mul_{label}/2^15"),
-                    200,
-                    || {
-                        buf.copy_from_slice(&a0);
-                        engine.sub_scalar_mul_assign(std::hint::black_box(&mut buf), &b, s);
-                    },
-                ),
-            ));
-            for (id, bytes, rec) in rows {
-                throughput_rows.push(throughput_row(&id, bytes, rec.median_secs));
+                    pass(std::hint::black_box(&mut buf));
+                });
+                throughput_rows.push(throughput_row(&id, streams * n * 8, rec.median_secs));
                 benches.push(rec);
             }
         }

@@ -10,7 +10,7 @@ use abc_math::rns::{Lifted, WordLift};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
-use abc_transform::{NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
+use abc_transform::{LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
 
 /// The context's canonical-embedding engine, instantiated at the
 /// datapath selected by [`CkksParams::embedding_precision`] — one
@@ -222,62 +222,14 @@ impl CkksContext {
         message: &[Complex],
     ) -> Result<Plaintext, CkksError> {
         let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        self.encode_with_exact_scale_in(field, message, &scale)
-    }
-
-    /// Encodes at an explicit scale — needed when matching the scale of
-    /// an evaluated ciphertext (e.g. adding a bias after a rescale).
-    /// Prefer [`Self::encode_with_exact_scale`] with the ciphertext's
-    /// [`Ciphertext::exact_scale`] when it is available.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::TooManySlots`] for oversize messages and
-    /// [`CkksError::InvalidParams`] for non-positive scales.
-    pub fn encode_at_scale(&self, message: &[Complex], scale: f64) -> Result<Plaintext, CkksError> {
-        let scale = ExactScale::from_f64(scale).ok_or_else(|| {
-            CkksError::InvalidParams("encoding scale must be positive and finite".to_owned())
-        })?;
-        self.encode_with_exact_scale(message, &scale)
-    }
-
-    /// [`Self::encode_at_scale`] on an arbitrary (caller-chosen)
-    /// datapath.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::encode_at_scale`].
-    pub fn encode_at_scale_with<F: RealField>(
-        &self,
-        field: &F,
-        message: &[Complex],
-        scale: f64,
-    ) -> Result<Plaintext, CkksError> {
-        let scale = ExactScale::from_f64(scale).ok_or_else(|| {
-            CkksError::InvalidParams("encoding scale must be positive and finite".to_owned())
-        })?;
-        self.encode_with_exact_scale_in(field, message, &scale)
+        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
+        self.encode_core(&engine, message, &scale)
     }
 
     /// Encodes at an exact rational scale on the configured embedding
-    /// datapath — the core path; see
-    /// [`Self::encode_with_exact_scale_in`] for the rounding contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::TooManySlots`] for oversize messages and
-    /// [`CkksError::InvalidParams`] if a scaled coefficient is too large
-    /// to encode (non-finite or beyond 2^120).
-    pub fn encode_with_exact_scale(
-        &self,
-        message: &[Complex],
-        scale: &ExactScale,
-    ) -> Result<Plaintext, CkksError> {
-        with_embedding!(self, e => self.encode_core(e, message, scale))
-    }
-
-    /// Encodes at an exact rational scale on a caller-chosen datapath.
-    /// All scales funnel through here; the Δ-rounding is *exact* for any
+    /// datapath — needed when matching the scale of an evaluated
+    /// ciphertext (e.g. adding a bias after a rescale, at its
+    /// [`Ciphertext::exact_scale`]). The Δ-rounding is *exact* for any
     /// scale and any datapath:
     ///
     /// * the embedding output is lifted losslessly into double-double
@@ -292,15 +244,15 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// See [`Self::encode_with_exact_scale`].
-    pub fn encode_with_exact_scale_in<F: RealField>(
+    /// Returns [`CkksError::TooManySlots`] for oversize messages and
+    /// [`CkksError::InvalidParams`] if a scaled coefficient is too large
+    /// to encode (non-finite or beyond 2^120).
+    pub fn encode_with_exact_scale(
         &self,
-        field: &F,
         message: &[Complex],
         scale: &ExactScale,
     ) -> Result<Plaintext, CkksError> {
-        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
-        self.encode_core(&engine, message, scale)
+        with_embedding!(self, e => self.encode_core(e, message, scale))
     }
 
     /// The generic encode kernel: inverse embedding on `engine`'s
@@ -365,7 +317,7 @@ impl CkksContext {
             for &c in coeffs {
                 ints.push(lift(c)?.ldexp(exp).round_to_i128());
             }
-            Ok(self.engine.expand_and_ntt_i128(&ints, self.basis.len()))
+            Ok(self.engine.expand_and_ntt_pooled(&ints, self.basis.len()))
         } else {
             // Rational scale: exact big-integer rounding, residues per
             // prime, then the batched forward NTT.
@@ -453,7 +405,10 @@ impl CkksContext {
         // Paper: INTT stage of decoding, all limbs batched through the
         // engine's thread fan-out.
         let mut res = self.engine.take_limbs(lvl);
-        self.engine.inverse_all_from(&pt.rns, &mut res);
+        self.engine
+            .for_each_limb(&mut res, LimbWork::Transform, |i, plan, limb| {
+                plan.inverse_from(&pt.rns[i], limb)
+            });
         let lift = WordLift::new(self.basis.truncated(lvl))?;
         let divisor = pt.scale.divisor();
         let field = engine.plan().field();
@@ -477,31 +432,49 @@ impl CkksContext {
     // Keys
     // ------------------------------------------------------------------
 
+    /// The uniform mask `a` of a key or a seeded ciphertext, sampled
+    /// directly in NTT domain (the distribution is invariant under the
+    /// NTT): limb `i` is stream `i` of `seed`, under prime `i`. Written
+    /// once because [`crate::symmetric::CompressedCiphertext::expand`]
+    /// must regenerate the same mask bit for bit.
+    pub(crate) fn fill_mask(&self, seed: Seed, limbs: &mut [Vec<u64>]) {
+        for (i, (m, limb)) in self.basis.moduli().iter().zip(limbs).enumerate() {
+            UniformSampler::new(seed, i as u64).sample_poly(m, limb);
+        }
+    }
+
+    /// One RLWE sample `(−(a·s) + e, a)` under every prime — what a
+    /// public key and each key-switching digit are: the mask `a` from
+    /// `mask_seed`, Gaussian `e` from `error_seed`, and the product in
+    /// ONE fused RNS-wide pass (limb fan-out across threads,
+    /// IFMA/Montgomery dyadic kernels).
+    fn rlwe_sample(
+        &self,
+        s_ntt: &[Vec<u64>],
+        mask_seed: Seed,
+        error_seed: Seed,
+    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let (n, k) = (self.params.n(), self.basis.len());
+        let e = GaussianSampler::new(error_seed, 0, self.params.error_sigma()).sample_poly(n);
+        let e_ntt = self.engine.expand_and_ntt_pooled(&e, k);
+        let mut a = vec![vec![0u64; n]; k];
+        self.fill_mask(mask_seed, &mut a);
+        let mut b = a.clone();
+        self.engine
+            .for_each_limb(&mut b, LimbWork::Elementwise, |i, plan, limb| {
+                plan.dyadic().mul_neg_add_assign(limb, &s_ntt[i], &e_ntt[i])
+            });
+        (b, a)
+    }
+
     /// Generates a key pair deterministically from `seed`.
     pub fn keygen(&self, seed: Seed) -> (SecretKey, PublicKey) {
         let n = self.params.n();
         let mut ternary = TernarySampler::new(seed.derive(0), 0);
         let s = ternary.sample_poly(n, self.params.secret_hamming_weight());
         let s_ntt = self.engine.expand_and_ntt(&s);
-
-        let mut gauss = GaussianSampler::new(seed.derive(2), 0, self.params.error_sigma());
-        let e = gauss.sample_poly(n);
-        let e_ntt = self.engine.expand_and_ntt_i64(&e, self.basis.len());
-
-        // Uniform mask a, sampled directly in NTT domain per prime (the
-        // distribution is invariant under the NTT).
         let mask_seed = seed.derive(1);
-        let mut pk1 = Vec::with_capacity(self.basis.len());
-        for (i, m) in self.basis.moduli().iter().enumerate() {
-            let mut uni = UniformSampler::new(mask_seed, i as u64);
-            let mut a = vec![0u64; n];
-            uni.sample_poly(m, &mut a);
-            pk1.push(a);
-        }
-        // pk0 = -(a·s) + e as ONE fused RNS-wide engine call (limb
-        // fan-out across threads, IFMA/Montgomery dyadic kernels).
-        let mut pk0 = pk1.clone();
-        self.engine.dyadic_mul_neg_add_all(&mut pk0, &s_ntt, &e_ntt);
+        let (pk0, pk1) = self.rlwe_sample(&s_ntt, mask_seed, seed.derive(2));
         (
             SecretKey {
                 coeffs: s,
@@ -522,7 +495,7 @@ impl CkksContext {
         // s² limb-wise in NTT domain: the evaluation representation of
         // the polynomial s·s mod (X^N+1, q_i).
         let mut s2 = sk.ntt.clone();
-        self.engine.dyadic_mul_all(&mut s2, &sk.ntt);
+        mul_limbs(&self.engine, &mut s2, &sk.ntt);
         EvalKey {
             ksk: self.gen_key_switch_key(&s2, sk, seed),
         }
@@ -618,30 +591,14 @@ impl CkksContext {
         sk: &SecretKey,
         seed: Seed,
     ) -> KeySwitchKey {
-        let n = self.params.n();
         let digits = self.basis.len();
         let mut b_digits = Vec::with_capacity(digits);
         let mut a_digits = Vec::with_capacity(digits);
         for digit in 0..digits {
-            let mut gauss = GaussianSampler::new(
-                seed.derive(2 * digit as u64 + 1),
-                0,
-                self.params.error_sigma(),
-            );
-            let e = gauss.sample_poly(n);
-            let e_ntt = self.engine.expand_and_ntt_i64(&e, digits);
-            let mask_seed = seed.derive(2 * digit as u64);
-            let mut a = Vec::with_capacity(digits);
-            for (i, m) in self.basis.moduli().iter().enumerate() {
-                let mut uni = UniformSampler::new(mask_seed, i as u64);
-                let mut limb = vec![0u64; n];
-                uni.sample_poly(m, &mut limb);
-                a.push(limb);
-            }
-            // b = −(a·s) + e as ONE fused RNS-wide engine call, then
-            // the gadget term on the digit's own limb.
-            let mut b = a.clone();
-            self.engine.dyadic_mul_neg_add_all(&mut b, &sk.ntt, &e_ntt);
+            // b = −(a·s) + e, then the gadget term on the digit's own
+            // limb.
+            let d = 2 * digit as u64;
+            let (mut b, a) = self.rlwe_sample(&sk.ntt, seed.derive(d), seed.derive(d + 1));
             let m = &self.basis.moduli()[digit];
             for (dst, &t) in b[digit].iter_mut().zip(&target_ntt[digit]) {
                 *dst = m.add(*dst, t);
@@ -715,6 +672,20 @@ impl CkksContext {
             n: ct.n,
         })
     }
+}
+
+/// `a[i] += b[i]` under prime `i`, for every limb of `a`.
+pub(crate) fn add_limbs(engine: &RnsNttEngine, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
+    engine.for_each_limb(a, LimbWork::Elementwise, |i, plan, limb| {
+        plan.dyadic().add_assign(limb, &b[i])
+    });
+}
+
+/// `a[i] ⊙= b[i]` under prime `i`, for every limb of `a`.
+pub(crate) fn mul_limbs(engine: &RnsNttEngine, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
+    engine.for_each_limb(a, LimbWork::Elementwise, |i, plan, limb| {
+        plan.dyadic().mul_assign(limb, &b[i])
+    });
 }
 
 #[cfg(test)]

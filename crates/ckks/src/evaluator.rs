@@ -34,14 +34,14 @@
 //! tolerance — see [`add`] for the single sanctioned fallback.
 
 use crate::cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
-use crate::context::CkksContext;
+use crate::context::{add_limbs, mul_limbs, CkksContext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
 use crate::params::ScaleMode;
 use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_math::rns::WordLift;
 use abc_math::RnsBasis;
-use abc_transform::PooledLimbs;
+use abc_transform::{LimbWork, PooledLimbs};
 
 /// Shared entry-point validation for every evaluator operation: the
 /// operand must carry this context's ring degree and no more primes
@@ -104,8 +104,8 @@ pub fn add(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Cipherte
     let mut c0 = PooledLimbs::copy_of(a0);
     let mut c1 = PooledLimbs::copy_of(a1);
     let engine = ctx.ntt_engine();
-    engine.add_assign_all(&mut c0, b0);
-    engine.add_assign_all(&mut c1, b1);
+    add_limbs(engine, &mut c0, b0);
+    add_limbs(engine, &mut c1, b1);
     Ciphertext::from_limbs(c0, c1, a.exact_scale().clone())
 }
 
@@ -135,7 +135,7 @@ pub fn add_plaintext(
     }
     let (c0, c1) = ct.components();
     let mut n0 = PooledLimbs::copy_of(c0);
-    ctx.ntt_engine().add_assign_all(&mut n0, pt.residues());
+    add_limbs(ctx.ntt_engine(), &mut n0, pt.residues());
     Ciphertext::from_limbs(n0, PooledLimbs::copy_of(c1), ct.exact_scale().clone())
 }
 
@@ -228,7 +228,7 @@ pub fn rescale_prime(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, C
         // into the subtract + scalar-multiply — one memory pass instead
         // of an NTT round trip plus two dyadic passes.
         let mut kept = PooledLimbs::copy_of(&component[..last]);
-        engine.expand_ntt_sub_scalar_mul_all_i64(&mut kept, &centered, &q_last_inv);
+        engine.expand_ntt_sub_scalar_mul_all(&mut kept, &centered, &q_last_inv);
         kept
     };
     let (c0, c1) = ct.components();
@@ -286,7 +286,7 @@ pub fn rescale_pair(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Ck
         // engine call (expand → lazy NTT → subtract → scalar-multiply
         // per kept limb).
         let mut kept = PooledLimbs::copy_of(&component[..keep]);
-        engine.expand_ntt_sub_scalar_mul_all_i128(&mut kept, &centered, &pair_inv);
+        engine.expand_ntt_sub_scalar_mul_all(&mut kept, &centered, &pair_inv);
         kept
     };
     let (c0, c1) = ct.components();
@@ -326,11 +326,11 @@ pub fn mul(
     // All three products run on NTT-domain limbs: four dyadic passes
     // total, with the cross term fused as d1 = a0·b1 + (a1·b0).
     let mut d0 = PooledLimbs::copy_of(a0);
-    engine.dyadic_mul_all(&mut d0, b0);
+    mul_limbs(engine, &mut d0, b0);
     let mut d2 = PooledLimbs::copy_of(a1);
-    engine.dyadic_mul_all(&mut d2, b1);
+    mul_limbs(engine, &mut d2, b1);
     let mut cross = PooledLimbs::copy_of(a1);
-    engine.dyadic_mul_all(&mut cross, b0);
+    mul_limbs(engine, &mut cross, b0);
     let mut d1 = PooledLimbs::copy_of(a0);
     engine.dyadic_mul_add_all(&mut d1, b1, &cross);
     Ok(Degree2Ciphertext {
@@ -381,7 +381,7 @@ fn key_switch(
         for (dst, &x) in centered.iter_mut().zip(tail[0].iter()) {
             *dst = moduli[i].to_centered(x);
         }
-        let digit = engine.expand_and_ntt_i64(&centered, k);
+        let digit = engine.expand_and_ntt_pooled(&centered, k);
         engine.dyadic_mul_acc_pair_all(&mut acc0, &mut acc1, &digit, &ksk.b[i], &ksk.a[i]);
     }
     Ok((acc0, acc1))
@@ -404,9 +404,9 @@ pub fn relinearize(
     let (ks0, ks1) = key_switch(ctx, &ct.c2, &evk.ksk)?;
     let engine = ctx.ntt_engine();
     let mut c0 = ct.c0.clone();
-    engine.add_assign_all(&mut c0, &ks0);
+    add_limbs(engine, &mut c0, &ks0);
     let mut c1 = ct.c1.clone();
-    engine.add_assign_all(&mut c1, &ks1);
+    add_limbs(engine, &mut c1, &ks1);
     Ciphertext::from_limbs(c0, c1, ct.exact_scale().clone())
 }
 
@@ -438,7 +438,9 @@ fn apply_automorphism(ctx: &CkksContext, component: &[Vec<u64>], element: u64) -
     // Out-of-place batched inverse: the copy folds into the first
     // inverse-NTT stage and the limbs go back to the pool on return.
     let mut limbs = engine.take_limbs(component.len());
-    engine.inverse_all_from(component, &mut limbs);
+    engine.for_each_limb(&mut limbs, LimbWork::Transform, |i, plan, limb| {
+        plan.inverse_from(&component[i], limb)
+    });
     // `g` is odd, so `j → j·g mod 2N` folded at `N` is a permutation of
     // `0..N`: every word of the pooled output limb is written.
     let mut out = engine.take_limbs(component.len());
@@ -477,7 +479,7 @@ fn apply_galois(
     let (ks0, ks1) = key_switch(ctx, &g1, &gk.ksk)?;
     let engine = ctx.ntt_engine();
     let mut out0 = g0;
-    engine.add_assign_all(&mut out0, &ks0);
+    add_limbs(engine, &mut out0, &ks0);
     Ciphertext::from_limbs(out0, ks1, ct.exact_scale().clone())
 }
 
@@ -677,17 +679,7 @@ mod tests {
     fn pair_rescale_drops_two_primes_with_exact_scale() {
         // A double-scale context: `rescale` consumes one *pair* per
         // level and the scale divides by the exact pair product.
-        use crate::params::ScaleMode;
-        let ctx = CkksContext::new(
-            CkksParams::builder()
-                .log_n(10)
-                .num_primes(6)
-                .scale_mode(ScaleMode::DoublePair)
-                .secret_hamming_weight(Some(64))
-                .build()
-                .expect("params"),
-        )
-        .expect("ctx");
+        let ctx = double_ctx();
         assert_eq!(ctx.params().scale(), 2f64.powi(72));
         let (sk, pk) = ctx.keygen(Seed::from_u128(20));
         let a = msg(ctx.params().slots(), 0.3);
@@ -717,6 +709,23 @@ mod tests {
             .collect();
         let err = max_err(&out, &expected);
         assert!(err < 1e-6, "slot error {err}");
+        // A bias at that scale — rational, no power of two, so encoding
+        // it takes the big-integer rounding arm of `quantize_coeffs`,
+        // which nothing else reaches — adds slot-wise.
+        assert!(rescaled.exact_scale().as_pow2().is_none());
+        let bias = msg(ctx.params().slots(), 2.1);
+        let bias_pt = ctx.encode_with_exact_scale(&bias, rescaled.exact_scale());
+        let sum = add_plaintext(&ctx, &rescaled, &bias_pt.expect("encode")).expect("add");
+        let out = ctx
+            .decode(&ctx.decrypt(&sum, &sk).expect("d"))
+            .expect("decode");
+        let expected: Vec<Complex> = expected
+            .iter()
+            .zip(&bias)
+            .map(|(p, b)| Complex::new(p.re + b.re, p.im + b.im))
+            .collect();
+        let err = max_err(&out, &expected);
+        assert!(err < 1e-6, "slot error with bias {err}");
     }
 
     #[test]

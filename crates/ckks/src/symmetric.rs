@@ -14,9 +14,9 @@ use crate::context::CkksContext;
 use crate::key::SecretKey;
 use crate::scale::ExactScale;
 use crate::CkksError;
-use abc_prng::sampler::{GaussianSampler, UniformSampler};
+use abc_prng::sampler::GaussianSampler;
 use abc_prng::Seed;
-use abc_transform::PooledLimbs;
+use abc_transform::{LimbWork, PooledLimbs};
 
 /// A seed-compressed symmetric ciphertext: the full `c0` component plus
 /// the 128-bit seed that regenerates `c1 = a`.
@@ -71,20 +71,10 @@ impl CompressedCiphertext {
         if self.n != ctx.params().n() || self.num_primes() > ctx.basis().len() {
             return Err(CkksError::ContextMismatch);
         }
-        let c1 = sample_mask(ctx, self.mask_seed, self.num_primes());
+        let mut c1 = ctx.ntt_engine().take_limbs(self.num_primes());
+        ctx.fill_mask(self.mask_seed, &mut c1);
         Ciphertext::from_limbs(self.c0.clone(), c1, self.scale.clone())
     }
-}
-
-/// Samples the uniform mask `a` per prime, NTT domain, from a seed, into
-/// pooled limbs — shared by encryption and expansion so both sides agree
-/// bit-exactly.
-fn sample_mask(ctx: &CkksContext, seed: Seed, primes: usize) -> PooledLimbs {
-    let mut a = ctx.ntt_engine().take_limbs(primes);
-    for (i, (limb, m)) in a.iter_mut().zip(ctx.basis().moduli()).enumerate() {
-        UniformSampler::new(seed, i as u64).sample_poly(m, limb);
-    }
-    a
 }
 
 /// Symmetric encryption: `ct = (-(a·s) + m + e, a)` with `a` derived
@@ -109,13 +99,18 @@ pub fn encrypt_symmetric_compressed(
     // Error polynomial into NTT domain under every prime in one batched,
     // thread-fanned pass (pooled limbs, back in the pool on return).
     let engine = ctx.ntt_engine();
-    let e_ntt = engine.expand_and_ntt_i64(&e, lvl);
-    // c0 = -(a·s) + e + m as ONE fused RNS-wide engine call: multiply,
-    // negate and both additions land in a single read-modify-write of
-    // each limb (the mask is consumed here; expansion re-derives it
-    // from the seed).
-    let mut c0 = sample_mask(ctx, mask_seed, lvl);
-    engine.dyadic_mul_neg_add2_all(&mut c0, &sk.ntt, &e_ntt, pt.residues());
+    let e_ntt = engine.expand_and_ntt_pooled(&e, lvl);
+    // c0 = -(a·s) + e + m as ONE fused RNS-wide pass: multiply, negate
+    // and both additions land in a single read-modify-write of each
+    // limb (the mask is consumed here; expansion re-derives it from the
+    // seed).
+    let mut c0 = engine.take_limbs(lvl);
+    ctx.fill_mask(mask_seed, &mut c0);
+    let m = pt.residues();
+    engine.for_each_limb(&mut c0, LimbWork::Elementwise, |i, plan, limb| {
+        plan.dyadic()
+            .mul_neg_add2_assign(limb, &sk.ntt[i], &e_ntt[i], &m[i])
+    });
     CompressedCiphertext {
         c0,
         mask_seed,

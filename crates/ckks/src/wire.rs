@@ -74,10 +74,51 @@ use abc_transform::pool;
 
 const MAGIC: &[u8; 4] = b"ABCF";
 const VERSION_PACKED: u16 = 3;
-const KIND_FULL: u8 = 1;
-const KIND_COMPRESSED: u8 = 2;
-const KIND_EVAL_KEY: u8 = 3;
-const KIND_GALOIS_KEY: u8 = 4;
+
+/// What a wire blob carries — the kind byte every header holds after the
+/// magic and the version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum WireKind {
+    /// A two-component ciphertext ([`deserialize_ciphertext`]).
+    Full = 1,
+    /// A seed-compressed ciphertext ([`deserialize_compressed_ciphertext`]).
+    Compressed = 2,
+    /// A relinearization key ([`deserialize_eval_key`]).
+    EvalKey = 3,
+    /// A Galois key ([`deserialize_galois_key`]).
+    GaloisKey = 4,
+}
+
+/// Validates what every header starts with — magic, version, a kind this
+/// format defines — and says which deserializer the blob is for.
+///
+/// # Errors
+///
+/// [`CkksError::InvalidParams`] for a blob cut before the kind byte, a
+/// wrong magic or version, and an undefined kind.
+pub fn kind_of(bytes: &[u8]) -> Result<WireKind, CkksError> {
+    let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
+    let Some(&[m0, m1, m2, m3, v0, v1, kind]) = bytes.first_chunk() else {
+        return Err(err("truncated header"));
+    };
+    if [m0, m1, m2, m3] != *MAGIC {
+        return Err(err("bad magic"));
+    }
+    if u16::from_le_bytes([v0, v1]) != VERSION_PACKED {
+        return Err(err("unsupported version"));
+    }
+    [
+        WireKind::Full,
+        WireKind::Compressed,
+        WireKind::EvalKey,
+        WireKind::GaloisKey,
+    ]
+    .into_iter()
+    .find(|&k| k as u8 == kind)
+    .ok_or_else(|| err("unsupported kind"))
+}
+
 /// Bytes before the variable-length scale payload.
 const FIXED_HEADER: usize = 18;
 /// Key header bytes before the `element` field / width table.
@@ -217,7 +258,7 @@ fn unpack_polys(bytes: &[u8], cursor: &mut usize, n: usize, widths: &[u32]) -> V
 }
 
 /// The shared header + exact-scale payload (kinds 1/2).
-fn write_header(out: &mut Vec<u8>, kind: u8, n: usize, primes: usize, scale: &ExactScale) {
+fn write_header(out: &mut Vec<u8>, kind: WireKind, n: usize, primes: usize, scale: &ExactScale) {
     let (num, exp, den) = scale.raw_parts();
     let num_bytes = num.to_le_bytes();
     let num_len =
@@ -226,7 +267,7 @@ fn write_header(out: &mut Vec<u8>, kind: u8, n: usize, primes: usize, scale: &Ex
         u16::try_from(den.len()).expect("scale denominator exceeds the wire format's u16 count");
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
-    out.push(kind);
+    out.push(kind as u8);
     out.push(n.trailing_zeros() as u8);
     out.extend_from_slice(&(primes as u16).to_le_bytes());
     out.extend_from_slice(&exp.to_le_bytes());
@@ -295,7 +336,7 @@ pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Ve
     let mut out = Vec::with_capacity(packed_serialized_len(ct, widths));
     write_header(
         &mut out,
-        KIND_FULL,
+        WireKind::Full,
         ct.n(),
         ct.num_primes(),
         ct.exact_scale(),
@@ -322,19 +363,13 @@ struct CtHeader {
 
 /// Parses and validates the shared magic/version/kind/shape/scale header
 /// of ciphertext-carrying blobs (kind 1 full, kind 2 seed-compressed).
-fn parse_ct_header(bytes: &[u8], expect_kind: u8) -> Result<CtHeader, CkksError> {
+fn parse_ct_header(bytes: &[u8], expect_kind: WireKind) -> Result<CtHeader, CkksError> {
     let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
+    if kind_of(bytes)? != expect_kind {
+        return Err(err("unsupported kind"));
+    }
     if bytes.len() < FIXED_HEADER {
         return Err(err("truncated header"));
-    }
-    if &bytes[0..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    if u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")) != VERSION_PACKED {
-        return Err(err("unsupported version"));
-    }
-    if bytes[6] != expect_kind {
-        return Err(err("unsupported kind"));
     }
     let log_n = bytes[7] as u32;
     if log_n == 0 || log_n > 20 {
@@ -383,7 +418,7 @@ pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
         primes,
         scale,
         scale_end,
-    } = parse_ct_header(bytes, KIND_FULL)?;
+    } = parse_ct_header(bytes, WireKind::Full)?;
 
     // Per-prime widths, then bit-packed polynomials.
     if bytes.len() < scale_end + primes {
@@ -447,7 +482,7 @@ pub fn serialize_compressed_ciphertext(
     let mut out = Vec::with_capacity(compressed_serialized_len(cct, widths));
     write_header(
         &mut out,
-        KIND_COMPRESSED,
+        WireKind::Compressed,
         cct.n(),
         cct.num_primes(),
         cct.exact_scale(),
@@ -478,7 +513,7 @@ pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphe
         primes,
         scale,
         scale_end,
-    } = parse_ct_header(bytes, KIND_COMPRESSED)?;
+    } = parse_ct_header(bytes, WireKind::Compressed)?;
     if bytes.len() < scale_end + 16 {
         return Err(err("truncated mask seed"));
     }
@@ -523,7 +558,7 @@ pub fn packed_key_len(ksk: &KeySwitchKey, widths: &[u32], n: usize) -> usize {
 /// Shared validation + packing of the `digits · limbs` polynomial pairs.
 fn serialize_ksk(
     out: &mut Vec<u8>,
-    kind: u8,
+    kind: WireKind,
     element: Option<u64>,
     ksk: &KeySwitchKey,
     widths: &[u32],
@@ -546,7 +581,7 @@ fn serialize_ksk(
     let n = ksk.b[0][0].len();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
-    out.push(kind);
+    out.push(kind as u8);
     out.push(n.trailing_zeros() as u8);
     out.extend_from_slice(&(limbs as u16).to_le_bytes());
     out.extend_from_slice(&(digits as u16).to_le_bytes());
@@ -576,7 +611,7 @@ fn serialize_ksk(
 /// its declared width.
 pub fn serialize_eval_key(key: &EvalKey, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
     let mut out = Vec::with_capacity(packed_key_len(&key.ksk, widths, key.ksk.b[0][0].len()));
-    serialize_ksk(&mut out, KIND_EVAL_KEY, None, &key.ksk, widths)?;
+    serialize_ksk(&mut out, WireKind::EvalKey, None, &key.ksk, widths)?;
     Ok(out)
 }
 
@@ -590,7 +625,7 @@ pub fn serialize_galois_key(key: &GaloisKey, widths: &[u32]) -> Result<Vec<u8>, 
     let mut out = Vec::with_capacity(packed_key_len(&key.ksk, widths, key.ksk.b[0][0].len()) + 8);
     serialize_ksk(
         &mut out,
-        KIND_GALOIS_KEY,
+        WireKind::GaloisKey,
         Some(key.element()),
         &key.ksk,
         widths,
@@ -599,19 +634,13 @@ pub fn serialize_galois_key(key: &GaloisKey, widths: &[u32]) -> Result<Vec<u8>, 
 }
 
 /// Shared key-header parse + payload unpack.
-fn deserialize_ksk(bytes: &[u8], kind: u8) -> Result<(Option<u64>, KeySwitchKey), CkksError> {
+fn deserialize_ksk(bytes: &[u8], kind: WireKind) -> Result<(Option<u64>, KeySwitchKey), CkksError> {
     let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
+    if kind_of(bytes)? != kind {
+        return Err(err("unexpected key kind"));
+    }
     if bytes.len() < KEY_FIXED_HEADER {
         return Err(err("truncated key header"));
-    }
-    if &bytes[0..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    if u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")) != VERSION_PACKED {
-        return Err(err("unsupported key version"));
-    }
-    if bytes[6] != kind {
-        return Err(err("unexpected key kind"));
     }
     let log_n = bytes[7] as u32;
     if log_n == 0 || log_n > 20 {
@@ -624,7 +653,7 @@ fn deserialize_ksk(bytes: &[u8], kind: u8) -> Result<(Option<u64>, KeySwitchKey)
         return Err(err("implausible key shape"));
     }
     let mut cursor = KEY_FIXED_HEADER;
-    let element = if kind == KIND_GALOIS_KEY {
+    let element = if kind == WireKind::GaloisKey {
         if bytes.len() < cursor + 8 {
             return Err(err("truncated key header"));
         }
@@ -668,7 +697,7 @@ fn deserialize_ksk(bytes: &[u8], kind: u8) -> Result<(Option<u64>, KeySwitchKey)
 /// Returns [`CkksError::InvalidParams`] for malformed input: bad magic,
 /// wrong version/kind, implausible shape, or a truncated payload.
 pub fn deserialize_eval_key(bytes: &[u8]) -> Result<EvalKey, CkksError> {
-    let (_, ksk) = deserialize_ksk(bytes, KIND_EVAL_KEY)?;
+    let (_, ksk) = deserialize_ksk(bytes, WireKind::EvalKey)?;
     Ok(EvalKey { ksk })
 }
 
@@ -678,7 +707,7 @@ pub fn deserialize_eval_key(bytes: &[u8]) -> Result<EvalKey, CkksError> {
 ///
 /// As [`deserialize_eval_key`], plus an invalid Galois element.
 pub fn deserialize_galois_key(bytes: &[u8]) -> Result<GaloisKey, CkksError> {
-    let (element, ksk) = deserialize_ksk(bytes, KIND_GALOIS_KEY)?;
+    let (element, ksk) = deserialize_ksk(bytes, WireKind::GaloisKey)?;
     Ok(GaloisKey {
         element: element.expect("kind 4 always parses an element"),
         ksk,

@@ -280,7 +280,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          post_ct_per_s={post_rate:.1} recovery={recovery:.3} p50_ms={:.3} p95_ms={:.3} \
          submitted={} succeeded={} failed={} shed_overload={} shed_batch={} degraded={} \
          timeouts_q={} timeouts_c={} timeouts_a={} bad_requests={} retries={} panics={} \
-         respawns={} lost={lost}",
+         lost={lost}",
         snap.p50_us as f64 / 1000.0,
         snap.p95_us as f64 / 1000.0,
         snap.submitted,
@@ -295,7 +295,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snap.bad_requests,
         snap.retries,
         snap.worker_panics,
-        snap.worker_respawns,
     );
     println!(
         "phases: pre {pre_ok}ok/{pre_err}err, storm {storm_ok}ok/{storm_err}err, post {post_ok}ok/{post_err}err"

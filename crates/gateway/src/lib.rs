@@ -211,6 +211,11 @@ mod tests {
             vec![0u8; 3],
             vec![0xFFu8; 200],
             b"ABCF____junk".to_vec(),
+            // Cut right before the kind byte; a kind the format lacks;
+            // a kind that is no ciphertext (an eval key).
+            b"ABCF\x03\x00".to_vec(),
+            b"ABCF\x03\x00\x09\x0a\x02\x00".to_vec(),
+            b"ABCF\x03\x00\x03\x0a\x02\x00\x02\x00".to_vec(),
         ] {
             let out = gw.call(Request {
                 tenant: 3,
@@ -223,7 +228,7 @@ mod tests {
             );
         }
         let snap = gw.metrics();
-        assert_eq!(snap.bad_requests, 4);
+        assert_eq!(snap.bad_requests, 7);
         assert_eq!(snap.in_flight(), 0);
         gw.shutdown();
     }

@@ -114,9 +114,6 @@ pub struct Metrics {
     pub bad_requests: AtomicU64,
     /// Worker panics caught.
     pub worker_panics: AtomicU64,
-    /// Workers that resumed after a caught panic (on the shared context,
-    /// nothing to rebuild): `worker_panics`, once none is mid-recovery.
-    pub worker_respawns: AtomicU64,
     /// Retry attempts made by `call_with_retry` (beyond the first).
     pub retries: AtomicU64,
     latencies_us: LatencyHistogram,
@@ -136,7 +133,6 @@ pub struct MetricsSnapshot {
     pub timeout_await: u64,
     pub bad_requests: u64,
     pub worker_panics: u64,
-    pub worker_respawns: u64,
     pub retries: u64,
     /// Median end-to-end latency, microseconds (0 when empty), within
     /// 1/16 of the median sample.
@@ -187,7 +183,6 @@ impl Metrics {
             timeout_await: get(&self.timeout_await),
             bad_requests: get(&self.bad_requests),
             worker_panics: get(&self.worker_panics),
-            worker_respawns: get(&self.worker_respawns),
             retries: get(&self.retries),
             p50_us,
             p95_us,

@@ -27,7 +27,8 @@ use crate::service::{Operation, Response, Shared, UploadMode};
 use crate::session::TenantSession;
 use abc_ckks::params::CkksParams;
 use abc_ckks::symmetric::encrypt_symmetric_compressed;
-use abc_ckks::{wire, CkksContext, CkksError};
+use abc_ckks::wire::{self, WireKind};
+use abc_ckks::{CkksContext, CkksError};
 use abc_float::Complex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,7 +124,6 @@ pub(crate) fn worker_main(shared: Arc<Shared>, live_workers: Arc<AtomicU64>) {
             // shared context holds nothing an unwind can damage: the
             // worker resumes on it.
             inc(&shared.metrics.worker_panics);
-            inc(&shared.metrics.worker_respawns);
         }
     }
     live_workers.fetch_sub(1, Ordering::SeqCst);
@@ -261,12 +261,8 @@ fn decrypt_from_wire(
 /// context — malformed bytes are rejected with `BadRequest`, never
 /// stored or forwarded.
 fn ingest(ctx: &CkksContext, blob: &[u8]) -> Result<(usize, bool), GatewayError> {
-    const KIND_OFFSET: usize = 6;
-    let kind = *blob
-        .get(KIND_OFFSET)
-        .ok_or_else(|| GatewayError::BadRequest("wire blob shorter than a header".into()))?;
-    match kind {
-        1 => {
+    match wire::kind_of(blob).map_err(client_err)? {
+        WireKind::Full => {
             let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
             if ct.n() != ctx.params().n() || ct.num_primes() > ctx.params().num_primes() {
                 return Err(GatewayError::BadRequest(
@@ -275,13 +271,13 @@ fn ingest(ctx: &CkksContext, blob: &[u8]) -> Result<(usize, bool), GatewayError>
             }
             Ok((ct.num_primes(), false))
         }
-        2 => {
+        WireKind::Compressed => {
             let cct = wire::deserialize_compressed_ciphertext(blob).map_err(client_err)?;
             let ct = cct.expand(ctx).map_err(client_err)?;
             Ok((ct.num_primes(), true))
         }
         other => Err(GatewayError::BadRequest(format!(
-            "unsupported wire kind {other} at ingress"
+            "unsupported wire kind {other:?} at ingress"
         ))),
     }
 }

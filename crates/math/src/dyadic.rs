@@ -47,23 +47,37 @@
 //! ([`DyadicEngine::mul_assign`], [`DyadicEngine::mul_add_assign`])
 //! fuse the conversion into the loop and need no scratch at all.
 //!
-//! # Fused chain entry points
+//! # One multiply–accumulate datapath
 //!
 //! The layer is memory-bound, so whole ciphertext call-site chains are
-//! single passes rather than op sequences — each loop enters one
-//! operand into the Montgomery domain, REDCs once, and folds the
-//! surrounding adds/subs/negation into the same load/store trip:
+//! single passes rather than op sequences — each enters one operand
+//! into the Montgomery domain, REDCs once, and folds the surrounding
+//! adds/subs/negation into the same load/store trip. All of them are
+//! one loop, `dst = ±(x·b) + Σ addends`, whose shape (multiplier
+//! pre-entered or not, product negated or not, 0–2 addends, destination
+//! as multiplicand or as accumulator) is compile-time data of one
+//! private core; the public names are its instantiations:
 //!
+//! * [`DyadicEngine::mul_assign`] — `a = a·b`;
+//! * [`DyadicEngine::mul_add_assign`] — `a = a·b + c` (decrypt);
 //! * [`DyadicEngine::mul_neg_add_assign`] — `a = c − a·b` (keygen);
 //! * [`DyadicEngine::mul_neg_add2_assign`] — `a = c + d − a·b`
-//!   (symmetric encrypt c0, formerly four passes);
-//! * [`DyadicEngine::mul_add2_assign`] — `a = a·b + c + d` (public-key
-//!   encrypt c0);
-//! * [`DyadicEngine::sub_scalar_mul_assign`] — `a = (a − b)·s` (both
-//!   rescales; accepts a `[0, 4q)`-lazy subtrahend so the forward-NTT
-//!   normalization stage fuses in too);
-//! * [`DyadicEngine::mul_acc_assign_premul`] — `acc += b·d̃` against a
-//!   premultiplied digit (key-switch accumulation, no scratch copies).
+//!   (symmetric encrypt c0);
+//! * [`DyadicEngine::mul_add2_assign`] — `a = a·b + c + d`;
+//! * [`DyadicEngine::mul_assign_premul`] — `a = a·b̃`;
+//! * [`DyadicEngine::mul_acc_assign_premul`] — `acc += b·d̃` (public-key
+//!   encrypt, key-switch accumulation; no scratch copies).
+//!
+//! The core holds the family's one kernel dispatch and its one domain
+//! contract: every operand canonical `[0, q)` on entry, the destination
+//! canonical on exit, asserted in debug builds. A new fused shape is one
+//! more instantiation line.
+//!
+//! Multiplying by a *constant* is a different datapath (Shoup, a
+//! precomputed quotient): [`DyadicEngine::scalar_mul_assign`] and
+//! [`DyadicEngine::sub_scalar_mul_assign`] — `a = (a − b)·s`, both
+//! rescales, which accepts a `[0, 4q)`-lazy subtrahend so the
+//! forward-NTT normalization stage fuses in too.
 //!
 //! Every fused kernel is bit-identical to the composition of its
 //! unfused ops (canonical outputs; pinned by the property suites across
@@ -163,189 +177,120 @@ impl DyadicEngine {
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths differ.
+    /// Panics if slice lengths differ (as every `mul_*` method does).
     pub fn mul_assign(&self, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
+        self.mac::<false, false, false, 0>(a, b, []);
+    }
+
+    /// `a[i] = a[i]·b[i] + c[i] mod q` — what decryption runs
+    /// (`c1·s + c0`).
+    pub fn mul_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
+        self.mac::<false, false, false, 1>(a, b, [c]);
+    }
+
+    /// `a[i] = c[i] − a[i]·b[i] mod q` — the keygen and
+    /// key-switch-keygen `-(a·s)+e` chain as one pass.
+    pub fn mul_neg_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
+        self.mac::<false, true, false, 1>(a, b, [c]);
+    }
+
+    /// `a[i] = c[i] + d[i] − a[i]·b[i] mod q` — the symmetric encrypt
+    /// c0 chain `-(a·s)+e+m` as one pass.
+    pub fn mul_neg_add2_assign(&self, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
+        self.mac::<false, true, false, 2>(a, b, [c, d]);
+    }
+
+    /// `a[i] = a[i]·b[i] + c[i] + d[i] mod q` — the `pk·v+e+m` chain as
+    /// one pass.
+    pub fn mul_add2_assign(&self, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
+        self.mac::<false, false, false, 2>(a, b, [c, d]);
+    }
+
+    /// `acc[i] += b[i]·d_pre[i] mod q` against a vector entered with
+    /// [`DyadicEngine::premul`] — public-key encryption's `e + pk·v̂` and
+    /// the key-switch inner product `acc += key·digit`, with no scratch
+    /// copy of either operand.
+    pub fn mul_acc_assign_premul(&self, acc: &mut [u64], b: &[u64], d_pre: &[u64]) {
+        self.mac::<true, false, true, 1>(acc, d_pre, [b]);
+    }
+
+    /// `a[i] = a[i]·b[i] mod q` against a vector already entered with
+    /// [`DyadicEngine::premul`] — step 2 of the lifecycle; the REDC
+    /// consumes the domain factor, so outputs are ordinary canonical
+    /// residues (no exit step).
+    pub fn mul_assign_premul(&self, a: &mut [u64], b_pre: &[u64]) {
+        self.mac::<true, false, false, 0>(a, b_pre, []);
+    }
+
+    /// The multiply–accumulate datapath behind every `mul_*` method:
+    /// `dst[i] = ±(x[i]·b[i]) + Σ addends[i] mod q`, one pass, the shape
+    /// as compile-time parameters (those of [`crate::simd::mac_assign`]):
+    /// `PRE` — `b` came through [`Self::premul`]; `NEG` — the product is
+    /// subtracted; `ACC` — `dst` is the first addend and `src[0]` the
+    /// multiplicand `x`, otherwise `dst` is `x` and every `src` an addend.
+    ///
+    /// Every operand is canonical `[0, q)` (a premultiplied one too:
+    /// `premul` canonicalises) and so is the result — checked in debug
+    /// builds, which is what makes the kernels interchangeable bit for
+    /// bit.
+    fn mac<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(
+        &self,
+        dst: &mut [u64],
+        b: &[u64],
+        src: [&[u64]; SRC],
+    ) {
+        let n = dst.len();
+        assert_eq!(n, b.len());
+        assert!(src.iter().all(|s| s.len() == n));
+        let q = self.m.q();
+        let canonical = |v: &[u64]| v.iter().all(|&x| x < q);
+        debug_assert!(canonical(dst) && canonical(b) && src.iter().all(|s| canonical(s)));
         match &self.kernel {
+            // premul is the identity for golden.
             Kernel::Golden => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x = self.m.mul(*x, y);
+                for i in 0..n {
+                    let (x, addends) = operands::<ACC, SRC>(dst[i], &src, i);
+                    let mut t = self.m.mul(x, b[i]);
+                    for (k, y) in addends.into_iter().enumerate() {
+                        t = if NEG && k == 0 {
+                            self.m.sub(y, t)
+                        } else {
+                            self.m.add(t, y)
+                        };
+                    }
+                    dst[i] = t;
                 }
             }
             Kernel::Montgomery => {
                 // Fused enter+REDC: b̃ = REDC(b·R²) ∈ [0, q), then
-                // REDC(a·b̃) = a·b mod q (see the module lifecycle doc).
-                let r2 = self.mont.r2();
-                for (x, &y) in a.iter_mut().zip(b) {
-                    let y_dom = self.mont.redc(y as u128 * r2 as u128);
-                    *x = self.mont.redc(*x as u128 * y_dom as u128);
+                // REDC(x·b̃) = x·b mod q (see the module lifecycle doc).
+                let (mont, r2) = (self.mont, self.mont.r2());
+                for (i, (z, &y)) in dst.iter_mut().zip(b).enumerate() {
+                    let (x, addends) = operands::<ACC, SRC>(*z, &src, i);
+                    let y_dom = if PRE {
+                        y
+                    } else {
+                        mont.redc(y as u128 * r2 as u128)
+                    };
+                    let p = mont.redc(x as u128 * y_dom as u128);
+                    *z = accumulate::<NEG, SRC>(p, addends, q);
                 }
             }
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(k) => {
-                let done = crate::simd::mul_assign(k, a, b);
-                for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
-                    *x = k.mul(*x, y);
+                let done = crate::simd::mac_assign::<PRE, NEG, ACC, SRC>(k, dst, b, src);
+                for i in done..n {
+                    let (x, addends) = operands::<ACC, SRC>(dst[i], &src, i);
+                    let p = if PRE {
+                        k.mul_premul(x, b[i])
+                    } else {
+                        k.mul(x, b[i])
+                    };
+                    dst[i] = accumulate::<NEG, SRC>(p, addends, q);
                 }
             }
         }
-    }
-
-    /// `a[i] = a[i]·b[i] + c[i] mod q` — the fused kernel encryption and
-    /// decryption use (`pk·v + e`, `c1·s + c0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), c.len());
-        match &self.kernel {
-            Kernel::Golden => {
-                for i in 0..a.len() {
-                    a[i] = self.m.mul_add(a[i], b[i], c[i]);
-                }
-            }
-            Kernel::Montgomery => {
-                let r2 = self.mont.r2();
-                let q = self.m.q();
-                let mont = self.mont;
-                for (x, (&y, &z)) in a.iter_mut().zip(b.iter().zip(c)) {
-                    let y_dom = mont.redc(y as u128 * r2 as u128);
-                    let p = mont.redc(*x as u128 * y_dom as u128);
-                    // Branchless conditional subtract (min picks the
-                    // in-range representative; the wrapped value is
-                    // huge) — a data-dependent branch here costs ~5×.
-                    let t = p + z;
-                    *x = t.min(t.wrapping_sub(q));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_add_assign(k, a, b, c);
-                let q = self.m.q();
-                for i in done..a.len() {
-                    a[i] = shoup::reduce_once(k.mul(a[i], b[i]) + c[i], q);
-                }
-            }
-        }
-    }
-
-    /// Fused `a[i] = c[i] − a[i]·b[i] mod q` — the keygen and
-    /// key-switch-keygen `-(a·s)+e` chain as one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_neg_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), c.len());
-        let q = self.m.q();
-        match &self.kernel {
-            Kernel::Golden => {
-                for i in 0..a.len() {
-                    a[i] = self.m.sub(c[i], self.m.mul(a[i], b[i]));
-                }
-            }
-            Kernel::Montgomery => {
-                let r2 = self.mont.r2();
-                let mont = self.mont;
-                for (x, (&y, &z)) in a.iter_mut().zip(b.iter().zip(c)) {
-                    let y_dom = mont.redc(y as u128 * r2 as u128);
-                    let p = mont.redc(*x as u128 * y_dom as u128);
-                    let t = z + q - p;
-                    *x = t.min(t.wrapping_sub(q));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_neg_add_assign(k, a, b, c);
-                for i in done..a.len() {
-                    a[i] = shoup::reduce_once(c[i] + q - k.mul(a[i], b[i]), q);
-                }
-            }
-        }
-    }
-
-    /// Fused `a[i] = c[i] + d[i] − a[i]·b[i] mod q` — the symmetric
-    /// encrypt c0 chain `-(a·s)+e+m` as one pass (previously
-    /// mul + neg + add + add: four).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_neg_add2_assign(&self, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), c.len());
-        assert_eq!(a.len(), d.len());
-        let q = self.m.q();
-        match &self.kernel {
-            Kernel::Golden => {
-                for i in 0..a.len() {
-                    a[i] = self.m.add(self.m.sub(c[i], self.m.mul(a[i], b[i])), d[i]);
-                }
-            }
-            Kernel::Montgomery => {
-                let r2 = self.mont.r2();
-                let mont = self.mont;
-                for i in 0..a.len() {
-                    let y_dom = mont.redc(b[i] as u128 * r2 as u128);
-                    let p = mont.redc(a[i] as u128 * y_dom as u128);
-                    let t = c[i] + q - p;
-                    let t = t.min(t.wrapping_sub(q));
-                    let t = t + d[i];
-                    a[i] = t.min(t.wrapping_sub(q));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_neg_add2_assign(k, a, b, c, d);
-                for i in done..a.len() {
-                    let t = shoup::reduce_once(c[i] + q - k.mul(a[i], b[i]), q);
-                    a[i] = shoup::reduce_once(t + d[i], q);
-                }
-            }
-        }
-    }
-
-    /// Fused `a[i] = a[i]·b[i] + c[i] + d[i] mod q` — the public-key
-    /// encrypt c0 chain `pk·v+e+m` as one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_add2_assign(&self, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), c.len());
-        assert_eq!(a.len(), d.len());
-        let q = self.m.q();
-        match &self.kernel {
-            Kernel::Golden => {
-                for i in 0..a.len() {
-                    a[i] = self.m.add(self.m.mul_add(a[i], b[i], c[i]), d[i]);
-                }
-            }
-            Kernel::Montgomery => {
-                let r2 = self.mont.r2();
-                let mont = self.mont;
-                for i in 0..a.len() {
-                    let y_dom = mont.redc(b[i] as u128 * r2 as u128);
-                    let p = mont.redc(a[i] as u128 * y_dom as u128);
-                    let t = p + c[i];
-                    let t = t.min(t.wrapping_sub(q));
-                    let t = t + d[i];
-                    a[i] = t.min(t.wrapping_sub(q));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_add2_assign(k, a, b, c, d);
-                for i in done..a.len() {
-                    let t = shoup::reduce_once(k.mul(a[i], b[i]) + c[i], q);
-                    a[i] = shoup::reduce_once(t + d[i], q);
-                }
-            }
-        }
+        debug_assert!(canonical(dst));
     }
 
     /// Fused `a[i] = (a[i] − b[i])·s mod q` — the rescale shape
@@ -401,43 +346,6 @@ impl DyadicEngine {
                     for (x, &y) in a.iter_mut().zip(b) {
                         *x = self.m.mul(self.m.sub(*x, y), s);
                     }
-                }
-            }
-        }
-    }
-
-    /// Fused accumulation `acc[i] += b[i]·d_pre[i] mod q` against a
-    /// vector entered with [`DyadicEngine::premul`] — the key-switch
-    /// inner-product step `acc += key·digit` as one pass, with no
-    /// scratch copy of either operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_acc_assign_premul(&self, acc: &mut [u64], b: &[u64], d_pre: &[u64]) {
-        assert_eq!(acc.len(), b.len());
-        assert_eq!(acc.len(), d_pre.len());
-        let q = self.m.q();
-        match &self.kernel {
-            // premul is the identity for golden.
-            Kernel::Golden => {
-                for i in 0..acc.len() {
-                    acc[i] = self.m.mul_add(b[i], d_pre[i], acc[i]);
-                }
-            }
-            Kernel::Montgomery => {
-                let mont = self.mont;
-                for i in 0..acc.len() {
-                    let p = mont.redc(b[i] as u128 * d_pre[i] as u128);
-                    let t = p + acc[i];
-                    acc[i] = t.min(t.wrapping_sub(q));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_acc_assign_premul(k, acc, b, d_pre);
-                for i in done..acc.len() {
-                    acc[i] = shoup::reduce_once(k.mul_premul(b[i], d_pre[i]) + acc[i], q);
                 }
             }
         }
@@ -550,29 +458,48 @@ impl DyadicEngine {
             }
         }
     }
+}
 
-    /// `a[i] = a[i]·b[i] mod q` against a vector already entered with
-    /// [`DyadicEngine::premul`] — step 2 of the lifecycle; the REDC
-    /// consumes the domain factor, so outputs are ordinary canonical
-    /// residues (no exit step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_assign_premul(&self, a: &mut [u64], b_pre: &[u64]) {
-        assert_eq!(a.len(), b_pre.len());
-        match &self.kernel {
-            Kernel::Golden => self.mul_assign(a, b_pre),
-            Kernel::Montgomery => self.mont.mul_slice_mont(a, b_pre),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let done = crate::simd::mul_assign_premul(k, a, b_pre);
-                for (x, &y) in a[done..].iter_mut().zip(&b_pre[done..]) {
-                    *x = k.mul_premul(*x, y);
-                }
-            }
+/// Element `i` of a multiply–accumulate pass: the multiplicand and the
+/// addends. `dst` and `src[0]` trade places in the accumulate form.
+#[inline(always)]
+fn operands<const ACC: bool, const SRC: usize>(
+    dst: u64,
+    src: &[&[u64]; SRC],
+    i: usize,
+) -> (u64, [u64; SRC]) {
+    let mut addends = [0; SRC];
+    for (y, s) in addends.iter_mut().zip(src) {
+        *y = s[i];
+    }
+    if ACC {
+        (core::mem::replace(&mut addends[0], dst), addends)
+    } else {
+        (dst, addends)
+    }
+}
+
+/// `±p + Σ addends mod q` for a canonical product and canonical addends,
+/// without a data-dependent branch (one here costs ~5×). A negated
+/// product folds into its first addend as the modular difference
+/// `y − p` (a borrow adds `q` back); every other partial sum is
+/// `< 2q < 2^64` and one conditional subtract — `min` picks the in-range
+/// representative, the wrapped value is huge — brings it back to
+/// `[0, q)`.
+#[inline(always)]
+fn accumulate<const NEG: bool, const SRC: usize>(p: u64, addends: [u64; SRC], q: u64) -> u64 {
+    const { assert!(!NEG || SRC >= 1) };
+    let mut t = p;
+    for (k, y) in addends.into_iter().enumerate() {
+        if NEG && k == 0 {
+            let (d, borrow) = y.overflowing_sub(t);
+            t = d.wrapping_add(if borrow { q } else { 0 });
+        } else {
+            t += y;
+            t = t.min(t.wrapping_sub(q));
         }
     }
+    t
 }
 
 #[cfg(test)]

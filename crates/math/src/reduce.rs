@@ -243,21 +243,6 @@ impl Montgomery {
             *x = self.from_mont(*x);
         }
     }
-
-    /// Batch fused multiply against a pre-entered operand:
-    /// `a[i] ← redc(a[i]·b_mont[i]) = a[i]·b[i] mod q` for
-    /// `b_mont = b·R mod q` — step 2 of the lifecycle; outputs are
-    /// ordinary-domain canonical residues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn mul_slice_mont(&self, a: &mut [u64], b_mont: &[u64]) {
-        assert_eq!(a.len(), b_mont.len());
-        for (x, &y) in a.iter_mut().zip(b_mont) {
-            *x = self.redc(*x as u128 * y as u128);
-        }
-    }
 }
 
 impl ModMul for Montgomery {
@@ -599,10 +584,9 @@ mod tests {
             let mut back = b_mont.clone();
             mg.from_mont_slice(&mut back);
             assert_eq!(back, b0, "q={q}");
-            let mut a = a0.clone();
-            mg.mul_slice_mont(&mut a, &b_mont);
-            for i in 0..a.len() {
-                assert_eq!(a[i], m.mul(a0[i], b0[i]), "q={q} i={i}");
+            for i in 0..a0.len() {
+                let product = mg.mont_mul(a0[i], b_mont[i]);
+                assert_eq!(product, m.mul(a0[i], b0[i]), "q={q} i={i}");
             }
         }
     }

@@ -18,27 +18,25 @@
 //! so `REDC52(a·b̃) = a·b mod q` directly and no exit conversion exists.
 //! See [`crate::dyadic`] for the domain lifecycle and the dispatch.
 //!
-//! # Fused chain kernels
+//! # One multiply–accumulate loop
 //!
-//! The element-wise layer is memory-bound, so beyond the single-op
-//! kernels this module fuses whole ciphertext-chain shapes into one
-//! load/store pass per operand:
+//! The element-wise layer is memory-bound, so whole ciphertext-chain
+//! shapes run as one load/store pass per operand — and every shape of
+//! the multiply family is the *same* loop: load, enter `b` (or not),
+//! REDC, negate (or not), add 0–2 addends, conditionally subtract.
+//! [`mac_assign`] is that loop once, generic over compile-time facts
+//! only, so each instantiation (`a·b`, `a·b + c`, `c − a·b`,
+//! `c + d − a·b`, `a·b + c + d`, `a·b̃`, `a + b·d̃` — named in
+//! [`crate::dyadic`]) monomorphises to its own straight-line code, and
+//! the lazy-domain argument that licenses the fusion is written once,
+//! beside its `csub`s.
 //!
-//! - [`mul_neg_add_assign`] — `a = c − a·b` (keygen `-(a·s)+e`)
-//! - [`mul_neg_add2_assign`] — `a = c + d − a·b` (symmetric encrypt)
-//! - [`mul_add2_assign`] — `a = a·b + c + d` (public-key encrypt)
-//! - [`mul_acc_assign_premul`] — `a += b·d̃` (key-switch accumulation
-//!   against a pre-entered digit, no scratch copy)
-//! - [`sub_scalar_mul_assign`] — `a = (a − b)·w` (both rescales)
-//!
-//! The fusion is free of extra reductions: one REDC lands in `[0, 2q)`,
-//! negation is `2q − r`, and up to two canonical addends keep every
-//! intermediate under `4q < 2^52` (since `q < 2^50`), so a fixed pair of
-//! conditional subtracts normalizes the result. The rescale kernel goes
-//! one step further and accepts its subtrahend **lazy in `[0, 4q)`** —
-//! the raw output of a forward NTT whose closing normalization pass was
-//! skipped — fusing the last NTT stage into the dyadic pass
-//! (see `NttPlan::forward_lazy` in `abc-transform`).
+//! Multiplication by a *constant* is a different datapath (Shoup, no
+//! REDC): [`scalar_mul_assign`], and [`sub_scalar_mul_assign`] —
+//! `a = (a − b)·w`, both rescales — which accepts its subtrahend **lazy
+//! in `[0, 4q)`**, the raw output of a forward NTT whose closing
+//! normalization pass was skipped, fusing the last NTT stage into the
+//! dyadic pass (see `NttPlan::forward_lazy` in `abc-transform`).
 //!
 //! All kernels return **canonical** `[0, q)` values and are therefore
 //! bit-identical to the `u128 %` golden model (asserted by the
@@ -183,332 +181,101 @@ unsafe fn redc52_x8(va: __m512i, vb_dom: __m512i, vq: __m512i, vqinv: __m512i) -
     }
 }
 
-/// `a[i] = a[i]·b[i] mod q` over full 8-lane blocks; returns the count
-/// handled (`len − len % 8`). Canonical inputs and outputs.
+/// The multiply–accumulate pass, every fused shape of it:
+/// `dst[i] = ±(x[i]·b[i]) + Σ addends[i] mod q` over full 8-lane blocks;
+/// returns the count handled (`len − len % 8`). Canonical inputs and
+/// outputs. The shape is compile-time data, so each instantiation
+/// monomorphises to its own straight-line loop:
+///
+/// * `PRE` — `b` is already in the radix-2^52 domain (`b̃ = b·2^52 mod
+///   q`, lanes `< 2q`, see `DyadicEngine::premul`) instead of being
+///   entered inside the loop;
+/// * `NEG` — the product is subtracted instead of added;
+/// * `ACC` — the destination is the first *addend* and `src[0]` the
+///   multiplicand (`dst += src[0]·b`, needs `SRC ≥ 1`); otherwise the
+///   destination is the multiplicand and every `src` an addend;
+/// * `SRC` — the number of `src` streams, which either way is the number
+///   of addends (0–2).
 ///
 /// # Panics
 ///
 /// Asserts [`CpuCaps::ifma`] (soundness: the `target_feature` body
 /// would be UB on a CPU without IFMA) and equal slice lengths.
-pub fn mul_assign(k: &Mont52, a: &mut [u64], b: &[u64]) -> usize {
+pub fn mac_assign<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(
+    k: &Mont52,
+    dst: &mut [u64],
+    b: &[u64],
+    src: [&[u64]; SRC],
+) -> usize {
+    const { assert!(SRC <= 2 && (!ACC || SRC >= 1)) };
     assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_assign_impl(k, &mut a[..n8], &b[..n8]) }
+    assert_eq!(dst.len(), b.len());
+    assert!(src.iter().all(|s| s.len() == dst.len()));
+    let n8 = dst.len() - dst.len() % 8;
+    // SAFETY: the asserts above prove the required target features and
+    // that every slice holds at least `n8` (a multiple of 8) words.
+    unsafe { mac_assign_impl::<PRE, NEG, ACC, SRC>(k, &mut dst[..n8], &b[..n8], src) }
     n8
 }
 
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
+/// asserts [`CpuCaps::ifma`] before dispatching here), `dst.len()` must
+/// be a multiple of 8 and `b` and every `src` at least that long.
 #[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let vr = _mm512_set1_epi64(k.r52 as i64);
-    let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= a.len() == b.len().
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            // b into the radix-2^52 domain ([0, 2q)), REDC the product
-            // back out — the two conversions cancel into `a·b mod q`.
-            let vb_dom = mul_shoup52_x8(vb, vr, vrs, vq);
-            let r = redc52_x8(va, vb_dom, vq, vqinv);
-            _mm512_storeu_si512(pa, csub_x8(r, vq));
-        }
-        j += 8;
-    }
-}
-
-/// `a[i] = a[i]·b_dom[i] mod q` against an operand already in the
-/// radix-2^52 domain (`b_dom = b·2^52 mod q`, lanes `< 2q`), over full
-/// 8-lane blocks; returns the count handled.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_assign_premul(k: &Mont52, a: &mut [u64], b_dom: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b_dom.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_assign_premul_impl(k, &mut a[..n8], &b_dom[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_assign_premul_impl(k: &Mont52, a: &mut [u64], b_dom: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= a.len() == b_dom.len().
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b_dom.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb_dom = _mm512_loadu_si512(pb);
-            let r = redc52_x8(va, vb_dom, vq, vqinv);
-            _mm512_storeu_si512(pa, csub_x8(r, vq));
-        }
-        j += 8;
-    }
-}
-
-/// `a[i] = a[i]·b[i] + c[i] mod q` over full 8-lane blocks; returns the
-/// count handled. Canonical inputs and outputs.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_add_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_add_assign_impl(k, &mut a[..n8], &b[..n8], &c[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_add_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) {
+unsafe fn mac_assign_impl<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(
+    k: &Mont52,
+    dst: &mut [u64],
+    b: &[u64],
+    src: [&[u64]; SRC],
+) {
     let vq = _mm512_set1_epi64(k.q as i64);
     let v2q = _mm512_set1_epi64(2 * k.q as i64);
     let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
     let vr = _mm512_set1_epi64(k.r52 as i64);
     let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
     let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= len of every slice.
+    while j < dst.len() {
+        // SAFETY: j + 8 <= dst.len() <= len of every other slice.
         unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let pc = c.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            let vc = _mm512_loadu_si512(pc);
-            let vb_dom = mul_shoup52_x8(vb, vr, vrs, vq);
-            // REDC lands in [0, 2q); + c < 3q; two csubs normalize.
-            let r = _mm512_add_epi64(redc52_x8(va, vb_dom, vq, vqinv), vc);
-            _mm512_storeu_si512(pa, csub_x8(csub_x8(r, v2q), vq));
-        }
-        j += 8;
-    }
-}
-
-/// Fused `a[i] = c[i] − a[i]·b[i] mod q` (the keygen `-(a·s)+e` shape)
-/// over full 8-lane blocks; returns the count handled. Canonical inputs
-/// and outputs.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_neg_add_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_neg_add_assign_impl(k, &mut a[..n8], &b[..n8], &c[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_neg_add_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let vr = _mm512_set1_epi64(k.r52 as i64);
-    let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= len of every slice.
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let pc = c.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            let vc = _mm512_loadu_si512(pc);
-            let vb_dom = mul_shoup52_x8(vb, vr, vrs, vq);
-            // REDC lands in [0, 2q); negate as 2q − r ∈ (0, 2q];
-            // + c < 3q; two csubs normalize.
-            let neg = _mm512_sub_epi64(v2q, redc52_x8(va, vb_dom, vq, vqinv));
-            let r = _mm512_add_epi64(neg, vc);
-            _mm512_storeu_si512(pa, csub_x8(csub_x8(r, v2q), vq));
-        }
-        j += 8;
-    }
-}
-
-/// Fused `a[i] = c[i] + d[i] − a[i]·b[i] mod q` (the symmetric-encrypt
-/// `-(a·s)+e+m` shape) over full 8-lane blocks; returns the count
-/// handled. Canonical inputs and outputs.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_neg_add2_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    assert_eq!(a.len(), d.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_neg_add2_assign_impl(k, &mut a[..n8], &b[..n8], &c[..n8], &d[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_neg_add2_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let vr = _mm512_set1_epi64(k.r52 as i64);
-    let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= len of every slice.
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let pc = c.as_ptr().add(j) as *const __m512i;
-            let pd = d.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            let vc = _mm512_loadu_si512(pc);
-            let vd = _mm512_loadu_si512(pd);
-            let vb_dom = mul_shoup52_x8(vb, vr, vrs, vq);
-            // 2q − REDC ∈ (0, 2q]; + c + d < 4q < 2^52 (q < 2^50);
-            // the same two csubs as the 3q case normalize [0, 4q).
-            let neg = _mm512_sub_epi64(v2q, redc52_x8(va, vb_dom, vq, vqinv));
-            let r = _mm512_add_epi64(_mm512_add_epi64(neg, vc), vd);
-            _mm512_storeu_si512(pa, csub_x8(csub_x8(r, v2q), vq));
-        }
-        j += 8;
-    }
-}
-
-/// Fused `a[i] = a[i]·b[i] + c[i] + d[i] mod q` (the public-key-encrypt
-/// `pk·v+e+m` shape) over full 8-lane blocks; returns the count
-/// handled. Canonical inputs and outputs.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_add2_assign(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    assert_eq!(a.len(), d.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_add2_assign_impl(k, &mut a[..n8], &b[..n8], &c[..n8], &d[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_add2_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let vr = _mm512_set1_epi64(k.r52 as i64);
-    let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= len of every slice.
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let pc = c.as_ptr().add(j) as *const __m512i;
-            let pd = d.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            let vc = _mm512_loadu_si512(pc);
-            let vd = _mm512_loadu_si512(pd);
-            let vb_dom = mul_shoup52_x8(vb, vr, vrs, vq);
-            // REDC ∈ [0, 2q); + c + d < 4q; two csubs normalize.
-            let r = _mm512_add_epi64(_mm512_add_epi64(redc52_x8(va, vb_dom, vq, vqinv), vc), vd);
-            _mm512_storeu_si512(pa, csub_x8(csub_x8(r, v2q), vq));
-        }
-        j += 8;
-    }
-}
-
-/// Fused accumulation `a[i] += b[i]·d_dom[i] mod q` against an operand
-/// already in the radix-2^52 domain (the key-switch inner-product
-/// shape), over full 8-lane blocks; returns the count handled.
-///
-/// # Panics
-///
-/// Same contract as [`mul_assign`].
-pub fn mul_acc_assign_premul(k: &Mont52, a: &mut [u64], b: &[u64], d_dom: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), d_dom.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { mul_acc_assign_premul_impl(k, &mut a[..n8], &b[..n8], &d_dom[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mul_acc_assign_premul_impl(k: &Mont52, a: &mut [u64], b: &[u64], d_dom: &[u64]) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= len of every slice.
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let pd = d_dom.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            let vd_dom = _mm512_loadu_si512(pd);
-            // REDC ∈ [0, 2q); + acc < 3q; two csubs normalize.
-            let r = _mm512_add_epi64(redc52_x8(vb, vd_dom, vq, vqinv), va);
-            _mm512_storeu_si512(pa, csub_x8(csub_x8(r, v2q), vq));
+            let pd = dst.as_mut_ptr().add(j) as *mut __m512i;
+            let mut vx = _mm512_loadu_si512(pd);
+            let vb = _mm512_loadu_si512(b.as_ptr().add(j) as *const __m512i);
+            // Plain loops, not `map`: a closure would not carry this
+            // function's target features unless it inlined.
+            let mut vs = [_mm512_setzero_si512(); SRC];
+            for (v, s) in vs.iter_mut().zip(src) {
+                *v = _mm512_loadu_si512(s.as_ptr().add(j) as *const __m512i);
+            }
+            if ACC {
+                core::mem::swap(&mut vx, &mut vs[0]);
+            }
+            // b enters the radix-2^52 domain ([0, 2q)) here unless it
+            // came pre-entered; REDC takes the product back out — the
+            // two conversions cancel into `x·b mod q`.
+            let vb_dom = if PRE {
+                vb
+            } else {
+                mul_shoup52_x8(vb, vr, vrs, vq)
+            };
+            // The lazy-domain bound of every shape: REDC ∈ [0, 2q); the
+            // negated product is 2q − REDC ∈ (0, 2q]; each of the ≤ 2
+            // addends is canonical, so the sum stays < 4q < 2^52
+            // (q < 2^50) and csub(2q), csub(q) normalise [0, 4q) to
+            // [0, q). The bare positive product is still in [0, 2q) and
+            // takes the one csub(q).
+            let mut r = redc52_x8(vx, vb_dom, vq, vqinv);
+            if NEG {
+                r = _mm512_sub_epi64(v2q, r);
+            }
+            for v in vs {
+                r = _mm512_add_epi64(r, v);
+            }
+            if NEG || SRC > 0 {
+                r = csub_x8(r, v2q);
+            }
+            _mm512_storeu_si512(pd, csub_x8(r, vq));
         }
         j += 8;
     }
@@ -524,7 +291,7 @@ unsafe fn mul_acc_assign_premul_impl(k: &Mont52, a: &mut [u64], b: &[u64], d_dom
 ///
 /// # Panics
 ///
-/// Same contract as [`mul_assign`].
+/// Same contract as [`mac_assign`].
 pub fn sub_scalar_mul_assign(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: u64) -> usize {
     assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
@@ -697,17 +464,6 @@ mod tests {
         let n = 40; // full blocks only (tails are the caller's job)
         let a0 = pseudo(n, q, 1);
         let b = pseudo(n, q, 2);
-        let c = pseudo(n, q, 3);
-        let mut a = a0.clone();
-        assert_eq!(mul_assign(&k, &mut a, &b), n);
-        for i in 0..n {
-            assert_eq!(a[i], m.mul(a0[i], b[i]), "mul i={i}");
-        }
-        let mut a = a0.clone();
-        assert_eq!(mul_add_assign(&k, &mut a, &b, &c), n);
-        for i in 0..n {
-            assert_eq!(a[i], m.mul_add(a0[i], b[i], c[i]), "mul_add i={i}");
-        }
         let w = q - 2;
         let w52 = crate::shoup::shoup_precompute52(w, q);
         let mut a = a0.clone();
@@ -725,82 +481,89 @@ mod tests {
         for i in 0..n {
             assert_eq!(a[i], m.sub(a0[i], b[i]), "sub i={i}");
         }
-    }
-
-    #[test]
-    fn fused_kernels_match_golden() {
-        if !CpuCaps::detect().ifma() {
-            return;
-        }
-        let q = 0xFFF_FFFF_C001u64; // 2^44 - 2^14 + 1
-        let m = Modulus::new(q).unwrap();
-        let k = Mont52::new(q);
-        let n = 40;
-        let a0 = pseudo(n, q, 11);
-        let b = pseudo(n, q, 12);
-        let c = pseudo(n, q, 13);
-        let d = pseudo(n, q, 14);
-        let mut a = a0.clone();
-        assert_eq!(mul_neg_add_assign(&k, &mut a, &b, &c), n);
-        for i in 0..n {
-            assert_eq!(a[i], m.sub(c[i], m.mul(a0[i], b[i])), "mul_neg_add i={i}");
-        }
-        let mut a = a0.clone();
-        assert_eq!(mul_neg_add2_assign(&k, &mut a, &b, &c, &d), n);
-        for i in 0..n {
-            let want = m.add(m.sub(c[i], m.mul(a0[i], b[i])), d[i]);
-            assert_eq!(a[i], want, "mul_neg_add2 i={i}");
-        }
-        let mut a = a0.clone();
-        assert_eq!(mul_add2_assign(&k, &mut a, &b, &c, &d), n);
-        for i in 0..n {
-            let want = m.add(m.mul_add(a0[i], b[i], c[i]), d[i]);
-            assert_eq!(a[i], want, "mul_add2 i={i}");
-        }
-        // Premultiplied accumulation: d̃ = d·2^52 mod q lane-wise.
-        let d_dom: Vec<u64> = d
-            .iter()
-            .map(|&x| crate::shoup::mul_shoup52_lazy(x, k.r52, k.r52_shoup, q))
-            .collect();
-        let mut a = a0.clone();
-        assert_eq!(mul_acc_assign_premul(&k, &mut a, &b, &d_dom), n);
-        for i in 0..n {
-            let want = m.mul_add(b[i], d[i], a0[i]);
-            assert_eq!(a[i], want, "mul_acc_premul i={i}");
-        }
         let w = q / 3;
         let w52 = crate::shoup::shoup_precompute52(w, q);
-        let mut a = a0.clone();
-        assert_eq!(sub_scalar_mul_assign(&k, &mut a, &b, w, w52), n);
-        for i in 0..n {
-            let want = m.mul(m.sub(a0[i], b[i]), w);
-            assert_eq!(a[i], want, "sub_scalar_mul i={i}");
-        }
-        // Lazy [0, 4q) subtrahend: same canonical result.
+        // A canonical subtrahend, then a lazy [0, 4q) one: same result.
         let b_lazy: Vec<u64> = b
             .iter()
             .enumerate()
             .map(|(i, &x)| x + q * ((i % 4) as u64))
             .collect();
-        let mut a = a0.clone();
-        assert_eq!(sub_scalar_mul_assign(&k, &mut a, &b_lazy, w, w52), n);
-        for i in 0..n {
-            let want = m.mul(m.sub(a0[i], b[i]), w);
-            assert_eq!(a[i], want, "sub_scalar_mul lazy i={i}");
+        for sub in [&b, &b_lazy] {
+            let mut a = a0.clone();
+            assert_eq!(sub_scalar_mul_assign(&k, &mut a, sub, w, w52), n);
+            for i in 0..n {
+                let want = m.mul(m.sub(a0[i], b[i]), w);
+                assert_eq!(a[i], want, "sub_scalar_mul i={i}");
+            }
+        }
+    }
+
+    /// One instantiation of [`mac_assign`] on `n` words against the
+    /// golden model: the full 8-lane blocks hold `±(x·b) + Σ addends`,
+    /// the `n % 8` tail words are as they were.
+    fn check_shape<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(n: usize) {
+        let q = 0xFFF_FFFF_C001u64; // 2^44 - 2^14 + 1
+        let m = Modulus::new(q).unwrap();
+        let k = Mont52::new(q);
+        let shape = format!("PRE={PRE} NEG={NEG} ACC={ACC} SRC={SRC} n={n}");
+        let dst0 = pseudo(n, q, 11);
+        let b = pseudo(n, q, 12);
+        let src: [Vec<u64>; SRC] = std::array::from_fn(|s| pseudo(n, q, 13 + s as u64));
+        // Pre-entered: b̃ = b·2^52 mod q lane-wise, left lazy in [0, 2q).
+        let b_in: Vec<u64> = if PRE {
+            b.iter()
+                .map(|&y| crate::shoup::mul_shoup52_lazy(y, k.r52, k.r52_shoup, q))
+                .collect()
+        } else {
+            b.clone()
+        };
+        let mut dst = dst0.clone();
+        let done =
+            mac_assign::<PRE, NEG, ACC, SRC>(&k, &mut dst, &b_in, src.each_ref().map(|s| &s[..]));
+        assert_eq!(done, n - n % 8, "{shape}");
+        for i in 0..done {
+            let mut addends: Vec<u64> = src.iter().map(|s| s[i]).collect();
+            let x = if ACC {
+                std::mem::replace(&mut addends[0], dst0[i])
+            } else {
+                dst0[i]
+            };
+            let p = m.mul(x, b[i]);
+            let signed = if NEG { m.neg(p) } else { p };
+            let want = addends.iter().fold(signed, |t, &y| m.add(t, y));
+            assert_eq!(dst[i], want, "{shape} i={i}");
+        }
+        assert_eq!(&dst[done..], &dst0[done..], "{shape}: tail touched");
+    }
+
+    /// The seven shapes `DyadicEngine` names, and the two corners of the
+    /// parameter space beyond them.
+    fn check_every_shape(n: usize) {
+        check_shape::<false, false, false, 0>(n); // a·b
+        check_shape::<true, false, false, 0>(n); // a·b̃
+        check_shape::<false, false, false, 1>(n); // a·b + c
+        check_shape::<false, true, false, 1>(n); // c − a·b
+        check_shape::<false, true, false, 2>(n); // c + d − a·b
+        check_shape::<false, false, false, 2>(n); // a·b + c + d
+        check_shape::<true, false, true, 1>(n); // a + b·d̃
+        check_shape::<false, true, false, 0>(n); // −a·b
+        check_shape::<true, true, true, 2>(n); // a + d − c·b̃
+    }
+
+    #[test]
+    fn fused_kernels_match_golden() {
+        if CpuCaps::detect().ifma() {
+            check_every_shape(40);
         }
     }
 
     #[test]
     fn tail_is_left_untouched() {
-        if !CpuCaps::detect().ifma() {
-            return;
+        if CpuCaps::detect().ifma() {
+            for n in [5, 13, 47] {
+                check_every_shape(n);
+            }
         }
-        let q = 0xFFF0_0001u64;
-        let k = Mont52::new(q);
-        let mut a = pseudo(13, q, 4);
-        let before = a.clone();
-        let b = pseudo(13, q, 5);
-        assert_eq!(mul_assign(&k, &mut a, &b), 8);
-        assert_eq!(&a[8..], &before[8..]);
     }
 }

@@ -81,5 +81,5 @@ pub use fft::SpecialFft;
 pub use fft_engine::SpecialFftEngine;
 pub use ntt::NttPlan;
 pub use pool::PooledLimbs;
-pub use rns_ntt::RnsNttEngine;
+pub use rns_ntt::{LimbWork, RnsNttEngine};
 pub use twiddle::{OtfTwiddleGen, TwiddleSource, TwiddleTable};

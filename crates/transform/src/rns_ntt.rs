@@ -29,26 +29,28 @@
 //! [`RnsNttEngine::expand_and_ntt`], the key and probe entry point,
 //! allocates outside the pool.
 //!
-//! Beyond the transforms, the engine exposes **RNS-wide element-wise
-//! operations** (`dyadic_mul_all`, `dyadic_mul_add_all`,
-//! `dyadic_scalar_mul_all`, add/sub/neg) so a ciphertext-level dyadic
-//! product is one engine call instead of a per-limb loop: limb `i`
-//! runs on its plan's [`abc_math::dyadic::DyadicEngine`]
-//! (AVX-512IFMA → Montgomery dispatch) with the same thread fan-out.
+//! Beyond the transforms, every per-limb pass is a closure handed to
+//! one combinator: [`RnsNttEngine::for_each_limb`] runs
+//! `f(i, plan_i, limb_i)` on each limb with the same thread fan-out, and
+//! the caller names the pass's weight ([`LimbWork`]) so the engine picks
+//! the serial/parallel cut-off. A ciphertext-level dyadic product, sum
+//! or out-of-place inverse is that call with a closure over
+//! `plan.dyadic()` ([`abc_math::dyadic::DyadicEngine`], AVX-512IFMA →
+//! Montgomery dispatch) or `plan.inverse_from` — a new fused shape costs
+//! no engine method. `forward_all`, `inverse_all`, `dyadic_mul_add_all`
+//! and `dyadic_mul_add2_all` are such one-liners kept under a name.
 //!
-//! On top of those sit the **fused chain ops** — `dyadic_mul_neg_add_all`
-//! / `dyadic_mul_neg_add2_all` (the keygen/encrypt `−(a·s)+e(+m)`
-//! shapes) and `dyadic_mul_add2_all` (`pk·v+e+m`) — which collapse what
-//! used to be two-to-four full memory passes per ciphertext component
-//! into one. The NTT stage boundaries fuse too:
-//! `expand_ntt_sub_scalar_mul_all_{i64,i128}` run the whole rescale
-//! kept-limb chain (expand → lazy NTT → subtract → scalar-multiply) in
-//! one per-limb pass, and `inverse_all_from` folds an out-of-place copy
-//! into the first inverse-NTT stage. `pk_encrypt_all` is the whole
-//! public-key encrypt as one limb-streaming pass — per limb, expand `v`,
-//! `e0`, `e1`, transform, multiply-accumulate against the key read in
-//! place and add the message, writing only the two output limbs. All are
-//! bit-identical to the unfused sequences they replace.
+//! What the engine does name is what hides an algorithm: the
+//! pre-entered-operand lifecycle (`dyadic_mul_pair_all`,
+//! `dyadic_mul_acc_pair_all` — enter the shared operand into the
+//! kernel's domain once per limb, in a scratch limb per thread, and use
+//! it for both components), `expand_ntt_sub_scalar_mul_all` (the whole
+//! rescale kept-limb chain — expand → lazy NTT → subtract →
+//! scalar-multiply — in one per-limb pass) and `pk_encrypt_all`, the
+//! whole public-key encrypt as one limb-streaming pass — per limb,
+//! expand `v`, `e0`, `e1`, transform, multiply-accumulate against the
+//! key read in place and add the message, writing only the two output
+//! limbs. All are bit-identical to the unfused sequences they replace.
 //!
 //! Every expansion (`expand_and_ntt*`, the fused rescale and encrypt
 //! passes) goes through [`abc_math::rns::SignedCoeffs`]: the coefficient
@@ -83,6 +85,27 @@ const PARALLEL_THRESHOLD: usize = 1 << 14;
 /// `O(N)` per limb instead of `O(N log N)`, so spawning threads pays
 /// off only on larger batches.
 const DYADIC_PARALLEL_THRESHOLD: usize = 1 << 16;
+
+/// How heavy one limb of a pass is — which of the engine's two
+/// serial/parallel cut-offs [`RnsNttEngine::for_each_limb`] applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LimbWork {
+    /// `O(N log N)` per limb — the pass runs a transform. Fans out from
+    /// `2^14` words of `limbs × N`.
+    Transform,
+    /// `O(N)` per limb — element-wise arithmetic only. Fans out from
+    /// `2^16` words.
+    Elementwise,
+}
+
+impl LimbWork {
+    fn cutoff(self) -> usize {
+        match self {
+            LimbWork::Transform => PARALLEL_THRESHOLD,
+            LimbWork::Elementwise => DYADIC_PARALLEL_THRESHOLD,
+        }
+    }
+}
 
 /// Batched forward/inverse negacyclic NTT across the RNS limbs of a
 /// polynomial: one [`NttPlan`] per prime, limb fan-out over scoped
@@ -203,7 +226,9 @@ impl RnsNttEngine {
     /// Panics if there are more limbs than plans or any limb's length
     /// differs from `N`.
     pub fn forward_all(&self, limbs: &mut [Vec<u64>]) {
-        self.for_each_limb(limbs, |_, plan, limb| plan.forward(limb));
+        self.for_each_limb(limbs, LimbWork::Transform, |_, plan, limb| {
+            plan.forward(limb)
+        });
     }
 
     /// In-place inverse NTT of `limbs[i]` under prime `i`.
@@ -213,7 +238,9 @@ impl RnsNttEngine {
     /// Panics if there are more limbs than plans or any limb's length
     /// differs from `N`.
     pub fn inverse_all(&self, limbs: &mut [Vec<u64>]) {
-        self.for_each_limb(limbs, |_, plan, limb| plan.inverse(limb));
+        self.for_each_limb(limbs, LimbWork::Transform, |_, plan, limb| {
+            plan.inverse(limb)
+        });
     }
 
     /// Expands signed integers into RNS residues and forward-transforms
@@ -223,7 +250,7 @@ impl RnsNttEngine {
     /// Returns one freshly allocated limb per prime: this is the key and
     /// probe entry point, deliberately outside the pool — keys live as
     /// long as their context and are never recycled. Plaintexts go
-    /// through the pooled [`Self::expand_and_ntt_i128`].
+    /// through [`Self::expand_and_ntt_pooled`].
     ///
     /// # Panics
     ///
@@ -241,30 +268,19 @@ impl RnsNttEngine {
         out
     }
 
-    /// Expands centered `i64` coefficients under the first `k` primes
-    /// and forward-transforms each limb into pooled limbs. This is the
-    /// key-switch hot path: an INTT'd, centered digit re-enters NTT
-    /// domain under every carried prime.
+    /// [`Self::expand_and_ntt`] under the first `k` primes, into pooled
+    /// limbs. Encode's last step — the Δ-rounded message coefficients
+    /// (`i128`, up to ~2^73 at Δ_eff = 2^72) become the plaintext's
+    /// limbs — and the key-switch hot path, where an INTT'd, centered
+    /// `i64` digit re-enters NTT domain under every carried prime.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
-    pub fn expand_and_ntt_i64(&self, coeffs: &[i64], k: usize) -> PooledLimbs {
-        let mut out = self.take_limbs(k);
-        self.expand_and_ntt_into(coeffs, &mut out);
-        out
-    }
-
-    /// Expands centered `i128` coefficients under the first `k` primes
-    /// and forward-transforms each limb, pooled like
-    /// [`Self::expand_and_ntt_i64`]. This is encode's last step: the
-    /// Δ-rounded message coefficients (up to ~2^73 at Δ_eff = 2^72)
-    /// become the plaintext's limbs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
-    pub fn expand_and_ntt_i128(&self, coeffs: &[i128], k: usize) -> PooledLimbs {
+    pub fn expand_and_ntt_pooled<X>(&self, coeffs: &[X], k: usize) -> PooledLimbs
+    where
+        X: Copy + Into<i128> + Sync,
+    {
         let mut out = self.take_limbs(k);
         self.expand_and_ntt_into(coeffs, &mut out);
         out
@@ -278,58 +294,35 @@ impl RnsNttEngine {
     {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         let src = SignedCoeffs::scan(coeffs);
-        self.for_each_limb(out, |_, plan, limb| {
+        self.for_each_limb(out, LimbWork::Transform, |_, plan, limb| {
             src.expand_into(plan.modulus(), limb);
             plan.forward(limb);
         });
     }
 
     /// The fused rescale hot path: for every kept limb `i`, expand the
-    /// centered tail coefficients under `q_i`, forward-transform them
-    /// with a **lazy** last stage, and fold the result straight into
+    /// centered tail coefficients under `q_i` (`i64` for the
+    /// single-prime rescale; `i128` for the pair rescale's CRT-lifted
+    /// two-prime residue, up to ~75 bits), forward-transform them with a
+    /// **lazy** last stage, and fold the result straight into
     /// `kept[i] = (kept[i] − NTT(tail))·s[i]` — expand, transform,
     /// subtract and scalar-multiply in one per-limb pass with pooled
     /// scratch, instead of a pooled-limbs round trip between separate
-    /// engine calls. Bit-identical to [`Self::expand_and_ntt_i64`] +
+    /// engine calls. Bit-identical to [`Self::expand_and_ntt_pooled`] +
     /// subtract + scalar-multiply.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N`, `kept` has more limbs than plans,
     /// or fewer scalars than limbs are supplied.
-    pub fn expand_ntt_sub_scalar_mul_all_i64(
-        &self,
-        kept: &mut [Vec<u64>],
-        coeffs: &[i64],
-        s: &[u64],
-    ) {
-        self.expand_ntt_sub_scalar_mul_generic(kept, coeffs, s);
-    }
-
-    /// [`Self::expand_ntt_sub_scalar_mul_all_i64`] for the *pair*-rescale
-    /// tail: centered `i128` coefficients (the CRT-lifted two-prime
-    /// residue, up to ~75 bits).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::expand_ntt_sub_scalar_mul_all_i64`].
-    pub fn expand_ntt_sub_scalar_mul_all_i128(
-        &self,
-        kept: &mut [Vec<u64>],
-        coeffs: &[i128],
-        s: &[u64],
-    ) {
-        self.expand_ntt_sub_scalar_mul_generic(kept, coeffs, s);
-    }
-
-    fn expand_ntt_sub_scalar_mul_generic<X>(&self, kept: &mut [Vec<u64>], coeffs: &[X], s: &[u64])
+    pub fn expand_ntt_sub_scalar_mul_all<X>(&self, kept: &mut [Vec<u64>], coeffs: &[X], s: &[u64])
     where
         X: Copy + Into<i128> + Sync,
     {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         assert!(s.len() >= kept.len(), "fewer scalars than limbs");
         let src = SignedCoeffs::scan(coeffs);
-        self.for_each_limb(kept, |i, plan, limb| {
+        self.for_each_limb(kept, LimbWork::Transform, |i, plan, limb| {
             let mut tail = self.take_limbs(1);
             src.expand_into(plan.modulus(), &mut tail[0]);
             plan.forward_lazy(&mut tail[0]);
@@ -385,7 +378,7 @@ impl RnsNttEngine {
         self.for_each_limb_pair(
             &mut c0,
             &mut c1,
-            PARALLEL_THRESHOLD,
+            LimbWork::Transform,
             |i, plan, x0, x1, v_hat| {
                 let (q, d) = (plan.modulus(), plan.dyadic());
                 v.expand_into(q, v_hat);
@@ -402,99 +395,26 @@ impl RnsNttEngine {
         (c0, c1)
     }
 
-    // ------------------------------------------------------------------
-    // RNS-wide element-wise (dyadic) operations
-    // ------------------------------------------------------------------
-    //
-    // One engine call per ciphertext-level operation instead of a
-    // per-limb loop at every call site: limb `i` runs on its plan's
-    // [`abc_math::dyadic::DyadicEngine`] (ifma → montgomery dispatch)
-    // and the limbs fan out across the same scoped threads the
-    // transforms use. Bit-identical to the serial per-limb loop.
-
-    /// `a[i][j] = a[i][j]·b[i][j] mod q_i` — the RNS-wide dyadic
-    /// product (`b` may carry more limbs than `a`; the leading ones are
-    /// used).
+    /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] mod q_i` — the RNS-wide
+    /// kernel behind `c1·s + c0` (decrypt). `b` and `c` may carry more
+    /// limbs than `a`; the leading ones are used.
     ///
     /// # Panics
     ///
-    /// Panics if `a` has more limbs than plans, `b` has fewer limbs
-    /// than `a`, or paired limb lengths differ.
-    pub fn dyadic_mul_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_assign(limb, &b[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] mod q_i` — the fused RNS-wide
-    /// kernel behind `pk·v + e` (encrypt) and `c1·s + c0` (decrypt).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::dyadic_mul_all`], extended to `c`.
+    /// Panics if `a` has more limbs than plans, `b` or `c` has fewer
+    /// limbs than `a`, or paired limb lengths differ.
     pub fn dyadic_mul_add_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>], c: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        assert!(c.len() >= a.len(), "fewer addend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_add_assign(limb, &b[i], &c[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `a[i][j] = c[i][j] − a[i][j]·b[i][j] mod q_i` — the keygen shape
-    /// `−(a·s) + e` as **one** RNS-wide pass (multiply, negate and add
-    /// fused per element; previously three full memory passes).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::dyadic_mul_all`], extended to `c`.
-    pub fn dyadic_mul_neg_add_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>], c: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        assert!(c.len() >= a.len(), "fewer addend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_neg_add_assign(limb, &b[i], &c[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `a[i][j] = c[i][j] + d[i][j] − a[i][j]·b[i][j] mod q_i` — the
-    /// symmetric-encrypt `c0` chain `−(a·s) + e + m` as **one** RNS-wide
-    /// pass (previously four).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::dyadic_mul_all`], extended to `c`/`d`.
-    pub fn dyadic_mul_neg_add2_all(
-        &self,
-        a: &mut [Vec<u64>],
-        b: &[Vec<u64>],
-        c: &[Vec<u64>],
-        d: &[Vec<u64>],
-    ) {
-        assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        assert!(
-            c.len() >= a.len() && d.len() >= a.len(),
-            "fewer addend limbs than targets"
-        );
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_neg_add2_assign(limb, &b[i], &c[i], &d[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, LimbWork::Elementwise, |i, plan, limb| {
+            plan.dyadic().mul_add_assign(limb, &b[i], &c[i])
+        });
     }
 
     /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] + d[i][j] mod q_i` — the
-    /// public-key-encrypt `c0` chain `pk0·v + e0 + m` as **one** RNS-wide
-    /// pass.
+    /// `pk0·v + e0 + m` chain as **one** RNS-wide pass.
     ///
     /// # Panics
     ///
-    /// Same contract as [`Self::dyadic_mul_all`], extended to `c`/`d`.
+    /// Same contract as [`Self::dyadic_mul_add_all`], extended to `d`.
     pub fn dyadic_mul_add2_all(
         &self,
         a: &mut [Vec<u64>],
@@ -502,29 +422,9 @@ impl RnsNttEngine {
         c: &[Vec<u64>],
         d: &[Vec<u64>],
     ) {
-        assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        assert!(
-            c.len() >= a.len() && d.len() >= a.len(),
-            "fewer addend limbs than targets"
-        );
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_add2_assign(limb, &b[i], &c[i], &d[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `dst[i] = INTT(src[i])` per limb — out-of-place batched inverse
-    /// with the copy folded into the first inverse-NTT stage (`src` is
-    /// read once, directly by the transform).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::inverse_all`] on `dst`, plus `src` must
-    /// carry at least as many limbs as `dst`.
-    pub fn inverse_all_from(&self, src: &[Vec<u64>], dst: &mut [Vec<u64>]) {
-        assert!(src.len() >= dst.len(), "fewer source limbs than targets");
-        self.for_each_limb(dst, |i, plan, limb| plan.inverse_from(&src[i], limb));
+        self.for_each_limb(a, LimbWork::Elementwise, |i, plan, limb| {
+            plan.dyadic().mul_add2_assign(limb, &b[i], &c[i], &d[i])
+        });
     }
 
     /// Multiplies **both** ciphertext components by the same RNS vector
@@ -540,7 +440,7 @@ impl RnsNttEngine {
     /// `N`.
     pub fn dyadic_mul_pair_all(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], b: &[Vec<u64>]) {
         assert!(b.len() >= a0.len(), "fewer multiplier limbs than targets");
-        self.for_each_limb_pair(a0, a1, DYADIC_PARALLEL_THRESHOLD, |i, plan, x0, x1, pre| {
+        self.for_each_limb_pair(a0, a1, LimbWork::Elementwise, |i, plan, x0, x1, pre| {
             let d = plan.dyadic();
             // Enter b_i once (the thread's scratch limb), multiply both
             // components against the premultiplied form — one
@@ -578,93 +478,31 @@ impl RnsNttEngine {
             b.len() >= k && a.len() >= k,
             "fewer key limbs than accumulators"
         );
-        self.for_each_limb_pair(
-            acc0,
-            acc1,
-            DYADIC_PARALLEL_THRESHOLD,
-            |i, plan, x0, x1, pre| {
-                let dy = plan.dyadic();
-                // Enter d_i once (the thread's scratch limb); each product
-                // folds straight into its accumulator through the fused
-                // multiply-accumulate — no per-product scratch buffer and
-                // no separate add pass.
-                pre.copy_from_slice(&d[i]);
-                dy.premul(pre);
-                dy.mul_acc_assign_premul(x0, &b[i], pre);
-                dy.mul_acc_assign_premul(x1, &a[i], pre);
-            },
-        );
+        self.for_each_limb_pair(acc0, acc1, LimbWork::Elementwise, |i, plan, x0, x1, pre| {
+            let dy = plan.dyadic();
+            // Enter d_i once (the thread's scratch limb); each product
+            // folds straight into its accumulator through the fused
+            // multiply-accumulate — no per-product scratch buffer and
+            // no separate add pass.
+            pre.copy_from_slice(&d[i]);
+            dy.premul(pre);
+            dy.mul_acc_assign_premul(x0, &b[i], pre);
+            dy.mul_acc_assign_premul(x1, &a[i], pre);
+        });
     }
 
-    /// `a[i][j] = a[i][j]·s[i] mod q_i` — per-limb scalar multiply (the
-    /// rescale `q_last^{-1}` pass). Scalars are reduced on entry.
+    /// The limb combinator: applies `f(i, plan_i, limb_i)` to every limb
+    /// of `limbs`, limb `i` under the plan of prime `i`, fanned out
+    /// across the engine's threads once `limbs × N` reaches the cut-off
+    /// `work` names. Threading changes scheduling only — `f` sees each
+    /// limb exactly once, alone — so the result does not depend on the
+    /// thread count. Operands `f` reads besides its limb are captured
+    /// and indexed by `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `a` has more limbs than plans or fewer scalars than
-    /// limbs are supplied.
-    pub fn dyadic_scalar_mul_all(&self, a: &mut [Vec<u64>], s: &[u64]) {
-        assert!(s.len() >= a.len(), "fewer scalars than limbs");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().scalar_mul_assign(limb, s[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `a[i][j] = a[i][j] + b[i][j] mod q_i`, RNS-wide.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::dyadic_mul_all`].
-    pub fn add_assign_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer addend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().add_assign(limb, &b[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `a[i][j] = a[i][j] − b[i][j] mod q_i`, RNS-wide.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::dyadic_mul_all`].
-    pub fn sub_assign_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        assert!(b.len() >= a.len(), "fewer subtrahend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().sub_assign(limb, &b[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// `a[i][j] = −a[i][j] mod q_i`, RNS-wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has more limbs than plans.
-    pub fn neg_assign_all(&self, a: &mut [Vec<u64>]) {
-        self.for_each_limb_threshold(
-            a,
-            |_, plan, limb| plan.dyadic().neg_assign(limb),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
-    }
-
-    /// Applies `f(i, plan_i, limb_i)` to every limb, serially below
-    /// [`PARALLEL_THRESHOLD`] words of `limbs × N`.
-    fn for_each_limb<F>(&self, limbs: &mut [Vec<u64>], f: F)
-    where
-        F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
-    {
-        self.for_each_limb_threshold(limbs, f, PARALLEL_THRESHOLD);
-    }
-
-    /// [`Self::for_each_limb`] with an explicit serial/parallel cutoff
-    /// (the dyadic ops amortize spawns over less work per limb).
-    fn for_each_limb_threshold<F>(&self, limbs: &mut [Vec<u64>], f: F, threshold: usize)
+    /// Panics if there are more limbs than plans.
+    pub fn for_each_limb<F>(&self, limbs: &mut [Vec<u64>], work: LimbWork, f: F)
     where
         F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
     {
@@ -672,7 +510,7 @@ impl RnsNttEngine {
         self.fan_out(
             k,
             k * self.n,
-            threshold,
+            work.cutoff(),
             |chunk| limbs.chunks_mut(chunk),
             |first, plans, chunk| {
                 for (j, (plan, limb)) in plans.iter().zip(chunk).enumerate() {
@@ -682,7 +520,7 @@ impl RnsNttEngine {
         );
     }
 
-    /// [`Self::for_each_limb_threshold`] over the paired limbs of two
+    /// [`Self::for_each_limb`] over the paired limbs of two
     /// components: `f(i, plan_i, a0_i, a1_i, scratch)`, so limb `i` of
     /// both stays on one thread. Every pair shape needs one limb of
     /// scratch (the shared operand in the dyadic kernel's domain), so
@@ -690,13 +528,8 @@ impl RnsNttEngine {
     /// `N` words, contents unspecified — and it goes back when the
     /// thread is done, or unwinds. The cutoff counts both components'
     /// work (`2 × limbs × N`).
-    fn for_each_limb_pair<F>(
-        &self,
-        a0: &mut [Vec<u64>],
-        a1: &mut [Vec<u64>],
-        threshold: usize,
-        f: F,
-    ) where
+    fn for_each_limb_pair<F>(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], work: LimbWork, f: F)
+    where
         F: Fn(usize, &NttPlan, &mut Vec<u64>, &mut Vec<u64>, &mut Vec<u64>) + Sync,
     {
         let k = a0.len();
@@ -704,7 +537,7 @@ impl RnsNttEngine {
         self.fan_out(
             k,
             2 * k * self.n,
-            threshold,
+            work.cutoff(),
             |chunk| a0.chunks_mut(chunk).zip(a1.chunks_mut(chunk)),
             |first, plans, (c0, c1)| {
                 let mut scratch = self.take_limbs(1);
@@ -1003,20 +836,20 @@ mod tests {
             engine.plan(i).forward(&mut manual);
             assert_eq!(got[i], manual, "limb {i}");
         }
-        // i64 variant against the same manual path.
+        // Pooled, `i64` coefficients, against the same manual path.
         let small: Vec<i64> = (0..n as i64).map(|i| i - 16).collect();
-        let pooled = engine.expand_and_ntt_i64(&small, 2);
+        let pooled = engine.expand_and_ntt_pooled(&small, 2);
         for (i, m) in ms[..2].iter().enumerate() {
             let mut manual: Vec<u64> = small.iter().map(|&x| m.from_i64(x)).collect();
             engine.plan(i).forward(&mut manual);
             assert_eq!(pooled[i], manual, "limb {i}");
         }
         drop(pooled);
-        // i128 variant with pair-rescale-sized (≈75-bit) centered values.
+        // Pooled, pair-rescale-sized (≈75-bit) centered `i128` values.
         let wide: Vec<i128> = (0..n as i128)
             .map(|i| (i - 16) * ((1i128 << 70) + 12345))
             .collect();
-        let pooled = engine.expand_and_ntt_i128(&wide, 2);
+        let pooled = engine.expand_and_ntt_pooled(&wide, 2);
         for (i, m) in ms[..2].iter().enumerate() {
             let mut manual: Vec<u64> = wide.iter().map(|&x| m.from_i128(x)).collect();
             engine.plan(i).forward(&mut manual);
@@ -1055,11 +888,11 @@ mod tests {
 
     #[test]
     fn fused_ops_match_unfused_sequences_across_thread_counts() {
-        // k·n = 8·2^13 = 2^16 reaches both PARALLEL_THRESHOLD and
-        // DYADIC_PARALLEL_THRESHOLD, so the threaded paths really run.
+        // k·n = 8·2^13 = 2^16 reaches both cut-offs, so the threaded
+        // paths really run. References are spelt with `Modulus` ops and
+        // each limb's own plan — nothing the fused passes share.
         let n = 1usize << 13;
         let ms = moduli(8, 2 * n as u64);
-        let k = ms.len();
         let a0 = pseudo_limbs(&ms, n, 101);
         let b = pseudo_limbs(&ms, n, 202);
         let c = pseudo_limbs(&ms, n, 303);
@@ -1073,54 +906,47 @@ mod tests {
             .enumerate()
             .map(|(i, m)| m.q() / (i as u64 + 2))
             .collect();
-        // Unfused references on a single-threaded engine.
         let serial = RnsNttEngine::with_threads(&ms, n, 1).unwrap();
-        let refs = {
-            let mut mul_neg_add = a0.clone();
-            serial.dyadic_mul_all(&mut mul_neg_add, &b);
-            serial.neg_assign_all(&mut mul_neg_add);
-            serial.add_assign_all(&mut mul_neg_add, &c);
-            let mut mul_neg_add2 = a0.clone();
-            serial.dyadic_mul_all(&mut mul_neg_add2, &b);
-            serial.neg_assign_all(&mut mul_neg_add2);
-            serial.add_assign_all(&mut mul_neg_add2, &c);
-            serial.add_assign_all(&mut mul_neg_add2, &d);
-            let mut mul_add2 = a0.clone();
-            serial.dyadic_mul_add_all(&mut mul_add2, &b, &c);
-            serial.add_assign_all(&mut mul_add2, &d);
-            let mut inv = a0.clone();
-            serial.inverse_all(&mut inv);
-            let mut resc64 = a0.clone();
-            let tails = serial.expand_and_ntt_i64(&coeffs64, k);
-            serial.sub_assign_all(&mut resc64, &tails);
-            serial.dyadic_scalar_mul_all(&mut resc64, &scalars);
-            drop(tails);
-            let mut resc128 = a0.clone();
-            let tails = serial.expand_and_ntt_i128(&coeffs128, k);
-            serial.sub_assign_all(&mut resc128, &tails);
-            serial.dyadic_scalar_mul_all(&mut resc128, &scalars);
-            (mul_neg_add, mul_neg_add2, mul_add2, inv, resc64, resc128)
+        let per_limb = |f: &dyn Fn(usize, &Modulus, &mut Vec<u64>)| {
+            let mut out = a0.clone();
+            for (i, limb) in out.iter_mut().enumerate() {
+                f(i, &ms[i], limb);
+            }
+            out
         };
+        let mul_add2 = per_limb(&|i, m, l| {
+            for (j, x) in l.iter_mut().enumerate() {
+                *x = m.add(m.add(m.mul(*x, b[i][j]), c[i][j]), d[i][j]);
+            }
+        });
+        let inv = per_limb(&|i, _, l| serial.plan(i).inverse(l));
+        let rescale = |tail_of: &dyn Fn(&Modulus) -> Vec<u64>| {
+            per_limb(&|i, m, l| {
+                let mut tail = tail_of(m);
+                serial.plan(i).forward(&mut tail);
+                for (x, &t) in l.iter_mut().zip(&tail) {
+                    *x = m.mul(m.sub(*x, t), scalars[i]);
+                }
+            })
+        };
+        let resc64 = rescale(&|m| coeffs64.iter().map(|&x| m.from_i64(x)).collect());
+        let resc128 = rescale(&|m| coeffs128.iter().map(|&x| m.from_i128(x)).collect());
         for threads in [1usize, 2, 4] {
             let engine = RnsNttEngine::with_threads(&ms, n, threads).unwrap();
             let mut got = a0.clone();
-            engine.dyadic_mul_neg_add_all(&mut got, &b, &c);
-            assert_eq!(got, refs.0, "mul_neg_add threads={threads}");
-            let mut got = a0.clone();
-            engine.dyadic_mul_neg_add2_all(&mut got, &b, &c, &d);
-            assert_eq!(got, refs.1, "mul_neg_add2 threads={threads}");
-            let mut got = a0.clone();
             engine.dyadic_mul_add2_all(&mut got, &b, &c, &d);
-            assert_eq!(got, refs.2, "mul_add2 threads={threads}");
-            let mut got = vec![vec![u64::MAX; n]; k];
-            engine.inverse_all_from(&a0, &mut got);
-            assert_eq!(got, refs.3, "inverse_all_from threads={threads}");
+            assert_eq!(got, mul_add2, "mul_add2 threads={threads}");
+            let mut got = vec![vec![u64::MAX; n]; ms.len()];
+            engine.for_each_limb(&mut got, LimbWork::Transform, |i, plan, limb| {
+                plan.inverse_from(&a0[i], limb)
+            });
+            assert_eq!(got, inv, "inverse_from threads={threads}");
             let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all_i64(&mut got, &coeffs64, &scalars);
-            assert_eq!(got, refs.4, "fused rescale i64 threads={threads}");
+            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs64, &scalars);
+            assert_eq!(got, resc64, "fused rescale i64 threads={threads}");
             let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all_i128(&mut got, &coeffs128, &scalars);
-            assert_eq!(got, refs.5, "fused rescale i128 threads={threads}");
+            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs128, &scalars);
+            assert_eq!(got, resc128, "fused rescale i128 threads={threads}");
         }
     }
 

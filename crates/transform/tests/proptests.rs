@@ -1,11 +1,11 @@
 //! Property-based tests for the transform layer.
 
 use abc_float::{Complex, ExtF64Field};
-use abc_math::poly::negacyclic_mul_schoolbook;
+use abc_math::poly::{self, negacyclic_mul_schoolbook};
 use abc_math::primes::generate_ntt_primes;
 use abc_math::Modulus;
 use abc_transform::radix::{MdcDesign, TransformKind};
-use abc_transform::{NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft};
+use abc_transform::{LimbWork, NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft};
 use proptest::prelude::*;
 
 fn fft_message(slots: usize, seed: u64) -> Vec<Complex> {
@@ -14,6 +14,28 @@ fn fft_message(slots: usize, seed: u64) -> Vec<Complex> {
             let x = (seed.wrapping_mul(i as u64 + 1) % 1000) as f64 / 500.0 - 1.0;
             let y = (seed.wrapping_add(i as u64 * 7) % 1000) as f64 / 500.0 - 1.0;
             Complex::new(x, y)
+        })
+        .collect()
+}
+
+/// `count` 36-bit NTT primes for ring degree `n`.
+fn moduli_36(count: usize, n: usize) -> Vec<Modulus> {
+    generate_ntt_primes(36, count, 2 * n as u64)
+        .expect("primes")
+        .into_iter()
+        .map(|q| Modulus::new(q).expect("valid"))
+        .collect()
+}
+
+/// One pseudo-random canonical limb of `n` residues per modulus.
+fn residues(moduli: &[Modulus], n: usize, seed: u64, salt: u64) -> Vec<Vec<u64>> {
+    moduli
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            (0..n as u64)
+                .map(|j| seed.wrapping_mul(salt + i as u64).wrapping_add(j * 29) % m.q())
+                .collect()
         })
         .collect()
 }
@@ -145,96 +167,57 @@ proptest! {
     }
 
     #[test]
-    fn rns_dyadic_ops_invariant_under_thread_count(seed in any::<u64>(), limbs in 1usize..6) {
-        // The engine-wide dyadic calls must equal the serial per-limb
-        // DyadicEngine loop for every thread fan-out, bit for bit.
-        // limbs × N reaches 5 × 2^14 > DYADIC_PARALLEL_THRESHOLD
-        // (= 2^16), so the widest cases really spawn threads.
-        let n = 1usize << 14;
-        let pool = generate_ntt_primes(36, limbs, 1 << 15).expect("primes");
-        let moduli: Vec<Modulus> = pool
-            .into_iter()
-            .map(|q| Modulus::new(q).expect("valid"))
-            .collect();
-        let gen = |salt: u64| -> Vec<Vec<u64>> {
-            moduli
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    (0..n as u64)
-                        .map(|j| seed.wrapping_mul(salt + i as u64).wrapping_add(j * 23) % m.q())
-                        .collect()
-                })
-                .collect()
-        };
-        let (a0, b, c) = (gen(1), gen(101), gen(1009));
-        let scalars: Vec<u64> = moduli
-            .iter()
-            .enumerate()
-            .map(|(i, m)| seed.wrapping_add(i as u64) % m.q())
-            .collect();
-        // Serial reference through each plan's own dyadic engine.
-        let plans: Vec<NttPlan> = moduli.iter().map(|&m| NttPlan::new(m, n).expect("plan")).collect();
-        let apply_ref = |f: &dyn Fn(usize, &mut Vec<u64>)| -> Vec<Vec<u64>> {
-            let mut out = a0.clone();
-            for (i, limb) in out.iter_mut().enumerate() {
-                f(i, limb);
+    fn for_each_limb_invariant_under_thread_count(
+        seed in any::<u64>(),
+        limbs in 1usize..=6,
+        log_n in prop::sample::select(vec![11u32, 12, 14]),
+        elementwise in any::<bool>(),
+    ) {
+        // The combinator hands every limb to the closure exactly once,
+        // with its own index and plan, whatever the fan-out: any
+        // per-limb closure gives the serial loop's result bit for bit.
+        // limbs × N lands on both sides of each cut-off — 2^14 words for
+        // `Transform` (below it at N = 2^11, above from 4 limbs of
+        // 2^12), 2^16 for `Elementwise` (reached by 4 limbs of 2^14) —
+        // so both the calling-thread path and the spawning one run.
+        let n = 1usize << log_n;
+        let work = if elementwise { LimbWork::Elementwise } else { LimbWork::Transform };
+        let moduli = moduli_36(limbs, n);
+        let original = residues(&moduli, n, seed, 1);
+        let pass = |i: usize, plan: &NttPlan, limb: &mut Vec<u64>| {
+            // Depends on the index, the plan's prime and the position,
+            // and does not commute with itself: a limb visited twice,
+            // skipped, or paired with another limb's plan shows.
+            let m = plan.modulus();
+            let salt = m.reduce(seed ^ (i as u64 + 1));
+            for (j, x) in limb.iter_mut().enumerate() {
+                *x = m.add(m.mul(*x, salt), j as u64);
             }
-            out
         };
-        let mul_ref = apply_ref(&|i, l| plans[i].dyadic().mul_assign(l, &b[i]));
-        let fused_ref = apply_ref(&|i, l| plans[i].dyadic().mul_add_assign(l, &b[i], &c[i]));
-        let scaled_ref = apply_ref(&|i, l| plans[i].dyadic().scalar_mul_assign(l, scalars[i]));
-        let sub_ref = apply_ref(&|i, l| plans[i].dyadic().sub_assign(l, &b[i]));
+        let serial = RnsNttEngine::with_threads(&moduli, n, 1).expect("engine");
+        let mut reference = original.clone();
+        for (i, (plan, limb)) in serial.plans().iter().zip(reference.iter_mut()).enumerate() {
+            pass(i, plan, limb);
+        }
         for threads in [1usize, 2, 4] {
             let engine = RnsNttEngine::with_threads(&moduli, n, threads).expect("engine");
-            let mut mul = a0.clone();
-            engine.dyadic_mul_all(&mut mul, &b);
-            prop_assert_eq!(&mul, &mul_ref, "mul threads = {}", threads);
-            let mut fused = a0.clone();
-            engine.dyadic_mul_add_all(&mut fused, &b, &c);
-            prop_assert_eq!(&fused, &fused_ref, "mul_add threads = {}", threads);
-            let mut scaled = a0.clone();
-            engine.dyadic_scalar_mul_all(&mut scaled, &scalars);
-            prop_assert_eq!(&scaled, &scaled_ref, "scalar threads = {}", threads);
-            let mut sub = a0.clone();
-            engine.sub_assign_all(&mut sub, &b);
-            prop_assert_eq!(&sub, &sub_ref, "sub threads = {}", threads);
-            // The pair call (premul amortized over two components)
-            // equals two plain engine-wide muls.
-            let (mut p0, mut p1) = (a0.clone(), c.clone());
-            engine.dyadic_mul_pair_all(&mut p0, &mut p1, &b);
-            prop_assert_eq!(&p0, &mul_ref, "pair c0 threads = {}", threads);
-            let mut p1_ref = c.clone();
-            engine.dyadic_mul_all(&mut p1_ref, &b);
-            prop_assert_eq!(&p1, &p1_ref, "pair c1 threads = {}", threads);
+            let mut got = original.clone();
+            engine.for_each_limb(&mut got, work, pass);
+            prop_assert_eq!(&got, &reference, "threads = {} {:?}", threads, work);
         }
     }
 
     #[test]
     fn fused_rns_ops_match_unfused_sequences(seed in any::<u64>(), limbs in 1usize..6) {
-        // Every fused engine-wide chain op — the encrypt/keygen
-        // −(a·b)+c(+d) shapes, the fused rescale chain, and the
-        // NTT-edge fused entries — must be bit-identical to the serial
-        // composition of the unfused per-limb calls it replaces, for
-        // every thread fan-out.
+        // Every engine op that fuses a chain — the named multiply-add
+        // shapes, the pre-entered pair ops, the fused rescale chain and
+        // an out-of-place inverse through the combinator — against the
+        // unfused composition spelt with `abc_math::poly` / `Modulus`
+        // ops (Barrett and `u128 %`: no code shared with the dyadic
+        // kernels) and each limb's own plan, for every thread fan-out.
         let n = 1usize << 12;
-        let pool = generate_ntt_primes(36, limbs, 1 << 13).expect("primes");
-        let moduli: Vec<Modulus> = pool
-            .into_iter()
-            .map(|q| Modulus::new(q).expect("valid"))
-            .collect();
-        let gen = |salt: u64| -> Vec<Vec<u64>> {
-            moduli
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    (0..n as u64)
-                        .map(|j| seed.wrapping_mul(salt + i as u64).wrapping_add(j * 29) % m.q())
-                        .collect()
-                })
-                .collect()
-        };
+        let moduli = moduli_36(limbs, n);
+        let gen = |salt: u64| residues(&moduli, n, seed, salt);
         let (a0, b, c, d) = (gen(3), gen(107), gen(1013), gen(10007));
         let scalars: Vec<u64> = moduli
             .iter()
@@ -247,68 +230,65 @@ proptest! {
             .collect();
         let plans: Vec<NttPlan> =
             moduli.iter().map(|&m| NttPlan::new(m, n).expect("plan")).collect();
-        let apply_ref = |f: &dyn Fn(usize, &mut Vec<u64>)| -> Vec<Vec<u64>> {
-            let mut out = a0.clone();
+        let apply_ref = |start: &[Vec<u64>], f: &dyn Fn(usize, &Modulus, &mut Vec<u64>)| {
+            let mut out = start.to_vec();
             for (i, limb) in out.iter_mut().enumerate() {
-                f(i, limb);
+                f(i, &moduli[i], limb);
             }
             out
         };
-        let mna_ref = apply_ref(&|i, l| {
-            let dy = plans[i].dyadic();
-            dy.mul_assign(l, &b[i]);
-            dy.neg_assign(l);
-            dy.add_assign(l, &c[i]);
+        let mul_ref = apply_ref(&a0, &|i, m, l| poly::mul_assign(m, l, &b[i]));
+        let mul_c_ref = apply_ref(&c, &|i, m, l| poly::mul_assign(m, l, &b[i]));
+        let ma_ref = apply_ref(&mul_ref, &|i, m, l| poly::add_assign(m, l, &c[i]));
+        let ma2_ref = apply_ref(&ma_ref, &|i, m, l| poly::add_assign(m, l, &d[i]));
+        // acc0 = a0 + d·b, acc1 = c + d·a0 (digit d, key halves b and a0).
+        let acc0_ref = apply_ref(&d, &|i, m, l| {
+            poly::mul_assign(m, l, &b[i]);
+            poly::add_assign(m, l, &a0[i]);
         });
-        let mna2_ref = apply_ref(&|i, l| {
-            let dy = plans[i].dyadic();
-            dy.mul_assign(l, &b[i]);
-            dy.neg_assign(l);
-            dy.add_assign(l, &c[i]);
-            dy.add_assign(l, &d[i]);
+        let acc1_ref = apply_ref(&d, &|i, m, l| {
+            poly::mul_assign(m, l, &a0[i]);
+            poly::add_assign(m, l, &c[i]);
         });
-        let ma2_ref = apply_ref(&|i, l| {
-            let dy = plans[i].dyadic();
-            dy.mul_add_assign(l, &b[i], &c[i]);
-            dy.add_assign(l, &d[i]);
-        });
-        let inv_ref = apply_ref(&|i, l| plans[i].inverse(l));
-        let expand_ref64 = apply_ref(&|i, l| {
-            let m = plans[i].modulus();
-            let mut tail: Vec<u64> = coeffs64.iter().map(|&x| m.from_i64(x)).collect();
-            plans[i].forward(&mut tail);
-            let dy = plans[i].dyadic();
-            dy.sub_assign(l, &tail);
-            dy.scalar_mul_assign(l, scalars[i]);
-        });
-        let expand_ref128 = apply_ref(&|i, l| {
-            let m = plans[i].modulus();
-            let mut tail: Vec<u64> = coeffs128.iter().map(|&x| m.from_i128(x)).collect();
-            plans[i].forward(&mut tail);
-            let dy = plans[i].dyadic();
-            dy.sub_assign(l, &tail);
-            dy.scalar_mul_assign(l, scalars[i]);
-        });
+        let inv_ref = apply_ref(&a0, &|i, _, l| plans[i].inverse(l));
+        let rescale_ref = |tail_of: &dyn Fn(&Modulus) -> Vec<u64>| {
+            apply_ref(&a0, &|i, m, l| {
+                let mut tail = tail_of(m);
+                plans[i].forward(&mut tail);
+                for (x, &t) in l.iter_mut().zip(&tail) {
+                    *x = m.mul(m.sub(*x, t), scalars[i]);
+                }
+            })
+        };
+        let rescale_ref64 = rescale_ref(&|m| coeffs64.iter().map(|&x| m.from_i64(x)).collect());
+        let rescale_ref128 = rescale_ref(&|m| coeffs128.iter().map(|&x| m.from_i128(x)).collect());
         for threads in [1usize, 2, 4] {
             let engine = RnsNttEngine::with_threads(&moduli, n, threads).expect("engine");
             let mut got = a0.clone();
-            engine.dyadic_mul_neg_add_all(&mut got, &b, &c);
-            prop_assert_eq!(&got, &mna_ref, "mul_neg_add threads = {}", threads);
-            let mut got = a0.clone();
-            engine.dyadic_mul_neg_add2_all(&mut got, &b, &c, &d);
-            prop_assert_eq!(&got, &mna2_ref, "mul_neg_add2 threads = {}", threads);
+            engine.dyadic_mul_add_all(&mut got, &b, &c);
+            prop_assert_eq!(&got, &ma_ref, "mul_add threads = {}", threads);
             let mut got = a0.clone();
             engine.dyadic_mul_add2_all(&mut got, &b, &c, &d);
             prop_assert_eq!(&got, &ma2_ref, "mul_add2 threads = {}", threads);
+            let (mut p0, mut p1) = (a0.clone(), c.clone());
+            engine.dyadic_mul_pair_all(&mut p0, &mut p1, &b);
+            prop_assert_eq!(&p0, &mul_ref, "pair c0 threads = {}", threads);
+            prop_assert_eq!(&p1, &mul_c_ref, "pair c1 threads = {}", threads);
+            let (mut acc0, mut acc1) = (a0.clone(), c.clone());
+            engine.dyadic_mul_acc_pair_all(&mut acc0, &mut acc1, &d, &b, &a0);
+            prop_assert_eq!(&acc0, &acc0_ref, "acc pair c0 threads = {}", threads);
+            prop_assert_eq!(&acc1, &acc1_ref, "acc pair c1 threads = {}", threads);
             let mut got = vec![vec![u64::MAX; n]; moduli.len()];
-            engine.inverse_all_from(&a0, &mut got);
+            engine.for_each_limb(&mut got, LimbWork::Transform, |i, plan, limb| {
+                plan.inverse_from(&a0[i], limb)
+            });
             prop_assert_eq!(&got, &inv_ref, "inverse_from threads = {}", threads);
             let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all_i64(&mut got, &coeffs64, &scalars);
-            prop_assert_eq!(&got, &expand_ref64, "expand i64 threads = {}", threads);
+            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs64, &scalars);
+            prop_assert_eq!(&got, &rescale_ref64, "rescale i64 threads = {}", threads);
             let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all_i128(&mut got, &coeffs128, &scalars);
-            prop_assert_eq!(&got, &expand_ref128, "expand i128 threads = {}", threads);
+            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs128, &scalars);
+            prop_assert_eq!(&got, &rescale_ref128, "rescale i128 threads = {}", threads);
         }
     }
 

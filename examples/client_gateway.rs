@@ -160,9 +160,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     gw.drain(Duration::from_secs(30));
     let snap = gw.metrics();
     println!(
-        "storm: {ok} ok / {failed} typed errors; panics={} respawns={} retries={} lost={}",
+        "storm: {ok} ok / {failed} typed errors; panics={} retries={} lost={}",
         snap.worker_panics,
-        snap.worker_respawns,
         snap.retries,
         snap.in_flight()
     );

@@ -116,8 +116,8 @@ fn oversized_message_magnitude_wraps_at_low_level() {
     // Single-prime view of the same plaintext: 30·2^36 ≈ 2^40.9 > q/2.
     let pt_low = {
         let residues = pt.residues()[..1].to_vec();
-        // Rebuild a one-prime plaintext through encode_at_scale on the
-        // truncated basis path: easiest is decode with truncated view.
+        // A one-prime plaintext: decrypt a truncated ciphertext whose c1
+        // is zero, so `d = c0`.
         let ct = Ciphertext::from_components(
             residues.clone(),
             vec![vec![0u64; ctx.params().n()]; 1],
