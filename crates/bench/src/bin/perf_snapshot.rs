@@ -4,13 +4,14 @@
 //! cargo run --release -p abc-bench --bin perf_snapshot -- [OUT.json [BEFORE.json]]
 //! ```
 //!
-//! Runs a small, representative subset of the bench suite (NTT fast
+//! Runs a small, representative subset of the kernel benches (NTT fast
 //! path, batched RNS engine, RNS expansion and the CRT lifts, wire
-//! packing, full client encode+encrypt / decrypt+decode) with short
-//! measurement windows, measures the
-//! round-trip precision of both scale modes at the smallest
+//! packing, the embedding FFT) with short measurement windows, measures
+//! the round-trip precision of both scale modes at the smallest
 //! bootstrappable ring, and writes everything to one JSON file
-//! (default `BENCH_snapshot.json`):
+//! (default `BENCH_snapshot.json`). Whole-op client timings are not
+//! here: `benchmark/` owns them (its four workloads, with a host
+//! header and per-layer rows).
 //!
 //! ```json
 //! {
@@ -139,7 +140,7 @@ fn bench_rows_of(snapshot: &str) -> &str {
     snapshot[start..start + len].trim_matches('\n')
 }
 
-/// The full-slot message of the `client/*` rows.
+/// The full-slot message the client ops of this binary carry.
 fn client_message(ctx: &CkksContext) -> Vec<Complex> {
     (0..ctx.params().slots())
         .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
@@ -377,26 +378,16 @@ fn main() {
         }
     }
 
-    // --- The paper's two client flows at N = 2^16: the upload (encode +
-    // encrypt, 24 primes) with its layers — RNS expansion of
-    // sampler-sized and of message-sized coefficients under all 24
-    // primes (ns per coefficient), 36-bit wire packing (ns per residue)
-    // — and the download of a 2-prime result ---
+    // --- The layers of the paper's upload at N = 2^16, 24 primes: RNS
+    // expansion of sampler-sized and of message-sized coefficients
+    // under all 24 primes (ns per coefficient) and 36-bit wire packing
+    // (ns per residue) ---
     {
         let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
         let n = ctx.params().n();
-        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
-        let msg = client_message(&ctx);
-        let pt = ctx.encode(&msg).expect("encode");
-        let mut held = None;
-        benches.push(measure("client/encrypt/2^16", 1500, || {
-            held = Some(ctx.encrypt(&pt, &pk, Seed::from_u128(7)));
-        }));
-        benches.push(measure("client/encode_encrypt/2^16", 1500, || {
-            let pt = ctx.encode(&msg).expect("encode");
-            held = Some(ctx.encrypt(&pt, &pk, Seed::from_u128(7)));
-        }));
-        let ct = held.expect("populated by the bench");
+        let (_, pk) = ctx.keygen(Seed::from_u128(2026));
+        let pt = ctx.encode(&client_message(&ctx)).expect("encode");
+        let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
 
         let moduli = ctx.basis().moduli();
         let small =
@@ -430,22 +421,6 @@ fn main() {
             throughput_rows.push(throughput_row(&rec.id, blob.len(), rec.median_secs));
             benches.push(per_coeff(rec, residues));
         }
-
-        let low = ct.truncated(2);
-        benches.push(measure("client/decrypt_decode_2prime/2^16", 1500, || {
-            let pt = ctx.decrypt(&low, &sk).expect("decrypt");
-            std::hint::black_box(ctx.decode(&pt).expect("decode"));
-        }));
-    }
-    {
-        let ctx = CkksContext::new(CkksParams::bootstrappable(14).expect("preset")).expect("ctx");
-        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
-        let msg = client_message(&ctx);
-        let ct = ctx.encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(7));
-        let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
-        benches.push(measure("client/decode_24prime/2^14", 1500, || {
-            std::hint::black_box(ctx.decode(&pt).expect("decode"));
-        }));
     }
 
     // --- Steady state: whole ops, limbs dropped inside them, warm pool ---
@@ -490,23 +465,6 @@ fn main() {
         ));
     }
 
-    // --- Full client pipeline at the smallest bootstrappable preset ---
-    {
-        let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
-        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
-        let msg = client_message(&ctx);
-        let mut held = None;
-        benches.push(measure("client/encode_encrypt/2^13", 1500, || {
-            let pt = ctx.encode(&msg).expect("encode");
-            held = Some(ctx.encrypt(&pt, &pk, Seed::from_u128(7)));
-        }));
-        let low = held.expect("populated by the bench").truncated(2);
-        benches.push(measure("client/decrypt_decode_2prime/2^13", 1500, || {
-            let pt = ctx.decrypt(&low, &sk).expect("decrypt");
-            std::hint::black_box(ctx.decode(&pt).expect("decode"));
-        }));
-    }
-
     // --- SpecialFft: kernel ladder ---
     {
         let slots = 1usize << 14; // N = 2^15
@@ -548,7 +506,7 @@ fn main() {
         }));
     }
 
-    // --- Embedding datapaths: encode/decode medians + precision ---
+    // --- Embedding datapaths: precision ---
     let mut precision_rows = Vec::new();
     for precision in [
         EmbeddingPrecision::F64,
@@ -560,17 +518,6 @@ fn main() {
             .expect("preset")
             .with_embedding(precision);
         let ctx = CkksContext::new(params).expect("ctx");
-        let msg: Vec<Complex> = (0..ctx.params().slots())
-            .map(|i| Complex::new((i as f64 * 0.13).sin(), (i as f64 * 0.05).cos()))
-            .collect();
-        let mut pt = None;
-        benches.push(measure(&format!("client/encode_{label}/2^13"), 700, || {
-            pt = Some(ctx.encode(&msg).expect("encode"));
-        }));
-        let pt = pt.expect("populated by the bench");
-        benches.push(measure(&format!("client/decode_{label}/2^13"), 700, || {
-            std::hint::black_box(ctx.decode(&pt).expect("decode"));
-        }));
         let seed = Seed::from_u128(1300 + precision as u128);
         // An exact round trip (every recovered slot re-rounds to its
         // original f64 — routine on ExtF64 at small N) measures ∞; cap

@@ -93,7 +93,6 @@ pub struct CkksParams {
     scale_bits: u32,
     scale_mode: ScaleMode,
     embedding: EmbeddingPrecision,
-    error_sigma: f64,
     secret_hamming_weight: Option<usize>,
 }
 
@@ -197,9 +196,10 @@ impl CkksParams {
         self.num_primes / self.scale_mode.primes_per_level()
     }
 
-    /// Error distribution width σ.
+    /// Error distribution width σ: 3.2, the one value every parameter
+    /// set runs.
     pub fn error_sigma(&self) -> f64 {
-        self.error_sigma
+        3.2
     }
 
     /// Secret-key sparsity (`None` = dense ternary).
@@ -247,7 +247,6 @@ pub struct CkksParamsBuilder {
     scale_bits: u32,
     scale_mode: ScaleMode,
     embedding: EmbeddingPrecision,
-    error_sigma: f64,
     secret_hamming_weight: Option<usize>,
 }
 
@@ -260,7 +259,6 @@ impl Default for CkksParamsBuilder {
             scale_bits: 36,
             scale_mode: ScaleMode::Single,
             embedding: EmbeddingPrecision::F64,
-            error_sigma: 3.2,
             secret_hamming_weight: Some(192),
         }
     }
@@ -300,12 +298,6 @@ impl CkksParamsBuilder {
     /// Sets the embedding-FFT datapath ([`EmbeddingPrecision`]).
     pub fn embedding_precision(mut self, embedding: EmbeddingPrecision) -> Self {
         self.embedding = embedding;
-        self
-    }
-
-    /// Sets the error width σ.
-    pub fn error_sigma(mut self, sigma: f64) -> Self {
-        self.error_sigma = sigma;
         self
     }
 
@@ -354,11 +346,6 @@ impl CkksParamsBuilder {
                 self.log_n + 1
             )));
         }
-        if !(self.error_sigma > 0.0 && self.error_sigma.is_finite()) {
-            return Err(CkksError::InvalidParams(
-                "error_sigma must be positive and finite".to_owned(),
-            ));
-        }
         if let Some(h) = self.secret_hamming_weight {
             if h == 0 || h > (1 << self.log_n) {
                 return Err(CkksError::InvalidParams(format!(
@@ -380,7 +367,6 @@ impl CkksParamsBuilder {
             scale_bits: self.scale_bits,
             scale_mode: self.scale_mode,
             embedding: self.embedding,
-            error_sigma: self.error_sigma,
             secret_hamming_weight: self.secret_hamming_weight,
         })
     }
@@ -533,7 +519,6 @@ mod tests {
             .scale_bits(40)
             .build()
             .is_err());
-        assert!(CkksParams::builder().error_sigma(0.0).build().is_err());
         assert!(CkksParams::builder()
             .log_n(4)
             .secret_hamming_weight(Some(17))
@@ -550,11 +535,9 @@ mod tests {
         let p = CkksParams::builder()
             .log_n(10)
             .num_primes(3)
-            .error_sigma(2.5)
             .secret_hamming_weight(None)
             .build()
             .unwrap();
-        assert_eq!(p.error_sigma(), 2.5);
         assert_eq!(p.secret_hamming_weight(), None);
     }
 }

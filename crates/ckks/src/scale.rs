@@ -65,16 +65,48 @@ impl ExactScale {
         })
     }
 
-    /// Reassembles a scale from its raw parts (wire deserialization).
-    /// Returns `None` if `num` is zero or even-but-nonzero in a way that
-    /// breaks the normalization invariant, or any denominator entry is
-    /// zero.
-    pub fn from_raw_parts(num: UBig, exp: i32, mut den: Vec<u64>) -> Option<Self> {
-        if num.is_zero() || num.trailing_zeros() != 0 || den.contains(&0) {
-            return None;
-        }
-        den.sort_unstable();
-        Some(Self { num, exp, den })
+    /// Largest `|exp|` of a scale that crosses the wire. The bounds here
+    /// are on the *representation*, which [`Self::mul`] never reduces —
+    /// squaring `k` times doubles `exp`, the numerator's length and the
+    /// denominator's `k` times over while the value stays near `Δ` — so
+    /// they come from what decode costs, not from how large a scale can
+    /// meaningfully be. `ExtF64::ldexp` is O(1) for any exponent; this
+    /// one only keeps the `i64` sums of `exp` and the two bit lengths
+    /// (below `2^20` each) that [`Self::to_f64`] and [`Self::divisor`]
+    /// narrow to `i32` far from wrapping.
+    pub const MAX_EXP: i32 = 1 << 24;
+    /// Longest numerator encoding in bytes. Its cost is linear; the
+    /// bound caps what a header can make the parser allocate.
+    pub const MAX_NUM_BYTES: usize = 8192;
+    /// Most dropped primes. [`Self::divisor`] multiplies them out one
+    /// word at a time, which is quadratic: 20–40 ms here, against seconds
+    /// for the 65535 the length field could say. A chain of `k` squarings
+    /// with a rescale each holds `2^k − 1` entries (twice that when
+    /// rescales drop prime pairs), so this is depth 13 (12).
+    pub const MAX_DEN_LEN: usize = 8192;
+
+    /// Reassembles a scale from its raw parts (wire deserialization):
+    /// `Some` exactly for what [`Self::raw_parts`] of a scale inside the
+    /// bounds above can return — `num` odd, `|exp| ≤` [`Self::MAX_EXP`],
+    /// `num` within [`Self::MAX_NUM_BYTES`], at most
+    /// [`Self::MAX_DEN_LEN`] denominator entries, each odd and above 1,
+    /// in ascending order. [`Self::to_f64`], [`Self::rounder`] and
+    /// [`Self::divisor`] cost time polynomial in those sizes, which is
+    /// why outside input is held to them here.
+    pub fn from_raw_parts(num: UBig, exp: i32, den: Vec<u64>) -> Option<Self> {
+        let scale = Self { num, exp, den };
+        (scale.is_bounded() && scale.den.is_sorted()).then_some(scale)
+    }
+
+    /// Whether the scale is one [`Self::from_raw_parts`] accepts, i.e.
+    /// one the wire format carries.
+    pub fn is_bounded(&self) -> bool {
+        self.num.trailing_zeros() == 0
+            && !self.num.is_zero()
+            && self.num.bits() as usize <= 8 * Self::MAX_NUM_BYTES
+            && self.exp.unsigned_abs() <= Self::MAX_EXP.unsigned_abs()
+            && self.den.len() <= Self::MAX_DEN_LEN
+            && self.den.iter().all(|&q| q % 2 == 1 && q > 1)
     }
 
     /// The raw parts `(num, exp, den)` — the wire codec's view.
@@ -529,5 +561,20 @@ mod tests {
         assert!(ExactScale::from_raw_parts(UBig::zero(), 0, vec![]).is_none());
         assert!(ExactScale::from_raw_parts(UBig::from(2u64), 0, vec![]).is_none());
         assert!(ExactScale::from_raw_parts(UBig::one(), 0, vec![0]).is_none());
+        // What outside input could make expensive or ambiguous.
+        let parts = |exp: i32, den: Vec<u64>| ExactScale::from_raw_parts(UBig::one(), exp, den);
+        assert!(parts(ExactScale::MAX_EXP, vec![]).is_some());
+        assert!(parts(-ExactScale::MAX_EXP, vec![]).is_some());
+        assert!(parts(ExactScale::MAX_EXP + 1, vec![]).is_none());
+        assert!(parts(i32::MIN, vec![]).is_none());
+        assert!(parts(0, vec![97; ExactScale::MAX_DEN_LEN]).is_some());
+        assert!(parts(0, vec![97; ExactScale::MAX_DEN_LEN + 1]).is_none());
+        assert!(parts(0, vec![1]).is_none());
+        assert!(parts(0, vec![96]).is_none());
+        assert!(parts(0, vec![97, 89]).is_none(), "not repaired: refused");
+        let wide = UBig::one()
+            .shl(8 * ExactScale::MAX_NUM_BYTES as u32)
+            .add(&UBig::one());
+        assert!(ExactScale::from_raw_parts(wide, 0, vec![]).is_none());
     }
 }

@@ -1,23 +1,40 @@
-//! Wire format for ciphertexts — the client↔server transport whose byte
-//! counts drive the paper's DRAM-traffic analysis.
+//! Wire format for ciphertexts and evaluation keys — the client↔server
+//! transport whose byte counts drive the paper's DRAM-traffic analysis.
 //!
-//! One strict versioned little-endian layout (no external dependencies):
+//! One strict versioned little-endian layout (no external dependencies),
+//! four kinds of blob, every header field bounded:
 //!
 //! ```text
-//! magic    "ABCF"            4 B
-//! version  u16 (= 3)         2 B
-//! kind     u8 (1=full ct)    1 B
-//! log_n    u8                1 B
-//! primes   u16               2 B
-//! scale_exp i32              4 B   ─┐
-//! num_len  u16               2 B    │ exact rational scale:
-//! den_len  u16               2 B    │ num·2^exp / ∏den
-//! num      num_len B         var    │ (num little-endian bigint,
-//! den      den_len · 8 B     var   ─┘  den the dropped primes)
-//! widths                     primes · 1 B (per-prime residue bit width)
-//! c0 residues                Σ ⌈N·wᵢ/8⌉ B
-//! c1 residues                same as c0
+//! field      type      kinds  bound
+//! magic      "ABCF"    all
+//! version    u16       all    = 3
+//! kind       u8        all    1 ciphertext · 2 seeded ciphertext ·
+//!                             3 eval key · 4 Galois key
+//! log_n      u8        all    1 ..= 20
+//! limbs      u16       all    1 ..= 64  (a ciphertext's primes)
+//! scale_exp  i32       1 2    |exp| ≤ 2^24        ─┐ exact rational scale
+//! num_len    u16       1 2    1 ..= 8192           │ num·2^exp / ∏den
+//! den_len    u16       1 2    0 ..= 8192           │ (den: the primes
+//! num        num_len B 1 2    odd, last byte ≠ 0   │ rescaling dropped)
+//! den        u64 each  1 2    odd, > 1, ascending ─┘
+//! seed       16 B      2      (the mask seed, in place of c1)
+//! digits     u16       3 4    1 ..= 64
+//! element    u64       4      odd, < 2N
+//! widths     u8 each   all    1 ..= 64, one per limb
+//! payload    components · Σ ⌈N·wᵢ/8⌉ B, exactly to the end of the blob:
+//!            c0 c1 (kind 1) · c0 (kind 2) · b a per digit (kinds 3/4)
 //! ```
+//!
+//! A blob is outside input: the parser refuses — and the serializers
+//! refuse to write — whatever falls outside the bounds column, and the
+//! total length is checked from the header alone, before the scale or
+//! any polynomial is built, so a blob is rejected in time proportional
+//! to its header. The scale rows bound its *representation*, which the
+//! evaluator never reduces (`k` squarings with a rescale each carry
+//! `2^k − 1` dropped primes at a value still near Δ), by what decode
+//! costs in it — an unbounded `exp` was minutes of `ldexp`, 65535
+//! dropped primes seconds of multiplication — and live with the type as
+//! `ExactScale::MAX_*`.
 //!
 //! The scale travels as the **exact rational** the evaluator tracks
 //! ([`crate::scale::ExactScale`]) instead of a lossy `f64`, and **every
@@ -26,42 +43,19 @@
 //! plus the 3-bit-widened special prime q₀ (39 bits), so a packed
 //! coefficient averages (23·36 + 39)/24 = 36.125 bits against the 64-bit
 //! words it occupies in memory — **×0.57** of those bytes (not the ×0.69
-//! a uniform 44-bit residue would give; 44 bits is the *hardware
-//! datapath* width, which never appears on this wire). The packed byte
-//! count is exactly what `abc-sim`'s DRAM/stream model charges when
-//! configured with `SimConfig::with_wire_widths`. This is version 3 and
-//! the only one: a header carrying any other version number — the
-//! full-word version 2 this format replaced included — is rejected like
-//! any other malformed input.
+//! of a uniform 44-bit residue: 44 bits is the *hardware datapath*
+//! width, which never appears on this wire). The packed byte count is
+//! exactly what `abc-sim`'s DRAM/stream model charges when configured
+//! with `SimConfig::with_wire_widths`. This is version 3 and the only
+//! one: any other version number in a header — the full-word version 2
+//! this format replaced included — is malformed input.
 //!
-//! All five v3 kinds share one packer and one unpacker (`pack_bits`,
-//! `unpack_bits`), and both move whole words: eight residues are exactly
-//! `width` bytes, appended as one group, and a residue is read back as a
-//! shift and a mask of the 16-byte window it starts in. The serializers'
-//! check that every residue fits its declared width is an OR
-//! accumulated in the pack pass itself; a polynomial is looked through
-//! a second time only to name the offending residue in the error.
-//!
-//! **Compressed (seeded) ciphertexts** serialize via kind 2: the shared
-//! ciphertext header, then the 16-byte mask seed in
-//! place of `c1`, then the width table and the packed `c0` residues —
-//! roughly half the bytes of a kind-1 v3 ciphertext.
-//!
-//! **Evaluation keys** (kinds 3/4) carry the RNS-gadget
-//! key-switching material a server needs — `digits · limbs` polynomial
-//! pairs, each residue bit-packed to its prime's width:
-//!
-//! ```text
-//! magic    "ABCF"             4 B
-//! version  u16 (= 3)          2 B
-//! kind     u8 (3=eval key, 4=Galois key)
-//! log_n    u8                 1 B
-//! limbs    u16                2 B   (primes per digit)
-//! digits   u16                2 B   (decomposition digits)
-//! element  u64                8 B   (kind 4 only: the Galois element)
-//! widths   limbs · 1 B
-//! payload  per digit: b residues packed, then a residues packed
-//! ```
+//! All four kinds share one header description ([`Layout`]: the only
+//! header writer, parser and length formula), one packer and one
+//! unpacker (`pack_bits`, `unpack_bits`: whole words at a time, the
+//! fits-its-width check an OR accumulated in the pack pass). **Seeded
+//! ciphertexts** (kind 2) are roughly half the bytes of kind 1;
+//! **evaluation keys** (kinds 3/4) carry `digits · limbs` polynomial pairs.
 
 use crate::cipher::{Ciphertext, Degree2Ciphertext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
@@ -71,12 +65,20 @@ use crate::CkksError;
 use abc_math::{Modulus, UBig};
 use abc_prng::Seed;
 use abc_transform::pool;
+use std::borrow::Cow;
 
 const MAGIC: &[u8; 4] = b"ABCF";
 const VERSION_PACKED: u16 = 3;
+const FIXED_HEADER: usize = 18; // ciphertext header bytes before the numerator
+const KEY_FIXED_HEADER: usize = 12; // key header bytes before the element / width table
+const TRUNCATED: &str = "truncated header";
 
-/// What a wire blob carries — the kind byte every header holds after the
-/// magic and the version.
+/// The module's typed error for malformed or out-of-bounds input.
+fn err(msg: impl core::fmt::Display) -> CkksError {
+    CkksError::InvalidParams(format!("wire: {msg}"))
+}
+
+/// What a wire blob carries: the kind byte of its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum WireKind {
@@ -91,38 +93,11 @@ pub enum WireKind {
 }
 
 /// Validates what every header starts with — magic, version, a kind this
-/// format defines — and says which deserializer the blob is for.
-///
-/// # Errors
-///
-/// [`CkksError::InvalidParams`] for a blob cut before the kind byte, a
-/// wrong magic or version, and an undefined kind.
+/// format defines — and says which deserializer the blob is for; a typed
+/// error if it is for none.
 pub fn kind_of(bytes: &[u8]) -> Result<WireKind, CkksError> {
-    let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    let Some(&[m0, m1, m2, m3, v0, v1, kind]) = bytes.first_chunk() else {
-        return Err(err("truncated header"));
-    };
-    if [m0, m1, m2, m3] != *MAGIC {
-        return Err(err("bad magic"));
-    }
-    if u16::from_le_bytes([v0, v1]) != VERSION_PACKED {
-        return Err(err("unsupported version"));
-    }
-    [
-        WireKind::Full,
-        WireKind::Compressed,
-        WireKind::EvalKey,
-        WireKind::GaloisKey,
-    ]
-    .into_iter()
-    .find(|&k| k as u8 == kind)
-    .ok_or_else(|| err("unsupported kind"))
+    Reader(bytes).kind()
 }
-
-/// Bytes before the variable-length scale payload.
-const FIXED_HEADER: usize = 18;
-/// Key header bytes before the `element` field / width table.
-const KEY_FIXED_HEADER: usize = 12;
 
 /// Per-prime residue bit widths of a basis — the packing schedule of the
 /// v3 format (`⌈log2 qᵢ⌉`; residues are `< qᵢ`).
@@ -257,151 +232,283 @@ fn unpack_polys(bytes: &[u8], cursor: &mut usize, n: usize, widths: &[u32]) -> V
     polys.collect()
 }
 
-/// The shared header + exact-scale payload (kinds 1/2).
-fn write_header(out: &mut Vec<u8>, kind: WireKind, n: usize, primes: usize, scale: &ExactScale) {
-    let (num, exp, den) = scale.raw_parts();
-    let num_bytes = num.to_le_bytes();
-    let num_len =
-        u16::try_from(num_bytes.len()).expect("scale numerator exceeds the wire format's 64 KiB");
-    let den_len =
-        u16::try_from(den.len()).expect("scale denominator exceeds the wire format's u16 count");
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
-    out.push(kind as u8);
-    out.push(n.trailing_zeros() as u8);
-    out.extend_from_slice(&(primes as u16).to_le_bytes());
-    out.extend_from_slice(&exp.to_le_bytes());
-    out.extend_from_slice(&num_len.to_le_bytes());
-    out.extend_from_slice(&den_len.to_le_bytes());
-    out.extend_from_slice(&num_bytes);
-    for &q in den {
-        out.extend_from_slice(&q.to_le_bytes());
+/// `fn u16(&mut self) -> Result<u16, CkksError>` and its like.
+macro_rules! int_readers {
+    ($($int:ident)*) => {$(
+        fn $int(&mut self) -> Result<$int, CkksError> {
+            self.array().map($int::from_le_bytes)
+        }
+    )*};
+}
+
+/// A cursor over a blob: every read is checked against the end and fails
+/// with the module's typed error instead of slicing past it.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CkksError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(|| err(TRUNCATED))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const K: usize>(&mut self) -> Result<[u8; K], CkksError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or_else(|| err(TRUNCATED))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    int_readers!(u8 u16 i32 u64);
+
+    /// What every header starts with: magic, version, a kind the format defines.
+    fn kind(&mut self) -> Result<WireKind, CkksError> {
+        use WireKind::{Compressed, EvalKey, Full, GaloisKey};
+        if self.array()? != *MAGIC {
+            return Err(err("bad magic"));
+        }
+        if self.u16()? != VERSION_PACKED {
+            return Err(err("unsupported version"));
+        }
+        let kind = self.u8()?;
+        let mut defined = [Full, Compressed, EvalKey, GaloisKey].into_iter();
+        let found = defined.find(|&k| k as u8 == kind);
+        found.ok_or_else(|| err("unsupported kind"))
     }
 }
 
-fn scale_header_len(scale: &ExactScale) -> usize {
-    let (num, _, den) = scale.raw_parts();
-    FIXED_HEADER + num.to_le_bytes().len() + den.len() * 8
+/// The header of one v3 blob: what it carries and in which shape — with
+/// the width table, the byte range of every limb in it. The format's
+/// only header writer, only header parser and only length formula, and
+/// in its `check` the bounds column of the module doc. `W` is how
+/// the width table is held: the basis's `u32`s under a writer, the
+/// blob's own bytes after [`Self::parse`].
+#[derive(Debug)]
+pub struct Layout<'a, W = u8> {
+    kind: WireKind,
+    n: usize,
+    /// Per-limb residue bit widths; as many as the blob has limbs.
+    widths: &'a [W],
+    /// Key digits (kinds 3/4); a ciphertext counts as one.
+    digits: usize,
+    /// Kinds 1/2: the exact scale; 2: the mask seed; 4: the Galois element.
+    scale: Option<Cow<'a, ExactScale>>,
+    seed: Option<Seed>,
+    element: Option<u64>,
 }
 
-fn header_len(ct: &Ciphertext) -> usize {
-    scale_header_len(ct.exact_scale())
+impl<'a> Layout<'a> {
+    /// Parses and bounds the header of `bytes` and checks the blob's
+    /// exact length against it — all on borrowed bytes: nothing is
+    /// allocated until the length has matched, and then the scale.
+    ///
+    /// # Errors
+    ///
+    /// [`CkksError::InvalidParams`] for a bad magic, version or kind, a
+    /// truncated header, a field outside the module's bounds, and a blob
+    /// not exactly as long as its header says.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CkksError> {
+        let mut r = Reader(bytes);
+        let kind = r.kind()?;
+        let n = 1usize.checked_shl(r.u8()?.into()).unwrap_or(0);
+        let limbs = usize::from(r.u16()?);
+        let (mut raw_scale, mut digits) = (None, 1);
+        if matches!(kind, WireKind::Full | WireKind::Compressed) {
+            let exp = r.i32()?;
+            let (num_len, den_len) = (usize::from(r.u16()?), usize::from(r.u16()?));
+            raw_scale = Some((exp, r.take(num_len)?, Reader(r.take(8 * den_len)?)));
+        } else {
+            digits = usize::from(r.u16()?);
+        }
+        let seed = (kind == WireKind::Compressed).then(|| r.array().map(Seed));
+        let element = (kind == WireKind::GaloisKey).then(|| r.u64());
+        let mut layout = Layout {
+            kind,
+            n,
+            widths: r.take(limbs)?,
+            digits,
+            scale: None,
+            seed: seed.transpose()?,
+            element: element.transpose()?,
+        };
+        layout.check()?;
+        if r.0.len() != layout.payload_len() {
+            return Err(err("payload length mismatch"));
+        }
+        // Minimal numerator bytes (and, in `from_raw_parts`, the scale
+        // rows and a sorted denominator): a parsed blob re-serializes to
+        // its own bytes.
+        if let Some((exp, num, mut den)) = raw_scale {
+            let den = std::iter::from_fn(|| den.u64().ok()).collect();
+            let scale = ExactScale::from_raw_parts(UBig::from_le_bytes(num), exp, den)
+                .filter(|_| num.last() != Some(&0))
+                .ok_or_else(|| err("invalid scale encoding"))?;
+            layout.scale = Some(Cow::Owned(scale));
+        }
+        Ok(layout)
+    }
+}
+
+impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
+    fn ciphertext(n: usize, scale: &'a ExactScale, seed: Option<Seed>, widths: &'a [W]) -> Self {
+        Self {
+            kind: seed.map_or(WireKind::Full, |_| WireKind::Compressed),
+            n,
+            widths,
+            digits: 1,
+            scale: Some(Cow::Borrowed(scale)),
+            seed,
+            element: None,
+        }
+    }
+
+    fn key(n: usize, ksk: &KeySwitchKey, element: Option<u64>, widths: &'a [W]) -> Self {
+        Self {
+            kind: element.map_or(WireKind::EvalKey, |_| WireKind::GaloisKey),
+            n,
+            widths,
+            digits: ksk.num_digits(),
+            scale: None,
+            seed: None,
+            element,
+        }
+    }
+
+    /// Which of the four kinds the blob is.
+    pub fn kind(&self) -> WireKind {
+        self.kind
+    }
+
+    /// Ring degree `N`.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// RNS limbs per component (a ciphertext's prime count).
+    pub fn limbs(&self) -> usize {
+        self.widths.len()
+    }
+
+    fn widths(&self) -> impl Iterator<Item = u32> + 'a {
+        self.widths.iter().map(|&w| w.into())
+    }
+
+    /// Bytes of one component (`limbs` polynomials): the unit of every length.
+    fn component_len(&self) -> usize {
+        self.widths().map(|w| packed_poly_bytes(self.n, w)).sum()
+    }
+
+    /// Bytes after the header: `b a` per digit, which for a ciphertext
+    /// is `c0 c1` — less the `c1` a seed stands in for.
+    fn payload_len(&self) -> usize {
+        (2 * self.digits - usize::from(self.seed.is_some())) * self.component_len()
+    }
+
+    /// Exact length of the whole blob: header fields, width table, payload.
+    fn total_len(&self) -> usize {
+        let fields = self.scale.as_ref().map_or(KEY_FIXED_HEADER, |scale| {
+            let (num, _, den) = scale.raw_parts();
+            FIXED_HEADER + num.bits().div_ceil(8) as usize + 8 * den.len()
+        });
+        let seed = self.seed.map_or(0, |s| s.0.len());
+        fields + seed + self.element.map_or(0, |_| 8) + self.limbs() + self.payload_len()
+    }
+
+    /// The bounds column, refused by the parser and the serializers alike.
+    fn check(&self) -> Result<(), CkksError> {
+        let (counted, n) = (|x: usize| (1..=64).contains(&x), self.n as u64);
+        if !self.n.is_power_of_two() || !(1..=20).contains(&self.n.trailing_zeros()) {
+            return Err(err("implausible ring degree"));
+        }
+        if !counted(self.limbs()) {
+            return Err(err("implausible prime count"));
+        }
+        if let Some(w) = self.widths().find(|&w| !counted(w as usize)) {
+            return Err(err(format!("residue width {w} out of 1..=64")));
+        }
+        if !counted(self.digits) {
+            return Err(err("implausible key shape"));
+        }
+        if self.element.is_some_and(|g| g % 2 == 0 || g >= 2 * n) {
+            return Err(err("invalid Galois element"));
+        }
+        match &self.scale {
+            Some(scale) if !scale.is_bounded() => Err(err("scale outside the format's bounds")),
+            _ => Ok(()),
+        }
+    }
+
+    /// The whole blob: the header (after `check`, every field fits the integer
+    /// it is written as), then every polynomial bit-packed to its limb's width.
+    fn serialize<'c>(
+        &self,
+        components: impl IntoIterator<Item = &'c [Vec<u64>]>,
+    ) -> Result<Vec<u8>, CkksError> {
+        self.check()?;
+        let mut out = Vec::with_capacity(self.total_len());
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
+        out.extend([self.kind as u8, self.n.trailing_zeros() as u8]);
+        out.extend_from_slice(&(self.limbs() as u16).to_le_bytes());
+        if let Some(scale) = &self.scale {
+            let (num, exp, den) = scale.raw_parts();
+            let num = num.to_le_bytes();
+            out.extend_from_slice(&exp.to_le_bytes());
+            out.extend_from_slice(&(num.len() as u16).to_le_bytes());
+            out.extend_from_slice(&(den.len() as u16).to_le_bytes());
+            out.extend_from_slice(&num);
+            out.extend(den.iter().flat_map(|q| q.to_le_bytes()));
+        } else {
+            out.extend_from_slice(&(self.digits as u16).to_le_bytes());
+        }
+        out.extend(self.seed.iter().flat_map(|s| s.0));
+        out.extend(self.element.iter().flat_map(|g| g.to_le_bytes()));
+        out.extend(self.widths().map(|w| w as u8));
+        for component in components {
+            if component.len() != self.limbs() {
+                let (widths, limbs) = (self.limbs(), component.len());
+                return Err(err(format!("{widths} widths for {limbs} limbs")));
+            }
+            for (poly, w) in component.iter().zip(self.widths()) {
+                pack_poly(&mut out, poly, w)?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// The unpacker of the blob this layout was parsed from, a component a call.
+    fn components(&self, bytes: &'a [u8]) -> impl FnMut() -> Vec<Vec<u64>> + 'a {
+        let widths: Vec<u32> = self.widths().collect();
+        let (n, mut at) = (self.n, bytes.len() - self.payload_len());
+        move || unpack_polys(bytes, &mut at, n, &widths)
+    }
 }
 
 /// Exact serialized size in the v3 packed format under `widths`.
 pub fn packed_serialized_len(ct: &Ciphertext, widths: &[u32]) -> usize {
-    let polys: usize = widths.iter().map(|&w| packed_poly_bytes(ct.n(), w)).sum();
-    header_len(ct) + ct.num_primes() + 2 * polys
+    Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths).total_len()
 }
 
 /// Exact v3-packed size of a degree-2 intermediate under `widths` —
-/// the same header and width table as [`packed_serialized_len`], with
-/// three bit-packed components instead of two.
+/// the header of [`packed_serialized_len`], three components for two.
 pub fn packed_degree2_serialized_len(ct: &Degree2Ciphertext, widths: &[u32]) -> usize {
-    let polys: usize = widths.iter().map(|&w| packed_poly_bytes(ct.n(), w)).sum();
-    scale_header_len(ct.exact_scale()) + ct.num_primes() + 3 * polys
+    let two = Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths);
+    two.total_len() + two.component_len()
 }
 
 /// Serializes a ciphertext to the v3 wire format, bit-packing each
-/// residue polynomial to its prime's width. `widths` comes from the
-/// basis ([`residue_widths`] /
-/// [`crate::CkksContext::wire_widths`]), one entry per carried prime.
+/// residue polynomial to its prime's width. `widths` comes from the basis
+/// ([`crate::CkksContext::wire_widths`]), one entry per carried prime.
 ///
 /// # Errors
 ///
 /// Returns [`CkksError::InvalidParams`] if `widths` doesn't match the
-/// ciphertext's prime count, a width is 0 or > 64, or any residue does
+/// ciphertext's prime count, a width is 0 or > 64, any residue does
 /// not fit its declared width (corrupt data — packing it would emit a
-/// blob that cannot round-trip).
-///
-/// # Panics
-///
-/// Panics if the exact-scale encoding exceeds the format's `u16`
-/// length fields (a numerator beyond 64 KiB or more than 65535 dropped
-/// primes — thousands of unreduced multiplications past any modulus
-/// budget); truncating silently would emit a blob the decoder rejects.
+/// blob that cannot round-trip), or the exact scale's representation is
+/// outside the module's bounds (the parser would refuse the blob).
 pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
-    let err = |msg: String| CkksError::InvalidParams(format!("wire: {msg}"));
-    if widths.len() != ct.num_primes() {
-        return Err(err(format!(
-            "{} widths for {} primes",
-            widths.len(),
-            ct.num_primes()
-        )));
-    }
-    if let Some(&w) = widths.iter().find(|&&w| w == 0 || w > 64) {
-        return Err(err(format!("residue width {w} out of 1..=64")));
-    }
     let (c0, c1) = ct.components();
-    let mut out = Vec::with_capacity(packed_serialized_len(ct, widths));
-    write_header(
-        &mut out,
-        WireKind::Full,
-        ct.n(),
-        ct.num_primes(),
-        ct.exact_scale(),
-    );
-    for &w in widths {
-        out.push(w as u8);
-    }
-    for component in [c0, c1] {
-        for (poly, &w) in component.iter().zip(widths) {
-            pack_poly(&mut out, poly, w)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Parsed common ciphertext header (kinds 1 and 2).
-struct CtHeader {
-    n: usize,
-    primes: usize,
-    scale: ExactScale,
-    /// Offset of the first byte after the variable-length scale payload.
-    scale_end: usize,
-}
-
-/// Parses and validates the shared magic/version/kind/shape/scale header
-/// of ciphertext-carrying blobs (kind 1 full, kind 2 seed-compressed).
-fn parse_ct_header(bytes: &[u8], expect_kind: WireKind) -> Result<CtHeader, CkksError> {
-    let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    if kind_of(bytes)? != expect_kind {
-        return Err(err("unsupported kind"));
-    }
-    if bytes.len() < FIXED_HEADER {
-        return Err(err("truncated header"));
-    }
-    let log_n = bytes[7] as u32;
-    if log_n == 0 || log_n > 20 {
-        return Err(err("implausible ring degree"));
-    }
-    let n = 1usize << log_n;
-    let primes = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes")) as usize;
-    if primes == 0 || primes > 64 {
-        return Err(err("implausible prime count"));
-    }
-    let exp = i32::from_le_bytes(bytes[10..14].try_into().expect("4 bytes"));
-    let num_len = u16::from_le_bytes(bytes[14..16].try_into().expect("2 bytes")) as usize;
-    let den_len = u16::from_le_bytes(bytes[16..18].try_into().expect("2 bytes")) as usize;
-    let scale_end = FIXED_HEADER + num_len + den_len * 8;
-    if bytes.len() < scale_end {
-        return Err(err("truncated scale payload"));
-    }
-    let num = UBig::from_le_bytes(&bytes[FIXED_HEADER..FIXED_HEADER + num_len]);
-    let den: Vec<u64> = (0..den_len)
-        .map(|i| {
-            let at = FIXED_HEADER + num_len + i * 8;
-            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-        })
-        .collect();
-    let scale =
-        ExactScale::from_raw_parts(num, exp, den).ok_or_else(|| err("invalid scale encoding"))?;
-    Ok(CtHeader {
-        n,
-        primes,
-        scale,
-        scale_end,
-    })
+    Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths).serialize([c0, c1])
 }
 
 /// Deserializes a ciphertext from the wire format.
@@ -409,309 +516,106 @@ fn parse_ct_header(bytes: &[u8], expect_kind: WireKind) -> Result<CtHeader, Ckks
 /// # Errors
 ///
 /// Returns [`CkksError::InvalidParams`] for malformed input: bad magic,
-/// unsupported version/kind, truncated payload, inconsistent sizes, or
-/// an invalid scale encoding.
+/// unsupported version/kind, truncated payload, inconsistent sizes, a
+/// field outside the module's bounds, or an invalid scale encoding.
 pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
-    let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    let CtHeader {
-        n,
-        primes,
-        scale,
-        scale_end,
-    } = parse_ct_header(bytes, WireKind::Full)?;
-
-    // Per-prime widths, then bit-packed polynomials.
-    if bytes.len() < scale_end + primes {
-        return Err(err("truncated width table"));
-    }
-    let widths: Vec<u32> = bytes[scale_end..scale_end + primes]
-        .iter()
-        .map(|&b| b as u32)
-        .collect();
-    if widths.iter().any(|&w| w == 0 || w > 64) {
-        return Err(err("implausible residue width"));
-    }
-    let polys: usize = widths.iter().map(|&w| packed_poly_bytes(n, w)).sum();
-    let expected = scale_end + primes + 2 * polys;
-    if bytes.len() != expected {
-        return Err(err("payload length mismatch"));
-    }
-    let mut cursor = scale_end + primes;
-    let c0 = unpack_polys(bytes, &mut cursor, n, &widths).into();
-    let c1 = unpack_polys(bytes, &mut cursor, n, &widths).into();
-    Ciphertext::from_limbs(c0, c1, scale)
+    let layout = Layout::parse(bytes)?;
+    let mut component = layout.components(bytes);
+    let (WireKind::Full, Some(scale)) = (layout.kind, layout.scale) else {
+        return Err(err("unsupported kind"));
+    };
+    Ciphertext::from_limbs(component().into(), component().into(), scale.into_owned())
 }
 
-/// Exact serialized size of a seed-compressed ciphertext in the v3
-/// packed format under `widths` (header + 16-byte seed + width table +
-/// packed `c0`).
+/// Exact serialized size of a seed-compressed ciphertext under `widths`.
 pub fn compressed_serialized_len(cct: &CompressedCiphertext, widths: &[u32]) -> usize {
-    let polys: usize = widths.iter().map(|&w| packed_poly_bytes(cct.n(), w)).sum();
-    scale_header_len(cct.exact_scale()) + 16 + cct.num_primes() + polys
+    Layout::ciphertext(cct.n(), cct.exact_scale(), Some(cct.mask_seed()), widths).total_len()
 }
 
 /// Serializes a seed-compressed (symmetric) ciphertext to the v3 wire
 /// format (kind 2): the 16-byte mask seed stands in for the whole `c1`
-/// component, and `c0` is bit-packed to the basis widths — the upload
-/// format of a client that derives masks on-chip.
-///
-/// # Errors
-///
-/// Returns [`CkksError::InvalidParams`] if `widths` doesn't match the
-/// ciphertext's prime count, a width is 0 or > 64, or a residue does not
-/// fit its declared width.
-///
-/// # Panics
-///
-/// Panics on oversize scale encodings, as [`serialize_ciphertext_packed`].
+/// component — the upload format of a client that derives masks
+/// on-chip. Errors as [`serialize_ciphertext_packed`].
 pub fn serialize_compressed_ciphertext(
     cct: &CompressedCiphertext,
     widths: &[u32],
 ) -> Result<Vec<u8>, CkksError> {
-    let err = |msg: String| CkksError::InvalidParams(format!("wire: {msg}"));
-    if widths.len() != cct.num_primes() {
-        return Err(err(format!(
-            "{} widths for {} primes",
-            widths.len(),
-            cct.num_primes()
-        )));
-    }
-    if let Some(&w) = widths.iter().find(|&&w| w == 0 || w > 64) {
-        return Err(err(format!("residue width {w} out of 1..=64")));
-    }
-    let mut out = Vec::with_capacity(compressed_serialized_len(cct, widths));
-    write_header(
-        &mut out,
-        WireKind::Compressed,
-        cct.n(),
-        cct.num_primes(),
-        cct.exact_scale(),
-    );
-    out.extend_from_slice(&cct.mask_seed().0);
-    for &w in widths {
-        out.push(w as u8);
-    }
-    for (poly, &w) in cct.c0().iter().zip(widths) {
-        pack_poly(&mut out, poly, w)?;
-    }
-    Ok(out)
+    Layout::ciphertext(cct.n(), cct.exact_scale(), Some(cct.mask_seed()), widths)
+        .serialize([cct.c0()])
 }
 
-/// Deserializes a seed-compressed ciphertext (kind 2).
-/// Expand it back into a full ciphertext with
-/// [`CompressedCiphertext::expand`].
-///
-/// # Errors
-///
-/// Returns [`CkksError::InvalidParams`] for malformed input: bad magic,
-/// wrong version/kind, truncated seed/width table/payload, trailing
-/// garbage, or an invalid scale encoding.
+/// Deserializes a seed-compressed ciphertext (kind 2). Expand it back
+/// into a full ciphertext with [`CompressedCiphertext::expand`]. Errors
+/// as [`deserialize_ciphertext`].
 pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphertext, CkksError> {
-    let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    let CtHeader {
-        n,
-        primes,
-        scale,
-        scale_end,
-    } = parse_ct_header(bytes, WireKind::Compressed)?;
-    if bytes.len() < scale_end + 16 {
-        return Err(err("truncated mask seed"));
-    }
-    let seed = Seed(
-        bytes[scale_end..scale_end + 16]
-            .try_into()
-            .expect("16 bytes"),
-    );
-    let widths_at = scale_end + 16;
-    if bytes.len() < widths_at + primes {
-        return Err(err("truncated width table"));
-    }
-    let widths: Vec<u32> = bytes[widths_at..widths_at + primes]
-        .iter()
-        .map(|&b| b as u32)
-        .collect();
-    if widths.iter().any(|&w| w == 0 || w > 64) {
-        return Err(err("implausible residue width"));
-    }
-    let polys: usize = widths.iter().map(|&w| packed_poly_bytes(n, w)).sum();
-    if bytes.len() != widths_at + primes + polys {
-        return Err(err("payload length mismatch"));
-    }
-    let mut cursor = widths_at + primes;
-    let c0 = unpack_polys(bytes, &mut cursor, n, &widths).into();
+    let layout = Layout::parse(bytes)?;
+    let (n, mut component) = (layout.n, layout.components(bytes));
+    let (Some(scale), Some(mask_seed)) = (layout.scale, layout.seed) else {
+        return Err(err("unsupported kind"));
+    };
+    let (c0, scale) = (component().into(), scale.into_owned());
     Ok(CompressedCiphertext {
         c0,
-        mask_seed: seed,
+        mask_seed,
         scale,
         n,
     })
 }
 
-/// Exact serialized size of a key-switching key in the v3 packed key
-/// format (shared by eval and Galois keys; the latter adds 8 bytes for
-/// the element field).
+/// Exact serialized size of a key-switching key as an eval key (a
+/// Galois key adds 8 bytes for the element field).
 pub fn packed_key_len(ksk: &KeySwitchKey, widths: &[u32], n: usize) -> usize {
-    let per_digit: usize = widths.iter().map(|&w| packed_poly_bytes(n, w)).sum();
-    KEY_FIXED_HEADER + widths.len() + ksk.num_digits() * 2 * per_digit
+    Layout::key(n, ksk, None, widths).total_len()
 }
 
-/// Shared validation + packing of the `digits · limbs` polynomial pairs.
-fn serialize_ksk(
-    out: &mut Vec<u8>,
-    kind: WireKind,
-    element: Option<u64>,
-    ksk: &KeySwitchKey,
-    widths: &[u32],
-) -> Result<(), CkksError> {
-    let err = |msg: String| CkksError::InvalidParams(format!("wire: {msg}"));
-    let digits = ksk.num_digits();
-    let limbs = ksk.num_primes();
-    if digits == 0 || limbs == 0 {
-        return Err(err("empty key-switching key".to_owned()));
-    }
-    if widths.len() != limbs {
-        return Err(err(format!(
-            "{} widths for {limbs} key limbs",
-            widths.len()
-        )));
-    }
-    if let Some(&w) = widths.iter().find(|&&w| w == 0 || w > 64) {
-        return Err(err(format!("residue width {w} out of 1..=64")));
-    }
-    let n = ksk.b[0][0].len();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
-    out.push(kind as u8);
-    out.push(n.trailing_zeros() as u8);
-    out.extend_from_slice(&(limbs as u16).to_le_bytes());
-    out.extend_from_slice(&(digits as u16).to_le_bytes());
-    if let Some(g) = element {
-        out.extend_from_slice(&g.to_le_bytes());
-    }
-    for &w in widths {
-        out.push(w as u8);
-    }
-    for (b_digit, a_digit) in ksk.b.iter().zip(&ksk.a) {
-        for component in [b_digit, a_digit] {
-            for (poly, &w) in component.iter().zip(widths) {
-                pack_poly(out, poly, w)?;
-            }
-        }
-    }
-    Ok(())
+/// Both key kinds: the header, then `b` and `a` of every digit.
+fn serialize_ksk(ksk: &KeySwitchKey, g: Option<u64>, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
+    let n = ksk.b.iter().flatten().next().map_or(0, Vec::len);
+    let pairs = ksk.b.iter().zip(&ksk.a);
+    Layout::key(n, ksk, g, widths).serialize(pairs.flat_map(|(b, a)| [&b[..], &a[..]]))
 }
 
 /// Serializes a relinearization key to the v3 packed key format
 /// (kind 3). `widths` comes from the basis, one entry per key limb.
-///
-/// # Errors
-///
-/// Returns [`CkksError::InvalidParams`] if `widths` doesn't match the
-/// key's limb count, a width is out of range, or a residue overflows
-/// its declared width.
+/// Errors as [`serialize_ciphertext_packed`], the scale apart.
 pub fn serialize_eval_key(key: &EvalKey, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
-    let mut out = Vec::with_capacity(packed_key_len(&key.ksk, widths, key.ksk.b[0][0].len()));
-    serialize_ksk(&mut out, WireKind::EvalKey, None, &key.ksk, widths)?;
-    Ok(out)
+    serialize_ksk(&key.ksk, None, widths)
 }
 
 /// Serializes a Galois key to the v3 packed key format (kind 4, the
-/// Galois element in the header).
-///
-/// # Errors
-///
-/// As [`serialize_eval_key`].
+/// Galois element in the header). Errors as [`serialize_eval_key`].
 pub fn serialize_galois_key(key: &GaloisKey, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
-    let mut out = Vec::with_capacity(packed_key_len(&key.ksk, widths, key.ksk.b[0][0].len()) + 8);
-    serialize_ksk(
-        &mut out,
-        WireKind::GaloisKey,
-        Some(key.element()),
-        &key.ksk,
-        widths,
-    )?;
-    Ok(out)
+    serialize_ksk(&key.ksk, Some(key.element()), widths)
 }
 
-/// Shared key-header parse + payload unpack.
-fn deserialize_ksk(bytes: &[u8], kind: WireKind) -> Result<(Option<u64>, KeySwitchKey), CkksError> {
-    let err = |msg: &str| CkksError::InvalidParams(format!("wire: {msg}"));
-    if kind_of(bytes)? != kind {
+/// Both key kinds: the `b a` pair of every digit of a parsed blob.
+fn unpack_ksk(bytes: &[u8], layout: &Layout) -> KeySwitchKey {
+    let mut component = layout.components(bytes);
+    let pairs = (0..layout.digits).map(|_| (component(), component()));
+    let (b, a) = pairs.unzip();
+    KeySwitchKey { b, a }
+}
+
+/// Deserializes a relinearization key (kind 3). Errors as
+/// [`deserialize_ciphertext`].
+pub fn deserialize_eval_key(bytes: &[u8]) -> Result<EvalKey, CkksError> {
+    let layout = Layout::parse(bytes)?;
+    if layout.kind != WireKind::EvalKey {
         return Err(err("unexpected key kind"));
     }
-    if bytes.len() < KEY_FIXED_HEADER {
-        return Err(err("truncated key header"));
-    }
-    let log_n = bytes[7] as u32;
-    if log_n == 0 || log_n > 20 {
-        return Err(err("implausible ring degree"));
-    }
-    let n = 1usize << log_n;
-    let limbs = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes")) as usize;
-    let digits = u16::from_le_bytes(bytes[10..12].try_into().expect("2 bytes")) as usize;
-    if limbs == 0 || limbs > 64 || digits == 0 || digits > 64 {
-        return Err(err("implausible key shape"));
-    }
-    let mut cursor = KEY_FIXED_HEADER;
-    let element = if kind == WireKind::GaloisKey {
-        if bytes.len() < cursor + 8 {
-            return Err(err("truncated key header"));
-        }
-        let g = u64::from_le_bytes(bytes[cursor..cursor + 8].try_into().expect("8 bytes"));
-        cursor += 8;
-        if g % 2 == 0 || g as usize >= 2 * n {
-            return Err(err("invalid Galois element"));
-        }
-        Some(g)
-    } else {
-        None
-    };
-    if bytes.len() < cursor + limbs {
-        return Err(err("truncated width table"));
-    }
-    let widths: Vec<u32> = bytes[cursor..cursor + limbs]
-        .iter()
-        .map(|&b| b as u32)
-        .collect();
-    cursor += limbs;
-    if widths.iter().any(|&w| w == 0 || w > 64) {
-        return Err(err("implausible residue width"));
-    }
-    let per_digit: usize = widths.iter().map(|&w| packed_poly_bytes(n, w)).sum();
-    if bytes.len() != cursor + digits * 2 * per_digit {
-        return Err(err("key payload length mismatch"));
-    }
-    let mut b = Vec::with_capacity(digits);
-    let mut a = Vec::with_capacity(digits);
-    for _ in 0..digits {
-        b.push(unpack_polys(bytes, &mut cursor, n, &widths));
-        a.push(unpack_polys(bytes, &mut cursor, n, &widths));
-    }
-    Ok((element, KeySwitchKey { b, a }))
-}
-
-/// Deserializes a relinearization key (kind 3).
-///
-/// # Errors
-///
-/// Returns [`CkksError::InvalidParams`] for malformed input: bad magic,
-/// wrong version/kind, implausible shape, or a truncated payload.
-pub fn deserialize_eval_key(bytes: &[u8]) -> Result<EvalKey, CkksError> {
-    let (_, ksk) = deserialize_ksk(bytes, WireKind::EvalKey)?;
+    let ksk = unpack_ksk(bytes, &layout);
     Ok(EvalKey { ksk })
 }
 
-/// Deserializes a Galois key (kind 4).
-///
-/// # Errors
-///
-/// As [`deserialize_eval_key`], plus an invalid Galois element.
+/// Deserializes a Galois key (kind 4). Errors as
+/// [`deserialize_ciphertext`], an invalid Galois element included.
 pub fn deserialize_galois_key(bytes: &[u8]) -> Result<GaloisKey, CkksError> {
-    let (element, ksk) = deserialize_ksk(bytes, WireKind::GaloisKey)?;
-    Ok(GaloisKey {
-        element: element.expect("kind 4 always parses an element"),
-        ksk,
-    })
+    let layout = Layout::parse(bytes)?;
+    let Some(element) = layout.element else {
+        return Err(err("unexpected key kind"));
+    };
+    let ksk = unpack_ksk(bytes, &layout);
+    Ok(GaloisKey { element, ksk })
 }
 
 #[cfg(test)]
@@ -1023,6 +927,157 @@ mod tests {
         let back = deserialize_ciphertext(&packed).expect("wire");
         assert_eq!(back.exact_scale(), rescaled.exact_scale());
         assert_eq!(back, rescaled);
+    }
+
+    /// A kind-1 and a kind-2 blob of the same message, each with its
+    /// deserializer boiled down to "was it accepted".
+    type Accepts = fn(&[u8]) -> Result<(), CkksError>;
+    fn both_ciphertext_kinds() -> [(Vec<u8>, Accepts); 2] {
+        let (ctx, ct) = sample_ct();
+        let widths = ctx.wire_widths(ct.num_primes());
+        let (sk, _) = ctx.keygen(Seed::from_u128(21));
+        let pt = ctx.encode(&[Complex::new(0.1, 0.2); 4]).expect("encode");
+        let cct =
+            crate::symmetric::encrypt_symmetric_compressed(&ctx, &pt, &sk, Seed::from_u128(22));
+        [
+            (
+                serialize_ciphertext_packed(&ct, &widths).expect("pack"),
+                |b| deserialize_ciphertext(b).map(drop),
+            ),
+            (
+                serialize_compressed_ciphertext(&cct, &widths).expect("pack"),
+                |b| deserialize_compressed_ciphertext(b).map(drop),
+            ),
+        ]
+    }
+
+    /// `blob` with the fresh scale's `num = 1`, `den = []` replaced.
+    fn with_scale_payload(blob: &[u8], num: &[u8], den: &[u64]) -> Vec<u8> {
+        let mut out = blob[..FIXED_HEADER - 4].to_vec();
+        out.extend_from_slice(&(num.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(den.len() as u16).to_le_bytes());
+        out.extend_from_slice(num);
+        out.extend(den.iter().flat_map(|q| q.to_le_bytes()));
+        out.extend_from_slice(&blob[FIXED_HEADER + 1..]);
+        out
+    }
+
+    fn assert_typed_rejection(accepts: Accepts, blob: &[u8], what: &str) {
+        match accepts(blob) {
+            Err(CkksError::InvalidParams(msg)) => assert!(msg.starts_with("wire: "), "{what}"),
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scale_exponent_outside_the_bounds_is_rejected() {
+        // Accepted, `i32::MIN` held the decoding thread for minutes:
+        // `ldexp` by the exponent, per coefficient.
+        let max = ExactScale::MAX_EXP;
+        for (good, accepts) in both_ciphertext_kinds() {
+            for exp in [i32::MIN, i32::MAX, 1 << 25, -(1 << 25), max + 1, -max - 1] {
+                let mut blob = good.clone();
+                blob[10..14].copy_from_slice(&exp.to_le_bytes());
+                assert_typed_rejection(accepts, &blob, &format!("exp {exp}"));
+            }
+            let mut blob = good.clone();
+            blob[10..14].copy_from_slice(&ExactScale::MAX_EXP.to_le_bytes());
+            accepts(&blob).expect("the bound itself is inside");
+        }
+    }
+
+    #[test]
+    fn scale_denominator_and_numerator_are_bounded_and_canonical() {
+        let q = 0xF_FFF0_0001u64;
+        for (good, accepts) in both_ciphertext_kinds() {
+            let reject = |num: &[u8], den: &[u64], what: &str| {
+                assert_typed_rejection(accepts, &with_scale_payload(&good, num, den), what);
+            };
+            // Accepted, 65535 entries cost seconds: the product is quadratic.
+            reject(&[1], &vec![q; 65535], "den_len 65535");
+            reject(
+                &[1],
+                &vec![q; ExactScale::MAX_DEN_LEN + 1],
+                "den_len past the bound",
+            );
+            reject(&[1], &[q - 1], "even denominator entry");
+            reject(&[1], &[1], "denominator entry of 1");
+            reject(&[1], &[0], "denominator entry of 0");
+            reject(&[1], &[q, q - 2], "descending denominator");
+            let mut wide = vec![0u8; ExactScale::MAX_NUM_BYTES + 1];
+            (wide[0], wide[ExactScale::MAX_NUM_BYTES]) = (1, 1);
+            reject(&wide, &[], "numerator a byte past the bound");
+            reject(&[1, 0], &[], "numerator with a trailing zero byte");
+            reject(&[2], &[], "even numerator");
+            reject(&[], &[], "empty numerator");
+            // The bounds themselves are inside, and the header length
+            // the layout computes still finds the payload.
+            wide.pop();
+            wide[ExactScale::MAX_NUM_BYTES - 1] = 1;
+            let full = with_scale_payload(&good, &wide, &vec![q; ExactScale::MAX_DEN_LEN]);
+            accepts(&full).expect("largest scale the format carries");
+        }
+    }
+
+    #[test]
+    fn a_scale_the_parser_would_refuse_is_not_written() {
+        // Was a documented panic (for lengths past `u16`) or a blob no
+        // deserializer takes back (for anything else).
+        let (ctx, mut ct) = sample_ct();
+        let widths = ctx.wire_widths(ct.num_primes());
+        let half = ExactScale::from_log2(ExactScale::MAX_EXP as u32 / 2 + 1);
+        ct.scale = half.mul(&half);
+        let refused = serialize_ciphertext_packed(&ct, &widths);
+        assert_eq!(
+            refused.err(),
+            Some(CkksError::InvalidParams(
+                "wire: scale outside the format's bounds".to_owned()
+            ))
+        );
+        ct.scale = (0..=ExactScale::MAX_DEN_LEN).fold(half, |s, _| s.div_prime(97));
+        assert!(serialize_ciphertext_packed(&ct, &widths).is_err());
+    }
+
+    #[test]
+    fn a_squaring_chain_past_depth_7_survives_the_wire() {
+        // `mul` concatenates the operands' denominators and adds their
+        // exponents: k squarings with a rescale each carry 2^k − 1
+        // dropped primes and a 2^k-fold exponent at a value still near Δ.
+        // Bounds of 128 entries and 2^15 refused this ciphertext at depth
+        // 8, well inside the modulus budget.
+        let ctx = CkksContext::new(
+            CkksParams::builder()
+                .log_n(6)
+                .num_primes(10)
+                .secret_hamming_weight(Some(16))
+                .build()
+                .expect("params"),
+        )
+        .expect("ctx");
+        let (sk, pk) = ctx.keygen(Seed::from_u128(31));
+        let evk = ctx.gen_eval_key(&sk, Seed::from_u128(32));
+        let x = Complex::new(0.995, 0.0);
+        let pt = ctx.encode(&[x; 32]).expect("encode");
+        let mut ct = ctx.encrypt(&pt, &pk, Seed::from_u128(33));
+        for depth in 1..=9u32 {
+            let squared = evaluator::mul_relin(&ctx, &ct, &ct, &evk).expect("square");
+            ct = evaluator::rescale(&ctx, &squared).expect("rescale");
+            let (_, exp, den) = ct.exact_scale().raw_parts();
+            assert_eq!((den.len(), exp), ((1 << depth) - 1, 36 << depth));
+            let widths = ctx.wire_widths(ct.num_primes());
+            let blob = serialize_ciphertext_packed(&ct, &widths).expect("pack");
+            assert_eq!(blob.len(), packed_serialized_len(&ct, &widths));
+            assert_eq!(
+                deserialize_ciphertext(&blob).expect("wire"),
+                ct,
+                "depth {depth}"
+            );
+        }
+        let out = ctx
+            .decode(&ctx.decrypt(&ct, &sk).expect("decrypt"))
+            .expect("decode");
+        let want = 0.995f64.powi(512);
+        assert!((out[0].re - want).abs() < 1e-2, "{} vs {want}", out[0].re);
     }
 
     #[test]

@@ -151,10 +151,14 @@ impl ExtF64 {
     /// Exact scaling by 2^e (both components shift their exponents; no
     /// rounding while the results stay normal). Large shifts apply in
     /// two steps so the scale factor itself never leaves the `f64`
-    /// exponent range.
+    /// exponent range, and any `i32` costs a handful of multiplies:
+    /// past ±2200 every `f64` has already left the range (2^-1074·2^2200
+    /// overflows, 2^1024·2^-2200 rounds to zero), so the shift stops
+    /// there.
     #[must_use]
     pub fn ldexp(self, e: i32) -> Self {
         if !(-900..=900).contains(&e) {
+            let e = e.clamp(-2200, 2200);
             let h = e / 2;
             return self.ldexp(h).ldexp(e - h);
         }
@@ -312,6 +316,27 @@ mod tests {
         let scaled = x.ldexp(-64);
         assert_eq!(scaled.ldexp(64).to_f64(), u64::MAX as f64);
         assert!((scaled.to_f64() - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn ldexp_is_constant_time_for_any_exponent() {
+        // One recursion per 900 of |e| used to make an exponent from
+        // outside input (a wire blob's scale) 2.4 million calls per
+        // coefficient; a million extreme shifts now fit any budget.
+        let x = ExtF64::from_f64(1.5);
+        for _ in 0..250_000 {
+            let x = std::hint::black_box(x);
+            assert_eq!(x.ldexp(i32::MIN).to_f64(), 0.0);
+            assert_eq!(x.ldexp(i32::MAX).to_f64(), f64::INFINITY);
+            assert_eq!((-x).ldexp(i32::MAX).to_f64(), f64::NEG_INFINITY);
+            assert_eq!((-x).ldexp(i32::MIN).to_f64(), 0.0);
+        }
+        // Inside the clamp nothing moved: two-step shifts compose, and
+        // the smallest subnormal still reaches the largest binade.
+        assert_eq!(x.ldexp(1000).ldexp(-1000).to_f64(), 1.5);
+        let tiny = ExtF64::from_f64(f64::from_bits(1));
+        assert_eq!(tiny.ldexp(2097).to_f64(), 2f64.powi(1023));
+        assert_eq!(tiny.ldexp(2098).to_f64(), f64::INFINITY);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Datapath contexts: arithmetic routed through a context object so the
 //! same kernel runs at full, reduced, or extended precision.
 
+use crate::complex::Complex;
 use crate::extended::ExtF64;
 use crate::softfloat::round_to_mantissa;
 use crate::trig;
@@ -56,6 +57,17 @@ pub trait RealField: Clone + Send + Sync + 'static {
 
     /// Human-readable datapath name for reports.
     fn name(&self) -> String;
+
+    /// The slots as plain `Complex<f64>`, if this datapath *is* IEEE
+    /// binary64 arithmetic — what lets a planned transform hand them to
+    /// an `f64` SIMD kernel. `None` for every datapath that rounds or
+    /// widens, whatever scalar type it carries.
+    fn as_f64_slots<'a>(
+        &self,
+        _slots: &'a mut [Complex<Self::Real>],
+    ) -> Option<&'a mut [Complex<f64>]> {
+        None
+    }
 }
 
 /// The full-precision IEEE binary64 datapath.
@@ -111,6 +123,10 @@ impl RealField for F64Field {
 
     fn name(&self) -> String {
         "fp64".to_owned()
+    }
+
+    fn as_f64_slots<'a>(&self, slots: &'a mut [Complex<f64>]) -> Option<&'a mut [Complex<f64>]> {
+        Some(slots)
     }
 }
 

@@ -17,7 +17,9 @@ use std::time::Duration;
 /// Startup configuration for [`crate::Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Worker threads, each owning a pooled `CkksContext`.
+    /// Worker threads; all of them run on the one `CkksContext` the
+    /// gateway builds at start (its limb-pool allowance follows this
+    /// count).
     pub workers: usize,
     /// Admission-queue capacity (hard memory bound on buffered work).
     pub queue_capacity: usize,

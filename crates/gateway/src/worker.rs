@@ -256,20 +256,22 @@ fn decrypt_from_wire(
     ctx.decode(&pt).map_err(client_err)
 }
 
-/// Strict ingress validation: parse the wire kind, run the matching
-/// deserializer, and (for seeded uploads) expand against the pooled
-/// context — malformed bytes are rejected with `BadRequest`, never
-/// stored or forwarded.
+/// Strict ingress validation, from one parse of the header: its
+/// [`wire::Layout`] has every field bounded and the length exact. A full
+/// ciphertext is then only held against the gateway's parameters, with
+/// no polynomial unpacked; a seeded upload is deserialized and expanded
+/// against the shared context. Malformed bytes are rejected with
+/// `BadRequest`, never stored or forwarded.
 fn ingest(ctx: &CkksContext, blob: &[u8]) -> Result<(usize, bool), GatewayError> {
-    match wire::kind_of(blob).map_err(client_err)? {
+    let layout = wire::Layout::parse(blob).map_err(client_err)?;
+    match layout.kind() {
         WireKind::Full => {
-            let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
-            if ct.n() != ctx.params().n() || ct.num_primes() > ctx.params().num_primes() {
+            if layout.n() != ctx.params().n() || layout.limbs() > ctx.params().num_primes() {
                 return Err(GatewayError::BadRequest(
                     "ciphertext shape does not match gateway parameters".into(),
                 ));
             }
-            Ok((ct.num_primes(), false))
+            Ok((layout.limbs(), false))
         }
         WireKind::Compressed => {
             let cct = wire::deserialize_compressed_ciphertext(blob).map_err(client_err)?;

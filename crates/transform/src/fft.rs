@@ -48,7 +48,6 @@
 use crate::fft_avx512;
 use abc_float::{Complex, F64Field, RealField};
 use abc_math::{CpuCaps, KernelTier};
-use core::any::TypeId;
 use std::sync::Arc;
 
 /// The kernel a plan resolved to.
@@ -59,17 +58,6 @@ enum FftKernel {
     Avx512(Arc<fft_avx512::SimdPlan>),
     Scalar,
     Otf,
-}
-
-/// Reborrows a slot slice as `Complex<f64>`. Only reachable when the
-/// plan resolved to the AVX-512 kernel, which
-/// [`SpecialFft::with_field_kernel`] grants solely for `F = F64Field`
-/// (so `F::Real = f64` and the layouts are the same type).
-fn as_f64_slice<F: RealField>(vals: &mut [Complex<F::Real>]) -> &mut [Complex<f64>] {
-    debug_assert_eq!(TypeId::of::<F>(), TypeId::of::<F64Field>());
-    // SAFETY: `F = F64Field` (asserted above, guaranteed by the
-    // constructor), hence `Complex<F::Real>` *is* `Complex<f64>`.
-    unsafe { core::slice::from_raw_parts_mut(vals.as_mut_ptr() as *mut Complex<f64>, vals.len()) }
 }
 
 /// A planned special FFT for slot count `slots = N/2`, with per-stage
@@ -137,10 +125,11 @@ impl<F: RealField> SpecialFft<F> {
     /// Plans a transform on an explicit rung of the kernel ladder
     /// ([`KernelTier::Auto`] honours the `ABC_FHE_KERNEL` override,
     /// explicit tiers do not). `Simd` needs the [`F64Field`] datapath
-    /// (checked by `TypeId` — `SoftFloatField` also carries `f64`
-    /// scalars but rounds after every op, so the *field* type is what
-    /// gates), an AVX-512F host and ≥ 8 slots, and degrades to `Scalar`
-    /// without them; check [`SpecialFft::kernel_name`].
+    /// (the field says so itself, through
+    /// [`RealField::as_f64_slots`] — `SoftFloatField` also carries `f64`
+    /// scalars but rounds after every op), an AVX-512F host and ≥ 8
+    /// slots, and degrades to `Scalar` without them; check
+    /// [`SpecialFft::kernel_name`].
     ///
     /// # Panics
     ///
@@ -175,7 +164,7 @@ impl<F: RealField> SpecialFft<F> {
             plan.inv_twiddles.push(plan.stage_twiddles(len, true));
             len >>= 1;
         }
-        let simd_ok = TypeId::of::<F>() == TypeId::of::<F64Field>()
+        let simd_ok = plan.field.as_f64_slots(&mut []).is_some()
             && slots >= fft_avx512::MIN_SIMD_SLOTS
             && CpuCaps::detect().avx512f;
         plan.kernel = match tier.or_env().degrade(simd_ok, true) {
@@ -294,7 +283,7 @@ impl<F: RealField> SpecialFft<F> {
     /// Panics if `vals.len() != slots`.
     pub fn forward(&self, vals: &mut [Complex<F::Real>]) {
         match &self.kernel {
-            FftKernel::Avx512(simd) => fft_avx512::run(simd, as_f64_slice::<F>(vals), false),
+            FftKernel::Avx512(simd) => fft_avx512::run(simd, self.f64_slots(vals), false),
             FftKernel::Scalar => self.forward_scalar(vals),
             FftKernel::Otf => self.forward_otf(vals),
         }
@@ -309,10 +298,18 @@ impl<F: RealField> SpecialFft<F> {
     /// Panics if `vals.len() != slots`.
     pub fn inverse(&self, vals: &mut [Complex<F::Real>]) {
         match &self.kernel {
-            FftKernel::Avx512(simd) => fft_avx512::run(simd, as_f64_slice::<F>(vals), true),
+            FftKernel::Avx512(simd) => fft_avx512::run(simd, self.f64_slots(vals), true),
             FftKernel::Scalar => self.inverse_scalar(vals),
             FftKernel::Otf => self.inverse_otf(vals),
         }
+    }
+
+    /// The slots as the AVX-512 kernel takes them; a plan resolves to
+    /// that kernel only on a field whose slots *are* `Complex<f64>`.
+    fn f64_slots<'a>(&self, vals: &'a mut [Complex<F::Real>]) -> &'a mut [Complex<f64>] {
+        self.field
+            .as_f64_slots(vals)
+            .expect("the AVX-512 kernel is planned for f64 fields only")
     }
 
     /// The generic scalar planned kernel (forward direction): stage

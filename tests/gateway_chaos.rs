@@ -396,6 +396,66 @@ fn damaged_wire_blobs_are_typed_rejections_not_crashes() {
 }
 
 #[test]
+fn hostile_scale_headers_are_bad_requests_not_stalls() {
+    // Two blobs that used to parse: a scale exponent of `i32::MIN`
+    // (decode then spent |exp|/900 `ldexp` steps per coefficient — over
+    // a minute at N = 2^13) and 65535 "dropped primes" (a quadratic
+    // product per decode). The compute deadline is only read before and
+    // after the work, so each parked a worker; now neither gets past
+    // the header.
+    quiet_injected_panics();
+    let gw = Gateway::start(config()).expect("start");
+    let Response::Encrypted { blob, .. } = gw
+        .call(Request {
+            tenant: 1,
+            deadline: None,
+            op: Operation::Encrypt {
+                message: msg(8, 5),
+                mode: UploadMode::Full,
+            },
+        })
+        .expect("encrypt")
+    else {
+        panic!("wrong response kind");
+    };
+    // Fresh scale: `exp` at 10..14, `den_len` at 16..18, one numerator
+    // byte at 18, the denominator (empty) after it.
+    let mut min_exp = blob.clone();
+    min_exp[10..14].copy_from_slice(&i32::MIN.to_le_bytes());
+    let mut long_den = blob[..19].to_vec();
+    long_den[16..18].copy_from_slice(&u16::MAX.to_le_bytes());
+    long_den.extend((0..u16::MAX).flat_map(|_| 0xF_FFF0_0001u64.to_le_bytes()));
+    long_den.extend_from_slice(&blob[19..]);
+
+    for bad in [min_exp, long_den] {
+        for op in [
+            Operation::Decrypt { blob: bad.clone() },
+            Operation::Ingest { blob: bad.clone() },
+        ] {
+            let out = gw.call(Request {
+                tenant: 1,
+                deadline: None,
+                op,
+            });
+            assert!(
+                matches!(out, Err(GatewayError::BadRequest(_))),
+                "hostile header got past the door: {out:?}"
+            );
+        }
+    }
+    // The honest blob still decrypts on the same workers.
+    let ok = gw.call(Request {
+        tenant: 1,
+        deadline: None,
+        op: Operation::Decrypt { blob },
+    });
+    assert!(ok.is_ok(), "{ok:?}");
+    let snap = gw.metrics();
+    assert_eq!(snap.bad_requests, 4);
+    assert_eq!(snap.worker_panics, 0, "rejection is not a panic");
+}
+
+#[test]
 fn fault_schedule_replays_bit_exactly() {
     quiet_injected_panics();
     // Same seed + same single-threaded submission order ⇒ identical
