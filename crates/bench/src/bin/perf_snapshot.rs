@@ -1,17 +1,20 @@
-//! Fast machine-readable perf + precision snapshot for CI artifacts.
+//! The workspace's kernel timer: a fast machine-readable perf +
+//! precision snapshot for CI artifacts.
 //!
 //! ```text
 //! cargo run --release -p abc-bench --bin perf_snapshot -- [OUT.json [BEFORE.json]]
 //! ```
 //!
-//! Runs a small, representative subset of the kernel benches (NTT fast
-//! path, batched RNS engine, RNS expansion and the CRT lifts, wire
-//! packing, the embedding FFT) with short measurement windows, measures
-//! the round-trip precision of both scale modes at the smallest
-//! bootstrappable ring, and writes everything to one JSON file
-//! (default `BENCH_snapshot.json`). Whole-op client timings are not
-//! here: `benchmark/` owns them (its four workloads, with a host
-//! header and per-layer rows).
+//! Times the kernels (NTT fast path and its oracle, every dyadic shape
+//! on every tier, the batched RNS engine, RNS expansion and the CRT
+//! lifts, wire packing, the embedding FFT ladder and datapaths) with
+//! short measurement windows, measures the round-trip precision of both
+//! scale modes at the smallest bootstrappable ring, and writes
+//! everything to one JSON file (default `BENCH_snapshot.json`). It is
+//! the only harness that times a kernel — a number a README sentence
+//! quotes is a row here. Whole-op client timings are not here:
+//! `benchmark/` owns them (its four workloads, with a host header and
+//! per-layer rows).
 //!
 //! ```json
 //! {
@@ -31,6 +34,15 @@
 //! a steady row's is not 0, after writing the file. Timings and fault
 //! counts are reported, not gated.
 //!
+//! The set of row ids is the other exact function of the commit: run
+//! from the repository root, the binary reads the committed
+//! `BENCH_snapshot.json` before it writes anything and **exits
+//! non-zero** (again after writing) if a `benches`,
+//! `precision` or `steady` id of that file is missing from the fresh
+//! run — a row cannot vanish without the committed file being
+//! regenerated in the same change. A kernel this host cannot run (no
+//! AVX-512 IFMA) excuses its own rows.
+//!
 //! `BEFORE.json` is a snapshot this binary wrote from the parent commit
 //! on the same host: a change that claims a speed-up commits its rows
 //! beside the new ones. The `rns/lift_*` and `rns/expand_*` rows are
@@ -45,14 +57,40 @@ use abc_ckks::precision::{
     measure_configured_precision, measure_embedding_precision, measure_precision,
 };
 use abc_ckks::CkksContext;
-use abc_float::{Complex, F64Field};
+use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
 use abc_math::KernelTier;
 use abc_prng::sampler::GaussianSampler;
 use abc_prng::Seed;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
-use criterion::BenchRecord;
 use std::time::Instant;
+
+/// The committed snapshot, relative to the repository root.
+const COMMITTED: &str = "BENCH_snapshot.json";
+
+/// One finished measurement: a row of the `"benches"` array.
+struct BenchRecord {
+    /// `group/function/parameter`.
+    id: String,
+    mean_secs: f64,
+    /// Nearest-rank percentiles over the per-call times.
+    median_secs: f64,
+    p95_secs: f64,
+    iters: u64,
+}
+
+impl BenchRecord {
+    fn to_json(&self) -> String {
+        format!(
+            "  {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"iters\": {}}}",
+            self.id,
+            self.mean_secs * 1e9,
+            self.median_secs * 1e9,
+            self.p95_secs * 1e9,
+            self.iters
+        )
+    }
+}
 
 /// Times `f` repeatedly for ~`budget_ms`, returning a [`BenchRecord`]
 /// with nearest-rank median/p95 over the per-call times.
@@ -140,6 +178,31 @@ fn bench_rows_of(snapshot: &str) -> &str {
     snapshot[start..start + len].trim_matches('\n')
 }
 
+/// Every row id of a snapshot outside its `"before"` array (the last
+/// one, and the parent's rows rather than this commit's).
+fn ids_of(snapshot: &str) -> Vec<&str> {
+    let own = snapshot.split("\"before\": [").next().unwrap_or(snapshot);
+    let key = "\"id\": \"";
+    own.match_indices(key)
+        .filter_map(|(at, _)| own[at + key.len()..].split('"').next())
+        .collect()
+}
+
+/// One forced-scalar `special_fft` row on the datapath `field`: what the
+/// planned kernel costs when the arithmetic is not the host's `f64`.
+fn fft_scalar_row<F: RealField>(field: F, label: &str, slots: usize) -> BenchRecord {
+    let plan = SpecialFft::with_field_kernel(field.clone(), slots, KernelTier::Scalar);
+    let vals: Vec<Complex<F::Real>> = (0..slots)
+        .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()).lift_in(&field))
+        .collect();
+    let mut buf = vals.clone();
+    let id = format!("special_fft/forward_scalar_{label}/2^{}", slots.ilog2());
+    measure(&id, 400, || {
+        buf.copy_from_slice(&vals);
+        plan.forward(&mut buf);
+    })
+}
+
 /// The full-slot message the client ops of this binary carry.
 fn client_message(ctx: &CkksContext) -> Vec<Complex> {
     (0..ctx.params().slots())
@@ -197,15 +260,21 @@ fn main() {
     let before = std::env::args()
         .nth(2)
         .map(|path| std::fs::read_to_string(&path).expect("read the BEFORE snapshot"));
+    // Read before OUT.json is written: by default they are one file.
+    let committed = std::fs::read_to_string(COMMITTED).ok();
     let mut benches = Vec::new();
 
     // --- NTT fast path, the paper's dominant kernel: forward at the
     // gateway's and a mid-size ring, inverse at the gateway's and the
     // paper's (the inverse reads the forward table backwards; at 2^16
-    // the two columns no longer fit L2) ---
+    // the two columns no longer fit L2); `forward_golden` is the oracle
+    // (`u128` multiply and a division per twiddle) over the same table ---
     type Transform = fn(&NttPlan, &mut [u64]);
     for (log_n, direction, transform) in [
         (13u32, "forward", NttPlan::forward as Transform),
+        (13, "forward_golden", |plan, data| {
+            plan.forward_with(plan.table(), data)
+        }),
         (14, "forward", NttPlan::forward),
         (13, "inverse", NttPlan::inverse),
         (16, "inverse", NttPlan::inverse),
@@ -228,6 +297,7 @@ fn main() {
     // kernels against the unfused sequences they replace in GiB/s
     // rather than raw nanoseconds.
     let mut throughput_rows = Vec::new();
+    let mut unavailable = Vec::new();
     {
         use abc_math::dyadic::DyadicEngine;
         let n = 1usize << 15;
@@ -249,6 +319,7 @@ fn main() {
             // A degraded tier would re-measure another kernel's row
             // under a misleading id; skip it.
             if label != kernel {
+                unavailable.push(kernel);
                 continue;
             }
             // (id, bytes/op, the kernel body) — bytes/op counts each
@@ -479,14 +550,11 @@ fn main() {
             buf.copy_from_slice(&vals);
             plan.forward(&mut buf);
         });
-        // Forced-scalar row: the tentpole acceptance (avx512 ≥ 2× the
-        // planned-scalar kernel single-thread) reads straight off the
-        // planned/scalar median ratio.
-        let scalar_plan = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Scalar);
-        let scalar = measure("special_fft/forward_scalar_fp64/2^14", 400, || {
-            buf.copy_from_slice(&vals);
-            scalar_plan.forward(&mut buf);
-        });
+        // Forced-scalar rows: avx512 against the planned-scalar kernel
+        // reads straight off the planned/scalar median ratio, and the
+        // reduced (FP55) and extended (double-double) datapaths sit
+        // beside the host's `f64` on the same kernel.
+        let scalar = fft_scalar_row(F64Field, "fp64", slots);
         println!(
             "special_fft {} vs scalar speedup: {:.2}x",
             plan.kernel_name(),
@@ -500,6 +568,8 @@ fn main() {
         }
         benches.push(planned);
         benches.push(scalar);
+        benches.push(fft_scalar_row(SoftFloatField::fp55(), "fp55", slots));
+        benches.push(fft_scalar_row(ExtF64Field, "extf64", slots));
         benches.push(measure("special_fft/forward_otf_fp64/2^14", 400, || {
             buf.copy_from_slice(&vals);
             plan.forward_otf(&mut buf);
@@ -557,15 +627,15 @@ fn main() {
         ));
     }
 
-    let bench_json = criterion::records_to_json(&benches);
+    let bench_rows: Vec<String> = benches.iter().map(BenchRecord::to_json).collect();
     let before_json = before.map_or(String::new(), |snapshot| {
         format!(",\n\"before\": [\n{}\n]", bench_rows_of(&snapshot))
     });
     let steady_rows: Vec<&str> = steady.iter().map(|(row, _)| row.as_str()).collect();
     let json = format!(
-        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
+        "{{\n\"benches\": [\n{}\n],\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
          \"steady\": [\n{}\n]{before_json}\n}}\n",
-        bench_json.trim_end(),
+        bench_rows.join(",\n"),
         throughput_rows.join(",\n"),
         precision_rows.join(",\n"),
         steady_rows.join(",\n")
@@ -586,6 +656,18 @@ fn main() {
         .any(|&(_, misses_per_op)| misses_per_op != 0.0)
     {
         eprintln!("FAIL: a steady-state op missed the limb pool (pool_misses_per_op above)");
+        std::process::exit(1);
+    }
+    let fresh = ids_of(&json);
+    let missing: Vec<&str> = committed
+        .as_deref()
+        .map_or(Vec::new(), ids_of)
+        .into_iter()
+        .filter(|id| !fresh.contains(id))
+        .filter(|id| !unavailable.iter().any(|k| id.contains(&format!("_{k}/"))))
+        .collect();
+    if !missing.is_empty() {
+        eprintln!("FAIL: {COMMITTED} has rows this run did not produce: {missing:?}");
         std::process::exit(1);
     }
 }

@@ -190,6 +190,33 @@ impl CkksContext {
         crate::wire::residue_widths(&self.basis.moduli()[..primes])
     }
 
+    /// Checks that `limbs` — a component of a ciphertext from outside the
+    /// program — is canonical under this context: every word of limb `i`
+    /// below prime `i`. The wire parser only bounds a residue by its bit
+    /// width (it has no basis to hold it against), and every kernel
+    /// behind [`Self::decrypt`] takes canonical operands on trust: a
+    /// word at or above its prime is a `debug_assert!` panic there in
+    /// debug builds and a wrong answer in release. One compare per word.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::ContextMismatch`] for more limbs than the
+    /// context has primes, [`CkksError::InvalidParams`] for a word at or
+    /// above its prime.
+    pub fn check_residues(&self, limbs: &[Vec<u64>]) -> Result<(), CkksError> {
+        if limbs.len() > self.basis.len() {
+            return Err(CkksError::ContextMismatch);
+        }
+        for (i, (m, limb)) in self.basis.moduli().iter().zip(limbs).enumerate() {
+            if !limb.iter().all(|&x| x < m.q()) {
+                return Err(CkksError::InvalidParams(format!(
+                    "limb {i} holds a residue at or above its prime"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Encode / decode
     // ------------------------------------------------------------------
@@ -204,26 +231,6 @@ impl CkksContext {
     pub fn encode(&self, message: &[Complex]) -> Result<Plaintext, CkksError> {
         let scale = ExactScale::from_log2(self.params.effective_scale_bits());
         self.encode_with_exact_scale(message, &scale)
-    }
-
-    /// Encodes on an arbitrary real datapath (e.g. a mantissa-sweep
-    /// [`SoftFloatField`]) — the IFFT runs entirely inside `field`, on a
-    /// transient plan materialized for this call. Prefer
-    /// [`Self::encode`], which reuses the context's planned engine, when
-    /// the configured datapath is the one wanted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::TooManySlots`] if `message` exceeds `N/2`
-    /// entries.
-    pub fn encode_with<F: RealField>(
-        &self,
-        field: &F,
-        message: &[Complex],
-    ) -> Result<Plaintext, CkksError> {
-        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
-        self.encode_core(&engine, message, &scale)
     }
 
     /// Encodes at an exact rational scale on the configured embedding
@@ -257,7 +264,7 @@ impl CkksContext {
 
     /// The generic encode kernel: inverse embedding on `engine`'s
     /// datapath, then exact Δ-rounding into RNS + NTT domain.
-    fn encode_core<F: RealField>(
+    pub(crate) fn encode_core<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
         message: &[Complex],
@@ -352,25 +359,9 @@ impl CkksContext {
         with_embedding!(self, e => self.decode_core(e, pt))
     }
 
-    /// Decodes on an arbitrary (caller-chosen) real datapath, on a
-    /// transient plan materialized for this call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::ContextMismatch`] if the plaintext belongs to
-    /// different parameters.
-    pub fn decode_with<F: RealField>(
-        &self,
-        field: &F,
-        pt: &Plaintext,
-    ) -> Result<Vec<Complex>, CkksError> {
-        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
-        self.decode_core(&engine, pt)
-    }
-
     /// The generic decode kernel: INTT, exact CRT lift, double-double
     /// scale division, forward embedding on `engine`'s datapath.
-    fn decode_core<F: RealField>(
+    pub(crate) fn decode_core<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
         pt: &Plaintext,

@@ -23,7 +23,7 @@
 //! about transform throughput just as the client does.
 //!
 //! Under the paper's **double-scale** parameters
-//! ([`ScaleMode::DoublePair`]) one multiplicative level is a prime
+//! ([`crate::params::ScaleMode::DoublePair`]) one multiplicative level is a prime
 //! *pair*: [`rescale`] drops the last two primes in one fused step
 //! (`c'_i = (c_i − [c]_{q_{L-1}·q_L}) · (q_{L-1}·q_L)^{-1} mod q_i`,
 //! with the tail CRT-lifted across both primes), dividing the scale by
@@ -36,7 +36,6 @@
 use crate::cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
 use crate::context::{add_limbs, mul_limbs, CkksContext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
-use crate::params::ScaleMode;
 use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_math::rns::WordLift;
@@ -170,19 +169,16 @@ pub fn plaintext_mul(
     Ciphertext::from_limbs(n0, n1, ct.exact_scale().mul(pt.exact_scale()))
 }
 
-/// RNS rescaling by one multiplicative *level*: drops one prime in
-/// [`ScaleMode::Single`], a fused prime *pair* in
-/// [`ScaleMode::DoublePair`] (the paper's double-scale levels).
+/// RNS rescaling by one multiplicative *level* of the context's
+/// [`ScaleMode`](crate::params::ScaleMode): drops one prime in `Single`,
+/// a fused prime *pair* in `DoublePair` (the paper's double-scale levels).
 ///
 /// # Errors
 ///
 /// Returns [`CkksError::InvalidParams`] if too few primes remain to drop
 /// a level and [`CkksError::ContextMismatch`] for foreign ciphertexts.
 pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksError> {
-    match ctx.params().scale_mode() {
-        ScaleMode::Single => rescale_prime(ctx, ct),
-        ScaleMode::DoublePair => rescale_pair(ctx, ct),
-    }
+    drop_tail(ctx, ct, ctx.params().scale_mode().primes_per_level())
 }
 
 /// Single-prime RNS rescaling: drops the last prime and divides the
@@ -194,46 +190,7 @@ pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksErr
 /// (nothing left to drop) and [`CkksError::ContextMismatch`] for foreign
 /// ciphertexts.
 pub fn rescale_prime(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksError> {
-    validate_operand(ctx, ct.n(), ct.num_primes())?;
-    let lvl = ct.num_primes();
-    if lvl < 2 {
-        return Err(CkksError::InvalidParams(
-            "cannot rescale a single-prime ciphertext".to_owned(),
-        ));
-    }
-    let last = lvl - 1;
-    let q_last = ctx.basis().moduli()[last];
-    let engine = ctx.ntt_engine();
-    // `q_last^{-1} mod q_i` depends only on the basis — compute it once,
-    // not once per component per limb.
-    let q_last_inv: Vec<u64> = ctx.basis().moduli()[..last]
-        .iter()
-        .map(|m| m.inv(m.reduce(q_last.q())).expect("coprime basis"))
-        .collect();
-    let mut centered = vec![0i64; ct.n()];
-    let mut drop_last = |component: &[Vec<u64>]| {
-        // Last residue back to coefficient domain (the copy folds into
-        // the first inverse-NTT stage; the limb comes from the pool),
-        // centered.
-        let mut tail = engine.take_limbs(1);
-        engine
-            .plan(last)
-            .inverse_from(&component[last], &mut tail[0]);
-        for (dst, &x) in centered.iter_mut().zip(tail[0].iter()) {
-            *dst = q_last.to_centered(x);
-        }
-        // c'_i = (c_i - NTT(tail)) * q_last^{-1} mod q_i as ONE fused
-        // engine call: per kept limb, the centered tail expands,
-        // forward-transforms with a lazy last stage, and folds straight
-        // into the subtract + scalar-multiply — one memory pass instead
-        // of an NTT round trip plus two dyadic passes.
-        let mut kept = PooledLimbs::copy_of(&component[..last]);
-        engine.expand_ntt_sub_scalar_mul_all(&mut kept, &centered, &q_last_inv);
-        kept
-    };
-    let (c0, c1) = ct.components();
-    let (out0, out1) = (drop_last(c0), drop_last(c1));
-    Ciphertext::from_limbs(out0, out1, ct.exact_scale().div_prime(q_last.q()))
+    drop_tail(ctx, ct, 1)
 }
 
 /// Fused pair rescaling — one double-scale level. Drops the last *two*
@@ -251,47 +208,53 @@ pub fn rescale_prime(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, C
 /// remain (a pair must drop and at least one prime must survive) and
 /// [`CkksError::ContextMismatch`] for foreign ciphertexts.
 pub fn rescale_pair(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksError> {
+    drop_tail(ctx, ct, 2)
+}
+
+/// Drops the last `t` primes (1 or 2) in one step: with `T` their
+/// product, `c'_i = (c_i − [c]_T) · T^{-1} mod q_i` on every kept limb,
+/// and the exact scale divided by each dropped prime.
+fn drop_tail(ctx: &CkksContext, ct: &Ciphertext, t: usize) -> Result<Ciphertext, CkksError> {
     validate_operand(ctx, ct.n(), ct.num_primes())?;
     let lvl = ct.num_primes();
-    if lvl < 3 {
+    if lvl <= t {
         return Err(CkksError::InvalidParams(format!(
-            "pair rescale needs at least 3 primes, ciphertext has {lvl}"
+            "cannot drop {t} prime(s) from a {lvl}-prime ciphertext"
         )));
     }
-    let keep = lvl - 2;
-    let qa = ctx.basis().moduli()[keep]; // second-to-last
-    let qb = ctx.basis().moduli()[lvl - 1]; // last
-    let pair_product = qa.q() as u128 * qb.q() as u128;
+    let keep = lvl - t;
+    let (kept_moduli, tail_moduli) = ctx.basis().moduli()[..lvl].split_at(keep);
     let engine = ctx.ntt_engine();
-    // (qa·qb)^{-1} mod q_i and the CRT lift over the pair, basis-only.
-    let pair_inv: Vec<u64> = ctx.basis().moduli()[..keep]
+    // `T^{-1} mod q_i` and the CRT lift over the tail depend only on the
+    // basis — built once, not once per component per limb. Two primes
+    // below 2^62 keep `T` inside a `u128`.
+    let tail_product: u128 = tail_moduli.iter().map(|m| m.q() as u128).product();
+    let tail_inv: Vec<u64> = kept_moduli
         .iter()
-        .map(|m| m.inv(m.reduce_u128(pair_product)).expect("coprime basis"))
+        .map(|m| m.inv(m.reduce_u128(tail_product)).expect("coprime basis"))
         .collect();
-    let pair_lift = WordLift::new(RnsBasis::new(vec![qa.q(), qb.q()])?)?;
+    let tail_lift = WordLift::new(RnsBasis::new(tail_moduli.iter().map(|m| m.q()).collect())?)?;
     let mut centered = vec![0i128; ct.n()];
-    let mut drop_pair = |component: &[Vec<u64>]| {
-        // Both tail residues back to coefficient domain (copies folded
-        // into the first inverse-NTT stage), then CRT-lifted per
-        // coefficient into (−qa·qb/2, qa·qb/2].
-        let mut tails = engine.take_limbs(2);
-        engine
-            .plan(keep)
-            .inverse_from(&component[keep], &mut tails[0]);
-        engine
-            .plan(lvl - 1)
-            .inverse_from(&component[lvl - 1], &mut tails[1]);
-        pair_lift.lift_centered_i128(&[&tails[0], &tails[1]], &mut centered);
-        // c'_i = (c_i - NTT(tail)) * (qa·qb)^{-1} mod q_i as ONE fused
-        // engine call (expand → lazy NTT → subtract → scalar-multiply
-        // per kept limb).
+    let mut drop_component = |component: &[Vec<u64>]| {
+        // The tail residues back to coefficient domain (each copy folds
+        // into the first inverse-NTT stage; the limbs come from the
+        // pool), then CRT-lifted per coefficient into (−T/2, T/2].
+        let mut tails = engine.take_limbs(t);
+        for (tail, i) in tails.iter_mut().zip(keep..) {
+            engine.plan(i).inverse_from(&component[i], tail);
+        }
+        tail_lift.lift_centered_i128(&tails[..], &mut centered);
+        // c'_i = (c_i − NTT(tail)) · T^{-1} mod q_i, one fused pass per
+        // kept limb (expand → lazy NTT → subtract → scalar-multiply).
         let mut kept = PooledLimbs::copy_of(&component[..keep]);
-        engine.expand_ntt_sub_scalar_mul_all(&mut kept, &centered, &pair_inv);
+        engine.expand_ntt_sub_scalar_mul_all(&mut kept, &centered, &tail_inv);
         kept
     };
     let (c0, c1) = ct.components();
-    let (out0, out1) = (drop_pair(c0), drop_pair(c1));
-    let scale = ct.exact_scale().div_prime(qa.q()).div_prime(qb.q());
+    let (out0, out1) = (drop_component(c0), drop_component(c1));
+    let scale = tail_moduli
+        .iter()
+        .fold(ct.exact_scale().clone(), |s, m| s.div_prime(m.q()));
     Ciphertext::from_limbs(out0, out1, scale)
 }
 

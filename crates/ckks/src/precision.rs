@@ -14,10 +14,13 @@
 //! features of Fig. 3c reproduce.
 
 use crate::context::CkksContext;
+use crate::scale::ExactScale;
+use crate::symmetric::encrypt_symmetric_compressed;
 use crate::CkksError;
 use abc_float::{Complex, RealField, SoftFloatField};
 use abc_prng::chacha::ChaCha20;
 use abc_prng::Seed;
+use abc_transform::SpecialFftEngine;
 
 /// Result of one precision measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,25 +32,18 @@ pub struct PrecisionPoint {
     pub precision_bits: f64,
 }
 
-/// Measures round-trip precision on an arbitrary datapath.
-///
-/// Runs `trials` random unit-scale messages through
-/// encode → encrypt → decrypt → decode and returns
-/// `-log2(RMS error)`.
-///
-/// # Errors
-///
-/// Propagates [`CkksError`] from the pipeline (parameters of the context
-/// are assumed valid, so errors indicate internal misuse).
-pub fn measure_precision<F: RealField>(
+/// `-log2(RMS slot error)` of `round_trip` over `trials` (at least one)
+/// random unit-scale full-slot messages drawn from `msg_seed`; the
+/// closure gets the trial number and the message and returns the slots
+/// that came back.
+fn rms_precision(
     ctx: &CkksContext,
-    field: &F,
     trials: usize,
-    seed: Seed,
+    msg_seed: Seed,
+    mut round_trip: impl FnMut(u64, &[Complex]) -> Result<Vec<Complex>, CkksError>,
 ) -> Result<f64, CkksError> {
     let slots = ctx.params().slots();
-    let (sk, pk) = ctx.keygen(seed.derive(1));
-    let mut msg_rng = ChaCha20::from_seed(seed.derive(2));
+    let mut msg_rng = ChaCha20::from_seed(msg_seed);
     let mut sq_err_sum = 0.0f64;
     let mut count = 0usize;
     for t in 0..trials.max(1) {
@@ -59,10 +55,7 @@ pub fn measure_precision<F: RealField>(
                 )
             })
             .collect();
-        let pt = ctx.encode_with(field, &msg)?;
-        let ct = ctx.encrypt(&pt, &pk, seed.derive(100 + t as u64));
-        let back = ctx.decode_with(field, &ctx.decrypt(&ct, &sk)?)?;
-        for (a, b) in back.iter().zip(&msg) {
+        for (a, b) in round_trip(t as u64, &msg)?.iter().zip(&msg) {
             let d = a.dist(*b);
             sq_err_sum += d * d;
             count += 1;
@@ -70,6 +63,32 @@ pub fn measure_precision<F: RealField>(
     }
     let rms = (sq_err_sum / count as f64).sqrt();
     Ok(-rms.log2())
+}
+
+/// Measures round-trip precision on an arbitrary datapath.
+///
+/// Runs `trials` random unit-scale messages through
+/// encode → encrypt → decrypt → decode, both embeddings on one plan
+/// built for `field` by this call, and returns `-log2(RMS error)`.
+///
+/// # Errors
+///
+/// Propagates [`CkksError`] from the pipeline (parameters of the context
+/// are assumed valid, so errors indicate internal misuse).
+pub fn measure_precision<F: RealField>(
+    ctx: &CkksContext,
+    field: &F,
+    trials: usize,
+    seed: Seed,
+) -> Result<f64, CkksError> {
+    let engine = SpecialFftEngine::new(field.clone(), ctx.params().slots());
+    let scale = ExactScale::from_log2(ctx.params().effective_scale_bits());
+    let (sk, pk) = ctx.keygen(seed.derive(1));
+    rms_precision(ctx, trials, seed.derive(2), |t, msg| {
+        let pt = ctx.encode_core(&engine, msg, &scale)?;
+        let ct = ctx.encrypt(&pt, &pk, seed.derive(100 + t));
+        ctx.decode_core(&engine, &ctx.decrypt(&ct, &sk)?)
+    })
 }
 
 /// Measures round-trip precision of the *configured* embedding datapath
@@ -90,37 +109,12 @@ pub fn measure_configured_precision(
     trials: usize,
     seed: Seed,
 ) -> Result<f64, CkksError> {
-    let slots = ctx.params().slots();
     let (sk, _) = ctx.keygen(seed.derive(1));
-    let mut msg_rng = ChaCha20::from_seed(seed.derive(2));
-    let mut sq_err_sum = 0.0f64;
-    let mut count = 0usize;
-    for t in 0..trials.max(1) {
-        let msg: Vec<Complex> = (0..slots)
-            .map(|_| {
-                Complex::new(
-                    2.0 * msg_rng.next_f64() - 1.0,
-                    2.0 * msg_rng.next_f64() - 1.0,
-                )
-            })
-            .collect();
-        let pt = ctx.encode(&msg)?;
-        let cct = crate::symmetric::encrypt_symmetric_compressed(
-            ctx,
-            &pt,
-            &sk,
-            seed.derive(100 + t as u64),
-        );
-        let ct = cct.expand(ctx)?;
-        let back = ctx.decode(&ctx.decrypt(&ct, &sk)?)?;
-        for (a, b) in back.iter().zip(&msg) {
-            let d = a.dist(*b);
-            sq_err_sum += d * d;
-            count += 1;
-        }
-    }
-    let rms = (sq_err_sum / count as f64).sqrt();
-    Ok(-rms.log2())
+    rms_precision(ctx, trials, seed.derive(2), |t, msg| {
+        let pt = ctx.encode(msg)?;
+        let cct = encrypt_symmetric_compressed(ctx, &pt, &sk, seed.derive(100 + t));
+        ctx.decode(&ctx.decrypt(&cct.expand(ctx)?, &sk)?)
+    })
 }
 
 /// Measures the *embedding* round trip — encode → decode on the
@@ -137,28 +131,9 @@ pub fn measure_embedding_precision(
     trials: usize,
     seed: Seed,
 ) -> Result<f64, CkksError> {
-    let slots = ctx.params().slots();
-    let mut msg_rng = ChaCha20::from_seed(seed.derive(3));
-    let mut sq_err_sum = 0.0f64;
-    let mut count = 0usize;
-    for _ in 0..trials.max(1) {
-        let msg: Vec<Complex> = (0..slots)
-            .map(|_| {
-                Complex::new(
-                    2.0 * msg_rng.next_f64() - 1.0,
-                    2.0 * msg_rng.next_f64() - 1.0,
-                )
-            })
-            .collect();
-        let back = ctx.decode(&ctx.encode(&msg)?)?;
-        for (a, b) in back.iter().zip(&msg) {
-            let d = a.dist(*b);
-            sq_err_sum += d * d;
-            count += 1;
-        }
-    }
-    let rms = (sq_err_sum / count as f64).sqrt();
-    Ok(-rms.log2())
+    rms_precision(ctx, trials, seed.derive(3), |_, msg| {
+        ctx.decode(&ctx.encode(msg)?)
+    })
 }
 
 /// Sweeps mantissa widths and returns one [`PrecisionPoint`] per width —

@@ -344,3 +344,61 @@ fn every_header_field_of_every_kind_is_bounded_at_the_door() {
     // denominators, group elements and seeds.
     assert!(accepted > 4 * 64, "only {accepted} mutants were accepted");
 }
+
+#[test]
+fn a_residue_past_its_prime_parses_and_is_refused_by_the_context() {
+    // The format bounds a residue by its width, the basis by its prime:
+    // residue 0 of each limb in turn set to `2^w − 1` still parses (every
+    // field < 2^w), and `CkksContext::check_residues` is what refuses it
+    // before any arithmetic runs; the honest blobs pass both.
+    let ctx = CkksContext::new(
+        CkksParams::builder()
+            .log_n(8)
+            .num_primes(3)
+            .build()
+            .expect("params"),
+    )
+    .expect("ctx");
+    let (sk, pk) = ctx.keygen(Seed::from_u128(1));
+    let pt = ctx.encode(&[Complex::new(0.25, -0.5); 16]).expect("encode");
+    let widths = ctx.wire_widths(3);
+    let full =
+        wire::serialize_ciphertext_packed(&ctx.encrypt(&pt, &pk, Seed::from_u128(2)), &widths)
+            .expect("pack");
+    let seeded = wire::serialize_compressed_ciphertext(
+        &encrypt_symmetric_compressed(&ctx, &pt, &sk, Seed::from_u128(3)),
+        &widths,
+    )
+    .expect("pack");
+    // Limb `i` of the last component, counted back from the end of the blob.
+    let limb_at = |blob: &[u8], i: usize| {
+        let tail = widths[i..]
+            .iter()
+            .map(|&w| ctx.params().n() * w as usize / 8);
+        blob.len() - tail.sum::<usize>()
+    };
+    let verdict = |blob: &[u8], seeded: bool| -> Result<(), CkksError> {
+        if seeded {
+            ctx.check_residues(wire::deserialize_compressed_ciphertext(blob)?.c0())
+        } else {
+            let ct = wire::deserialize_ciphertext(blob)?;
+            ctx.check_residues(ct.components().0)?;
+            ctx.check_residues(ct.components().1)
+        }
+    };
+    for (blob, is_seeded) in [(&full, false), (&seeded, true)] {
+        assert_eq!(verdict(blob, is_seeded), Ok(()), "honest blob");
+        for (i, &w) in widths.iter().enumerate() {
+            let at = limb_at(blob, i);
+            let ones = (u64::MAX >> (64 - w)).to_le_bytes();
+            let mut bad = poke(blob, at, &ones[..w as usize / 8]);
+            bad[at + w as usize / 8] |= ones[w as usize / 8];
+            let refused = verdict(&bad, is_seeded);
+            let names_the_limb = |m: &String| m.contains(&format!("limb {i} "));
+            assert!(
+                matches!(&refused, Err(CkksError::InvalidParams(m)) if names_the_limb(m)),
+                "limb {i}: a residue of 2^{w} - 1 got {refused:?}"
+            );
+        }
+    }
+}

@@ -245,21 +245,29 @@ fn encrypt_to_wire(
     }
 }
 
-/// Validates, decrypts and decodes one wire blob to its slots.
+/// Validates, decrypts and decodes one wire blob to its slots. The
+/// parser bounds a residue by its width only; the arithmetic needs it
+/// below its prime, so both components are held against the basis first.
 fn decrypt_from_wire(
     ctx: &CkksContext,
     blob: &[u8],
     session: &TenantSession,
 ) -> Result<Vec<Complex>, GatewayError> {
     let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
+    let (c0, c1) = ct.components();
+    ctx.check_residues(c0).map_err(client_err)?;
+    ctx.check_residues(c1).map_err(client_err)?;
     let pt = ctx.decrypt(&ct, &session.sk).map_err(client_err)?;
     ctx.decode(&pt).map_err(client_err)
 }
 
 /// Strict ingress validation, from one parse of the header: its
 /// [`wire::Layout`] has every field bounded and the length exact. A full
-/// ciphertext is then only held against the gateway's parameters, with
-/// no polynomial unpacked; a seeded upload is deserialized and expanded
+/// ciphertext is then only held against the gateway's parameters —
+/// header-only: no polynomial is unpacked, so its residues are bounded
+/// by their widths and not yet by their primes (`Decrypt` checks them
+/// when it unpacks; nothing here computes on them). A seeded upload is
+/// deserialized, its residues checked against the basis, and expanded
 /// against the shared context. Malformed bytes are rejected with
 /// `BadRequest`, never stored or forwarded.
 fn ingest(ctx: &CkksContext, blob: &[u8]) -> Result<(usize, bool), GatewayError> {
@@ -275,6 +283,7 @@ fn ingest(ctx: &CkksContext, blob: &[u8]) -> Result<(usize, bool), GatewayError>
         }
         WireKind::Compressed => {
             let cct = wire::deserialize_compressed_ciphertext(blob).map_err(client_err)?;
+            ctx.check_residues(cct.c0()).map_err(client_err)?;
             let ct = cct.expand(ctx).map_err(client_err)?;
             Ok((ct.num_primes(), true))
         }

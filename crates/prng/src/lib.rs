@@ -10,9 +10,7 @@
 //!   the public mask `a`,
 //! * [`sampler::TernarySampler`] — sparse/dense ternary secrets,
 //! * [`sampler::GaussianSampler`] — discrete Gaussian errors (σ ≈ 3.2)
-//!   via a cumulative-distribution table,
-//! * [`sampler::BinomialSampler`] — centered binomial `CBD(η)`, the
-//!   hardware-friendly Gaussian stand-in.
+//!   via a cumulative-distribution table.
 //!
 //! # Example
 //!

@@ -108,47 +108,6 @@ impl TernarySampler {
     }
 }
 
-/// Centered binomial sampler `CBD(η)`: the difference of two η-bit
-/// popcounts, giving variance `η/2`. A common hardware-friendly stand-in
-/// for the discrete Gaussian (no table, pure bit logic).
-#[derive(Debug, Clone)]
-pub struct BinomialSampler {
-    rng: ChaCha20,
-    eta: u32,
-}
-
-impl BinomialSampler {
-    /// Creates a sampler with parameter `eta` on its own keystream.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= eta <= 32`.
-    pub fn new(seed: crate::Seed, stream: u64, eta: u32) -> Self {
-        assert!((1..=32).contains(&eta), "eta must be in 1..=32");
-        Self {
-            rng: ChaCha20::from_seed_and_stream(seed, stream),
-            eta,
-        }
-    }
-
-    /// The distribution's standard deviation, `sqrt(eta/2)`.
-    pub fn sigma(&self) -> f64 {
-        (self.eta as f64 / 2.0).sqrt()
-    }
-
-    /// One signed sample in `[-eta, eta]`.
-    pub fn sample(&mut self) -> i64 {
-        let a = self.rng.next_bits(self.eta).count_ones() as i64;
-        let b = self.rng.next_bits(self.eta).count_ones() as i64;
-        a - b
-    }
-
-    /// Samples a length-`n` polynomial.
-    pub fn sample_poly(&mut self, n: usize) -> Vec<i64> {
-        (0..n).map(|_| self.sample()).collect()
-    }
-}
-
 /// Discrete Gaussian sampler with standard deviation `sigma` via a
 /// cumulative-distribution table (CDT), tail-cut at `6σ` — the standard
 /// error distribution for CKKS (σ ≈ 3.2).
@@ -280,30 +239,6 @@ mod tests {
     #[should_panic(expected = "hamming weight")]
     fn ternary_rejects_excess_weight() {
         TernarySampler::new(Seed::default(), 0).sample_poly(4, Some(5));
-    }
-
-    #[test]
-    fn binomial_moments_and_range() {
-        let eta = 8u32;
-        let mut s = BinomialSampler::new(Seed::from_u128(40), 0, eta);
-        assert!((s.sigma() - 2.0).abs() < 1e-12);
-        let n = 40_000;
-        let samples = s.sample_poly(n);
-        assert!(samples.iter().all(|&x| x.abs() <= eta as i64));
-        let mean: f64 = samples.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
-        let var: f64 = samples
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n as f64;
-        assert!(mean.abs() < 0.05, "mean = {mean}");
-        assert!((var - eta as f64 / 2.0).abs() < 0.2, "var = {var}");
-    }
-
-    #[test]
-    #[should_panic(expected = "eta")]
-    fn binomial_rejects_bad_eta() {
-        BinomialSampler::new(Seed::default(), 0, 0);
     }
 
     #[test]

@@ -85,8 +85,6 @@ pub struct SpecialFft<F: RealField = F64Field> {
     slots: usize,
     /// Ring degree `N = 2·slots`.
     n: usize,
-    /// `rot_group[j] = 5^j mod 2N`.
-    rot_group: Vec<usize>,
     /// Forward-stage twiddles in execution order: stage `s` covers block
     /// length `len = 2^{s+1}` and holds `len/2` roots (one per butterfly
     /// position, shared across blocks).
@@ -138,18 +136,10 @@ impl<F: RealField> SpecialFft<F> {
     pub fn with_field_kernel(field: F, slots: usize, tier: KernelTier) -> Self {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
         let n = 2 * slots;
-        let two_n = 2 * n;
-        let mut rot_group = Vec::with_capacity(slots);
-        let mut five = 1usize;
-        for _ in 0..slots {
-            rot_group.push(five);
-            five = (five * 5) % two_n;
-        }
         let mut plan = Self {
             field,
             slots,
             n,
-            rot_group,
             fwd_twiddles: Vec::new(),
             inv_twiddles: Vec::new(),
             kernel: FftKernel::Scalar,
@@ -198,18 +188,28 @@ impl<F: RealField> SpecialFft<F> {
         }
     }
 
+    /// The rotation group `5^j mod 2N` for `j = 0, 1, …`: the orbit the
+    /// slots are indexed along. Only plan construction and the reference
+    /// kernels walk it, so it is generated where it is read, not kept.
+    fn rot_group(&self) -> impl Iterator<Item = usize> {
+        // 2N is a power of two: the reduction is a mask.
+        let mask = 2 * self.n - 1;
+        core::iter::successors(Some(1usize), move |&g| Some((g * 5) & mask))
+    }
+
     /// The twiddles of one stage: position `j` of every block of length
     /// `len` multiplies by `ξ^{idx(j)}` (forward) or its inverse power.
     fn stage_twiddles(&self, len: usize, inverse: bool) -> Vec<Complex<F::Real>> {
         let lenh = len >> 1;
         let lenq = len << 2;
         let two_n = 2 * self.n;
-        (0..lenh)
-            .map(|j| {
+        self.rot_group()
+            .take(lenh)
+            .map(|g| {
                 let idx = if inverse {
-                    (lenq - (self.rot_group[j] % lenq)) * (two_n / lenq)
+                    (lenq - (g % lenq)) * (two_n / lenq)
                 } else {
-                    (self.rot_group[j] % lenq) * (two_n / lenq)
+                    (g % lenq) * (two_n / lenq)
                 };
                 self.ksi(idx)
             })
@@ -242,15 +242,13 @@ impl<F: RealField> SpecialFft<F> {
     }
 
     /// Bytes of table memory the plan keeps resident: both twiddle
-    /// directions, the rotation group, and the AVX-512 kernel's tables.
+    /// directions and the AVX-512 kernel's tables.
     pub fn resident_bytes(&self) -> usize {
         let simd = match &self.kernel {
             FftKernel::Avx512(plan) => plan.table_bytes(),
             _ => 0,
         };
-        self.twiddle_words() * core::mem::size_of::<Complex<F::Real>>()
-            + self.rot_group.len() * core::mem::size_of::<usize>()
-            + simd
+        self.twiddle_words() * core::mem::size_of::<Complex<F::Real>>() + simd
     }
 
     /// Per-stage twiddles in execution order (shared with the streaming
@@ -381,8 +379,8 @@ impl<F: RealField> SpecialFft<F> {
             let lenh = len >> 1;
             let lenq = len << 2;
             for i in (0..self.slots).step_by(len) {
-                for j in 0..lenh {
-                    let idx = (self.rot_group[j] % lenq) * (two_n / lenq);
+                for (j, g) in self.rot_group().take(lenh).enumerate() {
+                    let idx = (g % lenq) * (two_n / lenq);
                     let w = self.ksi(idx);
                     let u = vals[i + j];
                     let v = vals[i + j + lenh].mul_in(f, w);
@@ -408,8 +406,8 @@ impl<F: RealField> SpecialFft<F> {
             let lenh = len >> 1;
             let lenq = len << 2;
             for i in (0..self.slots).step_by(len) {
-                for j in 0..lenh {
-                    let idx = (lenq - (self.rot_group[j] % lenq)) * (two_n / lenq);
+                for (j, g) in self.rot_group().take(lenh).enumerate() {
+                    let idx = (lenq - (g % lenq)) * (two_n / lenq);
                     let w = self.ksi(idx);
                     let u = vals[i + j].add_in(f, vals[i + j + lenh]);
                     let v = vals[i + j].sub_in(f, vals[i + j + lenh]).mul_in(f, w);
@@ -465,10 +463,10 @@ impl SpecialFft<F64Field> {
         assert_eq!(coeffs.len(), self.n);
         let two_n = (2 * self.n) as f64;
         let mut out = Vec::with_capacity(self.slots);
-        for j in 0..self.slots {
+        for g in self.rot_group().take(self.slots) {
             let mut acc = Complex::zero();
             for (k, &c) in coeffs.iter().enumerate() {
-                let theta = 2.0 * core::f64::consts::PI * (self.rot_group[j] * k) as f64 / two_n;
+                let theta = 2.0 * core::f64::consts::PI * (g * k) as f64 / two_n;
                 acc = Complex::new(acc.re + c * theta.cos(), acc.im + c * theta.sin());
             }
             out.push(acc);
@@ -640,9 +638,13 @@ mod tests {
     fn rot_group_is_multiplicative() {
         let plan = SpecialFft::new(16);
         let two_n = 2 * plan.n();
+        let group: Vec<usize> = plan.rot_group().take(17).collect();
         for j in 1..16 {
-            assert_eq!(plan.rot_group[j], (plan.rot_group[j - 1] * 5) % two_n);
+            assert_eq!(group[j], (group[j - 1] * 5) % two_n);
         }
+        // 5 has order N/2 = slots in (Z/2N)^×: the orbit closes there.
+        assert_eq!((group[0], group[16]), (1, 1));
+        assert!(group[1..16].iter().all(|&g| g != 1));
     }
 
     #[test]

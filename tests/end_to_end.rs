@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole stack: CKKS pipeline over the
 //! transform/math/prng substrates, at bootstrappable parameters.
 
-use abc_fhe::ckks::{params::CkksParams, CkksContext};
+use abc_fhe::ckks::{params::CkksParams, CkksContext, EmbeddingPrecision};
 use abc_fhe::float::{Complex, SoftFloatField};
 use abc_fhe::prng::Seed;
 
@@ -42,16 +42,16 @@ fn fp55_datapath_roundtrip_matches_paper_threshold() {
             .log_n(11)
             .num_primes(8)
             .build()
-            .expect("params"),
+            .expect("params")
+            .with_embedding(EmbeddingPrecision::Fp55),
     )
     .expect("ctx");
-    let fp55 = SoftFloatField::fp55();
     let (sk, pk) = ctx.keygen(Seed::from_u128(3));
     let msg = message(ctx.params().slots());
-    let pt = ctx.encode_with(&fp55, &msg).expect("encode");
+    let pt = ctx.encode(&msg).expect("encode");
     let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(4));
     let out = ctx
-        .decode_with(&fp55, &ctx.decrypt(&ct, &sk).expect("decrypt"))
+        .decode(&ctx.decrypt(&ct, &sk).expect("decrypt"))
         .expect("decode");
     let err = max_dist(&out, &msg);
     let precision_bits = -err.log2();

@@ -456,6 +456,74 @@ fn hostile_scale_headers_are_bad_requests_not_stalls() {
 }
 
 #[test]
+fn a_residue_at_or_above_q_is_a_bad_request_in_every_profile() {
+    // The parser bounds a residue by its bit width; the last 8 bytes of
+    // a packed blob set to 0xFF are the top residues of its last limb at
+    // `2^w − 1`, above the prime. Unchecked, the dyadic core's canonical
+    // `debug_assert!` unwound the worker in the debug profile
+    // (`WorkerPanicked`, which `call_with_retry` re-submits) and release
+    // answered `Ok` with garbage slots.
+    quiet_injected_panics();
+    let gw = Gateway::start(config()).expect("start");
+    let encrypt = |mode| {
+        let out = gw.call(Request {
+            tenant: 1,
+            deadline: None,
+            op: Operation::Encrypt {
+                message: msg(8, 5),
+                mode,
+            },
+        });
+        let Ok(Response::Encrypted { mut blob, .. }) = out else {
+            panic!("encrypt: {out:?}");
+        };
+        let honest = blob.clone();
+        let tail = blob.len() - 8;
+        blob[tail..].fill(0xFF);
+        (honest, blob)
+    };
+    let (full, bad_full) = encrypt(UploadMode::Full);
+    let (seeded, bad_seeded) = encrypt(UploadMode::Compressed);
+    let ops = [
+        Operation::Decrypt {
+            blob: bad_full.clone(),
+        },
+        Operation::DecryptBatch {
+            blobs: vec![full.clone(), bad_full],
+        },
+        Operation::Ingest { blob: bad_seeded },
+    ];
+    let hostile = ops.len() as u64;
+    for op in ops {
+        let out = gw.call(Request {
+            tenant: 1,
+            deadline: None,
+            op,
+        });
+        assert!(
+            matches!(out, Err(GatewayError::BadRequest(_))),
+            "a residue above its prime got to the arithmetic: {out:?}"
+        );
+    }
+    // The honest blobs still pass on the same workers.
+    for op in [
+        Operation::Decrypt { blob: full },
+        Operation::Ingest { blob: seeded },
+    ] {
+        let ok = gw.call(Request {
+            tenant: 1,
+            deadline: None,
+            op,
+        });
+        assert!(ok.is_ok(), "{ok:?}");
+    }
+    let snap = gw.metrics();
+    assert_eq!(snap.bad_requests, hostile);
+    assert_eq!(snap.worker_panics, 0, "rejection is not a panic");
+    assert_eq!(snap.in_flight(), 0, "{snap:?}");
+}
+
+#[test]
 fn fault_schedule_replays_bit_exactly() {
     quiet_injected_panics();
     // Same seed + same single-threaded submission order ⇒ identical
