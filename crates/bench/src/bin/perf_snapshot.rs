@@ -7,7 +7,8 @@
 //!
 //! Times the kernels (NTT fast path and its oracle, every dyadic shape
 //! on every tier, the batched RNS engine, RNS expansion and the CRT
-//! lifts, wire packing, the embedding FFT ladder and datapaths) with
+//! lifts, the PRNG keystream on both rungs and the Gaussian sampler,
+//! wire packing, the embedding FFT ladder and datapaths) with
 //! short measurement windows, measures the round-trip precision of both
 //! scale modes at the smallest bootstrappable ring, and writes
 //! everything to one JSON file (default `BENCH_snapshot.json`). It is
@@ -47,7 +48,8 @@
 //! on the same host: a change that claims a speed-up commits its rows
 //! beside the new ones. The `rns/lift_*` and `rns/expand_*` rows are
 //! nanoseconds per coefficient (all limbs), the `wire/*` rows
-//! nanoseconds per residue; every other row is per call.
+//! nanoseconds per residue, the `prng/chacha20_blocks_*` rows
+//! nanoseconds per 64-byte block; every other row is per call.
 //!
 //! The whole run stays under ~50 s so it can ride along on every CI
 //! push — this is the repo's perf trajectory, archived as an artifact.
@@ -60,6 +62,7 @@ use abc_ckks::CkksContext;
 use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
 use abc_math::KernelTier;
+use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
 use abc_prng::sampler::GaussianSampler;
 use abc_prng::Seed;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
@@ -447,6 +450,42 @@ fn main() {
             benches.push(per_coeff(word, n));
             benches.push(per_coeff(bigint, n));
         }
+    }
+
+    // --- The on-chip PRNG: the keystream kernel on both rungs (ns per
+    // 64-byte block; the scalar rung is the RFC 8439 oracle) and the
+    // error sampler it feeds, one upload-sized polynomial per call ---
+    {
+        let key = [0x0302_0100u32; 8];
+        let nonce = [0x0900_0000, 0x4a00_0000, 0];
+        let mut out = [0u32; 16 * BLOCKS];
+        const REFILLS: u32 = 64;
+        type Refill = fn(&[u32; 8], u32, &[u32; 3], &mut [u32; 16 * BLOCKS]);
+        let simd: Refill = chacha20_blocks;
+        let scalar: Refill = |key, counter, nonce, out| {
+            for (b, block) in out.chunks_exact_mut(16).enumerate() {
+                block.copy_from_slice(&chacha20_block(key, counter + b as u32, nonce));
+            }
+        };
+        for (rung, refill) in [("simd", simd), ("scalar", scalar)] {
+            if rung == "simd" && !abc_math::CpuCaps::detect().avx512f {
+                unavailable.push(rung);
+                continue;
+            }
+            let id = format!("prng/chacha20_blocks_{rung}/64B");
+            let rec = measure(&id, 300, || {
+                for r in 0..REFILLS {
+                    refill(&key, r * BLOCKS as u32, &nonce, &mut out);
+                    std::hint::black_box(&out);
+                }
+            });
+            benches.push(per_coeff(rec, (REFILLS as usize) * BLOCKS));
+        }
+        let sigma = GaussianSampler::DEFAULT_SIGMA;
+        benches.push(measure("prng/gaussian_poly/2^16", 300, || {
+            let mut sampler = GaussianSampler::new(Seed::from_u128(11), 0, sigma);
+            std::hint::black_box(sampler.sample_poly(1 << 16));
+        }));
     }
 
     // --- The layers of the paper's upload at N = 2^16, 24 primes: RNS

@@ -427,11 +427,13 @@ impl CkksContext {
     /// directly in NTT domain (the distribution is invariant under the
     /// NTT): limb `i` is stream `i` of `seed`, under prime `i`. Written
     /// once because [`crate::symmetric::CompressedCiphertext::expand`]
-    /// must regenerate the same mask bit for bit.
+    /// must regenerate the same mask bit for bit. Each limb owns its
+    /// stream, so the limbs are drawn on the engine's fan-out.
     pub(crate) fn fill_mask(&self, seed: Seed, limbs: &mut [Vec<u64>]) {
-        for (i, (m, limb)) in self.basis.moduli().iter().zip(limbs).enumerate() {
-            UniformSampler::new(seed, i as u64).sample_poly(m, limb);
-        }
+        self.engine
+            .for_each_limb(limbs, LimbWork::Elementwise, |i, plan, limb| {
+                UniformSampler::new(seed, i as u64).sample_poly(plan.modulus(), limb)
+            });
     }
 
     /// One RLWE sample `(−(a·s) + e, a)` under every prime — what a

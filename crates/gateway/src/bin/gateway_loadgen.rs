@@ -26,7 +26,7 @@ use abc_float::Complex;
 use abc_gateway::{
     Fault, FaultPlan, Gateway, GatewayConfig, Operation, Request, Response, UploadMode,
 };
-use abc_prng::Seed;
+use abc_prng::{chacha::ChaCha20, Seed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -188,8 +188,9 @@ fn pool_over_allowance(when: &str) -> Vec<String> {
 
 /// The `RESIDENT` and `KERNELS` lines, read off the context the
 /// gateway's workers share, never set: the bytes it keeps by owner, and
-/// which kernel each of its layers dispatches to, on which CPU features,
-/// with how many limb fan-out threads per operation.
+/// which kernel each of its layers dispatches to (the PRNG keystream's
+/// rung is one per process), on which CPU features, with how many limb
+/// fan-out threads per operation.
 fn context_lines(ctx: &abc_ckks::CkksContext) -> Result<String, Box<dyn std::error::Error>> {
     let abc_ckks::EmbeddingEngine::F64(fft) = ctx.embedding() else {
         return Err("the loadgen runs the default (F64) embedding datapath".into());
@@ -199,12 +200,13 @@ fn context_lines(ctx: &abc_ckks::CkksContext) -> Result<String, Box<dyn std::err
     Ok(format!(
         "RESIDENT contexts=1 ntt_tables={ntt_tables} fft_plans={fft_plans} \
          pool_allowance={pool_allowance}\n\
-         KERNELS caps={} forced={} ntt={} dyadic={} fft={} threads={}",
+         KERNELS caps={} forced={} ntt={} dyadic={} fft={} prng={} threads={}",
         abc_ckks::kernel::CpuCaps::detect(),
         abc_ckks::kernel::KernelTier::Auto.or_env(),
         plan.kernel_name(),
         plan.dyadic().kernel_name(),
         fft.plan().kernel_name(),
+        ChaCha20::from_seed(Seed::default()).kernel_name(),
         ctx.ntt_engine().threads(),
     ))
 }

@@ -160,9 +160,17 @@ impl GaussianSampler {
     }
 
     /// One signed sample.
+    ///
+    /// The magnitude is a branch-free count of the thresholds `≤ u` over
+    /// the whole table — the sorted table's partition point, so the
+    /// same `k` as a binary search, without a search path that depends
+    /// on the secret `u`. The sign is still a conditional draw (none for
+    /// `k = 0`): that is the timing channel left, and removing it moves
+    /// the keystream position of every later sample, so it waits for
+    /// the change that is allowed to move `output_hash`.
     pub fn sample(&mut self) -> i64 {
         let u = self.rng.next_u64() >> 1; // 63 random bits
-        let k = self.cdt.partition_point(|&c| c <= u) as i64;
+        let k = magnitude(&self.cdt, u) as i64;
         if k == 0 {
             0
         } else if self.rng.next_bits(1) == 1 {
@@ -176,6 +184,13 @@ impl GaussianSampler {
     pub fn sample_poly(&mut self, n: usize) -> Vec<i64> {
         (0..n).map(|_| self.sample()).collect()
     }
+}
+
+/// How many thresholds of `cdt` are `≤ u`, with no branch on `u`:
+/// `c ≤ u` is the sign bit of `c − (u + 1)`, which cannot wrap since
+/// `u < 2^63` and `c ≤ 2^63`.
+fn magnitude(cdt: &[u64], u: u64) -> u64 {
+    cdt.iter().map(|&c| c.wrapping_sub(u + 1) >> 63).sum()
 }
 
 #[cfg(test)]
@@ -256,6 +271,44 @@ mod tests {
         assert!((var.sqrt() - 3.2).abs() < 0.15, "std = {}", var.sqrt());
         // Tail cut: nothing beyond 6σ.
         assert!(samples.iter().all(|&x| x.abs() <= 20));
+    }
+
+    /// FNV-1a over a polynomial's coefficients.
+    fn fnv(xs: impl IntoIterator<Item = u64>) -> u64 {
+        xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn the_full_table_count_is_the_partition_point() {
+        // At, just below and just above every threshold, and at the ends
+        // of the 63-bit range (the last thresholds saturate at 2^63).
+        for sigma in [1.0, 3.2, 7.9] {
+            let cdt = GaussianSampler::new(Seed::default(), 0, sigma).cdt;
+            let edges = cdt.iter().flat_map(|&c| [c.saturating_sub(1), c, c + 1]);
+            for u in edges.chain([0, (1 << 63) - 1]).filter(|&u| u < 1 << 63) {
+                let want = cdt.partition_point(|&c| c <= u) as u64;
+                assert_eq!(magnitude(&cdt, u), want, "sigma={sigma} u={u:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn samplers_equal_the_parents_at_2_16() {
+        // Hashes captured from the samplers before the 16-block keystream
+        // and the full-table CDT count: same seed, same polynomial.
+        let n = 1 << 16;
+        let gauss = GaussianSampler::new(Seed::from_u128(5), 0, 3.2).sample_poly(n);
+        assert_eq!(fnv(gauss.iter().map(|&x| x as u64)), 0xc353_0015_d01f_d57d);
+        let ternary = TernarySampler::new(Seed::from_u128(6), 0).sample_poly(n, None);
+        assert_eq!(
+            fnv(ternary.iter().map(|&x| x as u64)),
+            0x9e6e_789c_ecea_ad79
+        );
+        let mut uniform = vec![0u64; n];
+        UniformSampler::new(Seed::from_u128(7), 3).sample_poly(&modulus(), &mut uniform);
+        assert_eq!(fnv(uniform), 0xa821_a1a2_0270_735a);
     }
 
     #[test]

@@ -1,12 +1,99 @@
 //! Property-based tests for the PRNG layer.
 
-use abc_math::Modulus;
-use abc_prng::chacha::ChaCha20;
+use abc_math::{CpuCaps, KernelTier, Modulus};
+use abc_prng::chacha::{chacha20_block, chacha20_blocks, ChaCha20, BLOCKS};
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
 use proptest::prelude::*;
 
+/// A 256-bit key and 96-bit nonce from three draws.
+fn key_nonce(k0: u128, k1: u128, nonce: u128) -> ([u32; 8], [u32; 3]) {
+    let words = |x: u128| [0, 32, 64, 96].map(|s| (x >> s) as u32);
+    let (lo, hi, n) = (words(k0), words(k1), words(nonce));
+    (
+        [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]],
+        [n[0], n[1], n[2]],
+    )
+}
+
+/// A counter anywhere, or within 16 of `u32::MAX` so a refill wraps.
+fn counter(near_wrap: bool, raw: u32) -> u32 {
+    if near_wrap {
+        u32::MAX - raw % 16
+    } else {
+        raw
+    }
+}
+
+/// Draws from `rng` in the order `ops` (a splitmix64 state) dictates —
+/// words, double words, bit fields and byte runs that straddle refills —
+/// and returns everything drawn, as bytes.
+fn interleaved_draws(rng: &mut ChaCha20, mut ops: u64) -> Vec<u8> {
+    let mut next = || {
+        ops = ops.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (ops ^ (ops >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut out = Vec::new();
+    for _ in 0..64 {
+        let pick = next();
+        match pick % 4 {
+            0 => out.extend(rng.next_u32().to_le_bytes()),
+            1 => out.extend(rng.next_u64().to_le_bytes()),
+            2 => out.extend(rng.next_bits((pick >> 8) as u32 % 64 + 1).to_le_bytes()),
+            _ => {
+                // Up to 1.5 refills of bytes, odd lengths included.
+                let mut bytes = vec![0u8; (pick >> 8) as usize % 1536];
+                rng.fill_bytes(&mut bytes);
+                out.extend(bytes);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
+    #[test]
+    fn sixteen_block_kernel_equals_sixteen_scalar_blocks(
+        k0 in any::<u128>(),
+        k1 in any::<u128>(),
+        nonce in any::<u128>(),
+        near_wrap in any::<bool>(),
+        raw in any::<u32>(),
+    ) {
+        if !CpuCaps::detect().avx512f {
+            return Ok(()); // the oracle is all this host runs
+        }
+        let (key, nonce) = key_nonce(k0, k1, nonce);
+        let counter = counter(near_wrap, raw);
+        let mut got = [0u32; 16 * BLOCKS];
+        chacha20_blocks(&key, counter, &nonce, &mut got);
+        for (b, block) in got.chunks_exact(16).enumerate() {
+            let want = chacha20_block(&key, counter.wrapping_add(b as u32), &nonce);
+            prop_assert_eq!(block, &want[..], "block {} of counter {:#x}", b, counter);
+        }
+    }
+
+    #[test]
+    fn keystream_is_equal_across_forced_tiers(
+        k0 in any::<u128>(),
+        nonce in any::<u128>(),
+        near_wrap in any::<bool>(),
+        raw in any::<u32>(),
+        ops in any::<u64>(),
+    ) {
+        let (key, nonce) = key_nonce(k0, k0.rotate_left(64), nonce);
+        let counter = counter(near_wrap, raw);
+        let draws = |tier| {
+            let mut rng = ChaCha20::from_raw_parts(key, nonce, counter).with_kernel(tier);
+            interleaved_draws(&mut rng, ops)
+        };
+        let scalar = draws(KernelTier::Scalar);
+        prop_assert_eq!(draws(KernelTier::Simd), scalar.clone());
+        prop_assert_eq!(draws(KernelTier::Auto), scalar);
+    }
+
     #[test]
     fn keystream_deterministic_per_seed(seed in any::<u128>(), stream in any::<u64>()) {
         let mut a = ChaCha20::from_seed_and_stream(Seed::from_u128(seed), stream);

@@ -1,5 +1,6 @@
 //! The kernel ladder, as one table: forced tier × capability →
-//! `kernel_name()` for the NTT, the dyadic engine and the special FFT.
+//! `kernel_name()` for the NTT, the dyadic engine, the special FFT and
+//! the PRNG keystream.
 //!
 //! Each row fixes the facts only its layer knows (modulus width,
 //! transform size, datapath, slot count) and names the kernel every
@@ -12,6 +13,7 @@ use abc_math::dyadic::DyadicEngine;
 use abc_math::primes::generate_ntt_primes;
 use abc_math::KernelTier::{self, Auto, Reference, Scalar, Simd};
 use abc_math::{CpuCaps, Modulus};
+use abc_prng::{chacha::ChaCha20, Seed};
 use abc_transform::{NttPlan, SpecialFft};
 
 /// The tiers every row is built at; `Auto` is checked against whatever
@@ -37,6 +39,15 @@ fn dyadic(q: u64) -> [&'static str; 4] {
 
 fn fft<F: RealField>(field: F, slots: usize) -> [&'static str; 4] {
     TIERS.map(|t| SpecialFft::with_field_kernel(field.clone(), slots, t).kernel_name())
+}
+
+/// The rung a PRNG keystream refills on.
+fn keystream() -> [&'static str; 4] {
+    TIERS.map(|t| {
+        ChaCha20::from_seed(Seed::default())
+            .with_kernel(t)
+            .kernel_name()
+    })
 }
 
 #[test]
@@ -96,6 +107,13 @@ fn every_layer_walks_the_same_ladder() {
             fft_no_simd,
         ),
         ("fft, extf64", avx512f, fft(ExtF64Field, 64), fft_no_simd),
+        // The keystream's scalar rung is its own oracle: nothing below it.
+        (
+            "keystream",
+            avx512f,
+            keystream(),
+            ["avx512", "scalar", "scalar"],
+        ),
     ];
     // What `Auto` means in this process: the first rung, or whatever
     // `ABC_FHE_KERNEL` says (CI's forced-scalar pass runs this test too).
