@@ -267,11 +267,11 @@ fn main() {
     let committed = std::fs::read_to_string(COMMITTED).ok();
     let mut benches = Vec::new();
 
-    // --- NTT fast path, the paper's dominant kernel: forward at the
-    // gateway's and a mid-size ring, inverse at the gateway's and the
-    // paper's (the inverse reads the forward table backwards; at 2^16
-    // the two columns no longer fit L2); `forward_golden` is the oracle
-    // (`u128` multiply and a division per twiddle) over the same table ---
+    // --- NTT fast path, the paper's dominant kernel: both directions at
+    // the gateway's, a mid-size and the paper's ring (at 2^16 the two
+    // twiddle columns no longer fit L2; the inverse reads them
+    // backwards); `forward_golden` is the oracle (`u128` multiply and a
+    // division per twiddle) over the same table ---
     type Transform = fn(&NttPlan, &mut [u64]);
     for (log_n, direction, transform) in [
         (13u32, "forward", NttPlan::forward as Transform),
@@ -279,7 +279,9 @@ fn main() {
             plan.forward_with(plan.table(), data)
         }),
         (14, "forward", NttPlan::forward),
+        (16, "forward", NttPlan::forward),
         (13, "inverse", NttPlan::inverse),
+        (14, "inverse", NttPlan::inverse),
         (16, "inverse", NttPlan::inverse),
     ] {
         let n = 1usize << log_n;

@@ -33,8 +33,8 @@
 //!   butterflies, eight f64 lanes per vector op. The plan lays each
 //!   stage's twiddles out as separate re/im planes
 //!   ([`crate::fft_avx512`]): spans ≥ 8 stream whole vectors, spans
-//!   1/2/4 run fused in registers with `vpermpd` lane pairing (the
-//!   `ntt_ifma` tail technique). The vector kernel preserves the scalar
+//!   1/2/4 run fused in registers with `vpermpd` lane pairing and
+//!   masked blends. The vector kernel preserves the scalar
 //!   kernel's exact operation order — the 4-multiply complex product of
 //!   paper Eq. 12, no FMA contraction — so it is **bit-identical** to
 //!   the scalar planned path (a 0-ulp bound, pinned by the property

@@ -15,7 +15,7 @@
 //!    scale, into the merge).
 //! 2. **tail** — the three sub-vector stages (spans 1, 2, 4) run fused
 //!    in registers per 8-element block using `vpermpd` lane pairing and
-//!    masked blends, mirroring `ntt_ifma`'s lane-pairing technique.
+//!    masked blends.
 //!    Special-FFT twiddles are shared across blocks, so each tail layer
 //!    needs just one precomputed 8-lane twiddle pattern.
 //! 3. **long stages** — spans ≥ 8 stream whole 8-lane vectors straight
@@ -256,8 +256,7 @@ mod kern {
 
     /// Lane pairing of one in-register layer: `idx_lo`/`idx_hi` gather
     /// each lane's butterfly operands with `vpermpd`, `hi_mask` selects
-    /// which lanes receive the "hi" result — the same tables as
-    /// `ntt_ifma::layer_perms`, applied to f64 lanes.
+    /// which lanes receive the "hi" result.
     struct LayerPerm {
         idx_lo: __m512i,
         idx_hi: __m512i,

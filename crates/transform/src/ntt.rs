@@ -20,6 +20,17 @@ use abc_math::dyadic::DyadicEngine;
 use abc_math::shoup::{self, MAX_SHOUP52_MODULUS, MAX_SHOUP_MODULUS};
 use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
 
+/// Debug builds: panics unless every lane of `a` is below `bound` once
+/// the stage or pass `what` has run — the lazy domains the kernels hand
+/// on (`[0, 4q)` forward, `[0, 2q)` inverse, `[0, q)` once canonical),
+/// checked where the next stage relies on them.
+#[cfg(debug_assertions)]
+pub(crate) fn assert_domain(a: &[u64], bound: u64, what: core::fmt::Arguments<'_>) {
+    if let Some(i) = a.iter().position(|&x| x >= bound) {
+        panic!("{what}: lane {i} = {} is not below {bound}", a[i]);
+    }
+}
+
 /// A ready-to-run negacyclic NTT over one RNS prime.
 ///
 /// Construction precomputes a [`TwiddleTable`]; [`NttPlan::forward_with`]
@@ -323,6 +334,8 @@ impl NttPlan {
                     *y = u + two_q - v;
                 }
             }
+            #[cfg(debug_assertions)]
+            assert_domain(a, 4 * q, format_args!("harvey forward, span {t}"));
             m <<= 1;
         }
     }
@@ -357,6 +370,8 @@ impl NttPlan {
             a[2 * i] = shoup::add_lazy(u, v, two_q);
             a[2 * i + 1] = shoup::mul_shoup_lazy(v + two_q - u, w, ws, q);
         }
+        #[cfg(debug_assertions)]
+        assert_domain(a, two_q, format_args!("harvey inverse, span 1"));
         let mut t = 2usize;
         let mut m = n >> 1;
         while m > 1 {
@@ -373,6 +388,8 @@ impl NttPlan {
                     *y = shoup::mul_shoup_lazy(v + two_q - u, w, ws, q);
                 }
             }
+            #[cfg(debug_assertions)]
+            assert_domain(a, two_q, format_args!("harvey inverse, span {t}"));
             t <<= 1;
             m = h;
         }
@@ -681,6 +698,53 @@ mod tests {
                     let mut got = vec![u64::MAX; n];
                     plan.inverse_from(&a0, &mut got);
                     assert_eq!(got, want, "inverse_from {pref:?} q={q} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_plan_is_bit_identical_at_every_size_on_edge_inputs() {
+        // Every n = 2^4 … 2^16 covers both parities of the IFMA long-stage
+        // count (log n − 3), so the inverse's N⁻¹ fold lands in a radix-2
+        // and in a radix-4 last pass; the 50-bit prime puts 4q just
+        // under the 52-bit lane. Off IFMA the plan degrades to Harvey
+        // and the same checks hold.
+        use abc_math::primes::generate_ntt_primes;
+        let mut primes = generate_ntt_primes(36, 1, 1 << 17).unwrap();
+        primes.extend(generate_ntt_primes(50, 1, 1 << 17).unwrap());
+        for q in primes {
+            let m = Modulus::new(q).unwrap();
+            for log_n in 4..=16u32 {
+                let n = 1usize << log_n;
+                let plan = NttPlan::with_kernel(m, n, KernelTier::Simd).unwrap();
+                let alternating = (0..n).map(|i| if i % 2 == 0 { 0 } else { q - 1 }).collect();
+                let inputs = [pseudo_poly(n, q, q ^ n as u64), vec![q - 1; n], alternating];
+                for (k, x) in inputs.iter().enumerate() {
+                    let at = format!("q={q} n={n} input {k}");
+                    let mut want = x.clone();
+                    plan.forward_with(plan.table(), &mut want);
+                    let mut got = x.clone();
+                    plan.forward(&mut got);
+                    assert_eq!(got, want, "forward {at}");
+                    got.copy_from_slice(x);
+                    plan.forward_lazy(&mut got);
+                    for (i, (&l, &w)) in got.iter().zip(&want).enumerate() {
+                        assert!(l < 4 * q && l % q == w, "forward_lazy {at} i={i}");
+                    }
+                    let mut want = x.clone();
+                    plan.inverse_with(plan.table(), &mut want);
+                    let mut got = x.clone();
+                    plan.inverse(&mut got);
+                    assert_eq!(got, want, "inverse {at}");
+                    let mut got = vec![u64::MAX; n];
+                    plan.inverse_from(x, &mut got);
+                    assert_eq!(got, want, "inverse_from {at}");
+                    let y = &inputs[(k + 1) % inputs.len()];
+                    let mut want: Vec<u64> = x.iter().zip(y).map(|(&a, &b)| m.sub(a, b)).collect();
+                    plan.inverse_with(plan.table(), &mut want);
+                    plan.sub_then_inverse_into(x, y, &mut got);
+                    assert_eq!(got, want, "sub_then_inverse_into {at}");
                 }
             }
         }

@@ -41,10 +41,12 @@ fn residues(moduli: &[Modulus], n: usize, seed: u64, salt: u64) -> Vec<Vec<u64>>
 }
 
 fn arb_prime_modulus() -> impl Strategy<Value = Modulus> {
-    // A pool of NTT primes at varied widths, all ≡ 1 mod 2^13.
+    // A pool of NTT primes at varied widths, all ≡ 1 mod 2^14 (rings up
+    // to 2^13). The 50-bit ones sit just below the IFMA kernel's 2^50
+    // cap, where its lazy `4q` is just under the 52-bit lane.
     let mut pool = Vec::new();
-    for bits in [30u32, 36, 44] {
-        pool.extend(generate_ntt_primes(bits, 4, 1 << 13).expect("primes exist"));
+    for bits in [30u32, 36, 44, 50] {
+        pool.extend(generate_ntt_primes(bits, 4, 1 << 14).expect("primes exist"));
     }
     prop::sample::select(pool).prop_map(|q| Modulus::new(q).expect("generated primes are valid"))
 }
@@ -109,11 +111,12 @@ proptest! {
     }
 
     #[test]
-    fn fast_kernels_are_bit_identical_to_golden(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 2u32..10) {
+    fn fast_kernels_are_bit_identical_to_golden(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 4u32..=13) {
         // `forward`/`inverse` take a fast kernel (scalar Harvey forced,
         // plus whatever Auto picks — IFMA on capable machines);
         // `forward_with`/`inverse_with` on the same table run the golden
-        // scalar kernel. Outputs must match bit for bit.
+        // scalar kernel. Outputs must match bit for bit. Sizes 2^4 …
+        // 2^13 draw both parities of the IFMA long-stage count.
         use abc_math::KernelTier;
         let n = 1usize << log_n;
         let poly: Vec<u64> = (0..n as u64)
