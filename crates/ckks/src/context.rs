@@ -384,6 +384,14 @@ impl CkksContext {
     /// `j + N/2` its imaginary part). The quotient enters the embedding
     /// at the datapath's full width: ExtF64 keeps all ~106 bits, the
     /// f64 view is one final rounding.
+    ///
+    /// The lift runs on the engine's fan-out by slot range: the thread
+    /// owning slots `a..b` lifts coefficients `a..b` into their real
+    /// parts and `N/2 + a..N/2 + b` into their imaginary parts, through
+    /// per-limb views of those ranges. A coefficient is a function of its
+    /// own residues alone, so the slots do not depend on where the
+    /// ranges are cut. The pass reads the `lvl × N` words the INTT
+    /// wrote and fans out under the transform cut-off, as the INTT does.
     fn decode_to_slots<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
@@ -404,18 +412,30 @@ impl CkksContext {
         let divisor = pt.scale.divisor();
         let field = engine.plan().field();
         let slots = self.params.slots();
-        let mut vals = engine.take_buf();
-        lift.lift_centered(&res, |j, negative, mag| {
-            let c = field.from_ext(match mag {
+        let coeff = |negative, mag: Lifted<'_>| {
+            field.from_ext(match mag {
                 Lifted::Word(mag) => divisor.apply_u128(negative, mag),
                 Lifted::Big(mag) => divisor.apply_ext(negative, mag),
+            })
+        };
+        // One view vector per chunk, re-pointed for the imaginary half.
+        let lift_range = |a: usize, chunk: &mut [Complex<F::Real>]| {
+            let b = a + chunk.len();
+            let mut views: Vec<&[u64]> = res.iter().map(|limb| &limb[a..b]).collect();
+            lift.lift_centered(&views, |j, negative, mag| {
+                chunk[j].re = coeff(negative, mag)
             });
-            if j < slots {
-                vals[j].re = c;
-            } else {
-                vals[j - slots].im = c;
+            for (view, limb) in views.iter_mut().zip(res.iter()) {
+                *view = &limb[slots + a..slots + b];
             }
-        });
+            lift.lift_centered(&views, |j, negative, mag| {
+                chunk[j].im = coeff(negative, mag)
+            });
+        };
+        let mut vals = engine.take_buf();
+        let words_per_slot = 2 * lvl;
+        self.engine
+            .for_each_chunk(&mut vals, words_per_slot, LimbWork::Transform, lift_range);
         Ok(vals)
     }
 
@@ -655,10 +675,15 @@ impl CkksContext {
         if ct.n != self.params.n() || ct.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        // d = c1·s + c0: one fused RNS-wide multiply-add on a pooled copy
-        // of c1.
-        let mut rns = ct.c1.clone();
-        self.engine.dyadic_mul_add_all(&mut rns, &sk.ntt, &ct.c0);
+        // d = c1·s + c0: one fused RNS-wide multiply-add into pooled
+        // limbs, each filled with its limb of c1 by the thread that owns
+        // it.
+        let mut rns = self.engine.take_limbs(ct.num_primes());
+        self.engine
+            .for_each_limb(&mut rns, LimbWork::Elementwise, |i, plan, limb| {
+                limb.copy_from_slice(&ct.c1[i]);
+                plan.dyadic().mul_add_assign(limb, &sk.ntt[i], &ct.c0[i]);
+            });
         Ok(Plaintext {
             rns,
             scale: ct.scale.clone(),
@@ -808,6 +833,78 @@ mod tests {
         let (_, pk) = ctx.keygen(Seed::from_u128(48));
         assert_eq!(pk.byte_size(), 2 * 4 * 512 * 8);
         assert_eq!(pk.num_primes(), 4);
+    }
+
+    /// FNV-1a over the bits of decoded slots, real part first.
+    fn slot_bits_hash(slots: &[Complex]) -> u64 {
+        let bytes = slots
+            .iter()
+            .flat_map(|z| [z.re, z.im])
+            .flat_map(|x| x.to_bits().to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn decode_equals_the_parents() {
+        // Slot bits of four decodes, captured before the CRT lift ran on
+        // the fan-out by slot range: chunk boundaries move with the
+        // thread count (run the suite under ABC_FHE_THREADS=1..4), the
+        // bits must not. The message is rational, so no libm call
+        // shapes it.
+        let message: Vec<Complex> = (0..1usize << 12)
+            .map(|j| {
+                let re = (j * 37 % 101) as f64 - 50.0;
+                let im = (j * 53 % 97) as f64 - 48.0;
+                Complex::new(re / 64.0, im / 64.0)
+            })
+            .collect();
+        let hash = |ctx: &CkksContext, pt: &Plaintext| slot_bits_hash(&ctx.decode(pt).unwrap());
+        // A fresh 24-prime ciphertext at the paper's preset, and the same
+        // ciphertext as a server returns it at the last level.
+        let ctx = CkksContext::new(CkksParams::bootstrappable(13).unwrap()).unwrap();
+        let (sk, pk) = ctx.keygen(Seed::from_u128(2801));
+        let ct = ctx.encrypt(&ctx.encode(&message).unwrap(), &pk, Seed::from_u128(2802));
+        let fresh = ctx.decrypt(&ct, &sk).unwrap();
+        let last = ctx.decrypt(&ct.truncated(2), &sk).unwrap();
+        // A product before its rescale: scale 2^144 puts every coefficient
+        // past the 3-prime word prefix, so the big-integer fallback runs
+        // inside every chunk.
+        let params = CkksParams::builder()
+            .log_n(13)
+            .num_primes(6)
+            .scale_mode(crate::params::ScaleMode::DoublePair)
+            .build()
+            .unwrap();
+        let small = CkksContext::new(params.clone()).unwrap();
+        let (sk, pk) = small.keygen(Seed::from_u128(2803));
+        let evk = small.gen_eval_key(&sk, Seed::from_u128(2804));
+        let ct = small.encrypt(&small.encode(&message).unwrap(), &pk, Seed::from_u128(2805));
+        let squared = crate::evaluator::mul_relin(&small, &ct, &ct, &evk).unwrap();
+        let product = small.decrypt(&squared, &sk).unwrap();
+        let mut coeffs = product.residues().to_vec();
+        small.ntt_engine().inverse_all(&mut coeffs);
+        let lift = WordLift::new(small.basis().clone()).unwrap();
+        assert_eq!(lift.lift_centered(&coeffs, |_, _, _| {}), 1 << 13);
+        // The same product through the double-double embedding.
+        let ext = CkksContext::new(params.with_embedding(EmbeddingPrecision::ExtF64)).unwrap();
+        // Captured at the parent with 1, 2 and 3 threads. The first two
+        // agree: truncation keeps the decrypted integer, and the 24-limb
+        // verified lift and the 2-limb Garner lift both find it.
+        let parents = [
+            0x778b_d49c_aa0e_9117,
+            0x778b_d49c_aa0e_9117,
+            0xf7c4_b6de_458c_48b7,
+            0x43a8_427f_2dfc_a9ab,
+        ];
+        let got = [
+            hash(&ctx, &fresh),
+            hash(&ctx, &last),
+            hash(&small, &product),
+            hash(&ext, &product),
+        ];
+        assert_eq!(got, parents);
     }
 
     #[test]

@@ -52,8 +52,9 @@
 //!
 //! All four kinds share one header description ([`Layout`]: the only
 //! header writer, parser and length formula), one packer and one
-//! unpacker (`pack_bits`, `unpack_bits`: whole words at a time, the
-//! fits-its-width check an OR accumulated in the pack pass). **Seeded
+//! unpacker (`pack_bits`, `unpack_bits`: groups of eight words — `width`
+//! bytes — at a time, instantiated per width; the fits-its-width check
+//! an OR accumulated in the pack pass). **Seeded
 //! ciphertexts** (kind 2) are roughly half the bytes of kind 1;
 //! **evaluation keys** (kinds 3/4) carry `digits · limbs` polynomial pairs.
 
@@ -120,29 +121,33 @@ fn packed_poly_bytes(n: usize, width: u32) -> usize {
     (n * width as usize).div_ceil(8)
 }
 
+/// `f::<W> args` for the residue width `width` as the const `W`: the
+/// group packer and unpacker are instantiated once per width, so a
+/// group's lane indices and shifts are immediates. A runtime-width
+/// group packer was measured 1.4–1.6 × slower here — its variable
+/// shifts, without BMI2 in the baseline target, cost several µops each.
+macro_rules! by_width {
+    ($width:expr, $f:ident $args:tt) => {
+        by_width!(@ $width, $f $args;
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59
+            60 61 62 63 64)
+    };
+    (@ $width:expr, $f:ident $args:tt; $($w:literal)*) => {
+        match $width {
+            $($w => $f::<$w> $args,)*
+            w => unreachable!("residue width {w} out of 1..=64"),
+        }
+    };
+}
+
 /// Appends `words` to `out`, `width` bits each, LSB-first, and returns
 /// the OR of all of them (a bit at or above `width` in it means some
 /// word did not fit). Eight words make exactly `width` bytes, so the
 /// stream moves in such groups ([`pack_groups`]); a last partial group
 /// leaves byte by byte.
 fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) -> u64 {
-    // One instantiation per width: the group's lane indices and shifts
-    // are then immediates. A runtime-width group packer was measured
-    // 1.4–1.6 × slower here — its variable shifts, without BMI2 in the
-    // baseline target, cost several µops each.
-    macro_rules! by_width {
-        ($($w:literal)*) => {
-            match width {
-                $($w => pack_groups::<$w>(out, words),)*
-                _ => unreachable!("residue width {width} out of 1..=64"),
-            }
-        };
-    }
-    let mut seen = by_width!(
-        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61
-        62 63 64
-    );
+    let mut seen = by_width!(width, pack_groups(out, words));
     let mut acc: u128 = 0;
     let mut nbits = 0u32;
     for &w in words.chunks_exact(8).remainder() {
@@ -203,18 +208,47 @@ fn pack_poly(out: &mut Vec<u8>, poly: &[u64], width: u32) -> Result<(), CkksErro
     Ok(())
 }
 
-/// Reads `n` words of `width` bits (LSB-first) from `bytes`: word `j`
-/// is a shift and a mask of the 16-byte window at its first byte. The
-/// last few words, whose window would pass the end of `bytes`, are read
-/// the same way from a zero-padded copy of the tail. The polynomial is a
-/// limb-pool buffer: inside a ciphertext it goes back there on drop, a
-/// key keeps it for good.
+/// Reads `n` words of `width` bits (LSB-first) from `bytes`, the inverse
+/// of [`pack_bits`]: the full groups of eight words, `width` bytes each,
+/// through [`unpack_groups`], and the words of a last partial group
+/// through [`unpack_windows`]. Bits past the last word are ignored. The
+/// polynomial is a limb-pool buffer: inside a ciphertext it goes back
+/// there on drop, a key keeps it for good.
 fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
-    let mask = if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
+    let mut out = pool::take(n);
+    let (grouped, rest) = out.split_at_mut(n - n % 8);
+    by_width!(width, unpack_groups(bytes, grouped));
+    unpack_windows(&bytes[grouped.len() / 8 * width as usize..], rest, width);
+    out
+}
+
+/// The full groups of [`unpack_bits`] at width `W`, filling `words`
+/// (a multiple of eight long): each group's `W` bytes are read into nine
+/// 64-bit lanes, and word `k` is the bits from `k·W` on — the rest of
+/// its lane, the part spilled into the next one — under the width mask.
+fn unpack_groups<const W: usize>(bytes: &[u8], words: &mut [u64]) {
+    let mask = u64::MAX >> (64 - W);
+    for (group, src) in words.chunks_exact_mut(8).zip(bytes.chunks_exact(W)) {
+        let mut buf = [0u8; 72];
+        buf[..W].copy_from_slice(src);
+        let mut lanes = [0u64; 9];
+        for (lane, le) in lanes.iter_mut().zip(buf.chunks_exact(8)) {
+            *lane = u64::from_le_bytes(le.try_into().expect("8 bytes"));
+        }
+        for (k, x) in group.iter_mut().enumerate() {
+            let (lane, off) = (k * W / 64, (k * W % 64) as u32);
+            // `y << (64 − off)`, which is 0 (not a shift by 64) at `off = 0`.
+            *x = ((lanes[lane] >> off) | ((lanes[lane + 1] << 1) << (63 - off))) & mask;
+        }
+    }
+}
+
+/// Fills `words` with consecutive `width`-bit words of `bytes`, from its
+/// first bit: word `j` is a shift and a mask of the 16-byte window at
+/// its first byte. The last few words, whose window would pass the end
+/// of `bytes`, are read the same way from a zero-padded copy of the tail.
+fn unpack_windows(bytes: &[u8], words: &mut [u64], width: u32) {
+    let mask = u64::MAX >> (64 - width);
     let word_at = |src: &[u8], bit: usize| {
         let at = bit >> 3;
         let window = u128::from_le_bytes(src[at..at + 16].try_into().expect("16 bytes"));
@@ -224,17 +258,19 @@ fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
     // Words whose first byte is at most `len − 16` have their window
     // inside `bytes`.
     let direct = match bytes.len().checked_sub(16) {
-        Some(last) => n.min(((last + 1) * 8).div_ceil(width)),
+        Some(last) => words.len().min(((last + 1) * 8).div_ceil(width)),
         None => 0,
     };
-    let mut out = pool::take(n);
-    out.clear();
-    out.extend((0..direct).map(|j| word_at(bytes, j * width)));
+    let (inside, past) = words.split_at_mut(direct);
+    for (j, x) in inside.iter_mut().enumerate() {
+        *x = word_at(bytes, j * width);
+    }
     let tail_at = (direct * width) >> 3;
     let mut tail = [0u8; 32];
     tail[..bytes.len() - tail_at].copy_from_slice(&bytes[tail_at..]);
-    out.extend((direct..n).map(|j| word_at(&tail, j * width - tail_at * 8)));
-    out
+    for (j, x) in (direct..).zip(past) {
+        *x = word_at(&tail, j * width - tail_at * 8);
+    }
 }
 
 /// Unpacks one polynomial per entry of `widths` from `bytes` at
@@ -912,6 +948,55 @@ mod tests {
                     let seen = pack_bits(&mut got, &words, width);
                     prop_assert_eq!(&got, &want, "w={} len={}", width, len);
                     prop_assert_eq!(seen, words.iter().fold(0, |a, &x| a | x));
+                }
+            }
+        }
+    }
+
+    /// The byte-at-a-time reader: `n` words of `width` bits, LSB-first.
+    fn unpack_bits_bytewise(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
+        let mask = u64::MAX >> (64 - width);
+        let (mut acc, mut nbits, mut bytes) = (0u128, 0u32, bytes.iter());
+        let mut word = || {
+            while nbits < width {
+                acc |= u128::from(*bytes.next().expect("payload long enough")) << nbits;
+                nbits += 8;
+            }
+            let x = acc as u64 & mask;
+            (acc, nbits) = (acc >> width, nbits - width);
+            x
+        };
+        (0..n).map(|_| word()).collect()
+    }
+
+    /// [`unpack_bits`] against the byte-at-a-time reader, at every width.
+    mod group_unpacker {
+        use super::{packed_poly_bytes, unpack_bits, unpack_bits_bytewise};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn keeps_the_bytewise_stream(len in 0usize..=1024, salt in any::<u64>()) {
+                // Random payload bytes: the bits past the last word of a
+                // partial last byte are set as often as not, and always
+                // in the last byte.
+                let mut x = salt;
+                for width in 1u32..=64 {
+                    let mut payload: Vec<u8> = (0..packed_poly_bytes(len, width))
+                        .map(|_| {
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            (x >> 56) as u8
+                        })
+                        .collect();
+                    if let Some(last) = payload.last_mut() {
+                        *last |= 0x80;
+                    }
+                    let want = unpack_bits_bytewise(&payload, len, width);
+                    let got = unpack_bits(&payload, len, width);
+                    prop_assert_eq!(got, want, "w={} len={}", width, len);
                 }
             }
         }

@@ -537,7 +537,9 @@ impl WordLift {
         let n = self.check_shape(limbs);
         let mut xs = [0i128; LIFT_BLOCK];
         let mut verified = [true; LIFT_BLOCK];
-        let mut residues = vec![0u64; limbs.len()];
+        // The fallback's residue column: allocated by the first
+        // coefficient that falls back, none when all verify.
+        let mut residues = Vec::new();
         let mut fell_back = 0;
         for start in (0..n).step_by(LIFT_BLOCK) {
             let len = LIFT_BLOCK.min(n - start);
@@ -556,9 +558,8 @@ impl WordLift {
                 if ok {
                     sink(j, x < 0, Lifted::Word(x.unsigned_abs()));
                 } else {
-                    for (r, limb) in residues.iter_mut().zip(limbs) {
-                        *r = limb.as_ref()[j];
-                    }
+                    residues.clear();
+                    residues.extend(limbs.iter().map(|limb| limb.as_ref()[j]));
                     let (negative, mag) = self
                         .basis
                         .combine_centered_big_with_product(&residues, &self.product);

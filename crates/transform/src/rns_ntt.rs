@@ -40,6 +40,13 @@
 //! no engine method. `forward_all`, `inverse_all`, `dyadic_mul_add_all`
 //! and `dyadic_mul_add2_all` are such one-liners kept under a name.
 //!
+//! The fan-out is not tied to limbs: [`RnsNttEngine::for_each_chunk`]
+//! splits any slice into contiguous ranges, one per thread, under the
+//! same cut-offs. Decode's CRT lift runs on it by slot range — the
+//! thread owning slots `a..b` lifts coefficients `a..b` and
+//! `N/2 + a..N/2 + b` from every limb — because a coefficient's lift
+//! reads only its own residues.
+//!
 //! What the engine does name is what hides an algorithm: the
 //! pre-entered-operand lifecycle (`dyadic_mul_pair_all`,
 //! `dyadic_mul_acc_pair_all` — enter the shared operand into the
@@ -60,7 +67,7 @@
 //! Transforms and dyadic ops are **bit-identical** to running each limb
 //! through its [`NttPlan`] serially — threading only changes
 //! scheduling, never values — which the property suite asserts for
-//! thread counts 1/2/4.
+//! thread counts 1/2/4, and the chunk shape's unit test for 1–4.
 
 use crate::ntt::NttPlan;
 use crate::pool::{Allowance, PooledLimbs};
@@ -87,7 +94,10 @@ const PARALLEL_THRESHOLD: usize = 1 << 14;
 const DYADIC_PARALLEL_THRESHOLD: usize = 1 << 16;
 
 /// How heavy one limb of a pass is — which of the engine's two
-/// serial/parallel cut-offs [`RnsNttEngine::for_each_limb`] applies.
+/// serial/parallel cut-offs [`RnsNttEngine::for_each_limb`] applies. A
+/// [`RnsNttEngine::for_each_chunk`] pass names the variant whose words
+/// cost nearest its own: a CRT-lift word is nearer a transform's than a
+/// dyadic op's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LimbWork {
     /// `O(N log N)` per limb — the pass runs a transform. Fans out from
@@ -396,8 +406,9 @@ impl RnsNttEngine {
     }
 
     /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] mod q_i` — the RNS-wide
-    /// kernel behind `c1·s + c0` (decrypt). `b` and `c` may carry more
-    /// limbs than `a`; the leading ones are used.
+    /// shape of `c1·s + c0` (decrypt runs it fused with its copy of
+    /// `c1`) and of the evaluator's cross term. `b` and `c` may carry
+    /// more limbs than `a`; the leading ones are used.
     ///
     /// # Panics
     ///
@@ -507,16 +518,41 @@ impl RnsNttEngine {
         F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
     {
         let k = limbs.len();
+        assert!(k <= self.plans.len(), "more limbs than plans");
         self.fan_out(
             k,
             k * self.n,
             work.cutoff(),
             |chunk| limbs.chunks_mut(chunk),
-            |first, plans, chunk| {
-                for (j, (plan, limb)) in plans.iter().zip(chunk).enumerate() {
-                    f(first + j, plan, limb);
+            |first, chunk| {
+                for (i, limb) in (first..).zip(chunk) {
+                    f(i, &self.plans[i], limb);
                 }
             },
+        );
+    }
+
+    /// The combinator for a pass that is not per limb: cuts `items` into
+    /// contiguous chunks, one per thread, and runs `f(first, chunk)` on
+    /// each, `first` being the index of the chunk's first item. The pass
+    /// names its weight as `words` per item — what it reads or writes —
+    /// and fans out once `items × words` reaches the cut-off `work`
+    /// names, below it running as one chunk on the calling thread (no
+    /// call at all for no items). Chunk boundaries move with the thread
+    /// count, so `f` must make each item a function of that item alone;
+    /// then the result does not depend on the thread count.
+    pub fn for_each_chunk<T, F>(&self, items: &mut [T], words: usize, work: LimbWork, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let k = items.len();
+        self.fan_out(
+            k,
+            k * words,
+            work.cutoff(),
+            |chunk| items.chunks_mut(chunk),
+            f,
         );
     }
 
@@ -534,44 +570,45 @@ impl RnsNttEngine {
     {
         let k = a0.len();
         assert_eq!(k, a1.len(), "component limb counts differ");
+        assert!(k <= self.plans.len(), "more limbs than plans");
         self.fan_out(
             k,
             2 * k * self.n,
             work.cutoff(),
             |chunk| a0.chunks_mut(chunk).zip(a1.chunks_mut(chunk)),
-            |first, plans, (c0, c1)| {
+            |first, (c0, c1)| {
                 let mut scratch = self.take_limbs(1);
-                for (j, ((plan, x0), x1)) in plans.iter().zip(c0).zip(c1).enumerate() {
-                    f(first + j, plan, x0, x1, &mut scratch[0]);
+                for (i, (x0, x1)) in (first..).zip(c0.iter_mut().zip(c1)) {
+                    f(i, &self.plans[i], x0, x1, &mut scratch[0]);
                 }
             },
         );
     }
 
-    /// The library's one fan-out: cuts the `k` leading limbs into
-    /// contiguous chunks and hands each — `run(index of its first limb,
-    /// its plans, its operands)`, with `split(chunk_len)` yielding the
-    /// operand chunks in order — to a scoped thread of its own. Below
-    /// `cutoff` words of `work`, or with one thread, there is one chunk
-    /// and it runs on the calling thread: spawning costs more than it
-    /// saves there. What a thread sets up once for its chunk (a scratch
-    /// limb) lives at the top of `run`.
+    /// The library's one fan-out: cuts `k` parts into contiguous chunks
+    /// and hands each — `run(index of its first part, its operands)`,
+    /// with `split(chunk_len)` yielding the operand chunks in order — to
+    /// a scoped thread of its own. Below `cutoff` words of `work`, or
+    /// with one thread, there is one chunk and it runs on the calling
+    /// thread: spawning costs more than it saves there. What a thread
+    /// sets up once for its chunk (a scratch limb) lives at the top of
+    /// `run`.
     ///
     /// This is the only function in the library crates that starts a
     /// thread (`abc-analysis` rule `thread-site`); an op that wants
-    /// parallelism calls one of the `for_each_limb*` shapes above.
+    /// parallelism calls one of the `for_each_limb*` shapes or
+    /// [`Self::for_each_chunk`].
     fn fan_out<C, I>(
         &self,
         k: usize,
         work: usize,
         cutoff: usize,
         split: impl FnOnce(usize) -> I,
-        run: impl Fn(usize, &[NttPlan], C) + Sync,
+        run: impl Fn(usize, C) + Sync,
     ) where
         C: Send,
         I: Iterator<Item = C>,
     {
-        assert!(k <= self.plans.len(), "more limbs than plans");
         let threads = self.threads.min(k);
         let serial = threads <= 1 || work < cutoff;
         let chunk = if serial {
@@ -579,16 +616,16 @@ impl RnsNttEngine {
         } else {
             k.div_ceil(threads)
         };
-        let parts = self.plans[..k].chunks(chunk).zip(split(chunk)).enumerate();
+        let parts = split(chunk).enumerate();
         let run = &run;
         if serial {
             // One chunk (none when `k` is 0), on the calling thread.
-            parts.for_each(|(t, (plans, operands))| run(t * chunk, plans, operands));
+            parts.for_each(|(t, operands)| run(t * chunk, operands));
             return;
         }
         std::thread::scope(|s| {
-            for (t, (plans, operands)) in parts {
-                s.spawn(move || run(t * chunk, plans, operands));
+            for (t, operands) in parts {
+                s.spawn(move || run(t * chunk, operands));
             }
         });
     }
@@ -947,6 +984,38 @@ mod tests {
             let mut got = a0.clone();
             engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs128, &scalars);
             assert_eq!(got, resc128, "fused rescale i128 threads={threads}");
+        }
+    }
+
+    #[test]
+    fn chunk_shape_visits_every_item_once_at_its_index() {
+        // Two words per item against the transform cut-off (2^14): 8191
+        // items run as one chunk on the calling thread, 8192 fan out.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ms = moduli(1, 32);
+        for threads in 1usize..=4 {
+            let engine = RnsNttEngine::with_threads(&ms, 16, threads).unwrap();
+            for len in [0usize, 1, 3, 8191, 8192] {
+                // (index the pass saw, visits)
+                let mut items = vec![(usize::MAX, 0u32); len];
+                let calls = AtomicUsize::new(0);
+                engine.for_each_chunk(&mut items, 2, LimbWork::Transform, |first, chunk| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    for (i, (at, visits)) in (first..).zip(chunk) {
+                        *at = i;
+                        *visits += 1;
+                    }
+                });
+                for (i, &(at, visits)) in items.iter().enumerate() {
+                    assert_eq!((at, visits), (i, 1), "threads={threads} len={len}");
+                }
+                let chunks = match len {
+                    0 => 0,
+                    8192 => threads,
+                    _ => 1,
+                };
+                assert_eq!(calls.into_inner(), chunks, "threads={threads} len={len}");
+            }
         }
     }
 
