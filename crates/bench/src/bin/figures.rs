@@ -12,13 +12,12 @@
 use abc_bench::{fig1, fmt_ms, render_table, runner};
 use abc_ckks::params::CkksParams;
 use abc_ckks::precision::{drop_off_point, precision_sweep};
-use abc_ckks::{opcount, CkksContext};
-use abc_hw::{chip, memory, multiplier, rfe, scaling};
+use abc_ckks::CkksContext;
+use abc_hw::{chip, memory, multiplier, opcount, radix, rfe, scaling};
 use abc_math::primes::search_structured_primes;
 use abc_prng::Seed;
 use abc_sim::config::MemoryConfig;
 use abc_sim::{simulate, sweep, SimConfig, Workload};
-use abc_transform::radix;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -418,7 +417,7 @@ fn primes_report() {
         .filter(|p| {
             abc_math::Modulus::new(p.q)
                 .ok()
-                .and_then(|m| abc_math::reduce::NttFriendlyMontgomery::new(m).ok())
+                .and_then(|m| abc_hw::reduce::NttFriendlyMontgomery::new(m).ok())
                 .is_some()
         })
         .count();
@@ -429,7 +428,7 @@ fn primes_report() {
     );
     println!(
         "of which admit a shift-add REDC network (CSD weight <= {}): {}",
-        abc_math::reduce::NttFriendlyMontgomery::MAX_CSD_WEIGHT,
+        abc_hw::reduce::NttFriendlyMontgomery::MAX_CSD_WEIGHT,
         shift_add_ok
     );
 }

@@ -271,23 +271,23 @@ fn main() {
     // the gateway's, a mid-size and the paper's ring (at 2^16 the two
     // twiddle columns no longer fit L2; the inverse reads them
     // backwards); `forward_golden` is the oracle (`u128` multiply and a
-    // division per twiddle) over the same table ---
+    // division per twiddle) over the same table, the plan's reference
+    // rung ---
     type Transform = fn(&NttPlan, &mut [u64]);
-    for (log_n, direction, transform) in [
-        (13u32, "forward", NttPlan::forward as Transform),
-        (13, "forward_golden", |plan, data| {
-            plan.forward_with(plan.table(), data)
-        }),
-        (14, "forward", NttPlan::forward),
-        (16, "forward", NttPlan::forward),
-        (13, "inverse", NttPlan::inverse),
-        (14, "inverse", NttPlan::inverse),
-        (16, "inverse", NttPlan::inverse),
+    let (forward, inverse) = (NttPlan::forward as Transform, NttPlan::inverse as Transform);
+    for (log_n, direction, tier, transform) in [
+        (13u32, "forward", KernelTier::Auto, forward),
+        (13, "forward_golden", KernelTier::Reference, forward),
+        (14, "forward", KernelTier::Auto, forward),
+        (16, "forward", KernelTier::Auto, forward),
+        (13, "inverse", KernelTier::Auto, inverse),
+        (14, "inverse", KernelTier::Auto, inverse),
+        (16, "inverse", KernelTier::Auto, inverse),
     ] {
         let n = 1usize << log_n;
         let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
         let m = abc_math::Modulus::new(q).expect("modulus");
-        let plan = NttPlan::new(m, n).expect("plan");
+        let plan = NttPlan::with_kernel(m, n, tier).expect("plan");
         let mut data: Vec<u64> = (0..n as u64).map(|i| i % q).collect();
         benches.push(measure(&format!("ntt/{direction}/2^{log_n}"), 300, || {
             transform(&plan, &mut data);
@@ -619,11 +619,7 @@ fn main() {
 
     // --- Embedding datapaths: precision ---
     let mut precision_rows = Vec::new();
-    for precision in [
-        EmbeddingPrecision::F64,
-        EmbeddingPrecision::ExtF64,
-        EmbeddingPrecision::Fp55,
-    ] {
+    for precision in [EmbeddingPrecision::F64, EmbeddingPrecision::ExtF64] {
         let label = precision.name();
         let params = CkksParams::bootstrappable(13)
             .expect("preset")

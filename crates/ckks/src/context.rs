@@ -5,7 +5,7 @@ use crate::key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
 use crate::params::{CkksParams, EmbeddingPrecision};
 use crate::scale::ExactScale;
 use crate::CkksError;
-use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
+use abc_float::{Complex, ExtF64Field, F64Field, RealField};
 use abc_math::rns::{Lifted, WordLift};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
@@ -23,8 +23,6 @@ pub enum EmbeddingEngine {
     F64(SpecialFftEngine<F64Field>),
     /// Double-double ≈106-bit — decodes above the FP64 ceiling.
     ExtF64(SpecialFftEngine<ExtF64Field>),
-    /// The paper's reduced FP55 hardware datapath.
-    Fp55(SpecialFftEngine<SoftFloatField>),
 }
 
 impl EmbeddingEngine {
@@ -32,27 +30,6 @@ impl EmbeddingEngine {
         match precision {
             EmbeddingPrecision::F64 => Self::F64(SpecialFftEngine::new(F64Field, slots)),
             EmbeddingPrecision::ExtF64 => Self::ExtF64(SpecialFftEngine::new(ExtF64Field, slots)),
-            EmbeddingPrecision::Fp55 => {
-                Self::Fp55(SpecialFftEngine::new(SoftFloatField::fp55(), slots))
-            }
-        }
-    }
-
-    /// The datapath's report name (`fp64` / `extf64` / `fp55`).
-    pub fn name(&self) -> String {
-        match self {
-            Self::F64(e) => e.plan().field().name(),
-            Self::ExtF64(e) => e.plan().field().name(),
-            Self::Fp55(e) => e.plan().field().name(),
-        }
-    }
-
-    /// Twiddle words materialized by the plan (both directions).
-    pub fn twiddle_words(&self) -> usize {
-        match self {
-            Self::F64(e) => e.plan().twiddle_words(),
-            Self::ExtF64(e) => e.plan().twiddle_words(),
-            Self::Fp55(e) => e.plan().twiddle_words(),
         }
     }
 }
@@ -63,7 +40,6 @@ macro_rules! with_embedding {
         match &$self.embedding {
             EmbeddingEngine::F64($engine) => $body,
             EmbeddingEngine::ExtF64($engine) => $body,
-            EmbeddingEngine::Fp55($engine) => $body,
         }
     };
 }

@@ -17,9 +17,9 @@
 //! 2^16`, 36-bit double-scale primes, up to 24 RNS levels
 //! ([`params::CkksParams::bootstrappable`]).
 //!
-//! Instrumentation for the paper's figures lives in [`opcount`]
-//! (Fig. 2b operation breakdown) and [`precision`] (Fig. 3c
-//! bootstrapping-precision vs mantissa-width sweep).
+//! [`precision`] measures the paper's precision metric on any embedding
+//! datapath — the FP55 hardware datapath of Fig. 3c's mantissa-width
+//! sweep included — without the context running it.
 //!
 //! # Example
 //!
@@ -49,7 +49,6 @@ pub mod context;
 pub mod evaluator;
 pub mod key;
 pub mod noise;
-pub mod opcount;
 pub mod params;
 pub mod precision;
 pub mod scale;

@@ -42,8 +42,9 @@ impl ScaleMode {
 /// embedding resolves only ~49 of those bits (the 2^-53 kernel noise
 /// dominates): [`EmbeddingPrecision::ExtF64`] runs the embedding in
 /// double-double (~106-bit) arithmetic so decode finally sees the full
-/// double-scale payload, while [`EmbeddingPrecision::Fp55`] models the
-/// paper's reduced hardware datapath (Fig. 3c).
+/// double-scale payload. The paper's reduced FP55 hardware datapath
+/// (Fig. 3c) is not a context option: it is measured by handing
+/// `SoftFloatField::fp55()` to [`crate::precision::measure_precision`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EmbeddingPrecision {
     /// IEEE binary64 — the reference datapath.
@@ -51,8 +52,6 @@ pub enum EmbeddingPrecision {
     F64,
     /// Double-double (~106 bits): decodes above the FP64 ceiling.
     ExtF64,
-    /// The paper's reduced FP55 (43-bit mantissa) hardware datapath.
-    Fp55,
 }
 
 impl EmbeddingPrecision {
@@ -61,7 +60,6 @@ impl EmbeddingPrecision {
         match self {
             EmbeddingPrecision::F64 => "fp64",
             EmbeddingPrecision::ExtF64 => "extf64",
-            EmbeddingPrecision::Fp55 => "fp55",
         }
     }
 }
@@ -180,8 +178,8 @@ impl CkksParams {
         self.embedding
     }
 
-    /// The same parameters with a different embedding datapath — lets
-    /// every preset opt into `ExtF64` or `Fp55` embeddings:
+    /// The same parameters with a different embedding datapath — the
+    /// one setter of the field, so every preset can opt into `ExtF64`:
     /// `CkksParams::bootstrappable(16)?.with_embedding(EmbeddingPrecision::ExtF64)`.
     #[must_use]
     pub fn with_embedding(mut self, embedding: EmbeddingPrecision) -> Self {
@@ -246,7 +244,6 @@ pub struct CkksParamsBuilder {
     prime_bits: u32,
     scale_bits: u32,
     scale_mode: ScaleMode,
-    embedding: EmbeddingPrecision,
     secret_hamming_weight: Option<usize>,
 }
 
@@ -258,7 +255,6 @@ impl Default for CkksParamsBuilder {
             prime_bits: 36,
             scale_bits: 36,
             scale_mode: ScaleMode::Single,
-            embedding: EmbeddingPrecision::F64,
             secret_hamming_weight: Some(192),
         }
     }
@@ -292,12 +288,6 @@ impl CkksParamsBuilder {
     /// Sets the prime-to-level mapping ([`ScaleMode`]).
     pub fn scale_mode(mut self, mode: ScaleMode) -> Self {
         self.scale_mode = mode;
-        self
-    }
-
-    /// Sets the embedding-FFT datapath ([`EmbeddingPrecision`]).
-    pub fn embedding_precision(mut self, embedding: EmbeddingPrecision) -> Self {
-        self.embedding = embedding;
         self
     }
 
@@ -366,7 +356,7 @@ impl CkksParamsBuilder {
             prime_bits: self.prime_bits,
             scale_bits: self.scale_bits,
             scale_mode: self.scale_mode,
-            embedding: self.embedding,
+            embedding: EmbeddingPrecision::F64,
             secret_hamming_weight: self.secret_hamming_weight,
         })
     }
@@ -499,14 +489,8 @@ mod tests {
         assert_eq!(e.embedding_precision(), EmbeddingPrecision::ExtF64);
         // Only the embedding differs; everything else carries over.
         assert_eq!(e.clone().with_embedding(EmbeddingPrecision::F64), p);
-        let b = CkksParams::builder()
-            .embedding_precision(EmbeddingPrecision::Fp55)
-            .build()
-            .unwrap();
-        assert_eq!(b.embedding_precision(), EmbeddingPrecision::Fp55);
         assert_eq!(EmbeddingPrecision::ExtF64.name(), "extf64");
         assert_eq!(EmbeddingPrecision::F64.name(), "fp64");
-        assert_eq!(EmbeddingPrecision::Fp55.name(), "fp55");
     }
 
     #[test]

@@ -225,9 +225,9 @@ mod tests {
                 .scale_bits(36)
                 .scale_mode(crate::params::ScaleMode::DoublePair)
                 .secret_hamming_weight(Some(32))
-                .embedding_precision(e)
                 .build()
                 .unwrap()
+                .with_embedding(e)
         };
         let f64_ctx = CkksContext::new(params(EmbeddingPrecision::F64)).unwrap();
         let ext_ctx = CkksContext::new(params(EmbeddingPrecision::ExtF64)).unwrap();

@@ -44,10 +44,10 @@ fn lift_ctx(embedding: EmbeddingPrecision) -> CkksContext {
             .log_n(7)
             .num_primes(6)
             .scale_mode(ScaleMode::DoublePair)
-            .embedding_precision(embedding)
             .secret_hamming_weight(None)
             .build()
-            .expect("valid params"),
+            .expect("valid params")
+            .with_embedding(embedding),
     )
     .expect("context")
 }
@@ -85,7 +85,6 @@ fn oracle_decode(ctx: &CkksContext, pt: &Plaintext) -> Vec<Complex> {
     match ctx.embedding() {
         EmbeddingEngine::F64(e) => on(ctx, e, pt),
         EmbeddingEngine::ExtF64(e) => on(ctx, e, pt),
-        EmbeddingEngine::Fp55(e) => on(ctx, e, pt),
     }
 }
 
@@ -169,7 +168,6 @@ proptest! {
         embedding in prop::sample::select(vec![
             EmbeddingPrecision::F64,
             EmbeddingPrecision::ExtF64,
-            EmbeddingPrecision::Fp55,
         ]),
     ) {
         let ctx = lift_ctx(embedding);

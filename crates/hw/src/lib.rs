@@ -1,18 +1,33 @@
-//! Analytical hardware model of ABC-FHE (28 nm, 600 MHz).
+//! The paper's hardware, as models: the crate holds everything that
+//! models or checks ABC-FHE's accelerator and that a client's
+//! encode → encrypt → decrypt → decode never runs. The product crates
+//! (`abc-math`, `abc-transform`, `abc-ckks`, `abc-gateway`) do not
+//! depend on it; it depends on them, to check its datapath models
+//! against the kernels they model.
 //!
-//! The paper evaluates area and power by synthesis (Design Compiler); this
-//! crate substitutes an **anchored analytical model**: per-component
-//! constants are taken from the paper's published synthesis results
-//! (Table I for modular multipliers, Table II for the chip breakdown) and
-//! everything architectural — how multiplier counts, optimization steps
-//! and configurations compose into chip area — is computed structurally.
-//! That preserves exactly the conclusions the paper draws from the
-//! numbers (the Fig. 6a optimization walk, the 6 % generator overhead,
-//! the Table II totals) while being honest that transistor-level values
-//! are inherited, not re-synthesized. See DESIGN.md for the substitution
-//! rationale.
+//! **Datapath models** — functional, bit-exact against the product code:
 //!
-//! Modules:
+//! * [`twiddle`] — the unified on-the-fly twiddle generator (§IV-B),
+//!   checked twiddle for twiddle against the NTT plan's table.
+//! * [`stream`] / [`stream_fft`] — the RFE's streaming NTT and special-FFT
+//!   dataflows (one sample per tick, halving delay buffers), equal to
+//!   `NttPlan::forward` and the planned `SpecialFft` output for output.
+//! * [`reduce`] — the Table I reducers behind one strategy trait: the
+//!   client's Barrett and Montgomery beside the NTT-friendly shift-add
+//!   Montgomery.
+//! * [`radix`] — MDC design enumeration and multiplier counts (Fig. 4).
+//! * [`opcount`] — the client and server op counts of Fig. 2.
+//!
+//! **Cost models** — the paper evaluates area and power by synthesis
+//! (Design Compiler); these modules substitute an **anchored analytical
+//! model**: per-component constants are taken from the paper's published
+//! synthesis results (Table I for modular multipliers, Table II for the
+//! chip breakdown) and everything architectural — how multiplier counts,
+//! optimization steps and configurations compose into chip area — is
+//! computed structurally. That preserves exactly the conclusions the
+//! paper draws from the numbers (the Fig. 6a optimization walk, the 6 %
+//! generator overhead, the Table II totals) while being honest that
+//! transistor-level values are inherited, not re-synthesized.
 //!
 //! * [`multiplier`] — Table I: Barrett / Montgomery / NTT-friendly
 //!   Montgomery area at any datapath width.
@@ -23,14 +38,23 @@
 //!   masks/errors, 8.25 MB twiddles vs ~27 KB of seeds).
 //! * [`scaling`] — DeepScaleTool-style 28 nm → 7 nm scaling
 //!   (→ ≈0.9 mm², ≈2.1 W).
+//! * [`dse`] — area/power of configurations the paper did not build.
+//!
+//! The cycle model of the same chip is `abc-sim`.
 
 pub mod chip;
 pub mod component;
 pub mod dse;
 pub mod memory;
 pub mod multiplier;
+pub mod opcount;
+pub mod radix;
+pub mod reduce;
 pub mod rfe;
 pub mod scaling;
+pub mod stream;
+pub mod stream_fft;
+pub mod twiddle;
 
 /// Clock frequency of every synthesized number in this crate (Hz).
 pub const CLOCK_HZ: f64 = 600e6;

@@ -11,6 +11,8 @@
 //! * encryption transforms three polynomials per prime (`v`, `e0`, `e1`),
 //! * decoding recombines CRT digits with `O(L²)` Garner steps.
 
+use abc_ckks::params::CkksParams;
+
 /// Primitive-operation tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Ops {
@@ -252,7 +254,7 @@ pub struct Fig2Row {
 }
 
 /// [`fig2_rows`] with the level accounting derived from a parameter
-/// set's [`ScaleMode`](crate::params::ScaleMode) — the paper's
+/// set's [`ScaleMode`](abc_ckks::params::ScaleMode) — the paper's
 /// convention, where Fig. 2's caption counts *levels*, not primes.
 ///
 /// Under the double scale one level is a prime **pair**: the paper's
@@ -262,7 +264,7 @@ pub struct Fig2Row {
 /// returned 2-level ciphertext) reproduces ≈2.9 MOPs. The physical
 /// per-prime operation count (2× the level figure under pairing) is
 /// what [`count_client_ops`] reports.
-pub fn fig2_rows_for_params(params: &crate::params::CkksParams, dec_levels: u64) -> Vec<Fig2Row> {
+pub fn fig2_rows_for_params(params: &CkksParams, dec_levels: u64) -> Vec<Fig2Row> {
     let enc_units = params.multiplicative_levels() as u64;
     fig2_rows(params.n() as u64, enc_units, dec_levels + 1)
 }
@@ -292,7 +294,7 @@ pub fn fig2_rows(n: u64, enc_primes: u64, dec_primes: u64) -> Vec<Fig2Row> {
 }
 
 /// Counts one RNS-gadget key switch of a `primes`-limb polynomial
-/// ([`crate::evaluator::relinearize`] / rotation internals): per digit,
+/// ([`abc_ckks::evaluator::relinearize`] / rotation internals): per digit,
 /// one INTT of the digit's limb, `primes` NTTs of the centered digit,
 /// and a fused multiply-accumulate against both key components across
 /// every limb. The `primes²` NTT term dominates — the same transform
@@ -321,7 +323,7 @@ pub fn count_keyswitch_ops(n: u64, primes: u64) -> PhaseBreakdown {
     out
 }
 
-/// Counts a ciphertext–ciphertext multiply ([`crate::evaluator::mul`]):
+/// Counts a ciphertext–ciphertext multiply ([`abc_ckks::evaluator::mul`]):
 /// four dyadic limb products and one accumulation for the cross term,
 /// all in the NTT domain (no transforms).
 pub fn count_mul_ops(n: u64, primes: u64) -> PhaseBreakdown {
@@ -336,7 +338,7 @@ pub fn count_mul_ops(n: u64, primes: u64) -> PhaseBreakdown {
     out
 }
 
-/// Counts [`crate::evaluator::relinearize`]: one key switch of `c2`
+/// Counts [`abc_ckks::evaluator::relinearize`]: one key switch of `c2`
 /// plus folding both switched components onto `(c0, c1)`.
 pub fn count_relinearize_ops(n: u64, primes: u64) -> PhaseBreakdown {
     let mut out = count_keyswitch_ops(n, primes);
@@ -344,7 +346,7 @@ pub fn count_relinearize_ops(n: u64, primes: u64) -> PhaseBreakdown {
     out
 }
 
-/// Counts [`crate::evaluator::rotate`] / `conjugate`: the coefficient-
+/// Counts [`abc_ckks::evaluator::rotate`] / `conjugate`: the coefficient-
 /// domain automorphism on both components (2·`primes` INTT/NTT pairs
 /// around a signed permutation) plus one key switch and the `c0` fold.
 pub fn count_rotate_ops(n: u64, primes: u64) -> PhaseBreakdown {
@@ -448,13 +450,13 @@ mod tests {
         // 12 double-scale levels (24 primes) at N = 2^16, decrypting
         // 2-level returns. Deriving the units from the parameter set's
         // scale mode must land on the published 27.0 / 2.9 MOPs.
-        let p = crate::params::CkksParams::bootstrappable(16).expect("preset");
+        let p = CkksParams::bootstrappable(16).expect("preset");
         let rows = fig2_rows_for_params(&p, 2);
         assert!((rows[0].mops - 27.0).abs() < 4.0, "enc = {}", rows[0].mops);
         assert!((rows[1].mops - 2.9).abs() < 0.7, "dec = {}", rows[1].mops);
         // Single-scale at the same prime count counts one unit per
         // prime: twice the transform work per level figure.
-        let s = crate::params::CkksParams::builder()
+        let s = CkksParams::builder()
             .log_n(16)
             .num_primes(24)
             .build()

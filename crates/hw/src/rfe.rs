@@ -18,11 +18,11 @@
 //! Constants are calibrated so the final configuration equals the Table II
 //! `4× PNL` area (10.717 mm²) and the total reduction is the paper's 31 %;
 //! the *shape* of the walk then follows purely from the structural counts
-//! in `abc-transform::radix` and the Table I multiplier areas.
+//! in [`crate::radix`] and the Table I multiplier areas.
 
 use crate::multiplier::MulAlgorithm;
+use crate::radix::{MdcDesign, TransformKind};
 use crate::AreaPower;
-use abc_transform::radix::{MdcDesign, TransformKind};
 
 /// Lanes per pipeline (paper: P = 8 MDC backbone).
 pub const LANES: u32 = 8;

@@ -1,12 +1,13 @@
 //! Functional model of the *streaming* pipelined NTT — the PNL dataflow.
 //!
-//! The in-place kernels in [`crate::ntt`] compute the right answer but
-//! say nothing about how a streaming pipeline computes it. This module
+//! The in-place kernels of `abc_transform::ntt` compute the right answer
+//! but say nothing about how a streaming pipeline computes it. This module
 //! builds the pipeline: one stage object per butterfly column, each with
 //! the delay buffer the MDC "2n FIFO / shuffling unit" realizes, each
 //! consuming and producing **one coefficient per tick** once primed.
 //! Feeding a polynomial through all `log2 N` stages produces exactly the
-//! same output as [`crate::ntt::NttPlan::forward`] — asserted by tests —
+//! same output as [`NttPlan::forward`] — asserted by tests, on the plan's
+//! table and on the on-the-fly generator alike —
 //! while exposing the structural quantities the paper's hardware sizing
 //! rests on: per-stage buffer depths halve from `N/2` down to `1`
 //! (summing to `N−1` words per direction), and sustained throughput is
@@ -21,6 +22,7 @@
 
 use crate::twiddle::TwiddleSource;
 use abc_math::{MathError, Modulus};
+use abc_transform::NttPlan;
 
 /// One Cooley–Tukey butterfly column as a streaming operator.
 #[derive(Debug, Clone)]
@@ -97,14 +99,14 @@ impl StreamStage {
     }
 }
 
-/// A full streaming forward NTT: `log2 N` chained [`StreamStage`]s.
+/// A full streaming forward NTT: `log2 N` chained butterfly columns.
 ///
 /// # Example
 ///
 /// ```
+/// use abc_hw::stream::StreamingNtt;
 /// use abc_math::Modulus;
-/// use abc_transform::ntt::NttPlan;
-/// use abc_transform::stream::StreamingNtt;
+/// use abc_transform::NttPlan;
 ///
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let m = Modulus::new(0xFFF0_0001)?;
@@ -131,8 +133,8 @@ impl StreamingNtt {
     ///
     /// Returns [`MathError::InvalidModulus`] if the plan size is below 2
     /// (no stages).
-    pub fn from_plan(plan: &crate::ntt::NttPlan) -> Result<Self, MathError> {
-        Self::new(*plan.modulus(), plan.n(), plan.table())
+    pub fn from_plan(plan: &NttPlan) -> Result<Self, MathError> {
+        Self::new(*plan.modulus(), plan.n(), plan)
     }
 
     /// Builds the pipeline from any twiddle source.
@@ -174,7 +176,7 @@ impl StreamingNtt {
 
     /// Streams a polynomial through the pipeline, one coefficient per
     /// tick, and returns the transformed polynomial (natural emission
-    /// order, matching [`crate::ntt::NttPlan::forward`]).
+    /// order, matching [`NttPlan::forward`]).
     ///
     /// # Panics
     ///
@@ -228,7 +230,6 @@ impl StreamingNtt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ntt::NttPlan;
     use crate::twiddle::OtfTwiddleGen;
 
     fn modulus() -> Modulus {
@@ -312,7 +313,7 @@ mod tests {
     fn rejects_degenerate_sizes() {
         let m = modulus();
         let plan = NttPlan::new(m, 16).unwrap();
-        assert!(StreamingNtt::new(m, 1, plan.table()).is_err());
-        assert!(StreamingNtt::new(m, 12, plan.table()).is_err());
+        assert!(StreamingNtt::new(m, 1, &plan).is_err());
+        assert!(StreamingNtt::new(m, 12, &plan).is_err());
     }
 }

@@ -5,21 +5,22 @@
 //! doubling delay buffers, with four modular multipliers ganged into one
 //! complex multiplier. This module mirrors [`crate::stream`] for the
 //! canonical-embedding transform: per-stage streaming operators whose
-//! outputs are asserted identical to [`crate::fft::SpecialFft`].
+//! outputs are asserted identical to [`SpecialFft`].
 //!
-//! The streamer borrows its per-stage twiddle columns directly from the
-//! planned [`SpecialFft`] it is built from — one table per
-//! (slots, datapath), shared by the in-place kernel, the streaming model
-//! and the batch engine — so dataflow and reference are twiddle-identical
-//! by construction on every datapath (FP64, FP55, `ExtF64`).
+//! The streamer copies its per-stage twiddle columns from the planned
+//! [`SpecialFft`] it is built from ([`SpecialFft::stage_twiddles`]) —
+//! one table per (slots, datapath), shared by the in-place kernel, the
+//! streaming model and the batch engine — so dataflow and reference are
+//! twiddle-identical by construction on every datapath (FP64, FP55,
+//! `ExtF64`).
 //!
 //! The bit-reversal permutation (front of the forward transform, back of
 //! the inverse) is realized by a full reorder buffer — the hardware's
 //! input/output shuffling network, with `slots` words of storage.
 
-use crate::bitrev::bit_reverse_permute;
-use crate::fft::SpecialFft;
 use abc_float::{Complex, F64Field, RealField};
+use abc_transform::bitrev::bit_reverse_permute;
+use abc_transform::SpecialFft;
 
 /// One complex butterfly column as a streaming operator.
 ///
@@ -114,9 +115,9 @@ impl<R: Copy> FftStreamStage<R> {
 /// # Example
 ///
 /// ```
-/// use abc_float::{Complex, F64Field};
-/// use abc_transform::fft::SpecialFft;
-/// use abc_transform::stream_fft::StreamingSpecialFft;
+/// use abc_float::Complex;
+/// use abc_hw::stream_fft::StreamingSpecialFft;
+/// use abc_transform::SpecialFft;
 ///
 /// let plan = SpecialFft::new(16);
 /// let mut streamer = StreamingSpecialFft::new(&plan);
@@ -144,19 +145,17 @@ impl<F: RealField> StreamingSpecialFft<F> {
     /// Builds the streamer for the same geometry *and twiddle table* as
     /// `plan` — no twiddle is ever regenerated.
     pub fn new(plan: &SpecialFft<F>) -> Self {
+        let columns = |inverse| {
+            plan.stage_twiddles(inverse)
+                .iter()
+                .map(|tw| FftStreamStage::new(tw.clone()))
+                .collect()
+        };
         Self {
             field: plan.field().clone(),
             slots: plan.slots(),
-            fwd_stages: plan
-                .fwd_stage_twiddles()
-                .iter()
-                .map(|tw| FftStreamStage::new(tw.clone()))
-                .collect(),
-            inv_stages: plan
-                .inv_stage_twiddles()
-                .iter()
-                .map(|tw| FftStreamStage::new(tw.clone()))
-                .collect(),
+            fwd_stages: columns(false),
+            inv_stages: columns(true),
         }
     }
 

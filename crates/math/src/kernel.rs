@@ -20,13 +20,14 @@ use core::fmt;
 use std::sync::OnceLock;
 
 /// Environment variable overriding the tier of everything built with
-/// [`KernelTier::Auto`]: `auto`, `simd`, `scalar` or `reference`
-/// (case-insensitive; blank means `auto`).
+/// [`KernelTier::Auto`]: `auto`, `simd` or `scalar` (case-insensitive;
+/// blank means `auto`).
 ///
 /// Explicit tiers are never overridden and capability degradation
 /// still applies. CI sets `scalar` to run tier-1 down the non-SIMD
-/// paths on AVX-512 hosts; the dispatch tests assert that an `Auto`
-/// plan runs a *fast* rung, so `reference` is for ad-hoc debugging only.
+/// paths on AVX-512 hosts. The reference rung is not a value: an `Auto`
+/// plan always runs a fast rung, and the oracles are reached only by an
+/// explicit [`KernelTier::Reference`].
 pub const KERNEL_ENV: &str = "ABC_FHE_KERNEL";
 
 /// Which rung of the kernel ladder a plan or engine is asked for. A
@@ -43,7 +44,8 @@ pub enum KernelTier {
     /// scalar Montgomery, planned-twiddle FFT).
     Scalar,
     /// The reference models (`u128 %` arithmetic, on-the-fly twiddles),
-    /// always applicable.
+    /// always applicable — the suites' oracles, asked for explicitly,
+    /// never through [`KERNEL_ENV`].
     Reference,
 }
 
@@ -58,9 +60,8 @@ impl KernelTier {
             "" | "auto" => Ok(Self::Auto),
             "simd" => Ok(Self::Simd),
             "scalar" => Ok(Self::Scalar),
-            "reference" => Ok(Self::Reference),
             _ => Err(format!(
-                "{KERNEL_ENV} must be auto|simd|scalar|reference, got {raw:?}"
+                "{KERNEL_ENV} must be auto|simd|scalar, got {raw:?}"
             )),
         }
     }
@@ -100,7 +101,8 @@ impl KernelTier {
 }
 
 impl fmt::Display for KernelTier {
-    /// The name [`KernelTier::parse`] accepts for this tier.
+    /// The tier's name — the one [`KernelTier::parse`] accepts for it,
+    /// except `reference`, which is not an override.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Self::Auto => "auto",
@@ -163,31 +165,40 @@ impl fmt::Display for CpuCaps {
 
 #[cfg(test)]
 mod tests {
-    use super::KernelTier::{Auto, Reference, Scalar, Simd};
+    use super::KernelTier::{Auto, Scalar, Simd};
     use super::*;
 
     #[test]
-    fn parse_accepts_the_four_tiers_and_rejects_garbage() {
+    fn parse_accepts_three_tiers_and_rejects_reference_and_garbage() {
         assert_eq!(KernelTier::parse(None), Ok(Auto));
         for (raw, want) in [
             ("", Auto),
             ("  ", Auto),
             (" Auto ", Auto),
             ("SIMD", Simd),
-            ("Scalar", Scalar),
-            ("reference\n", Reference),
+            ("Scalar\n", Scalar),
         ] {
             assert_eq!(KernelTier::parse(Some(raw)), Ok(want), "{raw:?}");
         }
-        // Each tier prints as the name it parses from.
-        for tier in [Auto, Simd, Scalar, Reference] {
+        // Each parseable tier prints as the name it parses from.
+        for tier in [Auto, Simd, Scalar] {
             assert_eq!(KernelTier::parse(Some(&tier.to_string())), Ok(tier));
         }
-        // The per-layer names of the three variables this one replaced
-        // are not tiers.
-        for garbage in ["ifma", "harvey", "montgomery", "avx512", "golden", "2"] {
+        // The reference rung is not an override, and the per-layer
+        // names of the three variables this one replaced are not tiers;
+        // the error names the values that are.
+        for garbage in [
+            "reference",
+            "ifma",
+            "harvey",
+            "montgomery",
+            "avx512",
+            "golden",
+            "2",
+        ] {
             let err = KernelTier::parse(Some(garbage)).unwrap_err();
             assert!(err.contains(KERNEL_ENV) && err.contains(garbage), "{err}");
+            assert!(err.contains("auto|simd|scalar,"), "{err}");
             // What every `with_kernel` constructor does with it.
             assert!(std::panic::catch_unwind(|| KernelTier::from_raw(Some(garbage))).is_err());
         }

@@ -7,10 +7,11 @@
 //!
 //! * [`Modulus`] — a single RNS prime with reference (`u128`-based) modular
 //!   operations, primitive roots and inverses.
-//! * [`reduce`] — the three modular-multiplication algorithms compared in the
-//!   paper's Table I ([`reduce::Barrett`], [`reduce::Montgomery`] and
-//!   [`reduce::NttFriendlyMontgomery`]), all implementing the
-//!   [`reduce::ModMul`] strategy trait and producing identical results.
+//! * [`reduce`] — the two scalar reducers the client runs,
+//!   [`reduce::Barrett`] and [`reduce::Montgomery`], which are also the
+//!   oracles of the vector kernels. The paper's Table I comparison — the
+//!   NTT-friendly shift-and-add Montgomery beside these two — is a model
+//!   in `abc-hw`.
 //! * [`primes`] — deterministic Miller–Rabin primality, generic NTT-prime
 //!   generation, and the structured-`k` search that backs the paper's claim
 //!   of 443 usable 32–36-bit primes for `N = 2^16`.

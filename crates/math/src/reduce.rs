@@ -1,34 +1,13 @@
-//! The three modular-multiplication algorithms compared in the paper's
-//! Table I: Barrett, vanilla Montgomery, and the NTT-friendly Montgomery
-//! whose `Q^-1` multiplication collapses to shift-and-add.
+//! The two scalar modular reducers the client runs: Barrett (behind
+//! [`crate::poly`]'s element-wise products) and Montgomery (the scalar
+//! rung of [`crate::dyadic::DyadicEngine`]). Both are also the test
+//! oracles of the vector kernels.
 //!
-//! All three implement the [`ModMul`] strategy trait and compute identical
-//! results; they differ in the *hardware cost* they imply, which the
-//! `abc-hw` crate models from the structural metadata exposed here
-//! (multiplier count, [`csd`] weight, pipeline depth).
+//! The paper's Table I compares them with a third, the NTT-friendly
+//! shift-and-add Montgomery; that one, and the strategy trait the
+//! comparison runs through, are hardware models and live in `abc-hw`.
 
 use crate::modulus::Modulus;
-use crate::MathError;
-
-/// A modular-multiplication strategy over a fixed modulus.
-///
-/// Implementations must satisfy `mul_mod(a, b) = a·b mod q` for all
-/// `a, b ∈ [0, q)`; the property-test suite checks each implementation
-/// against the `u128` golden model.
-pub trait ModMul {
-    /// The modulus this strategy reduces by.
-    fn modulus(&self) -> &Modulus;
-
-    /// Computes `a·b mod q` for `a, b ∈ [0, q)`.
-    fn mul_mod(&self, a: u64, b: u64) -> u64;
-
-    /// Number of hardware integer multipliers the straightforward
-    /// implementation of this algorithm requires (paper §IV-A).
-    fn multiplier_count(&self) -> u32;
-
-    /// Pipeline depth in cycles when synthesized at 600 MHz (Table I).
-    fn pipeline_stages(&self) -> u32;
-}
 
 /// Textbook Barrett reduction (paper refs \[4\]): approximates division by a
 /// multiplication with the precomputed constant `mu = floor(2^(2k) / q)`.
@@ -36,13 +15,13 @@ pub trait ModMul {
 /// # Example
 ///
 /// ```
-/// use abc_math::reduce::{Barrett, ModMul};
+/// use abc_math::reduce::Barrett;
 /// use abc_math::Modulus;
 ///
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let m = Modulus::new(0x0000_000F_FFFF_FF01)?; // any odd modulus works
 /// let b = Barrett::new(m);
-/// assert_eq!(b.mul_mod(123456789, 987654321), m.mul(123456789, 987654321));
+/// assert_eq!(b.reduce(123456789 * 987654321), m.mul(123456789, 987654321));
 /// # Ok(())
 /// # }
 /// ```
@@ -135,30 +114,11 @@ fn mul_hi_shift(a: u128, b: u128, s: u32) -> u128 {
     }
 }
 
-impl ModMul for Barrett {
-    fn modulus(&self) -> &Modulus {
-        &self.m
-    }
-
-    fn mul_mod(&self, a: u64, b: u64) -> u64 {
-        self.reduce(a as u128 * b as u128)
-    }
-
-    fn multiplier_count(&self) -> u32 {
-        // input product + quotient estimate + quotient * q
-        3
-    }
-
-    fn pipeline_stages(&self) -> u32 {
-        4
-    }
-}
-
 /// Vanilla Montgomery multiplication (paper refs \[25\]) with `R = 2^64`.
 ///
-/// Operands are kept in the ordinary domain; each `mul_mod` converts the
-/// REDC output back by a second REDC against `R^2 mod q`, matching how a
-/// hardware pipeline hides domain conversion inside the twiddle constants.
+/// A single product converts the REDC output back by a second REDC
+/// against `R^2 mod q` ([`Montgomery::r2`]), matching how a hardware
+/// pipeline hides domain conversion inside the twiddle constants.
 ///
 /// # Batch (vector) use — the Montgomery-domain lifecycle
 ///
@@ -245,27 +205,6 @@ impl Montgomery {
     }
 }
 
-impl ModMul for Montgomery {
-    fn modulus(&self) -> &Modulus {
-        &self.m
-    }
-
-    fn mul_mod(&self, a: u64, b: u64) -> u64 {
-        // redc(a*b) = a*b*R^-1; multiply by R^2 then redc to restore.
-        let t = self.redc(a as u128 * b as u128);
-        self.redc(t as u128 * self.r2 as u128)
-    }
-
-    fn multiplier_count(&self) -> u32 {
-        // input product + m = t·q' + m·q  (paper §IV-A: "three multipliers")
-        3
-    }
-
-    fn pipeline_stages(&self) -> u32 {
-        3
-    }
-}
-
 /// Newton iteration for the inverse of an odd number modulo `2^64`.
 fn inv_mod_2_64(q: u64) -> u64 {
     debug_assert!(q % 2 == 1);
@@ -275,208 +214,6 @@ fn inv_mod_2_64(q: u64) -> u64 {
     }
     debug_assert_eq!(q.wrapping_mul(x), 1);
     x
-}
-
-/// A canonical-signed-digit (CSD) decomposition term: `sign * 2^shift`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsdTerm {
-    /// `+1` or `-1`.
-    pub sign: i8,
-    /// Power-of-two shift amount.
-    pub shift: u32,
-}
-
-/// Canonical signed-digit decomposition of `x`: the minimal-weight
-/// representation `x = Σ sign_i · 2^shift_i` with no two adjacent non-zero
-/// digits. The number of terms is the adder count of a shift-and-add
-/// multiplier by the constant `x`.
-pub fn csd(x: u64) -> Vec<CsdTerm> {
-    let mut terms = Vec::new();
-    let mut v = x as u128;
-    let mut shift = 0u32;
-    while v != 0 {
-        if v & 1 == 1 {
-            // Look at the two low bits to decide between +1 and -1 digit.
-            if v & 3 == 3 {
-                terms.push(CsdTerm { sign: -1, shift });
-                v += 1; // borrow propagates as +1
-            } else {
-                terms.push(CsdTerm { sign: 1, shift });
-                v -= 1;
-            }
-        }
-        v >>= 1;
-        shift += 1;
-    }
-    terms
-}
-
-/// Evaluates a CSD decomposition back to a value modulo `2^64` (wrapping),
-/// used to verify decompositions of constants that live modulo `R`.
-pub fn csd_eval_wrapping(terms: &[CsdTerm]) -> u64 {
-    let mut acc = 0u64;
-    for t in terms {
-        let v = if t.shift >= 64 { 0 } else { 1u64 << t.shift };
-        if t.sign > 0 {
-            acc = acc.wrapping_add(v);
-        } else {
-            acc = acc.wrapping_sub(v);
-        }
-    }
-    acc
-}
-
-/// The paper's NTT-friendly Montgomery multiplier (§IV-A, Eq. 8–11).
-///
-/// Uses the Montgomery radix `R = 2^r` with `r = bits(q) + 2`, the smallest
-/// convenient power of two above the prime. For structured primes
-/// `Q = 2^bw + k·2^(n+1) + 1` with `k = ±2^a ± 2^b ± 2^c` (paper Eq. 8),
-/// both `-Q^{-1} mod R` *and* `Q` have low canonical-signed-digit weight:
-/// writing `Q = 1 + c` with `c = 2^bw + k·2^(n+1)` (trailing zeros ≥ n+1),
-/// the Neumann series `Q^{-1} = 1 - c + c^2 - …` truncates after two or
-/// three sparse terms modulo `2^r`. Both inner REDC products are therefore
-/// evaluated *through shift-and-add networks* — faithfully modelling the
-/// hardware datapath, which keeps a single true multiplier (Table I).
-#[derive(Debug, Clone)]
-pub struct NttFriendlyMontgomery {
-    m: Modulus,
-    /// Radix exponent: `R = 2^r`.
-    r: u32,
-    /// `-q^{-1} mod 2^r`.
-    qinv_neg: u64,
-    /// `R^2 mod q` for restoring the ordinary domain after REDC.
-    r2: u64,
-    /// CSD decomposition of `-q^{-1} mod 2^r`.
-    qinv_csd: Vec<CsdTerm>,
-    /// CSD decomposition of `q` itself (the `m·Q` network).
-    q_csd: Vec<CsdTerm>,
-}
-
-impl NttFriendlyMontgomery {
-    /// Maximum shift-add terms per network before it stops being cheaper
-    /// than a real multiplier. Structured primes land well under this;
-    /// random primes exceed it and are rejected.
-    pub const MAX_CSD_WEIGHT: usize = 9;
-
-    /// Builds the shift-add REDC network for `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidModulus`] if the CSD weight of
-    /// `-q^{-1} mod 2^r` or of `q` exceeds [`Self::MAX_CSD_WEIGHT`] —
-    /// i.e. the prime is not NTT-friendly in the paper's sense and a
-    /// shift-add network would be larger than a real multiplier.
-    pub fn new(m: Modulus) -> Result<Self, MathError> {
-        let r = m.bits() + 2;
-        debug_assert!(r <= 65);
-        let r = r.min(63); // keep (t mod R) in u64 with headroom
-        if (1u64 << r) <= m.q() {
-            return Err(MathError::InvalidModulus(m.q()));
-        }
-        let mask = (1u64 << r) - 1;
-        let qinv = inv_mod_2_64(m.q()) & mask;
-        let qinv_neg = qinv.wrapping_neg() & mask;
-        debug_assert_eq!(m.q().wrapping_mul(qinv) & mask, 1);
-        let r_mod_q = ((1u128 << r) % m.q() as u128) as u64;
-        let r2 = m.mul(r_mod_q, r_mod_q);
-        let qinv_csd = csd(qinv_neg);
-        let q_csd = csd(m.q());
-        if qinv_csd.len() > Self::MAX_CSD_WEIGHT || q_csd.len() > Self::MAX_CSD_WEIGHT {
-            return Err(MathError::InvalidModulus(m.q()));
-        }
-        Ok(Self {
-            m,
-            r,
-            qinv_neg,
-            r2,
-            qinv_csd,
-            q_csd,
-        })
-    }
-
-    /// Number of shift-add terms in the `Q^{-1}` network.
-    pub fn csd_weight(&self) -> usize {
-        self.qinv_csd.len()
-    }
-
-    /// Number of shift-add terms in the `Q` network.
-    pub fn q_csd_weight(&self) -> usize {
-        self.q_csd.len()
-    }
-
-    /// Total adder count of both shift-add networks (area-model input).
-    pub fn total_adders(&self) -> usize {
-        // An n-term CSD network needs n-1 adders.
-        self.qinv_csd.len().saturating_sub(1) + self.q_csd.len().saturating_sub(1)
-    }
-
-    /// The Montgomery radix exponent `r` (so `R = 2^r`).
-    pub fn radix_bits(&self) -> u32 {
-        self.r
-    }
-
-    /// The CSD terms of `-q^{-1} mod 2^r`.
-    pub fn qinv_terms(&self) -> &[CsdTerm] {
-        &self.qinv_csd
-    }
-
-    /// REDC with `R = 2^r`: computes `t · R^{-1} mod q` for `t < q·R`,
-    /// with both inner products evaluated by shift-and-add networks.
-    #[inline]
-    pub fn redc_shift_add(&self, t: u128) -> u64 {
-        let mask = (1u64 << self.r) - 1;
-        let t_lo = (t as u64) & mask;
-        // Network 1: m = t_lo * (-q^{-1}) mod 2^r via shifts and adds.
-        let mut mm = 0u64;
-        for term in &self.qinv_csd {
-            let shifted = t_lo.wrapping_shl(term.shift);
-            if term.sign > 0 {
-                mm = mm.wrapping_add(shifted);
-            } else {
-                mm = mm.wrapping_sub(shifted);
-            }
-        }
-        let mm = mm & mask;
-        debug_assert_eq!(mm, t_lo.wrapping_mul(self.qinv_neg) & mask);
-        // Network 2: m * q via shifts and adds (u128 accumulation).
-        let mut mq = 0i128;
-        for term in &self.q_csd {
-            let shifted = (mm as u128) << term.shift;
-            if term.sign > 0 {
-                mq += shifted as i128;
-            } else {
-                mq -= shifted as i128;
-            }
-        }
-        debug_assert_eq!(mq as u128, mm as u128 * self.m.q() as u128);
-        let t2 = ((t + mq as u128) >> self.r) as u64;
-        if t2 >= self.m.q() {
-            t2 - self.m.q()
-        } else {
-            t2
-        }
-    }
-}
-
-impl ModMul for NttFriendlyMontgomery {
-    fn modulus(&self) -> &Modulus {
-        &self.m
-    }
-
-    fn mul_mod(&self, a: u64, b: u64) -> u64 {
-        let t = self.redc_shift_add(a as u128 * b as u128);
-        self.redc_shift_add(t as u128 * self.r2 as u128)
-    }
-
-    fn multiplier_count(&self) -> u32 {
-        // Only the input product remains a true multiplier; the q' and q
-        // multiplies are shift-add networks.
-        1
-    }
-
-    fn pipeline_stages(&self) -> u32 {
-        3
-    }
 }
 
 #[cfg(test)]
@@ -501,7 +238,11 @@ mod tests {
             let m = Modulus::new(q).unwrap();
             let b = Barrett::new(m);
             for (x, y) in sample_pairs(q) {
-                assert_eq!(b.mul_mod(x, y), m.mul(x, y), "q={q} x={x} y={y}");
+                assert_eq!(
+                    b.reduce(x as u128 * y as u128),
+                    m.mul(x, y),
+                    "q={q} x={x} y={y}"
+                );
             }
         }
     }
@@ -519,7 +260,11 @@ mod tests {
             let b = Barrett::new(m);
             for x in 0..q {
                 for y in 0..q {
-                    assert_eq!(b.mul_mod(x, y), m.mul(x, y), "q={q} x={x} y={y}");
+                    assert_eq!(
+                        b.reduce(x as u128 * y as u128),
+                        m.mul(x, y),
+                        "q={q} x={x} y={y}"
+                    );
                     for c in [1, q - 1] {
                         let t = x as u128 * y as u128 + c as u128;
                         assert_eq!(
@@ -597,7 +342,12 @@ mod tests {
             let m = Modulus::new(q).unwrap();
             let mg = Montgomery::new(m);
             for (x, y) in sample_pairs(q) {
-                assert_eq!(mg.mul_mod(x, y), m.mul(x, y), "q={q} x={x} y={y}");
+                // One operand entered: redc(x·ỹ) = x·y mod q.
+                assert_eq!(
+                    mg.mont_mul(x, mg.to_mont(y)),
+                    m.mul(x, y),
+                    "q={q} x={x} y={y}"
+                );
                 // Domain round-trip.
                 assert_eq!(mg.from_mont(mg.to_mont(x)), x);
                 // In-domain multiply.
@@ -606,59 +356,6 @@ mod tests {
                 assert_eq!(mg.from_mont(mg.mont_mul(xm, ym)), m.mul(x, y));
             }
         }
-    }
-
-    #[test]
-    fn ntt_friendly_matches_reference() {
-        // Structured primes where the CSD weight is small.
-        for q in [0xFFF0_0001u64, 0xF_FFF0_0001, 0xFFF_FFFF_C001] {
-            let m = Modulus::new(q).unwrap();
-            let nf = NttFriendlyMontgomery::new(m).unwrap();
-            assert!(nf.csd_weight() <= NttFriendlyMontgomery::MAX_CSD_WEIGHT);
-            for (x, y) in sample_pairs(q) {
-                assert_eq!(nf.mul_mod(x, y), m.mul(x, y), "q={q} x={x} y={y}");
-            }
-        }
-    }
-
-    #[test]
-    fn csd_is_minimal_weight_and_correct() {
-        for x in [
-            0u64,
-            1,
-            2,
-            3,
-            7,
-            0xF0F0,
-            0xDEAD_BEEF,
-            u64::MAX,
-            0x8000_0000_0000_0001,
-        ] {
-            let terms = csd(x);
-            assert_eq!(csd_eval_wrapping(&terms), x, "x={x:#x}");
-            // CSD property: no two adjacent nonzero digits.
-            let mut shifts: Vec<u32> = terms.iter().map(|t| t.shift).collect();
-            shifts.sort_unstable();
-            for w in shifts.windows(2) {
-                assert!(w[1] - w[0] >= 2, "adjacent digits in CSD of {x:#x}");
-            }
-        }
-        // Classic example: 15 = 16 - 1 (weight 2, not 4).
-        assert_eq!(csd(15).len(), 2);
-    }
-
-    #[test]
-    fn table1_metadata() {
-        let m = Modulus::new(0xF_FFF0_0001).unwrap();
-        let b = Barrett::new(m);
-        let mg = Montgomery::new(m);
-        let nf = NttFriendlyMontgomery::new(m).unwrap();
-        assert_eq!(b.pipeline_stages(), 4);
-        assert_eq!(mg.pipeline_stages(), 3);
-        assert_eq!(nf.pipeline_stages(), 3);
-        assert_eq!(b.multiplier_count(), 3);
-        assert_eq!(mg.multiplier_count(), 3);
-        assert_eq!(nf.multiplier_count(), 1);
     }
 
     fn sample_pairs(q: u64) -> Vec<(u64, u64)> {

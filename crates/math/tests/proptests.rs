@@ -1,14 +1,11 @@
-//! Property-based tests for the math substrate: every reducer agrees with
-//! the `u128` golden model, CSD decompositions re-evaluate to their input,
-//! RNS decompose/combine round-trips, the word-sized CRT lift agrees
+//! Property-based tests for the math substrate: both scalar reducers
+//! agree with the `u128` golden model, RNS decompose/combine round-trips, the word-sized CRT lift agrees
 //! with the big-integer one wherever it verifies and wherever it does not,
 //! and division-free RNS expansion agrees with `Modulus::from_i128`.
 
 use abc_math::dyadic::DyadicEngine;
-use abc_math::primes::{generate_ntt_primes, generate_structured_ntt_primes, is_prime};
-use abc_math::reduce::{
-    csd, csd_eval_wrapping, Barrett, ModMul, Montgomery, NttFriendlyMontgomery,
-};
+use abc_math::primes::{generate_ntt_primes, is_prime};
+use abc_math::reduce::{Barrett, Montgomery};
 use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
 use abc_math::{shoup, KernelTier, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
@@ -38,7 +35,7 @@ proptest! {
         let a = a % m.q();
         let b = b % m.q();
         let barrett = Barrett::new(m);
-        prop_assert_eq!(barrett.mul_mod(a, b), m.mul(a, b));
+        prop_assert_eq!(barrett.reduce(a as u128 * b as u128), m.mul(a, b));
     }
 
     #[test]
@@ -46,7 +43,7 @@ proptest! {
         let a = a % m.q();
         let b = b % m.q();
         let mont = Montgomery::new(m);
-        prop_assert_eq!(mont.mul_mod(a, b), m.mul(a, b));
+        prop_assert_eq!(mont.mont_mul(a, mont.to_mont(b)), m.mul(a, b));
         prop_assert_eq!(mont.from_mont(mont.to_mont(a)), a);
     }
 
@@ -77,18 +74,6 @@ proptest! {
         prop_assert!(d < 4 * q);
         prop_assert_eq!(d % q, m.sub(a % q, b % q));
         prop_assert_eq!(shoup::normalize_4q(d, q), m.sub(a % q, b % q));
-    }
-
-    #[test]
-    fn csd_reevaluates(x in any::<u64>()) {
-        let terms = csd(x);
-        prop_assert_eq!(csd_eval_wrapping(&terms), x);
-        // Non-adjacency (the "canonical" in CSD).
-        let mut shifts: Vec<u32> = terms.iter().map(|t| t.shift).collect();
-        shifts.sort_unstable();
-        for w in shifts.windows(2) {
-            prop_assert!(w[1] - w[0] >= 2);
-        }
     }
 
     #[test]
@@ -335,19 +320,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn ntt_friendly_montgomery_agrees(seed in any::<u64>()) {
-        // Structured primes only — build a few and hammer them.
-        let qs = generate_structured_ntt_primes(36, 4, 1 << 13).expect("structured primes exist");
-        for q in qs {
-            let m = Modulus::new(q).expect("prime is valid modulus");
-            let nf = NttFriendlyMontgomery::new(m).expect("structured prime is NTT-friendly");
-            let a = seed % q;
-            let b = seed.wrapping_mul(0x9E3779B97F4A7C15) % q;
-            prop_assert_eq!(nf.mul_mod(a, b), m.mul(a, b));
-        }
-    }
 
     #[test]
     fn rns_roundtrip_random_values(x in any::<i64>()) {

@@ -146,12 +146,12 @@ impl<F: RealField> SpecialFft<F> {
         };
         let mut len = 2usize;
         while len <= slots {
-            plan.fwd_twiddles.push(plan.stage_twiddles(len, false));
+            plan.fwd_twiddles.push(plan.build_stage(len, false));
             len <<= 1;
         }
         let mut len = slots;
         while len >= 2 {
-            plan.inv_twiddles.push(plan.stage_twiddles(len, true));
+            plan.inv_twiddles.push(plan.build_stage(len, true));
             len >>= 1;
         }
         let simd_ok = plan.field.as_f64_slots(&mut []).is_some()
@@ -199,7 +199,7 @@ impl<F: RealField> SpecialFft<F> {
 
     /// The twiddles of one stage: position `j` of every block of length
     /// `len` multiplies by `ξ^{idx(j)}` (forward) or its inverse power.
-    fn stage_twiddles(&self, len: usize, inverse: bool) -> Vec<Complex<F::Real>> {
+    fn build_stage(&self, len: usize, inverse: bool) -> Vec<Complex<F::Real>> {
         let lenh = len >> 1;
         let lenq = len << 2;
         let two_n = 2 * self.n;
@@ -251,15 +251,16 @@ impl<F: RealField> SpecialFft<F> {
         self.twiddle_words() * core::mem::size_of::<Complex<F::Real>>() + simd
     }
 
-    /// Per-stage twiddles in execution order (shared with the streaming
-    /// dataflow model, which mirrors this exact table).
-    pub(crate) fn fwd_stage_twiddles(&self) -> &[Vec<Complex<F::Real>>] {
-        &self.fwd_twiddles
-    }
-
-    /// Inverse-stage twiddles in execution order.
-    pub(crate) fn inv_stage_twiddles(&self) -> &[Vec<Complex<F::Real>>] {
-        &self.inv_twiddles
+    /// The plan's twiddle table for one direction, stages in execution
+    /// order: each stage holds one root per butterfly position, shared
+    /// by every block. Read-only, for models that must mirror this exact
+    /// table (the streaming dataflow in `abc-hw`).
+    pub fn stage_twiddles(&self, inverse: bool) -> &[Vec<Complex<F::Real>>] {
+        if inverse {
+            &self.inv_twiddles
+        } else {
+            &self.fwd_twiddles
+        }
     }
 
     /// The root power `ξ^k = e^{2πi·k/(2N)}` generated on the datapath —

@@ -5,10 +5,8 @@
 //!
 //! * integer **NTT/INTT** over each RNS prime — [`ntt::NttPlan`], a
 //!   negacyclic transform with the nega-cyclic pre/post-processing merged
-//!   into the stage twiddles (paper Eq. 2/3, refs \[27\]/\[30\]), fed by
-//!   either a precomputed [`twiddle::TwiddleTable`] or the on-the-fly
-//!   [`twiddle::OtfTwiddleGen`] that regenerates twiddles from a compact
-//!   per-stage seed (the paper's unified OTF TF Gen, §IV-B);
+//!   into the stage twiddles (paper Eq. 2/3, refs \[27\]/\[30\]), read
+//!   from one precomputed [`twiddle::TwiddleTable`] column;
 //! * complex **FFT/IFFT** on the canonical-embedding slots —
 //!   [`fft::SpecialFft`], generic over the [`abc_float::RealField`]
 //!   datapath so the same kernel runs at FP64, the paper's FP55, or the
@@ -21,7 +19,8 @@
 //! Both families pick their kernel through the one ladder in
 //! [`abc_math::kernel`] — `Simd` (`ifma` / `avx512`) → `Scalar`
 //! (`harvey` / `scalar`) → `Reference` (`golden` / `otf`), forced with
-//! an [`abc_math::KernelTier`] or, for `Auto`, with `ABC_FHE_KERNEL`.
+//! an [`abc_math::KernelTier`]; `ABC_FHE_KERNEL` moves `Auto` between
+//! the two fast rungs only.
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
 //! polynomial — one plan per prime, and the limb fan-out over scoped
@@ -33,10 +32,14 @@
 //! holds it: a shared plan and a recycling slot-buffer pool, every
 //! transform on the calling thread.
 //!
-//! [`radix`] analyses pipelined MDC design configurations (radix-2,
-//! radix-2^2, radix-2^3, radix-2^n and mixed) and counts the hardware
-//! multipliers each needs (paper Fig. 4), while [`bitrev`] holds the
-//! shared bit-reversal helpers.
+//! [`bitrev`] holds the shared bit-reversal helpers.
+//!
+//! This crate is product code: everything in it runs, or is the oracle
+//! of something that runs, when a client encrypts or decrypts. The
+//! paper's models of the same transforms — the on-the-fly twiddle
+//! generator, the streaming NTT and FFT dataflows and the MDC
+//! multiplier counts of Fig. 4 — live in `abc-hw`, checked there
+//! against the plans here.
 //!
 //! # Example: negacyclic polynomial product via NTT
 //!
@@ -71,10 +74,7 @@ pub mod ntt;
 #[cfg(target_arch = "x86_64")]
 pub mod ntt_ifma;
 pub mod pool;
-pub mod radix;
 pub mod rns_ntt;
-pub mod stream;
-pub mod stream_fft;
 pub mod twiddle;
 
 pub use fft::SpecialFft;
@@ -82,4 +82,4 @@ pub use fft_engine::SpecialFftEngine;
 pub use ntt::NttPlan;
 pub use pool::PooledLimbs;
 pub use rns_ntt::{LimbWork, RnsNttEngine};
-pub use twiddle::{OtfTwiddleGen, TwiddleSource, TwiddleTable};
+pub use twiddle::TwiddleTable;

@@ -14,8 +14,15 @@
 //! of its [`TwiddleTable`] and their quotients in the one radix its
 //! kernel multiplies through. The inverse direction reads the same two
 //! backwards (`ψ^N = −1`, see [`crate::twiddle`]).
+//!
+//! Three kernels run a plan, one per rung of the kernel ladder: `ifma`
+//! and `harvey` are the fast ones, `golden` (plain `u128` modular
+//! arithmetic over the same table, Longa–Naehrig Algorithms 1 and 2) is
+//! the oracle the suites pin the fast ones against and the kernel of a
+//! `q ≥ 2^62` plan. A test reaches it with
+//! `NttPlan::with_kernel(m, n, KernelTier::Reference)`.
 
-use crate::twiddle::{TwiddleSource, TwiddleTable};
+use crate::twiddle::TwiddleTable;
 use abc_math::dyadic::DyadicEngine;
 use abc_math::shoup::{self, MAX_SHOUP52_MODULUS, MAX_SHOUP_MODULUS};
 use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
@@ -33,20 +40,15 @@ pub(crate) fn assert_domain(a: &[u64], bound: u64, what: core::fmt::Arguments<'_
 
 /// A ready-to-run negacyclic NTT over one RNS prime.
 ///
-/// Construction precomputes a [`TwiddleTable`]; [`NttPlan::forward_with`]
-/// and [`NttPlan::inverse_with`] accept any other [`TwiddleSource`]
-/// (e.g. the on-the-fly generator) for the same `(q, N, ψ)`.
-///
-/// [`NttPlan::forward`] and [`NttPlan::inverse`] run **Harvey
-/// butterflies**: every twiddle multiply becomes high-products against
-/// the plan's precomputed Shoup quotients (eight 52-bit lanes at a
-/// time on AVX-512IFMA machines, two 64-bit `mulhi`s scalar otherwise)
-/// and reduction is deferred — values travel in `[0, 4q)` (forward) /
-/// `[0, 2q)` (inverse) across stages and are normalized once at the
-/// end. This needs `q < 2^62`; wider moduli transparently fall back to
-/// the golden scalar kernel. The `*_with` paths always run the golden
-/// kernel, so OTF-vs-table bit-identity tests keep modelling the
-/// hardware datapath.
+/// Construction precomputes a [`TwiddleTable`]. [`NttPlan::forward`]
+/// and [`NttPlan::inverse`] run **Harvey butterflies**: every twiddle
+/// multiply becomes high-products against the plan's precomputed Shoup
+/// quotients (eight 52-bit lanes at a time on AVX-512IFMA machines, two
+/// 64-bit `mulhi`s scalar otherwise) and reduction is deferred — values
+/// travel in `[0, 4q)` (forward) / `[0, 2q)` (inverse) across stages
+/// and are normalized once at the end. This needs `q < 2^62`; wider
+/// moduli transparently fall back to the golden scalar kernel, which
+/// every output of the fast ones is bit-identical to.
 ///
 /// # Example
 ///
@@ -225,7 +227,7 @@ impl NttPlan {
                     a.iter_mut().for_each(|x| *x = shoup::normalize_4q(*x, q));
                 }
             }
-            _ => self.forward_with(&self.table, a),
+            _ => self.forward_golden(a),
         }
     }
 
@@ -300,7 +302,7 @@ impl NttPlan {
                         *x = self.m.sub(*x, y);
                     }
                 }
-                self.inverse_with(&self.table, dst);
+                self.inverse_golden(dst);
             }
         }
     }
@@ -399,26 +401,19 @@ impl NttPlan {
         }
     }
 
-    /// Forward transform drawing twiddles from an arbitrary source
-    /// (table or on-the-fly generator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != N` or the source's size/modulus disagree.
-    pub fn forward_with<T: TwiddleSource>(&self, tw: &T, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "polynomial length must equal N");
-        assert_eq!(tw.n(), self.n, "twiddle source size mismatch");
-        assert_eq!(tw.modulus().q(), self.m.q(), "twiddle modulus mismatch");
+    /// The golden forward kernel: Cooley–Tukey decimation-in-time over
+    /// the table's forward column, canonical `u128` arithmetic in every
+    /// butterfly (Longa–Naehrig Algorithm 1).
+    fn forward_golden(&self, a: &mut [u64]) {
         let q = &self.m;
+        let tw = self.table.forward_column();
         let n = self.n;
-        // Cooley–Tukey decimation-in-time with merged ψ twiddles
-        // (Longa–Naehrig Algorithm 1).
         let mut t = n;
         let mut m = 1usize;
         while m < n {
             t >>= 1;
             for i in 0..m {
-                let s = tw.forward(m, i);
+                let s = tw[m + i];
                 let j1 = 2 * i * t;
                 for j in j1..j1 + t {
                     let u = a[j];
@@ -431,26 +426,22 @@ impl NttPlan {
         }
     }
 
-    /// Inverse transform drawing twiddles from an arbitrary source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != N` or the source's size/modulus disagree.
-    pub fn inverse_with<T: TwiddleSource>(&self, tw: &T, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "polynomial length must equal N");
-        assert_eq!(tw.n(), self.n, "twiddle source size mismatch");
-        assert_eq!(tw.modulus().q(), self.m.q(), "twiddle modulus mismatch");
+    /// The golden inverse kernel: Gentleman–Sande decimation-in-frequency,
+    /// group `i` of a stage of `h` groups multiplying by
+    /// `ψ^{-brv(h+i)} = q − tw[2h − 1 − i]`, then the `N^{-1}` scale
+    /// (Longa–Naehrig Algorithm 2).
+    fn inverse_golden(&self, a: &mut [u64]) {
         let q = &self.m;
+        let tw = self.table.forward_column();
         let n = self.n;
-        // Gentleman–Sande decimation-in-frequency with merged ψ^{-1}
-        // twiddles (Longa–Naehrig Algorithm 2).
         let mut t = 1usize;
         let mut m = n;
         while m > 1 {
             let h = m >> 1;
             let mut j1 = 0usize;
             for i in 0..h {
-                let s = tw.inverse(h, i);
+                // A power of ψ is never 0, so this stays canonical.
+                let s = q.q() - tw[2 * h - 1 - i];
                 for j in j1..j1 + t {
                     let u = a[j];
                     let v = a[j + t];
@@ -462,7 +453,7 @@ impl NttPlan {
             t <<= 1;
             m = h;
         }
-        let n_inv = tw.n_inv();
+        let n_inv = self.table.n_inv();
         for x in a.iter_mut() {
             *x = q.mul(*x, n_inv);
         }
@@ -509,7 +500,6 @@ impl NttPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twiddle::OtfTwiddleGen;
     use abc_math::poly::negacyclic_mul_schoolbook;
 
     fn modulus() -> Modulus {
@@ -589,24 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn otf_source_gives_identical_transforms() {
-        let m = modulus();
-        let n = 256;
-        let plan = NttPlan::new(m, n).unwrap();
-        let otf = OtfTwiddleGen::with_psi(m, n, plan.table().psi()).unwrap();
-        let a0 = pseudo_poly(n, m.q(), 5);
-        let mut with_table = a0.clone();
-        let mut with_otf = a0.clone();
-        plan.forward(&mut with_table);
-        plan.forward_with(&otf, &mut with_otf);
-        assert_eq!(with_table, with_otf);
-        plan.inverse(&mut with_table);
-        plan.inverse_with(&otf, &mut with_otf);
-        assert_eq!(with_table, with_otf);
-        assert_eq!(with_table, a0);
-    }
-
-    #[test]
     fn parseval_like_energy_check() {
         // The all-ones polynomial transforms to values whose dyadic square
         // inverse-transforms to the negacyclic square of the input.
@@ -629,14 +601,15 @@ mod tests {
     #[test]
     fn fast_kernels_bit_identical_to_golden() {
         // Every fast path must be indistinguishable from the golden
-        // TwiddleSource kernel, not merely congruent mod q. Forcing
-        // each tier exercises the scalar Harvey kernel even on
-        // machines whose Auto choice is IFMA, and vice versa (an
-        // unavailable tier degrades, so this stays green off
-        // x86-64 too — the degraded plan simply re-checks golden).
+        // kernel, not merely congruent mod q. Forcing each tier
+        // exercises the scalar Harvey kernel even on machines whose
+        // Auto choice is IFMA, and vice versa (an unavailable tier
+        // degrades, so this stays green off x86-64 too — the degraded
+        // plan simply re-checks golden).
         for q in [0xFFF0_0001u64, 0xF_FFF0_0001, 0xFFF_FFFF_C001] {
             let m = Modulus::new(q).unwrap();
             for n in [4usize, 64, 1024] {
+                let oracle = NttPlan::with_kernel(m, n, KernelTier::Reference).unwrap();
                 for pref in [KernelTier::Auto, KernelTier::Scalar, KernelTier::Simd] {
                     let plan = NttPlan::with_kernel(m, n, pref).unwrap();
                     assert_ne!(plan.kernel, KernelTier::Reference);
@@ -644,10 +617,10 @@ mod tests {
                     let mut fast = a0.clone();
                     let mut golden = a0.clone();
                     plan.forward(&mut fast);
-                    plan.forward_with(plan.table(), &mut golden);
+                    oracle.forward(&mut golden);
                     assert_eq!(fast, golden, "forward q={q} n={n} {pref:?}");
                     plan.inverse(&mut fast);
-                    plan.inverse_with(plan.table(), &mut golden);
+                    oracle.inverse(&mut golden);
                     assert_eq!(fast, golden, "inverse q={q} n={n} {pref:?}");
                     assert_eq!(fast, a0);
                 }
@@ -718,12 +691,13 @@ mod tests {
             for log_n in 4..=16u32 {
                 let n = 1usize << log_n;
                 let plan = NttPlan::with_kernel(m, n, KernelTier::Simd).unwrap();
+                let oracle = NttPlan::with_kernel(m, n, KernelTier::Reference).unwrap();
                 let alternating = (0..n).map(|i| if i % 2 == 0 { 0 } else { q - 1 }).collect();
                 let inputs = [pseudo_poly(n, q, q ^ n as u64), vec![q - 1; n], alternating];
                 for (k, x) in inputs.iter().enumerate() {
                     let at = format!("q={q} n={n} input {k}");
                     let mut want = x.clone();
-                    plan.forward_with(plan.table(), &mut want);
+                    oracle.forward(&mut want);
                     let mut got = x.clone();
                     plan.forward(&mut got);
                     assert_eq!(got, want, "forward {at}");
@@ -733,7 +707,7 @@ mod tests {
                         assert!(l < 4 * q && l % q == w, "forward_lazy {at} i={i}");
                     }
                     let mut want = x.clone();
-                    plan.inverse_with(plan.table(), &mut want);
+                    oracle.inverse(&mut want);
                     let mut got = x.clone();
                     plan.inverse(&mut got);
                     assert_eq!(got, want, "inverse {at}");
@@ -742,7 +716,7 @@ mod tests {
                     assert_eq!(got, want, "inverse_from {at}");
                     let y = &inputs[(k + 1) % inputs.len()];
                     let mut want: Vec<u64> = x.iter().zip(y).map(|(&a, &b)| m.sub(a, b)).collect();
-                    plan.inverse_with(plan.table(), &mut want);
+                    oracle.inverse(&mut want);
                     plan.sub_then_inverse_into(x, y, &mut got);
                     assert_eq!(got, want, "sub_then_inverse_into {at}");
                 }

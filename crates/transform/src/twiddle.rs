@@ -1,17 +1,7 @@
-//! Twiddle-factor sources for the negacyclic NTT.
+//! The twiddle table of the negacyclic NTT.
 //!
-//! The paper's key memory optimization (§IV-B) replaces 8.25 MB of
-//! precomputed twiddle tables with a **unified on-the-fly twiddle factor
-//! generator** that reconstructs each stage's twiddles from a compact
-//! per-stage seed (~27 KB total), a >99.9 % on-chip memory reduction.
-//! [`TwiddleTable`] models the conventional table; [`OtfTwiddleGen`]
-//! models the generator. Both implement [`TwiddleSource`] and are
-//! bit-identical (asserted by tests), so the NTT kernel is agnostic and
-//! the hardware/simulator layers charge them different SRAM/DRAM costs.
-//!
-//! The host applies the same argument to itself: a [`TwiddleTable`]
-//! holds **one** column, the forward twiddles `ψ^{brv(k)}`, and
-//! `N^{-1}`. Since `ψ^N = −1`,
+//! A [`TwiddleTable`] holds **one** column, the forward twiddles
+//! `ψ^{brv(k)}`, and `N^{-1}`. Since `ψ^N = −1`,
 //!
 //! ```text
 //! inverse(h, i) = ψ^{-brv(h+i)} = −ψ^{brv(h + (h−1−i))} = q − forward(h, h−1−i)
@@ -21,50 +11,17 @@
 //! from its top down and swaps the operands of its subtract
 //! (`(x − y)·(−w) = (y − x)·w`). The Shoup quotients the fast kernels
 //! multiply through are a [`crate::ntt::NttPlan`]'s, in its one radix.
+//! The paper's on-the-fly generator, which regenerates the same column
+//! from one seed per stage, is a model in `abc-hw`, checked twiddle for
+//! twiddle against this table.
 
 use crate::bitrev::bit_reverse;
 use abc_math::{MathError, Modulus};
 
-/// Supplies the merged twiddles `ψ^{brv(m+i)}` consumed by the
-/// Cooley–Tukey negacyclic NTT and their inverses for the Gentleman–Sande
-/// INTT.
-pub trait TwiddleSource {
-    /// The modulus the twiddles live in.
-    fn modulus(&self) -> &Modulus;
-
-    /// Transform size `N`.
-    fn n(&self) -> usize;
-
-    /// Forward twiddle for the CT stage with `m` groups, group `i`:
-    /// `ψ^{brv_{log2(2m)}(m+i)}` (odd powers of the 2N-th root `ψ`).
-    fn forward(&self, m: usize, i: usize) -> u64;
-
-    /// Inverse twiddle for the GS stage with `h` groups, group `i`:
-    /// `ψ^{-brv(h+i)}`.
-    fn inverse(&self, h: usize, i: usize) -> u64;
-
-    /// `N^{-1} mod q`, applied at the end of the INTT.
-    fn n_inv(&self) -> u64;
-}
-
-/// Computes the canonical twiddle exponent for stage `m`, index `i`:
-/// the table layout `ψ^{brv(k)}` at `k = m + i` equals
-/// `ψ^{(2·brv_{log2 m}(i) + 1) · N/(2m)}` — an odd multiple of the stage
-/// step, which is what the OTF generator exploits.
-fn stage_exponent(n: usize, m: usize, i: usize) -> u64 {
-    debug_assert!(m.is_power_of_two() && i < m && m < 2 * n);
-    let stage_bits = m.trailing_zeros();
-    let step = (n / (2 * m)) as u64;
-    (2 * bit_reverse(i, stage_bits) as u64 + 1) * step
-}
-
-/// Precomputed twiddle table — the conventional design ABC-FHE's
-/// `ABC-FHE_Base` configuration fetches from DRAM. The host keeps the
-/// forward column `ψ^{brv(k)}` and `N^{-1}` only (module docs);
-/// [`Self::table_bytes`] still charges the model both directions.
+/// Precomputed twiddle table: the forward column `ψ^{brv(k)}` and
+/// `N^{-1}` (module docs).
 #[derive(Debug, Clone)]
 pub struct TwiddleTable {
-    m: Modulus,
     n: usize,
     /// `fwd[k] = ψ^{brv(k)}`.
     fwd: Vec<u64>,
@@ -86,8 +43,7 @@ impl TwiddleTable {
         Self::with_psi(m, n, psi)
     }
 
-    /// Builds the table from an explicit 2N-th root `psi` (used by tests
-    /// and by the OTF generator comparison).
+    /// Builds the table from an explicit 2N-th root `psi`.
     ///
     /// # Errors
     ///
@@ -110,7 +66,6 @@ impl TwiddleTable {
             p = m.mul(p, psi);
         }
         Ok(Self {
-            m,
             n,
             fwd,
             n_inv: m.inv(n as u64).expect("n < q"),
@@ -123,179 +78,15 @@ impl TwiddleTable {
         self.fwd[bit_reverse(1, self.n.trailing_zeros())]
     }
 
-    /// On-chip bytes the conventional table occupies (both directions,
-    /// 8 B words) — what the `ABC-FHE_Base` memory model charges: the
-    /// modelled datapath's price, not the host's residency.
-    pub fn table_bytes(&self) -> usize {
-        2 * self.n * 8
-    }
-
     /// The forward column `ψ^{brv(k)}`: stage `m`, index `i` lives at
     /// `k = m + i`; GS group `i` of `h` reads `q −` entry `2h − 1 − i`.
     #[inline]
     pub fn forward_column(&self) -> &[u64] {
         &self.fwd
     }
-}
 
-impl TwiddleSource for TwiddleTable {
-    fn modulus(&self) -> &Modulus {
-        &self.m
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn forward(&self, m: usize, i: usize) -> u64 {
-        self.fwd[m + i]
-    }
-
-    fn inverse(&self, h: usize, i: usize) -> u64 {
-        // A power of ψ is never 0, so this stays canonical.
-        self.m.q() - self.fwd[2 * h - 1 - i]
-    }
-
-    fn n_inv(&self) -> u64 {
-        self.n_inv
-    }
-}
-
-/// The unified on-the-fly twiddle factor generator (paper §IV-B).
-///
-/// Stores only one seed per stage — the stage step `ψ^{N/(2m)}` — plus
-/// `ψ` itself and `N^{-1}`; every twiddle is regenerated on demand as
-/// `(step²)^{brv(i)} · step`, i.e. an odd power of the stage step,
-/// by square-and-multiply over the bits of `brv(i)` (the hardware walks
-/// the same recurrence with one modular multiplier per lane group).
-///
-/// # Example
-///
-/// ```
-/// use abc_math::Modulus;
-/// use abc_transform::twiddle::{OtfTwiddleGen, TwiddleSource, TwiddleTable};
-///
-/// # fn main() -> Result<(), abc_math::MathError> {
-/// let m = Modulus::new(0xFFF0_0001)?;
-/// let table = TwiddleTable::new(m, 16)?;
-/// let otf = OtfTwiddleGen::new(m, 16)?;
-/// for i in 0..8 {
-///     assert_eq!(table.forward(8, i), otf.forward(8, i));
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct OtfTwiddleGen {
-    m: Modulus,
-    n: usize,
-    psi: u64,
-    psi_inv: u64,
-    /// `seeds[s] = ψ^{N/(2·2^s)}` — the step for the stage with `m = 2^s`
-    /// groups. `log2(N)` words per modulus: the entire seed memory.
-    seeds: Vec<u64>,
-    /// Inverse-direction seeds.
-    seeds_inv: Vec<u64>,
-    n_inv: u64,
-}
-
-impl OtfTwiddleGen {
-    /// Builds the generator for transform size `n` over modulus `m`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TwiddleTable::new`].
-    pub fn new(m: Modulus, n: usize) -> Result<Self, MathError> {
-        if !n.is_power_of_two() || n < 2 {
-            return Err(MathError::InvalidModulus(n as u64));
-        }
-        let psi = m.primitive_root_of_unity(2 * n as u64)?;
-        Self::with_psi(m, n, psi)
-    }
-
-    /// Builds the generator from an explicit 2N-th root (for comparing
-    /// against a [`TwiddleTable`] built with the same root).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::NoRootOfUnity`] if `psi` is not a primitive
-    /// 2N-th root of unity.
-    pub fn with_psi(m: Modulus, n: usize, psi: u64) -> Result<Self, MathError> {
-        if m.pow(psi, 2 * n as u64) != 1 || m.pow(psi, n as u64) == 1 {
-            return Err(MathError::NoRootOfUnity {
-                modulus: m.q(),
-                order: 2 * n as u64,
-            });
-        }
-        let psi_inv = m.inv(psi).expect("root of unity is invertible");
-        let stages = n.trailing_zeros() as usize;
-        let mut seeds = Vec::with_capacity(stages);
-        let mut seeds_inv = Vec::with_capacity(stages);
-        for s in 0..stages {
-            let step = (n >> (s + 1)) as u64; // N/(2m) for m = 2^s
-            seeds.push(m.pow(psi, step));
-            seeds_inv.push(m.pow(psi_inv, step));
-        }
-        let n_inv = m.inv(n as u64).expect("n < q");
-        Ok(Self {
-            m,
-            n,
-            psi,
-            psi_inv,
-            seeds,
-            seeds_inv,
-            n_inv,
-        })
-    }
-
-    /// The 2N-th root of unity in use.
-    pub fn psi(&self) -> u64 {
-        self.psi
-    }
-
-    /// The inverse root `ψ^{-1}` (seed of the inverse direction).
-    pub fn psi_inv(&self) -> u64 {
-        self.psi_inv
-    }
-
-    /// Seed-memory bytes (both directions + ψ, ψ⁻¹, N⁻¹; 8 B words) —
-    /// what the OTF configurations charge instead of the full table.
-    pub fn seed_bytes(&self) -> usize {
-        (self.seeds.len() + self.seeds_inv.len() + 3) * 8
-    }
-
-    /// Generates `base^{2·brv(i)+1}` by square-and-multiply — the
-    /// generator's multiplier recurrence.
-    fn odd_power(&self, base: u64, i: usize, stage_bits: u32) -> u64 {
-        let e = 2 * bit_reverse(i, stage_bits) as u64 + 1;
-        self.m.pow(base, e)
-    }
-}
-
-impl TwiddleSource for OtfTwiddleGen {
-    fn modulus(&self) -> &Modulus {
-        &self.m
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn forward(&self, m: usize, i: usize) -> u64 {
-        debug_assert_eq!(
-            stage_exponent(self.n, m, i),
-            (2 * bit_reverse(i, m.trailing_zeros()) as u64 + 1) * (self.n / (2 * m)) as u64
-        );
-        let s = m.trailing_zeros() as usize;
-        self.odd_power(self.seeds[s], i, m.trailing_zeros())
-    }
-
-    fn inverse(&self, h: usize, i: usize) -> u64 {
-        let s = h.trailing_zeros() as usize;
-        self.odd_power(self.seeds_inv[s], i, h.trailing_zeros())
-    }
-
-    fn n_inv(&self) -> u64 {
+    /// `N^{-1} mod q`, applied at the end of the INTT.
+    pub fn n_inv(&self) -> u64 {
         self.n_inv
     }
 }
@@ -309,94 +100,13 @@ mod tests {
     }
 
     #[test]
-    fn table_and_otf_agree_everywhere() {
-        let m = modulus();
-        for n in [4usize, 16, 64, 256] {
-            let table = TwiddleTable::new(m, n).unwrap();
-            let otf = OtfTwiddleGen::with_psi(m, n, table.psi()).unwrap();
-            let mut mm = 1usize;
-            while mm < n {
-                for i in 0..mm {
-                    assert_eq!(
-                        table.forward(mm, i),
-                        otf.forward(mm, i),
-                        "fwd n={n} m={mm} i={i}"
-                    );
-                    assert_eq!(
-                        table.inverse(mm, i),
-                        otf.inverse(mm, i),
-                        "inv n={n} m={mm} i={i}"
-                    );
-                }
-                mm *= 2;
-            }
-            assert_eq!(table.n_inv(), otf.n_inv());
-        }
-    }
-
-    #[test]
-    fn inverse_is_the_forward_block_backwards_and_negated() {
-        // ψ^N = −1, which the one-column table and both fast GS kernels
-        // rest on — on the generator, whose ψ⁻¹ seeds are its own.
-        let m = modulus();
-        for n in [4usize, 16, 64, 256] {
-            let otf = OtfTwiddleGen::new(m, n).unwrap();
-            for h in (0..n.trailing_zeros()).map(|s| 1usize << s) {
-                for i in 0..h {
-                    let negated = m.q() - otf.forward(h, h - 1 - i);
-                    assert_eq!(otf.inverse(h, i), negated, "n={n} h={h} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn twiddles_are_odd_psi_powers() {
-        let m = modulus();
-        let n = 64usize;
-        let table = TwiddleTable::new(m, n).unwrap();
-        let psi = table.psi();
-        // Every forward twiddle at stage m, index i must equal
-        // ψ^{(2·brv(i)+1)·N/(2m)} — an odd multiple of the stage step.
-        let mut mm = 1usize;
-        while mm < n {
-            for i in 0..mm {
-                let e = super::stage_exponent(n, mm, i);
-                assert_eq!(table.forward(mm, i), m.pow(psi, e));
-                assert_eq!(e % (2 * (n / (2 * mm)) as u64), (n / (2 * mm)) as u64);
-            }
-            mm *= 2;
-        }
-    }
-
-    #[test]
-    fn memory_accounting_ratio() {
-        let m = modulus();
-        let n = 1 << 12;
-        let table = TwiddleTable::new(m, n).unwrap();
-        let otf = OtfTwiddleGen::new(m, n).unwrap();
-        // The generator's seed memory must be orders of magnitude smaller.
-        assert!(otf.seed_bytes() * 100 < table.table_bytes());
-    }
-
-    #[test]
     fn rejects_bad_sizes_and_roots() {
         let m = modulus();
         assert!(TwiddleTable::new(m, 3).is_err());
-        assert!(OtfTwiddleGen::new(m, 0).is_err());
+        assert!(TwiddleTable::new(m, 0).is_err());
         // 2^22 exceeds the 2-adicity of q-1 (2^20).
         assert!(TwiddleTable::new(m, 1 << 22).is_err());
         // An element that is not a primitive 2N-th root.
         assert!(TwiddleTable::with_psi(m, 16, 1).is_err());
-    }
-
-    #[test]
-    fn psi_recovery() {
-        let m = modulus();
-        let table = TwiddleTable::new(m, 32).unwrap();
-        let otf = OtfTwiddleGen::with_psi(m, 32, table.psi()).unwrap();
-        assert_eq!(otf.psi(), table.psi());
-        assert_eq!(m.pow(table.psi(), 64), 1);
-        assert_ne!(m.pow(table.psi(), 32), 1);
     }
 }

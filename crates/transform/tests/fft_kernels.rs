@@ -1,7 +1,6 @@
 //! Property tests pinning the embedding-FFT kernel lattice together:
-//! every [`KernelTier`], the engine's single-vector entry points, the
-//! streaming shuffler, and the SoA split/merge helpers must agree with
-//! the planned scalar kernel.
+//! every [`KernelTier`], the engine's single-vector entry points and the
+//! SoA split/merge helpers must agree with the planned scalar kernel.
 //!
 //! The AVX-512 kernel preserves the scalar operation order exactly
 //! (4-multiply complex product, no FMA contraction), so the pinned
@@ -10,7 +9,6 @@
 
 use abc_float::{soa, Complex, F64Field};
 use abc_math::KernelTier;
-use abc_transform::stream_fft::StreamingSpecialFft;
 use abc_transform::{SpecialFft, SpecialFftEngine};
 use proptest::prelude::*;
 
@@ -78,22 +76,6 @@ proptest! {
         let mut got = msg.clone();
         engine.inverse(&mut got);
         prop_assert_eq!(&got, &want_inv, "inverse");
-    }
-
-    // The streaming (shuffle-buffer) transform matches the planned
-    // kernel bit for bit, whatever kernel the plan dispatched to.
-    #[test]
-    fn streaming_matches_planned(seed in any::<u64>(), log_slots in 4u32..=10) {
-        let slots = 1usize << log_slots;
-        let plan = SpecialFft::with_field(F64Field, slots);
-        let mut streamer = StreamingSpecialFft::new(&plan);
-        let msg = message(slots, seed);
-        let mut want = msg.clone();
-        plan.forward(&mut want);
-        prop_assert_eq!(streamer.forward(&msg), want);
-        let mut want = msg.clone();
-        plan.inverse(&mut want);
-        prop_assert_eq!(streamer.inverse(&msg), want);
     }
 
     // SoA split/merge round-trips losslessly and the scaled merge is

@@ -4,8 +4,7 @@ use abc_float::{Complex, ExtF64Field};
 use abc_math::poly::{self, negacyclic_mul_schoolbook};
 use abc_math::primes::generate_ntt_primes;
 use abc_math::Modulus;
-use abc_transform::radix::{MdcDesign, TransformKind};
-use abc_transform::{LimbWork, NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft};
+use abc_transform::{LimbWork, NttPlan, RnsNttEngine, SpecialFft};
 use proptest::prelude::*;
 
 fn fft_message(slots: usize, seed: u64) -> Vec<Complex> {
@@ -96,25 +95,10 @@ proptest! {
     }
 
     #[test]
-    fn otf_equals_table_on_random_queries(m in arb_prime_modulus(), idx in any::<u64>()) {
-        use abc_transform::twiddle::{TwiddleSource, TwiddleTable};
-        let n = 512usize;
-        let table = TwiddleTable::new(m, n).expect("table");
-        let otf = OtfTwiddleGen::with_psi(m, n, table.psi()).expect("otf");
-        let mut mm = 1usize;
-        while mm < n {
-            let i = (idx as usize) % mm;
-            prop_assert_eq!(table.forward(mm, i), otf.forward(mm, i));
-            prop_assert_eq!(table.inverse(mm, i), otf.inverse(mm, i));
-            mm <<= 1;
-        }
-    }
-
-    #[test]
     fn fast_kernels_are_bit_identical_to_golden(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 4u32..=13) {
         // `forward`/`inverse` take a fast kernel (scalar Harvey forced,
-        // plus whatever Auto picks — IFMA on capable machines);
-        // `forward_with`/`inverse_with` on the same table run the golden
+        // plus whatever Auto picks — IFMA on capable machines); a
+        // Reference-tier plan over the same table runs the golden
         // scalar kernel. Outputs must match bit for bit. Sizes 2^4 …
         // 2^13 draw both parities of the IFMA long-stage count.
         use abc_math::KernelTier;
@@ -122,15 +106,16 @@ proptest! {
         let poly: Vec<u64> = (0..n as u64)
             .map(|i| (seed.wrapping_mul(i * 2 + 1)) % m.q())
             .collect();
+        let oracle = NttPlan::with_kernel(m, n, KernelTier::Reference).expect("plan");
         for pref in [KernelTier::Auto, KernelTier::Scalar] {
             let plan = NttPlan::with_kernel(m, n, pref).expect("plan");
             let mut fast = poly.clone();
             let mut golden = poly.clone();
             plan.forward(&mut fast);
-            plan.forward_with(plan.table(), &mut golden);
+            oracle.forward(&mut golden);
             prop_assert_eq!(&fast, &golden, "forward {:?}", pref);
             plan.inverse(&mut fast);
-            plan.inverse_with(plan.table(), &mut golden);
+            oracle.inverse(&mut golden);
             prop_assert_eq!(&fast, &golden, "inverse {:?}", pref);
             prop_assert_eq!(fast, poly, "roundtrip {:?}", pref);
         }
@@ -389,16 +374,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn merged_design_never_beaten(s in 4u32..20, p_exp in 1u32..6) {
-        let p = 1u32 << p_exp;
-        let merged = MdcDesign::radix_2n(s).multiplier_count(p, TransformKind::Ntt);
-        for k in 1..=4u32.min(s) {
-            let d = MdcDesign::radix_2k(s, k);
-            prop_assert!(d.multiplier_count(p, TransformKind::Ntt) > merged);
-            prop_assert!(d.multiplier_count(p, TransformKind::Fft) > merged);
-        }
-        // Merged hits exactly the theoretical minimum.
-        prop_assert_eq!(merged, (p / 2 * s) as f64);
-    }
 }

@@ -7,10 +7,12 @@
 //! cargo run --release --example prime_workbench
 //! ```
 
+use abc_fhe::hw::reduce::{ModMul, NttFriendlyMontgomery};
+use abc_fhe::hw::stream::StreamingNtt;
+use abc_fhe::hw::twiddle::{table_bytes, OtfTwiddleGen};
 use abc_fhe::math::primes::search_structured_primes;
-use abc_fhe::math::reduce::{ModMul, NttFriendlyMontgomery};
 use abc_fhe::math::Modulus;
-use abc_fhe::transform::{NttPlan, OtfTwiddleGen};
+use abc_fhe::transform::NttPlan;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Structured 34-36-bit primes supporting N = 2^14 negacyclic NTTs.
@@ -69,9 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let otf = OtfTwiddleGen::with_psi(m, 1 << 10, plan.table().psi())?;
     let a: Vec<u64> = (0..1u64 << 10).map(|i| i % m.q()).collect();
     let mut fwd_table = a.clone();
-    let mut fwd_otf = a.clone();
     plan.forward(&mut fwd_table);
-    plan.forward_with(&otf, &mut fwd_otf);
+    let fwd_otf = StreamingNtt::new(m, 1 << 10, &otf)?.transform(&a);
     println!(
         "table-based and on-the-fly twiddles produce identical NTTs: {}",
         fwd_table == fwd_otf
@@ -79,13 +80,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(fwd_table, fwd_otf);
 
     // Memory story: table vs seeds for this modulus at the full ring.
-    let full_plan = NttPlan::new(m, n as usize)?;
-    let full_otf = OtfTwiddleGen::with_psi(m, n as usize, full_plan.table().psi())?;
+    let full_otf = OtfTwiddleGen::new(m, n as usize)?;
+    let table = table_bytes(n as usize);
     println!(
         "twiddle storage at N = 2^{log_n}: table {} KiB vs seeds {} B ({}x reduction)",
-        full_plan.table().table_bytes() / 1024,
+        table / 1024,
         full_otf.seed_bytes(),
-        full_plan.table().table_bytes() / full_otf.seed_bytes()
+        table / full_otf.seed_bytes()
     );
     Ok(())
 }

@@ -22,7 +22,8 @@
 //! ```
 
 use abc_fhe::ckks::params::{CkksParams, ScaleMode};
-use abc_fhe::ckks::{evaluator, opcount, wire, Ciphertext, CkksContext, EvalKey, GaloisKey};
+use abc_fhe::ckks::{evaluator, wire, Ciphertext, CkksContext, EvalKey, GaloisKey};
+use abc_fhe::hw::opcount;
 use abc_fhe::prelude::*;
 
 const FEATURES: usize = 64;

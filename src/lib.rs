@@ -10,18 +10,20 @@
 //! accelerator, and an anchored area/power model.
 //!
 //! This crate is a facade: each subsystem lives in its own crate and is
-//! re-exported here.
+//! re-exported here. The first six are the product a client runs; the
+//! last two model the paper's accelerator and depend on the product,
+//! never the other way round.
 //!
-//! | Module | Crate | Contents |
-//! |---|---|---|
-//! | [`math`] | `abc-math` | Modular arithmetic, NTT-friendly primes, RNS/CRT, big integers |
-//! | [`float`] | `abc-float` | Configurable-precision floats (FP55), complex arithmetic |
-//! | [`prng`] | `abc-prng` | ChaCha20 PRNG, uniform/ternary/Gaussian samplers |
-//! | [`transform`] | `abc-transform` | Negacyclic NTT, OTF twiddle generation, CKKS special FFT, radix analysis |
-//! | [`ckks`] | `abc-ckks` | Encode/encrypt/decrypt/decode, op counts, precision sweeps |
-//! | [`gateway`] | `abc-gateway` | Fault-tolerant multi-tenant encryption gateway (bounded admission, deadlines, chaos testing) |
-//! | [`hw`] | `abc-hw` | Area/power model: Tables I & II, Fig. 6a walk, tech scaling |
-//! | [`sim`] | `abc-sim` | Cycle-level simulator: latency, lane sweep, memory configs |
+//! | Module | Crate | Kind | Contents |
+//! |---|---|---|---|
+//! | [`math`] | `abc-math` | product | Modular arithmetic, NTT-friendly primes, RNS/CRT, big integers |
+//! | [`float`] | `abc-float` | product | Configurable-precision floats (FP55), complex arithmetic |
+//! | [`prng`] | `abc-prng` | product | ChaCha20 PRNG, uniform/ternary/Gaussian samplers |
+//! | [`transform`] | `abc-transform` | product | Negacyclic NTT, CKKS special FFT, RNS limb engine |
+//! | [`ckks`] | `abc-ckks` | product | Encode/encrypt/decrypt/decode, evaluator, precision sweeps |
+//! | [`gateway`] | `abc-gateway` | product | Fault-tolerant multi-tenant encryption gateway (bounded admission, deadlines, chaos testing) |
+//! | [`hw`] | `abc-hw` | model | OTF twiddles, streaming dataflows, Table I reducers, Fig. 2/4 counts, area/power (Tables I & II, Fig. 6a, tech scaling) |
+//! | [`sim`] | `abc-sim` | model | Cycle-level simulator: latency, lane sweep, memory configs |
 //!
 //! # Quickstart
 //!

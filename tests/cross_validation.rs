@@ -1,9 +1,12 @@
 //! Cross-crate consistency checks: the functional layer, hardware model
 //! and simulator must tell one coherent story.
 
-use abc_fhe::math::reduce::{Barrett, ModMul, Montgomery, NttFriendlyMontgomery};
-use abc_fhe::math::{primes, Modulus};
-use abc_fhe::transform::{NttPlan, OtfTwiddleGen, TwiddleTable};
+use abc_fhe::hw::reduce::{ModMul, NttFriendlyMontgomery};
+use abc_fhe::hw::stream::StreamingNtt;
+use abc_fhe::hw::twiddle::OtfTwiddleGen;
+use abc_fhe::math::reduce::{Barrett, Montgomery};
+use abc_fhe::math::{primes, KernelTier, Modulus};
+use abc_fhe::transform::NttPlan;
 
 #[test]
 fn all_reducers_agree_on_structured_primes() {
@@ -42,48 +45,31 @@ fn transform_layer_consistent_across_twiddle_sources_and_sizes() {
     let m = Modulus::new(q).expect("modulus");
     for log_n in [3u32, 6, 9, 12] {
         let n = 1usize << log_n;
+        // The golden kernel over the table, the fast kernel, and the
+        // streaming dataflow fed by the on-the-fly generator.
+        let golden = NttPlan::with_kernel(m, n, KernelTier::Reference).expect("plan");
         let plan = NttPlan::new(m, n).expect("plan");
-        let table = TwiddleTable::with_psi(m, n, plan.table().psi()).expect("table");
         let otf = OtfTwiddleGen::with_psi(m, n, plan.table().psi()).expect("otf");
         let poly: Vec<u64> = (0..n as u64).map(|i| (i * i + 7) % q).collect();
         let mut a = poly.clone();
+        golden.forward(&mut a);
         let mut b = poly.clone();
-        plan.forward_with(&table, &mut a);
-        plan.forward_with(&otf, &mut b);
+        plan.forward(&mut b);
         assert_eq!(a, b, "n = {n}");
-        plan.inverse_with(&otf, &mut a);
-        assert_eq!(a, poly, "n = {n}");
+        let mut c = StreamingNtt::new(m, n, &otf)
+            .expect("stream")
+            .transform(&poly);
+        assert_eq!(a, c, "n = {n}");
+        plan.inverse(&mut c);
+        assert_eq!(c, poly, "n = {n}");
     }
-}
-
-#[test]
-fn hw_multiplier_metadata_matches_math_layer() {
-    use abc_fhe::hw::multiplier::MulAlgorithm;
-    let q = 0xFFF_FFFF_C001u64; // 2^44 - 2^14 + 1
-    let m = Modulus::new(q).expect("modulus");
-    let nf = NttFriendlyMontgomery::new(m).expect("structured");
-    // The hardware model's "one true multiplier" claim is backed by the
-    // functional layer actually running on shift-add networks.
-    assert_eq!(
-        nf.multiplier_count(),
-        MulAlgorithm::NttFriendlyMontgomery.multiplier_count()
-    );
-    assert!(nf.total_adders() <= 2 * (NttFriendlyMontgomery::MAX_CSD_WEIGHT - 1));
-    assert_eq!(
-        Barrett::new(m).pipeline_stages(),
-        MulAlgorithm::Barrett.pipeline_stages()
-    );
-    assert_eq!(
-        Montgomery::new(m).multiplier_count(),
-        MulAlgorithm::Montgomery.multiplier_count()
-    );
 }
 
 #[test]
 fn simulator_workload_matches_opcount_shape() {
     // The simulator's compute-cycle ratio between the two flows should
     // track the op-count imbalance (both derive from the same dataflow).
-    use abc_fhe::ckks::opcount;
+    use abc_fhe::hw::opcount;
     use abc_fhe::sim::{simulate, SimConfig, Workload};
     let cfg = SimConfig::paper_default();
     let enc = simulate(&Workload::encode_encrypt(16, 24), &cfg);
@@ -101,8 +87,8 @@ fn simulator_workload_matches_opcount_shape() {
 
 #[test]
 fn seed_memory_model_matches_otf_generator() {
-    // The hw crate's seed accounting and the transform crate's actual
-    // generator must agree on the order of magnitude.
+    // The memory model's seed accounting and the generator model's
+    // actual seed words must agree on the order of magnitude.
     use abc_fhe::hw::memory;
     let q = primes::generate_ntt_primes(36, 1, 1 << 14).expect("prime")[0];
     let m = Modulus::new(q).expect("modulus");

@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole stack: CKKS pipeline over the
 //! transform/math/prng substrates, at bootstrappable parameters.
 
-use abc_fhe::ckks::{params::CkksParams, CkksContext, EmbeddingPrecision};
+use abc_fhe::ckks::{params::CkksParams, CkksContext};
 use abc_fhe::float::{Complex, SoftFloatField};
 use abc_fhe::prng::Seed;
 
@@ -36,25 +36,19 @@ fn bootstrappable_roundtrip_n13() {
 #[test]
 fn fp55_datapath_roundtrip_matches_paper_threshold() {
     // Running both embeddings on the FP55 datapath must stay above the
-    // paper's 19.29-bit precision threshold.
+    // paper's 19.29-bit precision threshold — the paper's metric,
+    // -log2(RMS slot error), over encode → encrypt → decrypt → decode.
+    use abc_fhe::ckks::precision::measure_precision;
     let ctx = CkksContext::new(
         CkksParams::builder()
             .log_n(11)
             .num_primes(8)
             .build()
-            .expect("params")
-            .with_embedding(EmbeddingPrecision::Fp55),
+            .expect("params"),
     )
     .expect("ctx");
-    let (sk, pk) = ctx.keygen(Seed::from_u128(3));
-    let msg = message(ctx.params().slots());
-    let pt = ctx.encode(&msg).expect("encode");
-    let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(4));
-    let out = ctx
-        .decode(&ctx.decrypt(&ct, &sk).expect("decrypt"))
-        .expect("decode");
-    let err = max_dist(&out, &msg);
-    let precision_bits = -err.log2();
+    let precision_bits =
+        measure_precision(&ctx, &SoftFloatField::fp55(), 1, Seed::from_u128(3)).expect("measure");
     assert!(
         precision_bits > 19.29,
         "FP55 round-trip precision {precision_bits} below the paper threshold"

@@ -32,25 +32,25 @@ fn pseudo_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
 #[test]
 fn fast_kernels_equal_golden_on_all_presets() {
     // Every bootstrappable preset size (N = 2^13 … 2^16): the fast
-    // paths behind `forward`/`inverse` and the golden TwiddleSource
-    // kernel behind `forward_with`/`inverse_with` must agree bit for
-    // bit, not merely modulo q. The scalar Harvey kernel is forced
-    // explicitly so it is asserted even on machines whose Auto choice
-    // is the AVX-512IFMA kernel (and vice versa: Auto covers IFMA
-    // where the CPU has it).
+    // paths behind `forward`/`inverse` and the golden kernel of a
+    // Reference-tier plan must agree bit for bit, not merely modulo q.
+    // The scalar Harvey kernel is forced explicitly so it is asserted
+    // even on machines whose Auto choice is the AVX-512IFMA kernel (and
+    // vice versa: Auto covers IFMA where the CPU has it).
     for log_n in 13u32..=16 {
         let n = 1usize << log_n;
         for (k, m) in preset_moduli(log_n, 3).into_iter().enumerate() {
+            let oracle = NttPlan::with_kernel(m, n, KernelTier::Reference).expect("plan");
             for pref in [KernelTier::Auto, KernelTier::Scalar] {
                 let plan = NttPlan::with_kernel(m, n, pref).expect("plan");
                 let poly = pseudo_poly(n, m.q(), (log_n as u64) << 8 | k as u64);
                 let mut fast = poly.clone();
                 let mut golden = poly.clone();
                 plan.forward(&mut fast);
-                plan.forward_with(plan.table(), &mut golden);
+                oracle.forward(&mut golden);
                 assert_eq!(fast, golden, "forward log_n={log_n} prime {k} {pref:?}");
                 plan.inverse(&mut fast);
-                plan.inverse_with(plan.table(), &mut golden);
+                oracle.inverse(&mut golden);
                 assert_eq!(fast, golden, "inverse log_n={log_n} prime {k} {pref:?}");
                 assert_eq!(fast, poly, "roundtrip log_n={log_n} prime {k} {pref:?}");
             }

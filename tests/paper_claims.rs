@@ -1,10 +1,9 @@
 //! Every quantitative claim of the paper, asserted against this
 //! reproduction (bands documented in EXPERIMENTS.md).
 
-use abc_fhe::hw::{chip, memory, multiplier, rfe, scaling};
+use abc_fhe::hw::{chip, memory, multiplier, radix, rfe, scaling};
 use abc_fhe::sim::config::MemoryConfig;
 use abc_fhe::sim::{simulate, sweep, SimConfig, Workload};
-use abc_fhe::transform::radix;
 
 #[test]
 fn abstract_area_and_power() {
@@ -153,7 +152,7 @@ fn op_imbalance_near_ten_x() {
     //  units derive from the preset's scale mode: 12 double-scale
     //  levels (24 primes) encrypting, 2-level returns decrypting.
     let params = abc_fhe::ckks::params::CkksParams::bootstrappable(16).expect("preset");
-    let rows = abc_fhe::ckks::opcount::fig2_rows_for_params(&params, 2);
+    let rows = abc_fhe::hw::opcount::fig2_rows_for_params(&params, 2);
     let ratio = rows[0].mops / rows[1].mops;
     assert!(ratio > 7.0 && ratio < 14.0, "imbalance {ratio}");
 }
