@@ -12,14 +12,14 @@
 //!   domain: the precomputed quotient was only valid for inputs below
 //!   `2q`, but a caller fed it values up to `4q`. A machine-checked
 //!   "state the interval in the doc" rule makes that mismatch visible
-//!   at review time ([`lazy-domain-doc`]).
+//!   at review time (rule `lazy-domain-doc`).
 //! * **PR 5** — `scalar_mul_assign` overflowed `u64` because a value
 //!   documented nowhere as "lazy, in `[0, 4q)`" was multiplied as if
-//!   canonical ([`lazy-domain-doc`] again).
+//!   canonical (`lazy-domain-doc` again).
 //! * **PR 8** — a lazy multiply accepted operands up to `3q` while its
 //!   SAFETY comment (had it existed) would have promised `2q`; the
 //!   fused kernel produced wrong residues one lane in ~2^40
-//!   ([`unsafe-safety-comment`] forces the promise to be written down
+//!   (`unsafe-safety-comment` forces the promise to be written down
 //!   where the review can see it).
 //!
 //! Because the build container has no registry access, the tool is

@@ -96,7 +96,7 @@ impl CkksContext {
         // level 1 needs q_0 > 2Δ·√2. Uniform prime widths (the paper's
         // Table setting) would make q_0 ≈ Δ and wrap such coefficients;
         // like SEAL's "special prime" convention we widen only q_0.
-        let head_bits = (params.prime_bits() + 3).min(61);
+        let head_bits = params.head_prime_bits();
         let mut primes = abc_math::primes::generate_ntt_primes(head_bits, 1, 2 * n as u64)?;
         if params.num_primes() > 1 {
             primes.extend(abc_math::primes::generate_ntt_primes(
@@ -809,6 +809,29 @@ mod tests {
         let (_, pk) = ctx.keygen(Seed::from_u128(48));
         assert_eq!(pk.byte_size(), 2 * 4 * 512 * 8);
         assert_eq!(pk.num_primes(), 4);
+    }
+
+    #[test]
+    fn wire_widths_are_the_params_residue_widths() {
+        // At 60-bit primes q₀'s three headroom bits hit the 61-bit cap.
+        for (prime_bits, head_bits) in [(36, 39), (60, 61)] {
+            let params = CkksParams::builder()
+                .log_n(6)
+                .num_primes(4)
+                .prime_bits(prime_bits)
+                .secret_hamming_weight(Some(8))
+                .build()
+                .unwrap();
+            assert_eq!(params.head_prime_bits(), head_bits);
+            let ctx = CkksContext::new(params).unwrap();
+            for k in 1..=4 {
+                assert_eq!(
+                    ctx.wire_widths(k),
+                    ctx.params().residue_widths(k),
+                    "prime_bits {prime_bits}, {k} primes"
+                );
+            }
+        }
     }
 
     /// FNV-1a over the bits of decoded slots, real part first.

@@ -12,7 +12,7 @@
 //!   Galois automorphisms [`rotate`] / [`conjugate`] under
 //!   [`GaloisKey`]s — the building blocks of dot products, matvecs and
 //!   every rotate-and-add reduction. All keyed ops share one
-//!   RNS-gadget [`key_switch`]-style core (see [`crate::key`] for the
+//!   RNS-gadget key-switch core (see [`crate::key`] for the
 //!   decomposition choice and its noise model).
 //!
 //! Rescaling in RNS drops the last prime `q_L`:
@@ -75,9 +75,10 @@ fn scales_compatible(a: &ExactScale, b: &ExactScale) -> bool {
 
 /// Homomorphic addition: `enc(a) + enc(b) = enc(a + b)`.
 ///
-/// Operand scales must be equal as exact rationals; see
-/// [`scales_compatible`]'s contract for the documented
-/// [`Ciphertext::from_components`] fallback.
+/// Operand scales must be equal as exact rationals. The one fallback: a
+/// history-free scale (empty denominator, as
+/// [`Ciphertext::from_components`] makes) may match within `f64`
+/// round-off.
 ///
 /// # Errors
 ///

@@ -211,13 +211,18 @@ impl CkksParams {
         self.num_primes as u32 * self.prime_bits
     }
 
+    /// Bit width of the level-0 prime `q₀`: `prime_bits` plus 3 bits of
+    /// headroom above the scale, capped at 61 — the width
+    /// [`crate::CkksContext::new`] generates `q₀` at.
+    pub fn head_prime_bits(&self) -> u32 {
+        (self.prime_bits + 3).min(61)
+    }
+
     /// Per-prime residue bit widths of the basis these parameters
     /// generate — the v3 wire packing schedule, derivable without a
-    /// built context: `q₀` carries 3 headroom bits (capped at 61, the
-    /// widening [`crate::CkksContext::new`] applies), the rest are
-    /// `prime_bits` wide. Matches
-    /// [`crate::CkksContext::wire_widths`] for a context built from
-    /// these parameters.
+    /// built context: `q₀` is [`Self::head_prime_bits`] wide, the rest
+    /// `prime_bits`. Matches [`crate::CkksContext::wire_widths`] for a
+    /// context built from these parameters.
     ///
     /// # Panics
     ///
@@ -228,8 +233,7 @@ impl CkksParams {
             "prime count {primes} out of range 1..={}",
             self.num_primes
         );
-        let head = (self.prime_bits + 3).min(61);
-        std::iter::once(head)
+        std::iter::once(self.head_prime_bits())
             .chain(std::iter::repeat(self.prime_bits))
             .take(primes)
             .collect()

@@ -93,13 +93,6 @@ pub enum WireKind {
     GaloisKey = 4,
 }
 
-/// Validates what every header starts with — magic, version, a kind this
-/// format defines — and says which deserializer the blob is for; a typed
-/// error if it is for none.
-pub fn kind_of(bytes: &[u8]) -> Result<WireKind, CkksError> {
-    Reader(bytes).kind()
-}
-
 /// Per-prime residue bit widths of a basis — the packing schedule of the
 /// v3 format (`⌈log2 qᵢ⌉`; residues are `< qᵢ`).
 pub fn residue_widths(moduli: &[Modulus]) -> Vec<u32> {

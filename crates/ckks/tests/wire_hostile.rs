@@ -229,7 +229,7 @@ fn every_header_field_of_every_kind_is_bounded_at_the_door() {
             }
         };
 
-        // Magic, version, kind: the prefix `kind_of` guards.
+        // Magic, version, kind: the prefix every header parse checks first.
         for at in 0..4 {
             mutate(at, &[rng.next_u32() as u8], Length::Broken, "magic");
         }

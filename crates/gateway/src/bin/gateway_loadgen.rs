@@ -228,14 +228,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workers: 2,
         ..GatewayConfig::default()
     };
+    let (degrade, batch_shed) = config.watermarks();
     println!(
-        "gateway loadgen: N = 2^{log_n}, {} workers, queue {} (degrade {} / batch-shed {}), {} clients x {} req/phase",
-        config.workers,
-        config.queue_capacity,
-        config.degrade_watermark,
-        config.batch_shed_watermark,
-        CLIENTS,
-        per_client,
+        "gateway loadgen: N = 2^{log_n}, {} workers, queue {} (degrade {degrade} / batch-shed {batch_shed}), {CLIENTS} clients x {per_client} req/phase",
+        config.workers, config.queue_capacity,
     );
     // Sanity-check the storm schedule is live before trusting the run.
     let plan = storm_plan();
@@ -340,7 +336,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
     if failures.is_empty() {
-        println!("PASS: zero lost requests, workers respawned, throughput recovered");
+        println!("PASS: zero lost requests, workers resumed, throughput recovered");
         Ok(())
     } else {
         for f in &failures {

@@ -57,8 +57,9 @@ pub enum GatewayError {
     BatchShed,
     /// The per-request deadline expired at the given stage.
     Timeout(TimeoutStage),
-    /// The worker handling this request panicked; the worker respawned
-    /// with fresh pooled state and the request is safe to retry.
+    /// The worker handling this request panicked; the worker resumed on
+    /// the shared context, which an unwind cannot damage, and the
+    /// request is safe to retry.
     WorkerPanicked,
     /// Malformed input (wire-format validation failed at ingress, bad
     /// slot counts, …). Permanent: retrying identical bytes cannot
@@ -69,8 +70,8 @@ pub enum GatewayError {
     /// Configuration rejected at startup.
     InvalidConfig(String),
     /// An internal pipeline failure that is not the caller's fault
-    /// (kept rare: context mismatches between pooled state and
-    /// sessions would surface here).
+    /// (kept rare: a context mismatch between the shared context and a
+    /// session would surface here).
     Internal(String),
 }
 
@@ -102,7 +103,7 @@ impl fmt::Display for GatewayError {
             }
             GatewayError::Timeout(stage) => write!(f, "deadline exceeded ({stage})"),
             GatewayError::WorkerPanicked => {
-                f.write_str("worker panicked handling this request (worker respawned)")
+                f.write_str("worker panicked handling this request (worker resumed)")
             }
             GatewayError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             GatewayError::ShuttingDown => f.write_str("gateway is shutting down"),

@@ -20,7 +20,8 @@ pub enum Fault {
     /// No fault.
     None,
     /// The worker panics mid-request (exercises `catch_unwind`
-    /// isolation, responder drop-guards, and worker respawn).
+    /// isolation, responder drop-guards, and the worker resuming on the
+    /// shared context).
     PanicWorker,
     /// One byte of the request's wire blob is flipped (exercises
     /// strict deserializer validation). No-op for blob-less requests.

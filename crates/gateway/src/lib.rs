@@ -8,17 +8,17 @@
 //!   clients and workers. Over-capacity work is rejected with
 //!   [`GatewayError::Overloaded`] at the door — backpressure, never
 //!   unbounded buffering.
-//! - **Graceful degradation** ([`config`]): as queue depth climbs,
-//!   `Auto`-mode uploads drop to seed-compressed wire (kind 2, ~half
-//!   the bytes, identical slot precision — measurable with
-//!   [`abc_ckks::noise::measure_slot_noise`]), then batch-encode work
-//!   is shed, and only at capacity are single requests refused. Bulk
-//!   work dies first; sessions die last.
+//! - **Graceful degradation** ([`config`]): as queue depth climbs past
+//!   a quarter of its capacity, `Auto`-mode uploads drop to
+//!   seed-compressed wire (kind 2, ~half the bytes, identical slot
+//!   precision — measurable with [`abc_ckks::noise::measure_slot_noise`]),
+//!   past half of it batch work is shed, and only at capacity are single
+//!   requests refused. Bulk work dies first; sessions die last.
 //! - **Deadlines** ([`error::TimeoutStage`]): each request carries a
 //!   deadline checked when dequeued and after compute, classifying
 //!   *where* the budget went — queue timeouts are transient (retry
 //!   into a shallower queue), compute timeouts are not.
-//! - **Panic isolation** ([`worker`]): every request runs under
+//! - **Panic isolation** (`worker`): every request runs under
 //!   `catch_unwind`; a panicking worker resolves its caller with
 //!   [`GatewayError::WorkerPanicked`] via a drop guard and resumes on
 //!   the gateway's one shared `CkksContext`, which is immutable after
@@ -32,7 +32,7 @@
 //! - **Sessions** ([`session`]): per-tenant keys in an LRU cache,
 //!   derived deterministically from the master seed — eviction is
 //!   benign, re-derivation is exact.
-//! - **Strict ingress** ([`worker`]): uploaded wire blobs go through
+//! - **Strict ingress** (`worker`): uploaded wire blobs go through
 //!   the v3 deserializers' full validation; damaged bytes are
 //!   [`GatewayError::BadRequest`], never a panic or a stored corrupt
 //!   blob.
@@ -62,7 +62,6 @@ pub use config::GatewayConfig;
 pub use error::{GatewayError, TimeoutStage};
 pub use fault::{Fault, FaultPlan};
 pub use metrics::MetricsSnapshot;
-pub use retry::RetryPolicy;
 pub use service::{Gateway, Operation, Request, Response, Ticket, UploadMode};
 
 #[cfg(test)]

@@ -10,44 +10,28 @@ use crate::error::GatewayError;
 use abc_prng::Seed;
 use std::time::Duration;
 
-/// Backoff policy for [`crate::Gateway::call_with_retry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). `1` disables retries.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub base: Duration,
-    /// Upper bound on any single backoff.
-    pub cap: Duration,
+/// Total attempts of [`crate::Gateway::call_with_retry`], the first
+/// included.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry; doubles per attempt.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(2);
+/// Upper bound on any single backoff.
+pub const BACKOFF_CAP: Duration = Duration::from_millis(100);
+
+/// The jittered delay before retry number `attempt` (1-based):
+/// `BACKOFF_BASE·2^(attempt-1)` capped at [`BACKOFF_CAP`], scaled by a
+/// deterministic factor in `[0.5, 1.0)` drawn from `seed` —
+/// decorrelating colliding clients without sacrificing replayability.
+pub fn backoff(attempt: u32, seed: Seed) -> Duration {
+    let exp = BACKOFF_BASE
+        .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
+        .min(BACKOFF_CAP);
+    let raw = seed.derive(u64::from(attempt)).low64();
+    let jitter = 0.5 + (raw % 1024) as f64 / 2048.0;
+    exp.mul_f64(jitter)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(100),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered delay before retry number `attempt` (1-based):
-    /// `base·2^(attempt-1)` capped at `cap`, scaled by a deterministic
-    /// factor in `[0.5, 1.0)` drawn from `seed` — decorrelating
-    /// colliding clients without sacrificing replayability.
-    pub fn backoff(&self, attempt: u32, seed: Seed) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-            .min(self.cap);
-        let raw = seed.derive(u64::from(attempt)).low64();
-        let jitter = 0.5 + (raw % 1024) as f64 / 2048.0;
-        exp.mul_f64(jitter)
-    }
-}
-
-/// Runs `op` up to `policy.max_attempts` times, sleeping the jittered
+/// Runs `op` up to [`MAX_ATTEMPTS`] times, sleeping the jittered
 /// backoff between attempts, retrying only transient errors. Invokes
 /// `on_retry` before each re-attempt (metrics hook).
 ///
@@ -56,7 +40,6 @@ impl RetryPolicy {
 /// Returns the last error once attempts are exhausted, or the first
 /// non-transient error immediately.
 pub fn call_with_retry<T>(
-    policy: &RetryPolicy,
     seed: Seed,
     mut on_retry: impl FnMut(),
     mut op: impl FnMut() -> Result<T, GatewayError>,
@@ -65,8 +48,8 @@ pub fn call_with_retry<T>(
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < policy.max_attempts => {
-                std::thread::sleep(policy.backoff(attempt, seed));
+            Err(e) if e.is_transient() && attempt < MAX_ATTEMPTS => {
+                std::thread::sleep(backoff(attempt, seed));
                 on_retry();
                 attempt += 1;
             }
@@ -82,32 +65,22 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            base: Duration::from_millis(4),
-            cap: Duration::from_millis(20),
-        };
         let s = Seed::from_u128(9);
-        let d1 = p.backoff(1, s);
-        let d2 = p.backoff(2, s);
-        let d4 = p.backoff(4, s);
-        assert_eq!(d1, p.backoff(1, s), "deterministic");
-        // Jitter keeps each delay within [0.5, 1.0) of the exponential.
-        assert!(d1 >= Duration::from_millis(2) && d1 < Duration::from_millis(4));
-        assert!(d2 >= Duration::from_millis(4) && d2 < Duration::from_millis(8));
-        assert!(d4 < Duration::from_millis(20), "capped");
+        let d1 = backoff(1, s);
+        let d2 = backoff(2, s);
+        let d8 = backoff(8, s);
+        assert_eq!(d1, backoff(1, s), "deterministic");
+        // Jitter keeps each delay within [0.5, 1.0) of the exponential:
+        // 2 ms, 4 ms, then 256 ms capped at 100 ms.
+        assert!(d1 >= Duration::from_millis(1) && d1 < Duration::from_millis(2));
+        assert!(d2 >= Duration::from_millis(2) && d2 < Duration::from_millis(4));
+        assert!(d8 >= BACKOFF_CAP / 2 && d8 < BACKOFF_CAP, "capped");
     }
 
     #[test]
     fn retries_only_transient_errors() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(50),
-        };
         let mut calls = 0;
         let out: Result<(), _> = call_with_retry(
-            &policy,
             Seed::from_u128(1),
             || {},
             || {
@@ -116,11 +89,10 @@ mod tests {
             },
         );
         assert_eq!(out, Err(GatewayError::Overloaded { depth: 1 }));
-        assert_eq!(calls, 3, "transient: exhausted all attempts");
+        assert_eq!(calls, MAX_ATTEMPTS, "transient: exhausted all attempts");
 
         let mut calls = 0;
         let out: Result<(), _> = call_with_retry(
-            &policy,
             Seed::from_u128(1),
             || {},
             || {
@@ -133,7 +105,6 @@ mod tests {
 
         let mut calls = 0;
         let out = call_with_retry(
-            &policy,
             Seed::from_u128(1),
             || {},
             || {

@@ -3,10 +3,11 @@
 
 use crate::config::GatewayConfig;
 use crate::error::{GatewayError, TimeoutStage};
+use crate::fault::FaultPlan;
 use crate::metrics::{inc, Metrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use crate::retry;
-use crate::session::SessionStore;
+use crate::session::{SessionStore, SESSION_CAPACITY};
 use crate::worker::{self, Job, Responder};
 use abc_ckks::limb_pool::Allowance;
 use abc_ckks::CkksContext;
@@ -16,6 +17,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Deadline of a request that does not carry its own.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+
 /// How an encryption result should be shipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UploadMode {
@@ -24,8 +28,8 @@ pub enum UploadMode {
     /// Seed-compressed symmetric ciphertext (kind 2) — about half the
     /// wire bytes at identical slot precision.
     Compressed,
-    /// Let the gateway decide: `Full` normally, `Compressed` when the
-    /// queue is past the degrade watermark.
+    /// Let the gateway decide: `Full` normally, `Compressed` once the
+    /// queue reaches the degrade watermark ([`GatewayConfig::watermarks`]).
     Auto,
 }
 
@@ -57,7 +61,7 @@ pub enum Operation {
 pub struct Request {
     /// Tenant identifier (keys are derived per tenant).
     pub tenant: u64,
-    /// Per-request deadline; `None` uses the configured default.
+    /// Per-request deadline; `None` uses [`DEFAULT_DEADLINE`].
     pub deadline: Option<Duration>,
     /// The operation to perform.
     pub op: Operation,
@@ -99,8 +103,8 @@ pub(crate) struct Shared {
     pub seq: AtomicU64,
     /// Live fault schedule — swappable at runtime so a chaos driver
     /// can run clean / storm / recovery phases against one gateway
-    /// (initialized from `config.fault_plan`).
-    pub fault: Mutex<crate::fault::FaultPlan>,
+    /// (disabled at start).
+    pub fault: Mutex<FaultPlan>,
 }
 
 /// Handle for one in-flight request.
@@ -146,19 +150,18 @@ impl Gateway {
     /// # Errors
     ///
     /// Returns [`GatewayError::InvalidConfig`] for a bad configuration
-    /// (watermark ladder, zero pools, CKKS parameters the builder
-    /// rejects).
+    /// (zero pools, CKKS parameters the builder rejects).
     pub fn start(config: GatewayConfig) -> Result<Self, GatewayError> {
         config.validate()?;
         let ctx = Arc::new(worker::build_context(&config)?);
         let shared = Arc::new(Shared {
             _pool_allowance: ctx.ntt_engine().allow_concurrent_ops(config.workers - 1),
             ctx,
-            sessions: SessionStore::new(config.session_capacity, config.master_seed),
+            sessions: SessionStore::new(SESSION_CAPACITY, config.master_seed),
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: Arc::new(Metrics::default()),
             seq: AtomicU64::new(0),
-            fault: Mutex::new(config.fault_plan.clone()),
+            fault: Mutex::new(FaultPlan::disabled()),
             config,
         });
         let live_workers = Arc::new(AtomicU64::new(0));
@@ -204,6 +207,7 @@ impl Gateway {
     pub fn submit(&self, request: Request) -> Result<Ticket, GatewayError> {
         let metrics = &self.shared.metrics;
         let depth = self.shared.queue.len();
+        let (degrade, batch_shed) = self.shared.config.watermarks();
         let mut op = request.op;
         // Degradation ladder: shed bulk work first, then degrade Auto
         // uploads to the cheap path, and only at capacity shed whole
@@ -211,14 +215,14 @@ impl Gateway {
         if matches!(
             op,
             Operation::EncryptBatch { .. } | Operation::DecryptBatch { .. }
-        ) && depth >= self.shared.config.batch_shed_watermark
+        ) && depth >= batch_shed
         {
             inc(&metrics.shed_batch);
             return Err(GatewayError::BatchShed);
         }
         if let Operation::Encrypt { mode, .. } | Operation::EncryptBatch { mode, .. } = &mut op {
             if *mode == UploadMode::Auto {
-                if depth >= self.shared.config.degrade_watermark {
+                if depth >= degrade {
                     *mode = UploadMode::Compressed;
                     inc(&metrics.degraded_compressed);
                 } else {
@@ -226,10 +230,7 @@ impl Gateway {
                 }
             }
         }
-        let deadline = Instant::now()
-            + request
-                .deadline
-                .unwrap_or(self.shared.config.default_deadline);
+        let deadline = Instant::now() + request.deadline.unwrap_or(DEFAULT_DEADLINE);
         let (tx, rx) = mpsc::channel();
         let job = Job {
             seq: self.shared.seq.fetch_add(1, Ordering::SeqCst),
@@ -272,8 +273,10 @@ impl Gateway {
         self.submit(request)?.wait()
     }
 
-    /// [`call`](Self::call) wrapped in the configured jittered-backoff
-    /// retry policy; only transient errors are retried.
+    /// [`call`](Self::call) wrapped in jittered exponential backoff
+    /// ([`retry::MAX_ATTEMPTS`] attempts, [`retry::BACKOFF_BASE`]
+    /// doubling up to [`retry::BACKOFF_CAP`]); only transient errors are
+    /// retried.
     ///
     /// # Errors
     ///
@@ -288,7 +291,6 @@ impl Gateway {
             .derive(2);
         let metrics = Arc::clone(&self.shared.metrics);
         retry::call_with_retry(
-            &self.shared.config.retry,
             seed,
             || inc(&metrics.retries),
             || self.call(request.clone()),
@@ -297,7 +299,7 @@ impl Gateway {
 
     /// Swaps the live fault schedule (chaos drivers use this to phase
     /// a single gateway through clean → storm → recovery).
-    pub fn set_fault_plan(&self, plan: crate::fault::FaultPlan) {
+    pub fn set_fault_plan(&self, plan: FaultPlan) {
         *crate::sync::lock(&self.shared.fault) = plan;
     }
 

@@ -13,6 +13,10 @@ use abc_ckks::{CkksContext, PublicKey, SecretKey};
 use abc_prng::Seed;
 use std::sync::{Arc, Mutex};
 
+/// Sessions a gateway caches (evicted tenants re-derive their keys
+/// deterministically on the next request).
+pub const SESSION_CAPACITY: usize = 32;
+
 /// One tenant's key material.
 #[derive(Debug)]
 pub struct TenantSession {

@@ -74,10 +74,9 @@
 //! more instantiation line.
 //!
 //! Multiplying by a *constant* is a different datapath (Shoup, a
-//! precomputed quotient): [`DyadicEngine::scalar_mul_assign`] and
-//! [`DyadicEngine::sub_scalar_mul_assign`] — `a = (a − b)·s`, both
-//! rescales, which accepts a `[0, 4q)`-lazy subtrahend so the
-//! forward-NTT normalization stage fuses in too.
+//! precomputed quotient): [`DyadicEngine::sub_scalar_mul_assign`] —
+//! `a = (a − b)·s`, both rescales, which accepts a `[0, 4q)`-lazy
+//! subtrahend so the forward-NTT normalization stage fuses in too.
 //!
 //! Every fused kernel is bit-identical to the composition of its
 //! unfused ops (canonical outputs; pinned by the property suites across
@@ -333,8 +332,9 @@ impl DyadicEngine {
                     *x = shoup::reduce_once(shoup::mul_shoup52_lazy(t, s, s52, q), q);
                 }
             }
-            // Montgomery takes the 64-bit Shoup path (constant factor ⇒
-            // precomputed quotient), as in `scalar_mul_assign`.
+            // Montgomery takes the 64-bit Shoup path: a constant factor
+            // admits a precomputed quotient, which beats any general
+            // two-operand reduction.
             _ => {
                 if q < shoup::MAX_SHOUP_MODULUS {
                     let ss = shoup::shoup_precompute(s, q);
@@ -351,44 +351,6 @@ impl DyadicEngine {
         }
     }
 
-    /// `a[i] = a[i]·s mod q` for a scalar `s` (reduced on entry — any
-    /// `u64` is accepted).
-    pub fn scalar_mul_assign(&self, a: &mut [u64], s: u64) {
-        let s = if s >= self.m.q() { self.m.reduce(s) } else { s };
-        match &self.kernel {
-            Kernel::Golden => {
-                for x in a.iter_mut() {
-                    *x = self.m.mul(*x, s);
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
-                let q = self.m.q();
-                let s52 = shoup::shoup_precompute52(s, q);
-                let done = crate::simd::scalar_mul_assign(k, a, s, s52);
-                for x in a[done..].iter_mut() {
-                    *x = shoup::reduce_once(shoup::mul_shoup52_lazy(*x, s, s52, q), q);
-                }
-            }
-            // Montgomery takes the 64-bit Shoup path: a constant factor
-            // admits a precomputed quotient, which beats any general
-            // two-operand reduction.
-            _ => {
-                let q = self.m.q();
-                if q < shoup::MAX_SHOUP_MODULUS {
-                    let ss = shoup::shoup_precompute(s, q);
-                    for x in a.iter_mut() {
-                        *x = shoup::mul_shoup(*x, s, ss, q);
-                    }
-                } else {
-                    for x in a.iter_mut() {
-                        *x = self.m.mul(*x, s);
-                    }
-                }
-            }
-        }
-    }
-
     /// `a[i] = a[i] + b[i] mod q`, canonical.
     ///
     /// # Panics
@@ -398,7 +360,7 @@ impl DyadicEngine {
         assert_eq!(a.len(), b.len());
         #[cfg(target_arch = "x86_64")]
         if matches!(self.kernel, Kernel::Ifma(_)) {
-            let done = crate::simd::addsub_assign(self.m.q(), crate::simd::AddSubOp::Add, a, b);
+            let done = crate::simd::add_assign(self.m.q(), a, b);
             for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                 *x = self.m.add(*x, y);
             }
@@ -406,33 +368,6 @@ impl DyadicEngine {
         }
         for (x, &y) in a.iter_mut().zip(b) {
             *x = self.m.add(*x, y);
-        }
-    }
-
-    /// `a[i] = a[i] − b[i] mod q`, canonical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn sub_assign(&self, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.kernel, Kernel::Ifma(_)) {
-            let done = crate::simd::addsub_assign(self.m.q(), crate::simd::AddSubOp::Sub, a, b);
-            for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
-                *x = self.m.sub(*x, y);
-            }
-            return;
-        }
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x = self.m.sub(*x, y);
-        }
-    }
-
-    /// `a[i] = −a[i] mod q`.
-    pub fn neg_assign(&self, a: &mut [u64]) {
-        for x in a.iter_mut() {
-            *x = self.m.neg(*x);
         }
     }
 
@@ -569,31 +504,10 @@ mod tests {
                         "mul_add {pref:?} q={q} i={i}"
                     );
                 }
-                for s in [0u64, 1, q - 1, q, u64::MAX] {
-                    let mut got = a0.clone();
-                    e.scalar_mul_assign(&mut got, s);
-                    for i in 0..n {
-                        assert_eq!(
-                            got[i],
-                            m.mul(a0[i], s % q),
-                            "scalar {pref:?} q={q} s={s} i={i}"
-                        );
-                    }
-                }
                 let mut got = a0.clone();
                 e.add_assign(&mut got, &b);
                 for i in 0..n {
                     assert_eq!(got[i], m.add(a0[i], b[i]), "add {pref:?} q={q} i={i}");
-                }
-                let mut got = a0.clone();
-                e.sub_assign(&mut got, &b);
-                for i in 0..n {
-                    assert_eq!(got[i], m.sub(a0[i], b[i]), "sub {pref:?} q={q} i={i}");
-                }
-                let mut got = a0.clone();
-                e.neg_assign(&mut got);
-                for i in 0..n {
-                    assert_eq!(got[i], m.neg(a0[i]), "neg {pref:?} q={q} i={i}");
                 }
                 // Lifecycle: premul once, multiply twice (the plaintext
                 // × both-components pattern).
@@ -627,7 +541,7 @@ mod tests {
                     let want = m.add(m.mul_add(a0[i], b[i], c[i]), d[i]);
                     assert_eq!(got[i], want, "mul_add2 {pref:?} q={q} i={i}");
                 }
-                for s in [0u64, 1, q - 1, u64::MAX] {
+                for s in [0u64, 1, q - 1, q, u64::MAX] {
                     let mut got = a0.clone();
                     e.sub_scalar_mul_assign(&mut got, &b, s);
                     for i in 0..n {

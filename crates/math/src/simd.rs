@@ -32,7 +32,8 @@
 //! beside its `csub`s.
 //!
 //! Multiplication by a *constant* is a different datapath (Shoup, no
-//! REDC): [`scalar_mul_assign`], and [`sub_scalar_mul_assign`] —
+//! REDC): [`scalar_mul_assign`] (the domain entry of
+//! [`crate::dyadic::DyadicEngine::premul`]), and [`sub_scalar_mul_assign`] —
 //! `a = (a − b)·w`, both rescales — which accepts its subtrahend **lazy
 //! in `[0, 4q)`**, the raw output of a forward NTT whose closing
 //! normalization pass was skipped, fusing the last NTT stage into the
@@ -110,7 +111,7 @@ impl Mont52 {
     }
 
     /// Scalar model of [`Self::mul`] against a *pre-entered* operand
-    /// `b_dom ∈ [0, 2q)` (see [`premul`]).
+    /// `b_dom ∈ [0, 2q)` (see [`crate::dyadic::DyadicEngine::premul`]).
     #[inline(always)]
     pub fn mul_premul(&self, a: u64, b_dom: u64) -> u64 {
         let r = self.redc52_lazy(a as u128 * b_dom as u128);
@@ -368,27 +369,18 @@ unsafe fn scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], w: u64, w52: u64) {
     }
 }
 
-/// Which element-wise additive kernel [`addsub_assign`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddSubOp {
-    /// `a[i] = a[i] + b[i] mod q`.
-    Add,
-    /// `a[i] = a[i] − b[i] mod q`.
-    Sub,
-}
-
-/// Canonical element-wise add/sub over full 8-lane blocks; returns the
-/// count handled.
+/// Canonical element-wise `a[i] = a[i] + b[i] mod q` over full 8-lane
+/// blocks; returns the count handled.
 ///
 /// # Panics
 ///
 /// Asserts [`CpuCaps::ifma`] and equal slice lengths.
-pub fn addsub_assign(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) -> usize {
+pub fn add_assign(q: u64, a: &mut [u64], b: &[u64]) -> usize {
     assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
     assert_eq!(a.len(), b.len());
     let n8 = a.len() - a.len() % 8;
     // SAFETY: the assert above proves the required target features.
-    unsafe { addsub_assign_impl(q, op, &mut a[..n8], &b[..n8]) }
+    unsafe { add_assign_impl(q, &mut a[..n8], &b[..n8]) }
     n8
 }
 
@@ -398,7 +390,7 @@ pub fn addsub_assign(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) -> usize {
 /// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
 /// argument must have the same length, a multiple of 8.
 #[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn addsub_assign_impl(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) {
+unsafe fn add_assign_impl(q: u64, a: &mut [u64], b: &[u64]) {
     let vq = _mm512_set1_epi64(q as i64);
     let mut j = 0;
     while j < a.len() {
@@ -408,12 +400,8 @@ unsafe fn addsub_assign_impl(q: u64, op: AddSubOp, a: &mut [u64], b: &[u64]) {
             let pb = b.as_ptr().add(j) as *const __m512i;
             let va = _mm512_loadu_si512(pa);
             let vb = _mm512_loadu_si512(pb);
-            // Both ops land in [0, 2q): a+b directly; a−b as a+(q−b).
-            let s = match op {
-                AddSubOp::Add => _mm512_add_epi64(va, vb),
-                AddSubOp::Sub => _mm512_add_epi64(va, _mm512_sub_epi64(vq, vb)),
-            };
-            _mm512_storeu_si512(pa, csub_x8(s, vq));
+            // a + b lands in [0, 2q): one conditional subtract.
+            _mm512_storeu_si512(pa, csub_x8(_mm512_add_epi64(va, vb), vq));
         }
         j += 8;
     }
@@ -472,14 +460,9 @@ mod tests {
             assert_eq!(a[i], m.mul(a0[i], w), "scalar i={i}");
         }
         let mut a = a0.clone();
-        assert_eq!(addsub_assign(q, AddSubOp::Add, &mut a, &b), n);
+        assert_eq!(add_assign(q, &mut a, &b), n);
         for i in 0..n {
             assert_eq!(a[i], m.add(a0[i], b[i]), "add i={i}");
-        }
-        let mut a = a0.clone();
-        assert_eq!(addsub_assign(q, AddSubOp::Sub, &mut a, &b), n);
-        for i in 0..n {
-            assert_eq!(a[i], m.sub(a0[i], b[i]), "sub i={i}");
         }
         let w = q / 3;
         let w52 = crate::shoup::shoup_precompute52(w, q);

@@ -1,7 +1,7 @@
 //! A from-scratch ChaCha20 stream cipher (RFC 8439 block function) used as
 //! the deterministic on-chip PRNG.
 //!
-//! The 128-bit [`Seed`](crate::Seed) is expanded into the 256-bit ChaCha
+//! The 128-bit [`Seed`] is expanded into the 256-bit ChaCha
 //! key by repetition (a common construction when the security target is
 //! 128 bits, as in the paper); the stream number selects independent
 //! keystreams for domain separation.

@@ -3,7 +3,7 @@
 //! The build container for this repository has no access to crates.io, so
 //! the workspace vendors the *subset* of the proptest API its test suites
 //! actually use: the [`proptest!`] macro, `prop_assert*` / [`prop_assume!`],
-//! [`any`], range / tuple strategies, `prop_map` / `prop_filter`,
+//! [`any`](arbitrary::any), range / tuple strategies, `prop_map` / `prop_filter`,
 //! `prop::sample::select`, `prop::bool::ANY` and `prop::num::f64` classes.
 //!
 //! Semantics intentionally mirror upstream where it matters for these

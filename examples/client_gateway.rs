@@ -51,10 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         log_n,
         num_primes: 4,
         queue_capacity: 64,
-        degrade_watermark: 16,
-        batch_shed_watermark: 32,
         master_seed: Seed::from_u128(0x6A7E),
-        ..GatewayConfig::default()
     };
     let gw = Arc::new(Gateway::start(config)?);
 
@@ -131,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A short seeded fault storm: injected worker panics surface as
-    // typed errors, retries absorb them, the pool respawns.
+    // typed errors, retries absorb them, the workers resume.
     println!("\n--- seeded fault storm (replayable chaos) ---");
     gw.set_fault_plan(FaultPlan::storm(
         Seed::from_u128(0xC4A05),

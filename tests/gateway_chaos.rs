@@ -138,7 +138,7 @@ fn run_workload(
 }
 
 #[test]
-fn every_request_resolves_under_the_storm_and_workers_respawn() {
+fn every_request_resolves_under_the_storm_and_workers_resume() {
     quiet_injected_panics();
     // A ring degree of its own: the limb pool is process-wide, and this
     // test reads the allowance of its size class.
@@ -278,8 +278,6 @@ fn queue_full_bursts_shed_with_typed_errors_and_degrade_uploads() {
         Gateway::start(GatewayConfig {
             workers: 1,
             queue_capacity: 8,
-            degrade_watermark: 2,
-            batch_shed_watermark: 4,
             log_n: 9,
             num_primes: 2,
             ..GatewayConfig::default()
