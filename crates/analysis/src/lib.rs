@@ -24,7 +24,7 @@
 //!
 //! Because the build container has no registry access, the tool is
 //! dependency-free: a hand-rolled lexer ([`lexer`]) feeds a
-//! structural scanner ([`parse`]) feeds six rules ([`rules`]).
+//! structural scanner ([`parse`]) feeds seven rules ([`rules`]).
 //!
 //! # Rules
 //!
@@ -36,6 +36,7 @@
 //! | `env-access` | no direct `env::var`/`set_var`/`remove_var` on `ABC_FHE_*` outside `EnvGuard` and allowlisted hardened parsers |
 //! | `gateway-panic-free` | no `unwrap`/`expect`/`panic!`-family in `crates/gateway` non-test request-path code |
 //! | `thread-site` | no `thread::scope`/`spawn`/`Builder` in the library crates (`math`, `float`, `prng`, `transform`, `ckks`) outside tests, except the one limb fan-out function in `crates/transform/src/rns_ntt.rs` |
+//! | `lock-site` | no `Mutex`/`RwLock` in the library crates outside tests, except the limb pool (`crates/transform/src/pool.rs`) and the test-only environment lock (`crates/math/src/envtest.rs`) |
 //!
 //! Suppressions live in `analysis-allow.toml` at the workspace root;
 //! every entry requires a justification string, and entries that match

@@ -1,4 +1,4 @@
-//! The rule engine: shared context plus the six shipped rules.
+//! The rule engine: shared context plus the seven shipped rules.
 //!
 //! Each rule is a function `fn(&Ctx, &File, &mut Vec<Finding>)`; rules
 //! never read the filesystem — everything they need (token streams,
@@ -13,6 +13,7 @@ use crate::report::Finding;
 
 mod domain_doc;
 mod env_access;
+mod lock_site;
 mod panic_path;
 mod safety;
 mod simd_gating;
@@ -64,11 +65,22 @@ pub fn run(files: &[File]) -> Vec<Finding> {
         env_access::check(&ctx, f, &mut findings);
         panic_path::check(&ctx, f, &mut findings);
         thread_site::check(&ctx, f, &mut findings);
+        lock_site::check(&ctx, f, &mut findings);
     }
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
     findings
+}
+
+/// The library crates: the client datapath, one message at a time.
+const LIBRARY_CRATES: [&str; 5] = ["math", "float", "prng", "transform", "ckks"];
+
+/// Whether `path` is source (not tests) of a library crate.
+pub(crate) fn in_library_crate(path: &str) -> bool {
+    LIBRARY_CRATES
+        .iter()
+        .any(|krate| path.contains(&format!("crates/{krate}/src/")))
 }
 
 /// Helper: constructs a finding anchored at token position.

@@ -14,7 +14,7 @@
 use crate::parse::File;
 use crate::report::Finding;
 
-use super::{finding, Ctx};
+use super::{finding, in_library_crate, Ctx};
 
 pub(super) const RULE: &str = "thread-site";
 
@@ -22,16 +22,8 @@ pub(super) const RULE: &str = "thread-site";
 const FAN_OUT_FILE: &str = "crates/transform/src/rns_ntt.rs";
 const FAN_OUT_FN: &str = "fan_out";
 
-const LIBRARY_CRATES: [&str; 5] = ["math", "float", "prng", "transform", "ckks"];
-
-fn in_scope(path: &str) -> bool {
-    LIBRARY_CRATES
-        .iter()
-        .any(|krate| path.contains(&format!("crates/{krate}/src/")))
-}
-
 pub(super) fn check(_ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
-    if !in_scope(&f.path) {
+    if !in_library_crate(&f.path) {
         return;
     }
     let fan_out_body = f

@@ -409,6 +409,45 @@ pub fn start() {
     assert!(findings("crates/transform/tests/proptests.rs", pool).is_empty());
 }
 
+// ---------------------------------------------------------------- rule 7
+
+#[test]
+fn a_second_lock_in_a_library_crate_fires() {
+    let src = r#"
+use std::sync::Mutex;
+
+/// A `Mutex` in a doc comment is not a lock.
+pub struct SlotPool {
+    bufs: Mutex<Vec<Vec<f64>>>,
+}
+
+#[cfg(test)]
+mod tests {
+    static SERIAL: std::sync::RwLock<()> = std::sync::RwLock::new(());
+}
+"#;
+    let found = findings("crates/transform/src/fft_engine.rs", src);
+    assert_eq!(rules(&found), ["lock-site"; 2], "{found:?}");
+    assert_eq!((found[0].line, found[1].line), (2, 6));
+    // The gateway's queue and session cache serialise requests: out of
+    // scope.
+    assert!(findings("crates/gateway/src/queue.rs", src).is_empty());
+}
+
+#[test]
+fn the_limb_pool_and_the_env_lock_may_hold_a_lock() {
+    let src = r#"
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static POOL: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+"#;
+    assert!(findings("crates/transform/src/pool.rs", src).is_empty());
+    assert!(findings("crates/math/src/envtest.rs", src).is_empty());
+    // The same source in another file of those crates is a second lock.
+    let found = findings("crates/math/src/rns.rs", src);
+    assert_eq!(rules(&found), ["lock-site"; 3], "{found:?}");
+}
+
 // ------------------------------------------------------------ allowlist
 
 #[test]

@@ -581,6 +581,14 @@ fn main() {
     {
         let slots = 1usize << 14; // N = 2^15
         let plan = SpecialFft::new(slots);
+        // The AVX-512 kernel's split planes are an N-word limb of the limb
+        // pool. Every real caller holds an engine of that N, whose
+        // allowance keeps the limb warm; without one each transform would
+        // time a 256 KiB `malloc` as well.
+        let n = 2 * slots;
+        let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
+        let modulus = abc_math::Modulus::new(q).expect("modulus");
+        let _engine = RnsNttEngine::new(&[modulus], n).expect("engine");
         let vals: Vec<Complex> = (0..slots)
             .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
             .collect();

@@ -14,9 +14,8 @@ use abc_transform::{LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngi
 
 /// The context's canonical-embedding engine, instantiated at the
 /// datapath selected by [`CkksParams::embedding_precision`] — one
-/// planned per-(slots, datapath) twiddle table plus its slot-buffer
-/// pool, built once per context. Every embedding FFT runs on the
-/// calling thread.
+/// planned per-(slots, datapath) twiddle table, built once per context.
+/// Every embedding FFT runs on the calling thread.
 #[derive(Debug)]
 pub enum EmbeddingEngine {
     /// IEEE binary64 (the reference datapath).
@@ -138,7 +137,7 @@ impl CkksContext {
     }
 
     /// The canonical-embedding engine at the configured
-    /// [`EmbeddingPrecision`] (planned twiddles + slot-buffer pool).
+    /// [`EmbeddingPrecision`] (planned twiddles).
     pub fn embedding(&self) -> &EmbeddingEngine {
         &self.embedding
     }
@@ -148,7 +147,9 @@ impl CkksContext {
     /// quotient columns of the per-prime NTT plans, the embedding FFT's
     /// tables, and the limb-pool retention the engine registers for one
     /// operation (`4 × limbs × N × 8`; the pool fills it on first use).
-    /// Keys and the FFT engine's slot buffers are not counted.
+    /// Keys are not counted. No FFT slot buffers are retained: the
+    /// embedding keeps none, and the AVX-512 kernel's split planes are a
+    /// limb of the pool allowance.
     pub fn resident_bytes(&self) -> (usize, usize, usize) {
         let (ntt_tables, pool_allowance) = self.engine.resident_bytes();
         let fft_plans = with_embedding!(self, e => e.plan().resident_bytes());
@@ -254,16 +255,13 @@ impl CkksContext {
             });
         }
         let field = engine.plan().field().clone();
-        // Slot vector, zero-padded, through the inverse embedding
-        // (pooled scratch: no per-encode slot allocation).
+        // Slot vector, zero-padded, through the inverse embedding.
         let mut vals = engine.take_buf();
         for (dst, &m) in vals.iter_mut().zip(message) {
             *dst = m.lift_in(&field);
         }
         engine.inverse(&mut vals);
-        let coeffs = engine.plan().slots_to_coeffs(&vals);
-        engine.recycle(vals);
-        let rns = self.quantize_coeffs(&field, &coeffs, scale)?;
+        let rns = self.quantize_coeffs(&field, &vals, scale)?;
         Ok(Plaintext {
             rns,
             scale: scale.clone(),
@@ -271,15 +269,18 @@ impl CkksContext {
         })
     }
 
-    /// Exact Δ-rounding of embedding-output coefficients into NTT-domain
-    /// RNS residues, in pooled limbs: one pass over the coefficients,
-    /// each lifted, range-checked and rounded as it is read.
+    /// Exact Δ-rounding of the inverse embedding's output into NTT-domain
+    /// RNS residues, in pooled limbs: one pass over the `N` coefficients,
+    /// each lifted, range-checked and rounded as it is read. Coefficient
+    /// `j` is the real part of slot `j`, coefficient `j + N/2` its
+    /// imaginary part.
     fn quantize_coeffs<F: RealField>(
         &self,
         field: &F,
-        coeffs: &[F::Real],
+        vals: &[Complex<F::Real>],
         scale: &ExactScale,
     ) -> Result<PooledLimbs, CkksError> {
+        let coeffs = vals.iter().map(|v| v.re).chain(vals.iter().map(|v| v.im));
         let scale_f = scale.to_f64();
         // Lift losslessly into double-double; zero `lo` for f64-backed
         // datapaths keeps their classic rounding paths bit-identical.
@@ -296,8 +297,8 @@ impl CkksContext {
         if let Some(exp) = scale.as_pow2() {
             // Exact: a power-of-two scale only shifts both exponents;
             // one rounding through `i128`.
-            let mut ints = Vec::with_capacity(coeffs.len());
-            for &c in coeffs {
+            let mut ints = Vec::with_capacity(2 * vals.len());
+            for c in coeffs {
                 ints.push(lift(c)?.ldexp(exp).round_to_i128());
             }
             Ok(self.engine.expand_and_ntt_pooled(&ints, self.basis.len()))
@@ -305,14 +306,14 @@ impl CkksContext {
             // Rational scale: exact big-integer rounding, residues per
             // prime, then the batched forward NTT.
             assert_eq!(
-                coeffs.len(),
+                2 * vals.len(),
                 self.params.n(),
                 "coefficient count must equal N"
             );
             let moduli = self.basis.moduli();
             let rounder = scale.rounder();
             let mut rows = self.engine.take_limbs(moduli.len());
-            for (j, &c) in coeffs.iter().enumerate() {
+            for (j, c) in coeffs.enumerate() {
                 let (negative, mag) = rounder.round_ext(lift(c)?);
                 for (row, m) in rows.iter_mut().zip(moduli) {
                     let r = mag.rem_u64(m.q());
@@ -332,31 +333,33 @@ impl CkksContext {
     /// Returns [`CkksError::ContextMismatch`] if the plaintext belongs to
     /// different parameters.
     pub fn decode(&self, pt: &Plaintext) -> Result<Vec<Complex>, CkksError> {
-        with_embedding!(self, e => self.decode_core(e, pt))
+        match &self.embedding {
+            // The f64 datapath's slot vector is the result itself.
+            EmbeddingEngine::F64(e) => self.decode_to_slots(e, pt),
+            EmbeddingEngine::ExtF64(e) => self.decode_core(e, pt),
+        }
     }
 
     /// The generic decode kernel: INTT, exact CRT lift, double-double
-    /// scale division, forward embedding on `engine`'s datapath.
+    /// scale division, forward embedding on `engine`'s datapath, then
+    /// each slot rounded to `f64`.
     pub(crate) fn decode_core<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
         pt: &Plaintext,
     ) -> Result<Vec<Complex>, CkksError> {
-        let mut vals = self.decode_to_slots(engine, pt)?;
-        engine.forward(&mut vals);
+        let vals = self.decode_to_slots(engine, pt)?;
         let field = engine.plan().field();
-        let out = vals.iter().map(|v| v.to_f64_in(field)).collect();
-        engine.recycle(vals);
-        Ok(out)
+        Ok(vals.iter().map(|v| v.to_f64_in(field)).collect())
     }
 
-    /// Everything decode does *before* the forward embedding, as one
-    /// streaming pass: out-of-place INTT into pooled limbs, then per
+    /// Decode on `engine`'s datapath, as one streaming pass and then the
+    /// forward embedding: out-of-place INTT into pooled limbs, then per
     /// coefficient the exact centered CRT lift (word-sized and verified
     /// against every residue; big-integer only where that check fails,
     /// see [`WordLift`]) and the division by the exact rational scale in
-    /// double-double precision, written straight into a pooled slot
-    /// buffer (coefficient `j` is the real part of slot `j`, coefficient
+    /// double-double precision, written straight into a fresh slot
+    /// vector (coefficient `j` is the real part of slot `j`, coefficient
     /// `j + N/2` its imaginary part). The quotient enters the embedding
     /// at the datapath's full width: ExtF64 keeps all ~106 bits, the
     /// f64 view is one final rounding.
@@ -412,6 +415,9 @@ impl CkksContext {
         let words_per_slot = 2 * lvl;
         self.engine
             .for_each_chunk(&mut vals, words_per_slot, LimbWork::Transform, lift_range);
+        // Back to the pool before the embedding takes its planes from it.
+        drop(res);
+        engine.forward(&mut vals);
         Ok(vals)
     }
 

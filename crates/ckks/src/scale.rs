@@ -171,18 +171,6 @@ impl ExactScale {
         }
     }
 
-    /// Rounds `x · scale` to the nearest integer (ties away from zero,
-    /// matching `f64::round`), exactly, as a sign and magnitude — the
-    /// double-scale encode path, where `x · 2^72` exceeds the `f64`
-    /// mantissa.
-    ///
-    /// Returns zero for `x == 0`; the caller guards non-finite inputs.
-    /// When rounding many coefficients at one scale, use
-    /// [`Self::rounder`] so the denominator product is computed once.
-    pub fn round_scaled(&self, x: f64) -> (bool, UBig) {
-        self.rounder().round(x)
-    }
-
     /// Precomputes the denominator product for repeated
     /// [`ScaleRounder::round`] calls (encode rounds `N` coefficients at
     /// one scale).
@@ -215,8 +203,12 @@ pub struct ScaleRounder<'a> {
 }
 
 impl ScaleRounder<'_> {
-    /// `round(x · scale)` with ties away from zero, as sign + magnitude
-    /// (see [`ExactScale::round_scaled`]).
+    /// Rounds `x · scale` to the nearest integer (ties away from zero,
+    /// matching `f64::round`), exactly, as a sign and magnitude — the
+    /// double-scale encode path, where `x · 2^72` exceeds the `f64`
+    /// mantissa.
+    ///
+    /// Returns zero for `x == 0`; the caller guards non-finite inputs.
     pub fn round(&self, x: f64) -> (bool, UBig) {
         if x == 0.0 {
             return (false, UBig::zero());
@@ -289,11 +281,6 @@ pub struct ScaleDivisor {
 }
 
 impl ScaleDivisor {
-    /// `±mag / scale` as `f64`.
-    pub fn apply(&self, negative: bool, mag: &UBig) -> f64 {
-        self.apply_ext(negative, mag).to_f64()
-    }
-
     /// `±mag / scale` in double-double precision — the `ExtF64`
     /// embedding datapath's decode entry: the quotient keeps ~106
     /// significant bits so the FFT sees the full Δ_eff = 2^72 payload
@@ -428,7 +415,7 @@ mod tests {
         // with the classic `(x * Δ).round()`.
         let s = ExactScale::from_log2(36);
         for x in [0.0, 1.0, -1.0, 0.3333, -2.717, 1e-9, -4.9e-5] {
-            let (neg, mag) = s.round_scaled(x);
+            let (neg, mag) = s.rounder().round(x);
             let classic = (x * 2f64.powi(36)).round();
             assert_eq!(neg, classic < 0.0 && classic != 0.0, "x = {x}");
             assert_eq!(mag.to_f64(), classic.abs(), "x = {x}");
@@ -441,7 +428,7 @@ mod tests {
         // shifted — verify against the direct mantissa computation.
         let s = ExactScale::from_log2(72);
         let x = 0.75 + 2f64.powi(-50);
-        let (neg, mag) = s.round_scaled(x);
+        let (neg, mag) = s.rounder().round(x);
         assert!(!neg);
         // x = (3·2^48 + 1)·2^-50, so x·2^72 = (3·2^48 + 1)·2^22.
         let expect = UBig::from(3u64 * (1 << 48) + 1).shl(22);
@@ -452,10 +439,10 @@ mod tests {
     fn round_scaled_ties_away_from_zero() {
         // scale 1/2: x = 3 → 1.5 → 2 (away from zero), x = -3 → -2.
         let s = ExactScale::from_f64(0.5).expect("positive");
-        let (neg, mag) = s.round_scaled(3.0);
+        let (neg, mag) = s.rounder().round(3.0);
         assert!(!neg);
         assert_eq!(mag, UBig::from(2u64));
-        let (neg, mag) = s.round_scaled(-3.0);
+        let (neg, mag) = s.rounder().round(-3.0);
         assert!(neg);
         assert_eq!(mag, UBig::from(2u64));
     }
@@ -464,11 +451,11 @@ mod tests {
     fn round_scaled_rational_denominator() {
         // scale = 2^40/97: x·scale for x = 97 is exactly 2^40.
         let s = ExactScale::from_log2(40).div_prime(97);
-        let (neg, mag) = s.round_scaled(97.0);
+        let (neg, mag) = s.rounder().round(97.0);
         assert!(!neg);
         assert_eq!(mag, UBig::from(1u64).shl(40));
         // x = 1: 2^40/97 = 11334717724.4... → rounds to 11334717724.
-        let (_, mag) = s.round_scaled(1.0);
+        let (_, mag) = s.rounder().round(1.0);
         assert_eq!(mag, UBig::from((1u64 << 40) / 97));
     }
 
@@ -481,8 +468,8 @@ mod tests {
         let div = s.divisor();
         let quant = 0.5 / s.to_f64();
         for x in [1.0, -0.731, 1e-3, -123.456] {
-            let (neg, mag) = s.round_scaled(x);
-            let back = div.apply(neg, &mag);
+            let (neg, mag) = s.rounder().round(x);
+            let back = div.apply_ext(neg, &mag).to_f64();
             assert!(
                 (back - x).abs() <= quant * (1.0 + x.abs()),
                 "x = {x}, back = {back}"
@@ -545,10 +532,10 @@ mod tests {
         let s = ExactScale::from_log2(72);
         let div = s.divisor();
         for v in [1u128 << 72, (1 << 72) + (1 << 19), (1 << 74) - 1, 12345] {
-            let got = div.apply(false, &UBig::from(v));
+            let got = div.apply_ext(false, &UBig::from(v)).to_f64();
             let expect = (v as f64) / 2f64.powi(72);
             assert_eq!(got.to_bits(), expect.to_bits(), "v = {v}");
-            assert_eq!(div.apply(true, &UBig::from(v)), -expect);
+            assert_eq!(div.apply_ext(true, &UBig::from(v)).to_f64(), -expect);
         }
     }
 

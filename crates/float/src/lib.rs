@@ -20,9 +20,6 @@
 //! * [`Complex`] — complex arithmetic over any [`RealField`] (generic in
 //!   the component scalar, `f64` by default), including the 4-multiplier
 //!   product the paper's reconfigurable PNL implements (Eq. 12),
-//! * [`soa`] — split re/im (structure-of-arrays) plane conversions for
-//!   the SIMD FFT datapath, where one vector register holds eight real
-//!   (or eight imaginary) parts,
 //! * [`ExtF64`] — double-double (~106-bit) extended precision for the
 //!   double-scale (Δ_eff = 2^72) encode/decode rounding paths, where a
 //!   single `f64` mantissa cannot hold the scaled coefficients,
@@ -58,7 +55,6 @@
 pub mod complex;
 pub mod extended;
 pub mod field;
-pub mod soa;
 pub mod softfloat;
 pub mod trig;
 

@@ -5,9 +5,10 @@
 //! `CkksContext` and every worker borrows it: the context is immutable
 //! after construction (`Send + Sync`, every method `&self`), so its
 //! tables are built once and resident once however many workers run.
-//! What workers contend on is two short critical sections per operation
-//! — the process-wide limb pool and the context's FFT slot pool, each a
-//! pop or a push under a lock that recovers from a panic. A panic caught
+//! What workers contend on is one short critical section — the
+//! process-wide limb pool, a pop or a push under a lock that recovers
+//! from a panic (the embedding FFT keeps no memory of its own, and its
+//! AVX-512 split planes are a limb of that pool). A panic caught
 //! mid-request therefore costs nothing to recover from: the context has
 //! no state an unwind could leave half-written, the limbs the request
 //! had checked out go back while it unwinds, and the worker resumes on

@@ -31,12 +31,12 @@ use crate::MathError;
 /// # Example
 ///
 /// ```
-/// use abc_math::{RnsBasis, primes::generate_ntt_primes};
+/// use abc_math::{bigint::UBig, RnsBasis, primes::generate_ntt_primes};
 ///
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let basis = RnsBasis::new(generate_ntt_primes(36, 3, 1 << 14)?)?;
-/// let residues = basis.decompose_i128(-42);
-/// assert_eq!(basis.combine_centered(&residues), -42.0);
+/// let residues: Vec<u64> = basis.moduli().iter().map(|m| m.from_i128(-42)).collect();
+/// assert_eq!(basis.combine(&residues), basis.product().sub(&UBig::from(42u64)));
 /// # Ok(())
 /// # }
 /// ```
@@ -128,12 +128,6 @@ impl RnsBasis {
         self.product().bits()
     }
 
-    /// Decomposes a signed 128-bit integer into residues (paper "Expand
-    /// RNS"): `out[i] = x mod q_i`, non-negative.
-    pub fn decompose_i128(&self, x: i128) -> Vec<u64> {
-        self.moduli.iter().map(|m| m.from_i128(x)).collect()
-    }
-
     /// Garner (mixed-radix) recombination of one residue vector into the
     /// unique `x ∈ [0, Q)` with `x ≡ r_i (mod q_i)`.
     ///
@@ -169,40 +163,11 @@ impl RnsBasis {
         acc
     }
 
-    /// Recombines residues and centers the result into `(-Q/2, Q/2]`,
-    /// returned as `f64` (decode needs only the float value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `residues.len()` differs from the basis size.
-    pub fn combine_centered(&self, residues: &[u64]) -> f64 {
-        let q = self.product();
-        let (negative, mag) = self.combine_centered_big_with_product(residues, &q);
-        let v = mag.to_f64();
-        if negative {
-            -v
-        } else {
-            v
-        }
-    }
-
     /// Recombines residues and centers into `(-Q/2, Q/2]`, returned
-    /// **exactly** as a sign and magnitude — the lossless form the
-    /// double-scale decode path divides by the exact scale (the plain
-    /// [`Self::combine_centered`] rounds to `f64` and cannot feed an
-    /// exact-rational division).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `residues.len()` differs from the basis size.
-    pub fn combine_centered_big(&self, residues: &[u64]) -> (bool, UBig) {
-        let q = self.product();
-        self.combine_centered_big_with_product(residues, &q)
-    }
-
-    /// [`Self::combine_centered_big`] with the basis product precomputed
-    /// by the caller (decode loops over `N` coefficients; the product
-    /// only depends on the basis).
+    /// **exactly** as a sign and magnitude — the lossless form decode
+    /// divides by the exact scale. `product` is [`Self::product`],
+    /// computed once by the caller (decode loops over `N` coefficients;
+    /// the product only depends on the basis).
     ///
     /// # Panics
     ///
@@ -432,7 +397,7 @@ const LIFT_BLOCK: usize = 256;
 ///
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let basis = RnsBasis::new(generate_ntt_primes(36, 5, 1 << 14)?)?;
-/// let limbs: Vec<Vec<u64>> = basis.decompose_i128(-42).iter().map(|&r| vec![r]).collect();
+/// let limbs: Vec<Vec<u64>> = basis.moduli().iter().map(|m| vec![m.from_i128(-42)]).collect();
 /// let lift = WordLift::new(basis)?;
 /// let fell_back = lift.lift_centered(&limbs, |_, negative, mag| {
 ///     assert!(negative && matches!(mag, Lifted::Word(42)));
@@ -678,6 +643,21 @@ mod tests {
         RnsBasis::new(generate_ntt_primes(36, n, 1 << 14).unwrap()).unwrap()
     }
 
+    /// `x mod q_i` under every prime of `b`.
+    fn residues(b: &RnsBasis, x: i128) -> Vec<u64> {
+        b.moduli().iter().map(|m| m.from_i128(x)).collect()
+    }
+
+    /// The centered value of `r` as `(negative, magnitude)`.
+    fn centered(b: &RnsBasis, r: &[u64]) -> (bool, UBig) {
+        b.combine_centered_big_with_product(r, &b.product())
+    }
+
+    /// `x` as `(negative, magnitude)`.
+    fn signed(x: i128) -> (bool, UBig) {
+        (x < 0, UBig::from(x.unsigned_abs()))
+    }
+
     #[test]
     fn rejects_bad_bases() {
         assert!(matches!(RnsBasis::new(vec![]), Err(MathError::Empty)));
@@ -695,8 +675,7 @@ mod tests {
     fn decompose_combine_roundtrip_small() {
         let b = basis(3);
         for x in [-1000i128, -1, 0, 1, 42, 1 << 40, -(1 << 40)] {
-            let residues = b.decompose_i128(x);
-            assert_eq!(b.combine_centered(&residues), x as f64, "x = {x}");
+            assert_eq!(centered(&b, &residues(&b, x)), signed(x), "x = {x}");
         }
     }
 
@@ -713,13 +692,13 @@ mod tests {
     fn centered_negative() {
         let b = RnsBasis::new(vec![3, 5, 7]).unwrap();
         // -1 mod 105 = 104 -> residues (2, 4, 6)
-        assert_eq!(b.combine_centered(&[2, 4, 6]), -1.0);
+        assert_eq!(centered(&b, &[2, 4, 6]), signed(-1));
         // +52 = floor(105/2) stays positive
         let r: Vec<u64> = vec![52 % 3, 52 % 5, 52 % 7];
-        assert_eq!(b.combine_centered(&r), 52.0);
+        assert_eq!(centered(&b, &r), signed(52));
         // 53 > 105/2 -> -52
         let r: Vec<u64> = vec![53 % 3, 53 % 5, 53 % 7];
-        assert_eq!(b.combine_centered(&r), -52.0);
+        assert_eq!(centered(&b, &r), signed(-52));
     }
 
     #[test]
@@ -727,8 +706,7 @@ mod tests {
         let b = basis(5);
         let t = b.truncated(2);
         assert_eq!(t.len(), 2);
-        let residues = t.decompose_i128(123456789);
-        assert_eq!(t.combine_centered(&residues), 123456789.0);
+        assert_eq!(centered(&t, &residues(&t, 123456789)), signed(123456789));
     }
 
     #[test]

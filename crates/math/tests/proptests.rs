@@ -318,8 +318,9 @@ proptest! {
     fn rns_roundtrip_random_values(x in any::<i64>()) {
         let basis = RnsBasis::new(generate_ntt_primes(36, 4, 1 << 14).expect("primes"))
             .expect("basis");
-        let residues = basis.decompose_i128(x as i128);
-        prop_assert_eq!(basis.combine_centered(&residues), x as f64);
+        let residues: Vec<u64> = basis.moduli().iter().map(|m| m.from_i128(x as i128)).collect();
+        let got = basis.combine_centered_big_with_product(&residues, &basis.product());
+        prop_assert_eq!(got, (x < 0, UBig::from(x.unsigned_abs())));
     }
 
     #[test]
@@ -385,10 +386,11 @@ fn limb_rows(basis: &RnsBasis, values: &[(bool, UBig)]) -> Vec<Vec<u64>> {
 }
 
 /// Lifts `rows` through the word lift and checks every coefficient,
-/// sign and magnitude, against `combine_centered_big`; returns which
-/// coefficients took the fallback.
+/// sign and magnitude, against the big-integer Garner lift; returns
+/// which coefficients took the fallback.
 fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, TestCaseError> {
     let lift = WordLift::new(basis.clone()).expect("moduli below 2^62");
+    let product = basis.product();
     let mut got = Vec::new();
     let fell_back = lift.lift_centered(rows, |j, negative, mag| {
         assert_eq!(j, got.len(), "coefficients arrive in order");
@@ -400,7 +402,7 @@ fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, Test
     prop_assert_eq!(got.len(), rows[0].len());
     for (j, (negative, mag, _)) in got.iter().enumerate() {
         let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
-        let want = basis.combine_centered_big(&residues);
+        let want = basis.combine_centered_big_with_product(&residues, &product);
         prop_assert_eq!((*negative, mag), (want.0, &want.1), "coefficient {}", j);
     }
     let flags: Vec<bool> = got.into_iter().map(|g| g.2).collect();
@@ -500,9 +502,10 @@ proptest! {
             let lift = WordLift::new(basis.clone()).expect("moduli below 2^62");
             let mut xs = vec![0i128; 300];
             lift.lift_centered_i128(&rows, &mut xs);
+            let product = basis.product();
             for (j, &x) in xs.iter().enumerate() {
                 let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
-                let (negative, mag) = basis.combine_centered_big(&residues);
+                let (negative, mag) = basis.combine_centered_big_with_product(&residues, &product);
                 prop_assert_eq!((x < 0, UBig::from(x.unsigned_abs())), (negative, mag));
             }
         }

@@ -53,8 +53,8 @@ use std::sync::Arc;
 /// The kernel a plan resolved to.
 #[derive(Debug, Clone)]
 enum FftKernel {
-    /// With the SoA twiddle layout + scratch pool (shared by clones);
-    /// implies `F = F64Field`.
+    /// With the SoA twiddle layout (shared by clones; the split planes
+    /// are a limb of the limb pool); implies `F = F64Field`.
     Avx512(Arc<fft_avx512::SimdPlan>),
     Scalar,
     Otf,

@@ -3,15 +3,17 @@
 //! The generic [`crate::fft::SpecialFft`] kernel walks `Complex<f64>`
 //! pairs one butterfly at a time. This module runs the same butterfly
 //! network eight lanes wide: the plan's per-stage twiddles are laid out
-//! as **split re/im planes** (structure-of-arrays, via
-//! [`abc_float::soa`]), so a complex butterfly is plain lane-wise f64
-//! arithmetic with no shuffling between real and imaginary parts.
+//! as **split re/im planes** (structure-of-arrays), so a complex
+//! butterfly is plain lane-wise f64 arithmetic with no shuffling between
+//! real and imaginary parts.
 //!
 //! Layout of one transform:
 //!
-//! 1. **split** — copy the AoS input into pooled re/im scratch planes;
-//!    the forward direction fuses the bit-reversal permutation into
-//!    this copy (the inverse fuses it, plus the trailing `1/slots`
+//! 1. **split** — copy the AoS input into the re/im planes: one `N`-word
+//!    limb of the limb pool ([`crate::pool`]), `[..slots]` the re plane
+//!    and `[slots..]` the im plane, each word the bit pattern of an
+//!    `f64`. The forward direction fuses the bit-reversal permutation
+//!    into this copy (the inverse fuses it, plus the trailing `1/slots`
 //!    scale, into the merge).
 //! 2. **tail** — the three sub-vector stages (spans 1, 2, 4) run fused
 //!    in registers per 8-element block using `vpermpd` lane pairing and
@@ -31,26 +33,14 @@
 //! arithmetic.
 
 use crate::bitrev::bit_reverse;
-use abc_float::{soa, Complex};
+use crate::pool;
+use abc_float::Complex;
 use abc_math::CpuCaps;
-use std::sync::{Mutex, PoisonError};
 
 /// Minimum slot count for the SIMD kernel: at `slots ≥ 8` the three
 /// in-register tail layers (spans 1/2/4) all exist and every longer
 /// span is a multiple of the 8-lane vector width.
 pub const MIN_SIMD_SLOTS: usize = 8;
-
-/// Cap on pooled SoA scratch pairs; one pair is checked out per
-/// in-flight transform, so this bounds concurrent transforms served
-/// without allocation, not correctness.
-const MAX_POOLED_SOA: usize = 8;
-
-/// Split-plane scratch for one transform.
-#[derive(Debug, Default)]
-struct SoaBuf {
-    re: Vec<f64>,
-    im: Vec<f64>,
-}
 
 /// Twiddle tables of one direction, laid out for the SIMD kernel.
 #[derive(Debug)]
@@ -109,7 +99,7 @@ impl DirTables {
 }
 
 /// The SIMD layout of one `(slots, f64)` plan: SoA twiddle tables for
-/// both directions plus a pool of split-plane scratch pairs.
+/// both directions.
 #[derive(Debug)]
 pub(crate) struct SimdPlan {
     slots: usize,
@@ -122,7 +112,6 @@ pub(crate) struct SimdPlan {
     /// so the fused split/merge passes stream an index table instead of
     /// running the multi-op software `reverse_bits` per element.
     brv: Vec<u32>,
-    pool: Mutex<Vec<SoaBuf>>,
 }
 
 impl SimdPlan {
@@ -144,7 +133,6 @@ impl SimdPlan {
             inv: DirTables::build(inv_stages),
             inv_scale: 1.0 / slots as f64,
             brv: (0..slots).map(|i| bit_reverse(i, bits) as u32).collect(),
-            pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -153,27 +141,6 @@ impl SimdPlan {
         let long = [&self.fwd, &self.inv].into_iter().flat_map(|d| &d.long);
         let twiddles: usize = long.map(|(_, re, im)| re.len() + im.len()).sum();
         twiddles * 8 + self.brv.len() * 4
-    }
-
-    /// Locks the scratch pool, recovering a poisoned lock: the state is
-    /// a list of buffers whose contents nobody relies on.
-    fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<SoaBuf>> {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn take_soa(&self) -> SoaBuf {
-        let recycled = self.lock_pool().pop();
-        let mut b = recycled.unwrap_or_default();
-        b.re.resize(self.slots, 0.0);
-        b.im.resize(self.slots, 0.0);
-        b
-    }
-
-    fn recycle_soa(&self, buf: SoaBuf) {
-        let mut guard = self.lock_pool();
-        if guard.len() < MAX_POOLED_SOA {
-            guard.push(buf);
-        }
     }
 }
 
@@ -189,17 +156,21 @@ pub(crate) fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool) {
     // safe entry hard-asserts (same contract as `ntt_ifma`).
     assert!(CpuCaps::detect().avx512f, "no AVX-512F on this CPU");
     assert_eq!(vals.len(), plan.slots, "length must equal slot count");
-    let mut buf = plan.take_soa();
-    split(vals, &mut buf, &plan.brv, inverse);
+    // `2·slots = N` words: the class every `RnsNttEngine` of this ring
+    // degree registers with the limb pool. Bare rather than a
+    // `PooledLimbs`, whose limb list would allocate per transform.
+    let mut planes = pool::take(2 * plan.slots);
+    let (re, im) = planes.split_at_mut(plan.slots);
+    split(vals, re, im, &plan.brv, inverse);
     #[cfg(target_arch = "x86_64")]
     {
         let dir = if inverse { &plan.inv } else { &plan.fwd };
-        let (re, im) = (&mut buf.re[..], &mut buf.im[..]);
         // SAFETY: the assert above proves AVX-512F, the only hardware
         // precondition the kernels document; both planes hold `slots`
-        // elements (`take_soa`), a power of two ≥ 8, and every long
-        // stage's span is a power of two in `[8, slots/2]` with
-        // `span`-element twiddle planes (`DirTables::build`).
+        // words (the two halves of one `2·slots`-word limb), a power of
+        // two ≥ 8, and every long stage's span is a power of two in
+        // `[8, slots/2]` with `span`-element twiddle planes
+        // (`DirTables::build`).
         unsafe {
             if inverse {
                 for (span, twr, twi) in &dir.long {
@@ -216,20 +187,23 @@ pub(crate) fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("AVX-512 FFT kernel requires x86_64");
-    merge(vals, &buf, &plan.brv, plan.inv_scale, inverse);
-    plan.recycle_soa(buf);
+    merge(vals, re, im, &plan.brv, plan.inv_scale, inverse);
+    pool::put(planes);
 }
 
-/// Copies the AoS input into the split planes; the forward direction
-/// reads through the precomputed bit-reversal table (the scalar
-/// kernel's in-place permute, fused into the copy).
-fn split(vals: &[Complex<f64>], buf: &mut SoaBuf, brv: &[u32], inverse: bool) {
+/// Copies the AoS input into the split planes as f64 bit patterns; the
+/// forward direction reads through the precomputed bit-reversal table
+/// (the scalar kernel's in-place permute, fused into the copy).
+fn split(vals: &[Complex<f64>], re: &mut [u64], im: &mut [u64], brv: &[u32], inverse: bool) {
+    let planes = re.iter_mut().zip(im);
     if inverse {
-        soa::split_complex(vals, &mut buf.re, &mut buf.im);
+        for ((re, im), z) in planes.zip(vals) {
+            (*re, *im) = (z.re.to_bits(), z.im.to_bits());
+        }
     } else {
-        for ((re, im), &j) in buf.re.iter_mut().zip(&mut buf.im).zip(brv) {
+        for ((re, im), &j) in planes.zip(brv) {
             let z = vals[j as usize];
-            (*re, *im) = (z.re, z.im);
+            (*re, *im) = (z.re.to_bits(), z.im.to_bits());
         }
     }
 }
@@ -238,14 +212,26 @@ fn split(vals: &[Complex<f64>], buf: &mut SoaBuf, brv: &[u32], inverse: bool) {
 /// direction reads through the bit-reversal table and applies the
 /// `1/slots` scale (one multiply per component, exactly as the scalar
 /// trailing loops).
-fn merge(vals: &mut [Complex<f64>], buf: &SoaBuf, brv: &[u32], inv_scale: f64, inverse: bool) {
+fn merge(
+    vals: &mut [Complex<f64>],
+    re: &[u64],
+    im: &[u64],
+    brv: &[u32],
+    inv_scale: f64,
+    inverse: bool,
+) {
     if inverse {
         for (v, &j) in vals.iter_mut().zip(brv) {
-            let j = j as usize;
-            *v = Complex::new(buf.re[j] * inv_scale, buf.im[j] * inv_scale);
+            let (r, i) = (
+                f64::from_bits(re[j as usize]),
+                f64::from_bits(im[j as usize]),
+            );
+            *v = Complex::new(r * inv_scale, i * inv_scale);
         }
     } else {
-        soa::merge_complex(&buf.re, &buf.im, vals);
+        for ((v, &r), &i) in vals.iter_mut().zip(re).zip(im) {
+            *v = Complex::new(f64::from_bits(r), f64::from_bits(i));
+        }
     }
 }
 
@@ -314,14 +300,15 @@ mod kern {
     }
 
     /// Runs the three sub-vector layers fully in registers, one
-    /// 8-element block of both planes at a time.
+    /// 8-element block of both planes at a time. The planes hold f64 bit
+    /// patterns.
     ///
     /// # Safety
     ///
     /// Caller guarantees AVX-512F and equal plane lengths, a multiple
     /// of 8.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tail_pass(re: &mut [f64], im: &mut [f64], dir: &DirTables, inverse: bool) {
+    pub(super) unsafe fn tail_pass(re: &mut [u64], im: &mut [u64], dir: &DirTables, inverse: bool) {
         // SAFETY: caller guarantees AVX-512F (the only precondition of
         // `layer_perms`).
         let perms = unsafe { layer_perms() };
@@ -338,10 +325,11 @@ mod kern {
         for (br, bi) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
             // SAFETY: each chunk is exactly the 8 lanes one load/store
             // touches; `cmul` needs only the feature the caller
-            // guarantees.
+            // guarantees. A `u64` has the size and alignment of an
+            // `f64`, and every bit pattern is a valid `f64`.
             unsafe {
-                let pr = br.as_mut_ptr();
-                let pi = bi.as_mut_ptr();
+                let pr = br.as_mut_ptr().cast::<f64>();
+                let pi = bi.as_mut_ptr().cast::<f64>();
                 let mut vr = _mm512_loadu_pd(pr);
                 let mut vi = _mm512_loadu_pd(pi);
                 for (l, &(wr, wi)) in w.iter().enumerate() {
@@ -378,7 +366,7 @@ mod kern {
 
     /// One vector-span stage: blocks of `2·span` elements, eight
     /// butterflies (one vector of each half, one twiddle vector) per
-    /// step.
+    /// step. The planes hold f64 bit patterns.
     ///
     /// # Safety
     ///
@@ -387,8 +375,8 @@ mod kern {
     /// of length `span`.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn long_stage(
-        re: &mut [f64],
-        im: &mut [f64],
+        re: &mut [u64],
+        im: &mut [u64],
         span: usize,
         twr: &[f64],
         twi: &[f64],
@@ -404,12 +392,14 @@ mod kern {
                 // SAFETY: `span` is a multiple of 8, so `j + 8 ≤ span`,
                 // the length of the four half-blocks and (caller's
                 // promise) of both twiddle planes; `cmul` needs only
-                // the feature the caller guarantees.
+                // the feature the caller guarantees. A `u64` has the
+                // size and alignment of an `f64`, and every bit pattern
+                // is a valid `f64`.
                 unsafe {
-                    let plo_r = lo_re.as_mut_ptr().add(j);
-                    let plo_i = lo_im.as_mut_ptr().add(j);
-                    let phi_r = hi_re.as_mut_ptr().add(j);
-                    let phi_i = hi_im.as_mut_ptr().add(j);
+                    let plo_r = lo_re.as_mut_ptr().add(j).cast::<f64>();
+                    let plo_i = lo_im.as_mut_ptr().add(j).cast::<f64>();
+                    let phi_r = hi_re.as_mut_ptr().add(j).cast::<f64>();
+                    let phi_i = hi_im.as_mut_ptr().add(j).cast::<f64>();
                     let lo_r = _mm512_loadu_pd(plo_r);
                     let lo_i = _mm512_loadu_pd(plo_i);
                     let hi_r = _mm512_loadu_pd(phi_r);
@@ -436,30 +426,5 @@ mod kern {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn soa_pool_survives_a_poisoned_lock() {
-        // Same contract as the engine's slot pool: a panic under the
-        // lock must not turn every later transform into a panic.
-        let stages = |spans: [usize; 3]| spans.map(|span| vec![Complex::new(1.0, 0.0); span]);
-        let plan = Arc::new(SimdPlan::build(8, &stages([1, 2, 4]), &stages([4, 2, 1])));
-        plan.recycle_soa(plan.take_soa());
-        let worker = Arc::clone(&plan);
-        let poisoner = std::thread::spawn(move || {
-            let _guard = worker.pool.lock().unwrap();
-            panic!("poison the SoA pool");
-        });
-        assert!(poisoner.join().is_err() && plan.pool.is_poisoned());
-        let buf = plan.take_soa();
-        assert_eq!((buf.re.len(), plan.lock_pool().len()), (8, 0));
-        plan.recycle_soa(buf);
-        assert_eq!(plan.lock_pool().len(), 1);
     }
 }

@@ -28,9 +28,11 @@
 //! library crates start a thread — and draws every limb it hands out
 //! from [`pool`], the process-wide limb pool whose retention follows the
 //! live engines ([`pool::PooledLimbs`] is the one owning limb container).
+//! It is the only memory a client operation recycles: the AVX-512 FFT's
+//! split planes are one of its limbs too.
 //! [`fft_engine::SpecialFftEngine`] is the embedding FFT as a context
-//! holds it: a shared plan and a recycling slot-buffer pool, every
-//! transform on the calling thread.
+//! holds it: a shared plan and no memory of its own, every transform on
+//! the calling thread.
 //!
 //! [`bitrev`] holds the shared bit-reversal helpers.
 //!

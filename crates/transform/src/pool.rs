@@ -3,9 +3,12 @@
 //!
 //! Every limb-sized `Vec<u64>` on the client datapath — plaintext and
 //! ciphertext residues, polynomials unpacked from the wire, engine
-//! scratch — is checked out of this pool and handed back when its owner
-//! drops, so a steady-state operation touches no page it did not touch
-//! on the previous one. Left to `malloc`, a 24-limb upload at `N = 2^16`
+//! scratch, and the AVX-512 embedding FFT's split re/im planes (one
+//! `N`-word limb holding `f64` bit patterns) — is checked out of this
+//! pool and handed back when its owner drops, so a steady-state
+//! operation touches no page it did not touch on the previous one. It
+//! is the only memory a client operation recycles, and its lock the only
+//! one the library crates take (`abc-analysis` rule `lock-site`). Left to `malloc`, a 24-limb upload at `N = 2^16`
 //! frees 37 MiB to the top of the heap per op, the allocator trims it
 //! back to the kernel, and the next op re-faults every page.
 //!
@@ -21,8 +24,9 @@
 //! **Retention is derived from the live engines, not tuned.** An
 //! [`RnsNttEngine`](crate::RnsNttEngine) holds an allowance of
 //! `4 × limbs` buffers of `N` words — one plaintext, two ciphertext
-//! components and one polynomial of scratch, which is what one
-//! operation on that context can have checked out — for as long as it
+//! components and one polynomial of scratch (the split planes of an
+//! embedding FFT among it), which is what one operation on that context
+//! can have checked out — for as long as it
 //! lives, and a caller that runs several operations on one engine at
 //! once (the gateway's workers) holds one more per extra operation.
 //! Allowances sharing `N` add up; when one is dropped the class frees

@@ -81,7 +81,9 @@ pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
 /// checked out of the pool at once: one plaintext, two ciphertext
 /// components and one of scratch (an upload holds `pt`, `c0`, `c1` and a
 /// scratch limb per thread; a download `c0`, `c1`, the decrypted
-/// plaintext and decode's coefficient limbs).
+/// plaintext and decode's coefficient limbs). The scratch polynomial is
+/// also the AVX-512 embedding FFT's split planes: one `N`-word limb,
+/// taken when at most three polynomials are out.
 const POLYS_PER_OP: usize = 4;
 
 /// Below this much total work (`limbs × N`), thread spawn overhead

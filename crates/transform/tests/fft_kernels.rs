@@ -1,15 +1,15 @@
 //! Property tests pinning the embedding-FFT kernel lattice together:
-//! every [`KernelTier`], the engine's single-vector entry points and the
-//! SoA split/merge helpers must agree with the planned scalar kernel.
+//! every [`KernelTier`] and the engine's single-vector entry points must
+//! agree with the planned scalar kernel.
 //!
 //! The AVX-512 kernel preserves the scalar operation order exactly
 //! (4-multiply complex product, no FMA contraction), so the pinned
 //! bound here is **bit identity** — 0 ulp, well inside the ≤ 1-ulp
 //! contract documented on the dispatch ladder.
 
-use abc_float::{soa, Complex, F64Field};
-use abc_math::KernelTier;
-use abc_transform::{SpecialFft, SpecialFftEngine};
+use abc_float::{Complex, F64Field};
+use abc_math::{primes::generate_ntt_primes, KernelTier, Modulus};
+use abc_transform::{pool, RnsNttEngine, SpecialFft, SpecialFftEngine};
 use proptest::prelude::*;
 
 fn message(slots: usize, seed: u64) -> Vec<Complex> {
@@ -77,21 +77,33 @@ proptest! {
         engine.inverse(&mut got);
         prop_assert_eq!(&got, &want_inv, "inverse");
     }
+}
 
-    // SoA split/merge round-trips losslessly and the scaled merge is
-    // one multiply per component, exactly as the scalar tail loop.
-    #[test]
-    fn soa_split_merge_bit_exact(seed in any::<u64>(), log_slots in 2u32..=10, scale in 1e-6f64..1e6) {
-        let slots = 1usize << log_slots;
-        let msg = message(slots, seed);
-        let mut re = vec![0.0; slots];
-        let mut im = vec![0.0; slots];
-        soa::split_complex(&msg, &mut re, &mut im);
-        let mut back = vec![Complex::default(); slots];
-        soa::merge_complex(&re, &im, &mut back);
-        prop_assert_eq!(&back, &msg);
-        soa::merge_complex_scaled(&re, &im, scale, &mut back);
-        let want: Vec<Complex> = msg.iter().map(|z| Complex::new(z.re * scale, z.im * scale)).collect();
-        prop_assert_eq!(back, want);
+#[test]
+fn warm_avx512_transforms_take_their_planes_from_the_limb_pool() {
+    // N = 2^14: the proptests above stop at 2^12 slots, and the pool is
+    // process-wide, so no other test of this binary touches this class.
+    let n = 1usize << 14;
+    let plan = SpecialFft::with_field_kernel(F64Field, n / 2, KernelTier::Simd);
+    if plan.kernel_name() != "avx512" {
+        return;
     }
+    // A live engine of ring degree N registers the N-word class, as every
+    // context that runs this plan does.
+    let q = generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
+    let _engine = RnsNttEngine::new(&[Modulus::new(q).expect("modulus")], n).expect("engine");
+    let mut vals = message(n / 2, 5);
+    plan.forward(&mut vals);
+    let warm = pool::class_stats(n).expect("registered by the engine");
+    let k = 6u64;
+    for _ in 0..k / 2 {
+        plan.inverse(&mut vals);
+        plan.forward(&mut vals);
+    }
+    let after = pool::class_stats(n).expect("registered by the engine");
+    assert_eq!(
+        (after.hits - warm.hits, after.misses - warm.misses),
+        (k, 0),
+        "each warm transform takes exactly one limb, and from the pool"
+    );
 }
