@@ -270,24 +270,25 @@ fn main() {
     // --- NTT fast path, the paper's dominant kernel: both directions at
     // the gateway's, a mid-size and the paper's ring (at 2^16 the two
     // twiddle columns no longer fit L2; the inverse reads them
-    // backwards); `forward_golden` is the oracle (`u128` multiply and a
-    // division per twiddle) over the same table, the plan's reference
-    // rung ---
+    // backwards); `forward_golden` is the plan's oracle (`u128` multiply
+    // and a division per twiddle) over the same table ---
     type Transform = fn(&NttPlan, &mut [u64]);
-    let (forward, inverse) = (NttPlan::forward as Transform, NttPlan::inverse as Transform);
-    for (log_n, direction, tier, transform) in [
-        (13u32, "forward", KernelTier::Auto, forward),
-        (13, "forward_golden", KernelTier::Reference, forward),
-        (14, "forward", KernelTier::Auto, forward),
-        (16, "forward", KernelTier::Auto, forward),
-        (13, "inverse", KernelTier::Auto, inverse),
-        (14, "inverse", KernelTier::Auto, inverse),
-        (16, "inverse", KernelTier::Auto, inverse),
+    let forward = NttPlan::forward as Transform;
+    let golden = NttPlan::forward_golden as Transform;
+    let inverse = NttPlan::inverse as Transform;
+    for (log_n, direction, transform) in [
+        (13u32, "forward", forward),
+        (13, "forward_golden", golden),
+        (14, "forward", forward),
+        (16, "forward", forward),
+        (13, "inverse", inverse),
+        (14, "inverse", inverse),
+        (16, "inverse", inverse),
     ] {
         let n = 1usize << log_n;
         let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
         let m = abc_math::Modulus::new(q).expect("modulus");
-        let plan = NttPlan::with_kernel(m, n, tier).expect("plan");
+        let plan = NttPlan::new(m, n).expect("plan");
         let mut data: Vec<u64> = (0..n as u64).map(|i| i % q).collect();
         benches.push(measure(&format!("ntt/{direction}/2^{log_n}"), 300, || {
             transform(&plan, &mut data);
@@ -315,7 +316,6 @@ fn main() {
         let s = q - 12345;
         let mut buf = a0.clone();
         for (tier, kernel) in [
-            (KernelTier::Reference, "golden"),
             (KernelTier::Scalar, "montgomery"),
             (KernelTier::Simd, "ifma"),
         ] {
@@ -423,7 +423,7 @@ fn main() {
                 .iter()
                 .map(|m| ints.iter().map(|&x| m.from_i128(x)).collect())
                 .collect();
-            let lift = WordLift::new(basis.clone()).expect("preset primes are below 2^62");
+            let lift = WordLift::new(basis.clone());
             let word = measure(&format!("rns/lift_word/{limbs}limbs"), 300, || {
                 let mut acc = 0.0;
                 let fell_back = lift.lift_centered(std::hint::black_box(&rows), |_, neg, mag| {

@@ -387,7 +387,7 @@ impl CkksContext {
             .for_each_limb(&mut res, LimbWork::Transform, |i, plan, limb| {
                 plan.inverse_from(&pt.rns[i], limb)
             });
-        let lift = WordLift::new(self.basis.truncated(lvl))?;
+        let lift = WordLift::new(self.basis.truncated(lvl));
         let divisor = pt.scale.divisor();
         let field = engine.plan().field();
         let slots = self.params.slots();
@@ -890,7 +890,7 @@ mod tests {
         let product = small.decrypt(&squared, &sk).unwrap();
         let mut coeffs = product.residues().to_vec();
         small.ntt_engine().inverse_all(&mut coeffs);
-        let lift = WordLift::new(small.basis().clone()).unwrap();
+        let lift = WordLift::new(small.basis().clone());
         assert_eq!(lift.lift_centered(&coeffs, |_, _, _| {}), 1 << 13);
         // The same product through the double-double embedding.
         let ext = CkksContext::new(params.with_embedding(EmbeddingPrecision::ExtF64)).unwrap();

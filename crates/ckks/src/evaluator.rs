@@ -234,7 +234,7 @@ fn drop_tail(ctx: &CkksContext, ct: &Ciphertext, t: usize) -> Result<Ciphertext,
         .iter()
         .map(|m| m.inv(m.reduce_u128(tail_product)).expect("coprime basis"))
         .collect();
-    let tail_lift = WordLift::new(RnsBasis::new(tail_moduli.iter().map(|m| m.q()).collect())?)?;
+    let tail_lift = WordLift::new(RnsBasis::new(tail_moduli.iter().map(|m| m.q()).collect())?);
     let mut centered = vec![0i128; ct.n()];
     let mut drop_component = |component: &[Vec<u64>]| {
         // The tail residues back to coefficient domain (each copy folds

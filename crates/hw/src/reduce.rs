@@ -3,8 +3,8 @@
 //! whose `Q^-1` multiplication collapses to shift-and-add — behind one
 //! [`ModMul`] strategy trait.
 //!
-//! Barrett and Montgomery are `abc_math::reduce`'s, the reducers the
-//! client runs (the dyadic scalar rung and the test oracles); the
+//! Barrett and Montgomery are `abc_math::reduce`'s (Montgomery is the
+//! client's dyadic scalar rung); the
 //! NTT-friendly one exists only here, as the functional model of the
 //! datapath the area model prices. All three compute identical results;
 //! what they cost in hardware (multipliers, pipeline depth, area) is

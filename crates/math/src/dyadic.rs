@@ -14,16 +14,15 @@
 //! * **`montgomery`** — scalar Montgomery with `R = 2^64`
 //!   ([`crate::reduce::Montgomery`]): per element one widening product
 //!   and one REDC against precomputed `-q^{-1} mod 2^64`, with the
-//!   domain factor folded into a premultiplied operand. Any odd
-//!   `q < 2^63`.
-//! * **`golden`** — the `u128 %` reference model.
+//!   domain factor folded into a premultiplied operand. Any modulus.
 //!
 //! These are the dyadic rungs of the workspace's one kernel ladder
-//! ([`crate::kernel`]: `Simd` / `Scalar` / `Reference`). All kernels
-//! produce canonical `[0, q)` outputs, so they are **bit-identical**
-//! (asserted by the property suites over 36–62-bit NTT primes);
-//! [`KernelTier`] lets tests force each one on whatever machine they
-//! run.
+//! ([`crate::kernel`]: `Simd` / `Scalar`). Both kernels produce
+//! canonical `[0, q)` outputs, so they are **bit-identical** — asserted
+//! by the property suites over 36–62-bit NTT primes against the
+//! [`Modulus`] ops (`u128 %`), the oracle that shares no reducer with
+//! either; [`KernelTier`] lets tests force each one on whatever machine
+//! they run.
 //!
 //! # Montgomery-domain lifecycle
 //!
@@ -87,19 +86,17 @@ use crate::modulus::Modulus;
 use crate::reduce::Montgomery;
 use crate::shoup;
 
-/// Which kernel an engine dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which kernel an engine dispatches to, with its constants.
+#[derive(Debug, Clone, Copy)]
 enum Kernel {
-    Golden,
-    Montgomery,
+    Montgomery(Montgomery),
     /// With the radix-2^52 constants of the modulus (`q < 2^50`).
     #[cfg(target_arch = "x86_64")]
     Ifma(crate::simd::Mont52),
 }
 
 /// Element-wise vector operations over one RNS prime, dispatched to the
-/// fastest applicable kernel (ifma → montgomery; the golden reference
-/// stays forceable through [`KernelTier`]).
+/// fastest applicable kernel (ifma → montgomery).
 ///
 /// # Example
 ///
@@ -122,7 +119,6 @@ enum Kernel {
 pub struct DyadicEngine {
     m: Modulus,
     kernel: Kernel,
-    mont: Montgomery,
 }
 
 impl DyadicEngine {
@@ -142,17 +138,12 @@ impl DyadicEngine {
     /// Panics if `Auto` reads an unparseable override.
     pub fn with_kernel(m: Modulus, tier: KernelTier) -> Self {
         let ifma_ok = m.q() < shoup::MAX_SHOUP52_MODULUS && CpuCaps::detect().ifma();
-        let kernel = match tier.or_env().degrade(ifma_ok, true) {
+        let kernel = match tier.or_env().degrade(ifma_ok) {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Simd => Kernel::Ifma(crate::simd::Mont52::new(m.q())),
-            KernelTier::Reference => Kernel::Golden,
-            _ => Kernel::Montgomery,
+            _ => Kernel::Montgomery(Montgomery::new(m)),
         };
-        Self {
-            m,
-            kernel,
-            mont: Montgomery::new(m),
-        }
+        Self { m, kernel }
     }
 
     /// The modulus of this engine.
@@ -160,12 +151,11 @@ impl DyadicEngine {
         &self.m
     }
 
-    /// Name of the dispatched kernel (`"golden"`, `"montgomery"` or
-    /// `"ifma"`), for diagnostics and bench labels.
+    /// Name of the dispatched kernel (`"montgomery"` or `"ifma"`), for
+    /// diagnostics and bench labels.
     pub fn kernel_name(&self) -> &'static str {
         match &self.kernel {
-            Kernel::Golden => "golden",
-            Kernel::Montgomery => "montgomery",
+            Kernel::Montgomery(_) => "montgomery",
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(_) => "ifma",
         }
@@ -245,25 +235,10 @@ impl DyadicEngine {
         let canonical = |v: &[u64]| v.iter().all(|&x| x < q);
         debug_assert!(canonical(dst) && canonical(b) && src.iter().all(|s| canonical(s)));
         match &self.kernel {
-            // premul is the identity for golden.
-            Kernel::Golden => {
-                for i in 0..n {
-                    let (x, addends) = operands::<ACC, SRC>(dst[i], &src, i);
-                    let mut t = self.m.mul(x, b[i]);
-                    for (k, y) in addends.into_iter().enumerate() {
-                        t = if NEG && k == 0 {
-                            self.m.sub(y, t)
-                        } else {
-                            self.m.add(t, y)
-                        };
-                    }
-                    dst[i] = t;
-                }
-            }
-            Kernel::Montgomery => {
+            Kernel::Montgomery(mont) => {
                 // Fused enter+REDC: b̃ = REDC(b·R²) ∈ [0, q), then
                 // REDC(x·b̃) = x·b mod q (see the module lifecycle doc).
-                let (mont, r2) = (self.mont, self.mont.r2());
+                let r2 = mont.r2();
                 for (i, (z, &y)) in dst.iter_mut().zip(b).enumerate() {
                     let (x, addends) = operands::<ACC, SRC>(*z, &src, i);
                     let y_dom = if PRE {
@@ -296,12 +271,12 @@ impl DyadicEngine {
     /// (previously sub + scalar-mul: two passes). `s` is reduced on
     /// entry (any `u64`).
     ///
-    /// The subtrahend `b` may be **lazy in `[0, 4q)`** when
-    /// `q < 2^62` — e.g. a forward-NTT output whose closing
+    /// `a` is canonical and the subtrahend `b` may be **lazy in
+    /// `[0, 4q)`** — e.g. a forward-NTT output whose closing
     /// normalization pass was skipped (`NttPlan::forward_lazy` in
-    /// `abc-transform`); it is normalized inside this single pass. For
-    /// `q ≥ 2^62` the subtrahend must be canonical (no lazy producer
-    /// exists there).
+    /// `abc-transform`); it is normalized inside this single pass. The
+    /// result is canonical. Both operand bounds and the result are
+    /// checked in debug builds, on every kernel.
     ///
     /// # Panics
     ///
@@ -309,20 +284,10 @@ impl DyadicEngine {
     pub fn sub_scalar_mul_assign(&self, a: &mut [u64], b: &[u64], s: u64) {
         assert_eq!(a.len(), b.len());
         let q = self.m.q();
+        debug_assert!(a.iter().all(|&x| x < q), "minuend outside [0, q)");
+        debug_assert!(b.iter().all(|&y| y < 4 * q), "subtrahend outside [0, 4q)");
         let s = if s >= q { self.m.reduce(s) } else { s };
         match &self.kernel {
-            Kernel::Golden => {
-                if q < shoup::MAX_SHOUP_MODULUS {
-                    for (x, &y) in a.iter_mut().zip(b) {
-                        *x = self.m.mul(self.m.sub(*x, shoup::normalize_4q(y, q)), s);
-                    }
-                } else {
-                    // No lazy producer exists for q ≥ 2^62: canonical b.
-                    for (x, &y) in a.iter_mut().zip(b) {
-                        *x = self.m.mul(self.m.sub(*x, y), s);
-                    }
-                }
-            }
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(k) => {
                 let s52 = shoup::shoup_precompute52(s, q);
@@ -335,20 +300,15 @@ impl DyadicEngine {
             // Montgomery takes the 64-bit Shoup path: a constant factor
             // admits a precomputed quotient, which beats any general
             // two-operand reduction.
-            _ => {
-                if q < shoup::MAX_SHOUP_MODULUS {
-                    let ss = shoup::shoup_precompute(s, q);
-                    for (x, &y) in a.iter_mut().zip(b) {
-                        let t = *x + q - shoup::normalize_4q(y, q);
-                        *x = shoup::mul_shoup(t, s, ss, q);
-                    }
-                } else {
-                    for (x, &y) in a.iter_mut().zip(b) {
-                        *x = self.m.mul(self.m.sub(*x, y), s);
-                    }
+            Kernel::Montgomery(_) => {
+                let ss = shoup::shoup_precompute(s, q);
+                for (x, &y) in a.iter_mut().zip(b) {
+                    let t = *x + q - shoup::normalize_4q(y, q);
+                    *x = shoup::mul_shoup(t, s, ss, q);
                 }
             }
         }
+        debug_assert!(a.iter().all(|&x| x < q), "result outside [0, q)");
     }
 
     /// `a[i] = a[i] + b[i] mod q`, canonical.
@@ -374,12 +334,10 @@ impl DyadicEngine {
     /// Enters `b` into this kernel's multiplication domain in place —
     /// step 1 of the Montgomery lifecycle (see the module docs). The
     /// result is **kernel-specific and opaque**: feed it only to
-    /// [`DyadicEngine::mul_assign_premul`] on the same engine. For the
-    /// golden kernel this is the identity.
+    /// [`DyadicEngine::mul_assign_premul`] on the same engine.
     pub fn premul(&self, b: &mut [u64]) {
         match &self.kernel {
-            Kernel::Golden => {}
-            Kernel::Montgomery => self.mont.to_mont_slice(b),
+            Kernel::Montgomery(mont) => mont.to_mont_slice(b),
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(k) => {
                 // Canonical entry (one csub after the lazy Shoup) keeps
@@ -441,13 +399,8 @@ fn accumulate<const NEG: bool, const SRC: usize>(p: u64, addends: [u64; SRC], q:
 mod tests {
     use super::*;
 
-    fn prefs() -> [KernelTier; 4] {
-        [
-            KernelTier::Auto,
-            KernelTier::Reference,
-            KernelTier::Scalar,
-            KernelTier::Simd,
-        ]
+    fn prefs() -> [KernelTier; 3] {
+        [KernelTier::Auto, KernelTier::Scalar, KernelTier::Simd]
     }
 
     fn pseudo(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -549,19 +502,17 @@ mod tests {
                         assert_eq!(got[i], want, "sub_scalar {pref:?} q={q} s={s} i={i}");
                     }
                 }
-                // Lazy [0, 4q) operands — only defined for q < 2^62.
-                if q < shoup::MAX_SHOUP_MODULUS {
-                    let b_lazy: Vec<u64> = b
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &x)| x + q * (i as u64 % 4))
-                        .collect();
-                    let mut got = a0.clone();
-                    e.sub_scalar_mul_assign(&mut got, &b_lazy, 5);
-                    for i in 0..n {
-                        let want = m.mul(m.sub(a0[i], b[i]), 5 % q);
-                        assert_eq!(got[i], want, "sub_scalar lazy {pref:?} q={q} i={i}");
-                    }
+                // Lazy [0, 4q) subtrahends.
+                let b_lazy: Vec<u64> = b
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| x + q * (i as u64 % 4))
+                    .collect();
+                let mut got = a0.clone();
+                e.sub_scalar_mul_assign(&mut got, &b_lazy, 5);
+                for i in 0..n {
+                    let want = m.mul(m.sub(a0[i], b[i]), 5 % q);
+                    assert_eq!(got[i], want, "sub_scalar lazy {pref:?} q={q} i={i}");
                 }
                 let mut d_pre = d.clone();
                 e.premul(&mut d_pre);
@@ -580,8 +531,20 @@ mod tests {
         let wide = Modulus::new((1 << 62) - 57).unwrap();
         let e = DyadicEngine::with_kernel(wide, KernelTier::Simd);
         assert_eq!(e.kernel_name(), "montgomery");
-        let e = DyadicEngine::with_kernel(wide, KernelTier::Reference);
-        assert_eq!(e.kernel_name(), "golden");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "subtrahend outside [0, 4q)")]
+    fn sub_scalar_mul_rejects_a_subtrahend_at_4q() {
+        // Lane 0 of a full vector block: on an IFMA host the vector
+        // lanes check nothing themselves, so the engine's entry must.
+        let m = Modulus::new(0xF_FFF0_0001).unwrap();
+        let e = DyadicEngine::with_kernel(m, KernelTier::Simd);
+        let mut a = vec![1u64; 16];
+        let mut b = vec![0u64; 16];
+        b[0] = 4 * m.q();
+        e.sub_scalar_mul_assign(&mut a, &b, 5);
     }
 
     #[test]

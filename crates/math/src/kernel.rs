@@ -1,20 +1,21 @@
 //! The kernel ladder: the one selection spine shared by the NTT
 //! butterflies, the dyadic (element-wise) engine and the special FFT.
 //!
-//! Every layer has the same three rungs, and a constructor that takes a
+//! Every layer has the same two rungs, and a constructor that takes a
 //! [`KernelTier`] and degrades it downward by the capability facts only
 //! that layer knows:
 //!
 //! | tier | NTT (`NttPlan`) | dyadic ([`crate::dyadic::DyadicEngine`]) | FFT (`SpecialFft`) |
 //! |---|---|---|---|
 //! | [`Simd`](KernelTier::Simd) | `ifma` — `q < 2^50`, `N ≥ 16`, AVX-512IFMA | `ifma` — `q < 2^50`, AVX-512IFMA | `avx512` — `F64Field`, `slots ≥ 8`, AVX-512F |
-//! | [`Scalar`](KernelTier::Scalar) | `harvey` — `q < 2^62` | `montgomery` | `scalar` |
-//! | [`Reference`](KernelTier::Reference) | `golden` | `golden` | `otf` |
+//! | [`Scalar`](KernelTier::Scalar) | `harvey` | `montgomery` | `scalar` |
 //!
-//! All rungs of a layer are **bit-identical** (pinned by the property
-//! suites against the reference rung), so a tier only changes speed.
-//! [`CpuCaps::detect`] is the workspace's only runtime CPU-feature
-//! probe, and [`KERNEL_ENV`] its only kernel override.
+//! Both rungs of a layer are **bit-identical**, so a tier only changes
+//! speed. The property suites pin them against each layer's oracle,
+//! which is not a rung: `NttPlan::{forward_golden, inverse_golden}`,
+//! the [`crate::Modulus`] ops, and `SpecialFft::{forward_otf,
+//! inverse_otf}`. [`CpuCaps::detect`] is the workspace's only runtime
+//! CPU-feature probe, and [`KERNEL_ENV`] its only kernel override.
 
 use core::fmt;
 use std::sync::OnceLock;
@@ -25,9 +26,7 @@ use std::sync::OnceLock;
 ///
 /// Explicit tiers are never overridden and capability degradation
 /// still applies. CI sets `scalar` to run tier-1 down the non-SIMD
-/// paths on AVX-512 hosts. The reference rung is not a value: an `Auto`
-/// plan always runs a fast rung, and the oracles are reached only by an
-/// explicit [`KernelTier::Reference`].
+/// paths on AVX-512 hosts.
 pub const KERNEL_ENV: &str = "ABC_FHE_KERNEL";
 
 /// Which rung of the kernel ladder a plan or engine is asked for. A
@@ -41,12 +40,8 @@ pub enum KernelTier {
     /// The AVX-512 vector kernels.
     Simd,
     /// The portable fast kernels (lazy-reduction Harvey butterflies,
-    /// scalar Montgomery, planned-twiddle FFT).
+    /// scalar Montgomery, planned-twiddle FFT), always applicable.
     Scalar,
-    /// The reference models (`u128 %` arithmetic, on-the-fly twiddles),
-    /// always applicable — the suites' oracles, asked for explicitly,
-    /// never through [`KERNEL_ENV`].
-    Reference,
 }
 
 impl KernelTier {
@@ -88,27 +83,24 @@ impl KernelTier {
     }
 
     /// Walks down the ladder from this tier to the first rung the
-    /// caller can run: `simd_ok` / `scalar_ok` are the layer's own
-    /// capability facts (CPU feature, modulus width, size, datapath);
-    /// the reference rung always applies. Never returns `Auto`.
-    pub fn degrade(self, simd_ok: bool, scalar_ok: bool) -> Self {
+    /// caller can run: `simd_ok` is the layer's own capability fact (CPU
+    /// feature, modulus width, size, datapath); the scalar rung always
+    /// applies. Never returns `Auto`.
+    pub fn degrade(self, simd_ok: bool) -> Self {
         match self {
             Self::Auto | Self::Simd if simd_ok => Self::Simd,
-            Self::Auto | Self::Simd | Self::Scalar if scalar_ok => Self::Scalar,
-            _ => Self::Reference,
+            _ => Self::Scalar,
         }
     }
 }
 
 impl fmt::Display for KernelTier {
-    /// The tier's name — the one [`KernelTier::parse`] accepts for it,
-    /// except `reference`, which is not an override.
+    /// The tier's name — the one [`KernelTier::parse`] accepts for it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Self::Auto => "auto",
             Self::Simd => "simd",
             Self::Scalar => "scalar",
-            Self::Reference => "reference",
         })
     }
 }
@@ -184,9 +176,8 @@ mod tests {
         for tier in [Auto, Simd, Scalar] {
             assert_eq!(KernelTier::parse(Some(&tier.to_string())), Ok(tier));
         }
-        // The reference rung is not an override, and the per-layer
-        // names of the three variables this one replaced are not tiers;
-        // the error names the values that are.
+        // Neither `reference` nor a layer's kernel name is a tier; the
+        // error names the values that are.
         for garbage in [
             "reference",
             "ifma",

@@ -7,9 +7,9 @@
 //!
 //! * [`Modulus`] — a single RNS prime with reference (`u128`-based) modular
 //!   operations, primitive roots and inverses.
-//! * [`reduce`] — the two scalar reducers the client runs,
-//!   [`reduce::Barrett`] and [`reduce::Montgomery`], which are also the
-//!   oracles of the vector kernels. The paper's Table I comparison — the
+//! * [`reduce`] — the two textbook scalar reducers:
+//!   [`reduce::Montgomery`], the dyadic engine's scalar rung, and
+//!   [`reduce::Barrett`]. The paper's Table I comparison — the
 //!   NTT-friendly shift-and-add Montgomery beside these two — is a model
 //!   in `abc-hw`.
 //! * [`primes`] — deterministic Miller–Rabin primality, generic NTT-prime
@@ -22,10 +22,11 @@
 //!   rescale run, and the big-integer Garner recombination of
 //!   [`rns::RnsBasis`] it falls back to and is tested against.
 //! * [`poly`] — element-wise polynomial (vector) operations over `Z_q`, the
-//!   workload of the paper's Modular Streaming Engine.
+//!   workload of the paper's Modular Streaming Engine, as loops over the
+//!   [`Modulus`] ops: the oracle of the dyadic kernels.
 //! * [`dyadic`] — the [`DyadicEngine`] that dispatches those element-wise
 //!   ops per modulus to the fastest kernel (AVX-512IFMA radix-2^52
-//!   Montgomery → scalar Montgomery → golden), with the vector kernels
+//!   Montgomery → scalar Montgomery), with the vector kernels
 //!   themselves in the `x86_64`-only `simd` module.
 //! * [`kernel`] — the one kernel ladder ([`KernelTier`], [`CpuCaps`],
 //!   `ABC_FHE_KERNEL`) that the dyadic engine here and the NTT and FFT
@@ -78,7 +79,8 @@ pub use rns::RnsBasis;
 /// Errors produced by the math substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MathError {
-    /// The modulus was zero, one, even, or too large for the 63-bit datapath.
+    /// The modulus was zero, one, even, or too large for the 62-bit
+    /// datapath ([`shoup::MAX_SHOUP_MODULUS`]).
     InvalidModulus(u64),
     /// A multiplicative inverse was requested for a non-invertible element.
     NotInvertible {

@@ -1,12 +1,19 @@
 //! A single RNS prime modulus with reference modular arithmetic.
 
+use crate::shoup::MAX_SHOUP_MODULUS;
 use crate::MathError;
 
-/// A prime modulus `q < 2^63` together with reference modular operations.
+/// A prime modulus `q < 2^62` together with reference modular operations.
 ///
 /// This type is the *golden model*: all operations route through `u128`
 /// widening arithmetic and are used in tests to validate the hardware-style
-/// reducers in [`crate::reduce`].
+/// reducers in [`crate::reduce`] and the kernels of
+/// [`crate::dyadic::DyadicEngine`].
+///
+/// The bound is the workspace's one datapath width,
+/// [`MAX_SHOUP_MODULUS`]: every kernel may keep a value lazy in
+/// `[0, 4q)`, which must fit a `u64`, so no kernel needs a path for a
+/// wider modulus.
 ///
 /// # Example
 ///
@@ -31,10 +38,10 @@ impl Modulus {
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::InvalidModulus`] if `q < 2`, `q` is even, or
-    /// `q >= 2^63` (the headroom required by lazy add/sub chains).
+    /// Returns [`MathError::InvalidModulus`] if `q < 3`, `q` is even, or
+    /// `q ≥ 2^62` ([`MAX_SHOUP_MODULUS`]).
     pub fn new(q: u64) -> Result<Self, MathError> {
-        if q < 3 || q.is_multiple_of(2) || q >= (1u64 << 63) {
+        if q < 3 || q.is_multiple_of(2) || q >= MAX_SHOUP_MODULUS {
             return Err(MathError::InvalidModulus(q));
         }
         Ok(Self { q })
@@ -242,6 +249,11 @@ mod tests {
         assert!(Modulus::new(2).is_err());
         assert!(Modulus::new(10).is_err());
         assert!(Modulus::new(1 << 63).is_err());
+        // The datapath stops at 2^62: the bound itself and an odd
+        // modulus past it are refused, the widest odd one below it is not.
+        assert!(Modulus::new(1 << 62).is_err());
+        assert!(Modulus::new((1 << 62) + 135).is_err());
+        assert!(Modulus::new((1 << 62) - 57).is_ok());
         assert!(Modulus::new(97).is_ok());
     }
 

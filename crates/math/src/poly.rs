@@ -2,8 +2,10 @@
 //! the paper's Modular Streaming Engine (MSE).
 //!
 //! Polynomials in NTT (evaluation) domain multiply point-wise, so every
-//! client-side ciphertext operation after the transforms reduces to the
-//! vector kernels here.
+//! client-side ciphertext operation after the transforms reduces to
+//! these vector operations. Here each is a plain loop over the
+//! [`Modulus`] ops: the oracle [`crate::dyadic::DyadicEngine`], which
+//! runs them, is checked against, sharing no reducer with it.
 
 use crate::modulus::Modulus;
 
@@ -31,36 +33,23 @@ pub fn sub_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
     }
 }
 
-/// `out[i] = (a[i] * b[i]) mod q` (dyadic product in NTT domain).
-///
-/// Both operands vary per element, so the Shoup trick does not apply;
-/// instead the modulus's Barrett constant is hoisted out of the loop and
-/// each element costs three multiplies plus two conditional subtractions
-/// — no per-element `u128` division (the reducer is proven
-/// 2-subtraction-tight for `t < 2^(2k)` with `k = bits(q)`).
-///
-/// This is the portable baseline; hot paths should prefer
-/// [`crate::dyadic::DyadicEngine`], which dispatches to the
-/// Montgomery/AVX-512IFMA vector kernels (bit-identical results).
+/// `out[i] = (a[i] * b[i]) mod q` (dyadic product in NTT domain), one
+/// [`Modulus::mul`] per element. Hot paths use
+/// [`crate::dyadic::DyadicEngine::mul_assign`], bit-identical and
+/// checked against this.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths differ.
 pub fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
     assert_eq!(a.len(), b.len());
-    let barrett = crate::reduce::Barrett::new(*m);
     for (x, &y) in a.iter_mut().zip(b) {
-        *x = barrett.reduce(*x as u128 * y as u128);
+        *x = m.mul(*x, y);
     }
 }
 
-/// `a[i] = (a[i] * b[i] + c[i]) mod q` — the fused kernel encryption uses
-/// for `v·pk + e`.
-///
-/// Barrett-reduced like [`mul_assign`]: `a·b + c ≤ q² − q < 2^(2k)`
-/// stays inside the reducer's proven `t < 2^(2k)` domain (the fused
-/// extreme `a = b = c = q − 1` is pinned by the exhaustive boundary
-/// test in [`crate::reduce`]).
+/// `a[i] = (a[i] * b[i] + c[i]) mod q` — the fused shape decryption
+/// runs as `c1·s + c0` — one [`Modulus::mul_add`] per element.
 ///
 /// # Panics
 ///
@@ -68,9 +57,8 @@ pub fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
 pub fn mul_add_assign(m: &Modulus, a: &mut [u64], b: &[u64], c: &[u64]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
-    let barrett = crate::reduce::Barrett::new(*m);
-    for i in 0..a.len() {
-        a[i] = barrett.reduce(a[i] as u128 * b[i] as u128 + c[i] as u128);
+    for ((x, &y), &z) in a.iter_mut().zip(b).zip(c) {
+        *x = m.mul_add(*x, y, z);
     }
 }
 
@@ -81,26 +69,13 @@ pub fn neg_assign(m: &Modulus, a: &mut [u64]) {
     }
 }
 
-/// `a[i] = (a[i] * s) mod q` for any scalar `s` (reduced on entry).
-///
-/// The scalar is a loop constant, so its Shoup quotient is precomputed
-/// once and each element costs two high-multiplies instead of a `u128`
-/// division (moduli ≥ 2^62 fall back to the golden multiply).
+/// `a[i] = (a[i] * s) mod q` for any scalar `s` (reduced on entry, as
+/// every scalar the dyadic engine takes is), one [`Modulus::mul`] per
+/// element.
 pub fn scalar_mul_assign(m: &Modulus, a: &mut [u64], s: u64) {
-    // Reduce the scalar first: `shoup_precompute(s, q)` overflows its
-    // 64-bit quotient for s ≥ q (silently wrong results in release
-    // builds), and the golden fallback would differ from the fast path.
-    let s = if s >= m.q() { m.reduce(s) } else { s };
-    if m.q() < crate::shoup::MAX_SHOUP_MODULUS {
-        let q = m.q();
-        let ss = crate::shoup::shoup_precompute(s, q);
-        for x in a.iter_mut() {
-            *x = crate::shoup::mul_shoup(*x, s, ss, q);
-        }
-    } else {
-        for x in a.iter_mut() {
-            *x = m.mul(*x, s);
-        }
+    let s = m.reduce(s);
+    for x in a.iter_mut() {
+        *x = m.mul(*x, s);
     }
 }
 
@@ -168,12 +143,9 @@ mod tests {
 
     #[test]
     fn scalar_mul_accepts_unreduced_scalars() {
-        // Regression: s ≥ q used to feed `shoup_precompute` an
-        // unreduced constant, overflowing the 64-bit quotient — the
-        // fast path silently diverged from the `u128 %` model (and from
-        // the golden fallback for wide moduli). Pin s = q and
-        // s = u64::MAX on both the Shoup path and the ≥ 2^62 fallback.
-        for q in [97u64, 0xFFF_FFFF_C001, (1 << 62) + 1153] {
+        // s ≥ q is reduced on entry, up to the widest modulus: pin
+        // s = q and s = u64::MAX against the `u128 %` model.
+        for q in [97u64, 0xFFF_FFFF_C001, (1 << 62) - 57] {
             let m = Modulus::new(q).unwrap();
             let a0: Vec<u64> = vec![0, 1, q / 2, q - 1];
             for s in [q, q + 1, u64::MAX] {

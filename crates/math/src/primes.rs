@@ -78,12 +78,20 @@ fn pow_mod(mut base: u64, mut exp: u64, n: u64) -> u64 {
 /// # Errors
 ///
 /// Returns [`MathError::PrimeSearchExhausted`] if fewer than `count`
-/// suitable primes exist at that bit width, and
-/// [`MathError::InvalidModulus`] for nonsensical arguments
-/// (`bits < 2`, `bits > 62`, or `two_n` not a power of two).
+/// suitable primes exist at that bit width — with nothing found for a
+/// width outside `17..=62` (62 bits is the widest [`crate::Modulus`]
+/// admits) — and [`MathError::InvalidModulus`]`(two_n)` if `two_n` is
+/// not a power of two.
 pub fn generate_ntt_primes(bits: u32, count: usize, two_n: u64) -> Result<Vec<u64>, MathError> {
-    if !(17..=62).contains(&bits) || !two_n.is_power_of_two() {
+    if !two_n.is_power_of_two() {
         return Err(MathError::InvalidModulus(two_n));
+    }
+    if !(17..=62).contains(&bits) {
+        return Err(MathError::PrimeSearchExhausted {
+            bits,
+            found: 0,
+            requested: count,
+        });
     }
     let hi = (1u64 << bits) - 1;
     let lo = 1u64 << (bits - 1);
@@ -139,15 +147,18 @@ impl StructuredPrime {
 /// the paper's shift-and-add Montgomery reduction requires. The paper
 /// reports **443** such 32–36-bit primes for `N = 2^16`.
 ///
-/// Results are deduplicated by value and sorted ascending.
+/// The range is clamped to 62 bits, the widest [`crate::Modulus`]
+/// admits, before the search starts. Results are deduplicated by value
+/// and sorted ascending.
 pub fn search_structured_primes(
     bit_range: core::ops::RangeInclusive<u32>,
     n: u64,
 ) -> Vec<StructuredPrime> {
+    let bit_range = *bit_range.start()..=(*bit_range.end()).min(62);
     let n1 = (2 * n).trailing_zeros(); // exponent of 2N
     let mut found: std::collections::BTreeMap<u64, StructuredPrime> = Default::default();
     for bw in bit_range.clone() {
-        if bw >= 63 || bw <= n1 {
+        if bw <= n1 {
             continue;
         }
         let base = 1u64 << bw;
@@ -210,7 +221,8 @@ pub fn search_structured_primes(
 /// # Errors
 ///
 /// Returns [`MathError::PrimeSearchExhausted`] if the structured search
-/// space does not contain `count` primes at this width.
+/// space does not contain `count` primes at this width (none above 62
+/// bits).
 pub fn generate_structured_ntt_primes(
     bits: u32,
     count: usize,
@@ -278,11 +290,32 @@ mod tests {
 
     #[test]
     fn generate_rejects_bad_args() {
-        assert!(generate_ntt_primes(5, 1, 1 << 15).is_err());
-        assert!(generate_ntt_primes(63, 1, 1 << 15).is_err());
-        assert!(generate_ntt_primes(36, 1, 12345).is_err());
+        let none_at = |bits, requested| MathError::PrimeSearchExhausted {
+            bits,
+            found: 0,
+            requested,
+        };
+        // A width outside 17..=62 names the width, not `two_n`.
+        assert_eq!(generate_ntt_primes(5, 1, 1 << 15), Err(none_at(5, 1)));
+        assert_eq!(generate_ntt_primes(16, 2, 1 << 4), Err(none_at(16, 2)));
+        assert_eq!(generate_ntt_primes(63, 1, 1 << 15), Err(none_at(63, 1)));
+        assert!(generate_ntt_primes(17, 1, 1 << 4).is_ok());
+        assert!(generate_ntt_primes(62, 1, 1 << 15).is_ok());
+        assert_eq!(
+            generate_ntt_primes(36, 1, 12345),
+            Err(MathError::InvalidModulus(12345))
+        );
         // 2^17-bit primes congruent to 1 mod 2^17 barely exist at tiny widths.
         assert!(generate_ntt_primes(18, 1000, 1 << 17).is_err());
+        // The structured search stops at 62 bits: a 63-bit request finds
+        // nothing at once, and a range reaching past 62 returns no prime
+        // a `Modulus` would refuse.
+        assert_eq!(
+            generate_structured_ntt_primes(63, 1, 1 << 13),
+            Err(none_at(63, 1))
+        );
+        let wide = search_structured_primes(62..=63, 1 << 16);
+        assert!(wide.iter().all(|p| p.bits() == 62), "a 63-bit prime");
     }
 
     #[test]

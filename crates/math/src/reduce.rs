@@ -1,11 +1,10 @@
-//! The two scalar modular reducers the client runs: Barrett (behind
-//! [`crate::poly`]'s element-wise products) and Montgomery (the scalar
-//! rung of [`crate::dyadic::DyadicEngine`]). Both are also the test
-//! oracles of the vector kernels.
+//! The two textbook scalar modular reducers: Montgomery (the scalar
+//! rung of [`crate::dyadic::DyadicEngine`]) and Barrett.
 //!
 //! The paper's Table I compares them with a third, the NTT-friendly
 //! shift-and-add Montgomery; that one, and the strategy trait the
-//! comparison runs through, are hardware models and live in `abc-hw`.
+//! comparison runs through, are hardware models and live in `abc-hw`,
+//! which is where Barrett runs.
 
 use crate::modulus::Modulus;
 
@@ -41,7 +40,7 @@ impl Barrett {
         // the t >> (k-1) truncation alone can cost two quotient units
         // and the undershoot bound below becomes 3, not 2.)
         let k = m.bits();
-        // 2^(2k) fits in u128: bits(q) <= 63 => 2k <= 126.
+        // 2^(2k) fits in u128: bits(q) <= 62 => 2k <= 124.
         let mu = (1u128 << (2 * k)) / m.q() as u128;
         Self { m, mu, k }
     }
@@ -51,8 +50,7 @@ impl Barrett {
     /// The proven input domain is HAC Alg. 14.42's actual hypothesis
     /// `t < b^(2k)` — **not** merely `t < q²`. Since
     /// `q² + q − 1 < 2^(2k)`, every fused product `a·b + c` with
-    /// `a, b, c ∈ [0, q)` is inside the domain ([`crate::poly`]'s
-    /// `mul_add_assign` relies on this), but a product of two *lazy*
+    /// `a, b, c ∈ [0, q)` is inside the domain, but a product of two *lazy*
     /// `[0, 2q)` operands can reach `4q² ≥ 2^(2k)` and is **out of
     /// contract** — lazy paths must reduce at least one operand first
     /// (debug-asserted below).
@@ -88,8 +86,8 @@ impl Barrett {
 }
 
 /// Computes `floor(a * b / 2^s)` where the 256-bit product is formed from
-/// 128-bit halves. In Barrett's use `s = k + 1 ≤ 64` (since
-/// `k = bits(q) ≤ 63`), so the `s < 128` branch below is the live one;
+/// 128-bit halves. In Barrett's use `s = k + 1 ≤ 63` (since
+/// `k = bits(q) ≤ 62`), so the `s < 128` branch below is the live one;
 /// the function handles any `s < 192` generically so it stays correct
 /// for other callers and parameterizations.
 #[inline]
@@ -281,11 +279,11 @@ mod tests {
     #[test]
     fn barrett_fused_boundary_every_width_class() {
         // The proven domain is t < 2^(2k) (HAC 14.42), not t < q²: for
-        // every modulus width class k = 2..=63 hit the fused extreme
-        // a = b = c = q − 1 (t = q² − q, `mul_add_assign`'s worst case)
+        // every modulus width class k = 2..=62 hit the fused extreme
+        // a = b = c = q − 1 (t = q² − q, a fused product's worst case)
         // and the absolute domain boundary t = 2^(2k) − 1, on both the
         // smallest and the largest odd modulus of the class.
-        for k in 2u32..=63 {
+        for k in 2u32..=62 {
             let lo = (1u64 << (k - 1)) | 1; // smallest odd with bits() == k
             let hi = (1u64 << k) - 1; // largest odd below 2^k
             for q in [lo, hi] {

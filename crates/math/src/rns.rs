@@ -8,8 +8,7 @@
 //! Expansion of a whole coefficient slice is [`SignedCoeffs`]: one scan
 //! for the largest magnitude, then per limb a sign-select (values below
 //! the prime) or a two-word Shoup fold (wider ones) — no division;
-//! [`Modulus::from_i128`] stays as the oracle both are tested against
-//! and as the path for moduli of 62 bits and more.
+//! [`Modulus::from_i128`] stays as the oracle both are tested against.
 //!
 //! Two lifts exist. [`WordLift`] is the decode and rescale path: Garner
 //! over the longest basis prefix whose product fits a `u128`, centered,
@@ -23,7 +22,7 @@
 
 use crate::bigint::UBig;
 use crate::modulus::Modulus;
-use crate::shoup::{mul_shoup, shoup_precompute, MAX_SHOUP_MODULUS};
+use crate::shoup::{mul_shoup, shoup_precompute};
 use crate::MathError;
 
 /// An ordered RNS basis `q_0, …, q_{L}` of pairwise-coprime odd primes.
@@ -326,11 +325,9 @@ impl<'a, X: Copy + Into<i128>> SignedCoeffs<'a, X> {
     /// * `max|x| < q` (samplers, key material, rescale tails): every
     ///   `|x| < q`, so the residue is `x` or `x + q`, selected by the
     ///   sign bit;
-    /// * wider values under `q < 2^62` (messages at 2^72): the two words
-    ///   of `|x|` fold through the Shoup constants `1 mod q` and
-    ///   `2^64 mod q`, the sign applied last;
-    /// * wider values under `q ≥ 2^62`, where Shoup reduction does not
-    ///   reach: [`Modulus::from_i128`] itself.
+    /// * wider values (messages at 2^72): the two words of `|x|` fold
+    ///   through the Shoup constants `1 mod q` and `2^64 mod q`, the
+    ///   sign applied last.
     ///
     /// `dst` is cleared first and its capacity reused, so a recycled
     /// buffer and a fresh `Vec::with_capacity` are both written exactly
@@ -346,16 +343,14 @@ impl<'a, X: Copy + Into<i128>> SignedCoeffs<'a, X> {
                 "sign-select takes |x| < q"
             );
             dst.extend(self.coeffs.iter().map(|&x| {
-                // |x| < q < 2^63: the low word is the value.
+                // |x| < q < 2^62: the low word is the value.
                 let v = x.into() as i64;
                 (v + ((v >> 63) & q as i64)) as u64
             }));
             debug_assert!(dst.iter().all(|&r| r < q), "sign-select left [0, q)");
-        } else if q < MAX_SHOUP_MODULUS {
+        } else {
             let fold = WordFold::new(m);
             dst.extend(self.coeffs.iter().map(|&x| fold.residue(x.into())));
-        } else {
-            dst.extend(self.coeffs.iter().map(|&x| m.from_i128(x.into())));
         }
     }
 }
@@ -398,7 +393,7 @@ const LIFT_BLOCK: usize = 256;
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let basis = RnsBasis::new(generate_ntt_primes(36, 5, 1 << 14)?)?;
 /// let limbs: Vec<Vec<u64>> = basis.moduli().iter().map(|m| vec![m.from_i128(-42)]).collect();
-/// let lift = WordLift::new(basis)?;
+/// let lift = WordLift::new(basis);
 /// let fell_back = lift.lift_centered(&limbs, |_, negative, mag| {
 ///     assert!(negative && matches!(mag, Lifted::Word(42)));
 /// });
@@ -439,17 +434,8 @@ enum Prefix {
 impl WordLift {
     /// Builds the lift of `basis` — any coprime moduli, a context's
     /// level prefix or an ad-hoc pair alike.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidModulus`] for a modulus at or above
-    /// [`MAX_SHOUP_MODULUS`] (the Shoup reductions need `2q` and
-    /// `q_i + 2q_j` inside a word).
-    pub fn new(basis: RnsBasis) -> Result<Self, MathError> {
+    pub fn new(basis: RnsBasis) -> Self {
         let moduli = basis.moduli();
-        if let Some(m) = moduli.iter().find(|m| m.q() >= MAX_SHOUP_MODULUS) {
-            return Err(MathError::InvalidModulus(m.q()));
-        }
         let mut len = 1;
         let mut prefix_product = moduli[0].q() as u128;
         while len < moduli.len().min(3) {
@@ -476,13 +462,13 @@ impl WordLift {
                 s21: step(1, 2),
             },
         };
-        Ok(Self {
+        Self {
             product: basis.product(),
             prefix,
             prefix_product,
             verify: moduli[len..].iter().map(WordFold::new).collect(),
             basis,
-        })
+        }
     }
 
     /// Lifts every coefficient of `limbs` (limb-major: `limbs[i][j]` is
@@ -672,6 +658,17 @@ mod tests {
     }
 
     #[test]
+    fn word_lift_rejects_moduli_shoup_cannot_reduce() {
+        // A modulus past the 62-bit datapath is refused where the basis is
+        // built, so no `WordLift` can ever hold it.
+        let q = (1u64 << 62) + 135; // odd, coprime to 97
+        assert_eq!(
+            RnsBasis::new(vec![97, q]).unwrap_err(),
+            MathError::InvalidModulus(q)
+        );
+    }
+
+    #[test]
     fn decompose_combine_roundtrip_small() {
         let b = basis(3);
         for x in [-1000i128, -1, 0, 1, 42, 1 << 40, -(1 << 40)] {
@@ -710,16 +707,9 @@ mod tests {
     }
 
     #[test]
-    fn word_lift_rejects_moduli_shoup_cannot_reduce() {
-        let q = (1u64 << 62) + 135; // odd, coprime to 97
-        let b = RnsBasis::new(vec![97, q]).unwrap();
-        assert_eq!(WordLift::new(b).unwrap_err(), MathError::InvalidModulus(q));
-    }
-
-    #[test]
     fn word_lift_centers_tiny_basis() {
         let b = RnsBasis::new(vec![3, 5, 7]).unwrap();
-        let lift = WordLift::new(b.clone()).unwrap();
+        let lift = WordLift::new(b.clone());
         // Every value mod 105, one coefficient each.
         let rows: Vec<Vec<u64>> = [3u64, 5, 7]
             .iter()
@@ -736,7 +726,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit the word lift")]
     fn word_lift_i128_needs_a_word_sized_basis() {
-        let lift = WordLift::new(basis(4)).unwrap();
+        let lift = WordLift::new(basis(4));
         let rows = vec![vec![0u64]; 4];
         lift.lift_centered_i128(&rows, &mut [0i128]);
     }

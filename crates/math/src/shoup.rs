@@ -19,8 +19,8 @@
 //! The lazy helpers let NTT butterflies defer even that subtraction:
 //! values travel in `[0, 2q)` or `[0, 4q)` across stages and are
 //! normalized once at the end. All routines here require **`q < 2^62`**
-//! so that `4q` fits in a `u64`; the workspace's RNS primes are 36–47
-//! bits, far inside the bound.
+//! so that `4q` fits in a `u64` — the bound every [`crate::Modulus`]
+//! meets; the workspace's RNS primes are 36–47 bits, far inside it.
 //!
 //! # Example
 //!
@@ -39,8 +39,9 @@
 //! # }
 //! ```
 
-/// Largest modulus the lazy-reduction kernels support: `q < 2^62` keeps
-/// every intermediate (`< 4q`) inside a `u64`.
+/// The workspace's one datapath width: `q < 2^62` keeps every lazy
+/// intermediate (`< 4q`) inside a `u64`, and [`crate::Modulus::new`]
+/// refuses every modulus at or above it.
 pub const MAX_SHOUP_MODULUS: u64 = 1 << 62;
 
 /// Largest modulus the radix-2^52 (AVX-512IFMA) variant supports:

@@ -138,9 +138,11 @@ proptest! {
         m in arb_ntt_prime(),
         seed in any::<u64>(),
     ) {
-        // The vector kernels route through a hoisted Barrett reducer;
-        // they must agree with the u128 `%` golden model element-wise
-        // over every supported NTT-prime width (36–62 bits).
+        // Barrett (the Table I reducer `abc-hw` prices) on the dyadic
+        // products and their fused form, and the `poly` oracle the
+        // dyadic kernels are checked against, must agree with the u128
+        // `%` golden model element-wise over every supported NTT-prime
+        // width (36–62 bits).
         let q = m.q();
         let mut state = seed;
         let mut next = || {
@@ -153,18 +155,18 @@ proptest! {
         // Pin the extremes: the worst-case product and the zero element.
         (a[0], b[0], c[0]) = (q - 1, q - 1, q - 1);
         (a[1], b[1], c[1]) = (0, q - 1, 0);
+        let barrett = Barrett::new(m);
         let mut got = a.clone();
-        abc_math::poly::mul_assign(&m, &mut got, &b);
-        for i in 0..a.len() {
-            prop_assert_eq!(got[i], ((a[i] as u128 * b[i] as u128) % q as u128) as u64);
-        }
+        poly::mul_assign(&m, &mut got, &b);
         let mut fused = a.clone();
-        abc_math::poly::mul_add_assign(&m, &mut fused, &b, &c);
+        poly::mul_add_assign(&m, &mut fused, &b, &c);
         for i in 0..a.len() {
-            prop_assert_eq!(
-                fused[i],
-                ((a[i] as u128 * b[i] as u128 + c[i] as u128) % q as u128) as u64
-            );
+            let ab = a[i] as u128 * b[i] as u128;
+            let abc = ab + c[i] as u128;
+            prop_assert_eq!(got[i], (ab % q as u128) as u64);
+            prop_assert_eq!(barrett.reduce(ab), got[i]);
+            prop_assert_eq!(fused[i], (abc % q as u128) as u64);
+            prop_assert_eq!(barrett.reduce(abc), fused[i]);
         }
     }
 
@@ -173,9 +175,9 @@ proptest! {
         m in arb_ntt_prime(),
         seed in any::<u64>(),
     ) {
-        // Every DyadicEngine kernel — forced golden, scalar
-        // Montgomery and IFMA (which degrades to Montgomery at
-        // q ≥ 2^50 and off-IFMA hosts) — must equal the u128 `%` model
+        // Every DyadicEngine kernel — scalar Montgomery and IFMA
+        // (which degrades to Montgomery at q ≥ 2^50 and off-IFMA
+        // hosts) — must equal the u128 `%` model
         // element-wise over the full supported NTT-prime width range
         // (36–62 bits). Length 37 exercises the 8-lane vector body and
         // a 5-element scalar tail.
@@ -192,12 +194,7 @@ proptest! {
         (a[0], b[0]) = (q - 1, q - 1);
         (a[1], b[1]) = (0, q - 1);
         (a[2], b[2]) = (1, q - 1);
-        for pref in [
-            KernelTier::Auto,
-            KernelTier::Reference,
-            KernelTier::Scalar,
-            KernelTier::Simd,
-        ] {
+        for pref in [KernelTier::Auto, KernelTier::Scalar, KernelTier::Simd] {
             let e = DyadicEngine::with_kernel(m, pref);
             if q >= shoup::MAX_SHOUP52_MODULUS {
                 // The IFMA-fallback boundary: q ≥ 2^50 must never
@@ -234,9 +231,9 @@ proptest! {
         // shapes, the rescale (a−b)·s shape (lazy subtrahend included) and
         // premultiplied accumulation — must be bit-identical to the
         // composition of the unfused ops it replaces, composed from the
-        // independent Barrett oracle in `abc_math::poly`, on every kernel
-        // (golden, Montgomery, IFMA with its q ≥ 2^50 degradation)
-        // over the full 36–62-bit NTT-prime range.
+        // independent `Modulus` oracle in `abc_math::poly`, on every
+        // kernel (Montgomery, IFMA with its q ≥ 2^50 degradation) over
+        // the full 36–62-bit NTT-prime range.
         let q = m.q();
         let mut state = seed;
         let mut next = || {
@@ -250,12 +247,7 @@ proptest! {
         (a[0], b[0], c[0]) = (q - 1, q - 1, q - 1);
         (a[1], b[1], c[1]) = (0, q - 1, 0);
         (a[2], b[2], c[2]) = (1, q - 1, q - 1);
-        for pref in [
-            KernelTier::Auto,
-            KernelTier::Reference,
-            KernelTier::Scalar,
-            KernelTier::Simd,
-        ] {
+        for pref in [KernelTier::Auto, KernelTier::Scalar, KernelTier::Simd] {
             let e = DyadicEngine::with_kernel(m, pref);
             if q >= shoup::MAX_SHOUP52_MODULUS {
                 prop_assert_ne!(e.kernel_name(), "ifma");
@@ -287,8 +279,7 @@ proptest! {
             let mut got = a.clone();
             e.sub_scalar_mul_assign(&mut got, &b, s);
             prop_assert_eq!(&got, &ssm, "sub_scalar_mul {:?} q={}", pref, q);
-            // The same with a [0, 4q)-lazy subtrahend (every pool prime
-            // is < 2^62, so lazy representatives exist at all widths).
+            // The same with a [0, 4q)-lazy subtrahend.
             let b_lazy: Vec<u64> = b
                 .iter()
                 .enumerate()
@@ -389,7 +380,7 @@ fn limb_rows(basis: &RnsBasis, values: &[(bool, UBig)]) -> Vec<Vec<u64>> {
 /// sign and magnitude, against the big-integer Garner lift; returns
 /// which coefficients took the fallback.
 fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, TestCaseError> {
-    let lift = WordLift::new(basis.clone()).expect("moduli below 2^62");
+    let lift = WordLift::new(basis.clone());
     let product = basis.product();
     let mut got = Vec::new();
     let fell_back = lift.lift_centered(rows, |j, negative, mag| {
@@ -499,7 +490,7 @@ proptest! {
         let flags = lift_and_check(&basis, &rows)?;
         prop_assert!(flags.iter().all(|&f| f == (limbs > k)));
         if limbs <= k {
-            let lift = WordLift::new(basis.clone()).expect("moduli below 2^62");
+            let lift = WordLift::new(basis.clone());
             let mut xs = vec![0i128; 300];
             lift.lift_centered_i128(&rows, &mut xs);
             let product = basis.product();
@@ -513,12 +504,12 @@ proptest! {
 }
 
 /// The moduli expansion is pinned on: the 39-bit head prime and a 36-bit
-/// prime of a CKKS basis, and an odd modulus past `2^62`, where the
-/// Shoup fold does not reach and wide values divide.
+/// prime of a CKKS basis, and the widest odd modulus the datapath
+/// admits, where the Shoup fold runs at its bound.
 fn expansion_moduli() -> [Modulus; 3] {
     let basis = lift_basis(false, 2);
-    let past_shoup = Modulus::new((1 << 62) + 135).expect("odd, below 2^63");
-    [basis.moduli()[0], basis.moduli()[1], past_shoup]
+    let widest = Modulus::new((1 << 62) - 57).expect("odd, below 2^62");
+    [basis.moduli()[0], basis.moduli()[1], widest]
 }
 
 /// Expands `coeffs` under `m` and checks every residue against the

@@ -32,15 +32,15 @@ const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 enum Kernel {
     /// [`chacha20_blocks`]: 16 blocks in one AVX-512F pass.
     Avx512,
-    /// [`BLOCKS`] calls of [`chacha20_block`] (every tier below `Simd`).
+    /// [`BLOCKS`] calls of [`chacha20_block`], the scalar rung and the
+    /// RFC-vector oracle.
     Scalar,
 }
 
 impl Kernel {
-    /// Where `tier` lands on this CPU: the keystream has no reference
-    /// model apart from its scalar oracle.
+    /// Where `tier` lands on this CPU.
     fn for_tier(tier: KernelTier) -> Self {
-        match tier.or_env().degrade(CpuCaps::detect().avx512f, true) {
+        match tier.or_env().degrade(CpuCaps::detect().avx512f) {
             KernelTier::Simd => Self::Avx512,
             _ => Self::Scalar,
         }

@@ -20,7 +20,8 @@
 //! `O(N log N)` transcendental evaluations per transform; the planned
 //! kernel loads them. The on-the-fly kernels remain available as
 //! [`SpecialFft::forward_otf`]/[`SpecialFft::inverse_otf`] (the hardware
-//! OTF-generator model, and the benchmark baseline).
+//! OTF-generator model, the oracle the planned kernels are pinned
+//! against, and the benchmark baseline) — methods, not a rung.
 //!
 //! # Kernel dispatch
 //!
@@ -42,8 +43,6 @@
 //!   ≥ 8 slots.
 //! * **scalar** (`Scalar`) — the generic planned kernel, any
 //!   [`RealField`].
-//! * **otf** (`Reference`) — the seed's on-the-fly generator kernel
-//!   (the hardware OTF model and golden baseline).
 
 use crate::fft_avx512;
 use abc_float::{Complex, F64Field, RealField};
@@ -57,7 +56,6 @@ enum FftKernel {
     /// are a limb of the limb pool); implies `F = F64Field`.
     Avx512(Arc<fft_avx512::SimdPlan>),
     Scalar,
-    Otf,
 }
 
 /// A planned special FFT for slot count `slots = N/2`, with per-stage
@@ -157,7 +155,7 @@ impl<F: RealField> SpecialFft<F> {
         let simd_ok = plan.field.as_f64_slots(&mut []).is_some()
             && slots >= fft_avx512::MIN_SIMD_SLOTS
             && CpuCaps::detect().avx512f;
-        plan.kernel = match tier.or_env().degrade(simd_ok, true) {
+        plan.kernel = match tier.or_env().degrade(simd_ok) {
             KernelTier::Simd => {
                 // `F = F64Field` here, so `to_f64` is the identity and
                 // the SoA tables are bit-identical to the scalar tables.
@@ -171,20 +169,18 @@ impl<F: RealField> SpecialFft<F> {
                     &to64(&plan.inv_twiddles),
                 )))
             }
-            KernelTier::Reference => FftKernel::Otf,
             _ => FftKernel::Scalar,
         };
         plan
     }
 
     /// The name of the butterfly kernel this plan resolved to
-    /// (`"avx512"`, `"scalar"` or `"otf"`) — for reports, benches and
-    /// dispatch tests.
+    /// (`"avx512"` or `"scalar"`) — for reports, benches and dispatch
+    /// tests.
     pub fn kernel_name(&self) -> &'static str {
         match self.kernel {
             FftKernel::Avx512(_) => "avx512",
             FftKernel::Scalar => "scalar",
-            FftKernel::Otf => "otf",
         }
     }
 
@@ -274,8 +270,9 @@ impl<F: RealField> SpecialFft<F> {
     }
 
     /// Forward special FFT: coefficient side → slot values (used by
-    /// **decoding**), dispatched to the plan's resolved kernel. All
-    /// kernels are bit-identical (see the module docs).
+    /// **decoding**), dispatched to the plan's resolved kernel. Both
+    /// kernels are bit-identical to [`Self::forward_otf`] (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -284,7 +281,6 @@ impl<F: RealField> SpecialFft<F> {
         match &self.kernel {
             FftKernel::Avx512(simd) => fft_avx512::run(simd, self.f64_slots(vals), false),
             FftKernel::Scalar => self.forward_scalar(vals),
-            FftKernel::Otf => self.forward_otf(vals),
         }
     }
 
@@ -299,7 +295,6 @@ impl<F: RealField> SpecialFft<F> {
         match &self.kernel {
             FftKernel::Avx512(simd) => fft_avx512::run(simd, self.f64_slots(vals), true),
             FftKernel::Scalar => self.inverse_scalar(vals),
-            FftKernel::Otf => self.inverse_otf(vals),
         }
     }
 
@@ -364,8 +359,8 @@ impl<F: RealField> SpecialFft<F> {
     /// The seed's on-the-fly forward kernel: regenerates every twiddle
     /// per butterfly (two trig evaluations each). Bit-identical to
     /// [`Self::forward`] — the planned table is materialized by the same
-    /// generator — and the baseline the planned kernel is benchmarked
-    /// against.
+    /// generator — and so its oracle, and the baseline the planned
+    /// kernel is benchmarked against.
     ///
     /// # Panics
     ///
@@ -650,11 +645,9 @@ mod tests {
 
     #[test]
     fn kernel_preferences_degrade_by_capability() {
-        // Scalar and Otf are always honoured.
+        // Scalar is always honoured.
         let scalar = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Scalar);
         assert_eq!(scalar.kernel_name(), "scalar");
-        let otf = SpecialFft::with_field_kernel(F64Field, 64, KernelTier::Reference);
-        assert_eq!(otf.kernel_name(), "otf");
         // Non-`F64Field` datapaths never take the SIMD path, even when
         // forced: `SoftFloatField` carries f64 scalars but rounds after
         // every op, so the *field* type gates dispatch.
@@ -678,19 +671,20 @@ mod tests {
     #[test]
     fn forced_kernels_are_bit_identical() {
         // The dispatch ladder's core contract: whatever kernel a plan
-        // resolves to, forward/inverse values are bit-identical (the
-        // AVX-512 kernel preserves the scalar operation order — no FMA
-        // contraction — so the documented ulp bound is 0).
+        // resolves to, forward/inverse values are bit-identical to the
+        // on-the-fly oracle (the AVX-512 kernel preserves the scalar
+        // operation order — no FMA contraction — so the documented ulp
+        // bound is 0).
         for slots in [8usize, 64, 1 << 10] {
             let z: Vec<Complex> = (0..slots)
                 .map(|i| Complex::new((i as f64 * 0.31).sin(), (i as f64 * 0.17).cos()))
                 .collect();
-            let scalar = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Scalar);
+            let oracle = SpecialFft::new(slots);
             let mut want_f = z.clone();
-            scalar.forward(&mut want_f);
+            oracle.forward_otf(&mut want_f);
             let mut want_i = z.clone();
-            scalar.inverse(&mut want_i);
-            for pref in [KernelTier::Simd, KernelTier::Reference, KernelTier::Auto] {
+            oracle.inverse_otf(&mut want_i);
+            for pref in [KernelTier::Simd, KernelTier::Scalar, KernelTier::Auto] {
                 let plan = SpecialFft::with_field_kernel(F64Field, slots, pref);
                 let mut got = z.clone();
                 plan.forward(&mut got);

@@ -12,15 +12,18 @@
 //!   datapath so the same kernel runs at FP64, the paper's FP55, or the
 //!   double-double `ExtF64` embedding, with per-(slots, datapath)
 //!   twiddle tables materialized once per plan (OTF kernels retained as
-//!   the hardware-generator model and benchmark baseline; the AVX-512
-//!   kernel runs split re/im 8-lane butterflies in [`fft_avx512`],
-//!   bit-identical to the scalar path).
+//!   the hardware-generator model, oracle and benchmark baseline; the
+//!   AVX-512 kernel runs split re/im 8-lane butterflies in
+//!   [`fft_avx512`], bit-identical to the scalar path).
 //!
 //! Both families pick their kernel through the one ladder in
 //! [`abc_math::kernel`] — `Simd` (`ifma` / `avx512`) → `Scalar`
-//! (`harvey` / `scalar`) → `Reference` (`golden` / `otf`), forced with
-//! an [`abc_math::KernelTier`]; `ABC_FHE_KERNEL` moves `Auto` between
-//! the two fast rungs only.
+//! (`harvey` / `scalar`), forced with an [`abc_math::KernelTier`];
+//! `ABC_FHE_KERNEL` moves `Auto` between the two. Their oracles,
+//! [`ntt::NttPlan::forward_golden`] / [`ntt::NttPlan::inverse_golden`]
+//! and [`fft::SpecialFft::forward_otf`] /
+//! [`fft::SpecialFft::inverse_otf`], are methods of every plan, not
+//! rungs.
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
 //! polynomial — one plan per prime, and the limb fan-out over scoped

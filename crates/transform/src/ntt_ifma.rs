@@ -37,7 +37,7 @@
 //!   holds that stage.
 //!
 //! Lazy representatives are always congruent mod `q`, so a transform
-//! that ends canonical is **bit-identical** to the golden kernel
+//! that ends canonical is **bit-identical** to the golden model
 //! (asserted by the tier-1 suites); debug builds also check every
 //! pass's output domain.
 //!

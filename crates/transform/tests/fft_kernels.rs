@@ -1,6 +1,7 @@
 //! Property tests pinning the embedding-FFT kernel lattice together:
-//! every [`KernelTier`] and the engine's single-vector entry points must
-//! agree with the planned scalar kernel.
+//! every [`KernelTier`] must agree with the on-the-fly oracle
+//! (`forward_otf` / `inverse_otf`), and the engine's single-vector entry
+//! points with the planned scalar kernel.
 //!
 //! The AVX-512 kernel preserves the scalar operation order exactly
 //! (4-multiply complex product, no FMA contraction), so the pinned
@@ -30,23 +31,19 @@ fn scalar_plan(slots: usize) -> SpecialFft {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Every kernel preference produces bit-identical forward and
-    // inverse transforms across the full dispatchable size range.
+    // Every kernel preference produces forward and inverse transforms
+    // bit-identical to the on-the-fly oracle across the full
+    // dispatchable size range.
     #[test]
     fn all_kernel_preferences_bit_identical(seed in any::<u64>(), log_slots in 4u32..=12) {
         let slots = 1usize << log_slots;
-        let reference = scalar_plan(slots);
+        let oracle = scalar_plan(slots);
         let msg = message(slots, seed);
         let mut want_f = msg.clone();
-        reference.forward(&mut want_f);
+        oracle.forward_otf(&mut want_f);
         let mut want_i = msg.clone();
-        reference.inverse(&mut want_i);
-        for pref in [
-            KernelTier::Auto,
-            KernelTier::Simd,
-            KernelTier::Scalar,
-            KernelTier::Reference,
-        ] {
+        oracle.inverse_otf(&mut want_i);
+        for pref in [KernelTier::Auto, KernelTier::Simd, KernelTier::Scalar] {
             let plan = SpecialFft::with_field_kernel(F64Field, slots, pref);
             let mut got = msg.clone();
             plan.forward(&mut got);

@@ -97,25 +97,24 @@ proptest! {
     #[test]
     fn fast_kernels_are_bit_identical_to_golden(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 4u32..=13) {
         // `forward`/`inverse` take a fast kernel (scalar Harvey forced,
-        // plus whatever Auto picks — IFMA on capable machines); a
-        // Reference-tier plan over the same table runs the golden
-        // scalar kernel. Outputs must match bit for bit. Sizes 2^4 …
-        // 2^13 draw both parities of the IFMA long-stage count.
+        // plus whatever Auto picks — IFMA on capable machines); the
+        // plan's `forward_golden`/`inverse_golden` run the golden model
+        // over the same table. Outputs must match bit for bit. Sizes
+        // 2^4 … 2^13 draw both parities of the IFMA long-stage count.
         use abc_math::KernelTier;
         let n = 1usize << log_n;
         let poly: Vec<u64> = (0..n as u64)
             .map(|i| (seed.wrapping_mul(i * 2 + 1)) % m.q())
             .collect();
-        let oracle = NttPlan::with_kernel(m, n, KernelTier::Reference).expect("plan");
         for pref in [KernelTier::Auto, KernelTier::Scalar] {
             let plan = NttPlan::with_kernel(m, n, pref).expect("plan");
             let mut fast = poly.clone();
             let mut golden = poly.clone();
             plan.forward(&mut fast);
-            oracle.forward(&mut golden);
+            plan.forward_golden(&mut golden);
             prop_assert_eq!(&fast, &golden, "forward {:?}", pref);
             plan.inverse(&mut fast);
-            oracle.inverse(&mut golden);
+            plan.inverse_golden(&mut golden);
             prop_assert_eq!(&fast, &golden, "inverse {:?}", pref);
             prop_assert_eq!(fast, poly, "roundtrip {:?}", pref);
         }
@@ -201,8 +200,8 @@ proptest! {
         // shapes, the pre-entered pair ops, the fused rescale chain and
         // an out-of-place inverse through the combinator — against the
         // unfused composition spelt with `abc_math::poly` / `Modulus`
-        // ops (Barrett and `u128 %`: no code shared with the dyadic
-        // kernels) and each limb's own plan, for every thread fan-out.
+        // ops (`u128 %`: no code shared with the dyadic kernels) and
+        // each limb's own plan, for every thread fan-out.
         let n = 1usize << 12;
         let moduli = moduli_36(limbs, n);
         let gen = |salt: u64| residues(&moduli, n, seed, salt);

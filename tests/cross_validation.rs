@@ -5,7 +5,7 @@ use abc_fhe::hw::reduce::{ModMul, NttFriendlyMontgomery};
 use abc_fhe::hw::stream::StreamingNtt;
 use abc_fhe::hw::twiddle::OtfTwiddleGen;
 use abc_fhe::math::reduce::{Barrett, Montgomery};
-use abc_fhe::math::{primes, KernelTier, Modulus};
+use abc_fhe::math::{primes, Modulus};
 use abc_fhe::transform::NttPlan;
 
 #[test]
@@ -45,14 +45,13 @@ fn transform_layer_consistent_across_twiddle_sources_and_sizes() {
     let m = Modulus::new(q).expect("modulus");
     for log_n in [3u32, 6, 9, 12] {
         let n = 1usize << log_n;
-        // The golden kernel over the table, the fast kernel, and the
+        // The golden model over the table, the fast kernel, and the
         // streaming dataflow fed by the on-the-fly generator.
-        let golden = NttPlan::with_kernel(m, n, KernelTier::Reference).expect("plan");
         let plan = NttPlan::new(m, n).expect("plan");
         let otf = OtfTwiddleGen::with_psi(m, n, plan.table().psi()).expect("otf");
         let poly: Vec<u64> = (0..n as u64).map(|i| (i * i + 7) % q).collect();
         let mut a = poly.clone();
-        golden.forward(&mut a);
+        plan.forward_golden(&mut a);
         let mut b = poly.clone();
         plan.forward(&mut b);
         assert_eq!(a, b, "n = {n}");
