@@ -24,7 +24,7 @@
 //!
 //! Because the build container has no registry access, the tool is
 //! dependency-free: a hand-rolled lexer ([`lexer`]) feeds a
-//! structural scanner ([`parse`]) feeds seven rules ([`rules`]).
+//! structural scanner ([`parse`]) feeds eight rules ([`rules`]).
 //!
 //! # Rules
 //!
@@ -37,6 +37,7 @@
 //! | `gateway-panic-free` | no `unwrap`/`expect`/`panic!`-family in `crates/gateway` non-test request-path code |
 //! | `thread-site` | no `thread::scope`/`spawn`/`Builder` in the library crates (`math`, `float`, `prng`, `transform`, `ckks`) outside tests, except the one limb fan-out function in `crates/transform/src/rns_ntt.rs` |
 //! | `lock-site` | no `Mutex`/`RwLock` in the library crates outside tests, except the limb pool (`crates/transform/src/pool.rs`) and the test-only environment lock (`crates/math/src/envtest.rs`) |
+//! | `model-boundary` | no `abc_hw` / `abc_sim` path in the product crates (`math`, `float`, `prng`, `transform`, `ckks`, `gateway`) outside tests: the models depend on the client path, not the reverse |
 //!
 //! Suppressions live in `analysis-allow.toml` at the workspace root;
 //! every entry requires a justification string, and entries that match

@@ -1,4 +1,4 @@
-//! The rule engine: shared context plus the seven shipped rules.
+//! The rule engine: shared context plus the eight shipped rules.
 //!
 //! Each rule is a function `fn(&Ctx, &File, &mut Vec<Finding>)`; rules
 //! never read the filesystem — everything they need (token streams,
@@ -14,6 +14,7 @@ use crate::report::Finding;
 mod domain_doc;
 mod env_access;
 mod lock_site;
+mod model_boundary;
 mod panic_path;
 mod safety;
 mod simd_gating;
@@ -66,6 +67,7 @@ pub fn run(files: &[File]) -> Vec<Finding> {
         panic_path::check(&ctx, f, &mut findings);
         thread_site::check(&ctx, f, &mut findings);
         lock_site::check(&ctx, f, &mut findings);
+        model_boundary::check(&ctx, f, &mut findings);
     }
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))

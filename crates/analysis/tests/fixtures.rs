@@ -448,6 +448,54 @@ static POOL: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
     assert_eq!(rules(&found), ["lock-site"; 3], "{found:?}");
 }
 
+// ---------------------------------------------------------------- rule 8
+
+#[test]
+fn a_model_path_in_a_product_crate_fires() {
+    let src = r#"
+use abc_hw::memory::MemoryModel;
+
+/// Costs an upload the way `abc_sim::simulate` would (a doc may say so).
+pub fn modelled_cycles(n: usize) -> u64 {
+    abc_sim::simulate(n) + abc_hw::chip::cycles(n)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn against_the_model() {
+        let _ = abc_sim::simulate(1);
+    }
+}
+"#;
+    let found = findings("crates/ckks/src/context.rs", src);
+    assert_eq!(rules(&found), ["model-boundary"; 3], "{found:?}");
+    assert_eq!((found[0].line, found[1].line), (2, 6));
+    // The gateway is a product crate too.
+    let found = findings("crates/gateway/src/worker.rs", src);
+    assert_eq!(rules(&found), ["model-boundary"; 3], "{found:?}");
+}
+
+#[test]
+fn the_models_their_users_and_tests_may_name_the_models() {
+    let src = r#"
+use abc_sim::SimConfig;
+
+pub fn report() -> u64 {
+    abc_hw::chip::cycles(16)
+}
+"#;
+    for path in [
+        "crates/hw/src/chip.rs",
+        "crates/sim/src/lib.rs",
+        "crates/bench/src/fig1.rs",
+        "crates/ckks/tests/proptests.rs",
+        "tests/paper_claims.rs",
+    ] {
+        assert!(findings(path, src).is_empty(), "{path}");
+    }
+}
+
 // ------------------------------------------------------------ allowlist
 
 #[test]

@@ -60,10 +60,11 @@ use abc_ckks::precision::{
 };
 use abc_ckks::CkksContext;
 use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
-use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
+use abc_math::dyadic::DyadicEngine;
+use abc_math::rns::{Lifted, SignedCoeffs, SignedWord, WordLift};
 use abc_math::KernelTier;
 use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
-use abc_prng::sampler::GaussianSampler;
+use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
 use std::time::Instant;
@@ -231,17 +232,24 @@ fn throughput_row(id: &str, bytes: usize, median_secs: f64) -> String {
     )
 }
 
-/// Expansion of `coeffs` under every modulus, scan included, as
-/// nanoseconds per coefficient.
-fn expand_row<X>(id: &str, coeffs: &[X], moduli: &[abc_math::Modulus]) -> BenchRecord
-where
-    X: Copy + Into<i128>,
-{
+/// Expansion of `coeffs` under every modulus through the dyadic engine
+/// on `tier` (what the transform engine dispatches to), scan included,
+/// as nanoseconds per coefficient.
+fn expand_row<X: SignedWord>(
+    id: &str,
+    coeffs: &[X],
+    moduli: &[abc_math::Modulus],
+    tier: KernelTier,
+) -> BenchRecord {
+    let engines: Vec<DyadicEngine> = moduli
+        .iter()
+        .map(|&m| DyadicEngine::with_kernel(m, tier))
+        .collect();
     let mut limb = Vec::with_capacity(coeffs.len());
     let rec = measure(id, 300, || {
         let src = SignedCoeffs::scan(std::hint::black_box(coeffs));
-        for m in moduli {
-            src.expand_into(m, &mut limb);
+        for e in &engines {
+            e.expand_into(&src, &mut limb);
             std::hint::black_box(&limb);
         }
     });
@@ -502,14 +510,19 @@ fn main() {
         let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
 
         let moduli = ctx.basis().moduli();
+        let ternary = TernarySampler::new(Seed::from_u128(8), 0).sample_poly(n, None);
         let small =
             GaussianSampler::new(Seed::from_u128(9), 0, ctx.params().error_sigma()).sample_poly(n);
-        benches.push(expand_row("rns/expand_small/24limbs", &small, moduli));
-        benches.push(expand_row(
-            "rns/expand_i128/24limbs",
-            &message_sized_ints(n),
-            moduli,
-        ));
+        let message = message_sized_ints(n);
+        // Each input on the dispatched path, then on the scalar rung:
+        // the kernel ratio of the sign-select (ternary, small) and of
+        // the fold (i128).
+        for (tier, suffix) in [(KernelTier::Auto, ""), (KernelTier::Scalar, "_scalar")] {
+            let id = |input: &str| format!("rns/expand_{input}{suffix}/24limbs");
+            benches.push(expand_row(&id("ternary"), &ternary, moduli, tier));
+            benches.push(expand_row(&id("small"), &small, moduli, tier));
+            benches.push(expand_row(&id("i128"), &message, moduli, tier));
+        }
 
         // The 23 limbs behind the 39-bit head prime: 36 bits each.
         let (c0, c1) = ct.components();

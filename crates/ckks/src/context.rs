@@ -840,15 +840,27 @@ mod tests {
         }
     }
 
-    /// FNV-1a over the bits of decoded slots, real part first.
-    fn slot_bits_hash(slots: &[Complex]) -> u64 {
-        let bytes = slots
-            .iter()
-            .flat_map(|z| [z.re, z.im])
-            .flat_map(|x| x.to_bits().to_le_bytes());
-        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         })
+    }
+
+    /// FNV-1a over the bits of decoded slots, real part first.
+    fn slot_bits_hash(slots: &[Complex]) -> u64 {
+        fnv1a(
+            slots
+                .iter()
+                .flat_map(|z| [z.re, z.im])
+                .flat_map(|x| x.to_bits().to_le_bytes()),
+        )
+    }
+
+    /// FNV-1a over the packed wire form of a ciphertext.
+    fn blob_hash(ctx: &CkksContext, ct: &Ciphertext) -> u64 {
+        let widths = ctx.wire_widths(ct.num_primes());
+        fnv1a(crate::wire::serialize_ciphertext_packed(ct, &widths).unwrap())
     }
 
     #[test]
@@ -912,6 +924,36 @@ mod tests {
         assert_eq!(got, parents);
     }
 
+    #[test]
+    fn encrypt_equals_the_parents() {
+        // Bytes of an upload and of its two rescales, captured before RNS
+        // expansion had a vector rung. Every expansion site feeds them:
+        // keygen's ternary secret and Gaussian error, encode's i128
+        // message, encrypt's i8 / i64 samples, and the rescales' centered
+        // tails (i128 for a pair, i64 for one prime). CI pins them on both
+        // kernel rungs and at three threads.
+        let message: Vec<Complex> = (0..1usize << 12)
+            .map(|j| {
+                let re = (j * 41 % 103) as f64 - 51.0;
+                let im = (j * 59 % 89) as f64 - 44.0;
+                Complex::new(re / 32.0, im / 32.0)
+            })
+            .collect();
+        let ctx = CkksContext::new(CkksParams::bootstrappable(13).unwrap()).unwrap();
+        let (_, pk) = ctx.keygen(Seed::from_u128(3301));
+        let ct = ctx.encrypt(&ctx.encode(&message).unwrap(), &pk, Seed::from_u128(3302));
+        let got = [
+            blob_hash(&ctx, &ct),
+            blob_hash(&ctx, &crate::evaluator::rescale(&ctx, &ct).unwrap()),
+            blob_hash(&ctx, &crate::evaluator::rescale_prime(&ctx, &ct).unwrap()),
+        ];
+        let parents = [
+            0xe744_cdfc_120d_3b20,
+            0x5002_3f4a_251c_85f7,
+            0x8b22_a137_6aac_385e,
+        ];
+        assert_eq!(got, parents);
+    }
     #[test]
     fn decode_rejects_foreign_plaintext() {
         let ctx = small_context();

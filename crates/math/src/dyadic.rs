@@ -4,9 +4,10 @@
 //! Every post-transform ciphertext operation is element-wise over `Z_q`
 //! (`c0·v`, `c1·s`, plaintext products, rescale scalar passes…), so this
 //! is the Modular Streaming Engine's entire client-side workload once
-//! the transforms are done. [`DyadicEngine`] picks the fastest
-//! applicable kernel per modulus, exactly like `NttPlan` does for
-//! butterflies:
+//! the transforms are done — and so is the pass before them, the RNS
+//! expansion of signed coefficients into residues. [`DyadicEngine`]
+//! picks the fastest applicable kernel per modulus, exactly like
+//! `NttPlan` does for butterflies:
 //!
 //! * **`ifma`** — AVX-512IFMA radix-2^52 Montgomery REDC, eight lanes
 //!   per instruction ([`crate::simd`]); requires `q < 2^50` and an
@@ -77,6 +78,17 @@
 //! `a = (a − b)·s`, both rescales, which accepts a `[0, 4q)`-lazy
 //! subtrahend so the forward-NTT normalization stage fuses in too.
 //!
+//! # RNS expansion
+//!
+//! [`DyadicEngine::expand_into`] is the paper's "Expand RNS": signed
+//! coefficients in — any width of [`SignedWord`] (`i8`, `i64`, `i128`),
+//! any magnitude — and canonical `[0, q)` residues out, the input of
+//! every forward transform. The `ifma` kernel sign-selects below `q`
+//! and folds wider values as radix-2^52 digits through Shoup multiplies
+//! by `2^{52d} mod q`; the `montgomery` rung is the scalar loop of
+//! [`SignedCoeffs`], which sits beside its oracle [`Modulus::from_i128`]
+//! in [`crate::rns`].
+//!
 //! Every fused kernel is bit-identical to the composition of its
 //! unfused ops (canonical outputs; pinned by the property suites across
 //! kernels, moduli widths and thread counts).
@@ -84,6 +96,7 @@
 use crate::kernel::{CpuCaps, KernelTier};
 use crate::modulus::Modulus;
 use crate::reduce::Montgomery;
+use crate::rns::{SignedCoeffs, SignedWord};
 use crate::shoup;
 
 /// Which kernel an engine dispatches to, with its constants.
@@ -329,6 +342,55 @@ impl DyadicEngine {
         for (x, &y) in a.iter_mut().zip(b) {
             *x = self.m.add(*x, y);
         }
+    }
+
+    /// Refills `dst` with the residues `x mod q` of signed coefficients,
+    /// canonical in `[0, q)` — RNS expansion ("Expand RNS" of the
+    /// paper's Fig. 2a), the pass that feeds every forward transform.
+    /// Any signed word is accepted (`i8`, `i64`, `i128`, the slice's
+    /// magnitude picking the datapath); the result is bit-identical to
+    /// [`Modulus::from_i128`] on every kernel.
+    ///
+    /// The `ifma` kernel runs eight lanes at a time
+    /// ([`crate::simd::expand`]: a sign-select below `q`, radix-2^52
+    /// Shoup folds above), writing into `dst`'s spare capacity; the
+    /// `montgomery` rung and the sub-8 tail run the scalar loop of
+    /// [`SignedCoeffs`]. `dst` is cleared first and its capacity reused,
+    /// so a recycled buffer and a fresh `Vec::with_capacity` are both
+    /// written exactly once, by the thread that calls this.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use abc_math::{dyadic::DyadicEngine, rns::SignedCoeffs, Modulus};
+    ///
+    /// # fn main() -> Result<(), abc_math::MathError> {
+    /// let m = Modulus::new(97)?;
+    /// let engine = DyadicEngine::new(m);
+    /// let mut out = Vec::new();
+    /// engine.expand_into(&SignedCoeffs::scan(&[-1i8, 0, 1]), &mut out);
+    /// assert_eq!(out, [96, 0, 1]);
+    /// engine.expand_into(&SignedCoeffs::scan(&[-98i128, 1 << 100, 97]), &mut out);
+    /// assert_eq!(out, [96, m.from_i128(1 << 100), 0]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn expand_into<X: SignedWord>(&self, src: &SignedCoeffs<'_, X>, dst: &mut Vec<u64>) {
+        match &self.kernel {
+            Kernel::Montgomery(_) => src.expand_into(&self.m, dst),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(k) => {
+                dst.clear();
+                dst.reserve(src.coeffs().len());
+                let done = crate::simd::expand(k, src, dst.spare_capacity_mut());
+                // SAFETY: the kernel wrote `dst[..done]`, inside the
+                // capacity reserved above.
+                unsafe { dst.set_len(done) };
+                src.append_from(&self.m, done, dst);
+            }
+        }
+        let q = self.m.q();
+        debug_assert!(dst.len() == src.coeffs().len() && dst.iter().all(|&r| r < q));
     }
 
     /// Enters `b` into this kernel's multiplication domain in place —

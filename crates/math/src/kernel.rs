@@ -7,8 +7,8 @@
 //!
 //! | tier | NTT (`NttPlan`) | dyadic ([`crate::dyadic::DyadicEngine`]) | FFT (`SpecialFft`) |
 //! |---|---|---|---|
-//! | [`Simd`](KernelTier::Simd) | `ifma` — `q < 2^50`, `N ≥ 16`, AVX-512IFMA | `ifma` — `q < 2^50`, AVX-512IFMA | `avx512` — `F64Field`, `slots ≥ 8`, AVX-512F |
-//! | [`Scalar`](KernelTier::Scalar) | `harvey` | `montgomery` | `scalar` |
+//! | [`Simd`](KernelTier::Simd) | `ifma` — `q < 2^50`, `N ≥ 16`, AVX-512IFMA | `ifma` (products and RNS expansion) — `q < 2^50`, AVX-512IFMA | `avx512` — `F64Field`, `slots ≥ 8`, AVX-512F |
+//! | [`Scalar`](KernelTier::Scalar) | `harvey` | `montgomery` (expansion: `SignedCoeffs`' scalar loop) | `scalar` |
 //!
 //! Both rungs of a layer are **bit-identical**, so a tier only changes
 //! speed. The property suites pin them against each layer's oracle,

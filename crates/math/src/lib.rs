@@ -17,16 +17,16 @@
 //!   of 443 usable 32–36-bit primes for `N = 2^16`.
 //! * [`bigint`] — a minimal unsigned big integer ([`bigint::UBig`]) used by
 //!   exact scale arithmetic and by the CRT lift's oracle and fallback.
-//! * [`rns`] — RNS bases, division-free expansion of signed coefficient
-//!   slices into residues ([`rns::SignedCoeffs`]), and the two CRT lifts: the word-sized verified [`rns::WordLift`] that decode and
+//! * [`rns`] — RNS bases, the scalar rung of division-free expansion of
+//!   signed coefficient slices into residues ([`rns::SignedCoeffs`]), and the two CRT lifts: the word-sized verified [`rns::WordLift`] that decode and
 //!   rescale run, and the big-integer Garner recombination of
 //!   [`rns::RnsBasis`] it falls back to and is tested against.
 //! * [`poly`] — element-wise polynomial (vector) operations over `Z_q`, the
 //!   workload of the paper's Modular Streaming Engine, as loops over the
 //!   [`Modulus`] ops: the oracle of the dyadic kernels.
 //! * [`dyadic`] — the [`DyadicEngine`] that dispatches those element-wise
-//!   ops per modulus to the fastest kernel (AVX-512IFMA radix-2^52
-//!   Montgomery → scalar Montgomery), with the vector kernels
+//!   ops, and RNS expansion, per modulus to the fastest kernel
+//!   (AVX-512IFMA radix-2^52 → scalar), with the vector kernels
 //!   themselves in the `x86_64`-only `simd` module.
 //! * [`kernel`] — the one kernel ladder ([`KernelTier`], [`CpuCaps`],
 //!   `ABC_FHE_KERNEL`) that the dyadic engine here and the NTT and FFT

@@ -7,8 +7,11 @@
 //!
 //! Expansion of a whole coefficient slice is [`SignedCoeffs`]: one scan
 //! for the largest magnitude, then per limb a sign-select (values below
-//! the prime) or a two-word Shoup fold (wider ones) — no division;
-//! [`Modulus::from_i128`] stays as the oracle both are tested against.
+//! the prime) or a two-word Shoup fold (wider ones) — no division.
+//! That loop is the **scalar rung** of expansion, kept here as the
+//! neighbour of [`Modulus::from_i128`], the oracle both rungs are tested
+//! against; the one public entry, with the vector rung and the dispatch
+//! between them, is [`crate::dyadic::DyadicEngine::expand_into`].
 //!
 //! Two lifts exist. [`WordLift`] is the decode and rescale path: Garner
 //! over the longest basis prefix whose product fits a `u128`, centered,
@@ -237,8 +240,8 @@ impl GarnerStep {
 }
 
 /// Division-free reduction of a signed two-word value modulo one prime
-/// `q < 2^62`: the word lift's residue check and the wide path of
-/// [`SignedCoeffs::expand_into`].
+/// `q < 2^62`: the word lift's residue check and the wide path of the
+/// scalar expansion rung, [`SignedCoeffs::expand_into`].
 #[derive(Debug, Clone, Copy)]
 struct WordFold {
     /// `1 mod q`: reduces the low word of a magnitude.
@@ -271,28 +274,71 @@ impl WordFold {
     }
 }
 
+/// The coefficient widths [`SignedCoeffs`] expands: `i8` ternary
+/// secrets, `i64` Gaussian errors, key-switch digits and rescale tails,
+/// `i128` scaled messages and pair-rescale tails. Sealed: each width
+/// scans at its own size and, on x86-64, has its own vector load in the
+/// IFMA rung ([`crate::simd::Lanes`]).
+pub trait SignedWord: sealed::Sealed + Into<i128> + Send + Sync {}
+
+impl SignedWord for i8 {}
+impl SignedWord for i64 {}
+impl SignedWord for i128 {}
+
+mod sealed {
+    /// The per-width half of [`super::SignedWord`].
+    #[cfg(target_arch = "x86_64")]
+    pub trait Sealed: crate::simd::Lanes {
+        /// The largest `|x|` of `xs`, compared at the width of `x`.
+        fn max_abs(xs: &[Self]) -> u128;
+    }
+
+    /// The per-width half of [`super::SignedWord`].
+    #[cfg(not(target_arch = "x86_64"))]
+    pub trait Sealed: Copy {
+        /// The largest `|x|` of `xs`, compared at the width of `x`.
+        fn max_abs(xs: &[Self]) -> u128;
+    }
+
+    macro_rules! sealed {
+        ($($x:ty),*) => {$(
+            impl Sealed for $x {
+                fn max_abs(xs: &[$x]) -> u128 {
+                    xs.iter().map(|x| x.unsigned_abs()).max().map_or(0, u128::from)
+                }
+            }
+        )*};
+    }
+    sealed!(i8, i64, i128);
+}
+
 /// Signed coefficients on their way into RNS form (paper "Expand RNS"):
 /// the slice together with its largest magnitude, found by one scan when
-/// the value is built. [`Self::expand_into`] picks its reduction from
-/// that magnitude and the modulus alone, so a slice is scanned once
-/// however many limbs it is expanded under.
+/// the value is built. An expansion picks its reduction from that
+/// magnitude and the modulus alone, so a slice is scanned once however
+/// many limbs it is expanded under.
 ///
-/// `X` is any signed integer that widens to `i128` — `i8` ternary
-/// secrets, `i64` Gaussian errors and rescale tails, `i128` scaled
-/// messages.
+/// Its crate-private `expand_into` is the **scalar rung** of
+/// expansion, and lives here beside its oracle [`Modulus::from_i128`];
+/// callers expand through [`crate::dyadic::DyadicEngine::expand_into`],
+/// which runs the AVX-512IFMA kernel where the engine's tier allows and
+/// this loop otherwise — bit-identically.
 ///
 /// # Example
 ///
 /// ```
-/// use abc_math::{rns::SignedCoeffs, Modulus};
+/// use abc_math::{dyadic::DyadicEngine, rns::SignedCoeffs, Modulus};
 ///
 /// # fn main() -> Result<(), abc_math::MathError> {
-/// let m = Modulus::new(97)?;
-/// let mut out = Vec::new();
-/// SignedCoeffs::scan(&[-1i8, 0, 1]).expand_into(&m, &mut out);
-/// assert_eq!(out, [96, 0, 1]);
-/// SignedCoeffs::scan(&[-98i128, 1 << 100, 97]).expand_into(&m, &mut out);
-/// assert_eq!(out, [96, m.from_i128(1 << 100), 0]);
+/// let src = SignedCoeffs::scan(&[-98i128, 1 << 100, 97]);
+/// assert_eq!(src.max_abs(), 1 << 100);
+/// // One scan, expanded under as many limbs as the basis has.
+/// let mut limbs = [Vec::new(), Vec::new()];
+/// for (q, limb) in [97, 101].into_iter().zip(&mut limbs) {
+///     let m = Modulus::new(q)?;
+///     DyadicEngine::new(m).expand_into(&src, limb);
+///     assert_eq!(*limb, [m.from_i128(-98), m.from_i128(1 << 100), m.from_i128(97)]);
+/// }
 /// # Ok(())
 /// # }
 /// ```
@@ -302,20 +348,23 @@ pub struct SignedCoeffs<'a, X> {
     max_abs: u128,
 }
 
-impl<'a, X: Copy + Into<i128>> SignedCoeffs<'a, X> {
+impl<'a, X: SignedWord> SignedCoeffs<'a, X> {
     /// Scans `coeffs` for its largest magnitude.
     pub fn scan(coeffs: &'a [X]) -> Self {
-        let max_abs = coeffs
-            .iter()
-            .map(|&x| x.into().unsigned_abs())
-            .max()
-            .unwrap_or(0);
-        Self { coeffs, max_abs }
+        Self {
+            coeffs,
+            max_abs: X::max_abs(coeffs),
+        }
     }
 
     /// The largest `|x|` in the slice (0 when empty).
     pub fn max_abs(&self) -> u128 {
         self.max_abs
+    }
+
+    /// The scanned slice.
+    pub(crate) fn coeffs(&self) -> &'a [X] {
+        self.coeffs
     }
 
     /// Refills `dst` with `coeffs[j] mod q`, canonical in `[0, q)` —
@@ -329,20 +378,23 @@ impl<'a, X: Copy + Into<i128>> SignedCoeffs<'a, X> {
     ///   through the Shoup constants `1 mod q` and `2^64 mod q`, the
     ///   sign applied last.
     ///
-    /// `dst` is cleared first and its capacity reused, so a recycled
-    /// buffer and a fresh `Vec::with_capacity` are both written exactly
-    /// once, by the thread that calls this.
-    pub fn expand_into(&self, m: &Modulus, dst: &mut Vec<u64>) {
-        let q = m.q();
+    /// `dst` is cleared first and its capacity reused.
+    pub(crate) fn expand_into(&self, m: &Modulus, dst: &mut Vec<u64>) {
         dst.clear();
+        self.append_from(m, 0, dst);
+    }
+
+    /// Appends `coeffs[from..] mod q` to `dst` — the scalar rung's loop,
+    /// and the vector rung's sub-8-lane tail.
+    pub(crate) fn append_from(&self, m: &Modulus, from: usize, dst: &mut Vec<u64>) {
+        let q = m.q();
+        let coeffs = &self.coeffs[from..];
         if self.max_abs < q as u128 {
             debug_assert!(
-                self.coeffs
-                    .iter()
-                    .all(|&x| x.into().unsigned_abs() < q as u128),
+                coeffs.iter().all(|&x| x.into().unsigned_abs() < q as u128),
                 "sign-select takes |x| < q"
             );
-            dst.extend(self.coeffs.iter().map(|&x| {
+            dst.extend(coeffs.iter().map(|&x| {
                 // |x| < q < 2^62: the low word is the value.
                 let v = x.into() as i64;
                 (v + ((v >> 63) & q as i64)) as u64
@@ -350,7 +402,7 @@ impl<'a, X: Copy + Into<i128>> SignedCoeffs<'a, X> {
             debug_assert!(dst.iter().all(|&r| r < q), "sign-select left [0, q)");
         } else {
             let fold = WordFold::new(m);
-            dst.extend(self.coeffs.iter().map(|&x| fold.residue(x.into())));
+            dst.extend(coeffs.iter().map(|&x| fold.residue(x.into())));
         }
     }
 }

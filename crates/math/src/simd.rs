@@ -39,6 +39,12 @@
 //! normalization pass was skipped, fusing the last NTT stage into the
 //! dyadic pass (see `NttPlan::forward_lazy` in `abc-transform`).
 //!
+//! RNS expansion ([`expand`]) is the one kernel that reads signed
+//! coefficients instead of residues: eight `i8`, `i64` or `i128`
+//! coefficients per step ([`Lanes`]), a sign-select when the slice's
+//! largest magnitude is below `q`, otherwise radix-2^52 digits of `|x|`
+//! folded by Shoup multiplies by `1`, `2^52` and `2^104 mod q`.
+//!
 //! All kernels return **canonical** `[0, q)` values and are therefore
 //! bit-identical to the `u128 %` golden model (asserted by the
 //! property suites). Everything is `x86_64`-only and gated at runtime
@@ -402,6 +408,216 @@ unsafe fn add_assign_impl(q: u64, a: &mut [u64], b: &[u64]) {
             let vb = _mm512_loadu_si512(pb);
             // a + b lands in [0, 2q): one conditional subtract.
             _mm512_storeu_si512(pa, csub_x8(_mm512_add_epi64(va, vb), vq));
+        }
+        j += 8;
+    }
+}
+
+/// A coefficient width the expansion kernel reads eight at a time —
+/// the three widths of [`crate::rns::SignedWord`]: `i8` through
+/// `vpmovsxbq`, `i64` as is, `i128` as its two words.
+///
+/// # Safety
+///
+/// [`expand`] is safe and trusts its loads: an implementation may read
+/// only the eight coefficients at `p`, and must return their signs and
+/// magnitudes as documented on [`Lanes::magnitude_x8`].
+pub unsafe trait Lanes: Copy {
+    /// The sign mask (bit `j` set when `p[j] < 0`) and the two words of
+    /// `|p[j]|`, low then high.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for reading eight coefficients, and the method
+    /// must inline into an AVX-512F `target_feature` kernel.
+    unsafe fn magnitude_x8(p: *const Self) -> (__mmask8, __m512i, __m512i);
+}
+
+/// The sign mask and magnitude of eight signed words: one word each
+/// (`i64::MIN`'s 2^63 read unsigned), the high words zero.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel.
+#[inline(always)]
+unsafe fn word_magnitude_x8(v: __m512i) -> (__mmask8, __m512i, __m512i) {
+    // SAFETY: register-only AVX-512F arithmetic, by the contract.
+    unsafe {
+        let zero = _mm512_setzero_si512();
+        let negative = _mm512_cmplt_epi64_mask(v, zero);
+        (negative, _mm512_mask_sub_epi64(v, negative, zero, v), zero)
+    }
+}
+
+// SAFETY: the load reads exactly the eight coefficients at `p` (eight bytes).
+unsafe impl Lanes for i8 {
+    /// # Safety
+    ///
+    /// As [`Lanes::magnitude_x8`]: reads eight bytes.
+    #[inline(always)]
+    unsafe fn magnitude_x8(p: *const i8) -> (__mmask8, __m512i, __m512i) {
+        // SAFETY: eight readable bytes and AVX-512F, by the contract;
+        // `movq` has no alignment requirement.
+        unsafe { word_magnitude_x8(_mm512_cvtepi8_epi64(_mm_loadl_epi64(p as *const __m128i))) }
+    }
+}
+
+// SAFETY: the load reads exactly the eight coefficients at `p` (eight words).
+unsafe impl Lanes for i64 {
+    /// # Safety
+    ///
+    /// As [`Lanes::magnitude_x8`]: reads eight words.
+    #[inline(always)]
+    unsafe fn magnitude_x8(p: *const i64) -> (__mmask8, __m512i, __m512i) {
+        // SAFETY: eight readable words and AVX-512F, by the contract.
+        unsafe { word_magnitude_x8(_mm512_loadu_si512(p as *const __m512i)) }
+    }
+}
+
+// SAFETY: both loads read exactly the eight coefficients at `p`.
+unsafe impl Lanes for i128 {
+    /// # Safety
+    ///
+    /// As [`Lanes::magnitude_x8`]: reads sixteen words.
+    #[inline(always)]
+    unsafe fn magnitude_x8(p: *const i128) -> (__mmask8, __m512i, __m512i) {
+        // SAFETY: sixteen readable words and AVX-512F, by the contract;
+        // the rest is register-only AVX-512F arithmetic.
+        unsafe {
+            // Little-endian: each coefficient's low word first in memory.
+            let a = _mm512_loadu_si512(p as *const __m512i);
+            let b = _mm512_loadu_si512((p as *const __m512i).add(1));
+            let lo = _mm512_permutex2var_epi64(a, _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0), b);
+            let hi = _mm512_permutex2var_epi64(a, _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1), b);
+            let zero = _mm512_setzero_si512();
+            let negative = _mm512_cmplt_epi64_mask(hi, zero);
+            // −x = (!hi + carry, −lo): `!lo + 1` carries into the high
+            // word only when lo = 0. i128::MIN's 2^127 reads unsigned.
+            let carry = _mm512_cmpeq_epi64_mask(lo, zero);
+            let not_hi = _mm512_xor_si512(hi, _mm512_set1_epi64(-1));
+            let neg_hi = _mm512_mask_add_epi64(not_hi, carry, not_hi, _mm512_set1_epi64(1));
+            (
+                negative,
+                _mm512_mask_sub_epi64(lo, negative, zero, lo),
+                _mm512_mask_mov_epi64(hi, negative, neg_hi),
+            )
+        }
+    }
+}
+
+/// RNS expansion of signed coefficients under one modulus `q < 2^50`:
+/// `dst[j] = x_j mod q`, canonical in `[0, q)`, over the full 8-lane
+/// blocks of `src`; returns the count written (`len − len % 8`), the
+/// tail being the caller's. The slice's scanned magnitude picks the
+/// datapath for the whole slice:
+///
+/// * `max_abs < q` — `|x|` is its own residue (`D = 0`);
+/// * wider — `|x|` splits into `D ≤ 3` radix-2^52 digits, each folded by
+///   a Shoup multiply by its weight `2^{52d} mod q` (lanes in
+///   `[0, 2q)`, so the sum is below `2Dq ≤ 6q < 2^53`), reduced by
+///   conditional subtracts.
+///
+/// Either way the sign comes last: `q − r` for a negative `x`, so below
+/// `q` the kernel is a sign-select.
+///
+/// `dst` may be uninitialised; exactly its first `len − len % 8`
+/// elements are written.
+///
+/// # Panics
+///
+/// Asserts [`CpuCaps::ifma`] and `dst.len() ≥ len`.
+pub fn expand<X: crate::rns::SignedWord>(
+    k: &Mont52,
+    src: &crate::rns::SignedCoeffs<'_, X>,
+    dst: &mut [core::mem::MaybeUninit<u64>],
+) -> usize {
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
+    let xs = src.coeffs();
+    assert!(dst.len() >= xs.len());
+    let n8 = xs.len() - xs.len() % 8;
+    let (xs, dst) = (&xs[..n8], &mut dst[..n8]);
+    let max_abs = src.max_abs();
+    let digits = if max_abs < k.q as u128 {
+        0
+    } else {
+        (128 - max_abs.leading_zeros()).div_ceil(52)
+    };
+    // SAFETY: the asserts above prove the required target features and
+    // that `dst` holds as many elements as `xs`, a multiple of 8; the
+    // magnitude `SignedCoeffs::scan` found bounds every `|x|` as `D`
+    // requires.
+    unsafe {
+        match digits {
+            0 => expand_impl::<X, 0>(k, xs, dst),
+            1 => expand_impl::<X, 1>(k, xs, dst),
+            2 => expand_impl::<X, 2>(k, xs, dst),
+            _ => expand_impl::<X, 3>(k, xs, dst),
+        }
+    }
+    n8
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
+/// asserts [`CpuCaps::ifma`] before dispatching here), `xs.len()` must
+/// be a multiple of 8 and `dst` equally long. `D = 0` needs every
+/// `|x| < q`; `D ≥ 1` needs every `|x| < 2^{52·D}`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn expand_impl<X: Lanes, const D: usize>(
+    k: &Mont52,
+    xs: &[X],
+    dst: &mut [core::mem::MaybeUninit<u64>],
+) {
+    let q = k.q;
+    let vq = _mm512_set1_epi64(q as i64);
+    let v2q = _mm512_set1_epi64(2 * q as i64);
+    let v4q = _mm512_set1_epi64(4 * q as i64);
+    let zero = _mm512_setzero_si512();
+    let mask52 = _mm512_set1_epi64(shoup::MASK52 as i64);
+    // The digit weights 1, 2^52, 2^104 mod q with their Shoup-52
+    // quotients; only the first D are read.
+    let r104 = (k.r52 as u128 * k.r52 as u128 % q as u128) as u64;
+    let weights = [1, k.r52, r104];
+    let mut vw = [(zero, zero); 3];
+    for (v, &w) in vw.iter_mut().zip(&weights).take(D) {
+        let w52 = shoup::shoup_precompute52(w, q);
+        *v = (_mm512_set1_epi64(w as i64), _mm512_set1_epi64(w52 as i64));
+    }
+    let mut j = 0;
+    while j < xs.len() {
+        // SAFETY: j + 8 <= xs.len() == dst.len().
+        unsafe {
+            let (negative, lo, hi) = X::magnitude_x8(xs.as_ptr().add(j));
+            let digit = [
+                _mm512_and_si512(lo, mask52),
+                _mm512_and_si512(
+                    _mm512_or_si512(_mm512_srli_epi64(lo, 52), _mm512_slli_epi64(hi, 12)),
+                    mask52,
+                ),
+                _mm512_srli_epi64(hi, 40),
+            ];
+            // D = 0: |x| < q is its own residue. Otherwise each fold
+            // lands in [0, 2q): D of them sum below 2Dq, and csub(4q) /
+            // csub(2q) / csub(q) bring [0, 6q) / [0, 4q) / [0, 2q) down
+            // to [0, q).
+            let mut t = if D == 0 { lo } else { zero };
+            for (&x, &(w, w52)) in digit.iter().zip(&vw).take(D) {
+                t = _mm512_add_epi64(t, mul_shoup52_x8(x, w, w52, vq));
+            }
+            if D == 3 {
+                t = csub_x8(t, v4q);
+            }
+            if D >= 2 {
+                t = csub_x8(t, v2q);
+            }
+            if D >= 1 {
+                t = csub_x8(t, vq);
+            }
+            // The sign last: q − t ∈ (0, q] for a negative x, and q
+            // itself folds to 0.
+            let r = csub_x8(_mm512_mask_sub_epi64(t, negative, vq, t), vq);
+            _mm512_storeu_si512(dst.as_mut_ptr().add(j) as *mut __m512i, r);
         }
         j += 8;
     }

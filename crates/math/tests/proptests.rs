@@ -6,7 +6,7 @@
 use abc_math::dyadic::DyadicEngine;
 use abc_math::primes::{generate_ntt_primes, is_prime};
 use abc_math::reduce::{Barrett, Montgomery};
-use abc_math::rns::{Lifted, SignedCoeffs, WordLift};
+use abc_math::rns::{Lifted, SignedCoeffs, SignedWord, WordLift};
 use abc_math::{poly, shoup, KernelTier, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -504,27 +504,55 @@ proptest! {
 }
 
 /// The moduli expansion is pinned on: the 39-bit head prime and a 36-bit
-/// prime of a CKKS basis, and the widest odd modulus the datapath
-/// admits, where the Shoup fold runs at its bound.
-fn expansion_moduli() -> [Modulus; 3] {
+/// prime of a CKKS basis, a 49-bit NTT prime (the widest the IFMA rung
+/// takes), and the widest odd modulus the datapath admits, where the
+/// Shoup fold runs at its bound and the vector rung must degrade.
+fn expansion_moduli() -> [Modulus; 4] {
     let basis = lift_basis(false, 2);
+    let q49 = generate_ntt_primes(49, 1, 1 << 14).expect("49-bit prime")[0];
+    let q49 = Modulus::new(q49).expect("odd, below 2^50");
     let widest = Modulus::new((1 << 62) - 57).expect("odd, below 2^62");
-    [basis.moduli()[0], basis.moduli()[1], widest]
+    [basis.moduli()[0], basis.moduli()[1], q49, widest]
 }
 
-/// Expands `coeffs` under `m` and checks every residue against the
-/// dividing oracle; returns the slice's scanned magnitude.
+/// Both rungs of expansion under `m`: `Simd` (the IFMA kernel where the
+/// host and `q` allow it) and `Scalar`.
+fn expansion_engines(m: Modulus) -> [DyadicEngine; 2] {
+    let simd = DyadicEngine::with_kernel(m, KernelTier::Simd);
+    if m.q() >= shoup::MAX_SHOUP52_MODULUS {
+        assert_eq!(simd.kernel_name(), "montgomery", "q = {}", m.q());
+    }
+    [simd, DyadicEngine::with_kernel(m, KernelTier::Scalar)]
+}
+
+/// Expands `coeffs` under `m` on both rungs and checks every residue
+/// against the dividing oracle; returns the slice's scanned magnitude.
 fn expand_and_check<X>(m: &Modulus, coeffs: &[X]) -> Result<u128, TestCaseError>
 where
-    X: Copy + Into<i128> + core::fmt::Debug,
+    X: SignedWord + core::fmt::Debug,
 {
     let src = SignedCoeffs::scan(coeffs);
-    // Stale contents and a wrong length: the refill must not care.
-    let mut got = vec![u64::MAX; 3];
-    src.expand_into(m, &mut got);
     let want: Vec<u64> = coeffs.iter().map(|&x| m.from_i128(x.into())).collect();
-    prop_assert_eq!(got, want, "q = {}, coeffs = {:?}", m.q(), coeffs);
+    for engine in expansion_engines(*m) {
+        // Stale contents and a wrong length: the refill must not care.
+        let mut got = vec![u64::MAX; 3];
+        engine.expand_into(&src, &mut got);
+        let kernel = engine.kernel_name();
+        prop_assert_eq!(
+            &got,
+            &want,
+            "{} q = {}, coeffs = {:?}",
+            kernel,
+            m.q(),
+            coeffs
+        );
+    }
     Ok(src.max_abs())
+}
+
+/// The first `len` elements of `values` repeated.
+fn cycled<X: Copy>(values: &[X], len: usize) -> Vec<X> {
+    values.iter().copied().cycle().take(len).collect()
 }
 
 #[test]
@@ -532,12 +560,15 @@ fn expansion_named_values_match_the_oracle() {
     for m in expansion_moduli() {
         let q = m.q() as i128;
         let magnitudes = [0, 1, q - 1, q, (1 << 63) - 1, 1 << 64, (1 << 120) - 1];
-        let wide: Vec<i128> = magnitudes.iter().flat_map(|&x| [x, -x]).collect();
+        let mut wide: Vec<i128> = magnitudes.iter().flat_map(|&x| [x, -x]).collect();
+        // −k·2^64: a zero low word, so negation carries into the high one.
+        wide.extend([-(1 << 64), -(3 << 64), -(5 << 100), i128::MIN + 1]);
         // All at once (the widest value picks the path for the slice),
-        // then one at a time (each value picks its own).
-        assert_eq!(expand_and_check(&m, &wide).unwrap(), (1 << 120) - 1);
+        // then one at a time (each value picks its own, across a vector
+        // block and a tail).
+        assert_eq!(expand_and_check(&m, &wide).unwrap(), i128::MAX as u128);
         for &x in &wide {
-            assert_eq!(expand_and_check(&m, &[x]).unwrap(), x.unsigned_abs());
+            assert_eq!(expand_and_check(&m, &[x; 11]).unwrap(), x.unsigned_abs());
         }
         let words: Vec<i64> = wide
             .iter()
@@ -545,12 +576,42 @@ fn expansion_named_values_match_the_oracle() {
             .chain([i64::MIN])
             .collect();
         for &x in &words {
-            expand_and_check(&m, &[x]).unwrap();
+            expand_and_check(&m, &[x; 11]).unwrap();
             assert_eq!(m.from_i64(x), m.from_i128(x as i128), "the two oracles");
         }
         expand_and_check(&m, &words).unwrap();
-        expand_and_check(&m, &[-1i8, 0, 1, i8::MIN, i8::MAX]).unwrap();
+        let ternary = [-1i8, 0, 1, i8::MIN, i8::MAX];
+        expand_and_check(&m, &ternary).unwrap();
         assert_eq!(expand_and_check::<i8>(&m, &[]).unwrap(), 0);
+        // Below q at every width: the sign-select path.
+        let narrow = [0, 1, -1, q - 1, 1 - q, q / 3, -q / 5];
+        let narrow64: Vec<i64> = narrow.iter().map(|&x| x as i64).collect();
+        // Every tail length of the 8-lane blocks, and block counts
+        // either side of powers of two.
+        let lengths = (0..=17).chain((4..=8).flat_map(|k| [(1 << k) - 3, (1 << k) + 3]));
+        for len in lengths {
+            expand_and_check(&m, &cycled(&wide, len)).unwrap();
+            expand_and_check(&m, &cycled(&narrow, len)).unwrap();
+            expand_and_check(&m, &cycled(&words, len)).unwrap();
+            expand_and_check(&m, &cycled(&narrow64, len)).unwrap();
+            expand_and_check(&m, &cycled(&ternary, len)).unwrap();
+        }
+    }
+    // A modulus inside i8's range: the ternary slice takes the fold.
+    let tiny = Modulus::new(97).expect("odd");
+    expand_and_check(&tiny, &cycled(&[-1i8, 0, 1, i8::MIN, i8::MAX], 11)).unwrap();
+}
+
+#[test]
+fn expansion_reduces_folds_that_sum_past_4q() {
+    // An odd modulus whose Shoup-52 quotients of 1 and of 2^52 both fall
+    // short by almost a whole unit, and a value whose three lazy folds
+    // then sum to 4.9q: the one input class the vector rung's csub(4q)
+    // is there for. The CKKS primes never get past 3.3q.
+    let m = Modulus::new(182_724_061_545).expect("odd, below 2^50");
+    let x: i128 = 41_753_672_481_441_117_875_835_800_188_539_109_375;
+    for len in [1, 8, 11] {
+        expand_and_check(&m, &cycled(&[x, -x], len)).unwrap();
     }
 }
 
@@ -560,16 +621,18 @@ proptest! {
     #[test]
     fn expansion_matches_the_oracle_on_random_slices(
         seed in any::<u64>(),
+        len in 1usize..=300,
         at in 0usize..300,
         wide_bits in 40u32..=120,
     ) {
+        let at = at % len;
         let mut state = seed;
         // Sampler-sized: a ternary slice and a Gaussian-tail-sized one.
-        let ternary: Vec<i8> = (0..300).map(|_| (splitmix(&mut state) % 3) as i8 - 1).collect();
-        let small: Vec<i64> = (0..300).map(|_| (splitmix(&mut state) % 41) as i64 - 20).collect();
+        let ternary: Vec<i8> = (0..len).map(|_| (splitmix(&mut state) % 3) as i8 - 1).collect();
+        let small: Vec<i64> = (0..len).map(|_| (splitmix(&mut state) % 41) as i64 - 20).collect();
         // Uniform signed words, and magnitudes of every width to 2^120.
-        let words: Vec<i64> = (0..300).map(|_| splitmix(&mut state) as i64).collect();
-        let wides: Vec<i128> = (0..300)
+        let words: Vec<i64> = (0..len).map(|_| splitmix(&mut state) as i64).collect();
+        let wides: Vec<i128> = (0..len)
             .map(|_| {
                 let x = ((splitmix(&mut state) as u128) << 64 | splitmix(&mut state) as u128) as i128;
                 x >> (7 + splitmix(&mut state) % 121)
@@ -581,13 +644,16 @@ proptest! {
         mixed[at] = ((1i128 << wide_bits) + splitmix(&mut state) as i128 % (1 << 39))
             * if splitmix(&mut state) & 1 == 1 { -1 } else { 1 };
         for m in expansion_moduli() {
-            prop_assert_eq!(expand_and_check(&m, &ternary)?, 1);
+            prop_assert_eq!(
+                expand_and_check(&m, &ternary)?,
+                u128::from(ternary.iter().any(|&t| t != 0))
+            );
             prop_assert!(expand_and_check(&m, &small)? <= 20);
             expand_and_check(&m, &words)?;
             expand_and_check(&m, &wides)?;
             let max_abs = expand_and_check(&m, &mixed)?;
             prop_assert_eq!(max_abs, mixed[at].unsigned_abs());
-            // Wider than both CKKS primes (the third modulus may hold it).
+            // Wider than both CKKS primes (the two wider moduli may hold it).
             prop_assert!(max_abs >= m.q() as u128 || m.bits() > 39);
         }
     }

@@ -60,9 +60,13 @@
 //! limbs. All are bit-identical to the unfused sequences they replace.
 //!
 //! Every expansion (`expand_and_ntt*`, the fused rescale and encrypt
-//! passes) goes through [`abc_math::rns::SignedCoeffs`]: the coefficient
-//! slice is scanned once for its largest magnitude and each limb then
-//! reduces by sign-select or Shoup fold — no division.
+//! passes) goes through the limb's dyadic engine
+//! ([`abc_math::dyadic::DyadicEngine::expand_into`]): the coefficient
+//! slice is scanned once for its largest magnitude
+//! ([`abc_math::rns::SignedCoeffs`]) and each limb then reduces by
+//! sign-select (below the prime) or Shoup fold — no division — on the
+//! engine's rung, the AVX-512IFMA kernel or the scalar loop,
+//! bit-identically.
 //!
 //! Transforms and dyadic ops are **bit-identical** to running each limb
 //! through its [`NttPlan`] serially — threading only changes
@@ -71,7 +75,7 @@
 
 use crate::ntt::NttPlan;
 use crate::pool::{Allowance, PooledLimbs};
-use abc_math::rns::SignedCoeffs;
+use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::{MathError, Modulus};
 
 /// Environment variable overriding the engine's thread count.
@@ -258,7 +262,8 @@ impl RnsNttEngine {
     /// Expands signed integers into RNS residues and forward-transforms
     /// every limb — the encode-side `expand ∘ NTT` fused into one
     /// parallel pass, division-free ([`SignedCoeffs`]: one scan of
-    /// `ints`, then sign-select or Shoup fold per limb by magnitude).
+    /// `ints`, then the limb's dyadic engine sign-selects or folds by
+    /// magnitude).
     /// Returns one freshly allocated limb per prime: this is the key and
     /// probe entry point, deliberately outside the pool — keys live as
     /// long as their context and are never recycled. Plaintexts go
@@ -269,7 +274,7 @@ impl RnsNttEngine {
     /// Panics if `ints.len() != N`.
     pub fn expand_and_ntt<X>(&self, ints: &[X]) -> Vec<Vec<u64>>
     where
-        X: Copy + Into<i128> + Sync,
+        X: SignedWord,
     {
         // Reserved, not touched: the thread that fills a limb is the
         // first to write it.
@@ -291,7 +296,7 @@ impl RnsNttEngine {
     /// Panics if `coeffs.len() != N` or `k` exceeds the basis size.
     pub fn expand_and_ntt_pooled<X>(&self, coeffs: &[X], k: usize) -> PooledLimbs
     where
-        X: Copy + Into<i128> + Sync,
+        X: SignedWord,
     {
         let mut out = self.take_limbs(k);
         self.expand_and_ntt_into(coeffs, &mut out);
@@ -302,12 +307,12 @@ impl RnsNttEngine {
     /// limb refilled and transformed by the thread that owns it.
     fn expand_and_ntt_into<X>(&self, coeffs: &[X], out: &mut [Vec<u64>])
     where
-        X: Copy + Into<i128> + Sync,
+        X: SignedWord,
     {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         let src = SignedCoeffs::scan(coeffs);
         self.for_each_limb(out, LimbWork::Transform, |_, plan, limb| {
-            src.expand_into(plan.modulus(), limb);
+            plan.dyadic().expand_into(&src, limb);
             plan.forward(limb);
         });
     }
@@ -329,14 +334,14 @@ impl RnsNttEngine {
     /// or fewer scalars than limbs are supplied.
     pub fn expand_ntt_sub_scalar_mul_all<X>(&self, kept: &mut [Vec<u64>], coeffs: &[X], s: &[u64])
     where
-        X: Copy + Into<i128> + Sync,
+        X: SignedWord,
     {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         assert!(s.len() >= kept.len(), "fewer scalars than limbs");
         let src = SignedCoeffs::scan(coeffs);
         self.for_each_limb(kept, LimbWork::Transform, |i, plan, limb| {
             let mut tail = self.take_limbs(1);
-            src.expand_into(plan.modulus(), &mut tail[0]);
+            plan.dyadic().expand_into(&src, &mut tail[0]);
             plan.forward_lazy(&mut tail[0]);
             plan.dyadic().sub_scalar_mul_assign(limb, &tail[0], s[i]);
         });
@@ -392,12 +397,12 @@ impl RnsNttEngine {
             &mut c1,
             LimbWork::Transform,
             |i, plan, x0, x1, v_hat| {
-                let (q, d) = (plan.modulus(), plan.dyadic());
-                v.expand_into(q, v_hat);
+                let d = plan.dyadic();
+                d.expand_into(&v, v_hat);
                 plan.forward(v_hat);
                 d.premul(v_hat);
                 for (x, e, pk) in [(&mut *x0, &e0, &pk0[i]), (&mut *x1, &e1, &pk1[i])] {
-                    e.expand_into(q, x);
+                    d.expand_into(e, x);
                     plan.forward(x);
                     d.mul_acc_assign_premul(x, pk, v_hat);
                 }
