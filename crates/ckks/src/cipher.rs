@@ -258,18 +258,6 @@ impl Degree2Ciphertext {
     pub fn byte_size(&self) -> usize {
         3 * self.num_primes() * self.n * 8
     }
-
-    /// Exact wire-v3 (bit-packed) size in bytes under the widths
-    /// `params` generates — [`Ciphertext::packed_byte_size`] parity,
-    /// what a transport of the unrelinearized intermediate would cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext carries more primes than `params`.
-    pub fn packed_byte_size(&self, params: &crate::params::CkksParams) -> usize {
-        let widths = params.residue_widths(self.num_primes());
-        crate::wire::packed_degree2_serialized_len(self, &widths)
-    }
 }
 
 #[cfg(test)]
@@ -318,39 +306,6 @@ mod tests {
         assert_eq!(d2.byte_size(), 3 * 24 * 65536 * 8);
         // Exactly 1.5× the degree-1 in-memory footprint at this level.
         assert_eq!(d2.byte_size() * 2, dummy_ct(primes, n).byte_size() * 3);
-    }
-
-    #[test]
-    fn degree2_packed_byte_size_adds_one_packed_component() {
-        let params = crate::params::CkksParams::builder()
-            .log_n(10)
-            .num_primes(4)
-            .build()
-            .expect("params");
-        let n = params.n();
-        let primes = 4;
-        let scale = ExactScale::from_log2(36);
-        let d2 = Degree2Ciphertext {
-            c0: vec![vec![0u64; n]; primes].into(),
-            c1: vec![vec![0u64; n]; primes].into(),
-            c2: vec![vec![0u64; n]; primes].into(),
-            scale: scale.clone(),
-            n,
-        };
-        let ct = Ciphertext {
-            c0: vec![vec![0u64; n]; primes].into(),
-            c1: vec![vec![0u64; n]; primes].into(),
-            scale,
-            n,
-        };
-        // Same header and width table; the third component costs one
-        // more set of bit-packed polynomials: d2 − ct = (ct − header
-        // − widths) / 2.
-        let packed_polys = d2.packed_byte_size(&params) - ct.packed_byte_size(&params);
-        assert!(packed_polys > 0);
-        let widths = params.residue_widths(primes);
-        let expected: usize = widths.iter().map(|&w| (n * w as usize).div_ceil(8)).sum();
-        assert_eq!(packed_polys, expected);
     }
 
     #[test]

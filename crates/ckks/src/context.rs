@@ -226,6 +226,9 @@ impl CkksContext {
     ///   single `f64` product would corrupt up to 20 low bits at
     ///   double-scale magnitudes.
     ///
+    /// Both kinds hand their `i128` coefficients to the same RNS
+    /// expansion and forward NTT as [`Self::encode`].
+    ///
     /// # Errors
     ///
     /// Returns [`CkksError::TooManySlots`] for oversize messages and
@@ -271,9 +274,10 @@ impl CkksContext {
 
     /// Exact Δ-rounding of the inverse embedding's output into NTT-domain
     /// RNS residues, in pooled limbs: one pass over the `N` coefficients,
-    /// each lifted, range-checked and rounded as it is read. Coefficient
-    /// `j` is the real part of slot `j`, coefficient `j + N/2` its
-    /// imaginary part.
+    /// each lifted, range-checked and rounded to an `i128` as it is read,
+    /// then one RNS expansion + forward NTT for either kind of scale.
+    /// Coefficient `j` is the real part of slot `j`, coefficient
+    /// `j + N/2` its imaginary part.
     fn quantize_coeffs<F: RealField>(
         &self,
         field: &F,
@@ -294,35 +298,24 @@ impl CkksContext {
             }
             Ok(ext)
         };
+        let mut ints = Vec::with_capacity(2 * vals.len());
         if let Some(exp) = scale.as_pow2() {
             // Exact: a power-of-two scale only shifts both exponents;
             // one rounding through `i128`.
-            let mut ints = Vec::with_capacity(2 * vals.len());
             for c in coeffs {
                 ints.push(lift(c)?.ldexp(exp).round_to_i128());
             }
-            Ok(self.engine.expand_and_ntt_pooled(&ints, self.basis.len()))
         } else {
-            // Rational scale: exact big-integer rounding, residues per
-            // prime, then the batched forward NTT.
-            assert_eq!(
-                2 * vals.len(),
-                self.params.n(),
-                "coefficient count must equal N"
-            );
-            let moduli = self.basis.moduli();
+            // Rational scale: exact big-integer rounding. `lift` bounds
+            // |x·Δ| below 2^120, so every rounded magnitude fits an `i128`.
             let rounder = scale.rounder();
-            let mut rows = self.engine.take_limbs(moduli.len());
-            for (j, c) in coeffs.enumerate() {
+            for c in coeffs {
                 let (negative, mag) = rounder.round_ext(lift(c)?);
-                for (row, m) in rows.iter_mut().zip(moduli) {
-                    let r = mag.rem_u64(m.q());
-                    row[j] = if negative { m.neg(r) } else { r };
-                }
+                let mag = mag.to_u128().expect("|x·Δ| < 2^121") as i128;
+                ints.push(if negative { -mag } else { mag });
             }
-            self.engine.forward_all(&mut rows);
-            Ok(rows)
         }
+        Ok(self.engine.expand_and_ntt_pooled(&ints, self.basis.len()))
     }
 
     /// Decodes a plaintext back to slot values on the context's
@@ -930,8 +923,12 @@ mod tests {
         // expansion had a vector rung. Every expansion site feeds them:
         // keygen's ternary secret and Gaussian error, encode's i128
         // message, encrypt's i8 / i64 samples, and the rescales' centered
-        // tails (i128 for a pair, i64 for one prime). CI pins them on both
-        // kernel rungs and at three threads.
+        // tails (i128 for a pair, i64 for one prime). Then the residues
+        // of an encode at the rescaled (rational) scale and the bits of
+        // `measure_noise`'s report, captured before that encode shared
+        // the expansion and before the inverse NTT lost its fused
+        // subtrahend. CI pins them on both kernel rungs and at three
+        // threads.
         let message: Vec<Complex> = (0..1usize << 12)
             .map(|j| {
                 let re = (j * 41 % 103) as f64 - 51.0;
@@ -940,20 +937,34 @@ mod tests {
             })
             .collect();
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).unwrap()).unwrap();
-        let (_, pk) = ctx.keygen(Seed::from_u128(3301));
-        let ct = ctx.encrypt(&ctx.encode(&message).unwrap(), &pk, Seed::from_u128(3302));
+        let (sk, pk) = ctx.keygen(Seed::from_u128(3301));
+        let pt = ctx.encode(&message).unwrap();
+        let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(3302));
+        let rescaled = crate::evaluator::rescale(&ctx, &ct).unwrap();
+        let scale = rescaled.exact_scale();
+        assert!(scale.as_pow2().is_none());
+        let rational = ctx.encode_with_exact_scale(&message, scale).unwrap();
+        let residues = rational.residues().iter().flatten();
+        let noise = crate::noise::measure_noise(&ctx, &ct, &sk, &pt).unwrap();
         let got = [
             blob_hash(&ctx, &ct),
-            blob_hash(&ctx, &crate::evaluator::rescale(&ctx, &ct).unwrap()),
+            blob_hash(&ctx, &rescaled),
             blob_hash(&ctx, &crate::evaluator::rescale_prime(&ctx, &ct).unwrap()),
+            fnv1a(residues.flat_map(|r| r.to_le_bytes())),
+            noise.std_dev.to_bits(), // 209.39898096108075
+            noise.max_abs.to_bits(), // 866.0
         ];
         let parents = [
             0xe744_cdfc_120d_3b20,
             0x5002_3f4a_251c_85f7,
             0x8b22_a137_6aac_385e,
+            0x5393_c217_aa02_2325,
+            0x406a_2cc4_73b8_7231,
+            0x408b_1000_0000_0000,
         ];
         assert_eq!(got, parents);
     }
+
     #[test]
     fn decode_rejects_foreign_plaintext() {
         let ctx = small_context();

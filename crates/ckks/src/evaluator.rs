@@ -674,8 +674,8 @@ mod tests {
         let err = max_err(&out, &expected);
         assert!(err < 1e-6, "slot error {err}");
         // A bias at that scale — rational, no power of two, so encoding
-        // it takes the big-integer rounding arm of `quantize_coeffs`,
-        // which nothing else reaches — adds slot-wise.
+        // it rounds through the big-integer arm of `quantize_coeffs`
+        // before the expansion every encode shares — adds slot-wise.
         assert!(rescaled.exact_scale().as_pow2().is_none());
         let bias = msg(ctx.params().slots(), 2.1);
         let bias_pt = ctx.encode_with_exact_scale(&bias, rescaled.exact_scale());

@@ -88,20 +88,6 @@ pub fn predicted_keyswitch_std(params: &crate::params::CkksParams, primes: usize
     params.error_sigma() * (params.n() as f64 / 12.0 * sum_q_sq).sqrt()
 }
 
-/// Predicted noise standard deviation of [`crate::evaluator::relinearize`]
-/// on a `primes`-limb degree-2 ciphertext — one key switch.
-pub fn predicted_relinearize_std(params: &crate::params::CkksParams, primes: usize) -> f64 {
-    predicted_keyswitch_std(params, primes)
-}
-
-/// Predicted noise standard deviation of [`crate::evaluator::rotate`] /
-/// [`crate::evaluator::conjugate`] on a `primes`-limb ciphertext — the
-/// automorphism itself is exact (a signed permutation); only its key
-/// switch adds noise.
-pub fn predicted_rotate_std(params: &crate::params::CkksParams, primes: usize) -> f64 {
-    predicted_keyswitch_std(params, primes)
-}
-
 /// Measures the actual noise of `ct` for the known plaintext
 /// `reference` (both from the same context): decrypts, subtracts the
 /// reference in the NTT domain, inverse-transforms, and reads centered
@@ -121,15 +107,14 @@ pub fn measure_noise(
     }
     let decrypted = ctx.decrypt(ct, sk)?;
     let m = &ctx.basis().moduli()[0];
-    // diff = INTT(d - m_ref) mod q0 — linearity lets us subtract before
-    // the inverse transform, and the subtraction folds into the first
-    // inverse-NTT stage (one pass over both operands).
-    let mut diff = vec![0u64; ct.n()];
-    ctx.ntt_plans()[0].sub_then_inverse_into(
-        &decrypted.residues()[0],
-        &reference.residues()[0],
-        &mut diff,
-    );
+    // diff = INTT(d - m_ref) mod q0 — linearity lets us subtract in the
+    // NTT domain, then run one inverse transform.
+    let mut diff: Vec<u64> = decrypted.residues()[0]
+        .iter()
+        .zip(&reference.residues()[0])
+        .map(|(&d, &r)| m.sub(d, r))
+        .collect();
+    ctx.ntt_plans()[0].inverse(&mut diff);
     let mut sum_sq = 0.0f64;
     let mut max_abs = 0.0f64;
     for &c in &diff {
@@ -327,15 +312,6 @@ mod tests {
         // Dominated by the 39-bit head prime: σ·√(N/12·Σq²) ≈ 2^44.
         let bits = predicted_keyswitch_std(&params, 6).log2();
         assert!((41.0..47.0).contains(&bits), "keyswitch std 2^{bits:.1}");
-        // Relin and rotate each cost exactly one key switch.
-        assert_eq!(
-            predicted_relinearize_std(&params, 4),
-            predicted_keyswitch_std(&params, 4)
-        );
-        assert_eq!(
-            predicted_rotate_std(&params, 4),
-            predicted_keyswitch_std(&params, 4)
-        );
     }
 
     #[test]
@@ -369,8 +345,8 @@ mod tests {
             .expect("measure")
             .rms;
         let n = ctx.params().n() as f64;
-        let predicted_rms =
-            predicted_rotate_std(ctx.params(), ct.num_primes()) * n.sqrt() / ctx.params().scale();
+        let predicted_rms = predicted_keyswitch_std(ctx.params(), ct.num_primes()) * n.sqrt()
+            / ctx.params().scale();
         let ratio = measured_rms / predicted_rms;
         assert!(
             (0.05..20.0).contains(&ratio),

@@ -58,7 +58,7 @@
 //! ciphertexts** (kind 2) are roughly half the bytes of kind 1;
 //! **evaluation keys** (kinds 3/4) carry `digits · limbs` polynomial pairs.
 
-use crate::cipher::{Ciphertext, Degree2Ciphertext};
+use crate::cipher::Ciphertext;
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
 use crate::scale::ExactScale;
 use crate::symmetric::CompressedCiphertext;
@@ -533,13 +533,6 @@ impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
 /// Exact serialized size in the v3 packed format under `widths`.
 pub fn packed_serialized_len(ct: &Ciphertext, widths: &[u32]) -> usize {
     Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths).total_len()
-}
-
-/// Exact v3-packed size of a degree-2 intermediate under `widths` —
-/// the header of [`packed_serialized_len`], three components for two.
-pub fn packed_degree2_serialized_len(ct: &Degree2Ciphertext, widths: &[u32]) -> usize {
-    let two = Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths);
-    two.total_len() + two.component_len()
 }
 
 /// Serializes a ciphertext to the v3 wire format, bit-packing each

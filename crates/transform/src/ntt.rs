@@ -229,7 +229,7 @@ impl NttPlan {
     ///
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
-        self.inverse_core(a, None, None);
+        self.inverse_core(a, None);
     }
 
     /// Out-of-place inverse: `dst = INTT(src)`, with the copy fused
@@ -242,30 +242,15 @@ impl NttPlan {
     ///
     /// Panics if either length differs from `N`.
     pub fn inverse_from(&self, src: &[u64], dst: &mut [u64]) {
-        self.inverse_core(dst, Some(src), None);
+        self.inverse_core(dst, Some(src));
     }
 
-    /// Fused `dst = INTT(src − b)`: both the copy and the canonical
-    /// element-wise subtraction are folded into the first inverse-NTT
-    /// stage's loads instead of running as their own memory passes.
-    /// Inputs canonical; `dst` contents are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any length differs from `N`.
-    pub fn sub_then_inverse_into(&self, src: &[u64], b: &[u64], dst: &mut [u64]) {
-        self.inverse_core(dst, Some(src), Some(b));
-    }
-
-    /// Shared core of the inverse family: `dst = INTT(src − sub)` where
-    /// `src` defaults to `dst` and `sub` to zero.
-    fn inverse_core(&self, dst: &mut [u64], src: Option<&[u64]>, sub: Option<&[u64]>) {
+    /// Shared core of [`NttPlan::inverse`] and [`NttPlan::inverse_from`]:
+    /// `dst = INTT(src)`, where `src` defaults to `dst`.
+    fn inverse_core(&self, dst: &mut [u64], src: Option<&[u64]>) {
         assert_eq!(dst.len(), self.n, "polynomial length must equal N");
         if let Some(s) = src {
             assert_eq!(s.len(), self.n, "source length must equal N");
-        }
-        if let Some(b) = sub {
-            assert_eq!(b.len(), self.n, "subtrahend length must equal N");
         }
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
@@ -273,7 +258,6 @@ impl NttPlan {
                 crate::ntt_ifma::inverse_fused(
                     dst,
                     src,
-                    sub,
                     self.m.q(),
                     self.table.forward_column(),
                     &self.quotients,
@@ -281,7 +265,7 @@ impl NttPlan {
                     self.n_inv_quotient,
                 );
             }
-            _ => self.inverse_harvey_fused(dst, src, sub),
+            _ => self.inverse_harvey_fused(dst, src),
         }
     }
 
@@ -327,25 +311,19 @@ impl NttPlan {
     /// multiplies by `−tw[2h − 1 − i]`: each stage zips its chunks with
     /// the **forward** block `[h, 2h)` reversed and lifts the difference
     /// the other way round, `v + 2q − u ∈ (0, 4q)`. The first stage's
-    /// loads absorb the optional out-of-place read from `src` and the
-    /// canonical subtraction of `sub` (`x + (q − b) ∈ (0, 2q)` keeps the
-    /// stage invariant).
-    fn inverse_harvey_fused(&self, a: &mut [u64], src: Option<&[u64]>, sub: Option<&[u64]>) {
+    /// loads absorb the optional out-of-place read from `src`.
+    fn inverse_harvey_fused(&self, a: &mut [u64], src: Option<&[u64]>) {
         let q = self.m.q();
         let two_q = 2 * q;
         let (tw, tw_shoup) = (self.table.forward_column(), &self.quotients[..]);
         let stage_w = |h: usize| tw[h..2 * h].iter().zip(&tw_shoup[h..2 * h]).rev();
         let n = self.n;
         // Fused first stage (t = 1, adjacent pairs): read through
-        // src/sub, write `a`. Lanes land < 2q, as every stage expects.
+        // `src`, write `a`. Lanes land < 2q, as every stage expects.
         for (i, (&w, &ws)) in stage_w(n >> 1).enumerate() {
             let (u, v) = match src {
                 Some(s) => (s[2 * i], s[2 * i + 1]),
                 None => (a[2 * i], a[2 * i + 1]),
-            };
-            let (u, v) = match sub {
-                Some(b) => (u + q - b[2 * i], v + q - b[2 * i + 1]),
-                None => (u, v),
             };
             a[2 * i] = shoup::add_lazy(u, v, two_q);
             a[2 * i + 1] = shoup::mul_shoup_lazy(v + two_q - u, w, ws, q);
@@ -415,7 +393,7 @@ impl NttPlan {
     /// decimation-in-frequency, group `i` of a stage of `h` groups
     /// multiplying by `ψ^{-brv(h+i)} = q − tw[2h − 1 − i]`, then the
     /// `N^{-1}` scale (Longa–Naehrig Algorithm 2). The oracle of
-    /// [`NttPlan::inverse`] and its fused forms.
+    /// [`NttPlan::inverse`] and [`NttPlan::inverse_from`].
     ///
     /// # Panics
     ///
@@ -450,41 +428,20 @@ impl NttPlan {
         }
     }
 
-    /// Negacyclic polynomial product via forward transforms, dyadic
-    /// multiply, and one inverse transform.
-    ///
-    /// Allocates two fresh buffers per call; hot paths should prefer
-    /// [`NttPlan::negacyclic_mul_into`] with caller-owned scratch.
+    /// Negacyclic polynomial product `a · b` in `Z_q[X]/(X^N + 1)` via
+    /// two forward transforms, a dyadic multiply and one inverse
+    /// transform, in two fresh buffers.
     ///
     /// # Panics
     ///
     /// Panics if input lengths differ from `N`.
     pub fn negacyclic_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut out = vec![0u64; self.n];
-        let mut scratch = vec![0u64; self.n];
-        self.negacyclic_mul_into(a, b, &mut out, &mut scratch);
+        let (mut out, mut rhs) = (a.to_vec(), b.to_vec());
+        self.forward(&mut out);
+        self.forward(&mut rhs);
+        self.dyadic.mul_assign(&mut out, &rhs);
+        self.inverse(&mut out);
         out
-    }
-
-    /// Allocation-free negacyclic product: `out = a · b` in
-    /// `Z_q[X]/(X^N + 1)`, using `out` and `scratch` as the two
-    /// transform buffers. Neither input is modified; `scratch` contents
-    /// are clobbered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from `N`.
-    pub fn negacyclic_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "polynomial length must equal N");
-        assert_eq!(b.len(), self.n, "polynomial length must equal N");
-        assert_eq!(out.len(), self.n, "output length must equal N");
-        assert_eq!(scratch.len(), self.n, "scratch length must equal N");
-        out.copy_from_slice(a);
-        scratch.copy_from_slice(b);
-        self.forward(out);
-        self.forward(scratch);
-        self.dyadic.mul_assign(out, scratch);
-        self.inverse(out);
     }
 }
 
@@ -619,15 +576,14 @@ mod tests {
     #[test]
     fn forward_lazy_is_congruent_and_fused_inverse_bit_identical() {
         // forward_lazy ≡ forward mod q (lazy lanes stay below 4q), and
-        // every fused-inverse entry is bit-identical to the unfused
-        // composition, on every kernel.
+        // the fused-copy inverse is bit-identical to copy + inverse, on
+        // every kernel.
         for q in [0xFFF0_0001u64, 0xFFF_FFFF_C001] {
             let m = Modulus::new(q).unwrap();
             for n in [4usize, 64, 1024] {
                 for pref in [KernelTier::Scalar, KernelTier::Auto, KernelTier::Simd] {
                     let plan = NttPlan::with_kernel(m, n, pref).unwrap();
                     let a0 = pseudo_poly(n, q, q ^ (n as u64) << 1);
-                    let b0 = pseudo_poly(n, q, q ^ (n as u64) << 2);
                     let mut canonical = a0.clone();
                     plan.forward(&mut canonical);
                     let mut lazy = a0.clone();
@@ -640,18 +596,10 @@ mod tests {
                             "lazy congruence {pref:?} q={q} n={n} i={i}"
                         );
                     }
-                    // Unfused reference: copy, subtract, inverse.
+                    // Unfused reference: copy, then inverse.
                     let mut want = a0.clone();
-                    for (x, &y) in want.iter_mut().zip(&b0) {
-                        *x = m.sub(*x, y);
-                    }
                     plan.inverse(&mut want);
                     let mut got = vec![u64::MAX; n]; // dst contents ignored
-                    plan.sub_then_inverse_into(&a0, &b0, &mut got);
-                    assert_eq!(got, want, "sub_then_inverse_into {pref:?} q={q} n={n}");
-                    let mut want = a0.clone();
-                    plan.inverse(&mut want);
-                    let mut got = vec![u64::MAX; n];
                     plan.inverse_from(&a0, &mut got);
                     assert_eq!(got, want, "inverse_from {pref:?} q={q} n={n}");
                 }
@@ -696,11 +644,6 @@ mod tests {
                     let mut got = vec![u64::MAX; n];
                     plan.inverse_from(x, &mut got);
                     assert_eq!(got, want, "inverse_from {at}");
-                    let y = &inputs[(k + 1) % inputs.len()];
-                    let mut want: Vec<u64> = x.iter().zip(y).map(|(&a, &b)| m.sub(a, b)).collect();
-                    plan.inverse_golden(&mut want);
-                    plan.sub_then_inverse_into(x, y, &mut got);
-                    assert_eq!(got, want, "sub_then_inverse_into {at}");
                 }
             }
         }
@@ -751,29 +694,5 @@ mod tests {
         let simd = NttPlan::with_kernel(m, 64, KernelTier::Simd).unwrap();
         assert_eq!(harvey.resident_bytes(), 2 * 64 * 8);
         assert_eq!(simd.resident_bytes(), 2 * 64 * 8);
-    }
-
-    #[test]
-    fn mul_into_matches_allocating_path() {
-        let m = modulus();
-        let n = 64usize;
-        let plan = NttPlan::new(m, n).unwrap();
-        let a = pseudo_poly(n, m.q(), 9);
-        let b = pseudo_poly(n, m.q(), 10);
-        let mut out = vec![0u64; n];
-        let mut scratch = vec![u64::MAX; n]; // dirty scratch must not matter
-        plan.negacyclic_mul_into(&a, &b, &mut out, &mut scratch);
-        assert_eq!(out, plan.negacyclic_mul(&a, &b));
-        assert_eq!(out, negacyclic_mul_schoolbook(&m, &a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch")]
-    fn mul_into_rejects_bad_scratch() {
-        let plan = NttPlan::new(modulus(), 8).unwrap();
-        let a = vec![1u64; 8];
-        let mut out = vec![0u64; 8];
-        let mut scratch = vec![0u64; 4];
-        plan.negacyclic_mul_into(&a, &a, &mut out, &mut scratch);
     }
 }

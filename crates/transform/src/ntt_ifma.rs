@@ -83,22 +83,18 @@ pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64], normalize:
 
 /// Inverse negacyclic NTT, Gentleman–Sande, values lazily in `[0, 2q)`,
 /// scaled by `N^{-1}` (canonical `[0, q)`) in the last stage: `a =
-/// INTT(src − sub)`, with the copy from `src` (when given, else `a`
-/// itself) and the canonical subtraction of `sub` (when given) folded
-/// into the first pass's loads — the preceding element-wise pass never
-/// touches DRAM.
+/// INTT(src)`, with the copy from `src` (when given, else `a` itself)
+/// folded into the first pass's loads — no copy pass precedes it.
 ///
 /// `tw`/`tw_shoup52` are the same **forward** columns [`forward`]
-/// takes. `src` and `sub` lanes must be canonical `[0, q)`.
+/// takes. `src` lanes must be canonical `[0, q)`.
 ///
 /// # Panics
 ///
 /// Same contract as [`forward`], plus equal slice lengths.
-#[allow(clippy::too_many_arguments)] // the plan's precomputed tables, flattened
 pub fn inverse_fused(
     a: &mut [u64],
     src: Option<&[u64]>,
-    sub: Option<&[u64]>,
     q: u64,
     tw: &[u64],
     tw_shoup52: &[u64],
@@ -109,9 +105,6 @@ pub fn inverse_fused(
     if let Some(s) = src {
         assert_eq!(a.len(), s.len());
     }
-    if let Some(b) = sub {
-        assert_eq!(a.len(), b.len());
-    }
     assert_columns(a, tw, tw_shoup52);
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     // The last stage (one group) multiplies its difference by tw[1];
@@ -120,7 +113,7 @@ pub fn inverse_fused(
     let fold = [n_inv, n_inv_shoup52, w1, shoup::shoup_precompute52(w1, q)];
     // SAFETY: the asserts above prove the required target features and
     // the slice shapes.
-    unsafe { inverse_impl(a, src, sub, q, tw, tw_shoup52, fold) }
+    unsafe { inverse_impl(a, src, q, tw, tw_shoup52, fold) }
 }
 
 /// The shape every kernel's raw reads rest on: a power-of-two length of
@@ -384,7 +377,6 @@ unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw52: &[u64], normaliz
 unsafe fn inverse_impl(
     a: &mut [u64],
     src: Option<&[u64]>,
-    sub: Option<&[u64]>,
     q: u64,
     tw: &[u64],
     tw52: &[u64],
@@ -403,8 +395,8 @@ unsafe fn inverse_impl(
     // Short spans t = 1, 2, 4 on 16 words (block b) at a time: the CT
     // lane moves backwards, each stage's twiddles the forward block's
     // mirror reversed. This first pass also absorbs the optional
-    // out-of-place read from `src` and canonical subtraction of `sub`:
-    // a + (q − b) ∈ (0, 2q) satisfies the GS input invariant.
+    // out-of-place read from `src`, whose canonical lanes satisfy the GS
+    // input invariant (< 2q).
     let to_t1 = [
         _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
         _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
@@ -423,16 +415,8 @@ unsafe fn inverse_impl(
         unsafe {
             let p = a.as_mut_ptr().add(16 * b);
             let s = src.map_or(p.cast_const(), |s| s.as_ptr().add(16 * b));
-            let mut lo = _mm512_loadu_si512(s.cast());
-            let mut hi = _mm512_loadu_si512(s.add(8).cast());
-            if let Some(sub) = sub {
-                let d = sub.as_ptr().add(16 * b);
-                lo = _mm512_add_epi64(lo, _mm512_sub_epi64(k.q, _mm512_loadu_si512(d.cast())));
-                hi = _mm512_add_epi64(
-                    hi,
-                    _mm512_sub_epi64(k.q, _mm512_loadu_si512(d.add(8).cast())),
-                );
-            }
+            let lo = _mm512_loadu_si512(s.cast());
+            let hi = _mm512_loadu_si512(s.add(8).cast());
             // t = 1: x = even words, y = odd words.
             let x1 = _mm512_permutex2var_epi64(lo, to_t1[0], hi);
             let y1 = _mm512_permutex2var_epi64(lo, to_t1[1], hi);
