@@ -59,9 +59,9 @@ use abc_ckks::precision::{
     measure_configured_precision, measure_embedding_precision, measure_precision,
 };
 use abc_ckks::CkksContext;
-use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
+use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::dyadic::DyadicEngine;
-use abc_math::rns::{Lifted, SignedCoeffs, SignedWord, WordLift};
+use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::KernelTier;
 use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
@@ -417,8 +417,10 @@ fn main() {
     }
 
     // --- Decode's CRT lift + scale division, ns per coefficient: the
-    // word-sized verified lift beside the big-integer lift it falls
-    // back to, at the paper's download (2 limbs) and fresh (24) depths ---
+    // dispatched block path decode runs (the verified word lift, then
+    // the block division on the lift's rung) and its forced-scalar twin,
+    // beside the big-integer lift it falls back to, at the paper's
+    // download (2 limbs) and fresh (24) depths ---
     {
         let n = 1usize << 13;
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
@@ -431,19 +433,27 @@ fn main() {
                 .iter()
                 .map(|m| ints.iter().map(|&x| m.from_i128(x)).collect())
                 .collect();
-            let lift = WordLift::new(basis.clone());
-            let word = measure(&format!("rns/lift_word/{limbs}limbs"), 300, || {
-                let mut acc = 0.0;
-                let fell_back = lift.lift_centered(std::hint::black_box(&rows), |_, neg, mag| {
-                    acc += match mag {
-                        Lifted::Word(mag) => divisor.apply_u128(neg, mag),
-                        Lifted::Big(mag) => divisor.apply_ext(neg, mag),
-                    }
-                    .to_f64();
+            for (id, tier) in [
+                ("lift_word", KernelTier::Auto),
+                ("lift_word_scalar", KernelTier::Scalar),
+            ] {
+                let lift = WordLift::with_kernel(basis.clone(), tier);
+                let mut quotients = [ExtF64::zero(); LIFT_BLOCK];
+                let mut slots = [0.0f64; LIFT_BLOCK];
+                let word = measure(&format!("rns/{id}/{limbs}limbs"), 300, || {
+                    let fell_back = lift.lift_blocks(std::hint::black_box(&rows), |block| {
+                        let quotients = &mut quotients[..block.words().len()];
+                        divisor.apply_block(lift.tier(), block.words(), quotients);
+                        // Decode's `F64Field::from_ext` into its slots.
+                        for (slot, q) in slots.iter_mut().zip(quotients.iter()) {
+                            *slot = q.to_f64();
+                        }
+                        std::hint::black_box(&slots);
+                    });
+                    assert_eq!(fell_back, 0, "message-sized values verify");
                 });
-                assert_eq!(fell_back, 0, "message-sized values verify");
-                std::hint::black_box(acc);
-            });
+                benches.push(per_coeff(word, n));
+            }
             let product = basis.product();
             let mut residues = vec![0u64; limbs];
             let bigint = measure(&format!("rns/lift_bigint/{limbs}limbs"), 300, || {
@@ -457,7 +467,6 @@ fn main() {
                 }
                 std::hint::black_box(acc);
             });
-            benches.push(per_coeff(word, n));
             benches.push(per_coeff(bigint, n));
         }
     }

@@ -5,8 +5,8 @@ use crate::key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
 use crate::params::{CkksParams, EmbeddingPrecision};
 use crate::scale::ExactScale;
 use crate::CkksError;
-use abc_float::{Complex, ExtF64Field, F64Field, RealField};
-use abc_math::rns::{Lifted, WordLift};
+use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField};
+use abc_math::rns::{WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
@@ -71,6 +71,9 @@ pub struct CkksContext {
     basis: RnsBasis,
     engine: RnsNttEngine,
     embedding: EmbeddingEngine,
+    /// Decode's CRT lift of every level: `lifts[k - 1]` over the first
+    /// `k` primes.
+    lifts: Vec<WordLift>,
 }
 
 /// Threads share one context by reference (`Arc<CkksContext>` in the
@@ -107,11 +110,15 @@ impl CkksContext {
         let basis = RnsBasis::new(primes)?;
         let engine = RnsNttEngine::new(basis.moduli(), n)?;
         let embedding = EmbeddingEngine::build(params.embedding_precision(), params.slots());
+        let lifts = (1..=basis.len())
+            .map(|k| WordLift::new(basis.truncated(k)))
+            .collect();
         Ok(Self {
             params,
             basis,
             engine,
             embedding,
+            lifts,
         })
     }
 
@@ -140,6 +147,16 @@ impl CkksContext {
     /// [`EmbeddingPrecision`] (planned twiddles).
     pub fn embedding(&self) -> &EmbeddingEngine {
         &self.embedding
+    }
+
+    /// Decode's CRT lift over the first `primes` primes, built once with
+    /// the context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `primes` is zero or exceeds the basis size.
+    pub fn word_lift(&self, primes: usize) -> &WordLift {
+        &self.lifts[primes - 1]
     }
 
     /// Bytes this context keeps resident while it lives, by owner:
@@ -348,14 +365,16 @@ impl CkksContext {
 
     /// Decode on `engine`'s datapath, as one streaming pass and then the
     /// forward embedding: out-of-place INTT into pooled limbs, then per
-    /// coefficient the exact centered CRT lift (word-sized and verified
-    /// against every residue; big-integer only where that check fails,
-    /// see [`WordLift`]) and the division by the exact rational scale in
-    /// double-double precision, written straight into a fresh slot
-    /// vector (coefficient `j` is the real part of slot `j`, coefficient
-    /// `j + N/2` its imaginary part). The quotient enters the embedding
-    /// at the datapath's full width: ExtF64 keeps all ~106 bits, the
-    /// f64 view is one final rounding.
+    /// block of coefficients the exact centered CRT lift of the level
+    /// (word-sized and verified against every residue; big-integer only
+    /// where that check fails, see [`WordLift`]) and the division by the
+    /// exact rational scale in double-double precision
+    /// ([`crate::scale::ScaleDivisor::apply_block`], on the lift's
+    /// rung), written straight into a fresh slot vector (coefficient `j`
+    /// is the real part of slot `j`, coefficient `j + N/2` its imaginary
+    /// part). The quotient enters the embedding at the datapath's full
+    /// width: ExtF64 keeps all ~106 bits, the f64 view is one final
+    /// rounding.
     ///
     /// The lift runs on the engine's fan-out by slot range: the thread
     /// owning slots `a..b` lifts coefficients `a..b` into their real
@@ -363,7 +382,9 @@ impl CkksContext {
     /// per-limb views of those ranges. A coefficient is a function of its
     /// own residues alone, so the slots do not depend on where the
     /// ranges are cut. The pass reads the `lvl × N` words the INTT
-    /// wrote and fans out under the transform cut-off, as the INTT does.
+    /// wrote and is weighed as element-wise work: on the vector rung a
+    /// lifted word costs less than a dyadic one, so a 2-limb `N = 2^13`
+    /// decode (`2^14` words) stays on the calling thread.
     fn decode_to_slots<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
@@ -380,34 +401,45 @@ impl CkksContext {
             .for_each_limb(&mut res, LimbWork::Transform, |i, plan, limb| {
                 plan.inverse_from(&pt.rns[i], limb)
             });
-        let lift = WordLift::new(self.basis.truncated(lvl));
+        let lift = self.word_lift(lvl);
         let divisor = pt.scale.divisor();
         let field = engine.plan().field();
         let slots = self.params.slots();
-        let coeff = |negative, mag: Lifted<'_>| {
-            field.from_ext(match mag {
-                Lifted::Word(mag) => divisor.apply_u128(negative, mag),
-                Lifted::Big(mag) => divisor.apply_ext(negative, mag),
-            })
+        // Lifts `views` into the real (or imaginary) parts of `chunk`.
+        let lift_part = |views: &[&[u64]], chunk: &mut [Complex<F::Real>], imag: bool| {
+            let mut quotients = [ExtF64::zero(); LIFT_BLOCK];
+            lift.lift_blocks(views, |block| {
+                let words = block.words();
+                let quotients = &mut quotients[..words.len()];
+                divisor.apply_block(lift.tier(), words, quotients);
+                for i in block.fell_back() {
+                    let (negative, mag) = block.big(i);
+                    quotients[i] = divisor.apply_ext(negative, &mag);
+                }
+                for (c, &v) in chunk[block.start()..].iter_mut().zip(quotients.iter()) {
+                    let v = field.from_ext(v);
+                    if imag {
+                        c.im = v;
+                    } else {
+                        c.re = v;
+                    }
+                }
+            });
         };
         // One view vector per chunk, re-pointed for the imaginary half.
         let lift_range = |a: usize, chunk: &mut [Complex<F::Real>]| {
             let b = a + chunk.len();
             let mut views: Vec<&[u64]> = res.iter().map(|limb| &limb[a..b]).collect();
-            lift.lift_centered(&views, |j, negative, mag| {
-                chunk[j].re = coeff(negative, mag)
-            });
+            lift_part(&views, chunk, false);
             for (view, limb) in views.iter_mut().zip(res.iter()) {
                 *view = &limb[slots + a..slots + b];
             }
-            lift.lift_centered(&views, |j, negative, mag| {
-                chunk[j].im = coeff(negative, mag)
-            });
+            lift_part(&views, chunk, true);
         };
         let mut vals = engine.take_buf();
         let words_per_slot = 2 * lvl;
         self.engine
-            .for_each_chunk(&mut vals, words_per_slot, LimbWork::Transform, lift_range);
+            .for_each_chunk(&mut vals, words_per_slot, LimbWork::Elementwise, lift_range);
         // Back to the pool before the embedding takes its planes from it.
         drop(res);
         engine.forward(&mut vals);

@@ -20,13 +20,19 @@
 //! float conversions go through [`abc_float::ExtF64`] double-double
 //! arithmetic so the single rounding happens at the very end.
 //!
+//! Decode divides every CRT-lifted coefficient by the scale through a
+//! [`ScaleDivisor`]: one coefficient at a time ([`ScaleDivisor::apply_u128`],
+//! [`ScaleDivisor::apply_ext`]) or a lifted block at a time
+//! ([`ScaleDivisor::apply_block`], eight words per step on AVX-512F
+//! and bit-identical to `apply_u128`).
+//!
 //! `PartialEq` compares *representations*. Normalization (odd `num`,
 //! sorted `den`) makes equal provenance compare equal — e.g. one fused
 //! pair-rescale and two successive single rescales of the same
 //! ciphertext produce identical `ExactScale`s.
 
 use abc_float::ExtF64;
-use abc_math::UBig;
+use abc_math::{CpuCaps, KernelTier, UBig};
 
 /// An exact, positive rational scale: `num · 2^exp / ∏ den`.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,7 +308,36 @@ impl ScaleDivisor {
             return ExtF64::zero();
         }
         let shift = (128 - mag.leading_zeros()).saturating_sub(106);
-        self.scale_mantissa(negative, u128_ext(mag >> shift), shift as i64)
+        self.scale_mantissa(negative, ExtF64::from_u106(mag >> shift), shift as i64)
+    }
+
+    /// [`Self::apply_u128`] of every centered word of `xs` (`|x|` with
+    /// the sign of `x`) into `out` — decode's division of a lifted
+    /// block. `tier` is the rung of the lift that produced the block
+    /// ([`abc_math::rns::WordLift::tier`]): on `Simd` an AVX-512F host
+    /// divides eight words per step with
+    /// [`abc_float::extended::mul_words_x8`], the scalar sequence on
+    /// `f64` lanes and so bit-identical; a word of `2^106` or more,
+    /// every word of a scale whose exponent leaves `±900`, the sub-8
+    /// tail and the `Scalar` rung take `apply_u128` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `xs`.
+    pub fn apply_block(&self, tier: KernelTier, xs: &[i128], out: &mut [ExtF64]) {
+        let out = &mut out[..xs.len()];
+        let scalar = |x: i128| self.apply_u128(x < 0, x.unsigned_abs());
+        let simd_ok = CpuCaps::detect().avx512f && (-900..=900).contains(&self.exp);
+        let done = match tier.degrade(simd_ok) {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Simd => {
+                abc_float::extended::mul_words_x8(xs, self.factor, self.exp as i32, out, scalar)
+            }
+            _ => 0,
+        };
+        for (o, &x) in out[done..].iter_mut().zip(&xs[done..]) {
+            *o = scalar(x);
+        }
     }
 
     /// `±xm·2^xe / scale`.
@@ -346,15 +381,7 @@ fn ubig_ext(x: &UBig) -> (ExtF64, i64) {
         x.shr(shift).to_u128()
     }
     .expect("106-bit prefix");
-    (u128_ext(top), shift as i64)
-}
-
-/// An integer below `2^106` as an exact double-double.
-fn u128_ext(top: u128) -> ExtF64 {
-    debug_assert!(top >> 106 == 0);
-    let hi = ((top >> 53) as u64) as f64 * abc_float::extended::pow2(53);
-    let lo = (top as u64 & ((1u64 << 53) - 1)) as f64;
-    ExtF64::from_sum(hi, lo)
+    (ExtF64::from_u106(top), shift as i64)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use abc_ckks::{
 };
 use abc_float::{Complex, RealField};
 use abc_math::rns::WordLift;
-use abc_math::UBig;
+use abc_math::{KernelTier, UBig};
 use abc_prng::Seed;
 use abc_transform::rns_ntt::THREADS_ENV;
 use abc_transform::{SpecialFft, SpecialFftEngine};
@@ -85,6 +85,71 @@ fn oracle_decode(ctx: &CkksContext, pt: &Plaintext) -> Vec<Complex> {
     match ctx.embedding() {
         EmbeddingEngine::F64(e) => on(ctx, e, pt),
         EmbeddingEngine::ExtF64(e) => on(ctx, e, pt),
+    }
+}
+
+/// Scales decode divides by: a power of two (reciprocal 1), rational
+/// ones (reciprocal not 1), and exponents past ±900, where `ldexp` is
+/// two multiplies and the block goes scalar.
+fn division_scales() -> Vec<ExactScale> {
+    vec![
+        ExactScale::from_log2(72),
+        ExactScale::from_log2(144)
+            .div_prime(0xF_FFF0_0001)
+            .div_prime(0xF_FFEA_C001),
+        ExactScale::from_f64(1.5e11)
+            .expect("positive")
+            .div_prime(97),
+        ExactScale::from_log2(1000).div_prime(97),
+        ExactScale::from_f64(2f64.powi(-950)).expect("positive"),
+    ]
+}
+
+/// `apply_block` on both rungs, bit for bit against `apply_u128`.
+fn check_block_division(scale: &ExactScale, xs: &[i128]) {
+    let divisor = scale.divisor();
+    for tier in [KernelTier::Simd, KernelTier::Scalar] {
+        let mut out = vec![abc_float::ExtF64::from_f64(f64::NAN); xs.len() + 1];
+        divisor.apply_block(tier, xs, &mut out);
+        for (j, (&x, got)) in xs.iter().zip(&out).enumerate() {
+            let want = divisor.apply_u128(x < 0, x.unsigned_abs());
+            assert_eq!(
+                (got.hi().to_bits(), got.lo().to_bits()),
+                (want.hi().to_bits(), want.lo().to_bits()),
+                "{tier} lane {j}, x = {x}, scale = {scale:?}"
+            );
+        }
+        assert!(out[xs.len()].hi().is_nan(), "{tier}: past the block");
+    }
+}
+
+#[test]
+fn apply_block_is_apply_u128_at_the_named_magnitudes() {
+    let magnitudes = [
+        0,
+        1,
+        3,
+        (1 << 72) + (1 << 19),
+        (1 << 105) - 1,
+        1 << 105,
+        (1 << 105) + 1,
+        (1 << 106) - 1,
+        1 << 106,
+        (1 << 106) + 1,
+        1 << 110,
+        i128::MAX as u128,
+    ];
+    let mut xs: Vec<i128> = magnitudes
+        .iter()
+        .flat_map(|&m| [m as i128, -(m as i128)])
+        .collect();
+    xs.push(i128::MIN);
+    for scale in division_scales() {
+        check_block_division(&scale, &xs);
+        // Each value alone across a vector group and a tail.
+        for &x in &xs {
+            check_block_division(&scale, &[x; 11]);
+        }
     }
 }
 
@@ -199,6 +264,26 @@ proptest! {
         let (got, want) = (divisor.apply_u128(negative, mag), divisor.apply_ext(negative, &UBig::from(mag)));
         prop_assert_eq!(got.hi().to_bits(), want.hi().to_bits(), "hi, mag = {}", mag);
         prop_assert_eq!(got.lo().to_bits(), want.lo().to_bits(), "lo, mag = {}", mag);
+    }
+
+    #[test]
+    fn apply_block_is_apply_u128(
+        seed in any::<u64>(),
+        len in 0usize..=40,
+        scale in prop::sample::select(division_scales()),
+    ) {
+        // Words of every width to 2^127 and either sign, each lane with
+        // its own: a block mixes vector lanes with ones past 2^106.
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 29)
+        };
+        let xs: Vec<i128> = (0..len)
+            .map(|_| (((next() as u128) << 64 | next() as u128) as i128) >> (next() % 128))
+            .collect();
+        check_block_division(&scale, &xs);
     }
 
     #[test]

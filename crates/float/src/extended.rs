@@ -14,6 +14,12 @@
 //! two-sum, Dekker split product); no FMA is required, so results are
 //! identical on every target.
 //!
+//! Decode divides a whole block of CRT-lifted words by one scale:
+//! [`mul_words_x8`] (x86-64, AVX-512F) is the eight-lane twin of
+//! [`ExtF64::from_u106`], the product and the power of two, the same
+//! operations in the same order on `f64` lanes, so it is bit-identical
+//! to them.
+//!
 //! # Example
 //!
 //! ```
@@ -25,8 +31,10 @@
 //! assert_eq!(back.to_f64(), 1.0);
 //! ```
 
-/// An extended-precision real: the unevaluated sum `hi + lo`.
+/// An extended-precision real: the unevaluated sum `hi + lo`, laid out
+/// `hi` first (what [`mul_words_x8`] stores).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct ExtF64 {
     hi: f64,
     lo: f64,
@@ -93,6 +101,19 @@ impl ExtF64 {
         let hi = x as f64; // rounds: |error| ≤ 2^11
         let lo = (x as i128 - hi as i128) as f64; // exact small integer
         Self { hi, lo }
+    }
+
+    /// Lifts an integer below `2^106` exactly: its top and bottom 53
+    /// bits are each an exact `f64`, joined by a two-sum.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts `x < 2^106`.
+    pub fn from_u106(x: u128) -> Self {
+        debug_assert!(x >> 106 == 0);
+        let hi = ((x >> 53) as u64) as f64 * pow2(53);
+        let lo = (x as u64 & ((1u64 << 53) - 1)) as f64;
+        Self::from_sum(hi, lo)
     }
 
     /// The leading component.
@@ -231,6 +252,221 @@ impl core::ops::Div for ExtF64 {
         let (s, e) = quick_two_sum(q1, q2);
         let (hi, lo) = quick_two_sum(s, e + q3);
         ExtF64 { hi, lo }
+    }
+}
+
+/// Eight words at a time, `(ExtF64::from_u106(|x|) * factor).ldexp(e)`
+/// negated for a negative `x`, into `out` — the scalar ops' sequence
+/// on AVX-512F `f64` lanes: the exact 53-bit split (each half converted
+/// by the `2^52` exponent-bias trick and one exact add), `two_sum`,
+/// Dekker's `two_prod` against `factor` and its cross terms,
+/// `quick_two_sum`, the multiply by `2^e`, and the sign as an XOR. No
+/// FMA and the scalar order, so every lane is bit-identical to the
+/// scalar ops; `x = 0` is `ExtF64::zero()`. A word with `|x| ≥ 2^106`
+/// is handed to `wide` instead. Full 8-lane groups only: returns the
+/// count handled (`len − len % 8`), the tail being the caller's.
+///
+/// # Panics
+///
+/// Asserts AVX-512F ([`abc_math::CpuCaps`]), `out.len() ≥ xs.len()` and
+/// `|e| ≤ 900` (the range in which [`ExtF64::ldexp`] is one multiply).
+#[cfg(target_arch = "x86_64")]
+pub fn mul_words_x8(
+    xs: &[i128],
+    factor: ExtF64,
+    e: i32,
+    out: &mut [ExtF64],
+    wide: impl Fn(i128) -> ExtF64,
+) -> usize {
+    assert!(
+        abc_math::CpuCaps::detect().avx512f,
+        "no AVX-512F on this CPU"
+    );
+    assert!(out.len() >= xs.len());
+    assert!((-900..=900).contains(&e), "2^{e} is not one multiply");
+    let n8 = xs.len() - xs.len() % 8;
+    // SAFETY: the asserts above prove AVX-512F and that `out` holds the
+    // `n8` (a multiple of 8) words of `xs[..n8]`.
+    unsafe { mul_words_impl(&xs[..n8], factor, e, &mut out[..n8], &wide) }
+    n8
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F (the public wrapper asserts it);
+/// `xs.len()` must be a multiple of 8, `out` equally long, and `|e| ≤
+/// 900`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn mul_words_impl(
+    xs: &[i128],
+    factor: ExtF64,
+    e: i32,
+    out: &mut [ExtF64],
+    wide: &impl Fn(i128) -> ExtF64,
+) {
+    use core::arch::x86_64::*;
+    let zero = _mm512_setzero_si512();
+    let low53 = _mm512_set1_epi64((1 << 53) - 1);
+    let two53 = _mm512_set1_pd(pow2(53));
+    let (fh, fl) = (_mm512_set1_pd(factor.hi), _mm512_set1_pd(factor.lo));
+    // Dekker's split of the factor is the same for every lane.
+    let (bh, bl) = split(factor.hi);
+    let (bh, bl) = (_mm512_set1_pd(bh), _mm512_set1_pd(bl));
+    let scale = _mm512_set1_pd(pow2(e));
+    // The words of four i128s apart, then (hi, lo) pairs back together.
+    let (even, odd) = (
+        _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0),
+        _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1),
+    );
+    let (first, second) = (
+        _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0),
+        _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4),
+    );
+    let mut j = 0;
+    while j < xs.len() {
+        // SAFETY: j + 8 <= xs.len() == out.len(); `ExtF64` is two `f64`
+        // fields in `repr(C)` order, so eight of them are sixteen.
+        let mut wide_lanes = unsafe {
+            let p = xs.as_ptr().add(j) as *const __m512i;
+            let (a, b) = (_mm512_loadu_si512(p), _mm512_loadu_si512(p.add(1)));
+            let lo = _mm512_permutex2var_epi64(a, even, b);
+            let hi = _mm512_permutex2var_epi64(a, odd, b);
+            // |x|: −x = (!hi + carry, −lo), the carry when lo = 0.
+            let negative = _mm512_cmplt_epi64_mask(hi, zero);
+            let carry = negative & _mm512_cmpeq_epi64_mask(lo, zero);
+            let not_hi = _mm512_mask_xor_epi64(hi, negative, hi, _mm512_set1_epi64(-1));
+            let hi = _mm512_mask_add_epi64(not_hi, carry, not_hi, _mm512_set1_epi64(1));
+            let lo = _mm512_mask_sub_epi64(lo, negative, zero, lo);
+            let wide_lanes = _mm512_test_epi64_mask(hi, _mm512_set1_epi64(-1 << 42));
+            let zero_lanes = _mm512_cmpeq_epi64_mask(_mm512_or_si512(lo, hi), zero);
+            // from_u106: the top and bottom 53 bits, each exact.
+            let top = _mm512_or_si512(_mm512_srli_epi64(lo, 53), _mm512_slli_epi64(hi, 11));
+            let top = u53_to_f64_x8(_mm512_and_si512(top, low53));
+            let bottom = u53_to_f64_x8(_mm512_and_si512(lo, low53));
+            let (xh, xl) = two_sum_x8(_mm512_mul_pd(top, two53), bottom);
+            // ExtF64::mul: two_prod of the leading parts, then the cross
+            // terms, then quick_two_sum.
+            let prod = _mm512_mul_pd(xh, fh);
+            let (ah, al) = split_x8(xh);
+            let err = _mm512_add_pd(
+                _mm512_add_pd(
+                    _mm512_add_pd(
+                        _mm512_sub_pd(_mm512_mul_pd(ah, bh), prod),
+                        _mm512_mul_pd(ah, bl),
+                    ),
+                    _mm512_mul_pd(al, bh),
+                ),
+                _mm512_mul_pd(al, bl),
+            );
+            let err = _mm512_add_pd(
+                err,
+                _mm512_add_pd(_mm512_mul_pd(xh, fl), _mm512_mul_pd(xl, fh)),
+            );
+            let s = _mm512_add_pd(prod, err);
+            let t = _mm512_sub_pd(err, _mm512_sub_pd(s, prod));
+            // ldexp, the sign, and zero as ExtF64::zero().
+            let keep = !zero_lanes;
+            let h = scale_sign_x8(s, scale, negative, keep);
+            let l = scale_sign_x8(t, scale, negative, keep);
+            let dst = out.as_mut_ptr().add(j) as *mut f64;
+            _mm512_storeu_pd(dst, _mm512_permutex2var_pd(h, first, l));
+            _mm512_storeu_pd(dst.add(8), _mm512_permutex2var_pd(h, second, l));
+            wide_lanes
+        };
+        // Past 106 bits the scalar path drops low bits first: its lanes
+        // are the caller's.
+        while wide_lanes != 0 {
+            let b = wide_lanes.trailing_zeros() as usize;
+            out[j + b] = wide(xs[j + b]);
+            wide_lanes &= wide_lanes - 1;
+        }
+        j += 8;
+    }
+}
+
+/// An integer below `2^53` on each lane, exactly as `f64`: its low 52
+/// bits under the exponent of `2^52` read `2^52 + low`, and one exact
+/// add takes the `2^52` off the lanes whose bit 52 is clear.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel, register-only.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn u53_to_f64_x8(v: core::arch::x86_64::__m512i) -> core::arch::x86_64::__m512d {
+    use core::arch::x86_64::*;
+    // SAFETY: register-only AVX-512F arithmetic, by the contract.
+    unsafe {
+        let bit52 = _mm512_set1_epi64(1 << 52);
+        let two52 = _mm512_set1_pd(pow2(52));
+        let low = _mm512_andnot_si512(bit52, v);
+        let biased = _mm512_castsi512_pd(_mm512_or_si512(low, _mm512_castpd_si512(two52)));
+        let clear = !_mm512_test_epi64_mask(v, bit52);
+        _mm512_mask_sub_pd(biased, clear, biased, two52)
+    }
+}
+
+/// [`two_sum`] on eight lanes.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel, register-only.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn two_sum_x8(
+    a: core::arch::x86_64::__m512d,
+    b: core::arch::x86_64::__m512d,
+) -> (core::arch::x86_64::__m512d, core::arch::x86_64::__m512d) {
+    use core::arch::x86_64::*;
+    // SAFETY: register-only AVX-512F arithmetic, by the contract.
+    unsafe {
+        let s = _mm512_add_pd(a, b);
+        let bb = _mm512_sub_pd(s, a);
+        let e = _mm512_add_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)), _mm512_sub_pd(b, bb));
+        (s, e)
+    }
+}
+
+/// [`split`] on eight lanes.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel, register-only.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn split_x8(
+    a: core::arch::x86_64::__m512d,
+) -> (core::arch::x86_64::__m512d, core::arch::x86_64::__m512d) {
+    use core::arch::x86_64::*;
+    // SAFETY: register-only AVX-512F arithmetic, by the contract.
+    unsafe {
+        let t = _mm512_mul_pd(_mm512_set1_pd(SPLIT), a);
+        let h = _mm512_sub_pd(t, _mm512_sub_pd(t, a));
+        (h, _mm512_sub_pd(a, h))
+    }
+}
+
+/// `v·scale` (`ldexp` by a power of two), its sign flipped on the
+/// `negative` lanes (what `Neg` does) and zero off the `keep` lanes.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel, register-only.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn scale_sign_x8(
+    v: core::arch::x86_64::__m512d,
+    scale: core::arch::x86_64::__m512d,
+    negative: core::arch::x86_64::__mmask8,
+    keep: core::arch::x86_64::__mmask8,
+) -> core::arch::x86_64::__m512d {
+    use core::arch::x86_64::*;
+    // SAFETY: register-only AVX-512F arithmetic, by the contract.
+    unsafe {
+        let v = _mm512_castpd_si512(_mm512_mul_pd(v, scale));
+        let v = _mm512_mask_xor_epi64(v, negative, v, _mm512_set1_epi64(i64::MIN));
+        _mm512_castsi512_pd(_mm512_maskz_mov_epi64(keep, v))
     }
 }
 

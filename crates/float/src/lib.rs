@@ -44,9 +44,10 @@
 //! assert!((lo - hi).abs() < 1e-12);
 //! ```
 
-// This crate is currently unsafe-free; the deny keeps any future
-// unsafe op inside an `unsafe fn` from compiling without an explicit
-// `unsafe {}` block (audited by `cargo run -p abc-analysis -- check`).
+// The one unsafe code here is the AVX-512F block division in
+// `extended`; the deny keeps every unsafe op inside an `unsafe fn` in
+// an explicit `unsafe {}` block (audited by `cargo run -p abc-analysis
+// -- check`).
 #![deny(unsafe_op_in_unsafe_fn)]
 // Public APIs in the hardened crates must be documented (the unsafe
 // ones additionally need a `# Safety` section, enforced by abc-analysis).

@@ -188,7 +188,8 @@ fn pool_over_allowance(when: &str) -> Vec<String> {
 
 /// The `RESIDENT` and `KERNELS` lines, read off the context the
 /// gateway's workers share, never set: the bytes it keeps by owner, and
-/// which kernel each of its layers dispatches to (the PRNG keystream's
+/// which kernel each of its layers dispatches to (the CRT lift's is that
+/// of the whole basis, which every level shares; the PRNG keystream's
 /// rung is one per process), on which CPU features, with how many limb
 /// fan-out threads per operation.
 fn context_lines(ctx: &abc_ckks::CkksContext) -> Result<String, Box<dyn std::error::Error>> {
@@ -200,11 +201,12 @@ fn context_lines(ctx: &abc_ckks::CkksContext) -> Result<String, Box<dyn std::err
     Ok(format!(
         "RESIDENT contexts=1 ntt_tables={ntt_tables} fft_plans={fft_plans} \
          pool_allowance={pool_allowance}\n\
-         KERNELS caps={} forced={} ntt={} dyadic={} fft={} prng={} threads={}",
+         KERNELS caps={} forced={} ntt={} dyadic={} lift={} fft={} prng={} threads={}",
         abc_ckks::kernel::CpuCaps::detect(),
         abc_ckks::kernel::KernelTier::Auto.or_env(),
         plan.kernel_name(),
         plan.dyadic().kernel_name(),
+        ctx.word_lift(ctx.basis().len()).kernel_name(),
         fft.plan().kernel_name(),
         ChaCha20::from_seed(Seed::default()).kernel_name(),
         ctx.ntt_engine().threads(),

@@ -1,20 +1,23 @@
 //! The kernel ladder: the one selection spine shared by the NTT
-//! butterflies, the dyadic (element-wise) engine and the special FFT.
+//! butterflies, the dyadic (element-wise) engine, the CRT lift and the
+//! special FFT.
 //!
 //! Every layer has the same two rungs, and a constructor that takes a
 //! [`KernelTier`] and degrades it downward by the capability facts only
 //! that layer knows:
 //!
-//! | tier | NTT (`NttPlan`) | dyadic ([`crate::dyadic::DyadicEngine`]) | FFT (`SpecialFft`) |
-//! |---|---|---|---|
-//! | [`Simd`](KernelTier::Simd) | `ifma` — `q < 2^50`, `N ≥ 16`, AVX-512IFMA | `ifma` (products and RNS expansion) — `q < 2^50`, AVX-512IFMA | `avx512` — `F64Field`, `slots ≥ 8`, AVX-512F |
-//! | [`Scalar`](KernelTier::Scalar) | `harvey` | `montgomery` (expansion: `SignedCoeffs`' scalar loop) | `scalar` |
+//! | tier | NTT (`NttPlan`) | dyadic ([`crate::dyadic::DyadicEngine`]) | CRT lift ([`crate::rns::WordLift`]) | FFT (`SpecialFft`) |
+//! |---|---|---|---|---|
+//! | [`Simd`](KernelTier::Simd) | `ifma` — `q < 2^50`, `N ≥ 16`, AVX-512IFMA | `ifma` (products and RNS expansion) — `q < 2^50`, AVX-512IFMA | `ifma` (and decode's scale division on AVX-512F) — every `q < 2^50`, AVX-512IFMA | `avx512` — `F64Field`, `slots ≥ 8`, AVX-512F |
+//! | [`Scalar`](KernelTier::Scalar) | `harvey` | `montgomery` (expansion: `SignedCoeffs`' scalar loop) | `scalar` | `scalar` |
 //!
 //! Both rungs of a layer are **bit-identical**, so a tier only changes
 //! speed. The property suites pin them against each layer's oracle,
 //! which is not a rung: `NttPlan::{forward_golden, inverse_golden}`,
-//! the [`crate::Modulus`] ops, and `SpecialFft::{forward_otf,
-//! inverse_otf}`. [`CpuCaps::detect`] is the workspace's only runtime
+//! the [`crate::Modulus`] ops, the big-integer
+//! [`crate::RnsBasis::combine_centered_big_with_product`] (with
+//! `ScaleDivisor::apply_u128` for the division), and
+//! `SpecialFft::{forward_otf, inverse_otf}`. [`CpuCaps::detect`] is the workspace's only runtime
 //! CPU-feature probe, and [`KERNEL_ENV`] its only kernel override.
 
 use core::fmt;

@@ -19,8 +19,9 @@
 //!   exact scale arithmetic and by the CRT lift's oracle and fallback.
 //! * [`rns`] — RNS bases, the scalar rung of division-free expansion of
 //!   signed coefficient slices into residues ([`rns::SignedCoeffs`]), and the two CRT lifts: the word-sized verified [`rns::WordLift`] that decode and
-//!   rescale run, and the big-integer Garner recombination of
-//!   [`rns::RnsBasis`] it falls back to and is tested against.
+//!   rescale run (AVX-512IFMA → scalar, its vector rung in `simd`), and
+//!   the big-integer Garner recombination of [`rns::RnsBasis`] it falls
+//!   back to and is tested against.
 //! * [`poly`] — element-wise polynomial (vector) operations over `Z_q`, the
 //!   workload of the paper's Modular Streaming Engine, as loops over the
 //!   [`Modulus`] ops: the oracle of the dyadic kernels.
@@ -29,8 +30,9 @@
 //!   (AVX-512IFMA radix-2^52 → scalar), with the vector kernels
 //!   themselves in the `x86_64`-only `simd` module.
 //! * [`kernel`] — the one kernel ladder ([`KernelTier`], [`CpuCaps`],
-//!   `ABC_FHE_KERNEL`) that the dyadic engine here and the NTT and FFT
-//!   plans in `abc-transform` all select their kernels through.
+//!   `ABC_FHE_KERNEL`) that the dyadic engine and the word lift here and
+//!   the NTT and FFT plans in `abc-transform` all select their kernels
+//!   through.
 //! * [`shoup`] — Shoup-precomputed constant multiplication and the lazy
 //!   `[0, 2q)`/`[0, 4q)` reduction helpers behind the Harvey NTT
 //!   butterflies in `abc-transform`.

@@ -22,10 +22,19 @@
 //! Garner lift that also serves as the oracle the word lift is tested
 //! against. Which one runs is decided per coefficient by that check and
 //! by nothing else.
+//!
+//! The word lift has the two rungs of the kernel ladder
+//! ([`crate::kernel`]), bit-identical: `ifma` runs the prefix Garner
+//! steps, the centering and every check on eight coefficients per step
+//! ([`crate::simd`]), `scalar` is the loop here. Both fill one block of
+//! [`LIFT_BLOCK`] words and verified flags at a time — the one lift
+//! core, [`WordLift::lift_blocks`] — and hand the coefficients that did
+//! not verify to the big-integer lift unchanged.
 
 use crate::bigint::UBig;
+use crate::kernel::{CpuCaps, KernelTier};
 use crate::modulus::Modulus;
-use crate::shoup::{mul_shoup, shoup_precompute};
+use crate::shoup::{self, mul_shoup, shoup_precompute};
 use crate::MathError;
 
 /// An ordered RNS basis `q_0, …, q_{L}` of pairwise-coprime odd primes.
@@ -419,7 +428,7 @@ pub enum Lifted<'a> {
 
 /// Coefficients lifted per pass over the limbs: the prefix values and
 /// their flags stay on the stack, each limb is read in contiguous runs.
-const LIFT_BLOCK: usize = 256;
+pub const LIFT_BLOCK: usize = 256;
 
 /// The word-sized verified CRT lift of a basis.
 ///
@@ -432,6 +441,11 @@ const LIFT_BLOCK: usize = 256;
 /// is exact for every input. A value that fails a check (its true
 /// magnitude exceeds `Q_k/2`) is recombined by
 /// [`RnsBasis::combine_centered_big_with_product`].
+///
+/// The lift runs [`LIFT_BLOCK`] coefficients at a time
+/// ([`Self::lift_blocks`]) on one of two rungs of the kernel ladder,
+/// bit-identical: `ifma` (eight coefficients per step, [`crate::simd`];
+/// every modulus below `2^50`, an AVX-512IFMA CPU) or `scalar`.
 ///
 /// All residues handed to the lift must be canonical, in `[0, q)` of
 /// their limb — what `NttPlan::inverse` produces. The hot loops reduce
@@ -464,6 +478,15 @@ pub struct WordLift {
     prefix_product: u128,
     /// One check per limb past the prefix.
     verify: Vec<WordFold>,
+    rung: Rung,
+}
+
+/// The rung a lift runs on, with the vector rung's constants.
+#[derive(Debug, Clone)]
+enum Rung {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Ifma(Box<crate::simd::Lift52>),
 }
 
 /// The Garner constants of a word prefix of one, two or three moduli.
@@ -485,8 +508,21 @@ enum Prefix {
 
 impl WordLift {
     /// Builds the lift of `basis` — any coprime moduli, a context's
-    /// level prefix or an ad-hoc pair alike.
+    /// level prefix or an ad-hoc pair alike — on the fastest rung.
     pub fn new(basis: RnsBasis) -> Self {
+        Self::with_kernel(basis, KernelTier::Auto)
+    }
+
+    /// Builds the lift on an explicit rung of the kernel ladder
+    /// ([`KernelTier::Auto`] honours the `ABC_FHE_KERNEL` override,
+    /// explicit tiers do not). `Simd` needs every modulus below `2^50`
+    /// and an AVX-512IFMA CPU, and degrades to `Scalar` without them;
+    /// check [`Self::kernel_name`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Auto` reads an unparseable override.
+    pub fn with_kernel(basis: RnsBasis, tier: KernelTier) -> Self {
         let moduli = basis.moduli();
         let mut len = 1;
         let mut prefix_product = moduli[0].q() as u128;
@@ -514,64 +550,118 @@ impl WordLift {
                 s21: step(1, 2),
             },
         };
+        let simd_ok =
+            CpuCaps::detect().ifma() && moduli.iter().all(|m| m.q() < shoup::MAX_SHOUP52_MODULUS);
+        let rung = match tier.or_env().degrade(simd_ok) {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Simd => {
+                // s10, s20, s21: as many as the prefix has.
+                let steps: Vec<(u64, u64)> = [(0, 1), (0, 2), (1, 2)][..len * (len - 1) / 2]
+                    .iter()
+                    .map(|&(i, j)| {
+                        let s = step(i, j);
+                        (s.lift, s.inv.w)
+                    })
+                    .collect();
+                let q = |ms: &[Modulus]| ms.iter().map(Modulus::q).collect::<Vec<_>>();
+                Rung::Ifma(Box::new(crate::simd::Lift52::new(
+                    &q(&moduli[..len]),
+                    &steps,
+                    &q(&moduli[len..]),
+                )))
+            }
+            _ => Rung::Scalar,
+        };
         Self {
             product: basis.product(),
             prefix,
             prefix_product,
             verify: moduli[len..].iter().map(WordFold::new).collect(),
+            rung,
             basis,
+        }
+    }
+
+    /// The rung this lift runs on: [`KernelTier::Simd`] or
+    /// [`KernelTier::Scalar`], never `Auto` — decode hands it to the
+    /// scale division that follows the lift.
+    pub fn tier(&self) -> KernelTier {
+        match self.rung {
+            Rung::Scalar => KernelTier::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            Rung::Ifma(_) => KernelTier::Simd,
+        }
+    }
+
+    /// Name of the dispatched kernel (`"ifma"` or `"scalar"`), for
+    /// diagnostics and bench labels.
+    pub fn kernel_name(&self) -> &'static str {
+        match self.rung {
+            Rung::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Rung::Ifma(_) => "ifma",
         }
     }
 
     /// Lifts every coefficient of `limbs` (limb-major: `limbs[i][j]` is
     /// coefficient `j` modulo `q_i`, canonical in `[0, q_i)`) to its
-    /// centered representative in `(−Q/2, Q/2]` and hands
-    /// `(j, negative, magnitude)` to `sink`, in coefficient order.
-    /// Returns how many coefficients took the big-integer fallback.
+    /// centered representative in `(−Q/2, Q/2]`, [`LIFT_BLOCK`]
+    /// coefficients at a time, and hands each block to `sink` in
+    /// coefficient order. Returns how many coefficients did not verify
+    /// — the ones [`LiftedBlock::big`] recombines.
     ///
     /// # Panics
     ///
     /// Panics unless there is one limb per modulus, all of one length.
+    pub fn lift_blocks<L: AsRef<[u64]>>(
+        &self,
+        limbs: &[L],
+        mut sink: impl FnMut(&LiftedBlock<'_, L>),
+    ) -> usize {
+        let n = self.check_shape(limbs);
+        let mut words = [0i128; LIFT_BLOCK];
+        let mut verified = [0u8; LIFT_BLOCK / 8];
+        let mut fell_back = 0;
+        for start in (0..n).step_by(LIFT_BLOCK) {
+            let len = LIFT_BLOCK.min(n - start);
+            self.lift_block(limbs, start, &mut words[..len], &mut verified);
+            let block = LiftedBlock {
+                lift: self,
+                limbs,
+                start,
+                words: &words[..len],
+                verified: &verified,
+            };
+            fell_back += block.fell_back().count();
+            sink(&block);
+        }
+        fell_back
+    }
+
+    /// [`Self::lift_blocks`] one coefficient at a time: hands
+    /// `(j, negative, magnitude)` to `sink` in coefficient order, a
+    /// coefficient that did not verify as [`Lifted::Big`]. Returns how
+    /// many did not.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::lift_blocks`].
     pub fn lift_centered<L: AsRef<[u64]>>(
         &self,
         limbs: &[L],
         mut sink: impl FnMut(usize, bool, Lifted<'_>),
     ) -> usize {
-        let n = self.check_shape(limbs);
-        let mut xs = [0i128; LIFT_BLOCK];
-        let mut verified = [true; LIFT_BLOCK];
-        // The fallback's residue column: allocated by the first
-        // coefficient that falls back, none when all verify.
-        let mut residues = Vec::new();
-        let mut fell_back = 0;
-        for start in (0..n).step_by(LIFT_BLOCK) {
-            let len = LIFT_BLOCK.min(n - start);
-            let (xs, verified) = (&mut xs[..len], &mut verified[..len]);
-            self.lift_prefix(limbs, start, xs);
-            verified.fill(true);
-            let past_prefix = &limbs[limbs.len() - self.verify.len()..];
-            for (check, limb) in self.verify.iter().zip(past_prefix) {
-                let rs = canonical_run(limb.as_ref(), start, len, check.one.q);
-                for ((ok, &x), &r) in verified.iter_mut().zip(xs.iter()).zip(rs) {
-                    *ok &= check.residue(x) == r;
-                }
-            }
-            for (i, (&x, &ok)) in xs.iter().zip(verified.iter()).enumerate() {
-                let j = start + i;
-                if ok {
+        self.lift_blocks(limbs, |block| {
+            for (i, &x) in block.words().iter().enumerate() {
+                let j = block.start() + i;
+                if block.verified(i) {
                     sink(j, x < 0, Lifted::Word(x.unsigned_abs()));
                 } else {
-                    residues.clear();
-                    residues.extend(limbs.iter().map(|limb| limb.as_ref()[j]));
-                    let (negative, mag) = self
-                        .basis
-                        .combine_centered_big_with_product(&residues, &self.product);
+                    let (negative, mag) = block.big(i);
                     sink(j, negative, Lifted::Big(&mag));
-                    fell_back += 1;
                 }
             }
-        }
-        fell_back
+        })
     }
 
     /// [`Self::lift_centered`] for a basis that is all word prefix (at
@@ -590,8 +680,9 @@ impl WordLift {
             "basis product does not fit the word lift"
         );
         assert_eq!(self.check_shape(limbs), out.len());
+        let mut verified = [0u8; LIFT_BLOCK / 8];
         for (block, xs) in out.chunks_mut(LIFT_BLOCK).enumerate() {
-            self.lift_prefix(limbs, block * LIFT_BLOCK, xs);
+            self.lift_block(limbs, block * LIFT_BLOCK, xs, &mut verified);
         }
     }
 
@@ -606,13 +697,43 @@ impl WordLift {
         n
     }
 
-    /// Garner over the prefix limbs for coefficients `start..start +
-    /// xs.len()`, centered in `(−Q_k/2, Q_k/2]`. Residues are canonical,
-    /// in `[0, q_i)`.
-    fn lift_prefix<L: AsRef<[u64]>>(&self, limbs: &[L], start: usize, xs: &mut [i128]) {
+    /// The one lift core: coefficients `start..start + xs.len()` (at
+    /// most [`LIFT_BLOCK`]) lifted over the prefix and centered into
+    /// `xs`, bit `i % 8` of `verified[i / 8]` set where coefficient
+    /// `start + i` passed every check. The vector rung takes the full
+    /// 8-lane groups, the scalar loop the rest.
+    fn lift_block<L: AsRef<[u64]>>(
+        &self,
+        limbs: &[L],
+        start: usize,
+        xs: &mut [i128],
+        verified: &mut [u8],
+    ) {
         let moduli = self.basis.moduli();
         let len = xs.len();
         let run = |i: usize| canonical_run(limbs[i].as_ref(), start, len, moduli[i].q());
+        let done = match &self.rung {
+            Rung::Scalar => 0,
+            #[cfg(target_arch = "x86_64")]
+            Rung::Ifma(k) => crate::simd::lift(k, run, xs, verified),
+        };
+        let tail = |i: usize| &run(i)[done..];
+        self.lift_prefix(tail, &mut xs[done..]);
+        // Bits past `len` in the last byte stay set: they never read as
+        // a coefficient that fell back.
+        verified[done / 8..len.div_ceil(8)].fill(0xFF);
+        let past_prefix = moduli.len() - self.verify.len();
+        for (i, check) in (past_prefix..).zip(&self.verify) {
+            for ((j, &x), &r) in (done..).zip(&xs[done..]).zip(tail(i)) {
+                verified[j / 8] &= !(u8::from(check.residue(x) != r) << (j % 8));
+            }
+        }
+    }
+
+    /// The scalar rung's Garner over the prefix limbs: `run(i)` is limb
+    /// `i`'s residues of the coefficients of `xs`, which are centered in
+    /// `(−Q_k/2, Q_k/2]`.
+    fn lift_prefix<'a>(&self, run: impl Fn(usize) -> &'a [u64], xs: &mut [i128]) {
         // Q_k is odd: no value sits on the tie.
         let half = self.prefix_product / 2;
         let center = |x: u128| {
@@ -648,6 +769,64 @@ impl WordLift {
                 }
             }
         }
+    }
+}
+
+/// One block of a lift, as [`WordLift::lift_blocks`] hands it to its
+/// sink: up to [`LIFT_BLOCK`] consecutive coefficients as centered
+/// words, with the ones that did not verify marked.
+#[derive(Debug)]
+pub struct LiftedBlock<'a, L> {
+    lift: &'a WordLift,
+    limbs: &'a [L],
+    start: usize,
+    words: &'a [i128],
+    /// Bit `i % 8` of byte `i / 8`: word `i` verified (bits past the
+    /// last word set).
+    verified: &'a [u8],
+}
+
+impl<L: AsRef<[u64]>> LiftedBlock<'_, L> {
+    /// Index of the block's first coefficient.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// The block's coefficients lifted over the word prefix and
+    /// centered: word `i` is coefficient `start + i`'s centered
+    /// representative modulo the whole basis unless `i` is one of
+    /// [`Self::fell_back`], where it is only the prefix's.
+    pub fn words(&self) -> &[i128] {
+        self.words
+    }
+
+    /// Whether word `i` passed every check.
+    pub(crate) fn verified(&self, i: usize) -> bool {
+        self.verified[i / 8] >> (i % 8) & 1 == 1
+    }
+
+    /// The offsets of the words that did not verify, ascending.
+    pub fn fell_back(&self) -> impl Iterator<Item = usize> + '_ {
+        let bytes = &self.verified[..self.words.len().div_ceil(8)];
+        bytes.iter().enumerate().flat_map(|(g, &byte)| {
+            let mut missing = !byte;
+            core::iter::from_fn(move || {
+                let b = missing.trailing_zeros() as usize;
+                missing &= missing.wrapping_sub(1);
+                (b < 8).then_some(8 * g + b)
+            })
+        })
+    }
+
+    /// Coefficient `start + i` recombined by the big-integer lift
+    /// ([`RnsBasis::combine_centered_big_with_product`]) as a sign and
+    /// magnitude — what a word that did not verify stands for.
+    pub fn big(&self, i: usize) -> (bool, UBig) {
+        let j = self.start + i;
+        let residues: Vec<u64> = self.limbs.iter().map(|limb| limb.as_ref()[j]).collect();
+        self.lift
+            .basis
+            .combine_centered_big_with_product(&residues, &self.lift.product)
     }
 }
 

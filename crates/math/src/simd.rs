@@ -45,10 +45,22 @@
 //! largest magnitude is below `q`, otherwise radix-2^52 digits of `|x|`
 //! folded by Shoup multiplies by `1`, `2^52` and `2^104 mod q`.
 //!
-//! All kernels return **canonical** `[0, q)` values and are therefore
-//! bit-identical to the `u128 %` golden model (asserted by the
-//! property suites). Everything is `x86_64`-only and gated at runtime
-//! behind [`CpuCaps::detect`]; slices are processed in full 8-lane blocks and
+//! # The CRT lift
+//!
+//! The word lift's vector rung (`lift`, the way back from residues)
+//! runs the prefix Garner steps of [`crate::rns::WordLift`] as Shoup-52
+//! multiplies, forms `x = v0 + q0·v1 (+ q0q1·v2)` as radix-2^52 digits,
+//! centers it against `⌊Q_k/2⌋` digit by digit, and checks every limb
+//! past the prefix with the *same* digit fold expansion runs — one
+//! `#[inline(always)]` helper, `FoldX8::residue`, serves both: the
+//! residue of `±|x|` from `D ≤ 3` digits, compared with the limb's
+//! residue into a per-lane verified mask.
+//!
+//! All kernels return **canonical** `[0, q)` values (the lift: the
+//! centered words of the scalar rung) and are therefore bit-identical
+//! to the `u128 %` golden model (asserted by the property suites).
+//! Everything is `x86_64`-only and gated at runtime behind
+//! [`CpuCaps::detect`]; slices are processed in full 8-lane blocks and
 //! the sub-8 tail is left to the scalar caller (each function returns
 //! the number of elements it handled).
 
@@ -569,57 +581,376 @@ unsafe fn expand_impl<X: Lanes, const D: usize>(
     xs: &[X],
     dst: &mut [core::mem::MaybeUninit<u64>],
 ) {
-    let q = k.q;
-    let vq = _mm512_set1_epi64(q as i64);
-    let v2q = _mm512_set1_epi64(2 * q as i64);
-    let v4q = _mm512_set1_epi64(4 * q as i64);
-    let zero = _mm512_setzero_si512();
-    let mask52 = _mm512_set1_epi64(shoup::MASK52 as i64);
-    // The digit weights 1, 2^52, 2^104 mod q with their Shoup-52
-    // quotients; only the first D are read.
-    let r104 = (k.r52 as u128 * k.r52 as u128 % q as u128) as u64;
-    let weights = [1, k.r52, r104];
-    let mut vw = [(zero, zero); 3];
-    for (v, &w) in vw.iter_mut().zip(&weights).take(D) {
-        let w52 = shoup::shoup_precompute52(w, q);
-        *v = (_mm512_set1_epi64(w as i64), _mm512_set1_epi64(w52 as i64));
-    }
+    // SAFETY: register-only broadcasts; the kernel's features.
+    let fold = unsafe { FoldX8::new(&Fold52::new(k.q)) };
     let mut j = 0;
     while j < xs.len() {
         // SAFETY: j + 8 <= xs.len() == dst.len().
         unsafe {
             let (negative, lo, hi) = X::magnitude_x8(xs.as_ptr().add(j));
-            let digit = [
-                _mm512_and_si512(lo, mask52),
-                _mm512_and_si512(
-                    _mm512_or_si512(_mm512_srli_epi64(lo, 52), _mm512_slli_epi64(hi, 12)),
-                    mask52,
-                ),
-                _mm512_srli_epi64(hi, 40),
-            ];
-            // D = 0: |x| < q is its own residue. Otherwise each fold
-            // lands in [0, 2q): D of them sum below 2Dq, and csub(4q) /
-            // csub(2q) / csub(q) bring [0, 6q) / [0, 4q) / [0, 2q) down
-            // to [0, q).
-            let mut t = if D == 0 { lo } else { zero };
-            for (&x, &(w, w52)) in digit.iter().zip(&vw).take(D) {
-                t = _mm512_add_epi64(t, mul_shoup52_x8(x, w, w52, vq));
-            }
-            if D == 3 {
-                t = csub_x8(t, v4q);
-            }
-            if D >= 2 {
-                t = csub_x8(t, v2q);
-            }
-            if D >= 1 {
-                t = csub_x8(t, vq);
-            }
-            // The sign last: q − t ∈ (0, q] for a negative x, and q
-            // itself folds to 0.
-            let r = csub_x8(_mm512_mask_sub_epi64(t, negative, vq, t), vq);
+            let r = fold.residue::<D>(&digits_x8(lo, hi), negative);
             _mm512_storeu_si512(dst.as_mut_ptr().add(j) as *mut __m512i, r);
         }
         j += 8;
+    }
+}
+
+/// The digit fold of one modulus `q < 2^50`: the weights `1`, `2^52`
+/// and `2^104 mod q` of a magnitude's radix-2^52 digits, with their
+/// Shoup-52 quotients — what expansion reduces a wide coefficient by,
+/// and what the lift checks a limb past its prefix with.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fold52 {
+    q: u64,
+    /// `(w, floor(w·2^52/q))` per digit.
+    weights: [(u64, u64); 3],
+}
+
+impl Fold52 {
+    pub(crate) fn new(q: u64) -> Self {
+        debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
+        let weight = |w: u128| {
+            let w = (w % q as u128) as u64;
+            (w, shoup::shoup_precompute52(w, q))
+        };
+        Self {
+            q,
+            weights: [weight(1), weight(1 << 52), weight(1 << 104)],
+        }
+    }
+}
+
+/// A [`Fold52`] broadcast to eight lanes.
+#[derive(Clone, Copy)]
+struct FoldX8 {
+    vq: __m512i,
+    v2q: __m512i,
+    v4q: __m512i,
+    weights: [(__m512i, __m512i); 3],
+}
+
+impl FoldX8 {
+    /// # Safety
+    ///
+    /// AVX-512F via inlining into a `target_feature` kernel,
+    /// register-only.
+    #[inline(always)]
+    unsafe fn new(f: &Fold52) -> Self {
+        // SAFETY: register-only AVX-512F broadcasts, by the contract.
+        unsafe {
+            let mut weights = [(_mm512_setzero_si512(), _mm512_setzero_si512()); 3];
+            for (v, &(w, w52)) in weights.iter_mut().zip(&f.weights) {
+                *v = (_mm512_set1_epi64(w as i64), _mm512_set1_epi64(w52 as i64));
+            }
+            Self {
+                vq: _mm512_set1_epi64(f.q as i64),
+                v2q: _mm512_set1_epi64(2 * f.q as i64),
+                v4q: _mm512_set1_epi64(4 * f.q as i64),
+                weights,
+            }
+        }
+    }
+
+    /// `±|x| mod q`, canonical, for `|x|` given as radix-2^52 digits
+    /// and its sign as `negative`: `D = 0` takes `|x| < q` as its own
+    /// residue, otherwise the first `D` digits fold by Shoup multiplies
+    /// by their weights (each in `[0, 2q)`, so the sum is below
+    /// `2Dq ≤ 6q < 2^53`) and csub(4q) / csub(2q) / csub(q) bring
+    /// `[0, 6q)` / `[0, 4q)` / `[0, 2q)` down to `[0, q)`. The sign comes
+    /// last: `q − t ∈ (0, q]` for a negative `x`, and `q` itself folds
+    /// to 0. Digits past the `D`th are not read.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel,
+    /// register-only; every digit below `2^52`.
+    #[inline(always)]
+    unsafe fn residue<const D: usize>(&self, digit: &[__m512i; 3], negative: __mmask8) -> __m512i {
+        // SAFETY: register-only IFMA arithmetic, by the contract.
+        unsafe {
+            let mut t = if D == 0 {
+                digit[0]
+            } else {
+                _mm512_setzero_si512()
+            };
+            for (&x, &(w, w52)) in digit.iter().zip(&self.weights).take(D) {
+                t = _mm512_add_epi64(t, mul_shoup52_x8(x, w, w52, self.vq));
+            }
+            if D == 3 {
+                t = csub_x8(t, self.v4q);
+            }
+            if D >= 2 {
+                t = csub_x8(t, self.v2q);
+            }
+            if D >= 1 {
+                t = csub_x8(t, self.vq);
+            }
+            csub_x8(_mm512_mask_sub_epi64(t, negative, self.vq, t), self.vq)
+        }
+    }
+}
+
+/// The three radix-2^52 digits of a magnitude below `2^128` given as
+/// its low and high words.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel, register-only.
+#[inline(always)]
+unsafe fn digits_x8(lo: __m512i, hi: __m512i) -> [__m512i; 3] {
+    // SAFETY: register-only AVX-512F arithmetic, by the contract.
+    unsafe {
+        let mask52 = _mm512_set1_epi64(shoup::MASK52 as i64);
+        [
+            _mm512_and_si512(lo, mask52),
+            _mm512_and_si512(
+                _mm512_or_si512(_mm512_srli_epi64(lo, 52), _mm512_slli_epi64(hi, 12)),
+                mask52,
+            ),
+            _mm512_srli_epi64(hi, 40),
+        ]
+    }
+}
+
+/// The constants of the vector CRT lift of one basis whose moduli are
+/// all below `2^50` — see [`lift`]. Built by [`crate::rns::WordLift`].
+#[derive(Debug, Clone)]
+pub(crate) struct Lift52 {
+    /// The prefix moduli `q_0, q_1, q_2` (0 past the prefix).
+    q: [u64; 3],
+    /// The Garner steps `s10`, `s20`, `s21` as `(lift, w, w52)`: the
+    /// scalar `GarnerStep` with the Shoup-52 quotient of its inverse.
+    steps: [(u64, u64, u64); 3],
+    /// `q_0·q_1`, `Q_k` and `⌊Q_k/2⌋` as radix-2^52 digits.
+    q01: [u64; 3],
+    product: [u64; 3],
+    half: [u64; 3],
+    /// One fold per limb past the prefix.
+    verify: Vec<Fold52>,
+}
+
+impl Lift52 {
+    /// The lift of a word prefix `prefix` (one to three moduli, product
+    /// below `2^127`) with Garner steps `(lift, q_i⁻¹ mod q_j)` in the
+    /// order `s10, s20, s21` (as many as the prefix has), checked
+    /// against the moduli `verify`. Every modulus below `2^50`.
+    pub(crate) fn new(prefix: &[u64], steps: &[(u64, u64)], verify: &[u64]) -> Self {
+        debug_assert!((1..=3).contains(&prefix.len()));
+        let digits = |x: u128| [0, 52, 104].map(|s| (x >> s) as u64 & shoup::MASK52);
+        let mut q = [0; 3];
+        q[..prefix.len()].copy_from_slice(prefix);
+        let product: u128 = prefix.iter().map(|&q| q as u128).product();
+        let mut shoup_steps = [(0, 0, 0); 3];
+        for ((s, &(lift, w)), qj) in shoup_steps.iter_mut().zip(steps).zip([q[1], q[2], q[2]]) {
+            *s = (lift, w, shoup::shoup_precompute52(w, qj));
+        }
+        Self {
+            q,
+            steps: shoup_steps,
+            q01: digits(q[0] as u128 * q[1] as u128),
+            product: digits(product),
+            half: digits(product / 2),
+            verify: verify.iter().map(|&q| Fold52::new(q)).collect(),
+        }
+    }
+}
+
+/// The vector rung of the word lift, over the full 8-lane groups of
+/// one block of coefficients: `run(i)` is limb `i`'s run of residues
+/// (canonical, as long as `xs`), the first limbs the prefix of `k`, the
+/// rest the limbs it verifies. Per group of eight coefficients:
+///
+/// * the prefix Garner steps, a Shoup-52 multiply and one csub each —
+///   the canonical digit the scalar `GarnerStep::digit` computes;
+/// * `x = v0 + q0·v1 (+ q0q1·v2)` as three radix-2^52 digits, compared
+///   with `⌊Q_k/2⌋` digit by digit and replaced by `Q_k − x` (digit
+///   borrows) where greater, the lane then negative — `Q_k` is odd, so
+///   no value is a tie;
+/// * the signed value into `xs`, and an all-ones mask into
+///   `verified[g]`;
+///
+/// then per limb past the prefix, the digit fold of [`expand`] on every
+/// group, its residue compared with the limb's and ANDed into the
+/// group's mask (bit `b` is coefficient `8g + b`). Returns the count
+/// handled, `len − len % 8`; the tail is the caller's.
+///
+/// # Panics
+///
+/// Asserts [`CpuCaps::ifma`], at most [`crate::rns::LIFT_BLOCK`]
+/// coefficients, one mask byte per group, and that no run is shorter
+/// than `xs`.
+pub(crate) fn lift<'a>(
+    k: &Lift52,
+    run: impl Fn(usize) -> &'a [u64],
+    xs: &mut [i128],
+    verified: &mut [u8],
+) -> usize {
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
+    let n8 = xs.len() - xs.len() % 8;
+    assert!(n8 <= crate::rns::LIFT_BLOCK && verified.len() >= n8 / 8);
+    let prefix = k.q.iter().take_while(|&&q| q != 0).count();
+    let runs = |i: usize| {
+        let r = run(i);
+        assert!(r.len() >= n8, "a limb's run is shorter than the block");
+        r
+    };
+    let xs = &mut xs[..n8];
+    // SAFETY: the asserts above prove the required target features, a
+    // mask byte per group and `n8` residues in every run; the prefix
+    // length picks the digit count its product needs.
+    unsafe {
+        match prefix {
+            1 => lift_impl::<1>(k, runs, xs, verified),
+            2 => lift_impl::<2>(k, runs, xs, verified),
+            _ => lift_impl::<3>(k, runs, xs, verified),
+        }
+    }
+    n8
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
+/// asserts [`CpuCaps::ifma`] before dispatching here); `xs.len()` must
+/// be a multiple of 8 and at most [`crate::rns::LIFT_BLOCK`], every
+/// `run(i)` at least that long and canonical under its modulus,
+/// `verified` one byte per group, and `P` the prefix length of `k`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn lift_impl<'a, const P: usize>(
+    k: &Lift52,
+    run: impl Fn(usize) -> &'a [u64],
+    xs: &mut [i128],
+    verified: &mut [u8],
+) {
+    const GROUPS: usize = crate::rns::LIFT_BLOCK / 8;
+    let zero = _mm512_setzero_si512();
+    let mask52 = _mm512_set1_epi64(shoup::MASK52 as i64);
+    let ones = _mm512_set1_epi64(-1);
+    let one = _mm512_set1_epi64(1);
+    let [mut q, mut q01, mut product, mut half] = [[zero; 3]; 4];
+    let mut steps = [[zero; 3]; 3];
+    for d in 0..3 {
+        q[d] = _mm512_set1_epi64(k.q[d] as i64);
+        q01[d] = _mm512_set1_epi64(k.q01[d] as i64);
+        product[d] = _mm512_set1_epi64(k.product[d] as i64);
+        half[d] = _mm512_set1_epi64(k.half[d] as i64);
+        let (lift, w, w52) = k.steps[d];
+        steps[d] = [
+            _mm512_set1_epi64(lift as i64),
+            _mm512_set1_epi64(w as i64),
+            _mm512_set1_epi64(w52 as i64),
+        ];
+    }
+    // Low words then high words of four i128s, into memory order.
+    let first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    let second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    let runs: [&[u64]; P] = core::array::from_fn(&run);
+    // |x| of every group as digits, and its sign: what the checks read
+    // (written for every group before any check runs, so left
+    // uninitialised rather than cleared per block).
+    let mut mags = [core::mem::MaybeUninit::<[__m512i; 3]>::uninit(); GROUPS];
+    let mut signs: [__mmask8; GROUPS] = [0; GROUPS];
+    let groups = xs.len() / 8;
+    debug_assert!(groups <= GROUPS);
+    for g in 0..groups {
+        // SAFETY: 8g + 8 <= xs.len() <= every run's length.
+        unsafe {
+            let v0 = _mm512_loadu_si512(runs[0].as_ptr().add(8 * g) as *const __m512i);
+            // x = v0 + q0·v1 + q0q1·v2 accumulated per digit: every term
+            // below 2^52, a handful per digit, then one carry pass.
+            let mut acc = [v0, zero, zero];
+            if P >= 2 {
+                let r1 = _mm512_loadu_si512(runs[1].as_ptr().add(8 * g) as *const __m512i);
+                let v1 = garner_x8(r1, v0, &steps[0], q[1]);
+                acc[0] = _mm512_madd52lo_epu64(acc[0], q[0], v1);
+                acc[1] = _mm512_madd52hi_epu64(acc[1], q[0], v1);
+                if P == 3 {
+                    let r2 = _mm512_loadu_si512(runs[2].as_ptr().add(8 * g) as *const __m512i);
+                    let v2 = garner_x8(garner_x8(r2, v0, &steps[1], q[2]), v1, &steps[2], q[2]);
+                    acc[0] = _mm512_madd52lo_epu64(acc[0], q01[0], v2);
+                    acc[1] = _mm512_madd52hi_epu64(acc[1], q01[0], v2);
+                    acc[1] = _mm512_madd52lo_epu64(acc[1], q01[1], v2);
+                    acc[2] = _mm512_madd52hi_epu64(acc[2], q01[1], v2);
+                }
+            }
+            acc[1] = _mm512_add_epi64(acc[1], _mm512_srli_epi64(acc[0], 52));
+            acc[2] = _mm512_add_epi64(acc[2], _mm512_srli_epi64(acc[1], 52));
+            let x = [
+                _mm512_and_si512(acc[0], mask52),
+                _mm512_and_si512(acc[1], mask52),
+                acc[2],
+            ];
+            // x > ⌊Q_k/2⌋, lexicographically from the top digit. Past
+            // the first P digits x, Q_k and ⌊Q_k/2⌋ are all 0
+            // (Q_k < 2^{50P}).
+            let mut negative: __mmask8 = _mm512_cmpgt_epu64_mask(x[0], half[0]);
+            for d in 1..P {
+                negative = _mm512_cmpgt_epu64_mask(x[d], half[d])
+                    | (_mm512_cmpeq_epu64_mask(x[d], half[d]) & negative);
+            }
+            // Q_k − x with a borrow per digit (none out of the top one:
+            // x < Q_k), kept where x is negative.
+            let mut borrow = zero;
+            let mut mag = x;
+            for d in 0..P {
+                let t = _mm512_sub_epi64(_mm512_sub_epi64(product[d], x[d]), borrow);
+                borrow = _mm512_srli_epi64(t, 63);
+                let t = if d < 2 {
+                    _mm512_and_si512(t, mask52)
+                } else {
+                    t
+                };
+                mag[d] = _mm512_mask_mov_epi64(x[d], negative, t);
+            }
+            mags[g].write(mag);
+            signs[g] = negative;
+            verified[g] = 0xFF;
+            // The signed value as an i128: the words of |x|, negated
+            // where negative (−x = (!hi + carry, −lo), the carry when lo
+            // = 0), interleaved low word first.
+            let lo = _mm512_or_si512(mag[0], _mm512_slli_epi64(mag[1], 52));
+            let hi = _mm512_or_si512(_mm512_srli_epi64(mag[1], 12), _mm512_slli_epi64(mag[2], 40));
+            let carry = negative & _mm512_cmpeq_epi64_mask(lo, zero);
+            let not_hi = _mm512_mask_xor_epi64(hi, negative, hi, ones);
+            let hi = _mm512_mask_add_epi64(not_hi, carry, not_hi, one);
+            let lo = _mm512_mask_sub_epi64(lo, negative, zero, lo);
+            let out = xs.as_mut_ptr().add(8 * g) as *mut __m512i;
+            _mm512_storeu_si512(out, _mm512_permutex2var_epi64(lo, first, hi));
+            _mm512_storeu_si512(out.add(1), _mm512_permutex2var_epi64(lo, second, hi));
+        }
+    }
+    // Every limb past the prefix: |x| < Q_k < 2^{52P}, so P digits fold.
+    for (i, check) in k.verify.iter().enumerate() {
+        let r = run(P + i);
+        // SAFETY: register-only broadcasts; the kernel's features.
+        let fold = unsafe { FoldX8::new(check) };
+        for g in 0..groups {
+            // SAFETY: 8g + 8 <= xs.len() <= the run's length, and the
+            // prefix loop above wrote `mags[g]` for every g < groups.
+            unsafe {
+                let rg = _mm512_loadu_si512(r.as_ptr().add(8 * g) as *const __m512i);
+                let t = fold.residue::<P>(mags[g].assume_init_ref(), signs[g]);
+                verified[g] &= _mm512_cmpeq_epu64_mask(t, rg);
+            }
+        }
+    }
+}
+
+/// One Garner step on eight lanes, `(r + lift − d)·q_i⁻¹ mod q_j`
+/// canonical, for `step = (lift, w, w52)`: `r + lift − d < q_i + 2q_j <
+/// 2^52` enters the Shoup-52 multiply and one csub brings `[0, 2q_j)`
+/// to the digit the scalar `GarnerStep::digit` computes.
+///
+/// # Safety
+///
+/// AVX-512F+IFMA via inlining into a `target_feature` kernel,
+/// register-only; `r < q_j`, `d < q_i`, both moduli below `2^50`.
+#[inline(always)]
+unsafe fn garner_x8(r: __m512i, d: __m512i, step: &[__m512i; 3], qj: __m512i) -> __m512i {
+    // SAFETY: register-only IFMA arithmetic, by the contract.
+    unsafe {
+        let y = _mm512_sub_epi64(_mm512_add_epi64(r, step[0]), d);
+        csub_x8(mul_shoup52_x8(y, step[1], step[2], qj), qj)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the math substrate: both scalar reducers
 //! agree with the `u128` golden model, RNS decompose/combine round-trips, the word-sized CRT lift agrees
-//! with the big-integer one wherever it verifies and wherever it does not,
+//! with the big-integer one on both rungs, wherever it verifies and wherever it does not,
 //! and division-free RNS expansion agrees with `Modulus::from_i128`.
 
 use abc_math::dyadic::DyadicEngine;
@@ -376,29 +376,129 @@ fn limb_rows(basis: &RnsBasis, values: &[(bool, UBig)]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Lifts `rows` through the word lift and checks every coefficient,
-/// sign and magnitude, against the big-integer Garner lift; returns
-/// which coefficients took the fallback.
-fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, TestCaseError> {
-    let lift = WordLift::new(basis.clone());
-    let product = basis.product();
-    let mut got = Vec::new();
-    let fell_back = lift.lift_centered(rows, |j, negative, mag| {
-        assert_eq!(j, got.len(), "coefficients arrive in order");
-        got.push(match mag {
-            Lifted::Word(m) => (negative, UBig::from(m), false),
-            Lifted::Big(m) => (negative, m.clone(), true),
-        });
-    });
-    prop_assert_eq!(got.len(), rows[0].len());
-    for (j, (negative, mag, _)) in got.iter().enumerate() {
-        let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
-        let want = basis.combine_centered_big_with_product(&residues, &product);
-        prop_assert_eq!((*negative, mag), (want.0, &want.1), "coefficient {}", j);
+/// Both rungs of the word lift of `basis`: `Simd` (the IFMA kernel where
+/// the host and every modulus allow it) and `Scalar`.
+fn lift_rungs(basis: &RnsBasis) -> [WordLift; 2] {
+    let simd = WordLift::with_kernel(basis.clone(), KernelTier::Simd);
+    if basis
+        .moduli()
+        .iter()
+        .any(|m| m.q() >= shoup::MAX_SHOUP52_MODULUS)
+    {
+        assert_eq!(simd.kernel_name(), "scalar");
     }
-    let flags: Vec<bool> = got.into_iter().map(|g| g.2).collect();
-    prop_assert_eq!(flags.iter().filter(|&&f| f).count(), fell_back);
-    Ok(flags)
+    [
+        simd,
+        WordLift::with_kernel(basis.clone(), KernelTier::Scalar),
+    ]
+}
+
+/// Lifts `rows` through the word lift on both rungs and checks every
+/// coefficient, sign and magnitude, against the big-integer Garner lift;
+/// returns which coefficients took the fallback (the same on both).
+fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, TestCaseError> {
+    let product = basis.product();
+    let mut rungs = Vec::new();
+    for lift in lift_rungs(basis) {
+        let kernel = lift.kernel_name();
+        let mut got = Vec::new();
+        let fell_back = lift.lift_centered(rows, |j, negative, mag| {
+            assert_eq!(j, got.len(), "coefficients arrive in order");
+            got.push(match mag {
+                Lifted::Word(m) => (negative, UBig::from(m), false),
+                Lifted::Big(m) => (negative, m.clone(), true),
+            });
+        });
+        prop_assert_eq!(got.len(), rows[0].len());
+        for (j, (negative, mag, _)) in got.iter().enumerate() {
+            let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
+            let want = basis.combine_centered_big_with_product(&residues, &product);
+            prop_assert_eq!(
+                (*negative, mag),
+                (want.0, &want.1),
+                "{} coefficient {}",
+                kernel,
+                j
+            );
+        }
+        let flags: Vec<bool> = got.into_iter().map(|g| g.2).collect();
+        prop_assert_eq!(
+            flags.iter().filter(|&&f| f).count(),
+            fell_back,
+            "{}",
+            kernel
+        );
+        rungs.push(flags);
+    }
+    prop_assert_eq!(
+        &rungs[0],
+        &rungs[1],
+        "the rungs fall back on the same coefficients"
+    );
+    Ok(rungs.swap_remove(0))
+}
+
+/// The bases the two rungs are compared on: word prefixes of one, two
+/// and three moduli that are the whole basis, a 49-bit basis whose
+/// prefix stops at two with two limbs to check, and the paper's
+/// 24-prime chain (three, then 21 checks).
+fn rung_bases() -> Vec<RnsBasis> {
+    let wide = generate_ntt_primes(49, 4, 1 << 14).expect("49-bit primes");
+    vec![
+        lift_basis(false, 1),
+        lift_basis(false, 2),
+        lift_basis(false, 3),
+        RnsBasis::new(wide).expect("coprime primes"),
+        lift_basis(false, 24),
+    ]
+}
+
+#[test]
+fn word_lift_rungs_agree_on_the_edges_at_every_length() {
+    for basis in rung_bases() {
+        let (prefix_product, k) = word_prefix(&basis);
+        let half = UBig::from(prefix_product / 2);
+        let past = half.add(&UBig::one());
+        let edges: Vec<(bool, UBig)> = [UBig::zero(), UBig::one(), half, past.clone()]
+            .into_iter()
+            .flat_map(|mag| [(false, mag.clone()), (!mag.is_zero(), mag)])
+            .chain([
+                (true, UBig::from(12345u64)),
+                (false, UBig::from(1u64 << 40)),
+            ])
+            .collect();
+        // Every tail length of the 8-lane groups, and lengths either
+        // side of powers of two across the lift's 256-coefficient block.
+        let lengths = (0..=17).chain((4..=10).flat_map(|k| [(1 << k) - 3, (1 << k) + 3]));
+        for len in lengths {
+            let values: Vec<(bool, UBig)> = edges.iter().cloned().cycle().take(len).collect();
+            let flags = lift_and_check(&basis, &limb_rows(&basis, &values)).unwrap();
+            // One past ⌊Q_k/2⌋ falls back exactly when limbs are left to
+            // check; everything else verifies.
+            let beyond = basis.len() > k;
+            let want: Vec<bool> = values
+                .iter()
+                .map(|(_, mag)| beyond && *mag == past)
+                .collect();
+            assert_eq!(flags, want, "{} limbs, length {len}", basis.len());
+        }
+    }
+}
+
+#[test]
+fn word_lift_falls_back_one_lane_of_a_verified_group() {
+    // Lane 3 of the second 8-lane group lies past the prefix; its
+    // neighbours, and the whole first group, verify.
+    for basis in rung_bases().into_iter().skip(3) {
+        let (prefix_product, _) = word_prefix(&basis);
+        let mut values: Vec<(bool, UBig)> = (0..16u64)
+            .map(|j| (j % 3 == 0, UBig::from(j * 1_000_003)))
+            .collect();
+        values[11] = (true, UBig::from(prefix_product / 2 + 7));
+        let flags = lift_and_check(&basis, &limb_rows(&basis, &values)).unwrap();
+        let want: Vec<bool> = (0..16).map(|j| j == 11).collect();
+        assert_eq!(flags, want, "{} limbs", basis.len());
+    }
 }
 
 /// A SplitMix64 stream for the cases that need many values per seed.
@@ -490,14 +590,15 @@ proptest! {
         let flags = lift_and_check(&basis, &rows)?;
         prop_assert!(flags.iter().all(|&f| f == (limbs > k)));
         if limbs <= k {
-            let lift = WordLift::new(basis.clone());
-            let mut xs = vec![0i128; 300];
-            lift.lift_centered_i128(&rows, &mut xs);
             let product = basis.product();
-            for (j, &x) in xs.iter().enumerate() {
-                let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
-                let (negative, mag) = basis.combine_centered_big_with_product(&residues, &product);
-                prop_assert_eq!((x < 0, UBig::from(x.unsigned_abs())), (negative, mag));
+            for lift in lift_rungs(&basis) {
+                let mut xs = vec![0i128; 300];
+                lift.lift_centered_i128(&rows, &mut xs);
+                for (j, &x) in xs.iter().enumerate() {
+                    let residues: Vec<u64> = rows.iter().map(|row| row[j]).collect();
+                    let (negative, mag) = basis.combine_centered_big_with_product(&residues, &product);
+                    prop_assert_eq!((x < 0, UBig::from(x.unsigned_abs())), (negative, mag));
+                }
             }
         }
     }

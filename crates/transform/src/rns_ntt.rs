@@ -102,8 +102,8 @@ const DYADIC_PARALLEL_THRESHOLD: usize = 1 << 16;
 /// How heavy one limb of a pass is — which of the engine's two
 /// serial/parallel cut-offs [`RnsNttEngine::for_each_limb`] applies. A
 /// [`RnsNttEngine::for_each_chunk`] pass names the variant whose words
-/// cost nearest its own: a CRT-lift word is nearer a transform's than a
-/// dyadic op's.
+/// cost nearest its own: a CRT-lift word, eight to a step on the vector
+/// rung, is element-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LimbWork {
     /// `O(N log N)` per limb — the pass runs a transform. Fans out from

@@ -1,6 +1,6 @@
 //! The kernel ladder, as one table: forced tier × capability →
-//! `kernel_name()` for the NTT, the dyadic engine, the special FFT and
-//! the PRNG keystream.
+//! `kernel_name()` for the NTT, the dyadic engine, the CRT lift, the
+//! special FFT and the PRNG keystream.
 //!
 //! Each row fixes the facts only its layer knows (modulus width,
 //! transform size, datapath, slot count) and names the kernel every
@@ -11,8 +11,9 @@
 use abc_float::{ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::dyadic::DyadicEngine;
 use abc_math::primes::generate_ntt_primes;
+use abc_math::rns::WordLift;
 use abc_math::KernelTier::{self, Auto, Scalar, Simd};
-use abc_math::{CpuCaps, Modulus};
+use abc_math::{CpuCaps, Modulus, RnsBasis};
 use abc_prng::{chacha::ChaCha20, Seed};
 use abc_transform::{NttPlan, SpecialFft};
 
@@ -35,6 +36,12 @@ fn carried(q: u64, n: usize) -> [&'static str; 3] {
 
 fn dyadic(q: u64) -> [&'static str; 3] {
     TIERS.map(|t| DyadicEngine::with_kernel(Modulus::new(q).expect("modulus"), t).kernel_name())
+}
+
+/// The rung decode's CRT lift of `primes` runs on.
+fn lift(primes: &[u64]) -> [&'static str; 3] {
+    let basis = RnsBasis::new(primes.to_vec()).expect("coprime primes");
+    TIERS.map(|t| WordLift::with_kernel(basis.clone(), t).kernel_name())
 }
 
 fn fft<F: RealField>(field: F, slots: usize) -> [&'static str; 3] {
@@ -69,6 +76,7 @@ fn every_layer_walks_the_same_ladder() {
     // lanes.
     let q36 = 0xF_FFF0_0001u64;
     let q55 = generate_ntt_primes(55, 1, 128).expect("prime")[0];
+    let q39 = generate_ntt_primes(39, 1, 128).expect("prime")[0];
     let (ifma, avx512f) = (CpuCaps::detect().ifma(), CpuCaps::detect().avx512f);
     // Kernel names on the [Simd, Scalar] rungs: each layer's full
     // ladder, and what is left of it once a layer fact rules the SIMD
@@ -91,6 +99,15 @@ fn every_layer_walks_the_same_ladder() {
         // by its own facts only: `n < 16` costs the NTT its SIMD rung,
         // not the dyadic engine.
         ("carried, n < 16", ifma, carried(q36, 8), dyadic_full),
+        // One modulus past the IFMA lanes takes the whole lift off the
+        // vector rung.
+        ("lift", ifma, lift(&[q39, q36]), ["ifma", "scalar"]),
+        (
+            "lift, q >= 2^50",
+            ifma,
+            lift(&[q39, q55]),
+            ["scalar", "scalar"],
+        ),
         ("fft", avx512f, fft(F64Field, 64), fft_full),
         ("fft, slots < 8", avx512f, fft(F64Field, 4), fft_no_simd),
         (
