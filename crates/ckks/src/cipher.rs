@@ -67,30 +67,8 @@ pub struct Ciphertext {
 impl Ciphertext {
     /// Assembles a ciphertext from raw components — the entry point for
     /// *evaluator* code (server-side homomorphic operations) that
-    /// produces new ciphertexts from existing ones.
-    ///
-    /// The `f64` scale is converted to an exact dyadic rational; code
-    /// that already tracks an [`ExactScale`] (every evaluator in this
-    /// crate) should use [`Self::from_components_exact`] so rescale
-    /// history survives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CkksError::InvalidParams`] if the component
-    /// shapes are empty, ragged, or disagree with each other, or the
-    /// scale is not positive and finite.
-    pub fn from_components(
-        c0: Vec<Vec<u64>>,
-        c1: Vec<Vec<u64>>,
-        scale: f64,
-    ) -> Result<Self, crate::CkksError> {
-        let scale = ExactScale::from_f64(scale).ok_or_else(|| {
-            crate::CkksError::InvalidParams("scale must be positive and finite".to_owned())
-        })?;
-        Self::from_components_exact(c0, c1, scale)
-    }
-
-    /// [`Self::from_components`] with an exact rational scale.
+    /// produces new ciphertexts from existing ones. The scale is exact,
+    /// so the operands' rescale history survives.
     ///
     /// # Errors
     ///
@@ -306,18 +284,6 @@ mod tests {
         assert_eq!(d2.byte_size(), 3 * 24 * 65536 * 8);
         // Exactly 1.5× the degree-1 in-memory footprint at this level.
         assert_eq!(d2.byte_size() * 2, dummy_ct(primes, n).byte_size() * 3);
-    }
-
-    #[test]
-    fn f64_scale_constructor_is_exact_for_dyadics() {
-        let ct =
-            Ciphertext::from_components(vec![vec![0u64; 8]], vec![vec![0u64; 8]], 2f64.powi(72))
-                .expect("components");
-        assert_eq!(ct.exact_scale().as_pow2(), Some(72));
-        assert!(
-            Ciphertext::from_components(vec![vec![0u64; 8]], vec![vec![0u64; 8]], f64::NAN)
-                .is_err()
-        );
     }
 
     #[test]

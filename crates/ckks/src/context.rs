@@ -928,7 +928,7 @@ mod tests {
         let mut coeffs = product.residues().to_vec();
         small.ntt_engine().inverse_all(&mut coeffs);
         let lift = WordLift::new(small.basis().clone());
-        assert_eq!(lift.lift_centered(&coeffs, |_, _, _| {}), 1 << 13);
+        assert_eq!(lift.lift_blocks(&coeffs, |_| {}), 1 << 13);
         // The same product through the double-double embedding.
         let ext = CkksContext::new(params.with_embedding(EmbeddingPrecision::ExtF64)).unwrap();
         // Captured at the parent with 1, 2 and 3 threads. The first two

@@ -29,14 +29,12 @@
 //! with the tail CRT-lifted across both primes), dividing the scale by
 //! ≈Δ_eff = 2^72. Scales are tracked *exactly* as rationals
 //! ([`crate::scale::ExactScale`]): no `f64` drift over the 24-prime
-//! chain, and operand scales are compared by **exact equality**
-//! ([`ExactScale`]'s normalized representation), not an `f64`
-//! tolerance — see [`add`] for the single sanctioned fallback.
+//! chain, and operand scales are compared by **exact equality** of
+//! that normalized representation, not an `f64` tolerance.
 
 use crate::cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
 use crate::context::{add_limbs, mul_limbs, CkksContext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
-use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_math::rns::WordLift;
 use abc_math::RnsBasis;
@@ -53,32 +51,12 @@ fn validate_operand(ctx: &CkksContext, n: usize, num_primes: usize) -> Result<()
     Ok(())
 }
 
-/// Operand scale compatibility. Evaluator-produced scales carry their
-/// full rescale provenance and must match **exactly** — two different
-/// dropped-prime histories are rejected even when their `f64` images
-/// collide, since silently inheriting one operand's `ExactScale` would
-/// corrupt the exact-rational chain. The one sanctioned fallback: a
-/// history-free scale (empty denominator — e.g. the `f64` conversion
-/// behind [`Ciphertext::from_components`]) may match within `f64`
-/// round-off, because such a scale cannot encode a rescale history in
-/// the first place.
-fn scales_compatible(a: &ExactScale, b: &ExactScale) -> bool {
-    if a == b {
-        return true;
-    }
-    if !a.dropped_primes().is_empty() && !b.dropped_primes().is_empty() {
-        return false;
-    }
-    let (af, bf) = (a.to_f64(), b.to_f64());
-    (af - bf).abs() <= af.abs() * 1e-9
-}
-
 /// Homomorphic addition: `enc(a) + enc(b) = enc(a + b)`.
 ///
-/// Operand scales must be equal as exact rationals. The one fallback: a
-/// history-free scale (empty denominator, as
-/// [`Ciphertext::from_components`] makes) may match within `f64`
-/// round-off.
+/// Operand scales must be equal as exact rationals: two different
+/// rescale histories are rejected even when their `f64` images collide,
+/// since inheriting one operand's [`crate::scale::ExactScale`] would
+/// corrupt the exact-rational chain.
 ///
 /// # Errors
 ///
@@ -94,7 +72,7 @@ pub fn add(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Cipherte
             b.num_primes()
         )));
     }
-    if !scales_compatible(a.exact_scale(), b.exact_scale()) {
+    if a.exact_scale() != b.exact_scale() {
         return Err(CkksError::InvalidParams(
             "scale mismatch in homomorphic addition".to_owned(),
         ));
@@ -128,7 +106,7 @@ pub fn add_plaintext(
             "plaintext carries fewer primes than the ciphertext".to_owned(),
         ));
     }
-    if !scales_compatible(ct.exact_scale(), pt.exact_scale()) {
+    if ct.exact_scale() != pt.exact_scale() {
         return Err(CkksError::InvalidParams(
             "scale mismatch in plaintext addition".to_owned(),
         ));
@@ -489,6 +467,7 @@ pub fn conjugate(
 mod tests {
     use super::*;
     use crate::params::CkksParams;
+    use crate::scale::ExactScale;
     use abc_float::Complex;
     use abc_prng::Seed;
 
@@ -909,18 +888,13 @@ mod tests {
         let rel = (near.to_f64() - true_scale.to_f64()).abs() / true_scale.to_f64();
         assert!(rel < 1e-9, "impostor must defeat the old f64 check: {rel}");
         let limbs = vec![vec![0u64; n]; 3];
-        let a = Ciphertext::from_components_exact(limbs.clone(), limbs.clone(), true_scale.clone())
+        let a = Ciphertext::from_components_exact(limbs.clone(), limbs.clone(), true_scale)
             .expect("ct");
-        let b = Ciphertext::from_components_exact(limbs.clone(), limbs.clone(), near).expect("ct");
+        let b = Ciphertext::from_components_exact(limbs.clone(), limbs, near).expect("ct");
         assert!(matches!(
             add(&ctx, &a, &b),
             Err(CkksError::InvalidParams(_))
         ));
-        // The sanctioned fallback survives: a history-free f64 scale
-        // (`from_components`) still matches within f64 round-off.
-        let loose =
-            Ciphertext::from_components(limbs.clone(), limbs, true_scale.to_f64()).expect("ct");
-        assert!(add(&ctx, &a, &loose).is_ok());
     }
 
     /// Regression: ciphertexts carrying more primes than the context's
@@ -932,7 +906,8 @@ mod tests {
         let ctx = ctx();
         let n = ctx.params().n();
         let limbs = vec![vec![0u64; n]; ctx.basis().len() + 1];
-        let ct = Ciphertext::from_components(limbs.clone(), limbs, 2f64.powi(36)).expect("ct");
+        let ct = Ciphertext::from_components_exact(limbs.clone(), limbs, ExactScale::from_log2(36))
+            .expect("ct");
         let pt = ctx.encode(&msg(8, 0.0)).expect("encode");
         assert!(matches!(
             add(&ctx, &ct, &ct),

@@ -407,10 +407,10 @@ mod tests {
         let (sk, _) = ctx.keygen(Seed::from_u128(6));
         let pt = ctx.encode(&msg(16)).expect("encode");
         let n = ctx.params().n();
-        let ct = Ciphertext::from_components(
+        let ct = Ciphertext::from_components_exact(
             pt.residues().to_vec(),
             vec![vec![0u64; n]; pt.num_primes()],
-            pt.scale(),
+            pt.exact_scale().clone(),
         )
         .expect("components");
         let report = measure_noise(&ctx, &ct, &sk, &pt).expect("measure");

@@ -49,12 +49,6 @@ impl CompressedCiphertext {
         &self.c0
     }
 
-    /// Serialized size in bytes: one component plus the seed — about
-    /// half of [`Ciphertext::byte_size`].
-    pub fn byte_size(&self) -> usize {
-        self.c0.len() * self.n * 8 + 16
-    }
-
     /// The seed that regenerates the mask component.
     pub fn mask_seed(&self) -> Seed {
         self.mask_seed
@@ -169,7 +163,16 @@ mod tests {
         let pt = ctx.encode(&msg(8)).expect("encode");
         let full = ctx.encrypt(&pt, &pk, Seed::from_u128(4));
         let compressed = encrypt_symmetric_compressed(&ctx, &pt, &sk, Seed::from_u128(4));
-        assert!(compressed.byte_size() * 2 <= full.byte_size() + 32);
+        // On the wire the seed stands in for the packed `c1`.
+        let widths = ctx.wire_widths(full.num_primes());
+        let c1_bytes: usize = widths
+            .iter()
+            .map(|&w| (full.n() * w as usize).div_ceil(8))
+            .sum();
+        assert_eq!(
+            crate::wire::compressed_serialized_len(&compressed, &widths),
+            crate::wire::packed_serialized_len(&full, &widths) - c1_bytes + 16
+        );
         assert_eq!(compressed.num_primes(), full.num_primes());
     }
 

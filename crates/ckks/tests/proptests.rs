@@ -156,7 +156,7 @@ fn apply_block_is_apply_u128_at_the_named_magnitudes() {
 /// How many of `pt`'s coefficients the word lift hands to the fallback.
 fn fallbacks(ctx: &CkksContext, pt: &Plaintext) -> usize {
     let (res, basis) = coefficient_limbs(ctx, pt);
-    WordLift::new(basis).lift_centered(&res, |_, _, _| {})
+    WordLift::new(basis).lift_blocks(&res, |_| {})
 }
 
 fn assert_bit_identical(got: &[Complex], want: &[Complex]) {

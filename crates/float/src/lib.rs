@@ -25,9 +25,7 @@
 //!   single `f64` mantissa cannot hold the scaled coefficients,
 //! * [`trig`] — `cos/sin(π·k/2^d)` twiddle generation from exact integer
 //!   octant reduction + a 192-bit fixed-point Taylor series (`UBig`), so
-//!   `ExtF64` twiddles reach ≥2^-100 accuracy without `f64::sin_cos`,
-//! * [`SoftFloat`] — a standalone value type with operator overloads for
-//!   quick experiments.
+//!   `ExtF64` twiddles reach ≥2^-100 accuracy without `f64::sin_cos`.
 //!
 //! # Example
 //!
@@ -62,7 +60,7 @@ pub mod trig;
 pub use complex::Complex;
 pub use extended::ExtF64;
 pub use field::{ExtF64Field, F64Field, RealField, SoftFloatField};
-pub use softfloat::{round_to_mantissa, SoftFloat};
+pub use softfloat::round_to_mantissa;
 
 /// Mantissa width (fraction bits, excluding the implicit leading 1) of the
 /// paper's custom FP55 format: 55 = 1 sign + 11 exponent + 43 mantissa.

@@ -1,5 +1,6 @@
-//! Mantissa-rounding primitives and a standalone reduced-precision value
-//! type.
+//! The mantissa-rounding primitive: what the reduced-precision datapath
+//! ([`SoftFloatField`](crate::SoftFloatField)) applies after every
+//! operation.
 
 /// Rounds `x` to `mantissa_bits` fraction bits using round-to-nearest-even,
 /// emulating a hardware FPU with a narrower significand.
@@ -53,113 +54,10 @@ pub fn round_to_mantissa(x: f64, mantissa_bits: u32) -> f64 {
     f64::from_bits(out)
 }
 
-/// A reduced-precision floating-point value: an `f64` that is re-rounded
-/// to `mantissa_bits` after every arithmetic operation.
-///
-/// Operations between two values of different precision round to the
-/// *narrower* format, the conservative hardware interpretation.
-///
-/// For bulk numeric kernels prefer the context-style
-/// [`SoftFloatField`](crate::SoftFloatField), which avoids storing the
-/// width in every element.
-///
-/// # Example
-///
-/// ```
-/// use abc_float::SoftFloat;
-///
-/// let a = SoftFloat::new(1.0 / 3.0, 20);
-/// let b = SoftFloat::new(3.0, 20);
-/// let one = a * b;
-/// assert!((one.value() - 1.0).abs() < 2.0_f64.powi(-19));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct SoftFloat {
-    value: f64,
-    mantissa_bits: u32,
-}
-
-impl SoftFloat {
-    /// Creates a value rounded into the given format.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mantissa_bits` is 0 or exceeds 52.
-    pub fn new(x: f64, mantissa_bits: u32) -> Self {
-        Self {
-            value: round_to_mantissa(x, mantissa_bits),
-            mantissa_bits,
-        }
-    }
-
-    /// Creates a value in the paper's FP55 format (43 mantissa bits).
-    pub fn fp55(x: f64) -> Self {
-        Self::new(x, crate::FP55_MANTISSA_BITS)
-    }
-
-    /// The stored (already rounded) value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// The mantissa width of this value's format.
-    pub fn mantissa_bits(&self) -> u32 {
-        self.mantissa_bits
-    }
-
-    fn combine(self, rhs: Self, v: f64) -> Self {
-        let m = self.mantissa_bits.min(rhs.mantissa_bits);
-        Self::new(v, m)
-    }
-}
-
-impl core::ops::Add for SoftFloat {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        self.combine(rhs, self.value + rhs.value)
-    }
-}
-
-impl core::ops::Sub for SoftFloat {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        self.combine(rhs, self.value - rhs.value)
-    }
-}
-
-impl core::ops::Mul for SoftFloat {
-    type Output = Self;
-    fn mul(self, rhs: Self) -> Self {
-        self.combine(rhs, self.value * rhs.value)
-    }
-}
-
-impl core::ops::Div for SoftFloat {
-    type Output = Self;
-    fn div(self, rhs: Self) -> Self {
-        self.combine(rhs, self.value / rhs.value)
-    }
-}
-
-impl core::ops::Neg for SoftFloat {
-    type Output = Self;
-    fn neg(self) -> Self {
-        Self {
-            value: -self.value,
-            mantissa_bits: self.mantissa_bits,
-        }
-    }
-}
-
-impl core::fmt::Display for SoftFloat {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}f{}", self.value, self.mantissa_bits + 12)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RealField, SoftFloatField};
 
     #[test]
     fn identity_at_full_width() {
@@ -224,23 +122,22 @@ mod tests {
 
     #[test]
     fn softfloat_ops_round() {
-        let a = SoftFloat::new(1.0, 10);
-        let eps = SoftFloat::new(2f64.powi(-14), 10);
+        let f = SoftFloatField::new(10);
+        let eps = f.from_f64(2f64.powi(-14));
         // 1 + 2^-14 is not representable with 10 mantissa bits.
-        assert_eq!((a + eps).value(), 1.0);
-        assert_eq!((a - eps).value(), 1.0);
-        let b = SoftFloat::new(1.0 / 3.0, 40);
-        // Mixed widths round to the narrower format.
-        assert_eq!((a * b).mantissa_bits(), 10);
-        assert_eq!((-a).value(), -1.0);
-        let q = SoftFloat::new(1.0, 10) / SoftFloat::new(3.0, 10);
-        assert_eq!(q.value(), round_to_mantissa(1.0 / 3.0, 10));
+        assert_eq!(f.add(1.0, eps), 1.0);
+        assert_eq!(f.sub(1.0, eps), 1.0);
+        let third = f.from_f64(1.0 / 3.0);
+        assert_eq!(third, round_to_mantissa(1.0 / 3.0, 10));
+        assert_eq!(f.mul(third, 3.0), round_to_mantissa(third * 3.0, 10));
+        assert_ne!(f.mul(third, 3.0), third * 3.0);
+        assert_eq!(f.neg(1.0), -1.0);
     }
 
     #[test]
     fn fp55_preset() {
-        let x = SoftFloat::fp55(1.0 / 3.0);
-        assert_eq!(x.mantissa_bits(), 43);
-        assert_eq!(x.value(), round_to_mantissa(1.0 / 3.0, 43));
+        let f = SoftFloatField::fp55();
+        assert_eq!(f.mantissa_bits(), 43);
+        assert_eq!(f.from_f64(1.0 / 3.0), round_to_mantissa(1.0 / 3.0, 43));
     }
 }

@@ -9,9 +9,11 @@
 //!
 //! * [`twiddle`] — the unified on-the-fly twiddle generator (§IV-B),
 //!   checked twiddle for twiddle against the NTT plan's table.
-//! * [`stream`] / [`stream_fft`] — the RFE's streaming NTT and special-FFT
-//!   dataflows (one sample per tick, halving delay buffers), equal to
-//!   `NttPlan::forward` and the planned `SpecialFft` output for output.
+//! * [`stream`] — the RFE's streaming pipeline: one butterfly column
+//!   type and one drive loop, configured as the NTT mode (`Z_q`) or the
+//!   special-FFT mode (complex, over any datapath), one sample per tick
+//!   through halving delay buffers; equal to `NttPlan::forward` and the
+//!   planned `SpecialFft` output for output.
 //! * [`reduce`] — the Table I reducers behind one strategy trait: the
 //!   client's Barrett and Montgomery beside the NTT-friendly shift-add
 //!   Montgomery.
@@ -53,7 +55,6 @@ pub mod reduce;
 pub mod rfe;
 pub mod scaling;
 pub mod stream;
-pub mod stream_fft;
 pub mod twiddle;
 
 /// Clock frequency of every synthesized number in this crate (Hz).

@@ -6,10 +6,10 @@
 //! on-chip memory reduction. [`OtfTwiddleGen`] models the generator;
 //! the conventional table is the one an [`NttPlan`] holds
 //! (`abc_transform::TwiddleTable`), read here through [`TwiddleSource`].
-//! The two are bit-identical twiddle for twiddle (tests below), and
-//! [`crate::stream::StreamingNtt`] runs a whole transform on either, so
-//! the memory model ([`crate::memory`]) can charge them different
-//! SRAM/DRAM costs for the same result.
+//! The two are bit-identical twiddle for twiddle (tests below), and the
+//! streaming pipeline's NTT mode ([`crate::stream::StreamingNtt`]) runs
+//! a whole transform on either, so the memory model ([`crate::memory`])
+//! can charge them different SRAM/DRAM costs for the same result.
 
 use abc_math::{MathError, Modulus};
 use abc_transform::bitrev::bit_reverse;

@@ -1,13 +1,14 @@
 //! Property-based tests for the paper's datapath models, each against
 //! the product code it models: the on-the-fly twiddle generator against
-//! the NTT plan's table, the streaming FFT dataflow against the planned
-//! special FFT, the Table I reducers against the `u128` golden model, and
-//! the Fig. 4 multiplier counts against their theoretical minimum.
+//! the NTT plan's table, both modes of the streaming pipeline against the
+//! planned NTT and special FFT, the Table I reducers against the `u128`
+//! golden model, and the Fig. 4 multiplier counts against their
+//! theoretical minimum.
 
 use abc_float::{Complex, F64Field};
 use abc_hw::radix::{MdcDesign, TransformKind};
 use abc_hw::reduce::{csd, csd_eval_wrapping, ModMul, NttFriendlyMontgomery};
-use abc_hw::stream_fft::StreamingSpecialFft;
+use abc_hw::stream::{StreamingNtt, StreamingSpecialFft};
 use abc_hw::twiddle::{OtfTwiddleGen, TwiddleSource};
 use abc_math::primes::{generate_ntt_primes, generate_structured_ntt_primes};
 use abc_math::Modulus;
@@ -99,10 +100,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // The streaming (shuffle-buffer) transform matches the planned
-    // kernel bit for bit, whatever kernel the plan dispatched to.
+    // Both modes of the streaming pipeline match the planned kernel bit
+    // for bit, whatever kernel the plan dispatched to.
     #[test]
-    fn streaming_matches_planned(seed in any::<u64>(), log_slots in 4u32..=10) {
+    fn streaming_matches_planned(
+        seed in any::<u64>(),
+        log_slots in 4u32..=10,
+        m in arb_prime_modulus(),
+        log_n in 1u32..=13,
+    ) {
+        let n = 1usize << log_n;
+        let plan = NttPlan::new(m, n).expect("plan");
+        let poly: Vec<u64> = (0..n as u64)
+            .map(|i| seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) % m.q())
+            .collect();
+        let mut want = poly.clone();
+        plan.forward(&mut want);
+        prop_assert_eq!(StreamingNtt::from_plan(&plan).expect("streamer").transform(&poly), want);
+
         let slots = 1usize << log_slots;
         let plan = SpecialFft::with_field(F64Field, slots);
         let mut streamer = StreamingSpecialFft::new(&plan);

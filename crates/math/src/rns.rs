@@ -416,16 +416,6 @@ impl<'a, X: SignedWord> SignedCoeffs<'a, X> {
     }
 }
 
-/// Magnitude of one centered CRT lift, as [`WordLift::lift_centered`]
-/// hands it to its sink.
-#[derive(Debug, Clone, Copy)]
-pub enum Lifted<'a> {
-    /// The word lift verified: the magnitude fits a `u128`.
-    Word(u128),
-    /// The word lift did not verify; recombined by the big-integer lift.
-    Big(&'a UBig),
-}
-
 /// Coefficients lifted per pass over the limbs: the prefix values and
 /// their flags stay on the stack, each limb is read in contiguous runs.
 pub const LIFT_BLOCK: usize = 256;
@@ -454,14 +444,15 @@ pub const LIFT_BLOCK: usize = 256;
 /// # Example
 ///
 /// ```
-/// use abc_math::{rns::{Lifted, WordLift}, RnsBasis, primes::generate_ntt_primes};
+/// use abc_math::{rns::WordLift, RnsBasis, primes::generate_ntt_primes};
 ///
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let basis = RnsBasis::new(generate_ntt_primes(36, 5, 1 << 14)?)?;
 /// let limbs: Vec<Vec<u64>> = basis.moduli().iter().map(|m| vec![m.from_i128(-42)]).collect();
 /// let lift = WordLift::new(basis);
-/// let fell_back = lift.lift_centered(&limbs, |_, negative, mag| {
-///     assert!(negative && matches!(mag, Lifted::Word(42)));
+/// let fell_back = lift.lift_blocks(&limbs, |block| {
+///     assert_eq!(block.words(), &[-42]);
+///     assert_eq!(block.fell_back().count(), 0);
 /// });
 /// assert_eq!(fell_back, 0);
 /// # Ok(())
@@ -638,33 +629,7 @@ impl WordLift {
         fell_back
     }
 
-    /// [`Self::lift_blocks`] one coefficient at a time: hands
-    /// `(j, negative, magnitude)` to `sink` in coefficient order, a
-    /// coefficient that did not verify as [`Lifted::Big`]. Returns how
-    /// many did not.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::lift_blocks`].
-    pub fn lift_centered<L: AsRef<[u64]>>(
-        &self,
-        limbs: &[L],
-        mut sink: impl FnMut(usize, bool, Lifted<'_>),
-    ) -> usize {
-        self.lift_blocks(limbs, |block| {
-            for (i, &x) in block.words().iter().enumerate() {
-                let j = block.start() + i;
-                if block.verified(i) {
-                    sink(j, x < 0, Lifted::Word(x.unsigned_abs()));
-                } else {
-                    let (negative, mag) = block.big(i);
-                    sink(j, negative, Lifted::Big(&mag));
-                }
-            }
-        })
-    }
-
-    /// [`Self::lift_centered`] for a basis that is all word prefix (at
+    /// [`Self::lift_blocks`] for a basis that is all word prefix (at
     /// most three moduli, product below `2^127`): every centered value
     /// fits an `i128`, nothing is left to verify, nothing falls back.
     /// Residues are canonical, in `[0, q_i)`.
@@ -672,7 +637,7 @@ impl WordLift {
     /// # Panics
     ///
     /// Panics if the basis reaches past its word prefix, or on the
-    /// shape conditions of [`Self::lift_centered`] with `out` as one
+    /// shape conditions of [`Self::lift_blocks`] with `out` as one
     /// more limb.
     pub fn lift_centered_i128<L: AsRef<[u64]>>(&self, limbs: &[L], out: &mut [i128]) {
         assert!(
@@ -798,11 +763,6 @@ impl<L: AsRef<[u64]>> LiftedBlock<'_, L> {
     /// [`Self::fell_back`], where it is only the prefix's.
     pub fn words(&self) -> &[i128] {
         self.words
-    }
-
-    /// Whether word `i` passed every check.
-    pub(crate) fn verified(&self, i: usize) -> bool {
-        self.verified[i / 8] >> (i % 8) & 1 == 1
     }
 
     /// The offsets of the words that did not verify, ascending.

@@ -6,7 +6,7 @@
 use abc_math::dyadic::DyadicEngine;
 use abc_math::primes::{generate_ntt_primes, is_prime};
 use abc_math::reduce::{Barrett, Montgomery};
-use abc_math::rns::{Lifted, SignedCoeffs, SignedWord, WordLift};
+use abc_math::rns::{SignedCoeffs, SignedWord, WordLift};
 use abc_math::{poly, shoup, KernelTier, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -402,12 +402,17 @@ fn lift_and_check(basis: &RnsBasis, rows: &[Vec<u64>]) -> Result<Vec<bool>, Test
     for lift in lift_rungs(basis) {
         let kernel = lift.kernel_name();
         let mut got = Vec::new();
-        let fell_back = lift.lift_centered(rows, |j, negative, mag| {
-            assert_eq!(j, got.len(), "coefficients arrive in order");
-            got.push(match mag {
-                Lifted::Word(m) => (negative, UBig::from(m), false),
-                Lifted::Big(m) => (negative, m.clone(), true),
-            });
+        let fell_back = lift.lift_blocks(rows, |block| {
+            assert_eq!(block.start(), got.len(), "coefficients arrive in order");
+            let mut big = block.fell_back().peekable();
+            for (i, &x) in block.words().iter().enumerate() {
+                got.push(if big.next_if_eq(&i).is_some() {
+                    let (negative, mag) = block.big(i);
+                    (negative, mag, true)
+                } else {
+                    (x < 0, UBig::from(x.unsigned_abs()), false)
+                });
+            }
         });
         prop_assert_eq!(got.len(), rows[0].len());
         for (j, (negative, mag, _)) in got.iter().enumerate() {

@@ -105,7 +105,8 @@ fn homomorphic_addition_in_ntt_domain() {
         poly::add_assign(m, &mut s0[i], &b0[i]);
         poly::add_assign(m, &mut s1[i], &b1[i]);
     }
-    let sum_ct = Ciphertext::from_components(s0, s1, ca.scale()).expect("rebuild");
+    let sum_ct =
+        Ciphertext::from_components_exact(s0, s1, ca.exact_scale().clone()).expect("rebuild");
     let out = ctx
         .decode(&ctx.decrypt(&sum_ct, &sk).expect("decrypt"))
         .expect("decode");

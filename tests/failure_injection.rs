@@ -32,7 +32,8 @@ fn corrupt(ct: &Ciphertext, prime: usize, coeff: usize) -> Ciphertext {
     let (c0, c1) = ct.components();
     let mut n0 = c0.to_vec();
     n0[prime][coeff] ^= 1 << 20;
-    Ciphertext::from_components(n0, c1.to_vec(), ct.scale()).expect("same shape")
+    Ciphertext::from_components_exact(n0, c1.to_vec(), ct.exact_scale().clone())
+        .expect("same shape")
 }
 
 #[test]
@@ -94,8 +95,12 @@ fn mismatched_seed_fails_symmetric_expansion() {
         other.expand(&ctx).expect("expand")
     };
     let (_, wrong_c1) = wrong_mask.components();
-    let franken =
-        Ciphertext::from_components(c0.to_vec(), wrong_c1.to_vec(), good.scale()).expect("shape");
+    let franken = Ciphertext::from_components_exact(
+        c0.to_vec(),
+        wrong_c1.to_vec(),
+        good.exact_scale().clone(),
+    )
+    .expect("shape");
     let garbled = ctx
         .decode(&ctx.decrypt(&franken, &sk).expect("d"))
         .expect("decode");
@@ -118,10 +123,10 @@ fn oversized_message_magnitude_wraps_at_low_level() {
         let residues = pt.residues()[..1].to_vec();
         // A one-prime plaintext: decrypt a truncated ciphertext whose c1
         // is zero, so `d = c0`.
-        let ct = Ciphertext::from_components(
+        let ct = Ciphertext::from_components_exact(
             residues.clone(),
             vec![vec![0u64; ctx.params().n()]; 1],
-            pt.scale(),
+            pt.exact_scale().clone(),
         )
         .expect("shape");
         let (sk, _) = ctx.keygen(Seed::from_u128(7));
