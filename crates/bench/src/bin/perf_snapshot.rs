@@ -357,7 +357,8 @@ fn main() {
                     5,
                     Box::new(|x| engine.mul_neg_add2_assign(x, &b, &c, &d)),
                 ),
-                // The upload kernel (`pk_encrypt_all`: e + pk·v̂).
+                // The upload kernel (`CkksContext::encrypt`'s pair
+                // pass: e + pk·v̂) and the key-switch accumulation.
                 (
                     "fused_dyadic/mul_acc_premul",
                     4,

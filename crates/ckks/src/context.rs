@@ -1,14 +1,16 @@
 //! The CKKS client context: encode, encrypt, decrypt, decode.
 
 use crate::cipher::{Ciphertext, Plaintext};
+use crate::evaluator::automorphism;
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
 use crate::params::{CkksParams, EmbeddingPrecision};
 use crate::scale::ExactScale;
+use crate::symmetric::rlwe_sample;
 use crate::CkksError;
 use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField};
-use abc_math::rns::{WordLift, LIFT_BLOCK};
+use abc_math::rns::{SignedCoeffs, WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
-use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
+use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
 use abc_transform::{LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
 
@@ -450,40 +452,19 @@ impl CkksContext {
     // Keys
     // ------------------------------------------------------------------
 
-    /// The uniform mask `a` of a key or a seeded ciphertext, sampled
-    /// directly in NTT domain (the distribution is invariant under the
-    /// NTT): limb `i` is stream `i` of `seed`, under prime `i`. Written
-    /// once because [`crate::symmetric::CompressedCiphertext::expand`]
-    /// must regenerate the same mask bit for bit. Each limb owns its
-    /// stream, so the limbs are drawn on the engine's fan-out.
-    pub(crate) fn fill_mask(&self, seed: Seed, limbs: &mut [Vec<u64>]) {
-        self.engine
-            .for_each_limb(limbs, LimbWork::Elementwise, |i, plan, limb| {
-                UniformSampler::new(seed, i as u64).sample_poly(plan.modulus(), limb)
-            });
-    }
-
-    /// One RLWE sample `(−(a·s) + e, a)` under every prime — what a
-    /// public key and each key-switching digit are: the mask `a` from
-    /// `mask_seed`, Gaussian `e` from `error_seed`, and the product in
-    /// ONE fused RNS-wide pass (limb fan-out across threads,
-    /// IFMA/Montgomery dyadic kernels).
-    fn rlwe_sample(
+    /// One RLWE sample `(b, a) = (e (+ t) − a·s, a)` under every prime —
+    /// what a public key and each key-switching digit are — in fresh
+    /// limbs: keys live as long as their context, outside the pool.
+    fn rlwe_key<'t>(
         &self,
         s_ntt: &[Vec<u64>],
         mask_seed: Seed,
         error_seed: Seed,
+        t: impl Fn(usize) -> Option<&'t [u64]> + Sync,
     ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
         let (n, k) = (self.params.n(), self.basis.len());
-        let e = GaussianSampler::new(error_seed, 0, self.params.error_sigma()).sample_poly(n);
-        let e_ntt = self.engine.expand_and_ntt_pooled(&e, k);
-        let mut a = vec![vec![0u64; n]; k];
-        self.fill_mask(mask_seed, &mut a);
-        let mut b = a.clone();
-        self.engine
-            .for_each_limb(&mut b, LimbWork::Elementwise, |i, plan, limb| {
-                plan.dyadic().mul_neg_add_assign(limb, &s_ntt[i], &e_ntt[i])
-            });
+        let (mut b, mut a) = (vec![vec![0u64; n]; k], vec![vec![0u64; n]; k]);
+        rlwe_sample(self, s_ntt, mask_seed, error_seed, t, &mut b, Some(&mut a));
         (b, a)
     }
 
@@ -494,7 +475,7 @@ impl CkksContext {
         let s = ternary.sample_poly(n, self.params.secret_hamming_weight());
         let s_ntt = self.engine.expand_and_ntt(&s);
         let mask_seed = seed.derive(1);
-        let (pk0, pk1) = self.rlwe_sample(&s_ntt, mask_seed, seed.derive(2));
+        let (pk0, pk1) = self.rlwe_key(&s_ntt, mask_seed, seed.derive(2), |_| None);
         (
             SecretKey {
                 coeffs: s,
@@ -541,17 +522,8 @@ impl CkksContext {
                 "Galois element {element} not odd in 1..{two_n}"
             )));
         }
-        // σ_g(s) in coefficient domain: coefficient j lands at
-        // j·g mod 2N, negated when it wraps past N (X^N = −1).
         let mut permuted = vec![0i8; n];
-        for (j, &c) in sk.coeffs.iter().enumerate() {
-            let idx = (j * element as usize) & (2 * n - 1);
-            if idx < n {
-                permuted[idx] = c;
-            } else {
-                permuted[idx - n] = -c;
-            }
-        }
+        automorphism(&sk.coeffs, element as usize, &mut permuted, |c| -c);
         let t_ntt = self.engine.expand_and_ntt(&permuted);
         Ok(GaloisKey {
             element,
@@ -611,25 +583,14 @@ impl CkksContext {
         sk: &SecretKey,
         seed: Seed,
     ) -> KeySwitchKey {
-        let digits = self.basis.len();
-        let mut b_digits = Vec::with_capacity(digits);
-        let mut a_digits = Vec::with_capacity(digits);
-        for digit in 0..digits {
-            // b = −(a·s) + e, then the gadget term on the digit's own
-            // limb.
-            let d = 2 * digit as u64;
-            let (mut b, a) = self.rlwe_sample(&sk.ntt, seed.derive(d), seed.derive(d + 1));
-            let m = &self.basis.moduli()[digit];
-            for (dst, &t) in b[digit].iter_mut().zip(&target_ntt[digit]) {
-                *dst = m.add(*dst, t);
-            }
-            b_digits.push(b);
-            a_digits.push(a);
-        }
-        KeySwitchKey {
-            b: b_digits,
-            a: a_digits,
-        }
+        let (b, a) = (0..self.basis.len())
+            .map(|digit| {
+                let d = 2 * digit as u64;
+                let t = |i: usize| (i == digit).then(|| &target_ntt[digit][..]);
+                self.rlwe_key(&sk.ntt, seed.derive(d), seed.derive(d + 1), t)
+            })
+            .unzip();
+        KeySwitchKey { b, a }
     }
 
     // ------------------------------------------------------------------
@@ -654,15 +615,35 @@ impl CkksContext {
 
         let v = TernarySampler::new(seed.derive(0), 0).sample_poly(n, None);
         let sigma = self.params.error_sigma();
-        let e0 = GaussianSampler::new(seed.derive(1), 0, sigma).sample_poly(n);
-        let e1 = GaussianSampler::new(seed.derive(2), 0, sigma).sample_poly(n);
-        // c0 = pk0·v + e0 + m and c1 = pk1·v + e1 as ONE limb-streaming
-        // engine pass over the plaintext's primes: per limb, v, e0 and e1
-        // are expanded, transformed and combined with the key read
-        // in place; c0 and c1 come out of the limb pool.
-        let (c0, c1) = self
-            .engine
-            .pk_encrypt_all(&v, &e0, &e1, &pk.pk0, &pk.pk1, &pt.rns);
+        let e = [1, 2].map(|s| GaussianSampler::new(seed.derive(s), 0, sigma).sample_poly(n));
+        let (v, e) = (
+            SignedCoeffs::scan(&v),
+            e.each_ref().map(|e| SignedCoeffs::scan(e)),
+        );
+        // c0 = pk0·v + e0 + m and c1 = pk1·v + e1 in ONE pair pass over
+        // the plaintext's primes: v̂ lives in the thread's scratch limb,
+        // entered into the kernel's domain once; e0 and e1 are expanded
+        // straight into the output limbs; the key is read in place. Every
+        // intermediate is canonical (`forward`, not `forward_lazy`).
+        let (engine, pk0, pk1, m) = (&self.engine, &pk.pk0, &pk.pk1, &pt.rns);
+        let (mut c0, mut c1) = (engine.take_limbs(m.len()), engine.take_limbs(m.len()));
+        engine.for_each_limb_pair(
+            &mut c0,
+            &mut c1,
+            LimbWork::Transform,
+            |i, plan, x0, x1, v_hat| {
+                let d = plan.dyadic();
+                d.expand_into(&v, v_hat);
+                plan.forward(v_hat);
+                d.premul(v_hat);
+                for (x, e, pk) in [(&mut *x0, &e[0], &pk0[i]), (&mut *x1, &e[1], &pk1[i])] {
+                    d.expand_into(e, x);
+                    plan.forward(x);
+                    d.mul_acc_assign_premul(x, pk, v_hat);
+                }
+                d.add_assign(x0, &m[i]);
+            },
+        );
         Ciphertext {
             c0,
             c1,
@@ -978,6 +959,35 @@ mod tests {
         let rational = ctx.encode_with_exact_scale(&message, scale).unwrap();
         let residues = rational.residues().iter().flatten();
         let noise = crate::noise::measure_noise(&ctx, &ct, &sk, &pt).unwrap();
+        // Then, on 8 primes at N = 2^13 (k·N = 2^16, where every pass
+        // fans out), the bytes of what an RLWE sample or a pair pass
+        // writes — a seeded upload, a plaintext product, a relinearized
+        // square, the eval key, a rotation and its Galois key — captured
+        // before keygen, key-switch keys and seeded encrypt shared one
+        // per-limb body, those passes left the NTT engine and the
+        // automorphism became one pair pass.
+        let params = CkksParams::builder()
+            .log_n(13)
+            .num_primes(8)
+            .scale_mode(crate::params::ScaleMode::DoublePair)
+            .build()
+            .unwrap();
+        let small = CkksContext::new(params).unwrap();
+        let (small_sk, small_pk) = small.keygen(Seed::from_u128(3303));
+        let evk = small.gen_eval_key(&small_sk, Seed::from_u128(3304));
+        let small_pt = small.encode(&message).unwrap();
+        let small_ct = small.encrypt(&small_pt, &small_pk, Seed::from_u128(3305));
+        let seeded = crate::symmetric::encrypt_symmetric_compressed(
+            &small,
+            &small_pt,
+            &small_sk,
+            Seed::from_u128(3306),
+        );
+        let gk = small
+            .gen_rotation_key(&small_sk, 5, Seed::from_u128(3307))
+            .unwrap();
+        let rotated = crate::evaluator::rotate(&small, &small_ct, 5, &gk).unwrap();
+        let widths = small.wire_widths(8);
         let got = [
             blob_hash(&ctx, &ct),
             blob_hash(&ctx, &rescaled),
@@ -985,6 +995,18 @@ mod tests {
             fnv1a(residues.flat_map(|r| r.to_le_bytes())),
             noise.std_dev.to_bits(), // 209.39898096108075
             noise.max_abs.to_bits(), // 866.0
+            fnv1a(crate::wire::serialize_compressed_ciphertext(&seeded, &widths).unwrap()),
+            blob_hash(
+                &small,
+                &crate::evaluator::plaintext_mul(&small, &small_ct, &small_pt).unwrap(),
+            ),
+            blob_hash(
+                &small,
+                &crate::evaluator::mul_relin(&small, &small_ct, &small_ct, &evk).unwrap(),
+            ),
+            fnv1a(crate::wire::serialize_eval_key(&evk, &widths).unwrap()),
+            blob_hash(&small, &rotated),
+            fnv1a(crate::wire::serialize_galois_key(&gk, &widths).unwrap()),
         ];
         let parents = [
             0xe744_cdfc_120d_3b20,
@@ -993,8 +1015,68 @@ mod tests {
             0x5393_c217_aa02_2325,
             0x406a_2cc4_73b8_7231,
             0x408b_1000_0000_0000,
+            0x2ab7_d662_cc81_387b,
+            0xa7f5_a7e3_46cd_ed35,
+            0xbd97_b408_90eb_dd48,
+            0x1baf_a5b3_6ec7_1d4b,
+            0x4c67_f31e_0e35_4cda,
+            0x9dd0_91e8_71b8_f957,
         ];
         assert_eq!(got, parents);
+    }
+
+    #[test]
+    fn encrypt_is_the_unfused_public_key_sequence() {
+        // The limb-streaming encrypt pass against the sequence it fuses,
+        // spelt with the engine's named ops from the same sampler seeds:
+        // three escaping expansions, then pk0·v + e0 + m and pk1·v + e1
+        // on copies of the key — with the plaintext at and below the
+        // key's level, at every thread fan-out (2·k·N ≥ 2^14 spawns from
+        // two limbs up at N = 2^12).
+        use abc_math::envtest::EnvGuard;
+        use abc_transform::rns_ntt::THREADS_ENV;
+        let params = CkksParams::builder()
+            .log_n(12)
+            .num_primes(6)
+            .secret_hamming_weight(Some(64))
+            .build()
+            .unwrap();
+        let mut env = EnvGuard::lock();
+        for threads in [1usize, 2, 4] {
+            env.set(THREADS_ENV, &threads.to_string());
+            let ctx = CkksContext::new(params.clone()).unwrap();
+            let engine = ctx.ntt_engine();
+            assert_eq!(engine.threads(), threads);
+            let n = ctx.params().n();
+            let sigma = ctx.params().error_sigma();
+            let (_, pk) = ctx.keygen(Seed::from_u128(71));
+            let full = ctx.encode(&test_message(ctx.params().slots())).unwrap();
+            for lvl in [6usize, 5, 2, 1] {
+                let pt = Plaintext {
+                    rns: PooledLimbs::copy_of(&full.rns[..lvl]),
+                    scale: full.scale.clone(),
+                    n,
+                };
+                let seed = Seed::from_u128(72 + lvl as u128);
+                let ct = ctx.encrypt(&pt, &pk, seed);
+                let v = TernarySampler::new(seed.derive(0), 0).sample_poly(n, None);
+                let e0 = GaussianSampler::new(seed.derive(1), 0, sigma).sample_poly(n);
+                let e1 = GaussianSampler::new(seed.derive(2), 0, sigma).sample_poly(n);
+                let v_ntt = engine.expand_and_ntt(&v);
+                let mut want0 = pk.pk0[..lvl].to_vec();
+                engine.dyadic_mul_add2_all(
+                    &mut want0,
+                    &v_ntt,
+                    &engine.expand_and_ntt(&e0),
+                    &pt.rns,
+                );
+                let mut want1 = pk.pk1[..lvl].to_vec();
+                engine.dyadic_mul_add_all(&mut want1, &v_ntt, &engine.expand_and_ntt(&e1));
+                let (c0, c1) = ct.components();
+                assert_eq!(c0, &want0[..], "c0 threads={threads} lvl={lvl}");
+                assert_eq!(c1, &want1[..], "c1 threads={threads} lvl={lvl}");
+            }
+        }
     }
 
     #[test]

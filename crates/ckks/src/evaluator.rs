@@ -36,7 +36,8 @@ use crate::cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
 use crate::context::{add_limbs, mul_limbs, CkksContext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
 use crate::CkksError;
-use abc_math::rns::WordLift;
+use abc_math::dyadic::DyadicEngine;
+use abc_math::rns::{SignedCoeffs, WordLift};
 use abc_math::RnsBasis;
 use abc_transform::{LimbWork, PooledLimbs};
 
@@ -140,12 +141,30 @@ pub fn plaintext_mul(
     let (c0, c1) = ct.components();
     let mut n0 = PooledLimbs::copy_of(c0);
     let mut n1 = PooledLimbs::copy_of(c1);
-    // Both components multiply by the same plaintext: the engine enters
-    // each residue limb into the dyadic kernel's Montgomery domain once
-    // and reuses it for the pair, limbs fanned out across threads.
-    ctx.ntt_engine()
-        .dyadic_mul_pair_all(&mut n0, &mut n1, pt.residues());
+    with_entered(ctx, &mut n0, &mut n1, pt.residues(), |d, _, x0, x1, m| {
+        d.mul_assign_premul(x0, m);
+        d.mul_assign_premul(x1, m);
+    });
     Ciphertext::from_limbs(n0, n1, ct.exact_scale().mul(pt.exact_scale()))
+}
+
+/// Runs `f(dyadic_i, i, x0_i, x1_i, op_i)` on the limb pairs of two
+/// components with `op_i` entered into the dyadic kernel's domain once,
+/// in the thread's scratch limb: a plaintext product, or a key-switch
+/// digit against both halves of its key.
+fn with_entered(
+    ctx: &CkksContext,
+    x0: &mut [Vec<u64>],
+    x1: &mut [Vec<u64>],
+    op: &[Vec<u64>],
+    f: impl Fn(&DyadicEngine, usize, &mut [u64], &mut [u64], &[u64]) + Sync,
+) {
+    let engine = ctx.ntt_engine();
+    engine.for_each_limb_pair(x0, x1, LimbWork::Elementwise, |i, plan, x0, x1, pre| {
+        pre.copy_from_slice(&op[i]);
+        plan.dyadic().premul(pre);
+        f(plan.dyadic(), i, x0, x1, pre);
+    });
 }
 
 /// RNS rescaling by one multiplicative *level* of the context's
@@ -213,24 +232,37 @@ fn drop_tail(ctx: &CkksContext, ct: &Ciphertext, t: usize) -> Result<Ciphertext,
         .map(|m| m.inv(m.reduce_u128(tail_product)).expect("coprime basis"))
         .collect();
     let tail_lift = WordLift::new(RnsBasis::new(tail_moduli.iter().map(|m| m.q()).collect())?);
-    let mut centered = vec![0i128; ct.n()];
-    let mut drop_component = |component: &[Vec<u64>]| {
-        // The tail residues back to coefficient domain (each copy folds
-        // into the first inverse-NTT stage; the limbs come from the
-        // pool), then CRT-lifted per coefficient into (−T/2, T/2].
+    // Each component's tail back to coefficient domain (the copy folds
+    // into the first inverse-NTT stage), then CRT-lifted per coefficient
+    // into (−T/2, T/2]: `i64`-sized for one prime, ~75 bits for a pair.
+    let (c0, c1) = ct.components();
+    let centered = [c0, c1].map(|component| {
         let mut tails = engine.take_limbs(t);
         for (tail, i) in tails.iter_mut().zip(keep..) {
             engine.plan(i).inverse_from(&component[i], tail);
         }
+        let mut centered = vec![0i128; ct.n()];
         tail_lift.lift_centered_i128(&tails[..], &mut centered);
-        // c'_i = (c_i − NTT(tail)) · T^{-1} mod q_i, one fused pass per
-        // kept limb (expand → lazy NTT → subtract → scalar-multiply).
-        let mut kept = PooledLimbs::copy_of(&component[..keep]);
-        engine.expand_ntt_sub_scalar_mul_all(&mut kept, &centered, &tail_inv);
-        kept
-    };
-    let (c0, c1) = ct.components();
-    let (out0, out1) = (drop_component(c0), drop_component(c1));
+        centered
+    });
+    let tails = centered.each_ref().map(|c| SignedCoeffs::scan(c));
+    // c'_i = (c_i − NTT(tail)) · T^{-1} mod q_i in one pair pass, each
+    // tail expanded and transformed in the thread's scratch limb with a
+    // lazy last stage (the subtract takes `[0, 4q)`).
+    let mut out0 = PooledLimbs::copy_of(&c0[..keep]);
+    let mut out1 = PooledLimbs::copy_of(&c1[..keep]);
+    engine.for_each_limb_pair(
+        &mut out0,
+        &mut out1,
+        LimbWork::Transform,
+        |i, plan, x0, x1, t| {
+            for (x, tail) in [(x0, &tails[0]), (x1, &tails[1])] {
+                plan.dyadic().expand_into(tail, t);
+                plan.forward_lazy(t);
+                plan.dyadic().sub_scalar_mul_assign(x, t, tail_inv[i]);
+            }
+        },
+    );
     let scale = tail_moduli
         .iter()
         .fold(ct.exact_scale().clone(), |s, m| s.div_prime(m.q()));
@@ -284,16 +316,13 @@ pub fn mul(
     })
 }
 
-/// The `(ks0, ks1)` component pair a key switch produces.
-type KeySwitchOutput = (PooledLimbs, PooledLimbs);
-
-/// The shared key-switch core. Decomposes the NTT-domain polynomial `a`
-/// into one *centered* digit per carried prime — limb `i` goes back to
-/// coefficient domain, centers into `(−q_i/2, q_i/2]`, and re-expands
-/// under all carried primes — then accumulates `Σ Dᵢ·(bᵢ, aᵢ)` through
-/// the engine's fused pair kernel. The result satisfies
-/// `ks0 + ks1·s ≈ a·t` up to the gadget noise `Σ Dᵢ·eᵢ`
-/// ([`crate::noise::predicted_keyswitch_std`]).
+/// The shared key-switch core: adds `(ks0, ks1)` onto `(acc0, acc1)`.
+/// Decomposes the NTT-domain polynomial `a` into one *centered* digit
+/// per carried prime — limb `i` goes back to coefficient domain, centers
+/// into `(−q_i/2, q_i/2]`, and re-expands under all carried primes —
+/// and accumulates `Σ Dᵢ·(bᵢ, aᵢ)`, one pass per digit
+/// ([`with_entered`]). The sum satisfies `ks0 + ks1·s ≈ a·t` up to the
+/// gadget noise `Σ Dᵢ·eᵢ` ([`crate::noise::predicted_keyswitch_std`]).
 ///
 /// Because the RNS gadget is an indicator basis, a full-level key
 /// prefix-truncates: a ciphertext carrying `k` limbs uses digits
@@ -302,21 +331,16 @@ fn key_switch(
     ctx: &CkksContext,
     a: &[Vec<u64>],
     ksk: &KeySwitchKey,
-) -> Result<KeySwitchOutput, CkksError> {
+    acc0: &mut [Vec<u64>],
+    acc1: &mut [Vec<u64>],
+) -> Result<(), CkksError> {
     let k = a.len();
     if ksk.num_digits() < k || ksk.num_primes() < k {
         return Err(CkksError::ContextMismatch);
     }
-    let n = ctx.params().n();
     let engine = ctx.ntt_engine();
     let moduli = ctx.basis().moduli();
-    // The accumulators start from zero: pooled limbs hold whatever their
-    // last owner left.
-    let (mut acc0, mut acc1) = (engine.take_limbs(k), engine.take_limbs(k));
-    for limb in acc0.iter_mut().chain(acc1.iter_mut()) {
-        limb.fill(0);
-    }
-    let mut centered = vec![0i64; n];
+    let mut centered = vec![0i64; ctx.params().n()];
     let mut tail = engine.take_limbs(1);
     for (i, limb) in a.iter().enumerate() {
         engine.plan(i).inverse_from(limb, &mut tail[0]);
@@ -324,9 +348,13 @@ fn key_switch(
             *dst = moduli[i].to_centered(x);
         }
         let digit = engine.expand_and_ntt_pooled(&centered, k);
-        engine.dyadic_mul_acc_pair_all(&mut acc0, &mut acc1, &digit, &ksk.b[i], &ksk.a[i]);
+        let (b, a) = (&ksk.b[i], &ksk.a[i]);
+        with_entered(ctx, acc0, acc1, &digit, |d, j, x0, x1, dj| {
+            d.mul_acc_assign_premul(x0, &b[j], dj);
+            d.mul_acc_assign_premul(x1, &a[j], dj);
+        });
     }
-    Ok((acc0, acc1))
+    Ok(())
 }
 
 /// Folds the degree-2 component of a ciphertext product back onto
@@ -343,12 +371,8 @@ pub fn relinearize(
     evk: &EvalKey,
 ) -> Result<Ciphertext, CkksError> {
     validate_operand(ctx, ct.n(), ct.num_primes())?;
-    let (ks0, ks1) = key_switch(ctx, &ct.c2, &evk.ksk)?;
-    let engine = ctx.ntt_engine();
-    let mut c0 = ct.c0.clone();
-    add_limbs(engine, &mut c0, &ks0);
-    let mut c1 = ct.c1.clone();
-    add_limbs(engine, &mut c1, &ks1);
+    let (mut c0, mut c1) = (ct.c0.clone(), ct.c1.clone());
+    key_switch(ctx, &ct.c2, &evk.ksk, &mut c0, &mut c1)?;
     Ciphertext::from_limbs(c0, c1, ct.exact_scale().clone())
 }
 
@@ -368,40 +392,12 @@ pub fn mul_relin(
     relinearize(ctx, &product, evk)
 }
 
-/// Applies the automorphism `X → X^g` to one NTT-domain component:
-/// each limb returns to coefficient domain, permutes
-/// `j → j·g mod 2N` (with `X^N = −1` folding the upper half as a
-/// negation), and transforms forward again.
-fn apply_automorphism(ctx: &CkksContext, component: &[Vec<u64>], element: u64) -> PooledLimbs {
-    let n = ctx.params().n();
-    let engine = ctx.ntt_engine();
-    let mask = 2 * n - 1;
-    let g = element as usize;
-    // Out-of-place batched inverse: the copy folds into the first
-    // inverse-NTT stage and the limbs go back to the pool on return.
-    let mut limbs = engine.take_limbs(component.len());
-    engine.for_each_limb(&mut limbs, LimbWork::Transform, |i, plan, limb| {
-        plan.inverse_from(&component[i], limb)
-    });
-    // `g` is odd, so `j → j·g mod 2N` folded at `N` is a permutation of
-    // `0..N`: every word of the pooled output limb is written.
-    let mut out = engine.take_limbs(component.len());
-    for ((dst, limb), m) in out.iter_mut().zip(limbs.iter()).zip(ctx.basis().moduli()) {
-        for (j, &c) in limb.iter().enumerate() {
-            let idx = (j * g) & mask;
-            if idx < n {
-                dst[idx] = c;
-            } else {
-                dst[idx - n] = m.neg(c);
-            }
-        }
-    }
-    engine.forward_all(&mut out);
-    out
-}
-
-/// Shared Galois path: automorphism on both components, then
-/// key-switch `σ_g(c1)` from `σ_g(s)` back to `s`.
+/// Shared Galois path: the automorphism `X → X^g` on both components
+/// in one pair pass — per limb, back to coefficient domain in the
+/// thread's scratch limb, permuted `j → j·g mod 2N` into the output limb
+/// (with `X^N = −1` folding the upper half as a negation) and
+/// transformed forward again — then key-switch `σ_g(c1)` from `σ_g(s)`
+/// back to `s`.
 fn apply_galois(
     ctx: &CkksContext,
     ct: &Ciphertext,
@@ -415,14 +411,44 @@ fn apply_galois(
             gk.element()
         )));
     }
-    let (c0, c1) = ct.components();
-    let g0 = apply_automorphism(ctx, c0, gk.element());
-    let g1 = apply_automorphism(ctx, c1, gk.element());
-    let (ks0, ks1) = key_switch(ctx, &g1, &gk.ksk)?;
+    let (g, k) = (gk.element() as usize, ct.num_primes());
     let engine = ctx.ntt_engine();
-    let mut out0 = g0;
-    add_limbs(engine, &mut out0, &ks0);
-    Ciphertext::from_limbs(out0, ks1, ct.exact_scale().clone())
+    let (c0, c1) = ct.components();
+    let (mut g0, mut g1) = (engine.take_limbs(k), engine.take_limbs(k));
+    engine.for_each_limb_pair(
+        &mut g0,
+        &mut g1,
+        LimbWork::Transform,
+        |i, plan, x0, x1, c| {
+            for (dst, src) in [(x0, c0), (x1, c1)] {
+                plan.inverse_from(&src[i], c);
+                automorphism(c, g, dst, |x| plan.modulus().neg(x));
+                plan.forward(dst);
+            }
+        },
+    );
+    // (σ(c0), 0) + key switch of σ(c1); pooled limbs hold whatever their
+    // last owner left, so the second accumulator is cleared first.
+    let mut out1 = engine.take_limbs(k);
+    out1.iter_mut().for_each(|limb| limb.fill(0));
+    key_switch(ctx, &g1, &gk.ksk, &mut g0, &mut out1)?;
+    Ciphertext::from_limbs(g0, out1, ct.exact_scale().clone())
+}
+
+/// `dst = σ_g(src)` on a coefficient-domain polynomial: coefficient `j`
+/// lands at `j·g mod 2N`, through `neg` when it wraps past `N`
+/// (`X^N = −1`). An odd `g` makes this a permutation of `0..N`, so every
+/// word of `dst` is written.
+pub(crate) fn automorphism<T: Copy>(src: &[T], g: usize, dst: &mut [T], neg: impl Fn(T) -> T) {
+    let n = src.len();
+    for (j, &c) in src.iter().enumerate() {
+        let idx = (j * g) & (2 * n - 1);
+        if idx < n {
+            dst[idx] = c;
+        } else {
+            dst[idx - n] = neg(c);
+        }
+    }
 }
 
 /// Homomorphic slot rotation by `steps`: slot `j` of the result holds

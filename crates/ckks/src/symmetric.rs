@@ -1,4 +1,5 @@
-//! Symmetric (secret-key) encryption with seed-compressed ciphertexts.
+//! Symmetric (secret-key) encryption with seed-compressed ciphertexts,
+//! and the one RLWE body every secret-key sample runs.
 //!
 //! A client encrypting under its *own* key does not need the public-key
 //! path: it can sample the mask `a` from a PRNG seed and send only
@@ -8,15 +9,21 @@
 //! the seed instead of the polynomial is free). This is an extension
 //! beyond the paper (Lattigo ships the same trick as "seeded
 //! ciphertexts"); `abc-sim` exposes it as the `compressed_upload` knob.
+//!
+//! A public key and each key-switching digit are secret-key samples too
+//! — of zero and of the gadget term — so all three run `rlwe_sample`,
+//! one limb at a time on the thread that owns it, like the paper's
+//! per-prime stream (Fig. 2a).
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::key::SecretKey;
 use crate::scale::ExactScale;
 use crate::CkksError;
-use abc_prng::sampler::GaussianSampler;
+use abc_math::rns::SignedCoeffs;
+use abc_prng::sampler::{GaussianSampler, UniformSampler};
 use abc_prng::Seed;
-use abc_transform::{LimbWork, PooledLimbs};
+use abc_transform::{LimbWork, NttPlan, PooledLimbs};
 
 /// A seed-compressed symmetric ciphertext: the full `c0` component plus
 /// the 128-bit seed that regenerates `c1 = a`.
@@ -65,8 +72,11 @@ impl CompressedCiphertext {
         if self.n != ctx.params().n() || self.num_primes() > ctx.basis().len() {
             return Err(CkksError::ContextMismatch);
         }
-        let mut c1 = ctx.ntt_engine().take_limbs(self.num_primes());
-        ctx.fill_mask(self.mask_seed, &mut c1);
+        let engine = ctx.ntt_engine();
+        let mut c1 = engine.take_limbs(self.num_primes());
+        engine.for_each_limb(&mut c1, LimbWork::Elementwise, |i, plan, limb| {
+            draw_mask(self.mask_seed, i, plan, limb)
+        });
         Ciphertext::from_limbs(self.c0.clone(), c1, self.scale.clone())
     }
 }
@@ -85,31 +95,70 @@ pub fn encrypt_symmetric_compressed(
     seed: Seed,
 ) -> CompressedCiphertext {
     assert_eq!(pt.n(), ctx.params().n(), "plaintext from different context");
-    let n = ctx.params().n();
-    let lvl = pt.num_primes();
     let mask_seed = seed.derive(0);
-    let mut gauss = GaussianSampler::new(seed.derive(1), 0, ctx.params().error_sigma());
-    let e = gauss.sample_poly(n);
-    // Error polynomial into NTT domain under every prime in one batched,
-    // thread-fanned pass (pooled limbs, back in the pool on return).
-    let engine = ctx.ntt_engine();
-    let e_ntt = engine.expand_and_ntt_pooled(&e, lvl);
-    // c0 = -(a·s) + e + m as ONE fused RNS-wide pass: multiply, negate
-    // and both additions land in a single read-modify-write of each
-    // limb (the mask is consumed here; expansion re-derives it from the
-    // seed).
-    let mut c0 = engine.take_limbs(lvl);
-    ctx.fill_mask(mask_seed, &mut c0);
+    // c0 = e + m − a·s; the mask is consumed here (expansion re-derives
+    // it from the seed).
     let m = pt.residues();
-    engine.for_each_limb(&mut c0, LimbWork::Elementwise, |i, plan, limb| {
-        plan.dyadic()
-            .mul_neg_add2_assign(limb, &sk.ntt[i], &e_ntt[i], &m[i])
-    });
+    let mut c0 = ctx.ntt_engine().take_limbs(pt.num_primes());
+    let t = |i: usize| Some(&m[i][..]);
+    rlwe_sample(ctx, &sk.ntt, mask_seed, seed.derive(1), t, &mut c0, None);
     CompressedCiphertext {
         c0,
         mask_seed,
         scale: pt.exact_scale().clone(),
-        n,
+        n: pt.n(),
+    }
+}
+
+/// Limb `i` of the uniform mask of `seed`: stream `i`, under `plan`'s
+/// prime, sampled directly in NTT domain (the distribution is invariant
+/// under the NTT).
+fn draw_mask(seed: Seed, i: usize, plan: &NttPlan, limb: &mut [u64]) {
+    UniformSampler::new(seed, i as u64).sample_poly(plan.modulus(), limb)
+}
+
+/// One RLWE sample under the secret `s` (NTT domain), into `b` in one
+/// engine fan-out. Per limb `i`: the mask `a_i` — stream `i` of
+/// `mask_seed`, the draw [`CompressedCiphertext::expand`] repeats — is
+/// drawn into `b_i` (and copied into `a_i` when the mask is kept), the
+/// Gaussian error of `error_seed` is expanded and transformed into a
+/// scratch limb, and one dyadic pass leaves `b_i = ê_i (+ t(i)) − a_i·s_i`,
+/// canonical whichever kernel and thread count run it.
+pub(crate) fn rlwe_sample<'t>(
+    ctx: &CkksContext,
+    s: &[Vec<u64>],
+    mask_seed: Seed,
+    error_seed: Seed,
+    t: impl Fn(usize) -> Option<&'t [u64]> + Sync,
+    b: &mut [Vec<u64>],
+    a: Option<&mut [Vec<u64>]>,
+) {
+    let (n, sigma) = (ctx.params().n(), ctx.params().error_sigma());
+    let e = GaussianSampler::new(error_seed, 0, sigma).sample_poly(n);
+    let e = SignedCoeffs::scan(&e);
+    let limb = |i, plan: &NttPlan, b: &mut [u64], a: Option<&mut [u64]>, e_hat: &mut Vec<u64>| {
+        draw_mask(mask_seed, i, plan, b);
+        if let Some(a) = a {
+            a.copy_from_slice(b);
+        }
+        let d = plan.dyadic();
+        d.expand_into(&e, e_hat);
+        plan.forward(e_hat);
+        match t(i) {
+            None => d.mul_neg_add_assign(b, &s[i], e_hat),
+            Some(t) => d.mul_neg_add2_assign(b, &s[i], e_hat, t),
+        }
+    };
+    let engine = ctx.ntt_engine();
+    match a {
+        // A key keeps its mask: the pair pass lends each thread its
+        // scratch limb for `ê`.
+        Some(a) => engine.for_each_limb_pair(b, a, LimbWork::Transform, |i, plan, b, a, e_hat| {
+            limb(i, plan, b, Some(a), e_hat)
+        }),
+        None => engine.for_each_limb(b, LimbWork::Transform, |i, plan, b| {
+            limb(i, plan, b, None, &mut engine.take_limbs(1)[0])
+        }),
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the CKKS client pipeline.
 
 use abc_ckks::params::{CkksParams, ScaleMode};
+use abc_ckks::symmetric::encrypt_symmetric_compressed;
 use abc_ckks::{
     evaluator, noise, wire, Ciphertext, CkksContext, EmbeddingEngine, EmbeddingPrecision,
     ExactScale, Plaintext,
@@ -12,6 +13,7 @@ use abc_prng::Seed;
 use abc_transform::rns_ntt::THREADS_ENV;
 use abc_transform::{SpecialFft, SpecialFftEngine};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn small_ctx(log_n: u32, primes: usize) -> CkksContext {
     CkksContext::new(
@@ -220,6 +222,42 @@ fn two_prime_download_has_nothing_to_verify() {
     for (o, m) in out.iter().zip(&msg) {
         assert!(o.dist(*m) < 1e-6, "{o} vs {m}");
     }
+}
+
+/// Two contexts of the smallest double-scale shape whose passes all fan
+/// out, one serial and one on four threads, built once per test binary.
+/// The engine runs a pass serially below `2^14` words of `k·N` for a
+/// transform and below `2^16` for element-wise work, so `k·N` must reach
+/// `2^16`: 8 primes at `N = 2^13` (a pair pass weighs twice that).
+fn fan_out_contexts() -> (&'static CkksContext, &'static CkksContext) {
+    static CONTEXTS: OnceLock<(CkksContext, CkksContext)> = OnceLock::new();
+    let (ctx1, ctx4) = CONTEXTS.get_or_init(|| {
+        let build = || {
+            CkksContext::new(
+                CkksParams::builder()
+                    .log_n(13)
+                    .num_primes(8)
+                    .scale_mode(ScaleMode::DoublePair)
+                    .build()
+                    .expect("params"),
+            )
+            .expect("ctx")
+        };
+        // Engines capture the thread count at construction, so build one
+        // context per fan-out under a temporary env override.
+        let mut env = abc_math::envtest::EnvGuard::lock();
+        env.set(THREADS_ENV, "1");
+        let ctx1 = build();
+        env.set(THREADS_ENV, "4");
+        let ctx4 = build();
+        (ctx1, ctx4)
+    });
+    assert_eq!(
+        (ctx1.ntt_engine().threads(), ctx4.ntt_engine().threads()),
+        (1, 4)
+    );
+    assert!(ctx1.params().num_primes() * ctx1.params().n() >= 1 << 16);
+    (ctx1, ctx4)
 }
 
 proptest! {
@@ -637,39 +675,27 @@ proptest! {
     ) {
         // rotate(k) ≡ the forward slot permutation out[j] = in[(j+k) mod
         // N/2] for *random* k — and the engine's thread fan-out must not
-        // change a single bit of the result. Keyed ops run on the
-        // double-scale profile (Δ_eff = 2^72): key-switch noise (≈2^44)
-        // would drown a single 2^36 scale but sits 27 bits under Δ_eff.
-        let build = || {
-            CkksContext::new(
-                CkksParams::builder()
-                    .log_n(10)
-                    .num_primes(6)
-                    .scale_mode(ScaleMode::DoublePair)
-                    .secret_hamming_weight(Some(64))
-                    .build()
-                    .expect("params"),
-            )
-            .expect("ctx")
-        };
-        // Engines capture the thread count at construction, so build one
-        // context per fan-out under a temporary env override.
-        let mut env = abc_math::envtest::EnvGuard::lock();
-        env.set(THREADS_ENV, "1");
-        let ctx1 = build();
-        env.set(THREADS_ENV, "4");
-        let ctx4 = build();
-        drop(env);
+        // change a single bit of it, nor of any other pass a context
+        // runs: keygen, key-switch keys, public-key and seeded encrypt,
+        // expansion, the plaintext and ciphertext products, rescale.
+        // Keyed ops run on the double-scale profile (Δ_eff = 2^72):
+        // key-switch noise (≈2^44) would drown a single 2^36 scale but
+        // sits 27 bits under Δ_eff.
+        let (ctx1, ctx4) = fan_out_contexts();
         let slots = ctx1.params().slots();
         let steps = raw_steps % slots;
         let msg = message_from_seed(slots, seed);
-        let mut rotated = Vec::new();
-        for ctx in [&ctx1, &ctx4] {
-            let (sk, pk) = ctx.keygen(Seed::from_u128(seed as u128 + 5));
+        let weights = message_from_seed(slots, seed ^ 0x5eed);
+        let seed = seed as u128;
+        let mut runs = Vec::new();
+        for ctx in [ctx1, ctx4] {
+            let (sk, pk) = ctx.keygen(Seed::from_u128(seed + 5));
             let gk = ctx
-                .gen_rotation_key(&sk, steps, Seed::from_u128(seed as u128 + 6))
+                .gen_rotation_key(&sk, steps, Seed::from_u128(seed + 6))
                 .expect("rotation key");
-            let ct = ctx.encrypt(&ctx.encode(&msg).expect("e"), &pk, Seed::from_u128(seed as u128 + 7));
+            let evk = ctx.gen_eval_key(&sk, Seed::from_u128(seed + 8));
+            let pt = ctx.encode(&msg).expect("e");
+            let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(seed + 7));
             let rot = evaluator::rotate(ctx, &ct, steps, &gk).expect("rotate");
             prop_assert_eq!(rot.exact_scale(), ct.exact_scale());
             let out = ctx.decode(&ctx.decrypt(&rot, &sk).expect("d")).expect("decode");
@@ -677,11 +703,17 @@ proptest! {
                 let e = msg[(j + steps) % slots];
                 prop_assert!(z.dist(e) < 1e-3, "slot {}: {} vs {}", j, z, e);
             }
-            rotated.push(rot);
+            let product = evaluator::plaintext_mul(ctx, &ct, &ctx.encode(&weights).expect("e"))
+                .expect("plaintext_mul");
+            let rescaled = evaluator::rescale(ctx, &product).expect("rescale");
+            let squared = evaluator::mul_relin(ctx, &ct, &ct, &evk).expect("mul_relin");
+            let seeded = encrypt_symmetric_compressed(ctx, &pt, &sk, Seed::from_u128(seed + 9));
+            let expanded = seeded.expand(ctx).expect("expand");
+            runs.push((pk, evk, ct, rot, product, rescaled, squared, seeded, expanded));
         }
         // Bit-identical across thread counts: same keys, same seeds,
         // same arithmetic — fan-out is an implementation detail.
-        prop_assert_eq!(&rotated[0], &rotated[1]);
+        prop_assert!(runs[0] == runs[1]);
     }
 
     #[test]

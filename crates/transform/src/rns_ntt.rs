@@ -47,20 +47,13 @@
 //! `N/2 + a..N/2 + b` from every limb — because a coefficient's lift
 //! reads only its own residues.
 //!
-//! What the engine does name is what hides an algorithm: the
-//! pre-entered-operand lifecycle (`dyadic_mul_pair_all`,
-//! `dyadic_mul_acc_pair_all` — enter the shared operand into the
-//! kernel's domain once per limb, in a scratch limb per thread, and use
-//! it for both components), `expand_ntt_sub_scalar_mul_all` (the whole
-//! rescale kept-limb chain — expand → lazy NTT → subtract →
-//! scalar-multiply — in one per-limb pass) and `pk_encrypt_all`, the
-//! whole public-key encrypt as one limb-streaming pass — per limb,
-//! expand `v`, `e0`, `e1`, transform, multiply-accumulate against the
-//! key read in place and add the message, writing only the two output
-//! limbs. All are bit-identical to the unfused sequences they replace.
+//! What the engine does name is what a closure cannot hold:
+//! [`RnsNttEngine::for_each_limb_pair`] keeps limb `i` of two components
+//! on one thread and lends each thread one pooled scratch limb. The
+//! engine knows no scheme — an encrypt, an RLWE sample, a key-switch
+//! digit or a rescale is its caller's closure, in `abc-ckks`.
 //!
-//! Every expansion (`expand_and_ntt*`, the fused rescale and encrypt
-//! passes) goes through the limb's dyadic engine
+//! Every expansion goes through the limb's dyadic engine
 //! ([`abc_math::dyadic::DyadicEngine::expand_into`]): the coefficient
 //! slice is scanned once for its largest magnitude
 //! ([`abc_math::rns::SignedCoeffs`]) and each limb then reduces by
@@ -317,101 +310,6 @@ impl RnsNttEngine {
         });
     }
 
-    /// The fused rescale hot path: for every kept limb `i`, expand the
-    /// centered tail coefficients under `q_i` (`i64` for the
-    /// single-prime rescale; `i128` for the pair rescale's CRT-lifted
-    /// two-prime residue, up to ~75 bits), forward-transform them with a
-    /// **lazy** last stage, and fold the result straight into
-    /// `kept[i] = (kept[i] − NTT(tail))·s[i]` — expand, transform,
-    /// subtract and scalar-multiply in one per-limb pass with pooled
-    /// scratch, instead of a pooled-limbs round trip between separate
-    /// engine calls. Bit-identical to [`Self::expand_and_ntt_pooled`] +
-    /// subtract + scalar-multiply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != N`, `kept` has more limbs than plans,
-    /// or fewer scalars than limbs are supplied.
-    pub fn expand_ntt_sub_scalar_mul_all<X>(&self, kept: &mut [Vec<u64>], coeffs: &[X], s: &[u64])
-    where
-        X: SignedWord,
-    {
-        assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
-        assert!(s.len() >= kept.len(), "fewer scalars than limbs");
-        let src = SignedCoeffs::scan(coeffs);
-        self.for_each_limb(kept, LimbWork::Transform, |i, plan, limb| {
-            let mut tail = self.take_limbs(1);
-            plan.dyadic().expand_into(&src, &mut tail[0]);
-            plan.forward_lazy(&mut tail[0]);
-            plan.dyadic().sub_scalar_mul_assign(limb, &tail[0], s[i]);
-        });
-    }
-
-    /// The fused public-key-encrypt pass: `c0 = pk0·v + e0 + m` and
-    /// `c1 = pk1·v + e1` over the `m.len()` leading primes, limb by limb
-    /// on the thread that owns the limb — expand `v` into the thread's
-    /// scratch limb, transform and enter it into the dyadic kernel's
-    /// domain once; expand `e0` straight into the output limb `c0[i]`,
-    /// transform, accumulate `pk0[i]·v̂` onto it and add `m[i]`; the same
-    /// for `c1[i]` from `e1` and `pk1[i]`. The two returned polynomials
-    /// come out of the limb pool (each limb written once, by its own
-    /// thread), the key is read in place, and a limb leaves the cache
-    /// once.
-    ///
-    /// `pk0`, `pk1` and `m` are canonical NTT-domain residues in
-    /// `[0, q_i)`; every intermediate is canonical too (the transforms
-    /// are [`NttPlan::forward`], not its lazy variant, because the
-    /// accumulate kernel takes a canonical accumulator), and so is the
-    /// result — bit-identical to [`Self::expand_and_ntt`] of `v`, `e0`,
-    /// `e1` followed by [`Self::dyadic_mul_add2_all`] and
-    /// [`Self::dyadic_mul_add_all`] on copies of the key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a coefficient slice is not `N` long, `m` has more limbs
-    /// than plans, a key component has fewer limbs than `m`, or any limb
-    /// length differs from `N`.
-    pub fn pk_encrypt_all(
-        &self,
-        v: &[i8],
-        e0: &[i64],
-        e1: &[i64],
-        pk0: &[Vec<u64>],
-        pk1: &[Vec<u64>],
-        m: &[Vec<u64>],
-    ) -> (PooledLimbs, PooledLimbs) {
-        let k = m.len();
-        assert!(
-            v.len() == self.n && e0.len() == self.n && e1.len() == self.n,
-            "coefficient count must equal N"
-        );
-        assert!(pk0.len() >= k && pk1.len() >= k, "fewer key limbs than m");
-        let (v, e0, e1) = (
-            SignedCoeffs::scan(v),
-            SignedCoeffs::scan(e0),
-            SignedCoeffs::scan(e1),
-        );
-        let (mut c0, mut c1) = (self.take_limbs(k), self.take_limbs(k));
-        self.for_each_limb_pair(
-            &mut c0,
-            &mut c1,
-            LimbWork::Transform,
-            |i, plan, x0, x1, v_hat| {
-                let d = plan.dyadic();
-                d.expand_into(&v, v_hat);
-                plan.forward(v_hat);
-                d.premul(v_hat);
-                for (x, e, pk) in [(&mut *x0, &e0, &pk0[i]), (&mut *x1, &e1, &pk1[i])] {
-                    d.expand_into(e, x);
-                    plan.forward(x);
-                    d.mul_acc_assign_premul(x, pk, v_hat);
-                }
-                d.add_assign(x0, &m[i]);
-            },
-        );
-        (c0, c1)
-    }
-
     /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] mod q_i` — the RNS-wide
     /// shape of `c1·s + c0` (decrypt runs it fused with its copy of
     /// `c1`) and of the evaluator's cross term. `b` and `c` may carry
@@ -442,70 +340,6 @@ impl RnsNttEngine {
     ) {
         self.for_each_limb(a, LimbWork::Elementwise, |i, plan, limb| {
             plan.dyadic().mul_add2_assign(limb, &b[i], &c[i], &d[i])
-        });
-    }
-
-    /// Multiplies **both** ciphertext components by the same RNS vector
-    /// (`a0[i] ⊙= b[i]`, `a1[i] ⊙= b[i]`), entering `b` into each
-    /// kernel's Montgomery domain once per limb and reusing the
-    /// premultiplied form for the pair — the plaintext-multiplication
-    /// shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the component limb counts differ, exceed the plans, or
-    /// `b` carries fewer limbs; and if any limb's length differs from
-    /// `N`.
-    pub fn dyadic_mul_pair_all(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        assert!(b.len() >= a0.len(), "fewer multiplier limbs than targets");
-        self.for_each_limb_pair(a0, a1, LimbWork::Elementwise, |i, plan, x0, x1, pre| {
-            let d = plan.dyadic();
-            // Enter b_i once (the thread's scratch limb), multiply both
-            // components against the premultiplied form — one
-            // conversion pass amortized over two products.
-            pre.copy_from_slice(&b[i]);
-            d.premul(pre);
-            d.mul_assign_premul(x0, pre);
-            d.mul_assign_premul(x1, pre);
-        });
-    }
-
-    /// Fused key-switch accumulate: for every limb `i`,
-    /// `acc0[i] += d[i]·b[i]` and `acc1[i] += d[i]·a[i]` (mod `q_i`).
-    /// The digit `d` enters each kernel's Montgomery domain once per
-    /// limb and the premultiplied form is reused for both products —
-    /// the inner loop of RNS-gadget key switching, where one decomposed
-    /// digit multiplies both halves of its key-switching-key pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulator limb counts differ, exceed the plans,
-    /// or `d`/`b`/`a` carry fewer limbs; and if any limb's length
-    /// differs from `N`.
-    pub fn dyadic_mul_acc_pair_all(
-        &self,
-        acc0: &mut [Vec<u64>],
-        acc1: &mut [Vec<u64>],
-        d: &[Vec<u64>],
-        b: &[Vec<u64>],
-        a: &[Vec<u64>],
-    ) {
-        let k = acc0.len();
-        assert!(d.len() >= k, "fewer digit limbs than accumulators");
-        assert!(
-            b.len() >= k && a.len() >= k,
-            "fewer key limbs than accumulators"
-        );
-        self.for_each_limb_pair(acc0, acc1, LimbWork::Elementwise, |i, plan, x0, x1, pre| {
-            let dy = plan.dyadic();
-            // Enter d_i once (the thread's scratch limb); each product
-            // folds straight into its accumulator through the fused
-            // multiply-accumulate — no per-product scratch buffer and
-            // no separate add pass.
-            pre.copy_from_slice(&d[i]);
-            dy.premul(pre);
-            dy.mul_acc_assign_premul(x0, &b[i], pre);
-            dy.mul_acc_assign_premul(x1, &a[i], pre);
         });
     }
 
@@ -563,16 +397,25 @@ impl RnsNttEngine {
         );
     }
 
-    /// [`Self::for_each_limb`] over the paired limbs of two
-    /// components: `f(i, plan_i, a0_i, a1_i, scratch)`, so limb `i` of
-    /// both stays on one thread. Every pair shape needs one limb of
-    /// scratch (the shared operand in the dyadic kernel's domain), so
-    /// each thread checks one out of the pool for its whole chunk —
-    /// `N` words, contents unspecified — and it goes back when the
-    /// thread is done, or unwinds. The cutoff counts both components'
-    /// work (`2 × limbs × N`).
-    fn for_each_limb_pair<F>(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], work: LimbWork, f: F)
-    where
+    /// [`Self::for_each_limb`] over the paired limbs of two components,
+    /// with one limb of scratch: `f(i, plan_i, a0_i, a1_i, scratch)`, so
+    /// limb `i` of both stays on one thread. Each thread checks the
+    /// scratch limb out of the pool once for its whole chunk and returns
+    /// it when done, or unwinding. Its `N` words are **unspecified** (the
+    /// previous limb's, or its last owner's), so `f` writes before it
+    /// reads. The cut-off counts both components' work (`2 × limbs × N`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two components' limb counts differ or exceed the
+    /// plans.
+    pub fn for_each_limb_pair<F>(
+        &self,
+        a0: &mut [Vec<u64>],
+        a1: &mut [Vec<u64>],
+        work: LimbWork,
+        f: F,
+    ) where
         F: Fn(usize, &NttPlan, &mut Vec<u64>, &mut Vec<u64>, &mut Vec<u64>) + Sync,
     {
         let k = a0.len();
@@ -787,6 +630,35 @@ mod tests {
         assert_eq!(class().resident, 0);
     }
 
+    /// A pair pass with the plaintext-product shape: `c0 = a0 ⊙ b` and
+    /// `c1 = a1 ⊙ b` into pooled limbs, `b_i` entered into the kernel's
+    /// domain once in the thread's scratch limb. Weighed as a transform,
+    /// so it fans out from `2·k·N = 2^14`.
+    fn pair_product(
+        engine: &RnsNttEngine,
+        a0: &[Vec<u64>],
+        a1: &[Vec<u64>],
+        b: &[Vec<u64>],
+    ) -> (PooledLimbs, PooledLimbs) {
+        let k = a0.len();
+        let (mut c0, mut c1) = (engine.take_limbs(k), engine.take_limbs(k));
+        engine.for_each_limb_pair(
+            &mut c0,
+            &mut c1,
+            LimbWork::Transform,
+            |i, plan, x0, x1, pre| {
+                let d = plan.dyadic();
+                x0.copy_from_slice(&a0[i]);
+                x1.copy_from_slice(&a1[i]);
+                pre.copy_from_slice(&b[i]);
+                d.premul(pre);
+                d.mul_assign_premul(x0, pre);
+                d.mul_assign_premul(x1, pre);
+            },
+        );
+        (c0, c1)
+    }
+
     #[test]
     fn limbs_checked_out_when_a_limb_pass_panics_go_back_to_the_pool() {
         // 2·k·n = 2^14 reaches PARALLEL_THRESHOLD, so with two threads the
@@ -794,17 +666,17 @@ mod tests {
         let n = 1usize << 11;
         let ms = moduli(4, 2 * n as u64);
         let class = || pool::class_stats(n).expect("registered by an engine");
-        let (v, e) = (vec![1i8; n], vec![-2i64; n]);
-        let pk = pseudo_limbs(&ms, n, 5);
-        let m = pseudo_limbs(&ms, n, 6);
-        // The last key limb is one word short: its multiply-accumulate
-        // panics with c0, c1 and a scratch limb checked out.
-        let mut short = pk.clone();
+        let a0 = pseudo_limbs(&ms, n, 5);
+        let a1 = pseudo_limbs(&ms, n, 6);
+        let b = pseudo_limbs(&ms, n, 7);
+        // The last multiplier limb is one word short: copying it into the
+        // scratch limb panics with c0, c1 and a scratch limb checked out.
+        let mut short = b.clone();
         short[3].pop();
         for threads in [1usize, 2] {
             let engine = RnsNttEngine::with_threads(&ms, n, threads).unwrap();
             // The reference run also leaves the limbs it used in the pool.
-            let (c0, c1) = engine.pk_encrypt_all(&v, &e, &e, &pk, &pk, &m);
+            let (c0, c1) = pair_product(&engine, &a0, &a1, &b);
             let want = (c0.to_vec(), c1.to_vec());
             drop((c0, c1));
             // Two workers that ran one after the other shared one scratch
@@ -813,7 +685,7 @@ mod tests {
             drop(engine.take_limbs(2 * ms.len() + threads));
             let before = class();
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.pk_encrypt_all(&v, &e, &e, &pk, &short, &m)
+                pair_product(&engine, &a0, &a1, &short)
             }));
             assert!(unwound.is_err(), "threads={threads}");
             let after = class();
@@ -824,7 +696,7 @@ mod tests {
             );
             assert_eq!(after.misses, before.misses, "threads={threads}");
             // And the pool serves the next request.
-            let (c0, c1) = engine.pk_encrypt_all(&v, &e, &e, &pk, &pk, &m);
+            let (c0, c1) = pair_product(&engine, &a0, &a1, &b);
             assert_eq!((c0.to_vec(), c1.to_vec()), want, "threads={threads}");
             assert_eq!(class().misses, before.misses, "threads={threads}");
         }
@@ -924,10 +796,46 @@ mod tests {
             let engine = RnsNttEngine::with_threads(&ms, n, threads).unwrap();
             let mut acc0 = acc0_init.clone();
             let mut acc1 = acc1_init.clone();
-            engine.dyadic_mul_acc_pair_all(&mut acc0, &mut acc1, &d, &b, &a);
+            // The key-switch shape: the digit enters the kernel's domain
+            // once, in the thread's scratch limb, for both products.
+            engine.for_each_limb_pair(
+                &mut acc0,
+                &mut acc1,
+                LimbWork::Elementwise,
+                |i, plan, x0, x1, pre| {
+                    let dy = plan.dyadic();
+                    pre.copy_from_slice(&d[i]);
+                    dy.premul(pre);
+                    dy.mul_acc_assign_premul(x0, &b[i], pre);
+                    dy.mul_acc_assign_premul(x1, &a[i], pre);
+                },
+            );
             assert_eq!(acc0, reference0, "threads={threads}");
             assert_eq!(acc1, reference1, "threads={threads}");
         }
+    }
+
+    /// The rescale kept-limb chain on two components in one pair pass,
+    /// the shape `abc-ckks` runs it in — `k_c[i] = (k_c[i] − NTT(t_c mod
+    /// q_i))·s[i]`: each tail expanded into the thread's scratch limb,
+    /// transformed with a lazy last stage, subtracted and
+    /// scalar-multiplied.
+    fn rescale_pair<X: SignedWord, Y: SignedWord>(
+        engine: &RnsNttEngine,
+        (k0, k1): (&mut [Vec<u64>], &mut [Vec<u64>]),
+        (t0, t1): (&[X], &[Y]),
+        s: &[u64],
+    ) {
+        let (t0, t1) = (SignedCoeffs::scan(t0), SignedCoeffs::scan(t1));
+        engine.for_each_limb_pair(k0, k1, LimbWork::Transform, |i, plan, x0, x1, t| {
+            let d = plan.dyadic();
+            d.expand_into(&t0, t);
+            plan.forward_lazy(t);
+            d.sub_scalar_mul_assign(x0, t, s[i]);
+            d.expand_into(&t1, t);
+            plan.forward_lazy(t);
+            d.sub_scalar_mul_assign(x1, t, s[i]);
+        });
     }
 
     #[test]
@@ -985,12 +893,11 @@ mod tests {
                 plan.inverse_from(&a0[i], limb)
             });
             assert_eq!(got, inv, "inverse_from threads={threads}");
-            let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs64, &scalars);
-            assert_eq!(got, resc64, "fused rescale i64 threads={threads}");
-            let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs128, &scalars);
-            assert_eq!(got, resc128, "fused rescale i128 threads={threads}");
+            let (mut got64, mut got128) = (a0.clone(), a0.clone());
+            let kept = (&mut got64[..], &mut got128[..]);
+            rescale_pair(&engine, kept, (&coeffs64, &coeffs128), &scalars);
+            assert_eq!(got64, resc64, "fused rescale i64 threads={threads}");
+            assert_eq!(got128, resc128, "fused rescale i128 threads={threads}");
         }
     }
 

@@ -3,6 +3,7 @@
 use abc_float::{Complex, ExtF64Field};
 use abc_math::poly::{self, negacyclic_mul_schoolbook};
 use abc_math::primes::generate_ntt_primes;
+use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::Modulus;
 use abc_transform::{LimbWork, NttPlan, RnsNttEngine, SpecialFft};
 use proptest::prelude::*;
@@ -37,6 +38,29 @@ fn residues(moduli: &[Modulus], n: usize, seed: u64, salt: u64) -> Vec<Vec<u64>>
                 .collect()
         })
         .collect()
+}
+
+/// The rescale kept-limb chain on two components in one pair pass,
+/// the shape `abc-ckks` runs it in — `k_c[i] = (k_c[i] − NTT(t_c mod
+/// q_i))·s[i]`: each tail expanded into the thread's scratch limb,
+/// transformed with a lazy last stage, subtracted and
+/// scalar-multiplied.
+fn rescale_pair<X: SignedWord, Y: SignedWord>(
+    engine: &RnsNttEngine,
+    (k0, k1): (&mut [Vec<u64>], &mut [Vec<u64>]),
+    (t0, t1): (&[X], &[Y]),
+    s: &[u64],
+) {
+    let (t0, t1) = (SignedCoeffs::scan(t0), SignedCoeffs::scan(t1));
+    engine.for_each_limb_pair(k0, k1, LimbWork::Transform, |i, plan, x0, x1, t| {
+        let d = plan.dyadic();
+        d.expand_into(&t0, t);
+        plan.forward_lazy(t);
+        d.sub_scalar_mul_assign(x0, t, s[i]);
+        d.expand_into(&t1, t);
+        plan.forward_lazy(t);
+        d.sub_scalar_mul_assign(x1, t, s[i]);
+    });
 }
 
 fn arb_prime_modulus() -> impl Strategy<Value = Modulus> {
@@ -196,12 +220,15 @@ proptest! {
 
     #[test]
     fn fused_rns_ops_match_unfused_sequences(seed in any::<u64>(), limbs in 1usize..6) {
-        // Every engine op that fuses a chain — the named multiply-add
-        // shapes, the pre-entered pair ops, the fused rescale chain and
-        // an out-of-place inverse through the combinator — against the
+        // Every fused chain — the named multiply-add shapes, and as
+        // closures on the combinators the two pair shapes (an operand
+        // entered once in each thread's pooled scratch limb), the
+        // rescale chain and an out-of-place inverse — against the
         // unfused composition spelt with `abc_math::poly` / `Modulus`
         // ops (`u128 %`: no code shared with the dyadic kernels) and
-        // each limb's own plan, for every thread fan-out.
+        // each limb's own plan, for every thread fan-out. The pair
+        // passes are weighed as transforms so that they fan out from two
+        // limbs (2·k·N ≥ 2^14) and the scratch limb really is per thread.
         let n = 1usize << 12;
         let moduli = moduli_36(limbs, n);
         let gen = |salt: u64| residues(&moduli, n, seed, salt);
@@ -257,12 +284,29 @@ proptest! {
             let mut got = a0.clone();
             engine.dyadic_mul_add2_all(&mut got, &b, &c, &d);
             prop_assert_eq!(&got, &ma2_ref, "mul_add2 threads = {}", threads);
+            // The plaintext-product shape: b_i enters the kernel's
+            // domain once, in the thread's scratch limb, for both
+            // components.
             let (mut p0, mut p1) = (a0.clone(), c.clone());
-            engine.dyadic_mul_pair_all(&mut p0, &mut p1, &b);
+            engine.for_each_limb_pair(&mut p0, &mut p1, LimbWork::Transform, |i, plan, x0, x1, pre| {
+                let dy = plan.dyadic();
+                pre.copy_from_slice(&b[i]);
+                dy.premul(pre);
+                dy.mul_assign_premul(x0, pre);
+                dy.mul_assign_premul(x1, pre);
+            });
             prop_assert_eq!(&p0, &mul_ref, "pair c0 threads = {}", threads);
             prop_assert_eq!(&p1, &mul_c_ref, "pair c1 threads = {}", threads);
+            // The key-switch shape: the digit d_i enters once and both
+            // key halves accumulate against it.
             let (mut acc0, mut acc1) = (a0.clone(), c.clone());
-            engine.dyadic_mul_acc_pair_all(&mut acc0, &mut acc1, &d, &b, &a0);
+            engine.for_each_limb_pair(&mut acc0, &mut acc1, LimbWork::Transform, |i, plan, x0, x1, pre| {
+                let dy = plan.dyadic();
+                pre.copy_from_slice(&d[i]);
+                dy.premul(pre);
+                dy.mul_acc_assign_premul(x0, &b[i], pre);
+                dy.mul_acc_assign_premul(x1, &a0[i], pre);
+            });
             prop_assert_eq!(&acc0, &acc0_ref, "acc pair c0 threads = {}", threads);
             prop_assert_eq!(&acc1, &acc1_ref, "acc pair c1 threads = {}", threads);
             let mut got = vec![vec![u64::MAX; n]; moduli.len()];
@@ -270,64 +314,11 @@ proptest! {
                 plan.inverse_from(&a0[i], limb)
             });
             prop_assert_eq!(&got, &inv_ref, "inverse_from threads = {}", threads);
-            let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs64, &scalars);
-            prop_assert_eq!(&got, &rescale_ref64, "rescale i64 threads = {}", threads);
-            let mut got = a0.clone();
-            engine.expand_ntt_sub_scalar_mul_all(&mut got, &coeffs128, &scalars);
-            prop_assert_eq!(&got, &rescale_ref128, "rescale i128 threads = {}", threads);
-        }
-    }
-
-    #[test]
-    fn fused_pk_encrypt_matches_unfused_reference(
-        seed in any::<u64>(),
-        limbs in 1usize..=6,
-        dropped in 0usize..6,
-    ) {
-        // The limb-streaming encrypt pass against the sequence it
-        // replaced, rebuilt here from the public engine ops: three
-        // escaping expansions, then pk0·v + e0 + m and pk1·v + e1 on
-        // copies of the key — on a CKKS-shaped basis (39-bit head, 36-bit
-        // rest), with the plaintext at or below the key's level, for
-        // every thread fan-out (2·lvl·N ≥ 2^14 spawns from two limbs up).
-        let n = 1usize << 12;
-        let mut primes = generate_ntt_primes(39, 1, 1 << 13).expect("head prime");
-        primes.extend(generate_ntt_primes(36, limbs - 1, 1 << 13).expect("primes"));
-        let moduli: Vec<Modulus> = primes
-            .into_iter()
-            .map(|q| Modulus::new(q).expect("valid"))
-            .collect();
-        let lvl = limbs - dropped.min(limbs - 1);
-        let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 11
-        };
-        let v: Vec<i8> = (0..n).map(|_| (next() % 3) as i8 - 1).collect();
-        let e0: Vec<i64> = (0..n).map(|_| (next() % 41) as i64 - 20).collect();
-        let e1: Vec<i64> = (0..n).map(|_| (next() % 41) as i64 - 20).collect();
-        let mut rows = |count: usize| -> Vec<Vec<u64>> {
-            moduli[..count]
-                .iter()
-                .map(|m| (0..n).map(|_| next() % m.q()).collect())
-                .collect()
-        };
-        let (pk0, pk1, m) = (rows(limbs), rows(limbs), rows(lvl));
-        let widen = |xs: &[i64]| -> Vec<i128> { xs.iter().map(|&x| x as i128).collect() };
-        let v_wide: Vec<i128> = v.iter().map(|&x| x as i128).collect();
-        for threads in [1usize, 2, 4] {
-            let engine = RnsNttEngine::with_threads(&moduli, n, threads).expect("engine");
-            let v_ntt = engine.expand_and_ntt(&v_wide);
-            let mut want0 = pk0[..lvl].to_vec();
-            engine.dyadic_mul_add2_all(&mut want0, &v_ntt, &engine.expand_and_ntt(&widen(&e0)), &m);
-            let mut want1 = pk1[..lvl].to_vec();
-            engine.dyadic_mul_add_all(&mut want1, &v_ntt, &engine.expand_and_ntt(&widen(&e1)));
-            let (c0, c1) = engine.pk_encrypt_all(&v, &e0, &e1, &pk0, &pk1, &m);
-            prop_assert_eq!(&c0, &want0, "c0 threads = {} lvl = {}", threads, lvl);
-            prop_assert_eq!(&c1, &want1, "c1 threads = {} lvl = {}", threads, lvl);
+            let (mut got64, mut got128) = (a0.clone(), a0.clone());
+            let kept = (&mut got64[..], &mut got128[..]);
+            rescale_pair(&engine, kept, (&coeffs64, &coeffs128), &scalars);
+            prop_assert_eq!(&got64, &rescale_ref64, "rescale i64 threads = {}", threads);
+            prop_assert_eq!(&got128, &rescale_ref128, "rescale i128 threads = {}", threads);
         }
     }
 
