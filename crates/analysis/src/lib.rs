@@ -35,7 +35,7 @@
 //! | `lazy-domain-doc` | fns whose name/params mention `lazy`/`2q`/`4q` state an interval bound (`[0, 2q)`-style) in their docs |
 //! | `env-access` | no direct `env::var`/`set_var`/`remove_var` on `ABC_FHE_*` outside `EnvGuard` and allowlisted hardened parsers |
 //! | `gateway-panic-free` | no `unwrap`/`expect`/`panic!`-family in `crates/gateway` non-test request-path code |
-//! | `thread-site` | no `thread::scope`/`spawn`/`Builder` in the library crates (`math`, `float`, `prng`, `transform`, `ckks`) outside tests, except the one limb fan-out function in `crates/transform/src/rns_ntt.rs` |
+//! | `thread-site` | no `thread::spawn`/`Builder` in the library crates (`math`, `float`, `prng`, `transform`, `ckks`) outside tests, except the fan-out's one worker-start function (`start_worker` in `crates/transform/src/fanout.rs`), and no `thread::scope` in them at all |
 //! | `lock-site` | no `Mutex`/`RwLock` in the library crates outside tests, except the limb pool (`crates/transform/src/pool.rs`) and the test-only environment lock (`crates/math/src/envtest.rs`) |
 //! | `model-boundary` | no `abc_hw` / `abc_sim` path in the product crates (`math`, `float`, `prng`, `transform`, `ckks`, `gateway`) outside tests: the models depend on the client path, not the reverse |
 //!

@@ -1,15 +1,18 @@
 //! Rule 6 — `thread-site`.
 //!
 //! The library streams one message at a time and all of its parallelism
-//! is the per-limb fan-out of `RnsNttEngine`: one function decides
-//! serial vs parallel and starts the threads. Every second site — a
-//! batch path that spawns a producer, an engine with a thread count of
-//! its own — is a second policy to tune and oversubscribes the first.
-//! In the library crates (`math`, `float`, `prng`, `transform`, `ckks`),
-//! outside `#[cfg(test)]`, `thread::scope`, `thread::spawn` and
-//! `thread::Builder` are therefore a finding anywhere but the registered
-//! fan-out function. The gateway's worker pool and queue parallelise
-//! across *requests* and are out of scope.
+//! is the process-wide fan-out (`abc_transform::fanout`): parked workers,
+//! started by one function on first use, that every parallel pass wakes
+//! and helps. Every second site — a batch path that spawns a producer, an
+//! engine with a thread count of its own, a per-call scope — is a second
+//! policy to tune and oversubscribes the first. In the library crates
+//! (`math`, `float`, `prng`, `transform`, `ckks`), outside `#[cfg(test)]`,
+//! `thread::spawn` and `thread::Builder` are therefore a finding anywhere
+//! but the registered worker-start function, and `thread::scope` — a
+//! spawn and a join per call, what the parked workers replaced — is a
+//! finding everywhere, that function and tests included. The gateway's
+//! worker pool and queue parallelise across *requests* and are out of
+//! scope.
 
 use crate::parse::File;
 use crate::report::Finding;
@@ -18,9 +21,10 @@ use super::{finding, in_library_crate, Ctx};
 
 pub(super) const RULE: &str = "thread-site";
 
-/// The one function (by file and name) allowed to start threads.
-const FAN_OUT_FILE: &str = "crates/transform/src/rns_ntt.rs";
-const FAN_OUT_FN: &str = "fan_out";
+/// The one function (by file and name) allowed to start threads: the
+/// fan-out's worker start.
+const FAN_OUT_FILE: &str = "crates/transform/src/fanout.rs";
+const FAN_OUT_FN: &str = "start_worker";
 
 pub(super) fn check(_ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
     if !in_library_crate(&f.path) {
@@ -40,9 +44,12 @@ pub(super) fn check(_ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
             || !toks[b].is_punct(':')
             || !toks[c].is_punct(':')
             || !matches!(what, "scope" | "spawn" | "Builder")
-            || f.line_in_test(toks[a].line)
-            || fan_out_body.is_some_and(|(b0, b1)| (b0..=b1).contains(&a))
         {
+            continue;
+        }
+        let exempt = f.line_in_test(toks[a].line)
+            || fan_out_body.is_some_and(|(b0, b1)| (b0..=b1).contains(&a));
+        if what != "scope" && exempt {
             continue;
         }
         out.push(finding(
@@ -51,10 +58,10 @@ pub(super) fn check(_ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
             toks[a].line,
             toks[a].col,
             format!(
-                "`thread::{what}` in a library crate: the limb fan-out \
-                 (`{FAN_OUT_FN}` in `{FAN_OUT_FILE}`) is the one place that starts threads — \
-                 route per-limb work through it, and leave parallelism across messages to \
-                 the caller"
+                "`thread::{what}` in a library crate: the fan-out's parked workers \
+                 (started by `{FAN_OUT_FN}` in `{FAN_OUT_FILE}`) are the only threads it \
+                 starts, and no pass spawns per call — route parallel work through \
+                 `abc_transform::fanout`, and leave parallelism across messages to the caller"
             ),
         ));
     }

@@ -369,21 +369,53 @@ pub fn detached() {
     assert_eq!(rules(&found), ["thread-site"; 3], "{found:?}");
     assert_eq!(found[0].line, 3);
     // Another function of the fan-out's own file is still a second site.
-    let found = findings("crates/transform/src/rns_ntt.rs", src);
+    let found = findings("crates/transform/src/fanout.rs", src);
     assert_eq!(rules(&found), ["thread-site"; 3], "{found:?}");
+    // A per-call scope is a finding even in the worker-start function and
+    // in tests: the parked workers replaced it.
+    let scoped = r#"
+fn start_worker(j: usize) {
+    std::thread::scope(|s| {
+        s.spawn(|| j);
+    });
 }
 
-#[test]
-fn the_fan_out_tests_and_the_gateway_may_start_threads() {
-    let src = r#"
-/// Splits the limbs across `std::thread::scope` workers.
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn joins() {
+        std::thread::scope(|_| ());
+    }
+}
+"#;
+    let found = findings("crates/transform/src/fanout.rs", scoped);
+    assert_eq!(rules(&found), ["thread-site"; 2], "{found:?}");
+    assert_eq!((found[0].line, found[1].line), (3, 12), "{found:?}");
+    // The retired limb fan-out is no longer a registered site.
+    let old = r#"
 fn fan_out(k: usize) {
-    // thread::spawn would detach; scope joins.
     std::thread::scope(|s| {
         for _ in 0..k {
             s.spawn(|| ());
         }
     });
+}
+"#;
+    let found = findings("crates/transform/src/rns_ntt.rs", old);
+    assert_eq!(rules(&found), ["thread-site"], "{found:?}");
+}
+
+#[test]
+fn the_fan_out_tests_and_the_gateway_may_start_threads() {
+    let src = r#"
+/// Starts a parked worker with `std::thread::Builder`.
+fn start_worker(j: usize) -> Option<std::thread::Thread> {
+    // thread::scope would join at once; a parked worker lives on.
+    std::thread::Builder::new()
+        .name(format!("w{j}"))
+        .spawn(|| std::thread::park())
+        .ok()
+        .map(|handle| handle.thread().clone())
 }
 
 pub fn sleepy() {
@@ -398,7 +430,7 @@ mod tests {
     }
 }
 "#;
-    assert!(findings("crates/transform/src/rns_ntt.rs", src).is_empty());
+    assert!(findings("crates/transform/src/fanout.rs", src).is_empty());
     // The worker pool parallelises across requests: out of scope.
     let pool = r#"
 pub fn start() {

@@ -415,6 +415,13 @@ fn main() {
                 },
             ));
         }
+        // What one parallel pass costs before any work: post to a parked
+        // worker, run both chunks, take the post back or wait for it.
+        benches.push(measure("fanout/roundtrip", 300, || {
+            abc_transform::fanout::run(2, 2, &|t| {
+                std::hint::black_box(t);
+            });
+        }));
     }
 
     // --- Decode's CRT lift + scale division, ns per coefficient: the
@@ -590,6 +597,33 @@ fn main() {
         drop(ct);
         steady.push(steady_row(
             "client/download24_steady/2^14",
+            ctx.params().n(),
+            1500,
+            || {
+                let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
+                let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+                std::hint::black_box(ctx.decode(&pt).expect("decode"));
+            },
+        ));
+    }
+
+    {
+        // The paper's download (Fig. 5a): a 2-prime result at the
+        // largest preset, the shape of benchmark/'s `download_n16`.
+        let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
+        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
+        let ct = ctx
+            .encrypt(
+                &ctx.encode(&client_message(&ctx)).expect("encode"),
+                &pk,
+                Seed::from_u128(7),
+            )
+            .truncated(2);
+        let widths = ctx.wire_widths(ct.num_primes());
+        let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths).expect("pack");
+        drop(ct);
+        steady.push(steady_row(
+            "client/download2_steady/2^16",
             ctx.params().n(),
             1500,
             || {

@@ -12,7 +12,8 @@ use abc_math::rns::{SignedCoeffs, WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
-use abc_transform::{LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
+use abc_transform::{fanout, LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFftEngine};
+use std::sync::OnceLock;
 
 /// The context's canonical-embedding engine, instantiated at the
 /// datapath selected by [`CkksParams::embedding_precision`] — one
@@ -613,9 +614,22 @@ impl CkksContext {
         );
         let n = self.params.n();
 
-        let v = TernarySampler::new(seed.derive(0), 0).sample_poly(n, None);
+        // v, e0 and e1 come from three independent streams, so one
+        // fan-out over three jobs draws them side by side.
         let sigma = self.params.error_sigma();
-        let e = [1, 2].map(|s| GaussianSampler::new(seed.derive(s), 0, sigma).sample_poly(n));
+        let (v, e) = (OnceLock::new(), [OnceLock::new(), OnceLock::new()]);
+        fanout::run(self.engine.threads(), 3, &|j| match j {
+            0 => {
+                v.get_or_init(|| TernarySampler::new(seed.derive(0), 0).sample_poly(n, None));
+            }
+            _ => {
+                let draw = || GaussianSampler::new(seed.derive(j as u64), 0, sigma).sample_poly(n);
+                e[j - 1].get_or_init(draw);
+            }
+        });
+        let drawn = "every job ran";
+        let v = v.into_inner().expect(drawn);
+        let e = e.map(|e| e.into_inner().expect(drawn));
         let (v, e) = (
             SignedCoeffs::scan(&v),
             e.each_ref().map(|e| SignedCoeffs::scan(e)),

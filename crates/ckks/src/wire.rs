@@ -52,9 +52,16 @@
 //!
 //! All four kinds share one header description ([`Layout`]: the only
 //! header writer, parser and length formula), one packer and one
-//! unpacker (`pack_bits`, `unpack_bits`: groups of eight words — `width`
+//! unpacker (`pack_into`, `unpack_into`: groups of eight words — `width`
 //! bytes — at a time, instantiated per width; the fits-its-width check
-//! an OR accumulated in the pack pass). **Seeded
+//! an OR accumulated in the pack pass). Both run per polynomial on the
+//! process-wide fan-out ([`abc_transform::fanout`], `n` words a
+//! polynomial weighed as element-wise): the v3 layout fixes every
+//! polynomial's byte range before packing starts, so the packer writes
+//! each `(component, limb)` straight into its range of the blob's spare
+//! capacity, and the unpacker fills every pooled limb in parallel. A
+//! residue past its width is named as the serial packer named it: the
+//! first one of the first polynomial that has one. **Seeded
 //! ciphertexts** (kind 2) are roughly half the bytes of kind 1;
 //! **evaluation keys** (kinds 3/4) carry `digits · limbs` polynomial pairs.
 
@@ -65,14 +72,25 @@ use crate::symmetric::CompressedCiphertext;
 use crate::CkksError;
 use abc_math::{Modulus, UBig};
 use abc_prng::Seed;
+use abc_transform::fanout::{self, LimbWork};
 use abc_transform::pool;
+use abc_transform::rns_ntt::threads_from_env;
 use std::borrow::Cow;
+use std::mem::MaybeUninit;
+use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"ABCF";
 const VERSION_PACKED: u16 = 3;
 const FIXED_HEADER: usize = 18; // ciphertext header bytes before the numerator
 const KEY_FIXED_HEADER: usize = 12; // key header bytes before the element / width table
 const TRUNCATED: &str = "truncated header";
+
+/// The process's thread count for the codec's fan-out, resolved once
+/// ([`threads_from_env`]).
+fn threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(threads_from_env)
+}
 
 /// The module's typed error for malformed or out-of-bounds input.
 fn err(msg: impl core::fmt::Display) -> CkksError {
@@ -134,13 +152,16 @@ macro_rules! by_width {
     };
 }
 
-/// Appends `words` to `out`, `width` bits each, LSB-first, and returns
-/// the OR of all of them (a bit at or above `width` in it means some
-/// word did not fit). Eight words make exactly `width` bytes, so the
-/// stream moves in such groups ([`pack_groups`]); a last partial group
-/// leaves byte by byte.
-fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) -> u64 {
-    let mut seen = by_width!(width, pack_groups(out, words));
+/// Writes `words` into `dst`, `width` bits each, LSB-first, and returns
+/// the OR of all of them (a bit at or above `width` in it means some word
+/// did not fit). Eight words make exactly `width` bytes, so the stream
+/// moves in such groups ([`pack_groups`]); a last partial group leaves
+/// byte by byte. `dst` is the polynomial's byte range of the payload,
+/// [`packed_poly_bytes`] long, and every byte of it is written.
+fn pack_into(dst: &mut [MaybeUninit<u8>], words: &[u64], width: u32) -> u64 {
+    let (groups, tail) = dst.split_at_mut(words.len() / 8 * width as usize);
+    let mut seen = by_width!(width, pack_groups(groups, words));
+    let mut tail = tail.iter_mut();
     let mut acc: u128 = 0;
     let mut nbits = 0u32;
     for &w in words.chunks_exact(8).remainder() {
@@ -148,24 +169,25 @@ fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) -> u64 {
         acc |= (w as u128) << nbits;
         nbits += width;
         while nbits >= 8 {
-            out.push(acc as u8);
+            tail.next().expect("range fits the words").write(acc as u8);
             acc >>= 8;
             nbits -= 8;
         }
     }
     if nbits > 0 {
-        out.push(acc as u8);
+        tail.next().expect("range fits the words").write(acc as u8);
     }
+    assert!(tail.next().is_none(), "range longer than the packed words");
     seen
 }
 
-/// The full groups of eight words of [`pack_bits`] at width `W`, and
+/// The full groups of eight words of [`pack_into`] at width `W`, and
 /// the OR of their words. Each group is built in nine independent
 /// 64-bit lanes — word `k` at bit `k·W`, the part past its lane
-/// spilling into the next — and its `W` bytes appended at once.
-fn pack_groups<const W: usize>(out: &mut Vec<u8>, words: &[u64]) -> u64 {
+/// spilling into the next — and its `W` bytes written at once.
+fn pack_groups<const W: usize>(dst: &mut [MaybeUninit<u8>], words: &[u64]) -> u64 {
     let mut seen = 0u64;
-    for group in words.chunks_exact(8) {
+    for (group, out) in words.chunks_exact(8).zip(dst.chunks_exact_mut(W)) {
         let mut lanes = [0u64; 9];
         for (k, &x) in group.iter().enumerate() {
             seen |= x;
@@ -178,44 +200,80 @@ fn pack_groups<const W: usize>(out: &mut Vec<u8>, words: &[u64]) -> u64 {
         for (dst, lane) in bytes.chunks_exact_mut(8).zip(lanes) {
             dst.copy_from_slice(&lane.to_le_bytes());
         }
-        out.extend_from_slice(&bytes[..W]);
+        out.write_copy_of_slice(&bytes[..W]);
     }
     seen
 }
 
-/// [`pack_bits`] for one residue polynomial, rejecting residues that do
-/// not fit `width` bits (corrupt data: the blob could not round-trip).
-/// The check rides in the pack pass; the polynomial is looked through
-/// again only to name the residue in the error.
-fn pack_poly(out: &mut Vec<u8>, poly: &[u64], width: u32) -> Result<(), CkksError> {
-    let seen = pack_bits(out, poly, width);
-    if width < 64 && seen >> width != 0 {
-        let bad = poly
-            .iter()
-            .find(|&&x| x >> width != 0)
-            .expect("a bit past the width came from some residue");
-        return Err(CkksError::InvalidParams(format!(
-            "wire: residue {bad:#x} exceeds {width}-bit width"
-        )));
-    }
-    Ok(())
+/// One polynomial of [`append_packed`]: its words, width and byte range,
+/// and the OR of its words once packed.
+struct Packed<'a> {
+    words: &'a [u64],
+    width: u32,
+    dst: &'a mut [MaybeUninit<u8>],
+    seen: u64,
 }
 
-/// Reads `n` words of `width` bits (LSB-first) from `bytes`, the inverse
-/// of [`pack_bits`]: the full groups of eight words, `width` bytes each,
-/// through [`unpack_groups`], and the words of a last partial group
-/// through [`unpack_windows`]. Bits past the last word are ignored. The
-/// polynomial is a limb-pool buffer: inside a ciphertext it goes back
-/// there on drop, a key keeps it for good.
-fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
-    let mut out = pool::take(n);
-    let (grouped, rest) = out.split_at_mut(n - n % 8);
+/// Appends every `(words, width)` polynomial of `polys` to `out`,
+/// bit-packed, each into its own byte range and on the fan-out (`n` words
+/// a polynomial, element-wise), and returns each one's OR of words. The
+/// payload is written once, straight into `out`'s spare capacity.
+fn append_packed(out: &mut Vec<u8>, polys: &[(&[u64], u32)], threads: usize) -> Vec<u64> {
+    let len = |&(words, width): &(&[u64], u32)| packed_poly_bytes(words.len(), width);
+    let total = polys.iter().map(len).sum();
+    out.reserve(total);
+    let mut free = &mut out.spare_capacity_mut()[..total];
+    let mut jobs: Vec<Packed> = polys
+        .iter()
+        .map(|poly| {
+            let (dst, rest) = std::mem::take(&mut free).split_at_mut(len(poly));
+            free = rest;
+            let (words, width) = *poly;
+            Packed {
+                words,
+                width,
+                dst,
+                seen: 0,
+            }
+        })
+        .collect();
+    let n = polys.first().map_or(0, |(words, _)| words.len());
+    fanout::for_each_chunk(threads, &mut jobs, n, LimbWork::Elementwise, |_, chunk| {
+        for job in chunk {
+            job.seen = pack_into(job.dst, job.words, job.width);
+        }
+    });
+    let seen = jobs.iter().map(|job| job.seen).collect();
+    drop(jobs);
+    // SAFETY: the `jobs` ranges tile `spare_capacity_mut()[..total]` in
+    // order, one per polynomial, and `pack_into` wrote every byte of each
+    // (it panics otherwise, and a panic in a chunk reaches this thread
+    // before this line).
+    unsafe { out.set_len(out.len() + total) };
+    seen
+}
+
+/// The residue of `words` that does not fit `width` bits, if `seen` (the
+/// OR of `words`) says there is one.
+fn over_width(words: &[u64], width: u32, seen: u64) -> Option<u64> {
+    if width == 64 || seen >> width == 0 {
+        return None;
+    }
+    words.iter().copied().find(|&x| x >> width != 0)
+}
+
+/// Reads `words.len()` words of `width` bits (LSB-first) from `bytes`,
+/// the inverse of [`pack_into`]: the full groups of eight words, `width`
+/// bytes each, through [`unpack_groups`], and the words of a last partial
+/// group through [`unpack_windows`]. Bits past the last word are ignored.
+fn unpack_into(bytes: &[u8], words: &mut [u64], width: u32) {
+    let n = words.len();
+    let (grouped, rest) = words.split_at_mut(n - n % 8);
     by_width!(width, unpack_groups(bytes, grouped));
     unpack_windows(&bytes[grouped.len() / 8 * width as usize..], rest, width);
-    out
 }
 
-/// The full groups of [`unpack_bits`] at width `W`, filling `words`
+/// The full groups of [`unpack_into`] at width `W`, filling `words`
 /// (a multiple of eight long): each group's `W` bytes are read into nine
 /// 64-bit lanes, and word `k` is the bits from `k·W` on — the rest of
 /// its lane, the part spilled into the next one — under the width mask.
@@ -266,17 +324,43 @@ fn unpack_windows(bytes: &[u8], words: &mut [u64], width: u32) {
     }
 }
 
-/// Unpacks one polynomial per entry of `widths` from `bytes` at
-/// `*cursor`, advancing it. The caller has checked that the payload is
-/// there.
-fn unpack_polys(bytes: &[u8], cursor: &mut usize, n: usize, widths: &[u32]) -> Vec<Vec<u64>> {
-    let polys = widths.iter().map(|&w| {
-        let len = packed_poly_bytes(n, w);
-        let poly = unpack_bits(&bytes[*cursor..*cursor + len], n, w);
-        *cursor += len;
-        poly
-    });
-    polys.collect()
+/// Unpacks the components that fill `payload` — `limbs` polynomials of
+/// `n` words each, under `widths` — every polynomial into a pooled limb of
+/// its own and on the fan-out (`n` words a polynomial, element-wise). The
+/// caller has checked that the payload is all there. A limb goes back to
+/// the pool when its ciphertext drops; a key keeps it for good.
+fn unpack_polys(
+    payload: &[u8],
+    n: usize,
+    widths: &[u32],
+    threads: usize,
+) -> impl Iterator<Item = Vec<Vec<u64>>> + use<> {
+    let limbs = widths.len();
+    let offset = |limb: usize| -> usize {
+        widths[..limb]
+            .iter()
+            .map(|&w| packed_poly_bytes(n, w))
+            .sum()
+    };
+    let component_len = offset(limbs);
+    let count = payload.len() / component_len;
+    let mut polys: Vec<Vec<u64>> = (0..count * limbs).map(|_| pool::take(n)).collect();
+    fanout::for_each_chunk(
+        threads,
+        &mut polys,
+        n,
+        LimbWork::Elementwise,
+        |first, chunk| {
+            for (i, poly) in (first..).zip(chunk) {
+                let (c, limb) = (i / limbs, i % limbs);
+                let at = c * component_len + offset(limb);
+                let width = widths[limb];
+                unpack_into(&payload[at..at + packed_poly_bytes(n, width)], poly, width);
+            }
+        },
+    );
+    let mut polys = polys.into_iter();
+    (0..count).map(move |_| polys.by_ref().take(limbs).collect())
 }
 
 /// `fn u16(&mut self) -> Result<u16, CkksError>` and its like.
@@ -485,12 +569,22 @@ impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
     }
 
     /// The whole blob: the header (after `check`, every field fits the integer
-    /// it is written as), then every polynomial bit-packed to its limb's width.
+    /// it is written as), then every polynomial bit-packed to its limb's width,
+    /// each into its own byte range on a fan-out of `threads`.
     fn serialize<'c>(
         &self,
         components: impl IntoIterator<Item = &'c [Vec<u64>]>,
+        threads: usize,
     ) -> Result<Vec<u8>, CkksError> {
         self.check()?;
+        let mut polys = Vec::new();
+        for component in components {
+            if component.len() != self.limbs() {
+                let (widths, limbs) = (self.limbs(), component.len());
+                return Err(err(format!("{widths} widths for {limbs} limbs")));
+            }
+            polys.extend(component.iter().map(Vec::as_slice).zip(self.widths()));
+        }
         let mut out = Vec::with_capacity(self.total_len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
@@ -510,23 +604,24 @@ impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
         out.extend(self.seed.iter().flat_map(|s| s.0));
         out.extend(self.element.iter().flat_map(|g| g.to_le_bytes()));
         out.extend(self.widths().map(|w| w as u8));
-        for component in components {
-            if component.len() != self.limbs() {
-                let (widths, limbs) = (self.limbs(), component.len());
-                return Err(err(format!("{widths} widths for {limbs} limbs")));
-            }
-            for (poly, w) in component.iter().zip(self.widths()) {
-                pack_poly(&mut out, poly, w)?;
-            }
+        let seen = append_packed(&mut out, &polys, threads);
+        let bad = polys.iter().zip(seen).find_map(|(&(words, width), seen)| {
+            over_width(words, width, seen).map(|residue| (residue, width))
+        });
+        match bad {
+            Some((residue, width)) => Err(err(format!(
+                "residue {residue:#x} exceeds {width}-bit width"
+            ))),
+            None => Ok(out),
         }
-        Ok(out)
     }
 
-    /// The unpacker of the blob this layout was parsed from, a component a call.
-    fn components(&self, bytes: &'a [u8]) -> impl FnMut() -> Vec<Vec<u64>> + 'a {
+    /// Every component of the blob this layout was parsed from, unpacked
+    /// in one pass at `threads`.
+    fn components(&self, bytes: &[u8], threads: usize) -> impl Iterator<Item = Vec<Vec<u64>>> {
         let widths: Vec<u32> = self.widths().collect();
-        let (n, mut at) = (self.n, bytes.len() - self.payload_len());
-        move || unpack_polys(bytes, &mut at, n, &widths)
+        let payload = &bytes[bytes.len() - self.payload_len()..];
+        unpack_polys(payload, self.n, &widths, threads)
     }
 }
 
@@ -548,7 +643,7 @@ pub fn packed_serialized_len(ct: &Ciphertext, widths: &[u32]) -> usize {
 /// outside the module's bounds (the parser would refuse the blob).
 pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
     let (c0, c1) = ct.components();
-    Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths).serialize([c0, c1])
+    Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths).serialize([c0, c1], threads())
 }
 
 /// Deserializes a ciphertext from the wire format.
@@ -560,11 +655,13 @@ pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Ve
 /// field outside the module's bounds, or an invalid scale encoding.
 pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
     let layout = Layout::parse(bytes)?;
-    let mut component = layout.components(bytes);
-    let (WireKind::Full, Some(scale)) = (layout.kind, layout.scale) else {
+    let (WireKind::Full, Some(scale)) = (layout.kind, &layout.scale) else {
         return Err(err("unsupported kind"));
     };
-    Ciphertext::from_limbs(component().into(), component().into(), scale.into_owned())
+    let scale = scale.clone().into_owned();
+    let mut components = layout.components(bytes, threads());
+    let mut component = || components.next().expect("a full ciphertext has two").into();
+    Ciphertext::from_limbs(component(), component(), scale)
 }
 
 /// Exact serialized size of a seed-compressed ciphertext under `widths`.
@@ -581,7 +678,7 @@ pub fn serialize_compressed_ciphertext(
     widths: &[u32],
 ) -> Result<Vec<u8>, CkksError> {
     Layout::ciphertext(cct.n(), cct.exact_scale(), Some(cct.mask_seed()), widths)
-        .serialize([cct.c0()])
+        .serialize([cct.c0()], threads())
 }
 
 /// Deserializes a seed-compressed ciphertext (kind 2). Expand it back
@@ -589,11 +686,15 @@ pub fn serialize_compressed_ciphertext(
 /// as [`deserialize_ciphertext`].
 pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphertext, CkksError> {
     let layout = Layout::parse(bytes)?;
-    let (n, mut component) = (layout.n, layout.components(bytes));
-    let (Some(scale), Some(mask_seed)) = (layout.scale, layout.seed) else {
+    let (Some(scale), Some(mask_seed)) = (&layout.scale, layout.seed) else {
         return Err(err("unsupported kind"));
     };
-    let (c0, scale) = (component().into(), scale.into_owned());
+    let (n, scale) = (layout.n, scale.clone().into_owned());
+    let c0 = layout
+        .components(bytes, threads())
+        .next()
+        .expect("one component");
+    let c0 = c0.into();
     Ok(CompressedCiphertext {
         c0,
         mask_seed,
@@ -612,7 +713,7 @@ pub fn packed_key_len(ksk: &KeySwitchKey, widths: &[u32], n: usize) -> usize {
 fn serialize_ksk(ksk: &KeySwitchKey, g: Option<u64>, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
     let n = ksk.b.iter().flatten().next().map_or(0, Vec::len);
     let pairs = ksk.b.iter().zip(&ksk.a);
-    Layout::key(n, ksk, g, widths).serialize(pairs.flat_map(|(b, a)| [&b[..], &a[..]]))
+    Layout::key(n, ksk, g, widths).serialize(pairs.flat_map(|(b, a)| [&b[..], &a[..]]), threads())
 }
 
 /// Serializes a relinearization key to the v3 packed key format
@@ -630,7 +731,8 @@ pub fn serialize_galois_key(key: &GaloisKey, widths: &[u32]) -> Result<Vec<u8>, 
 
 /// Both key kinds: the `b a` pair of every digit of a parsed blob.
 fn unpack_ksk(bytes: &[u8], layout: &Layout) -> KeySwitchKey {
-    let mut component = layout.components(bytes);
+    let mut components = layout.components(bytes, threads());
+    let mut component = || components.next().expect("two components a digit");
     let pairs = (0..layout.digits).map(|_| (component(), component()));
     let (b, a) = pairs.unzip();
     KeySwitchKey { b, a }
@@ -666,6 +768,19 @@ mod tests {
     use crate::params::CkksParams;
     use abc_float::Complex;
     use abc_prng::Seed;
+
+    /// [`append_packed`] for one polynomial: the packer as the oracles
+    /// below compare it.
+    fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) -> u64 {
+        append_packed(out, &[(words, width)], 1)[0]
+    }
+
+    /// [`unpack_into`] into a fresh vector.
+    fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
+        let mut words = vec![0; n];
+        unpack_into(bytes, &mut words, width);
+        words
+    }
 
     fn sample_ct() -> (CkksContext, Ciphertext) {
         let ctx = CkksContext::new(
@@ -1008,6 +1123,58 @@ mod tests {
                         )
                     ),
                     other => panic!("c1={in_c1} limb={limb} at={at}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn over_width_residue_is_named_alike_at_every_thread_count() {
+        // 2 components × 4 limbs × 2^13 words = 2^16 words: the packer
+        // and the unpacker fan out from two threads on.
+        let (n, widths) = (1usize << 13, [39u32, 36, 36, 36]);
+        let scale = sample_ct().1.exact_scale().clone();
+        let component = |salt: u64| -> Vec<Vec<u64>> {
+            let residue = |i: usize, j: u64| {
+                (j ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - widths[i])
+            };
+            (0..widths.len())
+                .map(|i| (0..n as u64).map(|j| residue(i, j)).collect())
+                .collect()
+        };
+        let (c0, c1) = (component(1), component(2));
+        let layout = Layout::ciphertext(n, &scale, None, &widths);
+        let good = layout.serialize([&c0[..], &c1[..]], 1).expect("pack");
+        let last = widths.len() - 1;
+        for threads in 1..=4 {
+            let blob = layout.serialize([&c0[..], &c1[..]], threads).expect("pack");
+            assert_eq!(blob, good, "threads={threads}");
+            let parsed = Layout::parse(&good).expect("parse");
+            let back: Vec<_> = parsed.components(&good, threads).collect();
+            assert_eq!(back, [c0.clone(), c1.clone()], "threads={threads}");
+            // A residue past its width in the first limb of c0 or the last
+            // of c1; a second one further on is not the one named.
+            for (in_c1, limb, at) in [(false, 0, 0), (false, 0, n - 1), (true, last, n - 1)] {
+                let (mut bad0, mut bad1) = (c0.clone(), c1.clone());
+                let poly = if in_c1 {
+                    &mut bad1[limb]
+                } else {
+                    &mut bad0[limb]
+                };
+                let residue = poly[at] | 1 << widths[limb];
+                poly[at] = residue;
+                if !in_c1 {
+                    bad1[last][0] |= 1 << widths[last];
+                }
+                match layout.serialize([&bad0[..], &bad1[..]], threads) {
+                    Err(CkksError::InvalidParams(msg)) => assert_eq!(
+                        msg,
+                        format!(
+                            "wire: residue {residue:#x} exceeds {}-bit width",
+                            widths[limb]
+                        )
+                    ),
+                    other => panic!("threads={threads} c1={in_c1} limb={limb}: {other:?}"),
                 }
             }
         }

@@ -26,9 +26,9 @@
 //! rungs.
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
-//! polynomial — one plan per prime, and the limb fan-out over scoped
-//! threads (`ABC_FHE_THREADS` override) that is the **only** place the
-//! library crates start a thread — and draws every limb it hands out
+//! polynomial — one plan per prime, and the limb fan-out over
+//! [`fanout`]'s parked workers (`ABC_FHE_THREADS` override), the **only**
+//! threads the library crates start — and draws every limb it hands out
 //! from [`pool`], the process-wide limb pool whose retention follows the
 //! live engines ([`pool::PooledLimbs`] is the one owning limb container).
 //! It is the only memory a client operation recycles: the AVX-512 FFT's
@@ -72,6 +72,7 @@
 #![deny(missing_docs)]
 
 pub mod bitrev;
+pub mod fanout;
 pub mod fft;
 pub mod fft_avx512;
 pub mod fft_engine;

@@ -4,20 +4,20 @@
 //! The paper's client pipeline (Fig. 2a) transforms every RNS residue
 //! polynomial of a message — up to 24 limbs at `N = 2^16` — and each
 //! limb's transform is independent of the others. [`RnsNttEngine`] owns
-//! one [`NttPlan`] per prime and fans the limbs out across OS threads
-//! with [`std::thread::scope`] (the build environment is offline, so no
-//! rayon; `std` is all we need). The thread count defaults to the
-//! machine's parallelism and can be pinned with the `ABC_FHE_THREADS`
-//! environment variable.
+//! one [`NttPlan`] per prime and fans the limbs out on the process-wide
+//! fan-out ([`crate::fanout`]: parked workers the caller wakes and helps;
+//! the build environment is offline, so no rayon). The thread count
+//! defaults to the machine's parallelism and can be pinned with the
+//! `ABC_FHE_THREADS` environment variable.
 //!
-//! That fan-out is the **only** place the library crates (`math`,
-//! `float`, `prng`, `transform`, `ckks`) start a thread: ABC-FHE streams
-//! one message at a time and all of its parallelism sits in the lanes
-//! working on that message, so every per-limb op funnels into one
-//! private function that decides serial vs parallel from the op's work
-//! estimate and its cut-off. Parallelism *across* messages belongs to
-//! whoever holds several of them — the gateway's worker pool. The
-//! `thread-site` rule of `abc-analysis` keeps it that way.
+//! ABC-FHE streams one message at a time and all of its parallelism sits
+//! in the lanes working on that message, so every per-limb op funnels
+//! into one chunk shape that decides serial vs parallel from the op's
+//! work estimate and its cut-off, and the fan-out's workers are the only
+//! threads the library crates (`math`, `float`, `prng`, `transform`,
+//! `ckks`) start. Parallelism *across* messages belongs to whoever holds
+//! several of them — the gateway's worker pool. The `thread-site` rule of
+//! `abc-analysis` keeps it that way.
 //!
 //! Every limb the engine hands out — scratch, and the polynomials that
 //! escape into plaintexts and ciphertexts — is a [`PooledLimbs`] checked
@@ -41,8 +41,9 @@
 //! and `dyadic_mul_add2_all` are such one-liners kept under a name.
 //!
 //! The fan-out is not tied to limbs: [`RnsNttEngine::for_each_chunk`]
-//! splits any slice into contiguous ranges, one per thread, under the
-//! same cut-offs. Decode's CRT lift runs on it by slot range — the
+//! ([`crate::fanout::for_each_chunk`] at the engine's thread count) splits
+//! any slice into contiguous ranges, one per thread, under the same
+//! cut-offs. Decode's CRT lift runs on it by slot range — the
 //! thread owning slots `a..b` lifts coefficients `a..b` and
 //! `N/2 + a..N/2 + b` from every limb — because a coefficient's lift
 //! reads only its own residues.
@@ -66,10 +67,13 @@
 //! scheduling, never values — which the property suite asserts for
 //! thread counts 1/2/4, and the chunk shape's unit test for 1–4.
 
+use crate::fanout;
 use crate::ntt::NttPlan;
 use crate::pool::{Allowance, PooledLimbs};
 use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::{MathError, Modulus};
+
+pub use crate::fanout::LimbWork;
 
 /// Environment variable overriding the engine's thread count.
 pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
@@ -83,42 +87,9 @@ pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
 /// taken when at most three polynomials are out.
 const POLYS_PER_OP: usize = 4;
 
-/// Below this much total work (`limbs × N`), thread spawn overhead
-/// outweighs the fan-out and the engine runs serially.
-const PARALLEL_THRESHOLD: usize = 1 << 14;
-
-/// Parallel threshold for the element-wise (dyadic) ops: they are
-/// `O(N)` per limb instead of `O(N log N)`, so spawning threads pays
-/// off only on larger batches.
-const DYADIC_PARALLEL_THRESHOLD: usize = 1 << 16;
-
-/// How heavy one limb of a pass is — which of the engine's two
-/// serial/parallel cut-offs [`RnsNttEngine::for_each_limb`] applies. A
-/// [`RnsNttEngine::for_each_chunk`] pass names the variant whose words
-/// cost nearest its own: a CRT-lift word, eight to a step on the vector
-/// rung, is element-wise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LimbWork {
-    /// `O(N log N)` per limb — the pass runs a transform. Fans out from
-    /// `2^14` words of `limbs × N`.
-    Transform,
-    /// `O(N)` per limb — element-wise arithmetic only. Fans out from
-    /// `2^16` words.
-    Elementwise,
-}
-
-impl LimbWork {
-    fn cutoff(self) -> usize {
-        match self {
-            LimbWork::Transform => PARALLEL_THRESHOLD,
-            LimbWork::Elementwise => DYADIC_PARALLEL_THRESHOLD,
-        }
-    }
-}
-
 /// Batched forward/inverse negacyclic NTT across the RNS limbs of a
-/// polynomial: one [`NttPlan`] per prime, limb fan-out over scoped
-/// threads, and limbs from the process-wide pool.
+/// polynomial: one [`NttPlan`] per prime, limb fan-out over the
+/// process-wide parked workers, and limbs from the process-wide pool.
 ///
 /// # Example
 ///
@@ -360,10 +331,11 @@ impl RnsNttEngine {
     {
         let k = limbs.len();
         assert!(k <= self.plans.len(), "more limbs than plans");
-        self.fan_out(
+        fanout::split(
+            self.threads,
             k,
             k * self.n,
-            work.cutoff(),
+            work,
             |chunk| limbs.chunks_mut(chunk),
             |first, chunk| {
                 for (i, limb) in (first..).zip(chunk) {
@@ -373,28 +345,16 @@ impl RnsNttEngine {
         );
     }
 
-    /// The combinator for a pass that is not per limb: cuts `items` into
-    /// contiguous chunks, one per thread, and runs `f(first, chunk)` on
-    /// each, `first` being the index of the chunk's first item. The pass
-    /// names its weight as `words` per item — what it reads or writes —
-    /// and fans out once `items × words` reaches the cut-off `work`
-    /// names, below it running as one chunk on the calling thread (no
-    /// call at all for no items). Chunk boundaries move with the thread
-    /// count, so `f` must make each item a function of that item alone;
-    /// then the result does not depend on the thread count.
+    /// The combinator for a pass that is not per limb:
+    /// [`fanout::for_each_chunk`] at the engine's thread count — `f(first,
+    /// chunk)` on contiguous chunks of `items`, fanned out once `items ×
+    /// words` reaches the cut-off `work` names.
     pub fn for_each_chunk<T, F>(&self, items: &mut [T], words: usize, work: LimbWork, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        let k = items.len();
-        self.fan_out(
-            k,
-            k * words,
-            work.cutoff(),
-            |chunk| items.chunks_mut(chunk),
-            f,
-        );
+        fanout::for_each_chunk(self.threads, items, words, work, f);
     }
 
     /// [`Self::for_each_limb`] over the paired limbs of two components,
@@ -421,10 +381,11 @@ impl RnsNttEngine {
         let k = a0.len();
         assert_eq!(k, a1.len(), "component limb counts differ");
         assert!(k <= self.plans.len(), "more limbs than plans");
-        self.fan_out(
+        fanout::split(
+            self.threads,
             k,
             2 * k * self.n,
-            work.cutoff(),
+            work,
             |chunk| a0.chunks_mut(chunk).zip(a1.chunks_mut(chunk)),
             |first, (c0, c1)| {
                 let mut scratch = self.take_limbs(1);
@@ -433,51 +394,6 @@ impl RnsNttEngine {
                 }
             },
         );
-    }
-
-    /// The library's one fan-out: cuts `k` parts into contiguous chunks
-    /// and hands each — `run(index of its first part, its operands)`,
-    /// with `split(chunk_len)` yielding the operand chunks in order — to
-    /// a scoped thread of its own. Below `cutoff` words of `work`, or
-    /// with one thread, there is one chunk and it runs on the calling
-    /// thread: spawning costs more than it saves there. What a thread
-    /// sets up once for its chunk (a scratch limb) lives at the top of
-    /// `run`.
-    ///
-    /// This is the only function in the library crates that starts a
-    /// thread (`abc-analysis` rule `thread-site`); an op that wants
-    /// parallelism calls one of the `for_each_limb*` shapes or
-    /// [`Self::for_each_chunk`].
-    fn fan_out<C, I>(
-        &self,
-        k: usize,
-        work: usize,
-        cutoff: usize,
-        split: impl FnOnce(usize) -> I,
-        run: impl Fn(usize, C) + Sync,
-    ) where
-        C: Send,
-        I: Iterator<Item = C>,
-    {
-        let threads = self.threads.min(k);
-        let serial = threads <= 1 || work < cutoff;
-        let chunk = if serial {
-            k.max(1)
-        } else {
-            k.div_ceil(threads)
-        };
-        let parts = split(chunk).enumerate();
-        let run = &run;
-        if serial {
-            // One chunk (none when `k` is 0), on the calling thread.
-            parts.for_each(|(t, operands)| run(t * chunk, operands));
-            return;
-        }
-        std::thread::scope(|s| {
-            for (t, operands) in parts {
-                s.spawn(move || run(t * chunk, operands));
-            }
-        });
     }
 }
 
@@ -662,7 +578,7 @@ mod tests {
     #[test]
     fn limbs_checked_out_when_a_limb_pass_panics_go_back_to_the_pool() {
         // 2·k·n = 2^14 reaches PARALLEL_THRESHOLD, so with two threads the
-        // panic unwinds a scoped worker holding its scratch limb.
+        // panic may unwind a parked worker holding its scratch limb.
         let n = 1usize << 11;
         let ms = moduli(4, 2 * n as u64);
         let class = || pool::class_stats(n).expect("registered by an engine");
@@ -704,7 +620,7 @@ mod tests {
 
     #[test]
     fn engine_matches_per_limb_plans_across_thread_counts() {
-        // n·k = 2^13·6 clears PARALLEL_THRESHOLD, so threads really spawn.
+        // n·k = 2^13·6 clears PARALLEL_THRESHOLD, so the workers really join.
         let n = 1usize << 13;
         let ms = moduli(6, 2 * n as u64);
         let limbs0 = pseudo_limbs(&ms, n, 42);
