@@ -33,7 +33,12 @@
 //! elsewhere) minor page faults and kernel CPU time per op. A miss count
 //! is an exact function of the commit: the binary **exits non-zero** if
 //! a steady row's is not 0, after writing the file. Timings and fault
-//! counts are reported, not gated.
+//! counts are reported, not gated — with one exception, a ratio of two
+//! medians of the same run: on the IFMA rung the binary also exits
+//! non-zero if `ntt/forward_stream_macc/2^16` (encrypt's limb body as
+//! one streamed transform) is not faster than
+//! `ntt/expand_forward_macc/2^16` (the same operands through expand,
+//! transform and one multiply–accumulate pass).
 //!
 //! The set of row ids is the other exact function of the commit: run
 //! from the repository root, the binary reads the committed
@@ -60,7 +65,7 @@ use abc_ckks::precision::{
 };
 use abc_ckks::CkksContext;
 use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField, SoftFloatField};
-use abc_math::dyadic::DyadicEngine;
+use abc_math::dyadic::{DyadicEngine, Tail};
 use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::KernelTier;
 use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
@@ -98,20 +103,40 @@ impl BenchRecord {
 
 /// Times `f` repeatedly for ~`budget_ms`, returning a [`BenchRecord`]
 /// with nearest-rank median/p95 over the per-call times.
-fn measure(id: &str, budget_ms: u64, mut f: impl FnMut()) -> BenchRecord {
-    // One warm-up call (not sampled).
-    f();
+fn measure(id: &str, budget_ms: u64, f: impl FnMut()) -> BenchRecord {
+    let [rec] = measure_alternately([id], budget_ms, [Box::new(f) as Box<dyn FnMut()>]);
+    rec
+}
+
+/// [`measure`] for several bodies at once: one call of each per round,
+/// in turn, so the rows of one call see the same host load and the
+/// ratio of their medians is steadier than either median.
+fn measure_alternately<const K: usize>(
+    ids: [&str; K],
+    budget_ms: u64,
+    mut fs: [Box<dyn FnMut() + '_>; K],
+) -> [BenchRecord; K] {
+    // One warm-up call each (not sampled).
+    fs.iter_mut().for_each(|f| f());
     let budget = std::time::Duration::from_millis(budget_ms);
     let start = Instant::now();
-    let mut samples = Vec::new();
-    while start.elapsed() < budget || samples.len() < 5 {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_secs_f64());
-        if samples.len() >= 10_000 {
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+    while start.elapsed() < budget || samples[0].len() < 5 {
+        for (f, samples) in fs.iter_mut().zip(&mut samples) {
+            let t = Instant::now();
+            f();
+            samples.push(t.elapsed().as_secs_f64());
+        }
+        if samples[0].len() >= 10_000 {
             break;
         }
     }
+    let mut samples = samples.into_iter();
+    ids.map(|id| record(id, samples.next().expect("one sample set per id")))
+}
+
+/// The row of `id` from its per-call times.
+fn record(id: &str, mut samples: Vec<f64>) -> BenchRecord {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
     let rank = |p: f64| samples[((p * samples.len() as f64).ceil() as usize).max(1) - 1];
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
@@ -302,6 +327,56 @@ fn main() {
             transform(&plan, &mut data);
         }));
     }
+
+    // --- The streamed forward transform at the paper's ring: encrypt's
+    // limb body `x = NTT(e mod q) + pk·v̂ + m` from an `i64` source, as
+    // one `forward_stream` and as the composition it replaces (expand
+    // into the limb, transform, one multiply–accumulate pass), same
+    // operands, same run ---
+    let stream_pair = {
+        let n = 1usize << 16;
+        let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
+        let m = abc_math::Modulus::new(q).expect("modulus");
+        let plan = NttPlan::new(m, n).expect("plan");
+        let d = plan.dyadic();
+        let e = GaussianSampler::new(Seed::from_u128(5), 0, GaussianSampler::DEFAULT_SIGMA)
+            .sample_poly(n);
+        let e = SignedCoeffs::scan(&e);
+        let b: Vec<u64> = (0..n as u64).map(|i| (i * 17 + 5) % q).collect();
+        let c: Vec<u64> = (0..n as u64).map(|i| (i * 13 + 11) % q).collect();
+        let mut d_pre: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q).collect();
+        d.premul(&mut d_pre);
+        let tail = || Tail::MulAcc {
+            b: &b,
+            d_pre: &d_pre,
+            c: Some(&c),
+        };
+        // Timed alternately: the gate below reads their ratio.
+        let (mut x, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let [streamed, unfused] = measure_alternately(
+            [
+                "ntt/forward_stream_macc/2^16",
+                "ntt/expand_forward_macc/2^16",
+            ],
+            800,
+            [
+                Box::new(|| plan.forward_stream(&e, &mut x, tail())),
+                Box::new(|| {
+                    d.expand_into(&e, &mut y);
+                    plan.forward(&mut y);
+                    d.apply_tail(&mut y, tail());
+                }),
+            ],
+        );
+        let pair = (
+            plan.kernel_name(),
+            streamed.median_secs,
+            unfused.median_secs,
+        );
+        benches.push(streamed);
+        benches.push(unfused);
+        pair
+    };
 
     // --- Dyadic element-wise kernels: per-kernel throughput rows ---
     //
@@ -585,6 +660,25 @@ fn main() {
         ));
     }
     {
+        // The paper's upload (Fig. 5a) at the largest preset, the shape
+        // of benchmark/'s `upload_n16`.
+        let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
+        let (_, pk) = ctx.keygen(Seed::from_u128(2026));
+        let msg = client_message(&ctx);
+        let widths = ctx.wire_widths(ctx.params().num_primes());
+        steady.push(steady_row(
+            "client/upload_steady/2^16x24",
+            ctx.params().n(),
+            1500,
+            || {
+                let pt = ctx.encode(&msg).expect("encode");
+                let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
+                let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths);
+                std::hint::black_box(blob.expect("pack"));
+            },
+        ));
+    }
+    {
         let ctx = CkksContext::new(CkksParams::bootstrappable(14).expect("preset")).expect("ctx");
         let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
         let ct = ctx.encrypt(
@@ -758,6 +852,18 @@ fn main() {
         .any(|&(_, misses_per_op)| misses_per_op != 0.0)
     {
         eprintln!("FAIL: a steady-state op missed the limb pool (pool_misses_per_op above)");
+        std::process::exit(1);
+    }
+    // The streamed transform must beat the composition it replaces, in
+    // the same process: a ratio of two medians of one run, gated on the
+    // rung that fuses (on the scalar rung the two are the same code).
+    let (kernel, streamed, unfused) = stream_pair;
+    println!(
+        "ntt/forward_stream_macc over ntt/expand_forward_macc ({kernel}): {:.3}",
+        streamed / unfused
+    );
+    if kernel == "ifma" && streamed >= unfused {
+        eprintln!("FAIL: the streamed forward transform is not faster than expand + forward + mac");
         std::process::exit(1);
     }
     let fresh = ids_of(&json);

@@ -8,6 +8,7 @@ use crate::scale::ExactScale;
 use crate::symmetric::rlwe_sample;
 use crate::CkksError;
 use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField};
+use abc_math::dyadic::Tail;
 use abc_math::rns::{SignedCoeffs, WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
@@ -635,10 +636,12 @@ impl CkksContext {
             e.each_ref().map(|e| SignedCoeffs::scan(e)),
         );
         // c0 = pk0·v + e0 + m and c1 = pk1·v + e1 in ONE pair pass over
-        // the plaintext's primes: v̂ lives in the thread's scratch limb,
-        // entered into the kernel's domain once; e0 and e1 are expanded
-        // straight into the output limbs; the key is read in place. Every
-        // intermediate is canonical (`forward`, not `forward_lazy`).
+        // the plaintext's primes, three streamed transforms per limb
+        // (`NttPlan::forward_stream`): v̂ into the thread's scratch limb,
+        // left entered into the kernel's domain by its last pass; then
+        // e0 and e1 straight into the output limbs, each finished by its
+        // multiply–accumulate against the key, read in place — `+ pk0·v̂
+        // + m` and `+ pk1·v̂`. Every value is canonical.
         let (engine, pk0, pk1, m) = (&self.engine, &pk.pk0, &pk.pk1, &pt.rns);
         let (mut c0, mut c1) = (engine.take_limbs(m.len()), engine.take_limbs(m.len()));
         engine.for_each_limb_pair(
@@ -646,16 +649,11 @@ impl CkksContext {
             &mut c1,
             LimbWork::Transform,
             |i, plan, x0, x1, v_hat| {
-                let d = plan.dyadic();
-                d.expand_into(&v, v_hat);
-                plan.forward(v_hat);
-                d.premul(v_hat);
-                for (x, e, pk) in [(&mut *x0, &e[0], &pk0[i]), (&mut *x1, &e[1], &pk1[i])] {
-                    d.expand_into(e, x);
-                    plan.forward(x);
-                    d.mul_acc_assign_premul(x, pk, v_hat);
-                }
-                d.add_assign(x0, &m[i]);
+                plan.forward_stream(&v, v_hat, Tail::Premul);
+                let (b, d_pre, c) = (&pk0[i][..], &v_hat[..], Some(&m[i][..]));
+                plan.forward_stream(&e[0], x0, Tail::MulAcc { b, d_pre, c });
+                let (b, c) = (&pk1[i][..], None);
+                plan.forward_stream(&e[1], x1, Tail::MulAcc { b, d_pre, c });
             },
         );
         Ciphertext {

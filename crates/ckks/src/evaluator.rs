@@ -36,7 +36,7 @@ use crate::cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
 use crate::context::{add_limbs, mul_limbs, CkksContext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
 use crate::CkksError;
-use abc_math::dyadic::DyadicEngine;
+use abc_math::dyadic::{DyadicEngine, Tail};
 use abc_math::rns::{SignedCoeffs, WordLift};
 use abc_math::RnsBasis;
 use abc_transform::{LimbWork, PooledLimbs};
@@ -247,8 +247,8 @@ fn drop_tail(ctx: &CkksContext, ct: &Ciphertext, t: usize) -> Result<Ciphertext,
     });
     let tails = centered.each_ref().map(|c| SignedCoeffs::scan(c));
     // c'_i = (c_i − NTT(tail)) · T^{-1} mod q_i in one pair pass, each
-    // tail expanded and transformed in the thread's scratch limb with a
-    // lazy last stage (the subtract takes `[0, 4q)`).
+    // tail streamed through the thread's scratch limb, whose last pass
+    // subtracts and multiplies into the kept limb.
     let mut out0 = PooledLimbs::copy_of(&c0[..keep]);
     let mut out1 = PooledLimbs::copy_of(&c1[..keep]);
     engine.for_each_limb_pair(
@@ -256,10 +256,9 @@ fn drop_tail(ctx: &CkksContext, ct: &Ciphertext, t: usize) -> Result<Ciphertext,
         &mut out1,
         LimbWork::Transform,
         |i, plan, x0, x1, t| {
-            for (x, tail) in [(x0, &tails[0]), (x1, &tails[1])] {
-                plan.dyadic().expand_into(tail, t);
-                plan.forward_lazy(t);
-                plan.dyadic().sub_scalar_mul_assign(x, t, tail_inv[i]);
+            for (dst, tail) in [(x0, &tails[0]), (x1, &tails[1])] {
+                let w = tail_inv[i];
+                plan.forward_stream(tail, t, Tail::SubScalarMul { dst, w });
             }
         },
     );

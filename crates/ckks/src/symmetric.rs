@@ -20,6 +20,7 @@ use crate::context::CkksContext;
 use crate::key::SecretKey;
 use crate::scale::ExactScale;
 use crate::CkksError;
+use abc_math::dyadic::Tail;
 use abc_math::rns::SignedCoeffs;
 use abc_prng::sampler::{GaussianSampler, UniformSampler};
 use abc_prng::Seed;
@@ -120,10 +121,11 @@ fn draw_mask(seed: Seed, i: usize, plan: &NttPlan, limb: &mut [u64]) {
 /// One RLWE sample under the secret `s` (NTT domain), into `b` in one
 /// engine fan-out. Per limb `i`: the mask `a_i` — stream `i` of
 /// `mask_seed`, the draw [`CompressedCiphertext::expand`] repeats — is
-/// drawn into `b_i` (and copied into `a_i` when the mask is kept), the
-/// Gaussian error of `error_seed` is expanded and transformed into a
-/// scratch limb, and one dyadic pass leaves `b_i = ê_i (+ t(i)) − a_i·s_i`,
-/// canonical whichever kernel and thread count run it.
+/// drawn into `b_i` (and copied into `a_i` when the mask is kept), and
+/// the Gaussian error of `error_seed` is streamed through a scratch limb
+/// ([`NttPlan::forward_stream`]) whose last pass leaves
+/// `b_i = ê_i (+ t(i)) − a_i·s_i`, canonical whichever kernel and thread
+/// count run it.
 pub(crate) fn rlwe_sample<'t>(
     ctx: &CkksContext,
     s: &[Vec<u64>],
@@ -141,13 +143,12 @@ pub(crate) fn rlwe_sample<'t>(
         if let Some(a) = a {
             a.copy_from_slice(b);
         }
-        let d = plan.dyadic();
-        d.expand_into(&e, e_hat);
-        plan.forward(e_hat);
-        match t(i) {
-            None => d.mul_neg_add_assign(b, &s[i], e_hat),
-            Some(t) => d.mul_neg_add2_assign(b, &s[i], e_hat, t),
-        }
+        let tail = Tail::NegMulAdd {
+            dst: b,
+            s: &s[i],
+            t: t(i),
+        };
+        plan.forward_stream(&e, e_hat, tail);
     };
     let engine = ctx.ntt_engine();
     match a {

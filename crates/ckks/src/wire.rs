@@ -74,23 +74,14 @@ use abc_math::{Modulus, UBig};
 use abc_prng::Seed;
 use abc_transform::fanout::{self, LimbWork};
 use abc_transform::pool;
-use abc_transform::rns_ntt::threads_from_env;
 use std::borrow::Cow;
 use std::mem::MaybeUninit;
-use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"ABCF";
 const VERSION_PACKED: u16 = 3;
 const FIXED_HEADER: usize = 18; // ciphertext header bytes before the numerator
 const KEY_FIXED_HEADER: usize = 12; // key header bytes before the element / width table
 const TRUNCATED: &str = "truncated header";
-
-/// The process's thread count for the codec's fan-out, resolved once
-/// ([`threads_from_env`]).
-fn threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(threads_from_env)
-}
 
 /// The module's typed error for malformed or out-of-bounds input.
 fn err(msg: impl core::fmt::Display) -> CkksError {
@@ -643,7 +634,8 @@ pub fn packed_serialized_len(ct: &Ciphertext, widths: &[u32]) -> usize {
 /// outside the module's bounds (the parser would refuse the blob).
 pub fn serialize_ciphertext_packed(ct: &Ciphertext, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
     let (c0, c1) = ct.components();
-    Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths).serialize([c0, c1], threads())
+    Layout::ciphertext(ct.n(), ct.exact_scale(), None, widths)
+        .serialize([c0, c1], fanout::threads())
 }
 
 /// Deserializes a ciphertext from the wire format.
@@ -659,7 +651,7 @@ pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
         return Err(err("unsupported kind"));
     };
     let scale = scale.clone().into_owned();
-    let mut components = layout.components(bytes, threads());
+    let mut components = layout.components(bytes, fanout::threads());
     let mut component = || components.next().expect("a full ciphertext has two").into();
     Ciphertext::from_limbs(component(), component(), scale)
 }
@@ -678,7 +670,7 @@ pub fn serialize_compressed_ciphertext(
     widths: &[u32],
 ) -> Result<Vec<u8>, CkksError> {
     Layout::ciphertext(cct.n(), cct.exact_scale(), Some(cct.mask_seed()), widths)
-        .serialize([cct.c0()], threads())
+        .serialize([cct.c0()], fanout::threads())
 }
 
 /// Deserializes a seed-compressed ciphertext (kind 2). Expand it back
@@ -691,7 +683,7 @@ pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphe
     };
     let (n, scale) = (layout.n, scale.clone().into_owned());
     let c0 = layout
-        .components(bytes, threads())
+        .components(bytes, fanout::threads())
         .next()
         .expect("one component");
     let c0 = c0.into();
@@ -713,7 +705,8 @@ pub fn packed_key_len(ksk: &KeySwitchKey, widths: &[u32], n: usize) -> usize {
 fn serialize_ksk(ksk: &KeySwitchKey, g: Option<u64>, widths: &[u32]) -> Result<Vec<u8>, CkksError> {
     let n = ksk.b.iter().flatten().next().map_or(0, Vec::len);
     let pairs = ksk.b.iter().zip(&ksk.a);
-    Layout::key(n, ksk, g, widths).serialize(pairs.flat_map(|(b, a)| [&b[..], &a[..]]), threads())
+    Layout::key(n, ksk, g, widths)
+        .serialize(pairs.flat_map(|(b, a)| [&b[..], &a[..]]), fanout::threads())
 }
 
 /// Serializes a relinearization key to the v3 packed key format
@@ -731,7 +724,7 @@ pub fn serialize_galois_key(key: &GaloisKey, widths: &[u32]) -> Result<Vec<u8>, 
 
 /// Both key kinds: the `b a` pair of every digit of a parsed blob.
 fn unpack_ksk(bytes: &[u8], layout: &Layout) -> KeySwitchKey {
-    let mut components = layout.components(bytes, threads());
+    let mut components = layout.components(bytes, fanout::threads());
     let mut component = || components.next().expect("two components a digit");
     let pairs = (0..layout.digits).map(|_| (component(), component()));
     let (b, a) = pairs.unzip();

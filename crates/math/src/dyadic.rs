@@ -75,8 +75,19 @@
 //!
 //! Multiplying by a *constant* is a different datapath (Shoup, a
 //! precomputed quotient): [`DyadicEngine::sub_scalar_mul_assign`] —
-//! `a = (a − b)·s`, both rescales, which accepts a `[0, 4q)`-lazy
-//! subtrahend so the forward-NTT normalization stage fuses in too.
+//! `a = (a − b)·s`, both rescales.
+//!
+//! # Tails of a streamed transform
+//!
+//! Most of these ops run right after a forward transform of the operand
+//! they multiply or add. [`Tail`] names the five shapes that do —
+//! canonical, [`DyadicEngine::premul`], the accumulate `ŷ + b·d̃ (+ c)`,
+//! the RLWE `ŷ (+ t) − x·s` and the rescale `(x − ŷ)·w` — so that
+//! `NttPlan::forward_stream` in `abc-transform` can apply one in the
+//! transform's last pass, on the eight-lane steps of [`crate::simd`]
+//! its kernels share with this engine's ([`crate::simd::TailX8`]). On
+//! the scalar rung the same call is the plain composition: transform,
+//! then [`DyadicEngine::apply_tail`].
 //!
 //! # RNS expansion
 //!
@@ -98,6 +109,60 @@ use crate::modulus::Modulus;
 use crate::reduce::Montgomery;
 use crate::rns::{SignedCoeffs, SignedWord};
 use crate::shoup;
+
+/// What a streamed forward transform (`NttPlan::forward_stream` in
+/// `abc-transform`) does with its canonical output `ŷ`: the dyadic op
+/// that would otherwise be a pass of its own after the transform. Every
+/// operand is canonical in `[0, q)` (a premultiplied one as
+/// [`DyadicEngine::premul`] leaves it), and so is every result; `buf` is
+/// the transform's buffer.
+#[derive(Debug)]
+pub enum Tail<'a> {
+    /// `buf = ŷ`.
+    Canonical,
+    /// `buf = premul(ŷ)`, entered into the kernel's domain.
+    Premul,
+    /// `buf = ŷ + b·d̃ (+ c)` against `d̃` from [`DyadicEngine::premul`]:
+    /// public-key encryption's `e + pk·v̂ (+ m)`.
+    MulAcc {
+        /// The multiplicand.
+        b: &'a [u64],
+        /// The premultiplied multiplier.
+        d_pre: &'a [u64],
+        /// An optional second addend.
+        c: Option<&'a [u64]>,
+    },
+    /// `dst = ŷ (+ t) − dst·s`, into `dst` (`buf` is scratch): an RLWE
+    /// sample `b = ê (+ t) − a·s` over the mask drawn into `dst`.
+    NegMulAdd {
+        /// The multiplicand in, the result out.
+        dst: &'a mut [u64],
+        /// The multiplier.
+        s: &'a [u64],
+        /// An optional second addend.
+        t: Option<&'a [u64]>,
+    },
+    /// `dst = (dst − ŷ)·w mod q`, into `dst` (`buf` is scratch): the
+    /// rescale `x = (x − ŷ)·T⁻¹`. `w` is reduced on entry.
+    SubScalarMul {
+        /// The minuend in, the result out.
+        dst: &'a mut [u64],
+        /// The constant factor.
+        w: u64,
+    },
+}
+
+impl Tail<'_> {
+    /// The slices the tail reads, `dst` included, for domain checks.
+    pub fn operands(&self) -> [Option<&[u64]>; 3] {
+        match self {
+            Tail::Canonical | Tail::Premul => [None; 3],
+            Tail::MulAcc { b, d_pre, c } => [Some(b), Some(d_pre), *c],
+            Tail::NegMulAdd { dst, s, t } => [Some(dst), Some(s), *t],
+            Tail::SubScalarMul { dst, .. } => [Some(dst), None, None],
+        }
+    }
+}
 
 /// Which kernel an engine dispatches to, with its constants.
 #[derive(Debug, Clone, Copy)]
@@ -172,6 +237,50 @@ impl DyadicEngine {
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(_) => "ifma",
         }
+    }
+
+    /// The radix-2^52 constants of the `ifma` kernel, `None` on the
+    /// `montgomery` rung — what a streamed transform's tail on the same
+    /// rung multiplies with ([`crate::simd::TailX8`]).
+    #[cfg(target_arch = "x86_64")]
+    pub fn mont52(&self) -> Option<&crate::simd::Mont52> {
+        match &self.kernel {
+            Kernel::Ifma(k) => Some(k),
+            Kernel::Montgomery(_) => None,
+        }
+    }
+
+    /// Applies `tail` to the canonical transform `y` (see [`Tail`]) —
+    /// the last step of a streamed transform's scalar rung, one
+    /// multiply–accumulate pass or none. Returns where the result went:
+    /// `y`, or the tail's `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tail's operands are not as long as `y`.
+    pub fn apply_tail<'a>(&self, y: &'a mut [u64], tail: Tail<'a>) -> &'a [u64] {
+        match tail {
+            Tail::Canonical => {}
+            Tail::Premul => self.premul(y),
+            Tail::MulAcc { b, d_pre, c: None } => self.mul_acc_assign_premul(y, b, d_pre),
+            Tail::MulAcc {
+                b,
+                d_pre,
+                c: Some(c),
+            } => self.mac::<true, false, true, 2>(y, d_pre, [b, c]),
+            Tail::NegMulAdd { dst, s, t } => {
+                match t {
+                    None => self.mul_neg_add_assign(dst, s, y),
+                    Some(t) => self.mul_neg_add2_assign(dst, s, y, t),
+                }
+                return dst;
+            }
+            Tail::SubScalarMul { dst, w } => {
+                self.sub_scalar_mul_assign(dst, y, w);
+                return dst;
+            }
+        }
+        y
     }
 
     /// `a[i] = a[i]·b[i] mod q` — the dyadic product of two NTT-domain
@@ -282,14 +391,8 @@ impl DyadicEngine {
 
     /// Fused `a[i] = (a[i] − b[i])·s mod q` — the rescale shape
     /// (previously sub + scalar-mul: two passes). `s` is reduced on
-    /// entry (any `u64`).
-    ///
-    /// `a` is canonical and the subtrahend `b` may be **lazy in
-    /// `[0, 4q)`** — e.g. a forward-NTT output whose closing
-    /// normalization pass was skipped (`NttPlan::forward_lazy` in
-    /// `abc-transform`); it is normalized inside this single pass. The
-    /// result is canonical. Both operand bounds and the result are
-    /// checked in debug builds, on every kernel.
+    /// entry (any `u64`). Both operands are canonical in `[0, q)`, and so
+    /// is the result — checked in debug builds, on every kernel.
     ///
     /// # Panics
     ///
@@ -298,7 +401,7 @@ impl DyadicEngine {
         assert_eq!(a.len(), b.len());
         let q = self.m.q();
         debug_assert!(a.iter().all(|&x| x < q), "minuend outside [0, q)");
-        debug_assert!(b.iter().all(|&y| y < 4 * q), "subtrahend outside [0, 4q)");
+        debug_assert!(b.iter().all(|&y| y < q), "subtrahend outside [0, q)");
         let s = if s >= q { self.m.reduce(s) } else { s };
         match &self.kernel {
             #[cfg(target_arch = "x86_64")]
@@ -306,8 +409,7 @@ impl DyadicEngine {
                 let s52 = shoup::shoup_precompute52(s, q);
                 let done = crate::simd::sub_scalar_mul_assign(k, a, b, s, s52);
                 for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
-                    let t = *x + q - shoup::normalize_4q(y, q);
-                    *x = shoup::reduce_once(shoup::mul_shoup52_lazy(t, s, s52, q), q);
+                    *x = shoup::reduce_once(shoup::mul_shoup52_lazy(*x + q - y, s, s52, q), q);
                 }
             }
             // Montgomery takes the 64-bit Shoup path: a constant factor
@@ -316,8 +418,7 @@ impl DyadicEngine {
             Kernel::Montgomery(_) => {
                 let ss = shoup::shoup_precompute(s, q);
                 for (x, &y) in a.iter_mut().zip(b) {
-                    let t = *x + q - shoup::normalize_4q(y, q);
-                    *x = shoup::mul_shoup(t, s, ss, q);
+                    *x = shoup::mul_shoup(*x + q - y, s, ss, q);
                 }
             }
         }
@@ -564,18 +665,6 @@ mod tests {
                         assert_eq!(got[i], want, "sub_scalar {pref:?} q={q} s={s} i={i}");
                     }
                 }
-                // Lazy [0, 4q) subtrahends.
-                let b_lazy: Vec<u64> = b
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| x + q * (i as u64 % 4))
-                    .collect();
-                let mut got = a0.clone();
-                e.sub_scalar_mul_assign(&mut got, &b_lazy, 5);
-                for i in 0..n {
-                    let want = m.mul(m.sub(a0[i], b[i]), 5 % q);
-                    assert_eq!(got[i], want, "sub_scalar lazy {pref:?} q={q} i={i}");
-                }
                 let mut d_pre = d.clone();
                 e.premul(&mut d_pre);
                 let mut got = a0.clone();
@@ -597,15 +686,15 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "subtrahend outside [0, 4q)")]
-    fn sub_scalar_mul_rejects_a_subtrahend_at_4q() {
+    #[should_panic(expected = "subtrahend outside [0, q)")]
+    fn sub_scalar_mul_rejects_a_subtrahend_at_q() {
         // Lane 0 of a full vector block: on an IFMA host the vector
         // lanes check nothing themselves, so the engine's entry must.
         let m = Modulus::new(0xF_FFF0_0001).unwrap();
         let e = DyadicEngine::with_kernel(m, KernelTier::Simd);
         let mut a = vec![1u64; 16];
         let mut b = vec![0u64; 16];
-        b[0] = 4 * m.q();
+        b[0] = m.q();
         e.sub_scalar_mul_assign(&mut a, &b, 5);
     }
 

@@ -372,7 +372,7 @@ impl<'a, X: SignedWord> SignedCoeffs<'a, X> {
     }
 
     /// The scanned slice.
-    pub(crate) fn coeffs(&self) -> &'a [X] {
+    pub fn coeffs(&self) -> &'a [X] {
         self.coeffs
     }
 

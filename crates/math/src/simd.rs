@@ -34,10 +34,15 @@
 //! Multiplication by a *constant* is a different datapath (Shoup, no
 //! REDC): [`scalar_mul_assign`] (the domain entry of
 //! [`crate::dyadic::DyadicEngine::premul`]), and [`sub_scalar_mul_assign`] —
-//! `a = (a − b)·w`, both rescales — which accepts its subtrahend **lazy
-//! in `[0, 4q)`**, the raw output of a forward NTT whose closing
-//! normalization pass was skipped, fusing the last NTT stage into the
-//! dyadic pass (see `NttPlan::forward_lazy` in `abc-transform`).
+//! `a = (a − b)·w`, both rescales.
+//!
+//! Each of these loops is one eight-lane step (`Mont52X8::mac`,
+//! `Mont52X8::premul`, `sub_scalar_mul_x8`) over memory. The same
+//! steps are the **tails** ([`TailX8`]) the streamed forward transform
+//! of `abc-transform` applies to its last pass's lanes in registers, and
+//! the expansion below is its **prologue** ([`ExpandX8`]), so a limb
+//! goes from signed coefficients to a multiply–accumulated NTT without
+//! an element-wise pass of its own.
 //!
 //! RNS expansion ([`expand`]) is the one kernel that reads signed
 //! coefficients instead of residues: eight `i8`, `i64` or `i128`
@@ -153,10 +158,13 @@ unsafe fn mul_shoup52_x8(y: __m512i, w: __m512i, w52: __m512i, vq: __m512i) -> _
     unsafe {
         let zero = _mm512_setzero_si512();
         let mask52 = _mm512_set1_epi64(shoup::MASK52 as i64);
+        // r = (lo52(y·w) − lo52(hi·q)) mod 2^52, the subtraction an
+        // accumulate of lo52(hi·(2^52 − q)) (a loop constant once
+        // inlined): both terms are below 2^52, so the sum fits.
+        let qn = _mm512_sub_epi64(_mm512_set1_epi64(1 << 52), vq);
         let hi = _mm512_madd52hi_epu64(zero, y, w52);
-        let t1 = _mm512_madd52lo_epu64(zero, y, w);
-        let t2 = _mm512_madd52lo_epu64(zero, hi, vq);
-        _mm512_and_si512(_mm512_sub_epi64(t1, t2), mask52)
+        let t = _mm512_madd52lo_epu64(zero, y, w);
+        _mm512_and_si512(_mm512_madd52lo_epu64(t, hi, qn), mask52)
     }
 }
 
@@ -193,10 +201,12 @@ unsafe fn redc52_x8(va: __m512i, vb_dom: __m512i, vq: __m512i, vqinv: __m512i) -
         // m = t_lo · (−q^{-1}) mod 2^52 (madd52lo keeps only low 52).
         let m = _mm512_madd52lo_epu64(zero, t_lo, vqinv);
         // (t + m·q) / 2^52 = t_hi + hi52(m·q) + carry(t_lo + lo52(m·q)).
+        // The low sum is ≡ 0 mod 2^52 by the choice of m: exactly 2^52
+        // (a carry of one) unless t_lo = 0, when m = 0 and it is 0 — so
+        // the carry is a mask test, not a fifth multiply.
         let hi = _mm512_madd52hi_epu64(t_hi, m, vq);
-        let lo_sum = _mm512_madd52lo_epu64(t_lo, m, vq);
-        let carry = _mm512_srli_epi64(lo_sum, 52);
-        _mm512_add_epi64(hi, carry)
+        let carry = _mm512_test_epi64_mask(t_lo, t_lo);
+        _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1))
     }
 }
 
@@ -249,17 +259,14 @@ unsafe fn mac_assign_impl<const PRE: bool, const NEG: bool, const ACC: bool, con
     b: &[u64],
     src: [&[u64]; SRC],
 ) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
-    let vqinv = _mm512_set1_epi64(k.qinv_neg52 as i64);
-    let vr = _mm512_set1_epi64(k.r52 as i64);
-    let vrs = _mm512_set1_epi64(k.r52_shoup as i64);
+    // SAFETY: register-only broadcasts on this kernel's features.
+    let kx = unsafe { Mont52X8::new(k) };
     let mut j = 0;
     while j < dst.len() {
         // SAFETY: j + 8 <= dst.len() <= len of every other slice.
         unsafe {
             let pd = dst.as_mut_ptr().add(j) as *mut __m512i;
-            let mut vx = _mm512_loadu_si512(pd);
+            let vx = _mm512_loadu_si512(pd);
             let vb = _mm512_loadu_si512(b.as_ptr().add(j) as *const __m512i);
             // Plain loops, not `map`: a closure would not carry this
             // function's target features unless it inlined.
@@ -267,16 +274,71 @@ unsafe fn mac_assign_impl<const PRE: bool, const NEG: bool, const ACC: bool, con
             for (v, s) in vs.iter_mut().zip(src) {
                 *v = _mm512_loadu_si512(s.as_ptr().add(j) as *const __m512i);
             }
+            _mm512_storeu_si512(pd, kx.mac::<PRE, NEG, ACC, SRC>(vx, vb, vs));
+        }
+        j += 8;
+    }
+}
+
+/// A [`Mont52`] broadcast to eight lanes: what one multiply–accumulate
+/// step reads besides its operands.
+#[derive(Clone, Copy)]
+pub struct Mont52X8 {
+    vq: __m512i,
+    v2q: __m512i,
+    vqinv: __m512i,
+    vr: __m512i,
+    vrs: __m512i,
+}
+
+impl Mont52X8 {
+    /// # Safety
+    ///
+    /// AVX-512F via inlining into a `target_feature` kernel,
+    /// register-only.
+    #[inline(always)]
+    unsafe fn new(k: &Mont52) -> Self {
+        // SAFETY: register-only AVX-512F broadcasts, by the contract.
+        unsafe {
+            Self {
+                vq: _mm512_set1_epi64(k.q as i64),
+                v2q: _mm512_set1_epi64(2 * k.q as i64),
+                vqinv: _mm512_set1_epi64(k.qinv_neg52 as i64),
+                vr: _mm512_set1_epi64(k.r52 as i64),
+                vrs: _mm512_set1_epi64(k.r52_shoup as i64),
+            }
+        }
+    }
+
+    /// One eight-lane step of [`mac_assign`]: `±(x·b) + Σ addends`,
+    /// canonical, with `x`, `b` and the addends as that function reads
+    /// them (`ACC` swaps `x` with `src[0]`). Every operand canonical in
+    /// `[0, q)` (a premultiplied `b` in `[0, 2q)`).
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel,
+    /// register-only.
+    #[inline(always)]
+    unsafe fn mac<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(
+        &self,
+        mut x: __m512i,
+        b: __m512i,
+        mut src: [__m512i; SRC],
+    ) -> __m512i {
+        const { assert!(SRC <= 2 && (!ACC || SRC >= 1)) };
+        // SAFETY: register-only IFMA arithmetic, by the contract.
+        unsafe {
             if ACC {
-                core::mem::swap(&mut vx, &mut vs[0]);
+                core::mem::swap(&mut x, &mut src[0]);
             }
             // b enters the radix-2^52 domain ([0, 2q)) here unless it
             // came pre-entered; REDC takes the product back out — the
             // two conversions cancel into `x·b mod q`.
-            let vb_dom = if PRE {
-                vb
+            let b_dom = if PRE {
+                b
             } else {
-                mul_shoup52_x8(vb, vr, vrs, vq)
+                mul_shoup52_x8(b, self.vr, self.vrs, self.vq)
             };
             // The lazy-domain bound of every shape: REDC ∈ [0, 2q); the
             // negated product is 2q − REDC ∈ (0, 2q]; each of the ≤ 2
@@ -284,29 +346,62 @@ unsafe fn mac_assign_impl<const PRE: bool, const NEG: bool, const ACC: bool, con
             // (q < 2^50) and csub(2q), csub(q) normalise [0, 4q) to
             // [0, q). The bare positive product is still in [0, 2q) and
             // takes the one csub(q).
-            let mut r = redc52_x8(vx, vb_dom, vq, vqinv);
+            let mut r = redc52_x8(x, b_dom, self.vq, self.vqinv);
             if NEG {
-                r = _mm512_sub_epi64(v2q, r);
+                r = _mm512_sub_epi64(self.v2q, r);
             }
-            for v in vs {
+            for v in src {
                 r = _mm512_add_epi64(r, v);
             }
             if NEG || SRC > 0 {
-                r = csub_x8(r, v2q);
+                r = csub_x8(r, self.v2q);
             }
-            _mm512_storeu_si512(pd, csub_x8(r, vq));
+            csub_x8(r, self.vq)
         }
-        j += 8;
+    }
+
+    /// `b·2^52 mod q`, canonical: [`crate::dyadic::DyadicEngine::premul`]
+    /// on eight lanes `b < 2^52`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel,
+    /// register-only.
+    #[inline(always)]
+    unsafe fn premul(&self, b: __m512i) -> __m512i {
+        // SAFETY: register-only IFMA arithmetic, by the contract.
+        unsafe { csub_x8(mul_shoup52_x8(b, self.vr, self.vrs, self.vq), self.vq) }
+    }
+}
+
+/// `(a − b)·w mod q`, canonical, on eight lanes: `a, b` canonical in
+/// `[0, q)`, so `a + (q − b) ∈ (0, 2q) < 2^51` feeds the Shoup multiply
+/// by the constant `w < q` (quotient `w52`), whose `[0, 2q)` result one
+/// csub brings to `[0, q)`.
+///
+/// # Safety
+///
+/// AVX-512F+IFMA via inlining into a `target_feature` kernel,
+/// register-only.
+#[inline(always)]
+unsafe fn sub_scalar_mul_x8(
+    a: __m512i,
+    b: __m512i,
+    w: __m512i,
+    w52: __m512i,
+    vq: __m512i,
+) -> __m512i {
+    // SAFETY: register-only IFMA arithmetic, by the contract.
+    unsafe {
+        let t = _mm512_add_epi64(a, _mm512_sub_epi64(vq, b));
+        csub_x8(mul_shoup52_x8(t, w, w52, vq), vq)
     }
 }
 
 /// Fused `a[i] = (a[i] − b[i])·w mod q` (the rescale shape) for a
 /// constant `w < q` with Shoup-52 quotient `w52`, over full 8-lane
-/// blocks; returns the count handled.
-///
-/// The subtrahend `b` may be **lazy in `[0, 4q)`** — e.g. the raw
-/// output of a forward-NTT whose final normalization pass was skipped;
-/// it is normalized in-register, fusing that NTT stage into this pass.
+/// blocks; returns the count handled. Both operands canonical in
+/// `[0, q)`, and so is the result.
 ///
 /// # Panics
 ///
@@ -328,7 +423,6 @@ pub fn sub_scalar_mul_assign(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: 
 #[target_feature(enable = "avx512f,avx512ifma")]
 unsafe fn sub_scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: u64) {
     let vq = _mm512_set1_epi64(k.q as i64);
-    let v2q = _mm512_set1_epi64(2 * k.q as i64);
     let vw = _mm512_set1_epi64(w as i64);
     let vw52 = _mm512_set1_epi64(w52 as i64);
     let mut j = 0;
@@ -337,14 +431,8 @@ unsafe fn sub_scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], w: u6
         unsafe {
             let pa = a.as_mut_ptr().add(j) as *mut __m512i;
             let pb = b.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            // Normalize the (possibly 4q-lazy) subtrahend in-register,
-            // then a + (q − b) ∈ (0, 2q) < 2^51 feeds the Shoup multiply.
-            let vbn = csub_x8(csub_x8(vb, v2q), vq);
-            let t = _mm512_add_epi64(va, _mm512_sub_epi64(vq, vbn));
-            let r = mul_shoup52_x8(t, vw, vw52, vq);
-            _mm512_storeu_si512(pa, csub_x8(r, vq));
+            let r = sub_scalar_mul_x8(_mm512_loadu_si512(pa), _mm512_loadu_si512(pb), vw, vw52, vq);
+            _mm512_storeu_si512(pa, r);
         }
         j += 8;
     }
@@ -548,18 +636,12 @@ pub fn expand<X: crate::rns::SignedWord>(
     assert!(dst.len() >= xs.len());
     let n8 = xs.len() - xs.len() % 8;
     let (xs, dst) = (&xs[..n8], &mut dst[..n8]);
-    let max_abs = src.max_abs();
-    let digits = if max_abs < k.q as u128 {
-        0
-    } else {
-        (128 - max_abs.leading_zeros()).div_ceil(52)
-    };
     // SAFETY: the asserts above prove the required target features and
     // that `dst` holds as many elements as `xs`, a multiple of 8; the
     // magnitude `SignedCoeffs::scan` found bounds every `|x|` as `D`
     // requires.
     unsafe {
-        match digits {
+        match expand_digits(src.max_abs(), k.q) {
             0 => expand_impl::<X, 0>(k, xs, dst),
             1 => expand_impl::<X, 1>(k, xs, dst),
             2 => expand_impl::<X, 2>(k, xs, dst),
@@ -567,6 +649,17 @@ pub fn expand<X: crate::rns::SignedWord>(
         }
     }
     n8
+}
+
+/// The digit count `D` of the expansion datapath for a slice whose
+/// largest magnitude is `max_abs`, under `q < 2^50`: 0 (the sign-select)
+/// below `q`, else the radix-2^52 digits `max_abs` spans (at most 3).
+pub fn expand_digits(max_abs: u128, q: u64) -> usize {
+    if max_abs < q as u128 {
+        0
+    } else {
+        (128 - max_abs.leading_zeros()).div_ceil(52) as usize
+    }
 }
 
 /// # Safety
@@ -587,11 +680,370 @@ unsafe fn expand_impl<X: Lanes, const D: usize>(
     while j < xs.len() {
         // SAFETY: j + 8 <= xs.len() == dst.len().
         unsafe {
-            let (negative, lo, hi) = X::magnitude_x8(xs.as_ptr().add(j));
-            let r = fold.residue::<D>(&digits_x8(lo, hi), negative);
+            let r = fold.load::<X, D>(xs.as_ptr().add(j));
             _mm512_storeu_si512(dst.as_mut_ptr().add(j) as *mut __m512i, r);
         }
         j += 8;
+    }
+}
+
+/// The prologue of a streamed forward transform (`NttPlan::
+/// forward_stream` in `abc-transform`): eight canonical residues of
+/// signed coefficients per load, reduced in registers by [`expand`]'s
+/// digit fold, so the transform's first butterfly pass reads the
+/// coefficients themselves and no residue limb is written before it.
+/// `D` is [`expand_digits`] of the slice under the modulus.
+#[derive(Clone, Copy)]
+pub struct ExpandX8<'a, X, const D: usize> {
+    xs: &'a [X],
+    fold: FoldX8,
+}
+
+impl<'a, X: crate::rns::SignedWord, const D: usize> ExpandX8<'a, X, D> {
+    /// The prologue of `src` under `q < 2^50`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F via inlining into a `target_feature` kernel.
+    ///
+    /// # Panics
+    ///
+    /// Unless `D` is [`expand_digits`] of `src` under `q`.
+    #[inline(always)]
+    pub unsafe fn new(src: &crate::rns::SignedCoeffs<'a, X>, q: u64) -> Self {
+        assert_eq!(
+            D,
+            expand_digits(src.max_abs(), q),
+            "digit count of the slice"
+        );
+        Self {
+            xs: src.coeffs(),
+            // SAFETY: register-only broadcasts, by the contract.
+            fold: unsafe { FoldX8::new(&Fold52::new(q)) },
+        }
+    }
+
+    /// `x mod q`, canonical in `[0, q)`, for coefficients `i..i + 8`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel;
+    /// `i + 8` at most the slice's length.
+    #[inline(always)]
+    pub unsafe fn load(&self, i: usize) -> __m512i {
+        debug_assert!(i + 8 <= self.xs.len());
+        // SAFETY: eight coefficients from `i` on, by the contract; `D`
+        // bounds their magnitudes (checked in `new`).
+        unsafe { self.fold.load::<X, D>(self.xs.as_ptr().add(i)) }
+    }
+}
+
+/// The epilogue of a streamed forward transform: what its last pass
+/// does with eight output lanes `ŷ[j..j + 8]`, canonical in `[0, q)`,
+/// in place of storing them — one of the shapes of
+/// [`crate::dyadic::Tail`], on the same eight-lane steps
+/// (`Mont52X8::mac`, `Mont52X8::premul`, `sub_scalar_mul_x8`) the
+/// element-wise kernels run, so the result is canonical and
+/// bit-identical to the unfused op.
+///
+/// # Safety
+///
+/// [`TailX8::finish`] reads and writes only the eight words at `j` of
+/// `buf` and of the operands the tail was built over, each of which
+/// holds [`TailX8::operand_len`] words.
+pub unsafe trait TailX8 {
+    /// The broadcast constants one step reads.
+    type Lanes: Copy;
+
+    /// The length of the tail's operands, `None` if it has none.
+    fn operand_len(&self) -> Option<usize>;
+
+    /// Broadcasts the tail's constants.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F via inlining into a `target_feature` kernel.
+    unsafe fn lanes(&self) -> Self::Lanes;
+
+    /// Finishes words `j..j + 8` from the transform's canonical lanes `y`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel;
+    /// `j + 8` at most [`TailX8::operand_len`], and `buf` valid for writing the
+    /// eight words at `j`.
+    unsafe fn finish(&self, lanes: &Self::Lanes, j: usize, y: __m512i, buf: *mut u64);
+}
+
+/// Eight words at `j` of `s`.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel; `j + 8 ≤
+/// s.len()`.
+#[inline(always)]
+unsafe fn load_at(s: &[u64], j: usize) -> __m512i {
+    debug_assert!(j + 8 <= s.len());
+    // SAFETY: in bounds by the contract; AVX-512F, by the contract.
+    unsafe { _mm512_loadu_si512(s.as_ptr().add(j) as *const __m512i) }
+}
+
+/// `buf = ŷ`: the plain canonical transform.
+#[derive(Debug, Clone, Copy)]
+pub struct Store;
+
+// SAFETY: writes the eight words at `j` of `buf` and nothing else.
+unsafe impl TailX8 for Store {
+    type Lanes = ();
+
+    fn operand_len(&self) -> Option<usize> {
+        None
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) {}
+
+    /// # Safety
+    ///
+    /// As [`TailX8::finish`].
+    #[inline(always)]
+    unsafe fn finish(&self, _: &(), j: usize, y: __m512i, buf: *mut u64) {
+        // SAFETY: `buf` is writable at `j..j + 8`, by the contract.
+        unsafe { _mm512_storeu_si512(buf.add(j) as *mut __m512i, y) }
+    }
+}
+
+/// `buf = premul(ŷ)`: the transform entered into the radix-2^52 domain
+/// ([`crate::dyadic::DyadicEngine::premul`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Premul<'a>(pub &'a Mont52);
+
+// SAFETY: writes the eight words at `j` of `buf` and nothing else.
+unsafe impl TailX8 for Premul<'_> {
+    type Lanes = Mont52X8;
+
+    fn operand_len(&self) -> Option<usize> {
+        None
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> Mont52X8 {
+        // SAFETY: by the contract.
+        unsafe { Mont52X8::new(self.0) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::finish`].
+    #[inline(always)]
+    unsafe fn finish(&self, k: &Mont52X8, j: usize, y: __m512i, buf: *mut u64) {
+        // SAFETY: `buf` is writable at `j..j + 8`, by the contract.
+        unsafe { _mm512_storeu_si512(buf.add(j) as *mut __m512i, k.premul(y)) }
+    }
+}
+
+/// `buf = ŷ + b·d̃ (+ c)` against `d̃` entered with
+/// [`crate::dyadic::DyadicEngine::premul`]: the accumulate shape of
+/// [`crate::dyadic::DyadicEngine::mul_acc_assign_premul`], plus one
+/// more addend.
+#[derive(Debug, Clone, Copy)]
+pub struct MulAcc<'a> {
+    k: &'a Mont52,
+    b: &'a [u64],
+    d_pre: &'a [u64],
+    c: Option<&'a [u64]>,
+}
+
+impl<'a> MulAcc<'a> {
+    /// The tail over `b`, `d_pre` and `c`, canonical in `[0, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Unless the operands' lengths are equal.
+    pub fn new(k: &'a Mont52, b: &'a [u64], d_pre: &'a [u64], c: Option<&'a [u64]>) -> Self {
+        assert_eq!(b.len(), d_pre.len());
+        assert!(c.is_none_or(|c| c.len() == b.len()));
+        Self { k, b, d_pre, c }
+    }
+}
+
+// SAFETY: reads the eight words at `j` of `b`, `d_pre` and `c`, all
+// `len` long, and writes those of `buf`.
+unsafe impl TailX8 for MulAcc<'_> {
+    type Lanes = Mont52X8;
+
+    fn operand_len(&self) -> Option<usize> {
+        Some(self.b.len())
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> Mont52X8 {
+        // SAFETY: by the contract.
+        unsafe { Mont52X8::new(self.k) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::finish`].
+    #[inline(always)]
+    unsafe fn finish(&self, k: &Mont52X8, j: usize, y: __m512i, buf: *mut u64) {
+        // SAFETY: every operand holds `j + 8` words and `buf` is
+        // writable there, by the contract.
+        unsafe {
+            let (b, d) = (load_at(self.b, j), load_at(self.d_pre, j));
+            let r = match self.c {
+                None => k.mac::<true, false, true, 1>(y, d, [b]),
+                Some(c) => k.mac::<true, false, true, 2>(y, d, [b, load_at(c, j)]),
+            };
+            _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
+        }
+    }
+}
+
+/// `dst = ŷ (+ t) − dst·s`, into `dst`, not the transform's buffer: the
+/// RLWE shape of [`crate::dyadic::DyadicEngine::mul_neg_add_assign`] /
+/// [`crate::dyadic::DyadicEngine::mul_neg_add2_assign`] with the
+/// transform as the first addend.
+#[derive(Debug)]
+pub struct NegMulAdd<'a> {
+    k: &'a Mont52,
+    dst: *mut u64,
+    len: usize,
+    s: &'a [u64],
+    t: Option<&'a [u64]>,
+    _dst: core::marker::PhantomData<&'a mut [u64]>,
+}
+
+impl<'a> NegMulAdd<'a> {
+    /// The tail into `dst` with `s` and `t`, canonical in `[0, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Unless the operands' lengths are equal.
+    pub fn new(k: &'a Mont52, dst: &'a mut [u64], s: &'a [u64], t: Option<&'a [u64]>) -> Self {
+        assert_eq!(dst.len(), s.len());
+        assert!(t.is_none_or(|t| t.len() == s.len()));
+        let (dst, len, _dst) = (dst.as_mut_ptr(), s.len(), core::marker::PhantomData);
+        Self {
+            k,
+            dst,
+            len,
+            s,
+            t,
+            _dst,
+        }
+    }
+}
+
+// SAFETY: reads and writes the eight words at `j` of `dst` and reads
+// those of `s` and `t`, all `len` long; `buf` is not touched.
+unsafe impl TailX8 for NegMulAdd<'_> {
+    type Lanes = Mont52X8;
+
+    fn operand_len(&self) -> Option<usize> {
+        Some(self.len)
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> Mont52X8 {
+        // SAFETY: by the contract.
+        unsafe { Mont52X8::new(self.k) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::finish`].
+    #[inline(always)]
+    unsafe fn finish(&self, k: &Mont52X8, j: usize, y: __m512i, _: *mut u64) {
+        // SAFETY: `dst` (borrowed mutably for the tail's life), `s` and
+        // `t` hold `j + 8` words, by the contract.
+        unsafe {
+            let p = self.dst.add(j) as *mut __m512i;
+            let (x, s) = (_mm512_loadu_si512(p), load_at(self.s, j));
+            let r = match self.t {
+                None => k.mac::<false, true, false, 1>(x, s, [y]),
+                Some(t) => k.mac::<false, true, false, 2>(x, s, [y, load_at(t, j)]),
+            };
+            _mm512_storeu_si512(p, r);
+        }
+    }
+}
+
+/// `dst = (dst − ŷ)·w` for a constant `w < q`, into `dst`, not the
+/// transform's buffer: the rescale shape of
+/// [`crate::dyadic::DyadicEngine::sub_scalar_mul_assign`].
+#[derive(Debug)]
+pub struct SubScalarMul<'a> {
+    q: u64,
+    dst: *mut u64,
+    len: usize,
+    w: u64,
+    w52: u64,
+    _dst: core::marker::PhantomData<&'a mut [u64]>,
+}
+
+impl<'a> SubScalarMul<'a> {
+    /// The tail into `dst`, canonical in `[0, q)`, by `w < q`.
+    pub fn new(q: u64, dst: &'a mut [u64], w: u64) -> Self {
+        debug_assert!(w < q && q < shoup::MAX_SHOUP52_MODULUS);
+        Self {
+            q,
+            dst: dst.as_mut_ptr(),
+            len: dst.len(),
+            w,
+            w52: shoup::shoup_precompute52(w, q),
+            _dst: core::marker::PhantomData,
+        }
+    }
+}
+
+// SAFETY: reads and writes the eight words at `j` of `dst`, `len` long;
+// `buf` is not touched.
+unsafe impl TailX8 for SubScalarMul<'_> {
+    type Lanes = [__m512i; 3];
+
+    fn operand_len(&self) -> Option<usize> {
+        Some(self.len)
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> [__m512i; 3] {
+        // SAFETY: register-only broadcasts, by the contract.
+        unsafe {
+            [
+                _mm512_set1_epi64(self.q as i64),
+                _mm512_set1_epi64(self.w as i64),
+                _mm512_set1_epi64(self.w52 as i64),
+            ]
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::finish`].
+    #[inline(always)]
+    unsafe fn finish(&self, &[vq, w, w52]: &[__m512i; 3], j: usize, y: __m512i, _: *mut u64) {
+        // SAFETY: `dst` (borrowed mutably for the tail's life) holds
+        // `j + 8` words, by the contract.
+        unsafe {
+            let p = self.dst.add(j) as *mut __m512i;
+            _mm512_storeu_si512(p, sub_scalar_mul_x8(_mm512_loadu_si512(p), y, w, w52, vq));
+        }
     }
 }
 
@@ -686,6 +1138,27 @@ impl FoldX8 {
                 t = csub_x8(t, self.vq);
             }
             csub_x8(_mm512_mask_sub_epi64(t, negative, self.vq, t), self.vq)
+        }
+    }
+}
+
+impl FoldX8 {
+    /// `x mod q`, canonical, for the eight coefficients at `p`: their
+    /// signs and magnitudes ([`Lanes::magnitude_x8`]), then
+    /// [`Self::residue`] of the magnitude's digits.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel; `p`
+    /// valid for reading eight coefficients, each below `q` (`D = 0`) or
+    /// `2^{52·D}` in magnitude.
+    #[inline(always)]
+    unsafe fn load<X: Lanes, const D: usize>(&self, p: *const X) -> __m512i {
+        // SAFETY: eight readable coefficients and the features, by the
+        // contract.
+        unsafe {
+            let (negative, lo, hi) = X::magnitude_x8(p);
+            self.residue::<D>(&digits_x8(lo, hi), negative)
         }
     }
 }
@@ -1013,19 +1486,11 @@ mod tests {
         }
         let w = q / 3;
         let w52 = crate::shoup::shoup_precompute52(w, q);
-        // A canonical subtrahend, then a lazy [0, 4q) one: same result.
-        let b_lazy: Vec<u64> = b
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x + q * ((i % 4) as u64))
-            .collect();
-        for sub in [&b, &b_lazy] {
-            let mut a = a0.clone();
-            assert_eq!(sub_scalar_mul_assign(&k, &mut a, sub, w, w52), n);
-            for i in 0..n {
-                let want = m.mul(m.sub(a0[i], b[i]), w);
-                assert_eq!(a[i], want, "sub_scalar_mul i={i}");
-            }
+        let mut a = a0.clone();
+        assert_eq!(sub_scalar_mul_assign(&k, &mut a, &b, w, w52), n);
+        for i in 0..n {
+            let want = m.mul(m.sub(a0[i], b[i]), w);
+            assert_eq!(a[i], want, "sub_scalar_mul i={i}");
         }
     }
 

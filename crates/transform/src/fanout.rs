@@ -42,6 +42,64 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread::{self, Thread};
 
+/// Environment variable overriding the process's thread count.
+pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
+
+/// Parses a raw `ABC_FHE_THREADS` value: `None` or a blank string means
+/// "no override" (`Ok(None)`); a thread count in `1..=64` wins.
+///
+/// Pure so the policy is testable without mutating process environment;
+/// the one env reader is [`threads`].
+///
+/// # Errors
+///
+/// Anything else — garbage, `0`, out-of-range — is an error naming the
+/// variable and the accepted range. A typo'd override must not silently
+/// bench on a default thread count.
+pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    match trimmed.parse::<usize>() {
+        Ok(t) if (1..=64).contains(&t) => Ok(Some(t)),
+        _ => Err(format!(
+            "{THREADS_ENV}={raw:?} is not a thread count in 1..=64 \
+             (unset it or pass e.g. {THREADS_ENV}=4)"
+        )),
+    }
+}
+
+/// The process's thread count, the one place it is resolved: a valid
+/// `ABC_FHE_THREADS` value in `1..=64` wins; unset/blank falls back to
+/// the machine's available parallelism, capped at 8. The variable is
+/// read at each call — an [`RnsNttEngine`](crate::RnsNttEngine)
+/// captures the count when it is built (so an engine built under an
+/// override keeps it), and the wire codec of `abc-ckks` reads it per
+/// blob — while the machine's parallelism, which costs system calls and
+/// cgroup file reads, is asked for once per process.
+///
+/// # Panics
+///
+/// Panics with one clear message on an invalid override (see
+/// [`parse_threads`]) — engines are constructed at startup, where
+/// failing fast beats silently running every benchmark on the wrong
+/// thread count.
+pub fn threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    match parse_threads(std::env::var(THREADS_ENV).ok().as_deref()) {
+        Ok(Some(t)) => t,
+        Ok(None) => *MACHINE.get_or_init(|| {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(8)
+        }),
+        Err(msg) => panic!("{msg}"),
+    }
+}
+
 /// Below this much total work (`limbs × N`), waking workers costs more
 /// than the fan-out saves and the pass runs serially.
 const PARALLEL_THRESHOLD: usize = 1 << 14;

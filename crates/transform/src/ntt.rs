@@ -22,7 +22,8 @@
 //! the oracle the suites pin both kernels against.
 
 use crate::twiddle::TwiddleTable;
-use abc_math::dyadic::DyadicEngine;
+use abc_math::dyadic::{DyadicEngine, Tail};
+use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::shoup::{self, MAX_SHOUP52_MODULUS};
 use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
 
@@ -184,42 +185,102 @@ impl NttPlan {
     ///
     /// Panics if `a.len() != N`.
     pub fn forward(&self, a: &mut [u64]) {
-        self.forward_core(a, true);
-    }
-
-    /// In-place forward NTT **without the closing normalization**:
-    /// outputs are congruent mod `q` but may be lazy in `[0, 4q)`.
-    /// Pair it with a consumer
-    /// that normalizes in its own single pass — e.g.
-    /// `DyadicEngine::sub_scalar_mul_assign`, whose subtrahend contract
-    /// is `[0, 4q)` — to fuse the last forward-NTT stage into the
-    /// following dyadic op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != N`.
-    pub fn forward_lazy(&self, a: &mut [u64]) {
-        self.forward_core(a, false);
-    }
-
-    /// The forward dispatch; without `normalize` the fast kernels leave
-    /// their lazy `[0, 4q)` lanes as the last stage wrote them.
-    fn forward_core(&self, a: &mut [u64], normalize: bool) {
         assert_eq!(a.len(), self.n, "polynomial length must equal N");
         let q = self.m.q();
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Simd => {
-                let tw = self.table.forward_column();
-                crate::ntt_ifma::forward(a, q, tw, &self.quotients, normalize);
+                crate::ntt_ifma::forward(a, q, self.table.forward_column(), &self.quotients);
             }
             _ => {
                 self.forward_harvey_lazy(a);
-                if normalize {
-                    a.iter_mut().for_each(|x| *x = shoup::normalize_4q(*x, q));
-                }
+                a.iter_mut().for_each(|x| *x = shoup::normalize_4q(*x, q));
             }
         }
+    }
+
+    /// The streamed forward transform: `ŷ = NTT(src mod q)` into `buf`
+    /// (cleared and refilled to `N` words), finished by `tail` — the
+    /// dyadic op that follows a transform, named by [`Tail`]: none,
+    /// [`DyadicEngine::premul`], `ŷ + b·d̃ (+ c)` into `buf`, or
+    /// `dst = ŷ (+ t) − dst·s` / `dst = (dst − ŷ)·w` into the tail's own
+    /// `dst`, `buf` then being scratch. Every operand is canonical in
+    /// `[0, q)`, and so is the result, bit-identical on both rungs to the
+    /// composition `expand_into → forward → apply_tail`.
+    ///
+    /// On the `ifma` rung that composition is one transform: its first
+    /// pass loads `src`'s signed coefficients and reduces them in
+    /// registers, and its last pass applies the tail to the lanes it
+    /// already holds, so no residue limb is written before the transform
+    /// and no element-wise pass follows it. The `harvey` rung runs the
+    /// composition itself ([`DyadicEngine::expand_into`], the transform,
+    /// [`DyadicEngine::apply_tail`]). Debug builds check the tail's
+    /// operands and the result for `[0, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` does not hold `N` coefficients or a tail operand
+    /// is not `N` words long.
+    pub fn forward_stream<X: SignedWord>(
+        &self,
+        src: &SignedCoeffs<'_, X>,
+        buf: &mut Vec<u64>,
+        tail: Tail<'_>,
+    ) {
+        assert_eq!(src.coeffs().len(), self.n, "coefficient count must equal N");
+        #[cfg(debug_assertions)]
+        for (k, operand) in tail.operands().into_iter().flatten().enumerate() {
+            let what = format_args!("forward_stream tail operand {k}");
+            assert_domain(operand, self.m.q(), what);
+        }
+        #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+        let out = match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Simd => self.forward_stream_ifma(src, buf, tail),
+            _ => {
+                self.dyadic.expand_into(src, buf);
+                self.forward(buf);
+                self.dyadic.apply_tail(buf, tail)
+            }
+        };
+        #[cfg(debug_assertions)]
+        assert_domain(out, self.m.q(), format_args!("forward_stream result"));
+    }
+
+    /// The `ifma` rung of [`Self::forward_stream`]: the tail's eight-lane
+    /// form ([`abc_math::simd::TailX8`]) inside the kernel. Returns
+    /// where the result went.
+    #[cfg(target_arch = "x86_64")]
+    fn forward_stream_ifma<'a, X: SignedWord>(
+        &self,
+        src: &SignedCoeffs<'_, X>,
+        buf: &'a mut Vec<u64>,
+        tail: Tail<'a>,
+    ) -> &'a [u64] {
+        use crate::ntt_ifma::forward_stream as run;
+        use abc_math::simd::{MulAcc, NegMulAdd, Premul, Store, SubScalarMul};
+        let (q, tw, tw52) = (self.m.q(), self.table.forward_column(), &self.quotients[..]);
+        let k = self
+            .dyadic
+            .mont52()
+            .expect("an ifma plan has an ifma engine");
+        match tail {
+            Tail::Canonical => run(buf, src, q, tw, tw52, &Store),
+            Tail::Premul => run(buf, src, q, tw, tw52, &Premul(k)),
+            Tail::MulAcc { b, d_pre, c } => {
+                run(buf, src, q, tw, tw52, &MulAcc::new(k, b, d_pre, c))
+            }
+            Tail::NegMulAdd { dst, s, t } => {
+                run(buf, src, q, tw, tw52, &NegMulAdd::new(k, &mut *dst, s, t));
+                return dst;
+            }
+            Tail::SubScalarMul { dst, w } => {
+                let w = if w >= q { self.m.reduce(w) } else { w };
+                run(buf, src, q, tw, tw52, &SubScalarMul::new(q, &mut *dst, w));
+                return dst;
+            }
+        }
+        buf
     }
 
     /// In-place inverse negacyclic INTT, bit-identical to
@@ -574,9 +635,8 @@ mod tests {
     }
 
     #[test]
-    fn forward_lazy_is_congruent_and_fused_inverse_bit_identical() {
-        // forward_lazy ≡ forward mod q (lazy lanes stay below 4q), and
-        // the fused-copy inverse is bit-identical to copy + inverse, on
+    fn fused_inverse_is_bit_identical_to_copy_and_inverse() {
+        // The fused-copy inverse is bit-identical to copy + inverse, on
         // every kernel.
         for q in [0xFFF0_0001u64, 0xFFF_FFFF_C001] {
             let m = Modulus::new(q).unwrap();
@@ -584,18 +644,6 @@ mod tests {
                 for pref in [KernelTier::Scalar, KernelTier::Auto, KernelTier::Simd] {
                     let plan = NttPlan::with_kernel(m, n, pref).unwrap();
                     let a0 = pseudo_poly(n, q, q ^ (n as u64) << 1);
-                    let mut canonical = a0.clone();
-                    plan.forward(&mut canonical);
-                    let mut lazy = a0.clone();
-                    plan.forward_lazy(&mut lazy);
-                    for i in 0..n {
-                        assert!(lazy[i] < 4 * q, "lazy bound {pref:?} q={q} n={n} i={i}");
-                        assert_eq!(
-                            lazy[i] % q,
-                            canonical[i],
-                            "lazy congruence {pref:?} q={q} n={n} i={i}"
-                        );
-                    }
                     // Unfused reference: copy, then inverse.
                     let mut want = a0.clone();
                     plan.inverse(&mut want);
@@ -631,11 +679,11 @@ mod tests {
                     let mut got = x.clone();
                     plan.forward(&mut got);
                     assert_eq!(got, want, "forward {at}");
-                    got.copy_from_slice(x);
-                    plan.forward_lazy(&mut got);
-                    for (i, (&l, &w)) in got.iter().zip(&want).enumerate() {
-                        assert!(l < 4 * q && l % q == w, "forward_lazy {at} i={i}");
-                    }
+                    // The same residues streamed from signed words.
+                    let signed: Vec<i64> = x.iter().map(|&r| r as i64).collect();
+                    let mut got = Vec::new();
+                    plan.forward_stream(&SignedCoeffs::scan(&signed), &mut got, Tail::Canonical);
+                    assert_eq!(got, want, "forward_stream {at}");
                     let mut want = x.clone();
                     plan.inverse_golden(&mut want);
                     let mut got = x.clone();

@@ -20,7 +20,8 @@
 //!   loads four vectors `t` words apart, runs both stages' butterflies
 //!   on them with the group's three twiddles broadcast, and stores them
 //!   once. An odd count of long stages leaves one radix-2 pass: the
-//!   first forward pass, the last inverse one.
+//!   first forward pass, the last inverse one. Lanes stay in `[0, 4q)`
+//!   (forward) or `[0, 2q)` (inverse) from pass to pass.
 //! - **Short spans (`t = 4, 2, 1`), one pass over two vectors.** Per 16
 //!   words, `vshufi64x2` splits the pair of vectors into the low and
 //!   high halves of the `t = 4` butterflies, a `vpermt2q` pair regroups
@@ -36,10 +37,45 @@
 //!   pass follows. The passes are ordered so that the last one always
 //!   holds that stage.
 //!
+//! # The streamed forward transform
+//!
+//! [`forward_stream`] is the forward transform with its neighbours
+//! folded into its first and last passes — the host's version of the
+//! paper's Fourier engine, which takes each limb from the PRNG and the
+//! RNS expansion straight through the NTT into the modular
+//! multiply–add without a trip to memory (§IV, Fig. 6b):
+//!
+//! - **Prologue, in the first pass** (the lone radix-2 pass, or the first
+//!   radix-4 one). Its loads read signed `i8` / `i64` / `i128`
+//!   coefficients instead of residues and reduce them in registers by
+//!   the expansion's digit fold ([`simd::ExpandX8`]: a sign-select below
+//!   `q`, Shoup folds of radix-2^52 digits above), so the lanes enter
+//!   the butterflies canonical in `[0, q)` — inside the `[0, 4q)` the
+//!   pass takes — and the first store is the first write of the buffer.
+//!   No residue limb exists before the transform.
+//! - **Tail, in the short-span pass.** After the `t = 1` stage the pass
+//!   holds two vectors in natural order; it normalizes them from
+//!   `[0, 4q)` to `[0, q)` and hands them to a [`TailX8`] instead of
+//!   storing them: a plain store ([`simd::Store`], what [`forward`]
+//!   runs), the domain entry ([`simd::Premul`]), `ŷ + b·d̃ (+ c)`
+//!   ([`simd::MulAcc`]), or a result written elsewhere —
+//!   `dst = ŷ (+ t) − dst·s` ([`simd::NegMulAdd`]) and
+//!   `dst = (dst − ŷ)·w` ([`simd::SubScalarMul`]), which leave the
+//!   buffer as scratch. Every operand the tail reads is canonical in
+//!   `[0, q)` and so is what it writes: the eight-lane steps are those
+//!   of the element-wise kernels (`abc_math::simd`), so the fused
+//!   result is the unfused one bit for bit.
+//!
+//! The passes in between are [`forward`]'s. The prologue's passes are
+//! instantiated per source width and digit count, the tail's per tail;
+//! the two meet only through the buffer, so neither multiplies the
+//! other's code.
+//!
 //! Lazy representatives are always congruent mod `q`, so a transform
 //! that ends canonical is **bit-identical** to the golden model
 //! (asserted by the tier-1 suites); debug builds also check every
-//! pass's output domain.
+//! pass's output domain, and `NttPlan::forward_stream` the tail's
+//! operands and result.
 //!
 //! Everything here is `x86_64`-only and gated at runtime behind
 //! [`CpuCaps::detect`]; other architectures (and machines without
@@ -51,14 +87,13 @@
 
 #[cfg(debug_assertions)]
 use crate::ntt::assert_domain;
+use abc_math::rns::{SignedCoeffs, SignedWord};
+use abc_math::simd::{self, TailX8};
 use abc_math::{shoup, CpuCaps};
 use core::arch::x86_64::*;
 
-/// Forward negacyclic NTT, Cooley–Tukey, values lazily in `[0, 4q)`,
-/// normalized to `[0, q)` at the end — unless `normalize` is off, when
-/// output lanes stay lazy in `[0, 4q)` for a consumer that normalizes in
-/// its own pass (the NTT-edge fusion of
-/// `DyadicEngine::sub_scalar_mul_assign`).
+/// Forward negacyclic NTT in place, Cooley–Tukey, values lazily in
+/// `[0, 4q)` between passes and canonical in `[0, q)` at the end.
 ///
 /// `tw`/`tw_shoup52` are the [`TwiddleTable`] value column and its
 /// radix-2^52 quotients, in `ψ^{brv(k)}` layout.
@@ -69,16 +104,70 @@ use core::arch::x86_64::*;
 /// columns of that length; debug-asserts `q < 2^50`.
 ///
 /// [`TwiddleTable`]: crate::twiddle::TwiddleTable
-pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64], normalize: bool) {
+pub fn forward(a: &mut [u64], q: u64, tw: &[u64], tw_shoup52: &[u64]) {
     // Hard assert: this is a safe public fn, so executing the
     // target_feature impl on a CPU without IFMA would be UB reachable
     // from safe code. One branch is noise next to an N ≥ 16 transform.
     assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_columns(a, tw, tw_shoup52);
+    assert_columns(a.len(), tw, tw_shoup52);
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     // SAFETY: the asserts above prove the required target features and
     // the slice shapes.
-    unsafe { forward_impl(a, q, tw, tw_shoup52, normalize) }
+    unsafe {
+        let t = first_in_place(a.as_mut_ptr(), a.len(), q, tw, tw_shoup52);
+        forward_rest(a, t, q, tw, tw_shoup52, &simd::Store);
+    }
+    #[cfg(debug_assertions)]
+    assert_domain(a, q, format_args!("ifma forward, last pass"));
+}
+
+/// The streamed forward transform: `buf = NTT(src mod q)`, finished by
+/// `tail` in the last pass. The first pass loads `src`'s signed
+/// coefficients and reduces them to canonical `[0, q)` residues in
+/// registers ([`simd::ExpandX8`]), writing `buf` for the first time;
+/// the short-span pass hands each pair of natural-order vectors,
+/// canonical in `[0, q)`, to [`TailX8::finish`] instead of storing
+/// them. `buf` is cleared and refilled to `N` words whatever it held; a
+/// tail that writes elsewhere leaves it holding the transform's lazy
+/// `[0, 4q)` words before the last pass.
+///
+/// # Panics
+///
+/// Asserts [`CpuCaps::ifma`], a power-of-two coefficient count `N` of
+/// at least 16, columns and tail operands of that length; debug-asserts
+/// `q < 2^50`.
+pub fn forward_stream<X: SignedWord, T: TailX8>(
+    buf: &mut Vec<u64>,
+    src: &SignedCoeffs<'_, X>,
+    q: u64,
+    tw: &[u64],
+    tw_shoup52: &[u64],
+    tail: &T,
+) {
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
+    let n = src.coeffs().len();
+    assert_columns(n, tw, tw_shoup52);
+    assert!(
+        tail.operand_len().is_none_or(|len| len == n),
+        "tail operands"
+    );
+    debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
+    buf.clear();
+    buf.reserve(n);
+    let p = buf.spare_capacity_mut().as_mut_ptr().cast::<u64>();
+    // SAFETY: the asserts above prove the required target features and
+    // the shapes; `p` has room for `n` words, which the first pass
+    // writes before any pass reads them; the digit count is the slice's.
+    unsafe {
+        let t = match simd::expand_digits(src.max_abs(), q) {
+            0 => first_expanded::<X, 0>(p, src, q, tw, tw_shoup52),
+            1 => first_expanded::<X, 1>(p, src, q, tw, tw_shoup52),
+            2 => first_expanded::<X, 2>(p, src, q, tw, tw_shoup52),
+            _ => first_expanded::<X, 3>(p, src, q, tw, tw_shoup52),
+        };
+        buf.set_len(n);
+        forward_rest(buf, t, q, tw, tw_shoup52, tail);
+    }
 }
 
 /// Inverse negacyclic NTT, Gentleman–Sande, values lazily in `[0, 2q)`,
@@ -105,7 +194,7 @@ pub fn inverse_fused(
     if let Some(s) = src {
         assert_eq!(a.len(), s.len());
     }
-    assert_columns(a, tw, tw_shoup52);
+    assert_columns(a.len(), tw, tw_shoup52);
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     // The last stage (one group) multiplies its difference by tw[1];
     // with N⁻¹ folded in, by the canonical w₁·N⁻¹ and its quotient.
@@ -118,17 +207,35 @@ pub fn inverse_fused(
 
 /// The shape every kernel's raw reads rest on: a power-of-two length of
 /// at least 16, and twiddle columns of exactly that length.
-fn assert_columns(a: &[u64], tw: &[u64], tw_shoup52: &[u64]) {
-    let n = a.len();
+fn assert_columns(n: usize, tw: &[u64], tw_shoup52: &[u64]) {
     assert!(n >= 16 && n.is_power_of_two(), "length {n}");
     assert!(tw.len() == n && tw_shoup52.len() == n, "twiddle columns");
 }
 
-/// The modulus `q` and `2q` in every lane.
+/// The modulus `q`, `2q` and `2^52 − q` in every lane.
 #[derive(Clone, Copy)]
 struct Lanes {
     q: __m512i,
     q2: __m512i,
+    /// `2^52 − q`: a product by it is `−q·x` modulo `2^52`.
+    qn: __m512i,
+}
+
+impl Lanes {
+    /// # Safety
+    ///
+    /// AVX-512F, inherited from the kernel it inlines into.
+    #[inline(always)]
+    unsafe fn new(q: u64) -> Self {
+        // SAFETY: register-only broadcasts; the kernel owns the features.
+        unsafe {
+            Self {
+                q: _mm512_set1_epi64(q as i64),
+                q2: _mm512_set1_epi64(2 * q as i64),
+                qn: _mm512_set1_epi64(((1 << 52) - q) as i64),
+            }
+        }
+    }
 }
 
 /// A Shoup multiplier per lane: the constant and its radix-2^52
@@ -145,16 +252,17 @@ struct Tw {
 ///
 /// AVX-512F + IFMA, inherited from the kernel it inlines into.
 #[inline(always)]
-unsafe fn mul_shoup52_x8(y: __m512i, w: Tw, vq: __m512i) -> __m512i {
+unsafe fn mul_shoup52_x8(y: __m512i, w: Tw, k: Lanes) -> __m512i {
     // SAFETY: register-only; the calling kernel owns the features.
     unsafe {
         let zero = _mm512_setzero_si512();
         let mask52 = _mm512_set1_epi64(shoup::MASK52 as i64);
-        // hi = floor(y·w' / 2^52); r = (lo52(y·w) − lo52(hi·q)) mod 2^52.
+        // hi = floor(y·w' / 2^52); r = (lo52(y·w) − lo52(hi·q)) mod 2^52,
+        // the subtraction an accumulate of lo52(hi·(2^52 − q)): both
+        // terms are below 2^52, so the sum fits before the mask.
         let hi = _mm512_madd52hi_epu64(zero, y, w.w52);
-        let t1 = _mm512_madd52lo_epu64(zero, y, w.w);
-        let t2 = _mm512_madd52lo_epu64(zero, hi, vq);
-        _mm512_and_si512(_mm512_sub_epi64(t1, t2), mask52)
+        let t = _mm512_madd52lo_epu64(zero, y, w.w);
+        _mm512_and_si512(_mm512_madd52lo_epu64(t, hi, k.qn), mask52)
     }
 }
 
@@ -181,7 +289,7 @@ unsafe fn ct(x: __m512i, y: __m512i, w: Tw, k: Lanes) -> (__m512i, __m512i) {
     // SAFETY: register-only; the calling kernel owns the features.
     unsafe {
         let u = csub_x8(x, k.q2);
-        let v = mul_shoup52_x8(y, w, k.q);
+        let v = mul_shoup52_x8(y, w, k);
         let d = _mm512_sub_epi64(_mm512_add_epi64(u, k.q2), v);
         (_mm512_add_epi64(u, v), d)
     }
@@ -200,49 +308,98 @@ unsafe fn gs(x: __m512i, y: __m512i, w: Tw, scale: Option<Tw>, k: Lanes) -> (__m
     // SAFETY: register-only; the calling kernel owns the features.
     unsafe {
         let s = _mm512_add_epi64(x, y);
-        let d = mul_shoup52_x8(_mm512_sub_epi64(_mm512_add_epi64(y, k.q2), x), w, k.q);
+        let d = mul_shoup52_x8(_mm512_sub_epi64(_mm512_add_epi64(y, k.q2), x), w, k);
         match scale {
             None => (csub_x8(s, k.q2), d),
-            Some(n_inv) => (csub_x8(mul_shoup52_x8(s, n_inv, k.q), k.q), csub_x8(d, k.q)),
+            Some(n_inv) => (csub_x8(mul_shoup52_x8(s, n_inv, k), k.q), csub_x8(d, k.q)),
         }
     }
 }
 
-/// One long-span memory pass: for every group of `R·t` words, loads the
-/// `R` vectors `t` words apart at each offset `j < t`, runs
-/// `butterflies` on them with the group's `twiddles`, and stores them
-/// back. `R = 2` is one stage of span `t`; `R = 4` is two stages, spans
-/// `2t` then `t` (forward) or `t` then `2t` (inverse).
+/// One long-span memory pass over the `n` words at `a`: for every
+/// group of `R·t` words, loads the `R` vectors `t` words apart at each
+/// offset `j < t` through `load` (the word index in, eight lanes out),
+/// runs `butterflies` on them with the group's `twiddles`, and stores
+/// them at `a`. `R = 2` is one stage of span `t`; `R = 4` is two stages,
+/// spans `2t` then `t` (forward) or `t` then `2t` (inverse).
 /// # Safety
 ///
-/// `t` must be a multiple of 8 and `R·t` divide `a.len()`; AVX-512F +
-/// IFMA, inherited from the kernel it inlines into.
+/// `t` must be a multiple of 8, `R·t` divide `n`, `a` be valid for
+/// writing `n` words and `load` for reading any 8-aligned run below
+/// `n`; AVX-512F + IFMA, inherited from the kernel it inlines into.
 #[inline(always)]
 unsafe fn pass<const R: usize, W: Copy>(
-    a: &mut [u64],
+    a: *mut u64,
+    n: usize,
     t: usize,
+    load: impl Fn(usize) -> __m512i,
     twiddles: impl Fn(usize) -> W,
     butterflies: impl Fn(&mut [__m512i; R], W),
 ) {
-    debug_assert!(t.is_multiple_of(8) && a.len().is_multiple_of(R * t));
-    for (g, block) in a.chunks_exact_mut(R * t).enumerate() {
+    debug_assert!(t.is_multiple_of(8) && n.is_multiple_of(R * t));
+    for g in 0..n / (R * t) {
         let w = twiddles(g);
-        let p = block.as_mut_ptr();
+        let base = g * R * t;
         for j in (0..t).step_by(8) {
-            // SAFETY: `r·t + j + 8 ≤ R·t = block.len()` for `r < R` and
-            // `j < t`, both multiples of 8. The rest is register-only on
-            // the caller's features.
+            // SAFETY: `base + r·t + j + 8 ≤ (g + 1)·R·t ≤ n` for `r < R`
+            // and `j < t`, both multiples of 8. The rest is
+            // register-only on the caller's features.
             unsafe {
                 let mut v = [_mm512_setzero_si512(); R];
                 for (r, x) in v.iter_mut().enumerate() {
-                    *x = _mm512_loadu_si512(p.add(r * t + j).cast());
+                    *x = load(base + r * t + j);
                 }
                 butterflies(&mut v, w);
                 for (r, x) in v.into_iter().enumerate() {
-                    _mm512_storeu_si512(p.add(r * t + j).cast(), x);
+                    _mm512_storeu_si512(a.add(base + r * t + j).cast(), x);
                 }
             }
         }
+    }
+}
+
+/// Eight words at `p + i`: the in-place loader of a pass.
+/// # Safety
+///
+/// `p + i` valid for reading eight words; AVX-512F, inherited from the
+/// kernel it inlines into.
+#[inline(always)]
+unsafe fn load_words(p: *const u64, i: usize) -> __m512i {
+    // SAFETY: by the contract.
+    unsafe { _mm512_loadu_si512(p.add(i).cast()) }
+}
+
+/// The twiddle `tw[i]` and its quotient in every lane.
+/// # Safety
+///
+/// `i` in bounds of both columns; AVX-512F, inherited from the kernel
+/// it inlines into.
+#[inline(always)]
+unsafe fn splat_at(tw: &[u64], tw52: &[u64], i: usize) -> Tw {
+    // SAFETY: register-only broadcasts, by the contract.
+    unsafe {
+        Tw {
+            w: _mm512_set1_epi64(tw[i] as i64),
+            w52: _mm512_set1_epi64(tw52[i] as i64),
+        }
+    }
+}
+
+/// Both forward stages of a radix-4 block `x0..x3`, lanes in `[0, 4q)`
+/// in and out: spans `2t` with `w0`, then `t` with `w1` / `w2`.
+/// # Safety
+///
+/// AVX-512F + IFMA, inherited from the kernel it inlines into.
+#[inline(always)]
+unsafe fn ct4(v: &mut [__m512i; 4], [w0, w1, w2]: [Tw; 3], k: Lanes) {
+    // SAFETY: register-only arithmetic on the caller's features.
+    unsafe {
+        let [x0, x1, x2, x3] = *v;
+        let (x0, x2) = ct(x0, x2, w0, k);
+        let (x1, x3) = ct(x1, x3, w0, k);
+        let (x0, x1) = ct(x0, x1, w1, k);
+        let (x2, x3) = ct(x2, x3, w2, k);
+        *v = [x0, x1, x2, x3];
     }
 }
 
@@ -270,57 +427,157 @@ unsafe fn tw_lanes(tw: &[u64], tw52: &[u64], i: usize, idx: Option<__m512i>) -> 
     }
 }
 
+/// The first forward pass, reading its lanes through `load`: the lone
+/// radix-2 pass when the long-stage count `log n − 3` is odd, else the
+/// first radix-4 pass. Lanes in `[0, 4q)` in and out (`load` gives
+/// canonical or `[0, 4q)` ones). Returns the span the next pass starts
+/// at.
+/// # Safety
+///
+/// `a` valid for writing `n` words, `n` a power of two ≥ 16 and the
+/// columns that long, `load` valid for any 8-aligned run below `n`;
+/// AVX-512F + IFMA, inherited from the kernel it inlines into.
+#[inline(always)]
+unsafe fn first_pass(
+    a: *mut u64,
+    n: usize,
+    q: u64,
+    tw: &[u64],
+    tw52: &[u64],
+    load: impl Fn(usize) -> __m512i,
+) -> usize {
+    // SAFETY: by the contract; register-only broadcasts and butterflies.
+    unsafe {
+        let k = Lanes::new(q);
+        let at = |i: usize| splat_at(tw, tw52, i);
+        let t = n / 2;
+        let next = if n.trailing_zeros().is_multiple_of(2) {
+            // One group of span t = n/2 ≥ 8, multiplied by tw[1].
+            pass::<2, _>(
+                a,
+                n,
+                t,
+                load,
+                |_| at(1),
+                |[x, y], w| (*x, *y) = ct(*x, *y, w, k),
+            );
+            t / 2
+        } else {
+            // Spans (n/2, n/4): one group, twiddles tw[1], tw[2], tw[3].
+            let twiddles = |_| [1, 2, 3].map(at);
+            pass::<4, _>(a, n, t / 2, load, twiddles, |v, w| ct4(v, w, k));
+            t / 4
+        };
+        #[cfg(debug_assertions)]
+        assert_domain(
+            core::slice::from_raw_parts(a, n),
+            4 * q,
+            format_args!("ifma forward first pass"),
+        );
+        next
+    }
+}
+
+/// [`first_pass`] in place.
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the public wrappers
-/// assert [`CpuCaps::ifma`] before dispatching here); slice lengths are a
-/// power of two ≥ 16, all equal, with twiddle tables of the same size.
+/// assert [`CpuCaps::ifma`] before dispatching here); `a` holds `n`
+/// words, a power of two ≥ 16, and the columns are that long.
 #[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw52: &[u64], normalize: bool) {
-    let n = a.len();
-    let k = Lanes {
-        q: _mm512_set1_epi64(q as i64),
-        q2: _mm512_set1_epi64(2 * q as i64),
-    };
-    let at = |i: usize| Tw {
-        w: _mm512_set1_epi64(tw[i] as i64),
-        w52: _mm512_set1_epi64(tw52[i] as i64),
-    };
-    // Long spans top down, stage `m` (groups of 2t words) multiplying
-    // group `g` by tw[m + g]: a lone radix-2 pass when their count
-    // log n − 3 is odd, then radix-4 passes over spans (t, t/2).
-    let mut t = n / 2;
-    if n.trailing_zeros().is_multiple_of(2) {
-        // SAFETY: t = n/2 ≥ 8 is a power of two and 2t = n; the
-        // butterflies are register-only on this kernel's features.
-        unsafe { pass::<2, _>(a, t, |g| at(1 + g), |[x, y], w| (*x, *y) = ct(*x, *y, w, k)) };
-        #[cfg(debug_assertions)]
-        assert_domain(a, 4 * q, format_args!("ifma forward radix-2, span {t}"));
-        t /= 2;
+unsafe fn first_in_place(a: *mut u64, n: usize, q: u64, tw: &[u64], tw52: &[u64]) -> usize {
+    // SAFETY: by the contract; the loader reads the words the pass then
+    // overwrites, each before its store.
+    unsafe { first_pass(a, n, q, tw, tw52, |i| load_words(a, i)) }
+}
+
+/// How far ahead of a prologue load, in words, the first pass asks for
+/// its destination line (1 KiB).
+const WRITE_AHEAD: usize = 128;
+
+/// [`first_pass`] with the prologue: lanes loaded from `src` and
+/// reduced to canonical `[0, q)` residues in registers. The pass writes
+/// `a` without reading it, so each load also asks for the line
+/// [`WRITE_AHEAD`] words past its own in `a` with intent to write
+/// (`prefetchw`): a store that misses costs the pass more than the
+/// prologue's arithmetic.
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512IFMA (the public wrappers
+/// assert [`CpuCaps::ifma`] before dispatching here); `a` is valid for
+/// writing as many words as `src` holds, a power of two ≥ 16, the
+/// columns are that long, and `D` is `src`'s digit count under `q`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn first_expanded<X: SignedWord, const D: usize>(
+    a: *mut u64,
+    src: &SignedCoeffs<'_, X>,
+    q: u64,
+    tw: &[u64],
+    tw52: &[u64],
+) -> usize {
+    // SAFETY: by the contract; `ExpandX8::new` checks `D`. A prefetch
+    // never faults, and `wrapping_add` keeps an address past the end
+    // from being UB.
+    unsafe {
+        let prologue = simd::ExpandX8::<X, D>::new(src, q);
+        let load = |i: usize| {
+            _mm_prefetch::<_MM_HINT_ET0>(a.wrapping_add(i + WRITE_AHEAD).cast());
+            prologue.load(i)
+        };
+        first_pass(a, src.coeffs().len(), q, tw, tw52, load)
     }
+}
+
+/// The forward passes after the first, lanes in `[0, 4q)`: radix-4
+/// passes from span `t` down to 16, then the short-span pass, whose
+/// natural-order vectors leave canonical in `[0, q)` through `tail`.
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512IFMA (the public wrappers
+/// assert [`CpuCaps::ifma`] before dispatching here); `a.len()` is a
+/// power of two ≥ 16, the columns and the tail's operands are that long,
+/// `a` holds `[0, 4q)` lanes and `t` is what [`first_pass`] returned.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn forward_rest<T: TailX8>(
+    a: &mut [u64],
+    mut t: usize,
+    q: u64,
+    tw: &[u64],
+    tw52: &[u64],
+    tail: &T,
+) {
+    let n = a.len();
+    // SAFETY: register-only broadcasts on this kernel's features.
+    let k = unsafe { Lanes::new(q) };
+    // SAFETY: register-only broadcasts with `i < n`.
+    let at = |i: usize| unsafe { splat_at(tw, tw52, i) };
+    // Long spans top down, stage `m` (groups of 2t words) multiplying
+    // group `g` by tw[m + g]: radix-4 passes over spans (t, t/2).
     while t >= 16 {
         let m = n / (2 * t);
         let twiddles = |g: usize| [m + g, 2 * m + 2 * g, 2 * m + 2 * g + 1].map(at);
+        let p = a.as_mut_ptr();
         // SAFETY: t/2 ≥ 8 is a power of two and 2t divides n; the
-        // butterflies are register-only on this kernel's features.
+        // loader reads the words the pass then overwrites, each before
+        // its store; the butterflies are register-only.
         unsafe {
-            pass::<4, _>(a, t / 2, twiddles, |v, [w0, w1, w2]| {
-                let [x0, x1, x2, x3] = *v;
-                let (x0, x2) = ct(x0, x2, w0, k);
-                let (x1, x3) = ct(x1, x3, w0, k);
-                let (x0, x1) = ct(x0, x1, w1, k);
-                let (x2, x3) = ct(x2, x3, w2, k);
-                *v = [x0, x1, x2, x3];
-            })
+            pass::<4, _>(
+                p,
+                n,
+                t / 2,
+                |i| load_words(p, i),
+                twiddles,
+                |v, w| ct4(v, w, k),
+            )
         };
         #[cfg(debug_assertions)]
         assert_domain(a, 4 * q, format_args!("ifma forward radix-4, spans {t}"));
         t /= 4;
     }
     debug_assert_eq!(t, 4);
-    // Short spans t = 4, 2, 1 on 16 words (block b) at a time, then the
-    // closing normalization [0, 4q) → [0, q) — skipped in lazy mode,
-    // where the following dyadic pass normalizes instead.
+    // Short spans t = 4, 2, 1 on 16 words (block b) at a time, the
+    // normalization [0, 4q) → [0, q), and the tail on the two vectors in
+    // natural order.
     let to_t2 = [
         _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13),
         _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15),
@@ -331,13 +588,17 @@ unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw52: &[u64], normaliz
     ];
     let lanes_t4 = _mm512_setr_epi64(0, 0, 0, 0, 1, 1, 1, 1);
     let lanes_t2 = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
+    // SAFETY: register-only broadcasts, by this kernel's features.
+    let finish = unsafe { tail.lanes() };
+    let p = a.as_mut_ptr();
     for b in 0..n / 16 {
-        // SAFETY: 16b + 16 ≤ n; the column reads end at n/8 + 2b + 8,
-        // n/4 + 4b + 8 and n/2 + 8b + 8, all ≤ n since b < n/16.
+        // SAFETY: 16b + 16 ≤ n, the length of `a` and of the tail's
+        // operands; the column reads end at n/8 + 2b + 8, n/4 + 4b + 8
+        // and n/2 + 8b + 8, all ≤ n since b < n/16.
         unsafe {
-            let p = a.as_mut_ptr().add(16 * b);
-            let lo = _mm512_loadu_si512(p.cast());
-            let hi = _mm512_loadu_si512(p.add(8).cast());
+            let at = p.add(16 * b);
+            let lo = _mm512_loadu_si512(at.cast());
+            let hi = _mm512_loadu_si512(at.add(8).cast());
             // t = 4: x = words 0–3 | 8–11, y = 4–7 | 12–15.
             let x = _mm512_shuffle_i64x2::<0x44>(lo, hi);
             let y = _mm512_shuffle_i64x2::<0xEE>(lo, hi);
@@ -349,22 +610,14 @@ unsafe fn forward_impl(a: &mut [u64], q: u64, tw: &[u64], tw52: &[u64], normaliz
             // t = 1: x = even words, y = odd words.
             let x1 = _mm512_unpacklo_epi64(x, y);
             let y1 = _mm512_unpackhi_epi64(x, y);
-            let (mut x, mut y) = ct(x1, y1, tw_lanes(tw, tw52, n / 2 + 8 * b, None), k);
-            if normalize {
-                x = csub_x8(csub_x8(x, k.q2), k.q);
-                y = csub_x8(csub_x8(y, k.q2), k.q);
-            }
+            let (x, y) = ct(x1, y1, tw_lanes(tw, tw52, n / 2 + 8 * b, None), k);
+            let x = csub_x8(csub_x8(x, k.q2), k.q);
+            let y = csub_x8(csub_x8(y, k.q2), k.q);
             let [lo, hi] = to_natural.map(|idx| _mm512_permutex2var_epi64(x, idx, y));
-            _mm512_storeu_si512(p.cast(), lo);
-            _mm512_storeu_si512(p.add(8).cast(), hi);
+            tail.finish(&finish, 16 * b, lo, p);
+            tail.finish(&finish, 16 * b + 8, hi, p);
         }
     }
-    #[cfg(debug_assertions)]
-    assert_domain(
-        a,
-        if normalize { q } else { 4 * q },
-        format_args!("ifma forward tail"),
-    );
 }
 
 /// # Safety
@@ -383,10 +636,8 @@ unsafe fn inverse_impl(
     fold: [u64; 4],
 ) {
     let n = a.len();
-    let k = Lanes {
-        q: _mm512_set1_epi64(q as i64),
-        q2: _mm512_set1_epi64(2 * q as i64),
-    };
+    // SAFETY: register-only broadcasts on this kernel's features.
+    let k = unsafe { Lanes::new(q) };
     let splat = |w: u64, w52: u64| Tw {
         w: _mm512_set1_epi64(w as i64),
         w52: _mm512_set1_epi64(w52 as i64),
@@ -457,21 +708,48 @@ unsafe fn inverse_impl(
     while 4 * t < n {
         let h = n / (4 * t);
         let twiddles = |g: usize| [4 * h - 1 - 2 * g, 4 * h - 2 - 2 * g, 2 * h - 1 - g].map(at);
-        // SAFETY: t ≥ 8 is a power of two and 4t divides n.
-        unsafe { pass::<4, _>(a, t, twiddles, |v, w| gs4(v, w, None)) };
+        let p = a.as_mut_ptr();
+        // SAFETY: t ≥ 8 is a power of two and 4t divides n; the loader
+        // reads the words the pass then overwrites, each before its store.
+        unsafe {
+            pass::<4, _>(
+                p,
+                n,
+                t,
+                |i| load_words(p, i),
+                twiddles,
+                |v, w| gs4(v, w, None),
+            )
+        };
         #[cfg(debug_assertions)]
         assert_domain(a, 2 * q, format_args!("ifma inverse radix-4, spans {t}"));
         t *= 4;
     }
     let [n_inv, n_inv52, w1, w1_52] = fold;
     let (scale, w1) = (Some(splat(n_inv, n_inv52)), splat(w1, w1_52));
+    let p = a.as_mut_ptr();
     if 4 * t == n {
-        // SAFETY: t ≥ 8 is a power of two and 4t = n.
-        unsafe { pass::<4, _>(a, t, |_| [at(3), at(2), w1], |v, w| gs4(v, w, scale)) };
+        let twiddles = |_| [at(3), at(2), w1];
+        // SAFETY: t ≥ 8 is a power of two and 4t = n; the loader reads
+        // the words the pass then overwrites, each before its store.
+        unsafe {
+            pass::<4, _>(
+                p,
+                n,
+                t,
+                |i| load_words(p, i),
+                twiddles,
+                |v, w| gs4(v, w, scale),
+            )
+        };
     } else {
-        // SAFETY: t = n/2 ≥ 8 is a power of two; register-only
-        // butterflies on this kernel's features.
-        unsafe { pass::<2, _>(a, t, |_| w1, |[x, y], w| (*x, *y) = gs(*x, *y, w, scale, k)) };
+        let gs2 = |[x, y]: &mut [__m512i; 2], w| {
+            // SAFETY: register-only butterflies on this kernel's features.
+            unsafe { (*x, *y) = gs(*x, *y, w, scale, k) }
+        };
+        // SAFETY: t = n/2 ≥ 8 is a power of two; the loader reads the
+        // words the pass then overwrites, each before its store.
+        unsafe { pass::<2, _>(p, n, t, |i| load_words(p, i), |_| w1, gs2) };
     }
     #[cfg(debug_assertions)]
     assert_domain(a, q, format_args!("ifma inverse last pass, span {t}"));

@@ -6,9 +6,9 @@
 //! limb's transform is independent of the others. [`RnsNttEngine`] owns
 //! one [`NttPlan`] per prime and fans the limbs out on the process-wide
 //! fan-out ([`crate::fanout`]: parked workers the caller wakes and helps;
-//! the build environment is offline, so no rayon). The thread count
-//! defaults to the machine's parallelism and can be pinned with the
-//! `ABC_FHE_THREADS` environment variable.
+//! the build environment is offline, so no rayon). The thread count is
+//! the fan-out's ([`fanout::threads`]): the machine's parallelism, or
+//! the `ABC_FHE_THREADS` environment variable.
 //!
 //! ABC-FHE streams one message at a time and all of its parallelism sits
 //! in the lanes working on that message, so every per-limb op funnels
@@ -54,13 +54,17 @@
 //! engine knows no scheme — an encrypt, an RLWE sample, a key-switch
 //! digit or a rescale is its caller's closure, in `abc-ckks`.
 //!
-//! Every expansion goes through the limb's dyadic engine
-//! ([`abc_math::dyadic::DyadicEngine::expand_into`]): the coefficient
-//! slice is scanned once for its largest magnitude
-//! ([`abc_math::rns::SignedCoeffs`]) and each limb then reduces by
-//! sign-select (below the prime) or Shoup fold — no division — on the
-//! engine's rung, the AVX-512IFMA kernel or the scalar loop,
-//! bit-identically.
+//! Every expansion is the prologue of a streamed transform
+//! ([`NttPlan::forward_stream`]): the coefficient slice is scanned once
+//! for its largest magnitude ([`abc_math::rns::SignedCoeffs`]) and each
+//! limb then reduces by sign-select (below the prime) or Shoup fold — no
+//! division. On the AVX-512IFMA rung the reduction happens in the
+//! registers of the transform's first pass, and the dyadic op that
+//! follows the transform ([`abc_math::dyadic::Tail`]) in its last one,
+//! so a limb is one memory pass per transform stage pair and nothing
+//! else; on the scalar rung the same call is the composition
+//! [`abc_math::dyadic::DyadicEngine::expand_into`] → transform →
+//! [`abc_math::dyadic::DyadicEngine::apply_tail`], bit-identically.
 //!
 //! Transforms and dyadic ops are **bit-identical** to running each limb
 //! through its [`NttPlan`] serially — threading only changes
@@ -70,13 +74,11 @@
 use crate::fanout;
 use crate::ntt::NttPlan;
 use crate::pool::{Allowance, PooledLimbs};
+use abc_math::dyadic::Tail;
 use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::{MathError, Modulus};
 
-pub use crate::fanout::LimbWork;
-
-/// Environment variable overriding the engine's thread count.
-pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
+pub use crate::fanout::{parse_threads, LimbWork, THREADS_ENV};
 
 /// Polynomials of `limbs` limbs one operation on a context can have
 /// checked out of the pool at once: one plaintext, two ciphertext
@@ -123,15 +125,15 @@ pub struct RnsNttEngine {
 }
 
 impl RnsNttEngine {
-    /// Builds an engine for transform size `n` over `moduli`, reading
-    /// the thread count from [`THREADS_ENV`] (default: the machine's
-    /// available parallelism, capped at 8).
+    /// Builds an engine for transform size `n` over `moduli` at the
+    /// process's thread count ([`fanout::threads`]: [`THREADS_ENV`], or
+    /// the machine's available parallelism capped at 8), captured now.
     ///
     /// # Errors
     ///
     /// Propagates [`NttPlan::new`] errors (no 2N-th root, bad size).
     pub fn new(moduli: &[Modulus], n: usize) -> Result<Self, MathError> {
-        Self::with_threads(moduli, n, threads_from_env())
+        Self::with_threads(moduli, n, fanout::threads())
     }
 
     /// Builds an engine with an explicit thread count (≥ 1); used by
@@ -224,10 +226,10 @@ impl RnsNttEngine {
     }
 
     /// Expands signed integers into RNS residues and forward-transforms
-    /// every limb — the encode-side `expand ∘ NTT` fused into one
-    /// parallel pass, division-free ([`SignedCoeffs`]: one scan of
-    /// `ints`, then the limb's dyadic engine sign-selects or folds by
-    /// magnitude).
+    /// every limb — the encode-side `expand ∘ NTT` as one streamed
+    /// transform per limb, division-free ([`SignedCoeffs`]: one scan of
+    /// `ints`, then each limb sign-selects or folds by magnitude inside
+    /// [`NttPlan::forward_stream`]).
     /// Returns one freshly allocated limb per prime: this is the key and
     /// probe entry point, deliberately outside the pool — keys live as
     /// long as their context and are never recycled. Plaintexts go
@@ -268,7 +270,8 @@ impl RnsNttEngine {
     }
 
     /// `out[i] = NTT(coeffs mod q_i)`: one scan of `coeffs`, then every
-    /// limb refilled and transformed by the thread that owns it.
+    /// limb streamed ([`NttPlan::forward_stream`]) by the thread that
+    /// owns it.
     fn expand_and_ntt_into<X>(&self, coeffs: &[X], out: &mut [Vec<u64>])
     where
         X: SignedWord,
@@ -276,8 +279,7 @@ impl RnsNttEngine {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         let src = SignedCoeffs::scan(coeffs);
         self.for_each_limb(out, LimbWork::Transform, |_, plan, limb| {
-            plan.dyadic().expand_into(&src, limb);
-            plan.forward(limb);
+            plan.forward_stream(&src, limb, Tail::Canonical)
         });
     }
 
@@ -394,53 +396,6 @@ impl RnsNttEngine {
                 }
             },
         );
-    }
-}
-
-/// Parses a raw `ABC_FHE_THREADS` value: `None` or a blank string means
-/// "no override" (`Ok(None)`); a thread count in `1..=64` wins.
-///
-/// Pure so the policy is testable without mutating process environment;
-/// env readers go through [`threads_from_env`].
-///
-/// # Errors
-///
-/// Anything else — garbage, `0`, out-of-range — is an error naming the
-/// variable and the accepted range. A typo'd override must not silently
-/// bench on a default thread count.
-pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(t) if (1..=64).contains(&t) => Ok(Some(t)),
-        _ => Err(format!(
-            "{THREADS_ENV}={raw:?} is not a thread count in 1..=64 \
-             (unset it or pass e.g. {THREADS_ENV}=4)"
-        )),
-    }
-}
-
-/// Resolves the engine thread count: a valid `ABC_FHE_THREADS` value in
-/// `1..=64` wins; unset/blank falls back to the machine's available
-/// parallelism, capped at 8.
-///
-/// # Panics
-///
-/// Panics with one clear message on an invalid override (see
-/// [`parse_threads`]) — engines are constructed at startup, where
-/// failing fast beats silently running every benchmark on the wrong
-/// thread count.
-pub fn threads_from_env() -> usize {
-    match parse_threads(std::env::var(THREADS_ENV).ok().as_deref()) {
-        Ok(Some(t)) => t,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
-        Err(msg) => panic!("{msg}"),
     }
 }
 
@@ -733,9 +688,8 @@ mod tests {
 
     /// The rescale kept-limb chain on two components in one pair pass,
     /// the shape `abc-ckks` runs it in — `k_c[i] = (k_c[i] − NTT(t_c mod
-    /// q_i))·s[i]`: each tail expanded into the thread's scratch limb,
-    /// transformed with a lazy last stage, subtracted and
-    /// scalar-multiplied.
+    /// q_i))·s[i]`: each tail streamed through the thread's scratch limb,
+    /// the subtract and scalar multiply in the transform's last pass.
     fn rescale_pair<X: SignedWord, Y: SignedWord>(
         engine: &RnsNttEngine,
         (k0, k1): (&mut [Vec<u64>], &mut [Vec<u64>]),
@@ -744,13 +698,9 @@ mod tests {
     ) {
         let (t0, t1) = (SignedCoeffs::scan(t0), SignedCoeffs::scan(t1));
         engine.for_each_limb_pair(k0, k1, LimbWork::Transform, |i, plan, x0, x1, t| {
-            let d = plan.dyadic();
-            d.expand_into(&t0, t);
-            plan.forward_lazy(t);
-            d.sub_scalar_mul_assign(x0, t, s[i]);
-            d.expand_into(&t1, t);
-            plan.forward_lazy(t);
-            d.sub_scalar_mul_assign(x1, t, s[i]);
+            let w = s[i];
+            plan.forward_stream(&t0, t, Tail::SubScalarMul { dst: x0, w });
+            plan.forward_stream(&t1, t, Tail::SubScalarMul { dst: x1, w });
         });
     }
 
@@ -869,7 +819,7 @@ mod tests {
         drop(env);
         assert_eq!(engine.threads(), 3);
         // With the override gone the default applies (an invalid value
-        // would panic in `threads_from_env`, not fall back).
-        assert!(threads_from_env() >= 1);
+        // would panic in `fanout::threads`, not fall back).
+        assert!(fanout::threads() >= 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the transform layer.
 
 use abc_float::{Complex, ExtF64Field};
+use abc_math::dyadic::Tail;
 use abc_math::poly::{self, negacyclic_mul_schoolbook};
 use abc_math::primes::generate_ntt_primes;
 use abc_math::rns::{SignedCoeffs, SignedWord};
@@ -42,9 +43,8 @@ fn residues(moduli: &[Modulus], n: usize, seed: u64, salt: u64) -> Vec<Vec<u64>>
 
 /// The rescale kept-limb chain on two components in one pair pass,
 /// the shape `abc-ckks` runs it in — `k_c[i] = (k_c[i] − NTT(t_c mod
-/// q_i))·s[i]`: each tail expanded into the thread's scratch limb,
-/// transformed with a lazy last stage, subtracted and
-/// scalar-multiplied.
+/// q_i))·s[i]`: each tail streamed through the thread's scratch limb,
+/// the subtract and scalar multiply in the transform's last pass.
 fn rescale_pair<X: SignedWord, Y: SignedWord>(
     engine: &RnsNttEngine,
     (k0, k1): (&mut [Vec<u64>], &mut [Vec<u64>]),
@@ -53,14 +53,118 @@ fn rescale_pair<X: SignedWord, Y: SignedWord>(
 ) {
     let (t0, t1) = (SignedCoeffs::scan(t0), SignedCoeffs::scan(t1));
     engine.for_each_limb_pair(k0, k1, LimbWork::Transform, |i, plan, x0, x1, t| {
-        let d = plan.dyadic();
-        d.expand_into(&t0, t);
-        plan.forward_lazy(t);
-        d.sub_scalar_mul_assign(x0, t, s[i]);
-        d.expand_into(&t1, t);
-        plan.forward_lazy(t);
-        d.sub_scalar_mul_assign(x1, t, s[i]);
+        let w = s[i];
+        plan.forward_stream(&t0, t, Tail::SubScalarMul { dst: x0, w });
+        plan.forward_stream(&t1, t, Tail::SubScalarMul { dst: x1, w });
     });
+}
+
+/// `n` signed words from `seed`: `bits`-bit magnitudes (at most 127),
+/// every sign, with the extremes `±(2^bits − 1)` at the front.
+fn signed_words(n: usize, seed: u64, bits: u32) -> Vec<i128> {
+    let mask = (1u128 << bits) - 1;
+    let mut x = seed | 1;
+    let mut next = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x
+    };
+    let mut out: Vec<i128> = (0..n)
+        .map(|_| {
+            let magnitude = ((next() as u128) << 64 | next() as u128) & mask;
+            if next() & 1 == 1 {
+                -(magnitude as i128)
+            } else {
+                magnitude as i128
+            }
+        })
+        .collect();
+    out[0] = mask as i128;
+    out[1] = -(mask as i128);
+    out
+}
+
+/// `forward_stream` of `src` on the forced-`Simd` plan, under every
+/// tail, against the unfused composition on the `Scalar` plan of the
+/// same prime: `expand_into`, `forward`, then the tail as the dyadic op
+/// it names. Operands are canonical residues of `seed`; a premultiplied
+/// one is entered by the engine that reads it, and the `Premul` tail's
+/// opaque output is compared with the `Simd` engine's own `premul`.
+fn check_every_tail<X: SignedWord>(
+    simd: &NttPlan,
+    scalar: &NttPlan,
+    src: &[X],
+    seed: u64,
+    what: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let (m, n) = (*simd.modulus(), simd.n());
+    let src = SignedCoeffs::scan(src);
+    let residues = |salt: u64| residues(&[m], n, seed, salt).remove(0);
+    let (b, c, d, x) = (residues(1), residues(2), residues(3), residues(4));
+    let w = seed % m.q();
+    let mut y = Vec::new();
+    scalar.dyadic().expand_into(&src, &mut y);
+    scalar.forward(&mut y);
+    let (ds, dv) = (scalar.dyadic(), simd.dyadic());
+    let entered = |e: &abc_math::DyadicEngine| {
+        let mut pre = d.clone();
+        e.premul(&mut pre);
+        pre
+    };
+    let (pre_scalar, pre_simd) = (entered(ds), entered(dv));
+    // Garbage in the buffer: it is refilled whatever it held.
+    let mut got = vec![u64::MAX; n / 2];
+
+    simd.forward_stream(&src, &mut got, Tail::Canonical);
+    prop_assert_eq!(&got, &y, "{} canonical", what);
+
+    simd.forward_stream(&src, &mut got, Tail::Premul);
+    let mut want = y.clone();
+    dv.premul(&mut want);
+    prop_assert_eq!(&got, &want, "{} premul", what);
+
+    for addend in [None, Some(&c[..])] {
+        let tail = Tail::MulAcc {
+            b: &b,
+            d_pre: &pre_simd,
+            c: addend,
+        };
+        simd.forward_stream(&src, &mut got, tail);
+        let mut want = y.clone();
+        ds.mul_acc_assign_premul(&mut want, &b, &pre_scalar);
+        if let Some(c) = addend {
+            ds.add_assign(&mut want, c);
+        }
+        prop_assert_eq!(&got, &want, "{} mul_acc, c = {}", what, addend.is_some());
+
+        let mut dst = x.clone();
+        let tail = Tail::NegMulAdd {
+            dst: &mut dst,
+            s: &b,
+            t: addend,
+        };
+        simd.forward_stream(&src, &mut got, tail);
+        let mut want = x.clone();
+        match addend {
+            None => ds.mul_neg_add_assign(&mut want, &b, &y),
+            Some(c) => ds.mul_neg_add2_assign(&mut want, &b, &y, c),
+        }
+        prop_assert_eq!(
+            &dst,
+            &want,
+            "{} neg_mul_add, t = {}",
+            what,
+            addend.is_some()
+        );
+    }
+
+    let mut dst = x.clone();
+    simd.forward_stream(&src, &mut got, Tail::SubScalarMul { dst: &mut dst, w });
+    let mut want = x.clone();
+    ds.sub_scalar_mul_assign(&mut want, &y, w);
+    prop_assert_eq!(&dst, &want, "{} sub_scalar_mul", what);
+    Ok(())
 }
 
 fn arb_prime_modulus() -> impl Strategy<Value = Modulus> {
@@ -142,6 +246,33 @@ proptest! {
             prop_assert_eq!(&fast, &golden, "inverse {:?}", pref);
             prop_assert_eq!(fast, poly, "roundtrip {:?}", pref);
         }
+    }
+
+    #[test]
+    fn forward_stream_is_the_unfused_composition(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 4u32..=13) {
+        // Every source width, every digit class of the prologue (`D` = 0
+        // below q, 1 below 2^52, 2 below 2^104, 3 up to 2^121), every
+        // tail, at sizes 2^4 … 2^13: both parities of the IFMA
+        // long-stage count, so the prologue runs in the lone radix-2
+        // pass and in a first radix-4 pass.
+        use abc_math::KernelTier;
+        let n = 1usize << log_n;
+        let simd = NttPlan::with_kernel(m, n, KernelTier::Simd).expect("plan");
+        let scalar = NttPlan::with_kernel(m, n, KernelTier::Scalar).expect("plan");
+        let below_q = m.q().ilog2();
+        for (bits, class) in [(below_q, "D=0"), (51, "D=1"), (103, "D=2"), (121, "D=3")] {
+            let words = signed_words(n, seed ^ bits as u64, bits);
+            check_every_tail(&simd, &scalar, &words, seed, &format!("i128 {class}"))?;
+            if bits < 64 {
+                let words: Vec<i64> = words.iter().map(|&x| x as i64).collect();
+                check_every_tail(&simd, &scalar, &words, seed, &format!("i64 {class}"))?;
+            }
+        }
+        let mut full: Vec<i64> = signed_words(n, seed, 64).iter().map(|&x| x as i64).collect();
+        (full[0], full[1]) = (i64::MIN, i64::MAX);
+        check_every_tail(&simd, &scalar, &full, seed, "i64 full width")?;
+        let bytes: Vec<i8> = signed_words(n, seed, 8).iter().map(|&x| x as i8).collect();
+        check_every_tail(&simd, &scalar, &bytes, seed, "i8")?;
     }
 
     #[test]

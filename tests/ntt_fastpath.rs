@@ -5,7 +5,8 @@
 
 use abc_fhe::math::KernelTier;
 use abc_fhe::math::{primes::generate_ntt_primes, Modulus};
-use abc_fhe::transform::rns_ntt::{threads_from_env, THREADS_ENV};
+use abc_fhe::transform::fanout;
+use abc_fhe::transform::rns_ntt::THREADS_ENV;
 use abc_fhe::transform::{NttPlan, RnsNttEngine};
 
 fn preset_moduli(log_n: u32, count: usize) -> Vec<Modulus> {
@@ -93,7 +94,7 @@ fn abc_fhe_threads_env_controls_engine() {
     // only through `with_threads`, so the temporary override is safe.)
     let mut env = abc_fhe::math::envtest::EnvGuard::lock();
     env.set(THREADS_ENV, "4");
-    assert_eq!(threads_from_env(), 4);
+    assert_eq!(fanout::threads(), 4);
     let n = 1usize << 13;
     let moduli = preset_moduli(13, 4);
     let engine = RnsNttEngine::new(&moduli, n).expect("engine");
