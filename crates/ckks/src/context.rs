@@ -1038,6 +1038,46 @@ mod tests {
     }
 
     #[test]
+    fn relinearize_and_rotate_equal_the_parents() {
+        // Bytes of a relinearized square and of a rotation on 8 primes at
+        // N = 2^10, captured before key switching streamed each digit
+        // through the forward transform with the domain entry as its
+        // tail. The two products key-switch a digit per prime; at 4
+        // threads the per-digit pair pass (2·k·N = 2^14 words) fans out.
+        use abc_math::envtest::EnvGuard;
+        use abc_transform::rns_ntt::THREADS_ENV;
+        let params = CkksParams::builder()
+            .log_n(10)
+            .num_primes(8)
+            .scale_mode(crate::params::ScaleMode::DoublePair)
+            .build()
+            .unwrap();
+        let message: Vec<Complex> = (0..params.slots())
+            .map(|j| {
+                let re = (j * 43 % 107) as f64 - 53.0;
+                let im = (j * 61 % 83) as f64 - 41.0;
+                Complex::new(re / 32.0, im / 32.0)
+            })
+            .collect();
+        let mut env = EnvGuard::lock();
+        let mut got = Vec::new();
+        for threads in [1usize, 4] {
+            env.set(THREADS_ENV, &threads.to_string());
+            let ctx = CkksContext::new(params.clone()).unwrap();
+            assert_eq!(ctx.ntt_engine().threads(), threads);
+            let (sk, pk) = ctx.keygen(Seed::from_u128(4201));
+            let evk = ctx.gen_eval_key(&sk, Seed::from_u128(4202));
+            let gk = ctx.gen_rotation_key(&sk, 3, Seed::from_u128(4203)).unwrap();
+            let ct = ctx.encrypt(&ctx.encode(&message).unwrap(), &pk, Seed::from_u128(4204));
+            let squared = crate::evaluator::mul_relin(&ctx, &ct, &ct, &evk).unwrap();
+            let rotated = crate::evaluator::rotate(&ctx, &ct, 3, &gk).unwrap();
+            got.push([blob_hash(&ctx, &squared), blob_hash(&ctx, &rotated)]);
+        }
+        let parents = [0x9b75_c941_ad8a_3534, 0x2bac_e2fe_2238_9b4e];
+        assert_eq!(got, [parents, parents]);
+    }
+
+    #[test]
     fn encrypt_is_the_unfused_public_key_sequence() {
         // The limb-streaming encrypt pass against the sequence it fuses,
         // spelt with the engine's named ops from the same sampler seeds:

@@ -36,7 +36,7 @@ use crate::cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
 use crate::context::{add_limbs, mul_limbs, CkksContext};
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey};
 use crate::CkksError;
-use abc_math::dyadic::{DyadicEngine, Tail};
+use abc_math::dyadic::Tail;
 use abc_math::rns::{SignedCoeffs, WordLift};
 use abc_math::RnsBasis;
 use abc_transform::{LimbWork, PooledLimbs};
@@ -141,30 +141,22 @@ pub fn plaintext_mul(
     let (c0, c1) = ct.components();
     let mut n0 = PooledLimbs::copy_of(c0);
     let mut n1 = PooledLimbs::copy_of(c1);
-    with_entered(ctx, &mut n0, &mut n1, pt.residues(), |d, _, x0, x1, m| {
-        d.mul_assign_premul(x0, m);
-        d.mul_assign_premul(x1, m);
-    });
+    // Each plaintext limb enters the dyadic kernel's domain once, in the
+    // thread's scratch limb, for both components.
+    let (engine, m) = (ctx.ntt_engine(), pt.residues());
+    engine.for_each_limb_pair(
+        &mut n0,
+        &mut n1,
+        LimbWork::Elementwise,
+        |i, plan, x0, x1, pre| {
+            pre.copy_from_slice(&m[i]);
+            let d = plan.dyadic();
+            d.premul(pre);
+            d.mul_assign_premul(x0, pre);
+            d.mul_assign_premul(x1, pre);
+        },
+    );
     Ciphertext::from_limbs(n0, n1, ct.exact_scale().mul(pt.exact_scale()))
-}
-
-/// Runs `f(dyadic_i, i, x0_i, x1_i, op_i)` on the limb pairs of two
-/// components with `op_i` entered into the dyadic kernel's domain once,
-/// in the thread's scratch limb: a plaintext product, or a key-switch
-/// digit against both halves of its key.
-fn with_entered(
-    ctx: &CkksContext,
-    x0: &mut [Vec<u64>],
-    x1: &mut [Vec<u64>],
-    op: &[Vec<u64>],
-    f: impl Fn(&DyadicEngine, usize, &mut [u64], &mut [u64], &[u64]) + Sync,
-) {
-    let engine = ctx.ntt_engine();
-    engine.for_each_limb_pair(x0, x1, LimbWork::Elementwise, |i, plan, x0, x1, pre| {
-        pre.copy_from_slice(&op[i]);
-        plan.dyadic().premul(pre);
-        f(plan.dyadic(), i, x0, x1, pre);
-    });
 }
 
 /// RNS rescaling by one multiplicative *level* of the context's
@@ -319,8 +311,11 @@ pub fn mul(
 /// Decomposes the NTT-domain polynomial `a` into one *centered* digit
 /// per carried prime — limb `i` goes back to coefficient domain, centers
 /// into `(−q_i/2, q_i/2]`, and re-expands under all carried primes —
-/// and accumulates `Σ Dᵢ·(bᵢ, aᵢ)`, one pass per digit
-/// ([`with_entered`]). The sum satisfies `ks0 + ks1·s ≈ a·t` up to the
+/// and accumulates `Σ Dᵢ·(bᵢ, aᵢ)`, one pair pass per digit: per carried
+/// prime the digit streams through the forward transform into the
+/// thread's scratch limb, entered into the dyadic domain by the
+/// transform's tail (`Tail::Premul`), and multiply–accumulates into both
+/// halves. The sum satisfies `ks0 + ks1·s ≈ a·t` up to the
 /// gadget noise `Σ Dᵢ·eᵢ` ([`crate::noise::predicted_keyswitch_std`]).
 ///
 /// Because the RNS gadget is an indicator basis, a full-level key
@@ -346,11 +341,13 @@ fn key_switch(
         for (dst, &x) in centered.iter_mut().zip(tail[0].iter()) {
             *dst = moduli[i].to_centered(x);
         }
-        let digit = engine.expand_and_ntt_pooled(&centered, k);
+        let digit = SignedCoeffs::scan(&centered);
         let (b, a) = (&ksk.b[i], &ksk.a[i]);
-        with_entered(ctx, acc0, acc1, &digit, |d, j, x0, x1, dj| {
-            d.mul_acc_assign_premul(x0, &b[j], dj);
-            d.mul_acc_assign_premul(x1, &a[j], dj);
+        engine.for_each_limb_pair(acc0, acc1, LimbWork::Transform, |j, plan, x0, x1, pre| {
+            plan.forward_stream(&digit, pre, Tail::Premul);
+            let d = plan.dyadic();
+            d.mul_acc_assign_premul(x0, &b[j], pre);
+            d.mul_acc_assign_premul(x1, &a[j], pre);
         });
     }
     Ok(())

@@ -50,13 +50,13 @@
 //! # One multiply–accumulate datapath
 //!
 //! The layer is memory-bound, so whole ciphertext call-site chains are
-//! single passes rather than op sequences — each enters one operand
-//! into the Montgomery domain, REDCs once, and folds the surrounding
-//! adds/subs/negation into the same load/store trip. All of them are
-//! one loop, `dst = ±(x·b) + Σ addends`, whose shape (multiplier
-//! pre-entered or not, product negated or not, 0–2 addends, destination
-//! as multiplicand or as accumulator) is compile-time data of one
-//! private core; the public names are its instantiations:
+//! single passes rather than op sequences: one loop, `dst = ±(x·b) +
+//! Σ addends`, whose shape (multiplier pre-entered or not, product
+//! negated or not, 0–2 addends, destination as multiplicand or as
+//! accumulator) is compile-time data of one private core with one
+//! domain contract — every operand canonical `[0, q)` on entry, the
+//! destination canonical on exit, asserted in debug builds. The public
+//! names are its instantiations:
 //!
 //! * [`DyadicEngine::mul_assign`] — `a = a·b`;
 //! * [`DyadicEngine::mul_add_assign`] — `a = a·b + c` (decrypt);
@@ -68,37 +68,28 @@
 //! * [`DyadicEngine::mul_acc_assign_premul`] — `acc += b·d̃` (public-key
 //!   encrypt, key-switch accumulation; no scratch copies).
 //!
-//! The core holds the family's one kernel dispatch and its one domain
-//! contract: every operand canonical `[0, q)` on entry, the destination
-//! canonical on exit, asserted in debug builds. A new fused shape is one
-//! more instantiation line.
-//!
 //! Multiplying by a *constant* is a different datapath (Shoup, a
 //! precomputed quotient): [`DyadicEngine::sub_scalar_mul_assign`] —
 //! `a = (a − b)·s`, both rescales.
 //!
-//! # Tails of a streamed transform
+//! # Tails and expansion
 //!
 //! Most of these ops run right after a forward transform of the operand
 //! they multiply or add. [`Tail`] names the five shapes that do —
 //! canonical, [`DyadicEngine::premul`], the accumulate `ŷ + b·d̃ (+ c)`,
 //! the RLWE `ŷ (+ t) − x·s` and the rescale `(x − ŷ)·w` — so that
 //! `NttPlan::forward_stream` in `abc-transform` can apply one in the
-//! transform's last pass, on the eight-lane steps of [`crate::simd`]
-//! its kernels share with this engine's ([`crate::simd::TailX8`]). On
-//! the scalar rung the same call is the plain composition: transform,
-//! then [`DyadicEngine::apply_tail`].
-//!
-//! # RNS expansion
+//! transform's last pass; on the scalar rung that is the transform, then
+//! [`DyadicEngine::apply_tail`]. On the `ifma` rung every op here runs
+//! on one eight-lane driver (`simd::stream`) through the same
+//! steps ([`crate::simd::TailX8`]) the transform's last pass applies,
+//! so a fused shape has one vector form, in or out of the transform.
 //!
 //! [`DyadicEngine::expand_into`] is the paper's "Expand RNS": signed
-//! coefficients in — any width of [`SignedWord`] (`i8`, `i64`, `i128`),
-//! any magnitude — and canonical `[0, q)` residues out, the input of
-//! every forward transform. The `ifma` kernel sign-selects below `q`
-//! and folds wider values as radix-2^52 digits through Shoup multiplies
-//! by `2^{52d} mod q`; the `montgomery` rung is the scalar loop of
-//! [`SignedCoeffs`], which sits beside its oracle [`Modulus::from_i128`]
-//! in [`crate::rns`].
+//! coefficients of any [`SignedWord`] width and magnitude in, canonical
+//! residues out — on the `ifma` rung the transform's prologue run into
+//! memory, on the `montgomery` rung the scalar loop of [`SignedCoeffs`],
+//! beside its oracle [`Modulus::from_i128`] in [`crate::rns`].
 //!
 //! Every fused kernel is bit-identical to the composition of its
 //! unfused ops (canonical outputs; pinned by the property suites across
@@ -109,6 +100,8 @@ use crate::modulus::Modulus;
 use crate::reduce::Montgomery;
 use crate::rns::{SignedCoeffs, SignedWord};
 use crate::shoup;
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
 
 /// What a streamed forward transform (`NttPlan::forward_stream` in
 /// `abc-transform`) does with its canonical output `ŷ`: the dyadic op
@@ -335,7 +328,7 @@ impl DyadicEngine {
 
     /// The multiply–accumulate datapath behind every `mul_*` method:
     /// `dst[i] = ±(x[i]·b[i]) + Σ addends[i] mod q`, one pass, the shape
-    /// as compile-time parameters (those of [`crate::simd::mac_assign`]):
+    /// as compile-time parameters (those of [`crate::simd::Mac`]):
     /// `PRE` — `b` came through [`Self::premul`]; `NEG` — the product is
     /// subtracted; `ACC` — `dst` is the first addend and `src[0]` the
     /// multiplicand `x`, otherwise `dst` is `x` and every `src` an addend.
@@ -374,7 +367,8 @@ impl DyadicEngine {
             }
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(k) => {
-                let done = crate::simd::mac_assign::<PRE, NEG, ACC, SRC>(k, dst, b, src);
+                let tail = simd::Mac::<PRE, NEG, ACC, SRC>::new(k, b, src);
+                let done = simd::stream(dst, &simd::InPlace, &tail);
                 for i in done..n {
                     let (x, addends) = operands::<ACC, SRC>(dst[i], &src, i);
                     let p = if PRE {
@@ -405,9 +399,10 @@ impl DyadicEngine {
         let s = if s >= q { self.m.reduce(s) } else { s };
         match &self.kernel {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(k) => {
+            Kernel::Ifma(_) => {
+                let tail = simd::SubScalarMul::new(q, a, s);
+                let done = simd::stream(&mut [], &simd::Words(b), &tail);
                 let s52 = shoup::shoup_precompute52(s, q);
-                let done = crate::simd::sub_scalar_mul_assign(k, a, b, s, s52);
                 for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                     *x = shoup::reduce_once(shoup::mul_shoup52_lazy(*x + q - y, s, s52, q), q);
                 }
@@ -434,7 +429,7 @@ impl DyadicEngine {
         assert_eq!(a.len(), b.len());
         #[cfg(target_arch = "x86_64")]
         if matches!(self.kernel, Kernel::Ifma(_)) {
-            let done = crate::simd::add_assign(self.m.q(), a, b);
+            let done = simd::stream(a, &simd::InPlace, &simd::Add { q: self.m.q(), b });
             for (x, &y) in a[done..].iter_mut().zip(&b[done..]) {
                 *x = self.m.add(*x, y);
             }
@@ -453,7 +448,7 @@ impl DyadicEngine {
     /// [`Modulus::from_i128`] on every kernel.
     ///
     /// The `ifma` kernel runs eight lanes at a time
-    /// ([`crate::simd::expand`]: a sign-select below `q`, radix-2^52
+    /// (`simd::Expand`: a sign-select below `q`, radix-2^52
     /// Shoup folds above), writing into `dst`'s spare capacity; the
     /// `montgomery` rung and the sub-8 tail run the scalar loop of
     /// [`SignedCoeffs`]. `dst` is cleared first and its capacity reused,
@@ -481,10 +476,17 @@ impl DyadicEngine {
             Kernel::Montgomery(_) => src.expand_into(&self.m, dst),
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(k) => {
+                use simd::{Expand, Store};
                 dst.clear();
                 dst.reserve(src.coeffs().len());
-                let done = crate::simd::expand(k, src, dst.spare_capacity_mut());
-                // SAFETY: the kernel wrote `dst[..done]`, inside the
+                let (buf, q) = (dst.spare_capacity_mut(), k.q);
+                let done = match simd::expand_digits(src.max_abs(), q) {
+                    0 => simd::stream(buf, &Expand::<X, 0> { src, q }, &Store),
+                    1 => simd::stream(buf, &Expand::<X, 1> { src, q }, &Store),
+                    2 => simd::stream(buf, &Expand::<X, 2> { src, q }, &Store),
+                    _ => simd::stream(buf, &Expand::<X, 3> { src, q }, &Store),
+                };
+                // SAFETY: the driver wrote `dst[..done]`, inside the
                 // capacity reserved above.
                 unsafe { dst.set_len(done) };
                 src.append_from(&self.m, done, dst);
@@ -507,7 +509,7 @@ impl DyadicEngine {
                 // the premultiplied vector reusable by the vector and
                 // scalar-tail paths alike.
                 let q = self.m.q();
-                let done = crate::simd::scalar_mul_assign(k, b, k.r52, k.r52_shoup);
+                let done = simd::stream(b, &simd::InPlace, &simd::Premul(k));
                 for y in b[done..].iter_mut() {
                     *y = shoup::reduce_once(shoup::mul_shoup52_lazy(*y, k.r52, k.r52_shoup, q), q);
                 }

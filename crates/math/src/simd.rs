@@ -18,37 +18,33 @@
 //! so `REDC52(a·b̃) = a·b mod q` directly and no exit conversion exists.
 //! See [`crate::dyadic`] for the domain lifecycle and the dispatch.
 //!
-//! # One multiply–accumulate loop
+//! # One eight-lane driver
 //!
-//! The element-wise layer is memory-bound, so whole ciphertext-chain
-//! shapes run as one load/store pass per operand — and every shape of
-//! the multiply family is the *same* loop: load, enter `b` (or not),
-//! REDC, negate (or not), add 0–2 addends, conditionally subtract.
-//! [`mac_assign`] is that loop once, generic over compile-time facts
-//! only, so each instantiation (`a·b`, `a·b + c`, `c − a·b`,
-//! `c + d − a·b`, `a·b + c + d`, `a·b̃`, `a + b·d̃` — named in
-//! [`crate::dyadic`]) monomorphises to its own straight-line code, and
-//! the lazy-domain argument that licenses the fusion is written once,
-//! beside its `csub`s.
+//! The element-wise layer is memory-bound, so a whole ciphertext-chain
+//! shape is one load/store pass, and every such pass is `stream`: the
+//! streamed forward transform's short-span pass without its butterflies.
+//! It loads eight lanes through a `LoadX8` — its own buffer
+//! (`InPlace`), another slice (`Words`) or signed coefficients through
+//! the transform's prologue (`Expand` over [`ExpandX8`]) — and hands
+//! them to a [`TailX8`], the step `abc-transform` applies to its last
+//! pass's lanes in registers. Each fused shape is written once, for both:
 //!
-//! Multiplication by a *constant* is a different datapath (Shoup, no
-//! REDC): [`scalar_mul_assign`] (the domain entry of
-//! [`crate::dyadic::DyadicEngine::premul`]), and [`sub_scalar_mul_assign`] —
-//! `a = (a − b)·w`, both rescales.
+//! * [`Mac`] — the multiply family `±(x·b) + Σ addends` (`a·b`, `a·b + c`,
+//!   `c − a·b`, `c + d − a·b`, `a·b + c + d`, `a·b̃`, `a + b·d̃`, named in
+//!   [`crate::dyadic`]), generic over compile-time facts only: each shape
+//!   monomorphises to straight-line code, and the lazy-domain argument is
+//!   written once, beside its `csub`s (`Mont52X8::mac`);
+//! * [`Premul`] and [`SubScalarMul`] (`(a − b)·w`, both rescales) —
+//!   products by a *constant*, so Shoup, not REDC;
+//! * [`NegMulAdd`], `Add` and [`Store`].
 //!
-//! Each of these loops is one eight-lane step (`Mont52X8::mac`,
-//! `Mont52X8::premul`, `sub_scalar_mul_x8`) over memory. The same
-//! steps are the **tails** ([`TailX8`]) the streamed forward transform
-//! of `abc-transform` applies to its last pass's lanes in registers, and
-//! the expansion below is its **prologue** ([`ExpandX8`]), so a limb
-//! goes from signed coefficients to a multiply–accumulated NTT without
-//! an element-wise pass of its own.
-//!
-//! RNS expansion ([`expand`]) is the one kernel that reads signed
-//! coefficients instead of residues: eight `i8`, `i64` or `i128`
-//! coefficients per step ([`Lanes`]), a sign-select when the slice's
+//! Expansion is the one pass that reads signed coefficients: eight `i8`,
+//! `i64` or `i128` per step ([`Lanes`]), a sign-select when the slice's
 //! largest magnitude is below `q`, otherwise radix-2^52 digits of `|x|`
-//! folded by Shoup multiplies by `1`, `2^52` and `2^104 mod q`.
+//! folded by Shoup multiplies by `1`, `2^52` and `2^104 mod q`
+//! ([`expand_digits`]). It is `Expand` into [`Store`] here and the
+//! transform's first pass there, so a limb goes from signed coefficients
+//! to a multiply–accumulated NTT without an element-wise pass.
 //!
 //! # The CRT lift
 //!
@@ -66,8 +62,8 @@
 //! to the `u128 %` golden model (asserted by the property suites).
 //! Everything is `x86_64`-only and gated at runtime behind
 //! [`CpuCaps::detect`]; slices are processed in full 8-lane blocks and
-//! the sub-8 tail is left to the scalar caller (each function returns
-//! the number of elements it handled).
+//! the sub-8 remainder is left to the scalar caller (`stream` and
+//! `lift` return the number of elements they handled).
 
 #![cfg(target_arch = "x86_64")]
 
@@ -210,76 +206,6 @@ unsafe fn redc52_x8(va: __m512i, vb_dom: __m512i, vq: __m512i, vqinv: __m512i) -
     }
 }
 
-/// The multiply–accumulate pass, every fused shape of it:
-/// `dst[i] = ±(x[i]·b[i]) + Σ addends[i] mod q` over full 8-lane blocks;
-/// returns the count handled (`len − len % 8`). Canonical inputs and
-/// outputs. The shape is compile-time data, so each instantiation
-/// monomorphises to its own straight-line loop:
-///
-/// * `PRE` — `b` is already in the radix-2^52 domain (`b̃ = b·2^52 mod
-///   q`, lanes `< 2q`, see `DyadicEngine::premul`) instead of being
-///   entered inside the loop;
-/// * `NEG` — the product is subtracted instead of added;
-/// * `ACC` — the destination is the first *addend* and `src[0]` the
-///   multiplicand (`dst += src[0]·b`, needs `SRC ≥ 1`); otherwise the
-///   destination is the multiplicand and every `src` an addend;
-/// * `SRC` — the number of `src` streams, which either way is the number
-///   of addends (0–2).
-///
-/// # Panics
-///
-/// Asserts [`CpuCaps::ifma`] (soundness: the `target_feature` body
-/// would be UB on a CPU without IFMA) and equal slice lengths.
-pub fn mac_assign<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(
-    k: &Mont52,
-    dst: &mut [u64],
-    b: &[u64],
-    src: [&[u64]; SRC],
-) -> usize {
-    const { assert!(SRC <= 2 && (!ACC || SRC >= 1)) };
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(dst.len(), b.len());
-    assert!(src.iter().all(|s| s.len() == dst.len()));
-    let n8 = dst.len() - dst.len() % 8;
-    // SAFETY: the asserts above prove the required target features and
-    // that every slice holds at least `n8` (a multiple of 8) words.
-    unsafe { mac_assign_impl::<PRE, NEG, ACC, SRC>(k, &mut dst[..n8], &b[..n8], src) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), `dst.len()` must
-/// be a multiple of 8 and `b` and every `src` at least that long.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn mac_assign_impl<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(
-    k: &Mont52,
-    dst: &mut [u64],
-    b: &[u64],
-    src: [&[u64]; SRC],
-) {
-    // SAFETY: register-only broadcasts on this kernel's features.
-    let kx = unsafe { Mont52X8::new(k) };
-    let mut j = 0;
-    while j < dst.len() {
-        // SAFETY: j + 8 <= dst.len() <= len of every other slice.
-        unsafe {
-            let pd = dst.as_mut_ptr().add(j) as *mut __m512i;
-            let vx = _mm512_loadu_si512(pd);
-            let vb = _mm512_loadu_si512(b.as_ptr().add(j) as *const __m512i);
-            // Plain loops, not `map`: a closure would not carry this
-            // function's target features unless it inlined.
-            let mut vs = [_mm512_setzero_si512(); SRC];
-            for (v, s) in vs.iter_mut().zip(src) {
-                *v = _mm512_loadu_si512(s.as_ptr().add(j) as *const __m512i);
-            }
-            _mm512_storeu_si512(pd, kx.mac::<PRE, NEG, ACC, SRC>(vx, vb, vs));
-        }
-        j += 8;
-    }
-}
-
 /// A [`Mont52`] broadcast to eight lanes: what one multiply–accumulate
 /// step reads besides its operands.
 #[derive(Clone, Copy)]
@@ -310,10 +236,10 @@ impl Mont52X8 {
         }
     }
 
-    /// One eight-lane step of [`mac_assign`]: `±(x·b) + Σ addends`,
-    /// canonical, with `x`, `b` and the addends as that function reads
-    /// them (`ACC` swaps `x` with `src[0]`). Every operand canonical in
-    /// `[0, q)` (a premultiplied `b` in `[0, 2q)`).
+    /// One eight-lane step of the [`Mac`] shape `PRE`, `NEG`, `ACC`,
+    /// `SRC`: `±(x·b) + Σ src`, canonical (`ACC` swaps `x` with
+    /// `src[0]`). Every operand canonical in `[0, q)` (a premultiplied
+    /// `b` in `[0, 2q)`).
     ///
     /// # Safety
     ///
@@ -359,158 +285,6 @@ impl Mont52X8 {
             csub_x8(r, self.vq)
         }
     }
-
-    /// `b·2^52 mod q`, canonical: [`crate::dyadic::DyadicEngine::premul`]
-    /// on eight lanes `b < 2^52`.
-    ///
-    /// # Safety
-    ///
-    /// AVX-512F+IFMA via inlining into a `target_feature` kernel,
-    /// register-only.
-    #[inline(always)]
-    unsafe fn premul(&self, b: __m512i) -> __m512i {
-        // SAFETY: register-only IFMA arithmetic, by the contract.
-        unsafe { csub_x8(mul_shoup52_x8(b, self.vr, self.vrs, self.vq), self.vq) }
-    }
-}
-
-/// `(a − b)·w mod q`, canonical, on eight lanes: `a, b` canonical in
-/// `[0, q)`, so `a + (q − b) ∈ (0, 2q) < 2^51` feeds the Shoup multiply
-/// by the constant `w < q` (quotient `w52`), whose `[0, 2q)` result one
-/// csub brings to `[0, q)`.
-///
-/// # Safety
-///
-/// AVX-512F+IFMA via inlining into a `target_feature` kernel,
-/// register-only.
-#[inline(always)]
-unsafe fn sub_scalar_mul_x8(
-    a: __m512i,
-    b: __m512i,
-    w: __m512i,
-    w52: __m512i,
-    vq: __m512i,
-) -> __m512i {
-    // SAFETY: register-only IFMA arithmetic, by the contract.
-    unsafe {
-        let t = _mm512_add_epi64(a, _mm512_sub_epi64(vq, b));
-        csub_x8(mul_shoup52_x8(t, w, w52, vq), vq)
-    }
-}
-
-/// Fused `a[i] = (a[i] − b[i])·w mod q` (the rescale shape) for a
-/// constant `w < q` with Shoup-52 quotient `w52`, over full 8-lane
-/// blocks; returns the count handled. Both operands canonical in
-/// `[0, q)`, and so is the result.
-///
-/// # Panics
-///
-/// Same contract as [`mac_assign`].
-pub fn sub_scalar_mul_assign(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: u64) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { sub_scalar_mul_assign_impl(k, &mut a[..n8], &b[..n8], w, w52) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn sub_scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], b: &[u64], w: u64, w52: u64) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let vw = _mm512_set1_epi64(w as i64);
-    let vw52 = _mm512_set1_epi64(w52 as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= a.len() == b.len().
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let r = sub_scalar_mul_x8(_mm512_loadu_si512(pa), _mm512_loadu_si512(pb), vw, vw52, vq);
-            _mm512_storeu_si512(pa, r);
-        }
-        j += 8;
-    }
-}
-
-/// `a[i] = a[i]·w mod q` for a constant `w < q` with Shoup-52 quotient
-/// `w52`, over full 8-lane blocks; returns the count handled.
-///
-/// # Panics
-///
-/// Asserts [`CpuCaps::ifma`].
-pub fn scalar_mul_assign(k: &Mont52, a: &mut [u64], w: u64, w52: u64) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { scalar_mul_assign_impl(k, &mut a[..n8], w, w52) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn scalar_mul_assign_impl(k: &Mont52, a: &mut [u64], w: u64, w52: u64) {
-    let vq = _mm512_set1_epi64(k.q as i64);
-    let vw = _mm512_set1_epi64(w as i64);
-    let vw52 = _mm512_set1_epi64(w52 as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= a.len().
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let r = mul_shoup52_x8(va, vw, vw52, vq);
-            _mm512_storeu_si512(pa, csub_x8(r, vq));
-        }
-        j += 8;
-    }
-}
-
-/// Canonical element-wise `a[i] = a[i] + b[i] mod q` over full 8-lane
-/// blocks; returns the count handled.
-///
-/// # Panics
-///
-/// Asserts [`CpuCaps::ifma`] and equal slice lengths.
-pub fn add_assign(q: u64, a: &mut [u64], b: &[u64]) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    assert_eq!(a.len(), b.len());
-    let n8 = a.len() - a.len() % 8;
-    // SAFETY: the assert above proves the required target features.
-    unsafe { add_assign_impl(q, &mut a[..n8], &b[..n8]) }
-    n8
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), and every slice
-/// argument must have the same length, a multiple of 8.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn add_assign_impl(q: u64, a: &mut [u64], b: &[u64]) {
-    let vq = _mm512_set1_epi64(q as i64);
-    let mut j = 0;
-    while j < a.len() {
-        // SAFETY: j + 8 <= a.len() == b.len().
-        unsafe {
-            let pa = a.as_mut_ptr().add(j) as *mut __m512i;
-            let pb = b.as_ptr().add(j) as *const __m512i;
-            let va = _mm512_loadu_si512(pa);
-            let vb = _mm512_loadu_si512(pb);
-            // a + b lands in [0, 2q): one conditional subtract.
-            _mm512_storeu_si512(pa, csub_x8(_mm512_add_epi64(va, vb), vq));
-        }
-        j += 8;
-    }
 }
 
 /// A coefficient width the expansion kernel reads eight at a time —
@@ -519,7 +293,7 @@ unsafe fn add_assign_impl(q: u64, a: &mut [u64], b: &[u64]) {
 ///
 /// # Safety
 ///
-/// [`expand`] is safe and trusts its loads: an implementation may read
+/// `Expand` is safe and trusts its loads: an implementation may read
 /// only the eight coefficients at `p`, and must return their signs and
 /// magnitudes as documented on [`Lanes::magnitude_x8`].
 pub unsafe trait Lanes: Copy {
@@ -605,52 +379,6 @@ unsafe impl Lanes for i128 {
     }
 }
 
-/// RNS expansion of signed coefficients under one modulus `q < 2^50`:
-/// `dst[j] = x_j mod q`, canonical in `[0, q)`, over the full 8-lane
-/// blocks of `src`; returns the count written (`len − len % 8`), the
-/// tail being the caller's. The slice's scanned magnitude picks the
-/// datapath for the whole slice:
-///
-/// * `max_abs < q` — `|x|` is its own residue (`D = 0`);
-/// * wider — `|x|` splits into `D ≤ 3` radix-2^52 digits, each folded by
-///   a Shoup multiply by its weight `2^{52d} mod q` (lanes in
-///   `[0, 2q)`, so the sum is below `2Dq ≤ 6q < 2^53`), reduced by
-///   conditional subtracts.
-///
-/// Either way the sign comes last: `q − r` for a negative `x`, so below
-/// `q` the kernel is a sign-select.
-///
-/// `dst` may be uninitialised; exactly its first `len − len % 8`
-/// elements are written.
-///
-/// # Panics
-///
-/// Asserts [`CpuCaps::ifma`] and `dst.len() ≥ len`.
-pub fn expand<X: crate::rns::SignedWord>(
-    k: &Mont52,
-    src: &crate::rns::SignedCoeffs<'_, X>,
-    dst: &mut [core::mem::MaybeUninit<u64>],
-) -> usize {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    let xs = src.coeffs();
-    assert!(dst.len() >= xs.len());
-    let n8 = xs.len() - xs.len() % 8;
-    let (xs, dst) = (&xs[..n8], &mut dst[..n8]);
-    // SAFETY: the asserts above prove the required target features and
-    // that `dst` holds as many elements as `xs`, a multiple of 8; the
-    // magnitude `SignedCoeffs::scan` found bounds every `|x|` as `D`
-    // requires.
-    unsafe {
-        match expand_digits(src.max_abs(), k.q) {
-            0 => expand_impl::<X, 0>(k, xs, dst),
-            1 => expand_impl::<X, 1>(k, xs, dst),
-            2 => expand_impl::<X, 2>(k, xs, dst),
-            _ => expand_impl::<X, 3>(k, xs, dst),
-        }
-    }
-    n8
-}
-
 /// The digit count `D` of the expansion datapath for a slice whose
 /// largest magnitude is `max_abs`, under `q < 2^50`: 0 (the sign-select)
 /// below `q`, else the radix-2^52 digits `max_abs` spans (at most 3).
@@ -662,34 +390,9 @@ pub fn expand_digits(max_abs: u128, q: u64) -> usize {
     }
 }
 
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here), `xs.len()` must
-/// be a multiple of 8 and `dst` equally long. `D = 0` needs every
-/// `|x| < q`; `D ≥ 1` needs every `|x| < 2^{52·D}`.
-#[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn expand_impl<X: Lanes, const D: usize>(
-    k: &Mont52,
-    xs: &[X],
-    dst: &mut [core::mem::MaybeUninit<u64>],
-) {
-    // SAFETY: register-only broadcasts; the kernel's features.
-    let fold = unsafe { FoldX8::new(&Fold52::new(k.q)) };
-    let mut j = 0;
-    while j < xs.len() {
-        // SAFETY: j + 8 <= xs.len() == dst.len().
-        unsafe {
-            let r = fold.load::<X, D>(xs.as_ptr().add(j));
-            _mm512_storeu_si512(dst.as_mut_ptr().add(j) as *mut __m512i, r);
-        }
-        j += 8;
-    }
-}
-
 /// The prologue of a streamed forward transform (`NttPlan::
 /// forward_stream` in `abc-transform`): eight canonical residues of
-/// signed coefficients per load, reduced in registers by [`expand`]'s
+/// signed coefficients per load, reduced in registers by the expansion's
 /// digit fold, so the transform's first butterfly pass reads the
 /// coefficients themselves and no residue limb is written before it.
 /// `D` is [`expand_digits`] of the slice under the modulus.
@@ -738,22 +441,213 @@ impl<'a, X: crate::rns::SignedWord, const D: usize> ExpandX8<'a, X, D> {
     }
 }
 
+/// The element-wise driver: over the full 8-lane blocks of `n` words,
+/// loads eight lanes through `load` and hands them to `tail` with
+/// `buf` — the streamed forward transform's short-span pass without its
+/// butterflies. `n` is the loader's length, or `buf`'s for [`InPlace`];
+/// returns the count handled (`n − n % 8`), the remainder being the
+/// caller's. `buf` may be empty when the tail writes only its own
+/// destination ([`TailX8::WRITES_BUF`]).
+///
+/// # Panics
+///
+/// Asserts [`CpuCaps::ifma`], tail operands of length `n`, and that
+/// `buf` holds `n` words when the tail writes it.
+pub(crate) fn stream<L: LoadX8, T: TailX8>(buf: &mut [L::Buf], load: &L, tail: &T) -> usize {
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
+    let n = load.source_len().unwrap_or(buf.len());
+    assert!(
+        tail.operand_len().is_none_or(|len| len == n),
+        "tail operands"
+    );
+    assert!(
+        !T::WRITES_BUF || buf.len() >= n,
+        "buffer shorter than the pass"
+    );
+    let n8 = n - n % 8;
+    // SAFETY: the asserts above prove the required target features, the
+    // tail's operands and, where the tail writes it, `buf`; `L::Buf` is a
+    // word (the loader's contract), read only by a loader whose `Buf` is
+    // an initialised `u64`.
+    unsafe { stream_impl(load, n8, buf.as_mut_ptr().cast(), tail) }
+    n8
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512IFMA (the public wrapper
+/// asserts [`CpuCaps::ifma`] before dispatching here); `n8` is a multiple
+/// of 8, at most the length of the loader's source and of the tail's
+/// operands, and `buf` valid for the words `n8` spans that `load` reads
+/// or `tail` writes.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn stream_impl<L: LoadX8, T: TailX8>(load: &L, n8: usize, buf: *mut u64, tail: &T) {
+    // SAFETY: register-only broadcasts on this kernel's features.
+    let (from, finish) = unsafe { (load.lanes(), tail.lanes()) };
+    let mut j = 0;
+    while j < n8 {
+        // SAFETY: j + 8 <= n8, within every slice by the contract.
+        unsafe { tail.finish(&finish, j, load.load(&from, j, buf), buf) };
+        j += 8;
+    }
+}
+
+/// Where [`stream`]'s eight lanes come from. Like a [`TailX8`], a loader
+/// is plain data whose broadcast constants are made inside the driver, so
+/// its `#[inline(always)]` steps inherit the driver's target features.
+///
+/// # Safety
+///
+/// `Buf` is `u64` or `MaybeUninit<u64>`, and `u64` if
+/// [`LoadX8::load`] reads `buf`; the load reads only the eight words at
+/// `j` of `buf` or of the source the loader was built over, which holds
+/// [`LoadX8::source_len`] words.
+pub(crate) unsafe trait LoadX8 {
+    /// What the driver's buffer holds on entry.
+    type Buf;
+    /// The broadcast constants one load reads.
+    type Lanes;
+
+    /// The length of the loader's source, `None` if it reads the buffer.
+    fn source_len(&self) -> Option<usize>;
+
+    /// Broadcasts the loader's constants.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F via inlining into a `target_feature` kernel.
+    unsafe fn lanes(&self) -> Self::Lanes;
+
+    /// Words `j..j + 8`, canonical in `[0, q)` for the tail.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F+IFMA via inlining into a `target_feature` kernel; `j + 8`
+    /// at most the source's length, `buf` valid for reading those words
+    /// if the loader reads it.
+    unsafe fn load(&self, lanes: &Self::Lanes, j: usize, buf: *const u64) -> __m512i;
+}
+
+/// [`stream`]'s lanes from its own buffer: an op updating an operand in
+/// place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InPlace;
+
+// SAFETY: reads the eight words at `j` of `buf`, an initialised `u64`.
+unsafe impl LoadX8 for InPlace {
+    type Buf = u64;
+    type Lanes = ();
+
+    fn source_len(&self) -> Option<usize> {
+        None
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) {}
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::load`].
+    #[inline(always)]
+    unsafe fn load(&self, _: &(), j: usize, buf: *const u64) -> __m512i {
+        // SAFETY: `buf` is readable at `j..j + 8`, by the contract.
+        unsafe { _mm512_loadu_si512(buf.add(j).cast()) }
+    }
+}
+
+/// [`stream`]'s lanes from another slice: the subtrahend of
+/// [`SubScalarMul`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Words<'a>(pub(crate) &'a [u64]);
+
+// SAFETY: reads the eight words at `j` of the slice; `buf` is not read.
+unsafe impl LoadX8 for Words<'_> {
+    type Buf = core::mem::MaybeUninit<u64>;
+    type Lanes = ();
+
+    fn source_len(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) {}
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::load`].
+    #[inline(always)]
+    unsafe fn load(&self, _: &(), j: usize, _: *const u64) -> __m512i {
+        // SAFETY: in bounds and AVX-512F, by the contract.
+        unsafe { load_at(self.0, j) }
+    }
+}
+
+/// [`stream`]'s lanes from signed coefficients through the transform's
+/// prologue ([`ExpandX8`], which checks that `D` is the slice's
+/// [`expand_digits`] under `q`): RNS expansion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Expand<'a, X, const D: usize> {
+    /// The coefficients, as [`crate::rns::SignedCoeffs::scan`] found them.
+    pub(crate) src: &'a crate::rns::SignedCoeffs<'a, X>,
+    /// The modulus, below `2^50`.
+    pub(crate) q: u64,
+}
+
+// SAFETY: reads the eight coefficients at `j` of the source (through
+// `ExpandX8::load`); `buf` is not read.
+unsafe impl<'a, X: crate::rns::SignedWord, const D: usize> LoadX8 for Expand<'a, X, D> {
+    type Buf = core::mem::MaybeUninit<u64>;
+    type Lanes = ExpandX8<'a, X, D>;
+
+    fn source_len(&self) -> Option<usize> {
+        Some(self.src.coeffs().len())
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> ExpandX8<'a, X, D> {
+        // SAFETY: by the contract.
+        unsafe { ExpandX8::new(self.src, self.q) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::load`].
+    #[inline(always)]
+    unsafe fn load(&self, prologue: &ExpandX8<'a, X, D>, j: usize, _: *const u64) -> __m512i {
+        // SAFETY: by the contract.
+        unsafe { prologue.load(j) }
+    }
+}
+
 /// The epilogue of a streamed forward transform: what its last pass
 /// does with eight output lanes `ŷ[j..j + 8]`, canonical in `[0, q)`,
 /// in place of storing them — one of the shapes of
-/// [`crate::dyadic::Tail`], on the same eight-lane steps
-/// (`Mont52X8::mac`, `Mont52X8::premul`, `sub_scalar_mul_x8`) the
-/// element-wise kernels run, so the result is canonical and
+/// [`crate::dyadic::Tail`], or of an element-wise op `stream` runs
+/// over lanes from memory. Every step is canonical, so a tail is
 /// bit-identical to the unfused op.
 ///
 /// # Safety
 ///
 /// [`TailX8::finish`] reads and writes only the eight words at `j` of
-/// `buf` and of the operands the tail was built over, each of which
-/// holds [`TailX8::operand_len`] words.
+/// the operands the tail was built over, each of which holds
+/// [`TailX8::operand_len`] words, and writes — never reads — those of
+/// `buf`, only if [`TailX8::WRITES_BUF`].
 pub unsafe trait TailX8 {
     /// The broadcast constants one step reads.
     type Lanes: Copy;
+
+    /// Whether the result goes to `buf`, not to a destination of the
+    /// tail's own.
+    const WRITES_BUF: bool = true;
 
     /// The length of the tail's operands, `None` if it has none.
     fn operand_len(&self) -> Option<usize>;
@@ -765,13 +659,13 @@ pub unsafe trait TailX8 {
     /// AVX-512F via inlining into a `target_feature` kernel.
     unsafe fn lanes(&self) -> Self::Lanes;
 
-    /// Finishes words `j..j + 8` from the transform's canonical lanes `y`.
+    /// Finishes words `j..j + 8` from the canonical lanes `y`.
     ///
     /// # Safety
     ///
     /// AVX-512F+IFMA via inlining into a `target_feature` kernel;
-    /// `j + 8` at most [`TailX8::operand_len`], and `buf` valid for writing the
-    /// eight words at `j`.
+    /// `j + 8` at most [`TailX8::operand_len`], and `buf` valid for
+    /// writing the eight words at `j` if [`TailX8::WRITES_BUF`].
     unsafe fn finish(&self, lanes: &Self::Lanes, j: usize, y: __m512i, buf: *mut u64);
 }
 
@@ -788,7 +682,7 @@ unsafe fn load_at(s: &[u64], j: usize) -> __m512i {
     unsafe { _mm512_loadu_si512(s.as_ptr().add(j) as *const __m512i) }
 }
 
-/// `buf = ŷ`: the plain canonical transform.
+/// `buf = ŷ`: the plain canonical transform, or expansion's residues.
 #[derive(Debug, Clone, Copy)]
 pub struct Store;
 
@@ -843,39 +737,58 @@ unsafe impl TailX8 for Premul<'_> {
     /// As [`TailX8::finish`].
     #[inline(always)]
     unsafe fn finish(&self, k: &Mont52X8, j: usize, y: __m512i, buf: *mut u64) {
-        // SAFETY: `buf` is writable at `j..j + 8`, by the contract.
-        unsafe { _mm512_storeu_si512(buf.add(j) as *mut __m512i, k.premul(y)) }
+        // SAFETY: `buf` is writable at `j..j + 8`, by the contract. The
+        // Shoup multiply by 2^52 mod q lands in [0, 2q): one csub.
+        unsafe {
+            let r = csub_x8(mul_shoup52_x8(y, k.vr, k.vrs, k.vq), k.vq);
+            _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
+        }
     }
 }
 
-/// `buf = ŷ + b·d̃ (+ c)` against `d̃` entered with
-/// [`crate::dyadic::DyadicEngine::premul`]: the accumulate shape of
-/// [`crate::dyadic::DyadicEngine::mul_acc_assign_premul`], plus one
-/// more addend.
+/// `buf = ±(ŷ·b) + Σ src`, canonical: the multiply–accumulate family,
+/// every fused shape of it, on `Mont52X8::mac`. The shape is
+/// compile-time data, so each instantiation monomorphises to its own
+/// straight-line step:
+///
+/// * `PRE` — `b` is already in the radix-2^52 domain (`b̃ = b·2^52 mod
+///   q`, see [`crate::dyadic::DyadicEngine::premul`]) instead of being
+///   entered in the step;
+/// * `NEG` — the product is subtracted instead of added;
+/// * `ACC` — `ŷ` is the first *addend* and `src[0]` the multiplicand
+///   (`buf = ŷ + src[0]·b (+ src[1])`, the accumulate of public-key
+///   encryption's `e + pk·v̂ (+ m)`; needs `SRC ≥ 1`); otherwise `ŷ` is
+///   the multiplicand and every `src` an addend;
+/// * `SRC` — the number of `src` streams, which either way is the number
+///   of addends (0–2).
 #[derive(Debug, Clone, Copy)]
-pub struct MulAcc<'a> {
+pub struct Mac<'a, const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize> {
     k: &'a Mont52,
     b: &'a [u64],
-    d_pre: &'a [u64],
-    c: Option<&'a [u64]>,
+    src: [&'a [u64]; SRC],
 }
 
-impl<'a> MulAcc<'a> {
-    /// The tail over `b`, `d_pre` and `c`, canonical in `[0, q)`.
+impl<'a, const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>
+    Mac<'a, PRE, NEG, ACC, SRC>
+{
+    /// The tail over `b` and `src`, canonical in `[0, q)` (a
+    /// premultiplied `b` as `premul` leaves it).
     ///
     /// # Panics
     ///
     /// Unless the operands' lengths are equal.
-    pub fn new(k: &'a Mont52, b: &'a [u64], d_pre: &'a [u64], c: Option<&'a [u64]>) -> Self {
-        assert_eq!(b.len(), d_pre.len());
-        assert!(c.is_none_or(|c| c.len() == b.len()));
-        Self { k, b, d_pre, c }
+    pub fn new(k: &'a Mont52, b: &'a [u64], src: [&'a [u64]; SRC]) -> Self {
+        const { assert!(SRC <= 2 && (!ACC || SRC >= 1)) };
+        assert!(src.iter().all(|s| s.len() == b.len()));
+        Self { k, b, src }
     }
 }
 
-// SAFETY: reads the eight words at `j` of `b`, `d_pre` and `c`, all
+// SAFETY: reads the eight words at `j` of `b` and every `src`, all
 // `len` long, and writes those of `buf`.
-unsafe impl TailX8 for MulAcc<'_> {
+unsafe impl<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize> TailX8
+    for Mac<'_, PRE, NEG, ACC, SRC>
+{
     type Lanes = Mont52X8;
 
     fn operand_len(&self) -> Option<usize> {
@@ -899,11 +812,53 @@ unsafe impl TailX8 for MulAcc<'_> {
         // SAFETY: every operand holds `j + 8` words and `buf` is
         // writable there, by the contract.
         unsafe {
-            let (b, d) = (load_at(self.b, j), load_at(self.d_pre, j));
-            let r = match self.c {
-                None => k.mac::<true, false, true, 1>(y, d, [b]),
-                Some(c) => k.mac::<true, false, true, 2>(y, d, [b, load_at(c, j)]),
-            };
+            // Plain loops, not `map`: a closure would not carry the
+            // driver's target features unless it inlined.
+            let mut vs = [_mm512_setzero_si512(); SRC];
+            for (v, s) in vs.iter_mut().zip(self.src) {
+                *v = load_at(s, j);
+            }
+            let r = k.mac::<PRE, NEG, ACC, SRC>(y, load_at(self.b, j), vs);
+            _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
+        }
+    }
+}
+
+/// `buf = ŷ + b`, canonical: [`crate::dyadic::DyadicEngine::add_assign`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Add<'a> {
+    /// The modulus.
+    pub(crate) q: u64,
+    /// The addend, canonical in `[0, q)`.
+    pub(crate) b: &'a [u64],
+}
+
+// SAFETY: reads the eight words at `j` of `b` and writes those of `buf`.
+unsafe impl TailX8 for Add<'_> {
+    type Lanes = __m512i;
+
+    fn operand_len(&self) -> Option<usize> {
+        Some(self.b.len())
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> __m512i {
+        // SAFETY: a register-only broadcast, by the contract.
+        unsafe { _mm512_set1_epi64(self.q as i64) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`TailX8::finish`].
+    #[inline(always)]
+    unsafe fn finish(&self, &vq: &__m512i, j: usize, y: __m512i, buf: *mut u64) {
+        // SAFETY: `b` holds `j + 8` words and `buf` is writable there, by
+        // the contract. ŷ + b lands in [0, 2q): one conditional subtract.
+        unsafe {
+            let r = csub_x8(_mm512_add_epi64(y, load_at(self.b, j)), vq);
             _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
         }
     }
@@ -948,6 +903,7 @@ impl<'a> NegMulAdd<'a> {
 // those of `s` and `t`, all `len` long; `buf` is not touched.
 unsafe impl TailX8 for NegMulAdd<'_> {
     type Lanes = Mont52X8;
+    const WRITES_BUF: bool = false;
 
     fn operand_len(&self) -> Option<usize> {
         Some(self.len)
@@ -1013,6 +969,7 @@ impl<'a> SubScalarMul<'a> {
 // `buf` is not touched.
 unsafe impl TailX8 for SubScalarMul<'_> {
     type Lanes = [__m512i; 3];
+    const WRITES_BUF: bool = false;
 
     fn operand_len(&self) -> Option<usize> {
         Some(self.len)
@@ -1039,10 +996,13 @@ unsafe impl TailX8 for SubScalarMul<'_> {
     #[inline(always)]
     unsafe fn finish(&self, &[vq, w, w52]: &[__m512i; 3], j: usize, y: __m512i, _: *mut u64) {
         // SAFETY: `dst` (borrowed mutably for the tail's life) holds
-        // `j + 8` words, by the contract.
+        // `j + 8` words, by the contract. Both operands are canonical, so
+        // x + (q − ŷ) ∈ (0, 2q) < 2^51 feeds the Shoup multiply by w < q,
+        // whose [0, 2q) result one csub brings to [0, q).
         unsafe {
             let p = self.dst.add(j) as *mut __m512i;
-            _mm512_storeu_si512(p, sub_scalar_mul_x8(_mm512_loadu_si512(p), y, w, w52, vq));
+            let t = _mm512_add_epi64(_mm512_loadu_si512(p), _mm512_sub_epi64(vq, y));
+            _mm512_storeu_si512(p, csub_x8(mul_shoup52_x8(t, w, w52, vq), vq));
         }
     }
 }
@@ -1242,7 +1202,7 @@ impl Lift52 {
 /// * the signed value into `xs`, and an all-ones mask into
 ///   `verified[g]`;
 ///
-/// then per limb past the prefix, the digit fold of [`expand`] on every
+/// then per limb past the prefix, the digit fold of [`Expand`] on every
 /// group, its residue compared with the limb's and ANDed into the
 /// group's mask (bit `b` is coefficient `8g + b`). Returns the count
 /// handled, `len − len % 8`; the tail is the caller's.
@@ -1472,31 +1432,31 @@ mod tests {
         let n = 40; // full blocks only (tails are the caller's job)
         let a0 = pseudo(n, q, 1);
         let b = pseudo(n, q, 2);
-        let w = q - 2;
-        let w52 = crate::shoup::shoup_precompute52(w, q);
         let mut a = a0.clone();
-        assert_eq!(scalar_mul_assign(&k, &mut a, w, w52), n);
+        assert_eq!(stream(&mut a, &InPlace, &Premul(&k)), n);
         for i in 0..n {
-            assert_eq!(a[i], m.mul(a0[i], w), "scalar i={i}");
+            assert_eq!(a[i], m.mul(a0[i], k.r52), "premul i={i}");
         }
         let mut a = a0.clone();
-        assert_eq!(add_assign(q, &mut a, &b), n);
+        assert_eq!(stream(&mut a, &InPlace, &Add { q, b: &b }), n);
         for i in 0..n {
             assert_eq!(a[i], m.add(a0[i], b[i]), "add i={i}");
         }
         let w = q / 3;
-        let w52 = crate::shoup::shoup_precompute52(w, q);
         let mut a = a0.clone();
-        assert_eq!(sub_scalar_mul_assign(&k, &mut a, &b, w, w52), n);
+        assert_eq!(
+            stream(&mut [], &Words(&b), &SubScalarMul::new(q, &mut a, w)),
+            n
+        );
         for i in 0..n {
             let want = m.mul(m.sub(a0[i], b[i]), w);
             assert_eq!(a[i], want, "sub_scalar_mul i={i}");
         }
     }
 
-    /// One instantiation of [`mac_assign`] on `n` words against the
-    /// golden model: the full 8-lane blocks hold `±(x·b) + Σ addends`,
-    /// the `n % 8` tail words are as they were.
+    /// One instantiation of the [`Mac`] tail, run in place on `n` words
+    /// against the golden model: the full 8-lane blocks hold
+    /// `±(x·b) + Σ addends`, the `n % 8` remainder words are as they were.
     fn check_shape<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>(n: usize) {
         let q = 0xFFF_FFFF_C001u64; // 2^44 - 2^14 + 1
         let m = Modulus::new(q).unwrap();
@@ -1514,8 +1474,8 @@ mod tests {
             b.clone()
         };
         let mut dst = dst0.clone();
-        let done =
-            mac_assign::<PRE, NEG, ACC, SRC>(&k, &mut dst, &b_in, src.each_ref().map(|s| &s[..]));
+        let tail = Mac::<PRE, NEG, ACC, SRC>::new(&k, &b_in, src.each_ref().map(|s| &s[..]));
+        let done = stream(&mut dst, &InPlace, &tail);
         assert_eq!(done, n - n % 8, "{shape}");
         for i in 0..done {
             let mut addends: Vec<u64> = src.iter().map(|s| s[i]).collect();

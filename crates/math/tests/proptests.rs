@@ -1,13 +1,14 @@
 //! Property-based tests for the math substrate: both scalar reducers
 //! agree with the `u128` golden model, RNS decompose/combine round-trips, the word-sized CRT lift agrees
 //! with the big-integer one on both rungs, wherever it verifies and wherever it does not,
-//! and division-free RNS expansion agrees with `Modulus::from_i128`.
+//! division-free RNS expansion agrees with `Modulus::from_i128`, and every element-wise
+//! op and tail of the `Simd` dyadic engine equals the `Scalar` one at every length.
 
-use abc_math::dyadic::DyadicEngine;
+use abc_math::dyadic::{DyadicEngine, Tail};
 use abc_math::primes::{generate_ntt_primes, is_prime};
 use abc_math::reduce::{Barrett, Montgomery};
 use abc_math::rns::{SignedCoeffs, SignedWord, WordLift};
-use abc_math::{poly, shoup, KernelTier, Modulus, RnsBasis, UBig};
+use abc_math::{poly, shoup, CpuCaps, KernelTier, Modulus, RnsBasis, UBig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -752,6 +753,139 @@ proptest! {
             prop_assert_eq!(max_abs, mixed[at].unsigned_abs());
             // Wider than both CKKS primes (the two wider moduli may hold it).
             prop_assert!(max_abs >= m.q() as u128 || m.bits() > 39);
+        }
+    }
+}
+
+/// NTT primes of 30 to 50 bits: every width the `Simd` dyadic rung takes
+/// (`q < 2^50`) on an AVX-512IFMA host.
+fn arb_ifma_prime() -> impl Strategy<Value = Modulus> {
+    let mut pool = Vec::new();
+    for bits in [30u32, 36, 42, 46, 50] {
+        pool.extend(generate_ntt_primes(bits, 2, 1 << 11).expect("primes exist at this width"));
+    }
+    prop::sample::select(pool).prop_map(|q| Modulus::new(q).expect("generated primes are valid"))
+}
+
+/// Every op of `e` on `a` (with `b`, `c`, `d`, the constant `w` and the
+/// signed slices as its other operands), and every [`Tail`] through
+/// [`DyadicEngine::apply_tail`] with `a` as the transform, by name.
+/// Premultiplied vectors are the kernel's own, so each is read through
+/// the product that consumes it.
+fn every_dyadic_op(
+    e: &DyadicEngine,
+    [a, b, c, d]: &[Vec<u64>; 4],
+    w: u64,
+    signed: &[i64],
+    small: &[i8],
+) -> Vec<(&'static str, Vec<u64>)> {
+    let pre = |v: &[u64]| {
+        let mut v = v.to_vec();
+        e.premul(&mut v);
+        v
+    };
+    let (b_pre, d_pre) = (pre(b), pre(d));
+    let mut outs = Vec::new();
+    let mut op = |name, f: &dyn Fn(&mut Vec<u64>)| {
+        let mut x = a.clone();
+        f(&mut x);
+        outs.push((name, x));
+    };
+    op("mul", &|x| e.mul_assign(x, b));
+    op("mul_add", &|x| e.mul_add_assign(x, b, c));
+    op("mul_neg_add", &|x| e.mul_neg_add_assign(x, b, c));
+    op("mul_neg_add2", &|x| e.mul_neg_add2_assign(x, b, c, d));
+    op("mul_add2", &|x| e.mul_add2_assign(x, b, c, d));
+    op("mul_premul", &|x| e.mul_assign_premul(x, &b_pre));
+    op("mul_acc_premul", &|x| e.mul_acc_assign_premul(x, b, &d_pre));
+    op("sub_scalar_mul", &|x| e.sub_scalar_mul_assign(x, b, w));
+    op("add", &|x| e.add_assign(x, b));
+    op("premul", &|x| {
+        let mut y = c.clone();
+        e.mul_assign_premul(&mut y, &pre(x));
+        *x = y;
+    });
+    op("expand_i64", &|x| {
+        e.expand_into(&SignedCoeffs::scan(signed), x)
+    });
+    op("expand_i8", &|x| {
+        e.expand_into(&SignedCoeffs::scan(small), x)
+    });
+    op("tail_canonical", &|x| {
+        e.apply_tail(x, Tail::Canonical);
+    });
+    op("tail_premul", &|x| {
+        e.apply_tail(x, Tail::Premul);
+        let mut y = c.clone();
+        e.mul_assign_premul(&mut y, x);
+        *x = y;
+    });
+    for (name, c) in [("tail_mul_acc", None), ("tail_mul_acc2", Some(&c[..]))] {
+        op(name, &|x| {
+            e.apply_tail(
+                x,
+                Tail::MulAcc {
+                    b,
+                    d_pre: &d_pre,
+                    c,
+                },
+            );
+        });
+    }
+    for (name, t) in [
+        ("tail_neg_mul_add", None),
+        ("tail_neg_mul_add2", Some(&d[..])),
+    ] {
+        op(name, &|x| {
+            let mut dst = c.clone();
+            e.apply_tail(
+                x,
+                Tail::NegMulAdd {
+                    dst: &mut dst,
+                    s: b,
+                    t,
+                },
+            );
+            *x = dst;
+        });
+    }
+    op("tail_sub_scalar_mul", &|x| {
+        let mut dst = c.clone();
+        e.apply_tail(x, Tail::SubScalarMul { dst: &mut dst, w });
+        *x = dst;
+    });
+    outs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn simd_dyadic_ops_equal_the_scalar_rung_at_every_length(
+        m in arb_ifma_prime(),
+        n in 1usize..48,
+        seed in any::<u64>(),
+        w in any::<u64>(),
+    ) {
+        // The element-wise driver runs the full 8-lane blocks and the
+        // engine the sub-8 remainder: every op and every tail on the
+        // forced-`Simd` engine (IFMA on a capable host) must equal the
+        // `Scalar` engine at every length from 1 to 47.
+        let q = m.q();
+        let [simd, scalar] = [KernelTier::Simd, KernelTier::Scalar].map(|t| DyadicEngine::with_kernel(m, t));
+        if CpuCaps::detect().ifma() {
+            prop_assert_eq!(simd.kernel_name(), "ifma");
+        }
+        let mut state = seed;
+        // Random canonical operands, each with q − 1 somewhere.
+        let operands: [Vec<u64>; 4] = core::array::from_fn(|k| {
+            (0..n).map(|i| if i == k % n { q - 1 } else { splitmix(&mut state) % q }).collect()
+        });
+        let signed: Vec<i64> = (0..n).map(|_| splitmix(&mut state) as i64).collect();
+        let small: Vec<i8> = signed.iter().map(|&x| x as i8).collect();
+        let want = every_dyadic_op(&scalar, &operands, w, &signed, &small);
+        for ((op, got), (_, want)) in every_dyadic_op(&simd, &operands, w, &signed, &small).iter().zip(&want) {
+            prop_assert_eq!(got, want, "{} q = {} n = {}", op, q, n);
         }
     }
 }

@@ -258,7 +258,7 @@ impl NttPlan {
         tail: Tail<'a>,
     ) -> &'a [u64] {
         use crate::ntt_ifma::forward_stream as run;
-        use abc_math::simd::{MulAcc, NegMulAdd, Premul, Store, SubScalarMul};
+        use abc_math::simd::{Mac, NegMulAdd, Premul, Store, SubScalarMul};
         let (q, tw, tw52) = (self.m.q(), self.table.forward_column(), &self.quotients[..]);
         let k = self
             .dyadic
@@ -267,8 +267,18 @@ impl NttPlan {
         match tail {
             Tail::Canonical => run(buf, src, q, tw, tw52, &Store),
             Tail::Premul => run(buf, src, q, tw, tw52, &Premul(k)),
-            Tail::MulAcc { b, d_pre, c } => {
-                run(buf, src, q, tw, tw52, &MulAcc::new(k, b, d_pre, c))
+            // ŷ + b·d̃ (+ c): ŷ the first addend, `b` the multiplicand.
+            Tail::MulAcc { b, d_pre, c: None } => {
+                let tail = Mac::<true, false, true, 1>::new(k, d_pre, [b]);
+                run(buf, src, q, tw, tw52, &tail)
+            }
+            Tail::MulAcc {
+                b,
+                d_pre,
+                c: Some(c),
+            } => {
+                let tail = Mac::<true, false, true, 2>::new(k, d_pre, [b, c]);
+                run(buf, src, q, tw, tw52, &tail)
             }
             Tail::NegMulAdd { dst, s, t } => {
                 run(buf, src, q, tw, tw52, &NegMulAdd::new(k, &mut *dst, s, t));

@@ -58,13 +58,13 @@
 //!   `[0, 4q)` to `[0, q)` and hands them to a [`TailX8`] instead of
 //!   storing them: a plain store ([`simd::Store`], what [`forward`]
 //!   runs), the domain entry ([`simd::Premul`]), `ŷ + b·d̃ (+ c)`
-//!   ([`simd::MulAcc`]), or a result written elsewhere —
+//!   ([`simd::Mac`]), or a result written elsewhere —
 //!   `dst = ŷ (+ t) − dst·s` ([`simd::NegMulAdd`]) and
 //!   `dst = (dst − ŷ)·w` ([`simd::SubScalarMul`]), which leave the
 //!   buffer as scratch. Every operand the tail reads is canonical in
-//!   `[0, q)` and so is what it writes: the eight-lane steps are those
-//!   of the element-wise kernels (`abc_math::simd`), so the fused
-//!   result is the unfused one bit for bit.
+//!   `[0, q)` and so is what it writes: the tails are the steps the
+//!   element-wise ops run over memory (`abc_math::simd::stream`), so
+//!   the fused result is the unfused one bit for bit.
 //!
 //! The passes in between are [`forward`]'s. The prologue's passes are
 //! instantiated per source width and digit count, the tail's per tail;
