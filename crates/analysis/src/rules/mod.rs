@@ -85,6 +85,12 @@ pub(crate) fn in_library_crate(path: &str) -> bool {
         .any(|krate| path.contains(&format!("crates/{krate}/src/")))
 }
 
+/// Whether `path` is source (not tests) of a product crate: a library
+/// crate or the gateway.
+pub(crate) fn in_product_crate(path: &str) -> bool {
+    in_library_crate(path) || path.contains("crates/gateway/src/")
+}
+
 /// Helper: constructs a finding anchored at token position.
 pub(crate) fn finding(
     rule: &'static str,

@@ -12,7 +12,7 @@
 use crate::parse::File;
 use crate::report::Finding;
 
-use super::{finding, in_library_crate, Ctx};
+use super::{finding, in_product_crate, Ctx};
 
 pub(super) const RULE: &str = "model-boundary";
 
@@ -20,7 +20,7 @@ pub(super) const RULE: &str = "model-boundary";
 const MODEL_CRATES: [&str; 2] = ["abc_hw", "abc_sim"];
 
 pub(super) fn check(_ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
-    if !(in_library_crate(&f.path) || f.path.contains("crates/gateway/src/")) {
+    if !in_product_crate(&f.path) {
         return;
     }
     for tok in &f.toks {

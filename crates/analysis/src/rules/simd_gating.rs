@@ -1,6 +1,7 @@
 //! Rule 2 — `simd-gating`.
 //!
-//! Three checks keep every AVX-512 kernel behind runtime detection:
+//! Four checks keep every AVX-512 kernel behind runtime detection, and
+//! the IFMA datapath in one module:
 //!
 //! 1. A function whose body uses `_mm*` intrinsics must be an
 //!    `unsafe fn` carrying either `#[target_feature(...)]` or
@@ -19,11 +20,17 @@
 //!    `CpuCaps::detect` in `crates/math/src/kernel.rs` — so "which CPU
 //!    features did this process find" has one answer and one place to
 //!    read it from.
+//! 4. In a product crate's `src/`, a `_mm512_madd52*` intrinsic or an
+//!    `avx512ifma` target feature appears only under
+//!    `crates/math/src/simd` — the one home of the IFMA datapath, whose
+//!    Shoup multiply, conditional subtract and loaders the NTT passes
+//!    and the element-wise kernels share. A second copy elsewhere is how
+//!    the datapath split across crates before.
 
 use crate::parse::File;
 use crate::report::Finding;
 
-use super::{finding, Ctx};
+use super::{finding, in_product_crate, Ctx};
 
 pub(super) const RULE: &str = "simd-gating";
 
@@ -34,12 +41,19 @@ const REGISTRY_FILE: &str = "crates/math/src/kernel.rs";
 const REGISTRY_FN: &str = "detect";
 const DETECT_MACRO: &str = "is_x86_feature_detected";
 
+/// The IFMA datapath's home (a path prefix: `simd.rs` and `simd/`), its
+/// intrinsics' prefix and its target feature.
+const IFMA_HOME: &str = "crates/math/src/simd";
+const IFMA_INTRINSIC: &str = "_mm512_madd52";
+const IFMA_FEATURE: &str = "avx512ifma";
+
 /// Idents treated as intrinsic uses.
 fn is_intrinsic(name: &str) -> bool {
     name.starts_with("_mm512_") || name.starts_with("_mm256_") || name.starts_with("_mm_")
 }
 
 pub(super) fn check(ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
+    check_ifma_home(f, out);
     let tf_here = ctx.target_feature_fns.get(&f.path);
     for item in &f.fns {
         let Some((b0, b1)) = item.body else {
@@ -124,5 +138,41 @@ pub(super) fn check(ctx: &Ctx, f: &File, out: &mut Vec<Finding>) {
                 ),
             ));
         }
+    }
+}
+
+/// Check 4: no IFMA intrinsic or target feature outside the datapath's
+/// home, in a product crate's source.
+fn check_ifma_home(f: &File, out: &mut Vec<Finding>) {
+    if !in_product_crate(&f.path) || f.path.contains(IFMA_HOME) {
+        return;
+    }
+    let mut lines: Vec<(u32, String)> = f
+        .toks
+        .iter()
+        .filter(|t| !t.is_comment() && t.text.starts_with(IFMA_INTRINSIC))
+        .map(|t| (t.line, format!("intrinsic `{}`", t.text)))
+        .collect();
+    for item in &f.fns {
+        for attr in &item.attrs {
+            if attr.text.contains("target_feature") && attr.text.contains(IFMA_FEATURE) {
+                lines.push((
+                    attr.line,
+                    format!("`{IFMA_FEATURE}` target feature on fn `{}`", item.name),
+                ));
+            }
+        }
+    }
+    for (line, what) in lines {
+        out.push(finding(
+            RULE,
+            f,
+            line,
+            1,
+            format!(
+                "{what} outside `{IFMA_HOME}`: the IFMA datapath has one home — build the \
+                 kernel there on its shared helpers and call it through a safe entry point"
+            ),
+        ));
     }
 }

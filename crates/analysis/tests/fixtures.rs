@@ -201,6 +201,46 @@ pub fn dispatch(a: __m512i, b: __m512i) -> __m512i {
     assert!(found[0].message.contains("CpuCaps::detect"));
 }
 
+#[test]
+fn ifma_outside_its_home_fires() {
+    // A gated, documented IFMA kernel: clean by checks 1–3, so only the
+    // home check can fire — once for the intrinsic, once for the feature.
+    let src = r#"
+use std::arch::x86_64::*;
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512IFMA.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn kernel(a: __m512i, b: __m512i) -> __m512i {
+    // `_mm512_madd52lo_epu64` in a comment is no use.
+    _mm512_madd52lo_epu64(a, a, b)
+}
+
+pub fn dispatch(a: __m512i, b: __m512i) -> __m512i {
+    assert!(CpuCaps::detect().ifma());
+    // SAFETY: the assert above proves the features are present.
+    unsafe { kernel(a, b) }
+}
+"#;
+    let found = findings("crates/transform/src/ntt.rs", src);
+    assert_eq!(rules(&found), ["simd-gating"; 2], "{found:?}");
+    assert_eq!((found[0].line, found[1].line), (7, 10));
+    assert!(found
+        .iter()
+        .all(|f| f.message.contains("crates/math/src/simd")));
+    // The datapath's home, and crates that are not product code, are
+    // silent.
+    for path in [
+        "crates/math/src/simd.rs",
+        "crates/math/src/simd/ntt.rs",
+        "crates/hw/src/stream.rs",
+        "crates/bench/src/bin/perf_snapshot.rs",
+    ] {
+        assert!(findings(path, src).is_empty(), "{path}");
+    }
+}
+
 // ---------------------------------------------------------------- rule 3
 
 #[test]

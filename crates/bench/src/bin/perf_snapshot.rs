@@ -23,9 +23,12 @@
 //!   "throughput": [{"id": ..., "bytes_per_op": ..., "median_ns": ..., "gib_per_s": ...}],
 //!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}],
 //!   "steady":     [{"id": ..., "ops": ..., "ms": ..., "pool_misses_per_op": ..., "minor_faults_per_op": ..., "sys_ms_per_op": ...}],
-//!   "before":     [the "benches" rows of BEFORE.json, when one was given]
+//!   "reference_spread": {"rows": ..., "min_ratio": ..., "max_ratio": ...},
+//!   "before":     [{"id": ..., "parent_median_ns": ..., "median_ns": ..., "ratio": ...}]
 //! }
 //! ```
+//!
+//! The last two sections are written when BEFORE.json is given.
 //!
 //! The `"steady"` rows run a whole client op — every limb dropped inside
 //! it — back to back after a warm-up, and report what no timer shows:
@@ -50,8 +53,16 @@
 //! AVX-512 IFMA) excuses its own rows.
 //!
 //! `BEFORE.json` is a snapshot this binary wrote from the parent commit
-//! on the same host: a change that claims a speed-up commits its rows
-//! beside the new ones. The `rns/lift_*` and `rns/expand_*` rows are
+//! on the same host. For every `benches` id in both runs, `"before"`
+//! holds the parent's median, this run's and their ratio (this run over
+//! the parent). `"reference_spread"` is the least and the greatest of
+//! that ratio over the **reference rows** — the oracles and scalar
+//! rungs (ids with `golden`, `_scalar`, `_montgomery`, `bigint` or
+//! `otf`), whose code a kernel change does not touch — so it is what
+//! two runs of the same code differ by on this host, in the same two
+//! processes. One pair of runs shows a change to a row only when the
+//! row's ratio lies outside that spread; inside it, the pair cannot tell
+//! the row from noise. The `rns/lift_*` and `rns/expand_*` rows are
 //! nanoseconds per coefficient (all limbs), the `wire/*` rows
 //! nanoseconds per residue, the `prng/chacha20_blocks_*` rows
 //! nanoseconds per 64-byte block; every other row is per call.
@@ -205,6 +216,69 @@ fn bench_rows_of(snapshot: &str) -> &str {
     let start = snapshot.find(key).expect("snapshot has a benches array") + key.len();
     let len = snapshot[start..].find(']').expect("benches array ends");
     snapshot[start..start + len].trim_matches('\n')
+}
+
+/// The `(id, median_ns)` of every `"benches"` row of a snapshot.
+fn medians_of(snapshot: &str) -> Vec<(&str, f64)> {
+    fn field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
+        let at = row.find(key)? + key.len();
+        row[at..]
+            .split([',', '"', '}'])
+            .find(|s| !s.trim().is_empty())
+    }
+    bench_rows_of(snapshot)
+        .lines()
+        .filter_map(|row| {
+            let median = field(row, "\"median_ns\":")?.trim().parse().ok()?;
+            Some((field(row, "\"id\": \"")?, median))
+        })
+        .collect()
+}
+
+/// Whether a row times code a kernel change leaves alone: an oracle or
+/// a scalar rung.
+fn is_reference(id: &str) -> bool {
+    ["golden", "_scalar", "_montgomery", "bigint", "otf"]
+        .iter()
+        .any(|k| id.contains(k))
+}
+
+/// The `"reference_spread"` and `"before"` sections comparing the
+/// snapshot `change` with the snapshot `parent`: per `benches` id in
+/// both, the two medians and their ratio (change over parent), and the
+/// least and greatest ratio over the reference rows ([`is_reference`]).
+fn compare(parent: &str, change: &str) -> String {
+    let parent = medians_of(parent);
+    let pairs: Vec<(&str, f64, f64)> = medians_of(change)
+        .into_iter()
+        .filter_map(|(id, median)| {
+            let (_, before) = parent.iter().find(|(p, _)| *p == id)?;
+            Some((id, *before, median))
+        })
+        .collect();
+    let reference: Vec<f64> = pairs
+        .iter()
+        .filter(|(id, ..)| is_reference(id))
+        .map(|&(_, before, after)| after / before)
+        .collect();
+    let min = reference.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = reference.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let rows: Vec<String> = pairs
+        .iter()
+        .map(|&(id, before, after)| {
+            format!(
+                "  {{\"id\": \"{id}\", \"parent_median_ns\": {before:.1}, \
+                 \"median_ns\": {after:.1}, \"ratio\": {:.3}}}",
+                after / before
+            )
+        })
+        .collect();
+    format!(
+        ",\n\"reference_spread\": {{\"rows\": {}, \"min_ratio\": {min:.3}, \"max_ratio\": {max:.3}}},\n\
+         \"before\": [\n{}\n]",
+        reference.len(),
+        rows.join(",\n")
+    )
 }
 
 /// Every row id of a snapshot outside its `"before"` array (the last
@@ -824,18 +898,24 @@ fn main() {
     }
 
     let bench_rows: Vec<String> = benches.iter().map(BenchRecord::to_json).collect();
-    let before_json = before.map_or(String::new(), |snapshot| {
-        format!(",\n\"before\": [\n{}\n]", bench_rows_of(&snapshot))
-    });
     let steady_rows: Vec<&str> = steady.iter().map(|(row, _)| row.as_str()).collect();
-    let json = format!(
+    let mut json = format!(
         "{{\n\"benches\": [\n{}\n],\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
-         \"steady\": [\n{}\n]{before_json}\n}}\n",
+         \"steady\": [\n{}\n]",
         bench_rows.join(",\n"),
         throughput_rows.join(",\n"),
         precision_rows.join(",\n"),
         steady_rows.join(",\n")
     );
+    if let Some(parent) = &before {
+        let section = compare(parent, &json);
+        println!(
+            "against BEFORE: {}",
+            section.lines().nth(1).unwrap_or_default()
+        );
+        json.push_str(&section);
+    }
+    json.push_str("\n}\n");
     std::fs::write(&out_path, &json).expect("write snapshot");
     for r in &benches {
         println!(
@@ -877,5 +957,50 @@ fn main() {
     if !missing.is_empty() {
         eprintln!("FAIL: {COMMITTED} has rows this run did not produce: {missing:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PARENT: &str = r#"{
+"benches": [
+  {"id": "ntt/forward/2^13", "mean_ns": 30.0, "median_ns": 20.0, "p95_ns": 40.0, "iters": 9},
+  {"id": "ntt/forward_golden/2^13", "mean_ns": 110.0, "median_ns": 100.0, "p95_ns": 120.0, "iters": 9},
+  {"id": "rns/lift_word_scalar/2limbs", "mean_ns": 5.0, "median_ns": 4.0, "p95_ns": 6.0, "iters": 9},
+  {"id": "gone/row", "mean_ns": 1.0, "median_ns": 1.0, "p95_ns": 1.0, "iters": 9}
+],
+"throughput": [
+  {"id": "wire/pack_36bit", "bytes_per_op": 8, "median_ns": 1.0, "gib_per_s": 1.00}
+],
+"steady": [
+]
+}
+"#;
+
+    #[test]
+    fn compare_pairs_rows_and_spreads_the_references() {
+        // The change's own snapshot, `"before"` included: only its
+        // `benches` rows are read, never the parent rows it embeds.
+        let change = PARENT
+            .replace("\"median_ns\": 20.0", "\"median_ns\": 10.0")
+            .replace("\"median_ns\": 100.0", "\"median_ns\": 105.0")
+            .replace("\"median_ns\": 4.0", "\"median_ns\": 3.6")
+            .replace("gone/row", "new/row")
+            + "\"before\": [\n  {\"id\": \"gone/row\", \"median_ns\": 1.0}\n]";
+        let section = compare(PARENT, &change);
+        assert!(section.contains(
+            "\"reference_spread\": {\"rows\": 2, \"min_ratio\": 0.900, \"max_ratio\": 1.050}"
+        ));
+        assert!(section.contains(
+            "{\"id\": \"ntt/forward/2^13\", \"parent_median_ns\": 20.0, \"median_ns\": 10.0, \"ratio\": 0.500}"
+        ));
+        assert!(section.contains("\"ratio\": 1.050"));
+        // Rows in one run only are not paired.
+        assert!(!section.contains("gone/row") && !section.contains("new/row"));
+        // The section's ids stay out of the snapshot's own id list.
+        let whole = format!("{{\n\"benches\": [\n]{section}\n}}");
+        assert!(ids_of(&whole).is_empty());
     }
 }

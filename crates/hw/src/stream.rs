@@ -282,8 +282,8 @@ impl<F: RealField> StreamingSpecialFft<F> {
     pub fn new(plan: &SpecialFft<F>) -> Self {
         let columns = |inverse| {
             plan.stage_twiddles(inverse)
-                .iter()
-                .map(|tw| Column::new(tw.len(), tw.clone(), Tap::PerPosition))
+                .into_iter()
+                .map(|tw| Column::new(tw.len(), tw, Tap::PerPosition))
                 .collect()
         };
         Self {

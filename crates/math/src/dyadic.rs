@@ -79,11 +79,13 @@
 //! canonical, [`DyadicEngine::premul`], the accumulate `ŷ + b·d̃ (+ c)`,
 //! the RLWE `ŷ (+ t) − x·s` and the rescale `(x − ŷ)·w` — so that
 //! `NttPlan::forward_stream` in `abc-transform` can apply one in the
-//! transform's last pass; on the scalar rung that is the transform, then
-//! [`DyadicEngine::apply_tail`]. On the `ifma` rung every op here runs
-//! on one eight-lane driver (`simd::stream`) through the same
-//! steps ([`crate::simd::TailX8`]) the transform's last pass applies,
-//! so a fused shape has one vector form, in or out of the transform.
+//! transform's last pass: on the `ifma` rung through
+//! [`crate::simd::ntt_forward_stream`], which maps each to its eight-lane
+//! step, and on the scalar rung as the transform, then
+//! [`DyadicEngine::apply_tail`]. On the `ifma` rung every op here runs on
+//! one eight-lane driver (`simd::stream`) through the same steps
+//! (`simd::TailX8`) the transform's last pass applies, so a fused shape
+//! has one vector form, in or out of the transform.
 //!
 //! [`DyadicEngine::expand_into`] is the paper's "Expand RNS": signed
 //! coefficients of any [`SignedWord`] width and magnitude in, canonical
@@ -159,7 +161,7 @@ impl Tail<'_> {
 
 /// Which kernel an engine dispatches to, with its constants.
 #[derive(Debug, Clone, Copy)]
-enum Kernel {
+pub(crate) enum Kernel {
     Montgomery(Montgomery),
     /// With the radix-2^52 constants of the modulus (`q < 2^50`).
     #[cfg(target_arch = "x86_64")]
@@ -189,7 +191,9 @@ enum Kernel {
 #[derive(Debug, Clone)]
 pub struct DyadicEngine {
     m: Modulus,
-    kernel: Kernel,
+    /// Read by the streamed IFMA transform, whose tails multiply with the
+    /// same constants (`crate::simd`).
+    pub(crate) kernel: Kernel,
 }
 
 impl DyadicEngine {
@@ -229,17 +233,6 @@ impl DyadicEngine {
             Kernel::Montgomery(_) => "montgomery",
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(_) => "ifma",
-        }
-    }
-
-    /// The radix-2^52 constants of the `ifma` kernel, `None` on the
-    /// `montgomery` rung — what a streamed transform's tail on the same
-    /// rung multiplies with ([`crate::simd::TailX8`]).
-    #[cfg(target_arch = "x86_64")]
-    pub fn mont52(&self) -> Option<&crate::simd::Mont52> {
-        match &self.kernel {
-            Kernel::Ifma(k) => Some(k),
-            Kernel::Montgomery(_) => None,
         }
     }
 
@@ -328,7 +321,7 @@ impl DyadicEngine {
 
     /// The multiply–accumulate datapath behind every `mul_*` method:
     /// `dst[i] = ±(x[i]·b[i]) + Σ addends[i] mod q`, one pass, the shape
-    /// as compile-time parameters (those of [`crate::simd::Mac`]):
+    /// as compile-time parameters (those of `simd::Mac`):
     /// `PRE` — `b` came through [`Self::premul`]; `NEG` — the product is
     /// subtracted; `ACC` — `dst` is the first addend and `src[0]` the
     /// multiplicand `x`, otherwise `dst` is `x` and every `src` an addend.
@@ -448,7 +441,7 @@ impl DyadicEngine {
     /// [`Modulus::from_i128`] on every kernel.
     ///
     /// The `ifma` kernel runs eight lanes at a time
-    /// (`simd::Expand`: a sign-select below `q`, radix-2^52
+    /// (`simd::expand_with`: a sign-select below `q`, radix-2^52
     /// Shoup folds above), writing into `dst`'s spare capacity; the
     /// `montgomery` rung and the sub-8 tail run the scalar loop of
     /// [`SignedCoeffs`]. `dst` is cleared first and its capacity reused,
@@ -476,16 +469,10 @@ impl DyadicEngine {
             Kernel::Montgomery(_) => src.expand_into(&self.m, dst),
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(k) => {
-                use simd::{Expand, Store};
+                let n = src.coeffs().len();
                 dst.clear();
-                dst.reserve(src.coeffs().len());
-                let (buf, q) = (dst.spare_capacity_mut(), k.q);
-                let done = match simd::expand_digits(src.max_abs(), q) {
-                    0 => simd::stream(buf, &Expand::<X, 0> { src, q }, &Store),
-                    1 => simd::stream(buf, &Expand::<X, 1> { src, q }, &Store),
-                    2 => simd::stream(buf, &Expand::<X, 2> { src, q }, &Store),
-                    _ => simd::stream(buf, &Expand::<X, 3> { src, q }, &Store),
-                };
+                dst.reserve(n);
+                let done = simd::expand_with(src, k.q, &mut dst.spare_capacity_mut()[..n]);
                 // SAFETY: the driver wrote `dst[..done]`, inside the
                 // capacity reserved above.
                 unsafe { dst.set_len(done) };

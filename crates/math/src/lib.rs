@@ -27,8 +27,11 @@
 //!   [`Modulus`] ops: the oracle of the dyadic kernels.
 //! * [`dyadic`] — the [`DyadicEngine`] that dispatches those element-wise
 //!   ops, and RNS expansion, per modulus to the fastest kernel
-//!   (AVX-512IFMA radix-2^52 → scalar), with the vector kernels
-//!   themselves in the `x86_64`-only `simd` module.
+//!   (AVX-512IFMA radix-2^52 → scalar).
+//! * [`simd`] (`x86_64` only) — the AVX-512IFMA datapath in one place:
+//!   the element-wise, expansion and lift kernels behind the dyadic
+//!   engine and the word lift, and the IFMA butterfly passes that
+//!   `NttPlan` in `abc-transform` runs through three safe functions.
 //! * [`kernel`] — the one kernel ladder ([`KernelTier`], [`CpuCaps`],
 //!   `ABC_FHE_KERNEL`) that the dyadic engine and the word lift here and
 //!   the NTT and FFT plans in `abc-transform` all select their kernels

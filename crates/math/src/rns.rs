@@ -287,38 +287,47 @@ impl WordFold {
 /// secrets, `i64` Gaussian errors, key-switch digits and rescale tails,
 /// `i128` scaled messages and pair-rescale tails. Sealed: each width
 /// scans at its own size and, on x86-64, has its own vector load in the
-/// IFMA rung ([`crate::simd::Lanes`]).
+/// IFMA rung ([`crate::simd`]).
 pub trait SignedWord: sealed::Sealed + Into<i128> + Send + Sync {}
 
 impl SignedWord for i8 {}
 impl SignedWord for i64 {}
 impl SignedWord for i128 {}
 
-mod sealed {
-    /// The per-width half of [`super::SignedWord`].
-    #[cfg(target_arch = "x86_64")]
-    pub trait Sealed: crate::simd::Lanes {
-        /// The largest `|x|` of `xs`, compared at the width of `x`.
-        fn max_abs(xs: &[Self]) -> u128;
+pub(crate) mod sealed {
+    /// A slice of signed words at its concrete width: how a kernel
+    /// generic over [`super::SignedWord`] reaches the per-width vector
+    /// load of the IFMA rung.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Width<'a> {
+        I8(&'a [i8]),
+        I64(&'a [i64]),
+        I128(&'a [i128]),
     }
 
     /// The per-width half of [`super::SignedWord`].
-    #[cfg(not(target_arch = "x86_64"))]
     pub trait Sealed: Copy {
         /// The largest `|x|` of `xs`, compared at the width of `x`.
         fn max_abs(xs: &[Self]) -> u128;
+
+        /// `xs` at its concrete width.
+        fn width(xs: &[Self]) -> Width<'_>;
     }
 
     macro_rules! sealed {
-        ($($x:ty),*) => {$(
+        ($($x:ty => $w:ident),*) => {$(
             impl Sealed for $x {
                 fn max_abs(xs: &[$x]) -> u128 {
                     xs.iter().map(|x| x.unsigned_abs()).max().map_or(0, u128::from)
                 }
+
+                fn width(xs: &[$x]) -> Width<'_> {
+                    Width::$w(xs)
+                }
             }
         )*};
     }
-    sealed!(i8, i64, i128);
+    sealed!(i8 => I8, i64 => I64, i128 => I128);
 }
 
 /// Signed coefficients on their way into RNS form (paper "Expand RNS"):

@@ -1,50 +1,62 @@
-//! AVX-512IFMA element-wise vector kernels: radix-2^52 Montgomery
-//! products on eight lanes per instruction — the dyadic (post-NTT)
-//! counterpart of the `vpmadd52` butterfly kernels in `abc-transform`.
+//! The AVX-512IFMA datapath: every kernel that multiplies on eight
+//! 52-bit lanes per `vpmadd52{lo,hi}uq`, in one module — the host's
+//! version of the one multiplier datapath the paper's Fourier engine and
+//! its modular streaming engine share (§IV-A).
 //!
-//! The NTT kernels get away with Shoup multiplication because one factor
-//! is a *constant* twiddle; the dyadic workload multiplies two varying
-//! vectors, so no quotient can be precomputed per element. Instead each
-//! lane runs one radix-2^52 Montgomery reduction (REDC): for
-//! `q < 2^50` the full 104-bit product `a·b̃` is formed by
-//! `vpmadd52{lo,hi}uq`, the low 52 bits are cancelled with the
-//! precomputed `-q^{-1} mod 2^52`, and the quotient word drops out in
-//! two more IFMA instructions — five 8-lane multiplies replace eight
-//! scalar Barrett reductions (each ~6 wide multiplies).
+//! Outside the crate the module is three safe functions, the butterfly
+//! passes of `NttPlan` in `abc-transform` ([`ntt_forward`],
+//! [`ntt_forward_stream`], [`ntt_inverse`], in the `ntt` submodule); the
+//! element-wise, expansion and lift kernels are reached through
+//! [`crate::dyadic::DyadicEngine`] and [`crate::rns::WordLift`]. Every
+//! lane type, trait and `unsafe fn` here is crate-private, so each unsafe
+//! contract is written and relied on inside this crate.
 //!
-//! The Montgomery factor `2^-52` is absorbed *before* the loop: the
-//! `b` operand enters the radix-2^52 domain once per polynomial
-//! (`b̃ = b·2^52 mod q`, a Shoup multiply by the constant `2^52 mod q`),
-//! so `REDC52(a·b̃) = a·b mod q` directly and no exit conversion exists.
-//! See [`crate::dyadic`] for the domain lifecycle and the dispatch.
+//! # Two multiplies
+//!
+//! * **Shoup** (`mul_shoup52_x8`) — a product by a *constant* with a
+//!   precomputed radix-2^52 quotient: every butterfly twiddle, the domain
+//!   entry, the rescale factor, the expansion's digit weights and the
+//!   lift's Garner steps. Three IFMA instructions, lanes in `[0, 2q)`.
+//! * **Montgomery** (`redc52_x8`) — the dyadic workload multiplies two
+//!   varying vectors, so no quotient can be precomputed per element.
+//!   Each lane runs one radix-2^52 REDC: for `q < 2^50` the 104-bit
+//!   product `a·b̃` is formed by `vpmadd52{lo,hi}uq`, the low 52 bits are
+//!   cancelled with the precomputed `-q^{-1} mod 2^52`, and the quotient
+//!   word drops out in two more IFMA instructions. The Montgomery factor
+//!   `2^-52` is absorbed *before* the loop: `b` enters the radix-2^52
+//!   domain once per polynomial (`b̃ = b·2^52 mod q`, a Shoup multiply by
+//!   `2^52 mod q`), so `REDC52(a·b̃) = a·b mod q` directly and no exit
+//!   conversion exists. See [`crate::dyadic`] for the domain lifecycle.
 //!
 //! # One eight-lane driver
 //!
 //! The element-wise layer is memory-bound, so a whole ciphertext-chain
 //! shape is one load/store pass, and every such pass is `stream`: the
 //! streamed forward transform's short-span pass without its butterflies.
-//! It loads eight lanes through a `LoadX8` — its own buffer
-//! (`InPlace`), another slice (`Words`) or signed coefficients through
-//! the transform's prologue (`Expand` over [`ExpandX8`]) — and hands
-//! them to a [`TailX8`], the step `abc-transform` applies to its last
-//! pass's lanes in registers. Each fused shape is written once, for both:
+//! It loads eight lanes through a `LoadX8` — its own buffer (`InPlace`),
+//! another slice (`Words`) or signed coefficients through the
+//! expansion's digit fold (`Expand`) — and hands them to a `TailX8`, the
+//! step the transform's last pass applies to its lanes in registers.
+//! Each fused shape is written once, for both:
 //!
-//! * [`Mac`] — the multiply family `±(x·b) + Σ addends` (`a·b`, `a·b + c`,
+//! * `Mac` — the multiply family `±(x·b) + Σ addends` (`a·b`, `a·b + c`,
 //!   `c − a·b`, `c + d − a·b`, `a·b + c + d`, `a·b̃`, `a + b·d̃`, named in
 //!   [`crate::dyadic`]), generic over compile-time facts only: each shape
 //!   monomorphises to straight-line code, and the lazy-domain argument is
 //!   written once, beside its `csub`s (`Mont52X8::mac`);
-//! * [`Premul`] and [`SubScalarMul`] (`(a − b)·w`, both rescales) —
+//! * `Premul` and `SubScalarMul` (`(a − b)·w`, both rescales) —
 //!   products by a *constant*, so Shoup, not REDC;
-//! * [`NegMulAdd`], `Add` and [`Store`].
+//! * `NegMulAdd`, `Add` and `Store`.
 //!
-//! Expansion is the one pass that reads signed coefficients: eight `i8`,
-//! `i64` or `i128` per step ([`Lanes`]), a sign-select when the slice's
-//! largest magnitude is below `q`, otherwise radix-2^52 digits of `|x|`
-//! folded by Shoup multiplies by `1`, `2^52` and `2^104 mod q`
-//! ([`expand_digits`]). It is `Expand` into [`Store`] here and the
-//! transform's first pass there, so a limb goes from signed coefficients
-//! to a multiply–accumulated NTT without an element-wise pass.
+//! Expansion is the one loader that reads signed coefficients: eight
+//! `i8`, `i64` or `i128` per step (`Lanes`), a sign-select when the
+//! slice's largest magnitude is below `q`, otherwise radix-2^52 digits of
+//! `|x|` folded by Shoup multiplies by `1`, `2^52` and `2^104 mod q`
+//! (`expand_digits`). `expand_with` is the one place a loader is built
+//! at the slice's width and digit count; it runs into `Store` for
+//! [`crate::dyadic::DyadicEngine::expand_into`] and feeds the
+//! transform's first pass, so a limb goes from signed coefficients to a
+//! multiply–accumulated NTT without an element-wise pass.
 //!
 //! # The CRT lift
 //!
@@ -61,33 +73,40 @@
 //! centered words of the scalar rung) and are therefore bit-identical
 //! to the `u128 %` golden model (asserted by the property suites).
 //! Everything is `x86_64`-only and gated at runtime behind
-//! [`CpuCaps::detect`]; slices are processed in full 8-lane blocks and
-//! the sub-8 remainder is left to the scalar caller (`stream` and
-//! `lift` return the number of elements they handled).
+//! [`CpuCaps::detect`]; the element-wise slices are processed in full
+//! 8-lane blocks and the sub-8 remainder is left to the scalar caller
+//! (`stream` and `lift` return the number of elements they handled).
 
 #![cfg(target_arch = "x86_64")]
 
 use crate::kernel::CpuCaps;
+use crate::rns::sealed::Width;
+use crate::rns::{SignedCoeffs, SignedWord};
 use crate::shoup;
 use core::arch::x86_64::*;
+use core::mem::MaybeUninit;
+
+mod ntt;
+
+pub use ntt::{ntt_forward, ntt_forward_stream, ntt_inverse};
 
 /// Constants of the radix-2^52 Montgomery domain for one modulus
 /// `q < 2^50`, shared by every kernel below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mont52 {
+pub(crate) struct Mont52 {
     /// The modulus.
-    pub q: u64,
+    pub(crate) q: u64,
     /// `-q^{-1} mod 2^52` — the REDC cancellation constant.
-    pub qinv_neg52: u64,
+    qinv_neg52: u64,
     /// `R = 2^52 mod q` — the domain-entry constant.
-    pub r52: u64,
+    pub(crate) r52: u64,
     /// Shoup-52 quotient of `r52` (`floor(r52·2^52/q)`).
-    pub r52_shoup: u64,
+    pub(crate) r52_shoup: u64,
 }
 
 impl Mont52 {
     /// Precomputes the radix-2^52 constants for an odd `q < 2^50`.
-    pub fn new(q: u64) -> Self {
+    pub(crate) fn new(q: u64) -> Self {
         debug_assert!(q % 2 == 1 && q < shoup::MAX_SHOUP52_MODULUS);
         // Newton iteration for q^{-1} mod 2^52 (converges past 52 bits).
         let mut x = q;
@@ -110,7 +129,7 @@ impl Mont52 {
     /// `[0, 2q)` for `t < 2^52·q` — exactly the words the vector kernel
     /// computes, used for the sub-8-lane tails.
     #[inline(always)]
-    pub fn redc52_lazy(&self, t: u128) -> u64 {
+    fn redc52_lazy(&self, t: u128) -> u64 {
         debug_assert!(t < (self.q as u128) << 52);
         let t_lo = (t as u64) & shoup::MASK52;
         let m = t_lo.wrapping_mul(self.qinv_neg52) & shoup::MASK52;
@@ -122,7 +141,7 @@ impl Mont52 {
     /// Scalar model of the fused multiply: `a·b mod q`, canonical, for
     /// `a ∈ [0, 2q)` (lazy inputs welcome) and `b < q`.
     #[inline(always)]
-    pub fn mul(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn mul(&self, a: u64, b: u64) -> u64 {
         // Enter b into the domain lazily ([0, 2q)), REDC the product.
         let b_dom = shoup::mul_shoup52_lazy(b, self.r52, self.r52_shoup, self.q);
         let r = self.redc52_lazy(a as u128 * b_dom as u128);
@@ -132,14 +151,15 @@ impl Mont52 {
     /// Scalar model of [`Self::mul`] against a *pre-entered* operand
     /// `b_dom ∈ [0, 2q)` (see [`crate::dyadic::DyadicEngine::premul`]).
     #[inline(always)]
-    pub fn mul_premul(&self, a: u64, b_dom: u64) -> u64 {
+    pub(crate) fn mul_premul(&self, a: u64, b_dom: u64) -> u64 {
         let r = self.redc52_lazy(a as u128 * b_dom as u128);
         shoup::reduce_once(r, self.q)
     }
 }
 
 /// Eight-lane radix-2^52 Shoup multiply by the constant pair
-/// `(w, w52)`: lanes in `[0, 2q)` (mirror of the NTT kernel's helper).
+/// `(w, w52)`: returns `r ≡ y·w (mod q)` with every lane in `[0, 2q)`,
+/// for lanes `y < 2^52`, `w < q < 2^50`.
 ///
 /// # Safety
 ///
@@ -209,7 +229,7 @@ unsafe fn redc52_x8(va: __m512i, vb_dom: __m512i, vq: __m512i, vqinv: __m512i) -
 /// A [`Mont52`] broadcast to eight lanes: what one multiply–accumulate
 /// step reads besides its operands.
 #[derive(Clone, Copy)]
-pub struct Mont52X8 {
+pub(crate) struct Mont52X8 {
     vq: __m512i,
     v2q: __m512i,
     vqinv: __m512i,
@@ -296,7 +316,7 @@ impl Mont52X8 {
 /// `Expand` is safe and trusts its loads: an implementation may read
 /// only the eight coefficients at `p`, and must return their signs and
 /// magnitudes as documented on [`Lanes::magnitude_x8`].
-pub unsafe trait Lanes: Copy {
+pub(crate) unsafe trait Lanes: Copy {
     /// The sign mask (bit `j` set when `p[j] < 0`) and the two words of
     /// `|p[j]|`, low then high.
     ///
@@ -382,62 +402,11 @@ unsafe impl Lanes for i128 {
 /// The digit count `D` of the expansion datapath for a slice whose
 /// largest magnitude is `max_abs`, under `q < 2^50`: 0 (the sign-select)
 /// below `q`, else the radix-2^52 digits `max_abs` spans (at most 3).
-pub fn expand_digits(max_abs: u128, q: u64) -> usize {
+fn expand_digits(max_abs: u128, q: u64) -> usize {
     if max_abs < q as u128 {
         0
     } else {
         (128 - max_abs.leading_zeros()).div_ceil(52) as usize
-    }
-}
-
-/// The prologue of a streamed forward transform (`NttPlan::
-/// forward_stream` in `abc-transform`): eight canonical residues of
-/// signed coefficients per load, reduced in registers by the expansion's
-/// digit fold, so the transform's first butterfly pass reads the
-/// coefficients themselves and no residue limb is written before it.
-/// `D` is [`expand_digits`] of the slice under the modulus.
-#[derive(Clone, Copy)]
-pub struct ExpandX8<'a, X, const D: usize> {
-    xs: &'a [X],
-    fold: FoldX8,
-}
-
-impl<'a, X: crate::rns::SignedWord, const D: usize> ExpandX8<'a, X, D> {
-    /// The prologue of `src` under `q < 2^50`.
-    ///
-    /// # Safety
-    ///
-    /// AVX-512F via inlining into a `target_feature` kernel.
-    ///
-    /// # Panics
-    ///
-    /// Unless `D` is [`expand_digits`] of `src` under `q`.
-    #[inline(always)]
-    pub unsafe fn new(src: &crate::rns::SignedCoeffs<'a, X>, q: u64) -> Self {
-        assert_eq!(
-            D,
-            expand_digits(src.max_abs(), q),
-            "digit count of the slice"
-        );
-        Self {
-            xs: src.coeffs(),
-            // SAFETY: register-only broadcasts, by the contract.
-            fold: unsafe { FoldX8::new(&Fold52::new(q)) },
-        }
-    }
-
-    /// `x mod q`, canonical in `[0, q)`, for coefficients `i..i + 8`.
-    ///
-    /// # Safety
-    ///
-    /// AVX-512F+IFMA via inlining into a `target_feature` kernel;
-    /// `i + 8` at most the slice's length.
-    #[inline(always)]
-    pub unsafe fn load(&self, i: usize) -> __m512i {
-        debug_assert!(i + 8 <= self.xs.len());
-        // SAFETY: eight coefficients from `i` on, by the contract; `D`
-        // bounds their magnitudes (checked in `new`).
-        unsafe { self.fold.load::<X, D>(self.xs.as_ptr().add(i)) }
     }
 }
 
@@ -492,9 +461,10 @@ unsafe fn stream_impl<L: LoadX8, T: TailX8>(load: &L, n8: usize, buf: *mut u64, 
     }
 }
 
-/// Where [`stream`]'s eight lanes come from. Like a [`TailX8`], a loader
-/// is plain data whose broadcast constants are made inside the driver, so
-/// its `#[inline(always)]` steps inherit the driver's target features.
+/// Where the eight lanes of [`stream`] and of the forward transform's
+/// first pass come from. Like a [`TailX8`], a loader is plain data whose
+/// broadcast constants are made inside the kernel, so its
+/// `#[inline(always)]` steps inherit the kernel's target features.
 ///
 /// # Safety
 ///
@@ -554,7 +524,7 @@ unsafe impl LoadX8 for InPlace {
     #[inline(always)]
     unsafe fn load(&self, _: &(), j: usize, buf: *const u64) -> __m512i {
         // SAFETY: `buf` is readable at `j..j + 8`, by the contract.
-        unsafe { _mm512_loadu_si512(buf.add(j).cast()) }
+        unsafe { load_at(buf, j) }
     }
 }
 
@@ -584,47 +554,93 @@ unsafe impl LoadX8 for Words<'_> {
     #[inline(always)]
     unsafe fn load(&self, _: &(), j: usize, _: *const u64) -> __m512i {
         // SAFETY: in bounds and AVX-512F, by the contract.
-        unsafe { load_at(self.0, j) }
+        unsafe { load_at(self.0.as_ptr(), j) }
     }
 }
 
-/// [`stream`]'s lanes from signed coefficients through the transform's
-/// prologue ([`ExpandX8`], which checks that `D` is the slice's
-/// [`expand_digits`] under `q`): RNS expansion.
+/// Lanes from signed coefficients, reduced in registers by the
+/// expansion's digit fold: RNS expansion through [`stream`], or the
+/// streamed forward transform's prologue. Built only by [`expand_with`], so `D` is the
+/// slice's [`expand_digits`] under `q` and bounds every coefficient.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Expand<'a, X, const D: usize> {
-    /// The coefficients, as [`crate::rns::SignedCoeffs::scan`] found them.
-    pub(crate) src: &'a crate::rns::SignedCoeffs<'a, X>,
-    /// The modulus, below `2^50`.
-    pub(crate) q: u64,
+    xs: &'a [X],
+    q: u64,
 }
 
-// SAFETY: reads the eight coefficients at `j` of the source (through
-// `ExpandX8::load`); `buf` is not read.
-unsafe impl<'a, X: crate::rns::SignedWord, const D: usize> LoadX8 for Expand<'a, X, D> {
-    type Buf = core::mem::MaybeUninit<u64>;
-    type Lanes = ExpandX8<'a, X, D>;
+// SAFETY: reads the eight coefficients at `j` of the source, whose
+// magnitudes `D` bounds (`expand_with` picks it); `buf` is not read.
+unsafe impl<X: Lanes, const D: usize> LoadX8 for Expand<'_, X, D> {
+    type Buf = MaybeUninit<u64>;
+    type Lanes = FoldX8;
 
     fn source_len(&self) -> Option<usize> {
-        Some(self.src.coeffs().len())
+        Some(self.xs.len())
     }
 
     /// # Safety
     ///
     /// As [`LoadX8::lanes`].
     #[inline(always)]
-    unsafe fn lanes(&self) -> ExpandX8<'a, X, D> {
-        // SAFETY: by the contract.
-        unsafe { ExpandX8::new(self.src, self.q) }
+    unsafe fn lanes(&self) -> FoldX8 {
+        // SAFETY: register-only broadcasts, by the contract.
+        unsafe { FoldX8::new(&Fold52::new(self.q)) }
     }
 
     /// # Safety
     ///
     /// As [`LoadX8::load`].
     #[inline(always)]
-    unsafe fn load(&self, prologue: &ExpandX8<'a, X, D>, j: usize, _: *const u64) -> __m512i {
-        // SAFETY: by the contract.
-        unsafe { prologue.load(j) }
+    unsafe fn load(&self, fold: &FoldX8, j: usize, _: *const u64) -> __m512i {
+        debug_assert!(j + 8 <= self.xs.len());
+        // SAFETY: eight coefficients from `j` on and the features, by the
+        // contract; `D` bounds their magnitudes.
+        unsafe { fold.load::<X, D>(self.xs.as_ptr().add(j)) }
+    }
+}
+
+/// A pass over signed coefficients that reads them through an
+/// [`Expand`] loader — what [`expand_with`] runs, once, at the slice's
+/// width and digit count.
+pub(crate) trait ExpandPass {
+    /// What the pass returns.
+    type Out;
+
+    /// Runs the pass with its lanes from `from`.
+    fn run<X: Lanes, const D: usize>(self, from: &Expand<'_, X, D>) -> Self::Out;
+}
+
+/// Runs `pass` over `src` under `q < 2^50`, with the loader at the
+/// slice's concrete width and its [`expand_digits`]: the one place an
+/// [`Expand`] is built.
+pub(crate) fn expand_with<X: SignedWord, P: ExpandPass>(
+    src: &SignedCoeffs<'_, X>,
+    q: u64,
+    pass: P,
+) -> P::Out {
+    fn digits<X: Lanes, P: ExpandPass>(xs: &[X], max_abs: u128, q: u64, pass: P) -> P::Out {
+        match expand_digits(max_abs, q) {
+            0 => pass.run(&Expand::<X, 0> { xs, q }),
+            1 => pass.run(&Expand::<X, 1> { xs, q }),
+            2 => pass.run(&Expand::<X, 2> { xs, q }),
+            _ => pass.run(&Expand::<X, 3> { xs, q }),
+        }
+    }
+    let max_abs = src.max_abs();
+    match X::width(src.coeffs()) {
+        Width::I8(xs) => digits(xs, max_abs, q, pass),
+        Width::I64(xs) => digits(xs, max_abs, q, pass),
+        Width::I128(xs) => digits(xs, max_abs, q, pass),
+    }
+}
+
+/// RNS expansion into a buffer as long as the source: [`stream`] into
+/// [`Store`], returning the count of residues written.
+impl ExpandPass for &mut [MaybeUninit<u64>] {
+    type Out = usize;
+
+    fn run<X: Lanes, const D: usize>(self, from: &Expand<'_, X, D>) -> usize {
+        stream(self, from, &Store)
     }
 }
 
@@ -641,7 +657,7 @@ unsafe impl<'a, X: crate::rns::SignedWord, const D: usize> LoadX8 for Expand<'a,
 /// the operands the tail was built over, each of which holds
 /// [`TailX8::operand_len`] words, and writes — never reads — those of
 /// `buf`, only if [`TailX8::WRITES_BUF`].
-pub unsafe trait TailX8 {
+pub(crate) unsafe trait TailX8 {
     /// The broadcast constants one step reads.
     type Lanes: Copy;
 
@@ -669,22 +685,33 @@ pub unsafe trait TailX8 {
     unsafe fn finish(&self, lanes: &Self::Lanes, j: usize, y: __m512i, buf: *mut u64);
 }
 
-/// Eight words at `j` of `s`.
+/// The eight words at `p + j`.
 ///
 /// # Safety
 ///
-/// AVX-512F via inlining into a `target_feature` kernel; `j + 8 ≤
-/// s.len()`.
+/// AVX-512F via inlining into a `target_feature` kernel; `p + j` valid
+/// for reading eight words.
 #[inline(always)]
-unsafe fn load_at(s: &[u64], j: usize) -> __m512i {
-    debug_assert!(j + 8 <= s.len());
-    // SAFETY: in bounds by the contract; AVX-512F, by the contract.
-    unsafe { _mm512_loadu_si512(s.as_ptr().add(j) as *const __m512i) }
+unsafe fn load_at(p: *const u64, j: usize) -> __m512i {
+    // SAFETY: in bounds and AVX-512F, by the contract.
+    unsafe { _mm512_loadu_si512(p.add(j).cast()) }
+}
+
+/// `v` into the eight words at `p + j`.
+///
+/// # Safety
+///
+/// AVX-512F via inlining into a `target_feature` kernel; `p + j` valid
+/// for writing eight words.
+#[inline(always)]
+unsafe fn store_at(p: *mut u64, j: usize, v: __m512i) {
+    // SAFETY: in bounds and AVX-512F, by the contract.
+    unsafe { _mm512_storeu_si512(p.add(j).cast(), v) }
 }
 
 /// `buf = ŷ`: the plain canonical transform, or expansion's residues.
 #[derive(Debug, Clone, Copy)]
-pub struct Store;
+pub(crate) struct Store;
 
 // SAFETY: writes the eight words at `j` of `buf` and nothing else.
 unsafe impl TailX8 for Store {
@@ -706,14 +733,14 @@ unsafe impl TailX8 for Store {
     #[inline(always)]
     unsafe fn finish(&self, _: &(), j: usize, y: __m512i, buf: *mut u64) {
         // SAFETY: `buf` is writable at `j..j + 8`, by the contract.
-        unsafe { _mm512_storeu_si512(buf.add(j) as *mut __m512i, y) }
+        unsafe { store_at(buf, j, y) }
     }
 }
 
 /// `buf = premul(ŷ)`: the transform entered into the radix-2^52 domain
 /// ([`crate::dyadic::DyadicEngine::premul`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Premul<'a>(pub &'a Mont52);
+pub(crate) struct Premul<'a>(pub(crate) &'a Mont52);
 
 // SAFETY: writes the eight words at `j` of `buf` and nothing else.
 unsafe impl TailX8 for Premul<'_> {
@@ -741,7 +768,7 @@ unsafe impl TailX8 for Premul<'_> {
         // Shoup multiply by 2^52 mod q lands in [0, 2q): one csub.
         unsafe {
             let r = csub_x8(mul_shoup52_x8(y, k.vr, k.vrs, k.vq), k.vq);
-            _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
+            store_at(buf, j, r);
         }
     }
 }
@@ -762,7 +789,7 @@ unsafe impl TailX8 for Premul<'_> {
 /// * `SRC` — the number of `src` streams, which either way is the number
 ///   of addends (0–2).
 #[derive(Debug, Clone, Copy)]
-pub struct Mac<'a, const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize> {
+pub(crate) struct Mac<'a, const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize> {
     k: &'a Mont52,
     b: &'a [u64],
     src: [&'a [u64]; SRC],
@@ -777,7 +804,7 @@ impl<'a, const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>
     /// # Panics
     ///
     /// Unless the operands' lengths are equal.
-    pub fn new(k: &'a Mont52, b: &'a [u64], src: [&'a [u64]; SRC]) -> Self {
+    pub(crate) fn new(k: &'a Mont52, b: &'a [u64], src: [&'a [u64]; SRC]) -> Self {
         const { assert!(SRC <= 2 && (!ACC || SRC >= 1)) };
         assert!(src.iter().all(|s| s.len() == b.len()));
         Self { k, b, src }
@@ -816,10 +843,10 @@ unsafe impl<const PRE: bool, const NEG: bool, const ACC: bool, const SRC: usize>
             // driver's target features unless it inlined.
             let mut vs = [_mm512_setzero_si512(); SRC];
             for (v, s) in vs.iter_mut().zip(self.src) {
-                *v = load_at(s, j);
+                *v = load_at(s.as_ptr(), j);
             }
-            let r = k.mac::<PRE, NEG, ACC, SRC>(y, load_at(self.b, j), vs);
-            _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
+            let r = k.mac::<PRE, NEG, ACC, SRC>(y, load_at(self.b.as_ptr(), j), vs);
+            store_at(buf, j, r);
         }
     }
 }
@@ -858,8 +885,8 @@ unsafe impl TailX8 for Add<'_> {
         // SAFETY: `b` holds `j + 8` words and `buf` is writable there, by
         // the contract. ŷ + b lands in [0, 2q): one conditional subtract.
         unsafe {
-            let r = csub_x8(_mm512_add_epi64(y, load_at(self.b, j)), vq);
-            _mm512_storeu_si512(buf.add(j) as *mut __m512i, r);
+            let r = csub_x8(_mm512_add_epi64(y, load_at(self.b.as_ptr(), j)), vq);
+            store_at(buf, j, r);
         }
     }
 }
@@ -869,7 +896,7 @@ unsafe impl TailX8 for Add<'_> {
 /// [`crate::dyadic::DyadicEngine::mul_neg_add2_assign`] with the
 /// transform as the first addend.
 #[derive(Debug)]
-pub struct NegMulAdd<'a> {
+pub(crate) struct NegMulAdd<'a> {
     k: &'a Mont52,
     dst: *mut u64,
     len: usize,
@@ -884,7 +911,12 @@ impl<'a> NegMulAdd<'a> {
     /// # Panics
     ///
     /// Unless the operands' lengths are equal.
-    pub fn new(k: &'a Mont52, dst: &'a mut [u64], s: &'a [u64], t: Option<&'a [u64]>) -> Self {
+    pub(crate) fn new(
+        k: &'a Mont52,
+        dst: &'a mut [u64],
+        s: &'a [u64],
+        t: Option<&'a [u64]>,
+    ) -> Self {
         assert_eq!(dst.len(), s.len());
         assert!(t.is_none_or(|t| t.len() == s.len()));
         let (dst, len, _dst) = (dst.as_mut_ptr(), s.len(), core::marker::PhantomData);
@@ -926,13 +958,12 @@ unsafe impl TailX8 for NegMulAdd<'_> {
         // SAFETY: `dst` (borrowed mutably for the tail's life), `s` and
         // `t` hold `j + 8` words, by the contract.
         unsafe {
-            let p = self.dst.add(j) as *mut __m512i;
-            let (x, s) = (_mm512_loadu_si512(p), load_at(self.s, j));
+            let (x, s) = (load_at(self.dst, j), load_at(self.s.as_ptr(), j));
             let r = match self.t {
                 None => k.mac::<false, true, false, 1>(x, s, [y]),
-                Some(t) => k.mac::<false, true, false, 2>(x, s, [y, load_at(t, j)]),
+                Some(t) => k.mac::<false, true, false, 2>(x, s, [y, load_at(t.as_ptr(), j)]),
             };
-            _mm512_storeu_si512(p, r);
+            store_at(self.dst, j, r);
         }
     }
 }
@@ -941,7 +972,7 @@ unsafe impl TailX8 for NegMulAdd<'_> {
 /// transform's buffer: the rescale shape of
 /// [`crate::dyadic::DyadicEngine::sub_scalar_mul_assign`].
 #[derive(Debug)]
-pub struct SubScalarMul<'a> {
+pub(crate) struct SubScalarMul<'a> {
     q: u64,
     dst: *mut u64,
     len: usize,
@@ -952,7 +983,7 @@ pub struct SubScalarMul<'a> {
 
 impl<'a> SubScalarMul<'a> {
     /// The tail into `dst`, canonical in `[0, q)`, by `w < q`.
-    pub fn new(q: u64, dst: &'a mut [u64], w: u64) -> Self {
+    pub(crate) fn new(q: u64, dst: &'a mut [u64], w: u64) -> Self {
         debug_assert!(w < q && q < shoup::MAX_SHOUP52_MODULUS);
         Self {
             q,
@@ -1000,9 +1031,8 @@ unsafe impl TailX8 for SubScalarMul<'_> {
         // x + (q − ŷ) ∈ (0, 2q) < 2^51 feeds the Shoup multiply by w < q,
         // whose [0, 2q) result one csub brings to [0, q).
         unsafe {
-            let p = self.dst.add(j) as *mut __m512i;
-            let t = _mm512_add_epi64(_mm512_loadu_si512(p), _mm512_sub_epi64(vq, y));
-            _mm512_storeu_si512(p, csub_x8(mul_shoup52_x8(t, w, w52, vq), vq));
+            let t = _mm512_add_epi64(load_at(self.dst, j), _mm512_sub_epi64(vq, y));
+            store_at(self.dst, j, csub_x8(mul_shoup52_x8(t, w, w52, vq), vq));
         }
     }
 }
@@ -1034,7 +1064,7 @@ impl Fold52 {
 
 /// A [`Fold52`] broadcast to eight lanes.
 #[derive(Clone, Copy)]
-struct FoldX8 {
+pub(crate) struct FoldX8 {
     vq: __m512i,
     v2q: __m512i,
     v4q: __m512i,
@@ -1288,17 +1318,17 @@ unsafe fn lift_impl<'a, const P: usize>(
     for g in 0..groups {
         // SAFETY: 8g + 8 <= xs.len() <= every run's length.
         unsafe {
-            let v0 = _mm512_loadu_si512(runs[0].as_ptr().add(8 * g) as *const __m512i);
+            let v0 = load_at(runs[0].as_ptr(), 8 * g);
             // x = v0 + q0·v1 + q0q1·v2 accumulated per digit: every term
             // below 2^52, a handful per digit, then one carry pass.
             let mut acc = [v0, zero, zero];
             if P >= 2 {
-                let r1 = _mm512_loadu_si512(runs[1].as_ptr().add(8 * g) as *const __m512i);
+                let r1 = load_at(runs[1].as_ptr(), 8 * g);
                 let v1 = garner_x8(r1, v0, &steps[0], q[1]);
                 acc[0] = _mm512_madd52lo_epu64(acc[0], q[0], v1);
                 acc[1] = _mm512_madd52hi_epu64(acc[1], q[0], v1);
                 if P == 3 {
-                    let r2 = _mm512_loadu_si512(runs[2].as_ptr().add(8 * g) as *const __m512i);
+                    let r2 = load_at(runs[2].as_ptr(), 8 * g);
                     let v2 = garner_x8(garner_x8(r2, v0, &steps[1], q[2]), v1, &steps[2], q[2]);
                     acc[0] = _mm512_madd52lo_epu64(acc[0], q01[0], v2);
                     acc[1] = _mm512_madd52hi_epu64(acc[1], q01[0], v2);
@@ -1361,7 +1391,7 @@ unsafe fn lift_impl<'a, const P: usize>(
             // SAFETY: 8g + 8 <= xs.len() <= the run's length, and the
             // prefix loop above wrote `mags[g]` for every g < groups.
             unsafe {
-                let rg = _mm512_loadu_si512(r.as_ptr().add(8 * g) as *const __m512i);
+                let rg = load_at(r.as_ptr(), 8 * g);
                 let t = fold.residue::<P>(mags[g].assume_init_ref(), signs[g]);
                 verified[g] &= _mm512_cmpeq_epu64_mask(t, rg);
             }

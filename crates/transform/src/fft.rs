@@ -15,7 +15,8 @@
 //!
 //! A plan **materializes its twiddle table once per (slots, datapath)**
 //! (the FFT analogue of the NTT's `TwiddleTable`): one complex root per
-//! butterfly *position*, shared by every block of a stage. The seed
+//! butterfly *position*, shared by every block of a stage, kept in the
+//! one layout its kernel reads. The seed
 //! implementation regenerated `ξ^k` with two trig calls per butterfly —
 //! `O(N log N)` transcendental evaluations per transform; the planned
 //! kernel loads them. The on-the-fly kernels remain available as
@@ -49,13 +50,20 @@ use abc_float::{Complex, F64Field, RealField};
 use abc_math::{CpuCaps, KernelTier};
 use std::sync::Arc;
 
-/// The kernel a plan resolved to.
+/// The kernel a plan resolved to, with the twiddles it reads.
 #[derive(Debug, Clone)]
-enum FftKernel {
-    /// With the SoA twiddle layout (shared by clones; the split planes
-    /// are a limb of the limb pool); implies `F = F64Field`.
+enum FftKernel<R> {
+    /// With the SoA twiddle layout only (shared by clones; the split
+    /// planes are a limb of the limb pool); implies `F = F64Field`.
     Avx512(Arc<fft_avx512::SimdPlan>),
-    Scalar,
+    /// With both directions' tables in execution order: forward stage
+    /// `s` covers block length `len = 2^{s+1}` and holds `len/2` roots
+    /// (one per butterfly position, shared across blocks); the inverse
+    /// stages run `len` from `slots` down to 2.
+    Scalar {
+        fwd: Vec<Vec<Complex<R>>>,
+        inv: Vec<Vec<Complex<R>>>,
+    },
 }
 
 /// A planned special FFT for slot count `slots = N/2`, with per-stage
@@ -83,15 +91,8 @@ pub struct SpecialFft<F: RealField = F64Field> {
     slots: usize,
     /// Ring degree `N = 2·slots`.
     n: usize,
-    /// Forward-stage twiddles in execution order: stage `s` covers block
-    /// length `len = 2^{s+1}` and holds `len/2` roots (one per butterfly
-    /// position, shared across blocks).
-    fwd_twiddles: Vec<Vec<Complex<F::Real>>>,
-    /// Inverse-stage twiddles in execution order (`len` descending from
-    /// `slots` to 2).
-    inv_twiddles: Vec<Vec<Complex<F::Real>>>,
-    /// The butterfly kernel this plan resolved to.
-    kernel: FftKernel,
+    /// The butterfly kernel this plan resolved to, and its twiddles.
+    kernel: FftKernel<F::Real>,
 }
 
 impl SpecialFft<F64Field> {
@@ -138,20 +139,12 @@ impl<F: RealField> SpecialFft<F> {
             field,
             slots,
             n,
-            fwd_twiddles: Vec::new(),
-            inv_twiddles: Vec::new(),
-            kernel: FftKernel::Scalar,
+            kernel: FftKernel::Scalar {
+                fwd: Vec::new(),
+                inv: Vec::new(),
+            },
         };
-        let mut len = 2usize;
-        while len <= slots {
-            plan.fwd_twiddles.push(plan.build_stage(len, false));
-            len <<= 1;
-        }
-        let mut len = slots;
-        while len >= 2 {
-            plan.inv_twiddles.push(plan.build_stage(len, true));
-            len >>= 1;
-        }
+        let (fwd, inv) = (plan.stage_twiddles(false), plan.stage_twiddles(true));
         let simd_ok = plan.field.as_f64_slots(&mut []).is_some()
             && slots >= fft_avx512::MIN_SIMD_SLOTS
             && CpuCaps::detect().avx512f;
@@ -165,11 +158,11 @@ impl<F: RealField> SpecialFft<F> {
                 let to64 = |stages: &[Vec<_>]| stages.iter().map(lower).collect::<Vec<_>>();
                 FftKernel::Avx512(Arc::new(fft_avx512::SimdPlan::build(
                     slots,
-                    &to64(&plan.fwd_twiddles),
-                    &to64(&plan.inv_twiddles),
+                    &to64(&fwd),
+                    &to64(&inv),
                 )))
             }
-            _ => FftKernel::Scalar,
+            _ => FftKernel::Scalar { fwd, inv },
         };
         plan
     }
@@ -180,7 +173,7 @@ impl<F: RealField> SpecialFft<F> {
     pub fn kernel_name(&self) -> &'static str {
         match self.kernel {
             FftKernel::Avx512(_) => "avx512",
-            FftKernel::Scalar => "scalar",
+            FftKernel::Scalar { .. } => "scalar",
         }
     }
 
@@ -227,35 +220,38 @@ impl<F: RealField> SpecialFft<F> {
         &self.field
     }
 
-    /// Twiddle words held by the plan (both directions) — the ROM size
-    /// the hardware model charges for a planned (non-OTF) FFT.
+    /// Twiddle words of a planned (non-OTF) transform, both directions:
+    /// `slots − 1` roots each (`len/2` per stage) — the ROM size the
+    /// hardware model charges.
     pub fn twiddle_words(&self) -> usize {
-        self.fwd_twiddles
-            .iter()
-            .chain(&self.inv_twiddles)
-            .map(Vec::len)
-            .sum()
+        2 * (self.slots - 1)
     }
 
-    /// Bytes of table memory the plan keeps resident: both twiddle
-    /// directions and the AVX-512 kernel's tables.
+    /// Bytes of table memory the plan keeps resident: the twiddles in
+    /// its kernel's layout — both directions' tables for the scalar
+    /// kernel, the SoA planes and bit-reversal table for AVX-512.
     pub fn resident_bytes(&self) -> usize {
-        let simd = match &self.kernel {
+        match &self.kernel {
             FftKernel::Avx512(plan) => plan.table_bytes(),
-            _ => 0,
-        };
-        self.twiddle_words() * core::mem::size_of::<Complex<F::Real>>() + simd
+            FftKernel::Scalar { .. } => {
+                self.twiddle_words() * core::mem::size_of::<Complex<F::Real>>()
+            }
+        }
     }
 
     /// The plan's twiddle table for one direction, stages in execution
     /// order: each stage holds one root per butterfly position, shared
-    /// by every block. Read-only, for models that must mirror this exact
-    /// table (the streaming dataflow in `abc-hw`).
-    pub fn stage_twiddles(&self, inverse: bool) -> &[Vec<Complex<F::Real>>] {
+    /// by every block. Generated on each call by the generator the plan
+    /// was built with, so it is the kernel's table bit for bit whatever
+    /// layout the kernel keeps — for models that must mirror it (the
+    /// streaming dataflow in `abc-hw`).
+    pub fn stage_twiddles(&self, inverse: bool) -> Vec<Vec<Complex<F::Real>>> {
+        let lens = (1..=self.slots.trailing_zeros()).map(|s| 1usize << s);
+        let stage = |len| self.build_stage(len, inverse);
         if inverse {
-            &self.inv_twiddles
+            lens.rev().map(stage).collect()
         } else {
-            &self.fwd_twiddles
+            lens.map(stage).collect()
         }
     }
 
@@ -280,7 +276,7 @@ impl<F: RealField> SpecialFft<F> {
     pub fn forward(&self, vals: &mut [Complex<F::Real>]) {
         match &self.kernel {
             FftKernel::Avx512(simd) => fft_avx512::run(simd, self.f64_slots(vals), false),
-            FftKernel::Scalar => self.forward_scalar(vals),
+            FftKernel::Scalar { fwd, .. } => self.forward_scalar(vals, fwd),
         }
     }
 
@@ -294,7 +290,7 @@ impl<F: RealField> SpecialFft<F> {
     pub fn inverse(&self, vals: &mut [Complex<F::Real>]) {
         match &self.kernel {
             FftKernel::Avx512(simd) => fft_avx512::run(simd, self.f64_slots(vals), true),
-            FftKernel::Scalar => self.inverse_scalar(vals),
+            FftKernel::Scalar { inv, .. } => self.inverse_scalar(vals, inv),
         }
     }
 
@@ -306,14 +302,15 @@ impl<F: RealField> SpecialFft<F> {
             .expect("the AVX-512 kernel is planned for f64 fields only")
     }
 
-    /// The generic scalar planned kernel (forward direction): stage
-    /// `s` runs blocks of `2·span` elements, `span = 2^s`, and position
-    /// `j` of every block multiplies by the stage's `j`-th twiddle.
-    fn forward_scalar(&self, vals: &mut [Complex<F::Real>]) {
+    /// The generic scalar planned kernel (forward direction) over the
+    /// forward table `fwd`: stage `s` runs blocks of `2·span` elements,
+    /// `span = 2^s`, and position `j` of every block multiplies by the
+    /// stage's `j`-th twiddle.
+    fn forward_scalar(&self, vals: &mut [Complex<F::Real>], fwd: &[Vec<Complex<F::Real>>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
         crate::bitrev::bit_reverse_permute(vals);
         let f = &self.field;
-        for tw in &self.fwd_twiddles {
+        for tw in fwd {
             for block in vals.chunks_exact_mut(2 * tw.len()) {
                 let (lo, hi) = block.split_at_mut(tw.len());
                 for ((x, y), &w) in lo.iter_mut().zip(hi).zip(tw) {
@@ -326,13 +323,13 @@ impl<F: RealField> SpecialFft<F> {
         }
     }
 
-    /// The generic scalar planned kernel (inverse direction, spans
-    /// descending from `slots/2`, including the trailing bit-reversal
-    /// and `1/slots` scale).
-    fn inverse_scalar(&self, vals: &mut [Complex<F::Real>]) {
+    /// The generic scalar planned kernel (inverse direction over the
+    /// inverse table `inv`, spans descending from `slots/2`, including
+    /// the trailing bit-reversal and `1/slots` scale).
+    fn inverse_scalar(&self, vals: &mut [Complex<F::Real>], inv: &[Vec<Complex<F::Real>>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
         let f = &self.field;
-        for tw in &self.inv_twiddles {
+        for tw in inv {
             for block in vals.chunks_exact_mut(2 * tw.len()) {
                 let (lo, hi) = block.split_at_mut(tw.len());
                 for ((x, y), &w) in lo.iter_mut().zip(hi).zip(tw) {
@@ -622,6 +619,35 @@ mod tests {
         let plan = SpecialFft::new(512);
         // Σ len/2 over stages = slots − 1, both directions.
         assert_eq!(plan.twiddle_words(), 2 * (512 - 1));
+    }
+
+    #[test]
+    fn every_kernel_stages_the_scalar_tables() {
+        // An AVX-512 plan keeps only its SoA planes, so its staged
+        // twiddles are regenerated; they must be the tables a scalar plan
+        // runs, bit for bit (and on a host without AVX-512F both plans
+        // are scalar, and the same holds).
+        let bits = |stages: &[Vec<Complex>]| -> Vec<Vec<(u64, u64)>> {
+            let bits = |w: &Complex| (w.re.to_bits(), w.im.to_bits());
+            stages
+                .iter()
+                .map(|s| s.iter().map(bits).collect())
+                .collect()
+        };
+        for slots in [1usize, 8, 64, 1 << 10] {
+            let simd = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Simd);
+            let scalar = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Scalar);
+            let FftKernel::Scalar { fwd, inv } = &scalar.kernel else {
+                panic!("a forced scalar plan holds the scalar tables");
+            };
+            for (inverse, table) in [(false, fwd), (true, inv)] {
+                let staged = bits(&simd.stage_twiddles(inverse));
+                assert_eq!(staged, bits(table), "slots={slots} inverse={inverse}");
+                assert_eq!(staged, bits(&scalar.stage_twiddles(inverse)));
+            }
+            let words: usize = fwd.iter().chain(inv).map(Vec::len).sum();
+            assert_eq!(simd.twiddle_words(), words, "slots={slots}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * integer **NTT/INTT** over each RNS prime — [`ntt::NttPlan`], a
 //!   negacyclic transform with the nega-cyclic pre/post-processing merged
 //!   into the stage twiddles (paper Eq. 2/3, refs \[27\]/\[30\]), read
-//!   from one precomputed [`twiddle::TwiddleTable`] column;
+//!   from one precomputed [`twiddle::TwiddleTable`] column; its `ifma`
+//!   butterfly passes are `abc_math::simd`'s, beside the element-wise
+//!   kernels they share a datapath with;
 //! * complex **FFT/IFFT** on the canonical-embedding slots —
 //!   [`fft::SpecialFft`], generic over the [`abc_float::RealField`]
 //!   datapath so the same kernel runs at FP64, the paper's FP55, or the
@@ -77,8 +79,6 @@ pub mod fft;
 pub mod fft_avx512;
 pub mod fft_engine;
 pub mod ntt;
-#[cfg(target_arch = "x86_64")]
-pub mod ntt_ifma;
 pub mod pool;
 pub mod rns_ntt;
 pub mod twiddle;

@@ -16,10 +16,14 @@
 //! backwards (`ψ^N = −1`, see [`crate::twiddle`]).
 //!
 //! Two kernels run a plan, one per rung of the kernel ladder: `ifma`
-//! and `harvey`. The golden model — plain `u128` modular arithmetic
-//! over the same table, Longa–Naehrig Algorithms 1 and 2 — is not a
-//! rung: it is [`NttPlan::forward_golden`] / [`NttPlan::inverse_golden`],
-//! the oracle the suites pin both kernels against.
+//! and `harvey`. The plan owns the table, the quotient column, the rung
+//! choice and the `harvey` kernel; the `ifma` butterfly passes live with
+//! the rest of the AVX-512IFMA datapath in `abc_math::simd`, which the
+//! plan calls through three safe functions. The golden model — plain
+//! `u128` modular arithmetic over the same table, Longa–Naehrig
+//! Algorithms 1 and 2 — is not a rung: it is [`NttPlan::forward_golden`]
+//! / [`NttPlan::inverse_golden`], the oracle the suites pin both kernels
+//! against.
 
 use crate::twiddle::TwiddleTable;
 use abc_math::dyadic::{DyadicEngine, Tail};
@@ -28,11 +32,11 @@ use abc_math::shoup::{self, MAX_SHOUP52_MODULUS};
 use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
 
 /// Debug builds: panics unless every lane of `a` is below `bound` once
-/// the stage or pass `what` has run — the lazy domains the kernels hand
+/// the stage `what` has run — the lazy domains the `harvey` kernel hands
 /// on (`[0, 4q)` forward, `[0, 2q)` inverse, `[0, q)` once canonical),
 /// checked where the next stage relies on them.
 #[cfg(debug_assertions)]
-pub(crate) fn assert_domain(a: &[u64], bound: u64, what: core::fmt::Arguments<'_>) {
+fn assert_domain(a: &[u64], bound: u64, what: core::fmt::Arguments<'_>) {
     if let Some(i) = a.iter().position(|&x| x >= bound) {
         panic!("{what}: lane {i} = {} is not below {bound}", a[i]);
     }
@@ -190,7 +194,7 @@ impl NttPlan {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Simd => {
-                crate::ntt_ifma::forward(a, q, self.table.forward_column(), &self.quotients);
+                abc_math::simd::ntt_forward(a, q, self.table.forward_column(), &self.quotients);
             }
             _ => {
                 self.forward_harvey_lazy(a);
@@ -208,7 +212,8 @@ impl NttPlan {
     /// `[0, q)`, and so is the result, bit-identical on both rungs to the
     /// composition `expand_into → forward → apply_tail`.
     ///
-    /// On the `ifma` rung that composition is one transform: its first
+    /// On the `ifma` rung that composition is one transform
+    /// ([`abc_math::simd::ntt_forward_stream`]): its first
     /// pass loads `src`'s signed coefficients and reduces them in
     /// registers, and its last pass applies the tail to the lanes it
     /// already holds, so no residue limb is written before the transform
@@ -236,7 +241,14 @@ impl NttPlan {
         #[cfg_attr(not(debug_assertions), allow(unused_variables))]
         let out = match self.kernel {
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Simd => self.forward_stream_ifma(src, buf, tail),
+            KernelTier::Simd => abc_math::simd::ntt_forward_stream(
+                src,
+                buf,
+                self.table.forward_column(),
+                &self.quotients,
+                &self.dyadic,
+                tail,
+            ),
             _ => {
                 self.dyadic.expand_into(src, buf);
                 self.forward(buf);
@@ -245,52 +257,6 @@ impl NttPlan {
         };
         #[cfg(debug_assertions)]
         assert_domain(out, self.m.q(), format_args!("forward_stream result"));
-    }
-
-    /// The `ifma` rung of [`Self::forward_stream`]: the tail's eight-lane
-    /// form ([`abc_math::simd::TailX8`]) inside the kernel. Returns
-    /// where the result went.
-    #[cfg(target_arch = "x86_64")]
-    fn forward_stream_ifma<'a, X: SignedWord>(
-        &self,
-        src: &SignedCoeffs<'_, X>,
-        buf: &'a mut Vec<u64>,
-        tail: Tail<'a>,
-    ) -> &'a [u64] {
-        use crate::ntt_ifma::forward_stream as run;
-        use abc_math::simd::{Mac, NegMulAdd, Premul, Store, SubScalarMul};
-        let (q, tw, tw52) = (self.m.q(), self.table.forward_column(), &self.quotients[..]);
-        let k = self
-            .dyadic
-            .mont52()
-            .expect("an ifma plan has an ifma engine");
-        match tail {
-            Tail::Canonical => run(buf, src, q, tw, tw52, &Store),
-            Tail::Premul => run(buf, src, q, tw, tw52, &Premul(k)),
-            // ŷ + b·d̃ (+ c): ŷ the first addend, `b` the multiplicand.
-            Tail::MulAcc { b, d_pre, c: None } => {
-                let tail = Mac::<true, false, true, 1>::new(k, d_pre, [b]);
-                run(buf, src, q, tw, tw52, &tail)
-            }
-            Tail::MulAcc {
-                b,
-                d_pre,
-                c: Some(c),
-            } => {
-                let tail = Mac::<true, false, true, 2>::new(k, d_pre, [b, c]);
-                run(buf, src, q, tw, tw52, &tail)
-            }
-            Tail::NegMulAdd { dst, s, t } => {
-                run(buf, src, q, tw, tw52, &NegMulAdd::new(k, &mut *dst, s, t));
-                return dst;
-            }
-            Tail::SubScalarMul { dst, w } => {
-                let w = if w >= q { self.m.reduce(w) } else { w };
-                run(buf, src, q, tw, tw52, &SubScalarMul::new(q, &mut *dst, w));
-                return dst;
-            }
-        }
-        buf
     }
 
     /// In-place inverse negacyclic INTT, bit-identical to
@@ -326,7 +292,7 @@ impl NttPlan {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Simd => {
-                crate::ntt_ifma::inverse_fused(
+                abc_math::simd::ntt_inverse(
                     dst,
                     src,
                     self.m.q(),

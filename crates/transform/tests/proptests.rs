@@ -249,12 +249,14 @@ proptest! {
     }
 
     #[test]
-    fn forward_stream_is_the_unfused_composition(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 4u32..=13) {
+    fn forward_stream_is_the_unfused_composition(m in arb_prime_modulus(), seed in any::<u64>(), log_n in 2u32..=13) {
         // Every source width, every digit class of the prologue (`D` = 0
         // below q, 1 below 2^52, 2 below 2^104, 3 up to 2^121), every
-        // tail, at sizes 2^4 … 2^13: both parities of the IFMA
-        // long-stage count, so the prologue runs in the lone radix-2
-        // pass and in a first radix-4 pass.
+        // tail, at sizes 2^2 … 2^13: below 2^4 the `Simd` plan runs
+        // `harvey` beside an IFMA engine on partial groups of eight; from
+        // 2^4 on, both parities of the IFMA long-stage count, so the
+        // prologue runs in the lone radix-2 pass and in a first radix-4
+        // pass.
         use abc_math::KernelTier;
         let n = 1usize << log_n;
         let simd = NttPlan::with_kernel(m, n, KernelTier::Simd).expect("plan");

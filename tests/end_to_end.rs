@@ -331,3 +331,47 @@ fn seeded_pipeline_is_fully_reproducible() {
     };
     assert_eq!(make(), make());
 }
+
+#[test]
+fn client_runs_below_the_vector_cutoffs() {
+    // N = 4 and 8 are the only rings where a plan's NTT runs `harvey`
+    // beside an IFMA dyadic engine (the IFMA transform needs N ≥ 16),
+    // the embedding FFT runs scalar (its AVX-512 rung needs ≥ 8 slots)
+    // and every wire polynomial is a partial group of eight. Both
+    // uploads and the download, in both scale modes.
+    use abc_fhe::ckks::params::ScaleMode;
+    use abc_fhe::ckks::symmetric::encrypt_symmetric_compressed;
+    use abc_fhe::ckks::wire;
+    for log_n in [2u32, 3] {
+        for mode in [ScaleMode::Single, ScaleMode::DoublePair] {
+            let at = format!("log_n {log_n} {mode:?}");
+            let params = CkksParams::builder()
+                .log_n(log_n)
+                .num_primes(4)
+                .scale_mode(mode)
+                .secret_hamming_weight(Some(1 << (log_n - 1)))
+                .build()
+                .expect("params");
+            let ctx = CkksContext::new(params).expect("ctx");
+            let (sk, pk) = ctx.keygen(Seed::from_u128(21));
+            let msg = message(ctx.params().slots());
+            let pt = ctx.encode(&msg).expect("encode");
+            let widths = ctx.wire_widths(ctx.params().num_primes());
+            let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(22));
+            let blob = wire::serialize_ciphertext_packed(&ct, &widths).expect("pack");
+            let back = wire::deserialize_ciphertext(&blob).expect("unpack");
+            assert_eq!(back, ct, "{at}: public-key upload");
+            let seeded = encrypt_symmetric_compressed(&ctx, &pt, &sk, Seed::from_u128(23));
+            let blob = wire::serialize_compressed_ciphertext(&seeded, &widths).expect("pack");
+            let seeded = wire::deserialize_compressed_ciphertext(&blob).expect("unpack");
+            let expanded = seeded.expand(&ctx).expect("expand");
+            for (what, ct) in [("public-key", back), ("seeded", expanded)] {
+                let out = ctx
+                    .decode(&ctx.decrypt(&ct, &sk).expect("decrypt"))
+                    .expect("decode");
+                let err = max_dist(&out, &msg);
+                assert!(err < 1e-6, "{at}: {what} upload decodes {err} off");
+            }
+        }
+    }
+}
