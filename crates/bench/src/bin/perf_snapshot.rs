@@ -70,7 +70,7 @@
 //! The whole run stays under ~50 s so it can ride along on every CI
 //! push — this is the repo's perf trajectory, archived as an artifact.
 
-use abc_ckks::params::{CkksParams, EmbeddingPrecision, ScaleMode};
+use abc_ckks::params::{CkksParams, ScaleMode};
 use abc_ckks::precision::{
     measure_configured_precision, measure_embedding_precision, measure_precision,
 };
@@ -83,6 +83,7 @@ use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// The committed snapshot, relative to the repository root.
@@ -306,6 +307,29 @@ fn fft_scalar_row<F: RealField>(field: F, label: &str, slots: usize) -> BenchRec
     })
 }
 
+/// One `precision/embedding_*` row: the embedding round trip and the
+/// encrypted round trip of `ctx` with both embeddings on `field`'s
+/// datapath. An exact round trip (every recovered slot re-rounds to its
+/// original f64 — routine on ExtF64 at small N) measures ∞; both are
+/// capped at 120 bits so the JSON stays finite.
+fn embedding_precision_row<F: RealField>(ctx: &CkksContext, field: &F, seed: Seed) -> String {
+    let label = field.name();
+    let log_n = ctx.params().log_n();
+    let embed_bits = measure_embedding_precision(ctx, field, 1, seed)
+        .expect("measure")
+        .min(120.0);
+    let enc_bits = measure_configured_precision(ctx, field, 1, seed)
+        .expect("measure")
+        .min(120.0);
+    println!(
+        "precision/embedding_{label}/2^{log_n}       {embed_bits:.2} bits (encrypted {enc_bits:.2})"
+    );
+    format!(
+        "  {{\"id\": \"precision/embedding_{label}/2^{log_n}\", \"log_n\": {log_n}, \"embedding\": \"{label}\", \
+         \"embedding_bits\": {embed_bits:.3}, \"encrypted_bits\": {enc_bits:.3}, \"paper_floor\": 19.29}}"
+    )
+}
+
 /// The full-slot message the client ops of this binary carry.
 fn client_message(ctx: &CkksContext) -> Vec<Complex> {
     (0..ctx.params().slots())
@@ -425,8 +449,13 @@ fn main() {
             d_pre: &d_pre,
             c: Some(&c),
         };
-        // Timed alternately: the gate below reads their ratio.
-        let (mut x, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        // Timed alternately: the gate below reads their ratio. Both write
+        // one output buffer, so they see the same memory: the body whose
+        // output starts 48 bytes into a cache line runs up to 13 % slower,
+        // and two buffers from consecutive allocations sit 16 bytes apart
+        // modulo a line, at a phase set by whatever the heap held before
+        // them (the argument strings among it).
+        let out = RefCell::new(Vec::with_capacity(n));
         let [streamed, unfused] = measure_alternately(
             [
                 "ntt/forward_stream_macc/2^16",
@@ -434,11 +463,12 @@ fn main() {
             ],
             800,
             [
-                Box::new(|| plan.forward_stream(&e, &mut x, tail())),
+                Box::new(|| plan.forward_stream(&e, &mut out.borrow_mut(), tail())),
                 Box::new(|| {
-                    d.expand_into(&e, &mut y);
-                    plan.forward(&mut y);
-                    d.apply_tail(&mut y, tail());
+                    let y = &mut *out.borrow_mut();
+                    d.expand_into(&e, y);
+                    plan.forward(y);
+                    d.apply_tail(y, tail());
                 }),
             ],
         );
@@ -851,31 +881,13 @@ fn main() {
     }
 
     // --- Embedding datapaths: precision ---
-    let mut precision_rows = Vec::new();
-    for precision in [EmbeddingPrecision::F64, EmbeddingPrecision::ExtF64] {
-        let label = precision.name();
-        let params = CkksParams::bootstrappable(13)
-            .expect("preset")
-            .with_embedding(precision);
-        let ctx = CkksContext::new(params).expect("ctx");
-        let seed = Seed::from_u128(1300 + precision as u128);
-        // An exact round trip (every recovered slot re-rounds to its
-        // original f64 — routine on ExtF64 at small N) measures ∞; cap
-        // at 120 bits so the JSON stays finite.
-        let embed_bits = measure_embedding_precision(&ctx, 1, seed)
-            .expect("measure")
-            .min(120.0);
-        let enc_bits = measure_configured_precision(&ctx, 1, seed)
-            .expect("measure")
-            .min(120.0);
-        println!(
-            "precision/embedding_{label}/2^13       {embed_bits:.2} bits (encrypted {enc_bits:.2})"
-        );
-        precision_rows.push(format!(
-            "  {{\"id\": \"precision/embedding_{label}/2^13\", \"log_n\": 13, \"embedding\": \"{label}\", \
-             \"embedding_bits\": {embed_bits:.3}, \"encrypted_bits\": {enc_bits:.3}, \"paper_floor\": 19.29}}"
-        ));
-    }
+    let mut precision_rows = {
+        let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
+        vec![
+            embedding_precision_row(&ctx, &F64Field, Seed::from_u128(1300)),
+            embedding_precision_row(&ctx, &ExtF64Field, Seed::from_u128(1301)),
+        ]
+    };
 
     // --- Measured precision: the §V-B claim, both scale modes ---
     for (label, mode) in [

@@ -17,9 +17,11 @@
 //! 2^16`, 36-bit double-scale primes, up to 24 RNS levels
 //! ([`params::CkksParams::bootstrappable`]).
 //!
-//! [`precision`] measures the paper's precision metric on any embedding
-//! datapath — the FP55 hardware datapath of Fig. 3c's mantissa-width
-//! sweep included — without the context running it.
+//! A context's embedding runs on FP64. [`precision`] measures the
+//! paper's precision metric on any other embedding datapath — the FP55
+//! hardware datapath of Fig. 3c's mantissa-width sweep, or double-double
+//! `ExtF64` — on a plan it builds per call, without the context running
+//! it.
 //!
 //! # Example
 //!
@@ -59,7 +61,6 @@ pub mod wire;
 pub use cipher::{Ciphertext, Degree2Ciphertext, Plaintext};
 pub use context::{CkksContext, EmbeddingEngine};
 pub use key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
-pub use params::EmbeddingPrecision;
 pub use scale::ExactScale;
 
 /// The process-wide limb pool every plaintext and ciphertext limb lives

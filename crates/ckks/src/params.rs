@@ -1,4 +1,8 @@
 //! CKKS parameter sets, including the paper's bootstrappable regime.
+//!
+//! The embedding FFT's datapath is not a parameter: every context
+//! encodes and decodes on FP64, and [`crate::precision`] measures other
+//! datapaths (the paper's FP55, double-double `ExtF64`) per call.
 
 use crate::CkksError;
 
@@ -34,36 +38,6 @@ impl ScaleMode {
     }
 }
 
-/// Which real datapath the canonical-embedding FFT (encode/decode) runs
-/// on — the precision knob over `abc_transform::SpecialFft`'s
-/// per-(slots, datapath) twiddle plans.
-///
-/// The double-scale technique pays for Δ_eff = 2^72, but an FP64
-/// embedding resolves only ~49 of those bits (the 2^-53 kernel noise
-/// dominates): [`EmbeddingPrecision::ExtF64`] runs the embedding in
-/// double-double (~106-bit) arithmetic so decode finally sees the full
-/// double-scale payload. The paper's reduced FP55 hardware datapath
-/// (Fig. 3c) is not a context option: it is measured by handing
-/// `SoftFloatField::fp55()` to [`crate::precision::measure_precision`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmbeddingPrecision {
-    /// IEEE binary64 — the reference datapath.
-    #[default]
-    F64,
-    /// Double-double (~106 bits): decodes above the FP64 ceiling.
-    ExtF64,
-}
-
-impl EmbeddingPrecision {
-    /// Report label (matches `RealField::name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EmbeddingPrecision::F64 => "fp64",
-            EmbeddingPrecision::ExtF64 => "extf64",
-        }
-    }
-}
-
 /// Validated CKKS client-side parameters.
 ///
 /// The paper's evaluation setting (§V-B): `N = 2^16`, 36-bit primes under
@@ -90,7 +64,6 @@ pub struct CkksParams {
     prime_bits: u32,
     scale_bits: u32,
     scale_mode: ScaleMode,
-    embedding: EmbeddingPrecision,
     secret_hamming_weight: Option<usize>,
 }
 
@@ -171,20 +144,6 @@ impl CkksParams {
     /// How primes map to levels ([`ScaleMode`]).
     pub fn scale_mode(&self) -> ScaleMode {
         self.scale_mode
-    }
-
-    /// Which datapath the embedding FFT runs on.
-    pub fn embedding_precision(&self) -> EmbeddingPrecision {
-        self.embedding
-    }
-
-    /// The same parameters with a different embedding datapath — the
-    /// one setter of the field, so every preset can opt into `ExtF64`:
-    /// `CkksParams::bootstrappable(16)?.with_embedding(EmbeddingPrecision::ExtF64)`.
-    #[must_use]
-    pub fn with_embedding(mut self, embedding: EmbeddingPrecision) -> Self {
-        self.embedding = embedding;
-        self
     }
 
     /// Multiplicative levels the modulus supports: `num_primes` divided
@@ -360,7 +319,6 @@ impl CkksParamsBuilder {
             prime_bits: self.prime_bits,
             scale_bits: self.scale_bits,
             scale_mode: self.scale_mode,
-            embedding: EmbeddingPrecision::F64,
             secret_hamming_weight: self.secret_hamming_weight,
         })
     }
@@ -483,18 +441,6 @@ mod tests {
             .scale_mode(ScaleMode::DoublePair)
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn embedding_precision_knob() {
-        let p = CkksParams::bootstrappable(13).unwrap();
-        assert_eq!(p.embedding_precision(), EmbeddingPrecision::F64);
-        let e = p.clone().with_embedding(EmbeddingPrecision::ExtF64);
-        assert_eq!(e.embedding_precision(), EmbeddingPrecision::ExtF64);
-        // Only the embedding differs; everything else carries over.
-        assert_eq!(e.clone().with_embedding(EmbeddingPrecision::F64), p);
-        assert_eq!(EmbeddingPrecision::ExtF64.name(), "extf64");
-        assert_eq!(EmbeddingPrecision::F64.name(), "fp64");
     }
 
     #[test]

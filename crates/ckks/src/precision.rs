@@ -12,6 +12,13 @@
 //! the reduced datapath. The plateau level is set by encryption noise and
 //! Δ-quantization; the drop-off point by the mantissa width. Both
 //! features of Fig. 3c reproduce.
+//!
+//! A datapath is an argument here, not a context option: every
+//! measurement takes a [`RealField`] and builds its embedding plan for
+//! that call. A context encodes and decodes on FP64 only; the paper's
+//! FP55 (`SoftFloatField::fp55()`) and the double-double `ExtF64Field`,
+//! which resolves the ~20 bits of the double scale's Δ_eff = 2^72 that
+//! an FP64 embedding loses, are measured this way.
 
 use crate::context::CkksContext;
 use crate::scale::ExactScale;
@@ -20,7 +27,7 @@ use crate::CkksError;
 use abc_float::{Complex, RealField, SoftFloatField};
 use abc_prng::chacha::ChaCha20;
 use abc_prng::Seed;
-use abc_transform::SpecialFftEngine;
+use abc_transform::SpecialFft;
 
 /// Result of one precision measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,20 +88,24 @@ pub fn measure_precision<F: RealField>(
     trials: usize,
     seed: Seed,
 ) -> Result<f64, CkksError> {
-    let engine = SpecialFftEngine::new(field.clone(), ctx.params().slots());
-    let scale = ExactScale::from_log2(ctx.params().effective_scale_bits());
+    let fft = SpecialFft::with_field(field.clone(), ctx.params().slots());
+    let scale = fresh_scale(ctx);
     let (sk, pk) = ctx.keygen(seed.derive(1));
     rms_precision(ctx, trials, seed.derive(2), |t, msg| {
-        let pt = ctx.encode_core(&engine, msg, &scale)?;
+        let pt = ctx.encode_core(&fft, msg, &scale)?;
         let ct = ctx.encrypt(&pt, &pk, seed.derive(100 + t));
-        ctx.decode_core(&engine, &ctx.decrypt(&ct, &sk)?)
+        ctx.decode_core(&fft, &ctx.decrypt(&ct, &sk)?)
     })
 }
 
-/// Measures round-trip precision of the *configured* embedding datapath
-/// with encryption in the loop: encode → symmetric encrypt → decrypt →
-/// decode through the context's planned engine
-/// ([`CkksParams::embedding_precision`](crate::params::CkksParams)).
+/// The scale [`CkksContext::encode`] uses.
+fn fresh_scale(ctx: &CkksContext) -> ExactScale {
+    ExactScale::from_log2(ctx.params().effective_scale_bits())
+}
+
+/// Measures round-trip precision on `field`'s embedding datapath with
+/// encryption in the loop: encode → symmetric encrypt → decrypt →
+/// decode, both embeddings on one plan built for `field` by this call.
 ///
 /// The symmetric (secret-key, seed-compressed) path is the paper's
 /// client flow; its fresh noise is just `e`, so the measurement exposes
@@ -104,35 +115,40 @@ pub fn measure_precision<F: RealField>(
 /// # Errors
 ///
 /// Propagates [`CkksError`] from the pipeline.
-pub fn measure_configured_precision(
+pub fn measure_configured_precision<F: RealField>(
     ctx: &CkksContext,
+    field: &F,
     trials: usize,
     seed: Seed,
 ) -> Result<f64, CkksError> {
+    let fft = SpecialFft::with_field(field.clone(), ctx.params().slots());
+    let scale = fresh_scale(ctx);
     let (sk, _) = ctx.keygen(seed.derive(1));
     rms_precision(ctx, trials, seed.derive(2), |t, msg| {
-        let pt = ctx.encode(msg)?;
+        let pt = ctx.encode_core(&fft, msg, &scale)?;
         let cct = encrypt_symmetric_compressed(ctx, &pt, &sk, seed.derive(100 + t));
-        ctx.decode(&ctx.decrypt(&cct.expand(ctx)?, &sk)?)
+        ctx.decode_core(&fft, &ctx.decrypt(&cct.expand(ctx)?, &sk)?)
     })
 }
 
-/// Measures the *embedding* round trip — encode → decode on the
-/// configured datapath, no encryption — the precision the
-/// [`EmbeddingPrecision`](crate::params::EmbeddingPrecision) knob
-/// directly controls: Δ-quantization plus FFT datapath noise, nothing
-/// else.
+/// Measures the *embedding* round trip — encode → decode on `field`'s
+/// datapath, no encryption, one plan built by this call — the precision
+/// the datapath alone sets: Δ-quantization plus FFT datapath noise,
+/// nothing else.
 ///
 /// # Errors
 ///
 /// Propagates [`CkksError`] from encode/decode.
-pub fn measure_embedding_precision(
+pub fn measure_embedding_precision<F: RealField>(
     ctx: &CkksContext,
+    field: &F,
     trials: usize,
     seed: Seed,
 ) -> Result<f64, CkksError> {
+    let fft = SpecialFft::with_field(field.clone(), ctx.params().slots());
+    let scale = fresh_scale(ctx);
     rms_precision(ctx, trials, seed.derive(3), |_, msg| {
-        ctx.decode(&ctx.encode(msg)?)
+        ctx.decode_core(&fft, &ctx.encode_core(&fft, msg, &scale)?)
     })
 }
 
@@ -214,10 +230,10 @@ mod tests {
 
     #[test]
     fn extended_embedding_beats_f64_embedding() {
-        use crate::params::EmbeddingPrecision;
+        use abc_float::ExtF64Field;
         // Same small double-scale parameters, embedding datapath swapped:
         // ExtF64 must decode well above the FP64 embedding ceiling.
-        let params = |e: EmbeddingPrecision| {
+        let ctx = CkksContext::new(
             CkksParams::builder()
                 .log_n(9)
                 .num_primes(4)
@@ -226,22 +242,20 @@ mod tests {
                 .scale_mode(crate::params::ScaleMode::DoublePair)
                 .secret_hamming_weight(Some(32))
                 .build()
-                .unwrap()
-                .with_embedding(e)
-        };
-        let f64_ctx = CkksContext::new(params(EmbeddingPrecision::F64)).unwrap();
-        let ext_ctx = CkksContext::new(params(EmbeddingPrecision::ExtF64)).unwrap();
+                .unwrap(),
+        )
+        .unwrap();
         let seed = Seed::from_u128(99);
-        let f64_bits = measure_embedding_precision(&f64_ctx, 1, seed).unwrap();
-        let ext_bits = measure_embedding_precision(&ext_ctx, 1, seed).unwrap();
+        let f64_bits = measure_embedding_precision(&ctx, &F64Field, 1, seed).unwrap();
+        let ext_bits = measure_embedding_precision(&ctx, &ExtF64Field, 1, seed).unwrap();
         assert!(
             ext_bits > f64_bits + 8.0,
             "extf64 {ext_bits:.2} vs fp64 {f64_bits:.2}"
         );
         // With encryption in the loop the gain survives (noise floor is
         // higher, but still above what FP64 resolves at Δ_eff = 2^72).
-        let f64_enc = measure_configured_precision(&f64_ctx, 1, seed).unwrap();
-        let ext_enc = measure_configured_precision(&ext_ctx, 1, seed).unwrap();
+        let f64_enc = measure_configured_precision(&ctx, &F64Field, 1, seed).unwrap();
+        let ext_enc = measure_configured_precision(&ctx, &ExtF64Field, 1, seed).unwrap();
         assert!(
             ext_enc > f64_enc,
             "encrypted: extf64 {ext_enc:.2} vs fp64 {f64_enc:.2}"

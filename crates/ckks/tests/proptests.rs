@@ -2,16 +2,13 @@
 
 use abc_ckks::params::{CkksParams, ScaleMode};
 use abc_ckks::symmetric::encrypt_symmetric_compressed;
-use abc_ckks::{
-    evaluator, noise, wire, Ciphertext, CkksContext, EmbeddingEngine, EmbeddingPrecision,
-    ExactScale, Plaintext,
-};
-use abc_float::{Complex, RealField};
+use abc_ckks::{evaluator, noise, wire, Ciphertext, CkksContext, ExactScale, Plaintext};
+use abc_float::{Complex, F64Field, RealField};
 use abc_math::rns::WordLift;
 use abc_math::{KernelTier, UBig};
 use abc_prng::Seed;
 use abc_transform::rns_ntt::THREADS_ENV;
-use abc_transform::{SpecialFft, SpecialFftEngine};
+use abc_transform::SpecialFft;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -40,7 +37,7 @@ fn message_from_seed(slots: usize, seed: u64) -> Vec<Complex> {
 /// A double-scale context (Δ_eff = 2^72, 39-bit head prime then 36-bit
 /// primes — the paper presets' shape) with six primes: the word lift's
 /// prefix is three of them, the other three verify.
-fn lift_ctx(embedding: EmbeddingPrecision) -> CkksContext {
+fn lift_ctx() -> CkksContext {
     CkksContext::new(
         CkksParams::builder()
             .log_n(7)
@@ -48,8 +45,7 @@ fn lift_ctx(embedding: EmbeddingPrecision) -> CkksContext {
             .scale_mode(ScaleMode::DoublePair)
             .secret_hamming_weight(None)
             .build()
-            .expect("valid params")
-            .with_embedding(embedding),
+            .expect("valid params"),
     )
     .expect("context")
 }
@@ -62,32 +58,24 @@ fn coefficient_limbs(ctx: &CkksContext, pt: &Plaintext) -> (Vec<Vec<u64>>, abc_m
 }
 
 /// Decode as it was before the word lift: every coefficient through
-/// the big-integer Garner lift and `apply_ext`.
+/// the big-integer Garner lift and `apply_ext`, then the forward FP64
+/// embedding on a plan of its own. (The crate's unit tests hold the
+/// ExtF64 case: its decode is crate-private.)
 fn oracle_decode(ctx: &CkksContext, pt: &Plaintext) -> Vec<Complex> {
-    fn on<F: RealField>(
-        ctx: &CkksContext,
-        engine: &SpecialFftEngine<F>,
-        pt: &Plaintext,
-    ) -> Vec<Complex> {
-        let (res, basis) = coefficient_limbs(ctx, pt);
-        let product = basis.product();
-        let divisor = pt.exact_scale().divisor();
-        let field = engine.plan().field();
-        let coeffs: Vec<F::Real> = (0..pt.n())
-            .map(|j| {
-                let residues: Vec<u64> = res.iter().map(|limb| limb[j]).collect();
-                let (negative, mag) = basis.combine_centered_big_with_product(&residues, &product);
-                field.from_ext(divisor.apply_ext(negative, &mag))
-            })
-            .collect();
-        let mut vals = engine.plan().coeffs_to_slots(&coeffs);
-        engine.forward(&mut vals);
-        vals.into_iter().map(|v| v.to_f64_in(field)).collect()
-    }
-    match ctx.embedding() {
-        EmbeddingEngine::F64(e) => on(ctx, e, pt),
-        EmbeddingEngine::ExtF64(e) => on(ctx, e, pt),
-    }
+    let (res, basis) = coefficient_limbs(ctx, pt);
+    let product = basis.product();
+    let divisor = pt.exact_scale().divisor();
+    let coeffs: Vec<f64> = (0..pt.n())
+        .map(|j| {
+            let residues: Vec<u64> = res.iter().map(|limb| limb[j]).collect();
+            let (negative, mag) = basis.combine_centered_big_with_product(&residues, &product);
+            F64Field.from_ext(divisor.apply_ext(negative, &mag))
+        })
+        .collect();
+    let fft = SpecialFft::with_field(F64Field, ctx.params().slots());
+    let mut vals = fft.coeffs_to_slots(&coeffs);
+    fft.forward(&mut vals);
+    vals
 }
 
 /// Scales decode divides by: a power of two (reciprocal 1), rational
@@ -171,7 +159,7 @@ fn assert_bit_identical(got: &[Complex], want: &[Complex]) {
 
 #[test]
 fn wrong_key_decode_falls_back_to_the_same_garbage() {
-    let ctx = lift_ctx(EmbeddingPrecision::F64);
+    let ctx = lift_ctx();
     let (_, pk) = ctx.keygen(Seed::from_u128(61));
     let (other_sk, _) = ctx.keygen(Seed::from_u128(62));
     let msg = message_from_seed(ctx.params().slots(), 63);
@@ -186,7 +174,7 @@ fn wrong_key_decode_falls_back_to_the_same_garbage() {
 fn unrescaled_product_decodes_past_the_prefix() {
     // Scale 2^144 against a prefix of ≈ 2^111: the payload itself is out
     // of the word lift's range, and Q ≈ 2^219 still holds it.
-    let ctx = lift_ctx(EmbeddingPrecision::F64);
+    let ctx = lift_ctx();
     let (sk, pk) = ctx.keygen(Seed::from_u128(71));
     let evk = ctx.gen_eval_key(&sk, Seed::from_u128(72));
     let slots = ctx.params().slots();
@@ -209,7 +197,7 @@ fn unrescaled_product_decodes_past_the_prefix() {
 fn two_prime_download_has_nothing_to_verify() {
     // The paper's download: both limbs are word prefix, so the lift is
     // plain Garner + centring and never falls back.
-    let ctx = lift_ctx(EmbeddingPrecision::F64);
+    let ctx = lift_ctx();
     let (sk, pk) = ctx.keygen(Seed::from_u128(81));
     let msg = message_from_seed(ctx.params().slots(), 82);
     let ct = ctx
@@ -264,14 +252,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn decode_is_bit_identical_to_the_bigint_oracle(
-        seed in any::<u64>(),
-        embedding in prop::sample::select(vec![
-            EmbeddingPrecision::F64,
-            EmbeddingPrecision::ExtF64,
-        ]),
-    ) {
-        let ctx = lift_ctx(embedding);
+    fn decode_is_bit_identical_to_the_bigint_oracle(seed in any::<u64>()) {
+        let ctx = lift_ctx();
         let (sk, pk) = ctx.keygen(Seed::from_u128(seed as u128));
         let msg = message_from_seed(ctx.params().slots(), seed);
         let ct = ctx.encrypt(&ctx.encode(&msg).expect("encode"), &pk, Seed::from_u128(seed as u128 + 1));

@@ -193,9 +193,7 @@ fn pool_over_allowance(when: &str) -> Vec<String> {
 /// rung is one per process), on which CPU features, with how many limb
 /// fan-out threads per operation.
 fn context_lines(ctx: &abc_ckks::CkksContext) -> Result<String, Box<dyn std::error::Error>> {
-    let abc_ckks::EmbeddingEngine::F64(fft) = ctx.embedding() else {
-        return Err("the loadgen runs the default (F64) embedding datapath".into());
-    };
+    let abc_ckks::EmbeddingEngine::F64(fft) = ctx.embedding();
     let plan = &ctx.ntt_plans()[0];
     let (ntt_tables, fft_plans, pool_allowance) = ctx.resident_bytes();
     Ok(format!(

@@ -40,9 +40,9 @@
 //! no engine method. `forward_all`, `inverse_all`, `dyadic_mul_add_all`
 //! and `dyadic_mul_add2_all` are such one-liners kept under a name.
 //!
-//! The fan-out is not tied to limbs: [`RnsNttEngine::for_each_chunk`]
-//! ([`crate::fanout::for_each_chunk`] at the engine's thread count) splits
-//! any slice into contiguous ranges, one per thread, under the same
+//! The fan-out is not tied to limbs: [`crate::fanout::for_each_chunk`]
+//! at the engine's thread count ([`RnsNttEngine::threads`]) splits any
+//! slice into contiguous ranges, one per thread, under the same
 //! cut-offs. Decode's CRT lift runs on it by slot range — the
 //! thread owning slots `a..b` lifts coefficients `a..b` and
 //! `N/2 + a..N/2 + b` from every limb — because a coefficient's lift
@@ -345,18 +345,6 @@ impl RnsNttEngine {
                 }
             },
         );
-    }
-
-    /// The combinator for a pass that is not per limb:
-    /// [`fanout::for_each_chunk`] at the engine's thread count — `f(first,
-    /// chunk)` on contiguous chunks of `items`, fanned out once `items ×
-    /// words` reaches the cut-off `work` names.
-    pub fn for_each_chunk<T, F>(&self, items: &mut [T], words: usize, work: LimbWork, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        fanout::for_each_chunk(self.threads, items, words, work, f);
     }
 
     /// [`Self::for_each_limb`] over the paired limbs of two components,
@@ -779,13 +767,19 @@ mod tests {
                 // (index the pass saw, visits)
                 let mut items = vec![(usize::MAX, 0u32); len];
                 let calls = AtomicUsize::new(0);
-                engine.for_each_chunk(&mut items, 2, LimbWork::Transform, |first, chunk| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    for (i, (at, visits)) in (first..).zip(chunk) {
-                        *at = i;
-                        *visits += 1;
-                    }
-                });
+                fanout::for_each_chunk(
+                    engine.threads(),
+                    &mut items,
+                    2,
+                    LimbWork::Transform,
+                    |first, chunk| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        for (i, (at, visits)) in (first..).zip(chunk) {
+                            *at = i;
+                            *visits += 1;
+                        }
+                    },
+                );
                 for (i, &(at, visits)) in items.iter().enumerate() {
                     assert_eq!((at, visits), (i, 1), "threads={threads} len={len}");
                 }

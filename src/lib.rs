@@ -58,10 +58,7 @@ pub use abc_transform as transform;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use abc_ckks::{
-        params::{CkksParams, EmbeddingPrecision},
-        Ciphertext, CkksContext, Plaintext,
-    };
+    pub use abc_ckks::{params::CkksParams, Ciphertext, CkksContext, Plaintext};
     pub use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
     pub use abc_math::{Modulus, RnsBasis};
     pub use abc_prng::Seed;

@@ -180,30 +180,29 @@ fn tier2_fp55_precision_at_bootstrappable_n13() {
 #[test]
 #[ignore = "tier-2: ExtF64 embedding precision floor, N = 2^13 … 2^16"]
 fn tier2_extf64_embedding_precision_floor() {
-    // The EmbeddingPrecision::ExtF64 knob on the DoublePair
-    // bootstrappable presets must decode far above the ~49-bit FP64
-    // embedding ceiling (PR 3 measured 48.93 bits at N = 2^16):
+    // The double-double ExtF64 embedding datapath, measured on the
+    // DoublePair bootstrappable presets, must decode far above the
+    // ~49-bit FP64 embedding ceiling (48.93 bits measured at
+    // N = 2^16):
     //
-    // * the embedding round trip (encode → decode, the path the knob
-    //   controls) must hold ≥ 55 bits at every preset size, and beat
-    //   the FP64 figure by ≥ 8 bits at N = 2^16;
+    // * the embedding round trip (encode → decode, the path the
+    //   datapath alone sets) must hold ≥ 55 bits at every preset size,
+    //   and beat the FP64 figure by ≥ 8 bits at N = 2^16;
     // * with encryption in the loop (the paper's symmetric client
     //   flow), the measured precision must *also* hold the 55-bit
     //   floor — the embedding no longer masks the scheme's own noise.
     use abc_fhe::ckks::precision::{measure_configured_precision, measure_embedding_precision};
-    use abc_fhe::prelude::EmbeddingPrecision;
+    use abc_fhe::prelude::ExtF64Field;
     for log_n in 13..=16u32 {
-        let params = CkksParams::bootstrappable(log_n)
-            .expect("preset")
-            .with_embedding(EmbeddingPrecision::ExtF64);
-        let ctx = CkksContext::new(params).expect("ctx");
+        let ctx =
+            CkksContext::new(CkksParams::bootstrappable(log_n).expect("preset")).expect("ctx");
         let seed = Seed::from_u128(7000 + log_n as u128);
-        let embed_bits = measure_embedding_precision(&ctx, 1, seed).expect("measure");
+        let embed_bits = measure_embedding_precision(&ctx, &ExtF64Field, 1, seed).expect("measure");
         assert!(
             embed_bits >= 55.0,
             "N=2^{log_n}: ExtF64 embedding precision {embed_bits:.2} below the 55-bit floor"
         );
-        let enc_bits = measure_configured_precision(&ctx, 1, seed).expect("measure");
+        let enc_bits = measure_configured_precision(&ctx, &ExtF64Field, 1, seed).expect("measure");
         assert!(
             enc_bits >= 55.0,
             "N=2^{log_n}: encrypted ExtF64 precision {enc_bits:.2} below the 55-bit floor"
