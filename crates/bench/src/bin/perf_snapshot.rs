@@ -518,6 +518,7 @@ fn main() {
             // input stream read once plus the in-place write-back.
             let mut d_pre = d.clone();
             engine.premul(&mut d_pre);
+            let (mut c_scratch, mut b_scratch) = (c.clone(), b.clone());
             type Pass<'a> = Box<dyn FnMut(&mut [u64]) + 'a>;
             let passes: [(&str, usize, Pass); 5] = [
                 (
@@ -531,10 +532,20 @@ fn main() {
                     4,
                     Box::new(|x| engine.mul_add_assign(x, &b, &c)),
                 ),
+                // The RLWE tail (`c + d − x·b`) and the rescale tail
+                // (`(x − b)·s`), outside a transform: its output is read
+                // from a scratch copy, which neither tail writes.
                 (
                     "fused_dyadic/mul_neg_add2",
                     5,
-                    Box::new(|x| engine.mul_neg_add2_assign(x, &b, &c, &d)),
+                    Box::new(|x| {
+                        let tail = Tail::NegMulAdd {
+                            dst: x,
+                            s: &b,
+                            t: Some(&d),
+                        };
+                        engine.apply_tail(&mut c_scratch, tail);
+                    }),
                 ),
                 // The upload kernel (`CkksContext::encrypt`'s pair
                 // pass: e + pk·v̂) and the key-switch accumulation.
@@ -546,7 +557,9 @@ fn main() {
                 (
                     "fused_dyadic/sub_scalar_mul",
                     3,
-                    Box::new(|x| engine.sub_scalar_mul_assign(x, &b, s)),
+                    Box::new(|x| {
+                        engine.apply_tail(&mut b_scratch, Tail::SubScalarMul { dst: x, w: s });
+                    }),
                 ),
             ];
             // bytes/op counts each input stream read once plus the

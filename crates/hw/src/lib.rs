@@ -9,11 +9,11 @@
 //!
 //! * [`twiddle`] — the unified on-the-fly twiddle generator (§IV-B),
 //!   checked twiddle for twiddle against the NTT plan's table.
-//! * [`stream`] — the RFE's streaming pipeline: one butterfly column
-//!   type and one drive loop, configured as the NTT mode (`Z_q`) or the
-//!   special-FFT mode (complex, over any datapath), one sample per tick
-//!   through halving delay buffers; equal to `NttPlan::forward` and the
-//!   planned `SpecialFft` output for output.
+//! * [`stream`] — the RFE's streaming pipeline and its one stepped
+//!   model: butterfly columns on `P` lanes as the NTT mode (`Z_q`) or the
+//!   special-FFT mode (any datapath), equal to `NttPlan::forward` and
+//!   `SpecialFft` output for output; its measured ticks check
+//!   `abc_sim::pipeline`'s closed forms.
 //! * [`reduce`] — the Table I reducers behind one strategy trait: the
 //!   client's Barrett and Montgomery beside the NTT-friendly shift-add
 //!   Montgomery.

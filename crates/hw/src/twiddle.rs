@@ -29,6 +29,12 @@ pub trait TwiddleSource {
 
     /// `N^{-1} mod q`, applied at the end of the INTT.
     fn n_inv(&self) -> u64;
+
+    /// The modulus `q` the twiddles live in.
+    fn modulus(&self) -> Modulus;
+
+    /// The transform size `N` (a power of two ≥ 2).
+    fn n(&self) -> usize;
 }
 
 /// The plan's table — the conventional design ABC-FHE's `ABC-FHE_Base`
@@ -47,6 +53,14 @@ impl TwiddleSource for NttPlan {
 
     fn n_inv(&self) -> u64 {
         self.table().n_inv()
+    }
+
+    fn modulus(&self) -> Modulus {
+        *NttPlan::modulus(self)
+    }
+
+    fn n(&self) -> usize {
+        NttPlan::n(self)
     }
 }
 
@@ -182,6 +196,14 @@ impl TwiddleSource for OtfTwiddleGen {
 
     fn n_inv(&self) -> u64 {
         self.n_inv
+    }
+
+    fn modulus(&self) -> Modulus {
+        self.m
+    }
+
+    fn n(&self) -> usize {
+        1 << self.seeds.len()
     }
 }
 

@@ -60,17 +60,17 @@
 //!
 //! * [`DyadicEngine::mul_assign`] — `a = a·b`;
 //! * [`DyadicEngine::mul_add_assign`] — `a = a·b + c` (decrypt);
-//! * [`DyadicEngine::mul_neg_add_assign`] — `a = c − a·b` (keygen);
-//! * [`DyadicEngine::mul_neg_add2_assign`] — `a = c + d − a·b`
-//!   (symmetric encrypt c0);
 //! * [`DyadicEngine::mul_add2_assign`] — `a = a·b + c + d`;
 //! * [`DyadicEngine::mul_assign_premul`] — `a = a·b̃`;
 //! * [`DyadicEngine::mul_acc_assign_premul`] — `acc += b·d̃` (public-key
-//!   encrypt, key-switch accumulation; no scratch copies).
+//!   encrypt, key-switch accumulation; no scratch copies);
+//! * [`Tail::NegMulAdd`] through [`DyadicEngine::apply_tail`] — `a = c
+//!   (+ d) − a·b`, the RLWE sample of keygen, key-switch keygen and
+//!   seeded encrypt.
 //!
 //! Multiplying by a *constant* is a different datapath (Shoup, a
-//! precomputed quotient): [`DyadicEngine::sub_scalar_mul_assign`] —
-//! `a = (a − b)·s`, both rescales.
+//! precomputed quotient): [`Tail::SubScalarMul`] — `a = (a − b)·s`,
+//! rescale — reached, like the RLWE shape, only as a tail.
 //!
 //! # Tails and expansion
 //!
@@ -256,13 +256,13 @@ impl DyadicEngine {
             } => self.mac::<true, false, true, 2>(y, d_pre, [b, c]),
             Tail::NegMulAdd { dst, s, t } => {
                 match t {
-                    None => self.mul_neg_add_assign(dst, s, y),
-                    Some(t) => self.mul_neg_add2_assign(dst, s, y, t),
+                    None => self.mac::<false, true, false, 1>(dst, s, [y]),
+                    Some(t) => self.mac::<false, true, false, 2>(dst, s, [y, t]),
                 }
                 return dst;
             }
             Tail::SubScalarMul { dst, w } => {
-                self.sub_scalar_mul_assign(dst, y, w);
+                self.sub_scalar_mul(dst, y, w);
                 return dst;
             }
         }
@@ -283,18 +283,6 @@ impl DyadicEngine {
     /// (`c1·s + c0`).
     pub fn mul_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
         self.mac::<false, false, false, 1>(a, b, [c]);
-    }
-
-    /// `a[i] = c[i] − a[i]·b[i] mod q` — the keygen and
-    /// key-switch-keygen `-(a·s)+e` chain as one pass.
-    pub fn mul_neg_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
-        self.mac::<false, true, false, 1>(a, b, [c]);
-    }
-
-    /// `a[i] = c[i] + d[i] − a[i]·b[i] mod q` — the symmetric encrypt
-    /// c0 chain `-(a·s)+e+m` as one pass.
-    pub fn mul_neg_add2_assign(&self, a: &mut [u64], b: &[u64], c: &[u64], d: &[u64]) {
-        self.mac::<false, true, false, 2>(a, b, [c, d]);
     }
 
     /// `a[i] = a[i]·b[i] + c[i] + d[i] mod q` — the `pk·v+e+m` chain as
@@ -376,15 +364,11 @@ impl DyadicEngine {
         debug_assert!(canonical(dst));
     }
 
-    /// Fused `a[i] = (a[i] − b[i])·s mod q` — the rescale shape
-    /// (previously sub + scalar-mul: two passes). `s` is reduced on
-    /// entry (any `u64`). Both operands are canonical in `[0, q)`, and so
-    /// is the result — checked in debug builds, on every kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ.
-    pub fn sub_scalar_mul_assign(&self, a: &mut [u64], b: &[u64], s: u64) {
+    /// Fused `a[i] = (a[i] − b[i])·s mod q`, [`Tail::SubScalarMul`]'s
+    /// pass. `s` is reduced on entry (any `u64`). Both operands are
+    /// canonical in `[0, q)`, and so is the result — checked in debug
+    /// builds, on every kernel. Panics if slice lengths differ.
+    fn sub_scalar_mul(&self, a: &mut [u64], b: &[u64], s: u64) {
         assert_eq!(a.len(), b.len());
         let q = self.m.q();
         debug_assert!(a.iter().all(|&x| x < q), "minuend outside [0, q)");
@@ -628,17 +612,19 @@ mod tests {
                 }
                 // Fused chain kernels vs the golden composition.
                 let d = pseudo(n, q, q ^ 29);
-                let mut got = a0.clone();
-                e.mul_neg_add_assign(&mut got, &b, &c);
-                for i in 0..n {
-                    let want = m.sub(c[i], m.mul(a0[i], b[i]));
-                    assert_eq!(got[i], want, "mul_neg_add {pref:?} q={q} i={i}");
-                }
-                let mut got = a0.clone();
-                e.mul_neg_add2_assign(&mut got, &b, &c, &d);
-                for i in 0..n {
-                    let want = m.add(m.sub(c[i], m.mul(a0[i], b[i])), d[i]);
-                    assert_eq!(got[i], want, "mul_neg_add2 {pref:?} q={q} i={i}");
+                for t in [None, Some(&d[..])] {
+                    let mut got = a0.clone();
+                    let tail = Tail::NegMulAdd {
+                        dst: &mut got,
+                        s: &b,
+                        t,
+                    };
+                    e.apply_tail(&mut c.clone(), tail);
+                    for i in 0..n {
+                        let want = m.sub(c[i], m.mul(a0[i], b[i]));
+                        let want = t.map_or(want, |t| m.add(want, t[i]));
+                        assert_eq!(got[i], want, "neg_mul_add {pref:?} q={q} t={t:?} i={i}");
+                    }
                 }
                 let mut got = a0.clone();
                 e.mul_add2_assign(&mut got, &b, &c, &d);
@@ -648,7 +634,11 @@ mod tests {
                 }
                 for s in [0u64, 1, q - 1, q, u64::MAX] {
                     let mut got = a0.clone();
-                    e.sub_scalar_mul_assign(&mut got, &b, s);
+                    let tail = Tail::SubScalarMul {
+                        dst: &mut got,
+                        w: s,
+                    };
+                    e.apply_tail(&mut b.clone(), tail);
                     for i in 0..n {
                         let want = m.mul(m.sub(a0[i], b[i]), s % q);
                         assert_eq!(got[i], want, "sub_scalar {pref:?} q={q} s={s} i={i}");
@@ -684,7 +674,7 @@ mod tests {
         let mut a = vec![1u64; 16];
         let mut b = vec![0u64; 16];
         b[0] = m.q();
-        e.sub_scalar_mul_assign(&mut a, &b, 5);
+        e.apply_tail(&mut b, Tail::SubScalarMul { dst: &mut a, w: 5 });
     }
 
     #[test]

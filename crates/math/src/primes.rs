@@ -213,43 +213,6 @@ pub fn search_structured_primes(
     found.into_values().collect()
 }
 
-/// Generates an RNS basis of structured NTT-friendly primes: `count`
-/// primes of `bits`-bit width supporting degree-`n` negacyclic NTTs,
-/// preferring primes with the fewest structure terms (cheapest shift-add
-/// networks).
-///
-/// # Errors
-///
-/// Returns [`MathError::PrimeSearchExhausted`] if the structured search
-/// space does not contain `count` primes at this width (none above 62
-/// bits).
-pub fn generate_structured_ntt_primes(
-    bits: u32,
-    count: usize,
-    n: u64,
-) -> Result<Vec<u64>, MathError> {
-    let mut all = search_structured_primes(bits..=bits, n);
-    all.sort_by_key(|p| (p.num_terms, core::cmp::Reverse(p.q)));
-    if all.len() < count {
-        return Err(MathError::PrimeSearchExhausted {
-            bits,
-            found: all.len(),
-            requested: count,
-        });
-    }
-    let mut out: Vec<u64> = all[..count].iter().map(|p| p.q).collect();
-    out.sort_unstable();
-    out.dedup();
-    if out.len() < count {
-        return Err(MathError::PrimeSearchExhausted {
-            bits,
-            found: out.len(),
-            requested: count,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,13 +270,9 @@ mod tests {
         );
         // 2^17-bit primes congruent to 1 mod 2^17 barely exist at tiny widths.
         assert!(generate_ntt_primes(18, 1000, 1 << 17).is_err());
-        // The structured search stops at 62 bits: a 63-bit request finds
-        // nothing at once, and a range reaching past 62 returns no prime
-        // a `Modulus` would refuse.
-        assert_eq!(
-            generate_structured_ntt_primes(63, 1, 1 << 13),
-            Err(none_at(63, 1))
-        );
+        // The structured search stops at 62 bits: a range reaching past
+        // 62 returns no prime a `Modulus` would refuse.
+        assert!(search_structured_primes(63..=63, 1 << 13).is_empty());
         let wide = search_structured_primes(62..=63, 1 << 16);
         assert!(wide.iter().all(|p| p.bits() == 62), "a 63-bit prime");
     }
@@ -328,16 +287,6 @@ mod tests {
             assert!(is_prime(p.q));
             assert_eq!((p.q - 1) % (1 << 17), 0);
             assert_eq!(p.bits(), 36);
-        }
-    }
-
-    #[test]
-    fn structured_basis_generation() {
-        let qs = generate_structured_ntt_primes(36, 4, 1 << 13).unwrap();
-        assert_eq!(qs.len(), 4);
-        for q in qs {
-            assert!(is_prime(q));
-            assert_eq!((q - 1) % (1 << 14), 0);
         }
     }
 }

@@ -892,9 +892,8 @@ unsafe impl TailX8 for Add<'_> {
 }
 
 /// `dst = ŷ (+ t) − dst·s`, into `dst`, not the transform's buffer: the
-/// RLWE shape of [`crate::dyadic::DyadicEngine::mul_neg_add_assign`] /
-/// [`crate::dyadic::DyadicEngine::mul_neg_add2_assign`] with the
-/// transform as the first addend.
+/// RLWE shape of [`crate::dyadic::Tail::NegMulAdd`], with the transform
+/// as the first addend.
 #[derive(Debug)]
 pub(crate) struct NegMulAdd<'a> {
     k: &'a Mont52,
@@ -970,7 +969,7 @@ unsafe impl TailX8 for NegMulAdd<'_> {
 
 /// `dst = (dst − ŷ)·w` for a constant `w < q`, into `dst`, not the
 /// transform's buffer: the rescale shape of
-/// [`crate::dyadic::DyadicEngine::sub_scalar_mul_assign`].
+/// [`crate::dyadic::Tail::SubScalarMul`].
 #[derive(Debug)]
 pub(crate) struct SubScalarMul<'a> {
     q: u64,

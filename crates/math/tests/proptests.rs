@@ -259,13 +259,13 @@ proptest! {
             poly::neg_assign(&m, &mut mna);
             poly::add_assign(&m, &mut mna, &c);
             let mut got = a.clone();
-            e.mul_neg_add_assign(&mut got, &b, &c);
-            prop_assert_eq!(&got, &mna, "mul_neg_add {:?} q={}", pref, q);
+            e.apply_tail(&mut c.clone(), Tail::NegMulAdd { dst: &mut got, s: &b, t: None });
+            prop_assert_eq!(&got, &mna, "neg_mul_add {:?} q={}", pref, q);
             let mut mna2 = mna.clone();
             poly::add_assign(&m, &mut mna2, &d);
             let mut got = a.clone();
-            e.mul_neg_add2_assign(&mut got, &b, &c, &d);
-            prop_assert_eq!(&got, &mna2, "mul_neg_add2 {:?} q={}", pref, q);
+            e.apply_tail(&mut c.clone(), Tail::NegMulAdd { dst: &mut got, s: &b, t: Some(&d) });
+            prop_assert_eq!(&got, &mna2, "neg_mul_add2 {:?} q={}", pref, q);
             // a·b + c + d vs mul_add/add.
             let mut ma2 = a.clone();
             poly::mul_add_assign(&m, &mut ma2, &b, &c);
@@ -278,7 +278,7 @@ proptest! {
             poly::sub_assign(&m, &mut ssm, &b);
             poly::scalar_mul_assign(&m, &mut ssm, s);
             let mut got = a.clone();
-            e.sub_scalar_mul_assign(&mut got, &b, s);
+            e.apply_tail(&mut b.clone(), Tail::SubScalarMul { dst: &mut got, w: s });
             prop_assert_eq!(&got, &ssm, "sub_scalar_mul {:?} q={}", pref, q);
             // acc += b·d via the premultiplied fused accumulate vs
             // mul + add.
@@ -793,12 +793,17 @@ fn every_dyadic_op(
     };
     op("mul", &|x| e.mul_assign(x, b));
     op("mul_add", &|x| e.mul_add_assign(x, b, c));
-    op("mul_neg_add", &|x| e.mul_neg_add_assign(x, b, c));
-    op("mul_neg_add2", &|x| e.mul_neg_add2_assign(x, b, c, d));
+    for (name, t) in [("mul_neg_add", None), ("mul_neg_add2", Some(&d[..]))] {
+        op(name, &|x| {
+            e.apply_tail(&mut c.clone(), Tail::NegMulAdd { dst: x, s: b, t });
+        });
+    }
     op("mul_add2", &|x| e.mul_add2_assign(x, b, c, d));
     op("mul_premul", &|x| e.mul_assign_premul(x, &b_pre));
     op("mul_acc_premul", &|x| e.mul_acc_assign_premul(x, b, &d_pre));
-    op("sub_scalar_mul", &|x| e.sub_scalar_mul_assign(x, b, w));
+    op("sub_scalar_mul", &|x| {
+        e.apply_tail(&mut b.clone(), Tail::SubScalarMul { dst: x, w });
+    });
     op("add", &|x| e.add_assign(x, b));
     op("premul", &|x| {
         let mut y = c.clone();

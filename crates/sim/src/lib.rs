@@ -8,7 +8,9 @@
 //!   (PNL) is a P-parallel multi-path delay commutator that accepts P
 //!   coefficients per cycle; a transform of `N` points streams in `N/P`
 //!   cycles after a fill latency set by the butterfly pipeline depth and
-//!   the commutator FIFOs.
+//!   the commutator FIFOs. These closed forms are checked against the
+//!   ticks of `abc_hw::stream`, the stepped column that computes the
+//!   transform (`tests/cross_validation.rs` at the workspace root).
 //! * **LPDDR5 DRAM model** ([`dram`]) — 68.4 GB/s shared by fetch and
 //!   write-back; the global scratchpad is double-buffered so compute and
 //!   transfer overlap, making total latency `max(compute, dram) + fill`.
@@ -44,7 +46,6 @@ pub mod dram;
 pub mod pipeline;
 pub mod report;
 pub mod schedule;
-pub mod stream;
 pub mod sweep;
 pub mod workload;
 
@@ -55,4 +56,48 @@ pub use workload::Workload;
 /// Runs a workload under a configuration and returns the cycle report.
 pub fn simulate(workload: &Workload, cfg: &SimConfig) -> SimReport {
     workload.run(cfg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::MemoryConfig;
+
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// Every report field of both client flows at the paper's presets,
+    /// under every memory configuration and three lane counts, hashed
+    /// per (flow, `log_n`) — values captured before the second stepped
+    /// model of the RFE was deleted, so a change to the analytic model
+    /// shows here and not only in a figure.
+    #[test]
+    fn reports_equal_the_parents() {
+        let pinned: [(Workload, u64); 8] = [
+            (Workload::encode_encrypt(13, 24), 0xd8a0_f681_e16a_e427),
+            (Workload::encode_encrypt(14, 24), 0xd7c5_5d70_205a_11d1),
+            (Workload::encode_encrypt(15, 24), 0x09ed_e7a3_83d7_30ec),
+            (Workload::encode_encrypt(16, 24), 0x0433_8362_54b2_57c2),
+            (Workload::decode_decrypt(13, 2), 0xd62f_b061_87e6_0c56),
+            (Workload::decode_decrypt(14, 2), 0xca9c_1729_5437_8e9a),
+            (Workload::decode_decrypt(15, 2), 0x6ca7_6f9e_28f0_140b),
+            (Workload::decode_decrypt(16, 2), 0x115a_cdd7_e203_68a4),
+        ];
+        for (w, want) in pinned {
+            let mut text = String::new();
+            for memory in MemoryConfig::ALL {
+                for lanes in [4, 8, 16] {
+                    let cfg = SimConfig::paper_default()
+                        .with_memory(memory)
+                        .with_lanes(lanes);
+                    text += &format!("{:?}\n", simulate(&w, &cfg));
+                }
+            }
+            assert_eq!(fnv1a(text.as_bytes()), want, "{w:?}");
+        }
+    }
 }

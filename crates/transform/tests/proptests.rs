@@ -146,10 +146,12 @@ fn check_every_tail<X: SignedWord>(
         };
         simd.forward_stream(&src, &mut got, tail);
         let mut want = x.clone();
-        match addend {
-            None => ds.mul_neg_add_assign(&mut want, &b, &y),
-            Some(c) => ds.mul_neg_add2_assign(&mut want, &b, &y, c),
-        }
+        let tail = Tail::NegMulAdd {
+            dst: &mut want,
+            s: &b,
+            t: addend,
+        };
+        ds.apply_tail(&mut y.clone(), tail);
         prop_assert_eq!(
             &dst,
             &want,
@@ -162,7 +164,7 @@ fn check_every_tail<X: SignedWord>(
     let mut dst = x.clone();
     simd.forward_stream(&src, &mut got, Tail::SubScalarMul { dst: &mut dst, w });
     let mut want = x.clone();
-    ds.sub_scalar_mul_assign(&mut want, &y, w);
+    ds.apply_tail(&mut y.clone(), Tail::SubScalarMul { dst: &mut want, w });
     prop_assert_eq!(&dst, &want, "{} sub_scalar_mul", what);
     Ok(())
 }

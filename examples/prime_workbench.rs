@@ -8,6 +8,7 @@
 //! ```
 
 use abc_fhe::hw::reduce::{ModMul, NttFriendlyMontgomery};
+use abc_fhe::hw::rfe::LANES;
 use abc_fhe::hw::stream::StreamingNtt;
 use abc_fhe::hw::twiddle::{table_bytes, OtfTwiddleGen};
 use abc_fhe::math::primes::search_structured_primes;
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a: Vec<u64> = (0..1u64 << 10).map(|i| i % m.q()).collect();
     let mut fwd_table = a.clone();
     plan.forward(&mut fwd_table);
-    let fwd_otf = StreamingNtt::new(m, 1 << 10, &otf)?.transform(&a);
+    let fwd_otf = StreamingNtt::new(&otf, LANES as usize).transform(&a);
     println!(
         "table-based and on-the-fly twiddles produce identical NTTs: {}",
         fwd_table == fwd_otf

@@ -2,11 +2,13 @@
 //! and simulator must tell one coherent story.
 
 use abc_fhe::hw::reduce::{ModMul, NttFriendlyMontgomery};
-use abc_fhe::hw::stream::StreamingNtt;
+use abc_fhe::hw::rfe::LANES;
+use abc_fhe::hw::stream::{StreamingNtt, StreamingSpecialFft};
 use abc_fhe::hw::twiddle::OtfTwiddleGen;
 use abc_fhe::math::reduce::{Barrett, Montgomery};
 use abc_fhe::math::{primes, Modulus};
-use abc_fhe::transform::NttPlan;
+use abc_fhe::sim::{pipeline, SimConfig};
+use abc_fhe::transform::{NttPlan, SpecialFft};
 
 #[test]
 fn all_reducers_agree_on_structured_primes() {
@@ -55,12 +57,55 @@ fn transform_layer_consistent_across_twiddle_sources_and_sizes() {
         let mut b = poly.clone();
         plan.forward(&mut b);
         assert_eq!(a, b, "n = {n}");
-        let mut c = StreamingNtt::new(m, n, &otf)
-            .expect("stream")
-            .transform(&poly);
+        let mut c = StreamingNtt::new(&otf, LANES as usize).transform(&poly);
         assert_eq!(a, c, "n = {n}");
         plan.inverse(&mut c);
         assert_eq!(c, poly, "n = {n}");
+    }
+}
+
+#[test]
+fn stepped_column_meets_the_pipeline_closed_forms() {
+    // The column computes the transform (bit for bit, in `abc-hw`), so
+    // its ticks check the cycle counts the simulator sets beside every
+    // host stage. It steps its butterflies in zero ticks; the closed
+    // forms add the multiplier's pipeline per column, so that term is
+    // added back. Its fill is the tick the first output leaves in,
+    // counted from 0, so it may fall one short of the closed form.
+    let cfg = SimConfig::paper_default();
+    assert_eq!((cfg.lanes, cfg.mult_stages), (LANES, 3));
+    let q = primes::generate_ntt_primes(36, 1, 1 << 17).expect("prime")[0];
+    let m = Modulus::new(q).expect("modulus");
+    for log_n in 4u32..=16 {
+        let n = 1usize << log_n;
+        let ticks = StreamingNtt::new(&NttPlan::new(m, n).expect("plan"), LANES as usize).ticks();
+        let fill = ticks.fill as f64 + (log_n * (cfg.mult_stages + 2)) as f64;
+        let want = pipeline::ntt_fill_cycles(n as u64, LANES, cfg.mult_stages);
+        assert!(
+            (fill - want).abs() <= 1.0,
+            "N = {n}: fill {fill}, closed form {want}"
+        );
+        let stream = pipeline::ntt_stream_cycles(n as u64, LANES);
+        assert_eq!(ticks.per_frame as f64, stream, "N = {n}");
+    }
+    // FFT mode: the PNLs of one core gang into complex multipliers, four
+    // modular ones each, for `pnls_per_rsc · lanes / 2` points per tick.
+    let (p, pnls) = (cfg.lanes, cfg.pnls_per_rsc);
+    let points = (pnls * p / 2) as usize;
+    for log_slots in points.trailing_zeros()..=15 {
+        let slots = 1usize << log_slots;
+        let mut streamer = StreamingSpecialFft::new(&SpecialFft::new(slots), points);
+        let want = pipeline::fft_fill_cycles(slots as u64, p, pnls, cfg.mult_stages);
+        let stream = pipeline::fft_stream_cycles(slots as u64, p, pnls);
+        for inverse in [false, true] {
+            let ticks = streamer.ticks(inverse);
+            let fill = ticks.fill as f64 + (log_slots * (cfg.mult_stages + 3)) as f64;
+            assert!(
+                (fill - want).abs() <= 1.0,
+                "slots = {slots}, inverse = {inverse}: fill {fill}, closed form {want}"
+            );
+            assert_eq!(ticks.per_frame as f64, stream, "slots = {slots}");
+        }
     }
 }
 
@@ -69,7 +114,7 @@ fn simulator_workload_matches_opcount_shape() {
     // The simulator's compute-cycle ratio between the two flows should
     // track the op-count imbalance (both derive from the same dataflow).
     use abc_fhe::hw::opcount;
-    use abc_fhe::sim::{simulate, SimConfig, Workload};
+    use abc_fhe::sim::{simulate, Workload};
     let cfg = SimConfig::paper_default();
     let enc = simulate(&Workload::encode_encrypt(16, 24), &cfg);
     let dec = simulate(&Workload::decode_decrypt(16, 2), &cfg);
@@ -108,7 +153,7 @@ fn ciphertext_byte_size_matches_sim_traffic() {
     use abc_fhe::ckks::{params::CkksParams, CkksContext};
     use abc_fhe::float::Complex;
     use abc_fhe::prng::Seed;
-    use abc_fhe::sim::{simulate, SimConfig, Workload};
+    use abc_fhe::sim::{simulate, Workload};
     let ctx = CkksContext::new(
         CkksParams::builder()
             .log_n(10)
