@@ -72,31 +72,29 @@ fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
+fn table(headers: &[&str], rows: impl IntoIterator<Item = Vec<String>>) {
+    print!("{}", render_table(headers, &Vec::from_iter(rows)));
+}
+
 fn fig1_report() {
     banner("Fig. 1 — client/server execution-time breakdown (FHE ResNet-20)");
     let bars = fig1::fig1_bars(&SimConfig::paper_default());
-    let rows: Vec<Vec<String>> = bars
-        .iter()
-        .map(|b| {
-            vec![
-                b.label.clone(),
-                fmt_ms(b.client_ms),
-                fmt_ms(b.server_ms),
-                format!("{:.1}%", 100.0 * b.client_share()),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &[
-                "configuration",
-                "client (ms)",
-                "server (ms)",
-                "client share"
-            ],
-            &rows
-        )
+    let rows = bars.iter().map(|b| {
+        vec![
+            b.label.clone(),
+            fmt_ms(b.client_ms),
+            fmt_ms(b.server_ms),
+            format!("{:.1}%", 100.0 * b.client_share()),
+        ]
+    });
+    table(
+        &[
+            "configuration",
+            "client (ms)",
+            "server (ms)",
+            "client share",
+        ],
+        rows,
     );
     println!("paper: CPU client 99.9% | SOTA client accel 69.4% | ABC-FHE 12.8%");
 }
@@ -104,25 +102,19 @@ fn fig1_report() {
 fn fig2_report() {
     banner("Fig. 2b — client-side operation breakdown (N=2^16, 12-level enc / 2-level dec)");
     let rows_data = opcount::fig2_rows(1 << 16, 12, 3);
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.phase.clone(),
-                format!("{:.1}%", r.category_pct[0]),
-                format!("{:.1}%", r.category_pct[1]),
-                format!("{:.1}%", r.category_pct[2]),
-                format!("{:.1}%", r.category_pct[3]),
-                format!("{:.1}", r.mops),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["phase", "I/FFT", "I/NTT", "poly mul/add", "others", "MOPs"],
-            &rows
-        )
+    let rows = rows_data.iter().map(|r| {
+        vec![
+            r.phase.clone(),
+            format!("{:.1}%", r.category_pct[0]),
+            format!("{:.1}%", r.category_pct[1]),
+            format!("{:.1}%", r.category_pct[2]),
+            format!("{:.1}%", r.category_pct[3]),
+            format!("{:.1}", r.mops),
+        ]
+    });
+    table(
+        &["phase", "I/FFT", "I/NTT", "poly mul/add", "others", "MOPs"],
+        rows,
     );
     let imb = rows_data[0].mops / rows_data[1].mops;
     println!("imbalance: {imb:.1}x  (paper: 27.0 vs 2.9 MOPs ~ 9.3x)");
@@ -143,27 +135,21 @@ fn fig3c_report(log_n: u32, trials: usize) {
     // narrower mantissas, so the low end must be included to show it.
     let widths = [12u32, 15, 18, 21, 24, 27, 30, 34, 38, 43, 47, 52];
     let pts = precision_sweep(&ctx, &widths, trials, Seed::from_u128(3)).expect("sweep");
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            let marker = if p.precision_bits >= 19.29 {
-                "above"
-            } else {
-                "below"
-            };
-            vec![
-                format!("{}", p.mantissa_bits),
-                format!("{:.2}", p.precision_bits),
-                marker.into(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["mantissa bits", "precision (bits)", "vs 19.29 threshold"],
-            &rows
-        )
+    let rows = pts.iter().map(|p| {
+        let marker = if p.precision_bits >= 19.29 {
+            "above"
+        } else {
+            "below"
+        };
+        vec![
+            format!("{}", p.mantissa_bits),
+            format!("{:.2}", p.precision_bits),
+            marker.into(),
+        ]
+    });
+    table(
+        &["mantissa bits", "precision (bits)", "vs 19.29 threshold"],
+        rows,
     );
     if let Some(d) = drop_off_point(&pts, 2.0) {
         println!("drop-off point: {d} mantissa bits (paper: 43 bits -> 23.39-bit precision)");
@@ -173,24 +159,18 @@ fn fig3c_report(log_n: u32, trials: usize) {
 fn fig4_report() {
     banner("Fig. 4 — multiplier counts across MDC radix designs (P=8, N=2^16)");
     let reports = radix::canonical_comparison(8, 16);
-    let rows: Vec<Vec<String>> = reports
-        .iter()
-        .map(|r| {
-            vec![
-                r.family.clone(),
-                format!("{:.1}", r.ntt_multipliers),
-                format!("{:.3}", r.ntt_normalized),
-                format!("{:.1}", r.fft_multipliers),
-                format!("{:.3}", r.fft_normalized),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["design", "NTT mults", "NTT norm.", "FFT mults", "FFT norm."],
-            &rows
-        )
+    let rows = reports.iter().map(|r| {
+        vec![
+            r.family.clone(),
+            format!("{:.1}", r.ntt_multipliers),
+            format!("{:.3}", r.ntt_normalized),
+            format!("{:.1}", r.fft_multipliers),
+            format!("{:.3}", r.fft_normalized),
+        ]
+    });
+    table(
+        &["design", "NTT mults", "NTT norm.", "FFT mults", "FFT norm."],
+        rows,
     );
     let r2 = reports[0].ntt_multipliers;
     let r22 = reports[1].ntt_multipliers;
@@ -223,20 +203,14 @@ fn fig4_report() {
 
 fn table1_report() {
     banner("Table I — modular multiplier area (44-bit, 28 nm, 600 MHz)");
-    let rows: Vec<Vec<String>> = multiplier::table1()
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.to_owned(),
-                format!("{:.0}", r.area_um2),
-                format!("{}", r.stages),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(&["algorithm", "area (um^2)", "pipeline stages"], &rows)
-    );
+    let rows = multiplier::table1().into_iter().map(|r| {
+        vec![
+            r.algorithm.to_owned(),
+            format!("{:.0}", r.area_um2),
+            format!("{}", r.stages),
+        ]
+    });
+    table(&["algorithm", "area (um^2)", "pipeline stages"], rows);
     println!(
         "NTT-friendly reduction: {:.1}% vs Barrett, {:.1}% vs Montgomery (paper: 67.7% / 41.2%)",
         100.0
@@ -254,20 +228,14 @@ fn table1_report() {
 
 fn table2_report() {
     banner("Table II — area and power breakdown (28 nm)");
-    let rows: Vec<Vec<String>> = chip::table2()
-        .iter()
-        .map(|r| {
-            vec![
-                r.component.clone(),
-                format!("{:.3}", r.area_mm2),
-                format!("{:.3}", r.power_w),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(&["component", "area (mm^2)", "power (W)"], &rows)
-    );
+    let rows = chip::table2().into_iter().map(|r| {
+        vec![
+            r.component.clone(),
+            format!("{:.3}", r.area_mm2),
+            format!("{:.3}", r.power_w),
+        ]
+    });
+    table(&["component", "area (mm^2)", "power (W)"], rows);
     println!(
         "generators (OTF TF Gen + seeds + PRNG): {:.1}% of chip area (paper: ~6%)",
         100.0 * chip::generator_area_fraction()
@@ -283,32 +251,26 @@ fn fig5a_report() {
     banner("Fig. 5a — execution time and speed-up (N=2^16, 24/2 primes)");
     let rows_data = abc_bench::fig5a_rows(&SimConfig::paper_default());
     let abc = rows_data.last().expect("abc row").clone();
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.platform.clone(),
-                fmt_ms(r.enc_ms),
-                fmt_ms(r.dec_ms),
-                format!("{:.0}x", r.enc_ms / abc.enc_ms),
-                format!("{:.0}x", r.dec_ms / abc.dec_ms),
-                r.source.to_owned(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &[
-                "platform",
-                "enc+encode (ms)",
-                "dec+decode (ms)",
-                "enc slowdown",
-                "dec slowdown",
-                "source"
-            ],
-            &rows
-        )
+    let rows = rows_data.iter().map(|r| {
+        vec![
+            r.platform.clone(),
+            fmt_ms(r.enc_ms),
+            fmt_ms(r.dec_ms),
+            format!("{:.0}x", r.enc_ms / abc.enc_ms),
+            format!("{:.0}x", r.dec_ms / abc.dec_ms),
+            r.source.to_owned(),
+        ]
+    });
+    table(
+        &[
+            "platform",
+            "enc+encode (ms)",
+            "dec+decode (ms)",
+            "enc slowdown",
+            "dec slowdown",
+            "source",
+        ],
+        rows,
     );
     println!("paper: 1112x / 214x (enc), 963x / 82x (dec)");
 }
@@ -321,27 +283,21 @@ fn fig5b_report() {
         24,
         &[1, 2, 4, 8, 16, 32, 64],
     );
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{}", p.lanes),
-                fmt_ms(p.time_ms),
-                format!("{:.0}", p.throughput_per_s),
-                if p.memory_bound {
-                    "memory".into()
-                } else {
-                    "compute".into()
-                },
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["lanes", "exec time (ms)", "ciphertexts/s", "bound by"],
-            &rows
-        )
+    let rows = pts.iter().map(|p| {
+        vec![
+            format!("{}", p.lanes),
+            fmt_ms(p.time_ms),
+            format!("{:.0}", p.throughput_per_s),
+            if p.memory_bound {
+                "memory".into()
+            } else {
+                "compute".into()
+            },
+        ]
+    });
+    table(
+        &["lanes", "exec time (ms)", "ciphertexts/s", "bound by"],
+        rows,
     );
     println!(
         "saturation at {:?} lanes (paper: LPDDR5 caps benefit at 8 lanes)",
@@ -351,20 +307,14 @@ fn fig5b_report() {
 
 fn fig6a_report() {
     banner("Fig. 6a — RFE area optimization walk (P=8, N=2^16)");
-    let rows: Vec<Vec<String>> = rfe::optimization_walk()
-        .iter()
-        .map(|s| {
-            vec![
-                s.label.clone(),
-                format!("{:.3}", s.area_mm2),
-                format!("{:.3}", s.relative),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(&["configuration", "area (mm^2)", "relative"], &rows)
-    );
+    let rows = rfe::optimization_walk().into_iter().map(|s| {
+        vec![
+            s.label.clone(),
+            format!("{:.3}", s.area_mm2),
+            format!("{:.3}", s.relative),
+        ]
+    });
+    table(&["configuration", "area (mm^2)", "relative"], rows);
     println!(
         "total reduction: {:.1}% (paper: 31%)",
         100.0 * rfe::total_reduction()
@@ -374,24 +324,18 @@ fn fig6a_report() {
 fn fig6b_report() {
     banner("Fig. 6b — memory-configuration latency across polynomial degree");
     let pts = sweep::memcfg_sweep(&SimConfig::paper_default(), &[13, 14, 15, 16], 24);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                format!("2^{}", p.log_n),
-                fmt_ms(p.time_ms[0]),
-                fmt_ms(p.time_ms[1]),
-                fmt_ms(p.time_ms[2]),
-                format!("{:.1}x", p.speedup),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["N", "Base (ms)", "TF_Gen (ms)", "All (ms)", "All vs Base"],
-            &rows
-        )
+    let rows = pts.iter().map(|p| {
+        vec![
+            format!("2^{}", p.log_n),
+            fmt_ms(p.time_ms[0]),
+            fmt_ms(p.time_ms[1]),
+            fmt_ms(p.time_ms[2]),
+            format!("{:.1}x", p.speedup),
+        ]
+    });
+    table(
+        &["N", "Base (ms)", "TF_Gen (ms)", "All (ms)", "All vs Base"],
+        rows,
     );
     println!("paper: ABC-FHE_All achieves 8.2-9.3x over ABC-FHE_Base");
     let _ = MemoryConfig::ALL; // configurations enumerated inside the sweep
@@ -404,11 +348,10 @@ fn primes_report() {
     for p in &primes {
         *by_bits.entry(p.bits()).or_insert(0usize) += 1;
     }
-    let rows: Vec<Vec<String>> = by_bits
+    let rows = by_bits
         .iter()
-        .map(|(b, c)| vec![format!("{b}"), format!("{c}")])
-        .collect();
-    print!("{}", render_table(&["bit width", "primes found"], &rows));
+        .map(|(b, c)| vec![format!("{b}"), format!("{c}")]);
+    table(&["bit width", "primes found"], rows);
     // How many of them admit the paper's shift-and-add Montgomery
     // network (the filter that makes a prime "NTT-friendly" in the
     // hardware sense)?
@@ -457,7 +400,7 @@ fn memory_report() {
             format!("{:.1} KiB", s.twiddle_seed_bytes as f64 / 1024.0),
         ],
     ];
-    print!("{}", render_table(&["item", "size"], &rows));
+    table(&["item", "size"], rows);
     println!(
         "reduction from on-chip generation: {:.3}% (paper: >99.9%)",
         100.0 * memory::reduction_fraction(1 << 16, 44, 24, 2)
@@ -500,29 +443,23 @@ fn modes_report() {
             },
         ),
     ];
-    let rows: Vec<Vec<String>> = mixes
-        .iter()
-        .map(|(label, b)| {
-            let mut cells = vec![(*label).to_owned()];
-            for m in RscMode::ALL {
-                cells.push(format!("{:.3}", batch_makespan_ms(b, m, &cfg)));
-            }
-            cells.push(best_mode(b, &cfg).0.name().to_owned());
-            cells
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &[
-                "batch",
-                "dual-enc (ms)",
-                "dual-dec (ms)",
-                "concurrent (ms)",
-                "best"
-            ],
-            &rows
-        )
+    let rows = mixes.iter().map(|(label, b)| {
+        let mut cells = vec![(*label).to_owned()];
+        for m in RscMode::ALL {
+            cells.push(format!("{:.3}", batch_makespan_ms(b, m, &cfg)));
+        }
+        cells.push(best_mode(b, &cfg).0.name().to_owned());
+        cells
+    });
+    table(
+        &[
+            "batch",
+            "dual-enc (ms)",
+            "dual-dec (ms)",
+            "concurrent (ms)",
+            "best",
+        ],
+        rows,
     );
 }
 
@@ -569,12 +506,9 @@ fn pareto_report() {
             ]);
         }
     }
-    print!(
-        "{}",
-        render_table(
-            &["rsc x pnl x lanes", "area (mm^2)", "latency (ms)", "pareto"],
-            &rows
-        )
+    table(
+        &["rsc x pnl x lanes", "area (mm^2)", "latency (ms)", "pareto"],
+        rows,
     );
     println!("(the LPDDR5 wall flattens the front: silicon beyond the paper's point buys little)");
 }
@@ -610,12 +544,9 @@ fn energy_report() {
             ),
         ],
     ];
-    print!(
-        "{}",
-        render_table(
-            &["operation", "power (W)", "latency (ms)", "energy (uJ)"],
-            &rows
-        )
+    table(
+        &["operation", "power (W)", "latency (ms)", "energy (uJ)"],
+        rows,
     );
     let eff = (cpu_power_w * abc_bench::speedups::ENC_VS_CPU) / chip.power_w;
     println!("energy-efficiency gain over CPU for encryption: ~{eff:.0}x");
@@ -624,39 +555,33 @@ fn energy_report() {
 fn compression_report() {
     banner("Extension: seed-compressed symmetric upload (beyond paper)");
     let cfg = SimConfig::paper_default();
-    let rows: Vec<Vec<String>> = [13u32, 14, 15, 16]
-        .iter()
-        .map(|&log_n| {
-            let full = simulate(&Workload::encode_encrypt(log_n, 24), &cfg);
-            let comp = simulate(
-                &Workload::encode_encrypt(log_n, 24),
-                &cfg.clone().with_compressed_upload(true),
-            );
-            vec![
-                format!("2^{log_n}"),
-                fmt_ms(full.time_ms),
-                fmt_ms(comp.time_ms),
-                format!("{:.2}x", full.time_ms / comp.time_ms),
-                format!(
-                    "{:.1} -> {:.1} MB",
-                    full.traffic.payload_out / 1e6,
-                    comp.traffic.payload_out / 1e6
-                ),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &[
-                "N",
-                "full ct (ms)",
-                "seeded ct (ms)",
-                "speedup",
-                "upload traffic"
-            ],
-            &rows
-        )
+    let rows = [13u32, 14, 15, 16].iter().map(|&log_n| {
+        let full = simulate(&Workload::encode_encrypt(log_n, 24), &cfg);
+        let comp = simulate(
+            &Workload::encode_encrypt(log_n, 24),
+            &cfg.clone().with_compressed_upload(true),
+        );
+        vec![
+            format!("2^{log_n}"),
+            fmt_ms(full.time_ms),
+            fmt_ms(comp.time_ms),
+            format!("{:.2}x", full.time_ms / comp.time_ms),
+            format!(
+                "{:.1} -> {:.1} MB",
+                full.traffic.payload_out / 1e6,
+                comp.traffic.payload_out / 1e6
+            ),
+        ]
+    });
+    table(
+        &[
+            "N",
+            "full ct (ms)",
+            "seeded ct (ms)",
+            "speedup",
+            "upload traffic",
+        ],
+        rows,
     );
 }
 
@@ -664,21 +589,17 @@ fn cpu_report(log_n: u32) {
     banner(&format!(
         "Host-CPU baseline — our Rust client, N=2^{log_n}, 24/2 primes"
     ));
-    match runner::measure_host_cpu(log_n, 24, 2) {
+    let params = CkksParams::bootstrappable(log_n).expect("a bootstrappable preset");
+    match runner::measure_host_cpu(params, 2) {
         Ok(m) => {
             println!(
                 "encode+encrypt: {} ms   decrypt+decode: {} ms",
                 fmt_ms(m.enc_ms),
                 fmt_ms(m.dec_ms)
             );
-            let abc = simulate(
-                &Workload::encode_encrypt(log_n, 24),
-                &SimConfig::paper_default(),
-            );
-            let abc_dec = simulate(
-                &Workload::decode_decrypt(log_n, 2),
-                &SimConfig::paper_default(),
-            );
+            let cfg = SimConfig::paper_default();
+            let abc = simulate(&Workload::encode_encrypt(log_n, 24), &cfg);
+            let abc_dec = simulate(&Workload::decode_decrypt(log_n, 2), &cfg);
             println!(
                 "vs simulated ABC-FHE at same N: enc {:.0}x, dec {:.0}x (paper vs Lattigo/i7: 1112x / 963x)",
                 m.enc_ms / abc.time_ms,

@@ -1,8 +1,10 @@
 //! The workspace's kernel timer: a fast machine-readable perf +
-//! precision snapshot for CI artifacts.
+//! precision snapshot for CI artifacts, and the paired comparison of two
+//! builds of it that a kernel claim rests on.
 //!
 //! ```text
-//! cargo run --release -p abc-bench --bin perf_snapshot -- [OUT.json [BEFORE.json]]
+//! cargo run --release -p abc-bench --bin perf_snapshot -- [--rows PREFIX[,PREFIX…]] [OUT.json]
+//! cargo run --release -p abc-bench --bin perf_snapshot -- pair PARENT_BIN [--rows PREFIX[,PREFIX…]] [OUT.json]
 //! ```
 //!
 //! Times the kernels (NTT fast path and its oracle, every dyadic shape
@@ -22,13 +24,9 @@
 //!   "benches":    [{"id": ..., "mean_ns": ..., "median_ns": ..., "p95_ns": ..., "iters": ...}],
 //!   "throughput": [{"id": ..., "bytes_per_op": ..., "median_ns": ..., "gib_per_s": ...}],
 //!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}],
-//!   "steady":     [{"id": ..., "ops": ..., "ms": ..., "pool_misses_per_op": ..., "minor_faults_per_op": ..., "sys_ms_per_op": ...}],
-//!   "reference_spread": {"rows": ..., "min_ratio": ..., "max_ratio": ...},
-//!   "before":     [{"id": ..., "parent_median_ns": ..., "median_ns": ..., "ratio": ...}]
+//!   "steady":     [{"id": ..., "ops": ..., "ms": ..., "pool_misses_per_op": ..., "minor_faults_per_op": ..., "sys_ms_per_op": ...}]
 //! }
 //! ```
-//!
-//! The last two sections are written when BEFORE.json is given.
 //!
 //! The `"steady"` rows run a whole client op — every limb dropped inside
 //! it — back to back after a warm-up, and report what no timer shows:
@@ -52,24 +50,30 @@
 //! regenerated in the same change. A kernel this host cannot run (no
 //! AVX-512 IFMA) excuses its own rows.
 //!
-//! `BEFORE.json` is a snapshot this binary wrote from the parent commit
-//! on the same host. For every `benches` id in both runs, `"before"`
-//! holds the parent's median, this run's and their ratio (this run over
-//! the parent). `"reference_spread"` is the least and the greatest of
-//! that ratio over the **reference rows** — the oracles and scalar
-//! rungs (ids with `golden`, `_scalar`, `_montgomery`, `bigint` or
-//! `otf`), whose code a kernel change does not touch — so it is what
-//! two runs of the same code differ by on this host, in the same two
-//! processes. One pair of runs shows a change to a row only when the
-//! row's ratio lies outside that spread; inside it, the pair cannot tell
-//! the row from noise. The `rns/lift_*` and `rns/expand_*` rows are
-//! nanoseconds per coefficient (all limbs), the `wire/*` rows
-//! nanoseconds per residue, the `prng/chacha20_blocks_*` rows
-//! nanoseconds per 64-byte block; every other row is per call.
+//! `--rows` times only the rows whose id starts with a prefix and sets
+//! up no section without one. It writes OUT.json only when named (never
+//! `BENCH_snapshot.json`) and skips the id-set gate; the other two gates
+//! hold for the rows it ran. `pair` is the kernel-claim method: per
+//! selected row, ten rounds, each one run of `PARENT_BIN` (the parent
+//! commit's build) and one of this binary, as child processes timing
+//! that row in the same environment, the parent first on odd rounds.
+//! Per `benches` median and `steady` `ms` it reports (as JSON `"pairs"`
+//! rows too, given OUT.json) the median and IQR of the per-round ratios
+//! (change over parent), the change's `wins` (a tie counts for neither
+//! side) and each side's own IQR over its median. A row has changed
+//! when it wins at least 9 of 10 (at most 1, for a slowdown) and its
+//! ratio median differs from 1 by more than `parent_iqr`.
+//!
+//! The `rns/lift_*` and `rns/expand_*` rows are nanoseconds per
+//! coefficient (all limbs), the `wire/*` rows nanoseconds per residue,
+//! the `prng/chacha20_blocks_*` rows nanoseconds per 64-byte block;
+//! every other row is per call.
 //!
 //! The whole run stays under ~50 s so it can ride along on every CI
 //! push — this is the repo's perf trajectory, archived as an artifact.
 
+use abc_bench::runner::client_message;
+use abc_bench::{quantiles, time_alternately};
 use abc_ckks::params::{CkksParams, ScaleMode};
 use abc_ckks::precision::{
     measure_configured_precision, measure_embedding_precision, measure_precision,
@@ -84,17 +88,51 @@ use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
 use std::cell::RefCell;
-use std::time::Instant;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 /// The committed snapshot, relative to the repository root.
 const COMMITTED: &str = "BENCH_snapshot.json";
+
+/// Rounds of a `pair`: the fewest that can show a change at 9 of 10.
+const ROUNDS: usize = 10;
+
+/// The rows a run times: those whose id starts with one of the
+/// `--rows` prefixes, or every row of a full run (`None`).
+struct Rows(Option<Vec<String>>);
+
+impl Rows {
+    /// Whether the row `id` is timed.
+    fn has(&self, id: &str) -> bool {
+        self.0
+            .as_ref()
+            .is_none_or(|ps| ps.iter().any(|p| id.starts_with(p.as_str())))
+    }
+
+    /// Whether a row whose id starts with `stem` may be timed: a section
+    /// whose ids share `stem` is set up only then.
+    fn may(&self, stem: &str) -> bool {
+        let meets = |p: &String| stem.starts_with(p.as_str()) || p.starts_with(stem);
+        self.0.as_ref().is_none_or(|ps| ps.iter().any(meets))
+    }
+
+    /// Times `f` repeatedly for ~`budget_ms` after one warm-up call, if
+    /// the row `id` is timed: a [`BenchRecord`] of the median/p95 per call.
+    fn measure(&self, id: &str, budget_ms: u64, mut f: impl FnMut()) -> Option<BenchRecord> {
+        self.has(id).then(|| {
+            f();
+            let [samples] = time_alternately(Duration::from_millis(budget_ms), 5, [&mut f]);
+            record(id, samples)
+        })
+    }
+}
 
 /// One finished measurement: a row of the `"benches"` array.
 struct BenchRecord {
     /// `group/function/parameter`.
     id: String,
     mean_secs: f64,
-    /// Nearest-rank percentiles over the per-call times.
+    /// Percentiles over the per-call times ([`quantiles`]).
     median_secs: f64,
     p95_secs: f64,
     iters: u64,
@@ -113,50 +151,14 @@ impl BenchRecord {
     }
 }
 
-/// Times `f` repeatedly for ~`budget_ms`, returning a [`BenchRecord`]
-/// with nearest-rank median/p95 over the per-call times.
-fn measure(id: &str, budget_ms: u64, f: impl FnMut()) -> BenchRecord {
-    let [rec] = measure_alternately([id], budget_ms, [Box::new(f) as Box<dyn FnMut()>]);
-    rec
-}
-
-/// [`measure`] for several bodies at once: one call of each per round,
-/// in turn, so the rows of one call see the same host load and the
-/// ratio of their medians is steadier than either median.
-fn measure_alternately<const K: usize>(
-    ids: [&str; K],
-    budget_ms: u64,
-    mut fs: [Box<dyn FnMut() + '_>; K],
-) -> [BenchRecord; K] {
-    // One warm-up call each (not sampled).
-    fs.iter_mut().for_each(|f| f());
-    let budget = std::time::Duration::from_millis(budget_ms);
-    let start = Instant::now();
-    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
-    while start.elapsed() < budget || samples[0].len() < 5 {
-        for (f, samples) in fs.iter_mut().zip(&mut samples) {
-            let t = Instant::now();
-            f();
-            samples.push(t.elapsed().as_secs_f64());
-        }
-        if samples[0].len() >= 10_000 {
-            break;
-        }
-    }
-    let mut samples = samples.into_iter();
-    ids.map(|id| record(id, samples.next().expect("one sample set per id")))
-}
-
 /// The row of `id` from its per-call times.
-fn record(id: &str, mut samples: Vec<f64>) -> BenchRecord {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-    let rank = |p: f64| samples[((p * samples.len() as f64).ceil() as usize).max(1) - 1];
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+fn record(id: &str, samples: Vec<f64>) -> BenchRecord {
+    let [median, p95] = quantiles(&samples, [0.5, 0.95]);
     BenchRecord {
         id: id.to_owned(),
-        mean_secs: mean,
-        median_secs: rank(0.50),
-        p95_secs: rank(0.95),
+        mean_secs: samples.iter().sum::<f64>() / samples.len() as f64,
+        median_secs: median,
+        p95_secs: p95,
         iters: samples.len() as u64,
     }
 }
@@ -175,24 +177,16 @@ fn faults_and_sys_ms() -> Option<(f64, f64)> {
 
 /// One `"steady"` row: `op` (a whole client op at ring degree `n`, its
 /// limbs dropped inside it) twice to warm the pool, then back to back
-/// for ~`budget_ms`. Returns the JSON row and the pool misses per op.
-fn steady_row(id: &str, n: usize, budget_ms: u64, mut op: impl FnMut()) -> (String, f64) {
+/// for ~1.5 s. Returns the JSON row and the pool misses per op.
+fn steady_row(id: &str, n: usize, mut op: impl FnMut()) -> (String, f64) {
     let misses = || abc_ckks::limb_pool::class_stats(n).map_or(0, |class| class.misses);
     op();
     op();
     let (misses0, proc0) = (misses(), faults_and_sys_ms());
-    let budget = std::time::Duration::from_millis(budget_ms);
-    let start = Instant::now();
-    let mut samples = Vec::new();
-    while start.elapsed() < budget || samples.len() < 5 {
-        let t = Instant::now();
-        op();
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-    }
+    let [samples] = time_alternately(Duration::from_millis(1500), 5, [&mut op]);
     let ops = samples.len() as f64;
     let misses_per_op = (misses() - misses0) as f64 / ops;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-    let ms = samples[samples.len() / 2];
+    let ms = quantiles(&samples, [0.5])[0] * 1e3;
     let kernel = proc0
         .zip(faults_and_sys_ms())
         .map_or(String::new(), |(a, b)| {
@@ -210,16 +204,42 @@ fn steady_row(id: &str, n: usize, budget_ms: u64, mut op: impl FnMut()) -> (Stri
     (row, misses_per_op)
 }
 
-/// The rows of the `"benches"` array of a snapshot this binary wrote
-/// (they hold no brackets, so the array ends at the first `]`).
-fn bench_rows_of(snapshot: &str) -> &str {
-    let key = "\"benches\": [";
-    let start = snapshot.find(key).expect("snapshot has a benches array") + key.len();
-    let len = snapshot[start..].find(']').expect("benches array ends");
-    snapshot[start..start + len].trim_matches('\n')
+/// The `"steady"` row `id` of an upload (encode, encrypt, pack) at
+/// `bootstrappable(log_n)`.
+fn upload_steady(id: &str, log_n: u32) -> (String, f64) {
+    let ctx = CkksContext::new(CkksParams::bootstrappable(log_n).expect("preset")).expect("ctx");
+    let (_, pk) = ctx.keygen(Seed::from_u128(2026));
+    let msg = client_message(ctx.params().slots());
+    let widths = ctx.wire_widths(ctx.params().num_primes());
+    steady_row(id, ctx.params().n(), || {
+        let pt = ctx.encode(&msg).expect("encode");
+        let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
+        let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths);
+        std::hint::black_box(blob.expect("pack"));
+    })
 }
 
-/// The `(id, median_ns)` of every `"benches"` row of a snapshot.
+/// The `"steady"` row `id` of a download (unpack, decrypt, decode) of a
+/// fresh ciphertext cut to `limbs` primes at `bootstrappable(log_n)`.
+fn download_steady(id: &str, log_n: u32, limbs: usize) -> (String, f64) {
+    let ctx = CkksContext::new(CkksParams::bootstrappable(log_n).expect("preset")).expect("ctx");
+    let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
+    let pt = ctx.encode(&client_message(ctx.params().slots()));
+    let ct = ctx.encrypt(&pt.expect("encode"), &pk, Seed::from_u128(7));
+    let widths = ctx.wire_widths(limbs);
+    let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct.truncated(limbs), &widths);
+    let blob = blob.expect("pack");
+    drop(ct);
+    steady_row(id, ctx.params().n(), || {
+        let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
+        let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+        std::hint::black_box(ctx.decode(&pt).expect("decode"));
+    })
+}
+
+/// The `(id, median)` of every timed row of a snapshot this binary
+/// wrote: `median_ns` of a `"benches"` row, `ms` of a `"steady"` one
+/// (a section starts on a line of its own, and a row is one line).
 fn medians_of(snapshot: &str) -> Vec<(&str, f64)> {
     fn field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
         let at = row.find(key)? + key.len();
@@ -227,81 +247,138 @@ fn medians_of(snapshot: &str) -> Vec<(&str, f64)> {
             .split([',', '"', '}'])
             .find(|s| !s.trim().is_empty())
     }
-    bench_rows_of(snapshot)
-        .lines()
-        .filter_map(|row| {
-            let median = field(row, "\"median_ns\":")?.trim().parse().ok()?;
-            Some((field(row, "\"id\": \"")?, median))
+    let keys = [("benches\"", "\"median_ns\":"), ("steady\"", "\"ms\":")];
+    let key = |section: &str| keys.iter().find(|(name, _)| section.starts_with(name));
+    (snapshot.split("\n\""))
+        .flat_map(|section| {
+            section.lines().filter_map(move |row| {
+                let median = field(row, key(section)?.1)?.trim().parse().ok()?;
+                Some((field(row, "\"id\": \"")?, median))
+            })
         })
         .collect()
 }
 
-/// Whether a row times code a kernel change leaves alone: an oracle or
-/// a scalar rung.
-fn is_reference(id: &str) -> bool {
-    ["golden", "_scalar", "_montgomery", "bigint", "otf"]
-        .iter()
-        .any(|k| id.contains(k))
-}
-
-/// The `"reference_spread"` and `"before"` sections comparing the
-/// snapshot `change` with the snapshot `parent`: per `benches` id in
-/// both, the two medians and their ratio (change over parent), and the
-/// least and greatest ratio over the reference rows ([`is_reference`]).
-fn compare(parent: &str, change: &str) -> String {
-    let parent = medians_of(parent);
-    let pairs: Vec<(&str, f64, f64)> = medians_of(change)
-        .into_iter()
-        .filter_map(|(id, median)| {
-            let (_, before) = parent.iter().find(|(p, _)| *p == id)?;
-            Some((id, *before, median))
-        })
-        .collect();
-    let reference: Vec<f64> = pairs
-        .iter()
-        .filter(|(id, ..)| is_reference(id))
-        .map(|&(_, before, after)| after / before)
-        .collect();
-    let min = reference.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = reference.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let rows: Vec<String> = pairs
-        .iter()
-        .map(|&(id, before, after)| {
-            format!(
-                "  {{\"id\": \"{id}\", \"parent_median_ns\": {before:.1}, \
-                 \"median_ns\": {after:.1}, \"ratio\": {:.3}}}",
-                after / before
-            )
-        })
-        .collect();
-    format!(
-        ",\n\"reference_spread\": {{\"rows\": {}, \"min_ratio\": {min:.3}, \"max_ratio\": {max:.3}}},\n\
-         \"before\": [\n{}\n]",
-        reference.len(),
-        rows.join(",\n")
-    )
-}
-
-/// Every row id of a snapshot outside its `"before"` array (the last
-/// one, and the parent's rows rather than this commit's).
+/// Every row id of a snapshot.
 fn ids_of(snapshot: &str) -> Vec<&str> {
-    let own = snapshot.split("\"before\": [").next().unwrap_or(snapshot);
     let key = "\"id\": \"";
-    own.match_indices(key)
-        .filter_map(|(at, _)| own[at + key.len()..].split('"').next())
+    snapshot
+        .match_indices(key)
+        .filter_map(|(at, _)| snapshot[at + key.len()..].split('"').next())
         .collect()
+}
+
+/// [`ROUNDS`] rounds of `run(side)`, one run of each side per round —
+/// side 0 the parent, side 1 the change — the parent first on odd
+/// rounds (counting from 1): per round, the two sides' snapshots.
+fn rounds(mut run: impl FnMut(usize) -> String) -> Vec<[String; 2]> {
+    (1..=ROUNDS)
+        .map(|round| {
+            let mut runs = [(round + 1) % 2, round % 2].map(|side| (side, run(side)));
+            runs.sort_by_key(|&(side, _)| side);
+            runs.map(|(_, snapshot)| snapshot)
+        })
+        .collect()
+}
+
+/// Per row of the first round's change snapshot, over the rounds whose
+/// two snapshots both hold it (a row in no parent is left out): its id,
+/// those rounds, the change's wins,
+/// and the ratio median, the ratio IQR and the parent's and the
+/// change's IQRs relative to their medians.
+fn paired(rounds: &[[String; 2]]) -> Vec<(&str, usize, usize, [f64; 4])> {
+    let median = |snapshot, id| medians_of(snapshot).into_iter().find(|&(i, _)| i == id);
+    let quartiles = |xs: Vec<f64>| (!xs.is_empty()).then(|| quantiles(&xs, [0.25, 0.5, 0.75]));
+    let ids = medians_of(&rounds[0][1]).into_iter().map(|(id, _)| id);
+    ids.filter_map(|id| {
+        let pairs: Vec<[f64; 2]> = rounds
+            .iter()
+            .filter_map(|[p, c]| Some([median(p, id)?.1, median(c, id)?.1]))
+            .collect();
+        let [lo, ratio, hi] = quartiles(pairs.iter().map(|[p, c]| c / p).collect())?;
+        let own = |side: usize| {
+            let [lo, mid, hi] = quartiles(pairs.iter().map(|pc| pc[side]).collect())?;
+            Some((hi - lo) / mid)
+        };
+        let wins = pairs.iter().filter(|[p, c]| c < p).count();
+        Some((id, pairs.len(), wins, [ratio, hi - lo, own(0)?, own(1)?]))
+    })
+    .collect()
+}
+
+/// `pair PARENT_BIN`: every row `rows` selects, in [`ROUNDS`] rounds
+/// of the parent binary and this one, as a table and, given `out`, as
+/// JSON. Each row is paired on its own, in children that time only it:
+/// the two sides of a round are then a fraction of a second apart, not
+/// a whole `--rows` run (on the 2-vCPU host the speed of the machine
+/// steps by ≈ 1.45× every few seconds, which a 5 s gap straddles).
+fn pair(parent: &str, rows: &Rows, out: Option<&str>) {
+    let tmp =
+        |name| std::env::temp_dir().join(format!("perf_snapshot_{}.{name}", std::process::id()));
+    // Both sides run as copies at paths of one length: the path is in a
+    // child's argv and on top of its stack, and two lengths shift the
+    // heap and the stack under the timed buffers by a cache-line phase
+    // (≈ 10 % on the 2^13 NTT rows of one binary paired with itself).
+    let this = std::env::current_exe().expect("this binary's path");
+    let bins = [(parent.as_ref(), tmp("0")), (this.as_path(), tmp("1"))];
+    for (bin, copy) in &bins {
+        std::fs::copy(bin, copy).expect("a copy of the binary");
+    }
+    let snapshot = tmp("json");
+    let run = |side: usize, prefixes: Option<&[String]>| {
+        let mut child = Command::new(&bins[side].1);
+        if let Some(prefixes) = prefixes {
+            child.args(["--rows", &prefixes.join(",")]);
+        }
+        let status = child.arg(&snapshot).stdout(Stdio::null()).status();
+        assert!(
+            status.expect("a child").success(),
+            "{:?} failed",
+            bins[side].0
+        );
+        std::fs::read_to_string(&snapshot).expect("the child's snapshot")
+    };
+    let selected = run(1, rows.0.as_deref());
+    let mut json = Vec::new();
+    for (id, _) in medians_of(&selected) {
+        let rounds = rounds(|side| run(side, Some(&[id.to_owned()])));
+        for (id, n, wins, [ratio, iqr, parent_iqr, change_iqr]) in paired(&rounds) {
+            println!(
+                "{id:<40} ratio {ratio:.3} (IQR {iqr:.3})  wins {wins:>2}/{n}  \
+                 own IQR: parent {:.1} %, change {:.1} %",
+                parent_iqr * 100.0,
+                change_iqr * 100.0
+            );
+            json.push(format!(
+                "  {{\"id\": \"{id}\", \"rounds\": {n}, \"ratio_median\": {ratio:.4}, \
+                 \"ratio_iqr\": {iqr:.4}, \"wins\": {wins}, \"parent_iqr\": {parent_iqr:.4}, \
+                 \"change_iqr\": {change_iqr:.4}}}"
+            ));
+        }
+    }
+    let _ = [&bins[0].1, &bins[1].1, &snapshot].map(std::fs::remove_file);
+    if let Some(out) = out {
+        let json = format!("{{\n\"pairs\": [\n{}\n]\n}}\n", json.join(",\n"));
+        std::fs::write(out, json).expect("write the pair");
+        println!("wrote {out}");
+    }
 }
 
 /// One forced-scalar `special_fft` row on the datapath `field`: what the
 /// planned kernel costs when the arithmetic is not the host's `f64`.
-fn fft_scalar_row<F: RealField>(field: F, label: &str, slots: usize) -> BenchRecord {
+fn fft_scalar_row<F: RealField>(
+    rows: &Rows,
+    field: F,
+    label: &str,
+    slots: usize,
+) -> Option<BenchRecord> {
+    let id = format!("special_fft/forward_scalar_{label}/2^{}", slots.ilog2());
     let plan = SpecialFft::with_field_kernel(field.clone(), slots, KernelTier::Scalar);
     let vals: Vec<Complex<F::Real>> = (0..slots)
         .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()).lift_in(&field))
         .collect();
     let mut buf = vals.clone();
-    let id = format!("special_fft/forward_scalar_{label}/2^{}", slots.ilog2());
-    measure(&id, 400, || {
+    rows.measure(&id, 400, || {
         buf.copy_from_slice(&vals);
         plan.forward(&mut buf);
     })
@@ -312,9 +389,17 @@ fn fft_scalar_row<F: RealField>(field: F, label: &str, slots: usize) -> BenchRec
 /// datapath. An exact round trip (every recovered slot re-rounds to its
 /// original f64 — routine on ExtF64 at small N) measures ∞; both are
 /// capped at 120 bits so the JSON stays finite.
-fn embedding_precision_row<F: RealField>(ctx: &CkksContext, field: &F, seed: Seed) -> String {
+fn embedding_precision_row<F: RealField>(
+    rows: &Rows,
+    ctx: &CkksContext,
+    field: &F,
+    seed: Seed,
+) -> Option<String> {
     let label = field.name();
     let log_n = ctx.params().log_n();
+    if !rows.has(&format!("precision/embedding_{label}/2^{log_n}")) {
+        return None;
+    }
     let embed_bits = measure_embedding_precision(ctx, field, 1, seed)
         .expect("measure")
         .min(120.0);
@@ -324,17 +409,10 @@ fn embedding_precision_row<F: RealField>(ctx: &CkksContext, field: &F, seed: See
     println!(
         "precision/embedding_{label}/2^{log_n}       {embed_bits:.2} bits (encrypted {enc_bits:.2})"
     );
-    format!(
+    Some(format!(
         "  {{\"id\": \"precision/embedding_{label}/2^{log_n}\", \"log_n\": {log_n}, \"embedding\": \"{label}\", \
          \"embedding_bits\": {embed_bits:.3}, \"encrypted_bits\": {enc_bits:.3}, \"paper_floor\": 19.29}}"
-    )
-}
-
-/// The full-slot message the client ops of this binary carry.
-fn client_message(ctx: &CkksContext) -> Vec<Complex> {
-    (0..ctx.params().slots())
-        .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
-        .collect()
+    ))
 }
 
 /// Message-sized coefficients: |x| < 2^73, as a Δ_eff = 2^72 payload
@@ -359,24 +437,25 @@ fn throughput_row(id: &str, bytes: usize, median_secs: f64) -> String {
 /// on `tier` (what the transform engine dispatches to), scan included,
 /// as nanoseconds per coefficient.
 fn expand_row<X: SignedWord>(
+    rows: &Rows,
     id: &str,
     coeffs: &[X],
     moduli: &[abc_math::Modulus],
     tier: KernelTier,
-) -> BenchRecord {
+) -> Option<BenchRecord> {
     let engines: Vec<DyadicEngine> = moduli
         .iter()
         .map(|&m| DyadicEngine::with_kernel(m, tier))
         .collect();
     let mut limb = Vec::with_capacity(coeffs.len());
-    let rec = measure(id, 300, || {
+    let rec = rows.measure(id, 300, || {
         let src = SignedCoeffs::scan(std::hint::black_box(coeffs));
         for e in &engines {
             e.expand_into(&src, &mut limb);
             std::hint::black_box(&limb);
         }
     });
-    per_coeff(rec, coeffs.len())
+    rec.map(|rec| per_coeff(rec, coeffs.len()))
 }
 
 /// `rec` with its per-call times divided over `n` coefficients.
@@ -387,15 +466,55 @@ fn per_coeff(mut rec: BenchRecord, n: usize) -> BenchRecord {
     rec
 }
 
+/// The first `count` 36-bit NTT-friendly moduli for ring degree `n`.
+fn ntt_moduli(count: usize, n: usize) -> Vec<abc_math::Modulus> {
+    let primes = abc_math::primes::generate_ntt_primes(36, count, 2 * n as u64).expect("primes");
+    primes
+        .into_iter()
+        .map(|q| abc_math::Modulus::new(q).expect("modulus"))
+        .collect()
+}
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_snapshot.json".to_owned());
-    let before = std::env::args()
-        .nth(2)
-        .map(|path| std::fs::read_to_string(&path).expect("read the BEFORE snapshot"));
+    let mut args = std::env::args().skip(1).peekable();
+    let parent = args
+        .next_if_eq("pair")
+        .map(|_| args.next().expect("pair PARENT_BIN"));
+    let (mut rows, mut out) = (Rows(None), None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--rows" => {
+                let list = args.next().expect("--rows PREFIX[,PREFIX…]");
+                rows = Rows(Some(list.split(',').map(str::to_owned).collect()));
+            }
+            _ => assert!(out.replace(arg).is_none(), "one OUT.json at most"),
+        }
+    }
+    if let Some(parent) = parent {
+        return pair(&parent, &rows, out.as_deref());
+    }
+    let partial = rows.0.is_some();
+    if partial && out.as_ref().is_some_and(|out| out.ends_with(COMMITTED)) {
+        panic!("a --rows run never writes {COMMITTED}");
+    }
+    let out = out.or_else(|| (!partial).then(|| COMMITTED.to_owned()));
     // Read before OUT.json is written: by default they are one file.
     let committed = std::fs::read_to_string(COMMITTED).ok();
+    let (json, failures) = snapshot(&rows, committed.as_deref());
+    if let Some(out) = out {
+        std::fs::write(&out, &json).expect("write snapshot");
+        println!("wrote {out}");
+    }
+    if !failures.is_empty() {
+        eprintln!("FAIL: {}", failures.join("\nFAIL: "));
+        std::process::exit(1);
+    }
+}
+
+/// Times the rows `rows` selects. Returns the snapshot's JSON and the
+/// gates it fails; the id-set gate, against the `committed` snapshot,
+/// only on a full run.
+fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
     let mut benches = Vec::new();
 
     // --- NTT fast path, the paper's dominant kernel: both directions at
@@ -416,14 +535,13 @@ fn main() {
         (14, "inverse", inverse),
         (16, "inverse", inverse),
     ] {
-        let n = 1usize << log_n;
-        let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
-        let m = abc_math::Modulus::new(q).expect("modulus");
-        let plan = NttPlan::new(m, n).expect("plan");
-        let mut data: Vec<u64> = (0..n as u64).map(|i| i % q).collect();
-        benches.push(measure(&format!("ntt/{direction}/2^{log_n}"), 300, || {
-            transform(&plan, &mut data);
-        }));
+        let id = format!("ntt/{direction}/2^{log_n}");
+        if !rows.has(&id) {
+            continue;
+        }
+        let plan = NttPlan::new(ntt_moduli(1, 1 << log_n)[0], 1 << log_n).expect("plan");
+        let mut data: Vec<u64> = (0..1u64 << log_n).map(|i| i % plan.modulus().q()).collect();
+        benches.extend(rows.measure(&id, 300, || transform(&plan, &mut data)));
     }
 
     // --- The streamed forward transform at the paper's ring: encrypt's
@@ -431,12 +549,14 @@ fn main() {
     // one `forward_stream` and as the composition it replaces (expand
     // into the limb, transform, one multiply–accumulate pass), same
     // operands, same run ---
-    let stream_pair = {
+    let stream_ids = [
+        "ntt/forward_stream_macc/2^16",
+        "ntt/expand_forward_macc/2^16",
+    ];
+    let stream_pair = stream_ids.iter().any(|id| rows.has(id)).then(|| {
         let n = 1usize << 16;
-        let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
-        let m = abc_math::Modulus::new(q).expect("modulus");
-        let plan = NttPlan::new(m, n).expect("plan");
-        let d = plan.dyadic();
+        let plan = NttPlan::new(ntt_moduli(1, n)[0], n).expect("plan");
+        let (d, q) = (plan.dyadic(), plan.modulus().q());
         let e = GaussianSampler::new(Seed::from_u128(5), 0, GaussianSampler::DEFAULT_SIGMA)
             .sample_poly(n);
         let e = SignedCoeffs::scan(&e);
@@ -449,38 +569,34 @@ fn main() {
             d_pre: &d_pre,
             c: Some(&c),
         };
-        // Timed alternately: the gate below reads their ratio. Both write
-        // one output buffer, so they see the same memory: the body whose
-        // output starts 48 bytes into a cache line runs up to 13 % slower,
-        // and two buffers from consecutive allocations sit 16 bytes apart
-        // modulo a line, at a phase set by whatever the heap held before
-        // them (the argument strings among it).
+        // Timed alternately, whichever of the two is selected: the gate
+        // below reads their ratio. Both write one output buffer, so they
+        // see the same memory: the body whose output starts 48 bytes into
+        // a cache line runs up to 13 % slower, and two buffers from
+        // consecutive allocations sit 16 bytes apart modulo a line, at a
+        // phase set by whatever the heap held before them (the argument
+        // strings among it).
         let out = RefCell::new(Vec::with_capacity(n));
-        let [streamed, unfused] = measure_alternately(
-            [
-                "ntt/forward_stream_macc/2^16",
-                "ntt/expand_forward_macc/2^16",
-            ],
-            800,
-            [
-                Box::new(|| plan.forward_stream(&e, &mut out.borrow_mut(), tail())),
-                Box::new(|| {
-                    let y = &mut *out.borrow_mut();
-                    d.expand_into(&e, y);
-                    plan.forward(y);
-                    d.apply_tail(y, tail());
-                }),
-            ],
-        );
+        let mut streamed = || plan.forward_stream(&e, &mut out.borrow_mut(), tail());
+        let mut unfused = || {
+            let y = &mut *out.borrow_mut();
+            d.expand_into(&e, y);
+            plan.forward(y);
+            d.apply_tail(y, tail());
+        };
+        streamed();
+        unfused();
+        let budget = Duration::from_millis(800);
+        let samples = time_alternately(budget, 5, [&mut streamed, &mut unfused]);
+        let [streamed, unfused] = [0, 1].map(|i| record(stream_ids[i], samples[i].clone()));
         let pair = (
             plan.kernel_name(),
             streamed.median_secs,
             unfused.median_secs,
         );
-        benches.push(streamed);
-        benches.push(unfused);
+        benches.extend([streamed, unfused].into_iter().filter(|r| rows.has(&r.id)));
         pair
-    };
+    });
 
     // --- Dyadic element-wise kernels: per-kernel throughput rows ---
     //
@@ -491,11 +607,10 @@ fn main() {
     // rather than raw nanoseconds.
     let mut throughput_rows = Vec::new();
     let mut unavailable = Vec::new();
-    {
-        use abc_math::dyadic::DyadicEngine;
+    if rows.may("poly_dyadic/") || rows.may("fused_dyadic/") {
         let n = 1usize << 15;
-        let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
-        let m = abc_math::Modulus::new(q).expect("modulus");
+        let m = ntt_moduli(1, n)[0];
+        let q = m.q();
         let a0: Vec<u64> = (0..n as u64).map(|i| (i * 31) % q).collect();
         let b: Vec<u64> = (0..n as u64).map(|i| (i * 17 + 5) % q).collect();
         let c: Vec<u64> = (0..n as u64).map(|i| (i * 13 + 11) % q).collect();
@@ -514,8 +629,6 @@ fn main() {
                 unavailable.push(kernel);
                 continue;
             }
-            // (id, bytes/op, the kernel body) — bytes/op counts each
-            // input stream read once plus the in-place write-back.
             let mut d_pre = d.clone();
             engine.premul(&mut d_pre);
             let (mut c_scratch, mut b_scratch) = (c.clone(), b.clone());
@@ -566,40 +679,37 @@ fn main() {
             // in-place write-back.
             for (family, streams, mut pass) in passes {
                 let id = format!("{family}_{label}/2^15");
-                let rec = measure(&id, 200, || {
+                if let Some(rec) = rows.measure(&id, 200, || {
                     buf.copy_from_slice(&a0);
                     pass(std::hint::black_box(&mut buf));
-                });
-                throughput_rows.push(throughput_row(&id, streams * n * 8, rec.median_secs));
-                benches.push(rec);
+                }) {
+                    throughput_rows.push(throughput_row(&id, streams * n * 8, rec.median_secs));
+                    benches.push(rec);
+                }
             }
         }
     }
 
     // --- Batched RNS limb fan-out (24 limbs = the paper's chain) ---
-    {
+    if rows.may("rns_ntt/") {
         let n = 1usize << 13;
-        let primes = abc_math::primes::generate_ntt_primes(36, 24, 2 * n as u64).expect("primes");
-        let moduli: Vec<abc_math::Modulus> = primes
-            .iter()
-            .map(|&q| abc_math::Modulus::new(q).expect("modulus"))
-            .collect();
+        let moduli = ntt_moduli(24, n);
         let engine = RnsNttEngine::new(&moduli, n).expect("engine");
         let mut limbs: Vec<Vec<u64>> = moduli
             .iter()
             .map(|m| (0..n as u64).map(|i| i % m.q()).collect())
             .collect();
-        benches.push(measure("rns_ntt/forward_24limbs/2^13", 300, || {
+        benches.extend(rows.measure("rns_ntt/forward_24limbs/2^13", 300, || {
             engine.forward_all(&mut limbs);
         }));
-        benches.push(measure("rns_ntt/inverse_24limbs/2^13", 300, || {
+        benches.extend(rows.measure("rns_ntt/inverse_24limbs/2^13", 300, || {
             engine.inverse_all(&mut limbs);
         }));
         // Thread-scaling rows (flat on the 1-vCPU CI box; the ids keep
         // multi-core hosts comparable in the same artifact).
         for threads in [1usize, 2, 4] {
             let engine = RnsNttEngine::with_threads(&moduli, n, threads).expect("engine");
-            benches.push(measure(
+            benches.extend(rows.measure(
                 &format!("rns_ntt/forward_24limbs_t{threads}/2^13"),
                 200,
                 || {
@@ -607,28 +717,28 @@ fn main() {
                 },
             ));
         }
-        // What one parallel pass costs before any work: post to a parked
-        // worker, run both chunks, take the post back or wait for it.
-        benches.push(measure("fanout/roundtrip", 300, || {
-            abc_transform::fanout::run(2, 2, &|t| {
-                std::hint::black_box(t);
-            });
-        }));
     }
+    // What one parallel pass costs before any work: post to a parked
+    // worker, run both chunks, take the post back or wait for it.
+    benches.extend(rows.measure("fanout/roundtrip", 300, || {
+        abc_transform::fanout::run(2, 2, &|t| {
+            std::hint::black_box(t);
+        });
+    }));
 
     // --- Decode's CRT lift + scale division, ns per coefficient: the
     // dispatched block path decode runs (the verified word lift, then
     // the block division on the lift's rung) and its forced-scalar twin,
     // beside the big-integer lift it falls back to, at the paper's
     // download (2 limbs) and fresh (24) depths ---
-    {
+    if rows.may("rns/lift_") {
         let n = 1usize << 13;
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
         let divisor = abc_ckks::ExactScale::from_log2(72).divisor();
         let ints = message_sized_ints(n);
         for limbs in [2usize, 24] {
             let basis = ctx.basis().truncated(limbs);
-            let rows: Vec<Vec<u64>> = basis
+            let words: Vec<Vec<u64>> = basis
                 .moduli()
                 .iter()
                 .map(|m| ints.iter().map(|&x| m.from_i128(x)).collect())
@@ -640,8 +750,9 @@ fn main() {
                 let lift = WordLift::with_kernel(basis.clone(), tier);
                 let mut quotients = [ExtF64::zero(); LIFT_BLOCK];
                 let mut slots = [0.0f64; LIFT_BLOCK];
-                let word = measure(&format!("rns/{id}/{limbs}limbs"), 300, || {
-                    let fell_back = lift.lift_blocks(std::hint::black_box(&rows), |block| {
+                let id = format!("rns/{id}/{limbs}limbs");
+                let word = rows.measure(&id, 300, || {
+                    let fell_back = lift.lift_blocks(std::hint::black_box(&words), |block| {
                         let quotients = &mut quotients[..block.words().len()];
                         divisor.apply_block(lift.tier(), block.words(), quotients);
                         // Decode's `F64Field::from_ext` into its slots.
@@ -652,14 +763,15 @@ fn main() {
                     });
                     assert_eq!(fell_back, 0, "message-sized values verify");
                 });
-                benches.push(per_coeff(word, n));
+                benches.extend(word.map(|word| per_coeff(word, n)));
             }
             let product = basis.product();
             let mut residues = vec![0u64; limbs];
-            let bigint = measure(&format!("rns/lift_bigint/{limbs}limbs"), 300, || {
+            let id = format!("rns/lift_bigint/{limbs}limbs");
+            let bigint = rows.measure(&id, 300, || {
                 let mut acc = 0.0;
                 for j in 0..n {
-                    for (r, row) in residues.iter_mut().zip(std::hint::black_box(&rows)) {
+                    for (r, row) in residues.iter_mut().zip(std::hint::black_box(&words)) {
                         *r = row[j];
                     }
                     let (neg, mag) = basis.combine_centered_big_with_product(&residues, &product);
@@ -667,14 +779,14 @@ fn main() {
                 }
                 std::hint::black_box(acc);
             });
-            benches.push(per_coeff(bigint, n));
+            benches.extend(bigint.map(|bigint| per_coeff(bigint, n)));
         }
     }
 
     // --- The on-chip PRNG: the keystream kernel on both rungs (ns per
     // 64-byte block; the scalar rung is the RFC 8439 oracle) and the
     // error sampler it feeds, one upload-sized polynomial per call ---
-    {
+    if rows.may("prng/") {
         let key = [0x0302_0100u32; 8];
         let nonce = [0x0900_0000, 0x4a00_0000, 0];
         let mut out = [0u32; 16 * BLOCKS];
@@ -692,16 +804,16 @@ fn main() {
                 continue;
             }
             let id = format!("prng/chacha20_blocks_{rung}/64B");
-            let rec = measure(&id, 300, || {
+            let rec = rows.measure(&id, 300, || {
                 for r in 0..REFILLS {
                     refill(&key, r * BLOCKS as u32, &nonce, &mut out);
                     std::hint::black_box(&out);
                 }
             });
-            benches.push(per_coeff(rec, (REFILLS as usize) * BLOCKS));
+            benches.extend(rec.map(|rec| per_coeff(rec, (REFILLS as usize) * BLOCKS)));
         }
         let sigma = GaussianSampler::DEFAULT_SIGMA;
-        benches.push(measure("prng/gaussian_poly/2^16", 300, || {
+        benches.extend(rows.measure("prng/gaussian_poly/2^16", 300, || {
             let mut sampler = GaussianSampler::new(Seed::from_u128(11), 0, sigma);
             std::hint::black_box(sampler.sample_poly(1 << 16));
         }));
@@ -711,11 +823,13 @@ fn main() {
     // expansion of sampler-sized and of message-sized coefficients
     // under all 24 primes (ns per coefficient) and 36-bit wire packing
     // (ns per residue) ---
-    {
+    if rows.may("rns/expand_") || rows.may("wire/") {
         let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
         let n = ctx.params().n();
         let (_, pk) = ctx.keygen(Seed::from_u128(2026));
-        let pt = ctx.encode(&client_message(&ctx)).expect("encode");
+        let pt = ctx
+            .encode(&client_message(ctx.params().slots()))
+            .expect("encode");
         let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
 
         let moduli = ctx.basis().moduli();
@@ -728,9 +842,9 @@ fn main() {
         // the fold (i128).
         for (tier, suffix) in [(KernelTier::Auto, ""), (KernelTier::Scalar, "_scalar")] {
             let id = |input: &str| format!("rns/expand_{input}{suffix}/24limbs");
-            benches.push(expand_row(&id("ternary"), &ternary, moduli, tier));
-            benches.push(expand_row(&id("small"), &small, moduli, tier));
-            benches.push(expand_row(&id("i128"), &message, moduli, tier));
+            benches.extend(expand_row(rows, &id("ternary"), &ternary, moduli, tier));
+            benches.extend(expand_row(rows, &id("small"), &small, moduli, tier));
+            benches.extend(expand_row(rows, &id("i128"), &message, moduli, tier));
         }
 
         // The 23 limbs behind the 39-bit head prime: 36 bits each.
@@ -744,109 +858,42 @@ fn main() {
         let widths = &ctx.wire_widths(ct.num_primes())[1..];
         assert!(widths.iter().all(|&w| w == 36), "body primes are 36-bit");
         let residues = 2 * widths.len() * n;
-        let mut blob = Vec::new();
-        let pack = measure("wire/pack_36bit", 500, || {
-            blob = abc_ckks::wire::serialize_ciphertext_packed(&body, widths).expect("pack");
-        });
-        let unpack = measure("wire/unpack_36bit", 500, || {
-            std::hint::black_box(abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack"));
-        });
-        for rec in [pack, unpack] {
-            throughput_rows.push(throughput_row(&rec.id, blob.len(), rec.median_secs));
-            benches.push(per_coeff(rec, residues));
+        let pack = || abc_ckks::wire::serialize_ciphertext_packed(&body, widths).expect("pack");
+        let mut blob = pack();
+        for (id, unpack) in [("wire/pack_36bit", false), ("wire/unpack_36bit", true)] {
+            if let Some(rec) = rows.measure(id, 500, || match unpack {
+                true => _ = std::hint::black_box(abc_ckks::wire::deserialize_ciphertext(&blob)),
+                false => blob = pack(),
+            }) {
+                throughput_rows.push(throughput_row(id, blob.len(), rec.median_secs));
+                benches.push(per_coeff(rec, residues));
+            }
         }
     }
 
-    // --- Steady state: whole ops, limbs dropped inside them, warm pool ---
+    // --- Steady state: whole ops, limbs dropped inside them, warm pool;
+    // the paper's upload and download (Fig. 5a) at the largest preset
+    // are the shapes of benchmark/'s `upload_n16` and `download_n16` ---
     let mut steady = Vec::new();
-    {
-        let ctx = CkksContext::new(CkksParams::bootstrappable(15).expect("preset")).expect("ctx");
-        let (_, pk) = ctx.keygen(Seed::from_u128(2026));
-        let msg = client_message(&ctx);
-        let widths = ctx.wire_widths(ctx.params().num_primes());
-        steady.push(steady_row(
-            "client/upload_steady/2^15",
-            ctx.params().n(),
-            1500,
-            || {
-                let pt = ctx.encode(&msg).expect("encode");
-                let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
-                let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths);
-                std::hint::black_box(blob.expect("pack"));
-            },
-        ));
+    for (id, log_n) in [
+        ("client/upload_steady/2^15", 15),
+        ("client/upload_steady/2^16x24", 16),
+    ] {
+        if rows.has(id) {
+            steady.push(upload_steady(id, log_n));
+        }
     }
-    {
-        // The paper's upload (Fig. 5a) at the largest preset, the shape
-        // of benchmark/'s `upload_n16`.
-        let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
-        let (_, pk) = ctx.keygen(Seed::from_u128(2026));
-        let msg = client_message(&ctx);
-        let widths = ctx.wire_widths(ctx.params().num_primes());
-        steady.push(steady_row(
-            "client/upload_steady/2^16x24",
-            ctx.params().n(),
-            1500,
-            || {
-                let pt = ctx.encode(&msg).expect("encode");
-                let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
-                let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths);
-                std::hint::black_box(blob.expect("pack"));
-            },
-        ));
-    }
-    {
-        let ctx = CkksContext::new(CkksParams::bootstrappable(14).expect("preset")).expect("ctx");
-        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
-        let ct = ctx.encrypt(
-            &ctx.encode(&client_message(&ctx)).expect("encode"),
-            &pk,
-            Seed::from_u128(7),
-        );
-        let widths = ctx.wire_widths(ct.num_primes());
-        let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths).expect("pack");
-        drop(ct);
-        steady.push(steady_row(
-            "client/download24_steady/2^14",
-            ctx.params().n(),
-            1500,
-            || {
-                let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
-                let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
-                std::hint::black_box(ctx.decode(&pt).expect("decode"));
-            },
-        ));
-    }
-
-    {
-        // The paper's download (Fig. 5a): a 2-prime result at the
-        // largest preset, the shape of benchmark/'s `download_n16`.
-        let ctx = CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
-        let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
-        let ct = ctx
-            .encrypt(
-                &ctx.encode(&client_message(&ctx)).expect("encode"),
-                &pk,
-                Seed::from_u128(7),
-            )
-            .truncated(2);
-        let widths = ctx.wire_widths(ct.num_primes());
-        let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths).expect("pack");
-        drop(ct);
-        steady.push(steady_row(
-            "client/download2_steady/2^16",
-            ctx.params().n(),
-            1500,
-            || {
-                let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
-                let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
-                std::hint::black_box(ctx.decode(&pt).expect("decode"));
-            },
-        ));
+    for (id, log_n, limbs) in [
+        ("client/download24_steady/2^14", 14, 24),
+        ("client/download2_steady/2^16", 16, 2),
+    ] {
+        if rows.has(id) {
+            steady.push(download_steady(id, log_n, limbs));
+        }
     }
 
     // --- SpecialFft: kernel ladder ---
-    {
+    if rows.may("special_fft/") {
         let slots = 1usize << 14; // N = 2^15
         let plan = SpecialFft::new(slots);
         // The AVX-512 kernel's split planes are an N-word limb of the limb
@@ -854,16 +901,14 @@ fn main() {
         // allowance keeps the limb warm; without one each transform would
         // time a 256 KiB `malloc` as well.
         let n = 2 * slots;
-        let q = abc_math::primes::generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
-        let modulus = abc_math::Modulus::new(q).expect("modulus");
-        let _engine = RnsNttEngine::new(&[modulus], n).expect("engine");
+        let _engine = RnsNttEngine::new(&ntt_moduli(1, n), n).expect("engine");
         let vals: Vec<Complex> = (0..slots)
             .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
             .collect();
         let mut buf = vals.clone();
         // `forward_planned` follows the Auto dispatch (avx512 on this
         // CPU — `kernel_name()` says which kernel the row measured).
-        let planned = measure("special_fft/forward_planned_fp64/2^14", 400, || {
+        let planned = rows.measure("special_fft/forward_planned_fp64/2^14", 400, || {
             buf.copy_from_slice(&vals);
             plan.forward(&mut buf);
         });
@@ -871,42 +916,48 @@ fn main() {
         // reads straight off the planned/scalar median ratio, and the
         // reduced (FP55) and extended (double-double) datapaths sit
         // beside the host's `f64` on the same kernel.
-        let scalar = fft_scalar_row(F64Field, "fp64", slots);
-        println!(
-            "special_fft {} vs scalar speedup: {:.2}x",
-            plan.kernel_name(),
-            scalar.median_secs / planned.median_secs
-        );
+        let scalar = fft_scalar_row(rows, F64Field, "fp64", slots);
+        if let (Some(planned), Some(scalar)) = (&planned, &scalar) {
+            println!(
+                "special_fft {} vs scalar speedup: {:.2}x",
+                plan.kernel_name(),
+                scalar.median_secs / planned.median_secs
+            );
+        }
         // Transform throughput rows: each pass streams the split re/im
         // planes (read + write) per stage, log2(slots) stages deep.
         let bytes = 2 * slots * 16 * slots.ilog2() as usize;
-        for rec in [&planned, &scalar] {
+        for rec in planned.iter().chain(&scalar) {
             throughput_rows.push(throughput_row(&rec.id, bytes, rec.median_secs));
         }
-        benches.push(planned);
-        benches.push(scalar);
-        benches.push(fft_scalar_row(SoftFloatField::fp55(), "fp55", slots));
-        benches.push(fft_scalar_row(ExtF64Field, "extf64", slots));
-        benches.push(measure("special_fft/forward_otf_fp64/2^14", 400, || {
+        benches.extend(planned.into_iter().chain(scalar));
+        benches.extend(fft_scalar_row(rows, SoftFloatField::fp55(), "fp55", slots));
+        benches.extend(fft_scalar_row(rows, ExtF64Field, "extf64", slots));
+        benches.extend(rows.measure("special_fft/forward_otf_fp64/2^14", 400, || {
             buf.copy_from_slice(&vals);
             plan.forward_otf(&mut buf);
         }));
     }
 
     // --- Embedding datapaths: precision ---
-    let mut precision_rows = {
+    let mut precision_rows = Vec::new();
+    if rows.may("precision/embedding_") {
         let ctx = CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("ctx");
-        vec![
-            embedding_precision_row(&ctx, &F64Field, Seed::from_u128(1300)),
-            embedding_precision_row(&ctx, &ExtF64Field, Seed::from_u128(1301)),
-        ]
-    };
+        let embedded = [
+            embedding_precision_row(rows, &ctx, &F64Field, Seed::from_u128(1300)),
+            embedding_precision_row(rows, &ctx, &ExtF64Field, Seed::from_u128(1301)),
+        ];
+        precision_rows.extend(embedded.into_iter().flatten());
+    }
 
     // --- Measured precision: the §V-B claim, both scale modes ---
     for (label, mode) in [
         ("single_scale", ScaleMode::Single),
         ("double_scale", ScaleMode::DoublePair),
     ] {
+        if !rows.has(&format!("precision/{label}/2^13")) {
+            continue;
+        }
         let params = CkksParams::builder()
             .log_n(13)
             .num_primes(24)
@@ -924,108 +975,126 @@ fn main() {
 
     let bench_rows: Vec<String> = benches.iter().map(BenchRecord::to_json).collect();
     let steady_rows: Vec<&str> = steady.iter().map(|(row, _)| row.as_str()).collect();
-    let mut json = format!(
+    let json = format!(
         "{{\n\"benches\": [\n{}\n],\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
-         \"steady\": [\n{}\n]",
+         \"steady\": [\n{}\n]\n}}\n",
         bench_rows.join(",\n"),
         throughput_rows.join(",\n"),
         precision_rows.join(",\n"),
         steady_rows.join(",\n")
     );
-    if let Some(parent) = &before {
-        let section = compare(parent, &json);
-        println!(
-            "against BEFORE: {}",
-            section.lines().nth(1).unwrap_or_default()
-        );
-        json.push_str(&section);
+    for row in &bench_rows {
+        println!("{}", row.trim());
     }
-    json.push_str("\n}\n");
-    std::fs::write(&out_path, &json).expect("write snapshot");
-    for r in &benches {
-        println!(
-            "{:<40} median {:>10.1} ns  p95 {:>10.1} ns  ({} iters)",
-            r.id,
-            r.median_secs * 1e9,
-            r.p95_secs * 1e9,
-            r.iters
-        );
-    }
-    println!("wrote {out_path}");
-    if steady
-        .iter()
-        .any(|&(_, misses_per_op)| misses_per_op != 0.0)
-    {
-        eprintln!("FAIL: a steady-state op missed the limb pool (pool_misses_per_op above)");
-        std::process::exit(1);
+    let mut failures = Vec::new();
+    if steady.iter().any(|&(_, misses)| misses != 0.0) {
+        failures.push("a steady-state op missed the limb pool (pool_misses_per_op above)".into());
     }
     // The streamed transform must beat the composition it replaces, in
     // the same process: a ratio of two medians of one run, gated on the
     // rung that fuses (on the scalar rung the two are the same code).
-    let (kernel, streamed, unfused) = stream_pair;
-    println!(
-        "ntt/forward_stream_macc over ntt/expand_forward_macc ({kernel}): {:.3}",
-        streamed / unfused
-    );
-    if kernel == "ifma" && streamed >= unfused {
-        eprintln!("FAIL: the streamed forward transform is not faster than expand + forward + mac");
-        std::process::exit(1);
+    if let Some((kernel, streamed, unfused)) = stream_pair {
+        println!(
+            "ntt/forward_stream_macc over ntt/expand_forward_macc ({kernel}): {:.3}",
+            streamed / unfused
+        );
+        if kernel == "ifma" && streamed >= unfused && stream_ids.iter().all(|id| rows.has(id)) {
+            failures.push(
+                "the streamed forward transform is not faster than expand + forward + mac".into(),
+            );
+        }
     }
-    let fresh = ids_of(&json);
-    let missing: Vec<&str> = committed
-        .as_deref()
+    let missing: Vec<&str> = (rows.0.is_none().then_some(committed).flatten())
         .map_or(Vec::new(), ids_of)
         .into_iter()
-        .filter(|id| !fresh.contains(id))
+        .filter(|id| !ids_of(&json).contains(id))
         .filter(|id| !unavailable.iter().any(|k| id.contains(&format!("_{k}/"))))
         .collect();
     if !missing.is_empty() {
-        eprintln!("FAIL: {COMMITTED} has rows this run did not produce: {missing:?}");
-        std::process::exit(1);
+        failures.push(format!(
+            "{COMMITTED} has rows this run did not produce: {missing:?}"
+        ));
     }
+    (json, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const PARENT: &str = r#"{
-"benches": [
-  {"id": "ntt/forward/2^13", "mean_ns": 30.0, "median_ns": 20.0, "p95_ns": 40.0, "iters": 9},
-  {"id": "ntt/forward_golden/2^13", "mean_ns": 110.0, "median_ns": 100.0, "p95_ns": 120.0, "iters": 9},
-  {"id": "rns/lift_word_scalar/2limbs", "mean_ns": 5.0, "median_ns": 4.0, "p95_ns": 6.0, "iters": 9},
-  {"id": "gone/row", "mean_ns": 1.0, "median_ns": 1.0, "p95_ns": 1.0, "iters": 9}
-],
-"throughput": [
-  {"id": "wire/pack_36bit", "bytes_per_op": 8, "median_ns": 1.0, "gib_per_s": 1.00}
-],
-"steady": [
-]
-}
-"#;
+    /// A snapshot of one bench row and one steady row.
+    fn snapshot_of(median_ns: f64, ms: f64) -> String {
+        format!(
+            "{{\n\"benches\": [\n  {{\"id\": \"k/row\", \"mean_ns\": 1.0, \"median_ns\": {median_ns:.1}, \
+             \"p95_ns\": 1.0, \"iters\": 9}}\n],\n\"throughput\": [\n],\n\"precision\": [\n],\n\
+             \"steady\": [\n  {{\"id\": \"client/op\", \"ops\": 9, \"ms\": {ms:.3}, \
+             \"pool_misses_per_op\": 0}}\n]\n}}\n"
+        )
+    }
 
     #[test]
-    fn compare_pairs_rows_and_spreads_the_references() {
-        // The change's own snapshot, `"before"` included: only its
-        // `benches` rows are read, never the parent rows it embeds.
-        let change = PARENT
-            .replace("\"median_ns\": 20.0", "\"median_ns\": 10.0")
-            .replace("\"median_ns\": 100.0", "\"median_ns\": 105.0")
-            .replace("\"median_ns\": 4.0", "\"median_ns\": 3.6")
-            .replace("gone/row", "new/row")
-            + "\"before\": [\n  {\"id\": \"gone/row\", \"median_ns\": 1.0}\n]";
-        let section = compare(PARENT, &change);
-        assert!(section.contains(
-            "\"reference_spread\": {\"rows\": 2, \"min_ratio\": 0.900, \"max_ratio\": 1.050}"
-        ));
-        assert!(section.contains(
-            "{\"id\": \"ntt/forward/2^13\", \"parent_median_ns\": 20.0, \"median_ns\": 10.0, \"ratio\": 0.500}"
-        ));
-        assert!(section.contains("\"ratio\": 1.050"));
-        // Rows in one run only are not paired.
-        assert!(!section.contains("gone/row") && !section.contains("new/row"));
-        // The section's ids stay out of the snapshot's own id list.
-        let whole = format!("{{\n\"benches\": [\n]{section}\n}}");
-        assert!(ids_of(&whole).is_empty());
+    fn pair_alternates_and_reads_ratios_wins_and_spreads() {
+        // The change's bench median per round against a parent at 100:
+        // seven wins, two ties (for neither side) and one loss.
+        let change = [
+            80.0, 90.0, 90.0, 90.0, 90.0, 100.0, 100.0, 110.0, 90.0, 90.0,
+        ];
+        let mut calls = Vec::new();
+        let rounds = rounds(|side| {
+            calls.push(side);
+            let round = calls.len().div_ceil(2);
+            match side {
+                0 => snapshot_of(100.0, 2.0),
+                _ => snapshot_of(change[round - 1], 1.0),
+            }
+        });
+        // The parent (side 0) runs first on odd rounds, second on even
+        // ones.
+        assert_eq!(calls, [[0, 1], [1, 0]].repeat(ROUNDS / 2).concat());
+        let table = paired(&rounds);
+        assert_eq!(table.len(), 2);
+        let (id, n, wins, [ratio, iqr, parent_iqr, change_iqr]) = table[0];
+        assert_eq!((id, n, wins), ("k/row", ROUNDS, 7));
+        // Ratios 0.8, 0.9 ×6, 1.0 ×2, 1.1: quartiles 0.9, 0.9 and 0.975.
+        assert!((ratio - 0.9).abs() < 1e-12 && (iqr - 0.075).abs() < 1e-12);
+        assert_eq!(parent_iqr, 0.0);
+        assert!((change_iqr - 7.5 / 90.0).abs() < 1e-12);
+        // The steady row's `ms` is paired as well.
+        assert_eq!(
+            table[1],
+            ("client/op", ROUNDS, ROUNDS, [0.5, 0.0, 0.0, 0.0])
+        );
+        // A row the parent does not have is left out, not a panic.
+        let added = [
+            snapshot_of(1.0, 1.0),
+            snapshot_of(1.0, 1.0).replace("k/", "new/"),
+        ];
+        let table = paired(std::slice::from_ref(&added));
+        assert_eq!(
+            table.iter().map(|row| row.0).collect::<Vec<_>>(),
+            ["client/op"]
+        );
+    }
+
+    #[test]
+    fn a_rows_run_times_only_its_prefixes_and_skips_the_id_gate() {
+        // The committed file has rows a `fanout/` run does not produce.
+        let committed = snapshot_of(1.0, 1.0);
+        let (json, failures) = snapshot(&Rows(Some(vec!["fanout/".into()])), Some(&committed));
+        assert_eq!(ids_of(&json), ["fanout/roundtrip"]);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(Rows(Some(vec!["ntt/forward/2^16".into()])).may("ntt/"));
+        assert!(!Rows(Some(vec!["ntt/".into()])).has("rns_ntt/forward_24limbs/2^13"));
+    }
+
+    #[test]
+    fn a_bench_row_and_a_steady_row_share_the_median() {
+        // An even count: the mean of the middle two samples.
+        let samples = vec![4e-9, 1e-9, 3e-9, 2e-9];
+        assert_eq!(
+            record("x", samples.clone()).median_secs,
+            quantiles(&samples, [0.5])[0]
+        );
+        assert!((record("x", samples).median_secs - 2.5e-9).abs() < 1e-24);
     }
 }

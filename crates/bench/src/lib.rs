@@ -11,9 +11,46 @@
 //! host-CPU run of the from-scratch Rust client.
 
 use abc_sim::{simulate, SimConfig, Workload};
+use std::time::{Duration, Instant};
 
 pub mod fig1;
 pub mod runner;
+
+/// Per-call seconds of each of `fs`, one call of each per round, in
+/// turn, until `budget` has passed and at least `min_rounds` rounds ran
+/// (at most 10 000). Bodies timed together see the same host load, so
+/// the ratio of their medians is steadier than either median. Nothing is
+/// warmed up: the caller makes its own warm-up calls.
+pub fn time_alternately<const K: usize>(
+    budget: Duration,
+    min_rounds: usize,
+    mut fs: [&mut dyn FnMut(); K],
+) -> [Vec<f64>; K] {
+    let start = Instant::now();
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+    while (start.elapsed() < budget || samples[0].len() < min_rounds) && samples[0].len() < 10_000 {
+        for (f, samples) in fs.iter_mut().zip(&mut samples) {
+            let t = Instant::now();
+            f();
+            samples.push(t.elapsed().as_secs_f64());
+        }
+    }
+    samples
+}
+
+/// The `ps` quantiles of `samples`, each interpolated linearly between
+/// the two nearest ranks: the median of an even count is the mean of
+/// its two middle samples. The one statistic of every timing here.
+pub fn quantiles<const K: usize>(samples: &[f64], ps: [f64; K]) -> [f64; K] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    let last = sorted.len() - 1;
+    ps.map(|p| {
+        let rank = p * last as f64;
+        let below = rank.floor() as usize;
+        sorted[below] + rank.fract() * (sorted[(below + 1).min(last)] - sorted[below])
+    })
+}
 
 /// Paper speed-up constants (Fig. 5a).
 pub mod speedups {
@@ -135,6 +172,16 @@ mod tests {
         );
         assert!(t.contains("a    bb"));
         assert!(t.lines().count() == 4);
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        // An even count: the median is the mean of the middle two, not
+        // either one of them.
+        let samples = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantiles(&samples, [0.0, 0.5, 1.0]), [1.0, 2.5, 4.0]);
+        assert_eq!(quantiles(&samples, [0.25, 0.75]), [1.75, 3.25]);
+        assert_eq!(quantiles(&[7.0], [0.5, 0.95]), [7.0, 7.0]);
     }
 
     #[test]

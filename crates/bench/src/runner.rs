@@ -5,7 +5,8 @@
 use abc_ckks::{params::CkksParams, CkksContext, CkksError};
 use abc_float::Complex;
 use abc_prng::Seed;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::Duration;
 
 /// A measured host run.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,56 +17,63 @@ pub struct CpuMeasurement {
     pub enc_primes: usize,
     /// Decryption-side primes.
     pub dec_primes: usize,
-    /// Encode+encrypt wall time (ms).
+    /// Encode+encrypt wall time (ms), the median of the timed ops.
     pub enc_ms: f64,
-    /// Decrypt+decode wall time (ms).
+    /// Decrypt+decode wall time (ms), the median of the timed ops.
     pub dec_ms: f64,
 }
 
-/// Times encode+encrypt and decrypt+decode on the host CPU.
+/// The full-slot message every timed client op of this crate carries.
+pub fn client_message(slots: usize) -> Vec<Complex> {
+    (0..slots)
+        .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
+        .collect()
+}
+
+/// Times encode+encrypt under `params` and decrypt+decode of its
+/// ciphertext cut to `dec_primes` on the host CPU: one warm-up op of
+/// each (the limb pool's first use falls there), then the median of
+/// five ops each, timed alternately.
 ///
 /// # Errors
 ///
 /// Propagates [`CkksError`] from context construction or the pipeline.
 pub fn measure_host_cpu(
-    log_n: u32,
-    enc_primes: usize,
+    params: CkksParams,
     dec_primes: usize,
 ) -> Result<CpuMeasurement, CkksError> {
-    let params = CkksParams::builder()
-        .log_n(log_n)
-        .num_primes(enc_primes)
-        .build()?;
     let ctx = CkksContext::new(params)?;
     let (sk, pk) = ctx.keygen(Seed::from_u128(2024));
-    let msg: Vec<Complex> = (0..ctx.params().slots())
-        .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
-        .collect();
+    let msg = client_message(ctx.params().slots());
+    let enc_primes = ctx.params().num_primes();
 
-    let t0 = Instant::now();
-    let pt = ctx.encode(&msg)?;
-    let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
-    let enc_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let low = ct.truncated(dec_primes.min(ct.num_primes()));
-    let t1 = Instant::now();
-    let out = ctx.decode(&ctx.decrypt(&low, &sk)?)?;
-    let dec_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    // Sanity: the round trip must actually work.
-    let err = out
+    // The warm-up ops, and a sanity check: the round trip must work.
+    let ct = ctx.encrypt(&ctx.encode(&msg)?, &pk, Seed::from_u128(7));
+    let low = ct.truncated(dec_primes.min(enc_primes));
+    let err = ctx
+        .decode(&ctx.decrypt(&low, &sk)?)?
         .iter()
         .zip(&msg)
         .map(|(a, b)| a.dist(*b))
         .fold(0.0, f64::max);
     assert!(err < 1e-2, "round trip failed during measurement: {err}");
 
+    let mut enc = || {
+        let pt = ctx.encode(&msg).expect("encoded once already");
+        black_box(ctx.encrypt(&pt, &pk, Seed::from_u128(7)));
+    };
+    let mut dec = || {
+        let pt = ctx.decrypt(&low, &sk).expect("decrypted once already");
+        black_box(ctx.decode(&pt).expect("decoded once already"));
+    };
+    let [enc, dec] = crate::time_alternately(Duration::ZERO, 5, [&mut enc, &mut dec]);
+    let median_ms = |secs: &[f64]| crate::quantiles(secs, [0.5])[0] * 1e3;
     Ok(CpuMeasurement {
-        log_n,
+        log_n: ctx.params().log_n(),
         enc_primes,
-        dec_primes,
-        enc_ms,
-        dec_ms,
+        dec_primes: low.num_primes(),
+        enc_ms: median_ms(&enc),
+        dec_ms: median_ms(&dec),
     })
 }
 
@@ -75,9 +83,14 @@ mod tests {
 
     #[test]
     fn small_measurement_runs() {
-        let m = measure_host_cpu(10, 3, 2).unwrap();
+        let params = CkksParams::builder()
+            .log_n(10)
+            .num_primes(3)
+            .build()
+            .unwrap();
+        let m = measure_host_cpu(params, 2).unwrap();
         assert!(m.enc_ms > 0.0);
         assert!(m.dec_ms > 0.0);
-        assert_eq!(m.log_n, 10);
+        assert_eq!((m.log_n, m.enc_primes, m.dec_primes), (10, 3, 2));
     }
 }
