@@ -29,7 +29,9 @@
 //! ```
 //!
 //! The `"steady"` rows run a whole client op — every limb dropped inside
-//! it — back to back after a warm-up, and report what no timer shows:
+//! it — back to back after a warm-up (the pinned and the fused upload at
+//! 2^16 in turn, call by call, so their ratio is one window's), and
+//! report what no timer shows:
 //! limb-pool misses per op, and (on Linux, from `/proc/self/stat`; absent
 //! elsewhere) minor page faults and kernel CPU time per op. A miss count
 //! is an exact function of the commit: the binary **exits non-zero** if
@@ -135,6 +137,8 @@ struct BenchRecord {
     /// Percentiles over the per-call times ([`quantiles`]).
     median_secs: f64,
     p95_secs: f64,
+    /// Samples: calls, or batches of calls for a sub-µs body
+    /// ([`time_alternately`]).
     iters: u64,
 }
 
@@ -175,48 +179,102 @@ fn faults_and_sys_ms() -> Option<(f64, f64)> {
     Some((minflt, stime_ticks * 10.0))
 }
 
-/// One `"steady"` row: `op` (a whole client op at ring degree `n`, its
-/// limbs dropped inside it) twice to warm the pool, then back to back
-/// for ~1.5 s. Returns the JSON row and the pool misses per op.
-fn steady_row(id: &str, n: usize, mut op: impl FnMut()) -> (String, f64) {
+/// What the calls of one steady op added up to: calls, limb-pool
+/// misses, and minor faults and kernel CPU ms where there is `/proc`.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    calls: f64,
+    misses: u64,
+    faults: Option<(f64, f64)>,
+}
+
+/// The `"steady"` rows `ids` of `ops` — whole client ops at ring degree
+/// `n`, their limbs dropped inside them: each op twice to warm the pool,
+/// then all of them in turn, call by call, for ~1.5 s. Ops timed
+/// together see the same host load, so the ratio of two rows' `ms` is
+/// read from one window. Misses, faults and kernel time are read around
+/// each call (the `/proc` read, ≈ 8 µs, inside the timed call). Returns
+/// each JSON row and its pool misses per op.
+fn steady_rows<const K: usize>(
+    ids: [&str; K],
+    n: usize,
+    mut ops: [&mut dyn FnMut(); K],
+) -> [(String, f64); K] {
     let misses = || abc_ckks::limb_pool::class_stats(n).map_or(0, |class| class.misses);
-    op();
-    op();
-    let (misses0, proc0) = (misses(), faults_and_sys_ms());
-    let [samples] = time_alternately(Duration::from_millis(1500), 5, [&mut op]);
-    let ops = samples.len() as f64;
-    let misses_per_op = (misses() - misses0) as f64 / ops;
-    let ms = quantiles(&samples, [0.5])[0] * 1e3;
-    let kernel = proc0
-        .zip(faults_and_sys_ms())
-        .map_or(String::new(), |(a, b)| {
+    for op in &mut ops {
+        op();
+        op();
+    }
+    let tallies = [Tally::default(); K].map(std::cell::Cell::new);
+    let mut k = 0;
+    let mut counted = ops.map(|op| {
+        let tally = &tallies[k];
+        k += 1;
+        move || {
+            let (misses0, proc0) = (misses(), faults_and_sys_ms());
+            op();
+            let mut t = tally.get();
+            t.calls += 1.0;
+            t.misses += misses() - misses0;
+            t.faults = proc0.zip(faults_and_sys_ms()).map(|(a, b)| {
+                let (faults, sys_ms) = t.faults.unwrap_or_default();
+                (faults + b.0 - a.0, sys_ms + b.1 - a.1)
+            });
+            tally.set(t);
+        }
+    });
+    let fs = counted.each_mut().map(|f| f as &mut dyn FnMut());
+    let samples = time_alternately(Duration::from_millis(1500), 5, fs);
+    let mut k = 0;
+    samples.map(|samples| {
+        let (id, t) = (ids[k], tallies[k].get());
+        k += 1;
+        let misses_per_op = t.misses as f64 / t.calls;
+        let ms = quantiles(&samples, [0.5])[0] * 1e3;
+        let kernel = t.faults.map_or(String::new(), |(faults, sys_ms)| {
             format!(
                 ", \"minor_faults_per_op\": {:.1}, \"sys_ms_per_op\": {:.2}",
-                (b.0 - a.0) / ops,
-                (b.1 - a.1) / ops
+                faults / t.calls,
+                sys_ms / t.calls
             )
         });
-    let row = format!(
-        "  {{\"id\": \"{id}\", \"ops\": {ops}, \"ms\": {ms:.3}, \
-         \"pool_misses_per_op\": {misses_per_op}{kernel}}}"
-    );
-    println!("{}", row.trim());
-    (row, misses_per_op)
+        let row = format!(
+            "  {{\"id\": \"{id}\", \"ops\": {}, \"ms\": {ms:.3}, \
+             \"pool_misses_per_op\": {misses_per_op}{kernel}}}",
+            t.calls
+        );
+        println!("{}", row.trim());
+        (row, misses_per_op)
+    })
 }
 
 /// The `"steady"` row `id` of an upload (encode, encrypt, pack) at
-/// `bootstrappable(log_n)`.
-fn upload_steady(id: &str, log_n: u32) -> (String, f64) {
+/// `bootstrappable(log_n)`, and, given `fused_id`, the row of the one
+/// call that runs the same upload a limb at a time
+/// ([`CkksContext::encode_encrypt_into`]), timed alternately with it.
+/// Each op writes a fresh blob.
+fn upload_steady(id: &str, fused_id: Option<&str>, log_n: u32) -> Vec<(String, f64)> {
     let ctx = CkksContext::new(CkksParams::bootstrappable(log_n).expect("preset")).expect("ctx");
     let (_, pk) = ctx.keygen(Seed::from_u128(2026));
     let msg = client_message(ctx.params().slots());
     let widths = ctx.wire_widths(ctx.params().num_primes());
-    steady_row(id, ctx.params().n(), || {
+    let mut pinned = || {
         let pt = ctx.encode(&msg).expect("encode");
         let ct = ctx.encrypt(&pt, &pk, Seed::from_u128(7));
         let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct, &widths);
         std::hint::black_box(blob.expect("pack"));
-    })
+    };
+    let mut fused = || {
+        let mut blob = Vec::new();
+        let upload = ctx.encode_encrypt_into(&msg, &pk, Seed::from_u128(7), &mut blob);
+        upload.expect("upload");
+        std::hint::black_box(blob);
+    };
+    let n = ctx.params().n();
+    match fused_id {
+        Some(fused_id) => steady_rows([id, fused_id], n, [&mut pinned, &mut fused]).into(),
+        None => steady_rows([id], n, [&mut pinned]).into(),
+    }
 }
 
 /// The `"steady"` row `id` of a download (unpack, decrypt, decode) of a
@@ -230,11 +288,16 @@ fn download_steady(id: &str, log_n: u32, limbs: usize) -> (String, f64) {
     let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct.truncated(limbs), &widths);
     let blob = blob.expect("pack");
     drop(ct);
-    steady_row(id, ctx.params().n(), || {
-        let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
-        let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
-        std::hint::black_box(ctx.decode(&pt).expect("decode"));
-    })
+    let [row] = steady_rows(
+        [id],
+        ctx.params().n(),
+        [&mut || {
+            let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
+            let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+            std::hint::black_box(ctx.decode(&pt).expect("decode"));
+        }],
+    );
+    row
 }
 
 /// The `(id, median)` of every timed row of a snapshot this binary
@@ -875,12 +938,23 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
     // the paper's upload and download (Fig. 5a) at the largest preset
     // are the shapes of benchmark/'s `upload_n16` and `download_n16` ---
     let mut steady = Vec::new();
-    for (id, log_n) in [
-        ("client/upload_steady/2^15", 15),
-        ("client/upload_steady/2^16x24", 16),
+    // The fused upload (one pass per limb, 72 transforms) is timed
+    // alternately with the pinned sequence it replaces (96).
+    for (id, fused_id, log_n) in [
+        ("client/upload_steady/2^15", None, 15),
+        (
+            "client/upload_steady/2^16x24",
+            Some("client/upload_fused_steady/2^16x24"),
+            16,
+        ),
     ] {
-        if rows.has(id) {
-            steady.push(upload_steady(id, log_n));
+        if rows.has(id) || fused_id.is_some_and(|id| rows.has(id)) {
+            let timed = upload_steady(id, fused_id, log_n);
+            steady.extend(
+                timed
+                    .into_iter()
+                    .filter(|(row, _)| rows.has(ids_of(row)[0])),
+            );
         }
     }
     for (id, log_n, limbs) in [

@@ -16,23 +16,40 @@ use std::time::{Duration, Instant};
 pub mod fig1;
 pub mod runner;
 
-/// Per-call seconds of each of `fs`, one call of each per round, in
-/// turn, until `budget` has passed and at least `min_rounds` rounds ran
-/// (at most 10 000). Bodies timed together see the same host load, so
-/// the ratio of their medians is steadier than either median. Nothing is
-/// warmed up: the caller makes its own warm-up calls.
+/// Samples a timing keeps at most, per body.
+const MAX_SAMPLES: usize = 10_000;
+
+/// Per-call seconds of each of `fs`, one sample of each per round, in
+/// turn, until `budget` has passed and at least `min_rounds` rounds ran.
+/// Bodies timed together see the same host load, so the ratio of their
+/// medians is steadier than either median. A sample is one call, or —
+/// for a body so short that 10 000 (`MAX_SAMPLES`) single calls would
+/// not span the budget — a batch of calls, timed together and divided
+/// by their count: each body's batch is sized from its fastest sample so
+/// far to take about `budget / (K · MAX_SAMPLES)`, so the samples span
+/// the budget instead of stopping at the cap a few milliseconds in.
+/// Nothing is warmed up: the caller makes its own warm-up calls.
 pub fn time_alternately<const K: usize>(
     budget: Duration,
     min_rounds: usize,
     mut fs: [&mut dyn FnMut(); K],
 ) -> [Vec<f64>; K] {
     let start = Instant::now();
+    let per_sample = budget.as_secs_f64() / (K * MAX_SAMPLES) as f64;
     let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
-    while (start.elapsed() < budget || samples[0].len() < min_rounds) && samples[0].len() < 10_000 {
-        for (f, samples) in fs.iter_mut().zip(&mut samples) {
+    let mut fastest = [f64::INFINITY; K];
+    while (start.elapsed() < budget || samples[0].len() < min_rounds)
+        && samples[0].len() < MAX_SAMPLES
+    {
+        for ((f, samples), fastest) in fs.iter_mut().zip(&mut samples).zip(&mut fastest) {
+            let batch = (per_sample / *fastest).ceil().max(1.0) as u32;
             let t = Instant::now();
-            f();
-            samples.push(t.elapsed().as_secs_f64());
+            for _ in 0..batch {
+                f();
+            }
+            let secs = t.elapsed().as_secs_f64() / f64::from(batch);
+            *fastest = fastest.min(secs);
+            samples.push(secs);
         }
     }
     samples
@@ -182,6 +199,33 @@ mod tests {
         assert_eq!(quantiles(&samples, [0.0, 0.5, 1.0]), [1.0, 2.5, 4.0]);
         assert_eq!(quantiles(&samples, [0.25, 0.75]), [1.75, 3.25]);
         assert_eq!(quantiles(&[7.0], [0.5, 0.95]), [7.0, 7.0]);
+    }
+
+    #[test]
+    fn short_bodies_are_timed_in_batches_that_span_the_budget() {
+        // A body of ≈ 100 ns: 10 000 single calls would end the timing
+        // after about a millisecond of a 50 ms budget.
+        let mut calls = 0u64;
+        let mut body = || {
+            calls += 1;
+            let mut x = calls;
+            for _ in 0..100 {
+                x = std::hint::black_box(x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (x >> 7));
+            }
+            std::hint::black_box(x);
+        };
+        let start = Instant::now();
+        let [samples] = time_alternately(Duration::from_millis(50), 5, [&mut body]);
+        let spanned = start.elapsed();
+        assert!(spanned >= Duration::from_millis(40), "spanned {spanned:?}");
+        assert!(samples.len() <= MAX_SAMPLES);
+        // Samples are per call, not per batch.
+        let per_call = spanned.as_secs_f64() / calls as f64;
+        let [median] = quantiles(&samples, [0.5]);
+        assert!(
+            median < 4.0 * per_call,
+            "median {median:e} vs {per_call:e} a call"
+        );
     }
 
     #[test]

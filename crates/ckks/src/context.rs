@@ -5,17 +5,15 @@ use crate::evaluator::automorphism;
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
 use crate::params::CkksParams;
 use crate::scale::ExactScale;
-use crate::symmetric::rlwe_sample;
+use crate::symmetric::{draw_error, rlwe_sample, RlweSample};
 use crate::CkksError;
 use abc_float::{Complex, ExtF64, F64Field, RealField};
 use abc_math::dyadic::Tail;
-use abc_math::rns::{SignedCoeffs, WordLift, LIFT_BLOCK};
+use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
-use abc_transform::{
-    fanout, LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFft, SpecialFftEngine,
-};
+use abc_transform::{fanout, LimbWork, NttPlan, RnsNttEngine, SpecialFft, SpecialFftEngine};
 use std::sync::OnceLock;
 
 /// The context's canonical-embedding engine: the FP64 datapath's
@@ -249,14 +247,36 @@ impl CkksContext {
         self.encode_core(self.fft(), message, scale)
     }
 
-    /// The generic encode kernel: inverse embedding on `fft`'s
-    /// datapath, then exact Δ-rounding into RNS + NTT domain.
+    /// The generic encode kernel: inverse embedding on `fft`'s datapath,
+    /// exact Δ-rounding ([`Self::quantize`]), then one RNS expansion +
+    /// forward NTT into pooled limbs for either kind of scale.
     pub(crate) fn encode_core<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
         message: &[Complex],
         scale: &ExactScale,
     ) -> Result<Plaintext, CkksError> {
+        let ints = self.quantize(fft, message, scale)?;
+        Ok(Plaintext {
+            rns: self.engine.expand_and_ntt_pooled(&ints, self.basis.len()),
+            scale: scale.clone(),
+            n: self.params.n(),
+        })
+    }
+
+    /// The message's `N` integer coefficients at `scale`: the slot
+    /// vector, zero-padded, through the inverse embedding on `fft`'s
+    /// datapath, then one pass over the coefficients, each lifted,
+    /// range-checked and rounded to an `i128` as it is read. Coefficient
+    /// `j` is the real part of slot `j`, coefficient `j + N/2` its
+    /// imaginary part. What encode expands into RNS, and what the fused
+    /// upload adds its error to.
+    fn quantize<F: RealField>(
+        &self,
+        fft: &SpecialFft<F>,
+        message: &[Complex],
+        scale: &ExactScale,
+    ) -> Result<Vec<i128>, CkksError> {
         let slots = self.params.slots();
         if message.len() > slots {
             return Err(CkksError::TooManySlots {
@@ -265,32 +285,11 @@ impl CkksContext {
             });
         }
         let field = fft.field();
-        // Slot vector, zero-padded, through the inverse embedding.
         let mut vals = vec![Complex::default(); slots];
         for (dst, &m) in vals.iter_mut().zip(message) {
             *dst = m.lift_in(field);
         }
         fft.inverse(&mut vals);
-        let rns = self.quantize_coeffs(field, &vals, scale)?;
-        Ok(Plaintext {
-            rns,
-            scale: scale.clone(),
-            n: self.params.n(),
-        })
-    }
-
-    /// Exact Δ-rounding of the inverse embedding's output into NTT-domain
-    /// RNS residues, in pooled limbs: one pass over the `N` coefficients,
-    /// each lifted, range-checked and rounded to an `i128` as it is read,
-    /// then one RNS expansion + forward NTT for either kind of scale.
-    /// Coefficient `j` is the real part of slot `j`, coefficient
-    /// `j + N/2` its imaginary part.
-    fn quantize_coeffs<F: RealField>(
-        &self,
-        field: &F,
-        vals: &[Complex<F::Real>],
-        scale: &ExactScale,
-    ) -> Result<PooledLimbs, CkksError> {
         let coeffs = vals.iter().map(|v| v.re).chain(vals.iter().map(|v| v.im));
         let scale_f = scale.to_f64();
         // Lift losslessly into double-double; zero `lo` for f64-backed
@@ -305,7 +304,7 @@ impl CkksContext {
             }
             Ok(ext)
         };
-        let mut ints = Vec::with_capacity(2 * vals.len());
+        let mut ints = Vec::with_capacity(2 * slots);
         if let Some(exp) = scale.as_pow2() {
             // Exact: a power-of-two scale only shifts both exponents;
             // one rounding through `i128`.
@@ -322,7 +321,7 @@ impl CkksContext {
                 ints.push(if negative { -mag } else { mag });
             }
         }
-        Ok(self.engine.expand_and_ntt_pooled(&ints, self.basis.len()))
+        Ok(ints)
     }
 
     /// Decodes a plaintext back to slot values through the planned FP64
@@ -596,16 +595,158 @@ impl CkksContext {
     /// parameters (encode/keygen from the same context always match).
     pub fn encrypt(&self, pt: &Plaintext, pk: &PublicKey, seed: Seed) -> Ciphertext {
         assert_eq!(pt.n, self.params.n(), "plaintext from different context");
+        self.check_public_key(pk);
+        let (v, [e0, e1]) = self.draw_pk_samples(seed);
+        let (v, e0, e1) = (
+            SignedCoeffs::scan(&v),
+            SignedCoeffs::scan(&e0),
+            SignedCoeffs::scan(&e1),
+        );
+        // One pair pass over the plaintext's primes; `+ m` rides in c0's
+        // multiply–accumulate.
+        let (v, e0, e1, m) = (&v, &e0, &e1, Some(&pt.rns[..]));
+        let sample = PkSample { v, e0, e1, pk, m };
+        let (engine, k) = (&self.engine, pt.rns.len());
+        let (mut c0, mut c1) = (engine.take_limbs(k), engine.take_limbs(k));
+        engine.for_each_limb_pair(
+            &mut c0,
+            &mut c1,
+            LimbWork::Transform,
+            |i, plan, x0, x1, v_hat| sample.limb(i, plan, v_hat, x0, x1),
+        );
+        Ciphertext {
+            c0,
+            c1,
+            scale: pt.scale.clone(),
+            n: self.params.n(),
+        }
+    }
+
+    /// Encodes `message` and encrypts it under `pk` as [`Self::encode`] →
+    /// [`Self::encrypt`] → [`crate::wire::serialize_ciphertext_packed`]
+    /// do, byte for byte, and appends the blob to `out` — in one pass per
+    /// limb, with no plaintext or ciphertext limb parked between them.
+    ///
+    /// The message is quantized once, the error `e0` added to its
+    /// integer coefficients, and `m + e0` expanded and transformed as one
+    /// polynomial: by linearity of the NTT, `NTT(m + e0) = m̂ + ê0` under
+    /// every prime, so `c0` is unchanged and a limb costs three forward
+    /// transforms instead of four. Each limb then runs the body
+    /// [`Self::encrypt`] runs — `v̂`, `pk0·v̂ + NTT(m + e0)`,
+    /// `pk1·v̂ + ê1` — into three scratch limbs of the thread that owns
+    /// it, which packs `c0` and `c1` straight into that limb's byte ranges
+    /// of the blob ([`crate::wire::Layout`]'s one writer).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::encode`]: [`CkksError::TooManySlots`] for an oversize
+    /// message, [`CkksError::InvalidParams`] for a coefficient too large
+    /// to encode (non-finite included). `out` is then left as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key does not match this context's parameters.
+    pub fn encode_encrypt_into(
+        &self,
+        message: &[Complex],
+        pk: &PublicKey,
+        seed: Seed,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CkksError> {
+        self.check_public_key(pk);
+        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
+        let mut m_e0 = self.quantize(self.fft(), message, &scale)?;
+        let (v, [e0, e1]) = self.draw_pk_samples(seed);
+        for (m, &e) in m_e0.iter_mut().zip(&e0) {
+            *m += i128::from(e);
+        }
+        let (v, m_e0, e1) = (
+            SignedCoeffs::scan(&v),
+            SignedCoeffs::scan(&m_e0),
+            SignedCoeffs::scan(&e1),
+        );
+        let sample = PkSample {
+            v: &v,
+            e0: &m_e0,
+            e1: &e1,
+            pk,
+            m: None,
+        };
+        self.upload_into(out, &scale, None, |ranges| {
+            let (r0, r1) = ranges.split_at_mut(ranges.len() / 2);
+            let mut limbs: Vec<_> = r0.iter_mut().zip(r1).collect();
+            self.for_each_limb_chunk(&mut limbs, 2, |first, chunk| {
+                let mut scratch = self.engine.take_limbs(3);
+                let [v_hat, x0, x1] = &mut scratch[..] else {
+                    unreachable!("three scratch limbs")
+                };
+                for (i, (r0, r1)) in (first..).zip(chunk) {
+                    sample.limb(i, self.engine.plan(i), v_hat, x0, x1);
+                    r0.pack(x0);
+                    r1.pack(x1);
+                }
+            });
+        })
+    }
+
+    /// The seeded twin of [`Self::encode_encrypt_into`]: encodes
+    /// `message`, encrypts it under `sk` and appends the seed-compressed
+    /// blob (kind 2) to `out`, as [`Self::encode`] →
+    /// [`crate::symmetric::encrypt_symmetric_compressed`] →
+    /// [`crate::wire::serialize_compressed_ciphertext`] do, byte for byte.
+    /// `m + e` is expanded as one polynomial, so a limb costs one forward
+    /// transform instead of two: the thread that owns it draws the mask
+    /// and runs the RLWE body every secret-key sample runs
+    /// (`symmetric::RlweSample::limb`, `c0 = NTT(m + e) − a·s`)
+    /// into two scratch limbs, and packs `c0` into the limb's byte range.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::encode_encrypt_into`]; `out` is then left as it was.
+    pub fn encode_encrypt_compressed_into(
+        &self,
+        message: &[Complex],
+        sk: &SecretKey,
+        seed: Seed,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CkksError> {
+        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
+        let mut m_e = self.quantize(self.fft(), message, &scale)?;
+        let mask_seed = seed.derive(0);
+        for (m, e) in m_e.iter_mut().zip(draw_error(self, seed.derive(1))) {
+            *m += i128::from(e);
+        }
+        let m_e = SignedCoeffs::scan(&m_e);
+        let (s, e) = (&sk.ntt[..], &m_e);
+        let sample = RlweSample { s, mask_seed, e };
+        self.upload_into(out, &scale, Some(mask_seed), |ranges| {
+            self.for_each_limb_chunk(ranges, 1, |first, chunk| {
+                let mut scratch = self.engine.take_limbs(2);
+                let [b, e_hat] = &mut scratch[..] else {
+                    unreachable!("two scratch limbs")
+                };
+                for (i, range) in (first..).zip(chunk) {
+                    sample.limb(i, self.engine.plan(i), None, b, None, e_hat);
+                    range.pack(b);
+                }
+            });
+        })
+    }
+
+    /// Panics unless `pk` holds a limb per prime of this context.
+    fn check_public_key(&self, pk: &PublicKey) {
         assert_eq!(
             pk.num_primes(),
             self.basis.len(),
             "public key from different context"
         );
-        let n = self.params.n();
+    }
 
-        // v, e0 and e1 come from three independent streams, so one
-        // fan-out over three jobs draws them side by side.
-        let sigma = self.params.error_sigma();
+    /// Public-key encryption's samples of `seed`: the ternary `v` and
+    /// the Gaussian `e0`, `e1`. They come from three independent
+    /// streams, so one fan-out over three jobs draws them side by side.
+    fn draw_pk_samples(&self, seed: Seed) -> (Vec<i8>, [Vec<i64>; 2]) {
+        let (n, sigma) = (self.params.n(), self.params.error_sigma());
         let (v, e) = (OnceLock::new(), [OnceLock::new(), OnceLock::new()]);
         fanout::run(self.engine.threads(), 3, &|j| match j {
             0 => {
@@ -618,38 +759,36 @@ impl CkksContext {
         });
         let drawn = "every job ran";
         let v = v.into_inner().expect(drawn);
-        let e = e.map(|e| e.into_inner().expect(drawn));
-        let (v, e) = (
-            SignedCoeffs::scan(&v),
-            e.each_ref().map(|e| SignedCoeffs::scan(e)),
-        );
-        // c0 = pk0·v + e0 + m and c1 = pk1·v + e1 in ONE pair pass over
-        // the plaintext's primes, three streamed transforms per limb
-        // (`NttPlan::forward_stream`): v̂ into the thread's scratch limb,
-        // left entered into the kernel's domain by its last pass; then
-        // e0 and e1 straight into the output limbs, each finished by its
-        // multiply–accumulate against the key, read in place — `+ pk0·v̂
-        // + m` and `+ pk1·v̂`. Every value is canonical.
-        let (engine, pk0, pk1, m) = (&self.engine, &pk.pk0, &pk.pk1, &pt.rns);
-        let (mut c0, mut c1) = (engine.take_limbs(m.len()), engine.take_limbs(m.len()));
-        engine.for_each_limb_pair(
-            &mut c0,
-            &mut c1,
-            LimbWork::Transform,
-            |i, plan, x0, x1, v_hat| {
-                plan.forward_stream(&v, v_hat, Tail::Premul);
-                let (b, d_pre, c) = (&pk0[i][..], &v_hat[..], Some(&m[i][..]));
-                plan.forward_stream(&e[0], x0, Tail::MulAcc { b, d_pre, c });
-                let (b, c) = (&pk1[i][..], None);
-                plan.forward_stream(&e[1], x1, Tail::MulAcc { b, d_pre, c });
-            },
-        );
-        Ciphertext {
-            c0,
-            c1,
-            scale: pt.scale.clone(),
-            n,
-        }
+        (v, e.map(|e| e.into_inner().expect(drawn)))
+    }
+
+    /// Appends a fresh ciphertext blob at `scale` to `out` — a seeded one
+    /// (kind 2) given the mask seed — whose polynomials `fill` packs
+    /// ([`crate::wire::Layout::append`]). Both fused uploads end here.
+    fn upload_into(
+        &self,
+        out: &mut Vec<u8>,
+        scale: &ExactScale,
+        mask_seed: Option<Seed>,
+        fill: impl FnOnce(&mut [crate::wire::PolyOut<'_>]),
+    ) -> Result<(), CkksError> {
+        let widths = self.wire_widths(self.basis.len());
+        let layout = crate::wire::Layout::ciphertext(self.params.n(), scale, mask_seed, &widths);
+        layout.append(out, fill)
+    }
+
+    /// `f(first, chunk)` over `items`, one per limb of a fused upload
+    /// writing `components` polynomials a limb, cut as the engine's pair
+    /// and single passes cut theirs: at its thread count, weighed as
+    /// transform work of `components × N` words a limb.
+    fn for_each_limb_chunk<T: Send>(
+        &self,
+        items: &mut [T],
+        components: usize,
+        f: impl Fn(usize, &mut [T]) + Sync,
+    ) {
+        let (threads, words) = (self.engine.threads(), components * self.params.n());
+        fanout::for_each_chunk(threads, items, words, LimbWork::Transform, f);
     }
 
     /// Decryption: `d = c0 + c1·s` per prime, returned still in NTT
@@ -680,6 +819,41 @@ impl CkksContext {
     }
 }
 
+/// A public-key encryption's samples and key, with `m` the plaintext's
+/// limbs when it is added in NTT domain ([`CkksContext::encrypt`]) and
+/// `None` when `e0` already carries it
+/// ([`CkksContext::encode_encrypt_into`]).
+struct PkSample<'a, X> {
+    v: &'a SignedCoeffs<'a, i8>,
+    e0: &'a SignedCoeffs<'a, X>,
+    e1: &'a SignedCoeffs<'a, i64>,
+    pk: &'a PublicKey,
+    m: Option<&'a [Vec<u64>]>,
+}
+
+impl<X: SignedWord> PkSample<'_, X> {
+    /// Limb `i` of `c0 = pk0·v + e0 (+ m)` into `x0` and of
+    /// `c1 = pk1·v + e1` into `x1`: three streamed transforms
+    /// ([`NttPlan::forward_stream`]) — `v̂` into `v_hat`, left entered
+    /// into the kernel's domain by its last pass; then `e0` and `e1`,
+    /// each finished by its multiply–accumulate against the key, read in
+    /// place. Every value is canonical.
+    fn limb(
+        &self,
+        i: usize,
+        plan: &NttPlan,
+        v_hat: &mut Vec<u64>,
+        x0: &mut Vec<u64>,
+        x1: &mut Vec<u64>,
+    ) {
+        plan.forward_stream(self.v, v_hat, Tail::Premul);
+        let (b, d_pre, c) = (&self.pk.pk0[i][..], &v_hat[..], self.m.map(|m| &m[i][..]));
+        plan.forward_stream(self.e0, x0, Tail::MulAcc { b, d_pre, c });
+        let (b, c) = (&self.pk.pk1[i][..], None);
+        plan.forward_stream(self.e1, x1, Tail::MulAcc { b, d_pre, c });
+    }
+}
+
 /// `a[i] += b[i]` under prime `i`, for every limb of `a`.
 pub(crate) fn add_limbs(engine: &RnsNttEngine, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
     engine.for_each_limb(a, LimbWork::Elementwise, |i, plan, limb| {
@@ -698,6 +872,7 @@ pub(crate) fn mul_limbs(engine: &RnsNttEngine, a: &mut [Vec<u64>], b: &[Vec<u64>
 mod tests {
     use super::*;
     use abc_float::ExtF64Field;
+    use abc_transform::PooledLimbs;
     use proptest::prelude::*;
 
     fn small_context() -> CkksContext {
@@ -756,6 +931,33 @@ mod tests {
             ctx.encode(&msg),
             Err(CkksError::TooManySlots { .. })
         ));
+    }
+
+    #[test]
+    fn fused_uploads_reject_what_encode_rejects_and_leave_out_alone() {
+        let ctx = small_context();
+        let (sk, pk) = ctx.keygen(Seed::from_u128(49));
+        let oversize = test_message(ctx.params().slots() + 1);
+        let mut non_finite = test_message(8);
+        non_finite[3] = Complex::new(f64::NAN, 0.0);
+        let seed = Seed::from_u128(50);
+        for (msg, too_many) in [(&oversize, true), (&non_finite, false)] {
+            let mut outs = [vec![1u8, 2, 3], vec![1u8, 2, 3]];
+            let results = [
+                ctx.encode_encrypt_into(msg, &pk, seed, &mut outs[0]),
+                ctx.encode_encrypt_compressed_into(msg, &sk, seed, &mut outs[1]),
+            ];
+            for (result, out) in results.into_iter().zip(&outs) {
+                match result {
+                    Err(CkksError::TooManySlots { got, max }) => {
+                        assert!(too_many && got == max + 1);
+                    }
+                    Err(CkksError::InvalidParams(_)) => assert!(!too_many),
+                    other => panic!("expected an encode error, got {other:?}"),
+                }
+                assert_eq!(out, &[1, 2, 3]);
+            }
+        }
     }
 
     #[test]

@@ -675,7 +675,7 @@ mod tests {
         let err = max_err(&out, &expected);
         assert!(err < 1e-6, "slot error {err}");
         // A bias at that scale — rational, no power of two, so encoding
-        // it rounds through the big-integer arm of `quantize_coeffs`
+        // it rounds through the big-integer arm of `quantize`
         // before the expansion every encode shares — adds slot-wise.
         assert!(rescaled.exact_scale().as_pow2().is_none());
         let bias = msg(ctx.params().slots(), 2.1);

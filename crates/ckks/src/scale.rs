@@ -127,7 +127,8 @@ impl ExactScale {
 
     /// `Some(e)` iff the scale is exactly `2^e`.
     pub fn as_pow2(&self) -> Option<i32> {
-        if self.den.is_empty() && self.num == UBig::one() {
+        // `num` is normalized: one bit means one.
+        if self.den.is_empty() && self.num.bits() == 1 {
             Some(self.exp)
         } else {
             None

@@ -21,7 +21,7 @@ use crate::key::SecretKey;
 use crate::scale::ExactScale;
 use crate::CkksError;
 use abc_math::dyadic::Tail;
-use abc_math::rns::SignedCoeffs;
+use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_prng::sampler::{GaussianSampler, UniformSampler};
 use abc_prng::Seed;
 use abc_transform::{LimbWork, NttPlan, PooledLimbs};
@@ -119,13 +119,9 @@ fn draw_mask(seed: Seed, i: usize, plan: &NttPlan, limb: &mut [u64]) {
 }
 
 /// One RLWE sample under the secret `s` (NTT domain), into `b` in one
-/// engine fan-out. Per limb `i`: the mask `a_i` — stream `i` of
-/// `mask_seed`, the draw [`CompressedCiphertext::expand`] repeats — is
-/// drawn into `b_i` (and copied into `a_i` when the mask is kept), and
-/// the Gaussian error of `error_seed` is streamed through a scratch limb
-/// ([`NttPlan::forward_stream`]) whose last pass leaves
-/// `b_i = ê_i (+ t(i)) − a_i·s_i`, canonical whichever kernel and thread
-/// count run it.
+/// engine fan-out, each limb by [`RlweSample::limb`] with the Gaussian
+/// error of `error_seed` as its source: `b_i = ê_i (+ t(i)) − a_i·s_i`,
+/// the mask `a_i` copied into `a_i` when it is kept.
 pub(crate) fn rlwe_sample<'t>(
     ctx: &CkksContext,
     s: &[Vec<u64>],
@@ -135,31 +131,66 @@ pub(crate) fn rlwe_sample<'t>(
     b: &mut [Vec<u64>],
     a: Option<&mut [Vec<u64>]>,
 ) {
-    let (n, sigma) = (ctx.params().n(), ctx.params().error_sigma());
-    let e = GaussianSampler::new(error_seed, 0, sigma).sample_poly(n);
+    let e = draw_error(ctx, error_seed);
     let e = SignedCoeffs::scan(&e);
-    let limb = |i, plan: &NttPlan, b: &mut [u64], a: Option<&mut [u64]>, e_hat: &mut Vec<u64>| {
-        draw_mask(mask_seed, i, plan, b);
-        if let Some(a) = a {
-            a.copy_from_slice(b);
-        }
-        let tail = Tail::NegMulAdd {
-            dst: b,
-            s: &s[i],
-            t: t(i),
-        };
-        plan.forward_stream(&e, e_hat, tail);
+    let sample = RlweSample {
+        s,
+        mask_seed,
+        e: &e,
     };
     let engine = ctx.ntt_engine();
     match a {
         // A key keeps its mask: the pair pass lends each thread its
         // scratch limb for `ê`.
         Some(a) => engine.for_each_limb_pair(b, a, LimbWork::Transform, |i, plan, b, a, e_hat| {
-            limb(i, plan, b, Some(a), e_hat)
+            sample.limb(i, plan, t(i), b, Some(a), e_hat)
         }),
         None => engine.for_each_limb(b, LimbWork::Transform, |i, plan, b| {
-            limb(i, plan, b, None, &mut engine.take_limbs(1)[0])
+            sample.limb(i, plan, t(i), b, None, &mut engine.take_limbs(1)[0])
         }),
+    }
+}
+
+/// The Gaussian error of an RLWE sample: one polynomial of `error_seed`.
+pub(crate) fn draw_error(ctx: &CkksContext, error_seed: Seed) -> Vec<i64> {
+    let (n, sigma) = (ctx.params().n(), ctx.params().error_sigma());
+    GaussianSampler::new(error_seed, 0, sigma).sample_poly(n)
+}
+
+/// An RLWE sample's secret (NTT domain), mask seed and error source —
+/// the Gaussian error, or the fused upload's `m + e`.
+pub(crate) struct RlweSample<'a, X> {
+    pub(crate) s: &'a [Vec<u64>],
+    pub(crate) mask_seed: Seed,
+    pub(crate) e: &'a SignedCoeffs<'a, X>,
+}
+
+impl<X: SignedWord> RlweSample<'_, X> {
+    /// Limb `i`: the mask `a_i` — stream `i` of `mask_seed`, the draw
+    /// [`CompressedCiphertext::expand`] repeats — drawn into `b` (and
+    /// copied into `a` when the mask is kept), then the error streamed
+    /// through the scratch limb `e_hat` ([`NttPlan::forward_stream`]),
+    /// whose last pass leaves `b = ê (+ t) − a_i·s_i`, canonical whichever
+    /// kernel and thread count run it.
+    pub(crate) fn limb(
+        &self,
+        i: usize,
+        plan: &NttPlan,
+        t: Option<&[u64]>,
+        b: &mut [u64],
+        a: Option<&mut [u64]>,
+        e_hat: &mut Vec<u64>,
+    ) {
+        draw_mask(self.mask_seed, i, plan, b);
+        if let Some(a) = a {
+            a.copy_from_slice(b);
+        }
+        let tail = Tail::NegMulAdd {
+            dst: b,
+            s: &self.s[i],
+            t,
+        };
+        plan.forward_stream(self.e, e_hat, tail);
     }
 }
 

@@ -59,7 +59,9 @@
 //! polynomial weighed as element-wise): the v3 layout fixes every
 //! polynomial's byte range before packing starts, so the packer writes
 //! each `(component, limb)` straight into its range of the blob's spare
-//! capacity, and the unpacker fills every pooled limb in parallel. A
+//! capacity (`Layout::append`, the one blob writer — the fused upload
+//! packs each limb there as it computes it), and the unpacker fills
+//! every pooled limb in parallel. A
 //! residue past its width is named as the serial packer named it: the
 //! first one of the first polynomial that has one. **Seeded
 //! ciphertexts** (kind 2) are roughly half the bytes of kind 1;
@@ -196,52 +198,25 @@ fn pack_groups<const W: usize>(dst: &mut [MaybeUninit<u8>], words: &[u64]) -> u6
     seen
 }
 
-/// One polynomial of [`append_packed`]: its words, width and byte range,
-/// and the OR of its words once packed.
-struct Packed<'a> {
-    words: &'a [u64],
-    width: u32,
+/// One polynomial's byte range of a blob being written
+/// ([`Layout::append`]): where its residues go, at which width, and what
+/// packing them found.
+pub(crate) struct PolyOut<'a> {
     dst: &'a mut [MaybeUninit<u8>],
-    seen: u64,
+    width: u32,
+    packed: bool,
+    /// The first residue past `width`, if packing met one.
+    over: Option<u64>,
 }
 
-/// Appends every `(words, width)` polynomial of `polys` to `out`,
-/// bit-packed, each into its own byte range and on the fan-out (`n` words
-/// a polynomial, element-wise), and returns each one's OR of words. The
-/// payload is written once, straight into `out`'s spare capacity.
-fn append_packed(out: &mut Vec<u8>, polys: &[(&[u64], u32)], threads: usize) -> Vec<u64> {
-    let len = |&(words, width): &(&[u64], u32)| packed_poly_bytes(words.len(), width);
-    let total = polys.iter().map(len).sum();
-    out.reserve(total);
-    let mut free = &mut out.spare_capacity_mut()[..total];
-    let mut jobs: Vec<Packed> = polys
-        .iter()
-        .map(|poly| {
-            let (dst, rest) = std::mem::take(&mut free).split_at_mut(len(poly));
-            free = rest;
-            let (words, width) = *poly;
-            Packed {
-                words,
-                width,
-                dst,
-                seen: 0,
-            }
-        })
-        .collect();
-    let n = polys.first().map_or(0, |(words, _)| words.len());
-    fanout::for_each_chunk(threads, &mut jobs, n, LimbWork::Elementwise, |_, chunk| {
-        for job in chunk {
-            job.seen = pack_into(job.dst, job.words, job.width);
-        }
-    });
-    let seen = jobs.iter().map(|job| job.seen).collect();
-    drop(jobs);
-    // SAFETY: the `jobs` ranges tile `spare_capacity_mut()[..total]` in
-    // order, one per polynomial, and `pack_into` wrote every byte of each
-    // (it panics otherwise, and a panic in a chunk reaches this thread
-    // before this line).
-    unsafe { out.set_len(out.len() + total) };
-    seen
+impl PolyOut<'_> {
+    /// Bit-packs `words` (`n` residues) into this polynomial's range,
+    /// every byte of it.
+    pub(crate) fn pack(&mut self, words: &[u64]) {
+        let seen = pack_into(self.dst, words, self.width);
+        self.over = over_width(words, self.width, seen);
+        self.packed = true;
+    }
 }
 
 /// The residue of `words` that does not fit `width` bits, if `seen` (the
@@ -471,7 +446,12 @@ impl<'a> Layout<'a> {
 }
 
 impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
-    fn ciphertext(n: usize, scale: &'a ExactScale, seed: Option<Seed>, widths: &'a [W]) -> Self {
+    pub(crate) fn ciphertext(
+        n: usize,
+        scale: &'a ExactScale,
+        seed: Option<Seed>,
+        widths: &'a [W],
+    ) -> Self {
         Self {
             kind: seed.map_or(WireKind::Full, |_| WireKind::Compressed),
             n,
@@ -519,10 +499,15 @@ impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
         self.widths().map(|w| packed_poly_bytes(self.n, w)).sum()
     }
 
-    /// Bytes after the header: `b a` per digit, which for a ciphertext
-    /// is `c0 c1` — less the `c1` a seed stands in for.
+    /// Components after the header: `b a` per digit, which for a
+    /// ciphertext is `c0 c1` — less the `c1` a seed stands in for.
+    fn component_count(&self) -> usize {
+        2 * self.digits - usize::from(self.seed.is_some())
+    }
+
+    /// Bytes after the header.
     fn payload_len(&self) -> usize {
-        (2 * self.digits - usize::from(self.seed.is_some())) * self.component_len()
+        self.component_count() * self.component_len()
     }
 
     /// Exact length of the whole blob: header fields, width table, payload.
@@ -559,24 +544,98 @@ impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
         }
     }
 
-    /// The whole blob: the header (after `check`, every field fits the integer
-    /// it is written as), then every polynomial bit-packed to its limb's width,
-    /// each into its own byte range on a fan-out of `threads`.
+    /// The whole blob: every polynomial of `components` bit-packed to its
+    /// limb's width, each into its own byte range on a fan-out of
+    /// `threads` (`n` words a polynomial, element-wise).
     fn serialize<'c>(
         &self,
         components: impl IntoIterator<Item = &'c [Vec<u64>]>,
         threads: usize,
     ) -> Result<Vec<u8>, CkksError> {
         self.check()?;
-        let mut polys = Vec::new();
+        let mut polys: Vec<&[u64]> = Vec::new();
         for component in components {
             if component.len() != self.limbs() {
                 let (widths, limbs) = (self.limbs(), component.len());
                 return Err(err(format!("{widths} widths for {limbs} limbs")));
             }
-            polys.extend(component.iter().map(Vec::as_slice).zip(self.widths()));
+            polys.extend(component.iter().map(Vec::as_slice));
         }
-        let mut out = Vec::with_capacity(self.total_len());
+        let mut out = Vec::new();
+        self.append(&mut out, |ranges| {
+            let work = LimbWork::Elementwise;
+            fanout::for_each_chunk(threads, ranges, self.n, work, |first, chunk| {
+                for (range, words) in chunk.iter_mut().zip(&polys[first..]) {
+                    range.pack(words);
+                }
+            });
+        })?;
+        Ok(out)
+    }
+
+    /// Appends the blob to `out`: the header, then the payload, which
+    /// `fill` writes through one [`PolyOut`] per polynomial, in blob
+    /// order (component-major), by packing each exactly once. The format's
+    /// only writer: [`Self::serialize`] packs polynomials it holds, the
+    /// fused upload ([`crate::CkksContext::encode_encrypt_into`]) each limb
+    /// as it is computed. Every range is cut from `out`'s spare capacity
+    /// before `fill` runs, so the payload is written once, in place.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a layout outside the module's bounds before `out` is
+    /// touched, and a residue past its width after `fill` (naming the
+    /// first such residue of the first polynomial that has one), with
+    /// `out` truncated back to its length on entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` leaves a range unpacked.
+    pub(crate) fn append(
+        &self,
+        out: &mut Vec<u8>,
+        fill: impl FnOnce(&mut [PolyOut<'_>]),
+    ) -> Result<(), CkksError> {
+        self.check()?;
+        let start = out.len();
+        out.reserve(self.total_len());
+        self.write_header(out);
+        let (header, payload) = (out.len(), self.payload_len());
+        let mut free = &mut out.spare_capacity_mut()[..payload];
+        let mut ranges = Vec::with_capacity(self.component_count() * self.limbs());
+        for width in (0..self.component_count()).flat_map(|_| self.widths()) {
+            let len = packed_poly_bytes(self.n, width);
+            let (dst, rest) = std::mem::take(&mut free).split_at_mut(len);
+            free = rest;
+            ranges.push(PolyOut {
+                dst,
+                width,
+                packed: false,
+                over: None,
+            });
+        }
+        fill(&mut ranges);
+        assert!(ranges.iter().all(|r| r.packed), "a range left unpacked");
+        let over = ranges.iter().find_map(|r| r.over.map(|x| (x, r.width)));
+        drop(ranges);
+        // SAFETY: the ranges tile `spare_capacity_mut()[..payload]` in
+        // order, one per polynomial, and `pack_into` wrote every byte of
+        // each (it panics otherwise) — each was packed, as just asserted.
+        unsafe { out.set_len(header + payload) };
+        match over {
+            Some((residue, width)) => {
+                out.truncate(start);
+                Err(err(format!(
+                    "residue {residue:#x} exceeds {width}-bit width"
+                )))
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// The header, after `check` (every field then fits the integer it is
+    /// written as), appended to `out`.
+    fn write_header(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION_PACKED.to_le_bytes());
         out.extend([self.kind as u8, self.n.trailing_zeros() as u8]);
@@ -595,16 +654,6 @@ impl<'a, W: Copy + Into<u32>> Layout<'a, W> {
         out.extend(self.seed.iter().flat_map(|s| s.0));
         out.extend(self.element.iter().flat_map(|g| g.to_le_bytes()));
         out.extend(self.widths().map(|w| w as u8));
-        let seen = append_packed(&mut out, &polys, threads);
-        let bad = polys.iter().zip(seen).find_map(|(&(words, width), seen)| {
-            over_width(words, width, seen).map(|residue| (residue, width))
-        });
-        match bad {
-            Some((residue, width)) => Err(err(format!(
-                "residue {residue:#x} exceeds {width}-bit width"
-            ))),
-            None => Ok(out),
-        }
     }
 
     /// Every component of the blob this layout was parsed from, unpacked
@@ -762,10 +811,16 @@ mod tests {
     use abc_float::Complex;
     use abc_prng::Seed;
 
-    /// [`append_packed`] for one polynomial: the packer as the oracles
-    /// below compare it.
+    /// [`pack_into`] appending to `out`: the packer as the oracles below
+    /// compare it.
     fn pack_bits(out: &mut Vec<u8>, words: &[u64], width: u32) -> u64 {
-        append_packed(out, &[(words, width)], 1)[0]
+        let len = packed_poly_bytes(words.len(), width);
+        out.reserve(len);
+        let seen = pack_into(&mut out.spare_capacity_mut()[..len], words, width);
+        // SAFETY: `pack_into` wrote every byte of the `len` spare bytes
+        // (it panics otherwise).
+        unsafe { out.set_len(out.len() + len) };
+        seen
     }
 
     /// [`unpack_into`] into a fresh vector.

@@ -699,6 +699,49 @@ proptest! {
     }
 
     #[test]
+    fn fused_uploads_are_the_pinned_sequence_byte_for_byte(
+        seed in any::<u64>(),
+        log_n in 10u32..=13,
+        threads in 1usize..=4,
+        short in any::<bool>(),
+    ) {
+        // Both fused uploads against the pinned encode → encrypt →
+        // serialize sequence of each mode, from the same seeds, appended
+        // after a byte already in `out`. Six primes: a fused pass fans
+        // out from N = 2^11 (2·6·2^11 words) on, and at three threads its
+        // chunks are ragged. The suite's kernel rung is the one the
+        // environment selects (CI's forced-scalar pass runs the scalar
+        // one). A short message is zero-padded, the empty one included.
+        let ctx = {
+            let mut env = abc_math::envtest::EnvGuard::lock();
+            env.set(THREADS_ENV, &threads.to_string());
+            small_ctx(log_n, 6)
+        };
+        prop_assert_eq!(ctx.ntt_engine().threads(), threads);
+        let slots = ctx.params().slots();
+        let len = if short { seed as usize % slots } else { slots };
+        let msg = message_from_seed(len, seed);
+        let (sk, pk) = ctx.keygen(Seed::from_u128(seed as u128));
+        let enc_seed = Seed::from_u128(seed as u128 ^ 0xfeed);
+        let widths = ctx.wire_widths(ctx.params().num_primes());
+        let pt = ctx.encode(&msg).expect("encode");
+        let full = ctx.encrypt(&pt, &pk, enc_seed);
+        let seeded = encrypt_symmetric_compressed(&ctx, &pt, &sk, enc_seed);
+        let want = [
+            wire::serialize_ciphertext_packed(&full, &widths).expect("pack"),
+            wire::serialize_compressed_ciphertext(&seeded, &widths).expect("pack"),
+        ];
+        drop((pt, full, seeded));
+        let mut got = [vec![0xA5], vec![0xA5]];
+        ctx.encode_encrypt_into(&msg, &pk, enc_seed, &mut got[0]).expect("fused");
+        ctx.encode_encrypt_compressed_into(&msg, &sk, enc_seed, &mut got[1]).expect("fused");
+        for (got, want) in got.iter().zip(&want) {
+            prop_assert_eq!(got[0], 0xA5);
+            prop_assert!(got[1..] == want[..], "log_n {} threads {} len {}", log_n, threads, len);
+        }
+    }
+
+    #[test]
     fn truncation_never_increases_precision(seed in any::<u64>()) {
         let ctx = small_ctx(8, 4);
         let (sk, pk) = ctx.keygen(Seed::from_u128(3));

@@ -145,10 +145,23 @@ impl ExtF64 {
     /// Debug-asserts that `hi` is finite and within `i128` range.
     pub fn round_to_i128(&self) -> i128 {
         debug_assert!(self.hi.is_finite() && self.hi.abs() < 2f64.powi(120));
-        let rh = self.hi.round();
         if self.lo == 0.0 {
-            return rh as i128;
+            // `hi.round() as i128` in integer arithmetic: |hi| = m·2^e
+            // with the 53-bit significand m. Below 2^0 the half of the
+            // dropped bits is added before they go (ties away from
+            // zero); below ½ (e < −53: zeros and subnormals too) nothing
+            // is left.
+            let bits = self.hi.to_bits();
+            let e = (bits >> 52 & 0x7ff) as i32 - 1075;
+            let m = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
+            let mag = match e {
+                ..-53 => 0,
+                -53..=-1 => (m + (1 << (-e - 1))) >> -e,
+                _ => m << e,
+            } as i128;
+            return if bits >> 63 == 0 { mag } else { -mag };
         }
+        let rh = self.hi.round();
         // rem is exact (|hi − rh| ≤ ½ and both share an exponent range),
         // and two_sum keeps the fractional part exact: frac = s + e.
         let rem = self.hi - rh;
@@ -586,6 +599,33 @@ mod tests {
         let w = ExtF64::from_f64(2f64.powi(72)) + ExtF64::from_f64(0.25);
         assert_eq!(w.round_to_i128(), 1i128 << 72);
         assert_eq!((-v).round_to_i128(), -((1i128 << 72) + 1));
+    }
+
+    #[test]
+    fn round_to_i128_of_one_word_is_f64_round_bit_for_bit() {
+        // The integer arm (`lo == 0`) against `f64::round` at the edges —
+        // zeros, ties away from zero, the last binades with a fraction,
+        // the first without, the top of the encode range — and at
+        // random bit patterns below 2^120.
+        let p = |e: i32| 2f64.powi(e);
+        let mut edges = vec![0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 1.0, 0.25];
+        edges.extend([p(52) - 1.0, p(52), p(52) + 1.0, p(53), p(53) + 2.0]);
+        edges.extend([p(51) + 0.5, p(52) - 0.5, p(119), p(120) - p(67)]);
+        edges.extend([f64::MIN_POSITIVE, f64::from_bits(1), p(-1) + p(-53)]);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Exponents from 2^-60 to 2^119, any significand.
+            let exp = (state >> 52) % 180 + 1023 - 60;
+            edges.push(f64::from_bits(exp << 52 | state & ((1 << 52) - 1)));
+        }
+        for x in edges.iter().flat_map(|&x| [x, -x]) {
+            let got = ExtF64::from_f64(x).round_to_i128();
+            assert_eq!(got, x.round() as i128, "{x:e}");
+        }
+        assert_eq!(ExtF64::from_f64(-0.0).round_to_i128(), 0);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::metrics::{inc, Metrics};
 use crate::service::{Operation, Response, Shared, UploadMode};
 use crate::session::TenantSession;
 use abc_ckks::params::CkksParams;
-use abc_ckks::symmetric::encrypt_symmetric_compressed;
 use abc_ckks::wire::{self, WireKind};
 use abc_ckks::{CkksContext, CkksError};
 use abc_float::Complex;
@@ -219,8 +218,10 @@ fn execute(ctx: &CkksContext, shared: &Shared, job: &Job) -> Result<Response, Ga
 
 /// Encodes and encrypts one message to wire bytes in the requested
 /// upload mode (`Auto` has been resolved to a concrete mode at
-/// admission). The plaintext lives only in here, so a caller looping
-/// over messages never holds two.
+/// admission), through the fused upload of that mode: each limb is
+/// computed and packed by the thread that owns it, and no plaintext or
+/// ciphertext is held, so a caller looping over messages holds one
+/// upload's scratch at a time.
 fn encrypt_to_wire(
     ctx: &CkksContext,
     message: &[Complex],
@@ -228,22 +229,16 @@ fn encrypt_to_wire(
     mode: UploadMode,
     seed: abc_prng::Seed,
 ) -> Result<(Vec<u8>, bool), GatewayError> {
-    let pt = &ctx.encode(message).map_err(client_err)?;
-    let widths = ctx.wire_widths(pt.num_primes());
-    match mode {
-        UploadMode::Compressed => {
-            let cct = encrypt_symmetric_compressed(ctx, pt, &session.sk, seed);
-            let blob = wire::serialize_compressed_ciphertext(&cct, &widths)
-                .map_err(|e| GatewayError::Internal(format!("{e}")))?;
-            Ok((blob, true))
-        }
-        UploadMode::Full | UploadMode::Auto => {
-            let ct = ctx.encrypt(pt, &session.pk, seed);
-            let blob = wire::serialize_ciphertext_packed(&ct, &widths)
-                .map_err(|e| GatewayError::Internal(format!("{e}")))?;
-            Ok((blob, false))
-        }
-    }
+    let mut blob = Vec::new();
+    let compressed = match mode {
+        UploadMode::Compressed => ctx
+            .encode_encrypt_compressed_into(message, &session.sk, seed, &mut blob)
+            .map(|()| true),
+        UploadMode::Full | UploadMode::Auto => ctx
+            .encode_encrypt_into(message, &session.pk, seed, &mut blob)
+            .map(|()| false),
+    };
+    Ok((blob, compressed.map_err(client_err)?))
 }
 
 /// Validates, decrypts and decodes one wire blob to its slots. The

@@ -19,7 +19,10 @@ use crate::report::{BoundBy, PhaseCycles, SimReport};
 pub const TWIDDLE_BUFFER_WORDS: u64 = 64;
 
 /// Polynomials transformed per prime during encryption
-/// (`m`, `v`, `e0`, `e1`).
+/// (`m`, `v`, `e0`, `e1`): the paper's four-PNL mapping. The host's
+/// fused upload (`CkksContext::encode_encrypt_into`) runs three per
+/// prime, transforming `m + e0` as one polynomial; the model keeps the
+/// paper's count.
 pub const ENC_TRANSFORMS_PER_PRIME: u32 = 4;
 
 /// The two client flows of the paper's Fig. 2a.

@@ -1,0 +1,118 @@
+//! Allocations of the fused uploads once warm, counted on every thread:
+//! a counting global allocator (its own test binary, one test, so
+//! nothing else allocates while it counts) sees the caller's and the
+//! fan-out workers' allocations alike. A fused upload takes its limbs
+//! from the limb pool, so what it allocates is per-op bookkeeping and the
+//! integer polynomials of the message and the samplers; the named
+//! constants below only go down.
+
+use abc_fhe::ckks::params::CkksParams;
+use abc_fhe::ckks::CkksContext;
+use abc_fhe::float::Complex;
+use abc_fhe::math::envtest::EnvGuard;
+use abc_fhe::prng::Seed;
+use abc_fhe::transform::rns_ntt::THREADS_ENV;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Allocations of one [`CkksContext::encode_encrypt_into`] into a reused
+/// blob, at up to three threads. Serially 15: the scale's numerator, the
+/// slot vector and the message coefficients (3), the three samples and
+/// the two Gaussian samplers' tables (7), the width table, the numerator
+/// bytes of the header and the byte ranges (3), their per-limb pairing
+/// and the one chunk's scratch checkout (2) — plus the fan-out's chunk
+/// operands and one scratch checkout per further chunk when the pass
+/// fans out.
+const FUSED_UPLOAD_ALLOCS: u64 = 18;
+
+/// Allocations of one [`CkksContext::encode_encrypt_compressed_into`]
+/// into a reused blob, at up to three threads: as [`FUSED_UPLOAD_ALLOCS`]
+/// with one sample and one sampler's tables, and no pairing (10
+/// serially).
+const FUSED_COMPRESSED_ALLOCS: u64 = 13;
+
+/// Every allocation of the process, from any thread.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is an atomic, and touching it
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    /// # Safety
+    /// The caller upholds the contract of `GlobalAlloc::alloc`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    /// # Safety
+    /// The caller upholds the contract of `GlobalAlloc::dealloc`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    /// # Safety
+    /// The caller upholds the contract of `GlobalAlloc::realloc`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator with `layout`; the
+        // caller's `new_size` is passed through as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations per call of `op`, over four calls after two warm-ups.
+fn allocs_per_op(mut op: impl FnMut()) -> u64 {
+    op();
+    op();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..4 {
+        op();
+    }
+    (ALLOCS.load(Ordering::Relaxed) - before).div_ceil(4)
+}
+
+#[test]
+fn fused_uploads_allocate_at_most_their_named_counts() {
+    // The gateway's shape (N = 2^13, 24 primes), serial and fanned out:
+    // from two threads on, both fused passes run on the parked workers.
+    let mut counts = Vec::new();
+    for threads in [1usize, 2, 3] {
+        let ctx = {
+            let mut env = EnvGuard::lock();
+            env.set(THREADS_ENV, &threads.to_string());
+            CkksContext::new(CkksParams::bootstrappable(13).expect("preset")).expect("context")
+        };
+        let (sk, pk) = ctx.keygen(Seed::from_u128(1));
+        let message: Vec<Complex> = (0..ctx.params().slots())
+            .map(|j| Complex::new((j % 17) as f64 / 16.0, -((j % 5) as f64) / 4.0))
+            .collect();
+        let mut blob = Vec::new();
+        let full = allocs_per_op(|| {
+            blob.clear();
+            let upload = ctx.encode_encrypt_into(&message, &pk, Seed::from_u128(2), &mut blob);
+            upload.expect("upload");
+        });
+        let compressed = allocs_per_op(|| {
+            blob.clear();
+            let upload =
+                ctx.encode_encrypt_compressed_into(&message, &sk, Seed::from_u128(3), &mut blob);
+            upload.expect("upload");
+        });
+        counts.push((threads, full, compressed));
+    }
+    let within = |&(_, full, compressed): &(usize, u64, u64)| {
+        full <= FUSED_UPLOAD_ALLOCS && compressed <= FUSED_COMPRESSED_ALLOCS
+    };
+    assert!(
+        counts.iter().all(within),
+        "allocations per op (threads, full, compressed): {counts:?}"
+    );
+}
