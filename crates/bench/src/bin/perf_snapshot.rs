@@ -86,7 +86,7 @@ use abc_math::dyadic::{DyadicEngine, Tail};
 use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::KernelTier;
 use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
-use abc_prng::sampler::{GaussianSampler, TernarySampler};
+use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
 use std::cell::RefCell;
@@ -848,7 +848,8 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
 
     // --- The on-chip PRNG: the keystream kernel on both rungs (ns per
     // 64-byte block; the scalar rung is the RFC 8439 oracle) and the
-    // error sampler it feeds, one upload-sized polynomial per call ---
+    // three samplers it feeds, one upload-sized polynomial (the uniform
+    // mask: one per prime) per call ---
     if rows.may("prng/") {
         let key = [0x0302_0100u32; 8];
         let nonce = [0x0900_0000, 0x4a00_0000, 0];
@@ -880,6 +881,23 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
             let mut sampler = GaussianSampler::new(Seed::from_u128(11), 0, sigma);
             std::hint::black_box(sampler.sample_poly(1 << 16));
         }));
+        benches.extend(rows.measure("prng/ternary_poly/2^16", 300, || {
+            let mut sampler = TernarySampler::new(Seed::from_u128(13), 0);
+            std::hint::black_box(sampler.sample_poly(1 << 16, None));
+        }));
+        if rows.has("prng/uniform_poly24/2^16") {
+            // An upload's mask `a`: one limb per prime of
+            // `bootstrappable(16)`.
+            let ctx =
+                CkksContext::new(CkksParams::bootstrappable(16).expect("preset")).expect("ctx");
+            let mut limb = vec![0u64; ctx.params().n()];
+            benches.extend(rows.measure("prng/uniform_poly24/2^16", 300, || {
+                for (i, m) in ctx.basis().moduli().iter().enumerate() {
+                    let mut sampler = UniformSampler::new(Seed::from_u128(12), i as u64);
+                    sampler.sample_poly(m, std::hint::black_box(&mut limb));
+                }
+            }));
+        }
     }
 
     // --- The layers of the paper's upload at N = 2^16, 24 primes: RNS

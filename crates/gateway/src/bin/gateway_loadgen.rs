@@ -190,7 +190,8 @@ fn pool_over_allowance(when: &str) -> Vec<String> {
 /// gateway's workers share, never set: the bytes it keeps by owner, and
 /// which kernel each of its layers dispatches to (the CRT lift's is that
 /// of the whole basis, which every level shares; the PRNG keystream's
-/// rung is one per process), on which CPU features, with how many limb
+/// rung, which the samplers share, is one per process), on which CPU
+/// features, with how many limb
 /// fan-out threads per operation.
 fn context_lines(ctx: &abc_ckks::CkksContext) -> Result<String, Box<dyn std::error::Error>> {
     let abc_ckks::EmbeddingEngine::F64(fft) = ctx.embedding();

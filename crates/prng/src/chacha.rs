@@ -27,9 +27,10 @@ const WORDS: usize = 16 * BLOCKS;
 /// The ChaCha constants, "expand 32-byte k".
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
-/// Which rung refills a generator's buffer.
+/// Which rung refills a generator's buffer, and which rung the samplers
+/// built on the generator read it with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
+pub(crate) enum Kernel {
     /// [`chacha20_blocks`]: 16 blocks in one AVX-512F pass.
     Avx512,
     /// [`BLOCKS`] calls of [`chacha20_block`], the scalar rung and the
@@ -131,6 +132,27 @@ impl ChaCha20 {
             Kernel::Avx512 => "avx512",
             Kernel::Scalar => "scalar",
         }
+    }
+
+    /// The rung this generator refills on.
+    pub(crate) fn kernel(&self) -> Kernel {
+        self.kernel
+    }
+
+    /// The unread words of the last refill, in keystream order, after a
+    /// refill if none are left: a bulk reader takes what it needs from
+    /// the front and [`advance`](Self::advance)s past it.
+    pub(crate) fn unread(&mut self) -> &[u32] {
+        if self.cursor >= WORDS {
+            self.refill();
+        }
+        &self.buffer[self.cursor..]
+    }
+
+    /// Marks the first `words` words of [`unread`](Self::unread) as read.
+    pub(crate) fn advance(&mut self, words: usize) {
+        debug_assert!(words <= WORDS - self.cursor, "advanced past the refill");
+        self.cursor += words;
     }
 
     fn refill(&mut self) {

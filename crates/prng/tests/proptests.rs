@@ -53,7 +53,76 @@ fn interleaved_draws(rng: &mut ChaCha20, mut ops: u64) -> Vec<u8> {
     out
 }
 
+/// An odd modulus of `bits` bits (2 … 62): just above `2^(bits − 1)`
+/// when `heavy`, so about half of all candidates are rejected, else
+/// anywhere in the width.
+fn modulus(bits: u32, heavy: bool, raw: u64) -> Modulus {
+    let (lo, hi) = ((1u64 << (bits - 1)) + 1, (1u64 << bits) - 1);
+    let odd_steps = (hi - lo) / 2 + 1;
+    let span = if heavy { odd_steps.min(32) } else { odd_steps };
+    Modulus::new(lo + 2 * (raw % span)).expect("odd q >= 3")
+}
+
 proptest! {
+    #[test]
+    fn uniform_rungs_are_bit_identical(
+        seed in any::<u128>(),
+        bits in 2u32..=62,
+        heavy in any::<bool>(),
+        raw in any::<u64>(),
+        skip in 0usize..40,
+        len in 0usize..=600,
+    ) {
+        // `skip` oracle draws first put the first step anywhere in the
+        // refill; the draws after the polynomial check the position.
+        let m = modulus(bits, heavy, raw);
+        let draw = |tier| {
+            let mut s = UniformSampler::new(Seed::from_u128(seed), 1).with_kernel(tier);
+            let head: Vec<u64> = (0..skip).map(|_| s.sample(&m)).collect();
+            let mut poly = vec![0u64; len];
+            s.sample_poly(&m, &mut poly);
+            let tail: Vec<u64> = (0..3).map(|_| s.sample(&m)).collect();
+            (head, poly, tail)
+        };
+        let (scalar, simd) = (draw(KernelTier::Scalar), draw(KernelTier::Simd));
+        prop_assert!(scalar.1.iter().all(|&x| x < m.q()));
+        prop_assert_eq!(simd, scalar, "q = {:#x}", m.q());
+    }
+
+    #[test]
+    fn gaussian_rungs_are_bit_identical(
+        seed in any::<u128>(),
+        which in 0usize..3,
+        skip in 0usize..40,
+        len in 0usize..=600,
+    ) {
+        let sigma = [1.0, 3.2, 7.9][which];
+        let draw = |tier| {
+            let mut s = GaussianSampler::new(Seed::from_u128(seed), 2, sigma).with_kernel(tier);
+            let head: Vec<i64> = (0..skip).map(|_| s.sample()).collect();
+            let poly = s.sample_poly(len);
+            let tail: Vec<i64> = (0..3).map(|_| s.sample()).collect();
+            (head, poly, tail)
+        };
+        prop_assert_eq!(draw(KernelTier::Simd), draw(KernelTier::Scalar), "sigma = {}", sigma);
+    }
+
+    #[test]
+    fn dense_ternary_rungs_are_bit_identical(
+        seed in any::<u128>(),
+        skip in 0usize..40,
+        len in 0usize..=600,
+    ) {
+        let draw = |tier| {
+            let mut s = TernarySampler::new(Seed::from_u128(seed), 3).with_kernel(tier);
+            let head = s.sample_poly(skip, None);
+            let poly = s.sample_poly(len, None);
+            let tail = s.sample_poly(3, Some(2));
+            (head, poly, tail)
+        };
+        prop_assert_eq!(draw(KernelTier::Simd), draw(KernelTier::Scalar));
+    }
+
     #[test]
     fn sixteen_block_kernel_equals_sixteen_scalar_blocks(
         k0 in any::<u128>(),

@@ -16,20 +16,20 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations of one [`CkksContext::encode_encrypt_into`] into a reused
-/// blob, at up to three threads. Serially 15: the scale's numerator, the
-/// slot vector and the message coefficients (3), the three samples and
-/// the two Gaussian samplers' tables (7), the width table, the numerator
-/// bytes of the header and the byte ranges (3), their per-limb pairing
-/// and the one chunk's scratch checkout (2) — plus the fan-out's chunk
-/// operands and one scratch checkout per further chunk when the pass
-/// fans out.
-const FUSED_UPLOAD_ALLOCS: u64 = 18;
+/// blob, at up to three threads. Serially 11: the scale's numerator, the
+/// slot vector and the message coefficients (3), the three samples (3;
+/// a Gaussian sampler holds its table inline), the width table, the
+/// numerator bytes of the header and the byte ranges (3), their
+/// per-limb pairing and the one chunk's scratch checkout (2) — plus the
+/// fan-out's chunk operands and one scratch checkout per further chunk
+/// when the pass fans out (14 at three threads, 15 in about one run of
+/// forty).
+const FUSED_UPLOAD_ALLOCS: u64 = 15;
 
 /// Allocations of one [`CkksContext::encode_encrypt_compressed_into`]
 /// into a reused blob, at up to three threads: as [`FUSED_UPLOAD_ALLOCS`]
-/// with one sample and one sampler's tables, and no pairing (10
-/// serially).
-const FUSED_COMPRESSED_ALLOCS: u64 = 13;
+/// with one sample, and no pairing (8 serially).
+const FUSED_COMPRESSED_ALLOCS: u64 = 11;
 
 /// Every allocation of the process, from any thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
