@@ -1016,8 +1016,9 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
                 scalar.median_secs / planned.median_secs
             );
         }
-        // Transform throughput rows: each pass streams the split re/im
-        // planes (read + write) per stage, log2(slots) stages deep.
+        // Transform throughput rows: nominal bytes, the slots read and
+        // written once per stage, log2(slots) stages deep (the avx512
+        // kernel makes two stages per memory pass).
         let bytes = 2 * slots * 16 * slots.ilog2() as usize;
         for rec in planned.iter().chain(&scalar) {
             throughput_rows.push(throughput_row(&rec.id, bytes, rec.median_secs));
@@ -1029,6 +1030,33 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
             buf.copy_from_slice(&vals);
             plan.forward_otf(&mut buf);
         }));
+        // The preset ring, N = 2^16: decode's forward and encode's
+        // inverse at the slot count of `download_n16` and `upload_n16`,
+        // with an engine of that N alive so the planes hit the pool.
+        let ids = [
+            ("special_fft/forward_planned_fp64/2^15", false),
+            ("special_fft/inverse_planned_fp64/2^15", true),
+        ];
+        if ids.iter().any(|(id, _)| rows.may(id)) {
+            let slots = 1usize << 15;
+            let n = 2 * slots;
+            let plan = SpecialFft::new(slots);
+            let _engine = RnsNttEngine::new(&ntt_moduli(1, n), n).expect("engine");
+            let vals: Vec<Complex> = (0..slots)
+                .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
+                .collect();
+            let mut buf = vals.clone();
+            for (id, inverse) in ids {
+                benches.extend(rows.measure(id, 400, || {
+                    buf.copy_from_slice(&vals);
+                    if inverse {
+                        plan.inverse(&mut buf);
+                    } else {
+                        plan.forward(&mut buf);
+                    }
+                }));
+            }
+        }
     }
 
     // --- Embedding datapaths: precision ---

@@ -23,7 +23,11 @@ use crate::field::RealField;
 /// let i = Complex::new(0.0, 1.0);
 /// assert_eq!(i.mul_in(&F64Field, i), Complex::new(-1.0, 0.0));
 /// ```
+///
+/// `repr(C)`: a `[Complex<f64>]` is the interleaved `re, im, re, im, …`
+/// array of `f64` that a vector kernel loads and stores.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex<R = f64> {
     /// Real part.
     pub re: R,

@@ -33,11 +33,12 @@
 //!
 //! * **avx512** (`Simd`) — split re/im (structure-of-arrays)
 //!   butterflies, eight f64 lanes per vector op. The plan lays each
-//!   stage's twiddles out as separate re/im planes
-//!   ([`crate::fft_avx512`]): spans ≥ 8 stream whole vectors, spans
-//!   1/2/4 run fused in registers with `vpermpd` lane pairing and
-//!   masked blends. The vector kernel preserves the scalar
-//!   kernel's exact operation order — the 4-multiply complex product of
+//!   stage's twiddles out as re/im vectors in the order the passes read
+//!   them ([`crate::fft_avx512`]): spans ≥ 8 stream whole vectors, two
+//!   stages per memory pass, and spans 1/2/4 run in registers inside
+//!   the end passes that also hold the bit reversal and the AoS copies
+//!   — 7 memory passes at `2^15` slots. The vector kernel preserves the
+//!   scalar kernel's exact operation order — the 4-multiply complex product of
 //!   paper Eq. 12, no FMA contraction — so it is **bit-identical** to
 //!   the scalar planned path (a 0-ulp bound, pinned by the property
 //!   suite). Requires x86-64 AVX-512F, the [`F64Field`] datapath and
@@ -229,7 +230,7 @@ impl<F: RealField> SpecialFft<F> {
 
     /// Bytes of table memory the plan keeps resident: the twiddles in
     /// its kernel's layout — both directions' tables for the scalar
-    /// kernel, the SoA planes and bit-reversal table for AVX-512.
+    /// kernel, the SoA twiddle streams for AVX-512.
     pub fn resident_bytes(&self) -> usize {
         match &self.kernel {
             FftKernel::Avx512(plan) => plan.table_bytes(),

@@ -23,6 +23,24 @@ fn message(slots: usize, seed: u64) -> Vec<Complex> {
         .collect()
 }
 
+/// A message whose parts span many binades: `|x|` from 2^-30 to 2^30,
+/// either sign, with full 52-bit mantissas, so the butterflies' products
+/// round as often as real slot values do (a `k/1024` grid rounds rarely).
+fn binade_message(slots: usize, seed: u64) -> Vec<Complex> {
+    let mut state = seed;
+    let mut part = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let r = state;
+        let mantissa = 1.0 + (r >> 12) as f64 / (1u64 << 52) as f64;
+        let exponent = (r % 60) as i32 - 30;
+        let sign = if r & (1 << 6) == 0 { 1.0 } else { -1.0 };
+        sign * mantissa * 2f64.powi(exponent)
+    };
+    (0..slots).map(|_| Complex::new(part(), part())).collect()
+}
+
 /// Reference transform: the planned scalar kernel.
 fn scalar_plan(slots: usize) -> SpecialFft {
     SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Scalar)
@@ -73,6 +91,46 @@ proptest! {
         let mut got = msg.clone();
         engine.inverse(&mut got);
         prop_assert_eq!(&got, &want_inv, "inverse");
+    }
+}
+
+#[test]
+fn avx512_is_the_scalar_kernel_bit_for_bit_at_every_dispatched_size() {
+    // 2^3 slots has no long stage (one tail pass); from 2^4 on the count
+    // of long stages, log_slots − 3, alternates odd (a radix-2 pass
+    // beside the radix-4 ones) and even, through the presets' 2^12 …
+    // 2^15. Bits, not `==`, so a zero's sign counts too.
+    let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    for log_slots in 3..=15 {
+        let slots = 1usize << log_slots;
+        let simd = SpecialFft::with_field_kernel(F64Field, slots, KernelTier::Simd);
+        let scalar = scalar_plan(slots);
+        let messages = [
+            ("k/1024 grid", message(slots, 0x5eed)),
+            ("2^-30…2^30", binade_message(slots, 0xb1a5)),
+        ];
+        for (name, msg) in messages {
+            for inverse in [false, true] {
+                let (mut got, mut want) = (msg.clone(), msg.clone());
+                if inverse {
+                    simd.inverse(&mut got);
+                    scalar.inverse(&mut want);
+                } else {
+                    simd.forward(&mut got);
+                    scalar.forward(&mut want);
+                }
+                let (got, want) = (bits(&got), bits(&want));
+                let first = got.iter().zip(&want).position(|(a, b)| a != b);
+                assert_eq!(
+                    first,
+                    None,
+                    "{} slots 2^{log_slots}, {name}, inverse={inverse}",
+                    simd.kernel_name()
+                );
+            }
+        }
     }
 }
 
