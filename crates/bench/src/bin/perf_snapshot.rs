@@ -21,12 +21,25 @@
 //!
 //! ```json
 //! {
+//!   "host":       {"cpu_model": ..., "caps": ..., "l2_kib": ..., "l3_kib": ..., "threads": ..., "commit": ..., "rustc": ...},
 //!   "benches":    [{"id": ..., "mean_ns": ..., "median_ns": ..., "p95_ns": ..., "iters": ...}],
 //!   "throughput": [{"id": ..., "bytes_per_op": ..., "median_ns": ..., "gib_per_s": ...}],
 //!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}],
 //!   "steady":     [{"id": ..., "ops": ..., "ms": ..., "pool_misses_per_op": ..., "minor_faults_per_op": ..., "sys_ms_per_op": ...}]
 //! }
 //! ```
+//!
+//! The `"host"` header says what the rows were timed on: they depend on
+//! whether the host delivered two CPUs. The `fanout/wake/gap*us` rows
+//! add `p90_ns` and `p99_ns` (the time from a pass's post to its
+//! worker's first chunk, after the caller was busy alone for the gap),
+//! the `fanout/two_chunks_*us` rows `over_one_chunk` (a pass of two
+//! equal spin chunks after a 300 µs gap, over one chunk), and the two
+//! download `"steady"` rows `ms_1t` and `speedup_2t` (the same op on one
+//! thread, timed alternately with the row, and its `ms` over the row's).
+//! The one-thread op outlasts the fan-out's bounded wait, so each of the
+//! row's ops starts with a parked worker: its `ms` includes one cold
+//! wake per op, where back-to-back downloads find the worker awake.
 //!
 //! The `"steady"` rows run a whole client op — every limb dropped inside
 //! it — back to back after a warm-up (the pinned and the fused upload at
@@ -83,15 +96,18 @@ use abc_ckks::precision::{
 use abc_ckks::CkksContext;
 use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::dyadic::{DyadicEngine, Tail};
+use abc_math::envtest::EnvGuard;
 use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::KernelTier;
 use abc_prng::chacha::{chacha20_block, chacha20_blocks, BLOCKS};
 use abc_prng::sampler::{GaussianSampler, TernarySampler, UniformSampler};
 use abc_prng::Seed;
+use abc_transform::fanout::THREADS_ENV;
 use abc_transform::{NttPlan, RnsNttEngine, SpecialFft};
 use std::cell::RefCell;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// The committed snapshot, relative to the repository root.
 const COMMITTED: &str = "BENCH_snapshot.json";
@@ -140,12 +156,17 @@ struct BenchRecord {
     /// Samples: calls, or batches of calls for a sub-µs body
     /// ([`time_alternately`]).
     iters: u64,
+    /// Fields a row adds after `iters` (`p90_ns`, a ratio), in order.
+    extra: Vec<(&'static str, f64)>,
 }
 
 impl BenchRecord {
     fn to_json(&self) -> String {
+        let extra: String = (self.extra.iter())
+            .map(|(key, value)| format!(", \"{key}\": {value:.3}"))
+            .collect();
         format!(
-            "  {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"iters\": {}}}",
+            "  {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"iters\": {}{extra}}}",
             self.id,
             self.mean_secs * 1e9,
             self.median_secs * 1e9,
@@ -164,6 +185,7 @@ fn record(id: &str, samples: Vec<f64>) -> BenchRecord {
         median_secs: median,
         p95_secs: p95,
         iters: samples.len() as u64,
+        extra: Vec::new(),
     }
 }
 
@@ -194,12 +216,12 @@ struct Tally {
 /// together see the same host load, so the ratio of two rows' `ms` is
 /// read from one window. Misses, faults and kernel time are read around
 /// each call (the `/proc` read, ≈ 8 µs, inside the timed call). Returns
-/// each JSON row and its pool misses per op.
+/// each JSON row, its pool misses per op and its `ms`.
 fn steady_rows<const K: usize>(
     ids: [&str; K],
     n: usize,
     mut ops: [&mut dyn FnMut(); K],
-) -> [(String, f64); K] {
+) -> [(String, f64, f64); K] {
     let misses = || abc_ckks::limb_pool::class_stats(n).map_or(0, |class| class.misses);
     for op in &mut ops {
         op();
@@ -243,9 +265,15 @@ fn steady_rows<const K: usize>(
              \"pool_misses_per_op\": {misses_per_op}{kernel}}}",
             t.calls
         );
-        println!("{}", row.trim());
-        (row, misses_per_op)
+        (row, misses_per_op, ms)
     })
+}
+
+/// The rows of [`steady_rows`] as the snapshot keeps them, printed.
+fn kept<const K: usize>(rows: [(String, f64, f64); K]) -> Vec<(String, f64)> {
+    let rows = rows.map(|(row, misses, _)| (row, misses));
+    rows.iter().for_each(|(row, _)| println!("{}", row.trim()));
+    rows.into()
 }
 
 /// The `"steady"` row `id` of an upload (encode, encrypt, pack) at
@@ -272,15 +300,32 @@ fn upload_steady(id: &str, fused_id: Option<&str>, log_n: u32) -> Vec<(String, f
     };
     let n = ctx.params().n();
     match fused_id {
-        Some(fused_id) => steady_rows([id, fused_id], n, [&mut pinned, &mut fused]).into(),
-        None => steady_rows([id], n, [&mut pinned]).into(),
+        Some(fused_id) => kept(steady_rows([id, fused_id], n, [&mut pinned, &mut fused])),
+        None => kept(steady_rows([id], n, [&mut pinned])),
     }
 }
 
 /// The `"steady"` row `id` of a download (unpack, decrypt, decode) of a
-/// fresh ciphertext cut to `limbs` primes at `bootstrappable(log_n)`.
+/// fresh ciphertext cut to `limbs` primes at `bootstrappable(log_n)`,
+/// with the same op on one thread timed alternately with it, call by
+/// call: its `ms_1t`, and `speedup_2t`, the one-thread `ms` over the
+/// row's (at the process's thread count, 2 on a 2-CPU host). The row's
+/// op follows a one-thread op, so its worker has parked: `ms` includes a
+/// cold wake.
 fn download_steady(id: &str, log_n: u32, limbs: usize) -> (String, f64) {
-    let ctx = CkksContext::new(CkksParams::bootstrappable(log_n).expect("preset")).expect("ctx");
+    let params = CkksParams::bootstrappable(log_n).expect("preset");
+    let ctx = CkksContext::new(params.clone()).expect("ctx");
+    // One thread: an engine built at one, and the wire codec, which reads
+    // the count per blob, at one during each of that op's calls.
+    let env = RefCell::new(EnvGuard::lock());
+    let threads = env.borrow().get(THREADS_ENV);
+    let at = |threads: Option<&str>| match threads {
+        Some(threads) => env.borrow_mut().set(THREADS_ENV, threads),
+        None => env.borrow_mut().remove(THREADS_ENV),
+    };
+    at(Some("1"));
+    let ctx_1t = CkksContext::new(params).expect("ctx");
+    at(threads.as_deref());
     let (sk, pk) = ctx.keygen(Seed::from_u128(2026));
     let pt = ctx.encode(&client_message(ctx.params().slots()));
     let ct = ctx.encrypt(&pt.expect("encode"), &pk, Seed::from_u128(7));
@@ -288,16 +333,27 @@ fn download_steady(id: &str, log_n: u32, limbs: usize) -> (String, f64) {
     let blob = abc_ckks::wire::serialize_ciphertext_packed(&ct.truncated(limbs), &widths);
     let blob = blob.expect("pack");
     drop(ct);
-    let [row] = steady_rows(
-        [id],
+    let download = |ctx: &CkksContext| {
+        let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
+        let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+        std::hint::black_box(ctx.decode(&pt).expect("decode"));
+    };
+    let [(row, misses, ms), (_, misses_1t, ms_1t)] = steady_rows(
+        [id, id],
         ctx.params().n(),
-        [&mut || {
-            let ct = abc_ckks::wire::deserialize_ciphertext(&blob).expect("unpack");
-            let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
-            std::hint::black_box(ctx.decode(&pt).expect("decode"));
+        [&mut || download(&ctx), &mut || {
+            at(Some("1"));
+            download(&ctx_1t);
+            at(threads.as_deref());
         }],
     );
-    row
+    let row = format!(
+        "{}, \"ms_1t\": {ms_1t:.3}, \"speedup_2t\": {:.3}}}",
+        row.strip_suffix('}').expect("a JSON object"),
+        ms_1t / ms
+    );
+    println!("{}", row.trim());
+    (row, misses.max(misses_1t))
 }
 
 /// The `(id, median)` of every timed row of a snapshot this binary
@@ -424,6 +480,111 @@ fn pair(parent: &str, rows: &Rows, out: Option<&str>) {
         let json = format!("{{\n\"pairs\": [\n{}\n]\n}}\n", json.join(",\n"));
         std::fs::write(out, json).expect("write the pair");
         println!("wrote {out}");
+    }
+}
+
+/// The snapshot's `"host"` header, what two snapshots are compared
+/// under: the CPU (`/proc/cpuinfo`'s model name and model number), the
+/// features the kernel dispatch saw, the L2 and L3 sizes of CPU 0
+/// (`/sys`), the process's thread count, the commit of the working tree
+/// (`-dirty` with uncommitted changes to tracked files) and the compiler
+/// that built this binary. What cannot be read is `"unknown"`, or 0 for
+/// a size.
+fn host_header() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = |key: &str| {
+        let line = cpuinfo
+            .lines()
+            .find(|l| l.split(':').next().map(str::trim) == Some(key));
+        line.and_then(|l| l.split_once(':'))
+            .map_or("unknown".to_owned(), |(_, v)| v.trim().replace('"', "'"))
+    };
+    let cache_kib = |level: &str| -> u64 {
+        let dir = "/sys/devices/system/cpu/cpu0/cache";
+        let read = |index: usize, file: &str| {
+            std::fs::read_to_string(format!("{dir}/index{index}/{file}")).ok()
+        };
+        let size = |index| {
+            let found = read(index, "level")?.trim() == level
+                && read(index, "type")?.trim() != "Instruction";
+            let size = read(index, "size").filter(|_| found)?;
+            let size = size.trim();
+            let (digits, scale) = match size.strip_suffix('M') {
+                Some(mib) => (mib, 1024),
+                None => (size.trim_end_matches('K'), 1),
+            };
+            Some(digits.parse::<u64>().ok()? * scale)
+        };
+        (0..8).find_map(size).unwrap_or(0)
+    };
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+    };
+    let commit = match git(&["rev-parse", "--short=12", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if changes.is_empty() => head,
+            _ => format!("{head}-dirty"),
+        },
+        None => "unknown".to_owned(),
+    };
+    format!(
+        "\"host\": {{\"cpu_model\": \"{} (model {})\", \"caps\": \"{}\", \"l2_kib\": {}, \
+         \"l3_kib\": {}, \"threads\": {}, \"commit\": \"{commit}\", \"rustc\": \"{}\"}}",
+        cpu("model name"),
+        cpu("model"),
+        abc_math::CpuCaps::detect(),
+        cache_kib("2"),
+        cache_kib("3"),
+        abc_transform::fanout::threads(),
+        env!("ABC_BENCH_RUSTC")
+    )
+}
+
+/// Passes per `fanout/wake` or `fanout/two_chunks` row (a tenth more
+/// run first, untimed).
+const WAKE_PASSES: usize = 400;
+
+/// The idle gap before each `fanout/two_chunks` pass.
+const WAKE_GAP: Duration = Duration::from_micros(300);
+
+/// How long the caller's chunk of a `fanout/wake` pass waits for the
+/// worker: a pass it never joins counts as this.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(2);
+
+/// Keeps the calling thread busy for `d`: a chunk's work, or the serial
+/// stretch between two passes.
+fn spin_for(d: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// Seconds from the post of a two-chunk pass to the worker's claim of a
+/// chunk, after the caller has been busy alone for `gap`. The caller's
+/// own chunk holds it until the worker has joined, so the worker cannot
+/// find the counter dry; a worker that has not joined after
+/// [`WAKE_TIMEOUT`] counts as that.
+fn wake_secs(gap: Duration) -> f64 {
+    spin_for(gap);
+    let caller = std::thread::current().id();
+    let joined_ns = AtomicU64::new(0);
+    let t0 = Instant::now();
+    abc_transform::fanout::run(2, 2, &|_| {
+        if std::thread::current().id() != caller {
+            joined_ns.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Relaxed);
+        } else {
+            while joined_ns.load(Ordering::Relaxed) == 0 && t0.elapsed() < WAKE_TIMEOUT {
+                std::hint::spin_loop();
+            }
+        }
+    });
+    match joined_ns.into_inner() {
+        0 => WAKE_TIMEOUT.as_secs_f64(),
+        ns => ns as f64 * 1e-9,
     }
 }
 
@@ -788,6 +949,46 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
             std::hint::black_box(t);
         });
     }));
+    // How soon the worker joins a pass posted after the caller has been
+    // busy alone for a gap (the serial stretch between two passes), and
+    // what that costs a pass of two equal chunks, over one chunk.
+    for gap_us in [0, 50, 300] {
+        let id = format!("fanout/wake/gap{gap_us}us");
+        if rows.has(&id) {
+            let gap = Duration::from_micros(gap_us);
+            (0..WAKE_PASSES / 10).for_each(|_| _ = wake_secs(gap));
+            let samples: Vec<f64> = (0..WAKE_PASSES).map(|_| wake_secs(gap)).collect();
+            let mut rec = record(&id, samples.clone());
+            let [p90, p99] = quantiles(&samples, [0.9, 0.99]);
+            rec.extra = vec![("p90_ns", p90 * 1e9), ("p99_ns", p99 * 1e9)];
+            benches.push(rec);
+        }
+    }
+    for chunk_us in [8, 34, 160] {
+        let id = format!("fanout/two_chunks_{chunk_us}us");
+        if rows.has(&id) {
+            let chunk = Duration::from_micros(chunk_us);
+            // One pass of two chunks, then one chunk alone, timed; the
+            // caller stays busy until the next post is `WAKE_GAP` after
+            // the pass ended.
+            let sample = || {
+                let t = Instant::now();
+                abc_transform::fanout::run(2, 2, &|_| spin_for(chunk));
+                let (two, idle) = (t.elapsed(), Instant::now());
+                spin_for(chunk);
+                let one = idle.elapsed();
+                spin_for(WAKE_GAP.saturating_sub(idle.elapsed()));
+                (two.as_secs_f64(), one.as_secs_f64())
+            };
+            (0..WAKE_PASSES / 10).for_each(|_| _ = sample());
+            let (twos, ones): (Vec<f64>, Vec<f64>) = (0..WAKE_PASSES).map(|_| sample()).unzip();
+            let mut rec = record(&id, twos);
+            let ratio = rec.median_secs / quantiles(&ones, [0.5])[0];
+            println!("{id} over one chunk: {ratio:.3}");
+            rec.extra = vec![("over_one_chunk", ratio)];
+            benches.push(rec);
+        }
+    }
 
     // --- Decode's CRT lift + scale division, ns per coefficient: the
     // dispatched block path decode runs (the verified word lift, then
@@ -1030,12 +1231,18 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
             buf.copy_from_slice(&vals);
             plan.forward_otf(&mut buf);
         }));
-        // The preset ring, N = 2^16: decode's forward and encode's
-        // inverse at the slot count of `download_n16` and `upload_n16`,
-        // with an engine of that N alive so the planes hit the pool.
+        // The preset ring, N = 2^16: decode's forward (serial, and split
+        // across the fan-out at the process's thread count, as decode
+        // runs it) and encode's inverse at the slot count of
+        // `download_n16` and `upload_n16`, with an engine of that N alive
+        // so the planes hit the pool.
         let ids = [
-            ("special_fft/forward_planned_fp64/2^15", false),
-            ("special_fft/inverse_planned_fp64/2^15", true),
+            ("special_fft/forward_planned_fp64/2^15", Some(1)),
+            (
+                "special_fft/forward_planned_fp64_split/2^15",
+                Some(abc_transform::fanout::threads()),
+            ),
+            ("special_fft/inverse_planned_fp64/2^15", None),
         ];
         if ids.iter().any(|(id, _)| rows.may(id)) {
             let slots = 1usize << 15;
@@ -1046,13 +1253,13 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
                 .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
                 .collect();
             let mut buf = vals.clone();
-            for (id, inverse) in ids {
+            for (id, forward_threads) in ids {
                 benches.extend(rows.measure(id, 400, || {
                     buf.copy_from_slice(&vals);
-                    if inverse {
-                        plan.inverse(&mut buf);
-                    } else {
-                        plan.forward(&mut buf);
+                    match forward_threads {
+                        Some(1) => plan.forward(&mut buf),
+                        Some(threads) => plan.forward_split(&mut buf, threads),
+                        None => plan.inverse(&mut buf),
                     }
                 }));
             }
@@ -1096,8 +1303,9 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
     let bench_rows: Vec<String> = benches.iter().map(BenchRecord::to_json).collect();
     let steady_rows: Vec<&str> = steady.iter().map(|(row, _)| row.as_str()).collect();
     let json = format!(
-        "{{\n\"benches\": [\n{}\n],\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
+        "{{\n{},\n\"benches\": [\n{}\n],\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\
          \"steady\": [\n{}\n]\n}}\n",
+        host_header(),
         bench_rows.join(",\n"),
         throughput_rows.join(",\n"),
         precision_rows.join(",\n"),
@@ -1198,9 +1406,10 @@ mod tests {
 
     #[test]
     fn a_rows_run_times_only_its_prefixes_and_skips_the_id_gate() {
-        // The committed file has rows a `fanout/` run does not produce.
+        // The committed file has rows a `fanout/round` run does not
+        // produce; the prefix selects one row by its start.
         let committed = snapshot_of(1.0, 1.0);
-        let (json, failures) = snapshot(&Rows(Some(vec!["fanout/".into()])), Some(&committed));
+        let (json, failures) = snapshot(&Rows(Some(vec!["fanout/round".into()])), Some(&committed));
         assert_eq!(ids_of(&json), ["fanout/roundtrip"]);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(Rows(Some(vec!["ntt/forward/2^16".into()])).may("ntt/"));

@@ -17,8 +17,9 @@ use abc_transform::{fanout, LimbWork, NttPlan, RnsNttEngine, SpecialFft, Special
 use std::sync::OnceLock;
 
 /// The context's canonical-embedding engine: the FP64 datapath's
-/// planned twiddle table, built once per context. Every embedding FFT
-/// runs on the calling thread. Other datapaths (double-double `ExtF64`,
+/// planned twiddle table, built once per context. Encode's inverse FFT
+/// runs on the calling thread, decode's forward one on the engine's
+/// fan-out from `N = 2^14` on. Other datapaths (double-double `ExtF64`,
 /// the paper's FP55) are not a context option: [`crate::precision`]
 /// measures them on a plan it builds per call. One variant, kept an
 /// enum only because the reference benchmark matches on
@@ -371,6 +372,10 @@ impl CkksContext {
     /// wrote and is weighed as element-wise work: on the vector rung a
     /// lifted word costs less than a dyadic one, so a 2-limb `N = 2^13`
     /// decode (`2^14` words) stays on the calling thread.
+    ///
+    /// The embedding runs split on the fan-out too
+    /// ([`SpecialFft::forward_split`]), weighed as a transform of its
+    /// `N` words: from `N = 2^14` on, at the engine's thread count.
     fn decode_to_slots<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
@@ -433,7 +438,8 @@ impl CkksContext {
         );
         // Back to the pool before the embedding takes its planes from it.
         drop(res);
-        fft.forward(&mut vals);
+        let threads = LimbWork::Transform.threads_for(self.engine.threads(), 2 * slots);
+        fft.forward_split(&mut vals, threads);
         Ok(vals)
     }
 
@@ -1268,6 +1274,39 @@ mod tests {
         }
         let parents = [0x9b75_c941_ad8a_3534, 0x2bac_e2fe_2238_9b4e];
         assert_eq!(got, [parents, parents]);
+    }
+
+    #[test]
+    fn decode_is_the_same_at_one_two_and_three_threads() {
+        // At N = 2^14 the embedding is split across the fan-out from two
+        // threads on (and at three the lift's chunks are ragged): the
+        // slot bits of the f64 decode and of the double-double one, whose
+        // plan always runs the scalar kernel, must not move.
+        use abc_math::envtest::EnvGuard;
+        use abc_transform::rns_ntt::THREADS_ENV;
+        let params = CkksParams::builder()
+            .log_n(14)
+            .num_primes(3)
+            .build()
+            .unwrap();
+        let ext = SpecialFft::with_field(ExtF64Field, params.slots());
+        let mut env = EnvGuard::lock();
+        let mut got = Vec::new();
+        for threads in [1usize, 2, 3] {
+            env.set(THREADS_ENV, &threads.to_string());
+            let ctx = CkksContext::new(params.clone()).unwrap();
+            assert_eq!(ctx.ntt_engine().threads(), threads);
+            let (sk, pk) = ctx.keygen(Seed::from_u128(5101));
+            let msg = test_message(ctx.params().slots());
+            let ct = ctx.encrypt(&ctx.encode(&msg).unwrap(), &pk, Seed::from_u128(5102));
+            let pt = ctx.decrypt(&ct, &sk).unwrap();
+            got.push([
+                slot_bits_hash(&ctx.decode(&pt).unwrap()),
+                slot_bits_hash(&ctx.decode_core(&ext, &pt).unwrap()),
+            ]);
+        }
+        assert_eq!(got[1], got[0], "two threads");
+        assert_eq!(got[2], got[0], "three threads");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! and then claims chunks from the counter itself, so a chunk nobody woke
 //! up for in time runs on the caller. When the counter runs dry it takes
 //! back every post a worker has not picked up yet (the reverse CAS), and
-//! parks on the job's latch until every worker that joined has left.
+//! waits on the job's latch until every worker that joined has left.
 //!
 //! - **Concurrent and nested callers.** A worker serves one job at a
 //!   time, and a caller that finds no idle worker runs every chunk of its
@@ -24,8 +24,27 @@
 //! - **Panics.** A panicking chunk is caught where it ran. The caller
 //!   re-raises the first payload after the latch, and the worker goes
 //!   back to its slot.
-//! - **No spinning.** Workers and callers wait with `thread::park`, so an
-//!   idle fan-out costs no CPU.
+//! - **A bounded wait, then park.** A worker that has left a job polls
+//!   its slot, and a caller whose chunks are done polls `pending`,
+//!   yielding the CPU (`thread::yield_now`) between polls for at most
+//!   `WAIT_WINDOW` (500 µs); then it parks. A pass posted inside the
+//!   window finds its worker awake. Measured by `perf_snapshot`'s
+//!   `fanout/wake/*` and `fanout/two_chunks_*` rows on a 2-vCPU
+//!   AVX-512 host, parking at once against this window: the worker
+//!   joined 5.7–6.1 µs after the post (p50) after no idle gap, 6.0–6.4
+//!   µs after 50 µs and 12.8–14.6 µs after 300 µs (p99 107–131 µs),
+//!   against 0.54–0.69 µs for all three; two equal chunks of 8, 34 and
+//!   160 µs after a 300 µs gap took 2.24, 1.55–1.61 and 1.12× one
+//!   chunk, against 1.18, 1.04 and 1.01×. A 300 µs window missed the
+//!   300 µs gap half the time (1.79 and 1.18× for the 8 and 34 µs
+//!   pairs), and 1000 µs gained nothing over 500. A caller that
+//!   parked at once, beside a polling worker, cost `download_n16` 13 %
+//!   more `op_p50_ms` and 8 % more CPU than the caller's poll
+//!   (`benchmark/`, ten alternating pairs), and `upload_n16` 8 % of
+//!   each. In an earlier prototype a pure spin in place of the yield cost
+//!   `gateway_mixed_n13` 10 % of its `ops_per_s`, and a 50 µs window
+//!   gained nothing for 16 % more CPU. An idle fan-out parks within the
+//!   window, so it costs no CPU after it (`tests/fanout_idle.rs`).
 //!
 //! [`for_each_chunk`] is the shape every caller outside this crate uses:
 //! contiguous chunks of `k.div_ceil(threads)` items under the two
@@ -41,6 +60,7 @@ use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// Environment variable overriding the process's thread count.
 pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
@@ -130,6 +150,16 @@ impl LimbWork {
             LimbWork::Elementwise => DYADIC_PARALLEL_THRESHOLD,
         }
     }
+
+    /// The participants a pass of this weight over `words` words runs
+    /// on at `threads`: `threads` from the cut-off on, 1 below it.
+    pub fn threads_for(self, threads: usize, words: usize) -> usize {
+        if words < self.cutoff() {
+            1
+        } else {
+            threads
+        }
+    }
 }
 
 /// Cuts `items` into contiguous chunks of `k.div_ceil(threads)` and runs
@@ -175,29 +205,51 @@ pub(crate) fn split<C, I>(
     C: Send,
     I: Iterator<Item = C>,
 {
-    let threads = threads.min(k);
-    if threads <= 1 || words < work.cutoff() {
+    let threads = work.threads_for(threads.min(k), words);
+    if threads <= 1 {
         // One chunk (none when `k` is 0), on the calling thread.
         cut(k.max(1)).for_each(|operands| run_chunk(0, operands));
         return;
     }
     let chunk = k.div_ceil(threads);
-    let parts = Parts(cut(chunk).map(|c| UnsafeCell::new(Some(c))).collect());
-    run(threads, parts.0.len(), &|t| {
-        run_chunk(t * chunk, parts.take(t))
+    let cells: Vec<_> = cut(chunk).map(|c| UnsafeCell::new(Some(c))).collect();
+    run_cells(threads, &cells, |t, operands| {
+        run_chunk(t * chunk, operands)
     });
+}
+
+/// Hands each of the `K` parts to one participant of [`run`] at
+/// `threads`: `run_part(index of the part, the part)`. No cut-off — the
+/// caller has chosen to fan out — and no allocation.
+pub(crate) fn run_parts<C: Send, const K: usize>(
+    threads: usize,
+    parts: [C; K],
+    run_part: impl Fn(usize, C) + Sync,
+) {
+    run_cells(threads, &parts.map(|c| UnsafeCell::new(Some(c))), run_part);
+}
+
+/// [`run`] over one chunk per cell, each chunk's operands moved out of
+/// its cell by the participant that claimed it.
+fn run_cells<C: Send>(
+    threads: usize,
+    cells: &[UnsafeCell<Option<C>>],
+    run_part: impl Fn(usize, C) + Sync,
+) {
+    let parts = Parts(cells);
+    run(threads, cells.len(), &|t| run_part(t, parts.take(t)));
 }
 
 /// One chunk's operands per index, each moved out by the participant the
 /// job's counter handed that index to.
-struct Parts<C>(Vec<UnsafeCell<Option<C>>>);
+struct Parts<'a, C>(&'a [UnsafeCell<Option<C>>]);
 
 // SAFETY: a `Parts` is shared only with the participants of one `run`,
 // whose counter yields every index at most once, so no two threads reach
 // the same cell; what moves out is `C: Send`.
-unsafe impl<C: Send> Sync for Parts<C> {}
+unsafe impl<C: Send> Sync for Parts<'_, C> {}
 
-impl<C> Parts<C> {
+impl<C> Parts<'_, C> {
     fn take(&self, t: usize) -> C {
         // SAFETY: `t` came from the job's counter, which hands each index
         // to one participant once (see the `Sync` impl): this is the only
@@ -227,11 +279,30 @@ pub fn run(threads: usize, chunks: usize, job: &(dyn Fn(usize) + Sync)) {
     let posted = job.post(threads.min(chunks).saturating_sub(1));
     job.work();
     job.revoke(posted);
+    let done = Instant::now();
     while job.pending.load(Ordering::Acquire) != 0 {
-        thread::park();
+        wait(done);
     }
     if let Some(payload) = job.panic.into_inner() {
         panic::resume_unwind(payload);
+    }
+}
+
+/// How long a worker that has left a job polls its slot, and a caller
+/// whose chunks are done polls `pending`, before parking: the shortest
+/// measured window that keeps the worker awake across a 300 µs serial
+/// stretch (the module doc's wait policy).
+const WAIT_WINDOW: Duration = Duration::from_micros(500);
+
+/// One step of a bounded wait that began at `since`: inside
+/// [`WAIT_WINDOW`] the CPU is yielded, past it the thread parks. Every
+/// caller re-checks its condition after each step, so a stale unpark
+/// token costs one more step, and a wait past the window ends in `park`.
+fn wait(since: Instant) {
+    if since.elapsed() < WAIT_WINDOW {
+        thread::yield_now();
+    } else {
+        thread::park();
     }
 }
 
@@ -350,8 +421,10 @@ impl Worker {
     }
 
     /// The worker's life: pick up a posted job, claim its chunks, leave
-    /// it; park whenever the slot holds nothing to pick up.
+    /// it; whenever the slot holds nothing to pick up, [`wait`] from when
+    /// the last job was left (a worker that has run none parks at once).
     fn serve(&'static self) {
+        let mut left = None;
         loop {
             let posted = self.job.load(Ordering::Relaxed);
             let picked = !posted.is_null()
@@ -361,7 +434,10 @@ impl Worker {
                     .compare_exchange(posted, busy(), Ordering::Acquire, Ordering::Relaxed)
                     .is_ok();
             if !picked {
-                thread::park();
+                match left {
+                    Some(since) => wait(since),
+                    None => thread::park(),
+                }
                 continue;
             }
             // SAFETY: the lifetime erasure. A caller posts its stack
@@ -374,6 +450,7 @@ impl Worker {
             job.work();
             self.job.store(ptr::null_mut(), Ordering::Release);
             job.leave();
+            left = Some(Instant::now());
         }
     }
 }

@@ -45,8 +45,13 @@
 //!   ≥ 8 slots.
 //! * **scalar** (`Scalar`) — the generic planned kernel, any
 //!   [`RealField`].
+//!
+//! Both kernels also run the forward transform split across the
+//! fan-out ([`SpecialFft::forward_split`]): two half-size sub-transforms
+//! in one pass, then the last stages cut by butterfly range in another,
+//! bit-identical to the serial transform.
 
-use crate::fft_avx512;
+use crate::{fanout, fft_avx512};
 use abc_float::{Complex, F64Field, RealField};
 use abc_math::{CpuCaps, KernelTier};
 use std::sync::Arc;
@@ -281,6 +286,29 @@ impl<F: RealField> SpecialFft<F> {
         }
     }
 
+    /// [`Self::forward`] on up to `threads` participants of the fan-out
+    /// ([`crate::fanout`]), bit-identical to it. The stages below the
+    /// last pass run as two contiguous half-size sub-transforms, one per
+    /// participant; the last pass — on the AVX-512 kernel the radix-4
+    /// pass over spans `slots/4` and `slots/2` that writes `vals`, on the
+    /// scalar kernel the span-`slots/2` stage — as one more pass cut by
+    /// butterfly range. Two chunks whatever `threads` is; at one thread,
+    /// or below 32 slots on the AVX-512 kernel, it is [`Self::forward`].
+    /// Fans out at any size: the caller weighs whether the transform is
+    /// worth two passes ([`crate::LimbWork::threads_for`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals.len() != slots`.
+    pub fn forward_split(&self, vals: &mut [Complex<F::Real>], threads: usize) {
+        match &self.kernel {
+            FftKernel::Avx512(simd) => {
+                fft_avx512::forward_split(simd, self.f64_slots(vals), threads);
+            }
+            FftKernel::Scalar { fwd, .. } => self.forward_scalar_split(vals, fwd, threads),
+        }
+    }
+
     /// Inverse special FFT: slot values → coefficient side (used by
     /// **encoding**). Includes the `1/slots` scale. Dispatched to the
     /// plan's resolved kernel.
@@ -310,17 +338,63 @@ impl<F: RealField> SpecialFft<F> {
     fn forward_scalar(&self, vals: &mut [Complex<F::Real>], fwd: &[Vec<Complex<F::Real>>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
         crate::bitrev::bit_reverse_permute(vals);
-        let f = &self.field;
+        self.forward_stages(vals, fwd);
+    }
+
+    /// [`Self::forward_scalar`] in the two fan-out passes of
+    /// [`Self::forward_split`]: after the bit reversal the halves of
+    /// `vals` are the two sub-transforms, in place.
+    fn forward_scalar_split(
+        &self,
+        vals: &mut [Complex<F::Real>],
+        fwd: &[Vec<Complex<F::Real>>],
+        threads: usize,
+    ) {
+        let Some((last, stages)) = fwd.split_last().filter(|_| threads > 1) else {
+            return self.forward_scalar(vals, fwd);
+        };
+        assert_eq!(vals.len(), self.slots, "length must equal slot count");
+        crate::bitrev::bit_reverse_permute(vals);
+        let half = self.slots / 2;
+        let (lo, hi) = vals.split_at_mut(half);
+        fanout::run_parts(threads, [lo, hi], |_, part| {
+            self.forward_stages(part, stages);
+        });
+        // The last stage by butterfly range (the second range empty at 2
+        // slots).
+        let chunk = half.div_ceil(2);
+        let (lo, hi) = vals.split_at_mut(half);
+        let ((lo0, lo1), (hi0, hi1)) = (lo.split_at_mut(chunk), hi.split_at_mut(chunk));
+        let (tw0, tw1) = last.split_at(chunk);
+        let ranges = [(lo0, hi0, tw0), (lo1, hi1, tw1)];
+        fanout::run_parts(threads, ranges, |_, (x, y, tw)| self.butterflies(x, y, tw));
+    }
+
+    /// The forward stages `fwd` over `vals` in bit-reversed order: stage
+    /// `s` runs blocks of `2·span` elements, `span = 2^s`.
+    fn forward_stages(&self, vals: &mut [Complex<F::Real>], fwd: &[Vec<Complex<F::Real>>]) {
         for tw in fwd {
             for block in vals.chunks_exact_mut(2 * tw.len()) {
                 let (lo, hi) = block.split_at_mut(tw.len());
-                for ((x, y), &w) in lo.iter_mut().zip(hi).zip(tw) {
-                    let u = *x;
-                    let v = y.mul_in(f, w);
-                    *x = u.add_in(f, v);
-                    *y = u.sub_in(f, v);
-                }
+                self.butterflies(lo, hi, tw);
             }
+        }
+    }
+
+    /// Cooley–Tukey butterflies `(x + y·w, x − y·w)` position by
+    /// position.
+    fn butterflies(
+        &self,
+        lo: &mut [Complex<F::Real>],
+        hi: &mut [Complex<F::Real>],
+        tw: &[Complex<F::Real>],
+    ) {
+        let f = &self.field;
+        for ((x, y), &w) in lo.iter_mut().zip(hi).zip(tw) {
+            let u = *x;
+            let v = y.mul_in(f, w);
+            *x = u.add_in(f, v);
+            *y = u.sub_in(f, v);
         }
     }
 

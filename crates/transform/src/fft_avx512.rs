@@ -40,6 +40,18 @@
 //! writes the AoS slice itself. A pass's long-stage twiddles stream in
 //! the order it reads them, re and im side by side.
 //!
+//! **The forward split** (`forward_split`, from 32 slots) runs the
+//! same passes as two fan-out passes of two chunks each. In the first,
+//! chunk `p` is a half-size sub-transform: bit-reversed, the AoS slots
+//! `2i + p` are the transform's slots `p·slots/2 …`, so the gather +
+//! tail pass reads them with a stride of two into half `p` of the
+//! planes, and every long pass but the last runs there (its blocks, at
+//! most `slots/4`, lie inside the half). In the second, the last pass —
+//! radix 4 over spans `slots/4` and `slots/2`, writing the AoS slice —
+//! is cut by butterfly range, each chunk reading both halves. The same
+//! butterflies with the same twiddles, so the same bits; the twiddle
+//! streams are the serial plan's.
+//!
 //! **Bit-identity.** Every element sees the scalar kernel's butterflies
 //! with the same twiddles in the same order, and every lane performs
 //! the scalar kernel's exact operation sequence — the 4-multiply
@@ -50,7 +62,7 @@
 //! 8-wide data parallelism and fewer memory passes, not from
 //! reassociating float arithmetic.
 
-use crate::pool;
+use crate::{fanout, pool};
 use abc_float::Complex;
 use abc_math::CpuCaps;
 
@@ -58,6 +70,10 @@ use abc_math::CpuCaps;
 /// in-register tail layers (spans 1/2/4) all exist and every longer
 /// span is a multiple of the 8-lane vector width.
 pub const MIN_SIMD_SLOTS: usize = 8;
+
+/// Minimum slot count for the split forward: the last pass is a radix-4
+/// one (spans `slots/4` and `slots/2`), and each half fills the tail.
+const MIN_SPLIT_SLOTS: usize = 32;
 
 /// One memory pass over the long stages — one stage of span `h`
 /// (radix 2) or two, of spans `h` and `2h` (radix 4; run forward as
@@ -223,12 +239,64 @@ pub(crate) fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool) {
     pool::put(planes);
 }
 
+/// The forward transform in two fan-out passes at `threads` ≥ 2 (the
+/// module doc's split); [`run`] below 32 slots or at one thread.
+/// Bit-identical to [`run`].
+///
+/// # Panics
+///
+/// As [`run`].
+pub(crate) fn forward_split(plan: &SimdPlan, vals: &mut [Complex<f64>], threads: usize) {
+    assert!(CpuCaps::detect().avx512f, "no AVX-512F on this CPU");
+    assert_eq!(vals.len(), plan.slots, "length must equal slot count");
+    if threads < 2 || plan.slots < MIN_SPLIT_SLOTS {
+        return run(plan, vals, false);
+    }
+    let mut planes = pool::take(2 * plan.slots);
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (half, h) = (plan.slots / 2, plan.slots / 4);
+        let (re, im) = planes.split_at_mut(plan.slots);
+        let dir = &plan.fwd;
+        let src = &*vals;
+        let (re_halves, im_halves) = (re.split_at_mut(half), im.split_at_mut(half));
+        let halves = [(re_halves.0, im_halves.0), (re_halves.1, im_halves.1)];
+        fanout::run_parts(threads, halves, |p, (re, im)| {
+            // SAFETY: the assert above proves AVX-512F; `src` holds
+            // `slots` slots and each part is half `p` of both planes,
+            // `slots / 2 ≥ 16` words, a power of two; `dir` was built
+            // from this plan's forward stages.
+            unsafe { kern::forward_half(dir, src, p, re, im) }
+        });
+        // The last pass by butterfly range: two runs of whole steps
+        // (the second empty at 32 slots), each writing its positions of
+        // the four quarters of `vals`.
+        let (steps, per) = (h / 8, (h / 8).div_ceil(2));
+        let (re, im) = (&*re, &*im);
+        let (q01, q23) = vals.split_at_mut(half);
+        let ((q0, q1), (q2, q3)) = (q01.split_at_mut(h), q23.split_at_mut(h));
+        let [q0, q1, q2, q3] = [q0, q1, q2, q3].map(|q| q.split_at_mut(8 * per));
+        let runs = [[q0.0, q1.0, q2.0, q3.0], [q0.1, q1.1, q2.1, q3.1]];
+        fanout::run_parts(threads, runs, |c, quarters| {
+            let run = (c * per).min(steps)..((c + 1) * per).min(steps);
+            // SAFETY: AVX-512F as above; both planes hold the two
+            // finished halves (`slots` words each), the run ends by
+            // `h/8`, and each quarter holds its `8 · run.len()` slots.
+            unsafe { kern::forward_last(dir, re, im, run, quarters) }
+        });
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("AVX-512 FFT kernel requires x86_64");
+    pool::put(planes);
+}
+
 #[cfg(target_arch = "x86_64")]
 mod kern {
     use super::{DirTables, Pass};
     use crate::bitrev::bit_reverse;
     use abc_float::Complex;
     use core::arch::x86_64::*;
+    use core::ops::Range;
 
     /// Eight complex values as split re/im vectors.
     #[derive(Clone, Copy)]
@@ -336,13 +404,62 @@ mod kern {
         }
     }
 
-    impl Aos {
+    /// Where the forward's first pass reads its rows.
+    trait Rows: Copy {
         /// The `w ∈ {1, 2, 4, 8}` slots from `i` on, in lanes `0..w`
         /// (zero above).
         ///
         /// # Safety
         ///
-        /// As [`Side::load`], for slots `i..i + w`.
+        /// AVX-512F via inlining into a `target_feature` kernel; slots
+        /// `i..i + w` in bounds of the source.
+        unsafe fn load_n(self, i: usize, w: usize) -> C8;
+    }
+
+    /// The caller's slice in four pieces, for a slice of a pass whose
+    /// blocks are the whole transform (`4h = slots`): slot `k·h + j`,
+    /// `first ≤ j < h`, is slot `j − first` of piece `k`.
+    #[derive(Clone, Copy)]
+    struct Quarters {
+        base: [*mut f64; 4],
+        h: usize,
+        first: usize,
+    }
+
+    impl Quarters {
+        /// The AoS piece holding slot `i`, and the slot's index in it.
+        #[inline(always)]
+        fn at(self, i: usize) -> (Aos, usize) {
+            (Aos(self.base[i / self.h]), i % self.h - self.first)
+        }
+    }
+
+    impl Side for Quarters {
+        /// # Safety
+        ///
+        /// As [`Side::load`], in the piece of slot `i`.
+        #[inline(always)]
+        unsafe fn load(self, i: usize) -> C8 {
+            let (piece, j) = self.at(i);
+            // SAFETY: by the contract, slots `j..j + 8` of the piece.
+            unsafe { piece.load(j) }
+        }
+
+        /// # Safety
+        ///
+        /// As [`Side::store`], in the piece of slot `i`.
+        #[inline(always)]
+        unsafe fn store(self, i: usize, v: C8) {
+            let (piece, j) = self.at(i);
+            // SAFETY: by the contract, slots `j..j + 8` of the piece.
+            unsafe { piece.store(j, v) }
+        }
+    }
+
+    impl Rows for Aos {
+        /// # Safety
+        ///
+        /// As [`Rows::load_n`].
         #[inline(always)]
         unsafe fn load_n(self, i: usize, w: usize) -> C8 {
             // SAFETY: `w < 8` slots are `2w ≤ 8` words from `2i`, and the
@@ -356,13 +473,78 @@ mod kern {
                 deinterleave(a, _mm512_setzero_pd())
             }
         }
+    }
 
+    /// Every other slot of the caller's slice, from slot `p`: slot `i`
+    /// is the AoS slot `2i + p` — the input of the split's half `p`.
+    #[derive(Clone, Copy)]
+    struct Strided {
+        aos: *const f64,
+        /// Lanes `0..4` of a vector pair (and `4..8` of the next pair)
+        /// that hold the re (im) words of slots `p`, `p + 2`, ….
+        re: __m512i,
+        im: __m512i,
+    }
+
+    impl Strided {
+        /// # Safety
+        ///
+        /// AVX-512F via inlining into a `target_feature` kernel,
+        /// register-only; `p < 2`.
+        #[inline(always)]
+        unsafe fn new(aos: *const f64, p: usize) -> Self {
+            let p = 2 * p as i64;
+            // SAFETY: register-only, by the contract. _mm512_set_epi64
+            // lists lanes high-to-low; an index ≥ 8 picks a lane of the
+            // second vector.
+            let re = unsafe { _mm512_set_epi64(12 + p, 8 + p, 4 + p, p, 12 + p, 8 + p, 4 + p, p) };
+            // SAFETY: as above.
+            let im = unsafe { _mm512_add_epi64(re, _mm512_set1_epi64(1)) };
+            Self { aos, re, im }
+        }
+    }
+
+    impl Rows for Strided {
+        /// # Safety
+        ///
+        /// As [`Rows::load_n`]: strided slots `i..i + w` are within the
+        /// AoS slots `2i .. 2i + 2w`.
+        #[inline(always)]
+        unsafe fn load_n(self, i: usize, w: usize) -> C8 {
+            // SAFETY: the four loads cover the words of the AoS slots
+            // `2i .. 2i + 2w` — `4w ≤ 32` words from `4i` — and a masked
+            // load touches only the words below that end; register-only
+            // otherwise.
+            unsafe {
+                let base = self.aos.add(4 * i);
+                let v: [__m512d; 4] = core::array::from_fn(|k| {
+                    let n = (4 * w).saturating_sub(8 * k).min(8);
+                    if n == 8 {
+                        _mm512_loadu_pd(base.add(8 * k))
+                    } else {
+                        _mm512_maskz_loadu_pd(((1u32 << n) - 1) as __mmask8, base.add(8 * k))
+                    }
+                });
+                let pick = |idx| {
+                    let lo = _mm512_permutex2var_pd(v[0], idx, v[1]);
+                    let hi = _mm512_permutex2var_pd(v[2], idx, v[3]);
+                    _mm512_mask_blend_pd(0xF0, lo, hi)
+                };
+                C8 {
+                    re: pick(self.re),
+                    im: pick(self.im),
+                }
+            }
+        }
+    }
+
+    impl Aos {
         /// Stores lanes `0..w` of `v` to the `w ∈ {1, 2, 4, 8}` slots
         /// from `i` on.
         ///
         /// # Safety
         ///
-        /// As [`Aos::load_n`].
+        /// As [`Rows::load_n`].
         #[inline(always)]
         unsafe fn store_n(self, i: usize, w: usize, v: C8) {
             // SAFETY: as `load_n`.
@@ -650,9 +832,9 @@ mod kern {
             if inverse {
                 for (k, pass) in dir.passes.iter().enumerate() {
                     if k == 0 {
-                        long_pass(pass, aos, planes, slots, true);
+                        long_pass(pass, aos, planes, slots, 0..pass.h / 8, true);
                     } else {
-                        long_pass(pass, planes, planes, slots, true);
+                        long_pass(pass, planes, planes, slots, 0..pass.h / 8, true);
                     }
                 }
                 if dir.passes.is_empty() {
@@ -668,13 +850,94 @@ mod kern {
                 }
                 for (k, pass) in dir.passes.iter().enumerate() {
                     if k == last {
-                        long_pass(pass, planes, aos, slots, false);
+                        long_pass(pass, planes, aos, slots, 0..pass.h / 8, false);
                     } else {
-                        long_pass(pass, planes, planes, slots, false);
+                        long_pass(pass, planes, planes, slots, 0..pass.h / 8, false);
                     }
                 }
             }
         }
+    }
+
+    /// Half `p` of the split forward transform: every stage of the
+    /// plan's passes but the last on the slots `2i + p` of `vals`, whose
+    /// bit-reversed order is slots `p·slots/2 …` of the whole
+    /// transform's — the gather + tail pass from the strided slots, then
+    /// the long passes, whose blocks (at most `slots/4`) lie inside the
+    /// half.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees AVX-512F, `p < 2`, `re` and `im` of one length
+    /// `slots / 2`, a power of two ≥ 16, `vals` of length `slots`, and
+    /// `dir` built from the forward stages of a `slots`-slot plan.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn forward_half(
+        dir: &DirTables,
+        vals: &[Complex<f64>],
+        p: usize,
+        re: &mut [u64],
+        im: &mut [u64],
+    ) {
+        let half = re.len();
+        debug_assert!(half >= 16 && half.is_power_of_two() && p < 2);
+        debug_assert!(im.len() == half && vals.len() == 2 * half);
+        let planes = Planes {
+            re: re.as_mut_ptr().cast::<f64>(),
+            im: im.as_mut_ptr().cast::<f64>(),
+        };
+        let rest = &dir.passes[..dir.passes.len() - 1];
+        // SAFETY: `Strided` reads the `slots` AoS slots of `vals` only,
+        // and every pass below touches slots `< half` of the planes, on
+        // the feature this fn enables.
+        unsafe {
+            let tail = Tail::new(dir);
+            gather_pass(Strided::new(vals.as_ptr().cast(), p), planes, half, &tail);
+            for pass in rest {
+                long_pass(pass, planes, planes, half, 0..pass.h / 8, false);
+            }
+        }
+    }
+
+    /// Steps `steps` of the plan's last forward pass (the radix-4 pass
+    /// over spans `slots/4` and `slots/2`, `h = slots/4`), from the
+    /// planes both halves wrote into the caller's quarters: `quarters[k]`
+    /// is the slots `k·h + 8·steps.start …` of the transform's output,
+    /// `8 · steps.len()` of them.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees AVX-512F, `re` and `im` of one length `slots`,
+    /// a power of two ≥ 32, `steps` ending by `slots/32`, each quarter of
+    /// `8 · steps.len()` slots, and `dir` as in [`forward_half`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn forward_last(
+        dir: &DirTables,
+        re: &[u64],
+        im: &[u64],
+        steps: Range<usize>,
+        quarters: [&mut [Complex<f64>]; 4],
+    ) {
+        let last = dir.passes.last().expect("≥ 32 slots have a long pass");
+        let slots = re.len();
+        debug_assert!(last.tw.len() == 3 && 4 * last.h == slots && im.len() == slots);
+        debug_assert!(steps.end <= last.h / 8);
+        debug_assert!(quarters.iter().all(|q| q.len() == 8 * steps.len()));
+        // Read only: `long_pass` stores nothing to its source.
+        let planes = Planes {
+            re: re.as_ptr().cast::<f64>().cast_mut(),
+            im: im.as_ptr().cast::<f64>().cast_mut(),
+        };
+        let out = Quarters {
+            base: quarters.map(|q| q.as_mut_ptr().cast::<f64>()),
+            h: last.h,
+            first: 8 * steps.start,
+        };
+        // SAFETY: the pass reads slots `< slots` of the planes and
+        // stores, through `out`, only the slots `k·h + j` with `j` in
+        // the steps' positions, each inside quarter `k`; on the feature
+        // this fn enables.
+        unsafe { long_pass(last, planes, out, slots, steps, false) }
     }
 
     /// The forward's first pass: the bit-reversed input, eight blocks
@@ -690,7 +953,7 @@ mod kern {
     /// `dst` hold `slots` slots, a power of two ≥ 8; if they overlap,
     /// `slots = 8`.
     #[inline(always)]
-    unsafe fn gather_pass<D: Side>(vals: Aos, dst: D, slots: usize, tail: &Tail) {
+    unsafe fn gather_pass<R: Rows, D: Side>(vals: R, dst: D, slots: usize, tail: &Tail) {
         let q = slots / 8;
         let (w, bits) = (q.min(8), q.trailing_zeros());
         for c in (0..q).step_by(w) {
@@ -747,25 +1010,28 @@ mod kern {
 
     /// One long-stage pass from `src` to `dst`: blocks of `4h` slots
     /// (radix 4; the stage pair in direction order) or `2h` (radix 2),
-    /// eight butterfly positions per step.
+    /// and in each block the butterfly positions of `steps`, eight per
+    /// step (`0..h/8` is the whole pass).
     ///
     /// # Safety
     ///
     /// AVX-512F via inlining into a `target_feature` kernel; `src` and
-    /// `dst` hold `slots` slots, the same memory or disjoint, and the
-    /// pass's block length divides `slots`.
+    /// `dst` hold `slots` slots, the same memory or disjoint, the pass's
+    /// block length divides `slots`, and `steps` ends by `h/8`.
     #[inline(always)]
     unsafe fn long_pass<S: Side, D: Side>(
         pass: &Pass,
         src: S,
         dst: D,
         slots: usize,
+        steps: Range<usize>,
         inverse: bool,
     ) {
         let h = pass.h;
         if pass.tw.len() == 1 {
             for base in (0..slots).step_by(2 * h) {
-                for (step, j) in (base..base + h).step_by(8).enumerate() {
+                for step in steps.clone() {
+                    let j = base + 8 * step;
                     // SAFETY: `j + h + 8 ≤ base + 2h ≤ slots`, `step <
                     // h/8` of the one stream; each step loads its slots
                     // before it stores them.
@@ -780,7 +1046,8 @@ mod kern {
             return;
         }
         for base in (0..slots).step_by(4 * h) {
-            for (step, i) in (base..base + h).step_by(8).enumerate() {
+            for step in steps.clone() {
+                let i = base + 8 * step;
                 // SAFETY: `i + 3h + 8 ≤ base + 4h ≤ slots`, `step < h/8`
                 // of the three streams; each step loads its slots before
                 // it stores them.

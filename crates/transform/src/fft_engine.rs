@@ -1,13 +1,14 @@
 //! The canonical-embedding FFT as a context holds it: one planned
 //! [`SpecialFft`].
 //!
-//! Every transform runs on the calling thread; the client pipeline's
-//! parallelism is the limb fan-out of [`crate::rns_ntt::RnsNttEngine`],
-//! and nothing here starts a thread. That makes the embedding FFT a
-//! serial remainder, not a rounding error: the forward transform of a
-//! 2^16-ring download measured 0.31–0.40 ms of a 1.0–1.25 ms
-//! `download_n16` op at two threads (≈ 30 %). Splitting it by butterfly
-//! range on the fan-out, bit-identically, is ROADMAP item 5(b).
+//! The engine's two transforms run on the calling thread, and nothing
+//! here starts a thread. Decode's forward transform does not go through
+//! them: it runs [`SpecialFft::forward_split`] on the plan, across the
+//! process's fan-out ([`crate::fanout`]) at the `RnsNttEngine`'s thread
+//! count — two half-size sub-transforms, then the last pass cut by
+//! butterfly range, bit-identical to the serial transform. Serial, the
+//! forward transform was 0.31–0.40 ms of a 1.0–1.25 ms `download_n16`
+//! op at two threads (≈ 30 %). Encode's inverse transform stays serial.
 //!
 //! The engine keeps no memory of its own: a slot vector belongs to its
 //! caller (encode quantizes straight off it, decode returns it), and the
@@ -65,9 +66,11 @@ impl<F: RealField> SpecialFftEngine<F> {
         self.plan.slots()
     }
 
-    /// Always 1: every transform runs on the calling thread. Kept only
-    /// because the reference benchmark records it in its result header;
-    /// it goes when the benchmark stops reading it.
+    /// Always 1: the engine's transforms run on the calling thread (a
+    /// caller that splits the forward one passes its own thread count to
+    /// [`SpecialFft::forward_split`]). Kept only because the reference
+    /// benchmark records it in its result header; it goes when the
+    /// benchmark stops reading it.
     pub fn threads(&self) -> usize {
         1
     }

@@ -162,3 +162,39 @@ fn warm_avx512_transforms_take_their_planes_from_the_limb_pool() {
         "each warm transform takes exactly one limb, and from the pool"
     );
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // The forward split across the fan-out is the serial forward bit for
+    // bit on both rungs, at every size it can cut (2^3 stays serial on
+    // the AVX-512 rung: a half needs eight slots) and at any thread
+    // count (three and four run the same two chunks on more posts).
+    #[test]
+    fn the_split_forward_is_the_serial_forward_bit_for_bit(
+        seed in any::<u64>(),
+        threads in 1usize..=4,
+    ) {
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for log_slots in 3..=15 {
+            let slots = 1usize << log_slots;
+            let msg = binade_message(slots, seed);
+            for tier in [KernelTier::Simd, KernelTier::Scalar] {
+                let plan = SpecialFft::with_field_kernel(F64Field, slots, tier);
+                let (mut got, mut want) = (msg.clone(), msg.clone());
+                plan.forward_split(&mut got, threads);
+                plan.forward(&mut want);
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} slots 2^{}, {} threads",
+                    plan.kernel_name(),
+                    log_slots,
+                    threads
+                );
+            }
+        }
+    }
+}
