@@ -49,12 +49,15 @@
 //! elsewhere) minor page faults and kernel CPU time per op. A miss count
 //! is an exact function of the commit: the binary **exits non-zero** if
 //! a steady row's is not 0, after writing the file. Timings and fault
-//! counts are reported, not gated — with one exception, a ratio of two
-//! medians of the same run: on the IFMA rung the binary also exits
+//! counts are reported, not gated — with two exceptions, each a ratio
+//! of two medians of the same run: on the IFMA rung the binary also exits
 //! non-zero if `ntt/forward_stream_macc/2^16` (encrypt's limb body as
 //! one streamed transform) is not faster than
 //! `ntt/expand_forward_macc/2^16` (the same operands through expand,
-//! transform and one multiply–accumulate pass).
+//! transform and one multiply–accumulate pass), or if
+//! `client/upload_steady/2^16x24` (encode → encrypt → pack) reads 1.2×
+//! `client/upload_fused_steady/2^16x24` (the same upload in one call) or
+//! more: both run 72 transforms, and the two are timed alternately.
 //!
 //! The set of row ids is the other exact function of the commit: run
 //! from the repository root, the binary reads the committed
@@ -111,6 +114,12 @@ use std::time::{Duration, Instant};
 
 /// The committed snapshot, relative to the repository root.
 const COMMITTED: &str = "BENCH_snapshot.json";
+
+/// The gate on `client/upload_steady/2^16x24` over
+/// `client/upload_fused_steady/2^16x24` (IFMA rung): one upload in 72
+/// transforms either way, the pinned one read 1.29–1.38× the fused one
+/// while encode still transformed the plaintext (96), ≈ 1.10× since.
+const PINNED_OVER_FUSED: f64 = 1.2;
 
 /// Rounds of a `pair`: the fewest that can show a change at 9 of 10.
 const ROUNDS: usize = 10;
@@ -276,12 +285,20 @@ fn kept<const K: usize>(rows: [(String, f64, f64); K]) -> Vec<(String, f64)> {
     rows.into()
 }
 
+/// A same-process ratio of two rows, and the NTT kernel it was read on.
+type Ratio = (&'static str, f64);
+
 /// The `"steady"` row `id` of an upload (encode, encrypt, pack) at
 /// `bootstrappable(log_n)`, and, given `fused_id`, the row of the one
 /// call that runs the same upload a limb at a time
-/// ([`CkksContext::encode_encrypt_into`]), timed alternately with it.
-/// Each op writes a fresh blob.
-fn upload_steady(id: &str, fused_id: Option<&str>, log_n: u32) -> Vec<(String, f64)> {
+/// ([`CkksContext::encode_encrypt_into`]), timed alternately with it,
+/// with the NTT kernel and the ratio of the two rows' `ms` (pinned over
+/// fused). Each op writes a fresh blob.
+fn upload_steady(
+    id: &str,
+    fused_id: Option<&str>,
+    log_n: u32,
+) -> (Vec<(String, f64)>, Option<Ratio>) {
     let ctx = CkksContext::new(CkksParams::bootstrappable(log_n).expect("preset")).expect("ctx");
     let (_, pk) = ctx.keygen(Seed::from_u128(2026));
     let msg = client_message(ctx.params().slots());
@@ -300,8 +317,13 @@ fn upload_steady(id: &str, fused_id: Option<&str>, log_n: u32) -> Vec<(String, f
     };
     let n = ctx.params().n();
     match fused_id {
-        Some(fused_id) => kept(steady_rows([id, fused_id], n, [&mut pinned, &mut fused])),
-        None => kept(steady_rows([id], n, [&mut pinned])),
+        Some(fused_id) => {
+            let rows = steady_rows([id, fused_id], n, [&mut pinned, &mut fused]);
+            let ratio = rows[0].2 / rows[1].2;
+            let kernel = ctx.ntt_plans()[0].kernel_name();
+            (kept(rows), Some((kernel, ratio)))
+        }
+        None => (kept(steady_rows([id], n, [&mut pinned])), None),
     }
 }
 
@@ -1157,18 +1179,21 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
     // the paper's upload and download (Fig. 5a) at the largest preset
     // are the shapes of benchmark/'s `upload_n16` and `download_n16` ---
     let mut steady = Vec::new();
-    // The fused upload (one pass per limb, 72 transforms) is timed
-    // alternately with the pinned sequence it replaces (96).
+    // The fused upload (one pass per limb) is timed alternately with the
+    // pinned sequence (the plaintext's coefficients between the calls,
+    // the ciphertext parked whole before packing); both run 72 transforms.
+    let mut upload_pair = None;
+    let upload_ids = [
+        "client/upload_steady/2^16x24",
+        "client/upload_fused_steady/2^16x24",
+    ];
     for (id, fused_id, log_n) in [
         ("client/upload_steady/2^15", None, 15),
-        (
-            "client/upload_steady/2^16x24",
-            Some("client/upload_fused_steady/2^16x24"),
-            16,
-        ),
+        (upload_ids[0], Some(upload_ids[1]), 16),
     ] {
         if rows.has(id) || fused_id.is_some_and(|id| rows.has(id)) {
-            let timed = upload_steady(id, fused_id, log_n);
+            let (timed, pair) = upload_steady(id, fused_id, log_n);
+            upload_pair = upload_pair.or(pair);
             steady.extend(
                 timed
                     .into_iter()
@@ -1330,6 +1355,24 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
             failures.push(
                 "the streamed forward transform is not faster than expand + forward + mac".into(),
             );
+        }
+    }
+    // The pinned upload folds `e0` into encode's coefficients, as the
+    // fused one does: the same transforms, so what is left between them
+    // (the parked ciphertext, the separate packing) stays under
+    // `PINNED_OVER_FUSED` of the fused op, in the same process.
+    if let Some((kernel, ratio)) = upload_pair {
+        println!(
+            "{} over {} ({kernel}): {ratio:.3}",
+            upload_ids[0], upload_ids[1]
+        );
+        if kernel == "ifma"
+            && ratio >= PINNED_OVER_FUSED
+            && upload_ids.iter().all(|id| rows.has(id))
+        {
+            failures.push(format!(
+                "the pinned upload is not within {PINNED_OVER_FUSED}× of the fused one"
+            ));
         }
     }
     let missing: Vec<&str> = (rows.0.is_none().then_some(committed).flatten())

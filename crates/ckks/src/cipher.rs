@@ -1,32 +1,97 @@
-//! Plaintext and ciphertext containers (RNS + NTT domain).
+//! Plaintext and ciphertext containers (RNS, NTT domain).
 //!
 //! Their residue limbs are [`PooledLimbs`]: checked out of the
 //! process-wide limb pool by whoever produced them and handed back when
 //! the container drops, so a steady-state client op recycles the memory
-//! of the previous one.
+//! of the previous one. An encoded plaintext holds its integer
+//! coefficients instead and makes its residue limbs only when something
+//! reads them ([`Plaintext::residues`]): encrypt folds its error into the
+//! coefficients and never needs them.
 
 use crate::scale::ExactScale;
-use abc_transform::PooledLimbs;
+use abc_transform::{PooledLimbs, RnsNttEngine};
+use std::sync::{Arc, OnceLock};
 
-/// An encoded message: one residue polynomial per RNS prime, stored in
-/// the NTT (evaluation) domain, plus the scale it was encoded at.
+/// An encoded message at the scale it was encoded at: one residue
+/// polynomial per RNS prime in the NTT (evaluation) domain — or, fresh
+/// from [`CkksContext::encode`](crate::CkksContext::encode), the `N`
+/// integer coefficients those residues are made from, on first use.
 ///
-/// Produced by [`CkksContext::encode`](crate::CkksContext::encode).
-#[derive(Debug, Clone, PartialEq)]
+/// [`CkksContext::encrypt`](crate::CkksContext::encrypt) of an encoded
+/// plaintext adds its error to the coefficients and transforms the sum,
+/// so the plaintext itself is never transformed; one from
+/// [`CkksContext::decrypt`](crate::CkksContext::decrypt), or whose
+/// residues were already made, is added in the NTT domain. Both give the
+/// same ciphertext.
+#[derive(Clone)]
 pub struct Plaintext {
+    /// Encode's coefficients; `None` for a plaintext made in the NTT
+    /// domain (decrypt's), whose residues are set from the start.
+    coeffs: Option<Coefficients>,
     /// `rns[i][j]` = coefficient `j` of the residue polynomial mod `q_i`,
-    /// in NTT domain.
-    pub(crate) rns: PooledLimbs,
+    /// in NTT domain: set at construction, or built from `coeffs` once.
+    rns: OnceLock<PooledLimbs>,
     /// Exact encoding scale (Δ_eff for double-scale parameters).
-    pub(crate) scale: ExactScale,
+    scale: ExactScale,
     /// Ring degree (for cheap validation).
-    pub(crate) n: usize,
+    n: usize,
+}
+
+/// Encode's quantized coefficients and the engine that makes their
+/// residues, under each of its primes.
+#[derive(Clone)]
+struct Coefficients {
+    ints: Vec<i128>,
+    engine: Arc<RnsNttEngine>,
 }
 
 impl Plaintext {
+    /// A plaintext of encode's `ints` at `scale`, over every prime of
+    /// `engine`: its residues are made on first use.
+    pub(crate) fn from_coefficients(
+        ints: Vec<i128>,
+        engine: &Arc<RnsNttEngine>,
+        scale: ExactScale,
+    ) -> Self {
+        let n = engine.n();
+        assert_eq!(ints.len(), n, "coefficient count must equal N");
+        Self {
+            coeffs: Some(Coefficients {
+                ints,
+                engine: Arc::clone(engine),
+            }),
+            rns: OnceLock::new(),
+            scale,
+            n,
+        }
+    }
+
+    /// A plaintext of NTT-domain residue limbs of `n` words at `scale`.
+    pub(crate) fn from_residues(rns: PooledLimbs, scale: ExactScale, n: usize) -> Self {
+        Self {
+            coeffs: None,
+            rns: OnceLock::from(rns),
+            scale,
+            n,
+        }
+    }
+
+    /// Encode's integer coefficients, while the residues are not made:
+    /// what encrypt folds its error into. `None` once they are, and for
+    /// a plaintext made in the NTT domain.
+    pub(crate) fn coefficients(&self) -> Option<&[i128]> {
+        match (&self.coeffs, self.rns.get()) {
+            (Some(coeffs), None) => Some(&coeffs.ints),
+            _ => None,
+        }
+    }
+
     /// Number of RNS primes this plaintext carries (level + 1).
     pub fn num_primes(&self) -> usize {
-        self.rns.len()
+        match &self.coeffs {
+            Some(coeffs) => coeffs.engine.plans().len(),
+            None => self.residues().len(),
+        }
     }
 
     /// The encoding scale as `f64` (lossless for fresh power-of-two
@@ -45,9 +110,42 @@ impl Plaintext {
         self.n
     }
 
-    /// Read-only view of the residue polynomials.
+    /// Read-only view of the residue polynomials, in NTT domain. An
+    /// encoded plaintext makes them on the first call (one RNS expansion
+    /// and forward NTT per prime, on the engine's fan-out, into pooled
+    /// limbs it keeps); a concurrent first call waits for that one. Call
+    /// it before a fan-out pass that reads the limbs, not inside one.
     pub fn residues(&self) -> &[Vec<u64>] {
-        &self.rns
+        self.rns.get_or_init(|| {
+            let Coefficients { ints, engine } = self
+                .coeffs
+                .as_ref()
+                .expect("a plaintext without residues has coefficients");
+            engine.expand_and_ntt_pooled(ints, engine.plans().len())
+        })
+    }
+}
+
+/// Shape and scale, and whether the residues are made — not the
+/// coefficients, residues or engine tables.
+impl std::fmt::Debug for Plaintext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Plaintext")
+            .field("num_primes", &self.num_primes())
+            .field("n", &self.n)
+            .field("scale", &self.scale)
+            .field("encoded", &self.coeffs.is_some())
+            .field("residues_made", &self.rns.get().is_some())
+            .finish()
+    }
+}
+
+/// Equal residues at an equal scale: an encoded plaintext equals its
+/// clone whether or not either has made its residues (comparing makes
+/// them).
+impl PartialEq for Plaintext {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.scale == other.scale && self.residues() == other.residues()
     }
 }
 

@@ -5,7 +5,7 @@ use crate::evaluator::automorphism;
 use crate::key::{EvalKey, GaloisKey, KeySwitchKey, PublicKey, SecretKey};
 use crate::params::CkksParams;
 use crate::scale::ExactScale;
-use crate::symmetric::{draw_error, rlwe_sample, RlweSample};
+use crate::symmetric::{rlwe_sample, with_upload_sample};
 use crate::CkksError;
 use abc_float::{Complex, ExtF64, F64Field, RealField};
 use abc_math::dyadic::Tail;
@@ -13,8 +13,11 @@ use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
 use abc_prng::Seed;
-use abc_transform::{fanout, LimbWork, NttPlan, RnsNttEngine, SpecialFft, SpecialFftEngine};
-use std::sync::OnceLock;
+use abc_transform::{
+    fanout, LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFft, SpecialFftEngine,
+};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// The context's canonical-embedding engine: the FP64 datapath's
 /// planned twiddle table, built once per context. Encode's inverse FFT
@@ -36,8 +39,9 @@ pub enum EmbeddingEngine {
 /// twiddle table ([`EmbeddingEngine`]).
 ///
 /// The four public operations mirror the paper's Fig. 2a:
-/// [`encode`](Self::encode) (IFFT → expand RNS → NTT),
-/// [`encrypt`](Self::encrypt) (PRNG mask/error + public-key combination),
+/// [`encode`](Self::encode) (IFFT → Δ-rounding to integer coefficients),
+/// [`encrypt`](Self::encrypt) (PRNG mask/error, `m + e0` → expand RNS →
+/// NTT, public-key combination),
 /// [`decrypt`](Self::decrypt) (`c0 + c1·s`),
 /// [`decode`](Self::decode) (INTT → combine CRT → FFT).
 ///
@@ -55,7 +59,9 @@ pub enum EmbeddingEngine {
 pub struct CkksContext {
     params: CkksParams,
     basis: RnsBasis,
-    engine: RnsNttEngine,
+    /// Shared with every plaintext this context encodes, which makes its
+    /// residues on it.
+    engine: Arc<RnsNttEngine>,
     embedding: EmbeddingEngine,
     /// Decode's CRT lift of every level: `lifts[k - 1]` over the first
     /// `k` primes.
@@ -94,7 +100,7 @@ impl CkksContext {
             )?);
         }
         let basis = RnsBasis::new(primes)?;
-        let engine = RnsNttEngine::new(basis.moduli(), n)?;
+        let engine = Arc::new(RnsNttEngine::new(basis.moduli(), n)?);
         let embedding = EmbeddingEngine::F64(SpecialFftEngine::new(F64Field, params.slots()));
         let lifts = (1..=basis.len())
             .map(|k| WordLift::new(basis.truncated(k)))
@@ -232,8 +238,9 @@ impl CkksContext {
     ///   single `f64` product would corrupt up to 20 low bits at
     ///   double-scale magnitudes.
     ///
-    /// Both kinds hand their `i128` coefficients to the same RNS
-    /// expansion and forward NTT as [`Self::encode`].
+    /// Both kinds keep their `i128` coefficients in the plaintext, as
+    /// [`Self::encode`] does: the same RNS expansion and forward NTT make
+    /// its residues when they are read.
     ///
     /// # Errors
     ///
@@ -248,9 +255,12 @@ impl CkksContext {
         self.encode_core(self.fft(), message, scale)
     }
 
-    /// The generic encode kernel: inverse embedding on `fft`'s datapath,
-    /// exact Δ-rounding ([`Self::quantize`]), then one RNS expansion +
-    /// forward NTT into pooled limbs for either kind of scale.
+    /// The generic encode kernel: inverse embedding on `fft`'s datapath
+    /// and exact Δ-rounding ([`Self::quantize`]) for either kind of
+    /// scale. The plaintext keeps the integer coefficients: no limb is
+    /// taken and nothing is transformed here. [`Self::encrypt`] folds its
+    /// error into them first; whoever reads [`Plaintext::residues`] makes
+    /// the limbs then (one RNS expansion + forward NTT per prime).
     pub(crate) fn encode_core<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
@@ -258,11 +268,11 @@ impl CkksContext {
         scale: &ExactScale,
     ) -> Result<Plaintext, CkksError> {
         let ints = self.quantize(fft, message, scale)?;
-        Ok(Plaintext {
-            rns: self.engine.expand_and_ntt_pooled(&ints, self.basis.len()),
-            scale: scale.clone(),
-            n: self.params.n(),
-        })
+        Ok(Plaintext::from_coefficients(
+            ints,
+            &self.engine,
+            scale.clone(),
+        ))
     }
 
     /// The message's `N` integer coefficients at `scale`: the slot
@@ -270,8 +280,8 @@ impl CkksContext {
     /// datapath, then one pass over the coefficients, each lifted,
     /// range-checked and rounded to an `i128` as it is read. Coefficient
     /// `j` is the real part of slot `j`, coefficient `j + N/2` its
-    /// imaginary part. What encode expands into RNS, and what the fused
-    /// upload adds its error to.
+    /// imaginary part. What an encoded plaintext keeps, and what both
+    /// public-key uploads add `e0` to.
     fn quantize<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
@@ -376,24 +386,28 @@ impl CkksContext {
     /// The embedding runs split on the fan-out too
     /// ([`SpecialFft::forward_split`]), weighed as a transform of its
     /// `N` words: from `N = 2^14` on, at the engine's thread count.
+    ///
+    /// An encoded plaintext makes its residues first, on the calling
+    /// thread ([`Plaintext::residues`]); no pass reads them before.
     fn decode_to_slots<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
         pt: &Plaintext,
     ) -> Result<Vec<Complex<F::Real>>, CkksError> {
-        if pt.n != self.params.n() || pt.num_primes() > self.basis.len() {
+        if pt.n() != self.params.n() || pt.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        let lvl = pt.num_primes();
+        let rns = pt.residues();
+        let lvl = rns.len();
         // Paper: INTT stage of decoding, all limbs batched through the
         // engine's thread fan-out.
         let mut res = self.engine.take_limbs(lvl);
         self.engine
             .for_each_limb(&mut res, LimbWork::Transform, |i, plan, limb| {
-                plan.inverse_from(&pt.rns[i], limb)
+                plan.inverse_from(&rns[i], limb)
             });
         let lift = self.word_lift(lvl);
-        let divisor = pt.scale.divisor();
+        let divisor = pt.exact_scale().divisor();
         let field = fft.field();
         let slots = self.params.slots();
         // Lifts `views` into the real (or imaginary) parts of `chunk`.
@@ -593,26 +607,65 @@ impl CkksContext {
     // ------------------------------------------------------------------
 
     /// Public-key encryption: `ct = (pk0·v + e0 + m, pk1·v + e1)` with
-    /// `v` ternary and `e0, e1` Gaussian, all derived from `seed`.
+    /// `v` ternary and `e0, e1` Gaussian, all derived from `seed`, in one
+    /// pair pass over the plaintext's primes of three streamed forward
+    /// transforms a limb (`PkSample::limb`).
+    ///
+    /// An encoded plaintext's coefficients take `e0` before anything is
+    /// transformed: by linearity of the NTT, `NTT(m + e0) = m̂ + ê0` under
+    /// every prime, so `m + e0` is expanded and transformed as one
+    /// polynomial and the plaintext never is. A plaintext from
+    /// [`Self::decrypt`], or one whose residues were already made, is
+    /// added in the NTT domain inside `c0`'s multiply–accumulate. Both
+    /// give the same ciphertext.
     ///
     /// # Panics
     ///
     /// Panics if the plaintext or key do not match this context's
     /// parameters (encode/keygen from the same context always match).
     pub fn encrypt(&self, pt: &Plaintext, pk: &PublicKey, seed: Seed) -> Ciphertext {
-        assert_eq!(pt.n, self.params.n(), "plaintext from different context");
+        assert_eq!(pt.n(), self.params.n(), "plaintext from different context");
         self.check_public_key(pk);
-        let (v, [e0, e1]) = self.draw_pk_samples(seed);
-        let (v, e0, e1) = (
-            SignedCoeffs::scan(&v),
-            SignedCoeffs::scan(&e0),
-            SignedCoeffs::scan(&e1),
-        );
-        // One pair pass over the plaintext's primes; `+ m` rides in c0's
-        // multiply–accumulate.
-        let (v, e0, e1, m) = (&v, &e0, &e1, Some(&pt.rns[..]));
-        let sample = PkSample { v, e0, e1, pk, m };
-        let (engine, k) = (&self.engine, pt.rns.len());
+        let k = pt.num_primes();
+        let (c0, c1) = match pt.coefficients() {
+            Some(m) => self.with_pk_sample(pk, seed, Cow::Borrowed(m), |sample| {
+                self.pk_limbs(sample, k)
+            }),
+            None => {
+                let (v, [e0, e1]) = self.draw_pk_samples(seed);
+                let (v, e0, e1) = (
+                    SignedCoeffs::scan(&v),
+                    SignedCoeffs::scan(&e0),
+                    SignedCoeffs::scan(&e1),
+                );
+                let m = Some(pt.residues());
+                let sample = PkSample {
+                    v: &v,
+                    e0: &e0,
+                    e1: &e1,
+                    pk,
+                    m,
+                };
+                self.pk_limbs(&sample, k)
+            }
+        };
+        Ciphertext {
+            c0,
+            c1,
+            scale: pt.exact_scale().clone(),
+            n: self.params.n(),
+        }
+    }
+
+    /// `c0` and `c1` of `sample` under the first `k` primes: one pair
+    /// pass, each limb by [`PkSample::limb`] with the thread's scratch
+    /// limb as `v̂`.
+    fn pk_limbs<X: SignedWord>(
+        &self,
+        sample: &PkSample<'_, X>,
+        k: usize,
+    ) -> (PooledLimbs, PooledLimbs) {
+        let engine = &self.engine;
         let (mut c0, mut c1) = (engine.take_limbs(k), engine.take_limbs(k));
         engine.for_each_limb_pair(
             &mut c0,
@@ -620,12 +673,7 @@ impl CkksContext {
             LimbWork::Transform,
             |i, plan, x0, x1, v_hat| sample.limb(i, plan, v_hat, x0, x1),
         );
-        Ciphertext {
-            c0,
-            c1,
-            scale: pt.scale.clone(),
-            n: self.params.n(),
-        }
+        (c0, c1)
     }
 
     /// Encodes `message` and encrypts it under `pk` as [`Self::encode`] →
@@ -633,11 +681,9 @@ impl CkksContext {
     /// do, byte for byte, and appends the blob to `out` — in one pass per
     /// limb, with no plaintext or ciphertext limb parked between them.
     ///
-    /// The message is quantized once, the error `e0` added to its
-    /// integer coefficients, and `m + e0` expanded and transformed as one
-    /// polynomial: by linearity of the NTT, `NTT(m + e0) = m̂ + ê0` under
-    /// every prime, so `c0` is unchanged and a limb costs three forward
-    /// transforms instead of four. Each limb then runs the body
+    /// The message is quantized once and takes the error `e0` in place,
+    /// as an encoded plaintext's coefficients do in [`Self::encrypt`]
+    /// (three forward transforms a limb). Each limb then runs the body
     /// [`Self::encrypt`] runs — `v̂`, `pk0·v̂ + NTT(m + e0)`,
     /// `pk1·v̂ + ê1` — into three scratch limbs of the thread that owns
     /// it, which packs `c0` and `c1` straight into that limb's byte ranges
@@ -661,37 +707,23 @@ impl CkksContext {
     ) -> Result<(), CkksError> {
         self.check_public_key(pk);
         let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        let mut m_e0 = self.quantize(self.fft(), message, &scale)?;
-        let (v, [e0, e1]) = self.draw_pk_samples(seed);
-        for (m, &e) in m_e0.iter_mut().zip(&e0) {
-            *m += i128::from(e);
-        }
-        let (v, m_e0, e1) = (
-            SignedCoeffs::scan(&v),
-            SignedCoeffs::scan(&m_e0),
-            SignedCoeffs::scan(&e1),
-        );
-        let sample = PkSample {
-            v: &v,
-            e0: &m_e0,
-            e1: &e1,
-            pk,
-            m: None,
-        };
-        self.upload_into(out, &scale, None, |ranges| {
-            let (r0, r1) = ranges.split_at_mut(ranges.len() / 2);
-            let mut limbs: Vec<_> = r0.iter_mut().zip(r1).collect();
-            self.for_each_limb_chunk(&mut limbs, 2, |first, chunk| {
-                let mut scratch = self.engine.take_limbs(3);
-                let [v_hat, x0, x1] = &mut scratch[..] else {
-                    unreachable!("three scratch limbs")
-                };
-                for (i, (r0, r1)) in (first..).zip(chunk) {
-                    sample.limb(i, self.engine.plan(i), v_hat, x0, x1);
-                    r0.pack(x0);
-                    r1.pack(x1);
-                }
-            });
+        let m = self.quantize(self.fft(), message, &scale)?;
+        self.with_pk_sample(pk, seed, Cow::Owned(m), |sample| {
+            self.upload_into(out, &scale, None, |ranges| {
+                let (r0, r1) = ranges.split_at_mut(ranges.len() / 2);
+                let mut limbs: Vec<_> = r0.iter_mut().zip(r1).collect();
+                self.for_each_limb_chunk(&mut limbs, 2, |first, chunk| {
+                    let mut scratch = self.engine.take_limbs(3);
+                    let [v_hat, x0, x1] = &mut scratch[..] else {
+                        unreachable!("three scratch limbs")
+                    };
+                    for (i, (r0, r1)) in (first..).zip(chunk) {
+                        sample.limb(i, self.engine.plan(i), v_hat, x0, x1);
+                        r0.pack(x0);
+                        r1.pack(x1);
+                    }
+                });
+            })
         })
     }
 
@@ -700,9 +732,10 @@ impl CkksContext {
     /// blob (kind 2) to `out`, as [`Self::encode`] →
     /// [`crate::symmetric::encrypt_symmetric_compressed`] →
     /// [`crate::wire::serialize_compressed_ciphertext`] do, byte for byte.
-    /// `m + e` is expanded as one polynomial, so a limb costs one forward
-    /// transform instead of two: the thread that owns it draws the mask
-    /// and runs the RLWE body every secret-key sample runs
+    /// The message is quantized once and takes the error `e` in place, as
+    /// an encoded plaintext's coefficients do in that encrypt (one forward
+    /// transform a limb): the thread that owns a limb draws the mask and
+    /// runs the RLWE body every secret-key sample runs
     /// (`symmetric::RlweSample::limb`, `c0 = NTT(m + e) − a·s`)
     /// into two scratch limbs, and packs `c0` into the limb's byte range.
     ///
@@ -717,25 +750,20 @@ impl CkksContext {
         out: &mut Vec<u8>,
     ) -> Result<(), CkksError> {
         let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        let mut m_e = self.quantize(self.fft(), message, &scale)?;
-        let mask_seed = seed.derive(0);
-        for (m, e) in m_e.iter_mut().zip(draw_error(self, seed.derive(1))) {
-            *m += i128::from(e);
-        }
-        let m_e = SignedCoeffs::scan(&m_e);
-        let (s, e) = (&sk.ntt[..], &m_e);
-        let sample = RlweSample { s, mask_seed, e };
-        self.upload_into(out, &scale, Some(mask_seed), |ranges| {
-            self.for_each_limb_chunk(ranges, 1, |first, chunk| {
-                let mut scratch = self.engine.take_limbs(2);
-                let [b, e_hat] = &mut scratch[..] else {
-                    unreachable!("two scratch limbs")
-                };
-                for (i, range) in (first..).zip(chunk) {
-                    sample.limb(i, self.engine.plan(i), None, b, None, e_hat);
-                    range.pack(b);
-                }
-            });
+        let m = self.quantize(self.fft(), message, &scale)?;
+        with_upload_sample(self, sk, seed, Cow::Owned(m), |sample| {
+            self.upload_into(out, &scale, Some(sample.mask_seed), |ranges| {
+                self.for_each_limb_chunk(ranges, 1, |first, chunk| {
+                    let mut scratch = self.engine.take_limbs(2);
+                    let [b, e_hat] = &mut scratch[..] else {
+                        unreachable!("two scratch limbs")
+                    };
+                    for (i, range) in (first..).zip(chunk) {
+                        sample.limb(i, self.engine.plan(i), None, b, None, e_hat);
+                        range.pack(b);
+                    }
+                });
+            })
         })
     }
 
@@ -766,6 +794,35 @@ impl CkksContext {
         let drawn = "every job ran";
         let v = v.into_inner().expect(drawn);
         (v, e.map(|e| e.into_inner().expect(drawn)))
+    }
+
+    /// `f` on the public-key sample of `seed` under `pk` with `e0` folded
+    /// into the message's coefficients `m` ([`fold_error`]): `c0`'s
+    /// source is `m + e0`, added in no other form (`m: None`). The
+    /// samples are [`Self::draw_pk_samples`]'s. Both public-key uploads
+    /// run it: [`Self::encrypt`] lends an encoded plaintext's
+    /// coefficients, [`Self::encode_encrypt_into`] hands over its own.
+    fn with_pk_sample<R>(
+        &self,
+        pk: &PublicKey,
+        seed: Seed,
+        m: Cow<'_, [i128]>,
+        f: impl FnOnce(&PkSample<'_, i128>) -> R,
+    ) -> R {
+        let (v, [e0, e1]) = self.draw_pk_samples(seed);
+        let m_e0 = fold_error(m, e0);
+        let (v, m_e0, e1) = (
+            SignedCoeffs::scan(&v),
+            SignedCoeffs::scan(&m_e0),
+            SignedCoeffs::scan(&e1),
+        );
+        f(&PkSample {
+            v: &v,
+            e0: &m_e0,
+            e1: &e1,
+            pk,
+            m: None,
+        })
     }
 
     /// Appends a fresh ciphertext blob at `scale` to `out` — a seeded one
@@ -799,6 +856,8 @@ impl CkksContext {
 
     /// Decryption: `d = c0 + c1·s` per prime, returned still in NTT
     /// domain (decode performs the INTT, matching the paper's pipeline).
+    /// The plaintext holds only these residues, no integer coefficients:
+    /// [`Self::encrypt`] of it adds it in the NTT domain.
     ///
     /// # Errors
     ///
@@ -817,18 +876,29 @@ impl CkksContext {
                 limb.copy_from_slice(&ct.c1[i]);
                 plan.dyadic().mul_add_assign(limb, &sk.ntt[i], &ct.c0[i]);
             });
-        Ok(Plaintext {
-            rns,
-            scale: ct.scale.clone(),
-            n: ct.n,
-        })
+        Ok(Plaintext::from_residues(rns, ct.scale.clone(), ct.n))
+    }
+}
+
+/// `m + e` into one vector, written once: `m`'s own when the caller
+/// hands it over, a new one when it lends it. The error goes back to the
+/// allocator here, before anything is transformed.
+pub(crate) fn fold_error(m: Cow<'_, [i128]>, e: Vec<i64>) -> Vec<i128> {
+    match m {
+        Cow::Owned(mut m) => {
+            for (m, &e) in m.iter_mut().zip(&e) {
+                *m += i128::from(e);
+            }
+            m
+        }
+        Cow::Borrowed(m) => m.iter().zip(&e).map(|(&m, &e)| m + i128::from(e)).collect(),
     }
 }
 
 /// A public-key encryption's samples and key, with `m` the plaintext's
-/// limbs when it is added in NTT domain ([`CkksContext::encrypt`]) and
-/// `None` when `e0` already carries it
-/// ([`CkksContext::encode_encrypt_into`]).
+/// limbs when it is added in NTT domain (a decrypted plaintext, or one
+/// whose residues were made, in [`CkksContext::encrypt`]) and `None` when
+/// `e0` already carries it ([`CkksContext::with_pk_sample`]).
 struct PkSample<'a, X> {
     v: &'a SignedCoeffs<'a, i8>,
     e0: &'a SignedCoeffs<'a, X>,
@@ -878,7 +948,6 @@ pub(crate) fn mul_limbs(engine: &RnsNttEngine, a: &mut [Vec<u64>], b: &[Vec<u64>
 mod tests {
     use super::*;
     use abc_float::ExtF64Field;
-    use abc_transform::PooledLimbs;
     use proptest::prelude::*;
 
     fn small_context() -> CkksContext {
@@ -1336,10 +1405,15 @@ mod tests {
             let (_, pk) = ctx.keygen(Seed::from_u128(71));
             let full = ctx.encode(&test_message(ctx.params().slots())).unwrap();
             for lvl in [6usize, 5, 2, 1] {
-                let pt = Plaintext {
-                    rns: PooledLimbs::copy_of(&full.rns[..lvl]),
-                    scale: full.scale.clone(),
-                    n,
+                // The full level as encoded (`e0` folds into its
+                // coefficients), the lower ones as NTT-domain residues.
+                let pt = match lvl {
+                    6 => full.clone(),
+                    _ => Plaintext::from_residues(
+                        PooledLimbs::copy_of(&full.residues()[..lvl]),
+                        full.exact_scale().clone(),
+                        n,
+                    ),
                 };
                 let seed = Seed::from_u128(72 + lvl as u128);
                 let ct = ctx.encrypt(&pt, &pk, seed);
@@ -1352,7 +1426,7 @@ mod tests {
                     &mut want0,
                     &v_ntt,
                     &engine.expand_and_ntt(&e0),
-                    &pt.rns,
+                    pt.residues(),
                 );
                 let mut want1 = pk.pk1[..lvl].to_vec();
                 engine.dyadic_mul_add_all(&mut want1, &v_ntt, &engine.expand_and_ntt(&e1));
@@ -1361,6 +1435,94 @@ mod tests {
                 assert_eq!(c1, &want1[..], "c1 threads={threads} lvl={lvl}");
             }
         }
+    }
+
+    #[test]
+    fn encode_residues_equal_the_parents() {
+        // The residues an encoded plaintext makes on first use, captured
+        // when encode still made them itself: at the paper's preset
+        // (24 primes, Δ_eff = 2^72) and at a small single-scale context.
+        let message: Vec<Complex> = (0..1usize << 12)
+            .map(|j| {
+                let re = (j * 29 % 109) as f64 - 54.0;
+                let im = (j * 47 % 79) as f64 - 39.0;
+                Complex::new(re / 16.0, im / 16.0)
+            })
+            .collect();
+        let residues_hash = |ctx: &CkksContext| {
+            let pt = ctx.encode(&message[..ctx.params().slots()]).unwrap();
+            let words = pt.residues().iter().flatten();
+            fnv1a(words.flat_map(|r| r.to_le_bytes()))
+        };
+        let paper = CkksContext::new(CkksParams::bootstrappable(13).unwrap()).unwrap();
+        let got = [residues_hash(&paper), residues_hash(&small_context())];
+        assert_eq!(got, [0xcb8c_e688_ed05_ff3f, 0xbe80_1b6b_d97c_9440]);
+    }
+
+    #[test]
+    fn two_threads_making_one_plaintexts_residues_read_one_set_of_limbs() {
+        let ctx = small_context();
+        let msg = test_message(ctx.params().slots());
+        let want = ctx.encode(&msg).unwrap().residues().to_vec();
+        let pt = Arc::new(ctx.encode(&msg).unwrap());
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (pt, start) = (Arc::clone(&pt), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let rns = pt.residues();
+                    (rns.as_ptr() as usize, rns.to_vec())
+                })
+            })
+            .collect();
+        let got: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+        assert_eq!(got[0].0, got[1].0, "one set of limbs");
+        assert_eq!(got[0].1, want);
+        assert_eq!(got[1].1, want);
+        assert!(
+            pt.coefficients().is_none(),
+            "made residues are what encrypt adds"
+        );
+    }
+
+    #[test]
+    fn a_plaintext_equals_its_clone_whether_or_not_residues_are_made() {
+        let ctx = small_context();
+        let encode = |msg: &[Complex]| ctx.encode(msg).unwrap();
+        let msg = test_message(ctx.params().slots());
+        for (made_a, made_b) in [(false, false), (true, false), (false, true), (true, true)] {
+            let pt = encode(&msg);
+            let (a, b) = (pt.clone(), pt.clone());
+            if made_a {
+                a.residues();
+            }
+            if made_b {
+                b.residues();
+            }
+            assert_eq!(a, b, "made: {made_a}, {made_b}");
+            assert_eq!(pt, a, "made: {made_a}, {made_b}");
+        }
+        assert_ne!(encode(&msg), encode(&msg[1..]));
+        // Shape and scale, not 4 × 512 residues or the engine's tables.
+        let shown = format!("{:?}", encode(&msg));
+        assert!(shown.len() < 200, "{shown}");
+    }
+
+    #[test]
+    fn encrypt_of_a_decrypted_plaintext_round_trips() {
+        // Decrypt's plaintext has no coefficients: encrypt adds it in
+        // the NTT domain.
+        let ctx = small_context();
+        let (sk, pk) = ctx.keygen(Seed::from_u128(61));
+        let msg = test_message(ctx.params().slots());
+        let ct = ctx.encrypt(&ctx.encode(&msg).unwrap(), &pk, Seed::from_u128(62));
+        let decrypted = ctx.decrypt(&ct, &sk).unwrap();
+        assert!(decrypted.coefficients().is_none());
+        let again = ctx.encrypt(&decrypted, &pk, Seed::from_u128(63));
+        let back = ctx.decode(&ctx.decrypt(&again, &sk).unwrap()).unwrap();
+        let err = max_dist(&back, &msg);
+        assert!(err < 1e-4, "err = {err}");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! (paper Fig. 2a):
 //!
 //! * **Encoding** — slot vector → canonical-embedding IFFT → scale by Δ →
-//!   round → RNS expansion → per-prime NTT ([`CkksContext::encode`]).
+//!   round to integer coefficients ([`CkksContext::encode`]); RNS
+//!   expansion → per-prime NTT runs where the residues are needed.
 //! * **Encrypt** — public-key encryption with on-chip-style PRNG-derived
-//!   mask/error polynomials ([`CkksContext::encrypt`]).
+//!   mask/error polynomials, the error added to the message's
+//!   coefficients before the RNS expansion and NTT
+//!   ([`CkksContext::encrypt`]).
 //! * **Decrypt** — `c0 + c1·s` per prime, left in NTT domain
 //!   ([`CkksContext::decrypt`]).
 //! * **Decoding** — per-prime INTT → exact centered CRT lift (word-sized

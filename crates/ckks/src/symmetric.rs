@@ -16,7 +16,7 @@
 //! per-prime stream (Fig. 2a).
 
 use crate::cipher::{Ciphertext, Plaintext};
-use crate::context::CkksContext;
+use crate::context::{fold_error, CkksContext};
 use crate::key::SecretKey;
 use crate::scale::ExactScale;
 use crate::CkksError;
@@ -24,7 +24,8 @@ use abc_math::dyadic::Tail;
 use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_prng::sampler::{GaussianSampler, UniformSampler};
 use abc_prng::Seed;
-use abc_transform::{LimbWork, NttPlan, PooledLimbs};
+use abc_transform::{LimbWork, NttPlan, PooledLimbs, RnsNttEngine};
+use std::borrow::Cow;
 
 /// A seed-compressed symmetric ciphertext: the full `c0` component plus
 /// the 128-bit seed that regenerates `c1 = a`.
@@ -85,6 +86,12 @@ impl CompressedCiphertext {
 /// Symmetric encryption: `ct = (-(a·s) + m + e, a)` with `a` derived
 /// from `seed` — the compressed form keeps only `c0` and the seed.
 ///
+/// An encoded plaintext's coefficients take the error before anything is
+/// transformed (`with_upload_sample`), so a limb is one forward
+/// transform of `m + e`; a decrypted plaintext, or one whose residues
+/// were already made, is added in the NTT domain in the transform's
+/// last pass. Both give the same `c0`.
+///
 /// # Panics
 ///
 /// Panics if the plaintext belongs to a different context (encode from
@@ -96,13 +103,22 @@ pub fn encrypt_symmetric_compressed(
     seed: Seed,
 ) -> CompressedCiphertext {
     assert_eq!(pt.n(), ctx.params().n(), "plaintext from different context");
-    let mask_seed = seed.derive(0);
     // c0 = e + m − a·s; the mask is consumed here (expansion re-derives
     // it from the seed).
-    let m = pt.residues();
-    let mut c0 = ctx.ntt_engine().take_limbs(pt.num_primes());
-    let t = |i: usize| Some(&m[i][..]);
-    rlwe_sample(ctx, &sk.ntt, mask_seed, seed.derive(1), t, &mut c0, None);
+    let engine = ctx.ntt_engine();
+    let mut c0 = engine.take_limbs(pt.num_primes());
+    let mask_seed = match pt.coefficients() {
+        Some(m) => with_upload_sample(ctx, sk, seed, Cow::Borrowed(m), |sample| {
+            sample.run(engine, |_| None, &mut c0, None);
+            sample.mask_seed
+        }),
+        None => {
+            let (mask_seed, m) = (seed.derive(0), pt.residues());
+            let t = |i: usize| Some(&m[i][..]);
+            rlwe_sample(ctx, &sk.ntt, mask_seed, seed.derive(1), t, &mut c0, None);
+            mask_seed
+        }
+    };
     CompressedCiphertext {
         c0,
         mask_seed,
@@ -118,10 +134,10 @@ fn draw_mask(seed: Seed, i: usize, plan: &NttPlan, limb: &mut [u64]) {
     UniformSampler::new(seed, i as u64).sample_poly(plan.modulus(), limb)
 }
 
-/// One RLWE sample under the secret `s` (NTT domain), into `b` in one
-/// engine fan-out, each limb by [`RlweSample::limb`] with the Gaussian
-/// error of `error_seed` as its source: `b_i = ê_i (+ t(i)) − a_i·s_i`,
-/// the mask `a_i` copied into `a_i` when it is kept.
+/// One RLWE sample under the secret `s` (NTT domain), into `b`
+/// ([`RlweSample::run`]) with the Gaussian error of `error_seed` as its
+/// source: `b_i = ê_i (+ t(i)) − a_i·s_i`, the mask `a_i` copied into
+/// `a_i` when it is kept.
 pub(crate) fn rlwe_sample<'t>(
     ctx: &CkksContext,
     s: &[Vec<u64>],
@@ -138,27 +154,40 @@ pub(crate) fn rlwe_sample<'t>(
         mask_seed,
         e: &e,
     };
-    let engine = ctx.ntt_engine();
-    match a {
-        // A key keeps its mask: the pair pass lends each thread its
-        // scratch limb for `ê`.
-        Some(a) => engine.for_each_limb_pair(b, a, LimbWork::Transform, |i, plan, b, a, e_hat| {
-            sample.limb(i, plan, t(i), b, Some(a), e_hat)
-        }),
-        None => engine.for_each_limb(b, LimbWork::Transform, |i, plan, b| {
-            sample.limb(i, plan, t(i), b, None, &mut engine.take_limbs(1)[0])
-        }),
-    }
+    sample.run(ctx.ntt_engine(), t, b, a);
+}
+
+/// `f` on the seeded upload's RLWE sample of `seed` under `sk`: the mask
+/// of `seed.derive(0)`, and the Gaussian error of `seed.derive(1)` folded
+/// into the message's coefficients `m` ([`fold_error`]), so `m + e` is
+/// the source and `t` is `None`. Both seeded uploads run it:
+/// [`encrypt_symmetric_compressed`] lends an encoded plaintext's
+/// coefficients, [`CkksContext::encode_encrypt_compressed_into`] hands
+/// over its own.
+pub(crate) fn with_upload_sample<R>(
+    ctx: &CkksContext,
+    sk: &SecretKey,
+    seed: Seed,
+    m: Cow<'_, [i128]>,
+    f: impl FnOnce(&RlweSample<'_, i128>) -> R,
+) -> R {
+    let m_e = fold_error(m, draw_error(ctx, seed.derive(1)));
+    let m_e = SignedCoeffs::scan(&m_e);
+    f(&RlweSample {
+        s: &sk.ntt,
+        mask_seed: seed.derive(0),
+        e: &m_e,
+    })
 }
 
 /// The Gaussian error of an RLWE sample: one polynomial of `error_seed`.
-pub(crate) fn draw_error(ctx: &CkksContext, error_seed: Seed) -> Vec<i64> {
+fn draw_error(ctx: &CkksContext, error_seed: Seed) -> Vec<i64> {
     let (n, sigma) = (ctx.params().n(), ctx.params().error_sigma());
     GaussianSampler::new(error_seed, 0, sigma).sample_poly(n)
 }
 
 /// An RLWE sample's secret (NTT domain), mask seed and error source —
-/// the Gaussian error, or the fused upload's `m + e`.
+/// the Gaussian error, or a seeded upload's `m + e`.
 pub(crate) struct RlweSample<'a, X> {
     pub(crate) s: &'a [Vec<u64>],
     pub(crate) mask_seed: Seed,
@@ -191,6 +220,29 @@ impl<X: SignedWord> RlweSample<'_, X> {
             t,
         };
         plan.forward_stream(self.e, e_hat, tail);
+    }
+
+    /// Every limb of `b` by [`Self::limb`], in one engine fan-out, the
+    /// mask kept in `a` when given.
+    fn run<'t>(
+        &self,
+        engine: &RnsNttEngine,
+        t: impl Fn(usize) -> Option<&'t [u64]> + Sync,
+        b: &mut [Vec<u64>],
+        a: Option<&mut [Vec<u64>]>,
+    ) {
+        match a {
+            // A key keeps its mask: the pair pass lends each thread its
+            // scratch limb for `ê`.
+            Some(a) => {
+                engine.for_each_limb_pair(b, a, LimbWork::Transform, |i, plan, b, a, e_hat| {
+                    self.limb(i, plan, t(i), b, Some(a), e_hat)
+                })
+            }
+            None => engine.for_each_limb(b, LimbWork::Transform, |i, plan, b| {
+                self.limb(i, plan, t(i), b, None, &mut engine.take_limbs(1)[0])
+            }),
+        }
     }
 }
 

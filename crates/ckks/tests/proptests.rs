@@ -707,11 +707,15 @@ proptest! {
     ) {
         // Both fused uploads against the pinned encode → encrypt →
         // serialize sequence of each mode, from the same seeds, appended
-        // after a byte already in `out`. Six primes: a fused pass fans
-        // out from N = 2^11 (2·6·2^11 words) on, and at three threads its
-        // chunks are ragged. The suite's kernel rung is the one the
-        // environment selects (CI's forced-scalar pass runs the scalar
-        // one). A short message is zero-padded, the empty one included.
+        // after a byte already in `out`; and both against the same
+        // plaintext with its residues made before each encrypt, which
+        // adds it in the NTT domain (four transforms a public-key limb,
+        // two a seeded one) where the others fold the error into its
+        // coefficients. Six primes: a fused pass fans out from N = 2^11
+        // (2·6·2^11 words) on, and at three threads its chunks are
+        // ragged. The suite's kernel rung is the one the environment
+        // selects (CI's forced-scalar pass runs the scalar one). A short
+        // message is zero-padded, the empty one included.
         let ctx = {
             let mut env = abc_math::envtest::EnvGuard::lock();
             env.set(THREADS_ENV, &threads.to_string());
@@ -724,20 +728,26 @@ proptest! {
         let (sk, pk) = ctx.keygen(Seed::from_u128(seed as u128));
         let enc_seed = Seed::from_u128(seed as u128 ^ 0xfeed);
         let widths = ctx.wire_widths(ctx.params().num_primes());
-        let pt = ctx.encode(&msg).expect("encode");
-        let full = ctx.encrypt(&pt, &pk, enc_seed);
-        let seeded = encrypt_symmetric_compressed(&ctx, &pt, &sk, enc_seed);
-        let want = [
-            wire::serialize_ciphertext_packed(&full, &widths).expect("pack"),
-            wire::serialize_compressed_ciphertext(&seeded, &widths).expect("pack"),
-        ];
-        drop((pt, full, seeded));
+        let pinned = |made: bool| {
+            let pt = ctx.encode(&msg).expect("encode");
+            if made {
+                pt.residues();
+            }
+            let full = ctx.encrypt(&pt, &pk, enc_seed);
+            let seeded = encrypt_symmetric_compressed(&ctx, &pt, &sk, enc_seed);
+            [
+                wire::serialize_ciphertext_packed(&full, &widths).expect("pack"),
+                wire::serialize_compressed_ciphertext(&seeded, &widths).expect("pack"),
+            ]
+        };
+        let (want, ntt_domain) = (pinned(false), pinned(true));
         let mut got = [vec![0xA5], vec![0xA5]];
         ctx.encode_encrypt_into(&msg, &pk, enc_seed, &mut got[0]).expect("fused");
         ctx.encode_encrypt_compressed_into(&msg, &sk, enc_seed, &mut got[1]).expect("fused");
-        for (got, want) in got.iter().zip(&want) {
+        for ((got, want), ntt_domain) in got.iter().zip(&want).zip(&ntt_domain) {
             prop_assert_eq!(got[0], 0xA5);
             prop_assert!(got[1..] == want[..], "log_n {} threads {} len {}", log_n, threads, len);
+            prop_assert!(ntt_domain == want, "log_n {} threads {} len {}", log_n, threads, len);
         }
     }
 

@@ -82,11 +82,13 @@ pub use crate::fanout::{parse_threads, LimbWork, THREADS_ENV};
 
 /// Polynomials of `limbs` limbs one operation on a context can have
 /// checked out of the pool at once: one plaintext, two ciphertext
-/// components and one of scratch (an upload holds `pt`, `c0`, `c1` and a
-/// scratch limb per thread; a download `c0`, `c1`, the decrypted
-/// plaintext and decode's coefficient limbs). The scratch polynomial is
-/// also the AVX-512 embedding FFT's split planes: one `N`-word limb,
-/// taken when at most three polynomials are out.
+/// components and one of scratch (a download holds `c0`, `c1`, the
+/// decrypted plaintext and decode's coefficient limbs; an upload only
+/// `c0`, `c1` and a scratch limb per thread, or three scratch limbs per
+/// thread when fused — an encoded plaintext keeps integer coefficients
+/// and takes limbs only if its residues are read). The scratch
+/// polynomial is also the AVX-512 embedding FFT's split planes: one
+/// `N`-word limb, taken when at most three polynomials are out.
 const POLYS_PER_OP: usize = 4;
 
 /// Batched forward/inverse negacyclic NTT across the RNS limbs of a
@@ -252,10 +254,11 @@ impl RnsNttEngine {
     }
 
     /// [`Self::expand_and_ntt`] under the first `k` primes, into pooled
-    /// limbs. Encode's last step — the Δ-rounded message coefficients
-    /// (`i128`, up to ~2^73 at Δ_eff = 2^72) become the plaintext's
-    /// limbs — and the key-switch hot path, where an INTT'd, centered
-    /// `i64` digit re-enters NTT domain under every carried prime.
+    /// limbs. An encoded plaintext's residues — its Δ-rounded message
+    /// coefficients (`i128`, up to ~2^73 at Δ_eff = 2^72) made into
+    /// limbs when they are first read — and the key-switch hot path,
+    /// where an INTT'd, centered `i64` digit re-enters NTT domain under
+    /// every carried prime.
     ///
     /// # Panics
     ///
