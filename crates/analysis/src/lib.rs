@@ -24,7 +24,7 @@
 //!
 //! Because the build container has no registry access, the tool is
 //! dependency-free: a hand-rolled lexer ([`lexer`]) feeds a
-//! structural scanner ([`parse`]) feeds eight rules ([`rules`]).
+//! structural scanner ([`parse`]) feeds nine rules ([`rules`]).
 //!
 //! # Rules
 //!
@@ -38,6 +38,7 @@
 //! | `thread-site` | no `thread::spawn`/`Builder` in the library crates (`math`, `float`, `prng`, `transform`, `ckks`) outside tests, except the fan-out's one worker-start function (`start_worker` in `crates/transform/src/fanout.rs`), and no `thread::scope` in them at all |
 //! | `lock-site` | no `Mutex`/`RwLock` in the library crates outside tests, except the limb pool (`crates/transform/src/pool.rs`) and the test-only environment lock (`crates/math/src/envtest.rs`) |
 //! | `model-boundary` | no `abc_hw` / `abc_sim` path in the product crates (`math`, `float`, `prng`, `transform`, `ckks`, `gateway`) outside tests: the models depend on the client path, not the reverse |
+//! | `pub-reach` | every `pub` fn / const / static in a product crate's `src/` outside tests is named (as a code identifier, not in a comment or doctest) in some walked file outside that `src/` — another crate, the crate's own `tests/`, the root `src/` / `tests/` / `examples/`, `benchmark/src` — so that rustc's `dead_code` lint sees the rest; by name, so a floor and not a proof |
 //!
 //! Suppressions live in `analysis-allow.toml` at the workspace root;
 //! every entry requires a justification string, and entries that match
@@ -60,16 +61,19 @@ pub mod walk;
 
 use std::path::Path;
 
-pub use report::{Allowed, Finding};
+pub use report::{Allowed, Finding, Surface};
 
 /// Analyzes in-memory `(path, content)` pairs — the fixture-friendly
 /// entry point. Paths are workspace-relative with forward slashes.
 pub fn analyze(files: &[(String, String)]) -> Vec<Finding> {
-    let parsed: Vec<parse::File> = files
+    rules::run(&parse_all(files))
+}
+
+fn parse_all(files: &[(String, String)]) -> Vec<parse::File> {
+    files
         .iter()
         .map(|(p, c)| parse::File::parse(p, c))
-        .collect();
-    rules::run(&parsed)
+        .collect()
 }
 
 /// Outcome of a full `check` run.
@@ -83,6 +87,9 @@ pub struct Outcome {
     pub unused_allow: Vec<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Per product crate, the items rule `pub-reach` examines and how
+    /// many of them are allowlisted.
+    pub surface: Vec<Surface>,
 }
 
 impl Outcome {
@@ -97,7 +104,8 @@ impl Outcome {
 pub fn run_check(root: &Path, allow_path: &Path) -> Result<Outcome, String> {
     let files = walk::collect(root).map_err(|e| format!("walking {}: {}", root.display(), e))?;
     let files_scanned = files.len();
-    let findings = analyze(&files);
+    let parsed = parse_all(&files);
+    let findings = rules::run(&parsed);
     let entries = if allow_path.exists() {
         let text = std::fs::read_to_string(allow_path)
             .map_err(|e| format!("reading {}: {}", allow_path.display(), e))?;
@@ -112,10 +120,12 @@ pub fn run_check(root: &Path, allow_path: &Path) -> Result<Outcome, String> {
         Vec::new()
     };
     let (reported, allowed, unused_allow) = allowlist::apply(findings, &entries);
+    let surface = rules::surface(&parsed, &allowed);
     Ok(Outcome {
         reported,
         allowed,
         unused_allow,
         files_scanned,
+        surface,
     })
 }

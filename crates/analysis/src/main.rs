@@ -84,6 +84,7 @@ fn main() -> ExitCode {
                     &outcome.reported,
                     &outcome.allowed,
                     &outcome.unused_allow,
+                    &outcome.surface,
                 );
                 if let Err(e) = std::fs::write(&path, doc) {
                     eprintln!("abc-analysis: writing {}: {}", path.display(), e);
@@ -97,6 +98,12 @@ fn main() -> ExitCode {
                 outcome.allowed.len(),
                 outcome.unused_allow.len()
             );
+            for c in &outcome.surface {
+                println!(
+                    "abc-analysis: pub-reach surface of {}: {} item(s) in scope, {} allowlisted",
+                    c.krate, c.in_scope, c.allowlisted
+                );
+            }
             if outcome.is_clean() {
                 ExitCode::SUCCESS
             } else {

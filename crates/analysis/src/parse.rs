@@ -1,7 +1,8 @@
 //! Token-stream "parser": extracts just enough structure for the rule
 //! engine — function items with their attributes and doc comments,
-//! `#[cfg(test)]` regions, matched brace pairs, and `const NAME: &str =
-//! "..."` bindings (used to resolve env-var names passed by ident).
+//! plain-`pub` fn / const / static items, `#[cfg(test)]` regions,
+//! matched brace pairs, and `const NAME: &str = "..."` bindings (used to
+//! resolve env-var names passed by ident).
 //!
 //! This is deliberately not a Rust grammar. It is a set of robust scans
 //! over the token stream from [`crate::lexer`], designed so that the
@@ -44,6 +45,45 @@ pub struct FnItem {
     pub in_test: bool,
 }
 
+/// What a plain-`pub` item declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PubKind {
+    /// `pub fn`, with any of `const` / `unsafe` / `async` / `extern`.
+    Fn,
+    /// `pub const NAME: T`.
+    Const,
+    /// `pub static [mut] NAME: T`.
+    Static,
+}
+
+impl PubKind {
+    /// The item keyword, as written.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            PubKind::Fn => "fn",
+            PubKind::Const => "const",
+            PubKind::Static => "static",
+        }
+    }
+}
+
+/// A `pub` fn, const or static item. Restricted visibility
+/// (`pub(crate)`, `pub(super)`, `pub(in …)`) is not recorded.
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    /// Item kind.
+    pub kind: PubKind,
+    /// Item name.
+    pub name: String,
+    /// 1-based line of the `pub` keyword.
+    pub line: u32,
+    /// 1-based column of the `pub` keyword.
+    pub col: u32,
+    /// Whether the item lies inside a `#[cfg(test)]` region, carries a
+    /// test attribute itself, or sits in a test file.
+    pub in_test: bool,
+}
+
 /// Parsed view of one source file.
 pub struct File {
     /// Workspace-relative path (forward slashes).
@@ -57,6 +97,8 @@ pub struct File {
     pub matches: Vec<usize>,
     /// Recognised function items.
     pub fns: Vec<FnItem>,
+    /// Plain-`pub` fn / const / static items.
+    pub pub_items: Vec<PubItem>,
     /// Byte-line ranges (start, end inclusive) of `#[cfg(test)]` items.
     pub test_regions: Vec<(u32, u32)>,
     /// Whether the whole file is test/bench code by location.
@@ -79,11 +121,13 @@ impl File {
             toks,
             matches,
             fns: Vec::new(),
+            pub_items: Vec::new(),
             test_regions,
             whole_file_test,
             consts,
         };
         f.fns = find_fns(&f);
+        f.pub_items = find_pub_items(&f);
         f
     }
 
@@ -365,10 +409,7 @@ fn find_fns(f: &File) -> Vec<FnItem> {
         // Body: brace after the header.
         let body = item_body_after(toks, &f.matches, name_i + 1);
         let line = toks[i].line;
-        let in_test = f.line_in_test(line)
-            || attrs
-                .iter()
-                .any(|a| a.text.contains("test") && (a.text == "test" || a.text.contains("cfg")));
+        let in_test = f.line_in_test(line) || has_test_attr(&attrs);
         out.push(FnItem {
             name,
             line,
@@ -382,6 +423,80 @@ fn find_fns(f: &File) -> Vec<FnItem> {
         // Continue after the name (bodies may contain nested fns; the
         // scan naturally finds them).
         i = name_i + 1;
+    }
+    out
+}
+
+/// Whether one of `attrs` is `#[test]` or a `cfg` naming `test`.
+fn has_test_attr(attrs: &[Attr]) -> bool {
+    attrs
+        .iter()
+        .any(|a| a.text.contains("test") && (a.text == "test" || a.text.contains("cfg")))
+}
+
+/// Scans the token stream for plain-`pub` fn / const / static items.
+fn find_pub_items(f: &File) -> Vec<PubItem> {
+    let toks = &f.toks;
+    let mut out = Vec::new();
+    for (head, t) in toks.iter().enumerate() {
+        if !t.is_ident("pub") {
+            continue;
+        }
+        // Walk the qualifiers after `pub` to the item keyword; `(` right
+        // after `pub` is a restricted visibility and ends the scan.
+        let mut j = head;
+        let item = loop {
+            let Some(k) = f.next_code(j + 1) else {
+                break None;
+            };
+            j = k;
+            let next_name = |at: usize| {
+                f.next_code(at + 1)
+                    .filter(|&n| toks[n].kind == TokKind::Ident)
+            };
+            let tok = &toks[k];
+            if tok.is_ident("fn") {
+                break next_name(k).map(|n| (PubKind::Fn, n));
+            }
+            if tok.is_ident("static") {
+                let n = next_name(k);
+                break match n {
+                    Some(m) if toks[m].is_ident("mut") => next_name(m),
+                    _ => n,
+                }
+                .map(|n| (PubKind::Static, n));
+            }
+            if tok.is_ident("const") {
+                // `const fn` / `const unsafe fn` qualify a fn; otherwise
+                // `const NAME:` is the item.
+                if let Some(n) = next_name(k) {
+                    let named = f.next_code(n + 1).is_some_and(|c| toks[c].is_punct(':'));
+                    if named {
+                        break Some((PubKind::Const, n));
+                    }
+                }
+                continue;
+            }
+            if tok.is_ident("unsafe")
+                || tok.is_ident("async")
+                || tok.is_ident("extern")
+                || tok.kind == TokKind::Str
+            {
+                continue;
+            }
+            break None;
+        };
+        let Some((kind, name_i)) = item else {
+            continue;
+        };
+        let (attrs, _) = leading_trivia(f, head);
+        out.push(PubItem {
+            kind,
+            name: toks[name_i].text.clone(),
+            line: t.line,
+            col: t.col,
+            in_test: f.line_in_test(t.line) || has_test_attr(&attrs),
+        });
     }
     out
 }
@@ -521,6 +636,29 @@ mod tests {
     fn tests_dir_is_whole_file_test() {
         let f = File::parse("crates/math/tests/x.rs", "fn t() {}");
         assert!(f.fns[0].in_test);
+    }
+
+    #[test]
+    fn pub_items_skip_restricted_visibility_and_other_kinds() {
+        let src = "pub fn a() {}\npub(crate) fn b() {}\npub const unsafe fn c() {}\n\
+                   pub const D: u32 = 1;\npub static mut E: u8 = 0;\npub struct S { pub f: u8 }\n\
+                   #[cfg(test)]\npub const T: u8 = 0;\n";
+        let f = File::parse("a.rs", src);
+        let items: Vec<_> = f
+            .pub_items
+            .iter()
+            .map(|x| (x.kind, x.name.as_str(), x.in_test))
+            .collect();
+        assert_eq!(
+            items,
+            vec![
+                (PubKind::Fn, "a", false),
+                (PubKind::Fn, "c", false),
+                (PubKind::Const, "D", false),
+                (PubKind::Static, "E", false),
+                (PubKind::Const, "T", true),
+            ]
+        );
     }
 
     #[test]

@@ -43,6 +43,17 @@ pub struct Allowed {
     pub justification: String,
 }
 
+/// One product crate's public surface as rule `pub-reach` sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Surface {
+    /// Crate directory name under `crates/`.
+    pub krate: &'static str,
+    /// `pub` fn / const / static items outside tests in its `src/`.
+    pub in_scope: usize,
+    /// How many of those are unreached and allowlisted as API.
+    pub allowlisted: usize,
+}
+
 /// Escapes a string for JSON output.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -75,6 +86,16 @@ fn finding_json(f: &Finding, indent: &str) -> String {
     )
 }
 
+/// Appends `"name": [...]` with one item per line.
+fn push_list(s: &mut String, name: &str, items: &[String]) {
+    let _ = writeln!(s, "  \"{name}\": [");
+    s.push_str(&items.join(",\n"));
+    if !items.is_empty() {
+        s.push('\n');
+    }
+    s.push_str("  ],\n");
+}
+
 /// Serializes the full report document.
 pub fn to_json(
     root: &str,
@@ -82,20 +103,15 @@ pub fn to_json(
     reported: &[Finding],
     allowed: &[Allowed],
     unused_allow: &[String],
+    surface: &[Surface],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"tool\": \"abc-analysis\",");
     let _ = writeln!(s, "  \"root\": \"{}\",", esc(root));
     let _ = writeln!(s, "  \"files_scanned\": {},", files_scanned);
-    s.push_str("  \"findings\": [\n");
     let items: Vec<String> = reported.iter().map(|f| finding_json(f, "    ")).collect();
-    s.push_str(&items.join(",\n"));
-    if !items.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"allowed\": [\n");
+    push_list(&mut s, "findings", &items);
     let items: Vec<String> = allowed
         .iter()
         .map(|a| {
@@ -108,21 +124,22 @@ pub fn to_json(
             )
         })
         .collect();
-    s.push_str(&items.join(",\n"));
-    if !items.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"unused_allow\": [\n");
+    push_list(&mut s, "allowed", &items);
     let items: Vec<String> = unused_allow
         .iter()
         .map(|u| format!("    \"{}\"", esc(u)))
         .collect();
-    s.push_str(&items.join(",\n"));
-    if !items.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
+    push_list(&mut s, "unused_allow", &items);
+    let items: Vec<String> = surface
+        .iter()
+        .map(|c| {
+            format!(
+                "    {{\"crate\": \"{}\", \"in_scope\": {}, \"allowlisted\": {}}}",
+                c.krate, c.in_scope, c.allowlisted
+            )
+        })
+        .collect();
+    push_list(&mut s, "pub_surface", &items);
     let _ = writeln!(
         s,
         "  \"summary\": {{\"reported\": {}, \"allowed\": {}, \"unused_allow\": {}}}",
@@ -148,9 +165,15 @@ mod tests {
             message: "say \"why\"".into(),
             excerpt: "unsafe { ptr.read() }".into(),
         };
-        let doc = to_json("/root/repo", 7, &[f], &[], &["stale".into()]);
+        let surface = Surface {
+            krate: "math",
+            in_scope: 12,
+            allowlisted: 2,
+        };
+        let doc = to_json("/repo", 7, &[f], &[], &["stale".into()], &[surface]);
         assert!(doc.contains("\\\"why\\\""));
         assert!(doc.contains("\"files_scanned\": 7"));
         assert!(doc.contains("\"reported\": 1, \"allowed\": 0, \"unused_allow\": 1"));
+        assert!(doc.contains("{\"crate\": \"math\", \"in_scope\": 12, \"allowlisted\": 2}"));
     }
 }

@@ -6,9 +6,28 @@
 use abc_analysis::allowlist;
 use abc_analysis::{analyze, Finding};
 
-/// Runs the analyzer over a single in-memory file.
+/// Runs the analyzer over a single in-memory file. A lone file has no
+/// outside callers, so every `pub` item of a product crate in it would
+/// be a `pub-reach` finding; that rule's fixtures (rule 9 below) give it
+/// a workspace of several files, and it is left out here.
 fn findings(path: &str, src: &str) -> Vec<Finding> {
     analyze(&[(path.to_string(), src.to_string())])
+        .into_iter()
+        .filter(|f| f.rule != "pub-reach")
+        .collect()
+}
+
+/// Runs the analyzer over several in-memory files and keeps the
+/// `pub-reach` findings.
+fn reach_findings(files: &[(&str, &str)]) -> Vec<Finding> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, c)| (p.to_string(), c.to_string()))
+        .collect();
+    analyze(&files)
+        .into_iter()
+        .filter(|f| f.rule == "pub-reach")
+        .collect()
 }
 
 fn rules(found: &[Finding]) -> Vec<&str> {
@@ -566,6 +585,108 @@ pub fn report() -> u64 {
     ] {
         assert!(findings(path, src).is_empty(), "{path}");
     }
+}
+
+// ---------------------------------------------------------------- rule 9
+
+/// A product-crate file with one `pub fn` and one `pub const`.
+const HELPERS: &str = r#"
+/// Doubles `x`.
+pub fn helper(x: u64) -> u64 {
+    2 * x + LIMIT
+}
+
+/// A bound.
+pub const LIMIT: u64 = 7;
+"#;
+
+#[test]
+fn an_item_named_outside_its_src_is_reached() {
+    let caller = "fn go() -> u64 { abc_math::a::helper(abc_math::a::LIMIT) }\n";
+    for outside in [
+        "crates/ckks/src/context.rs",
+        "crates/math/tests/proptests.rs",
+        "benchmark/src/probes.rs",
+        "examples/quickstart.rs",
+        "crates/gateway/src/bin/gateway_loadgen.rs",
+    ] {
+        let found = reach_findings(&[("crates/math/src/a.rs", HELPERS), (outside, caller)]);
+        assert!(found.is_empty(), "{outside}: {found:?}");
+    }
+}
+
+#[test]
+fn an_item_named_only_in_comments_doctests_or_its_own_src_fires() {
+    let mentions = r#"
+//! Calls [`abc_math::a::helper`] somewhere.
+/// ```
+/// let y = abc_math::a::helper(abc_math::a::LIMIT);
+/// ```
+pub fn unrelated() -> &'static str {
+    "helper LIMIT" // strings are not identifiers either
+}
+"#;
+    let same_crate = "pub(crate) fn go() -> u64 { crate::a::helper(crate::a::LIMIT) }\n";
+    let found = reach_findings(&[
+        ("crates/math/src/a.rs", HELPERS),
+        ("crates/math/src/b.rs", same_crate),
+        ("crates/ckks/tests/docs.rs", mentions),
+    ]);
+    assert_eq!(rules(&found), ["pub-reach"; 2], "{found:?}");
+    assert_eq!((found[0].line, found[1].line), (3, 8));
+    assert!(found[0].message.contains("`pub fn helper`"), "{found:?}");
+    assert!(found[1].message.contains("`pub const LIMIT`"), "{found:?}");
+}
+
+#[test]
+fn restricted_test_only_and_non_product_items_are_ignored() {
+    let src = r#"
+pub(crate) fn narrow() {}
+pub(super) const ALSO: u8 = 1;
+pub struct Kept;
+
+#[cfg(test)]
+pub const FIXTURE: u8 = 2;
+
+#[cfg(test)]
+mod tests {
+    pub fn shared_helper() {}
+}
+"#;
+    assert!(reach_findings(&[("crates/math/src/a.rs", src)]).is_empty());
+    // Crates outside the product set have no reach contract.
+    for path in [
+        "crates/hw/src/chip.rs",
+        "crates/bench/src/lib.rs",
+        "src/lib.rs",
+    ] {
+        assert!(reach_findings(&[(path, HELPERS)]).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn allowlisted_api_passes_and_a_stale_entry_is_reported() {
+    let found = reach_findings(&[("crates/ckks/src/evaluator.rs", HELPERS)]);
+    assert_eq!(found.len(), 2, "{found:?}");
+    let toml = r#"
+[[allow]]
+rule = "pub-reach"
+path = "crates/ckks/src/evaluator.rs"
+contains = "pub fn helper"
+justification = "user API"
+
+[[allow]]
+rule = "pub-reach"
+path = "crates/ckks/src/noise.rs"
+justification = "nothing unreached is left there: reported stale"
+"#;
+    let entries = allowlist::parse(toml).expect("parse");
+    let (reported, allowed, stale) = allowlist::apply(found, &entries);
+    assert_eq!(allowed.len(), 1, "{allowed:?}");
+    assert!(allowed[0].finding.excerpt.contains("helper"));
+    assert_eq!(rules(&reported), ["pub-reach"], "the const is not API");
+    assert_eq!(stale.len(), 1);
+    assert!(stale[0].contains("noise.rs"), "{stale:?}");
 }
 
 // ------------------------------------------------------------ allowlist

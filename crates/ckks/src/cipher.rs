@@ -7,6 +7,9 @@
 //! coefficients instead and makes its residue limbs only when something
 //! reads them ([`Plaintext::residues`]): encrypt folds its error into the
 //! coefficients and never needs them.
+//!
+//! The module is private; its three types are re-exported at the crate
+//! root.
 
 use crate::scale::ExactScale;
 use abc_transform::{PooledLimbs, RnsNttEngine};
@@ -92,12 +95,6 @@ impl Plaintext {
             Some(coeffs) => coeffs.engine.plans().len(),
             None => self.residues().len(),
         }
-    }
-
-    /// The encoding scale as `f64` (lossless for fresh power-of-two
-    /// scales; see [`Self::exact_scale`] for the true rational).
-    pub fn scale(&self) -> f64 {
-        self.scale.to_f64()
     }
 
     /// The exact rational scale.
@@ -227,7 +224,7 @@ impl Ciphertext {
     }
 
     /// Ring degree `N`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
@@ -294,31 +291,21 @@ pub struct Degree2Ciphertext {
 }
 
 /// Borrowed `(d0, d1, d2)` views of a [`Degree2Ciphertext`].
-pub type Degree2Components<'a> = (&'a [Vec<u64>], &'a [Vec<u64>], &'a [Vec<u64>]);
+pub(crate) type Degree2Components<'a> = (&'a [Vec<u64>], &'a [Vec<u64>], &'a [Vec<u64>]);
 
 impl Degree2Ciphertext {
     /// Number of RNS primes (level + 1).
-    pub fn num_primes(&self) -> usize {
+    pub(crate) fn num_primes(&self) -> usize {
         self.c0.len()
     }
 
-    /// Ciphertext level (`num_primes - 1`).
-    pub fn level(&self) -> usize {
-        self.c0.len().saturating_sub(1)
-    }
-
-    /// The product scale `Δ_a·Δ_b`, as `f64`.
-    pub fn scale(&self) -> f64 {
-        self.scale.to_f64()
-    }
-
     /// The exact rational product scale.
-    pub fn exact_scale(&self) -> &ExactScale {
+    pub(crate) fn exact_scale(&self) -> &ExactScale {
         &self.scale
     }
 
     /// Ring degree `N`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 

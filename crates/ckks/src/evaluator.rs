@@ -450,8 +450,7 @@ pub(crate) fn automorphism<T: Copy>(src: &[T], g: usize, dst: &mut [T], neg: imp
 /// Homomorphic slot rotation by `steps`: slot `j` of the result holds
 /// slot `(j + steps) mod N/2` of the input (a rotation *toward* lower
 /// indices). The key must have been generated with
-/// [`CkksContext::gen_rotation_key`] for the same `steps` (equivalently
-/// [`CkksContext::galois_element_for_rotation`]). The scale is
+/// [`CkksContext::gen_rotation_key`] for the same `steps`. The scale is
 /// unchanged.
 ///
 /// # Errors
@@ -755,7 +754,7 @@ mod tests {
         let cb = ctx.encrypt(&ctx.encode(&b).expect("e"), &pk, Seed::from_u128(33));
         let product = mul(&ctx, &ca, &cb).expect("mul");
         assert_eq!(product.num_primes(), ca.num_primes());
-        assert_eq!(product.scale(), ca.scale() * cb.scale());
+        assert_eq!(product.exact_scale().to_f64(), ca.scale() * cb.scale());
         let relin = relinearize(&ctx, &product, &evk).expect("relinearize");
         assert_eq!(relin.exact_scale(), product.exact_scale());
         let rescaled = rescale(&ctx, &relin).expect("rescale");

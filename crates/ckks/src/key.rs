@@ -35,24 +35,12 @@ pub struct SecretKey {
     pub(crate) ntt: Vec<Vec<u64>>,
 }
 
-impl SecretKey {
-    /// Hamming weight of the ternary secret.
-    pub fn hamming_weight(&self) -> usize {
-        self.coeffs.iter().filter(|&&c| c != 0).count()
-    }
-
-    /// Ring degree.
-    pub fn n(&self) -> usize {
-        self.coeffs.len()
-    }
-}
-
 /// The public key `(pk0, pk1) = (-(a·s) + e, a)`, one residue polynomial
 /// pair per RNS prime, NTT domain.
 ///
 /// The paper never stores `a` in memory: it is regenerated from the PRNG
 /// seed on demand (16.5 MB of public-key storage avoided, §IV-B). The
-/// [`seed`](PublicKey::seed) records the stream used so the simulator can
+/// `seed` field records the stream used so the simulator can
 /// model either choice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublicKey {
@@ -64,23 +52,8 @@ pub struct PublicKey {
 
 impl PublicKey {
     /// Number of RNS primes the key covers.
-    pub fn num_primes(&self) -> usize {
+    pub(crate) fn num_primes(&self) -> usize {
         self.pk0.len()
-    }
-
-    /// The PRNG seed that regenerates the mask component.
-    pub fn seed(&self) -> abc_prng::Seed {
-        self.seed
-    }
-
-    /// Storage bytes if the key were held in memory (both components) —
-    /// the quantity the paper's on-chip generation avoids fetching.
-    pub fn byte_size(&self) -> usize {
-        self.pk0
-            .iter()
-            .chain(self.pk1.iter())
-            .map(|p| p.len() * 8)
-            .sum()
     }
 }
 
@@ -98,23 +71,13 @@ pub struct KeySwitchKey {
 
 impl KeySwitchKey {
     /// Number of decomposition digits (= basis primes at generation).
-    pub fn num_digits(&self) -> usize {
+    pub(crate) fn num_digits(&self) -> usize {
         self.b.len()
     }
 
     /// Limbs carried by each digit pair.
-    pub fn num_primes(&self) -> usize {
+    pub(crate) fn num_primes(&self) -> usize {
         self.b.first().map_or(0, Vec::len)
-    }
-
-    /// In-memory bytes of both components across all digits.
-    pub fn byte_size(&self) -> usize {
-        self.b
-            .iter()
-            .chain(self.a.iter())
-            .flatten()
-            .map(|p| p.len() * 8)
-            .sum()
     }
 }
 
@@ -124,18 +87,6 @@ impl KeySwitchKey {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalKey {
     pub(crate) ksk: KeySwitchKey,
-}
-
-impl EvalKey {
-    /// The underlying key-switching key.
-    pub fn key_switch_key(&self) -> &KeySwitchKey {
-        &self.ksk
-    }
-
-    /// In-memory bytes (the quantity a server holds per client).
-    pub fn byte_size(&self) -> usize {
-        self.ksk.byte_size()
-    }
 }
 
 /// A Galois key for one automorphism `X → X^g`: a [`KeySwitchKey`]
@@ -152,17 +103,7 @@ pub struct GaloisKey {
 
 impl GaloisKey {
     /// The Galois element `g` of the automorphism `X → X^g`.
-    pub fn element(&self) -> u64 {
+    pub(crate) fn element(&self) -> u64 {
         self.element
-    }
-
-    /// The underlying key-switching key.
-    pub fn key_switch_key(&self) -> &KeySwitchKey {
-        &self.ksk
-    }
-
-    /// In-memory bytes.
-    pub fn byte_size(&self) -> usize {
-        self.ksk.byte_size()
     }
 }

@@ -49,7 +49,7 @@
 //! # }
 //! ```
 
-pub mod cipher;
+mod cipher;
 pub mod context;
 pub mod evaluator;
 pub mod key;

@@ -56,7 +56,7 @@ pub fn predicted_fresh_std(n: usize, sigma: f64, secret_hamming_weight: Option<u
 /// predicts ≈54.8, far above it (the measured figure saturates near the
 /// `f64` FFT datapath limit instead). The prediction accounts levels in
 /// *prime pairs* under the double scale via
-/// [`CkksParams::effective_scale_bits`](crate::params::CkksParams::effective_scale_bits).
+/// the parameters' effective scale bits.
 pub fn predicted_roundtrip_precision_bits(params: &crate::params::CkksParams) -> f64 {
     let n = params.n();
     let sigma_hat = predicted_fresh_std(n, params.error_sigma(), params.secret_hamming_weight())

@@ -30,7 +30,7 @@ pub enum ScaleMode {
 
 impl ScaleMode {
     /// RNS primes consumed per multiplicative level (1 or 2).
-    pub fn primes_per_level(&self) -> usize {
+    pub(crate) fn primes_per_level(&self) -> usize {
         match self {
             ScaleMode::Single => 1,
             ScaleMode::DoublePair => 2,
@@ -130,19 +130,14 @@ impl CkksParams {
         2f64.powi(self.effective_scale_bits() as i32)
     }
 
-    /// `log2` of the per-prime scale (36 at the paper's parameters).
-    pub fn scale_bits(&self) -> u32 {
-        self.scale_bits
-    }
-
     /// `log2` of the effective encoding scale
     /// (`scale_bits · primes_per_level`; 72 under the double scale).
-    pub fn effective_scale_bits(&self) -> u32 {
+    pub(crate) fn effective_scale_bits(&self) -> u32 {
         self.scale_bits * self.scale_mode.primes_per_level() as u32
     }
 
     /// How primes map to levels ([`ScaleMode`]).
-    pub fn scale_mode(&self) -> ScaleMode {
+    pub(crate) fn scale_mode(&self) -> ScaleMode {
         self.scale_mode
     }
 
@@ -173,14 +168,14 @@ impl CkksParams {
     /// Bit width of the level-0 prime `q₀`: `prime_bits` plus 3 bits of
     /// headroom above the scale, capped at 61 — the width
     /// [`crate::CkksContext::new`] generates `q₀` at.
-    pub fn head_prime_bits(&self) -> u32 {
+    pub(crate) fn head_prime_bits(&self) -> u32 {
         (self.prime_bits + 3).min(61)
     }
 
     /// Per-prime residue bit widths of the basis these parameters
     /// generate — the v3 wire packing schedule, derivable without a
-    /// built context: `q₀` is [`Self::head_prime_bits`] wide, the rest
-    /// `prime_bits`. Matches [`crate::CkksContext::wire_widths`] for a
+    /// built context: `q₀` is `prime_bits + 3` wide (61 at most), the
+    /// rest `prime_bits`. Matches [`crate::CkksContext::wire_widths`] for a
     /// context built from these parameters.
     ///
     /// # Panics
@@ -326,7 +321,7 @@ impl CkksParamsBuilder {
 
 /// Environment variable overriding the ring-degree exponent in examples
 /// and smoke tests (`ABC_FHE_LOG_N=10` shrinks every demo to CI size).
-pub const LOG_N_ENV: &str = "ABC_FHE_LOG_N";
+const LOG_N_ENV: &str = "ABC_FHE_LOG_N";
 
 /// Parses a raw `ABC_FHE_LOG_N` value: `None` or an empty/whitespace
 /// string yields `default`; a valid exponent in the builder's `2..=17`
@@ -341,7 +336,7 @@ pub const LOG_N_ENV: &str = "ABC_FHE_LOG_N";
 /// offending value for anything else (garbage, out-of-range) — a typo'd
 /// override must never silently fall back to the default and report
 /// figures for the wrong ring degree.
-pub fn parse_log_n_override(raw: Option<&str>, default: u32) -> Result<u32, CkksError> {
+fn parse_log_n_override(raw: Option<&str>, default: u32) -> Result<u32, CkksError> {
     let Some(raw) = raw else {
         return Ok(default);
     };
@@ -358,13 +353,13 @@ pub fn parse_log_n_override(raw: Option<&str>, default: u32) -> Result<u32, Ckks
     }
 }
 
-/// Reads the [`LOG_N_ENV`] override from the process environment,
-/// falling back to `default` when unset.
+/// Reads the `ABC_FHE_LOG_N` override from the process environment,
+/// falling back to `default` when unset or blank.
 ///
 /// # Errors
 ///
-/// Returns [`CkksError::InvalidParams`] for unparseable or out-of-range
-/// values (see [`parse_log_n_override`]).
+/// Returns [`CkksError::InvalidParams`] for unparseable values and for
+/// exponents outside `2..=17`.
 pub fn log_n_from_env(default: u32) -> Result<u32, CkksError> {
     parse_log_n_override(std::env::var(LOG_N_ENV).ok().as_deref(), default)
 }

@@ -92,7 +92,7 @@ pub fn measure_precision<F: RealField>(
     let scale = fresh_scale(ctx);
     let (sk, pk) = ctx.keygen(seed.derive(1));
     rms_precision(ctx, trials, seed.derive(2), |t, msg| {
-        let pt = ctx.encode_core(&fft, msg, &scale)?;
+        let pt = ctx.encode_core(&fft, msg, scale.clone())?;
         let ct = ctx.encrypt(&pt, &pk, seed.derive(100 + t));
         ctx.decode_core(&fft, &ctx.decrypt(&ct, &sk)?)
     })
@@ -125,7 +125,7 @@ pub fn measure_configured_precision<F: RealField>(
     let scale = fresh_scale(ctx);
     let (sk, _) = ctx.keygen(seed.derive(1));
     rms_precision(ctx, trials, seed.derive(2), |t, msg| {
-        let pt = ctx.encode_core(&fft, msg, &scale)?;
+        let pt = ctx.encode_core(&fft, msg, scale.clone())?;
         let cct = encrypt_symmetric_compressed(ctx, &pt, &sk, seed.derive(100 + t));
         ctx.decode_core(&fft, &ctx.decrypt(&cct.expand(ctx)?, &sk)?)
     })
@@ -148,7 +148,7 @@ pub fn measure_embedding_precision<F: RealField>(
     let fft = SpecialFft::with_field(field.clone(), ctx.params().slots());
     let scale = fresh_scale(ctx);
     rms_precision(ctx, trials, seed.derive(3), |_, msg| {
-        ctx.decode_core(&fft, &ctx.encode_core(&fft, msg, &scale)?)
+        ctx.decode_core(&fft, &ctx.encode_core(&fft, msg, scale.clone())?)
     })
 }
 

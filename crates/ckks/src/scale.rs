@@ -72,41 +72,40 @@ impl ExactScale {
     }
 
     /// Largest `|exp|` of a scale that crosses the wire. The bounds here
-    /// are on the *representation*, which [`Self::mul`] never reduces —
+    /// are on the *representation*, which `Self::mul` never reduces —
     /// squaring `k` times doubles `exp`, the numerator's length and the
     /// denominator's `k` times over while the value stays near `Δ` — so
     /// they come from what decode costs, not from how large a scale can
     /// meaningfully be. `ExtF64::ldexp` is O(1) for any exponent; this
     /// one only keeps the `i64` sums of `exp` and the two bit lengths
-    /// (below `2^20` each) that [`Self::to_f64`] and [`Self::divisor`]
+    /// (below `2^20` each) that `Self::to_f64` and [`Self::divisor`]
     /// narrow to `i32` far from wrapping.
     pub const MAX_EXP: i32 = 1 << 24;
     /// Longest numerator encoding in bytes. Its cost is linear; the
     /// bound caps what a header can make the parser allocate.
-    pub const MAX_NUM_BYTES: usize = 8192;
+    pub(crate) const MAX_NUM_BYTES: usize = 8192;
     /// Most dropped primes. [`Self::divisor`] multiplies them out one
     /// word at a time, which is quadratic: 20–40 ms here, against seconds
     /// for the 65535 the length field could say. A chain of `k` squarings
     /// with a rescale each holds `2^k − 1` entries (twice that when
     /// rescales drop prime pairs), so this is depth 13 (12).
-    pub const MAX_DEN_LEN: usize = 8192;
+    pub(crate) const MAX_DEN_LEN: usize = 8192;
 
     /// Reassembles a scale from its raw parts (wire deserialization):
     /// `Some` exactly for what [`Self::raw_parts`] of a scale inside the
     /// bounds above can return — `num` odd, `|exp| ≤` [`Self::MAX_EXP`],
-    /// `num` within [`Self::MAX_NUM_BYTES`], at most
-    /// [`Self::MAX_DEN_LEN`] denominator entries, each odd and above 1,
-    /// in ascending order. [`Self::to_f64`], [`Self::rounder`] and
-    /// [`Self::divisor`] cost time polynomial in those sizes, which is
-    /// why outside input is held to them here.
-    pub fn from_raw_parts(num: UBig, exp: i32, den: Vec<u64>) -> Option<Self> {
+    /// `num` within 8192 bytes, at most 8192 denominator entries, each
+    /// odd and above 1, in ascending order. [`Self::to_f64`], encode's
+    /// rounding and [`Self::divisor`] cost time polynomial in those
+    /// sizes, which is why outside input is held to them here.
+    pub(crate) fn from_raw_parts(num: UBig, exp: i32, den: Vec<u64>) -> Option<Self> {
         let scale = Self { num, exp, den };
         (scale.is_bounded() && scale.den.is_sorted()).then_some(scale)
     }
 
     /// Whether the scale is one [`Self::from_raw_parts`] accepts, i.e.
     /// one the wire format carries.
-    pub fn is_bounded(&self) -> bool {
+    pub(crate) fn is_bounded(&self) -> bool {
         self.num.trailing_zeros() == 0
             && !self.num.is_zero()
             && self.num.bits() as usize <= 8 * Self::MAX_NUM_BYTES
@@ -126,7 +125,7 @@ impl ExactScale {
     }
 
     /// `Some(e)` iff the scale is exactly `2^e`.
-    pub fn as_pow2(&self) -> Option<i32> {
+    pub(crate) fn as_pow2(&self) -> Option<i32> {
         // `num` is normalized: one bit means one.
         if self.den.is_empty() && self.num.bits() == 1 {
             Some(self.exp)
@@ -137,7 +136,7 @@ impl ExactScale {
 
     /// Product of two scales (plaintext–ciphertext multiplication).
     #[must_use]
-    pub fn mul(&self, other: &Self) -> Self {
+    pub(crate) fn mul(&self, other: &Self) -> Self {
         let mut den = [self.den.as_slice(), other.den.as_slice()].concat();
         den.sort_unstable();
         Self {
@@ -167,7 +166,7 @@ impl ExactScale {
 
     /// The scale as `f64`, correctly rounded via double-double
     /// arithmetic (exact for power-of-two scales).
-    pub fn to_f64(&self) -> f64 {
+    pub(crate) fn to_f64(&self) -> f64 {
         match self.as_pow2() {
             Some(e) if (-1022..=1023).contains(&e) => abc_float::extended::pow2(e),
             _ => {
@@ -181,7 +180,7 @@ impl ExactScale {
     /// Precomputes the denominator product for repeated
     /// [`ScaleRounder::round`] calls (encode rounds `N` coefficients at
     /// one scale).
-    pub fn rounder(&self) -> ScaleRounder<'_> {
+    pub(crate) fn rounder(&self) -> ScaleRounder<'_> {
         ScaleRounder {
             scale: self,
             den_product: den_product(&self.den),
@@ -203,7 +202,7 @@ impl ExactScale {
 /// The exact Δ-rounding kernel of one [`ExactScale`], with the
 /// denominator product hoisted out of the per-coefficient loop.
 #[derive(Debug, Clone)]
-pub struct ScaleRounder<'a> {
+pub(crate) struct ScaleRounder<'a> {
     scale: &'a ExactScale,
     /// `∏den`, computed once per encode.
     den_product: UBig,
@@ -216,7 +215,7 @@ impl ScaleRounder<'_> {
     /// mantissa.
     ///
     /// Returns zero for `x == 0`; the caller guards non-finite inputs.
-    pub fn round(&self, x: f64) -> (bool, UBig) {
+    pub(crate) fn round(&self, x: f64) -> (bool, UBig) {
         if x == 0.0 {
             return (false, UBig::zero());
         }
@@ -231,7 +230,7 @@ impl ScaleRounder<'_> {
     /// (`|lo| ≤ ulp(hi)/2` guarantees `hi`'s sign and exponent dominate)
     /// and the rounding is exact — no bit of the ~106-bit coefficient is
     /// discarded before the single final rounding.
-    pub fn round_ext(&self, x: ExtF64) -> (bool, UBig) {
+    pub(crate) fn round_ext(&self, x: ExtF64) -> (bool, UBig) {
         if x.lo() == 0.0 {
             return self.round(x.hi());
         }

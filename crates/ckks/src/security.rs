@@ -9,7 +9,7 @@
 
 /// Security table rows: `(log2 N, max log2 Q)` for ≥128-bit classical
 /// security with ternary secrets (HE Standard / \[5\]).
-pub const MAX_MODULUS_BITS_128: [(u32, u32); 7] = [
+const MAX_MODULUS_BITS_128: [(u32, u32); 7] = [
     (10, 27),
     (11, 54),
     (12, 109),
@@ -32,7 +32,7 @@ pub enum SecurityLevel {
 
 /// Looks up the maximum total modulus bits allowed at 128-bit security
 /// for `log_n`.
-pub fn max_modulus_bits_128(log_n: u32) -> Option<u32> {
+fn max_modulus_bits_128(log_n: u32) -> Option<u32> {
     MAX_MODULUS_BITS_128
         .iter()
         .find(|(ln, _)| *ln == log_n)
@@ -40,7 +40,7 @@ pub fn max_modulus_bits_128(log_n: u32) -> Option<u32> {
 }
 
 /// Classifies `(log_n, modulus_bits)` against the standard.
-pub fn classify(log_n: u32, modulus_bits: u32) -> SecurityLevel {
+fn classify(log_n: u32, modulus_bits: u32) -> SecurityLevel {
     match max_modulus_bits_128(log_n) {
         Some(max) if modulus_bits <= max => SecurityLevel::Standard128,
         Some(_) => SecurityLevel::Below128,
@@ -51,7 +51,7 @@ pub fn classify(log_n: u32, modulus_bits: u32) -> SecurityLevel {
 /// How many `prime_bits`-bit RNS primes fit at 128-bit security for
 /// `log_n` — the "level budget" the paper's parameter discussion is
 /// about (20–40 levels need large N).
-pub fn max_primes_at_128(log_n: u32, prime_bits: u32) -> Option<u32> {
+fn max_primes_at_128(log_n: u32, prime_bits: u32) -> Option<u32> {
     max_modulus_bits_128(log_n).map(|q| q / prime_bits)
 }
 
@@ -62,11 +62,7 @@ pub fn max_primes_at_128(log_n: u32, prime_bits: u32) -> Option<u32> {
 /// Δ_eff-sized) levels. At the paper's setting
 /// (`log_n = 16`, 36-bit primes) the budget is 49 single-scale or 24
 /// double-scale levels — comfortably above the 12 the preset uses.
-pub fn max_levels_at_128(
-    log_n: u32,
-    prime_bits: u32,
-    mode: crate::params::ScaleMode,
-) -> Option<u32> {
+fn max_levels_at_128(log_n: u32, prime_bits: u32, mode: crate::params::ScaleMode) -> Option<u32> {
     max_primes_at_128(log_n, prime_bits).map(|p| p / mode.primes_per_level() as u32)
 }
 

@@ -39,17 +39,17 @@ pub struct CompressedCiphertext {
 
 impl CompressedCiphertext {
     /// Number of RNS primes.
-    pub fn num_primes(&self) -> usize {
+    pub(crate) fn num_primes(&self) -> usize {
         self.c0.len()
     }
 
     /// Ring degree `N`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// The exact rational encoding scale.
-    pub fn exact_scale(&self) -> &ExactScale {
+    pub(crate) fn exact_scale(&self) -> &ExactScale {
         &self.scale
     }
 
@@ -59,7 +59,7 @@ impl CompressedCiphertext {
     }
 
     /// The seed that regenerates the mask component.
-    pub fn mask_seed(&self) -> Seed {
+    pub(crate) fn mask_seed(&self) -> Seed {
         self.mask_seed
     }
 
@@ -303,7 +303,9 @@ mod tests {
             .map(|&w| (full.n() * w as usize).div_ceil(8))
             .sum();
         assert_eq!(
-            crate::wire::compressed_serialized_len(&compressed, &widths),
+            crate::wire::serialize_compressed_ciphertext(&compressed, &widths)
+                .expect("pack")
+                .len(),
             crate::wire::packed_serialized_len(&full, &widths) - c1_bytes + 16
         );
         assert_eq!(compressed.num_primes(), full.num_primes());

@@ -106,7 +106,7 @@ pub enum WireKind {
 
 /// Per-prime residue bit widths of a basis — the packing schedule of the
 /// v3 format (`⌈log2 qᵢ⌉`; residues are `< qᵢ`).
-pub fn residue_widths(moduli: &[Modulus]) -> Vec<u32> {
+pub(crate) fn residue_widths(moduli: &[Modulus]) -> Vec<u32> {
     moduli.iter().map(|m| 64 - m.q().leading_zeros()).collect()
 }
 
@@ -705,11 +705,6 @@ pub fn deserialize_ciphertext(bytes: &[u8]) -> Result<Ciphertext, CkksError> {
     Ciphertext::from_limbs(component(), component(), scale)
 }
 
-/// Exact serialized size of a seed-compressed ciphertext under `widths`.
-pub fn compressed_serialized_len(cct: &CompressedCiphertext, widths: &[u32]) -> usize {
-    Layout::ciphertext(cct.n(), cct.exact_scale(), Some(cct.mask_seed()), widths).total_len()
-}
-
 /// Serializes a seed-compressed (symmetric) ciphertext to the v3 wire
 /// format (kind 2): the 16-byte mask seed stands in for the whole `c1`
 /// component — the upload format of a client that derives masks
@@ -742,12 +737,6 @@ pub fn deserialize_compressed_ciphertext(bytes: &[u8]) -> Result<CompressedCiphe
         scale,
         n,
     })
-}
-
-/// Exact serialized size of a key-switching key as an eval key (a
-/// Galois key adds 8 bytes for the element field).
-pub fn packed_key_len(ksk: &KeySwitchKey, widths: &[u32], n: usize) -> usize {
-    Layout::key(n, ksk, None, widths).total_len()
 }
 
 /// Both key kinds: the header, then `b` and `a` of every digit.
@@ -907,7 +896,8 @@ mod tests {
             crate::symmetric::encrypt_symmetric_compressed(&ctx, &pt, &sk, Seed::from_u128(12));
         let widths = ctx.wire_widths(cct.num_primes());
         let bytes = serialize_compressed_ciphertext(&cct, &widths).expect("pack");
-        assert_eq!(bytes.len(), compressed_serialized_len(&cct, &widths));
+        let layout = Layout::ciphertext(cct.n(), cct.exact_scale(), Some(cct.mask_seed()), &widths);
+        assert_eq!(bytes.len(), layout.total_len());
         let back = deserialize_compressed_ciphertext(&bytes).expect("roundtrip");
         assert_eq!(back, cct);
         // And the expanded ciphertext still decrypts to the message.
@@ -1453,10 +1443,8 @@ mod tests {
         let widths = ctx.wire_widths(ctx.basis().len());
         let evk = ctx.gen_eval_key(&sk, Seed::from_u128(6));
         let bytes = serialize_eval_key(&evk, &widths).expect("serialize");
-        assert_eq!(
-            bytes.len(),
-            packed_key_len(evk.key_switch_key(), &widths, ctx.params().n())
-        );
+        let layout = Layout::key(ctx.params().n(), &evk.ksk, None, &widths);
+        assert_eq!(bytes.len(), layout.total_len());
         assert_eq!(deserialize_eval_key(&bytes).expect("roundtrip"), evk);
         let gk = ctx
             .gen_rotation_key(&sk, 1, Seed::from_u128(7))

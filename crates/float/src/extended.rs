@@ -90,7 +90,7 @@ impl ExtF64 {
     }
 
     /// Builds from an unnormalized pair `a + b`.
-    pub fn from_sum(a: f64, b: f64) -> Self {
+    pub(crate) fn from_sum(a: f64, b: f64) -> Self {
         let (hi, lo) = two_sum(a, b);
         Self { hi, lo }
     }

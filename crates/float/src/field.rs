@@ -147,6 +147,10 @@ pub struct SoftFloatField {
     mantissa_bits: u32,
 }
 
+/// Mantissa width (fraction bits, excluding the implicit leading 1) of the
+/// paper's custom FP55 format: 55 = 1 sign + 11 exponent + 43 mantissa.
+const FP55_MANTISSA_BITS: u32 = 43;
+
 impl SoftFloatField {
     /// Creates a datapath with the given mantissa width.
     ///
@@ -163,17 +167,12 @@ impl SoftFloatField {
 
     /// The paper's FP55 datapath (43 mantissa bits).
     pub fn fp55() -> Self {
-        Self::new(crate::FP55_MANTISSA_BITS)
-    }
-
-    /// The configured mantissa width.
-    pub fn mantissa_bits(&self) -> u32 {
-        self.mantissa_bits
+        Self::new(FP55_MANTISSA_BITS)
     }
 
     /// Total storage width of the format (1 sign + 11 exponent + mantissa),
     /// the per-coefficient cost the hardware model charges.
-    pub fn storage_bits(&self) -> u32 {
+    fn storage_bits(&self) -> u32 {
         1 + 11 + self.mantissa_bits
     }
 }
@@ -324,7 +323,7 @@ mod tests {
     #[test]
     fn fp55_naming_and_width() {
         let f = SoftFloatField::fp55();
-        assert_eq!(f.mantissa_bits(), 43);
+        assert_eq!(f.mantissa_bits, 43);
         assert_eq!(f.storage_bits(), 55);
         assert_eq!(f.name(), "fp55");
     }

@@ -23,7 +23,7 @@
 //! * [`ExtF64`] — double-double (~106-bit) extended precision for the
 //!   double-scale (Δ_eff = 2^72) encode/decode rounding paths, where a
 //!   single `f64` mantissa cannot hold the scaled coefficients,
-//! * [`trig`] — `cos/sin(π·k/2^d)` twiddle generation from exact integer
+//! * `trig` — `cos/sin(π·k/2^d)` twiddle generation from exact integer
 //!   octant reduction + a 192-bit fixed-point Taylor series (`UBig`), so
 //!   `ExtF64` twiddles reach ≥2^-100 accuracy without `f64::sin_cos`.
 //!
@@ -54,17 +54,10 @@
 pub mod complex;
 pub mod extended;
 pub mod field;
-pub mod softfloat;
-pub mod trig;
+mod softfloat;
+mod trig;
 
 pub use complex::Complex;
 pub use extended::ExtF64;
 pub use field::{ExtF64Field, F64Field, RealField, SoftFloatField};
 pub use softfloat::round_to_mantissa;
-
-/// Mantissa width (fraction bits, excluding the implicit leading 1) of the
-/// paper's custom FP55 format: 55 = 1 sign + 11 exponent + 43 mantissa.
-pub const FP55_MANTISSA_BITS: u32 = 43;
-
-/// Mantissa width of IEEE-754 binary64.
-pub const F64_MANTISSA_BITS: u32 = 52;

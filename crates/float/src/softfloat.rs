@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn fp55_preset() {
         let f = SoftFloatField::fp55();
-        assert_eq!(f.mantissa_bits(), 43);
+        assert_eq!(f, SoftFloatField::new(43));
         assert_eq!(f.from_f64(1.0 / 3.0), round_to_mantissa(1.0 / 3.0, 43));
     }
 }

@@ -73,7 +73,7 @@ fn apply_quadrant<T: Copy + core::ops::Neg<Output = T>>(
 
 /// `(cos, sin)` of `π·num/2^d` in `f64`: exact integer octant reduction,
 /// then the platform `sin_cos` on the small reduced argument.
-pub fn sincos_pi_frac_f64(num: u64, d: u32) -> (f64, f64) {
+pub(crate) fn sincos_pi_frac_f64(num: u64, d: u32) -> (f64, f64) {
     let (mm, swap, quad) = reduce_octant(num, d);
     let phi = core::f64::consts::PI * mm as f64 * 2f64.powi(-(d as i32));
     let (s, c) = phi.sin_cos();
@@ -82,7 +82,7 @@ pub fn sincos_pi_frac_f64(num: u64, d: u32) -> (f64, f64) {
 
 /// `(cos, sin)` of `π·num/2^d` in double-double precision, accurate to
 /// better than 2^-100 (absolute): the `ExtF64` twiddle generator.
-pub fn sincos_pi_frac_ext(num: u64, d: u32) -> (ExtF64, ExtF64) {
+pub(crate) fn sincos_pi_frac_ext(num: u64, d: u32) -> (ExtF64, ExtF64) {
     let (mm, swap, quad) = reduce_octant(num, d);
     apply_quadrant(sincos_taylor_fixed(mm, d), swap, quad)
 }

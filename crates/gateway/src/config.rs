@@ -59,7 +59,7 @@ impl GatewayConfig {
     ///
     /// Returns [`GatewayError::InvalidConfig`] naming the violated
     /// constraint.
-    pub fn validate(&self) -> Result<(), GatewayError> {
+    pub(crate) fn validate(&self) -> Result<(), GatewayError> {
         let fail = |msg: &str| Err(GatewayError::InvalidConfig(msg.into()));
         if self.workers == 0 {
             return fail("workers must be >= 1");

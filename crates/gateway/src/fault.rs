@@ -80,11 +80,6 @@ impl FaultPlan {
         }
     }
 
-    /// The sequence window this plan is active in.
-    pub fn window(&self) -> Range<u64> {
-        self.window.clone()
-    }
-
     /// The fault (if any) for request number `seq` — pure and
     /// replayable.
     pub fn fault_for(&self, seq: u64) -> Fault {
@@ -118,7 +113,7 @@ impl FaultPlan {
     /// Leaves empty blobs alone.
     ///
     /// [`fault_for`]: Self::fault_for
-    pub fn damage_blob(&self, seq: u64, blob: &mut Vec<u8>) {
+    pub(crate) fn damage_blob(&self, seq: u64, blob: &mut Vec<u8>) {
         if blob.is_empty() {
             return;
         }

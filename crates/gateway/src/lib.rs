@@ -26,17 +26,17 @@
 //!   **zero-lost-request invariant**: every submission resolves to
 //!   success or a typed error, checkable as `submitted == resolved` in
 //!   [`metrics`].
-//! - **Retry** ([`retry`]): caller-side jittered exponential backoff,
-//!   transient errors only, jitter derived from a seed so chaos runs
-//!   replay bit-exactly.
-//! - **Sessions** ([`session`]): per-tenant keys in an LRU cache,
+//! - **Retry** ([`Gateway::call_with_retry`]): caller-side jittered
+//!   exponential backoff, transient errors only, jitter derived from a
+//!   seed so chaos runs replay bit-exactly.
+//! - **Sessions** (`session`): per-tenant keys in an LRU cache,
 //!   derived deterministically from the master seed — eviction is
 //!   benign, re-derivation is exact.
 //! - **Strict ingress** (`worker`): uploaded wire blobs go through
 //!   the v3 deserializers' full validation; damaged bytes are
 //!   [`GatewayError::BadRequest`], never a panic or a stored corrupt
 //!   blob.
-//! - **Deterministic chaos** ([`fault`]): the entire fault schedule
+//! - **Deterministic chaos** ([`FaultPlan`]): the entire fault schedule
 //!   (worker panics, blob corruption/truncation, stalls) is a pure
 //!   function of a seed and the request sequence number, windowed so a
 //!   single run measures pre-fault, storm, and recovery phases.
@@ -48,13 +48,13 @@
 
 pub mod config;
 pub mod error;
-pub mod fault;
+mod fault;
 pub mod lru;
 pub mod metrics;
 pub mod queue;
-pub mod retry;
-pub mod service;
-pub mod session;
+mod retry;
+mod service;
+mod session;
 pub(crate) mod sync;
 pub(crate) mod worker;
 

@@ -41,11 +41,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Maximum entry count.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Looks up `key`, marking it most-recently-used on hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.clock += 1;

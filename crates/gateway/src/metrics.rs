@@ -90,7 +90,7 @@ impl LatencyHistogram {
 
 /// Monotonic event counters plus a latency histogram.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     /// Requests entering admission — including ones shed at the door,
     /// which resolve synchronously with a typed error.
     pub submitted: AtomicU64,
@@ -144,7 +144,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Requests that reached a terminal state.
-    pub fn resolved(&self) -> u64 {
+    pub(crate) fn resolved(&self) -> u64 {
         self.succeeded + self.failed
     }
 
@@ -162,13 +162,13 @@ pub(crate) fn inc(counter: &AtomicU64) {
 
 impl Metrics {
     /// Records one end-to-end request latency.
-    pub fn record_latency(&self, latency: Duration) {
+    pub(crate) fn record_latency(&self, latency: Duration) {
         self.latencies_us
             .record(latency.as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Copies the counters and computes latency percentiles.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let [p50_us, p95_us] = self.latencies_us.percentiles([0.50, 0.95]);
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         MetricsSnapshot {

@@ -47,11 +47,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Maximum depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current depth (advisory: may change before the caller acts on
     /// it; admission decisions re-check under the lock).
     pub fn len(&self) -> usize {

@@ -12,17 +12,17 @@ use std::time::Duration;
 
 /// Total attempts of [`crate::Gateway::call_with_retry`], the first
 /// included.
-pub const MAX_ATTEMPTS: u32 = 4;
+const MAX_ATTEMPTS: u32 = 4;
 /// Backoff before the first retry; doubles per attempt.
-pub const BACKOFF_BASE: Duration = Duration::from_millis(2);
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
 /// Upper bound on any single backoff.
-pub const BACKOFF_CAP: Duration = Duration::from_millis(100);
+const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// The jittered delay before retry number `attempt` (1-based):
 /// `BACKOFF_BASE·2^(attempt-1)` capped at [`BACKOFF_CAP`], scaled by a
 /// deterministic factor in `[0.5, 1.0)` drawn from `seed` —
 /// decorrelating colliding clients without sacrificing replayability.
-pub fn backoff(attempt: u32, seed: Seed) -> Duration {
+pub(crate) fn backoff(attempt: u32, seed: Seed) -> Duration {
     let exp = BACKOFF_BASE
         .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
         .min(BACKOFF_CAP);
@@ -39,7 +39,7 @@ pub fn backoff(attempt: u32, seed: Seed) -> Duration {
 ///
 /// Returns the last error once attempts are exhausted, or the first
 /// non-transient error immediately.
-pub fn call_with_retry<T>(
+pub(crate) fn call_with_retry<T>(
     seed: Seed,
     mut on_retry: impl FnMut(),
     mut op: impl FnMut() -> Result<T, GatewayError>,

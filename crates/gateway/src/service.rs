@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Deadline of a request that does not carry its own.
-pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How an encryption result should be shipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ pub enum Operation {
 pub struct Request {
     /// Tenant identifier (keys are derived per tenant).
     pub tenant: u64,
-    /// Per-request deadline; `None` uses [`DEFAULT_DEADLINE`].
+    /// Per-request deadline; `None` uses the default of 5 s.
     pub deadline: Option<Duration>,
     /// The operation to perform.
     pub op: Operation,
@@ -91,20 +91,20 @@ pub enum Response {
 
 /// Shared state between the service facade and its workers.
 pub(crate) struct Shared {
-    pub config: GatewayConfig,
+    pub(crate) config: GatewayConfig,
     /// The one CKKS context every worker runs on.
-    pub ctx: Arc<CkksContext>,
+    pub(crate) ctx: Arc<CkksContext>,
     /// Limb-pool retention for the `workers − 1` operations beside the
     /// one the context's engine registers: `workers × 4 × limbs` in all.
     _pool_allowance: Allowance,
-    pub queue: BoundedQueue<Job>,
-    pub sessions: SessionStore,
-    pub metrics: Arc<Metrics>,
-    pub seq: AtomicU64,
+    pub(crate) queue: BoundedQueue<Job>,
+    pub(crate) sessions: SessionStore,
+    pub(crate) metrics: Arc<Metrics>,
+    pub(crate) seq: AtomicU64,
     /// Live fault schedule — swappable at runtime so a chaos driver
     /// can run clean / storm / recovery phases against one gateway
     /// (disabled at start).
-    pub fault: Mutex<FaultPlan>,
+    pub(crate) fault: Mutex<FaultPlan>,
 }
 
 /// Handle for one in-flight request.
@@ -274,9 +274,8 @@ impl Gateway {
     }
 
     /// [`call`](Self::call) wrapped in jittered exponential backoff
-    /// ([`retry::MAX_ATTEMPTS`] attempts, [`retry::BACKOFF_BASE`]
-    /// doubling up to [`retry::BACKOFF_CAP`]); only transient errors are
-    /// retried.
+    /// (4 attempts, a 2 ms backoff doubling up to 100 ms, each scaled
+    /// by a seeded jitter); only transient errors are retried.
     ///
     /// # Errors
     ///

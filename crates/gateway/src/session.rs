@@ -15,50 +15,38 @@ use std::sync::{Arc, Mutex};
 
 /// Sessions a gateway caches (evicted tenants re-derive their keys
 /// deterministically on the next request).
-pub const SESSION_CAPACITY: usize = 32;
+pub(crate) const SESSION_CAPACITY: usize = 32;
 
 /// One tenant's key material.
 #[derive(Debug)]
-pub struct TenantSession {
-    /// Tenant identifier.
-    pub tenant: u64,
+pub(crate) struct TenantSession {
     /// Secret key (the gateway models the *client-side* pipeline, so
     /// it legitimately holds tenant secrets — it is the fleet of
     /// clients, not the FHE server).
-    pub sk: SecretKey,
+    pub(crate) sk: SecretKey,
     /// Matching public key.
-    pub pk: PublicKey,
+    pub(crate) pk: PublicKey,
 }
 
 /// Thread-safe LRU of tenant sessions.
-pub struct SessionStore {
+pub(crate) struct SessionStore {
     cache: Mutex<LruCache<u64, Arc<TenantSession>>>,
     master_seed: Seed,
 }
 
 impl SessionStore {
     /// Creates a store holding at most `capacity` sessions.
-    pub fn new(capacity: usize, master_seed: Seed) -> Self {
+    pub(crate) fn new(capacity: usize, master_seed: Seed) -> Self {
         Self {
             cache: Mutex::new(LruCache::new(capacity)),
             master_seed,
         }
     }
 
-    /// Number of cached sessions.
-    pub fn len(&self) -> usize {
-        crate::sync::lock(&self.cache).len()
-    }
-
-    /// Whether no sessions are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Fetches the tenant's session, deriving and caching it on miss.
     /// `ctx` supplies the key-generation pipeline; all workers share
     /// one parameter set, so sessions are context-portable.
-    pub fn get_or_create(&self, tenant: u64, ctx: &CkksContext) -> Arc<TenantSession> {
+    pub(crate) fn get_or_create(&self, tenant: u64, ctx: &CkksContext) -> Arc<TenantSession> {
         if let Some(hit) = crate::sync::lock(&self.cache).get(&tenant) {
             return Arc::clone(hit);
         }
@@ -66,7 +54,7 @@ impl SessionStore {
         // derivation is deterministic so a concurrent duplicate is
         // bit-identical.
         let (sk, pk) = ctx.keygen(self.master_seed.derive(tenant));
-        let session = Arc::new(TenantSession { tenant, sk, pk });
+        let session = Arc::new(TenantSession { sk, pk });
         crate::sync::lock(&self.cache).insert(tenant, Arc::clone(&session));
         session
     }
@@ -76,6 +64,10 @@ impl SessionStore {
 mod tests {
     use super::*;
     use abc_ckks::params::CkksParams;
+
+    fn cached(store: &SessionStore) -> usize {
+        crate::sync::lock(&store.cache).len()
+    }
 
     fn ctx() -> CkksContext {
         CkksContext::new(
@@ -96,7 +88,7 @@ mod tests {
         let a1 = store.get_or_create(1, &ctx);
         let a2 = store.get_or_create(1, &ctx);
         assert!(Arc::ptr_eq(&a1, &a2), "second lookup hits the cache");
-        assert_eq!(store.len(), 1);
+        assert_eq!(cached(&store), 1);
     }
 
     #[test]
@@ -105,7 +97,7 @@ mod tests {
         let store = SessionStore::new(1, Seed::from_u128(8));
         let first = store.get_or_create(1, &ctx);
         store.get_or_create(2, &ctx); // evicts tenant 1
-        assert_eq!(store.len(), 1);
+        assert_eq!(cached(&store), 1);
         let again = store.get_or_create(1, &ctx);
         assert!(!Arc::ptr_eq(&first, &again), "session was re-created");
         assert_eq!(first.sk, again.sk, "but the keys are bit-identical");

@@ -37,11 +37,11 @@ use std::time::Instant;
 
 /// One admitted request, owned by the queue and then by a worker.
 pub(crate) struct Job {
-    pub seq: u64,
+    pub(crate) seq: u64,
     pub tenant: u64,
     pub op: Operation,
     pub deadline: Instant,
-    pub responder: Responder,
+    pub(crate) responder: Responder,
 }
 
 /// Single-shot response channel with a drop guard: if a job is dropped
@@ -56,7 +56,10 @@ pub(crate) struct Responder {
 }
 
 impl Responder {
-    pub fn new(tx: mpsc::Sender<Result<Response, GatewayError>>, metrics: Arc<Metrics>) -> Self {
+    pub(crate) fn new(
+        tx: mpsc::Sender<Result<Response, GatewayError>>,
+        metrics: Arc<Metrics>,
+    ) -> Self {
         Self {
             tx: Some(tx),
             metrics,
@@ -65,7 +68,7 @@ impl Responder {
     }
 
     /// Resolves the request (exactly once; the drop guard disarms).
-    pub fn resolve(mut self, result: Result<Response, GatewayError>) {
+    pub(crate) fn resolve(mut self, result: Result<Response, GatewayError>) {
         self.finish(result);
     }
 

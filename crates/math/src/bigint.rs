@@ -121,14 +121,6 @@ impl UBig {
         r
     }
 
-    /// Whether this is an exact power of two (a single set bit).
-    pub fn is_power_of_two(&self) -> bool {
-        match self.limbs.split_last() {
-            None => false,
-            Some((top, rest)) => top.is_power_of_two() && rest.iter().all(|&l| l == 0),
-        }
-    }
-
     /// Number of trailing zero bits (0 for the value zero).
     pub fn trailing_zeros(&self) -> u32 {
         for (i, &l) in self.limbs.iter().enumerate() {
@@ -463,11 +455,6 @@ mod tests {
 
     #[test]
     fn power_of_two_and_trailing_zeros() {
-        assert!(UBig::from(1u64).is_power_of_two());
-        assert!(UBig::from(1u128 << 90).is_power_of_two());
-        assert!(!UBig::from(3u64).is_power_of_two());
-        assert!(!UBig::zero().is_power_of_two());
-        assert!(!UBig::from((1u128 << 90) | 1).is_power_of_two());
         assert_eq!(UBig::from(1u128 << 90).trailing_zeros(), 90);
         assert_eq!(UBig::from(12u64).trailing_zeros(), 2);
         assert_eq!(UBig::zero().trailing_zeros(), 0);

@@ -222,7 +222,7 @@ impl DyadicEngine {
     }
 
     /// The modulus of this engine.
-    pub fn modulus(&self) -> &Modulus {
+    pub(crate) fn modulus(&self) -> &Modulus {
         &self.m
     }
 

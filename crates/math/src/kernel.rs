@@ -52,7 +52,7 @@ impl KernelTier {
     /// [`KernelTier::Auto`]; anything unrecognized is an error, which
     /// [`KernelTier::or_env`] turns into a loud panic rather than
     /// silently mis-dispatching a forced-tier CI run.
-    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
+    fn parse(raw: Option<&str>) -> Result<Self, String> {
         let raw = raw.unwrap_or("");
         match raw.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => Ok(Self::Auto),
@@ -98,7 +98,7 @@ impl KernelTier {
 }
 
 impl fmt::Display for KernelTier {
-    /// The tier's name — the one [`KernelTier::parse`] accepts for it.
+    /// The tier's name — the one `KernelTier::parse` accepts for it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Self::Auto => "auto",
@@ -114,7 +114,7 @@ pub struct CpuCaps {
     /// AVX-512 Foundation — enough for the f64 FFT butterflies.
     pub avx512f: bool,
     /// AVX-512 IFMA (`vpmadd52{lo,hi}uq`), on top of `avx512f`.
-    pub avx512ifma: bool,
+    pub(crate) avx512ifma: bool,
 }
 
 impl CpuCaps {

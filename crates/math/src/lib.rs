@@ -85,7 +85,7 @@ pub use rns::RnsBasis;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MathError {
     /// The modulus was zero, one, even, or too large for the 62-bit
-    /// datapath ([`shoup::MAX_SHOUP_MODULUS`]).
+    /// datapath (`shoup::MAX_SHOUP_MODULUS`).
     InvalidModulus(u64),
     /// A multiplicative inverse was requested for a non-invertible element.
     NotInvertible {

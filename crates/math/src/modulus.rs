@@ -11,7 +11,7 @@ use crate::MathError;
 /// [`crate::dyadic::DyadicEngine`].
 ///
 /// The bound is the workspace's one datapath width,
-/// [`MAX_SHOUP_MODULUS`]: every kernel may keep a value lazy in
+/// `MAX_SHOUP_MODULUS`: every kernel may keep a value lazy in
 /// `[0, 4q)`, which must fit a `u64`, so no kernel needs a path for a
 /// wider modulus.
 ///
@@ -39,7 +39,7 @@ impl Modulus {
     /// # Errors
     ///
     /// Returns [`MathError::InvalidModulus`] if `q < 3`, `q` is even, or
-    /// `q ≥ 2^62` ([`MAX_SHOUP_MODULUS`]).
+    /// `q ≥ 2^62` (`MAX_SHOUP_MODULUS`).
     pub fn new(q: u64) -> Result<Self, MathError> {
         if q < 3 || q.is_multiple_of(2) || q >= MAX_SHOUP_MODULUS {
             return Err(MathError::InvalidModulus(q));
@@ -114,7 +114,7 @@ impl Modulus {
 
     /// Fused multiply-add: `(a*b + c) mod q`.
     #[inline]
-    pub fn mul_add(&self, a: u64, b: u64, c: u64) -> u64 {
+    pub(crate) fn mul_add(&self, a: u64, b: u64, c: u64) -> u64 {
         ((a as u128 * b as u128 + c as u128) % self.q as u128) as u64
     }
 
@@ -177,7 +177,7 @@ impl Modulus {
     ///
     /// Uses trial division to factor `q - 1` (fast for NTT primes, whose
     /// odd part is small) and tests candidates against every prime factor.
-    pub fn primitive_generator(&self) -> u64 {
+    fn primitive_generator(&self) -> u64 {
         let factors = distinct_prime_factors(self.q - 1);
         'cand: for g in 2..self.q {
             for &p in &factors {
@@ -220,7 +220,7 @@ impl core::fmt::Display for Modulus {
 ///
 /// NTT-prime group orders are `odd_part · 2^e` with a small odd part, so
 /// trial division is fast in all uses inside this crate.
-pub fn distinct_prime_factors(mut n: u64) -> Vec<u64> {
+fn distinct_prime_factors(mut n: u64) -> Vec<u64> {
     let mut out = Vec::new();
     let mut d = 2u64;
     while d as u128 * d as u128 <= n as u128 {

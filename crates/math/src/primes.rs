@@ -125,9 +125,9 @@ pub struct StructuredPrime {
     /// The prime value.
     pub q: u64,
     /// The leading exponent `bw` (so `q ≈ 2^bw`).
-    pub bw: u32,
+    pub(crate) bw: u32,
     /// Signed power-of-two terms `(sign, exponent)` composing `k·2^(n+1)`.
-    pub terms: [(i8, u32); 3],
+    pub(crate) terms: [(i8, u32); 3],
     /// Number of valid entries in `terms` (1..=3).
     pub num_terms: u8,
 }

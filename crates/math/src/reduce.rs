@@ -122,7 +122,7 @@ fn mul_hi_shift(a: u128, b: u128, s: u32) -> u128 {
 ///
 /// Element-wise loops amortize the domain conversion instead of paying
 /// it per multiply: **enter** one operand once per polynomial
-/// ([`Montgomery::to_mont_slice`], `b̃ = b·R mod q`), **operate** with a
+/// (`Montgomery::to_mont_slice`, `b̃ = b·R mod q`), **operate** with a
 /// single fused REDC per element (`redc(a·b̃) = a·b mod q` — the entry
 /// factor cancels the REDC's `R^{-1}`), and **exit** for free (outputs
 /// are already ordinary-domain). [`crate::dyadic::DyadicEngine`] wraps
@@ -188,17 +188,9 @@ impl Montgomery {
 
     /// Batch domain entry: maps every element of `a` into the
     /// Montgomery domain in place (`a[i] ← a[i]·R mod q`).
-    pub fn to_mont_slice(&self, a: &mut [u64]) {
+    pub(crate) fn to_mont_slice(self, a: &mut [u64]) {
         for x in a.iter_mut() {
             *x = self.to_mont(*x);
-        }
-    }
-
-    /// Batch domain exit: maps every Montgomery-domain element of `a`
-    /// back to the ordinary domain in place (`a[i] ← a[i]·R^{-1} mod q`).
-    pub fn from_mont_slice(&self, a: &mut [u64]) {
-        for x in a.iter_mut() {
-            *x = self.from_mont(*x);
         }
     }
 }
@@ -324,8 +316,7 @@ mod tests {
                 .collect();
             let mut b_mont = b0.clone();
             mg.to_mont_slice(&mut b_mont);
-            let mut back = b_mont.clone();
-            mg.from_mont_slice(&mut back);
+            let back: Vec<u64> = b_mont.iter().map(|&x| mg.from_mont(x)).collect();
             assert_eq!(back, b0, "q={q}");
             for i in 0..a0.len() {
                 let product = mg.mont_mul(a0[i], b_mont[i]);

@@ -47,7 +47,9 @@ use crate::MathError;
 /// # fn main() -> Result<(), abc_math::MathError> {
 /// let basis = RnsBasis::new(generate_ntt_primes(36, 3, 1 << 14)?)?;
 /// let residues: Vec<u64> = basis.moduli().iter().map(|m| m.from_i128(-42)).collect();
-/// assert_eq!(basis.combine(&residues), basis.product().sub(&UBig::from(42u64)));
+/// let (negative, magnitude) = basis.combine_centered_big_with_product(&residues, &basis.product());
+/// assert!(negative);
+/// assert_eq!(magnitude, UBig::from(42u64));
 /// # Ok(())
 /// # }
 /// ```
@@ -134,11 +136,6 @@ impl RnsBasis {
         p
     }
 
-    /// Total bits of the modulus product (the "modulus budget").
-    pub fn product_bits(&self) -> u32 {
-        self.product().bits()
-    }
-
     /// Garner (mixed-radix) recombination of one residue vector into the
     /// unique `x ∈ [0, Q)` with `x ≡ r_i (mod q_i)`.
     ///
@@ -146,7 +143,7 @@ impl RnsBasis {
     ///
     /// Panics if `residues.len()` differs from the basis size.
     #[allow(clippy::needless_range_loop)] // Garner recurrence is positional (i < j)
-    pub fn combine(&self, residues: &[u64]) -> UBig {
+    fn combine(&self, residues: &[u64]) -> UBig {
         assert_eq!(residues.len(), self.moduli.len());
         // Mixed-radix digits: x = v0 + v1·q0 + v2·q0·q1 + …
         let mut digits = Vec::with_capacity(residues.len());
@@ -811,7 +808,7 @@ fn canonical_run(limb: &[u64], start: usize, len: usize, q: u64) -> &[u64] {
 }
 
 /// Greatest common divisor.
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -929,12 +926,6 @@ mod tests {
         let lift = WordLift::new(basis(4));
         let rows = vec![vec![0u64]; 4];
         lift.lift_centered_i128(&rows, &mut [0i128]);
-    }
-
-    #[test]
-    fn product_bits_accumulate() {
-        let b = basis(4);
-        assert!(b.product_bits() >= 4 * 35 && b.product_bits() <= 4 * 36 + 1);
     }
 
     #[test]

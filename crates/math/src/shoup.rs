@@ -42,7 +42,7 @@
 /// The workspace's one datapath width: `q < 2^62` keeps every lazy
 /// intermediate (`< 4q`) inside a `u64`, and [`crate::Modulus::new`]
 /// refuses every modulus at or above it.
-pub const MAX_SHOUP_MODULUS: u64 = 1 << 62;
+pub(crate) const MAX_SHOUP_MODULUS: u64 = 1 << 62;
 
 /// Largest modulus the radix-2^52 (AVX-512IFMA) variant supports:
 /// `q < 2^50` keeps lazy values (`< 4q`) inside the 52-bit lanes of
@@ -50,7 +50,7 @@ pub const MAX_SHOUP_MODULUS: u64 = 1 << 62;
 pub const MAX_SHOUP52_MODULUS: u64 = 1 << 50;
 
 /// Low-52-bit mask, the lane width of the IFMA datapath.
-pub const MASK52: u64 = (1 << 52) - 1;
+pub(crate) const MASK52: u64 = (1 << 52) - 1;
 
 /// Precomputes the Shoup quotient `floor(w · 2^64 / q)` for a constant
 /// `w < q`.
@@ -68,7 +68,7 @@ pub fn shoup_precompute(w: u64, q: u64) -> u64 {
 /// `r ∈ [0, 2q)`, for *any* `a` (not only reduced ones) and `w < q`.
 ///
 /// Cost: one `mulhi`, two `mullo`, one subtraction — no division.
-/// Requires `q < 2^62` (see [`MAX_SHOUP_MODULUS`]).
+/// Requires `q < 2^62` (see `MAX_SHOUP_MODULUS`).
 #[inline(always)]
 pub fn mul_shoup_lazy(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     debug_assert!(q < MAX_SHOUP_MODULUS);
@@ -110,7 +110,7 @@ pub fn shoup_precompute52(w: u64, q: u64) -> u64 {
 /// scalar model of one `vpmadd52hi` + two `vpmadd52lo` lanes; the
 /// vector kernel in `abc-transform` computes exactly these words.
 #[inline(always)]
-pub fn mul_shoup52_lazy(a: u64, w: u64, w_shoup52: u64, q: u64) -> u64 {
+pub(crate) fn mul_shoup52_lazy(a: u64, w: u64, w_shoup52: u64, q: u64) -> u64 {
     debug_assert!(q < MAX_SHOUP52_MODULUS && a <= MASK52);
     let hi = ((a as u128 * w_shoup52 as u128) >> 52) as u64;
     let r = a.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q)) & MASK52;

@@ -205,7 +205,6 @@ pub struct GaussianSampler {
     /// inline, since a sampler is built per polynomial.
     cdt: [u64; CDT_CAPACITY],
     len: usize,
-    sigma: f64,
 }
 
 impl GaussianSampler {
@@ -241,7 +240,6 @@ impl GaussianSampler {
             rng: ChaCha20::from_seed_and_stream(seed, stream),
             cdt,
             len,
-            sigma,
         }
     }
 
@@ -250,11 +248,6 @@ impl GaussianSampler {
     pub fn with_kernel(mut self, tier: KernelTier) -> Self {
         self.rng = self.rng.with_kernel(tier);
         self
-    }
-
-    /// The configured standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 
     /// The table's thresholds, ascending.

@@ -76,7 +76,7 @@ pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
 /// Anything else — garbage, `0`, out-of-range — is an error naming the
 /// variable and the accepted range. A typo'd override must not silently
 /// bench on a default thread count.
-pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+pub(crate) fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     let Some(raw) = raw else { return Ok(None) };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
@@ -103,7 +103,7 @@ pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
 /// # Panics
 ///
 /// Panics with one clear message on an invalid override (see
-/// [`parse_threads`]) — engines are constructed at startup, where
+/// `parse_threads`) — engines are constructed at startup, where
 /// failing fast beats silently running every benchmark on the wrong
 /// thread count.
 pub fn threads() -> usize {

@@ -34,7 +34,7 @@
 //! * **avx512** (`Simd`) — split re/im (structure-of-arrays)
 //!   butterflies, eight f64 lanes per vector op. The plan lays each
 //!   stage's twiddles out as re/im vectors in the order the passes read
-//!   them ([`crate::fft_avx512`]): spans ≥ 8 stream whole vectors, two
+//!   them (`fft_avx512`): spans ≥ 8 stream whole vectors, two
 //!   stages per memory pass, and spans 1/2/4 run in registers inside
 //!   the end passes that also hold the bit reversal and the AoS copies
 //!   — 7 memory passes at `2^15` slots. The vector kernel preserves the
@@ -216,11 +216,6 @@ impl<F: RealField> SpecialFft<F> {
         self.slots
     }
 
-    /// Ring degree `N`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The datapath this plan was materialized on.
     pub fn field(&self) -> &F {
         &self.field
@@ -229,7 +224,7 @@ impl<F: RealField> SpecialFft<F> {
     /// Twiddle words of a planned (non-OTF) transform, both directions:
     /// `slots − 1` roots each (`len/2` per stage) — the ROM size the
     /// hardware model charges.
-    pub fn twiddle_words(&self) -> usize {
+    fn twiddle_words(&self) -> usize {
         2 * (self.slots - 1)
     }
 
@@ -518,6 +513,7 @@ impl<F: RealField> SpecialFft<F> {
     }
 }
 
+#[cfg(test)]
 impl SpecialFft<F64Field> {
     /// Evaluates the embedding directly: given real ring coefficients
     /// `coeffs` (length `N`, coefficient `j` of `X^j`), returns the slot
@@ -527,7 +523,7 @@ impl SpecialFft<F64Field> {
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N`.
-    pub fn embed_reference(&self, coeffs: &[f64]) -> Vec<Complex> {
+    fn embed_reference(&self, coeffs: &[f64]) -> Vec<Complex> {
         assert_eq!(coeffs.len(), self.n);
         let two_n = (2 * self.n) as f64;
         let mut out = Vec::with_capacity(self.slots);
@@ -616,7 +612,7 @@ mod tests {
         // reproduces slot values from a real coefficient vector.
         let slots = 32;
         let plan = SpecialFft::new(slots);
-        let coeffs: Vec<f64> = (0..plan.n()).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
+        let coeffs: Vec<f64> = (0..plan.n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let mut v = plan.coeffs_to_slots(&coeffs);
         plan.forward(&mut v);
         let evals = plan.embed_reference(&coeffs);
@@ -734,7 +730,7 @@ mod tests {
     #[test]
     fn rot_group_is_multiplicative() {
         let plan = SpecialFft::new(16);
-        let two_n = 2 * plan.n();
+        let two_n = 2 * plan.n;
         let group: Vec<usize> = plan.rot_group().take(17).collect();
         for j in 1..16 {
             assert_eq!(group[j], (group[j - 1] * 5) % two_n);

@@ -69,7 +69,7 @@ use abc_math::CpuCaps;
 /// Minimum slot count for the SIMD kernel: at `slots ≥ 8` the three
 /// in-register tail layers (spans 1/2/4) all exist and every longer
 /// span is a multiple of the 8-lane vector width.
-pub const MIN_SIMD_SLOTS: usize = 8;
+pub(crate) const MIN_SIMD_SLOTS: usize = 8;
 
 /// Minimum slot count for the split forward: the last pass is a radix-4
 /// one (spans `slots/4` and `slots/2`), and each half fills the tail.

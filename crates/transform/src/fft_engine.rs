@@ -61,11 +61,6 @@ impl<F: RealField> SpecialFftEngine<F> {
         &self.plan
     }
 
-    /// Slot count per vector.
-    pub fn slots(&self) -> usize {
-        self.plan.slots()
-    }
-
     /// Always 1: the engine's transforms run on the calling thread (a
     /// caller that splits the forward one passes its own thread count to
     /// [`SpecialFft::forward_split`]). Kept only because the reference

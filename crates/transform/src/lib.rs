@@ -16,7 +16,7 @@
 //!   twiddle tables materialized once per plan (OTF kernels retained as
 //!   the hardware-generator model, oracle and benchmark baseline; the
 //!   AVX-512 kernel runs split re/im 8-lane butterflies in
-//!   [`fft_avx512`], bit-identical to the scalar path).
+//!   `fft_avx512`, bit-identical to the scalar path).
 //!
 //! Both families pick their kernel through the one ladder in
 //! [`abc_math::kernel`] — `Simd` (`ifma` / `avx512`) → `Scalar`
@@ -76,8 +76,8 @@
 pub mod bitrev;
 pub mod fanout;
 pub mod fft;
-pub mod fft_avx512;
-pub mod fft_engine;
+mod fft_avx512;
+mod fft_engine;
 pub mod ntt;
 pub mod pool;
 pub mod rns_ntt;

@@ -174,7 +174,7 @@ impl NttPlan {
 
     /// Bytes of twiddle memory this plan keeps resident: the table's
     /// forward column plus the kernel's quotient column, `2·N·8`.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         (self.table.forward_column().len() + self.quotients.len()) * 8
     }
 

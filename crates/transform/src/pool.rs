@@ -211,7 +211,7 @@ pub struct PooledLimbs {
 impl PooledLimbs {
     /// Checks out `k` limbs of `words` words each, contents unspecified
     /// (see [`take`]).
-    pub fn take(k: usize, words: usize) -> Self {
+    pub(crate) fn take(k: usize, words: usize) -> Self {
         Self {
             bufs: (0..k).map(|_| take(words)).collect(),
         }

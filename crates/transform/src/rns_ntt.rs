@@ -78,7 +78,7 @@ use abc_math::dyadic::Tail;
 use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::{MathError, Modulus};
 
-pub use crate::fanout::{parse_threads, LimbWork, THREADS_ENV};
+pub use crate::fanout::{LimbWork, THREADS_ENV};
 
 /// Polynomials of `limbs` limbs one operation on a context can have
 /// checked out of the pool at once: one plaintext, two ciphertext
@@ -393,6 +393,7 @@ impl RnsNttEngine {
 #[cfg(test)]
 mod env_tests {
     use super::*;
+    use crate::fanout::parse_threads;
 
     #[test]
     fn unset_or_blank_means_no_override() {

@@ -35,7 +35,7 @@ impl TwiddleTable {
     ///
     /// Returns [`MathError::NoRootOfUnity`] if `q ≢ 1 (mod 2n)` and
     /// [`MathError::InvalidModulus`] if `n` is not a power of two ≥ 2.
-    pub fn new(m: Modulus, n: usize) -> Result<Self, MathError> {
+    pub(crate) fn new(m: Modulus, n: usize) -> Result<Self, MathError> {
         if !n.is_power_of_two() || n < 2 {
             return Err(MathError::InvalidModulus(n as u64));
         }
@@ -49,7 +49,7 @@ impl TwiddleTable {
     ///
     /// Returns [`MathError::NoRootOfUnity`] if `psi` is not a primitive
     /// 2N-th root of unity.
-    pub fn with_psi(m: Modulus, n: usize, psi: u64) -> Result<Self, MathError> {
+    fn with_psi(m: Modulus, n: usize, psi: u64) -> Result<Self, MathError> {
         if m.pow(psi, 2 * n as u64) != 1 || m.pow(psi, n as u64) == 1 {
             return Err(MathError::NoRootOfUnity {
                 modulus: m.q(),

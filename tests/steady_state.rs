@@ -36,14 +36,14 @@ const FUSED_COMPRESSED_ALLOCS: u64 = 11;
 
 /// Allocations of one pinned upload — [`CkksContext::encode`] →
 /// [`CkksContext::encrypt`] → `wire::serialize_ciphertext_packed`, a fresh
-/// blob each — at up to three threads. Serially 18: encode's four (the
-/// scale's numerator and the plaintext's copy of it, the slot vector,
-/// the coefficients the plaintext keeps), encrypt's eight (the three
+/// blob each — at up to three threads. Serially 17: encode's three (the
+/// scale's numerator, which the plaintext keeps, the slot vector, the
+/// coefficients the plaintext keeps), encrypt's eight (the three
 /// samples, `m + e0`, the two component tables, the pair pass's scratch
 /// checkout, the scale) and the packing's six (the blob among them) —
 /// plus the fan-out's chunk operands and scratch checkouts when the
-/// passes fan out (21 at three threads).
-const PINNED_UPLOAD_ALLOCS: u64 = 21;
+/// passes fan out (20 at three threads).
+const PINNED_UPLOAD_ALLOCS: u64 = 20;
 
 /// Every allocation of the process, from any thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
