@@ -24,7 +24,7 @@
 //!
 //! Because the build container has no registry access, the tool is
 //! dependency-free: a hand-rolled lexer ([`lexer`]) feeds a
-//! structural scanner ([`parse`]) feeds nine rules ([`rules`]).
+//! structural scanner ([`parse`]) feeds ten rules ([`rules`]).
 //!
 //! # Rules
 //!
@@ -39,6 +39,7 @@
 //! | `lock-site` | no `Mutex`/`RwLock` in the library crates outside tests, except the limb pool (`crates/transform/src/pool.rs`) and the test-only environment lock (`crates/math/src/envtest.rs`) |
 //! | `model-boundary` | no `abc_hw` / `abc_sim` path in the product crates (`math`, `float`, `prng`, `transform`, `ckks`, `gateway`) outside tests: the models depend on the client path, not the reverse |
 //! | `pub-reach` | every `pub` fn / const / static in a product crate's `src/` outside tests is named (as a code identifier, not in a comment or doctest) in some walked file outside that `src/` — another crate, the crate's own `tests/`, the root `src/` / `tests/` / `examples/`, `benchmark/src` — so that rustc's `dead_code` lint sees the rest; by name, so a floor and not a proof |
+//! | `constant-time` | a fn whose doc comment has a line starting `Constant-time:` has no `if`, `match`, `while`, `loop`, `return`, `?`, `&&`, `\|\|`, `partition_point` or `binary_search` in its body (a `for` over a public table or chunk range is allowed); by token, so a floor |
 //!
 //! Suppressions live in `analysis-allow.toml` at the workspace root;
 //! every entry requires a justification string, and entries that match

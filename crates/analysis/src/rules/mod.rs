@@ -1,4 +1,4 @@
-//! The rule engine: shared context plus the nine shipped rules.
+//! The rule engine: shared context plus the ten shipped rules.
 //!
 //! Each rule is a function `fn(&Ctx, &File, &mut Vec<Finding>)`; rules
 //! never read the filesystem — everything they need (token streams,
@@ -13,6 +13,7 @@ use crate::lexer::TokKind;
 use crate::parse::File;
 use crate::report::{Allowed, Finding, Surface};
 
+mod constant_time;
 mod domain_doc;
 mod env_access;
 mod lock_site;
@@ -82,6 +83,7 @@ pub fn run(files: &[File]) -> Vec<Finding> {
         lock_site::check(&ctx, f, &mut findings);
         model_boundary::check(&ctx, f, &mut findings);
         pub_reach::check(&ctx, f, &mut findings);
+        constant_time::check(&ctx, f, &mut findings);
     }
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))

@@ -689,6 +689,78 @@ justification = "nothing unreached is left there: reported stale"
     assert!(stale[0].contains("noise.rs"), "{stale:?}");
 }
 
+// ---------------------------------------------------------------- rule 10
+
+#[test]
+fn a_marked_gaussian_draw_with_a_conditional_sign_fires() {
+    // The variable-rate Gaussian draw: no sign word for `k = 0`, a
+    // branch on the one drawn for the rest.
+    let src = r#"
+impl GaussianSampler {
+    /// One signed sample.
+    ///
+    /// Constant-time: claimed, not kept.
+    pub fn sample(&mut self) -> i64 {
+        let u = self.rng.next_u64() >> 1; // if the comment says `match`, no finding
+        let k = magnitude(self.cdt(), u) as i64;
+        if k == 0 {
+            0
+        } else if self.rng.next_bits(1) == 1 {
+            k
+        } else {
+            -k
+        }
+    }
+}
+"#;
+    let found = findings("crates/prng/src/sampler.rs", src);
+    assert_eq!(rules(&found), ["constant-time"; 2], "{found:?}");
+    assert_eq!((found[0].line, found[1].line), (9, 11));
+    assert!(
+        found[0].message.contains("`if` in fn `sample`"),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn a_marked_for_over_a_table_is_clean() {
+    let src = r#"
+/// How many thresholds of `cdt` are `≤ u`.
+///
+/// Constant-time: a sum over the whole table.
+fn magnitude(cdt: &[u64], u: u64) -> u64 {
+    let mut k = 0;
+    for &c in cdt {
+        k += c.wrapping_sub(u + 1) >> 63;
+    }
+    let _ = "if && || ?";
+    k
+}
+"#;
+    assert!(findings("crates/prng/src/sampler.rs", src).is_empty());
+}
+
+#[test]
+fn unmarked_branches_and_other_searches_are_ignored() {
+    let src = r#"
+/// One uniform residue; its rejection loop is not constant-time, and
+/// says so in prose only.
+fn sample(q: u64, w: u64) -> Option<u64> {
+    if w < q && q > 1 {
+        return Some(w);
+    }
+    let cdt = [1u64, 2];
+    let _ = cdt.partition_point(|&c| c <= w);
+    None
+}
+"#;
+    assert!(findings("crates/prng/src/sampler.rs", src).is_empty());
+    // The same body under the marker: `if`, `&&`, `return` and the search.
+    let marked = src.replace("/// says so", "/// Constant-time: no.\n/// says so");
+    let found = findings("crates/prng/src/sampler.rs", &marked);
+    assert_eq!(rules(&found), ["constant-time"; 4], "{found:?}");
+}
+
 // ------------------------------------------------------------ allowlist
 
 #[test]

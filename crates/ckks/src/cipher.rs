@@ -313,14 +313,6 @@ impl Degree2Ciphertext {
     pub fn components(&self) -> Degree2Components<'_> {
         (&self.c0, &self.c1, &self.c2)
     }
-
-    /// In-memory size in bytes (three components, full 8 B per
-    /// residue coefficient) — [`Ciphertext::byte_size`] parity for
-    /// the degree-2 intermediate, 1.5× the degree-1 figure at the same
-    /// level.
-    pub fn byte_size(&self) -> usize {
-        3 * self.num_primes() * self.n * 8
-    }
 }
 
 #[cfg(test)]
@@ -352,23 +344,6 @@ mod tests {
         let ct = dummy_ct(24, 1 << 16);
         // 2 components × 24 primes × 65536 coeffs × 8 B = 25.2 MB
         assert_eq!(ct.byte_size(), 2 * 24 * 65536 * 8);
-    }
-
-    #[test]
-    fn degree2_byte_size_formula() {
-        let primes = 24;
-        let n = 1 << 16;
-        let d2 = Degree2Ciphertext {
-            c0: vec![vec![0u64; n]; primes].into(),
-            c1: vec![vec![0u64; n]; primes].into(),
-            c2: vec![vec![0u64; n]; primes].into(),
-            scale: ExactScale::from_log2(36),
-            n,
-        };
-        // 3 components × 24 primes × 65536 coeffs × 8 B = 37.7 MB.
-        assert_eq!(d2.byte_size(), 3 * 24 * 65536 * 8);
-        // Exactly 1.5× the degree-1 in-memory footprint at this level.
-        assert_eq!(d2.byte_size() * 2, dummy_ct(primes, n).byte_size() * 3);
     }
 
     #[test]

@@ -1189,14 +1189,16 @@ mod tests {
         // The same product through the double-double embedding, on a
         // plan built for this call.
         let ext = SpecialFft::with_field(ExtF64Field, small.params().slots());
-        // Captured at the parent with 1, 2 and 3 threads. The first two
-        // agree: truncation keeps the decrypted integer, and the 24-limb
-        // verified lift and the 2-limb Garner lift both find it.
+        // Captured at the parent with 1, 2 and 3 threads, and again on
+        // the scalar rung at one thread when the Gaussian took one `u64`
+        // per coefficient. The first two agree: truncation keeps the
+        // decrypted integer, and the 24-limb verified lift and the
+        // 2-limb Garner lift both find it.
         let parents = [
-            0x778b_d49c_aa0e_9117,
-            0x778b_d49c_aa0e_9117,
-            0xf7c4_b6de_458c_48b7,
-            0x43a8_427f_2dfc_a9ab,
+            0x2140_391c_4845_eadb,
+            0x2140_391c_4845_eadb,
+            0xfa0e_9e18_11c0_9468,
+            0x382e_9a6c_cecb_bab6,
         ];
         let got = [
             hash(&ctx, &fresh),
@@ -1218,7 +1220,11 @@ mod tests {
         // `measure_noise`'s report, captured before that encode shared
         // the expansion and before the inverse NTT lost its fused
         // subtrahend. CI pins them on both kernel rungs and at three
-        // threads.
+        // threads. Every value that keygen's or encrypt's Gaussian errors
+        // reach was re-captured on the scalar rung at one thread when the
+        // Gaussian took one `u64` per coefficient; the two rescales kept
+        // theirs, as dividing by a 50-bit or larger prime product rounds
+        // the changed error away.
         let message: Vec<Complex> = (0..1usize << 12)
             .map(|j| {
                 let re = (j * 41 % 103) as f64 - 51.0;
@@ -1270,8 +1276,8 @@ mod tests {
             blob_hash(&ctx, &rescaled),
             blob_hash(&ctx, &crate::evaluator::rescale_prime(&ctx, &ct).unwrap()),
             fnv1a(residues.flat_map(|r| r.to_le_bytes())),
-            noise.std_dev.to_bits(), // 209.39898096108075
-            noise.max_abs.to_bits(), // 866.0
+            noise.std_dev.to_bits(), // 213.38129836330768
+            noise.max_abs.to_bits(), // 836.0
             fnv1a(crate::wire::serialize_compressed_ciphertext(&seeded, &widths).unwrap()),
             blob_hash(
                 &small,
@@ -1286,18 +1292,18 @@ mod tests {
             fnv1a(crate::wire::serialize_galois_key(&gk, &widths).unwrap()),
         ];
         let parents = [
-            0xe744_cdfc_120d_3b20,
+            0xdb59_3b8d_e353_ba43,
             0x5002_3f4a_251c_85f7,
             0x8b22_a137_6aac_385e,
             0x5393_c217_aa02_2325,
-            0x406a_2cc4_73b8_7231,
-            0x408b_1000_0000_0000,
-            0x2ab7_d662_cc81_387b,
-            0xa7f5_a7e3_46cd_ed35,
-            0xbd97_b408_90eb_dd48,
-            0x1baf_a5b3_6ec7_1d4b,
-            0x4c67_f31e_0e35_4cda,
-            0x9dd0_91e8_71b8_f957,
+            0x406a_ac33_98a0_0d98,
+            0x408a_2000_0000_0000,
+            0xd51b_07ef_f743_cb35,
+            0x2259_f766_c7ab_1133,
+            0x6865_8aa8_41fa_b834,
+            0xae11_8271_9b34_80f6,
+            0x0c03_9230_e870_499b,
+            0xa77d_36c0_dd47_4265,
         ];
         assert_eq!(got, parents);
     }
@@ -1309,6 +1315,8 @@ mod tests {
         // through the forward transform with the domain entry as its
         // tail. The two products key-switch a digit per prime; at 4
         // threads the per-digit pair pass (2·k·N = 2^14 words) fans out.
+        // Re-captured on the scalar rung at one thread when the Gaussian
+        // took one `u64` per coefficient.
         use abc_math::envtest::EnvGuard;
         use abc_transform::rns_ntt::THREADS_ENV;
         let params = CkksParams::builder()
@@ -1338,7 +1346,7 @@ mod tests {
             let rotated = crate::evaluator::rotate(&ctx, &ct, 3, &gk).unwrap();
             got.push([blob_hash(&ctx, &squared), blob_hash(&ctx, &rotated)]);
         }
-        let parents = [0x9b75_c941_ad8a_3534, 0x2bac_e2fe_2238_9b4e];
+        let parents = [0x99dd_9c8d_15d9_64b4, 0x09f0_e16b_9b3b_fd3f];
         assert_eq!(got, [parents, parents]);
     }
 

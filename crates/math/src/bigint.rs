@@ -214,38 +214,6 @@ impl UBig {
         (q, rem as u64)
     }
 
-    /// Constructs the big integer equal to a non-negative, finite,
-    /// *integer-valued* `f64` (e.g. the rounded output of
-    /// [`Self::to_f64`]); such values are always exactly representable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is negative, non-finite, or not an integer.
-    pub fn from_f64(x: f64) -> Self {
-        assert!(
-            x.is_finite() && x >= 0.0 && x.fract() == 0.0,
-            "UBig::from_f64 requires a non-negative integer value, got {x}"
-        );
-        if x == 0.0 {
-            return Self::zero();
-        }
-        // Decompose into mantissa · 2^exp with an integer mantissa.
-        let bits = x.to_bits();
-        let raw_exp = ((bits >> 52) & 0x7FF) as i32;
-        let mantissa = if raw_exp == 0 {
-            bits & ((1u64 << 52) - 1) // subnormal (integer ⇒ only 0, handled)
-        } else {
-            (bits & ((1u64 << 52) - 1)) | (1u64 << 52)
-        };
-        let exp = raw_exp - 1075; // value = mantissa · 2^exp
-        if exp >= 0 {
-            Self::from(mantissa).shl(exp as u32)
-        } else {
-            // Integer-valued ⇒ the low -exp mantissa bits are zero.
-            Self::from(mantissa >> (-exp) as u32)
-        }
-    }
-
     /// Returns `self * m` for a single limb `m`.
     pub fn mul_u64(&self, m: u64) -> Self {
         if m == 0 || self.is_zero() {
@@ -496,21 +464,6 @@ mod tests {
         let (q2, _) = q1.div_rem_u64(999_983);
         let (qp, _) = x.div_rem_u64(1_000_003); // recompute for clarity
         assert_eq!(q2, qp.div_rem_u64(999_983).0);
-    }
-
-    #[test]
-    fn from_f64_exact_integers() {
-        assert_eq!(UBig::from_f64(0.0), UBig::zero());
-        assert_eq!(UBig::from_f64(12345.0), UBig::from(12345u64));
-        assert_eq!(UBig::from_f64(2f64.powi(100)), UBig::from(1u128 << 100));
-        let x = UBig::from(0xFFFF_FFFF_FFFFu64).shl(300);
-        assert_eq!(UBig::from_f64(x.to_f64()), x); // 48-bit mantissa: exact
-    }
-
-    #[test]
-    #[should_panic(expected = "integer value")]
-    fn from_f64_rejects_fractions() {
-        let _ = UBig::from_f64(0.5);
     }
 
     #[test]

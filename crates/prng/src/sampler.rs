@@ -16,33 +16,32 @@
 //! * **uniform** — eight `u64` candidates per step (one keystream word
 //!   each at ≤ 32 bits, two above), masked to `bits`, compared with `q`,
 //!   the accepted lanes compressed in order;
-//! * **Gaussian** — a sequential first pass records each sample's 63-bit
-//!   `u` and its sign bit and moves the cursor by `2 + (u ≥ cdt[0])`
-//!   words, as arithmetic; then an eight-lane count of the thresholds
-//!   `≤ u`;
+//! * **Gaussian** — one `u64` per coefficient (two keystream words, low
+//!   word first), eight lanes at a time: a count of the thresholds
+//!   `≤ w >> 1` and a negation where `w & 1` is clear;
 //! * **dense ternary** — one word per coefficient, mapped to
 //!   `{-1, 0, +1}` by arithmetic, sixteen at a time.
 //!
-//! Both rungs consume the keystream in the same order: a sample that
-//! would straddle a refill is drawn by the oracle, so every output bit
-//! and the generator's position after the call are the same on both.
+//! Both rungs consume the keystream in the same order, and every output
+//! bit and the generator's position after the call are the same on both.
+//! The Gaussian and the dense ternary read a fixed number of words per
+//! coefficient, whole pairs and single words, so neither can straddle a
+//! refill; a uniform candidate that would is drawn by the oracle.
 //!
 //! # What is constant-time
 //!
-//! * The Gaussian magnitude is a branch-free count over the whole table
-//!   on both rungs.
-//! * The Gaussian's keystream position is not: a non-zero sample takes a
-//!   third word for its sign. The oracle branches on it; the vector
-//!   rung's first pass advances by arithmetic, but its next load address,
-//!   and where the refill falls, still follow the sampled value. Only a
-//!   fixed-rate layout (one word pair per coefficient) removes that, and
-//!   it moves every `output_hash`.
-//! * Dense ternary on the vector rung has no branch and no address that
-//!   depends on a coefficient; the oracle's `match` may compile to one.
-//!   Sparse ternary (keygen only) places its non-zeros by rejection.
-//! * The uniform draw's time depends on how many candidates are
+//! The Gaussian (magnitude and sign) and the dense ternary are
+//! branch-free on both rungs, and their keystream position after
+//! coefficient `i` is fixed (`2(i + 1)` words and `i + 1`), so no load
+//! address or refill point follows a sampled value. The functions that
+//! compute them say so with a `Constant-time:` line, which the analyzer
+//! (rule `constant-time`) holds to a body with no branch. Two draws
+//! remain data-dependent, neither on a secret:
+//!
+//! * the uniform draw's time depends on how many candidates are
 //!   rejected, which says nothing about the accepted ones; the mask it
-//!   draws is public.
+//!   draws is public;
+//! * sparse ternary (keygen only) places its non-zeros by rejection.
 
 use crate::chacha::{ChaCha20, Kernel};
 use abc_math::{CpuCaps, KernelTier, Modulus};
@@ -167,13 +166,7 @@ impl TernarySampler {
                 }
                 out
             }
-            None => (0..n)
-                .map(|_| match self.rng.next_bits(2) {
-                    0 => -1i8,
-                    1 => 1,
-                    _ => 0,
-                })
-                .collect(),
+            None => (0..n).map(|_| ternary(self.rng.next_u32())).collect(),
             Some(h) => {
                 assert!(h <= n, "hamming weight {h} exceeds degree {n}");
                 let mut out = vec![0i8; n];
@@ -189,6 +182,15 @@ impl TernarySampler {
             }
         }
     }
+}
+
+/// The dense ternary coefficient of one keystream word: its low two
+/// bits `v` map to `(2v − 1) & ((v >> 1) − 1)`, that is −1, 1, 0, 0.
+///
+/// Constant-time: arithmetic only.
+fn ternary(w: u32) -> i8 {
+    let v = (w & 3) as i8;
+    (2 * v - 1) & ((v >> 1) - 1)
 }
 
 /// Largest table a [`GaussianSampler`] holds: `⌈6σ⌉ + 1` entries, so
@@ -236,6 +238,9 @@ impl GaussianSampler {
             acc += w / total;
             *c = (acc.min(1.0) * (1u64 << 63) as f64) as u64;
         }
+        // The table sums to one; a rounded sum short of it would let a
+        // `u` above the last threshold count past the tail.
+        cdt[tail] = 1 << 63;
         Self {
             rng: ChaCha20::from_seed_and_stream(seed, stream),
             cdt,
@@ -255,25 +260,18 @@ impl GaussianSampler {
         &self.cdt[..self.len]
     }
 
-    /// One signed sample.
+    /// One signed sample from one keystream `u64` `w`: the magnitude
+    /// `k` counts the thresholds `≤ w >> 1` (63 bits) and the result is
+    /// `+k` if `w & 1` is set, else `−k`.
     ///
-    /// The magnitude is a branch-free count of the thresholds `≤ u` over
-    /// the whole table — the sorted table's partition point, so the
-    /// same `k` as a binary search, without a search path that depends
-    /// on the secret `u`. The sign is still a conditional draw (none for
-    /// `k = 0`): that is the timing channel left, and removing it moves
-    /// the keystream position of every later sample, so it waits for
-    /// the change that is allowed to move `output_hash`.
+    /// Constant-time: the count runs over the whole table — the sorted
+    /// table's partition point, the same `k` as a binary search without a
+    /// search path — and the sign is applied by arithmetic.
     pub fn sample(&mut self) -> i64 {
-        let u = self.rng.next_u64() >> 1; // 63 random bits
-        let k = magnitude(self.cdt(), u) as i64;
-        if k == 0 {
-            0
-        } else if self.rng.next_bits(1) == 1 {
-            k
-        } else {
-            -k
-        }
+        let w = self.rng.next_u64();
+        let k = magnitude(self.cdt(), w >> 1) as i64;
+        let flip = (w & 1) as i64 - 1; // 0 keeps `k`, −1 negates it
+        (k ^ flip) - flip
     }
 
     /// Samples a length-`n` error polynomial.
@@ -281,67 +279,48 @@ impl GaussianSampler {
         if self.rng.kernel() != Kernel::Avx512 {
             return (0..n).map(|_| self.sample()).collect();
         }
+        // Two words per coefficient: the cursor stays even, so a refill
+        // always holds whole samples.
+        let cdt = &self.cdt[..self.len];
         let mut out = vec![0i64; n];
         let mut done = 0;
         while done < n {
             let words = self.rng.unread();
-            let (used, drawn) = gaussian_words(words, self.cdt[0], &mut out[done..]);
-            self.rng.advance(used);
-            gaussian_count(self.cdt(), &mut out[done..done + drawn]);
-            done += drawn;
-            // The refill's last words, too few for a sample of three.
-            if done < n {
-                out[done] = self.sample();
-                done += 1;
-            }
+            let take = (words.len() / 2).min(n - done);
+            gaussian_bulk(cdt, &words[..2 * take], &mut out[done..done + take]);
+            self.rng.advance(2 * take);
+            done += take;
         }
         out
     }
 }
 
-/// How many thresholds of `cdt` are `≤ u`, with no branch on `u`:
-/// `c ≤ u` is the sign bit of `c − (u + 1)`, which cannot wrap since
-/// `u < 2^63` and `c ≤ 2^63`.
+/// How many thresholds of `cdt` are `≤ u`: `c ≤ u` is the sign bit of
+/// `c − (u + 1)`, which cannot wrap since `u < 2^63` and `c ≤ 2^63`.
+///
+/// Constant-time: a sum over the whole table, with no branch on `u`.
 fn magnitude(cdt: &[u64], u: u64) -> u64 {
     cdt.iter().map(|&c| c.wrapping_sub(u + 1) >> 63).sum()
 }
 
-/// The Gaussian's first pass: from the front of `words`, each sample's
-/// 63-bit `u` (words `c`, `c + 1`, as [`ChaCha20::next_u64`] joins them,
-/// shifted right by one) with the low bit of word `c + 2` in bit 63 —
-/// its sign draw if `u ≥ cdt0`, an unused word otherwise. The cursor
-/// moves by `2 + (u ≥ cdt0)`, by arithmetic. Stops before a sample
-/// whose three words are not all in `words`, or when `out` is full;
-/// returns (words read, samples written).
-fn gaussian_words(words: &[u32], cdt0: u64, out: &mut [i64]) -> (usize, usize) {
-    let (mut c, mut i) = (0, 0);
-    while i < out.len() && c + 3 <= words.len() {
-        let u = (words[c] as u64 | (words[c + 1] as u64) << 32) >> 1;
-        let sign = (words[c + 2] as u64 & 1) << 63;
-        out[i] = (u | sign) as i64;
-        c += 2 + (u >= cdt0) as usize;
-        i += 1;
-    }
-    (c, i)
-}
-
-/// Replaces each first-pass word of `xs` ([`gaussian_words`]) by its
-/// signed sample: `+k` if the sign bit is set, else `−k`, `k` the count
-/// of thresholds `≤ u`.
-fn gaussian_count(cdt: &[u64], xs: &mut [i64]) {
+/// Gaussian samples of `words`, two each (as [`ChaCha20::next_u64`]
+/// joins them), into `out`: the scalar [`GaussianSampler::sample`],
+/// eight lanes at a time.
+fn gaussian_bulk(cdt: &[u64], words: &[u32], out: &mut [i64]) {
+    assert_eq!(words.len(), 2 * out.len(), "two words per coefficient");
     // Only the `avx512` rung calls this, so the assert never fires; a
     // `target_feature` call on an unsupported CPU would be UB (the
     // keystream kernel's contract).
     assert!(CpuCaps::detect().avx512f, "no AVX-512F on this CPU");
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: the assert above proves AVX-512F, the kernel's one
-        // precondition.
-        unsafe { kern::count_x8(cdt, xs) }
+        // SAFETY: the asserts above prove AVX-512F and the lengths the
+        // kernel requires.
+        unsafe { kern::gaussian_x8(cdt, words, out) }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (cdt, xs);
+        let _ = (cdt, words, out);
         unreachable!("the avx512 rung requires x86_64");
     }
 }
@@ -442,36 +421,45 @@ mod kern {
         (used, written)
     }
 
-    /// [`super::gaussian_count`], eight lanes at a time, the tail masked.
+    /// [`super::gaussian_bulk`]: sixteen words as eight `u64` lanes, the
+    /// tail masked; `k` counts the thresholds `≤ w >> 1` and is negated
+    /// where `w & 1` is clear.
+    ///
+    /// Constant-time: every lane counts over the whole table and the
+    /// sign is a masked subtract.
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX-512F.
+    /// Caller guarantees AVX-512F and `words.len() == 2 * out.len()`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn count_x8(cdt: &[u64], xs: &mut [i64]) {
-        let low63 = _mm512_set1_epi64(i64::MAX);
-        let (zero, minus_one) = (_mm512_setzero_si512(), _mm512_set1_epi64(-1));
-        for chunk in xs.chunks_mut(8) {
-            let live = lanes(chunk.len()) as __mmask8;
-            // SAFETY: the masked load reads the chunk's `chunk.len()`
-            // lanes only.
-            let x = unsafe { _mm512_maskz_loadu_epi64(live, chunk.as_ptr()) };
-            let u = _mm512_and_si512(x, low63);
+    pub(super) unsafe fn gaussian_x8(cdt: &[u64], words: &[u32], out: &mut [i64]) {
+        let (zero, one, minus_one) = (
+            _mm512_setzero_si512(),
+            _mm512_set1_epi64(1),
+            _mm512_set1_epi64(-1),
+        );
+        for (w, o) in words.chunks(16).zip(out.chunks_mut(8)) {
+            let live = lanes(o.len()) as __mmask8;
+            // SAFETY: the masked load reads the `w.len()` words of `w`.
+            let x = unsafe { _mm512_maskz_loadu_epi32(lanes(w.len()), w.as_ptr() as *const i32) };
+            let u = _mm512_srli_epi64(x, 1);
             let mut k = zero;
             for &c in cdt {
                 let le = _mm512_cmple_epu64_mask(_mm512_set1_epi64(c as i64), u);
                 k = _mm512_mask_sub_epi64(k, le, k, minus_one);
             }
-            let negative = _mm512_cmpge_epi64_mask(x, zero); // sign bit clear
+            let negative = _mm512_testn_epi64_mask(x, one); // `w & 1` clear
             let signed = _mm512_mask_sub_epi64(k, negative, zero, k);
-            // SAFETY: as the load: the chunk's live lanes only.
-            unsafe { _mm512_mask_storeu_epi64(chunk.as_mut_ptr(), live, signed) };
+            // SAFETY: as the load: `o`'s `o.len()` lanes only.
+            unsafe { _mm512_mask_storeu_epi64(o.as_mut_ptr(), live, signed) };
         }
     }
 
     /// [`super::ternary_bulk`], sixteen words at a time, the tail masked:
     /// `v = w & 3` maps to `(2v − 1) & ((v >> 1) − 1)`, that is −1, 1, 0,
-    /// 0 — the oracle's `match`.
+    /// 0 — the oracle's [`super::ternary`].
+    ///
+    /// Constant-time: arithmetic over every lane, the tail masked.
     ///
     /// # Safety
     ///
@@ -573,6 +561,64 @@ mod tests {
         assert!(samples.iter().all(|&x| x.abs() <= 20));
     }
 
+    #[test]
+    fn gaussian_reads_two_words_per_coefficient_on_both_rungs() {
+        // After `sample_poly(n)` the generator is `2n` words in, and a
+        // polynomial split where the first part ends mid-refill (400 of
+        // 256-word refills) is the same polynomial.
+        for tier in [KernelTier::Scalar, KernelTier::Simd] {
+            let sampler = || GaussianSampler::new(Seed::from_u128(9), 4, 3.2).with_kernel(tier);
+            for n in [0, 1, 7, 127, 128, 129, 200, 533] {
+                let mut s = sampler();
+                s.sample_poly(n);
+                let mut rng = ChaCha20::from_seed_and_stream(Seed::from_u128(9), 4);
+                for _ in 0..2 * n {
+                    rng.next_u32();
+                }
+                assert_eq!(s.rng.next_u64(), rng.next_u64(), "n = {n} on {tier:?}");
+            }
+            let mut split = sampler();
+            let mut parts = split.sample_poly(200);
+            parts.extend(split.sample_poly(333));
+            assert_eq!(parts, sampler().sample_poly(533), "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn gaussian_fits_its_table() {
+        // χ² of 2^20 samples at σ = 3.2 against the table's own bin
+        // probabilities: k = −12 … 12 and both tails beyond |k| = 12 as
+        // one bin, 25 degrees of freedom; 52.6 is the 0.1 % critical
+        // value. Then the signs of the non-zero samples, within 4σ of
+        // balanced.
+        let n = 1 << 20;
+        let mut s = GaussianSampler::new(Seed::from_u128(13), 0, 3.2);
+        let samples = s.sample_poly(n);
+        let cdt = s.cdt();
+        let scale = (1u64 << 63) as f64;
+        let p_abs = |k: usize| (cdt[k] - if k == 0 { 0 } else { cdt[k - 1] }) as f64 / scale;
+        let mut observed = [0u64; 26];
+        for &x in &samples {
+            observed[if x.abs() > 12 { 25 } else { (x + 12) as usize }] += 1;
+        }
+        let expected = |bin: usize| match bin {
+            25 => 1.0 - cdt[12] as f64 / scale,
+            12 => p_abs(0),
+            _ => p_abs(bin.abs_diff(12)) / 2.0,
+        };
+        let chi2: f64 = (0..26)
+            .map(|bin| {
+                let e = expected(bin) * n as f64;
+                (observed[bin] as f64 - e).powi(2) / e
+            })
+            .sum();
+        assert!(chi2 < 52.6, "chi2 = {chi2}, bins {observed:?}");
+        let plus = samples.iter().filter(|&&x| x > 0).count() as f64;
+        let minus = samples.iter().filter(|&&x| x < 0).count() as f64;
+        let z = (plus - minus) / (plus + minus).sqrt();
+        assert!(z.abs() < 4.0, "z = {z}: {plus} positive, {minus} negative");
+    }
+
     /// FNV-1a over a polynomial's coefficients.
     fn fnv(xs: impl IntoIterator<Item = u64>) -> u64 {
         xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
@@ -596,12 +642,30 @@ mod tests {
     }
 
     #[test]
+    fn no_sample_lies_past_the_tail() {
+        // At σ = 3.2 and 10.5 the rounded running sum ends 2048 and 1024
+        // short of 2^63; the largest 63-bit `u` must still count to the
+        // tail, ⌈6σ⌉, and no further.
+        for sigma in [1.0, 3.2, 7.9, 10.5] {
+            let sampler = GaussianSampler::new(Seed::default(), 0, sigma);
+            let tail = (6.0 * sigma).ceil() as u64;
+            assert_eq!(
+                magnitude(sampler.cdt(), (1 << 63) - 1),
+                tail,
+                "sigma={sigma}"
+            );
+        }
+    }
+
+    #[test]
     fn samplers_equal_the_parents_at_2_16() {
         // Hashes captured from the samplers before the 16-block keystream
-        // and the full-table CDT count: same seed, same polynomial.
+        // and the full-table CDT count: same seed, same polynomial. The
+        // Gaussian's was re-captured on the scalar rung when it took one
+        // `u64` per coefficient.
         let n = 1 << 16;
         let gauss = GaussianSampler::new(Seed::from_u128(5), 0, 3.2).sample_poly(n);
-        assert_eq!(fnv(gauss.iter().map(|&x| x as u64)), 0xc353_0015_d01f_d57d);
+        assert_eq!(fnv(gauss.iter().map(|&x| x as u64)), 0xbcfa_a146_86e4_b54e);
         let ternary = TernarySampler::new(Seed::from_u128(6), 0).sample_poly(n, None);
         assert_eq!(
             fnv(ternary.iter().map(|&x| x as u64)),

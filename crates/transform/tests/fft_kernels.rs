@@ -9,8 +9,8 @@
 //! contract documented on the dispatch ladder.
 
 use abc_float::{Complex, F64Field};
-use abc_math::{primes::generate_ntt_primes, KernelTier, Modulus};
-use abc_transform::{pool, RnsNttEngine, SpecialFft, SpecialFftEngine};
+use abc_math::KernelTier;
+use abc_transform::{SpecialFft, SpecialFftEngine};
 use proptest::prelude::*;
 
 fn message(slots: usize, seed: u64) -> Vec<Complex> {
@@ -132,35 +132,6 @@ fn avx512_is_the_scalar_kernel_bit_for_bit_at_every_dispatched_size() {
             }
         }
     }
-}
-
-#[test]
-fn warm_avx512_transforms_take_their_planes_from_the_limb_pool() {
-    // N = 2^14: the proptests above stop at 2^12 slots, and the pool is
-    // process-wide, so no other test of this binary touches this class.
-    let n = 1usize << 14;
-    let plan = SpecialFft::with_field_kernel(F64Field, n / 2, KernelTier::Simd);
-    if plan.kernel_name() != "avx512" {
-        return;
-    }
-    // A live engine of ring degree N registers the N-word class, as every
-    // context that runs this plan does.
-    let q = generate_ntt_primes(36, 1, 2 * n as u64).expect("prime")[0];
-    let _engine = RnsNttEngine::new(&[Modulus::new(q).expect("modulus")], n).expect("engine");
-    let mut vals = message(n / 2, 5);
-    plan.forward(&mut vals);
-    let warm = pool::class_stats(n).expect("registered by the engine");
-    let k = 6u64;
-    for _ in 0..k / 2 {
-        plan.inverse(&mut vals);
-        plan.forward(&mut vals);
-    }
-    let after = pool::class_stats(n).expect("registered by the engine");
-    assert_eq!(
-        (after.hits - warm.hits, after.misses - warm.misses),
-        (k, 0),
-        "each warm transform takes exactly one limb, and from the pool"
-    );
 }
 
 proptest! {
