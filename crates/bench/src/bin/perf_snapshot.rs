@@ -54,7 +54,11 @@
 //! non-zero if `ntt/forward_stream_macc/2^16` (encrypt's limb body as
 //! one streamed transform) is not faster than
 //! `ntt/expand_forward_macc/2^16` (the same operands through expand,
-//! transform and one multiply–accumulate pass), or if
+//! transform and one multiply–accumulate pass), if
+//! `ntt/inverse_stream_muladd/2^16` (decrypt's limb body as one streamed
+//! inverse) is not faster than `ntt/muladd_inverse/2^16` (the same
+//! operands copied, multiply–added and inverse-transformed in three
+//! passes), or if
 //! `client/upload_steady/2^16x24` (encode → encrypt → pack) reads 1.2×
 //! `client/upload_fused_steady/2^16x24` (the same upload in one call) or
 //! more: both run 72 transforms, and the two are timed alternately.
@@ -98,7 +102,7 @@ use abc_ckks::precision::{
 };
 use abc_ckks::CkksContext;
 use abc_float::{Complex, ExtF64, ExtF64Field, F64Field, RealField, SoftFloatField};
-use abc_math::dyadic::{DyadicEngine, Tail};
+use abc_math::dyadic::{DyadicEngine, Head, Tail};
 use abc_math::envtest::EnvGuard;
 use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::KernelTier;
@@ -844,6 +848,48 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
         pair
     });
 
+    // --- The streamed inverse transform at the paper's ring: decrypt's
+    // limb body `d = INTT(c1·s + c0)`, as one `inverse_stream` and as the
+    // composition it replaces (copy `c1`, one multiply–add pass, an
+    // out-of-place inverse), same operands, same run, one output buffer,
+    // timed alternately as the forward pair is ---
+    let inverse_ids = ["ntt/inverse_stream_muladd/2^16", "ntt/muladd_inverse/2^16"];
+    let inverse_pair = inverse_ids.iter().any(|id| rows.has(id)).then(|| {
+        let n = 1usize << 16;
+        let plan = NttPlan::new(ntt_moduli(1, n)[0], n).expect("plan");
+        let (d, q) = (plan.dyadic(), plan.modulus().q());
+        let c1: Vec<u64> = (0..n as u64).map(|i| (i * 17 + 5) % q).collect();
+        let s: Vec<u64> = (0..n as u64).map(|i| (i * 13 + 11) % q).collect();
+        let c0: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q).collect();
+        let out = RefCell::new(vec![0u64; n]);
+        let mut scratch = vec![0u64; n];
+        let mut streamed = || {
+            let head = Head::MulAdd {
+                c1: &c1,
+                s: &s,
+                c0: &c0,
+            };
+            assert!(plan.inverse_stream(head, &mut out.borrow_mut()));
+        };
+        let mut unfused = || {
+            scratch.copy_from_slice(&c1);
+            d.mul_add_assign(&mut scratch, &s, &c0);
+            plan.inverse_from(&scratch, &mut out.borrow_mut());
+        };
+        streamed();
+        unfused();
+        let budget = Duration::from_millis(800);
+        let samples = time_alternately(budget, 5, [&mut streamed, &mut unfused]);
+        let [streamed, unfused] = [0, 1].map(|i| record(inverse_ids[i], samples[i].clone()));
+        let pair = (
+            plan.kernel_name(),
+            streamed.median_secs,
+            unfused.median_secs,
+        );
+        benches.extend([streamed, unfused].into_iter().filter(|r| rows.has(&r.id)));
+        pair
+    });
+
     // --- Dyadic element-wise kernels: per-kernel throughput rows ---
     //
     // Each kernel row also lands in the `"throughput"` JSON section
@@ -1354,6 +1400,18 @@ fn snapshot(rows: &Rows, committed: Option<&str>) -> (String, Vec<String>) {
         if kernel == "ifma" && streamed >= unfused && stream_ids.iter().all(|id| rows.has(id)) {
             failures.push(
                 "the streamed forward transform is not faster than expand + forward + mac".into(),
+            );
+        }
+    }
+    // Likewise the streamed inverse against the composition it replaces.
+    if let Some((kernel, streamed, unfused)) = inverse_pair {
+        println!(
+            "ntt/inverse_stream_muladd over ntt/muladd_inverse ({kernel}): {:.3}",
+            streamed / unfused
+        );
+        if kernel == "ifma" && streamed >= unfused && inverse_ids.iter().all(|id| rows.has(id)) {
+            failures.push(
+                "the streamed inverse transform is not faster than copy + mul_add + inverse".into(),
             );
         }
     }

@@ -3,36 +3,41 @@
 //! Their residue limbs are [`PooledLimbs`]: checked out of the
 //! process-wide limb pool by whoever produced them and handed back when
 //! the container drops, so a steady-state client op recycles the memory
-//! of the previous one. An encoded plaintext holds its integer
-//! coefficients instead and makes its residue limbs only when something
-//! reads them ([`Plaintext::residues`]): encrypt folds its error into the
-//! coefficients and never needs them.
+//! of the previous one. A plaintext keeps the form its producer left it
+//! in — encode's integer coefficients, or decrypt's coefficient-domain
+//! limbs — and makes its NTT-domain residue limbs only when something
+//! reads them ([`Plaintext::residues`]): encrypt folds its error into
+//! encode's coefficients, and decode lifts decrypt's limbs, so neither
+//! needs them.
 //!
 //! The module is private; its three types are re-exported at the crate
 //! root.
 
 use crate::scale::ExactScale;
-use abc_transform::{PooledLimbs, RnsNttEngine};
+use abc_transform::{LimbWork, PooledLimbs, RnsNttEngine};
 use std::sync::{Arc, OnceLock};
 
 /// An encoded message at the scale it was encoded at: one residue
-/// polynomial per RNS prime in the NTT (evaluation) domain — or, fresh
-/// from [`CkksContext::encode`](crate::CkksContext::encode), the `N`
-/// integer coefficients those residues are made from, on first use.
+/// polynomial per RNS prime in the NTT (evaluation) domain, made on
+/// first use from what the plaintext holds — the `N` integer
+/// coefficients of [`CkksContext::encode`](crate::CkksContext::encode),
+/// or the coefficient-domain residue limbs of
+/// [`CkksContext::decrypt`](crate::CkksContext::decrypt).
 ///
 /// [`CkksContext::encrypt`](crate::CkksContext::encrypt) of an encoded
 /// plaintext adds its error to the coefficients and transforms the sum,
-/// so the plaintext itself is never transformed; one from
-/// [`CkksContext::decrypt`](crate::CkksContext::decrypt), or whose
-/// residues were already made, is added in the NTT domain. Both give the
-/// same ciphertext.
+/// so the plaintext itself is never transformed; one from decrypt, or
+/// whose residues were already made, is added in the NTT domain. Both
+/// give the same ciphertext. [`CkksContext::decode`](crate::CkksContext::decode)
+/// of a decrypted plaintext lifts its limbs as they are.
 #[derive(Clone)]
 pub struct Plaintext {
-    /// Encode's coefficients; `None` for a plaintext made in the NTT
-    /// domain (decrypt's), whose residues are set from the start.
+    /// What the residues are made from, and the engine that makes them;
+    /// `None` for a plaintext made in the NTT domain, whose residues are
+    /// set from the start.
     coeffs: Option<Coefficients>,
     /// `rns[i][j]` = coefficient `j` of the residue polynomial mod `q_i`,
-    /// in NTT domain: set at construction, or built from `coeffs` once.
+    /// in NTT domain: set at construction, or made from `coeffs` once.
     rns: OnceLock<PooledLimbs>,
     /// Exact encoding scale (Δ_eff for double-scale parameters).
     scale: ExactScale,
@@ -40,12 +45,21 @@ pub struct Plaintext {
     n: usize,
 }
 
-/// Encode's quantized coefficients and the engine that makes their
-/// residues, under each of its primes.
+/// A plaintext's coefficient form, under each prime of `engine`.
 #[derive(Clone)]
 struct Coefficients {
-    ints: Vec<i128>,
+    form: Form,
     engine: Arc<RnsNttEngine>,
+}
+
+/// The two coefficient forms a plaintext is made in.
+#[derive(Clone)]
+enum Form {
+    /// Encode's quantized coefficients, under every prime of the engine.
+    Ints(Vec<i128>),
+    /// Decrypt's residues, canonical, in the coefficient domain: one
+    /// limb per prime of the ciphertext.
+    Limbs(PooledLimbs),
 }
 
 impl Plaintext {
@@ -56,20 +70,37 @@ impl Plaintext {
         engine: &Arc<RnsNttEngine>,
         scale: ExactScale,
     ) -> Self {
-        let n = engine.n();
-        assert_eq!(ints.len(), n, "coefficient count must equal N");
+        assert_eq!(ints.len(), engine.n(), "coefficient count must equal N");
+        Self::made_from(Form::Ints(ints), engine, scale)
+    }
+
+    /// A plaintext of decrypt's canonical coefficient-domain `limbs` at
+    /// `scale`, one per leading prime of `engine`: its residues are made
+    /// on first use.
+    pub(crate) fn from_coefficient_limbs(
+        limbs: PooledLimbs,
+        engine: &Arc<RnsNttEngine>,
+        scale: ExactScale,
+    ) -> Self {
+        assert!(limbs.iter().all(|limb| limb.len() == engine.n()));
+        Self::made_from(Form::Limbs(limbs), engine, scale)
+    }
+
+    /// A plaintext of `form` under `engine`, residues not yet made.
+    fn made_from(form: Form, engine: &Arc<RnsNttEngine>, scale: ExactScale) -> Self {
         Self {
             coeffs: Some(Coefficients {
-                ints,
+                form,
                 engine: Arc::clone(engine),
             }),
             rns: OnceLock::new(),
             scale,
-            n,
+            n: engine.n(),
         }
     }
 
     /// A plaintext of NTT-domain residue limbs of `n` words at `scale`.
+    #[cfg(test)]
     pub(crate) fn from_residues(rns: PooledLimbs, scale: ExactScale, n: usize) -> Self {
         Self {
             coeffs: None,
@@ -79,12 +110,26 @@ impl Plaintext {
         }
     }
 
+    /// The coefficient form the residues are made from, if any.
+    fn form(&self) -> Option<&Form> {
+        self.coeffs.as_ref().map(|coeffs| &coeffs.form)
+    }
+
     /// Encode's integer coefficients, while the residues are not made:
     /// what encrypt folds its error into. `None` once they are, and for
-    /// a plaintext made in the NTT domain.
+    /// a plaintext of another form.
     pub(crate) fn coefficients(&self) -> Option<&[i128]> {
-        match (&self.coeffs, self.rns.get()) {
-            (Some(coeffs), None) => Some(&coeffs.ints),
+        match (self.form(), self.rns.get()) {
+            (Some(Form::Ints(ints)), None) => Some(ints),
+            _ => None,
+        }
+    }
+
+    /// Decrypt's coefficient-domain limbs, canonical — what decode lifts.
+    /// `None` for a plaintext of another form.
+    pub(crate) fn coefficient_limbs(&self) -> Option<&[Vec<u64>]> {
+        match self.form() {
+            Some(Form::Limbs(limbs)) => Some(limbs),
             _ => None,
         }
     }
@@ -92,7 +137,14 @@ impl Plaintext {
     /// Number of RNS primes this plaintext carries (level + 1).
     pub fn num_primes(&self) -> usize {
         match &self.coeffs {
-            Some(coeffs) => coeffs.engine.plans().len(),
+            Some(Coefficients {
+                form: Form::Ints(_),
+                engine,
+            }) => engine.plans().len(),
+            Some(Coefficients {
+                form: Form::Limbs(limbs),
+                ..
+            }) => limbs.len(),
             None => self.residues().len(),
         }
     }
@@ -107,39 +159,55 @@ impl Plaintext {
         self.n
     }
 
-    /// Read-only view of the residue polynomials, in NTT domain. An
-    /// encoded plaintext makes them on the first call (one RNS expansion
-    /// and forward NTT per prime, on the engine's fan-out, into pooled
-    /// limbs it keeps); a concurrent first call waits for that one. Call
-    /// it before a fan-out pass that reads the limbs, not inside one.
+    /// Read-only view of the residue polynomials, in NTT domain. A
+    /// plaintext from encode or decrypt makes them on the first call (a
+    /// forward NTT per prime of its coefficients, on the engine's
+    /// fan-out: streamed from encode's integers, over a copy of each of
+    /// decrypt's limbs) into pooled limbs it keeps; a concurrent first
+    /// call waits for that one. Call it before a fan-out pass that reads
+    /// the limbs, not inside one.
     pub fn residues(&self) -> &[Vec<u64>] {
         self.rns.get_or_init(|| {
-            let Coefficients { ints, engine } = self
+            let Coefficients { form, engine } = self
                 .coeffs
                 .as_ref()
                 .expect("a plaintext without residues has coefficients");
-            engine.expand_and_ntt_pooled(ints, engine.plans().len())
+            match form {
+                Form::Ints(ints) => engine.expand_and_ntt_pooled(ints, engine.plans().len()),
+                Form::Limbs(limbs) => {
+                    let mut rns = engine.take_limbs(limbs.len());
+                    engine.for_each_limb(&mut rns, LimbWork::Transform, |i, plan, limb| {
+                        limb.copy_from_slice(&limbs[i]);
+                        plan.forward(limb);
+                    });
+                    rns
+                }
+            }
         })
     }
 }
 
-/// Shape and scale, and whether the residues are made — not the
-/// coefficients, residues or engine tables.
+/// Shape and scale, the form, and whether the residues are made — not
+/// the coefficients, residues or engine tables.
 impl std::fmt::Debug for Plaintext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let form = match self.form() {
+            Some(Form::Ints(_)) => "encoded",
+            Some(Form::Limbs(_)) => "decrypted",
+            None => "residues",
+        };
         f.debug_struct("Plaintext")
             .field("num_primes", &self.num_primes())
             .field("n", &self.n)
             .field("scale", &self.scale)
-            .field("encoded", &self.coeffs.is_some())
+            .field("form", &form)
             .field("residues_made", &self.rns.get().is_some())
             .finish()
     }
 }
 
-/// Equal residues at an equal scale: an encoded plaintext equals its
-/// clone whether or not either has made its residues (comparing makes
-/// them).
+/// Equal residues at an equal scale: a plaintext equals its clone
+/// whether or not either has made its residues (comparing makes them).
 impl PartialEq for Plaintext {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.scale == other.scale && self.residues() == other.residues()

@@ -8,7 +8,7 @@ use crate::scale::ExactScale;
 use crate::symmetric::{rlwe_sample, with_upload_sample};
 use crate::CkksError;
 use abc_float::{Complex, ExtF64, F64Field, RealField};
-use abc_math::dyadic::Tail;
+use abc_math::dyadic::{Head, Tail};
 use abc_math::rns::{SignedCoeffs, SignedWord, WordLift, LIFT_BLOCK};
 use abc_math::RnsBasis;
 use abc_prng::sampler::{GaussianSampler, TernarySampler};
@@ -17,6 +17,7 @@ use abc_transform::{
     fanout, LimbWork, NttPlan, PooledLimbs, RnsNttEngine, SpecialFft, SpecialFftEngine,
 };
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The context's canonical-embedding engine: the FP64 datapath's
@@ -42,8 +43,8 @@ pub enum EmbeddingEngine {
 /// [`encode`](Self::encode) (IFFT → Δ-rounding to integer coefficients),
 /// [`encrypt`](Self::encrypt) (PRNG mask/error, `m + e0` → expand RNS →
 /// NTT, public-key combination),
-/// [`decrypt`](Self::decrypt) (`c0 + c1·s`),
-/// [`decode`](Self::decode) (INTT → combine CRT → FFT).
+/// [`decrypt`](Self::decrypt) (`c0 + c1·s` → INTT, in one pass),
+/// [`decode`](Self::decode) (combine CRT → FFT).
 ///
 /// Like the accelerator, a context streams **one message at a time**:
 /// the only threads an operation starts are the engine's limb fan-out.
@@ -184,10 +185,13 @@ impl CkksContext {
     /// Checks that `limbs` — a component of a ciphertext from outside the
     /// program — is canonical under this context: every word of limb `i`
     /// below prime `i`. The wire parser only bounds a residue by its bit
-    /// width (it has no basis to hold it against), and every kernel
-    /// behind [`Self::decrypt`] takes canonical operands on trust: a
-    /// word at or above its prime is a `debug_assert!` panic there in
-    /// debug builds and a wrong answer in release. One compare per word.
+    /// width (it has no basis to hold it against). [`Self::decrypt`]
+    /// makes this check itself, on the words its transform loads; every
+    /// other kernel takes canonical operands on trust — a word at or
+    /// above its prime is a `debug_assert!` panic there in debug builds
+    /// and a wrong answer in release — so whoever computes on an
+    /// unpacked component otherwise (a seeded upload's `c0`, the
+    /// evaluator's operands) calls this first. One compare per word.
     ///
     /// # Errors
     ///
@@ -343,9 +347,10 @@ impl CkksContext {
         self.decode_to_slots(self.fft(), pt)
     }
 
-    /// The generic decode kernel: INTT, exact CRT lift, double-double
-    /// scale division, forward embedding on `fft`'s datapath, then
-    /// each slot rounded to `f64`.
+    /// The generic decode kernel: exact CRT lift (of the INTT decrypt
+    /// ran, or of one here for any other plaintext), double-double scale
+    /// division, forward embedding on `fft`'s datapath, then each slot
+    /// rounded to `f64`.
     pub(crate) fn decode_core<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
@@ -357,11 +362,11 @@ impl CkksContext {
     }
 
     /// Decode on `fft`'s datapath, as one streaming pass and then the
-    /// forward embedding: out-of-place INTT into pooled limbs, then per
-    /// block of coefficients the exact centered CRT lift of the level
-    /// (word-sized and verified against every residue; big-integer only
-    /// where that check fails, see [`WordLift`]) and the division by the
-    /// exact rational scale in double-double precision
+    /// forward embedding: per block of coefficients the exact centered
+    /// CRT lift of the level (word-sized and verified against every
+    /// residue; big-integer only where that check fails, see
+    /// [`WordLift`]) and the division by the exact rational scale in
+    /// double-double precision
     /// ([`crate::scale::ScaleDivisor::apply_block`], on the lift's
     /// rung), written straight into a fresh slot vector (coefficient `j`
     /// is the real part of slot `j`, coefficient `j + N/2` its imaginary
@@ -369,22 +374,25 @@ impl CkksContext {
     /// width: ExtF64 keeps all ~106 bits, the f64 view is one final
     /// rounding.
     ///
+    /// The lift reads a decrypted plaintext's coefficient-domain limbs as
+    /// they are: [`Self::decrypt`] ran the INTT. Any other plaintext's
+    /// NTT-domain residues (an encoded one makes them first, on the
+    /// calling thread: [`Plaintext::residues`]) go through an
+    /// out-of-place INTT into pooled limbs first.
+    ///
     /// The lift runs on the engine's fan-out by slot range: the thread
     /// owning slots `a..b` lifts coefficients `a..b` into their real
     /// parts and `N/2 + a..N/2 + b` into their imaginary parts, through
     /// per-limb views of those ranges. A coefficient is a function of its
     /// own residues alone, so the slots do not depend on where the
-    /// ranges are cut. The pass reads the `lvl × N` words the INTT
-    /// wrote and is weighed as element-wise work: on the vector rung a
-    /// lifted word costs less than a dyadic one, so a 2-limb `N = 2^13`
-    /// decode (`2^14` words) stays on the calling thread.
+    /// ranges are cut. The pass reads `lvl × N` words and is weighed as
+    /// element-wise work: on the vector rung a lifted word costs less
+    /// than a dyadic one, so a 2-limb `N = 2^13` decode (`2^14` words)
+    /// stays on the calling thread.
     ///
     /// The embedding runs split on the fan-out too
     /// ([`SpecialFft::forward_split`]), weighed as a transform of its
     /// `N` words: from `N = 2^14` on, at the engine's thread count.
-    ///
-    /// An encoded plaintext makes its residues first, on the calling
-    /// thread ([`Plaintext::residues`]); no pass reads them before.
     fn decode_to_slots<F: RealField>(
         &self,
         fft: &SpecialFft<F>,
@@ -393,15 +401,24 @@ impl CkksContext {
         if pt.n() != self.params.n() || pt.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        let rns = pt.residues();
-        let lvl = rns.len();
-        // Paper: INTT stage of decoding, all limbs batched through the
-        // engine's thread fan-out.
-        let mut res = self.engine.take_limbs(lvl);
-        self.engine
-            .for_each_limb(&mut res, LimbWork::Transform, |i, plan, limb| {
-                plan.inverse_from(&rns[i], limb)
-            });
+        // Paper: INTT stage of decoding — done by decrypt, whose
+        // plaintext holds coefficient-domain limbs; any other plaintext's
+        // residues go through the inverse here, all limbs batched through
+        // the engine's thread fan-out.
+        let mut transformed = None;
+        let res: &[Vec<u64>] = match pt.coefficient_limbs() {
+            Some(limbs) => limbs,
+            None => {
+                let rns = pt.residues();
+                let mut limbs = self.engine.take_limbs(rns.len());
+                self.engine
+                    .for_each_limb(&mut limbs, LimbWork::Transform, |i, plan, limb| {
+                        plan.inverse_from(&rns[i], limb)
+                    });
+                transformed.insert(limbs)
+            }
+        };
+        let lvl = res.len();
         let lift = self.word_lift(lvl);
         let divisor = pt.exact_scale().divisor();
         let field = fft.field();
@@ -447,7 +464,7 @@ impl CkksContext {
             lift_range,
         );
         // Back to the pool before the embedding takes its planes from it.
-        drop(res);
+        drop(transformed);
         let threads = LimbWork::Transform.threads_for(self.engine.threads(), 2 * slots);
         fft.forward_split(&mut vals, threads);
         Ok(vals)
@@ -850,29 +867,52 @@ impl CkksContext {
         fanout::for_each_chunk(threads, items, words, LimbWork::Transform, f);
     }
 
-    /// Decryption: `d = c0 + c1·s` per prime, returned still in NTT
-    /// domain (decode performs the INTT, matching the paper's pipeline).
-    /// The plaintext holds only these residues, no integer coefficients:
-    /// [`Self::encrypt`] of it adds it in the NTT domain.
+    /// Decryption: `d = INTT(c1·s + c0)` per prime — the paper's
+    /// download as one stream (Fig. 2a: `c0 + c1·s`, then the INTT that
+    /// starts decode), one pass of the engine's fan-out. Each limb is one
+    /// inverse transform ([`NttPlan::inverse_stream`]) whose first pass
+    /// loads `c1`, `s` and `c0` and computes `c1·s + c0` in registers, so
+    /// the NTT-domain product is never written; the thread that owns a
+    /// limb writes its coefficients straight into the plaintext's pooled
+    /// limb. The plaintext holds those canonical coefficient-domain
+    /// limbs: [`Self::decode`] lifts them as they are, and
+    /// [`Plaintext::residues`] (what [`Self::encrypt`] of it adds in the
+    /// NTT domain) transforms them forward on first use, bit for bit the
+    /// NTT-domain `c1·s + c0`.
+    ///
+    /// A ciphertext from outside the program is checked on the way: the
+    /// wire format bounds a residue by its width, not by its prime, and
+    /// the same loads refuse a word of `c0` or `c1` at or above its
+    /// prime, in every build.
     ///
     /// # Errors
     ///
     /// Returns [`CkksError::ContextMismatch`] if the ciphertext carries
-    /// more primes than the context.
+    /// more primes than the context, and [`CkksError::InvalidParams`]
+    /// naming the first limb that holds a residue at or above its prime.
     pub fn decrypt(&self, ct: &Ciphertext, sk: &SecretKey) -> Result<Plaintext, CkksError> {
         if ct.n != self.params.n() || ct.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        // d = c1·s + c0: one fused RNS-wide multiply-add into pooled
-        // limbs, each filled with its limb of c1 by the thread that owns
-        // it.
-        let mut rns = self.engine.take_limbs(ct.num_primes());
+        let mut limbs = self.engine.take_limbs(ct.num_primes());
+        let refused = AtomicUsize::new(usize::MAX);
         self.engine
-            .for_each_limb(&mut rns, LimbWork::Elementwise, |i, plan, limb| {
-                limb.copy_from_slice(&ct.c1[i]);
-                plan.dyadic().mul_add_assign(limb, &sk.ntt[i], &ct.c0[i]);
+            .for_each_limb(&mut limbs, LimbWork::Transform, |i, plan, limb| {
+                let (c1, s, c0) = (&ct.c1[i][..], &sk.ntt[i][..], &ct.c0[i][..]);
+                if !plan.inverse_stream(Head::MulAdd { c1, s, c0 }, limb) {
+                    refused.fetch_min(i, Ordering::Relaxed);
+                }
             });
-        Ok(Plaintext::from_residues(rns, ct.scale.clone(), ct.n))
+        match refused.into_inner() {
+            usize::MAX => Ok(Plaintext::from_coefficient_limbs(
+                limbs,
+                &self.engine,
+                ct.scale.clone(),
+            )),
+            i => Err(CkksError::InvalidParams(format!(
+                "limb {i} holds a residue at or above its prime"
+            ))),
+        }
     }
 }
 
@@ -1528,6 +1568,54 @@ mod tests {
         let back = ctx.decode(&ctx.decrypt(&again, &sk).unwrap()).unwrap();
         let err = max_dist(&back, &msg);
         assert!(err < 1e-4, "err = {err}");
+    }
+
+    #[test]
+    fn decrypt_is_the_ntt_domain_multiply_add_bit_for_bit() {
+        // Decrypt runs `c1·s + c0` in the first pass of each limb's
+        // inverse transform. Against the composition it replaces — the
+        // NTT-domain plaintext `mul_add_assign` makes over a copy of `c1`,
+        // which decode inverse-transforms itself — the slots, the
+        // residues and a re-encryption are bit-identical: at N = 2^4 …
+        // 2^13 (both parities of the IFMA pass count) and 1–3 threads, at
+        // the full level and truncated.
+        use abc_math::envtest::EnvGuard;
+        use abc_transform::rns_ntt::THREADS_ENV;
+        let mut env = EnvGuard::lock();
+        for threads in [1usize, 2, 3] {
+            env.set(THREADS_ENV, &threads.to_string());
+            for log_n in 4..=13u32 {
+                let params = CkksParams::builder()
+                    .log_n(log_n)
+                    .num_primes(3)
+                    .secret_hamming_weight(Some(1 << (log_n - 1)))
+                    .build()
+                    .unwrap();
+                let ctx = CkksContext::new(params).unwrap();
+                let (sk, pk) = ctx.keygen(Seed::from_u128(81));
+                let msg = test_message(ctx.params().slots());
+                let full = ctx.encrypt(&ctx.encode(&msg).unwrap(), &pk, Seed::from_u128(82));
+                for ct in [full.clone(), full.truncated(2)] {
+                    let at = format!("threads {threads} log_n {log_n} primes {}", ct.num_primes());
+                    let (c0, c1) = ct.components();
+                    let mut want = PooledLimbs::copy_of(c1);
+                    for (i, limb) in want.iter_mut().enumerate() {
+                        let dyadic = ctx.ntt_plans()[i].dyadic();
+                        dyadic.mul_add_assign(limb, &sk.ntt[i], &c0[i]);
+                    }
+                    let want = Plaintext::from_residues(want, ct.exact_scale().clone(), ct.n());
+                    let got = ctx.decrypt(&ct, &sk).unwrap();
+                    let slots = |pt: &Plaintext| slot_bits_hash(&ctx.decode(pt).unwrap());
+                    assert_eq!(slots(&got), slots(&want), "slots {at}");
+                    assert_eq!(got.residues(), want.residues(), "residues {at}");
+                    let again = |pt: &Plaintext| {
+                        blob_hash(&ctx, &ctx.encrypt(pt, &pk, Seed::from_u128(83)))
+                    };
+                    let fresh = ctx.decrypt(&ct, &sk).unwrap();
+                    assert_eq!(again(&fresh), again(&want), "re-encryption {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   mask/error polynomials, the error added to the message's
 //!   coefficients before the RNS expansion and NTT
 //!   ([`CkksContext::encrypt`]).
-//! * **Decrypt** — `c0 + c1·s` per prime, left in NTT domain
+//! * **Decrypt** — `c0 + c1·s` per prime, computed in the first pass of
+//!   its per-prime INTT, which also refuses a residue past its prime
 //!   ([`CkksContext::decrypt`]).
-//! * **Decoding** — per-prime INTT → exact centered CRT lift (word-sized
-//!   and verified; big-integer only where the check fails) → /Δ →
-//!   canonical-embedding FFT → slot vector ([`CkksContext::decode`]).
+//! * **Decoding** — exact centered CRT lift (word-sized and verified;
+//!   big-integer only where the check fails) → /Δ → canonical-embedding
+//!   FFT → slot vector ([`CkksContext::decode`]).
 //!
 //! Parameters cover the paper's **bootstrappable** regime: `N = 2^13 …
 //! 2^16`, 36-bit double-scale primes, up to 24 RNS levels

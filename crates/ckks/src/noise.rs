@@ -90,12 +90,13 @@ pub fn predicted_keyswitch_std(params: &crate::params::CkksParams, primes: usize
 
 /// Measures the actual noise of `ct` for the known plaintext
 /// `reference` (both from the same context): decrypts, subtracts the
-/// reference in the NTT domain, inverse-transforms, and reads centered
-/// coefficients modulo the first prime (valid while |noise| < q₀/2).
+/// reference's coefficients, and reads centered coefficients modulo the
+/// first prime (valid while |noise| < q₀/2).
 ///
 /// # Errors
 ///
-/// Returns [`CkksError::ContextMismatch`] on cross-context inputs.
+/// Returns [`CkksError::ContextMismatch`] on cross-context inputs, and
+/// what [`CkksContext::decrypt`] returns.
 pub fn measure_noise(
     ctx: &CkksContext,
     ct: &Ciphertext,
@@ -107,14 +108,16 @@ pub fn measure_noise(
     }
     let decrypted = ctx.decrypt(ct, sk)?;
     let m = &ctx.basis().moduli()[0];
-    // diff = INTT(d - m_ref) mod q0 — linearity lets us subtract in the
-    // NTT domain, then run one inverse transform.
-    let mut diff: Vec<u64> = decrypted.residues()[0]
-        .iter()
-        .zip(&reference.residues()[0])
-        .map(|(&d, &r)| m.sub(d, r))
-        .collect();
+    // diff = d - INTT(m_ref) mod q0: decrypt leaves d in the coefficient
+    // domain, so only the reference's limb takes an inverse transform.
+    let d = decrypted
+        .coefficient_limbs()
+        .expect("a decrypted plaintext holds coefficient limbs");
+    let mut diff = reference.residues()[0].to_vec();
     ctx.ntt_plans()[0].inverse(&mut diff);
+    for (x, &d) in diff.iter_mut().zip(&d[0]) {
+        *x = m.sub(d, *x);
+    }
     let mut sum_sq = 0.0f64;
     let mut max_abs = 0.0f64;
     for &c in &diff {

@@ -13,7 +13,7 @@
 use abc_ckks::params::CkksParams;
 use abc_ckks::scale::ExactScale;
 use abc_ckks::symmetric::encrypt_symmetric_compressed;
-use abc_ckks::{evaluator, wire, CkksContext, CkksError};
+use abc_ckks::{evaluator, wire, CkksContext, CkksError, Plaintext, SecretKey};
 use abc_float::Complex;
 use abc_prng::chacha::ChaCha20;
 use abc_prng::Seed;
@@ -345,12 +345,16 @@ fn every_header_field_of_every_kind_is_bounded_at_the_door() {
     assert!(accepted > 4 * 64, "only {accepted} mutants were accepted");
 }
 
-#[test]
-fn a_residue_past_its_prime_parses_and_is_refused_by_the_context() {
-    // The format bounds a residue by its width, the basis by its prime:
-    // residue 0 of each limb in turn set to `2^w − 1` still parses (every
-    // field < 2^w), and `CkksContext::check_residues` is what refuses it
-    // before any arithmetic runs; the honest blobs pass both.
+/// Whether a blob is seeded, the honest blob, and its mutants with the
+/// width `w` of the limb each pokes.
+type ResidueCase = (bool, Vec<u8>, Vec<(u32, Vec<u8>)>);
+
+/// A 3-prime context at `N = 2^8`, its secret key, and per wire kind
+/// (full, then seeded) the honest blob and its residue mutants: in
+/// mutant `i`, residue 0 of limb `i` of the last component (a full
+/// blob's `c1`, a seeded one's `c0`) is `2^w − 1`. Every field stays
+/// below `2^w`, so each mutant parses; each lies past its prime.
+fn residue_mutants() -> (CkksContext, SecretKey, [ResidueCase; 2]) {
     let ctx = CkksContext::new(
         CkksParams::builder()
             .log_n(8)
@@ -377,6 +381,28 @@ fn a_residue_past_its_prime_parses_and_is_refused_by_the_context() {
             .map(|&w| ctx.params().n() * w as usize / 8);
         blob.len() - tail.sum::<usize>()
     };
+    let mutants = |blob: &[u8]| -> Vec<(u32, Vec<u8>)> {
+        let mutant = |(i, &w): (usize, &u32)| {
+            let at = limb_at(blob, i);
+            let ones = (u64::MAX >> (64 - w)).to_le_bytes();
+            let mut bad = poke(blob, at, &ones[..w as usize / 8]);
+            bad[at + w as usize / 8] |= ones[w as usize / 8];
+            (w, bad)
+        };
+        widths.iter().enumerate().map(mutant).collect()
+    };
+    let (full_mutants, seeded_mutants) = (mutants(&full), mutants(&seeded));
+    let kinds = [(false, full, full_mutants), (true, seeded, seeded_mutants)];
+    (ctx, sk, kinds)
+}
+
+#[test]
+fn a_residue_past_its_prime_parses_and_is_refused_by_the_context() {
+    // The format bounds a residue by its width, the basis by its prime:
+    // residue 0 of each limb in turn set to `2^w − 1` still parses (every
+    // field < 2^w), and `CkksContext::check_residues` is what refuses it
+    // before any arithmetic runs; the honest blobs pass both.
+    let (ctx, _, kinds) = residue_mutants();
     let verdict = |blob: &[u8], seeded: bool| -> Result<(), CkksError> {
         if seeded {
             ctx.check_residues(wire::deserialize_compressed_ciphertext(blob)?.c0())
@@ -386,18 +412,45 @@ fn a_residue_past_its_prime_parses_and_is_refused_by_the_context() {
             ctx.check_residues(ct.components().1)
         }
     };
-    for (blob, is_seeded) in [(&full, false), (&seeded, true)] {
-        assert_eq!(verdict(blob, is_seeded), Ok(()), "honest blob");
-        for (i, &w) in widths.iter().enumerate() {
-            let at = limb_at(blob, i);
-            let ones = (u64::MAX >> (64 - w)).to_le_bytes();
-            let mut bad = poke(blob, at, &ones[..w as usize / 8]);
-            bad[at + w as usize / 8] |= ones[w as usize / 8];
-            let refused = verdict(&bad, is_seeded);
+    for (is_seeded, blob, mutants) in &kinds {
+        assert_eq!(verdict(blob, *is_seeded), Ok(()), "honest blob");
+        for (i, (w, bad)) in mutants.iter().enumerate() {
+            let refused = verdict(bad, *is_seeded);
             let names_the_limb = |m: &String| m.contains(&format!("limb {i} "));
             assert!(
                 matches!(&refused, Err(CkksError::InvalidParams(m)) if names_the_limb(m)),
                 "limb {i}: a residue of 2^{w} - 1 got {refused:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_residue_past_its_prime_is_refused_by_decrypt() {
+    // The same mutants straight into `CkksContext::decrypt`, with no
+    // `check_residues` before it: its transform loads every word of `c0`
+    // and `c1` and refuses the limb holding one at or above its prime —
+    // an `InvalidParams` naming that limb, in debug and release builds
+    // alike, never a panic (a seeded blob's `c0` reaches it through
+    // `expand`, which computes nothing on it). The honest blobs decrypt.
+    let (ctx, sk, kinds) = residue_mutants();
+    let decrypt = |blob: &[u8], seeded: bool| -> Result<Plaintext, CkksError> {
+        let ct = match seeded {
+            true => wire::deserialize_compressed_ciphertext(blob)?.expand(&ctx)?,
+            false => wire::deserialize_ciphertext(blob)?,
+        };
+        ctx.decrypt(&ct, &sk)
+    };
+    for (is_seeded, blob, mutants) in &kinds {
+        let honest = decrypt(blob, *is_seeded).expect("honest blob");
+        let slots = ctx.decode(&honest).expect("decode");
+        assert!((slots[0].re - 0.25).abs() < 1e-3, "{:?}", slots[0]);
+        for (i, (w, bad)) in mutants.iter().enumerate() {
+            let refused = decrypt(bad, *is_seeded);
+            let names_the_limb = |m: &String| m.contains(&format!("limb {i} "));
+            assert!(
+                matches!(&refused, Err(CkksError::InvalidParams(m)) if names_the_limb(m)),
+                "seeded {is_seeded}, limb {i}: a residue of 2^{w} - 1 got {refused:?}"
             );
         }
     }

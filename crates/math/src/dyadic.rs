@@ -59,7 +59,8 @@
 //! names are its instantiations:
 //!
 //! * [`DyadicEngine::mul_assign`] — `a = a·b`;
-//! * [`DyadicEngine::mul_add_assign`] — `a = a·b + c` (decrypt);
+//! * [`DyadicEngine::mul_add_assign`] — `a = a·b + c` (decryption's
+//!   shape; decrypt itself runs it as a [`Head`], below);
 //! * [`DyadicEngine::mul_add2_assign`] — `a = a·b + c + d`;
 //! * [`DyadicEngine::mul_assign_premul`] — `a = a·b̃`;
 //! * [`DyadicEngine::mul_acc_assign_premul`] — `acc += b·d̃` (public-key
@@ -86,6 +87,12 @@
 //! one eight-lane driver (`simd::stream`) through the same steps
 //! (`simd::TailX8`) the transform's last pass applies, so a fused shape
 //! has one vector form, in or out of the transform.
+//!
+//! The inverse transform has the mirror image: [`Head`] names what its
+//! first pass reads — its own buffer, another slice, or decryption's
+//! `c1·s + c0`, the `mul_add_assign` step computed in the registers of
+//! the pass (on the scalar rung, [`DyadicEngine::mul_add_word`] per
+//! word), so a decrypted limb is never written before its transform.
 //!
 //! [`DyadicEngine::expand_into`] is the paper's "Expand RNS": signed
 //! coefficients of any [`SignedWord`] width and magnitude in, canonical
@@ -145,6 +152,40 @@ pub enum Tail<'a> {
         /// The constant factor.
         w: u64,
     },
+}
+
+/// Where an inverse transform (`NttPlan::inverse_stream` in
+/// `abc-transform`) reads its input from: the op before the transform,
+/// folded into its first pass's loads. The result goes to the
+/// transform's `dst` either way.
+#[derive(Debug, Clone, Copy)]
+pub enum Head<'a> {
+    /// `dst` itself, canonical: the in-place inverse.
+    InPlace,
+    /// Another slice, canonical: the out-of-place inverse.
+    Words(&'a [u64]),
+    /// `c1·s + c0`, decryption, with `s` canonical. A word of `c1` or
+    /// `c0` at or above `q` is refused: it enters the transform as 0,
+    /// and the transform reports it.
+    MulAdd {
+        /// The multiplicand (a ciphertext's `c1`).
+        c1: &'a [u64],
+        /// The multiplier (the secret key).
+        s: &'a [u64],
+        /// The addend (a ciphertext's `c0`).
+        c0: &'a [u64],
+    },
+}
+
+impl Head<'_> {
+    /// The slices the head reads besides `dst`.
+    pub fn operands(&self) -> [Option<&[u64]>; 3] {
+        match *self {
+            Head::InPlace => [None; 3],
+            Head::Words(src) => [Some(src), None, None],
+            Head::MulAdd { c1, s, c0 } => [Some(c1), Some(s), Some(c0)],
+        }
+    }
 }
 
 impl Tail<'_> {
@@ -283,6 +324,22 @@ impl DyadicEngine {
     /// (`c1·s + c0`).
     pub fn mul_add_assign(&self, a: &mut [u64], b: &[u64], c: &[u64]) {
         self.mac::<false, false, false, 1>(a, b, [c]);
+    }
+
+    /// `x·b + c mod q` of one word each, all canonical: one word of
+    /// [`Self::mul_add_assign`], bit for bit — the scalar rung of
+    /// [`Head::MulAdd`].
+    #[inline]
+    pub fn mul_add_word(&self, x: u64, b: u64, c: u64) -> u64 {
+        let p = match &self.kernel {
+            Kernel::Montgomery(mont) => {
+                let b_dom = mont.redc(b as u128 * mont.r2() as u128);
+                mont.redc(x as u128 * b_dom as u128)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(k) => k.mul(x, b),
+        };
+        accumulate::<false, 1>(p, [c], self.m.q())
     }
 
     /// `a[i] = a[i]·b[i] + c[i] + d[i] mod q` — the `pk·v+e+m` chain as

@@ -48,8 +48,8 @@ pub fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
     }
 }
 
-/// `a[i] = (a[i] * b[i] + c[i]) mod q` — the fused shape decryption
-/// runs as `c1·s + c0` — one `Modulus::mul_add` per element.
+/// `a[i] = (a[i] * b[i] + c[i]) mod q` — decryption's `c1·s + c0`
+/// shape — one `Modulus::mul_add` per element.
 ///
 /// # Panics
 ///

@@ -37,6 +37,9 @@
 //! another slice (`Words`) or signed coefficients through the
 //! expansion's digit fold (`Expand`) — and hands them to a `TailX8`, the
 //! step the transform's last pass applies to its lanes in registers.
+//! The loaders are the transforms' first passes' too, and one more
+//! serves only the inverse: decryption's `c1·s + c0` (`MulAdd`), which
+//! also refuses a `c1` or `c0` word at or above `q`.
 //! Each fused shape is written once, for both:
 //!
 //! * `Mac` — the multiply family `±(x·b) + Σ addends` (`a·b`, `a·b + c`,
@@ -461,8 +464,8 @@ unsafe fn stream_impl<L: LoadX8, T: TailX8>(load: &L, n8: usize, buf: *mut u64, 
     }
 }
 
-/// Where the eight lanes of [`stream`] and of the forward transform's
-/// first pass come from. Like a [`TailX8`], a loader is plain data whose
+/// Where the eight lanes of [`stream`] and of either transform's first
+/// pass come from. Like a [`TailX8`], a loader is plain data whose
 /// broadcast constants are made inside the kernel, so its
 /// `#[inline(always)]` steps inherit the kernel's target features.
 ///
@@ -496,6 +499,24 @@ pub(crate) unsafe trait LoadX8 {
     /// at most the source's length, `buf` valid for reading those words
     /// if the loader reads it.
     unsafe fn load(&self, lanes: &Self::Lanes, j: usize, buf: *const u64) -> __m512i;
+
+    /// [`LoadX8::load`] and the lanes the loader refuses: bit `l` set
+    /// when a source word of lane `l` lies outside the loader's range,
+    /// that lane then loaded as 0. Only [`MulAdd`] refuses any.
+    ///
+    /// # Safety
+    ///
+    /// As [`LoadX8::load`].
+    #[inline(always)]
+    unsafe fn load_checked(
+        &self,
+        lanes: &Self::Lanes,
+        j: usize,
+        buf: *const u64,
+    ) -> (__m512i, __mmask8) {
+        // SAFETY: the same contract.
+        (unsafe { self.load(lanes, j, buf) }, 0)
+    }
 }
 
 /// [`stream`]'s lanes from its own buffer: an op updating an operand in
@@ -555,6 +576,82 @@ unsafe impl LoadX8 for Words<'_> {
     unsafe fn load(&self, _: &(), j: usize, _: *const u64) -> __m512i {
         // SAFETY: in bounds and AVX-512F, by the contract.
         unsafe { load_at(self.0.as_ptr(), j) }
+    }
+}
+
+/// Lanes `c1·s + c0`, canonical: decryption, as the inverse transform's
+/// first pass reads it — the [`Mac`] step of `mul_add_assign`
+/// (`Mont52X8::mac`, `x·b + src[0]`) on three loads. `s` must be
+/// canonical; a lane whose `c1` or `c0` word is not below `q` is
+/// refused ([`LoadX8::load_checked`]): it loads as 0, so the butterflies
+/// see only canonical lanes, and its bit is reported.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MulAdd<'a> {
+    k: &'a Mont52,
+    c1: &'a [u64],
+    s: &'a [u64],
+    c0: &'a [u64],
+}
+
+impl<'a> MulAdd<'a> {
+    /// The loader over `c1`, `s` and `c0` under `k`'s modulus.
+    ///
+    /// # Panics
+    ///
+    /// Unless the three are equally long.
+    pub(crate) fn new(k: &'a Mont52, c1: &'a [u64], s: &'a [u64], c0: &'a [u64]) -> Self {
+        assert!(s.len() == c1.len() && c0.len() == c1.len(), "head operands");
+        Self { k, c1, s, c0 }
+    }
+}
+
+// SAFETY: reads the eight words at `j` of `c1`, `s` and `c0`, all
+// `source_len` long (`new` checks it); `buf` is not read.
+unsafe impl LoadX8 for MulAdd<'_> {
+    type Buf = MaybeUninit<u64>;
+    type Lanes = Mont52X8;
+
+    fn source_len(&self) -> Option<usize> {
+        Some(self.c1.len())
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::lanes`].
+    #[inline(always)]
+    unsafe fn lanes(&self) -> Mont52X8 {
+        // SAFETY: by the contract.
+        unsafe { Mont52X8::new(self.k) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::load`].
+    #[inline(always)]
+    unsafe fn load(&self, k: &Mont52X8, j: usize, buf: *const u64) -> __m512i {
+        // SAFETY: the same contract.
+        unsafe { self.load_checked(k, j, buf).0 }
+    }
+
+    /// # Safety
+    ///
+    /// As [`LoadX8::load`].
+    #[inline(always)]
+    unsafe fn load_checked(&self, k: &Mont52X8, j: usize, _: *const u64) -> (__m512i, __mmask8) {
+        // SAFETY: every operand holds `j + 8` words, by the contract; the
+        // rest is register-only. A refused lane's product is garbage (its
+        // multiplicand may exceed the REDC's bound) but never UB, and it
+        // is masked to 0 before anything reads it.
+        unsafe {
+            let (c1, s, c0) = (
+                load_at(self.c1.as_ptr(), j),
+                load_at(self.s.as_ptr(), j),
+                load_at(self.c0.as_ptr(), j),
+            );
+            let refused = _mm512_cmpge_epu64_mask(c1, k.vq) | _mm512_cmpge_epu64_mask(c0, k.vq);
+            let r = k.mac::<false, false, false, 1>(c1, s, [c0]);
+            (_mm512_maskz_mov_epi64(!refused, r), refused)
+        }
     }
 }
 

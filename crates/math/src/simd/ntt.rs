@@ -69,6 +69,19 @@
 //! the two meet only through the buffer, so neither multiplies the
 //! other's code.
 //!
+//! # The streamed inverse transform
+//!
+//! [`ntt_inverse`] reads its first pass — the short-span one, which
+//! holds each 16 words in registers — through a `LoadX8` too: its own
+//! buffer (`InPlace`), another slice (`Words`, the out-of-place
+//! inverse), or decryption's `c1·s + c0` (`MulAdd`: three loads and the
+//! `Mac` step `mul_add_assign` runs), so a decrypted limb is never
+//! written before its transform. The `MulAdd` loader also compares `c1`
+//! and `c0` with `q`: a lane at or above it enters the butterflies as 0
+//! and its bit joins a mask the pass returns, the range check a
+//! ciphertext from outside the program needs, made on loads the pass
+//! does anyway. The passes after the first are the same for every head.
+//!
 //! Lazy representatives are always congruent mod `q`, so a transform
 //! that ends canonical is **bit-identical** to the golden model
 //! (asserted by the tier-1 suites); debug builds also check every pass's
@@ -76,9 +89,9 @@
 
 use super::{
     csub_x8, expand_with, load_at, mul_shoup52_x8, store_at, Expand, ExpandPass, InPlace, Lanes,
-    LoadX8, Mac, NegMulAdd, Premul, Store, SubScalarMul, TailX8,
+    LoadX8, Mac, MulAdd, NegMulAdd, Premul, Store, SubScalarMul, TailX8, Words,
 };
-use crate::dyadic::{DyadicEngine, Kernel, Tail};
+use crate::dyadic::{DyadicEngine, Head, Kernel, Tail};
 use crate::kernel::CpuCaps;
 use crate::rns::{SignedCoeffs, SignedWord};
 use crate::shoup;
@@ -173,38 +186,65 @@ pub fn ntt_forward_stream<'a, X: SignedWord>(
 
 /// Inverse negacyclic NTT, Gentleman–Sande, values lazily in `[0, 2q)`,
 /// scaled by `N^{-1}` (canonical `[0, q)`) in the last stage: `a =
-/// INTT(src)`, with the copy from `src` (when given, else `a` itself)
-/// folded into the first pass's loads — no copy pass precedes it.
+/// INTT(x)`, where `x` is what `head` names — `a` itself, another
+/// slice, or decryption's `c1·s + c0` — computed by the first pass's
+/// loads (`InPlace`, `Words`, `MulAdd`), so no pass precedes it.
 ///
 /// `tw` / `tw_shoup52` are the same **forward** columns [`ntt_forward`]
-/// takes, `n_inv_shoup52` the radix-2^52 quotient of `n_inv`. `src`
-/// lanes must be canonical `[0, q)`.
+/// takes, `n_inv_shoup52` the radix-2^52 quotient of `n_inv`, and
+/// `dyadic` the plan's `ifma` engine, whose constants the `MulAdd` head
+/// multiplies with. A `Words` source and the `MulAdd` multiplier `s`
+/// must be canonical. Returns whether every `c1` and `c0` word of a
+/// `MulAdd` head was below `q`: a lane whose word was not enters the
+/// butterflies as 0, so the transform still runs on canonical lanes
+/// only, and the result is `false` (the other heads report `true`).
 ///
 /// # Panics
 ///
-/// Same contract as [`ntt_forward`], plus equal slice lengths.
+/// Same contract as [`ntt_forward`], plus an `ifma` engine and head
+/// operands of `a`'s length.
 pub fn ntt_inverse(
     a: &mut [u64],
-    src: Option<&[u64]>,
-    q: u64,
+    head: Head<'_>,
     tw: &[u64],
     tw_shoup52: &[u64],
     n_inv: u64,
     n_inv_shoup52: u64,
-) {
-    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
-    if let Some(s) = src {
-        assert_eq!(a.len(), s.len());
-    }
+    dyadic: &DyadicEngine,
+) -> bool {
+    let Kernel::Ifma(k) = &dyadic.kernel else {
+        panic!("the IFMA inverse reads its head through an ifma engine");
+    };
+    let q = k.q;
     assert_columns(a.len(), tw, tw_shoup52);
     debug_assert!(q < shoup::MAX_SHOUP52_MODULUS);
     // The last stage (one group) multiplies its difference by tw[1];
     // with N⁻¹ folded in, by the canonical w₁·N⁻¹ and its quotient.
     let w1 = shoup::reduce_once(shoup::mul_shoup52_lazy(tw[1], n_inv, n_inv_shoup52, q), q);
     let fold = [n_inv, n_inv_shoup52, w1, shoup::shoup_precompute52(w1, q)];
+    let cols = (tw, tw_shoup52);
+    let refused = match head {
+        Head::InPlace => inverse_with(a, q, cols, fold, &InPlace),
+        Head::Words(src) => inverse_with(a, q, cols, fold, &Words(src)),
+        Head::MulAdd { c1, s, c0 } => inverse_with(a, q, cols, fold, &MulAdd::new(k, c1, s, c0)),
+    };
+    refused == 0
+}
+
+/// [`ntt_inverse`] with its first pass's loader: the lanes it refused.
+fn inverse_with<L: LoadX8>(
+    a: &mut [u64],
+    q: u64,
+    (tw, tw52): (&[u64], &[u64]),
+    fold: [u64; 4],
+    from: &L,
+) -> __mmask8 {
+    assert!(CpuCaps::detect().ifma(), "no AVX-512IFMA on this CPU");
+    assert!(from.source_len().is_none_or(|len| len == a.len()), "source");
     // SAFETY: the asserts above prove the required target features and
-    // the slice shapes.
-    unsafe { inverse_impl(a, src, q, tw, tw_shoup52, fold) }
+    // the source's length, the caller the columns' shape; `a` is an
+    // initialised `u64` buffer, whatever the loader's `Buf`.
+    unsafe { inverse_impl(a, q, tw, tw52, fold, from) }
 }
 
 /// Debug builds: panics unless every lane of `a` is below `bound` once
@@ -637,29 +677,29 @@ unsafe fn forward_rest<T: TailX8>(
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512IFMA (the safe wrapper
-/// asserts [`CpuCaps::ifma`] before dispatching here); slice lengths are
-/// a power of two ≥ 16, all equal, with twiddle columns of the same
-/// size. `fold` is `[N⁻¹, its quotient, w₁·N⁻¹, its quotient]`,
+/// asserts [`CpuCaps::ifma`] before dispatching here); `a.len()` is a
+/// power of two ≥ 16, and the twiddle columns and `from`'s source are
+/// that long. `fold` is `[N⁻¹, its quotient, w₁·N⁻¹, its quotient]`,
 /// canonical.
 #[target_feature(enable = "avx512f,avx512ifma")]
-unsafe fn inverse_impl(
+unsafe fn inverse_impl<L: LoadX8>(
     a: &mut [u64],
-    src: Option<&[u64]>,
     q: u64,
     tw: &[u64],
     tw52: &[u64],
     fold: [u64; 4],
-) {
+    from: &L,
+) -> __mmask8 {
     let n = a.len();
     // SAFETY: register-only broadcasts on this kernel's features.
-    let k = unsafe { Q::new(q) };
+    let (k, lanes) = unsafe { (Q::new(q), from.lanes()) };
     // SAFETY: register-only broadcasts with `i < n`.
     let at = |i: usize| unsafe { Tw::splat(tw[i], tw52[i]) };
     // Short spans t = 1, 2, 4 on 16 words (block b) at a time: the CT
     // lane moves backwards, each stage's twiddles the forward block's
-    // mirror reversed. This first pass also absorbs the optional
-    // out-of-place read from `src`, whose canonical lanes satisfy the GS
-    // input invariant (< 2q).
+    // mirror reversed. This first pass reads its lanes through `from`,
+    // whose canonical lanes satisfy the GS input invariant (< 2q), and
+    // gathers the lanes it refused.
     let to_t1 = [
         _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
         _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
@@ -672,13 +712,16 @@ unsafe fn inverse_impl(
     let lanes_t2 = _mm512_setr_epi64(3, 3, 2, 2, 1, 1, 0, 0);
     let lanes_t4 = _mm512_setr_epi64(1, 1, 1, 1, 0, 0, 0, 0);
     let p = a.as_mut_ptr();
-    let s = src.map_or(p.cast_const(), <[u64]>::as_ptr);
+    let mut refused: __mmask8 = 0;
     for b in 0..n / 16 {
-        // SAFETY: 16b + 16 ≤ n (equal lengths asserted by the callers);
-        // the column reads start at n − 8b − 8, n/2 − 4b − 4 and
+        // SAFETY: 16b + 16 ≤ n, the length of `a` and of the loader's
+        // source; the loads of `a`'s words precede their stores; the
+        // column reads start at n − 8b − 8, n/2 − 4b − 4 and
         // n/4 − 2b − 2 (≥ 0 since b < n/16) and end ≤ n.
         unsafe {
-            let (lo, hi) = (load_at(s, 16 * b), load_at(s, 16 * b + 8));
+            let (lo, lo_refused) = from.load_checked(&lanes, 16 * b, p);
+            let (hi, hi_refused) = from.load_checked(&lanes, 16 * b + 8, p);
+            refused |= lo_refused | hi_refused;
             // t = 1: x = even words, y = odd words.
             let x1 = _mm512_permutex2var_epi64(lo, to_t1[0], hi);
             let y1 = _mm512_permutex2var_epi64(lo, to_t1[1], hi);
@@ -748,4 +791,5 @@ unsafe fn inverse_impl(
     }
     #[cfg(debug_assertions)]
     assert_domain(a, q, format_args!("ifma inverse last pass, span {t}"));
+    refused
 }

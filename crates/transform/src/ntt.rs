@@ -26,7 +26,7 @@
 //! against.
 
 use crate::twiddle::TwiddleTable;
-use abc_math::dyadic::{DyadicEngine, Tail};
+use abc_math::dyadic::{DyadicEngine, Head, Tail};
 use abc_math::rns::{SignedCoeffs, SignedWord};
 use abc_math::shoup::{self, MAX_SHOUP52_MODULUS};
 use abc_math::{CpuCaps, KernelTier, MathError, Modulus};
@@ -266,7 +266,7 @@ impl NttPlan {
     ///
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
-        self.inverse_core(a, None);
+        self.inverse_stream(Head::InPlace, a);
     }
 
     /// Out-of-place inverse: `dst = INTT(src)`, with the copy fused
@@ -279,30 +279,54 @@ impl NttPlan {
     ///
     /// Panics if either length differs from `N`.
     pub fn inverse_from(&self, src: &[u64], dst: &mut [u64]) {
-        self.inverse_core(dst, Some(src));
+        self.inverse_stream(Head::Words(src), dst);
     }
 
-    /// Shared core of [`NttPlan::inverse`] and [`NttPlan::inverse_from`]:
-    /// `dst = INTT(src)`, where `src` defaults to `dst`.
-    fn inverse_core(&self, dst: &mut [u64], src: Option<&[u64]>) {
+    /// The streamed inverse transform: `dst = INTT(x)`, where `x` is what
+    /// `head` names — `dst` itself, another slice, or decryption's
+    /// `c1·s + c0` — read by the transform's first stage, so no pass
+    /// precedes it. Every operand is canonical in `[0, q)` (checked for
+    /// `s` in debug builds), and so is the result, bit-identical on both
+    /// rungs to the head's op into `dst` ([`DyadicEngine::mul_add_assign`]
+    /// over a copy of `c1`, for [`Head::MulAdd`]) followed by
+    /// [`NttPlan::inverse`].
+    ///
+    /// On the `ifma` rung ([`abc_math::simd::ntt_inverse`]) the head is
+    /// a loader of the first pass, computing `c1·s + c0` in registers;
+    /// the `harvey` rung runs the same step per word
+    /// ([`DyadicEngine::mul_add_word`]) in its first stage's loads.
+    ///
+    /// Returns whether every `c1` and `c0` word of a [`Head::MulAdd`] was
+    /// below `q` — the one check a ciphertext from outside the program
+    /// needs before arithmetic, made on words the transform loads anyway.
+    /// A lane whose word was not enters the transform as 0, so `dst` is
+    /// then a transform of something else and the caller discards it.
+    /// The other heads always report `true`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` or a head operand does not hold `N` words.
+    pub fn inverse_stream(&self, head: Head<'_>, dst: &mut [u64]) -> bool {
         assert_eq!(dst.len(), self.n, "polynomial length must equal N");
-        if let Some(s) = src {
-            assert_eq!(s.len(), self.n, "source length must equal N");
+        for operand in head.operands().into_iter().flatten() {
+            assert_eq!(operand.len(), self.n, "source length must equal N");
+        }
+        #[cfg(debug_assertions)]
+        if let Head::MulAdd { s, .. } = head {
+            assert_domain(s, self.m.q(), format_args!("inverse_stream multiplier"));
         }
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Simd => {
-                abc_math::simd::ntt_inverse(
-                    dst,
-                    src,
-                    self.m.q(),
-                    self.table.forward_column(),
-                    &self.quotients,
-                    self.table.n_inv(),
-                    self.n_inv_quotient,
-                );
-            }
-            _ => self.inverse_harvey_fused(dst, src),
+            KernelTier::Simd => abc_math::simd::ntt_inverse(
+                dst,
+                head,
+                self.table.forward_column(),
+                &self.quotients,
+                self.table.n_inv(),
+                self.n_inv_quotient,
+                &self.dyadic,
+            ),
+            _ => self.inverse_harvey(dst, head),
         }
     }
 
@@ -348,20 +372,40 @@ impl NttPlan {
     /// multiplies by `−tw[2h − 1 − i]`: each stage zips its chunks with
     /// the **forward** block `[h, 2h)` reversed and lifts the difference
     /// the other way round, `v + 2q − u ∈ (0, 4q)`. The first stage's
-    /// loads absorb the optional out-of-place read from `src`.
-    fn inverse_harvey_fused(&self, a: &mut [u64], src: Option<&[u64]>) {
+    /// loads read through `head` ([`NttPlan::inverse_stream`]'s contract
+    /// and return value).
+    fn inverse_harvey(&self, a: &mut [u64], head: Head<'_>) -> bool {
+        let mut refused = false;
+        match head {
+            Head::InPlace => self.inverse_harvey_with(a, |a, j| a[j]),
+            Head::Words(src) => self.inverse_harvey_with(a, |_, j| src[j]),
+            Head::MulAdd { c1, s, c0 } => {
+                let (q, dyadic) = (self.m.q(), &self.dyadic);
+                self.inverse_harvey_with(a, |_, j| {
+                    // A refused word enters as 0: `0·s + 0`.
+                    let ok = c1[j] < q && c0[j] < q;
+                    refused |= !ok;
+                    let keep = u64::from(ok).wrapping_neg();
+                    dyadic.mul_add_word(c1[j] & keep, s[j], c0[j] & keep)
+                });
+            }
+        }
+        !refused
+    }
+
+    /// [`NttPlan::inverse_harvey`] with its first stage's word `j` read
+    /// by `load` (given `a` as it stands, before the stage writes pair
+    /// `j / 2`).
+    fn inverse_harvey_with(&self, a: &mut [u64], mut load: impl FnMut(&[u64], usize) -> u64) {
         let q = self.m.q();
         let two_q = 2 * q;
         let (tw, tw_shoup) = (self.table.forward_column(), &self.quotients[..]);
         let stage_w = |h: usize| tw[h..2 * h].iter().zip(&tw_shoup[h..2 * h]).rev();
         let n = self.n;
         // Fused first stage (t = 1, adjacent pairs): read through
-        // `src`, write `a`. Lanes land < 2q, as every stage expects.
+        // `load`, write `a`. Lanes land < 2q, as every stage expects.
         for (i, (&w, &ws)) in stage_w(n >> 1).enumerate() {
-            let (u, v) = match src {
-                Some(s) => (s[2 * i], s[2 * i + 1]),
-                None => (a[2 * i], a[2 * i + 1]),
-            };
+            let (u, v) = (load(a, 2 * i), load(a, 2 * i + 1));
             a[2 * i] = shoup::add_lazy(u, v, two_q);
             a[2 * i + 1] = shoup::mul_shoup_lazy(v + two_q - u, w, ws, q);
         }

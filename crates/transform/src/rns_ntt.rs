@@ -82,8 +82,8 @@ pub use crate::fanout::{LimbWork, THREADS_ENV};
 
 /// Polynomials of `limbs` limbs one operation on a context can have
 /// checked out of the pool at once: one plaintext, two ciphertext
-/// components and one of scratch (a download holds `c0`, `c1`, the
-/// decrypted plaintext and decode's coefficient limbs; an upload only
+/// components and one of scratch (a download holds `c0`, `c1` and the
+/// decrypted plaintext's coefficient limbs; an upload only
 /// `c0`, `c1` and a scratch limb per thread, or three scratch limbs per
 /// thread when fused — an encoded plaintext keeps integer coefficients
 /// and takes limbs only if its residues are read). The scratch
@@ -287,8 +287,9 @@ impl RnsNttEngine {
     }
 
     /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] mod q_i` — the RNS-wide
-    /// shape of `c1·s + c0` (decrypt runs it fused with its copy of
-    /// `c1`) and of the evaluator's cross term. `b` and `c` may carry
+    /// shape of `c1·s + c0` (decrypt runs it inside its inverse
+    /// transforms instead, [`NttPlan::inverse_stream`]) and of the
+    /// evaluator's cross term. `b` and `c` may carry
     /// more limbs than `a`; the leading ones are used.
     ///
     /// # Panics

@@ -1,10 +1,11 @@
-//! Allocations of the uploads once warm, counted on every thread: a
+//! Allocations of the client ops once warm, counted on every thread: a
 //! counting global allocator (its own test binary, one test, so nothing
 //! else allocates while it counts) sees the caller's and the fan-out
-//! workers' allocations alike. An upload takes its limbs from the limb
-//! pool, so what it allocates is per-op bookkeeping, the integer
+//! workers' allocations alike. An op takes its limbs from the limb pool,
+//! so what an upload allocates is per-op bookkeeping, the integer
 //! polynomials of the message and the samplers, and (the pinned
-//! sequence) the blob; the named constants below only go down. The pool itself is filled to its
+//! sequence) the blob, and what the download allocates is bookkeeping
+//! and its slot vector; the named constants below only go down. The pool itself is filled to its
 //! allowance before anything is counted, so its growth — a class's
 //! first miss under a new peak of concurrent checkouts, and the free
 //! list it grows — never lands in an op's count.
@@ -44,6 +45,15 @@ const FUSED_COMPRESSED_ALLOCS: u64 = 11;
 /// plus the fan-out's chunk operands and scratch checkouts when the
 /// passes fan out (20 at three threads).
 const PINNED_UPLOAD_ALLOCS: u64 = 20;
+
+/// Allocations of one download — `wire::deserialize_ciphertext` →
+/// [`CkksContext::decrypt`] → [`CkksContext::decode`] of a fresh
+/// 24-prime blob — at up to three threads. Serially 14: nine to unpack
+/// the blob, decrypt's two (the plaintext's limb table and its copy of
+/// the scale) and decode's three (the slot vector among them) — plus the
+/// fan-out's chunk operands and one lift view vector per further chunk
+/// when the passes fan out (18 at three threads).
+const DOWNLOAD_ALLOCS: u64 = 18;
 
 /// Every allocation of the process, from any thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -115,10 +125,9 @@ fn allocs_per_op(mut op: impl FnMut()) -> (u64, u64) {
 }
 
 #[test]
-fn uploads_allocate_at_most_their_named_counts() {
+fn client_ops_allocate_at_most_their_named_counts() {
     // The gateway's shape (N = 2^13, 24 primes), serial and fanned out:
-    // from two threads on, every upload's passes run on the parked
-    // workers.
+    // from two threads on, every op's passes run on the parked workers.
     let mut counts = Vec::new();
     for threads in [1usize, 2, 3] {
         let ctx = {
@@ -149,21 +158,37 @@ fn uploads_allocate_at_most_their_named_counts() {
                 ctx.encode_encrypt_compressed_into(&message, &sk, Seed::from_u128(3), &mut blob);
             upload.expect("upload");
         });
-        counts.push((threads, [pinned, full, compressed]));
+        let down = wire::serialize_ciphertext_packed(
+            &ctx.encrypt(
+                &ctx.encode(&message).expect("encode"),
+                &pk,
+                Seed::from_u128(4),
+            ),
+            &widths,
+        )
+        .expect("pack");
+        let download = allocs_per_op(|| {
+            let ct = wire::deserialize_ciphertext(&down).expect("unpack");
+            let pt = ctx.decrypt(&ct, &sk).expect("decrypt");
+            std::hint::black_box(ctx.decode(&pt).expect("decode"));
+        });
+        counts.push((threads, [pinned, full, compressed, download]));
     }
     let named = [
         PINNED_UPLOAD_ALLOCS,
         FUSED_UPLOAD_ALLOCS,
         FUSED_COMPRESSED_ALLOCS,
+        DOWNLOAD_ALLOCS,
     ];
-    let within = |(_, ops): &(usize, [(u64, u64); 3])| {
+    let within = |(_, ops): &(usize, [(u64, u64); 4])| {
         ops.iter()
             .zip(named)
             .all(|(&(allocs, misses), most)| allocs <= most && misses == 0)
     };
     assert!(
         counts.iter().all(within),
-        "(allocations per op, pool misses in four ops) (threads, [pinned, full, compressed]): \
+        "(allocations per op, pool misses in four ops) \
+         (threads, [pinned, full, compressed, download]): \
          {counts:?}"
     );
 }
